@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet serve bench bench-prune bench-shuffle bench-serve bench-join bench-churn fuzz smoke smoke-serve clean
+.PHONY: build test race vet serve bench bench-spine bench-paper bench-serve bench-join fuzz smoke smoke-serve clean
 
 build:
 	$(GO) build ./...
@@ -22,17 +22,16 @@ serve:
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# bench-prune times the structural-index pruning experiment and emits
-# the cross-PR perf snapshot.
-BENCH_OUT ?= BENCH_PR6.json
-bench-prune:
-	$(GO) run ./cmd/sidrbench -json $(BENCH_OUT)
+# bench-spine runs the repo's one measurement harness (BENCHMARK.json):
+# five named workloads, end-to-end metrics plus per-layer attribution.
+bench-spine:
+	bash bench/run.sh
 
-# bench-shuffle runs the batched-vs-per-spill shuffle head-to-head on
-# real loopback workers and emits the cross-PR perf snapshot.
-SHUFFLE_OUT ?= BENCH_PR7.json
-bench-shuffle:
-	$(GO) run ./cmd/sidrbench -json $(SHUFFLE_OUT)
+# bench-paper runs every sidrbench experiment (paper figures, chaos,
+# churn, prune, serve, join) and emits the all-sections perf snapshot.
+BENCH_OUT ?= BENCH_PAPER.json
+bench-paper:
+	$(GO) run ./cmd/sidrbench -json $(BENCH_OUT)
 
 # bench-serve drives the serving tier with >=1000 concurrent streaming
 # clients (zipf mix + identical-query burst) and emits the cross-PR perf
@@ -51,19 +50,11 @@ JOIN_SCALE ?= 1.0
 bench-join:
 	$(GO) run ./cmd/sidrbench -exp join -joinscale $(JOIN_SCALE) -json $(JOIN_OUT)
 
-# bench-churn runs the elastic-membership churn experiment (post-Map
-# worker death: replica re-fetch vs split re-execution, plus the
-# dispatch locality ratio) and emits the cross-PR perf snapshot.
-CHURN_OUT ?= BENCH_PR10.json
-bench-churn:
-	$(GO) run ./cmd/sidrbench -json $(CHURN_OUT)
-
 # fuzz exercises the untrusted-bytes decoders briefly (CI runs the same
 # targets; crashers land in testdata/fuzz).
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzReadSpill$$ -fuzztime=$(FUZZTIME) ./internal/kv/
-	$(GO) test -run=^$$ -fuzz=FuzzReadSpillV3 -fuzztime=$(FUZZTIME) ./internal/kv/
+	$(GO) test -run=^$$ -fuzz=FuzzReadSpill -fuzztime=$(FUZZTIME) ./internal/kv/
 	$(GO) test -run=^$$ -fuzz=FuzzReadIndex -fuzztime=$(FUZZTIME) ./internal/sidx/
 	$(GO) test -run=^$$ -fuzz=FuzzIndexCRC -fuzztime=$(FUZZTIME) ./internal/sidx/
 	$(GO) test -run=^$$ -fuzz=FuzzParseJoin -fuzztime=$(FUZZTIME) ./internal/query/

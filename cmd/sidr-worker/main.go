@@ -54,7 +54,7 @@ func main() {
 		dialTO      = flag.Duration("dial-timeout", 0, "coordinator dial/TLS timeout (0 = 2s)")
 		headerTO    = flag.Duration("header-timeout", 0, "coordinator response-header timeout (0 = 5s)")
 		chaos       = flag.String("chaos", "", "fault-injection spec, e.g. \"seed=42,kill-after-maps=5,hang=0.05,match=/v1/shuffle/,flip=0.01\" (see internal/faultinject)")
-		compress    = flag.Bool("spill-compress", false, "DEFLATE spill blocks (kv codec v3): Map-side CPU for smaller shuffle transfers")
+		compress    = flag.Bool("spill-compress", false, "DEFLATE spill blocks: Map-side CPU for smaller shuffle transfers")
 	)
 	flag.Parse()
 	if err := run(*addr, *coordinator, *name, *node, *spillDir, *advertise, *heartbeat, *drainTO, *dialTO, *headerTO, *chaos, *compress); err != nil {

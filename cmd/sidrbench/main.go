@@ -12,9 +12,9 @@
 //
 // Usage:
 //
-//	sidrbench [-exp all|fig9|fig10|fig11|fig12|fig13|table2|table3|partmicro|shufflemicro|shuffle|failures|chaos|churn|prune|serve|join]
+//	sidrbench [-exp all|fig9|fig10|fig11|fig12|fig13|table2|table3|partmicro|failures|chaos|churn|prune|serve|join]
 //	          [-seed N] [-runs N] [-curves] [-dir DIR]
-//	sidrbench -json BENCH_PR7.json
+//	sidrbench -json BENCH.json
 //	sidrbench -exp join -joinscale 0.5 -json BENCH_PR9.json
 package main
 
@@ -32,20 +32,17 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run (all, fig9, fig10, fig11, fig12, fig13, table2, table3, partmicro, shufflemicro, shuffle, failures, chaos, churn, prune, serve, join)")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		runs     = flag.Int("runs", 10, "repetitions for averaged experiments (fig12, table2, partmicro)")
-		curves   = flag.Bool("curves", false, "dump full completion curves, not just summaries")
-		dir      = flag.String("dir", os.TempDir(), "scratch directory for file-IO experiments")
-		micro    = flag.Int("micropairs", experiments.PartitionMicroPairs, "pair count for the partition micro-benchmark")
-		shufPair = flag.Int("shufflepairs", 50000, "pair count for the shuffle micro-benchmark spill")
-		shufN    = flag.Int("shufflefetches", 200, "timed fetches in the shuffle micro-benchmark")
-		shufRows = flag.Int64("shufflerows", 40*512*512, "source rows for the batched-vs-per-spill shuffle head-to-head")
-		srvCli   = flag.Int("serveclients", 1000, "concurrent streaming clients in the serving-tier experiment")
-		srvReqs  = flag.Int("servereqs", 3, "requests per client in the serving-tier mix phase")
-		srvUniq  = flag.Int("serveuniques", 64, "distinct queries in the serving-tier zipf mix")
-		joinScl  = flag.Float64("joinscale", 1.0, "input-extent scale for the structural-join skew experiment (CI runs reduced)")
-		jsonTo   = flag.String("json", "", "write a machine-readable benchmark summary to this file and exit")
+		exp     = flag.String("exp", "all", "experiment to run (all, fig9, fig10, fig11, fig12, fig13, table2, table3, partmicro, failures, chaos, churn, prune, serve, join)")
+		seed    = flag.Int64("seed", 1, "simulation seed")
+		runs    = flag.Int("runs", 10, "repetitions for averaged experiments (fig12, table2, partmicro)")
+		curves  = flag.Bool("curves", false, "dump full completion curves, not just summaries")
+		dir     = flag.String("dir", os.TempDir(), "scratch directory for file-IO experiments")
+		micro   = flag.Int("micropairs", experiments.PartitionMicroPairs, "pair count for the partition micro-benchmark")
+		srvCli  = flag.Int("serveclients", 1000, "concurrent streaming clients in the serving-tier experiment")
+		srvReqs = flag.Int("servereqs", 3, "requests per client in the serving-tier mix phase")
+		srvUniq = flag.Int("serveuniques", 64, "distinct queries in the serving-tier zipf mix")
+		joinScl = flag.Float64("joinscale", 1.0, "input-extent scale for the structural-join skew experiment (CI runs reduced)")
+		jsonTo  = flag.String("json", "", "write a machine-readable benchmark summary to this file and exit")
 	)
 	flag.Usage = func() {
 		fmt.Fprintln(flag.CommandLine.Output(), "usage: sidrbench [flags]")
@@ -56,7 +53,7 @@ func main() {
 	flag.Parse()
 
 	if *jsonTo != "" {
-		if err := writeBenchJSON(*jsonTo, *exp, *seed, *micro, *shufPair, *shufN, *shufRows, *srvCli, *srvReqs, *srvUniq, *joinScl); err != nil {
+		if err := writeBenchJSON(*jsonTo, *exp, *seed, *micro, *srvCli, *srvReqs, *srvUniq, *joinScl); err != nil {
 			fmt.Fprintf(os.Stderr, "sidrbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -192,24 +189,6 @@ func main() {
 		fmt.Println("  " + res.Format())
 		return nil
 	})
-	run("shufflemicro", func() error {
-		fmt.Println("networked-shuffle micro-benchmark: spill write → loopback HTTP fetch → kv-count validate")
-		res, err := shuffleMicro(*shufPair, *shufN)
-		if err != nil {
-			return err
-		}
-		fmt.Println("  " + res.Format())
-		return nil
-	})
-	run("shuffle", func() error {
-		fmt.Println("shuffle head-to-head: batched streaming fetch vs per-spill (real workers, loopback)")
-		r, err := shuffleExperiment(*seed, *shufRows)
-		if err != nil {
-			return err
-		}
-		fmt.Println("  " + r.Format())
-		return nil
-	})
 	run("chaos", func() error {
 		fmt.Println("chaos experiment: clustered query with 0 and 1 injected worker deaths (real workers, loopback)")
 		rs, err := chaosExperiment(*seed)
@@ -271,15 +250,15 @@ type benchCurve struct {
 }
 
 // benchReport is the BENCH_PR*.json schema: the cross-PR perf snapshot.
-// sidrbench/2 added the networked-shuffle micro-benchmark; sidrbench/3
-// added the chaos experiment (fault-recovery latency on real workers);
-// sidrbench/4 added the structural-index pruning experiment;
-// sidrbench/5 added the batched-vs-per-spill shuffle head-to-head;
+// sidrbench/3 added the chaos experiment (fault-recovery latency on real
+// workers); sidrbench/4 added the structural-index pruning experiment;
 // sidrbench/6 added the serving-tier experiment (result cache, query
 // collapsing, per-path latency percentiles under 1000 streaming
 // clients); sidrbench/7 added the structural-join skew experiment;
-// sidrbench/8 adds the churn experiment (post-Map worker death:
-// replica re-fetch vs split re-execution, plus dispatch locality).
+// sidrbench/8 added the churn experiment (post-Map worker death:
+// replica re-fetch vs split re-execution, plus dispatch locality);
+// sidrbench/9 drops the shuffle_micro and shuffle sections with the
+// per-spill path they measured (bench/'s shuffle_median replaces them).
 type benchReport struct {
 	Schema string       `json:"schema"`
 	Seed   int64        `json:"seed"`
@@ -298,13 +277,11 @@ type benchReport struct {
 		AllocsPerOp float64 `json:"allocs_per_op"`
 		BytesPerOp  float64 `json:"bytes_per_op"`
 	} `json:"partition_micro"`
-	ShuffleMicro shuffleMicroResult `json:"shuffle_micro"`
-	Shuffle      shuffleHeadToHead  `json:"shuffle"`
-	Chaos        []chaosResult      `json:"chaos"`
-	Churn        churnResult        `json:"churn"`
-	Prune        pruneResult        `json:"prune"`
-	Serve        serveResult        `json:"serve"`
-	Join         joinResult         `json:"join"`
+	Chaos []chaosResult `json:"chaos"`
+	Churn churnResult   `json:"churn"`
+	Prune pruneResult   `json:"prune"`
+	Serve serveResult   `json:"serve"`
+	Join  joinResult    `json:"join"`
 }
 
 func toBenchCurves(rs []experiments.CurveResult) []benchCurve {
@@ -324,8 +301,8 @@ func toBenchCurves(rs []experiments.CurveResult) []benchCurve {
 // engine query, and writes the summary file. exp narrows the snapshot
 // to one experiment's section (-exp join -json ... in CI); "all" fills
 // every section.
-func writeBenchJSON(path, exp string, seed int64, microPairs, shufflePairs, shuffleFetches int, shuffleRows int64, serveClients, serveReqs, serveUniques int, joinScale float64) error {
-	rep := benchReport{Schema: "sidrbench/8", Seed: seed}
+func writeBenchJSON(path, exp string, seed int64, microPairs, serveClients, serveReqs, serveUniques int, joinScale float64) error {
+	rep := benchReport{Schema: "sidrbench/9", Seed: seed}
 	cfg := experiments.TestbedConfig(seed)
 	want := func(name string) bool { return exp == "all" || exp == name }
 
@@ -382,18 +359,6 @@ func writeBenchJSON(path, exp string, seed int64, microPairs, shufflePairs, shuf
 	}
 
 	var err error
-	if want("shufflemicro") {
-		if rep.ShuffleMicro, err = shuffleMicro(shufflePairs, shuffleFetches); err != nil {
-			return err
-		}
-	}
-
-	if want("shuffle") {
-		if rep.Shuffle, err = shuffleExperiment(seed, shuffleRows); err != nil {
-			return err
-		}
-	}
-
 	if want("chaos") {
 		if rep.Chaos, err = chaosExperiment(seed); err != nil {
 			return err

@@ -68,7 +68,6 @@ func main() {
 		nodes     = flag.String("nodes", "", "comma-separated HDFS namespace node names: datasets get simulated block placements across them and Map dispatch prefers split-local workers (match via sidr-worker -node) (with -cluster)")
 		hbTimeout = flag.Duration("heartbeat-timeout", 5*time.Second, "evict workers that miss heartbeats for this long (with -cluster)")
 		specOn    = flag.Bool("speculation", false, "launch backup attempts for straggling Map dispatches (with -cluster)")
-		batchOn   = flag.Bool("batch-shuffle", true, "fetch each reduce's spill subset with one batched request per worker; false forces per-spill fetches (with -cluster)")
 		chaos     = flag.String("chaos", "", "coordinator-side fault-injection spec applied to dispatch/shuffle requests, e.g. \"seed=42,match=/v1/shuffle/,delay=0.1:50ms,flip=0.01\" (see internal/faultinject)")
 		rcBytes   = flag.Int64("result-cache-bytes", 64<<20, "byte budget of the versioned result cache serving repeat queries without re-execution (-1 disables)")
 		tenantDef = flag.String("tenant-default", "0:1", "admission policy MAXINFLIGHT[:WEIGHT] for tenants without an explicit -tenant entry (0 = unlimited)")
@@ -88,13 +87,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sidrd: -tenant-default: %v\n", err)
 		os.Exit(1)
 	}
-	if err := run(*addr, *dataDir, *maxJobs, *execWork, *queue, *planCache, *retain, *drain, *clusterOn, *replicas, *nodes, *hbTimeout, *specOn, *batchOn, *chaos, *rcBytes, tenants, tdef); err != nil {
+	if err := run(*addr, *dataDir, *maxJobs, *execWork, *queue, *planCache, *retain, *drain, *clusterOn, *replicas, *nodes, *hbTimeout, *specOn, *chaos, *rcBytes, tenants, tdef); err != nil {
 		fmt.Fprintf(os.Stderr, "sidrd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataDir string, maxJobs, execWorkers, queue, planCache, retain int, drain time.Duration, clusterOn bool, replicas int, nodes string, hbTimeout time.Duration, specOn, batchOn bool, chaos string, rcBytes int64, tenants map[string]jobs.TenantPolicy, tenantDefault jobs.TenantPolicy) error {
+func run(addr, dataDir string, maxJobs, execWorkers, queue, planCache, retain int, drain time.Duration, clusterOn bool, replicas int, nodes string, hbTimeout time.Duration, specOn bool, chaos string, rcBytes int64, tenants map[string]jobs.TenantPolicy, tenantDefault jobs.TenantPolicy) error {
 	reg := metrics.New()
 	registry := server.NewRegistry()
 	var ns *hdfs.Namespace
@@ -129,12 +128,11 @@ func run(addr, dataDir string, maxJobs, execWorkers, queue, planCache, retain in
 			replicas = -1 // flag 0 = off; config 0 would mean "default 1"
 		}
 		ccfg := cluster.CoordinatorConfig{
-			HeartbeatTimeout:  hbTimeout,
-			SpillReplicas:     replicas,
-			Metrics:           reg,
-			Logf:              log.Printf,
-			Speculation:       specOn,
-			DisableBatchFetch: !batchOn,
+			HeartbeatTimeout: hbTimeout,
+			SpillReplicas:    replicas,
+			Metrics:          reg,
+			Logf:             log.Printf,
+			Speculation:      specOn,
 		}
 		if chaos != "" {
 			spec, err := faultinject.Parse(chaos)

@@ -3,59 +3,36 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
-	"sidr/internal/metrics"
+	"sidr/internal/kv"
 )
 
-// TestBatchedVsPerSpillParity runs the same job over both shuffle
-// paths and requires byte-identical output — the batched path is a
-// transport optimisation, never a semantic one — while pinning the
-// request accounting: batching needs at most one request per (reduce,
-// worker) pair, per-spill needs exactly Σ|I_ℓ|.
+// TestBatchedVsPerSpillParity keeps its name from when a per-spill path
+// existed to compare against; it is now the single byte-identity run of
+// the one shuffle path: Σ|I_ℓ| spills, carried by fewer requests
+// (TestShuffleAccountingMetrics pins the rest of the accounting).
 func TestBatchedVsPerSpillParity(t *testing.T) {
-	run := func(disable bool) *JobResult {
-		c, _ := startCluster(t, 2, CoordinatorConfig{Metrics: metrics.New(), DisableBatchFetch: disable})
-		res, err := runClusterJob(t, c, nil)
-		if err != nil {
-			t.Fatalf("job (DisableBatchFetch=%v) failed: %v", disable, err)
-		}
-		return res
+	c, _ := startCluster(t, 2, CoordinatorConfig{})
+	res, err := runClusterJob(t, c, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	batched, legacy := run(false), run(true)
-
-	bk, bv := flatten(batched)
-	lk, lv := flatten(legacy)
-	if !reflect.DeepEqual(bk, lk) || !reflect.DeepEqual(bv, lv) {
-		t.Fatal("batched and per-spill outputs differ (not byte-identical)")
+	assertMatchesInProcess(t, res)
+	want := res.Plan.Graph.SIDRConnections()
+	if res.Counters.Connections != want {
+		t.Fatalf("connections = %d, want Σ|I_ℓ| = %d", res.Counters.Connections, want)
 	}
-
-	want := batched.Plan.Graph.SIDRConnections()
-	if batched.Counters.Connections != want || legacy.Counters.Connections != want {
-		t.Fatalf("connections batched=%d legacy=%d, want Σ|I_ℓ|=%d both ways",
-			batched.Counters.Connections, legacy.Counters.Connections, want)
-	}
-	if legacy.Counters.ShuffleRequests != want || legacy.Counters.BatchRequests != 0 {
-		t.Fatalf("per-spill path made %d requests (%d batched), want %d per-spill only",
-			legacy.Counters.ShuffleRequests, legacy.Counters.BatchRequests, want)
-	}
-	maxBatched := int64(batched.Plan.Part.NumKeyblocks()) * 2 // reduces × workers
-	if batched.Counters.ShuffleRequests > maxBatched {
-		t.Fatalf("batched path made %d requests, want ≤ reduces×workers = %d",
-			batched.Counters.ShuffleRequests, maxBatched)
-	}
-	if batched.Counters.ShuffleRequests >= legacy.Counters.ShuffleRequests {
-		t.Fatalf("batching saved nothing: %d requests vs %d per-spill",
-			batched.Counters.ShuffleRequests, legacy.Counters.ShuffleRequests)
-	}
-	if batched.Counters.BatchFallbacks != 0 {
-		t.Fatalf("%d batch fallbacks on a healthy cluster", batched.Counters.BatchFallbacks)
+	if res.Counters.ShuffleRequests >= want {
+		t.Fatalf("batching saved nothing: %d requests for %d spills", res.Counters.ShuffleRequests, want)
 	}
 }
 
@@ -72,27 +49,21 @@ func TestBatchEndpointFraming(t *testing.T) {
 	srv := httptest.NewServer(w)
 	defer srv.Close()
 
-	// Seed spills through the legacy layout (the serving path's
-	// fallback), with distinct sizes so frame lengths are telling.
+	// Commit one pack per split (the store serves bytes opaquely, so any
+	// bytes do), with distinct sizes so frame lengths are telling.
 	payloads := map[int][]byte{
 		0: []byte("split zero spill bytes"),
 		1: bytes.Repeat([]byte{0xAB}, 1000),
 		2: {}, // empty spill still gets a frame
 	}
 	for split, b := range payloads {
-		p := w.spillPath("job-x", split, 0, 5)
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		commitSpill(t, w, "job-x", split, 0, 5, b)
 	}
 
 	post := func(req BatchFetchRequest) *http.Response {
 		t.Helper()
 		body, _ := json.Marshal(req)
-		resp, err := http.Post(srv.URL+BatchShufflePath, "application/json", bytes.NewReader(body))
+		resp, err := http.Post(srv.URL+shuffleBatchPath, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +111,7 @@ func TestBatchEndpointFraming(t *testing.T) {
 		}
 		off += frameHeaderLen
 		if !bytes.Equal(stream[off:off+int(length)], payloads[s]) {
-			t.Fatalf("split %d frame bytes differ from spill file", s)
+			t.Fatalf("split %d frame bytes differ from the committed spill", s)
 		}
 		off += int(length)
 	}
@@ -157,7 +128,7 @@ func TestBatchEndpointFraming(t *testing.T) {
 	if resp := post(BatchFetchRequest{JobID: "job-x", Keyblock: 5}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty spill list → %d, want 400", resp.StatusCode)
 	}
-	getResp, err := http.Get(srv.URL + BatchShufflePath)
+	getResp, err := http.Get(srv.URL + shuffleBatchPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,33 +138,193 @@ func TestBatchEndpointFraming(t *testing.T) {
 	}
 }
 
-// TestBatchUnsupportedWorkerFallsBack pins rolling-upgrade behavior: a
-// worker whose batch endpoint errors (an old binary would 404 it) must
-// degrade to per-spill fetches, and the job must still finish with the
-// full Σ|I_ℓ| accounting and byte-identical output.
-func TestBatchUnsupportedWorkerFallsBack(t *testing.T) {
-	noBatch := func(i int, h http.Handler) http.Handler {
+// commitSpill commits a pack holding one keyblock's bytes for (job,
+// split, attempt) in the worker's spill store.
+func commitSpill(t *testing.T, w *Worker, job string, split, attempt, kb int, b []byte) {
+	t.Helper()
+	pw, err := w.store.Begin(job, split, attempt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pw.Append(kb, func(dst io.Writer) error {
+		_, err := dst.Write(b)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pw.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOnlyCommittedPacksAreServed: a spill exists for the shuffle only
+// as an entry of a committed spillstore pack, reachable only through
+// POST /v1/shuffle/batch. A kb-N.spill file dropped into SpillDir where
+// the retired per-keyblock layout kept it is not served, and the
+// retired per-spill GET route is gone.
+func TestOnlyCommittedPacksAreServed(t *testing.T) {
+	dir := t.TempDir()
+	w, err := NewWorker(WorkerConfig{Name: "w0", SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	srv := httptest.NewServer(w)
+	defer srv.Close()
+
+	var spill bytes.Buffer
+	if err := kv.WriteSpillV3(&spill, 1, 0, nil, kv.V3Options{}); err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(dir, "j", "0-0", "kb-0.spill")
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(p, spill.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	body, _ := json.Marshal(BatchFetchRequest{JobID: "j", Keyblock: 0, Spills: []SpillRef{{Split: 0, Attempt: 0}}})
+	resp, err := http.Post(srv.URL+shuffleBatchPath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("loose spill file → %d from the batch endpoint, want 404", resp.StatusCode)
+	}
+	resp, err = http.Get(srv.URL + "/v1/shuffle/j/0/0/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /v1/shuffle/j/0/0/0 → %d, want 404 or 405", resp.StatusCode)
+	}
+
+	// The same bytes committed through the store are served.
+	commitSpill(t, w, "j", 0, 0, 0, spill.Bytes())
+	resp, err = http.Post(srv.URL+shuffleBatchPath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("committed spill → %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestRetryIsABatchOfOne: when a multi-spill fetch fails, its spills
+// are re-fetched through the very same endpoint, one per request. Every
+// worker fails its first shuffle request and fails the test on any
+// request under /v1/shuffle/ that is not the batch endpoint.
+func TestRetryIsABatchOfOne(t *testing.T) {
+	var (
+		mu       sync.Mutex
+		failed   = map[int]bool{} // worker → its first request was failed
+		sizes    []int            // spills named by each request let through
+		badPaths []string
+	)
+	wrap := func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == BatchShufflePath {
-				http.Error(rw, "batch shuffle unsupported", http.StatusNotFound)
+			if !strings.HasPrefix(r.URL.Path, "/v1/shuffle") {
+				h.ServeHTTP(rw, r)
 				return
 			}
+			if r.URL.Path != shuffleBatchPath {
+				mu.Lock()
+				badPaths = append(badPaths, r.Method+" "+r.URL.Path)
+				mu.Unlock()
+				http.Error(rw, "no such route", http.StatusNotFound)
+				return
+			}
+			raw, _ := io.ReadAll(r.Body)
+			var req BatchFetchRequest
+			json.Unmarshal(raw, &req)
+			mu.Lock()
+			first := !failed[i]
+			failed[i] = true
+			if !first {
+				sizes = append(sizes, len(req.Spills))
+			}
+			mu.Unlock()
+			if first {
+				http.Error(rw, "injected first-fetch failure", http.StatusInternalServerError)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(raw))
 			h.ServeHTTP(rw, r)
 		})
 	}
-	c, _ := startChaosCluster(t, 2, CoordinatorConfig{Metrics: metrics.New()}, nil, noBatch)
+	c, _ := startChaosCluster(t, 2, CoordinatorConfig{}, nil, wrap)
 	res, err := runClusterJob(t, c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertMatchesInProcess(t, res)
-	if res.Counters.BatchFallbacks == 0 {
-		t.Fatal("no batch request fell back on batch-less workers")
+	mu.Lock()
+	defer mu.Unlock()
+	if len(badPaths) != 0 {
+		t.Fatalf("shuffle requests off the one endpoint: %v", badPaths)
 	}
-	if res.Counters.BatchRequests != 0 {
-		t.Fatalf("%d batch requests succeeded against batch-less workers", res.Counters.BatchRequests)
+	if res.Counters.BatchFallbacks == 0 {
+		t.Fatal("no failed multi-spill fetch was counted as a fallback")
+	}
+	singles := 0
+	for _, n := range sizes {
+		if n == 1 {
+			singles++
+		}
+	}
+	if singles == 0 {
+		t.Fatalf("no retry arrived as a batch of one (request sizes %v)", sizes)
 	}
 	if want := res.Plan.Graph.SIDRConnections(); res.Counters.Connections != want {
 		t.Fatalf("connections = %d, want Σ|I_ℓ| = %d", res.Counters.Connections, want)
+	}
+	if res.Counters.Reexecuted != 0 {
+		t.Fatalf("%d re-executions: a transient fetch failure must be absorbed by the retry", res.Counters.Reexecuted)
+	}
+}
+
+// TestIncompleteMapResponseRedispatched: a Map response that omits the
+// spill metadata of a keyblock its split feeds is a failed attempt — it
+// is re-dispatched, never recorded — because every shuffle fetch
+// validates against that metadata.
+func TestIncompleteMapResponseRedispatched(t *testing.T) {
+	var once sync.Once
+	wrap := func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/map" {
+				h.ServeHTTP(rw, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			body := rec.Body.Bytes()
+			once.Do(func() {
+				var mr MapResponse
+				if rec.Code != http.StatusOK || json.Unmarshal(body, &mr) != nil || len(mr.Outputs) == 0 {
+					t.Errorf("first map response unusable: %d %s", rec.Code, body)
+					return
+				}
+				mr.Outputs = mr.Outputs[1:]
+				body, _ = json.Marshal(mr)
+			})
+			rw.WriteHeader(rec.Code)
+			rw.Write(body)
+		})
+	}
+	c, _ := startChaosCluster(t, 2, CoordinatorConfig{}, nil, wrap)
+	res, err := runClusterJob(t, c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesInProcess(t, res)
+	if res.Counters.Retried == 0 {
+		t.Fatal("the incomplete map response was not re-dispatched")
+	}
+	if want := int64(len(res.Plan.Splits)) + res.Counters.Retried; res.Counters.MapsDispatched != want {
+		t.Fatalf("maps dispatched = %d, want splits + retries = %d", res.Counters.MapsDispatched, want)
 	}
 }

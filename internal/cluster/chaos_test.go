@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -139,27 +138,17 @@ func TestSpeculationOvertakesStraggler(t *testing.T) {
 	assertMatchesInProcess(t, res)
 }
 
-// corruptAttemptZero interposes on the per-spill shuffle endpoint and
-// flips one payload bit of every attempt-0 spill that has blocks.
-// Re-executed attempts (attempt >= 1) are served verbatim. The last
-// body byte is always inside the final block's CRC-covered payload;
-// spills at exactly the 28-byte v3 header (zero blocks) are left alone
-// — a header flip would be a structural error, not a checksum failure.
+// corruptAttemptZero flips one payload bit of every served attempt-0
+// spill that has blocks. Re-executed attempts (attempt >= 1) are served
+// verbatim. The last byte is always inside the final block's CRC-covered
+// payload; spills at exactly the 28-byte header (zero blocks) are left
+// alone — a header flip would be a structural error, not a checksum
+// failure.
 func corruptAttemptZero(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		parts := strings.Split(strings.TrimPrefix(r.URL.Path, "/v1/shuffle/"), "/")
-		if !strings.HasPrefix(r.URL.Path, "/v1/shuffle/") || len(parts) != 4 || parts[2] != "0" {
-			h.ServeHTTP(rw, r)
-			return
+	return rewriteSpills(h, func(_, attempt int, spill []byte) {
+		if attempt == 0 && len(spill) > 28 {
+			spill[len(spill)-1] ^= 0x01
 		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, r)
-		body := rec.Body.Bytes()
-		if rec.Code == http.StatusOK && len(body) > 28 {
-			body[len(body)-1] ^= 0x01
-		}
-		rw.WriteHeader(rec.Code)
-		rw.Write(body)
 	})
 }
 
@@ -170,10 +159,7 @@ func corruptAttemptZero(h http.Handler) http.Handler {
 // fail the job), pinning that checksum failures are not conn failures.
 func TestCorruptSpillTriggersReexecution(t *testing.T) {
 	reg := metrics.New()
-	// Per-spill only: the corruptor targets the per-spill endpoint, and
-	// the checksum→re-execute taxonomy under test lives on that path
-	// (batches fall back to it rather than classify errors themselves).
-	c, _ := startChaosCluster(t, 1, CoordinatorConfig{Metrics: reg, DisableBatchFetch: true}, nil,
+	c, _ := startChaosCluster(t, 1, CoordinatorConfig{Metrics: reg}, nil,
 		func(i int, h http.Handler) http.Handler { return corruptAttemptZero(h) })
 
 	res, err := runClusterJob(t, c, nil)
@@ -345,19 +331,21 @@ func TestChaosSoak(t *testing.T) {
 		spec         string // coordinator-side transport chaos
 		kill         bool   // SIGKILL worker 0 after its 2nd map
 		hang         bool   // worker 0 hangs ~20% of maps; speculation rescues
-		wantFallback bool   // ≥1 batched fetch must fall back to per-spill
+		wantFallback bool   // ≥1 multi-spill fetch must fail and be re-fetched singly
+		runs         int    // jobs run back to back under the schedule (0 = 1)
 	}{
 		{name: "dispatch-errors", spec: "seed=101,delay=0.2:2ms,error=0.15"},
-		// match=/v1/shuffle/ covers both the batch POST and the per-spill
-		// GETs it falls back to, so flips chase the fetch down both paths.
 		{name: "shuffle-flip", spec: "seed=202,match=/v1/shuffle/,flip=0.1"},
 		{name: "slow-shuffle", spec: "seed=303,match=/v1/shuffle/,slow=0.3:1ms,delay=0.1:1ms"},
-		// Every batch response gets one bit flipped mid-stream; frame/meta
-		// validation must reject each and the per-spill path (unmatched by
-		// the injector) must complete the job byte-identically.
-		{name: "batch-flip", spec: "seed=505,match=/v1/shuffle/batch,flip=1", wantFallback: true},
-		// Batch streams trickle out a byte at a time; slow is not an
-		// error, so batches must still land without falling back.
+		// Nearly a third of shuffle responses — first fetches and the
+		// single-spill retries alike — get one bit flipped mid-stream;
+		// frame/meta/CRC validation must reject each and the retry policy
+		// must still complete the job byte-identically.
+		// A job makes only ~6 multi-spill requests, so several run back to
+		// back: the chance that none of ~36 is hit is 0.7³⁶.
+		{name: "batch-flip", spec: "seed=505,match=/v1/shuffle/batch,flip=0.3", wantFallback: true, runs: 6},
+		// Shuffle streams trickle out a byte at a time; slow is not an
+		// error, so batches must still land.
 		{name: "slow-batch", spec: "seed=606,match=/v1/shuffle/batch,slow=0.5:1ms,delay=0.2:1ms"},
 		{name: "kill-worker", kill: true},
 		{name: "hang-speculation", hang: true},
@@ -402,19 +390,35 @@ func TestChaosSoak(t *testing.T) {
 				// handler cannot join its own server shutdown.
 				workerInj.SetExit(func(int) { go workers[0].kill() })
 			}
-			res, err := runClusterJob(t, c, nil)
-			if err != nil {
-				t.Fatalf("job failed under %q chaos: %v", tc.name, err)
+			var total Counters
+			for run := 0; run < max(tc.runs, 1); run++ {
+				res, err := runClusterJob(t, c, func(spec *JobSpec) {
+					if tc.kill {
+						// One task at a time makes the kill land on a committed
+						// spill: every dispatch picks idle w0, whose first Map
+						// completes before its second begins and kills it.
+						spec.Workers = 1
+					}
+				})
+				if err != nil {
+					t.Fatalf("job failed under %q chaos: %v", tc.name, err)
+				}
+				assertMatchesInProcess(t, res)
+				total.Reexecuted += res.Counters.Reexecuted
+				total.ReplicaFetchFallbacks += res.Counters.ReplicaFetchFallbacks
+				total.Speculated += res.Counters.Speculated
+				total.BatchFallbacks += res.Counters.BatchFallbacks
 			}
-			assertMatchesInProcess(t, res)
-			if tc.kill && res.Counters.Reexecuted == 0 {
-				t.Fatal("worker kill caused no re-execution")
+			// The killed worker's committed spill is re-executed — or, if its
+			// replica was installed before the kill, re-fetched from there.
+			if tc.kill && total.Reexecuted+total.ReplicaFetchFallbacks == 0 {
+				t.Fatal("worker kill caused neither a re-execution nor a replica fetch")
 			}
-			if tc.hang && workerInj.Counts()["hang"] > 0 && res.Counters.Speculated == 0 {
+			if tc.hang && workerInj.Counts()["hang"] > 0 && total.Speculated == 0 {
 				t.Fatal("injected hangs were never speculated around")
 			}
-			if tc.wantFallback && res.Counters.BatchFallbacks == 0 {
-				t.Fatal("no corrupted batch fell back to the per-spill path")
+			if tc.wantFallback && total.BatchFallbacks == 0 {
+				t.Fatal("no corrupted batch was re-fetched singly")
 			}
 		})
 	}

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -227,21 +226,21 @@ func TestShuffleAccountingMetrics(t *testing.T) {
 		t.Fatal("dispatched counter below split count")
 	}
 	// The histogram observes HTTP requests, not logical connections: a
-	// batched request carrying n spills is one observation.
+	// request carrying n spills is one observation.
 	if reg.Histogram("sidrd_shuffle_fetch_seconds", nil).Count() != res.Counters.ShuffleRequests {
 		t.Fatal("fetch latency histogram count != shuffle requests")
 	}
 	if got := reg.Counter("sidrd_shuffle_requests_total").Value(); got != res.Counters.ShuffleRequests {
 		t.Fatalf("sidrd_shuffle_requests_total = %d, want %d", got, res.Counters.ShuffleRequests)
 	}
-	if res.Counters.BatchRequests == 0 {
-		t.Fatal("no batched shuffle request succeeded on a healthy cluster")
+	if res.Counters.ShuffleRequests >= res.Counters.Connections {
+		t.Fatalf("batching collapsed nothing: %d requests for %d connections",
+			res.Counters.ShuffleRequests, res.Counters.Connections)
 	}
 	if res.Counters.BatchFallbacks != 0 {
 		t.Fatalf("%d batch fallbacks on a healthy cluster", res.Counters.BatchFallbacks)
 	}
-	// Batching bounds requests by (reduce, worker) pairs; per-spill would
-	// need Σ|I_ℓ| = Connections of them.
+	// Batching bounds requests by (reduce, worker) pairs.
 	maxBatched := int64(res.Plan.Part.NumKeyblocks()) * 2 // 2 workers
 	if res.Counters.ShuffleRequests > maxBatched {
 		t.Fatalf("shuffle requests = %d, want ≤ reduces×workers = %d", res.Counters.ShuffleRequests, maxBatched)
@@ -252,26 +251,42 @@ func TestShuffleAccountingMetrics(t *testing.T) {
 	}
 }
 
-// tamperSourceCount wraps a worker and lowers every non-zero shuffle
-// response's kv-count annotation (the little-endian u64 at header bytes
-// 10..18) by one — the §3.2.1 failure a Reduce task must refuse to
-// finalize on.
-func tamperSourceCount(inner *Worker) http.Handler {
+// rewriteSpills interposes on a worker's shuffle endpoint: each spill
+// in a successful response is handed to fn (with the split and attempt
+// its SFRM frame names) to damage in place. Frame headers and lengths
+// are left intact, so the damage is the spill's alone.
+func rewriteSpills(inner http.Handler, fn func(split, attempt int, spill []byte)) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/shuffle/") {
+		if r.URL.Path != shuffleBatchPath {
 			inner.ServeHTTP(rw, r)
 			return
 		}
 		rec := httptest.NewRecorder()
 		inner.ServeHTTP(rec, r)
 		body := rec.Body.Bytes()
-		if rec.Code == http.StatusOK && len(body) >= 18 {
-			if src := binary.LittleEndian.Uint64(body[10:18]); src > 0 {
-				binary.LittleEndian.PutUint64(body[10:18], src-1)
+		for off := 0; rec.Code == http.StatusOK && off < len(body); {
+			split, attempt, _, length, err := parseFrameHeader(body[off : off+frameHeaderLen])
+			if err != nil {
+				panic(err) // the worker under test wrote a bad frame
 			}
+			off += frameHeaderLen
+			fn(split, attempt, body[off:off+int(length)])
+			off += int(length)
 		}
 		rw.WriteHeader(rec.Code)
 		rw.Write(body)
+	})
+}
+
+// tamperSourceCount wraps a worker and lowers every non-zero served
+// spill's kv-count annotation (the little-endian u64 at header bytes
+// 10..18) by one — the §3.2.1 failure a Reduce task must refuse to
+// finalize on.
+func tamperSourceCount(inner *Worker) http.Handler {
+	return rewriteSpills(inner, func(_, _ int, spill []byte) {
+		if src := binary.LittleEndian.Uint64(spill[10:18]); src > 0 {
+			binary.LittleEndian.PutUint64(spill[10:18], src-1)
+		}
 	})
 }
 
@@ -317,7 +332,10 @@ func TestShortKVCountNeverFinalizes(t *testing.T) {
 // with output identical to the in-process engine.
 func TestWorkerLossReexecution(t *testing.T) {
 	reg := metrics.New()
-	c, workers := startCluster(t, 2, CoordinatorConfig{Metrics: reg})
+	// Replication off: a replica push that wins its race with the kill
+	// would turn the loss into a re-fetch, and re-execution is the path
+	// under test (TestDrainReplicaHandoff covers the other).
+	c, workers := startCluster(t, 2, CoordinatorConfig{Metrics: reg, SpillReplicas: -1})
 
 	// Kill w0 the moment its first Map result is accepted: the result's
 	// spills die with it, before any dependent reduce can fetch them.
@@ -342,6 +360,16 @@ func TestWorkerLossReexecution(t *testing.T) {
 	if !reflect.DeepEqual(keys, local.Keys) || !reflect.DeepEqual(vals, local.Values) {
 		t.Fatal("post-recovery output differs from in-process engine")
 	}
+}
+
+// mapResp builds the MapResponse a worker would send for one attempt:
+// spill metadata for every keyblock the split feeds.
+func mapResp(j *clusterJob, split, attempt int) *MapResponse {
+	resp := &MapResponse{Split: split, Attempt: attempt}
+	for _, kb := range j.plan.Graph.SplitToKB[split] {
+		resp.Outputs = append(resp.Outputs, KeyblockMeta{Keyblock: kb})
+	}
+	return resp
 }
 
 // TestStaleAttemptDiscarded pins attempt-ID idempotency: a Map result
@@ -373,7 +401,7 @@ func TestStaleAttemptDiscarded(t *testing.T) {
 
 	// The task was re-armed to attempt 1; a late attempt-0 result lands.
 	j.maps[0].attempt = 1
-	j.recordMapResult(0, 0, "w0", "http://stale", time.Now(), &MapResponse{Split: 0, Attempt: 0})
+	j.recordMapResult(0, 0, "w0", "http://stale", time.Now(), mapResp(j, 0, 0))
 	if j.maps[0].done {
 		t.Fatal("stale attempt completed the task")
 	}
@@ -382,7 +410,7 @@ func TestStaleAttemptDiscarded(t *testing.T) {
 	}
 
 	// The current attempt is accepted.
-	j.recordMapResult(0, 1, "w0", "http://current", time.Now(), &MapResponse{Split: 0, Attempt: 1})
+	j.recordMapResult(0, 1, "w0", "http://current", time.Now(), mapResp(j, 0, 1))
 	if !j.maps[0].done || j.maps[0].url != "http://current" {
 		t.Fatal("current attempt was not recorded")
 	}
@@ -565,12 +593,12 @@ func TestReexecutedAttemptCannotDoubleSatisfy(t *testing.T) {
 
 	// Split 0's re-executed attempt completes while split 1 is open.
 	j.maps[0] = mapTask{attempt: 1}
-	j.recordMapResult(0, 1, "w1", "http://w1", time.Now(), &MapResponse{Split: 0, Attempt: 1})
+	j.recordMapResult(0, 1, "w1", "http://w1", time.Now(), mapResp(j, 0, 1))
 	if j.enqueued[0] || j.enqueued[1] {
 		t.Fatal("keyblock enqueued before its full I_ℓ completed (double-satisfied dependency)")
 	}
 	// Split 1 completes: now both keyblocks are ready.
-	j.recordMapResult(1, 0, "w1", "http://w1", time.Now(), &MapResponse{Split: 1, Attempt: 0})
+	j.recordMapResult(1, 0, "w1", "http://w1", time.Now(), mapResp(j, 1, 0))
 	if !j.enqueued[0] || !j.enqueued[1] {
 		t.Fatalf("keyblocks not enqueued after full I_ℓ completed: %v", j.enqueued)
 	}
@@ -631,8 +659,8 @@ func TestJobIDReuseReplacesStaleCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A spill the dead coordinator's job left behind.
-	stale := w.spillPath("job-1", 0, 0, 0)
+	// A pack the dead coordinator's job left behind.
+	stale := filepath.Join(w.cfg.SpillDir, "job-1", "0-0.pack")
 	if err := os.MkdirAll(filepath.Dir(stale), 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,9 +30,9 @@ type CoordinatorConfig struct {
 	// HeartbeatTimeout is how long a worker may go without a heartbeat
 	// before it is evicted (default 5s).
 	HeartbeatTimeout time.Duration
-	// FetchRetries is how many times one shuffle fetch is attempted
-	// against a spill's hosting worker before the spill is declared lost
-	// (default 4).
+	// FetchRetries is how many times a single-spill shuffle fetch is
+	// attempted against one hosting worker before the next replica is
+	// tried or the spill is declared lost (default 4).
 	FetchRetries int
 	// RetryBase and RetryMax bound the exponential backoff between
 	// retries (defaults 25ms and 1s); actual sleeps are jittered.
@@ -59,13 +58,6 @@ type CoordinatorConfig struct {
 	// When set, it is used for both — chaos/fault-injection tests wrap
 	// one transport and must intercept every request.
 	Client *http.Client
-	// DisableBatchFetch turns off the batched shuffle path: every spill
-	// is fetched with its own per-spill GET. The batched path is on by
-	// default — one POST /v1/shuffle/batch per (reduce, worker) pair —
-	// and falls back to per-spill fetches on any batch-level failure, so
-	// this knob exists for A/B benchmarking and fault drills, not
-	// correctness.
-	DisableBatchFetch bool
 	// Seed seeds backoff jitter; 0 uses a fixed seed. Jitter only
 	// desynchronises retries, so determinism is harmless.
 	Seed int64
@@ -106,8 +98,7 @@ type CoordinatorConfig struct {
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	client *http.Client
-	// shuffleClient performs shuffle fetches (batched and per-spill).
-	// Separate from the dispatch client so shuffle gets pooled
+	// shuffleClient performs shuffle fetches. Separate from the dispatch client so shuffle gets pooled
 	// keep-alive connections and a response-header timeout without
 	// imposing either on long-running Map dispatches.
 	shuffleClient *http.Client
@@ -137,7 +128,6 @@ type Coordinator struct {
 	mShuffleBytes   *metrics.Counter
 	mConnections    *metrics.Counter
 	mShuffleReqs    *metrics.Counter
-	mBatchReqs      *metrics.Counter
 	mBatchFallbacks *metrics.Counter
 	mShuffleDials   *metrics.Counter
 	mFetchSeconds   *metrics.Histogram
@@ -245,7 +235,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		mShuffleBytes:   cfg.Metrics.Counter("sidrd_shuffle_bytes_total"),
 		mConnections:    cfg.Metrics.Counter("sidrd_shuffle_connections_total"),
 		mShuffleReqs:    cfg.Metrics.Counter("sidrd_shuffle_requests_total"),
-		mBatchReqs:      cfg.Metrics.Counter("sidrd_shuffle_batch_requests_total"),
 		mBatchFallbacks: cfg.Metrics.Counter("sidrd_shuffle_batch_fallbacks_total"),
 		mShuffleDials:   cfg.Metrics.Counter("sidrd_shuffle_dials_total"),
 		mFetchSeconds: cfg.Metrics.Histogram("sidrd_shuffle_fetch_seconds",
@@ -755,22 +744,21 @@ type Counters struct {
 	// Reexecuted counts Map tasks re-executed because their spills were
 	// lost with a worker.
 	Reexecuted int64
-	// Connections counts successful shuffle fetches — Σ_ℓ |I_ℓ| on the
+	// Connections counts spills successfully fetched — Σ_ℓ |I_ℓ| on the
 	// happy path (Fig. 6 / Table 3). This is the logical per-spill count:
-	// a batched fetch carrying n spills counts n connections, keeping the
+	// a request carrying n spills counts n connections, keeping the
 	// paper's accounting independent of the transport.
 	Connections int64
-	// ShuffleRequests counts successful shuffle HTTP requests. With
-	// batching this is ≤ one per (reduce, worker) pair; without it, it
-	// equals Connections.
+	// ShuffleRequests counts successful shuffle HTTP requests: one per
+	// (reduce, worker) pair on the happy path, plus one per spill
+	// re-fetched singly after a failure — so ShuffleRequests <
+	// Connections whenever batching collapsed anything.
 	ShuffleRequests int64
-	// BatchRequests counts successful batched shuffle requests (a subset
-	// of ShuffleRequests).
-	BatchRequests int64
-	// BatchFallbacks counts batched requests abandoned for the per-spill
-	// path (validation failure, transport error, missing spill).
+	// BatchFallbacks counts multi-spill requests that failed (validation
+	// failure, transport error, missing spill) and whose spills were
+	// re-fetched singly under the retry policy.
 	BatchFallbacks int64
-	// ShuffleBytes counts spill bytes fetched.
+	// ShuffleBytes counts bytes received by successful shuffle requests.
 	ShuffleBytes int64
 	// Records counts source records read by accepted Map attempts.
 	Records int64
@@ -852,8 +840,9 @@ type mapTask struct {
 
 	// outputs is the winning attempt's per-keyblock spill metadata
 	// (size, pair count, kv-count annotation), reported by the worker at
-	// Map time. Batched shuffle fetches validate every received frame
-	// against it; a spill with no recorded meta is fetched per-spill.
+	// Map time; it covers every keyblock in SplitToKB[split]
+	// (recordMapResult rejects a response that does not). Shuffle fetches
+	// validate every received frame against it.
 	outputs map[int]KeyblockMeta
 
 	// replicas lists the workers holding a verified copy of the winning
@@ -1295,7 +1284,6 @@ func (j *clusterJob) dispatchAttempt(i, attempt int, tried map[string]bool, spec
 
 		start := time.Now()
 		resp, err := j.postMap(actx, url, i, attempt)
-		c.releaseWorker(name, err == nil)
 		// Capture whether the attempt itself was cancelled before we
 		// release its context below.
 		lostRace := actx.Err() != nil && j.ctx.Err() == nil
@@ -1307,8 +1295,11 @@ func (j *clusterJob) dispatchAttempt(i, attempt int, tried map[string]bool, spec
 		acancel()
 
 		if err == nil {
+			err = j.recordMapResult(i, attempt, name, url, start, resp)
+		}
+		c.releaseWorker(name, err == nil)
+		if err == nil {
 			c.noteOutcome(name, false)
-			j.recordMapResult(i, attempt, name, url, start, resp)
 			return
 		}
 		if j.ctx.Err() != nil {
@@ -1413,9 +1404,21 @@ func (j *clusterJob) postMap(ctx context.Context, baseURL string, split, attempt
 // attempts (idempotency under re-execution), and enqueues every Reduce
 // task whose I_ℓ just completed. Under speculation the first of the
 // primary/backup pair to arrive wins: the task commits exactly once,
-// the loser's dispatch is cancelled and its spills are released.
-func (j *clusterJob) recordMapResult(i, attempt int, worker, url string, start time.Time, resp *MapResponse) {
+// the loser's dispatch is cancelled and its spills are released. A
+// response whose Outputs do not cover every keyblock the split feeds is
+// an error — the attempt failed, whatever its status code said — because
+// every shuffle fetch validates against that metadata.
+func (j *clusterJob) recordMapResult(i, attempt int, worker, url string, start time.Time, resp *MapResponse) error {
 	c := j.c
+	outputs := make(map[int]KeyblockMeta, len(resp.Outputs))
+	for _, o := range resp.Outputs {
+		outputs[o.Keyblock] = o
+	}
+	for _, kb := range j.plan.Graph.SplitToKB[i] {
+		if _, ok := outputs[kb]; !ok {
+			return fmt.Errorf("map response reports no spill for keyblock %d", kb)
+		}
+	}
 	j.mu.Lock()
 	m := &j.maps[i]
 	if j.resolvedLocked() || m.done || !m.validAttempt(attempt) || resp.Attempt != attempt {
@@ -1424,7 +1427,7 @@ func (j *clusterJob) recordMapResult(i, attempt int, worker, url string, start t
 		c.logf("discarding stale map result %s/%d attempt %d (current %d)", j.spec.ID, i, attempt, current)
 		// The late attempt's spills will never be fetched; reclaim them.
 		c.releaseAttempt(url, j.spec.ID, i, attempt)
-		return
+		return nil
 	}
 	specWin := m.hasSpec && attempt == m.specAttempt
 	hadSpec := m.hasSpec
@@ -1446,10 +1449,7 @@ func (j *clusterJob) recordMapResult(i, attempt int, worker, url string, start t
 	m.done = true
 	m.worker = worker
 	m.url = url
-	m.outputs = make(map[int]KeyblockMeta, len(resp.Outputs))
-	for _, o := range resp.Outputs {
-		m.outputs[o.Keyblock] = o
-	}
+	m.outputs = outputs
 	j.durations = append(j.durations, time.Since(start))
 	j.counters.Records += resp.Records
 	if specWin {
@@ -1485,6 +1485,7 @@ func (j *clusterJob) recordMapResult(i, attempt int, worker, url string, start t
 	for _, kb := range ready {
 		j.submitReduce(kb)
 	}
+	return nil
 }
 
 // submitReduce enqueues reduce task l; Reduce class outranks every
@@ -1504,30 +1505,10 @@ func (j *clusterJob) submitReduce(l int) {
 	}
 }
 
-// reduceDep is one entry of a reduce task's I_ℓ dependency set: the
-// split whose spill is needed, the attempt that produced it, and where
-// it is hosted. meta carries the winning Map attempt's recorded spill
-// metadata when available (hasMeta); batched fetches require it.
-type reduceDep struct {
-	split   int
-	attempt int
-	worker  string
-	url     string
-	meta    KeyblockMeta
-	hasMeta bool
-	// primary is the worker that originally hosted the attempt; worker/
-	// url may be rewritten to a replica when the primary is gone, and a
-	// fetch that lands anywhere but primary counts a replica fallback.
-	// alts are the attempt's verified replica copies, byte-identical to
-	// the primary's pack, so meta stays valid across the switch.
-	primary string
-	alts    []replicaLoc
-}
-
 // runReduce fetches keyblock l's I_ℓ spills point-to-point from their
-// hosting workers, tallies the kv-count annotations against the
-// dependency graph's expected count, and finalizes the keyblock. Lost
-// spills trigger Map re-execution instead of finalizing short.
+// hosting workers (fetch.go), tallies the kv-count annotations against
+// the dependency graph's expected count, and finalizes the keyblock.
+// Lost spills trigger Map re-execution instead of finalizing short.
 func (j *clusterJob) runReduce(l int) {
 	j.mu.Lock()
 	if j.resolvedLocked() || j.reduceDone[l] {
@@ -1548,105 +1529,24 @@ func (j *clusterJob) runReduce(l int) {
 			j.mu.Unlock()
 			return
 		}
-		d := reduceDep{split: s, attempt: m.attempt, worker: m.worker, url: m.url, primary: m.worker}
-		d.meta, d.hasMeta = m.outputs[l]
-		d.alts = append([]replicaLoc(nil), m.replicas...)
-		deps = append(deps, d)
+		cands := append([]replicaLoc{{worker: m.worker, url: m.url}}, m.replicas...)
+		deps = append(deps, reduceDep{split: s, attempt: m.attempt, meta: m.outputs[l], cands: cands})
 	}
 	j.mu.Unlock()
 
-	// Route around known-dead primaries up front: a dep whose hosting
-	// worker is already gone but has a live replica fetches from the
-	// replica directly (batched path included) instead of burning the
-	// retry budget against a dead socket first.
-	for i := range deps {
-		d := &deps[i]
-		if len(d.alts) == 0 || j.c.liveWorker(d.worker) {
-			continue
-		}
-		for _, alt := range d.alts {
-			if j.c.liveWorker(alt.worker) {
-				d.worker, d.url = alt.worker, alt.url
-				break
-			}
-		}
+	if !j.fetchDeps(l, deps) {
+		return
 	}
 
-	// Batched path first: one streamed request per hosting worker
-	// carrying that worker's whole slice of I_ℓ. Any batch that fails —
-	// transport error, frame/meta mismatch, decode error — leaves its
-	// deps unfetched and the per-spill loop below picks them up with its
-	// full error taxonomy (retry, re-execute, quarantine).
-	fetched := make([][]kv.Pair, len(deps))
-	srcs := make([]int64, len(deps))
-	got := make([]bool, len(deps))
-	var batchBytes int64
-	if !j.c.cfg.DisableBatchFetch {
-		batchBytes = j.fetchBatches(l, deps, fetched, srcs, got)
-		if j.ctx.Err() != nil {
-			return
-		}
-	}
-
-	// Fetch I_ℓ in ascending split order so the k-way merge sees streams
-	// in the same order as the in-process engine (stream-index
-	// tie-breaks make merge output order-sensitive). Batched results
-	// fill their slots in the same order.
-	streams := make([][]kv.Pair, 0, len(deps))
+	// Streams go to the k-way merge in ascending split order, the same
+	// order as the in-process engine (stream-index tie-breaks make merge
+	// output order-sensitive). fetchOnce has checked each spill header's
+	// annotation against the Map-time record it tallies here.
+	streams := make([][]kv.Pair, len(deps))
 	var tally int64
-	bytes := batchBytes
 	for i := range deps {
-		d := &deps[i]
-		if got[i] {
-			j.c.noteOutcome(d.worker, false)
-			j.noteFallback(d)
-			streams = append(streams, fetched[i])
-			tally += srcs[i]
-			continue
-		}
-		pairs, src, n, err := j.fetchDep(d, l)
-		if err != nil {
-			if j.ctx.Err() != nil {
-				return
-			}
-			c := j.c
-			switch {
-			case errors.Is(err, kv.ErrChecksum):
-				// The worker serves bytes that fail the payload CRC: the
-				// attempt's output is poison, never merged. Treat it like
-				// a lost attempt — re-execute the source split — without
-				// declaring the worker dead (it answers; its other spills
-				// may be fine). Repeat offenders fall to quarantine.
-				c.mSpillsCorrupt.Inc()
-				j.mu.Lock()
-				j.counters.CorruptSpills++
-				j.mu.Unlock()
-				c.noteOutcome(d.worker, true)
-				c.logf("reduce %s/kb%d: spill for split %d attempt %d corrupt on %q: %v — re-executing",
-					j.spec.ID, l, d.split, d.attempt, d.worker, err)
-				j.rearm(l, map[int]int{d.split: d.attempt}, true)
-			case isConnError(err):
-				// The worker is unreachable: the spill died with it.
-				c.logf("reduce %s/kb%d: spill for split %d lost on %q: %v", j.spec.ID, l, d.split, d.worker, err)
-				c.markDead(d.worker)
-				c.noteOutcome(d.worker, true)
-				j.rearm(l, nil, false)
-			default:
-				// The worker answers but cannot produce this spill (evicted
-				// cache, missing file, persistent 5xx): the attempt is lost
-				// even though the worker lives.
-				c.logf("reduce %s/kb%d: spill for split %d attempt %d unserved by %q: %v — re-executing",
-					j.spec.ID, l, d.split, d.attempt, d.worker, err)
-				c.noteOutcome(d.worker, true)
-				j.rearm(l, map[int]int{d.split: d.attempt}, false)
-			}
-			return
-		}
-		j.c.noteOutcome(d.worker, false)
-		j.noteFallback(d)
-		streams = append(streams, pairs)
-		tally += src
-		bytes += n
+		streams[i] = deps[i].pairs
+		tally += deps[i].meta.SourceCount
 	}
 
 	// The §3.2.1 integrity gate: the annotation tally must equal the
@@ -1692,7 +1592,6 @@ func (j *clusterJob) runReduce(l int) {
 	}
 	j.reduceDone[l] = true
 	j.outputs[l] = out
-	j.counters.ShuffleBytes += bytes
 	j.partials.Add(1)
 	j.mu.Unlock()
 
@@ -1715,216 +1614,6 @@ func (j *clusterJob) runReduce(l int) {
 	}
 }
 
-// fetchSpill streams one spill from a worker's shuffle endpoint with
-// jittered exponential backoff, returning its pairs, kv-count
-// annotation and byte size. Only a successful fetch counts as a shuffle
-// connection, so a completed job's connection count is exactly Σ|I_ℓ|.
-func (j *clusterJob) fetchSpill(baseURL string, split, attempt, kb int) ([]kv.Pair, int64, int64, error) {
-	c := j.c
-	var lastErr error
-	for try := 0; try < c.cfg.FetchRetries; try++ {
-		if try > 0 {
-			if sleep(j.ctx, c.backoff(try-1)) != nil {
-				return nil, 0, 0, j.ctx.Err()
-			}
-		}
-		start := time.Now()
-		pairs, src, n, err := j.fetchSpillOnce(baseURL, split, attempt, kb)
-		if err == nil {
-			c.mFetchSeconds.Observe(time.Since(start).Seconds())
-			c.mConnections.Inc()
-			c.mShuffleReqs.Inc()
-			c.mShuffleBytes.Add(n)
-			j.mu.Lock()
-			j.counters.Connections++
-			j.counters.ShuffleRequests++
-			j.mu.Unlock()
-			return pairs, src, n, nil
-		}
-		lastErr = err
-		if j.ctx.Err() != nil {
-			return nil, 0, 0, j.ctx.Err()
-		}
-		if errors.Is(err, kv.ErrChecksum) {
-			// The bytes on disk are wrong; refetching the same file cannot
-			// fix them. Surface immediately so the source re-executes.
-			return nil, 0, 0, err
-		}
-	}
-	return nil, 0, 0, fmt.Errorf("%w: %w", ErrRetryExhausted, lastErr)
-}
-
-func (j *clusterJob) fetchSpillOnce(baseURL string, split, attempt, kb int) ([]kv.Pair, int64, int64, error) {
-	req, err := http.NewRequestWithContext(j.ctx, http.MethodGet,
-		baseURL+ShufflePath(j.spec.ID, split, attempt, kb), nil)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	resp, err := j.c.shuffleClient.Do(req)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, 0, fmt.Errorf("shuffle fetch returned %d", resp.StatusCode)
-	}
-	cr := &countingReader{r: resp.Body}
-	h, pairs, err := kv.ReadSpill(cr)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("spill decode: %w", err)
-	}
-	return pairs, h.SourceCount, cr.n, nil
-}
-
-// fetchBatches runs the batched shuffle path for reduce l: deps are
-// grouped by hosting worker (in order of first appearance, which is
-// ascending-split order) and each group is fetched with one streamed
-// batch request. Successful groups fill their fetched/srcs/got slots;
-// a failed group is simply left unfetched for the per-spill loop — a
-// batch is a fast path, never an error authority, so it performs no
-// rearm, markDead or health accounting. Returns the bytes transferred
-// by successful batches.
-func (j *clusterJob) fetchBatches(l int, deps []reduceDep, fetched [][]kv.Pair, srcs []int64, got []bool) int64 {
-	c := j.c
-	var order []string
-	groups := make(map[string][]int)
-	for i, d := range deps {
-		if !d.hasMeta {
-			continue // no recorded meta to validate frames against
-		}
-		if _, ok := groups[d.url]; !ok {
-			order = append(order, d.url)
-		}
-		groups[d.url] = append(groups[d.url], i)
-	}
-	var total int64
-	for _, u := range order {
-		idx := groups[u]
-		n, err := j.fetchBatchOnce(u, l, idx, deps, fetched, srcs)
-		if err != nil {
-			if j.ctx.Err() != nil {
-				return total
-			}
-			c.mBatchFallbacks.Inc()
-			j.mu.Lock()
-			j.counters.BatchFallbacks++
-			j.mu.Unlock()
-			c.logf("reduce %s/kb%d: batch fetch of %d spills from %s failed (%v); falling back to per-spill",
-				j.spec.ID, l, len(idx), u, err)
-			for _, i := range idx {
-				fetched[i], srcs[i] = nil, 0
-			}
-			continue
-		}
-		for _, i := range idx {
-			got[i] = true
-		}
-		total += n
-	}
-	return total
-}
-
-// fetchBatchOnce fetches one worker's slice of I_ℓ as a single framed
-// stream and validates every frame against the Map-time spill metadata:
-// frame identity and length, then (through the kv codec's own CRC
-// gauntlet) the decoded pair count and kv-count annotation. Any
-// mismatch fails the whole batch — the per-spill path re-fetches with
-// proper error classification. On success the request is accounted
-// once (histogram, request counters) while Connections still advances
-// by the number of spills carried, keeping Σ|I_ℓ| accounting intact.
-func (j *clusterJob) fetchBatchOnce(baseURL string, l int, idx []int, deps []reduceDep, fetched [][]kv.Pair, srcs []int64) (int64, error) {
-	c := j.c
-	breq := BatchFetchRequest{JobID: j.spec.ID, Keyblock: l, Spills: make([]SpillRef, 0, len(idx))}
-	for _, i := range idx {
-		breq.Spills = append(breq.Spills, SpillRef{Split: deps[i].split, Attempt: deps[i].attempt})
-	}
-	body, err := json.Marshal(breq)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(j.ctx, http.MethodPost, baseURL+BatchShufflePath, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	start := time.Now()
-	resp, err := c.shuffleClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("batch fetch returned %d", resp.StatusCode)
-	}
-	cr := &countingReader{r: resp.Body}
-	for _, i := range idx {
-		d := deps[i]
-		var fh [frameHeaderLen]byte
-		if _, err := io.ReadFull(cr, fh[:]); err != nil {
-			return 0, fmt.Errorf("frame header for split %d: %w", d.split, err)
-		}
-		split, attempt, kb, length, err := parseFrameHeader(fh[:])
-		if err != nil {
-			return 0, err
-		}
-		if split != d.split || attempt != d.attempt || kb != l {
-			return 0, fmt.Errorf("frame names spill %d/%d kb %d, want %d/%d kb %d",
-				split, attempt, kb, d.split, d.attempt, l)
-		}
-		if length != d.meta.Bytes {
-			return 0, fmt.Errorf("split %d frame length %d != recorded spill size %d", d.split, length, d.meta.Bytes)
-		}
-		// LimitReader contains the decoder's buffered reads within the
-		// frame: over-reading would swallow the next frame's header.
-		lr := io.LimitReader(cr, length)
-		h, pairs, err := kv.ReadSpill(lr)
-		if err != nil {
-			return 0, fmt.Errorf("split %d spill decode: %w", d.split, err)
-		}
-		if rest, _ := io.Copy(io.Discard, lr); rest != 0 {
-			return 0, fmt.Errorf("split %d frame has %d trailing bytes", d.split, rest)
-		}
-		if h.SourceCount != d.meta.SourceCount || len(pairs) != d.meta.Pairs {
-			return 0, fmt.Errorf("split %d decoded (count=%d pairs=%d) != recorded (count=%d pairs=%d)",
-				d.split, h.SourceCount, len(pairs), d.meta.SourceCount, d.meta.Pairs)
-		}
-		fetched[i] = pairs
-		srcs[i] = h.SourceCount
-	}
-	if extra, _ := io.Copy(io.Discard, cr); extra != 0 {
-		return 0, fmt.Errorf("%d trailing bytes after final frame", extra)
-	}
-	c.mFetchSeconds.Observe(time.Since(start).Seconds())
-	c.mShuffleReqs.Inc()
-	c.mBatchReqs.Inc()
-	c.mConnections.Add(int64(len(idx)))
-	c.mShuffleBytes.Add(cr.n)
-	j.mu.Lock()
-	j.counters.Connections += int64(len(idx))
-	j.counters.ShuffleRequests++
-	j.counters.BatchRequests++
-	j.mu.Unlock()
-	return cr.n, nil
-}
-
-// countingReader counts bytes for the shuffle-bytes accounting.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // rearm handles a lost spill for reduce l: every I_ℓ dependency whose
 // hosting worker is gone — or whose specific attempt is named in lost
 // (checksum failure, unserved spill on a live worker) — is reset to a
@@ -1939,14 +1628,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // check in recordMapResult.
 func (j *clusterJob) rearm(l int, lost map[int]int, corrupt bool) {
 	c := j.c
-	now := time.Now()
-	c.mu.Lock()
-	deadWorker := func(name string) bool {
-		w := c.workers[name]
-		return w == nil || w.evicted || now.Sub(w.lastSeen) > c.cfg.HeartbeatTimeout
-	}
-	c.mu.Unlock()
-
 	j.mu.Lock()
 	if j.resolvedLocked() || j.reduceDone[l] {
 		j.mu.Unlock()
@@ -1962,7 +1643,7 @@ func (j *clusterJob) rearm(l int, lost map[int]int, corrupt bool) {
 			forced = true
 		}
 		switch {
-		case m.done && (forced || deadWorker(m.worker)):
+		case m.done && (forced || !c.liveWorker(m.worker)):
 			// Lost primary, but not a forced invalidation (corrupt or
 			// unserved bytes poison the attempt everywhere): a verified
 			// replica on a live worker carries the identical pack, so
@@ -1970,7 +1651,7 @@ func (j *clusterJob) rearm(l int, lost map[int]int, corrupt bool) {
 			if !forced {
 				promoted := false
 				for ri, alt := range m.replicas {
-					if deadWorker(alt.worker) {
+					if !c.liveWorker(alt.worker) {
 						continue
 					}
 					c.logf("map %s/%d: worker %q gone; promoting replica on %q (attempt %d kept)",

@@ -227,7 +227,7 @@ type DrainRequest struct {
 // ReplicateRequest asks a worker to pull one committed pack file from
 // another worker and install it in its own spill store, so the spills
 // inside survive the source worker's death or drain. The target fetches
-// PackPath from SourceURL, verifies every keyblock stream's kv v3
+// PackPath from SourceURL, verifies every keyblock stream's kv block
 // checksums, and only then registers the pack.
 type ReplicateRequest struct {
 	JobID     string `json:"job_id"`
@@ -276,12 +276,6 @@ type WorkerInfo struct {
 	Drained  bool `json:"drained,omitempty"`
 }
 
-// ShufflePath returns the worker-relative URL of one spill:
-// /v1/shuffle/{job}/{split}/{attempt}/{keyblock}.
-func ShufflePath(jobID string, split, attempt, keyblock int) string {
-	return fmt.Sprintf("/v1/shuffle/%s/%d/%d/%d", jobID, split, attempt, keyblock)
-}
-
 // PackPath returns the worker-relative URL of one committed pack file:
 // /v1/pack/{job}/{split}/{attempt}. A replica target streams the whole
 // pack from here, so replication moves one file per attempt instead of
@@ -290,12 +284,12 @@ func PackPath(jobID string, split, attempt int) string {
 	return fmt.Sprintf("/v1/pack/%s/%d/%d", jobID, split, attempt)
 }
 
-// BatchShufflePath is the batched shuffle endpoint: one POST fetches a
-// Reduce task's entire I_ℓ subset held by that worker, collapsing the
-// per-(reduce, split) request fan-out to one request per (reduce,
-// worker) pair. The per-spill GET endpoint stays for retries and
-// fault-injection targeting.
-const BatchShufflePath = "/v1/shuffle/batch"
+// shuffleBatchPath is the worker's one shuffle endpoint: one POST
+// fetches N≥1 spills of one keyblock — normally a Reduce task's entire
+// I_ℓ subset held by that worker, collapsing the per-(reduce, split)
+// request fan-out to one request per (reduce, worker) pair; a retry is
+// the same request naming one spill.
+const shuffleBatchPath = "/v1/shuffle/batch"
 
 // SpillRef names one spill inside a batch fetch; the keyblock is shared
 // by the whole request.
@@ -307,8 +301,8 @@ type SpillRef struct {
 // BatchFetchRequest asks a worker for several spills of one keyblock in
 // a single framed response stream. Spills are returned in request
 // order — the fetcher depends on it to keep the Reduce merge's stream
-// order (and therefore its tie-breaking) identical to per-spill
-// fetching.
+// order (and therefore its tie-breaking) identical to the in-process
+// engine's.
 type BatchFetchRequest struct {
 	JobID    string     `json:"job_id"`
 	Keyblock int        `json:"keyblock"`
@@ -319,8 +313,7 @@ type BatchFetchRequest struct {
 // spill, in request order:
 //
 //	magic "SFRM" | u32 split | u32 attempt | u32 keyblock | u64 length
-//	length bytes: the spill stream exactly as the per-spill endpoint
-//	              would serve it (kv codec v2 or v3)
+//	length bytes: the spill's exact bytes in its pack (kv spill codec)
 //
 // The response carries an exact Content-Length (Σ frames), computed
 // from the spill store's directory before the first byte is written, so

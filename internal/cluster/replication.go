@@ -11,7 +11,7 @@
 //
 // Replication makes that cheap: after a Map attempt commits its pack,
 // the coordinator asks another healthy worker to pull the whole pack
-// (one file per attempt, CRC-verified through the kv v3 checksums at
+// (one file per attempt, CRC-verified through the kv block checksums at
 // install time) so a later death or drain of the primary costs a
 // replica re-fetch, not a split re-execution.
 package cluster
@@ -19,14 +19,11 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"time"
-
-	"sidr/internal/kv"
 )
 
 // replicaLoc names one worker holding a verified copy of an attempt's
@@ -201,7 +198,7 @@ func (j *clusterJob) scheduleReplicas(i int) {
 // pushReplica asks up to three candidate workers, in turn, to pull and
 // install one attempt's pack. Push failures are logged but never feed
 // health scores or trigger rearm: replication is a background bet, and
-// the per-spill fetch path remains the sole error authority.
+// the fetch policy (fetchDep) remains the sole error authority.
 func (j *clusterJob) pushReplica(i, attempt int, srcURL string, exclude map[string]bool) {
 	c := j.c
 	defer func() {
@@ -313,83 +310,4 @@ func (c *Coordinator) liveWorker(name string) bool {
 	defer c.mu.Unlock()
 	w := c.workers[name]
 	return w != nil && !w.evicted && now.Sub(w.lastSeen) <= c.cfg.HeartbeatTimeout
-}
-
-// fetchDep fetches one reduce dependency, failing over to replica
-// copies when the chosen source cannot serve it. Intermediate
-// candidates' failures apply the per-worker penalty here (markDead on
-// connection evidence); only the final failure surfaces to runReduce's
-// error taxonomy, attributed to the last worker tried via d.worker. A
-// checksum failure surfaces immediately — the attempt's bytes are
-// poison and re-execution is the only cure.
-func (j *clusterJob) fetchDep(d *reduceDep, l int) ([]kv.Pair, int64, int64, error) {
-	c := j.c
-	cands := make([]replicaLoc, 0, 1+len(d.alts))
-	cands = append(cands, replicaLoc{worker: d.worker, url: d.url})
-	for _, alt := range d.alts {
-		if alt.worker != d.worker {
-			cands = append(cands, alt)
-		}
-	}
-	for ci := 0; ci < len(cands); ci++ {
-		cand := cands[ci]
-		// A candidate already known dead (evicted, heartbeat expired) with
-		// a live one behind it: skip the doomed fetch instead of burning
-		// the whole retry budget against a closed socket. The first fetch
-		// that discovers a death still pays full price — that is how
-		// deaths are detected — but every dependency after it rides the
-		// markDead verdict.
-		if !c.liveWorker(cand.worker) {
-			live := false
-			for k := ci + 1; k < len(cands); k++ {
-				if c.liveWorker(cands[k].worker) {
-					live = true
-					break
-				}
-			}
-			if live {
-				continue
-			}
-		}
-		d.worker, d.url = cand.worker, cand.url
-		pairs, src, n, err := j.fetchSpill(cand.url, d.split, d.attempt, l)
-		if err == nil {
-			return pairs, src, n, nil
-		}
-		if j.ctx.Err() != nil || errors.Is(err, kv.ErrChecksum) {
-			return nil, 0, 0, err
-		}
-		next := -1
-		for k := ci + 1; k < len(cands); k++ {
-			if c.liveWorker(cands[k].worker) {
-				next = k
-				break
-			}
-		}
-		if next < 0 {
-			return nil, 0, 0, err
-		}
-		if isConnError(err) {
-			c.markDead(cand.worker)
-		}
-		c.noteOutcome(cand.worker, true)
-		c.logf("reduce %s/kb%d: split %d attempt %d unavailable on %q (%v); trying replica",
-			j.spec.ID, l, d.split, d.attempt, cand.worker, err)
-		ci = next - 1
-	}
-	return nil, 0, 0, ErrRetryExhausted // unreachable: first candidate is always tried
-}
-
-// noteFallback counts a dependency that was served from a replica
-// rather than the worker that produced it.
-func (j *clusterJob) noteFallback(d *reduceDep) {
-	if d.worker == d.primary {
-		return
-	}
-	j.c.mReplicaFallbks.Inc()
-	j.mu.Lock()
-	j.counters.ReplicaFetchFallbacks++
-	j.mu.Unlock()
-	j.c.logf("reduce %s: split %d attempt %d served by replica on %q (primary %q gone)",
-		j.spec.ID, d.split, d.attempt, d.worker, d.primary)
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -147,10 +146,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		drainCh: make(chan struct{}), jobs: make(map[string]*workerJob)}
 	w.mux = http.NewServeMux()
 	w.mux.HandleFunc("/v1/map", w.handleMap)
-	// The exact-path batch pattern outranks the per-spill subtree on the
-	// mux (longest pattern wins).
-	w.mux.HandleFunc(BatchShufflePath, w.handleShuffleBatch)
-	w.mux.HandleFunc("/v1/shuffle/", w.handleShuffle)
+	w.mux.HandleFunc(shuffleBatchPath, w.handleShuffleBatch)
 	w.mux.HandleFunc("/v1/release", w.handleRelease)
 	w.mux.HandleFunc("/v1/replicate", w.handleReplicate)
 	w.mux.HandleFunc("/v1/pack/", w.handlePack)
@@ -430,8 +426,8 @@ func (w *Worker) releaseLocked(jobID string) {
 
 // handleRelease drops a resolved job's cached state and spills:
 // POST /v1/release {"job_id": ...}. With both "split" and "attempt"
-// set, the release is scoped to that single attempt's spill directory —
-// the cached job state survives, because the job is still running (a
+// set, the release is scoped to that single attempt's pack — the cached
+// job state survives, because the job is still running (a
 // speculation loser or superseded attempt is being reclaimed).
 // Releasing an unknown job is a no-op (the coordinator broadcasts
 // releases to every live worker).
@@ -455,8 +451,6 @@ func (w *Worker) handleRelease(rw http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.store.ReleaseAttempt(req.JobID, *req.Split, *req.Attempt)
-		os.RemoveAll(filepath.Join(w.cfg.SpillDir, req.JobID,
-			fmt.Sprintf("%d-%d", *req.Split, *req.Attempt)))
 		// Release is also the natural sweep point for temp files a
 		// crashed or aborted attempt orphaned.
 		w.store.SweepTemps(time.Minute)
@@ -632,16 +626,6 @@ func (w *Worker) handleMap(rw http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(rw).Encode(resp)
 }
 
-// spillPath is the legacy per-keyblock layout:
-// spillDir/job/split-attempt/kb-N.spill. Map attempts no longer write
-// it (they append to a spillstore pack), but the serving path still
-// falls back to it so pre-pack spills and directly-written fixtures
-// stay fetchable.
-func (w *Worker) spillPath(jobID string, split, attempt, kb int) string {
-	return filepath.Join(w.cfg.SpillDir, jobID,
-		fmt.Sprintf("%d-%d", split, attempt), fmt.Sprintf("kb-%d.spill", kb))
-}
-
 // validJobID rejects path-traversal in the url-embedded job id.
 func validJobID(id string) bool {
 	for _, c := range id {
@@ -652,65 +636,6 @@ func validJobID(id string) bool {
 		}
 	}
 	return id != ""
-}
-
-// openSpill resolves one spill to a ReadSeeker over its exact on-disk
-// bytes: the pack store first (a SectionReader over the shared pack
-// handle — zero copy, zero re-decode), then the legacy per-keyblock
-// layout. closer is nil for pack entries; the store owns that handle.
-func (w *Worker) openSpill(job string, split, attempt, kb int) (src io.ReadSeeker, closer io.Closer, size int64, mtime time.Time, err error) {
-	sr, mt, err := w.store.Open(job, split, attempt, kb)
-	if err == nil {
-		return sr, nil, sr.Size(), mt, nil
-	}
-	if !errors.Is(err, spillstore.ErrNotFound) {
-		return nil, nil, 0, time.Time{}, err
-	}
-	f, ferr := os.Open(w.spillPath(job, split, attempt, kb))
-	if ferr != nil {
-		return nil, nil, 0, time.Time{}, spillstore.ErrNotFound
-	}
-	info, ferr := f.Stat()
-	if ferr != nil {
-		f.Close()
-		return nil, nil, 0, time.Time{}, ferr
-	}
-	return f, f, info.Size(), info.ModTime(), nil
-}
-
-// handleShuffle streams one spill: GET /v1/shuffle/{job}/{split}/{attempt}/{kb}.
-// ServeContent sets an exact Content-Length (and handles ranges), so
-// the coordinator's response-header timeout never waits on an unsized
-// stream.
-func (w *Worker) handleShuffle(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(rw, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	parts := strings.Split(strings.TrimPrefix(r.URL.Path, "/v1/shuffle/"), "/")
-	if len(parts) != 4 || !validJobID(parts[0]) {
-		http.Error(rw, "want /v1/shuffle/{job}/{split}/{attempt}/{kb}", http.StatusBadRequest)
-		return
-	}
-	nums := make([]int, 3)
-	for i, s := range parts[1:] {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			http.Error(rw, "bad shuffle path component "+s, http.StatusBadRequest)
-			return
-		}
-		nums[i] = n
-	}
-	src, closer, _, mtime, err := w.openSpill(parts[0], nums[0], nums[1], nums[2])
-	if err != nil {
-		http.Error(rw, "no such spill", http.StatusNotFound)
-		return
-	}
-	if closer != nil {
-		defer closer.Close()
-	}
-	rw.Header().Set("Content-Type", "application/octet-stream")
-	http.ServeContent(rw, r, "", mtime, src)
 }
 
 // handlePack streams one attempt's entire pack file:
@@ -806,11 +731,14 @@ func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(rw).Encode(ReplicateResponse{Bytes: n})
 }
 
-// handleShuffleBatch streams a Reduce task's whole spill subset from
-// this worker in one response: POST /v1/shuffle/batch with a
-// BatchFetchRequest body. Frames are emitted in request order — the
-// coordinator's merge is order-sensitive — each a 24-byte SFRM header
-// followed by the spill's exact on-disk bytes. Every spill is resolved
+// handleShuffleBatch is the worker's one shuffle endpoint. It streams a
+// Reduce task's spill subset held by this worker in one response: POST
+// /v1/shuffle/batch with a BatchFetchRequest body naming N≥1 spills of
+// one keyblock. A spill is served only from a committed spillstore pack
+// (a SectionReader over the shared pack handle — zero copy, zero
+// re-decode). Frames are emitted in request order — the coordinator's
+// merge is order-sensitive — each a 24-byte SFRM header followed by the
+// spill's exact on-disk bytes. Every spill is resolved
 // before the status line is written, so a 200 always carries an exact
 // precomputed Content-Length and every requested frame; the request
 // context is checked between frames so an abandoned fetch stops
@@ -829,49 +757,33 @@ func (w *Worker) handleShuffleBatch(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "bad batch request", http.StatusBadRequest)
 		return
 	}
-	type frame struct {
-		ref    SpillRef
-		src    io.ReadSeeker
-		closer io.Closer
-		size   int64
-	}
-	frames := make([]frame, 0, len(req.Spills))
-	closeAll := func() {
-		for _, fr := range frames {
-			if fr.closer != nil {
-				fr.closer.Close()
-			}
-		}
-	}
+	srcs := make([]*io.SectionReader, len(req.Spills))
 	var total int64
-	for _, ref := range req.Spills {
+	for i, ref := range req.Spills {
 		if ref.Split < 0 || ref.Attempt < 0 {
-			closeAll()
 			http.Error(rw, "bad split/attempt", http.StatusBadRequest)
 			return
 		}
-		src, closer, size, _, err := w.openSpill(req.JobID, ref.Split, ref.Attempt, req.Keyblock)
+		src, _, err := w.store.Open(req.JobID, ref.Split, ref.Attempt, req.Keyblock)
 		if err != nil {
-			closeAll()
 			http.Error(rw, fmt.Sprintf("no spill %d/%d for keyblock %d", ref.Split, ref.Attempt, req.Keyblock), http.StatusNotFound)
 			return
 		}
-		frames = append(frames, frame{ref: ref, src: src, closer: closer, size: size})
-		total += frameHeaderLen + size
+		srcs[i] = src
+		total += frameHeaderLen + src.Size()
 	}
-	defer closeAll()
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	rw.Header().Set("Content-Length", strconv.FormatInt(total, 10))
 	var hdr [frameHeaderLen]byte
-	for _, fr := range frames {
+	for i, ref := range req.Spills {
 		if r.Context().Err() != nil {
 			return // client gone; abandon the stream
 		}
-		putFrameHeader(hdr[:], fr.ref.Split, fr.ref.Attempt, req.Keyblock, fr.size)
+		putFrameHeader(hdr[:], ref.Split, ref.Attempt, req.Keyblock, srcs[i].Size())
 		if _, err := rw.Write(hdr[:]); err != nil {
 			return
 		}
-		if _, err := io.Copy(rw, fr.src); err != nil {
+		if _, err := io.Copy(rw, srcs[i]); err != nil {
 			return
 		}
 	}

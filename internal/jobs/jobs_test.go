@@ -415,3 +415,34 @@ func TestShutdownRejectsAndDrains(t *testing.T) {
 		t.Fatalf("Submit after shutdown = %v, want ErrShuttingDown", err)
 	}
 }
+
+// TestSubmitPublishesNotifyHookFirst is the -race regression test for
+// Submit installing a job's terminal hook after sending it on the
+// queue: against a provider that fails at once, a worker pops and
+// finishes the job while Submit is still between the send and the
+// assignment. Every tenant slot must also be handed back, which only
+// the hook does.
+func TestSubmitPublishesNotifyHookFirst(t *testing.T) {
+	m := newTestManager(t, Config{Datasets: newFakeProvider([]int64{4, 4}, 0), MaxConcurrent: 4})
+	for i := 0; i < 2000; i++ {
+		j, err := m.Submit(Request{Dataset: "missing", Query: testQuery, Tenant: "t"})
+		if errors.Is(err, ErrQueueFull) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%32 == 31 {
+			j.Wait(context.Background()) // FIFO queue: everything before j has been popped
+		}
+	}
+	// Shutdown joins the job workers, and with them every terminal hook.
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if left := m.inflight["t"]; left != 0 {
+		t.Fatalf("%d tenant slots never released: a terminal hook was lost", left)
+	}
+}

@@ -343,21 +343,29 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 
 	// Fast path 2: the same query is executing right now — attach as a
 	// follower of the live leader instead of queueing a duplicate.
+	// The notify hook is installed before the job is published (attached
+	// to a leader, or sent on the queue): whoever receives it may finish
+	// it at once, and notifyTerminal reads the hook with no manager lock.
+	// The hook itself blocks on m.mu, so it still runs after the
+	// in-flight accounting below.
+	tenant := req.Tenant
 	if keyed {
-		if leader, ok := m.collapse[key]; ok && leader.attach(j) {
-			m.jobs[j.ID] = j
-			m.order = append(m.order, j.ID)
-			m.inflight[req.Tenant]++
-			m.tenantGauge(req.Tenant).Add(1)
-			tenant := req.Tenant
+		if leader, ok := m.collapse[key]; ok {
 			j.notify = func() { m.jobDone(tenant, "", nil) }
-			m.mu.Unlock()
-			m.mSubmitted.Inc()
-			m.mCollapsed.Inc()
-			return j, nil
+			if leader.attach(j) {
+				m.jobs[j.ID] = j
+				m.order = append(m.order, j.ID)
+				m.inflight[tenant]++
+				m.tenantGauge(tenant).Add(1)
+				m.mu.Unlock()
+				m.mSubmitted.Inc()
+				m.mCollapsed.Inc()
+				return j, nil
+			}
 		}
 	}
 
+	j.notify = func() { m.jobDone(tenant, key, j) }
 	m.gQueued.Add(1) // before the send: a worker may pop immediately
 	select {
 	case m.queue <- j:
@@ -366,14 +374,13 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		if keyed {
 			m.collapse[key] = j
 		}
-		m.inflight[req.Tenant]++
-		m.tenantGauge(req.Tenant).Add(1)
-		tenant := req.Tenant
-		j.notify = func() { m.jobDone(tenant, key, j) }
+		m.inflight[tenant]++
+		m.tenantGauge(tenant).Add(1)
 		m.mu.Unlock()
 		m.mSubmitted.Inc()
 		return j, nil
 	default:
+		j.notify = nil
 		m.gQueued.Add(-1)
 		m.mu.Unlock()
 		m.mRejected.Inc()

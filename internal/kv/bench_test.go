@@ -59,7 +59,7 @@ func BenchmarkSpillWriteRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := WriteSpill(&buf, 2, 5000, streams[0]); err != nil {
+		if err := WriteSpillV3(&buf, 2, 5000, streams[0], V3Options{}); err != nil {
 			b.Fatal(err)
 		}
 		if _, _, err := ReadSpill(&buf); err != nil {

@@ -2,13 +2,11 @@ package kv
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"sidr/internal/coords"
 )
@@ -21,29 +19,12 @@ import (
 // that file" — so a Reduce task can tally its inputs without parsing
 // pair bodies.
 //
-// Layout (little-endian):
-//
-//	magic "SPIL" | u16 version | u32 rank | i64 sourceCount | u32 nPairs
-//	u32 crc32c(payload)
-//	nPairs × ( rank × i64 key | f64 sum | f64 sumsq | f64 min | f64 max
-//	           | i64 count | u32 nSamples | nSamples × f64 )
-//
-// The CRC32C covers only the pair payload, not the header: the
-// sourceCount annotation stays independently verifiable by the Reduce
-// side's kv-count tally (§3.2.1), while the checksum guards the pair
-// bytes that tally cannot see inside.
-//
-// Version 3 — the block-framed columnar format the clustered shuffle
-// writes — lives in codecv3.go. ReadSpill and ReadSpillHeader accept
-// both versions.
+// There is one format, version 3: the block-framed columnar layout
+// documented in codecv3.go. This file holds the header, the errors and
+// the two read entry points; anything that is not a version-3 spill is
+// rejected with ErrBadSpillVersion.
 
 var spillMagic = [4]byte{'S', 'P', 'I', 'L'}
-
-const spillVersion uint16 = 2
-
-// spillHeaderLen is the fixed byte length of the v2 header:
-// magic(4) + version(2) + rank(4) + sourceCount(8) + nPairs(4) + crc(4).
-const spillHeaderLen = 26
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -51,17 +32,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var (
 	ErrBadSpillMagic   = errors.New("kv: bad spill magic")
 	ErrBadSpillVersion = errors.New("kv: unsupported spill version")
-	// ErrChecksum reports that a spill's pair payload does not match the
-	// CRC32C recorded in its header — the bytes were corrupted between
+	// ErrChecksum reports that a spill block does not match the CRC32C
+	// recorded in its block header — the bytes were corrupted between
 	// the Map task's write and this read.
 	ErrChecksum = errors.New("kv: spill payload checksum mismatch")
 )
 
 // SpillHeader is the metadata of one Map output partition file.
 type SpillHeader struct {
-	// Version is the spill format version (2: row-oriented with one
-	// whole-payload CRC; 3: block-framed columnar, see codecv3.go).
-	Version uint16
 	// Rank is the dimensionality of the intermediate keys.
 	Rank int
 	// SourceCount is the number of source ⟨k,v⟩ pairs the file's
@@ -69,252 +47,67 @@ type SpillHeader struct {
 	SourceCount int64
 	// Pairs is the number of ⟨k',v'⟩ records in the file.
 	Pairs int
-	// CRC is the CRC32C (Castagnoli) of the pair payload bytes (v2 only;
-	// v3 checksums per block).
-	CRC uint32
-	// Flags holds v3 format flags (V3FlagDeflate).
+	// Flags holds the format flags (V3FlagDeflate).
 	Flags uint16
-	// Blocks is the v3 block count.
+	// Blocks is the block count.
 	Blocks int
-}
-
-// WriteSpill serialises sorted pairs with their source-count annotation.
-// The payload is buffered first because its checksum lives in the
-// header, ahead of the bytes it covers.
-func WriteSpill(w io.Writer, rank int, sourceCount int64, pairs []Pair) error {
-	if rank <= 0 || rank > coords.MaxRank {
-		return fmt.Errorf("kv: invalid spill rank %d", rank)
-	}
-	var payload bytes.Buffer
-	if err := writeSpillPayload(&payload, rank, pairs); err != nil {
-		return err
-	}
-	le := binary.LittleEndian
-	var hdr [spillHeaderLen]byte
-	copy(hdr[:4], spillMagic[:])
-	le.PutUint16(hdr[4:6], spillVersion)
-	le.PutUint32(hdr[6:10], uint32(rank))
-	le.PutUint64(hdr[10:18], uint64(sourceCount))
-	le.PutUint32(hdr[18:22], uint32(len(pairs)))
-	le.PutUint32(hdr[22:26], crc32.Checksum(payload.Bytes(), castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload.Bytes())
-	return err
-}
-
-func writeSpillPayload(bw *bytes.Buffer, rank int, pairs []Pair) error {
-	le := binary.LittleEndian
-	var b8 [8]byte
-	put64 := func(v uint64) {
-		le.PutUint64(b8[:], v)
-		bw.Write(b8[:])
-	}
-	putF := func(v float64) { put64(math.Float64bits(v)) }
-	put32 := func(v uint32) {
-		var b [4]byte
-		le.PutUint32(b[:], v)
-		bw.Write(b[:])
-	}
-	for _, p := range pairs {
-		if p.Key.Rank() != rank {
-			return fmt.Errorf("kv: pair key %v rank != %d", p.Key, rank)
-		}
-		for _, x := range p.Key {
-			put64(uint64(x))
-		}
-		v := p.Value
-		putF(v.Sum)
-		putF(v.SumSq)
-		putF(v.Min)
-		putF(v.Max)
-		put64(uint64(v.Count))
-		put32(uint32(len(v.Samples)))
-		for _, s := range v.Samples {
-			putF(s)
-		}
-	}
-	return nil
 }
 
 // ReadSpillHeader reads only the header — how a Reduce task learns the
 // annotation tally "without having to read and parse those files"
 // (§3.2.1).
 func ReadSpillHeader(r io.Reader) (SpillHeader, error) {
-	br := bufio.NewReaderSize(r, 64)
-	h, _, err := readSpillHeader(br)
+	h, _, err := readSpillHeader(r)
 	return h, err
 }
 
-// readSpillHeader reads the version-dispatching fixed header. Both
-// formats share the first 22 bytes (magic, version, rank, sourceCount,
-// nPairs); v2 follows with the payload CRC, v3 with flags and the
-// block count. rawHdr returns the exact header bytes consumed, which
-// the v3 reader folds into its per-block CRC seed.
-func readSpillHeader(br *bufio.Reader) (SpillHeader, []byte, error) {
-	raw := make([]byte, 0, spillHeaderLenV3)
-	take := func(n int) ([]byte, error) {
-		off := len(raw)
-		raw = raw[:off+n]
-		_, err := io.ReadFull(br, raw[off:])
-		return raw[off:], err
-	}
-	if b, err := take(4); err != nil {
-		return SpillHeader{}, nil, err
-	} else if [4]byte(b) != spillMagic {
-		return SpillHeader{}, nil, ErrBadSpillMagic
+// readSpillHeader reads and validates the fixed file header. raw is the
+// exact header bytes consumed, which the body reader folds into its
+// per-block CRC seed.
+func readSpillHeader(r io.Reader) (h SpillHeader, raw [spillHeaderLenV3]byte, err error) {
+	// The magic and version are read and judged first, so a foreign or
+	// old-format file is named as such rather than reported as truncated.
+	if _, err := io.ReadFull(r, raw[:6]); err != nil {
+		return SpillHeader{}, raw, err
 	}
 	le := binary.LittleEndian
-	h := SpillHeader{}
-	b, err := take(2)
-	if err != nil {
-		return SpillHeader{}, nil, err
+	if [4]byte(raw[:4]) != spillMagic {
+		return SpillHeader{}, raw, ErrBadSpillMagic
 	}
-	h.Version = le.Uint16(b)
-	if h.Version != spillVersion && h.Version != spillVersionV3 {
-		return SpillHeader{}, nil, ErrBadSpillVersion
+	if v := le.Uint16(raw[4:6]); v != spillVersionV3 {
+		return SpillHeader{}, raw, fmt.Errorf("%w: %d", ErrBadSpillVersion, v)
 	}
-	if b, err = take(4); err != nil {
-		return SpillHeader{}, nil, err
+	if _, err := io.ReadFull(r, raw[6:]); err != nil {
+		return SpillHeader{}, raw, err
 	}
-	h.Rank = int(le.Uint32(b))
+	h.Rank = int(le.Uint32(raw[6:10]))
 	if h.Rank <= 0 || h.Rank > coords.MaxRank {
-		return SpillHeader{}, nil, fmt.Errorf("kv: implausible spill rank %d", h.Rank)
+		return SpillHeader{}, raw, fmt.Errorf("kv: implausible spill rank %d", h.Rank)
 	}
-	if b, err = take(8); err != nil {
-		return SpillHeader{}, nil, err
-	}
-	h.SourceCount = int64(le.Uint64(b))
-	if b, err = take(4); err != nil {
-		return SpillHeader{}, nil, err
-	}
-	h.Pairs = int(le.Uint32(b))
-	if h.Version == spillVersion {
-		if b, err = take(4); err != nil {
-			return SpillHeader{}, nil, err
-		}
-		h.CRC = le.Uint32(b)
-		return h, raw, nil
-	}
-	if b, err = take(2); err != nil {
-		return SpillHeader{}, nil, err
-	}
-	h.Flags = le.Uint16(b)
+	h.SourceCount = int64(le.Uint64(raw[10:18]))
+	h.Pairs = int(le.Uint32(raw[18:22]))
+	h.Flags = le.Uint16(raw[22:24])
 	if h.Flags&^V3FlagDeflate != 0 {
 		// Unknown flag bits would change payload interpretation; and on a
 		// blockless (empty) spill no block CRC exists to catch the flip.
-		return SpillHeader{}, nil, fmt.Errorf("kv: unknown spill flags %#x: %w", h.Flags, ErrBadSpillVersion)
+		return SpillHeader{}, raw, fmt.Errorf("kv: unknown spill flags %#x: %w", h.Flags, ErrBadSpillVersion)
 	}
-	if b, err = take(4); err != nil {
-		return SpillHeader{}, nil, err
-	}
-	h.Blocks = int(le.Uint32(b))
+	h.Blocks = int(le.Uint32(raw[24:28]))
 	return h, raw, nil
 }
 
-// crcReader updates a running CRC32C over exactly the bytes consumed
-// through it, so ReadSpill can verify the payload checksum while
-// streaming without buffering the file.
-type crcReader struct {
-	r   io.Reader
-	sum uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.sum = crc32.Update(c.sum, castagnoli, p[:n])
-	return n, err
-}
-
-// ReadSpill deserialises a full spill file of either format, verifying
-// the payload checksums (whole-payload for v2, per-block for v3). A
-// mismatch returns ErrChecksum — the caller must treat the spill as
-// lost, never merge its pairs.
+// ReadSpill deserialises a full spill file, verifying every block's
+// checksum. A mismatch returns ErrChecksum — the caller must treat the
+// spill as lost, never merge its pairs.
 func ReadSpill(r io.Reader) (SpillHeader, []Pair, error) {
 	br := bufio.NewReader(r)
-	h, rawHdr, err := readSpillHeader(br)
+	h, raw, err := readSpillHeader(br)
 	if err != nil {
 		return SpillHeader{}, nil, err
 	}
-	if h.Version == spillVersionV3 {
-		pairs, err := readSpillV3Body(br, h, v3HeaderCRCSeed(rawHdr))
-		if err != nil {
-			return h, nil, err
-		}
-		return h, pairs, nil
-	}
-	cr := &crcReader{r: br}
-	le := binary.LittleEndian
-	var b8 [8]byte
-	get64 := func() (uint64, error) {
-		if _, err := io.ReadFull(cr, b8[:]); err != nil {
-			return 0, err
-		}
-		return le.Uint64(b8[:]), nil
-	}
-	getF := func() (float64, error) {
-		u, err := get64()
-		return math.Float64frombits(u), err
-	}
-	var b4 [4]byte
-	get32 := func() (uint32, error) {
-		if _, err := io.ReadFull(cr, b4[:]); err != nil {
-			return 0, err
-		}
-		return le.Uint32(b4[:]), nil
-	}
-
-	// Cap preallocation: the header's counts are untrusted input, and a
-	// corrupt count must not allocate gigabytes before the truncated
-	// stream is noticed. append grows as data actually arrives.
-	pairs := make([]Pair, 0, min(h.Pairs, 1024))
-	for i := 0; i < h.Pairs; i++ {
-		key := make(coords.Coord, h.Rank)
-		for d := 0; d < h.Rank; d++ {
-			u, err := get64()
-			if err != nil {
-				return h, nil, fmt.Errorf("kv: truncated spill pair %d: %w", i, err)
-			}
-			key[d] = int64(u)
-		}
-		var v Value
-		var err error
-		if v.Sum, err = getF(); err != nil {
-			return h, nil, err
-		}
-		if v.SumSq, err = getF(); err != nil {
-			return h, nil, err
-		}
-		if v.Min, err = getF(); err != nil {
-			return h, nil, err
-		}
-		if v.Max, err = getF(); err != nil {
-			return h, nil, err
-		}
-		cu, err := get64()
-		if err != nil {
-			return h, nil, err
-		}
-		v.Count = int64(cu)
-		ns, err := get32()
-		if err != nil {
-			return h, nil, err
-		}
-		if ns > 0 {
-			v.Samples = make([]float64, 0, min(int(ns), 1024))
-			for s := uint32(0); s < ns; s++ {
-				f, err := getF()
-				if err != nil {
-					return h, nil, err
-				}
-				v.Samples = append(v.Samples, f)
-			}
-		}
-		pairs = append(pairs, Pair{Key: key, Value: v})
-	}
-	if cr.sum != h.CRC {
-		return h, nil, fmt.Errorf("kv: spill crc %08x, header says %08x: %w", cr.sum, h.CRC, ErrChecksum)
+	pairs, err := readSpillV3Body(br, h, v3HeaderCRCSeed(raw[:]))
+	if err != nil {
+		return h, nil, err
 	}
 	return h, pairs, nil
 }

@@ -13,15 +13,13 @@ import (
 	"sidr/internal/coords"
 )
 
-// This file implements spill format v3: the block-framed columnar
-// layout the clustered shuffle serves at hardware speed. Where v2
-// stores row-oriented pairs behind one whole-payload CRC, v3 frames the
-// pairs into fixed-size blocks, lays each block out column-major
-// (sorted keys first, then the value columns), optionally DEFLATEs each
-// block, and checksums each block independently — so a streaming reader
-// rejects a flipped bit as soon as the damaged block arrives, and a
-// serving worker moves the file as opaque bytes without re-decoding a
-// single pair.
+// This file implements the spill format's body: the block-framed
+// columnar layout the shuffle serves at hardware speed. Pairs are framed
+// into fixed-size blocks, each laid out column-major (sorted keys first,
+// then the value columns), optionally DEFLATEd, and checksummed
+// independently — so a streaming reader rejects a flipped bit as soon as
+// the damaged block arrives, and a serving worker moves the file as
+// opaque bytes without re-decoding a single pair.
 //
 // Layout (little-endian):
 //
@@ -44,16 +42,16 @@ import (
 //	  bPairs × u32          per-pair sample counts
 //	  Σ nSamples × f64      samples, in pair order
 //
-// The sourceCount annotation keeps v2's byte offset (10..18) and stays
-// outside every checksum: the kv-count gate (§3.2.1) verifies it
-// independently on the Reduce side. Every other header field is folded
-// into each block's CRC as a seed, so a flipped rank/flags/count bit is
-// caught by the first block read. Block CRCs cover their own header's
-// first 12 bytes plus the stored payload.
+// The sourceCount annotation (bytes 10..18) stays outside every
+// checksum: the kv-count gate (§3.2.1) verifies it independently on the
+// Reduce side. Every other header field is folded into each block's CRC
+// as a seed, so a flipped rank/flags/count bit is caught by the first
+// block read. Block CRCs cover their own header's first 12 bytes plus
+// the stored payload.
 
 const (
 	spillVersionV3 uint16 = 3
-	// spillHeaderLenV3 is the fixed byte length of the v3 file header.
+	// spillHeaderLenV3 is the fixed byte length of the file header.
 	spillHeaderLenV3 = 28
 	// blockHeaderLen is the per-block frame header length.
 	blockHeaderLen = 16
@@ -80,7 +78,7 @@ type V3Options struct {
 	Compress bool
 }
 
-// WriteSpillV3 serialises sorted pairs in the block-framed columnar v3
+// WriteSpillV3 serialises sorted pairs in the block-framed columnar
 // format with their source-count annotation.
 func WriteSpillV3(w io.Writer, rank int, sourceCount int64, pairs []Pair, opts V3Options) error {
 	if rank <= 0 || rank > coords.MaxRank {
@@ -215,7 +213,7 @@ func v3BlockRawLen(rank, nPairs, nSamples int) int {
 	return nPairs*(rank*8+4*8+8+4) + nSamples*8
 }
 
-// readSpillV3Body decodes the block stream following a v3 header,
+// readSpillV3Body decodes the block stream following the file header,
 // verifying each block's CRC (seeded by the header fields) before any
 // of its pairs are surfaced.
 func readSpillV3Body(br *bufio.Reader, h SpillHeader, seed uint32) ([]Pair, error) {

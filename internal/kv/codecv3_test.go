@@ -2,10 +2,13 @@ package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"sidr/internal/coords"
 )
@@ -37,11 +40,11 @@ func v3TestPairs(n int) []Pair {
 	return pairs
 }
 
-// pairsEqual compares pairs through their serialised v2 bytes, which
-// makes NaN-carrying values comparable.
+// pairsEqual compares pairs through their serialised bytes, which makes
+// NaN-carrying values comparable.
 func pairsEqual(t *testing.T, rank int, a, b []Pair) bool {
 	t.Helper()
-	return bytes.Equal(encodeSpill(t, rank, 0, a), encodeSpill(t, rank, 0, b))
+	return bytes.Equal(encodeSpillV3(t, rank, 0, a, V3Options{}), encodeSpillV3(t, rank, 0, b, V3Options{}))
 }
 
 // TestSpillV3RoundTrip: every framing (single block, multi block,
@@ -68,7 +71,7 @@ func TestSpillV3RoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadSpill: %v", err)
 			}
-			if h.Version != 3 || h.Rank != 3 || h.SourceCount != int64(tc.n)*10+7 || h.Pairs != tc.n {
+			if h.Rank != 3 || h.SourceCount != int64(tc.n)*10+7 || h.Pairs != tc.n {
 				t.Fatalf("header = %+v", h)
 			}
 			if tc.opts.Compress != (h.Flags&V3FlagDeflate != 0) {
@@ -81,34 +84,174 @@ func TestSpillV3RoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpillV3CrossReadMatchesV2: the same pairs written as v2 and v3
-// decode to identical contents — the Reduce-side merge cannot tell the
-// formats apart, so mixed-version shuffles stay byte-identical.
-func TestSpillV3CrossReadMatchesV2(t *testing.T) {
-	pairs := v3TestPairs(77)
-	v2 := encodeSpill(t, 3, 1234, pairs)
-	v3 := encodeSpillV3(t, 3, 1234, pairs, V3Options{BlockPairs: 13, Compress: true})
+// TestReadSpillHeaderStopsAtHeader: ReadSpillHeader must work on a
+// stream that carries only the header bytes — §3.2.1's point is reading
+// the annotation without parsing pair bodies — and must consume nothing
+// past them.
+func TestReadSpillHeaderStopsAtHeader(t *testing.T) {
+	data := encodeSpillV3(t, 3, 12345, v3TestPairs(9), V3Options{BlockPairs: 4})
+	h, err := ReadSpillHeader(io.LimitReader(bytes.NewReader(data), spillHeaderLenV3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Rank != 3 || h.SourceCount != 12345 || h.Pairs != 9 || h.Blocks != 3 {
+		t.Fatalf("header = %+v", h)
+	}
+	r := bytes.NewReader(data)
+	if _, err := ReadSpillHeader(r); err != nil {
+		t.Fatal(err)
+	}
+	if rest := r.Len(); rest != len(data)-spillHeaderLenV3 {
+		t.Fatalf("header read left %d bytes unread, want %d", rest, len(data)-spillHeaderLenV3)
+	}
+}
 
-	h2, got2, err := ReadSpill(bytes.NewReader(v2))
-	if err != nil {
+// TestQuickSpillRoundTrip round-trips random ranks, pair counts,
+// framings and values.
+func TestQuickSpillRoundTrip(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		rank := 1 + r.Intn(4)
+		n := r.Intn(20)
+		src := int64(0)
+		pairs := make([]Pair, n)
+		for i := range pairs {
+			key := make(coords.Coord, rank)
+			for d := range key {
+				key[d] = r.Int63n(1000)
+			}
+			var v Value
+			k := 1 + r.Intn(4)
+			for j := 0; j < k; j++ {
+				v.Add(r.NormFloat64(), r.Intn(2) == 0)
+			}
+			src += int64(k)
+			pairs[i] = Pair{Key: key, Value: v}
+		}
+		opts := V3Options{BlockPairs: r.Intn(8), Compress: r.Intn(2) == 0}
+		var buf bytes.Buffer
+		if err := WriteSpillV3(&buf, rank, src, pairs, opts); err != nil {
+			return false
+		}
+		h, got, err := ReadSpill(&buf)
+		return err == nil && h.SourceCount == src && len(got) == n && pairsEqual(t, rank, pairs, got)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-	h3, got3, err := ReadSpill(bytes.NewReader(v3))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestWriteSpillValidation: the writer refuses ranks the reader would
+// refuse and pairs whose keys disagree with the declared rank.
+func TestWriteSpillValidation(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSpillV3(&buf, 0, 0, nil, V3Options{}); err == nil {
+		t.Fatal("zero rank accepted")
 	}
-	if h2.Rank != h3.Rank || h2.SourceCount != h3.SourceCount || h2.Pairs != h3.Pairs {
-		t.Fatalf("headers disagree: v2 %+v, v3 %+v", h2, h3)
+	if err := WriteSpillV3(&buf, coords.MaxRank+1, 0, nil, V3Options{}); err == nil {
+		t.Fatal("rank above coords.MaxRank accepted")
 	}
-	if !pairsEqual(t, 3, got2, got3) {
-		t.Fatal("v2 and v3 decode to different pairs")
+	if err := WriteSpillV3(&buf, 1, 0, v3TestPairs(2), V3Options{}); err == nil {
+		t.Fatal("rank mismatch accepted")
 	}
-	// The annotation shares v2's byte offset, so header-only readers and
-	// the kv-count tamper harnesses work on both formats.
-	if h, err := ReadSpillHeader(io.LimitReader(bytes.NewReader(v3), spillHeaderLenV3)); err != nil {
-		t.Fatalf("v3 header-only read: %v", err)
-	} else if h.SourceCount != 1234 || h.Blocks == 0 {
-		t.Fatalf("v3 header = %+v", h)
+}
+
+// TestReadSpillRejects is the decoder's safety table: each case damages
+// one valid spill in one way and names the error the shuffle relies on
+// (nil want = any error). Every case must fail ReadSpill; header cases
+// must fail ReadSpillHeader the same way.
+func TestReadSpillRejects(t *testing.T) {
+	le := binary.LittleEndian
+	cases := []struct {
+		name   string
+		n      int // pairs in the valid spill (rank 1)
+		damage func(b []byte) []byte
+		want   error
+		header bool // ReadSpillHeader must reject it too
+	}{
+		{name: "bad-magic", n: 1, header: true, want: ErrBadSpillMagic,
+			damage: func(b []byte) []byte { copy(b, "NOPE"); return b }},
+		{name: "foreign-bytes", header: true, want: ErrBadSpillMagic,
+			damage: func([]byte) []byte { return []byte("XXXXxxxxxxxx") }},
+		{name: "unknown-version", n: 1, header: true, want: ErrBadSpillVersion,
+			damage: func(b []byte) []byte { le.PutUint16(b[4:6], 0x0909); return b }},
+		{name: "version-judged-before-truncation", header: true, want: ErrBadSpillVersion,
+			damage: func(b []byte) []byte { b[4] = 9; return b[:6] }},
+		{name: "unknown-flags", n: 1, header: true, want: ErrBadSpillVersion,
+			damage: func(b []byte) []byte { b[23] |= 0x80; return b }},
+		{name: "zero-rank", n: 1, header: true,
+			damage: func(b []byte) []byte { le.PutUint32(b[6:10], 0); return b }},
+		{name: "implausible-rank", n: 1, header: true,
+			damage: func(b []byte) []byte { le.PutUint32(b[6:10], coords.MaxRank+1); return b }},
+		{name: "truncated-header", n: 1, header: true, want: io.ErrUnexpectedEOF,
+			damage: func(b []byte) []byte { return b[:spillHeaderLenV3-1] }},
+		{name: "truncated-body", n: 3,
+			damage: func(b []byte) []byte { return b[:len(b)-4] }},
+		// nPairs at the u32 maximum with nBlocks still 0: the block/pair
+		// cross-check must reject it without allocating per-count memory.
+		{name: "huge-pair-count", n: 0, want: ErrChecksum,
+			damage: func(b []byte) []byte { le.PutUint32(b[18:22], math.MaxUint32); return b }},
+		{name: "huge-block-count", n: 1,
+			damage: func(b []byte) []byte { le.PutUint32(b[24:28], math.MaxUint32); return b }},
+		// A block claiming a 4 GB payload is refused by the plausibility
+		// cap, not buffered.
+		{name: "huge-block-enclen", n: 1, want: ErrChecksum,
+			damage: func(b []byte) []byte { le.PutUint32(b[spillHeaderLenV3+8:], math.MaxUint32); return b }},
+		{name: "huge-block-rawlen", n: 1, want: ErrChecksum,
+			damage: func(b []byte) []byte { le.PutUint32(b[spillHeaderLenV3+4:], math.MaxUint32); return b }},
+		// The per-pair sample count is the final u32 of a sampleless
+		// single-pair block.
+		{name: "huge-sample-count", n: 1, want: ErrChecksum,
+			damage: func(b []byte) []byte { le.PutUint32(b[len(b)-4:], math.MaxUint32); return b }},
+		// Valid structure, wrong bytes: the failure must be the checksum
+		// sentinel the cluster's corrupt-spill re-execution keys on.
+		{name: "payload-bit-flip", n: 1, want: ErrChecksum,
+			damage: func(b []byte) []byte { b[spillHeaderLenV3+blockHeaderLen] ^= 0x80; return b }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pairs := make([]Pair, tc.n)
+			for i := range pairs {
+				pairs[i] = Pair{Key: coords.NewCoord(int64(i)), Value: Value{Sum: 2, Count: 1}}
+			}
+			data := tc.damage(encodeSpillV3(t, 1, int64(tc.n), pairs, V3Options{}))
+			_, got, err := ReadSpill(bytes.NewReader(data))
+			if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+				t.Fatalf("ReadSpill err = %v, want %v", err, tc.want)
+			}
+			if got != nil {
+				t.Fatalf("rejected spill surfaced %d pairs", len(got))
+			}
+			if tc.header {
+				if _, err := ReadSpillHeader(bytes.NewReader(data)); err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+					t.Fatalf("ReadSpillHeader err = %v, want %v", err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// v2SpillHeader hand-builds the retired row-oriented format's 26-byte
+// header (magic, version 2, rank, sourceCount, nPairs, payload CRC).
+func v2SpillHeader(rank uint32, sourceCount uint64) []byte {
+	le := binary.LittleEndian
+	b := make([]byte, 26)
+	copy(b, "SPIL")
+	le.PutUint16(b[4:6], 2)
+	le.PutUint32(b[6:10], rank)
+	le.PutUint64(b[10:18], sourceCount)
+	return b
+}
+
+// TestReadSpillRejectsV2: there is one spill format; a version-2 file is
+// refused by name, not misparsed.
+func TestReadSpillRejectsV2(t *testing.T) {
+	data := v2SpillHeader(2, 42)
+	if _, _, err := ReadSpill(bytes.NewReader(data)); !errors.Is(err, ErrBadSpillVersion) {
+		t.Fatalf("ReadSpill err = %v, want ErrBadSpillVersion", err)
+	}
+	if _, err := ReadSpillHeader(bytes.NewReader(data)); !errors.Is(err, ErrBadSpillVersion) {
+		t.Fatalf("ReadSpillHeader err = %v, want ErrBadSpillVersion", err)
 	}
 }
 
@@ -161,124 +304,4 @@ func TestSpillV3RejectsEveryTruncation(t *testing.T) {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", n, len(data))
 		}
 	}
-}
-
-// TestSpillV3RejectsHugeCounts: implausible counts in the file or block
-// headers must fail without materialising per-count memory.
-func TestSpillV3RejectsHugeCounts(t *testing.T) {
-	data := encodeSpillV3(t, 1, 5, nil, V3Options{})
-	// nPairs (u32 at 18..22) to the maximum; nBlocks stays 0, so the
-	// block/pair cross-check must reject it.
-	for i := 18; i < 22; i++ {
-		data[i] = 0xff
-	}
-	if _, _, err := ReadSpill(bytes.NewReader(data)); err == nil {
-		t.Fatal("v3 spill claiming 4 billion pairs decoded without error")
-	}
-	// A block claiming a gigantic encoded length must be rejected by the
-	// plausibility cap, not buffered.
-	one := encodeSpillV3(t, 1, 1, []Pair{{Key: coords.NewCoord(7), Value: Value{Count: 1}}}, V3Options{})
-	// encLen is bytes 8..12 of the block header at spillHeaderLenV3.
-	for i := spillHeaderLenV3 + 8; i < spillHeaderLenV3+12; i++ {
-		one[i] = 0xff
-	}
-	if _, _, err := ReadSpill(bytes.NewReader(one)); err == nil {
-		t.Fatal("block claiming 4GB encoded payload decoded without error")
-	}
-}
-
-// TestSpillV3ChecksumSentinel pins ErrChecksum for a clean payload
-// corruption, so the cluster's corrupt-spill re-execution path
-// classifies v3 damage exactly like v2 damage.
-func TestSpillV3ChecksumSentinel(t *testing.T) {
-	data := encodeSpillV3(t, 1, 1, []Pair{{Key: coords.NewCoord(9), Value: Value{Sum: 2, Count: 1}}}, V3Options{})
-	data[len(data)-1] ^= 0x80 // inside the (only) block's stored payload
-	if _, _, err := ReadSpill(bytes.NewReader(data)); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("err = %v, want ErrChecksum", err)
-	}
-}
-
-// v3ReencodeOpts derives re-encode options from a decoded header. For
-// any accepted input, ceil(pairs/blocks) applied twice is a fixed point
-// of the framing (ceil(n/ceil(n/ceil(n/k))) = ceil(n/ceil(n/k))), which
-// gives the fuzz target a deterministic byte-level fixed point even for
-// crafted inputs with irregular block sizes.
-func v3ReencodeOpts(h SpillHeader) V3Options {
-	bp := 1
-	if h.Blocks > 0 {
-		bp = (h.Pairs + h.Blocks - 1) / h.Blocks
-	}
-	if bp <= 0 {
-		bp = 1
-	}
-	return V3Options{BlockPairs: bp, Compress: h.Flags&V3FlagDeflate != 0}
-}
-
-// FuzzReadSpillV3 feeds arbitrary bytes to the version-dispatching
-// decoder with v3 seeds. Properties: no panics; any accepted v3 input
-// re-encodes to a byte-identical fixed point (after one framing
-// normalisation pass); and the re-encoded bytes reject every single-bit
-// flip outside the sourceCount annotation — the per-block CRC32C keeps
-// PR 5's never-commit-corrupt-bytes guarantee.
-func FuzzReadSpillV3(f *testing.F) {
-	f.Add(encodeSpillV3(f, 1, 0, nil, V3Options{}))
-	f.Add(encodeSpillV3(f, 3, 1500, v3TestPairs(20), V3Options{BlockPairs: 8}))
-	f.Add(encodeSpillV3(f, 3, 77, v3TestPairs(20), V3Options{BlockPairs: 8, Compress: true}))
-	f.Add(encodeSpillV3(f, 2, 9, []Pair{
-		{Key: coords.NewCoord(9, 9), Value: Value{Count: 3, Samples: []float64{1.5, math.Inf(1), math.NaN()}}},
-	}, V3Options{}))
-	// Corruption seeds: a flipped payload bit, a truncated block.
-	bad := encodeSpillV3(f, 3, 9, v3TestPairs(6), V3Options{BlockPairs: 2})
-	bad[len(bad)-1] ^= 0x01
-	f.Add(bad)
-	f.Add(bad[:len(bad)-7])
-	// And a v2 seed, so the dispatcher's other arm stays covered.
-	f.Add(encodeSpill(f, 3, 42, v3TestPairs(3)))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, pairs, err := ReadSpill(bytes.NewReader(data))
-		if err != nil {
-			return // graceful rejection is the required behaviour
-		}
-		if h.Version != 3 {
-			return // v2 fixed point is FuzzReadSpill's property
-		}
-		if len(pairs) != h.Pairs {
-			t.Fatalf("decoded %d pairs, header says %d", len(pairs), h.Pairs)
-		}
-		var buf bytes.Buffer
-		if err := WriteSpillV3(&buf, h.Rank, h.SourceCount, pairs, v3ReencodeOpts(h)); err != nil {
-			t.Fatalf("re-encoding accepted spill: %v", err)
-		}
-		enc1 := append([]byte(nil), buf.Bytes()...)
-		h1, pairs1, err := ReadSpill(bytes.NewReader(enc1))
-		if err != nil {
-			t.Fatalf("re-decoding re-encoded spill: %v", err)
-		}
-		if h1.Rank != h.Rank || h1.SourceCount != h.SourceCount || h1.Pairs != h.Pairs || h1.Flags != h.Flags {
-			t.Fatalf("header fields changed across re-encode: %+v != %+v", h1, h)
-		}
-		buf.Reset()
-		if err := WriteSpillV3(&buf, h1.Rank, h1.SourceCount, pairs1, v3ReencodeOpts(h1)); err != nil {
-			t.Fatalf("second re-encode: %v", err)
-		}
-		if !bytes.Equal(enc1, buf.Bytes()) {
-			t.Fatalf("encode∘decode is not a fixed point:\n%x\n%x", enc1, buf.Bytes())
-		}
-		// Per-block CRC: any single-bit flip outside the annotation must
-		// reject. TestSpillV3DetectsBitFlip is exhaustive; here a handful
-		// of probe positions per input keeps the per-exec cost low enough
-		// that corpus minimisation stays productive on one CPU.
-		stride := 1 + len(enc1)/16
-		for i := 0; i < len(enc1); i += stride {
-			if i >= 10 && i < 18 {
-				continue // sourceCount: the kv-count gate's bytes
-			}
-			flipped := append([]byte(nil), enc1...)
-			flipped[i] ^= 0x10
-			if _, _, err := ReadSpill(bytes.NewReader(flipped)); err == nil {
-				t.Fatalf("bit flip at byte %d of re-encoded spill decoded without error", i)
-			}
-		}
-	})
 }

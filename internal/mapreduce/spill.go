@@ -25,7 +25,7 @@ func (j *job) spill(mapID int, outs []mapOutput) error {
 		if err != nil {
 			return fmt.Errorf("mapreduce: creating spill: %w", err)
 		}
-		if err := kv.WriteSpill(f, rank, outs[l].sourceCount, outs[l].pairs); err != nil {
+		if err := kv.WriteSpillV3(f, rank, outs[l].sourceCount, outs[l].pairs, kv.V3Options{}); err != nil {
 			f.Close()
 			return fmt.Errorf("mapreduce: writing spill %s: %w", path, err)
 		}

@@ -105,9 +105,14 @@ if ! cmp -s "$WORK/cluster.json" "$WORK/local.json"; then
   exit 1
 fi
 
-mc=$(curl -fsS "$BASE/metrics" | grep -E '^sidrd_(cluster_tasks_dispatched_total|shuffle_connections_total|cluster_dispatch_(local|remote)_total|cluster_replica_pushes_total)' || true)
+mc=$(curl -fsS "$BASE/metrics" | grep -E '^sidrd_(cluster_tasks_dispatched_total|shuffle_(connections|requests|batch_fallbacks)_total|cluster_dispatch_(local|remote)_total|cluster_replica_pushes_total)' || true)
 echo "$mc" | sed 's/^/   /'
 echo "$mc" | grep -q 'sidrd_shuffle_connections_total' || { echo "FAIL: no shuffle metrics"; exit 1; }
+echo "$mc" | grep -q 'sidrd_shuffle_batch_fallbacks_total' || { echo "FAIL: sidrd_shuffle_batch_fallbacks_total not exported"; exit 1; }
+# One shuffle path: each request carries a (reduce, worker) group, so
+# requests stay below the Σ|I_ℓ| connection count.
+[ "$(metric "$BASE" sidrd_shuffle_requests_total)" -lt "$(metric "$BASE" sidrd_shuffle_connections_total)" ] \
+  || { echo "FAIL: shuffle requests not below connections — batching collapsed nothing"; exit 1; }
 # One 5.8MB file fits one 128MB block replicated to all 3 nodes, so
 # every hinted dispatch must have found a node-local worker.
 [ "$(metric "$BASE" sidrd_cluster_dispatch_local_total)" -gt 0 ] \
@@ -221,9 +226,12 @@ echo "== drain: SIGTERM a worker mid-job; replicas must absorb the exit, zero re
 # delayed 1.5s: reduces fetch well after the drained worker has handed
 # off and exited, so its spills MUST be served from replicas. A plain
 # daemon's jobs finish in ~0.3s — faster than any process can drain.
+# -exec-workers 4: with three workers, the drain target only receives a
+# Map when at least three dispatches are in flight at once, which the
+# GOMAXPROCS default does not give on a two-CPU machine.
 DPORT=$((PORT + 1))
 DBASE="http://127.0.0.1:${DPORT}"
-"$BIN/sidrd" -addr "127.0.0.1:${DPORT}" -data "$DATA" -cluster \
+"$BIN/sidrd" -addr "127.0.0.1:${DPORT}" -data "$DATA" -cluster -exec-workers 4 \
   -spill-replicas 1 -nodes node1,node2 \
   -chaos "seed=11,match=/v1/shuffle/,delay=1.0:1500ms" \
   >"$WORK/sidrd-drain.log" 2>&1 &
