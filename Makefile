@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet serve bench bench-spine bench-paper bench-serve bench-join fuzz smoke smoke-serve clean
+.PHONY: build test race vet serve bench bench-spine bench-paper fuzz smoke smoke-serve clean
 
 build:
 	$(GO) build ./...
@@ -27,28 +27,10 @@ bench:
 bench-spine:
 	bash bench/run.sh
 
-# bench-paper runs every sidrbench experiment (paper figures, chaos,
-# churn, prune, serve, join) and emits the all-sections perf snapshot.
-BENCH_OUT ?= BENCH_PAPER.json
+# bench-paper prints the paper's figures and tables (Fig. 9-13, Tables
+# 2-3, the failure study) from internal/experiments.
 bench-paper:
-	$(GO) run ./cmd/sidrbench -json $(BENCH_OUT)
-
-# bench-serve drives the serving tier with >=1000 concurrent streaming
-# clients (zipf mix + identical-query burst) and emits the cross-PR perf
-# snapshot with cold/cached/collapsed latency percentiles.
-SERVE_OUT ?= BENCH_PR8.json
-SERVE_CLIENTS ?= 1000
-bench-serve:
-	$(GO) run ./cmd/sidrbench -serveclients $(SERVE_CLIENTS) -json $(SERVE_OUT)
-
-# bench-join runs the structural-join skew experiment (zipf-skewed side
-# B, re-tiling on vs off) and emits the cross-PR perf snapshot with
-# reduce wall-clock and keyblock skew statistics. JOIN_SCALE scales the
-# input extents (CI uses a reduced scale).
-JOIN_OUT ?= BENCH_PR9.json
-JOIN_SCALE ?= 1.0
-bench-join:
-	$(GO) run ./cmd/sidrbench -exp join -joinscale $(JOIN_SCALE) -json $(JOIN_OUT)
+	$(GO) run ./cmd/sidrbench
 
 # fuzz exercises the untrusted-bytes decoders briefly (CI runs the same
 # targets; crashers land in testdata/fuzz).

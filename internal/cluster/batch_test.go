@@ -216,12 +216,14 @@ func TestOnlyCommittedPacksAreServed(t *testing.T) {
 
 // TestRetryIsABatchOfOne: when a multi-spill fetch fails, its spills
 // are re-fetched through the very same endpoint, one per request. Every
-// worker fails its first shuffle request and fails the test on any
-// request under /v1/shuffle/ that is not the batch endpoint.
+// worker fails its first multi-spill shuffle request (which worker hosts
+// which spill is scheduling-dependent, so a worker's very first request
+// may name a single spill) and fails the test on any request under
+// /v1/shuffle/ that is not the batch endpoint.
 func TestRetryIsABatchOfOne(t *testing.T) {
 	var (
 		mu       sync.Mutex
-		failed   = map[int]bool{} // worker → its first request was failed
+		failed   = map[int]bool{} // worker → its first multi-spill request was failed
 		sizes    []int            // spills named by each request let through
 		badPaths []string
 	)
@@ -242,9 +244,10 @@ func TestRetryIsABatchOfOne(t *testing.T) {
 			var req BatchFetchRequest
 			json.Unmarshal(raw, &req)
 			mu.Lock()
-			first := !failed[i]
-			failed[i] = true
-			if !first {
+			first := !failed[i] && len(req.Spills) > 1
+			if first {
+				failed[i] = true
+			} else {
 				sizes = append(sizes, len(req.Spills))
 			}
 			mu.Unlock()
@@ -266,6 +269,9 @@ func TestRetryIsABatchOfOne(t *testing.T) {
 	defer mu.Unlock()
 	if len(badPaths) != 0 {
 		t.Fatalf("shuffle requests off the one endpoint: %v", badPaths)
+	}
+	if len(failed) == 0 {
+		t.Fatal("no worker received a multi-spill request, so no fault was injected")
 	}
 	if res.Counters.BatchFallbacks == 0 {
 		t.Fatal("no failed multi-spill fetch was counted as a fallback")

@@ -14,14 +14,12 @@ import (
 	"sync"
 	"time"
 
-	"sidr/internal/coords"
 	"sidr/internal/core"
 	"sidr/internal/exec"
 	"sidr/internal/hdfs"
-	"sidr/internal/join"
 	"sidr/internal/kv"
+	"sidr/internal/mapreduce"
 	"sidr/internal/metrics"
-	"sidr/internal/ops"
 	"sidr/internal/sched"
 )
 
@@ -728,12 +726,9 @@ type JobSpec struct {
 	OnPartial func(ReduceResult)
 }
 
-// ReduceResult is one finalized keyblock output.
-type ReduceResult struct {
-	Keyblock int
-	Keys     []coords.Coord
-	Values   [][]float64
-}
+// ReduceResult is one finalized keyblock output — the in-process
+// engine's type, produced by the same mapreduce.ExecReduce.
+type ReduceResult = mapreduce.ReduceOutput
 
 // Counters aggregates one job's bookkeeping.
 type Counters struct {
@@ -801,6 +796,7 @@ type clusterJob struct {
 	c      *Coordinator
 	spec   JobSpec
 	plan   *core.Plan
+	in     mapreduce.MapInput // ExecReduce's input (no readers: Maps run on workers)
 	ctx    context.Context
 	cancel context.CancelFunc
 	handle *exec.Handle
@@ -905,6 +901,10 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 	if err != nil {
 		return nil, err
 	}
+	in, err := plan.TaskInput(nil, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -912,6 +912,7 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 		c:          c,
 		spec:       spec,
 		plan:       plan,
+		in:         in,
 		ctx:        jctx,
 		cancel:     cancel,
 		handle:     spec.Exec.NewHandle(exec.HandleOptions{Weight: spec.Weight, MaxParallel: spec.Workers}),
@@ -1556,34 +1557,7 @@ func (j *clusterJob) runReduce(l int) {
 		return
 	}
 
-	merged := kv.MergeSorted(streams)
-	out := ReduceResult{Keyblock: l}
-	if jp := j.plan.Join; jp != nil {
-		// Join reduces fold per-side aggregates; the caller assembles
-		// share units across keyblocks afterwards.
-		out.Keys, out.Values = join.Reduce(jp, l, merged)
-	} else {
-		op, err := j.plan.Query.Op()
-		if err != nil {
-			j.fail(err)
-			return
-		}
-		out.Keys = make([]coords.Coord, 0, len(merged))
-		out.Values = make([][]float64, 0, len(merged))
-		isFilter := op.Kind() == ops.Filter
-		params := j.plan.Query.Params()
-		for _, p := range merged {
-			vals := op.Apply(p.Value, params...)
-			if isFilter && len(vals) == 0 {
-				// Match the in-process engine: predicated operators omit
-				// keys with no surviving samples, keeping pruned and
-				// unpruned plans byte-identical.
-				continue
-			}
-			out.Keys = append(out.Keys, p.Key)
-			out.Values = append(out.Values, vals)
-		}
-	}
+	out := mapreduce.ExecReduce(j.in, l, streams)
 
 	j.mu.Lock()
 	if j.resolvedLocked() || j.reduceDone[l] {

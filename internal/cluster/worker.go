@@ -18,7 +18,6 @@ import (
 	"sidr/internal/core"
 	"sidr/internal/datagen"
 	"sidr/internal/faultinject"
-	"sidr/internal/join"
 	"sidr/internal/kv"
 	"sidr/internal/mapreduce"
 	"sidr/internal/ncfile"
@@ -104,10 +103,9 @@ type workerJob struct {
 	fingerprint string // canonical {Plan,Dataset,Dataset2} encoding
 	plan        *core.Plan
 	input       mapreduce.MapInput
-	closer      io.Closer // ncfile handle for file datasets
-	// reader2/closer2 serve a join's side-B dataset (nil otherwise).
-	reader2 mapreduce.RecordReader
-	closer2 io.Closer
+	// closer/closer2 are the ncfile handles of file datasets (closer2 a
+	// join's side B); nil for synthetic ones.
+	closer, closer2 io.Closer
 }
 
 // jobFingerprint canonically encodes the plan-and-dataset tuple a job's
@@ -366,58 +364,42 @@ func (w *Worker) jobFor(req *MapRequest) (*workerJob, error) {
 	if err != nil {
 		return nil, err
 	}
+	j := &workerJob{fingerprint: fp, plan: plan}
 	reader, closer, err := OpenDataset(req.Dataset)
 	if err != nil {
 		return nil, err
 	}
-	j := &workerJob{fingerprint: fp, plan: plan, closer: closer}
-	if plan.Join != nil {
-		if req.Dataset2 == nil {
-			if closer != nil {
-				closer.Close()
-			}
-			return nil, fmt.Errorf("cluster: join job %s has no dataset2", req.JobID)
-		}
-		j.reader2, j.closer2, err = OpenDataset(*req.Dataset2)
-		if err != nil {
-			if closer != nil {
-				closer.Close()
-			}
+	j.closer = closer
+	var reader2 mapreduce.RecordReader
+	if req.Dataset2 != nil {
+		if reader2, j.closer2, err = OpenDataset(*req.Dataset2); err != nil {
+			j.close()
 			return nil, err
 		}
-		j.input = mapreduce.MapInput{Query: plan.Query, Space: plan.Space, Part: plan.Part, Reader: reader}
-		w.jobs[req.JobID] = j
-		return j, nil
 	}
-	op, err := plan.Query.Op()
-	if err != nil {
-		if closer != nil {
-			closer.Close()
-		}
+	if j.input, err = plan.TaskInput(reader, reader2); err != nil {
+		j.close()
 		return nil, err
-	}
-	j.input = mapreduce.MapInput{
-		Query:   plan.Query,
-		Op:      op,
-		Space:   plan.Space,
-		Part:    plan.Part,
-		Reader:  reader,
-		Combine: true,
 	}
 	w.jobs[req.JobID] = j
 	return j, nil
+}
+
+// close releases the job's dataset handles.
+func (j *workerJob) close() {
+	if j.closer != nil {
+		j.closer.Close()
+	}
+	if j.closer2 != nil {
+		j.closer2.Close()
+	}
 }
 
 // releaseLocked drops one job's cached state, pack handles and spill
 // directory. Caller holds w.mu.
 func (w *Worker) releaseLocked(jobID string) {
 	if j, ok := w.jobs[jobID]; ok {
-		if j.closer != nil {
-			j.closer.Close()
-		}
-		if j.closer2 != nil {
-			j.closer2.Close()
-		}
+		j.close()
 		delete(w.jobs, jobID)
 	}
 	w.store.ReleaseJob(jobID)
@@ -560,37 +542,14 @@ func (w *Worker) handleMap(rw http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var outs []mapreduce.MapOut
-	var records int64
-	rank := j.plan.Space.Shape.Rank()
-	if jp := j.plan.Join; jp != nil {
-		// Join path: the split index picks the side and its reader; spill
-		// keys carry the trailing side bit.
-		side := jp.Side(req.Split)
-		reader := j.input.Reader
-		if side == 1 {
-			reader = j.reader2
-		}
-		jouts, n, err := join.ExecMap(jp, side, reader, j.plan.Splits[req.Split].Slab, r.Context())
-		if err != nil {
-			http.Error(rw, "join map execution: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		outs = make([]mapreduce.MapOut, len(jouts))
-		for kb, o := range jouts {
-			outs[kb] = mapreduce.MapOut{Pairs: o.Pairs, SourceCount: o.SourceCount}
-		}
-		records, rank = n, jp.SpillRank()
-	} else {
-		in := j.input
-		in.Ctx = r.Context()
-		var err error
-		outs, records, err = mapreduce.ExecMap(in, j.plan.Splits[req.Split])
-		if err != nil {
-			http.Error(rw, "map execution: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
+	in := j.input
+	in.Ctx = r.Context()
+	outs, records, err := mapreduce.ExecMap(in, j.plan.Splits[req.Split])
+	if err != nil {
+		http.Error(rw, "map execution: "+err.Error(), http.StatusInternalServerError)
+		return
 	}
+	rank := in.SpillRank()
 	resp := MapResponse{JobID: req.JobID, Split: req.Split, Attempt: req.Attempt, Records: records}
 	pw, err := w.store.Begin(req.JobID, req.Split, req.Attempt)
 	if err != nil {

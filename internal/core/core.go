@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"sidr/internal/coords"
@@ -90,6 +91,28 @@ func (e Engine) MapCostFactor() float64 {
 	return 1.0
 }
 
+// RequestDefaults is the one normaliser of a request's plan parameters:
+// it turns (query, requested reducers, requested split points) — zero
+// meaning "not given" — into the effective pair every engine plans with.
+// The default is 4 reducers and the input split into ~8 pieces; a join
+// splits both sides at the granularity of its larger one. The facade,
+// the daemon's result-cache key, its cluster path, the registry's
+// listed split counts and pipelines all call it, so a request spelled
+// with or without its defaults is the same request everywhere.
+func RequestDefaults(q *query.Query, reducers int, splitPoints int64) (int, int64) {
+	if reducers <= 0 {
+		reducers = 4
+	}
+	if splitPoints <= 0 {
+		n := q.Input.Size()
+		if q.Join {
+			n = max(n, q.Input2.Size())
+		}
+		splitPoints = n/8 + 1
+	}
+	return reducers, splitPoints
+}
+
 // Options tunes plan construction.
 type Options struct {
 	// Reducers is the Reduce task count (required, >= 1).
@@ -97,6 +120,11 @@ type Options struct {
 	// SplitPoints is the target number of source points per input split;
 	// <= 0 derives it from a 128 MB block of 8-byte values.
 	SplitPoints int64
+	// Splits, when non-nil, is the explicit input-split list of a
+	// single-input plan, used verbatim instead of generating splits from
+	// SplitPoints (the paper-scale experiments fix the split count and
+	// attach their own block placements).
+	Splits []mapreduce.InputSplit
 	// MaxSkew bounds partition+ keyblock skew in K' keys; <= 0 uses
 	// partition.DefaultMaxSkew.
 	MaxSkew int64
@@ -202,9 +230,13 @@ func NewPlan(q *query.Query, engine Engine, opts Options) (*Plan, error) {
 	if q.Join {
 		return newJoinPlan(q, engine, opts, splitPoints, bpp)
 	}
-	splits, err := mapreduce.GenerateSplits(q.Input, splitPoints, opts.Namespace, opts.File, bpp)
-	if err != nil {
-		return nil, err
+	splits := opts.Splits
+	if splits == nil {
+		var err error
+		splits, err = mapreduce.GenerateSplits(q.Input, splitPoints, opts.Namespace, opts.File, bpp)
+		if err != nil {
+			return nil, err
+		}
 	}
 	space, err := q.IntermediateSpace()
 	if err != nil {
@@ -385,15 +417,24 @@ func (p *Plan) KeyblockSlab(l int) (coords.Slab, bool) {
 	return kb.Slab, kb.Rect && kb.Size() > 0
 }
 
-// RunLocal executes the plan on the in-process engine. For SIDR plans it
+// RunLocal executes a single-input plan on the in-process engine; see
+// RunLocalJoin.
+func (p *Plan) RunLocal(reader mapreduce.RecordReader, tweak func(*mapreduce.Config)) (*mapreduce.Result, error) {
+	return p.RunLocalJoin(reader, nil, tweak)
+}
+
+// RunLocalJoin executes the plan on the in-process engine, one reader per
+// input (readerB is nil for single-input plans). For SIDR plans it
 // enables the dependency barrier, dependency-only shuffle, kv-count
 // validation, and dependency-driven Map order; Hadoop/SciHadoop plans run
 // with the global barrier and all-to-all shuffle.
-func (p *Plan) RunLocal(reader mapreduce.RecordReader, tweak func(*mapreduce.Config)) (*mapreduce.Result, error) {
+func (p *Plan) RunLocalJoin(readerA, readerB mapreduce.RecordReader, tweak func(*mapreduce.Config)) (*mapreduce.Result, error) {
 	cfg := mapreduce.Config{
 		Query:   p.Query,
 		Splits:  p.Splits,
-		Reader:  reader,
+		Reader:  readerA,
+		Reader2: readerB,
+		Join:    p.Join,
 		Part:    p.Part,
 		Graph:   p.Graph,
 		Combine: true,
@@ -410,32 +451,67 @@ func (p *Plan) RunLocal(reader mapreduce.RecordReader, tweak func(*mapreduce.Con
 	return mapreduce.Run(cfg)
 }
 
-// RunLocalJoin executes a join plan on the in-process engine, one reader
-// per side. Engine semantics (barrier, shuffle, count validation, task
-// order) follow RunLocal.
-func (p *Plan) RunLocalJoin(readerA, readerB mapreduce.RecordReader, tweak func(*mapreduce.Config)) (*mapreduce.Result, error) {
-	if p.Join == nil {
-		return nil, fmt.Errorf("core: RunLocalJoin on a non-join plan")
-	}
-	cfg := mapreduce.Config{
+// TaskInput binds the plan to its readers as the input of the standalone
+// task bodies mapreduce.ExecMap and mapreduce.ExecReduce — what a cluster
+// worker (Map) and the coordinator (Reduce, no readers) run outside a
+// full in-process job.
+func (p *Plan) TaskInput(readerA, readerB mapreduce.RecordReader) (mapreduce.MapInput, error) {
+	in := mapreduce.MapInput{
 		Query:   p.Query,
-		Splits:  p.Splits,
+		Space:   p.Space,
+		Part:    p.Part,
 		Reader:  readerA,
 		Reader2: readerB,
 		Join:    p.Join,
-		Part:    p.Part,
-		Graph:   p.Graph,
+		Combine: true,
 	}
-	if p.Engine == EngineSIDR {
-		cfg.Barrier = mapreduce.DependencyBarrier
-		cfg.ValidateCounts = true
-		cfg.MapOrder = sched.DependencyDrivenMapOrder(p.Graph, p.Priority)
-		cfg.ReduceOrder = p.Priority
+	if p.Join == nil {
+		var err error
+		if in.Op, err = p.Query.Op(); err != nil {
+			return mapreduce.MapInput{}, err
+		}
 	}
-	if tweak != nil {
-		tweak(&cfg)
+	return in, nil
+}
+
+// Loads returns the plan's per-keyblock expected intermediate load:
+// sampled estimates for join plans, geometric expected counts otherwise.
+// The slice is the caller's.
+func (p *Plan) Loads() []int64 {
+	if p.Join != nil {
+		return append([]int64(nil), p.Join.EstLoads...)
 	}
-	return mapreduce.Run(cfg)
+	return append([]int64(nil), p.Graph.ExpectedCount...)
+}
+
+// Assemble flattens the per-keyblock Reduce outputs of a run of this plan
+// into the final result rows, sorted row-major by key. A join plan folds
+// its share units' partial moment rows on the way (join.Assemble). Both
+// engines assemble through this one function, so their results are
+// byte-identical by construction. The returned keys are copies.
+func (p *Plan) Assemble(outputs []mapreduce.ReduceOutput) (keys [][]int64, values [][]float64, err error) {
+	n := 0
+	for _, out := range outputs {
+		n += len(out.Keys)
+	}
+	rows := make([]join.Row, 0, n)
+	for _, out := range outputs {
+		for i, k := range out.Keys {
+			rows = append(rows, join.Row{KB: out.Keyblock, Key: k, Values: out.Values[i]})
+		}
+	}
+	if p.Join != nil {
+		if rows, err = join.Assemble(p.Join, rows); err != nil {
+			return nil, nil, err
+		}
+	} else {
+		sort.Slice(rows, func(i, j int) bool { return rows[i].Key.Less(rows[j].Key) })
+	}
+	keys, values = make([][]int64, len(rows)), make([][]float64, len(rows))
+	for i, r := range rows {
+		keys[i], values[i] = append([]int64(nil), r.Key...), r.Values
+	}
+	return keys, values, nil
 }
 
 // SimWorkload carries the per-task data volumes the simulator charges

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"sidr/internal/core"
-	"sidr/internal/depgraph"
 	"sidr/internal/hdfs"
 	"sidr/internal/mapreduce"
 	"sidr/internal/ops"
@@ -66,14 +65,6 @@ const PaperBytesPerPoint = 4
 // replication, so the schedulers' locality trees operate on realistic
 // block placements.
 func PaperPlanEncoded(q *query.Query, engine core.Engine, reducers int, enc partition.KeyEncoding) (*core.Plan, error) {
-	p, err := core.NewPlan(q, engine, core.Options{
-		Reducers:    reducers,
-		SplitPoints: q.Input.Size(), // single split; replaced below
-		KeyEncoding: enc,
-	})
-	if err != nil {
-		return nil, err
-	}
 	slabs, err := q.Input.SplitDimCount(0, PaperSplits)
 	if err != nil {
 		return nil, err
@@ -100,12 +91,11 @@ func PaperPlanEncoded(q *query.Query, engine core.Engine, reducers int, enc part
 		splits[i] = mapreduce.InputSplit{ID: i, Slab: s, Hosts: hosts}
 		off += s.Size()
 	}
-	p.Splits = splits
-	p.Graph, err = depgraph.Build(q, slabs, p.Part)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
+	return core.NewPlan(q, engine, core.Options{
+		Reducers:    reducers,
+		Splits:      splits,
+		KeyEncoding: enc,
+	})
 }
 
 // TestbedConfig returns the simulated cluster matching the paper's

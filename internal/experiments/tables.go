@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"testing"
 	"time"
 
 	"sidr/internal/coords"
@@ -275,47 +274,4 @@ func PartitionMicro(pairCount, runs, reducers int) (PartitionMicroResult, error)
 		return res, err
 	}
 	return res, nil
-}
-
-// PartitionMicroAllocs measures partition+'s per-pair allocation profile
-// with the testing benchmark harness: allocations and bytes per
-// Partition call, plus mean wall time per call. Feeds the cross-PR perf
-// trajectory (BENCH_PR2.json).
-func PartitionMicroAllocs(pairCount, reducers int) (allocsPerOp, bytesPerOp, nsPerOp float64, err error) {
-	if pairCount < 1 || reducers < 1 {
-		return 0, 0, 0, fmt.Errorf("experiments: bad partition micro config")
-	}
-	rows := int64(pairCount+999) / 1000
-	space := coords.Slab{Corner: coords.NewCoord(0, 0), Shape: coords.NewShape(rows, 1000)}
-	keys := make([]coords.Coord, pairCount)
-	for i := range keys {
-		if keys[i], err = space.Delinearize(int64(i)); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	pp, err := partition.NewPartitionPlus(space, reducers, 0)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	var benchErr error
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		sink := 0
-		for i := 0; i < b.N; i++ {
-			idx, err := pp.Partition(keys[i%len(keys)])
-			if err != nil {
-				benchErr = err
-				return
-			}
-			sink += idx
-		}
-		if sink < 0 {
-			benchErr = fmt.Errorf("impossible")
-		}
-	})
-	if benchErr != nil {
-		return 0, 0, 0, benchErr
-	}
-	n := float64(r.N)
-	return float64(r.MemAllocs) / n, float64(r.MemBytes) / n, float64(r.T.Nanoseconds()) / n, nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sidr"
+	"sidr/internal/query"
 )
 
 // State is a job's lifecycle position.
@@ -141,6 +142,7 @@ type Job struct {
 	ID  string
 	Req Request
 
+	q      *query.Query // Req.Query, parsed once at Submit
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -170,9 +172,9 @@ type Job struct {
 	finished      time.Time
 }
 
-func newJob(id string, req Request) *Job {
+func newJob(id string, req Request, q *query.Query) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &Job{ID: id, Req: req, ctx: ctx, cancel: cancel, created: time.Now()}
+	j := &Job{ID: id, Req: req, q: q, ctx: ctx, cancel: cancel, created: time.Now()}
 	j.cond = sync.NewCond(&j.mu)
 	return j
 }

@@ -11,6 +11,7 @@ import (
 
 	"sidr"
 	"sidr/internal/metrics"
+	"sidr/internal/query"
 )
 
 // fakeProvider serves synthetic datasets by name; a per-point delay and
@@ -444,5 +445,23 @@ func TestSubmitPublishesNotifyHookFirst(t *testing.T) {
 	defer m.mu.Unlock()
 	if left := m.inflight["t"]; left != 0 {
 		t.Fatalf("%d tenant slots never released: a terminal hook was lost", left)
+	}
+}
+
+// TestExecuteRunsTheParsedQuery: a job's query is parsed once, at Submit,
+// and execution runs that value — never the request text again.
+func TestExecuteRunsTheParsedQuery(t *testing.T) {
+	m := newTestManager(t, Config{Datasets: newFakeProvider([]int64{32, 32}, 0)})
+	q, err := query.Parse(testQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := newJob("job-parsed", Request{Dataset: "d", Query: "no longer parseable"}, q)
+	res, err := m.execute(j)
+	if err != nil {
+		t.Fatalf("execute re-read the request text: %v", err)
+	}
+	if len(res.Keys) != 64 {
+		t.Fatalf("result has %d rows, want 64", len(res.Keys))
 	}
 }

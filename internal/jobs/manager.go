@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sidr"
 	"sidr/internal/cluster"
-	"sidr/internal/coords"
 	"sidr/internal/core"
 	"sidr/internal/exec"
 	"sidr/internal/hdfs"
@@ -269,25 +267,26 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	if _, err := parseEngine(req.Engine); err != nil {
 		return nil, err
 	}
-	// Canonicalise the query up front: every spelling of one query maps
-	// to one string, so the plan cache, result cache and collapse table
-	// all share entries across textual variants.
-	canon, err := query.Canonical(req.Query)
+	// Parse once and canonicalise up front: every spelling of one query
+	// maps to one string, so the plan cache, result cache and collapse
+	// table all share entries across textual variants. The parsed query
+	// rides on the job; execution never re-parses the text.
+	q, err := query.Parse(req.Query)
 	if err != nil {
 		return nil, err
 	}
-	req.Query = canon
+	req.Query = q.String()
 	if req.Dataset == "" {
 		return nil, fmt.Errorf("jobs: request needs a dataset")
 	}
-	// A join query reads two datasets; anything else exactly one.
-	if pq, perr := query.Parse(canon); perr == nil {
-		if pq.Join && req.Dataset2 == "" {
-			return nil, fmt.Errorf("jobs: join query needs dataset2")
-		}
-		if !pq.Join && req.Dataset2 != "" {
-			return nil, fmt.Errorf("jobs: dataset2 is only valid with a join query")
-		}
+	// A join query reads two datasets; anything else exactly one. Past
+	// this check `Dataset2 != ""` IS "the query is a join": fastKey,
+	// execute and executeCluster rely on it to pick their second input.
+	if q.Join && req.Dataset2 == "" {
+		return nil, fmt.Errorf("jobs: join query needs dataset2")
+	}
+	if !q.Join && req.Dataset2 != "" {
+		return nil, fmt.Errorf("jobs: dataset2 is only valid with a join query")
 	}
 	if req.Tenant == "" {
 		req.Tenant = DefaultTenantName
@@ -306,8 +305,8 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 			return nil, cluster.ErrNoWorkers
 		}
 	}
-	key, keyed := m.fastKey(req)
-	j := newJob(fmt.Sprintf("job-%06d", m.seq.Add(1)), req)
+	key, keyed := m.fastKey(req, q)
+	j := newJob(fmt.Sprintf("job-%06d", m.seq.Add(1)), req, q)
 	j.cacheKey = key
 
 	m.mu.Lock()
@@ -417,18 +416,14 @@ func (m *Manager) tenantGauge(tenant string) *metrics.Gauge {
 // fastKey derives the result-cache / collapse key for a request: the
 // version of EVERY input dataset (contents, not names — both sides of a
 // join), canonical query, engine, and the plan parameters that change
-// the answer's shape (reducers and split points normalised with
-// sidr.Prepare's defaults, max skew, cluster routing). Workers is
-// deliberately excluded — it changes only scheduling, never bytes.
-// Returns false when the provider cannot version any input; such
+// the answer's shape (reducers and split points as core.RequestDefaults
+// resolves them — exactly what executes — max skew, cluster routing).
+// Workers is deliberately excluded — it changes only scheduling, never
+// bytes. Returns false when the provider cannot version any input; such
 // requests always execute.
-func (m *Manager) fastKey(req Request) (string, bool) {
+func (m *Manager) fastKey(req Request, q *query.Query) (string, bool) {
 	vp, ok := m.cfg.Datasets.(VersionProvider)
 	if !ok {
-		return "", false
-	}
-	q, err := query.Parse(req.Query)
-	if err != nil {
 		return "", false
 	}
 	ver, ok := vp.DatasetVersion(req.Dataset, q.Variable)
@@ -436,36 +431,16 @@ func (m *Manager) fastKey(req Request) (string, bool) {
 		return "", false
 	}
 	var ver2 string
-	if q.Join {
+	if req.Dataset2 != "" { // a join, by Submit's check
 		// Both inputs pin the key: a re-registration of EITHER side must
 		// change it, or a stale join result could be served.
 		if ver2, ok = vp.DatasetVersion(req.Dataset2, q.Variable2); !ok {
 			return "", false
 		}
 	}
-	reducers := req.Reducers
-	if reducers <= 0 {
-		reducers = 4
-	}
-	splitPoints := req.SplitPoints
-	if splitPoints <= 0 {
-		splitPoints = defaultSplitPoints(q)
-	}
+	reducers, splitPoints := core.RequestDefaults(q, req.Reducers, req.SplitPoints)
 	return fmt.Sprintf("%s\x1f%s\x1f%s\x1f%s\x1f%d\x1f%d\x1f%d\x1f%t",
 		ver, ver2, req.Query, req.Engine, reducers, splitPoints, req.MaxSkew, req.Cluster), true
-}
-
-// defaultSplitPoints mirrors sidr.Prepare's (and JoinSplitPoints')
-// default split granularity so keyed requests normalise identically to
-// what actually executes.
-func defaultSplitPoints(q *query.Query) int64 {
-	n := q.Input.Size()
-	if q.Join {
-		if s := q.Input2.Size(); s > n {
-			n = s
-		}
-	}
-	return n/8 + 1
 }
 
 // InvalidateDataset drops every cached result for the named dataset.
@@ -617,29 +592,21 @@ func (m *Manager) publishSkew(j *Job, s skew.Summary) {
 	m.gSkewGini.Set(int64(s.Gini * 1000))
 }
 
-// execute resolves the dataset, prepares (or reuses) the plan, and runs
-// the query under the job's context.
+// execute runs the job's query in process: acquire its one or two
+// inputs, prepare (or reuse) the plan, run it under the job's context.
+// Cluster-routed jobs go to executeCluster. A join skips the plan cache
+// on purpose: its plan embeds a load profile sampled from the data at
+// plan time, so it is not a pure function of (shape, query, parameters)
+// like single-input plans are.
 func (m *Manager) execute(j *Job) (*sidr.Result, error) {
 	if j.Req.Cluster {
 		return m.executeCluster(j)
-	}
-	q, err := sidr.ParseQuery(j.Req.Query)
-	if err != nil {
-		return nil, err
 	}
 	engine, err := parseEngine(j.Req.Engine)
 	if err != nil {
 		return nil, err
 	}
-	if q.IsJoin() {
-		return m.executeJoin(j, q, engine)
-	}
-	ds, release, err := m.cfg.Datasets.Acquire(j.Req.Dataset, q.Variable())
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
+	q := sidr.NewQuery(j.q)
 	opts := sidr.RunOptions{
 		Engine:      engine,
 		Reducers:    j.Req.Reducers,
@@ -650,42 +617,26 @@ func (m *Manager) execute(j *Job) (*sidr.Result, error) {
 		MaxSkew:     j.Req.MaxSkew,
 		OnPartial:   j.addPartial,
 	}
-	if iq, perr := query.Parse(j.Req.Query); perr == nil {
-		opts.Index = m.lookupIndex(j.Req.Dataset, iq)
+	ds, release, err := m.cfg.Datasets.Acquire(j.Req.Dataset, j.q.Variable)
+	if err != nil {
+		return nil, err
 	}
+	defer release()
+	if j.Req.Dataset2 != "" { // a join, by Submit's check
+		ds2, release2, err := m.cfg.Datasets.Acquire(j.Req.Dataset2, j.q.Variable2)
+		if err != nil {
+			return nil, err
+		}
+		defer release2()
+		return sidr.RunJoinContext(j.ctx, ds, ds2, q, opts)
+	}
+	opts.Index = m.lookupIndex(j.Req.Dataset, j.q)
 	prep, err := m.prepare(ds.Shape(), q, &opts, j)
 	if err != nil {
 		return nil, err
 	}
 	m.mSidxPruned.Add(int64(prep.PrunedSplits()))
 	return prep.Run(j.ctx, ds, opts)
-}
-
-// executeJoin runs a two-input join in process. The plan cache is
-// skipped on purpose: a join plan embeds a load profile sampled from
-// the data at plan time, so it is not a pure function of
-// (shape, query, parameters) like single-input plans are.
-func (m *Manager) executeJoin(j *Job, q *sidr.Query, engine sidr.Engine) (*sidr.Result, error) {
-	dsA, releaseA, err := m.cfg.Datasets.Acquire(j.Req.Dataset, q.Variable())
-	if err != nil {
-		return nil, err
-	}
-	defer releaseA()
-	dsB, releaseB, err := m.cfg.Datasets.Acquire(j.Req.Dataset2, q.Variable2())
-	if err != nil {
-		return nil, err
-	}
-	defer releaseB()
-	return sidr.RunJoinContext(j.ctx, dsA, dsB, q, sidr.RunOptions{
-		Engine:      engine,
-		Reducers:    j.Req.Reducers,
-		Workers:     j.Req.Workers,
-		Weight:      m.tenantWeight(j.Req.Tenant),
-		Exec:        m.exec,
-		SplitPoints: j.Req.SplitPoints,
-		MaxSkew:     j.Req.MaxSkew,
-		OnPartial:   j.addPartial,
-	})
 }
 
 // lookupIndex resolves the structural index for a value-predicated
@@ -717,9 +668,12 @@ func (m *Manager) lookupIndex(dataset string, q *query.Query) *sidx.VarIndex {
 // executeCluster runs the job on the distributed runtime: the
 // coordinator dispatches Map tasks to worker processes and runs Reduce
 // tasks on the manager's shared executor, fetching each I_ℓ dependency
-// set over the networked shuffle. The result is assembled exactly like
-// the in-process engine's — same defaults, same global row-major sort —
-// so the two paths are byte-identical for the same request.
+// set over the networked shuffle. Workers re-derive the plan from the
+// JobPlan tuple; its only data-dependent part is the index's kept-split
+// list or — for a join — the keyblock layout sampled here, through the
+// same DatasetSpecs the workers resolve, and shipped verbatim so no
+// worker ever re-samples. Loads and the assembled result come from the
+// plan the coordinator ran under, as in process.
 func (m *Manager) executeCluster(j *Job) (*sidr.Result, error) {
 	coord := m.cfg.Cluster
 	if coord == nil {
@@ -729,212 +683,102 @@ func (m *Manager) executeCluster(j *Job) (*sidr.Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("jobs: dataset provider cannot describe datasets to cluster workers")
 	}
-	q, err := query.Parse(j.Req.Query)
-	if err != nil {
+	q := j.q
+	reducers, splitPoints := core.RequestDefaults(q, j.Req.Reducers, j.Req.SplitPoints)
+	spec := cluster.JobSpec{
+		ID:      j.ID,
+		Plan:    cluster.JobPlan{Query: q.String(), Engine: j.Req.Engine, Reducers: reducers, SplitPoints: splitPoints, MaxSkew: j.Req.MaxSkew},
+		Exec:    m.exec,
+		Workers: j.Req.Workers,
+		Weight:  m.tenantWeight(j.Req.Tenant),
+	}
+	var err error
+	if spec.Dataset, err = specs.DatasetSpec(j.Req.Dataset, q.Variable); err != nil {
 		return nil, err
 	}
-	if q.Join {
-		return m.executeClusterJoin(j, coord, specs, q)
-	}
-	dspec, err := specs.DatasetSpec(j.Req.Dataset, q.Variable)
-	if err != nil {
-		return nil, err
-	}
-	// Normalise plan parameters with the same defaults sidr.Prepare
-	// applies, so in-process and clustered runs of one request derive the
-	// same plan.
-	reducers := j.Req.Reducers
-	if reducers <= 0 {
-		reducers = 4
-	}
-	splitPoints := j.Req.SplitPoints
-	if splitPoints <= 0 {
-		splitPoints = q.Input.Size()/8 + 1
-	}
-
-	// Consult the structural index before dispatch: the kept-split list
-	// rides in the JobPlan tuple so index-less workers re-derive the
-	// coordinator's pruned plan exactly.
-	var prunedList []int
-	if vi := m.lookupIndex(j.Req.Dataset, q); vi != nil {
-		if keep, total, pruned, perr := core.PruneSplits(q, splitPoints, vi); perr == nil && pruned {
-			prunedList = keep
-			m.mSidxPruned.Add(int64(total - len(keep)))
+	if j.Req.Dataset2 != "" { // a join, by Submit's check
+		dspecB, err := specs.DatasetSpec(j.Req.Dataset2, q.Variable2)
+		if err != nil {
+			return nil, err
+		}
+		spec.Dataset2 = &dspecB
+		if spec.Plan.Retile, err = m.sampleRetile(j, spec); err != nil {
+			return nil, err
+		}
+	} else {
+		// Consult the structural index before dispatch: the kept-split
+		// list rides in the JobPlan tuple so index-less workers re-derive
+		// the coordinator's pruned plan exactly.
+		if vi := m.lookupIndex(j.Req.Dataset, q); vi != nil {
+			if keep, total, pruned, perr := core.PruneSplits(q, splitPoints, vi); perr == nil && pruned {
+				spec.Plan.Pruned = keep
+				m.mSidxPruned.Add(int64(total - len(keep)))
+			}
+		}
+		// Attach block locality when the dataset is mirrored in the
+		// namespace; joins skip locality (two files, interleaved splits).
+		if m.cfg.Namespace != nil && m.cfg.Namespace.Has(j.Req.Dataset) {
+			spec.Namespace, spec.File = m.cfg.Namespace, j.Req.Dataset
 		}
 	}
 
 	start := time.Now()
-	var (
-		partMu sync.Mutex
-		first  time.Duration
-	)
+	var partMu sync.Mutex
 	res := &sidr.Result{}
-	// Attach block locality when the dataset is mirrored in the
-	// namespace; joins skip locality (two files, interleaved splits).
-	var ns *hdfs.Namespace
-	if m.cfg.Namespace != nil && m.cfg.Namespace.Has(j.Req.Dataset) {
-		ns = m.cfg.Namespace
+	spec.OnPartial = func(out cluster.ReduceResult) {
+		pr := sidr.NewPartial(out, time.Now())
+		partMu.Lock()
+		if len(res.Partials) == 0 {
+			res.FirstResult = pr.At.Sub(start)
+		}
+		res.Partials = append(res.Partials, pr)
+		partMu.Unlock()
+		j.addPartial(pr)
 	}
-	cres, err := coord.Run(j.ctx, cluster.JobSpec{
-		ID:        j.ID,
-		Plan:      cluster.JobPlan{Query: q.String(), Engine: j.Req.Engine, Reducers: reducers, SplitPoints: splitPoints, MaxSkew: j.Req.MaxSkew, Pruned: prunedList},
-		Dataset:   dspec,
-		Namespace: ns,
-		File:      j.Req.Dataset,
-		Exec:      m.exec,
-		Workers:   j.Req.Workers,
-		Weight:    m.tenantWeight(j.Req.Tenant),
-		OnPartial: func(rr cluster.ReduceResult) {
-			pr := toPartialResult(rr)
-			partMu.Lock()
-			if first == 0 {
-				first = time.Since(start)
-			}
-			res.Partials = append(res.Partials, pr)
-			partMu.Unlock()
-			j.addPartial(pr)
-		},
-	})
+	cres, err := coord.Run(j.ctx, spec)
 	if err != nil {
 		return nil, err
 	}
 	res.Elapsed = time.Since(start)
-	res.FirstResult = first
 	res.Connections = cres.Counters.Connections
 	res.TasksDispatched = cres.Counters.MapsDispatched + int64(len(cres.Outputs))
-	if cres.Plan != nil && cres.Plan.Graph != nil {
-		res.KeyblockLoads = append([]int64(nil), cres.Plan.Graph.ExpectedCount...)
-	}
-
-	type row struct {
-		key  coords.Coord
-		vals []float64
-	}
-	var rows []row
-	for _, out := range cres.Outputs {
-		for i, k := range out.Keys {
-			rows = append(rows, row{key: k, vals: out.Values[i]})
-		}
-	}
-	sort.Slice(rows, func(i, k int) bool { return rows[i].key.Less(rows[k].key) })
-	for _, r := range rows {
-		res.Keys = append(res.Keys, append([]int64(nil), r.key...))
-		res.Values = append(res.Values, r.vals)
+	res.KeyblockLoads = cres.Plan.Loads()
+	if res.Keys, res.Values, err = cres.Plan.Assemble(cres.Outputs); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// executeClusterJoin runs a two-input join on the distributed runtime.
-// The manager samples both sides itself — through the same DatasetSpecs
-// the workers will resolve — derives the skew-adapted keyblock layout,
-// and ships it verbatim in the JobPlan's Retile: workers rebuild the
-// identical routing without ever re-sampling, so the clustered result
-// is byte-identical to the in-process engine's for the same request.
-func (m *Manager) executeClusterJoin(j *Job, coord *cluster.Coordinator, specs DatasetSpecProvider, q *query.Query) (*sidr.Result, error) {
+// sampleRetile derives a clustered join's skew-adapted keyblock layout:
+// it plans the join once over both sides' data and records the layout
+// for the JobPlan tuple.
+func (m *Manager) sampleRetile(j *Job, spec cluster.JobSpec) (*join.Retile, error) {
 	engine, err := parseEngine(j.Req.Engine)
 	if err != nil {
 		return nil, err
 	}
-	dspecA, err := specs.DatasetSpec(j.Req.Dataset, q.Variable)
+	readerA, closerA, err := cluster.OpenDataset(spec.Dataset)
 	if err != nil {
 		return nil, err
 	}
-	dspecB, err := specs.DatasetSpec(j.Req.Dataset2, q.Variable2)
+	defer closeQuiet(closerA)
+	readerB, closerB, err := cluster.OpenDataset(*spec.Dataset2)
 	if err != nil {
 		return nil, err
 	}
-	// Same defaults as sidr.RunJoinContext, so both engines derive
-	// identical split sets from one request.
-	reducers := j.Req.Reducers
-	if reducers <= 0 {
-		reducers = 4
-	}
-	splitPoints := j.Req.SplitPoints
-	if splitPoints <= 0 {
-		splitPoints = defaultSplitPoints(q)
-	}
-
-	readerA, closerA, err := cluster.OpenDataset(dspecA)
-	if err != nil {
-		return nil, err
-	}
-	readerB, closerB, err := cluster.OpenDataset(dspecB)
-	if err != nil {
-		closeQuiet(closerA)
-		return nil, err
-	}
-	plan, err := core.NewPlan(q, engine, core.Options{
-		Reducers:     reducers,
-		SplitPoints:  splitPoints,
-		MaxSkew:      j.Req.MaxSkew,
+	defer closeQuiet(closerB)
+	plan, err := core.NewPlan(j.q, engine, core.Options{
+		Reducers:     spec.Plan.Reducers,
+		SplitPoints:  spec.Plan.SplitPoints,
+		MaxSkew:      spec.Plan.MaxSkew,
 		JoinSamplerA: readerA,
 		JoinSamplerB: readerB,
 	})
-	closeQuiet(closerA)
-	closeQuiet(closerB)
 	if err != nil {
 		return nil, err
 	}
 	rt := plan.Join.Retiling()
-
-	start := time.Now()
-	var (
-		partMu sync.Mutex
-		first  time.Duration
-	)
-	res := &sidr.Result{}
-	cres, err := coord.Run(j.ctx, cluster.JobSpec{
-		ID: j.ID,
-		Plan: cluster.JobPlan{
-			Query:       q.String(),
-			Engine:      j.Req.Engine,
-			Reducers:    reducers,
-			SplitPoints: splitPoints,
-			MaxSkew:     j.Req.MaxSkew,
-			Retile:      &rt,
-		},
-		Dataset:  dspecA,
-		Dataset2: &dspecB,
-		Exec:     m.exec,
-		Workers:  j.Req.Workers,
-		Weight:   m.tenantWeight(j.Req.Tenant),
-		OnPartial: func(rr cluster.ReduceResult) {
-			pr := toPartialResult(rr)
-			partMu.Lock()
-			if first == 0 {
-				first = time.Since(start)
-			}
-			res.Partials = append(res.Partials, pr)
-			partMu.Unlock()
-			j.addPartial(pr)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	res.FirstResult = first
-	res.Connections = cres.Counters.Connections
-	res.TasksDispatched = cres.Counters.MapsDispatched + int64(len(cres.Outputs))
-	res.KeyblockLoads = append([]int64(nil), plan.Join.EstLoads...)
-
-	// Reduce outputs are raw per-keyblock rows (share units emit partial
-	// moment rows); fold them exactly like the in-process engine does.
-	var rows []join.Row
-	for _, out := range cres.Outputs {
-		for i, k := range out.Keys {
-			rows = append(rows, join.Row{KB: out.Keyblock, Key: k, Values: out.Values[i]})
-		}
-	}
-	assembled, err := join.Assemble(plan.Join, rows)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range assembled {
-		res.Keys = append(res.Keys, append([]int64(nil), r.Key...))
-		res.Values = append(res.Values, r.Values)
-	}
-	return res, nil
+	return &rt, nil
 }
 
 // closeQuiet closes a dataset handle that may legitimately be nil
@@ -943,17 +787,6 @@ func closeQuiet(c io.Closer) {
 	if c != nil {
 		c.Close()
 	}
-}
-
-// toPartialResult converts one finalized keyblock into the facade's
-// partial-result form.
-func toPartialResult(rr cluster.ReduceResult) sidr.PartialResult {
-	pr := sidr.PartialResult{Keyblock: rr.Keyblock, At: time.Now()}
-	for i, k := range rr.Keys {
-		pr.Keys = append(pr.Keys, append([]int64(nil), k...))
-		pr.Values = append(pr.Values, rr.Values[i])
-	}
-	return pr
 }
 
 // prepare returns a cached plan for the request or derives and caches a

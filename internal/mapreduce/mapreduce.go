@@ -33,7 +33,6 @@ import (
 	"sidr/internal/exec"
 	"sidr/internal/join"
 	"sidr/internal/kv"
-	"sidr/internal/ops"
 	"sidr/internal/partition"
 	"sidr/internal/query"
 )
@@ -140,8 +139,8 @@ type Config struct {
 	// Join, when set, runs the job as a structural join: Splits is the
 	// combined two-sided split list (side derived from the index against
 	// the join plan's SideBoundary), Reader serves side A and Reader2
-	// side B, and Map/Reduce bodies dispatch to internal/join. The task
-	// graph, barriers, shuffle and count validation work unchanged.
+	// side B (see MapInput.Join). The task graph, barriers, shuffle and
+	// count validation work unchanged.
 	Join    *join.Plan
 	Reader2 RecordReader
 
@@ -250,8 +249,7 @@ type mapOutput struct {
 // counters, enqueue flags) plus the accumulated outputs and telemetry.
 type job struct {
 	cfg    Config
-	op     ops.Operator
-	space  coords.Slab // K'^T
+	in     MapInput // the task bodies' input, fixed for the run
 	h      *exec.Handle
 	rOrder []int
 
@@ -294,18 +292,25 @@ func Run(cfg Config) (*Result, error) {
 	if (cfg.Barrier == DependencyBarrier || cfg.ValidateCounts || cfg.RecoverByRecompute) && cfg.Graph == nil {
 		return nil, ErrNeedsGraph
 	}
-	var op ops.Operator
+	in := MapInput{
+		Query:             cfg.Query,
+		Part:              cfg.Part,
+		Reader:            cfg.Reader,
+		Join:              cfg.Join,
+		Reader2:           cfg.Reader2,
+		Combine:           cfg.Combine,
+		SortBufferRecords: cfg.SortBufferRecords,
+		Ctx:               cfg.Ctx,
+	}
+	var err error
 	if cfg.Join == nil {
-		var err error
-		op, err = cfg.Query.Op()
-		if err != nil {
+		if in.Op, err = cfg.Query.Op(); err != nil {
 			return nil, err
 		}
 	} else if cfg.Reader2 == nil {
 		return nil, ErrNoReader2
 	}
-	space, err := cfg.Query.IntermediateSpace()
-	if err != nil {
+	if in.Space, err = cfg.Query.IntermediateSpace(); err != nil {
 		return nil, err
 	}
 	order := cfg.MapOrder
@@ -330,8 +335,7 @@ func Run(cfg Config) (*Result, error) {
 	r := cfg.Part.NumKeyblocks()
 	j := &job{
 		cfg:         cfg,
-		op:          op,
-		space:       space,
+		in:          in,
 		rOrder:      rOrder,
 		mapDone:     make([]bool, len(cfg.Splits)),
 		outputs:     make([][]mapOutput, len(cfg.Splits)),

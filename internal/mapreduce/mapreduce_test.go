@@ -521,3 +521,51 @@ func TestRandomizedEnginesAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestExecReduceFilterOmitsEmptyKeys pins the rule that keeps index-pruned
+// and unpruned plans byte-identical where the one apply loop lives: a key
+// whose filter output is empty is omitted, while an aggregate emits a
+// value for every merged key. Equal keys across streams merge first.
+func TestExecReduceFilterOmitsEmptyKeys(t *testing.T) {
+	pair := func(k int64, vs ...float64) kv.Pair {
+		var v kv.Value
+		for _, x := range vs {
+			v.Add(x, true)
+		}
+		return kv.Pair{Key: coords.NewCoord(k), Value: v}
+	}
+	// Key 0 has no survivor above 10, key 1 one per stream, key 2 none.
+	streams := [][]kv.Pair{
+		{pair(0, 1, 2), pair(1, 3, 11)},
+		{pair(1, 12, 4), pair(2, 5)},
+	}
+	input := func(text string) MapInput {
+		q, err := query.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := q.Op()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return MapInput{Query: q, Op: op}
+	}
+
+	out := ExecReduce(input("filter_gt v[0 : 6] es {2} param 10"), 3, streams)
+	if out.Keyblock != 3 || len(out.Keys) != 1 || out.Keys[0][0] != 1 {
+		t.Fatalf("filter output = %+v, want only key 1 in keyblock 3", out)
+	}
+	if got := out.Values[0]; len(got) != 2 || got[0]+got[1] != 23 {
+		t.Fatalf("key 1 survivors = %v, want 11 and 12", got)
+	}
+
+	out = ExecReduce(input("max v[0 : 6] es {2}"), 0, streams)
+	if len(out.Keys) != 3 {
+		t.Fatalf("aggregate emitted %d keys, want all 3", len(out.Keys))
+	}
+	for i, want := range []float64{2, 12, 5} {
+		if out.Values[i][0] != want {
+			t.Fatalf("max of key %d = %v, want %v", i, out.Values[i], want)
+		}
+	}
+}

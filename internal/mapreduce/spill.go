@@ -12,10 +12,7 @@ import (
 // files and replaces the in-memory pairs with file references. Empty
 // partitions produce no file.
 func (j *job) spill(mapID int, outs []mapOutput) error {
-	rank := j.space.Rank()
-	if j.cfg.Join != nil {
-		rank = j.cfg.Join.SpillRank() // join keys carry a trailing side bit
-	}
+	rank := j.in.SpillRank()
 	for l := range outs {
 		if len(outs[l].pairs) == 0 && outs[l].sourceCount == 0 {
 			continue

@@ -142,18 +142,27 @@ func (s *mapScratch) recycle(segs [][]kv.Pair) {
 	s.free = append(s.free, segs...)
 }
 
-// MapInput bundles everything one Map task needs to execute outside a
-// full job. The distributed runtime (internal/cluster) uses it to run
-// single Map tasks on remote worker processes through exactly the same
-// map path — accumulation, combining, sort-buffer sealing — the
-// in-process engine uses, so a clustered job's intermediate data is
-// bit-identical to a local run's.
+// MapInput bundles everything one task needs to execute outside a full
+// job. The distributed runtime (internal/cluster) uses it to run single
+// Map tasks on remote worker processes, and Reduce tasks in the
+// coordinator, through exactly the task bodies — accumulation,
+// combining, sort-buffer sealing, merge, operator application — the
+// in-process engine uses, so a clustered job's data is bit-identical to
+// a local run's.
 type MapInput struct {
 	Query  *query.Query
-	Op     ops.Operator
-	Space  coords.Slab // K'^T, the intermediate keyspace
+	Op     ops.Operator // nil for joins, which carry theirs in Join
+	Space  coords.Slab  // K'^T, the intermediate keyspace
 	Part   partition.Partitioner
 	Reader RecordReader
+
+	// Join, when set, makes the task bodies those of a structural join:
+	// a split's side follows from its ID in the combined split list,
+	// Reader serves side A and Reader2 side B, and Reduce pairs the two
+	// sides per tile (internal/join). Combine and SortBufferRecords do
+	// not apply to join Map tasks.
+	Join    *join.Plan
+	Reader2 RecordReader
 
 	// Combine enables map-side combining (applied only when lossless for
 	// the operator).
@@ -165,44 +174,23 @@ type MapInput struct {
 	Ctx context.Context
 }
 
-// MapOut is one keyblock's share of a standalone Map task's output:
-// the sorted intermediate pairs plus the §3.2.1 kv-count annotation.
-type MapOut struct {
-	Pairs       []kv.Pair
-	SourceCount int64
+// SpillRank is the coordinate rank of the task's spill keys: the
+// keyspace rank, plus a trailing side bit for joins.
+func (in MapInput) SpillRank() int {
+	if in.Join != nil {
+		return in.Join.SpillRank()
+	}
+	return in.Space.Rank()
 }
 
+// MapOut is one keyblock's share of a standalone Map task's output:
+// the sorted intermediate pairs plus the §3.2.1 kv-count annotation.
+type MapOut = join.MapOut
+
 // execMap is the side-effect-free body of a Map task, shared by normal
-// execution and failure-recovery re-execution. Join jobs route through
-// the join Map body with the side derived from the split index.
+// execution and failure-recovery re-execution.
 func (j *job) execMap(i int) ([]mapOutput, int64, error) {
-	if jp := j.cfg.Join; jp != nil {
-		side := jp.Side(i)
-		reader := j.cfg.Reader
-		if side == 1 {
-			reader = j.cfg.Reader2
-		}
-		outs, records, err := join.ExecMap(jp, side, reader, j.cfg.Splits[i].Slab, j.cfg.Ctx)
-		if err != nil {
-			return nil, 0, fmt.Errorf("mapreduce: join map task %d: %w", i, err)
-		}
-		converted := make([]mapOutput, len(outs))
-		for l, o := range outs {
-			converted[l] = mapOutput{pairs: o.Pairs, sourceCount: o.SourceCount}
-		}
-		return converted, records, nil
-	}
-	in := MapInput{
-		Query:             j.cfg.Query,
-		Op:                j.op,
-		Space:             j.space,
-		Part:              j.cfg.Part,
-		Reader:            j.cfg.Reader,
-		Combine:           j.cfg.Combine,
-		SortBufferRecords: j.cfg.SortBufferRecords,
-		Ctx:               j.cfg.Ctx,
-	}
-	outs, records, err := ExecMap(in, j.cfg.Splits[i])
+	outs, records, err := ExecMap(j.in, j.cfg.Splits[i])
 	if err != nil {
 		return nil, 0, fmt.Errorf("mapreduce: map task %d: %w", i, err)
 	}
@@ -220,6 +208,16 @@ func (j *job) execMap(i int) ([]mapOutput, int64, error) {
 // The returned slice is indexed by keyblock. The second return value is
 // the number of source records read.
 func ExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
+	if jp := in.Join; jp != nil {
+		side, reader, missing := jp.Side(split.ID), in.Reader, ErrNoReader
+		if side == 1 {
+			reader, missing = in.Reader2, ErrNoReader2
+		}
+		if reader == nil {
+			return nil, 0, missing
+		}
+		return join.ExecMap(jp, side, reader, split.Slab, in.Ctx)
+	}
 	q := in.Query
 	live, ok := split.Slab.Intersect(q.Input)
 	if !ok {
@@ -500,26 +498,36 @@ func (j *job) execReduce(l int) (ReduceOutput, error) {
 		}
 	}
 
-	// The Reduce-side sort/merge (§2.3): Map outputs arrive as sorted
-	// streams, so a k-way merge yields the ⟨k', merged-value⟩ list
-	// without a global re-sort — Hadoop's actual merge structure.
-	merged := kv.MergeSorted(streams)
-	out := ReduceOutput{Keyblock: l, Keys: make([]coords.Coord, 0, len(merged)), Values: make([][]float64, 0, len(merged))}
+	out := ExecReduce(j.in, l, streams)
 	var produced int64
-	if jp := j.cfg.Join; jp != nil {
-		out.Keys, out.Values = join.Reduce(jp, l, merged)
-		for _, vals := range out.Values {
-			produced += int64(len(vals))
-		}
-		j.mu.Lock()
-		j.counters.OutputValues += produced
-		j.mu.Unlock()
-		return out, nil
+	for _, vals := range out.Values {
+		produced += int64(len(vals))
 	}
-	isFilter := j.op.Kind() == ops.Filter
-	params := j.cfg.Query.Params()
+	j.mu.Lock()
+	j.counters.OutputValues += produced
+	j.mu.Unlock()
+	return out, nil
+}
+
+// ExecReduce is the body of Reduce task l once its shuffle is complete
+// and validated: the Reduce-side sort/merge (§2.3) — Map outputs arrive
+// as sorted streams, so a k-way merge yields the ⟨k', merged-value⟩ list
+// without a global re-sort, Hadoop's actual merge structure — then the
+// query operator per key, or the join's per-tile pairing of its two
+// sides. streams must be in ascending split order (stream-index
+// tie-breaks make the merge order-sensitive). Every engine reduces
+// through this one function.
+func ExecReduce(in MapInput, l int, streams [][]kv.Pair) ReduceOutput {
+	merged := kv.MergeSorted(streams)
+	if in.Join != nil {
+		keys, values := join.Reduce(in.Join, l, merged)
+		return ReduceOutput{Keyblock: l, Keys: keys, Values: values}
+	}
+	out := ReduceOutput{Keyblock: l, Keys: make([]coords.Coord, 0, len(merged)), Values: make([][]float64, 0, len(merged))}
+	isFilter := in.Op.Kind() == ops.Filter
+	params := in.Query.Params()
 	for _, p := range merged {
-		vals := j.op.Apply(p.Value, params...)
+		vals := in.Op.Apply(p.Value, params...)
 		if isFilter && len(vals) == 0 {
 			// Predicated operators omit keys with no surviving samples.
 			// This makes index-pruned and unpruned plans byte-identical
@@ -529,10 +537,6 @@ func (j *job) execReduce(l int) (ReduceOutput, error) {
 		}
 		out.Keys = append(out.Keys, p.Key)
 		out.Values = append(out.Values, vals)
-		produced += int64(len(vals))
 	}
-	j.mu.Lock()
-	j.counters.OutputValues += produced
-	j.mu.Unlock()
-	return out, nil
+	return out
 }

@@ -216,9 +216,10 @@ func RunWithOptions(source mapreduce.RecordReader, stages []Stage, opts Options)
 					i, st.Query.Input, i-1, prevSpace)
 			}
 		}
+		_, splitPoints := core.RequestDefaults(st.Query, st.Reducers, 0)
 		plan, err := core.NewPlan(st.Query, core.EngineSIDR, core.Options{
 			Reducers:    st.Reducers,
-			SplitPoints: st.Query.Input.Size()/8 + 1,
+			SplitPoints: splitPoints,
 			MaxSkew:     st.MaxSkew,
 		})
 		if err != nil {

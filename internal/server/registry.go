@@ -11,9 +11,11 @@ import (
 	"sidr"
 	"sidr/internal/cluster"
 	"sidr/internal/coords"
+	"sidr/internal/core"
 	"sidr/internal/hdfs"
 	"sidr/internal/mapreduce"
 	"sidr/internal/ncfile"
+	"sidr/internal/query"
 	"sidr/internal/sidx"
 	"sidr/internal/wire"
 )
@@ -197,11 +199,12 @@ func (r *Registry) AddFile(name, path string) error {
 }
 
 // defaultSplitCount reports how many Map input splits the default
-// granularity (sidr.Prepare's Input.Size()/8+1 target) generates over
-// the full variable; listed so clients can judge pruning ratios.
+// granularity generates for a query over the full variable; listed so
+// clients can judge pruning ratios.
 func defaultSplitCount(shape coords.Shape) int {
 	slab := coords.Slab{Corner: make(coords.Coord, shape.Rank()), Shape: shape}
-	splits, err := mapreduce.GenerateSplits(slab, slab.Size()/8+1, nil, "", 8)
+	_, splitPoints := core.RequestDefaults(&query.Query{Input: slab}, 0, 0)
+	splits, err := mapreduce.GenerateSplits(slab, splitPoints, nil, "", 8)
 	if err != nil {
 		return 0
 	}

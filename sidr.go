@@ -22,15 +22,14 @@ package sidr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"sidr/internal/coords"
 	"sidr/internal/core"
 	"sidr/internal/exec"
-	"sidr/internal/join"
 	"sidr/internal/mapreduce"
 	"sidr/internal/ncfile"
 	"sidr/internal/query"
@@ -152,21 +151,20 @@ func ParseQuery(s string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{q: q}, nil
+	return NewQuery(q), nil
 }
+
+// NewQuery wraps an already parsed query; the daemon parses a request
+// once and runs the same value through planning, pruning and execution.
+// Module-internal: its parameter type lives under internal/, so only
+// this module's packages (internal/jobs) can call it.
+func NewQuery(q *query.Query) *Query { return &Query{q: q} }
 
 // String renders the query in its canonical text form.
 func (q *Query) String() string { return q.q.String() }
 
 // Variable returns the dataset variable the query reads.
 func (q *Query) Variable() string { return q.q.Variable }
-
-// IsJoin reports whether this is a two-input structural join query.
-func (q *Query) IsJoin() bool { return q.q.Join }
-
-// Variable2 returns the join's side-B variable (empty for single-input
-// queries).
-func (q *Query) Variable2() string { return q.q.Variable2 }
 
 // PartialResult is one keyblock's committed output, delivered as soon as
 // its data dependencies are met (SIDR's early correct results).
@@ -250,6 +248,16 @@ type RunOptions struct {
 	NoJoinRetile bool
 }
 
+// Errors reported when a query's kind does not match the entry point.
+var (
+	// ErrJoinNeedsTwoDatasets rejects a join query handed to the
+	// single-dataset entry points (Run, RunContext, Prepare): a join
+	// reads two datasets, so use RunJoin.
+	ErrJoinNeedsTwoDatasets = errors.New("sidr: a join query needs two datasets (use RunJoin)")
+	// ErrNotJoin rejects a single-input query handed to RunJoin.
+	ErrNotJoin = errors.New("sidr: RunJoin needs a join query")
+)
+
 // Prepared is a derived execution plan bound to a dataset shape. Plans
 // are pure functions of (dataset shape, query, engine, reducers, split
 // granularity, skew bound) — SIDR's routing is computable before
@@ -275,26 +283,34 @@ func Prepare(shape []int64, q *Query, opts RunOptions) (*Prepared, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	if q.q.Join {
+		return nil, ErrJoinNeedsTwoDatasets
+	}
 	if err := q.q.Validate(s); err != nil {
 		return nil, err
 	}
-	if opts.Reducers <= 0 {
-		opts.Reducers = 4
-	}
-	if opts.SplitPoints <= 0 {
-		opts.SplitPoints = q.q.Input.Size()/8 + 1
-	}
-	plan, err := core.NewPlan(q.q, opts.Engine, core.Options{
-		Reducers:    opts.Reducers,
-		SplitPoints: opts.SplitPoints,
-		MaxSkew:     opts.MaxSkew,
-		Priority:    opts.Priority,
-		Index:       opts.Index,
-	})
+	plan, err := newPlan(q, &opts, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &Prepared{q: q, shape: s, opts: opts, plan: plan}, nil
+}
+
+// newPlan normalises the plan-time options in place and derives the
+// plan. samplerA/B are a join's two inputs, sampled for its keyblock
+// layout; a single-input plan has none and may prune by opts.Index.
+func newPlan(q *Query, opts *RunOptions, samplerA, samplerB mapreduce.RecordReader) (*core.Plan, error) {
+	opts.Reducers, opts.SplitPoints = core.RequestDefaults(q.q, opts.Reducers, opts.SplitPoints)
+	return core.NewPlan(q.q, opts.Engine, core.Options{
+		Reducers:     opts.Reducers,
+		SplitPoints:  opts.SplitPoints,
+		MaxSkew:      opts.MaxSkew,
+		Priority:     opts.Priority,
+		Index:        opts.Index,
+		JoinSamplerA: samplerA,
+		JoinSamplerB: samplerB,
+		NoJoinRetile: opts.NoJoinRetile,
+	})
 }
 
 // Query returns the prepared query.
@@ -319,59 +335,61 @@ func (p *Prepared) Run(ctx context.Context, ds *Dataset, opts RunOptions) (*Resu
 	if !coords.Shape(ds.shape).Equal(p.shape) {
 		return nil, fmt.Errorf("sidr: dataset shape %v does not match prepared shape %v", ds.shape, p.shape)
 	}
-	res := &Result{}
+	return runPlan(ctx, p.plan, ds.reader(), nil, opts)
+}
+
+// runPlan executes a derived plan on the in-process engine and builds
+// the Result — the one tail of every in-process run, single-input
+// (readerB nil) or join. Each Reduce output is copied into a
+// PartialResult once per consumer: for opts.OnPartial as it commits, and
+// for Result.Partials in commit order from the event stream.
+func runPlan(ctx context.Context, plan *core.Plan, readerA, readerB mapreduce.RecordReader, opts RunOptions) (*Result, error) {
 	start := time.Now()
-	mrRes, err := p.plan.RunLocal(ds.reader(), func(cfg *mapreduce.Config) {
+	mrRes, err := plan.RunLocalJoin(readerA, readerB, func(cfg *mapreduce.Config) {
 		cfg.Ctx = ctx
 		cfg.Workers = opts.Workers
 		cfg.Exec = opts.Exec
 		cfg.Weight = opts.Weight
-		cfg.OnReduceOutput = func(out mapreduce.ReduceOutput) {
-			pr := toPartial(out)
-			if opts.OnPartial != nil {
-				opts.OnPartial(pr)
+		if opts.OnPartial != nil {
+			cfg.OnReduceOutput = func(out mapreduce.ReduceOutput) {
+				opts.OnPartial(NewPartial(out, time.Now()))
 			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Elapsed = time.Since(start)
-	res.Connections = mrRes.Counters.Connections
-	res.TasksDispatched = mrRes.Counters.TasksDispatched
-	res.KeyblockLoads = append([]int64(nil), p.plan.Graph.ExpectedCount...)
-
-	// Rebuild partials in commit order from the event stream and attach
-	// outputs, then flatten into the sorted global result.
-	firstSet := false
+	res := &Result{
+		Elapsed:         time.Since(start),
+		Connections:     mrRes.Counters.Connections,
+		TasksDispatched: mrRes.Counters.TasksDispatched,
+		KeyblockLoads:   plan.Loads(),
+	}
 	for _, e := range mrRes.Events {
 		if e.Kind != mapreduce.ReduceEnd {
 			continue
 		}
-		pr := toPartial(mrRes.Outputs[e.Detail])
-		pr.At = e.At
-		res.Partials = append(res.Partials, pr)
-		if !firstSet {
+		if len(res.Partials) == 0 {
 			res.FirstResult = e.At.Sub(mrRes.Started)
-			firstSet = true
 		}
+		res.Partials = append(res.Partials, NewPartial(mrRes.Outputs[e.Detail], e.At))
 	}
-	type row struct {
-		key  coords.Coord
-		vals []float64
-	}
-	var rows []row
-	for _, out := range mrRes.Outputs {
-		for i, k := range out.Keys {
-			rows = append(rows, row{key: k, vals: out.Values[i]})
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].key.Less(rows[j].key) })
-	for _, r := range rows {
-		res.Keys = append(res.Keys, append([]int64(nil), r.key...))
-		res.Values = append(res.Values, r.vals)
+	if res.Keys, res.Values, err = plan.Assemble(mrRes.Outputs); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// NewPartial copies one keyblock's Reduce output into the facade's
+// partial-result form, committed at the given time. Module-internal like
+// NewQuery: the clustered path in internal/jobs builds its partials with
+// it, so the copy is written once.
+func NewPartial(out mapreduce.ReduceOutput, at time.Time) PartialResult {
+	pr := PartialResult{Keyblock: out.Keyblock, Keys: make([][]int64, len(out.Keys)), Values: out.Values, At: at}
+	for i, k := range out.Keys {
+		pr.Keys[i] = append([]int64(nil), k...)
+	}
+	return pr
 }
 
 // Run executes the query over the dataset.
@@ -400,17 +418,6 @@ func RunJoin(a, b *Dataset, q *Query, opts RunOptions) (*Result, error) {
 	return RunJoinContext(context.Background(), a, b, q, opts)
 }
 
-// JoinSplitPoints returns the default split granularity for a join
-// query: the larger side split into ~8 pieces. The daemon's cluster
-// path uses the same rule so both engines derive identical split sets.
-func JoinSplitPoints(q *Query) int64 {
-	n := q.q.Input.Size()
-	if s := q.q.Input2.Size(); s > n {
-		n = s
-	}
-	return n/8 + 1
-}
-
 // RunJoinContext plans and executes a join: both sides' per-keyblock
 // expected load is sampled at plan time, hot keyblocks are re-tiled
 // (unless opts.NoJoinRetile), and the job runs on the in-process engine
@@ -423,7 +430,7 @@ func RunJoinContext(ctx context.Context, a, b *Dataset, q *Query, opts RunOption
 		return nil, fmt.Errorf("sidr: nil dataset or query")
 	}
 	if !q.q.Join {
-		return nil, fmt.Errorf("sidr: RunJoin needs a join query")
+		return nil, ErrNotJoin
 	}
 	if err := q.q.Validate(a.shape); err != nil {
 		return nil, err
@@ -431,87 +438,11 @@ func RunJoinContext(ctx context.Context, a, b *Dataset, q *Query, opts RunOption
 	if err := q.q.ValidateSecond(b.shape); err != nil {
 		return nil, err
 	}
-	if opts.Reducers <= 0 {
-		opts.Reducers = 4
-	}
-	if opts.SplitPoints <= 0 {
-		opts.SplitPoints = JoinSplitPoints(q)
-	}
-	plan, err := core.NewPlan(q.q, opts.Engine, core.Options{
-		Reducers:     opts.Reducers,
-		SplitPoints:  opts.SplitPoints,
-		MaxSkew:      opts.MaxSkew,
-		Priority:     opts.Priority,
-		JoinSamplerA: a.reader(),
-		JoinSamplerB: b.reader(),
-		NoJoinRetile: opts.NoJoinRetile,
-	})
+	plan, err := newPlan(q, &opts, a.reader(), b.reader())
 	if err != nil {
 		return nil, err
 	}
-	return finishJoin(ctx, plan, a, b, opts)
-}
-
-// finishJoin runs a derived join plan and assembles the final result.
-func finishJoin(ctx context.Context, plan *core.Plan, a, b *Dataset, opts RunOptions) (*Result, error) {
-	res := &Result{}
-	start := time.Now()
-	mrRes, err := plan.RunLocalJoin(a.reader(), b.reader(), func(cfg *mapreduce.Config) {
-		cfg.Ctx = ctx
-		cfg.Workers = opts.Workers
-		cfg.Exec = opts.Exec
-		cfg.Weight = opts.Weight
-		if opts.OnPartial != nil {
-			cfg.OnReduceOutput = func(out mapreduce.ReduceOutput) {
-				opts.OnPartial(toPartial(out))
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	res.Connections = mrRes.Counters.Connections
-	res.TasksDispatched = mrRes.Counters.TasksDispatched
-	res.KeyblockLoads = append([]int64(nil), plan.Join.EstLoads...)
-
-	firstSet := false
-	for _, e := range mrRes.Events {
-		if e.Kind != mapreduce.ReduceEnd {
-			continue
-		}
-		pr := toPartial(mrRes.Outputs[e.Detail])
-		pr.At = e.At
-		res.Partials = append(res.Partials, pr)
-		if !firstSet {
-			res.FirstResult = e.At.Sub(mrRes.Started)
-			firstSet = true
-		}
-	}
-	var rows []join.Row
-	for _, out := range mrRes.Outputs {
-		for i, k := range out.Keys {
-			rows = append(rows, join.Row{KB: out.Keyblock, Key: k, Values: out.Values[i]})
-		}
-	}
-	assembled, err := join.Assemble(plan.Join, rows)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range assembled {
-		res.Keys = append(res.Keys, append([]int64(nil), r.Key...))
-		res.Values = append(res.Values, r.Values)
-	}
-	return res, nil
-}
-
-func toPartial(out mapreduce.ReduceOutput) PartialResult {
-	pr := PartialResult{Keyblock: out.Keyblock, At: time.Now()}
-	for i, k := range out.Keys {
-		pr.Keys = append(pr.Keys, append([]int64(nil), k...))
-		pr.Values = append(pr.Values, out.Values[i])
-	}
-	return pr
+	return runPlan(ctx, plan, a.reader(), b.reader(), opts)
 }
 
 // OutputSpace returns the shape of the query's intermediate/output
@@ -532,14 +463,7 @@ func WriteDense(dir string, ds *Dataset, q *Query, opts RunOptions, res *Result)
 	if opts.Engine != SIDR {
 		return nil, fmt.Errorf("sidr: dense output requires the SIDR engine")
 	}
-	if opts.Reducers <= 0 {
-		opts.Reducers = 4
-	}
-	plan, err := core.NewPlan(q.q, SIDR, core.Options{
-		Reducers:    opts.Reducers,
-		SplitPoints: q.q.Input.Size()/8 + 1,
-		MaxSkew:     opts.MaxSkew,
-	})
+	plan, err := newPlan(q, &opts, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,12 @@
 package sidr
 
 import (
+	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -71,6 +74,27 @@ func TestRunValidation(t *testing.T) {
 	big, _ := ParseQuery("avg t[0,0 : 100,10] es {7,5}")
 	if _, err := Run(ds, big, RunOptions{}); err == nil {
 		t.Fatal("oversized query accepted")
+	}
+}
+
+// TestQueryKindMismatchRejected: a join handed to the single-dataset
+// entry points, and a single-input query handed to RunJoin, are both
+// refused with a sentinel before any plan is derived.
+func TestQueryKindMismatchRejected(t *testing.T) {
+	ds, _ := Synthetic([]int64{28, 10}, synthTemp)
+	single, _ := ParseQuery("avg t[0,0 : 28,10] es {7,5}")
+	join, err := ParseQuery("join jcorr a[0,0 : 28,10] es {7,5} with b[0,0 : 28,10] es {7,5}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(ds, join, RunOptions{Engine: SIDR}); !errors.Is(err, ErrJoinNeedsTwoDatasets) {
+		t.Errorf("Run(join) = %v, want ErrJoinNeedsTwoDatasets", err)
+	}
+	if _, err := Prepare(ds.Shape(), join, RunOptions{}); !errors.Is(err, ErrJoinNeedsTwoDatasets) {
+		t.Errorf("Prepare(join) = %v, want ErrJoinNeedsTwoDatasets", err)
+	}
+	if _, err := RunJoin(ds, ds, single, RunOptions{Engine: SIDR}); !errors.Is(err, ErrNotJoin) {
+		t.Errorf("RunJoin(single) = %v, want ErrNotJoin", err)
 	}
 }
 
@@ -179,6 +203,71 @@ func TestEarlyPartialsDelivered(t *testing.T) {
 	}
 	if total != len(res.Keys) {
 		t.Fatalf("partials cover %d keys of %d", total, len(res.Keys))
+	}
+}
+
+// TestPartialCopiedOncePerConsumer: a Reduce output's keys are copied
+// into a PartialResult once for Result.Partials and once more only when
+// an OnPartial consumer exists. The consumer's copy is its own — writing
+// through it reaches neither Result.Partials nor Result.Keys — and its
+// cost is about one allocation per output key, none of which a
+// callback-less run pays. The band is loose because allocation counts
+// are not exact under the race runtime (±1 % here); a copy made without
+// a consumer measures 0 extra, a second copy per consumer 2·keys.
+func TestPartialCopiedOncePerConsumer(t *testing.T) {
+	ds, _ := Synthetic([]int64{256, 64}, synthTemp)
+	q, _ := ParseQuery("avg t[0,0 : 256,64] es {2,2}")
+	const keys = 128 * 32
+	prep, err := Prepare(ds.Shape(), q, RunOptions{Engine: SIDR, Reducers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := prep.Run(context.Background(), ds, RunOptions{Workers: 1, OnPartial: func(pr PartialResult) {
+		for _, k := range pr.Keys {
+			for d := range k {
+				k[d] = -1
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := prep.Run(context.Background(), ds, RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Keys, ref.Keys) {
+		t.Fatal("OnPartial consumer's keys alias Result.Keys")
+	}
+	byKB := map[int][][]int64{}
+	for _, pr := range ref.Partials {
+		byKB[pr.Keyblock] = pr.Keys
+	}
+	for _, pr := range res.Partials {
+		if !reflect.DeepEqual(pr.Keys, byKB[pr.Keyblock]) {
+			t.Fatalf("OnPartial consumer's keys alias Result.Partials (keyblock %d)", pr.Keyblock)
+		}
+	}
+
+	allocs := func(opts RunOptions) float64 {
+		opts.Workers = 1
+		return testing.AllocsPerRun(5, func() {
+			res, err := prep.Run(context.Background(), ds, opts)
+			if err != nil || len(res.Keys) != keys {
+				t.Fatalf("run: %v", err)
+			}
+		})
+	}
+	without := allocs(RunOptions{})
+	with := allocs(RunOptions{OnPartial: func(pr PartialResult) {
+		if len(pr.Keys) != keys/4 {
+			t.Errorf("partial carries %d keys, want %d", len(pr.Keys), keys/4)
+		}
+	}})
+	if extra := with - without; extra < 0.9*keys || extra > 1.25*keys {
+		t.Fatalf("OnPartial consumer cost %.0f extra allocations for %d keys (with %.0f, without %.0f); want one key copy per consumer",
+			extra, keys, with, without)
 	}
 }
 
