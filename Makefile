@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet serve bench bench-spine bench-paper fuzz smoke smoke-serve clean
+.PHONY: build test race flake vet serve bench bench-spine bench-paper fuzz smoke smoke-serve clean
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# flake is the "green on every run, not most runs" gate for the two
+# packages whose tests schedule: the job loop and the cluster runtime.
+flake:
+	$(GO) test -count=20 ./internal/mapreduce ./internal/cluster
+	$(GO) test -race -count=5 ./internal/mapreduce ./internal/cluster
 
 vet:
 	$(GO) vet ./...

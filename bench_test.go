@@ -12,13 +12,16 @@ package sidr
 // regenerates.
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"sidr/internal/coords"
 	"sidr/internal/core"
 	"sidr/internal/datagen"
 	"sidr/internal/experiments"
+	"sidr/internal/kv"
 	"sidr/internal/mapreduce"
 	"sidr/internal/ncfile"
 	"sidr/internal/partition"
@@ -339,9 +342,10 @@ func BenchmarkAblationCombiner(b *testing.B) {
 	b.Run("no-combine", func(b *testing.B) { run(b, false) })
 }
 
-// BenchmarkAblationFailureRecovery compares the two Reduce-failure
-// recovery strategies (§6 future work): refetching persisted
-// intermediate data vs re-executing the failed task's Map dependencies.
+// BenchmarkAblationFailureRecovery compares the two recoveries from a
+// failed Reduce fetch (§6 future work): refetching intermediate data
+// that stayed put vs re-executing the task's Map dependencies through
+// the job loop's re-arm.
 func BenchmarkAblationFailureRecovery(b *testing.B) {
 	gen := datagen.Windspeed(9)
 	q, err := ParseQuery("median w[0,0 : 128,16] es {4,4}")
@@ -358,17 +362,48 @@ func BenchmarkAblationFailureRecovery(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			_, err = plan.RunLocal(ds.reader(), func(cfg *mapreduce.Config) {
-				cfg.FailReduceOnce = map[int]bool{1: true}
-				cfg.RecoverByRecompute = recompute
+			in, err := plan.TaskInput(ds.reader(), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := plan.RunLocal(ds.reader(), func(cfg *mapreduce.Config) {
+				cfg.Runner = &failOnceRunner{Runner: mapreduce.LocalRunner{In: in, Splits: plan.Splits},
+					keyblock: 1, deps: plan.Graph.KBToSplits[1], recompute: recompute}
 			})
 			if err != nil {
 				b.Fatal(err)
+			}
+			if want := int64(len(plan.Graph.KBToSplits[1])); recompute != (res.Counters.RecomputedMaps == want) {
+				b.Fatalf("recompute=%v re-executed %d maps, |I_1| = %d", recompute, res.Counters.RecomputedMaps, want)
 			}
 		}
 	}
 	b.Run("refetch", func(b *testing.B) { run(b, false) })
 	b.Run("recompute", func(b *testing.B) { run(b, true) })
+}
+
+// failOnceRunner fails one keyblock's first fetch. It recovers either
+// itself, by fetching again from the same references, or by reporting
+// the whole dependency set (deps) lost, which makes the job loop
+// re-execute it.
+type failOnceRunner struct {
+	mapreduce.Runner
+	keyblock  int
+	deps      []int
+	recompute bool
+	failed    atomic.Bool
+}
+
+func (r *failOnceRunner) Fetch(ctx context.Context, l int, refs []any) ([][]kv.Pair, int64, []int, error) {
+	if l == r.keyblock && r.failed.CompareAndSwap(false, true) {
+		if r.recompute {
+			return nil, 0, r.deps, fmt.Errorf("keyblock %d: injected loss of %v", l, r.deps)
+		}
+		if _, _, _, err := r.Runner.Fetch(ctx, l, refs); err != nil { // the fetch whose result is thrown away
+			return nil, 0, nil, err
+		}
+	}
+	return r.Runner.Fetch(ctx, l, refs)
 }
 
 // BenchmarkAblationSkewBound sweeps partition+'s permissible-skew bound
@@ -396,38 +431,6 @@ func BenchmarkAblationSkewBound(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationSpill compares in-memory intermediate data against
-// on-disk spill files with annotated headers (Hadoop's real shuffle
-// path): the cost of serialising, persisting and re-reading every
-// intermediate pair.
-func BenchmarkAblationSpill(b *testing.B) {
-	gen := datagen.Windspeed(4)
-	q, err := ParseQuery("median w[0,0 : 128,16] es {4,4}")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds, err := Synthetic([]int64{128, 16}, func(k []int64) float64 { return gen(coords.Coord(k)) })
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, spillDir string) {
-		plan, err := core.NewPlan(q.q, core.EngineSIDR, core.Options{Reducers: 4, SplitPoints: 128})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			_, err := plan.RunLocal(ds.reader(), func(cfg *mapreduce.Config) {
-				cfg.SpillDir = spillDir
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("in-memory", func(b *testing.B) { run(b, "") })
-	b.Run("spill-to-disk", func(b *testing.B) { run(b, b.TempDir()) })
 }
 
 // BenchmarkFailureStudy runs the §6 recovery study: persist-and-refetch

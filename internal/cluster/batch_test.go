@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sidr/internal/kv"
@@ -293,13 +294,12 @@ func TestRetryIsABatchOfOne(t *testing.T) {
 	}
 }
 
-// TestIncompleteMapResponseRedispatched: a Map response that omits the
-// spill metadata of a keyblock its split feeds is a failed attempt — it
-// is re-dispatched, never recorded — because every shuffle fetch
-// validates against that metadata.
-func TestIncompleteMapResponseRedispatched(t *testing.T) {
-	var once sync.Once
-	wrap := func(i int, h http.Handler) http.Handler {
+// rewriteMapResponses interposes on workers' /v1/map endpoints: fn edits
+// each successful response before the coordinator sees it and reports
+// whether it did, up to limit edits across all workers (0 = no limit).
+func rewriteMapResponses(t *testing.T, limit int64, fn func(*MapResponse) bool) func(int, http.Handler) http.Handler {
+	var edits atomic.Int64
+	return func(_ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if r.URL.Path != "/v1/map" {
 				h.ServeHTTP(rw, r)
@@ -308,29 +308,56 @@ func TestIncompleteMapResponseRedispatched(t *testing.T) {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, r)
 			body := rec.Body.Bytes()
-			once.Do(func() {
+			if rec.Code == http.StatusOK && (limit == 0 || edits.Add(1) <= limit) {
 				var mr MapResponse
-				if rec.Code != http.StatusOK || json.Unmarshal(body, &mr) != nil || len(mr.Outputs) == 0 {
-					t.Errorf("first map response unusable: %d %s", rec.Code, body)
-					return
+				if err := json.Unmarshal(body, &mr); err != nil {
+					t.Errorf("map response unusable: %v: %s", err, body)
+				} else if fn(&mr) {
+					body, _ = json.Marshal(mr)
 				}
-				mr.Outputs = mr.Outputs[1:]
-				body, _ = json.Marshal(mr)
-			})
+			}
 			rw.WriteHeader(rec.Code)
 			rw.Write(body)
 		})
 	}
-	c, _ := startChaosCluster(t, 2, CoordinatorConfig{}, nil, wrap)
+}
+
+// runWithBadMapResponse runs the test job on two workers with the first
+// Map response damaged on its way to the coordinator. A response the
+// coordinator cannot record is a failed attempt: re-dispatched, never
+// recorded, and never leaving its task without an output.
+func runWithBadMapResponse(t *testing.T, damage func(*MapResponse) bool) {
+	t.Helper()
+	c, _ := startChaosCluster(t, 2, CoordinatorConfig{}, nil, rewriteMapResponses(t, 1, damage))
 	res, err := runClusterJob(t, c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertMatchesInProcess(t, res)
 	if res.Counters.Retried == 0 {
-		t.Fatal("the incomplete map response was not re-dispatched")
+		t.Fatal("the bad map response was not re-dispatched")
 	}
 	if want := int64(len(res.Plan.Splits)) + res.Counters.Retried; res.Counters.MapsDispatched != want {
 		t.Fatalf("maps dispatched = %d, want splits + retries = %d", res.Counters.MapsDispatched, want)
 	}
+}
+
+// TestIncompleteMapResponseRedispatched: a Map response that omits the
+// spill metadata of a keyblock its split feeds is a failed attempt,
+// because every shuffle fetch validates against that metadata.
+func TestIncompleteMapResponseRedispatched(t *testing.T) {
+	runWithBadMapResponse(t, func(mr *MapResponse) bool {
+		if len(mr.Outputs) == 0 {
+			t.Errorf("first map response has no outputs to drop")
+			return false
+		}
+		mr.Outputs = mr.Outputs[1:]
+		return true
+	})
+}
+
+// TestWrongAttemptMapResponseRedispatched: so is one that answers for
+// another attempt than the one dispatched.
+func TestWrongAttemptMapResponseRedispatched(t *testing.T) {
+	runWithBadMapResponse(t, func(mr *MapResponse) bool { mr.Attempt += 7; return true })
 }

@@ -341,8 +341,9 @@ func TestChaosSoak(t *testing.T) {
 		// single-spill retries alike — get one bit flipped mid-stream;
 		// frame/meta/CRC validation must reject each and the retry policy
 		// must still complete the job byte-identically.
-		// A job makes only ~6 multi-spill requests, so several run back to
-		// back: the chance that none of ~36 is hit is 0.7³⁶.
+		// runs: 6 stays: only a real transport shows a damaged multi-spill
+		// response refused whole and re-fetched singly, and a job makes just
+		// ~6 such requests — 0.7³⁶ that none of 36 is hit.
 		{name: "batch-flip", spec: "seed=505,match=/v1/shuffle/batch,flip=0.3", wantFallback: true, runs: 6},
 		// Shuffle streams trickle out a byte at a time; slow is not an
 		// error, so batches must still land.
@@ -394,9 +395,10 @@ func TestChaosSoak(t *testing.T) {
 			for run := 0; run < max(tc.runs, 1); run++ {
 				res, err := runClusterJob(t, c, func(spec *JobSpec) {
 					if tc.kill {
-						// One task at a time makes the kill land on a committed
-						// spill: every dispatch picks idle w0, whose first Map
-						// completes before its second begins and kills it.
+						// Workers = 1 stays: only a real death shows the fetch policy
+						// classing a committed spill lost with its worker (or finding
+						// its replica), so w0's first Map must commit before its
+						// second dispatch, one task at a time, kills it.
 						spec.Workers = 1
 					}
 				})

@@ -11,16 +11,17 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sidr"
 	"sidr/internal/coords"
-	"sidr/internal/core"
 	"sidr/internal/datagen"
-	"sidr/internal/depgraph"
 	"sidr/internal/exec"
+	"sidr/internal/mapreduce"
 	"sidr/internal/metrics"
 )
 
@@ -103,6 +104,11 @@ func runClusterJob(t *testing.T, c *Coordinator, tweak func(*JobSpec)) (*JobResu
 // inProcessRun executes the identical query on the in-process engine.
 func inProcessRun(t *testing.T) *sidr.Result {
 	t.Helper()
+	return inProcessEngineRun(t, sidr.SIDR)
+}
+
+func inProcessEngineRun(t *testing.T, engine sidr.Engine) *sidr.Result {
+	t.Helper()
 	gen := datagen.Temperature(testSeed)
 	ds, err := sidr.Synthetic(testDataset().Shape, func(k []int64) float64 { return gen(coords.Coord(k)) })
 	if err != nil {
@@ -113,7 +119,7 @@ func inProcessRun(t *testing.T) *sidr.Result {
 		t.Fatal(err)
 	}
 	jp := testJobPlan()
-	res, err := sidr.Run(ds, q, sidr.RunOptions{Engine: sidr.SIDR, Reducers: jp.Reducers, SplitPoints: jp.SplitPoints})
+	res, err := sidr.Run(ds, q, sidr.RunOptions{Engine: engine, Reducers: jp.Reducers, SplitPoints: jp.SplitPoints})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +214,37 @@ func TestClusterMatchesInProcessEngine(t *testing.T) {
 	}
 }
 
+// TestClusteredBaselineEngine: the engine a clustered job names reaches
+// the job loop the way it does in process. "hadoop" runs the global
+// barrier — no keyblock finalizes before every Map task has completed —
+// its output is byte-identical to the in-process run of the same engine,
+// and the all-to-all shuffle still only moves spills that exist.
+func TestClusteredBaselineEngine(t *testing.T) {
+	c, workers := startCluster(t, 2, CoordinatorConfig{})
+	var mapsAtFirstPartial atomic.Int64
+	mapsAtFirstPartial.Store(-1)
+	res, err := runClusterJob(t, c, func(spec *JobSpec) {
+		spec.Plan.Engine = "hadoop"
+		spec.OnPartial = func(ReduceResult) {
+			mapsAtFirstPartial.CompareAndSwap(-1, workers[0].w.MapsDone()+workers[1].w.MapsDone())
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := inProcessEngineRun(t, sidr.Hadoop)
+	keys, vals := flatten(res)
+	if len(keys) == 0 || !reflect.DeepEqual(keys, local.Keys) || !reflect.DeepEqual(vals, local.Values) {
+		t.Fatalf("clustered hadoop output (%d rows) differs from the in-process hadoop engine's (%d rows)", len(keys), len(local.Keys))
+	}
+	if got, want := mapsAtFirstPartial.Load(), int64(len(res.Plan.Splits)); got < want {
+		t.Fatalf("first keyblock finalized with %d of %d Map tasks done: not the global barrier", got, want)
+	}
+	if want := res.Plan.Graph.SIDRConnections(); res.Counters.Connections != want {
+		t.Fatalf("shuffle connections = %d, want one per existing spill = %d", res.Counters.Connections, want)
+	}
+}
+
 // TestShuffleAccountingMetrics pins the counters the daemon exports.
 func TestShuffleAccountingMetrics(t *testing.T) {
 	reg := metrics.New()
@@ -290,17 +327,18 @@ func tamperSourceCount(inner *Worker) http.Handler {
 	})
 }
 
-// TestShortKVCountNeverFinalizes: a reduce whose annotation tally comes
-// up short must never finalize — the job fails with ErrCountMismatch and
-// no partial is ever delivered.
-func TestShortKVCountNeverFinalizes(t *testing.T) {
+// runOnTamperedWorker runs the test job under the named engine on a
+// single worker served through wrap; partials counts the keyblocks that
+// finalized.
+func runOnTamperedWorker(t *testing.T, engine string, wrap func(*Worker) http.Handler) (res *JobResult, partials int64, err error) {
+	t.Helper()
 	dir := t.TempDir()
 	w, err := NewWorker(WorkerConfig{Name: "w0", SpillDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	srv := httptest.NewServer(tamperSourceCount(w))
+	srv := httptest.NewServer(wrap(w))
 	defer srv.Close()
 
 	c := NewCoordinator(CoordinatorConfig{
@@ -311,18 +349,64 @@ func TestShortKVCountNeverFinalizes(t *testing.T) {
 	if err := c.Register("w0", srv.URL); err != nil {
 		t.Fatal(err)
 	}
-	var partials int64
-	res, err := runClusterJob(t, c, func(spec *JobSpec) {
-		spec.OnPartial = func(ReduceResult) { partials++ }
+	var n atomic.Int64
+	res, err = runClusterJob(t, c, func(spec *JobSpec) {
+		spec.Plan.Engine = engine
+		spec.OnPartial = func(ReduceResult) { n.Add(1) }
 	})
-	if err == nil {
-		t.Fatalf("job finalized despite short kv-counts: %+v", res.Counters)
+	return res, n.Load(), err
+}
+
+// TestShortKVCountNeverFinalizes: a reduce whose annotation tally comes
+// up short must never finalize — the job fails with ErrCountMismatch and
+// no partial is ever delivered — whichever engine's barrier it runs
+// under.
+func TestShortKVCountNeverFinalizes(t *testing.T) {
+	for _, engine := range []string{"sidr", "hadoop"} {
+		t.Run(engine, func(t *testing.T) {
+			res, partials, err := runOnTamperedWorker(t, engine, tamperSourceCount)
+			if err == nil {
+				t.Fatalf("job finalized despite short kv-counts: %+v", res.Counters)
+			}
+			if !errors.Is(err, ErrCountMismatch) {
+				t.Fatalf("err = %v, want ErrCountMismatch", err)
+			}
+			if partials != 0 {
+				t.Fatalf("%d reduces finalized with short kv-counts", partials)
+			}
+		})
 	}
-	if !errors.Is(err, ErrCountMismatch) {
-		t.Fatalf("err = %v, want ErrCountMismatch", err)
-	}
-	if partials != 0 {
-		t.Fatalf("%d reduces finalized with short kv-counts", partials)
+}
+
+// TestUndercountingMapNeverFinalizes is the other half of the gate. A
+// worker whose Map tasks undercount consistently — response metadata and
+// spill header agree, both one short — passes every per-spill check of
+// the shuffle; the job loop's tally against the planner's expected count
+// must still refuse to finalize, again under either barrier.
+func TestUndercountingMapNeverFinalizes(t *testing.T) {
+	undercount := rewriteMapResponses(t, 0, func(mr *MapResponse) bool {
+		for k := range mr.Outputs {
+			if mr.Outputs[k].SourceCount > 0 {
+				mr.Outputs[k].SourceCount--
+			}
+		}
+		return true
+	})
+	for _, engine := range []string{"sidr", "hadoop"} {
+		t.Run(engine, func(t *testing.T) {
+			res, partials, err := runOnTamperedWorker(t, engine, func(w *Worker) http.Handler {
+				return undercount(0, tamperSourceCount(w))
+			})
+			if err == nil {
+				t.Fatalf("job finalized on undercounted Map outputs: %+v", res.Counters)
+			}
+			if !errors.Is(err, ErrCountMismatch) || !strings.Contains(err.Error(), "expected") {
+				t.Fatalf("err = %v, want the job loop's tally-vs-expected ErrCountMismatch", err)
+			}
+			if partials != 0 {
+				t.Fatalf("%d reduces finalized on undercounted Map outputs", partials)
+			}
+		})
 	}
 }
 
@@ -332,13 +416,12 @@ func TestShortKVCountNeverFinalizes(t *testing.T) {
 // with output identical to the in-process engine.
 func TestWorkerLossReexecution(t *testing.T) {
 	reg := metrics.New()
-	// Replication off: a replica push that wins its race with the kill
-	// would turn the loss into a re-fetch, and re-execution is the path
-	// under test (TestDrainReplicaHandoff covers the other).
-	c, workers := startCluster(t, 2, CoordinatorConfig{Metrics: reg, SpillReplicas: -1})
+	c, workers := startCluster(t, 2, CoordinatorConfig{Metrics: reg})
 
-	// Kill w0 the moment its first Map result is accepted: the result's
-	// spills die with it, before any dependent reduce can fetch them.
+	// Kill w0 the moment it answers its first Map dispatch. The hook fires
+	// before the result is recorded, let alone published to the job loop,
+	// so the spills die before a replica push can copy them or a dependent
+	// reduce fetch them: the loss can only be repaired by re-execution.
 	c.onMapResult = func(_ string, _ int, worker string) {
 		if worker == "w0" {
 			workers[0].kill()
@@ -362,57 +445,68 @@ func TestWorkerLossReexecution(t *testing.T) {
 	}
 }
 
-// mapResp builds the MapResponse a worker would send for one attempt:
-// spill metadata for every keyblock the split feeds.
-func mapResp(j *clusterJob, split, attempt int) *MapResponse {
-	resp := &MapResponse{Split: split, Attempt: attempt}
-	for _, kb := range j.plan.Graph.SplitToKB[split] {
-		resp.Outputs = append(resp.Outputs, KeyblockMeta{Keyblock: kb})
+// TestCancelBeforeMapResultRecorded: the caller cancels in the window
+// between a worker answering a Map dispatch and the coordinator recording
+// the answer (jobs.Manager cancels this way on job cancel and shutdown).
+// The dropped result leaves its task without an output; the run must end
+// with the context's error — RunMap is on an executor worker, where a
+// panic would take the whole process down.
+func TestCancelBeforeMapResultRecorded(t *testing.T) {
+	c, _ := startCluster(t, 2, CoordinatorConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c.onMapResult = func(string, int, string) { cancel() }
+	ex := exec.New(4)
+	t.Cleanup(ex.Close)
+	_, err := c.Run(ctx, JobSpec{Plan: testJobPlan(), Dataset: testDataset(), Exec: ex})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	return resp
 }
 
-// TestStaleAttemptDiscarded pins attempt-ID idempotency: a Map result
-// from a superseded attempt must not complete the task or decrement
-// dependency counters.
+// TestStaleAttemptDiscarded pins attempt-ID idempotency in the remote
+// runner: a Map result from a superseded attempt must not become the
+// task's output (what a loss re-opens is the job loop's side of the
+// story: mapreduce's TestReexecutedAttemptCannotDoubleSatisfy).
 func TestStaleAttemptDiscarded(t *testing.T) {
 	plan, err := testJobPlan().NewPlan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := exec.New(1)
-	defer ex.Close()
 	c := NewCoordinator(CoordinatorConfig{})
+	defer c.Close()
 	j := &clusterJob{
-		c:          c,
-		spec:       JobSpec{ID: "job-stale", Plan: testJobPlan()},
-		plan:       plan,
-		ctx:        context.Background(),
-		handle:     ex.NewHandle(exec.HandleOptions{}),
-		maps:       make([]mapTask, len(plan.Splits)),
-		enqueued:   make([]bool, plan.Part.NumKeyblocks()),
-		outputs:    make([]ReduceResult, plan.Part.NumKeyblocks()),
-		reduceDone: make([]bool, plan.Part.NumKeyblocks()),
-		done:       make(chan struct{}),
+		c:    c,
+		spec: JobSpec{ID: "job-stale", Plan: testJobPlan()},
+		plan: plan,
+		ctx:  context.Background(),
+		maps: make([]mapTask, len(plan.Splits)),
 	}
-	defer j.handle.Close()
-	j.reducesLeft = plan.Part.NumKeyblocks()
-	before := append([]bool(nil), j.enqueued...)
+	// mapResp is what a worker would send for one attempt of split 0:
+	// spill metadata for every keyblock the split feeds.
+	mapResp := func(attempt int) *MapResponse {
+		resp := &MapResponse{Split: 0, Attempt: attempt}
+		for _, kb := range plan.Graph.SplitToKB[0] {
+			resp.Outputs = append(resp.Outputs, KeyblockMeta{Keyblock: kb})
+		}
+		return resp
+	}
 
-	// The task was re-armed to attempt 1; a late attempt-0 result lands.
+	// The task was re-executed as attempt 1; a late attempt-0 result lands.
 	j.maps[0].attempt = 1
-	j.recordMapResult(0, 0, "w0", "http://stale", time.Now(), mapResp(j, 0, 0))
-	if j.maps[0].done {
-		t.Fatal("stale attempt completed the task")
+	if err := j.recordMapResult(0, 0, "w0", "http://stale", time.Now(), mapResp(0)); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before, j.enqueued) {
-		t.Fatal("stale attempt changed reduce enqueue state")
+	if j.maps[0].out != nil {
+		t.Fatal("stale attempt became the task's output")
 	}
 
 	// The current attempt is accepted.
-	j.recordMapResult(0, 1, "w0", "http://current", time.Now(), mapResp(j, 0, 1))
-	if !j.maps[0].done || j.maps[0].url != "http://current" {
-		t.Fatal("current attempt was not recorded")
+	if err := j.recordMapResult(0, 1, "w0", "http://current", time.Now(), mapResp(1)); err != nil {
+		t.Fatal(err)
+	}
+	if out := j.maps[0].out; out == nil || out.attempt != 1 || out.cands[0].url != "http://current" {
+		t.Fatalf("current attempt was not recorded: %+v", out)
 	}
 }
 
@@ -482,128 +576,6 @@ func TestNoWorkers(t *testing.T) {
 	}
 }
 
-// syntheticJob builds a clusterJob over a hand-written dependency graph
-// — 2 splits, each feeding both of 2 keyblocks — for white-box
-// scheduling tests that must not depend on planner geometry.
-func syntheticJob(c *Coordinator, h *exec.Handle) *clusterJob {
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &clusterJob{
-		c:    c,
-		spec: JobSpec{ID: "job-synth"},
-		plan: &core.Plan{Graph: &depgraph.Graph{
-			SplitToKB:  [][]int{{0, 1}, {0, 1}},
-			KBToSplits: [][]int{{0, 1}, {0, 1}},
-		}},
-		ctx:        ctx,
-		cancel:     cancel,
-		handle:     h,
-		maps:       make([]mapTask, 2),
-		enqueued:   make([]bool, 2),
-		outputs:    make([]ReduceResult, 2),
-		reduceDone: make([]bool, 2),
-		done:       make(chan struct{}),
-	}
-	j.reducesLeft = 2
-	return j
-}
-
-// TestRearmRepairsSiblingKeyblocks is the regression test for the
-// re-execution hang: when rearm resets a split that feeds several
-// keyblocks, the sibling keyblocks' enqueued flags must be cleared too,
-// or recordMapResult skips them forever and the job never resolves.
-func TestRearmRepairsSiblingKeyblocks(t *testing.T) {
-	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Minute})
-	if err := c.Register("live", "http://127.0.0.1:1"); err != nil {
-		t.Fatal(err)
-	}
-	ex := exec.New(1)
-	defer ex.Close()
-	h := ex.NewHandle(exec.HandleOptions{})
-	h.Close() // redispatches must not actually run during the test
-	j := syntheticJob(c, h)
-
-	// Both splits mapped — split 0 on a worker that is now gone, split 1
-	// on the live one — and both reduces enqueued.
-	j.maps[0] = mapTask{done: true, worker: "gone", url: "http://gone"}
-	j.maps[1] = mapTask{done: true, worker: "live", url: "http://127.0.0.1:1"}
-	j.enqueued[0], j.enqueued[1] = true, true
-
-	// Reduce 0's fetch of split 0's spill failed; it rearms.
-	j.rearm(0, nil, false)
-
-	if j.maps[0].done || j.maps[0].attempt != 1 {
-		t.Fatalf("lost split not reset for re-execution: %+v", j.maps[0])
-	}
-	if !j.maps[1].done || j.maps[1].attempt != 0 {
-		t.Fatalf("healthy split was disturbed: %+v", j.maps[1])
-	}
-	if j.enqueued[0] {
-		t.Fatal("rearmed keyblock still marked enqueued")
-	}
-	if j.enqueued[1] {
-		t.Fatal("sibling keyblock not repaired: recordMapResult would skip it forever and the job would hang")
-	}
-	if j.counters.Reexecuted != 1 {
-		t.Fatalf("reexecuted = %d, want 1", j.counters.Reexecuted)
-	}
-	// The redispatch hit the closed handle, which must fail the job
-	// instead of leaving Run blocked on a task that will never run.
-	select {
-	case <-j.done:
-	default:
-		t.Fatal("rejected submission did not resolve the job")
-	}
-	if !errors.Is(j.err, ErrExecutorClosed) {
-		t.Fatalf("err = %v, want ErrExecutorClosed", j.err)
-	}
-}
-
-// TestStaleReduceRunClearsEnqueue: a queued runReduce that observes an
-// open (re-executing) dependency must clear its enqueue flag so the
-// fresh attempt's recordMapResult re-enqueues it.
-func TestStaleReduceRunClearsEnqueue(t *testing.T) {
-	c := NewCoordinator(CoordinatorConfig{})
-	ex := exec.New(1)
-	defer ex.Close()
-	h := ex.NewHandle(exec.HandleOptions{})
-	defer h.Close()
-	j := syntheticJob(c, h)
-	j.maps[0] = mapTask{attempt: 1} // re-executing, not done
-	j.maps[1] = mapTask{done: true, worker: "w", url: "http://w"}
-	j.enqueued[0] = true
-
-	j.runReduce(0) // dependency 0 open: must early-return
-
-	if j.enqueued[0] {
-		t.Fatal("stale reduce run left enqueued set; the keyblock would never re-enqueue")
-	}
-}
-
-// TestReexecutedAttemptCannotDoubleSatisfy: readiness is recomputed
-// from completed attempts, so a split that completed, was invalidated,
-// and completed again counts once — a keyblock must not be enqueued
-// while part of its I_ℓ is still open.
-func TestReexecutedAttemptCannotDoubleSatisfy(t *testing.T) {
-	c := NewCoordinator(CoordinatorConfig{})
-	ex := exec.New(1)
-	defer ex.Close()
-	h := ex.NewHandle(exec.HandleOptions{})
-	h.Close() // keep enqueued reduces from actually running
-	j := syntheticJob(c, h)
-
-	// Split 0's re-executed attempt completes while split 1 is open.
-	j.maps[0] = mapTask{attempt: 1}
-	j.recordMapResult(0, 1, "w1", "http://w1", time.Now(), mapResp(j, 0, 1))
-	if j.enqueued[0] || j.enqueued[1] {
-		t.Fatal("keyblock enqueued before its full I_ℓ completed (double-satisfied dependency)")
-	}
-	// Split 1 completes: now both keyblocks are ready.
-	j.recordMapResult(1, 0, "w1", "http://w1", time.Now(), mapResp(j, 1, 0))
-	if !j.enqueued[0] || !j.enqueued[1] {
-		t.Fatalf("keyblocks not enqueued after full I_ℓ completed: %v", j.enqueued)
-	}
-}
-
 // TestClosedExecutorFailsJob: a job whose executor is shut down must
 // fail with ErrExecutorClosed instead of blocking on tasks that will
 // never run.
@@ -619,6 +591,118 @@ func TestClosedExecutorFailsJob(t *testing.T) {
 	_, err := c.Run(ctx, JobSpec{Plan: testJobPlan(), Dataset: testDataset(), Exec: ex})
 	if !errors.Is(err, ErrExecutorClosed) {
 		t.Fatalf("err = %v, want ErrExecutorClosed", err)
+	}
+}
+
+// closeFromTask closes an executor from inside one of its own tasks.
+// Close joins the pool's workers, so it runs aside; the caller resumes
+// once submissions are being rejected.
+func closeFromTask(ex *exec.Executor) {
+	go ex.Close()
+	probe := ex.NewHandle(exec.HandleOptions{})
+	defer probe.Close()
+	for probe.Submit(exec.Map, 0, func() {}) {
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// TestClosedExecutorFailsRun: every engine submits its tasks through the
+// one job loop, so an executor closed before a run starts, or under it
+// once the first Map has committed, fails the run with the one
+// ErrExecutorClosed — promptly, never by blocking on tasks that will not
+// run. (The in-process rows hung forever before the engines shared the
+// loop.)
+func TestClosedExecutorFailsRun(t *testing.T) {
+	q, err := sidr.ParseQuery(testQueryText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jp := testJobPlan()
+	const splitSize = 2 * 24 * 24 // jp.SplitPoints rounds down to whole rows
+	// Each row sets up on the test goroutine and returns the run proper.
+	inProcess := func(t *testing.T, ex *exec.Executor, midFlight bool) func() error {
+		gen := datagen.Temperature(testSeed)
+		var reads atomic.Int64
+		var once sync.Once
+		ds, err := sidr.Synthetic(testDataset().Shape, func(k []int64) float64 {
+			// One pool worker runs the Maps one after another: a read past
+			// the first split's worth means the first Map has committed.
+			if midFlight && reads.Add(1) > splitSize {
+				once.Do(func() { closeFromTask(ex) })
+			}
+			return gen(coords.Coord(k))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() error {
+			_, err := sidr.Run(ds, q, sidr.RunOptions{Engine: sidr.SIDR, Reducers: jp.Reducers, SplitPoints: jp.SplitPoints, Exec: ex})
+			return err
+		}
+	}
+	inProcessJoin := func(t *testing.T, ex *exec.Executor, _ bool) func() error {
+		jq, err := sidr.ParseQuery("join javg a[0,0 : 48,32] es {8,8} with b[0,0 : 64,32] es {8,8}")
+		if err != nil {
+			t.Fatal(err)
+		}
+		side := func(rows int64, gen func(coords.Coord) float64) *sidr.Dataset {
+			ds, err := sidr.Synthetic([]int64{rows, 32}, func(k []int64) float64 { return gen(coords.Coord(k)) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ds
+		}
+		a, b := side(48, datagen.Integers(11)), side(64, datagen.Zipf(23, 1.3))
+		return func() error {
+			_, err := sidr.RunJoin(a, b, jq, sidr.RunOptions{Engine: sidr.SIDR, MaxSkew: 16, Exec: ex})
+			return err
+		}
+	}
+	clustered := func(t *testing.T, ex *exec.Executor, midFlight bool) func() error {
+		c, _ := startCluster(t, 2, CoordinatorConfig{})
+		t.Cleanup(c.Close)
+		if midFlight {
+			var once sync.Once
+			c.onMapResult = func(string, int, string) { once.Do(func() { closeFromTask(ex) }) }
+		}
+		return func() error {
+			_, err := c.Run(context.Background(), JobSpec{Plan: jp, Dataset: testDataset(), Exec: ex})
+			return err
+		}
+	}
+	for _, row := range []struct {
+		name      string
+		setup     func(*testing.T, *exec.Executor, bool) func() error
+		midFlight bool
+	}{
+		{"in-process/closed-before", inProcess, false},
+		{"in-process/closed-after-first-map", inProcess, true},
+		{"in-process-join/closed-before", inProcessJoin, false},
+		{"cluster/closed-before", clustered, false},
+		{"cluster/closed-after-first-map", clustered, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			ex := exec.New(1)
+			t.Cleanup(ex.Close)
+			if !row.midFlight {
+				ex.Close()
+			}
+			run := row.setup(t, ex, row.midFlight)
+			done := make(chan error, 1)
+			start := time.Now()
+			go func() { done <- run() }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrExecutorClosed) || !errors.Is(err, mapreduce.ErrExecutorClosed) {
+					t.Fatalf("err = %v, want the job loop's ErrExecutorClosed", err)
+				}
+				if el := time.Since(start); el > time.Second {
+					t.Fatalf("run took %v to fail", el)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("run blocked on a closed executor")
+			}
+		})
 	}
 }
 

@@ -17,10 +17,8 @@ import (
 	"sidr/internal/core"
 	"sidr/internal/exec"
 	"sidr/internal/hdfs"
-	"sidr/internal/kv"
 	"sidr/internal/mapreduce"
 	"sidr/internal/metrics"
-	"sidr/internal/sched"
 )
 
 // CoordinatorConfig tunes the coordinator.
@@ -28,17 +26,10 @@ type CoordinatorConfig struct {
 	// HeartbeatTimeout is how long a worker may go without a heartbeat
 	// before it is evicted (default 5s).
 	HeartbeatTimeout time.Duration
-	// FetchRetries is how many times a single-spill shuffle fetch is
-	// attempted against one hosting worker before the next replica is
-	// tried or the spill is declared lost (default 4).
-	FetchRetries int
 	// RetryBase and RetryMax bound the exponential backoff between
 	// retries (defaults 25ms and 1s); actual sleeps are jittered.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// MaxTaskAttempts bounds how many attempts one Map task may consume
-	// across dispatch retries and loss-driven re-executions (default 5).
-	MaxTaskAttempts int
 	// SpillReplicas is how many additional workers each committed Map
 	// attempt's pack file is pushed to, asynchronously, so a worker
 	// death or drain costs a replica re-fetch instead of a split
@@ -77,17 +68,18 @@ type CoordinatorConfig struct {
 	SpeculationMin time.Duration
 	// SpeculationInterval is the straggler scan period (default 100ms).
 	SpeculationInterval time.Duration
-
-	// HealthAlpha is the EWMA weight of the newest dispatch/fetch/probe
-	// outcome in a worker's fail score (default 0.3).
-	HealthAlpha float64
-	// QuarantineThreshold quarantines a worker whose fail score exceeds
-	// it (default 0.5); ReinstateThreshold reinstates a quarantined
-	// worker whose score decays below it (default 0.25). The gap is the
-	// hysteresis that stops a borderline worker from flapping.
-	QuarantineThreshold float64
-	ReinstateThreshold  float64
 }
+
+// Worker health scoring: healthAlpha is the EWMA weight of the newest
+// dispatch/fetch/probe outcome in a worker's fail score; a worker whose
+// score exceeds quarantineThreshold is quarantined and one whose score
+// decays below reinstateThreshold is reinstated. The gap is the
+// hysteresis that stops a borderline worker from flapping.
+const (
+	healthAlpha         = 0.3
+	quarantineThreshold = 0.5
+	reinstateThreshold  = 0.25
+)
 
 // Coordinator owns the worker table and drives clustered jobs: it
 // dispatches Map task attempts to workers over HTTP, tracks their
@@ -172,17 +164,11 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 5 * time.Second
 	}
-	if cfg.FetchRetries <= 0 {
-		cfg.FetchRetries = 4
-	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 25 * time.Millisecond
 	}
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = time.Second
-	}
-	if cfg.MaxTaskAttempts <= 0 {
-		cfg.MaxTaskAttempts = 5
 	}
 	switch {
 	case cfg.SpillReplicas == 0:
@@ -205,15 +191,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	}
 	if cfg.SpeculationInterval <= 0 {
 		cfg.SpeculationInterval = 100 * time.Millisecond
-	}
-	if cfg.HealthAlpha <= 0 || cfg.HealthAlpha > 1 {
-		cfg.HealthAlpha = 0.3
-	}
-	if cfg.QuarantineThreshold <= 0 {
-		cfg.QuarantineThreshold = 0.5
-	}
-	if cfg.ReinstateThreshold <= 0 {
-		cfg.ReinstateThreshold = 0.25
 	}
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	c := &Coordinator{
@@ -336,13 +313,13 @@ func (c *Coordinator) noteOutcome(name string, failed bool) {
 	if failed {
 		x = 1.0
 	}
-	w.failScore = c.cfg.HealthAlpha*x + (1-c.cfg.HealthAlpha)*w.failScore
+	w.failScore = healthAlpha*x + (1-healthAlpha)*w.failScore
 	switch {
-	case !w.quarantined && w.failScore > c.cfg.QuarantineThreshold:
+	case !w.quarantined && w.failScore > quarantineThreshold:
 		w.quarantined = true
 		c.mQuarantines.Inc()
 		c.logf("worker %q quarantined (fail score %.2f)", name, w.failScore)
-	case w.quarantined && w.failScore < c.cfg.ReinstateThreshold:
+	case w.quarantined && w.failScore < reinstateThreshold:
 		w.quarantined = false
 		c.mReinstates.Inc()
 		c.logf("worker %q reinstated (fail score %.2f)", name, w.failScore)
@@ -791,60 +768,67 @@ type JobResult struct {
 	Counters Counters
 }
 
-// clusterJob is the in-flight state of one Run.
+// clusterJob is the remote mapreduce.Runner of one Run: it carries out
+// the Map and fetch tasks the job loop hands it — dispatching Map attempts
+// to workers (with retry, speculation and replication) and fetching
+// spills back under the shuffle's failure policy (fetch.go). When a
+// Reduce may run, what a lost spill re-opens and whether a keyblock may
+// commit are the loop's decisions, not made here.
 type clusterJob struct {
-	c      *Coordinator
-	spec   JobSpec
-	plan   *core.Plan
-	in     mapreduce.MapInput // ExecReduce's input (no readers: Maps run on workers)
-	ctx    context.Context
-	cancel context.CancelFunc
-	handle *exec.Handle
+	c    *Coordinator
+	spec JobSpec
+	plan *core.Plan
+	// loop is the job loop driving this runner; the runner only ever asks
+	// it whether a split's output is still needed.
+	loop *mapreduce.Job
+	// ctx bounds the runner's background work — speculation, backup
+	// dispatches, replica pushes not yet sent. Run cancels it once the
+	// loop has returned.
+	ctx context.Context
+	// pushCtx bounds replica push requests already on the wire: resolving
+	// the job does not abandon them (the target could still install the
+	// pack after the release broadcast had passed it); Run joins them.
+	pushCtx context.Context
 
-	// partials tracks in-flight OnPartial callbacks; done is only closed
-	// after it drains, so Run never returns while a callback is running.
-	partials sync.WaitGroup
 	// specWG tracks the speculation monitor and backup dispatch
 	// goroutines, which run outside the executor handle on purpose: a
 	// backup submitted through the handle could queue behind the very
-	// hung dispatches it exists to overtake. Run joins it before
-	// releasing worker state.
-	specWG sync.WaitGroup
+	// hung dispatches it exists to overtake. replWG tracks replica pushes.
+	// Run joins both before releasing worker state.
+	specWG, replWG sync.WaitGroup
 
-	mu          sync.Mutex
-	maps        []mapTask
-	enqueued    []bool // reduce l submitted (or running)
-	outputs     []ReduceResult
-	reduceDone  []bool
-	reducesLeft int
-	durations   []time.Duration // completed Map attempt durations (speculation median)
-	counters    Counters
-	err         error
-	done        chan struct{}
+	mu        sync.Mutex
+	maps      []mapTask
+	durations []time.Duration // completed Map attempt durations (speculation median)
+	counters  Counters
+}
+
+// hosted says where one committed Map attempt's output lives: it is the
+// reference the job loop holds for the split and hands back to Fetch.
+type hosted struct {
+	split, attempt int
+	records        int64
+	// outputs is the attempt's per-keyblock spill metadata (size, pair
+	// count, kv-count annotation), reported by the worker at Map time; it
+	// covers every keyblock in SplitToKB[split] (recordMapResult rejects
+	// a response that does not). Shuffle fetches validate every received
+	// frame against it.
+	outputs map[int]KeyblockMeta
+	// cands lists the workers holding the attempt's pack, guarded by
+	// clusterJob.mu: the one fetches go to first — its producer, until
+	// that is gone and a replica is promoted — then the other verified
+	// replicas, usable interchangeably.
+	cands []replicaLoc
 }
 
 // mapTask tracks one Map task's current attempt (plus, under
 // speculation, one in-flight backup attempt). The zero value is a valid
 // fresh task: attempt 0, no backup, IDs allocated lazily.
 type mapTask struct {
-	attempt    int    // current primary attempt ID
-	done       bool   // a winning attempt completed and its spills are hosted
-	worker     string // hosting worker name (done only)
-	url        string // hosting worker base URL (done only)
-	dispatches int    // attempts consumed, for the MaxTaskAttempts bound
-	corrupt    int    // checksum-forced re-executions of this task
+	attempt int     // current primary attempt ID
+	out     *hosted // the winning attempt's output; nil while none has completed
 
-	// outputs is the winning attempt's per-keyblock spill metadata
-	// (size, pair count, kv-count annotation), reported by the worker at
-	// Map time; it covers every keyblock in SplitToKB[split]
-	// (recordMapResult rejects a response that does not). Shuffle fetches
-	// validate every received frame against it.
-	outputs map[int]KeyblockMeta
-
-	// replicas lists the workers holding a verified copy of the winning
-	// attempt's pack, usable as fetch sources interchangeably with the
-	// primary. replInFlight dedupes concurrent push scheduling.
-	replicas     []replicaLoc
+	// replInFlight dedupes concurrent replica push scheduling.
 	replInFlight bool
 
 	next        int                        // next attempt ID to allocate (see allocAttempt)
@@ -877,10 +861,11 @@ func (m *mapTask) validAttempt(a int) bool {
 }
 
 // Run executes a clustered job and blocks until it completes or fails.
-// Map tasks are dispatched to workers (locality first), Reduce tasks
-// run in the coordinator and fetch exactly their I_ℓ spills from the
-// workers' shuffle endpoints, validated against the spill headers'
-// kv-count annotations before finalizing.
+// The plan runs on the same job loop as an in-process run
+// (mapreduce.Job); this runner executes its Map tasks on workers
+// (locality first) and serves its Reduce tasks — which run here, in the
+// coordinator — by fetching exactly the spills they are handed from the
+// workers' shuffle endpoints.
 func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	if spec.Exec == nil {
 		return nil, fmt.Errorf("cluster: job needs an executor")
@@ -901,43 +886,28 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 	if err != nil {
 		return nil, err
 	}
-	in, err := plan.TaskInput(nil, nil)
-	if err != nil {
-		return nil, err
-	}
 
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	j := &clusterJob{
-		c:          c,
-		spec:       spec,
-		plan:       plan,
-		in:         in,
-		ctx:        jctx,
-		cancel:     cancel,
-		handle:     spec.Exec.NewHandle(exec.HandleOptions{Weight: spec.Weight, MaxParallel: spec.Workers}),
-		maps:       make([]mapTask, len(plan.Splits)),
-		enqueued:   make([]bool, plan.Part.NumKeyblocks()),
-		outputs:    make([]ReduceResult, plan.Part.NumKeyblocks()),
-		reduceDone: make([]bool, plan.Part.NumKeyblocks()),
-		done:       make(chan struct{}),
-	}
-	defer j.handle.Close()
-	j.reducesLeft = plan.Part.NumKeyblocks()
-
-	// Keyblocks with no dependencies finalize immediately as empty.
-	j.mu.Lock()
-	for l := range j.reduceDone {
-		if len(plan.Graph.KBToSplits[l]) == 0 {
-			j.reduceDone[l] = true
-			j.outputs[l] = ReduceResult{Keyblock: l}
-			j.reducesLeft--
+	pushCtx, pushCancel := context.WithCancel(c.baseCtx)
+	defer pushCancel()
+	j := &clusterJob{c: c, spec: spec, plan: plan, ctx: jctx, pushCtx: pushCtx, maps: make([]mapTask, len(plan.Splits))}
+	cfg := plan.JobConfig(nil, nil)
+	cfg.Runner, cfg.Ctx = j, jctx
+	// Map outputs cross a network here, so the §3.2.1 gate guards every
+	// clustered job, whichever engine's barrier it runs under.
+	cfg.ValidateCounts = true
+	cfg.Exec, cfg.Workers, cfg.Weight = spec.Exec, spec.Workers, spec.Weight
+	if spec.OnPartial != nil {
+		cfg.OnReduceOutput = func(out ReduceResult) {
+			// Keyblocks nothing feeds commit empty without a callback.
+			if len(plan.Graph.KBToSplits[out.Keyblock]) > 0 {
+				spec.OnPartial(out)
+			}
 		}
 	}
-	resolved := j.reducesLeft == 0
-	j.mu.Unlock()
-	if resolved {
-		return j.result(), nil
+	if j.loop, err = mapreduce.NewJob(cfg); err != nil {
+		return nil, err
 	}
 
 	// Index the job for drain watchers (they scan hosted attempts).
@@ -950,14 +920,8 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 		c.mu.Unlock()
 	}()
 
-	// Cancellation watchdog.
-	go func() {
-		<-jctx.Done()
-		j.fail(jctx.Err())
-	}()
-
 	// Straggler monitor: scans running Map dispatches and launches
-	// backup attempts for the ones an unsatisfied keyblock is waiting on.
+	// backup attempts for the ones an uncommitted keyblock is waiting on.
 	if c.cfg.Speculation {
 		j.specWG.Add(1)
 		go func() {
@@ -966,30 +930,26 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 		}()
 	}
 
-	// Submit every Map task in dependency-driven order: splits feeding
-	// the front of the keyblock priority list dispatch first (§3.3), so
-	// early keyblocks' dependencies complete early.
-	order := sched.DependencyDrivenMapOrder(plan.Graph, plan.Priority)
-	for pos, split := range order {
-		j.submitMap(split, pos)
-	}
+	res, err := j.loop.Run()
 
-	<-j.done
-	// The job is resolved either way: drop queued tasks, abort in-flight
-	// dispatches and fetches, join the speculation goroutines, then
+	// The job is resolved either way: abort backup dispatches and pushes
+	// not yet sent, join the speculation goroutines, let pushes already
+	// on the wire land (briefly — a hung target is abandoned), then
 	// release worker-side state (cached plan/dataset and spills) before
-	// handing the result back.
-	j.handle.Close()
-	j.cancel()
+	// handing the result back. The broadcast comes last so that nothing
+	// of this job can be installed behind it.
+	cancel()
 	j.specWG.Wait()
+	grace := time.AfterFunc(2*time.Second, pushCancel)
+	j.replWG.Wait()
+	grace.Stop()
 	c.releaseJob(spec.ID)
-	j.mu.Lock()
-	err = j.err
-	j.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return j.result(), nil
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return &JobResult{Outputs: res.Outputs, Plan: plan, Counters: j.counters}, nil
 }
 
 // releaseJob tells every live worker to drop one job's cached state and
@@ -1060,59 +1020,45 @@ func (c *Coordinator) postRelease(ctx context.Context, baseURL string, rr Releas
 	resp.Body.Close()
 }
 
-// result snapshots the completed job.
-func (j *clusterJob) result() *JobResult {
+// RunMap executes Map task i on a worker and returns where its output is
+// hosted. One call yields one result whichever attempt produced it: the
+// primary dispatched here or a backup the straggler monitor launched
+// meanwhile. A call for a task that already has an output is a
+// re-execution — the job loop declared that output lost — under a fresh
+// attempt ID, so a late result or a leftover spill of the old attempt can
+// never be mistaken for the new one.
+func (j *clusterJob) RunMap(ctx context.Context, i int) (mapreduce.MapResult, error) {
+	c := j.c
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return &JobResult{Outputs: append([]ReduceResult(nil), j.outputs...), Plan: j.plan, Counters: j.counters}
-}
-
-// fail records the job's first error, cancels pending work and resolves
-// Run. In-flight OnPartial callbacks are drained before done closes, so
-// no callback ever races Run's caller.
-func (j *clusterJob) fail(err error) {
-	if err == nil {
-		return
+	m := &j.maps[i]
+	if m.out != nil {
+		m.attempt = m.allocAttempt()
+		m.out = nil
+		m.started = time.Time{}
+		j.counters.Reexecuted++
+		c.mReexecuted.Inc()
+		c.logf("re-executing map %s/%d as attempt %d", j.spec.ID, i, m.attempt)
 	}
-	j.mu.Lock()
-	if j.err != nil || j.reducesLeft <= 0 {
-		j.mu.Unlock()
-		return
-	}
-	j.err = err
-	j.reducesLeft = -1 // poison: no later success path
-	j.handle.Cancel()
-	j.cancel()
+	attempt := m.attempt
 	j.mu.Unlock()
-	j.partials.Wait()
-	close(j.done)
-}
 
-// failed reports whether the job already resolved (error or success).
-func (j *clusterJob) resolvedLocked() bool { return j.reducesLeft <= 0 }
-
-// readyLocked reports whether every I_ℓ dependency of keyblock l is
-// satisfied by a completed Map attempt. Readiness is always recomputed
-// from maps[].done — never cached in a counter — so re-executed
-// attempts can neither double-satisfy nor strand a dependency.
-// Caller holds j.mu.
-func (j *clusterJob) readyLocked(l int) bool {
-	for _, s := range j.plan.Graph.KBToSplits[l] {
-		if !j.maps[s].done {
-			return false
-		}
+	if err := j.dispatchAttempt(ctx, i, attempt, make(map[string]bool), false); err != nil {
+		return mapreduce.MapResult{}, err
 	}
-	return true
-}
-
-// submitMap enqueues a dispatch of map task i at its current attempt.
-func (j *clusterJob) submitMap(i, priority int) {
 	j.mu.Lock()
-	attempt := j.maps[i].attempt
+	out := j.maps[i].out
 	j.mu.Unlock()
-	if !j.handle.Submit(exec.Map, priority, func() { j.dispatchAttempt(i, attempt, make(map[string]bool), false) }) {
-		j.fail(fmt.Errorf("%w: map task %d rejected", ErrExecutorClosed, i))
+	if out == nil {
+		// This runs on an executor worker, where a nil dereference would
+		// take the whole process down: fail the job instead.
+		return mapreduce.MapResult{}, fmt.Errorf("map task %d: dispatch ended without a result", i)
 	}
+	res := mapreduce.MapResult{Ref: out, Records: out.records}
+	for _, o := range out.outputs {
+		res.Pairs += int64(o.Pairs)
+		res.Bytes += o.Bytes
+	}
+	return res, nil
 }
 
 // speculationLoop periodically scans for straggling Map dispatches
@@ -1124,8 +1070,6 @@ func (j *clusterJob) speculationLoop() {
 		select {
 		case <-j.ctx.Done():
 			return
-		case <-j.done:
-			return
 		case <-t.C:
 			j.scanStragglers()
 		}
@@ -1134,7 +1078,7 @@ func (j *clusterJob) speculationLoop() {
 
 // scanStragglers launches a backup attempt for every running primary
 // dispatch older than SpeculationFactor × the median completed attempt
-// duration, provided an unsatisfied keyblock depends on its split and
+// duration, provided an uncommitted keyblock depends on its split and
 // no backup is already in flight. Backups avoid the primary's worker
 // and run in direct goroutines (not through the executor handle), so a
 // pool saturated with hung dispatches cannot starve its own rescue.
@@ -1142,7 +1086,7 @@ func (j *clusterJob) scanStragglers() {
 	c := j.c
 	now := time.Now()
 	j.mu.Lock()
-	if j.resolvedLocked() || len(j.durations) == 0 {
+	if len(j.durations) == 0 {
 		j.mu.Unlock()
 		return // no baseline yet: the first completions define "normal"
 	}
@@ -1157,17 +1101,7 @@ func (j *clusterJob) scanStragglers() {
 	var launches []launch
 	for i := range j.maps {
 		m := &j.maps[i]
-		if m.done || m.hasSpec || m.started.IsZero() || now.Sub(m.started) < threshold {
-			continue
-		}
-		needed := false
-		for _, kb := range j.plan.Graph.SplitToKB[i] {
-			if !j.reduceDone[kb] {
-				needed = true
-				break
-			}
-		}
-		if !needed {
+		if m.out != nil || m.hasSpec || m.started.IsZero() || now.Sub(m.started) < threshold || !j.loop.Needed(i) {
 			continue
 		}
 		m.hasSpec = true
@@ -1187,7 +1121,7 @@ func (j *clusterJob) scanStragglers() {
 		j.specWG.Add(1)
 		go func(sp launch, avoid map[string]bool) {
 			defer j.specWG.Done()
-			j.dispatchAttempt(sp.split, sp.attempt, avoid, true)
+			j.dispatchAttempt(j.ctx, sp.split, sp.attempt, avoid, true)
 		}(sp, avoid)
 	}
 }
@@ -1209,25 +1143,16 @@ func medianDuration(ds []time.Duration) time.Duration {
 // stays alive, its hosted spills stay valid, and repetition quarantines
 // it. Each try runs under a per-attempt context so a speculation winner
 // can cancel the loser's in-flight dispatch without touching the job.
-func (j *clusterJob) dispatchAttempt(i, attempt int, tried map[string]bool, speculative bool) {
+// It returns nil once the task has a result — this attempt's, or the
+// rival's that cancelled it — and for a backup that was withdrawn; an
+// error means the primary could not be placed or ctx ended.
+func (j *clusterJob) dispatchAttempt(ctx context.Context, i, attempt int, tried map[string]bool, speculative bool) error {
 	c := j.c
 	j.mu.Lock()
 	m := &j.maps[i]
-	if j.resolvedLocked() || m.done || !m.validAttempt(attempt) {
+	if m.out != nil || !m.validAttempt(attempt) {
 		j.mu.Unlock()
-		return // stale or already satisfied
-	}
-	m.dispatches++
-	if m.dispatches > c.cfg.MaxTaskAttempts {
-		corrupt := m.corrupt
-		j.mu.Unlock()
-		if corrupt > 0 {
-			j.fail(fmt.Errorf("%w: map task %d exceeded %d attempts (%d checksum failures): %w",
-				ErrRetryExhausted, i, c.cfg.MaxTaskAttempts, corrupt, ErrSpillCorrupt))
-		} else {
-			j.fail(fmt.Errorf("%w: map task %d exceeded %d attempts", ErrRetryExhausted, i, c.cfg.MaxTaskAttempts))
-		}
-		return
+		return nil // stale or already satisfied
 	}
 	if !speculative {
 		m.started = time.Now()
@@ -1236,8 +1161,8 @@ func (j *clusterJob) dispatchAttempt(i, attempt int, tried map[string]bool, spec
 
 	hosts := j.plan.Splits[i].Hosts
 	for try := 0; ; try++ {
-		if j.ctx.Err() != nil {
-			return
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		name, url, local, err := c.pickWorker(hosts, tried)
 		if err != nil {
@@ -1245,10 +1170,9 @@ func (j *clusterJob) dispatchAttempt(i, attempt int, tried map[string]bool, spec
 				// No worker to run the backup on: withdraw it quietly and
 				// let a later scan retry once the cluster changes.
 				j.clearSpec(i, attempt)
-				return
+				return nil
 			}
-			j.fail(fmt.Errorf("map task %d: %w", i, err))
-			return
+			return fmt.Errorf("map task %d: %w", i, err)
 		}
 		if len(hosts) > 0 {
 			j.mu.Lock()
@@ -1263,14 +1187,14 @@ func (j *clusterJob) dispatchAttempt(i, attempt int, tried map[string]bool, spec
 		// Register the in-flight dispatch: per-attempt context (so the
 		// losing side of a speculation race is cancellable) and the
 		// worker it targets (so backups avoid it and stragglers name it).
-		actx, acancel := context.WithCancel(j.ctx)
+		actx, acancel := context.WithCancel(ctx)
 		j.mu.Lock()
 		m = &j.maps[i]
-		if j.resolvedLocked() || m.done || !m.validAttempt(attempt) {
+		if m.out != nil || !m.validAttempt(attempt) {
 			j.mu.Unlock()
 			acancel()
 			c.releaseWorker(name, false)
-			return
+			return nil
 		}
 		if m.cancels == nil {
 			m.cancels = make(map[int]context.CancelFunc)
@@ -1287,7 +1211,7 @@ func (j *clusterJob) dispatchAttempt(i, attempt int, tried map[string]bool, spec
 		resp, err := j.postMap(actx, url, i, attempt)
 		// Capture whether the attempt itself was cancelled before we
 		// release its context below.
-		lostRace := actx.Err() != nil && j.ctx.Err() == nil
+		lostRace := actx.Err() != nil && ctx.Err() == nil
 		j.mu.Lock()
 		if j.maps[i].cancels[attempt] != nil {
 			delete(j.maps[i].cancels, attempt)
@@ -1296,20 +1220,23 @@ func (j *clusterJob) dispatchAttempt(i, attempt int, tried map[string]bool, spec
 		acancel()
 
 		if err == nil {
+			if c.onMapResult != nil {
+				c.onMapResult(j.spec.ID, i, name)
+			}
 			err = j.recordMapResult(i, attempt, name, url, start, resp)
 		}
 		c.releaseWorker(name, err == nil)
 		if err == nil {
 			c.noteOutcome(name, false)
-			return
+			return nil
 		}
-		if j.ctx.Err() != nil {
-			return
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
 		}
 		if lostRace {
 			// Only this attempt was cancelled: it lost a speculation race.
 			// Not the worker's fault — no penalty, no retry.
-			return
+			return nil
 		}
 		// Classify the failure. A connection-level error means the worker
 		// (and every spill it hosts) is unreachable: mark it dead. An
@@ -1325,16 +1252,15 @@ func (j *clusterJob) dispatchAttempt(i, attempt int, tried map[string]bool, spec
 		j.counters.Retried++
 		j.mu.Unlock()
 		c.logf("map %s/%d attempt %d on %q failed (%v); retrying", j.spec.ID, i, attempt, name, err)
-		if try >= c.cfg.MaxTaskAttempts {
+		if try >= mapreduce.MaxTaskAttempts {
 			if speculative {
 				j.clearSpec(i, attempt)
-				return
+				return nil
 			}
-			j.fail(fmt.Errorf("%w: map task %d: %v", ErrRetryExhausted, i, err))
-			return
+			return fmt.Errorf("%w: map task %d: %v", ErrRetryExhausted, i, err)
 		}
-		if sleep(j.ctx, c.backoff(try)) != nil {
-			return
+		if err := sleep(ctx, c.backoff(try)); err != nil {
+			return err
 		}
 	}
 }
@@ -1402,13 +1328,14 @@ func (j *clusterJob) postMap(ctx context.Context, baseURL string, split, attempt
 }
 
 // recordMapResult accepts a completed Map attempt, discarding stale
-// attempts (idempotency under re-execution), and enqueues every Reduce
-// task whose I_ℓ just completed. Under speculation the first of the
-// primary/backup pair to arrive wins: the task commits exactly once,
-// the loser's dispatch is cancelled and its spills are released. A
-// response whose Outputs do not cover every keyblock the split feeds is
-// an error — the attempt failed, whatever its status code said — because
-// every shuffle fetch validates against that metadata.
+// attempts (idempotency under re-execution). Under speculation the first
+// of the primary/backup pair to arrive wins: the task gets its result
+// exactly once, the loser's dispatch is cancelled and its spills are
+// released. A response whose Outputs do not cover every keyblock the
+// split feeds is an error — the attempt failed, whatever its status code
+// said — because every shuffle fetch validates against that metadata. So
+// is a live attempt's result that had to be dropped, which leaves the
+// task without an output; dropping a stale one is not.
 func (j *clusterJob) recordMapResult(i, attempt int, worker, url string, start time.Time, resp *MapResponse) error {
 	c := j.c
 	outputs := make(map[int]KeyblockMeta, len(resp.Outputs))
@@ -1422,13 +1349,22 @@ func (j *clusterJob) recordMapResult(i, attempt int, worker, url string, start t
 	}
 	j.mu.Lock()
 	m := &j.maps[i]
-	if j.resolvedLocked() || m.done || !m.validAttempt(attempt) || resp.Attempt != attempt {
+	// Stale: a rival attempt already produced the task's output, or this
+	// attempt was superseded — the task is none the worse for dropping it.
+	stale := m.out != nil || !m.validAttempt(attempt)
+	if stale || j.ctx.Err() != nil || resp.Attempt != attempt {
 		current := m.attempt
 		j.mu.Unlock()
-		c.logf("discarding stale map result %s/%d attempt %d (current %d)", j.spec.ID, i, attempt, current)
-		// The late attempt's spills will never be fetched; reclaim them.
+		c.logf("discarding map result %s/%d attempt %d (current %d, worker answered for %d)", j.spec.ID, i, attempt, current, resp.Attempt)
+		// The discarded attempt's spills will never be fetched; reclaim them.
 		c.releaseAttempt(url, j.spec.ID, i, attempt)
-		return nil
+		if stale {
+			return nil
+		}
+		// A live attempt's result that cannot count — the job resolved under
+		// it, or the worker answered for another attempt — leaves the task
+		// without an output: the try failed.
+		return fmt.Errorf("map result discarded: job resolved or worker answered for attempt %d, want %d", resp.Attempt, attempt)
 	}
 	specWin := m.hasSpec && attempt == m.specAttempt
 	hadSpec := m.hasSpec
@@ -1447,24 +1383,12 @@ func (j *clusterJob) recordMapResult(i, attempt int, worker, url string, start t
 		m.hasSpec = false
 		m.specWorker = ""
 	}
-	m.done = true
-	m.worker = worker
-	m.url = url
-	m.outputs = outputs
+	m.out = &hosted{split: i, attempt: attempt, records: resp.Records, outputs: outputs,
+		cands: []replicaLoc{{worker: worker, url: url}}}
 	j.durations = append(j.durations, time.Since(start))
 	j.counters.Records += resp.Records
 	if specWin {
 		j.counters.SpeculativeWins++
-	}
-	var ready []int
-	for _, kb := range j.plan.Graph.SplitToKB[i] {
-		if j.reduceDone[kb] || j.enqueued[kb] {
-			continue
-		}
-		if j.readyLocked(kb) {
-			j.enqueued[kb] = true
-			ready = append(ready, kb)
-		}
 	}
 	j.mu.Unlock()
 	if hadSpec {
@@ -1480,214 +1404,5 @@ func (j *clusterJob) recordMapResult(i, attempt int, worker, url string, start t
 	// Replicate the freshly committed pack before anything can lose it;
 	// async, so the reduce pipeline never waits on replication.
 	j.scheduleReplicas(i)
-	if j.c.onMapResult != nil {
-		j.c.onMapResult(j.spec.ID, i, worker)
-	}
-	for _, kb := range ready {
-		j.submitReduce(kb)
-	}
 	return nil
-}
-
-// submitReduce enqueues reduce task l; Reduce class outranks every
-// queued Map dispatch on the handle (reduce-first scheduling, §3.3).
-func (j *clusterJob) submitReduce(l int) {
-	priority := l
-	if j.plan.Priority != nil {
-		for pos, kb := range j.plan.Priority {
-			if kb == l {
-				priority = pos
-				break
-			}
-		}
-	}
-	if !j.handle.Submit(exec.Reduce, priority, func() { j.runReduce(l) }) {
-		j.fail(fmt.Errorf("%w: reduce task %d rejected", ErrExecutorClosed, l))
-	}
-}
-
-// runReduce fetches keyblock l's I_ℓ spills point-to-point from their
-// hosting workers (fetch.go), tallies the kv-count annotations against
-// the dependency graph's expected count, and finalizes the keyblock.
-// Lost spills trigger Map re-execution instead of finalizing short.
-func (j *clusterJob) runReduce(l int) {
-	j.mu.Lock()
-	if j.resolvedLocked() || j.reduceDone[l] {
-		j.mu.Unlock()
-		return
-	}
-	deps := make([]reduceDep, 0, len(j.plan.Graph.KBToSplits[l]))
-	for _, s := range j.plan.Graph.KBToSplits[l] {
-		m := j.maps[s]
-		if !m.done {
-			// A dependency regressed (its worker died and the task is
-			// re-executing), so this enqueue is stale. Clearing
-			// enqueued[l] here — in the same critical section that
-			// observed the open dependency, before its recordMapResult
-			// can run — guarantees the reduce is re-enqueued when the
-			// fresh attempt completes.
-			j.enqueued[l] = false
-			j.mu.Unlock()
-			return
-		}
-		cands := append([]replicaLoc{{worker: m.worker, url: m.url}}, m.replicas...)
-		deps = append(deps, reduceDep{split: s, attempt: m.attempt, meta: m.outputs[l], cands: cands})
-	}
-	j.mu.Unlock()
-
-	if !j.fetchDeps(l, deps) {
-		return
-	}
-
-	// Streams go to the k-way merge in ascending split order, the same
-	// order as the in-process engine (stream-index tie-breaks make merge
-	// output order-sensitive). fetchOnce has checked each spill header's
-	// annotation against the Map-time record it tallies here.
-	streams := make([][]kv.Pair, len(deps))
-	var tally int64
-	for i := range deps {
-		streams[i] = deps[i].pairs
-		tally += deps[i].meta.SourceCount
-	}
-
-	// The §3.2.1 integrity gate: the annotation tally must equal the
-	// planner's expected source count or the reduce never finalizes.
-	if want := j.plan.Graph.ExpectedCount[l]; tally != want {
-		j.fail(fmt.Errorf("%w: keyblock %d tallied %d source pairs, expected %d", ErrCountMismatch, l, tally, want))
-		return
-	}
-
-	out := mapreduce.ExecReduce(j.in, l, streams)
-
-	j.mu.Lock()
-	if j.resolvedLocked() || j.reduceDone[l] {
-		j.mu.Unlock()
-		return
-	}
-	j.reduceDone[l] = true
-	j.outputs[l] = out
-	j.partials.Add(1)
-	j.mu.Unlock()
-
-	// OnPartial runs before this reduce is counted done, so done (and
-	// with it Run) cannot resolve while any callback is still running.
-	if j.spec.OnPartial != nil {
-		j.spec.OnPartial(out)
-	}
-	j.partials.Done()
-
-	j.mu.Lock()
-	finished := false
-	if j.reducesLeft > 0 { // not poisoned by fail
-		j.reducesLeft--
-		finished = j.reducesLeft == 0
-	}
-	j.mu.Unlock()
-	if finished {
-		close(j.done)
-	}
-}
-
-// rearm handles a lost spill for reduce l: every I_ℓ dependency whose
-// hosting worker is gone — or whose specific attempt is named in lost
-// (checksum failure, unserved spill on a live worker) — is reset to a
-// fresh attempt ID and re-dispatched, and the reduce re-enqueues (via
-// recordMapResult's readiness recomputation) when they complete. lost
-// maps split → failed attempt ID; the attempt match guards a fresh
-// re-executed attempt from being invalidated by its predecessor's
-// stale failure. Sibling keyblocks fed by a reset split are repaired
-// too — their enqueued flags are cleared so the fresh attempt
-// re-enqueues them instead of recordMapResult skipping them forever.
-// Superseded attempts that straggle in are discarded by the attempt
-// check in recordMapResult.
-func (j *clusterJob) rearm(l int, lost map[int]int, corrupt bool) {
-	c := j.c
-	j.mu.Lock()
-	if j.resolvedLocked() || j.reduceDone[l] {
-		j.mu.Unlock()
-		return
-	}
-	type redo struct{ split, priority int }
-	var redispatch []redo
-	open := 0
-	for _, s := range j.plan.Graph.KBToSplits[l] {
-		m := &j.maps[s]
-		forced := false
-		if a, ok := lost[s]; ok && m.attempt == a {
-			forced = true
-		}
-		switch {
-		case m.done && (forced || !c.liveWorker(m.worker)):
-			// Lost primary, but not a forced invalidation (corrupt or
-			// unserved bytes poison the attempt everywhere): a verified
-			// replica on a live worker carries the identical pack, so
-			// promote it to primary instead of re-executing the split.
-			if !forced {
-				promoted := false
-				for ri, alt := range m.replicas {
-					if !c.liveWorker(alt.worker) {
-						continue
-					}
-					c.logf("map %s/%d: worker %q gone; promoting replica on %q (attempt %d kept)",
-						j.spec.ID, s, m.worker, alt.worker, m.attempt)
-					m.worker, m.url = alt.worker, alt.url
-					m.replicas = append(m.replicas[:ri:ri], m.replicas[ri+1:]...)
-					// The promotion IS the replica fallback: the re-run
-					// reduce sees the replica as primary and counts nothing.
-					c.mReplicaFallbks.Inc()
-					j.counters.ReplicaFetchFallbacks++
-					promoted = true
-					break
-				}
-				if promoted {
-					continue
-				}
-			}
-			// The spill died with its worker (or its bytes are poison):
-			// invalidate the attempt and re-execute.
-			m.attempt = m.allocAttempt()
-			m.done = false
-			m.worker, m.url = "", ""
-			m.replicas = nil
-			m.started = time.Time{}
-			if forced && corrupt {
-				m.corrupt++
-			}
-			redispatch = append(redispatch, redo{split: s, priority: s})
-			open++
-			c.mReexecuted.Inc()
-			j.counters.Reexecuted++
-			c.logf("re-executing map %s/%d as attempt %d", j.spec.ID, s, m.attempt)
-		case !m.done:
-			// Already being re-executed on behalf of another keyblock.
-			open++
-		}
-	}
-	if open == 0 {
-		// Every dependency is hosted on a live worker — the failed fetch
-		// targeted a superseded attempt. Re-run the reduce against the
-		// current attempts.
-		j.mu.Unlock()
-		j.submitReduce(l)
-		return
-	}
-	j.enqueued[l] = false
-	// Repair the sibling keyblocks of every reset split: a sibling whose
-	// enqueue consumed the now-invalidated attempt would otherwise be
-	// skipped by recordMapResult (enqueued still true) while its queued
-	// runReduce early-returns on the open dependency — stranding the
-	// job. Clearing the flag lets the fresh attempt re-enqueue it;
-	// finalized siblings keep their outputs (any completed attempt's
-	// spill is valid data).
-	for _, r := range redispatch {
-		for _, kb := range j.plan.Graph.SplitToKB[r.split] {
-			if !j.reduceDone[kb] {
-				j.enqueued[kb] = false
-			}
-		}
-	}
-	j.mu.Unlock()
-	for _, r := range redispatch {
-		j.submitMap(r.split, r.priority)
-	}
 }

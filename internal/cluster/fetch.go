@@ -7,17 +7,19 @@
 // through the kv codec's block checksums. It classifies nothing and
 // retries nothing.
 //
-// fetchDeps drives it for a reduce: I_ℓ is grouped by the worker each
-// spill is fetched from and every group is tried once — the common case,
+// fetchDeps drives it for a reduce: the spills are grouped by the worker
+// each is fetched from and every group is tried once — the common case,
 // one request per (reduce, worker) pair. Whatever is still missing goes
 // through fetchDep, the policy: the same primitive as a batch of one,
 // under retries with jittered backoff, replica failover, and the error
-// taxonomy that decides between re-execution, worker death and job
-// failure.
+// taxonomy that ends in one of three verdicts — fetched, these splits'
+// output is lost, or the job must fail. What a loss re-opens is the job
+// loop's business (mapreduce.Job), not decided here.
 package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,18 +30,21 @@ import (
 	"sidr/internal/kv"
 )
 
-// reduceDep is one entry of a reduce task's I_ℓ dependency set: the
-// split whose spill is needed and the attempt that produced it.
+// fetchRetries is how many times a single-spill shuffle fetch is
+// attempted against one hosting worker before the next replica is tried
+// or the spill is declared lost.
+const fetchRetries = 4
+
+// reduceDep is one spill a reduce task needs: the hosted Map output it
+// is part of and the keyblock's share of it.
 type reduceDep struct {
-	split   int
-	attempt int
+	host *hosted
 	// meta is the spill's Map-time record (size, pair count, kv-count
 	// annotation); a fetched frame must match it exactly.
 	meta KeyblockMeta
-	// cands are the workers holding the attempt's pack: the one that
-	// produced it, then its verified replicas — byte-identical copies, so
-	// meta holds across all of them. ci indexes the candidate the dep is
-	// (being) fetched from.
+	// cands snapshots host.cands, the workers holding the attempt's pack —
+	// byte-identical copies, so meta holds across all of them. ci indexes
+	// the candidate the dep is (being) fetched from.
 	cands []replicaLoc
 	ci    int
 	// pairs is the decoded spill, valid once got is set (by the request
@@ -59,11 +64,41 @@ func (c *Coordinator) liveCandidate(cands []replicaLoc, from int) int {
 	return -1
 }
 
-// fetchDeps fetches keyblock l's I_ℓ spills into deps. It reports false
-// when the reduce must not finalize: the job was cancelled or failed, or
-// a spill was lost and its split re-armed (the reduce re-enqueues when
-// the fresh attempt completes).
-func (j *clusterJob) fetchDeps(l int, deps []reduceDep) bool {
+// Fetch gathers keyblock l's Reduce input from the hosted Map outputs
+// the job loop hands it: the decoded spills as sorted streams in
+// ascending split order, the same order as the in-process engine
+// (stream-index tie-breaks make merge output order-sensitive), and the
+// tally of their kv-count annotations — fetchOnce has checked each spill
+// header's annotation against the Map-time record tallied here.
+func (j *clusterJob) Fetch(ctx context.Context, l int, refs []any) ([][]kv.Pair, int64, []int, error) {
+	deps := make([]reduceDep, 0, len(refs))
+	j.mu.Lock()
+	for _, ref := range refs {
+		h := ref.(*hosted)
+		// A split that does not feed l wrote no spill for it (the global
+		// barrier's all-to-all shuffle asks every split).
+		if meta, ok := h.outputs[l]; ok {
+			deps = append(deps, reduceDep{host: h, meta: meta, cands: append([]replicaLoc(nil), h.cands...)})
+		}
+	}
+	j.mu.Unlock()
+	if lost, err := j.fetchDeps(ctx, l, deps); err != nil {
+		return nil, 0, lost, err
+	}
+	streams := make([][]kv.Pair, len(deps))
+	var tally int64
+	for i := range deps {
+		streams[i] = deps[i].pairs
+		tally += deps[i].meta.SourceCount
+	}
+	return streams, tally, nil, nil
+}
+
+// fetchDeps fetches keyblock l's spills into deps. A non-nil error means
+// the reduce cannot run on them: the job was cancelled, a spill failed
+// the §3.2.1 annotation check for good, or — lost non-empty — those
+// splits' output is gone.
+func (j *clusterJob) fetchDeps(ctx context.Context, l int, deps []reduceDep) (lost []int, err error) {
 	c := j.c
 	// Group by the worker each dep is fetched from, in order of first
 	// appearance. A dep starts at its first live candidate, so a primary
@@ -83,9 +118,9 @@ func (j *clusterJob) fetchDeps(l int, deps []reduceDep) bool {
 	}
 	for _, u := range order {
 		g := groups[u]
-		err := j.fetchOnce(u, l, g)
-		if j.ctx.Err() != nil {
-			return false
+		err := j.fetchOnce(ctx, u, l, g)
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
 		if err != nil && len(g) > 1 {
 			c.mBatchFallbacks.Inc()
@@ -98,8 +133,10 @@ func (j *clusterJob) fetchDeps(l int, deps []reduceDep) bool {
 	}
 	for i := range deps {
 		d := &deps[i]
-		if !d.got && !j.fetchDep(l, d) {
-			return false
+		if !d.got {
+			if lost, err := j.fetchDep(ctx, l, d, deps); err != nil {
+				return lost, err
+			}
 		}
 		from := d.cands[d.ci].worker
 		c.noteOutcome(from, false)
@@ -109,40 +146,41 @@ func (j *clusterJob) fetchDeps(l int, deps []reduceDep) bool {
 			j.counters.ReplicaFetchFallbacks++
 			j.mu.Unlock()
 			c.logf("reduce %s: split %d attempt %d served by replica on %q (primary %q gone)",
-				j.spec.ID, d.split, d.attempt, from, producer)
+				j.spec.ID, d.host.split, d.host.attempt, from, producer)
 		}
 	}
-	return true
+	return nil, nil
 }
 
 // fetchDep is the shuffle's failure policy, applied to one dependency
-// as batches of one. Each candidate gets FetchRetries tries with
+// as batches of one. Each candidate gets fetchRetries tries with
 // jittered exponential backoff; a candidate that cannot serve the spill
 // is penalised (health score; marked dead on connection-level evidence)
 // and the next live replica is tried. When no candidate is left the
-// attempt is lost and its split re-executes. Two errors are judged
-// before failover because another copy of the same pack cannot cure
-// them: a block checksum failure means the bytes at rest are poison —
-// refetching cannot fix them either, so it ends the retries at once and
-// the split re-executes while the worker stays alive — and an annotation
+// attempt's output is lost — together, if its worker died, with every
+// other dependency the death left without a live copy. Two errors are
+// judged before failover because another copy of the same pack cannot
+// cure them: a block checksum failure means the bytes at rest are poison
+// — refetching cannot fix them either, so it ends the retries at once and
+// the output is lost while the worker stays alive — and an annotation
 // that still disagrees with the Map-time record after every retry is the
-// §3.2.1 gate refusing to finalize: the job fails. Reports whether the
+// §3.2.1 gate refusing to finalize: the job fails. A nil error means the
 // spill was fetched.
-func (j *clusterJob) fetchDep(l int, d *reduceDep) bool {
-	c := j.c
-	lost := map[int]int{d.split: d.attempt}
+func (j *clusterJob) fetchDep(ctx context.Context, l int, d *reduceDep, deps []reduceDep) (lost []int, err error) {
+	c, h := j.c, d.host
 	for {
 		cand := d.cands[d.ci]
-		var err error
-		for try := 0; try < c.cfg.FetchRetries; try++ {
-			if try > 0 && sleep(j.ctx, c.backoff(try-1)) != nil {
-				return false
+		for try := 0; try < fetchRetries; try++ {
+			if try > 0 {
+				if err := sleep(ctx, c.backoff(try-1)); err != nil {
+					return nil, err
+				}
 			}
-			if err = j.fetchOnce(cand.url, l, []*reduceDep{d}); err == nil {
-				return true
+			if err = j.fetchOnce(ctx, cand.url, l, []*reduceDep{d}); err == nil {
+				return nil, nil
 			}
-			if j.ctx.Err() != nil {
-				return false
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
 			}
 			if errors.Is(err, kv.ErrChecksum) {
 				break
@@ -150,8 +188,7 @@ func (j *clusterJob) fetchDep(l int, d *reduceDep) bool {
 		}
 		switch {
 		case errors.Is(err, ErrCountMismatch):
-			j.fail(fmt.Errorf("keyblock %d: %w", l, err))
-			return false
+			return nil, fmt.Errorf("keyblock %d: %w", l, err)
 		case errors.Is(err, kv.ErrChecksum):
 			c.mSpillsCorrupt.Inc()
 			j.mu.Lock()
@@ -159,9 +196,8 @@ func (j *clusterJob) fetchDep(l int, d *reduceDep) bool {
 			j.mu.Unlock()
 			c.noteOutcome(cand.worker, true)
 			c.logf("reduce %s/kb%d: spill for split %d attempt %d corrupt on %q: %v — re-executing",
-				j.spec.ID, l, d.split, d.attempt, cand.worker, err)
-			j.rearm(l, lost, true)
-			return false
+				j.spec.ID, l, h.split, h.attempt, cand.worker, err)
+			return []int{h.split}, fmt.Errorf("%w: split %d attempt %d on %q: %v", ErrSpillCorrupt, h.split, h.attempt, cand.worker, err)
 		}
 		dead := isConnError(err)
 		if dead {
@@ -170,25 +206,69 @@ func (j *clusterJob) fetchDep(l int, d *reduceDep) bool {
 		c.noteOutcome(cand.worker, true)
 		if next := c.liveCandidate(d.cands, d.ci+1); next >= 0 {
 			c.logf("reduce %s/kb%d: split %d attempt %d unavailable on %q (%v); trying replica",
-				j.spec.ID, l, d.split, d.attempt, cand.worker, err)
+				j.spec.ID, l, h.split, h.attempt, cand.worker, err)
 			d.ci = next
 			continue
 		}
 		if dead {
-			// The spill died with its worker; rearm promotes a replica or
-			// re-executes every dependency hosted on a dead worker.
-			c.logf("reduce %s/kb%d: spill for split %d lost on %q: %v", j.spec.ID, l, d.split, cand.worker, err)
-			j.rearm(l, nil, false)
-		} else {
-			// The worker answers but cannot produce this spill (released
-			// pack, persistent 5xx): the attempt is lost though the worker
-			// lives.
-			c.logf("reduce %s/kb%d: spill for split %d attempt %d unserved by %q: %v — re-executing",
-				j.spec.ID, l, d.split, d.attempt, cand.worker, err)
-			j.rearm(l, lost, false)
+			// The spill died with its worker — and so did every other
+			// spill only dead workers hold; report them in one batch. With
+			// nothing lost, every one of them has a replica this fetch did
+			// not know of when it began: go on with those.
+			c.logf("reduce %s/kb%d: spill for split %d lost on %q: %v", j.spec.ID, l, h.split, cand.worker, err)
+			if lost := j.lostWithWorkers(deps); len(lost) > 0 {
+				return lost, fmt.Errorf("split %d attempt %d lost with %q: %v", h.split, h.attempt, cand.worker, err)
+			}
+			continue
 		}
-		return false
+		// The worker answers but cannot produce this spill (released
+		// pack, persistent 5xx): the attempt is lost though the worker
+		// lives.
+		c.logf("reduce %s/kb%d: spill for split %d attempt %d unserved by %q: %v — re-executing",
+			j.spec.ID, l, h.split, h.attempt, cand.worker, err)
+		return []int{h.split}, fmt.Errorf("split %d attempt %d unserved by %q: %v", h.split, h.attempt, cand.worker, err)
 	}
+}
+
+// lostWithWorkers sorts out a reduce's dependencies after a worker
+// death. One whose first candidate is gone but which has a verified
+// replica on a live worker carries the identical pack there: the replica
+// is promoted to first candidate — later fetches, pushes and drain
+// hand-offs treat it as the producer — and nothing re-executes. The
+// splits left with no live copy at all are returned as lost. Deps still
+// to be fetched restart from the candidates as they are now.
+func (j *clusterJob) lostWithWorkers(deps []reduceDep) (lost []int) {
+	c := j.c
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for i := range deps {
+		d := &deps[i]
+		h := d.host
+		if !c.liveWorker(h.cands[0].worker) {
+			ri := c.liveCandidate(h.cands, 1)
+			if ri < 0 {
+				lost = append(lost, h.split)
+				continue
+			}
+			c.logf("map %s/%d: worker %q gone; promoting replica on %q (attempt %d kept)",
+				j.spec.ID, h.split, h.cands[0].worker, h.cands[ri].worker, h.attempt)
+			promoted := []replicaLoc{h.cands[ri]}
+			for k, cand := range h.cands[1:] {
+				if k+1 != ri {
+					promoted = append(promoted, cand)
+				}
+			}
+			h.cands = promoted
+			// The promotion IS the replica fallback: fetches from now on
+			// see the replica as first candidate and count nothing.
+			c.mReplicaFallbks.Inc()
+			j.counters.ReplicaFetchFallbacks++
+		}
+		if !d.got {
+			d.cands, d.ci = append([]replicaLoc(nil), h.cands...), 0
+		}
+	}
+	return lost
 }
 
 // fetchOnce fetches deps — spills of keyblock l all held by the worker
@@ -200,17 +280,17 @@ func (j *clusterJob) fetchDep(l int, d *reduceDep) bool {
 // accounted once (histogram, ShuffleRequests) while Connections advances
 // by the number of spills carried, so a completed job's connection count
 // is exactly Σ|I_ℓ| however the spills were batched.
-func (j *clusterJob) fetchOnce(baseURL string, l int, deps []*reduceDep) error {
+func (j *clusterJob) fetchOnce(ctx context.Context, baseURL string, l int, deps []*reduceDep) error {
 	c := j.c
 	breq := BatchFetchRequest{JobID: j.spec.ID, Keyblock: l, Spills: make([]SpillRef, len(deps))}
 	for i, d := range deps {
-		breq.Spills[i] = SpillRef{Split: d.split, Attempt: d.attempt}
+		breq.Spills[i] = SpillRef{Split: d.host.split, Attempt: d.host.attempt}
 	}
 	body, err := json.Marshal(breq)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(j.ctx, http.MethodPost, baseURL+shuffleBatchPath, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+shuffleBatchPath, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -229,37 +309,38 @@ func (j *clusterJob) fetchOnce(baseURL string, l int, deps []*reduceDep) error {
 	}
 	cr := &countingReader{r: resp.Body}
 	for _, d := range deps {
+		h := d.host
 		var fh [frameHeaderLen]byte
 		if _, err := io.ReadFull(cr, fh[:]); err != nil {
-			return fmt.Errorf("frame header for split %d: %w", d.split, err)
+			return fmt.Errorf("frame header for split %d: %w", h.split, err)
 		}
 		split, attempt, kb, length, err := parseFrameHeader(fh[:])
 		if err != nil {
 			return err
 		}
-		if split != d.split || attempt != d.attempt || kb != l {
+		if split != h.split || attempt != h.attempt || kb != l {
 			return fmt.Errorf("frame names spill %d/%d kb %d, want %d/%d kb %d",
-				split, attempt, kb, d.split, d.attempt, l)
+				split, attempt, kb, h.split, h.attempt, l)
 		}
 		if length != d.meta.Bytes {
-			return fmt.Errorf("split %d frame length %d != recorded spill size %d", d.split, length, d.meta.Bytes)
+			return fmt.Errorf("split %d frame length %d != recorded spill size %d", h.split, length, d.meta.Bytes)
 		}
 		// LimitReader contains the decoder's buffered reads within the
 		// frame: over-reading would swallow the next frame's header.
 		lr := io.LimitReader(cr, length)
-		h, pairs, err := kv.ReadSpill(lr)
+		hdr, pairs, err := kv.ReadSpill(lr)
 		if err != nil {
-			return fmt.Errorf("split %d spill decode: %w", d.split, err)
+			return fmt.Errorf("split %d spill decode: %w", h.split, err)
 		}
 		if rest, _ := io.Copy(io.Discard, lr); rest != 0 {
-			return fmt.Errorf("split %d frame has %d trailing bytes", d.split, rest)
+			return fmt.Errorf("split %d frame has %d trailing bytes", h.split, rest)
 		}
 		if len(pairs) != d.meta.Pairs {
-			return fmt.Errorf("split %d decoded %d pairs, Map recorded %d", d.split, len(pairs), d.meta.Pairs)
+			return fmt.Errorf("split %d decoded %d pairs, Map recorded %d", h.split, len(pairs), d.meta.Pairs)
 		}
-		if h.SourceCount != d.meta.SourceCount {
+		if hdr.SourceCount != d.meta.SourceCount {
 			return fmt.Errorf("%w: split %d spill annotates %d source pairs, Map recorded %d",
-				ErrCountMismatch, d.split, h.SourceCount, d.meta.SourceCount)
+				ErrCountMismatch, h.split, hdr.SourceCount, d.meta.SourceCount)
 		}
 		d.pairs = pairs
 	}

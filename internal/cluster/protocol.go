@@ -4,30 +4,32 @@
 // materialise partition+ keyblock spills with the internal/kv codec,
 // and serve those spills from a shuffle endpoint.
 //
-// The runtime realises the paper's cluster-scale claims for real,
-// across process boundaries:
+// A clustered job runs on the same job loop as an in-process one
+// (mapreduce.Job): this package is that loop's remote Runner. The loop
+// decides when a Reduce task may run, what a lost spill re-opens and
+// whether a keyblock may commit; the runner carries the tasks out
+// across process boundaries, which is where the paper's cluster-scale
+// claims become real:
 //
 //   - Reduce tasks fetch only their I_ℓ dependency set — point-to-point
 //     streamed HTTP fetches, O(Σ|I_ℓ|) total shuffle connections instead
 //     of O(maps×reduces) (§3.3, Fig. 6, Table 3).
 //   - Every spill carries the §3.2.1 kv-count annotation in its header;
-//     a Reduce task tallies the annotations of its fetched spills
-//     against the dependency graph's expected count and is not allowed
-//     to finalize on a mismatch.
+//     a fetch tallies the annotations of its spills and the loop's gate
+//     refuses to commit a keyblock whose tally is not the dependency
+//     graph's expected count.
 //   - Early results without a global barrier: each Reduce task runs the
-//     moment the splits in its I_ℓ are mapped, driven by the same
-//     dependency-counter task graph (on internal/exec) the in-process
-//     engine uses, with Reduce-class dispatch outranking queued Map
-//     dispatch.
+//     moment the splits in its I_ℓ are mapped, with Reduce-class
+//     dispatch outranking queued Map dispatch on internal/exec.
 //
 // Robustness is part of the subsystem: workers heartbeat and are
-// evicted on a deadline, fetches retry with exponential backoff plus
-// jitter, Map tasks whose spills were lost with a worker are
-// re-executed under a fresh attempt ID, and late results from
-// superseded attempts are discarded. When a job resolves the
-// coordinator broadcasts a release, dropping the workers' cached job
-// state and spills; workers also replace cached state whose job ID is
-// reused with a different plan/dataset tuple.
+// evicted on a deadline, dispatches and fetches retry with exponential
+// backoff plus jitter, a fetch that finds spills gone reports them lost
+// so the loop re-executes their Map tasks — under a fresh attempt ID,
+// late results from superseded attempts being discarded. When a job
+// resolves the coordinator broadcasts a release, dropping the workers'
+// cached job state and spills; workers also replace cached state whose
+// job ID is reused with a different plan/dataset tuple.
 package cluster
 
 import (
@@ -38,6 +40,7 @@ import (
 	"sidr/internal/core"
 	"sidr/internal/hdfs"
 	"sidr/internal/join"
+	"sidr/internal/mapreduce"
 	"sidr/internal/query"
 )
 
@@ -47,20 +50,15 @@ var (
 	// ErrNoWorkers means the coordinator has no live worker to dispatch
 	// to — every registered worker is gone or evicted.
 	ErrNoWorkers = errors.New("cluster: no live workers")
-	// ErrRetryExhausted means a dispatch or shuffle fetch kept failing
-	// after every retry and re-execution budget was spent.
-	ErrRetryExhausted = errors.New("cluster: shuffle retry budget exhausted")
-	// ErrCountMismatch means a Reduce task's kv-count annotation tally
-	// did not equal the dependency graph's expected source count; the
-	// task refused to finalize (§3.2.1).
-	ErrCountMismatch = errors.New("cluster: kv-count annotation mismatch")
-	// ErrStaleAttempt rejects a Map result carrying a superseded attempt
-	// ID (the task was re-dispatched while this attempt ran).
-	ErrStaleAttempt = errors.New("cluster: stale map attempt")
-	// ErrExecutorClosed means the shared executor (or the job's handle)
-	// was closed while the job still had tasks to submit — the daemon is
-	// shutting down under the job.
-	ErrExecutorClosed = errors.New("cluster: executor closed")
+	// ErrRetryExhausted means a dispatch kept failing after every retry,
+	// or a Map output kept getting lost until the job loop's re-execution
+	// budget was spent. ErrCountMismatch is the §3.2.1 gate refusing to
+	// finalize a keyblock, ErrExecutorClosed a task submission rejected
+	// because the daemon is shutting down under the job. All three are
+	// the job loop's own values: both engines fail with the same errors.
+	ErrRetryExhausted = mapreduce.ErrRetryExhausted
+	ErrCountMismatch  = mapreduce.ErrCountMismatch
+	ErrExecutorClosed = mapreduce.ErrExecutorClosed
 	// ErrSpillCorrupt means a Map task's re-execution budget was spent on
 	// spills that kept failing their payload checksum — the job refused
 	// to commit corrupt pairs and gave up instead.

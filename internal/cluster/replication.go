@@ -124,33 +124,16 @@ func (c *Coordinator) drainWatcher(name string) {
 }
 
 // handedOff reports whether the job no longer needs worker name: every
-// attempt it hosts either has a live replica or feeds only finalized
+// attempt it hosts either has a live replica or feeds only committed
 // keyblocks. Hosted attempts still lacking a replica get pushes
 // scheduled as a side effect.
 func (j *clusterJob) handedOff(name string) bool {
 	j.mu.Lock()
-	if j.resolvedLocked() {
-		j.mu.Unlock()
-		return true
-	}
 	ok := true
 	var wants []int
 	for i := range j.maps {
 		m := &j.maps[i]
-		if !m.done || m.worker != name {
-			continue
-		}
-		if len(m.replicas) > 0 {
-			continue
-		}
-		needed := false
-		for _, kb := range j.plan.Graph.SplitToKB[i] {
-			if !j.reduceDone[kb] {
-				needed = true
-				break
-			}
-		}
-		if !needed {
+		if m.out == nil || m.out.cands[0].worker != name || len(m.out.cands) > 1 || !j.loop.Needed(i) {
 			continue
 		}
 		ok = false
@@ -167,9 +150,7 @@ func (j *clusterJob) handedOff(name string) bool {
 
 // scheduleReplicas launches an async replica push for map task i's
 // winning attempt if replication is enabled and the attempt has fewer
-// verified replicas than configured. Pushes run under the job context
-// (they die at resolve) and are tracked by the coordinator's release
-// group so Close joins them.
+// verified replicas than configured.
 func (j *clusterJob) scheduleReplicas(i int) {
 	c := j.c
 	if c.cfg.SpillReplicas <= 0 {
@@ -177,29 +158,37 @@ func (j *clusterJob) scheduleReplicas(i int) {
 	}
 	j.mu.Lock()
 	m := &j.maps[i]
-	if j.resolvedLocked() || !m.done || m.replInFlight || len(m.replicas) >= c.cfg.SpillReplicas {
+	if j.ctx.Err() != nil || m.out == nil || m.replInFlight || len(m.out.cands) > c.cfg.SpillReplicas {
 		j.mu.Unlock()
 		return
 	}
 	m.replInFlight = true
-	attempt, srcWorker, srcURL := m.attempt, m.worker, m.url
-	exclude := map[string]bool{srcWorker: true}
-	for _, r := range m.replicas {
+	out := m.out
+	exclude := make(map[string]bool)
+	for _, r := range out.cands {
 		exclude[r.worker] = true
 	}
+	srcURL := out.cands[0].url
 	j.mu.Unlock()
+	j.replWG.Add(1)
 	c.releases.Add(1)
 	go func() {
 		defer c.releases.Done()
-		j.pushReplica(i, attempt, srcURL, exclude)
+		defer j.replWG.Done()
+		j.pushReplica(i, out, srcURL, exclude)
 	}()
 }
 
 // pushReplica asks up to three candidate workers, in turn, to pull and
 // install one attempt's pack. Push failures are logged but never feed
-// health scores or trigger rearm: replication is a background bet, and
-// the fetch policy (fetchDep) remains the sole error authority.
-func (j *clusterJob) pushReplica(i, attempt int, srcURL string, exclude map[string]bool) {
+// health scores or lose anything: replication is a background bet, and
+// the fetch policy (fetchDep) remains the sole error authority. A push
+// is not started once the job has resolved, but one already on the wire
+// is seen through (pushCtx, not the job's): the target may install the
+// pack however the request ends for the sender, so the sender waits for
+// the answer, and Run for the sender, before the job's release
+// broadcast goes out.
+func (j *clusterJob) pushReplica(i int, out *hosted, srcURL string, exclude map[string]bool) {
 	c := j.c
 	defer func() {
 		j.mu.Lock()
@@ -214,35 +203,31 @@ func (j *clusterJob) pushReplica(i, attempt int, srcURL string, exclude map[stri
 		if name == "" {
 			return // nowhere to put it; a drain watcher may retry later
 		}
-		n, err := c.postReplicate(j.ctx, url, ReplicateRequest{
-			JobID: j.spec.ID, Split: i, Attempt: attempt, SourceURL: srcURL,
+		n, err := c.postReplicate(j.pushCtx, url, ReplicateRequest{
+			JobID: j.spec.ID, Split: i, Attempt: out.attempt, SourceURL: srcURL,
 		})
 		if err != nil {
-			if j.ctx.Err() != nil {
-				return
-			}
-			c.logf("replica push %s/%d attempt %d -> %q failed: %v", j.spec.ID, i, attempt, name, err)
+			c.logf("replica push %s/%d attempt %d -> %q failed: %v", j.spec.ID, i, out.attempt, name, err)
 			exclude[name] = true
 			continue
 		}
 		j.mu.Lock()
-		m := &j.maps[i]
-		current := !j.resolvedLocked() && m.done && m.attempt == attempt
+		current := j.ctx.Err() == nil && j.maps[i].out == out
 		if current {
-			m.replicas = append(m.replicas, replicaLoc{worker: name, url: url})
+			out.cands = append(out.cands, replicaLoc{worker: name, url: url})
 			j.counters.ReplicaPushes++
 			j.counters.ReplicaBytes += n
 		}
 		j.mu.Unlock()
 		if !current {
-			// The attempt was superseded while the push ran; the copy is
-			// garbage — reclaim it.
-			c.releaseAttempt(url, j.spec.ID, i, attempt)
+			// The attempt was superseded, or the job resolved, while the
+			// push ran; the copy is garbage — reclaim it.
+			c.releaseAttempt(url, j.spec.ID, i, out.attempt)
 			return
 		}
 		c.mReplicaPushes.Inc()
 		c.mReplicaBytes.Add(n)
-		c.logf("replicated %s/%d attempt %d to %q (%d bytes)", j.spec.ID, i, attempt, name, n)
+		c.logf("replicated %s/%d attempt %d to %q (%d bytes)", j.spec.ID, i, out.attempt, name, n)
 		return
 	}
 }

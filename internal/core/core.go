@@ -424,11 +424,24 @@ func (p *Plan) RunLocal(reader mapreduce.RecordReader, tweak func(*mapreduce.Con
 }
 
 // RunLocalJoin executes the plan on the in-process engine, one reader per
-// input (readerB is nil for single-input plans). For SIDR plans it
-// enables the dependency barrier, dependency-only shuffle, kv-count
-// validation, and dependency-driven Map order; Hadoop/SciHadoop plans run
-// with the global barrier and all-to-all shuffle.
+// input (readerB is nil for single-input plans); see JobConfig for what
+// the engine choice wires.
 func (p *Plan) RunLocalJoin(readerA, readerB mapreduce.RecordReader, tweak func(*mapreduce.Config)) (*mapreduce.Result, error) {
+	cfg := p.JobConfig(readerA, readerB)
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	return mapreduce.Run(cfg)
+}
+
+// JobConfig is the plan as a job for the one job loop, wherever its tasks
+// run: in process on the given readers, or — with the caller setting
+// Config.Runner and no readers — on a cluster. For SIDR plans it enables
+// the dependency barrier, dependency-only shuffle, kv-count validation,
+// dependency-driven Map order and keyblock-priority Reduce order;
+// Hadoop/SciHadoop plans run with the global barrier and all-to-all
+// shuffle.
+func (p *Plan) JobConfig(readerA, readerB mapreduce.RecordReader) mapreduce.Config {
 	cfg := mapreduce.Config{
 		Query:   p.Query,
 		Splits:  p.Splits,
@@ -445,16 +458,12 @@ func (p *Plan) RunLocalJoin(readerA, readerB mapreduce.RecordReader, tweak func(
 		cfg.MapOrder = sched.DependencyDrivenMapOrder(p.Graph, p.Priority)
 		cfg.ReduceOrder = p.Priority // nil keeps keyblock order
 	}
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	return mapreduce.Run(cfg)
+	return cfg
 }
 
 // TaskInput binds the plan to its readers as the input of the standalone
-// task bodies mapreduce.ExecMap and mapreduce.ExecReduce — what a cluster
-// worker (Map) and the coordinator (Reduce, no readers) run outside a
-// full in-process job.
+// task body mapreduce.ExecMap — what a cluster worker runs outside a full
+// in-process job (and what a mapreduce.LocalRunner is built from).
 func (p *Plan) TaskInput(readerA, readerB mapreduce.RecordReader) (mapreduce.MapInput, error) {
 	in := mapreduce.MapInput{
 		Query:   p.Query,

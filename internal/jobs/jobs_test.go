@@ -380,7 +380,12 @@ func TestSharedExecutorBoundsConcurrency(t *testing.T) {
 			t.Fatalf("job %s = %v (%v)", j.ID, st, j.Err())
 		}
 	}
+	// A job is done the moment its last task says so — from inside that
+	// task, a few instructions before the pool books it as finished.
 	st := m.ExecStats()
+	for deadline := time.Now().Add(5 * time.Second); st.Running != 0 && time.Now().Before(deadline); st = m.ExecStats() {
+		time.Sleep(100 * time.Microsecond)
+	}
 	if st.Workers != 4 {
 		t.Fatalf("executor workers = %d, want 4", st.Workers)
 	}

@@ -1,23 +1,29 @@
-// Package mapreduce implements an in-process MapReduce runtime for
-// structural queries — the repository's stand-in for Hadoop 1.0. Map
-// tasks read logical-coordinate input splits (SciHadoop-style), emit
-// intermediate ⟨k',v'⟩ pairs keyed by extraction-shape tile, optionally
-// combine them, and partition them into keyblocks; Reduce tasks wait on a
-// barrier (global, as stock Hadoop, or per-keyblock data dependencies, as
-// SIDR), fetch and merge their pairs, validate kv-count annotations, and
-// apply the query operator.
+// Package mapreduce implements the MapReduce runtime for structural
+// queries — the repository's stand-in for Hadoop 1.0. Map tasks read
+// logical-coordinate input splits (SciHadoop-style), emit intermediate
+// ⟨k',v'⟩ pairs keyed by extraction-shape tile, optionally combine them,
+// and partition them into keyblocks; Reduce tasks wait on a barrier
+// (global, as stock Hadoop, or per-keyblock data dependencies, as SIDR),
+// fetch and merge their pairs, validate kv-count annotations, and apply
+// the query operator.
 //
-// The runtime is an explicit task graph on a bounded executor
+// There is one job loop (Job.Run) and it is SIDR's §3.3 scheduling rule
+// realised as an explicit task graph on a bounded executor
 // (internal/exec): every keyblock's Reduce task carries a
 // remaining-dependency counter seeded from the dependency graph's I_ℓ
-// (or the split count under the global barrier), and a Map task's
-// completion decrements its dependents and enqueues each Reduce task the
-// moment its counter reaches zero. Readiness is therefore computed, not
-// discovered — no task ever parks on a condition variable waiting for
-// its barrier — which is SIDR's §3.3 scheduling model realised in the
-// runtime itself. Barrier semantics, shuffle connection counts, early
-// results and the count annotations are all exercised end-to-end over
-// real data rather than simulated.
+// (or the split count under the global barrier); a Map task's completion
+// decrements its dependents and enqueues each Reduce task the moment its
+// counter reaches zero; a Reduce task whose fetch reports a Map output
+// lost re-arms — the split re-executes and every uncommitted dependent
+// waits for it again; and the §3.2.1 kv-count tally gates every commit.
+// Readiness is therefore computed, not discovered — no task ever parks
+// on a condition variable waiting for its barrier.
+//
+// Where the tasks run is a Runner's business. The in-process runner
+// executes ExecMap into memory; internal/cluster's dispatches Map
+// attempts to worker processes and fetches their spills over HTTP. Both
+// are driven by the same loop, so scheduling, recovery and the count
+// gate cannot differ between engines.
 package mapreduce
 
 import (
@@ -88,9 +94,9 @@ const (
 	// (Detail = keyblock id).
 	ReduceStart
 	ReduceEnd
-	// ReduceRecovered marks a Reduce attempt that failed and was
-	// re-executed (Detail = keyblock id).
-	ReduceRecovered
+	// MapLost marks a committed Map output declared lost by a Reduce
+	// task's fetch: the split re-executes (Detail = split id).
+	MapLost
 )
 
 // Event is one timestamped runtime event.
@@ -104,11 +110,10 @@ type Event struct {
 type Counters struct {
 	MapRecordsIn    int64 // source points read by Map tasks
 	MapPairsOut     int64 // intermediate pairs after combining
-	ReducePairsIn   int64 // pairs fetched by Reduce tasks
-	ShuffleBytes    int64 // approximate bytes crossing the shuffle
+	ShuffleBytes    int64 // approximate bytes of Map output (each crosses the shuffle once)
 	OutputValues    int64 // values emitted by Reduce tasks
 	Connections     int64 // shuffle fetches (Table 3's metric)
-	RecomputedMaps  int64 // Map tasks re-executed for failure recovery
+	RecomputedMaps  int64 // Map outputs declared lost and re-executed
 	TasksDispatched int64 // Map and Reduce tasks dispatched by the executor
 }
 
@@ -129,6 +134,42 @@ type Result struct {
 	Finished time.Time
 }
 
+// Runner is where a job's tasks execute. The job loop decides when each
+// runs and what a failure re-opens; a Runner only carries the tasks out.
+// Both methods are called concurrently from executor workers and must
+// return promptly once ctx is done.
+type Runner interface {
+	// RunMap executes Map task split to completion: its output is
+	// committed wherever the runner keeps Map outputs before RunMap
+	// returns. A failure fails the job, so a runner with somewhere else
+	// to retry does that first.
+	RunMap(ctx context.Context, split int) (MapResult, error)
+	// Fetch gathers keyblock l's Reduce input from refs, the MapResult.Refs
+	// of the Map tasks l waits for in ascending split order. It returns the
+	// sorted pair streams in that order and the tally of their kv-count
+	// annotations. When some outputs cannot be had any more it returns
+	// their splits in lost instead (err, if set, says why) — a Runner that
+	// can lose an output makes its Ref name the split — and the loop
+	// re-executes those and runs the Reduce again. An err with nothing lost
+	// fails the job.
+	Fetch(ctx context.Context, l int, refs []any) (streams [][]kv.Pair, tally int64, lost []int, err error)
+}
+
+// MapResult is what a Runner reports for one completed Map task.
+type MapResult struct {
+	// Ref says where the committed output lives. It is opaque to the job
+	// loop, which hands it back to Fetch.
+	Ref any
+	// Records is the number of source records read; Pairs and Bytes size
+	// the intermediate output.
+	Records, Pairs, Bytes int64
+}
+
+// MaxTaskAttempts bounds how many times one Map task may execute across
+// loss-driven re-executions before the job gives up with
+// ErrRetryExhausted.
+const MaxTaskAttempts = 5
+
 // Config parametrises a job.
 type Config struct {
 	Query  *query.Query
@@ -143,6 +184,11 @@ type Config struct {
 	// count validation work unchanged.
 	Join    *join.Plan
 	Reader2 RecordReader
+
+	// Runner, when set, executes the tasks somewhere other than this
+	// process's memory (see Runner); the readers are then unused. Nil
+	// runs ExecMap on Reader/Reader2 and keeps Map outputs in memory.
+	Runner Runner
 
 	// Ctx, when set, cancels the job: Map record loops, pending task
 	// dispatch and Reduce execution all abort promptly once it is done,
@@ -191,13 +237,6 @@ type Config struct {
 	// keyblock id, Hadoop's policy.
 	ReduceOrder []int
 
-	// FailReduceOnce lists keyblocks whose Reduce task fails on its
-	// first attempt, exercising the failure-recovery path. With
-	// RecoverByRecompute the engine re-runs the Map tasks in I_ℓ instead
-	// of refetching persisted intermediate data.
-	FailReduceOnce     map[int]bool
-	RecoverByRecompute bool
-
 	// OnEvent, when set, receives every event as it happens (in addition
 	// to Result.Events).
 	OnEvent func(Event)
@@ -205,15 +244,8 @@ type Config struct {
 	// OnReduceOutput, when set, receives each Reduce task's committed
 	// output the moment it is available — SIDR's early, correct,
 	// partial results. Callbacks may arrive concurrently from multiple
-	// Reduce workers.
+	// Reduce workers; Run does not return while one is running.
 	OnReduceOutput func(ReduceOutput)
-
-	// SpillDir, when set, materialises Map outputs as on-disk spill
-	// files (one per Map task and keyblock, with the §3.2.1 kv-count
-	// annotation in the file header) that Reduce tasks read back during
-	// the shuffle — Hadoop's real intermediate-data path. Empty keeps
-	// intermediate data in memory.
-	SpillDir string
 
 	// SortBufferRecords bounds the Map-side accumulation buffer,
 	// modelling Hadoop's io.sort.mb: when a Map task has buffered this
@@ -230,66 +262,96 @@ var (
 	ErrNoReader2     = errors.New("mapreduce: join config needs a second record reader")
 	ErrNoPartitioner = errors.New("mapreduce: config needs a partitioner")
 	ErrNeedsGraph    = errors.New("mapreduce: dependency barrier and count validation need a dependency graph")
-	ErrCountMismatch = errors.New("mapreduce: kv-count annotation mismatch")
 	ErrBadMapOrder   = errors.New("mapreduce: MapOrder must permute split indices")
+	// ErrCountMismatch means a Reduce task's kv-count annotation tally did
+	// not equal the dependency graph's expected source count; the task
+	// refused to commit (§3.2.1).
+	ErrCountMismatch = errors.New("mapreduce: kv-count annotation mismatch")
+	// ErrRetryExhausted means a task kept failing, or its output kept
+	// getting lost, until its attempt budget was spent.
+	ErrRetryExhausted = errors.New("mapreduce: task attempt budget exhausted")
+	// ErrExecutorClosed means the executor (or the job's handle on it) was
+	// closed while the job still had tasks to submit — the process is
+	// shutting down under the job.
+	ErrExecutorClosed = errors.New("mapreduce: executor closed")
+
+	errOutputLost = errors.New("map output lost")
 )
 
-// mapOutput is the materialised output of one Map task for one keyblock —
-// one partition of a Map output file. sourceCount is the file-header
-// annotation of §3.2.1: the number of source ⟨k,v⟩ pairs the (possibly
-// combined) pairs represent. In spill mode pairs is nil and path names
-// the on-disk spill file.
-type mapOutput struct {
-	pairs       []kv.Pair
-	path        string
-	sourceCount int64
+// mapState is the job loop's record of one Map task.
+type mapState struct {
+	rank     int   // dispatch priority: position in MapOrder
+	done     bool  // the current generation's output is committed
+	gen      int   // outputs invalidated so far; names the current generation
+	ref      any   // where the current generation's output lives (done only)
+	attempts int   // executions submitted, bounded by MaxTaskAttempts
+	cause    error // why the previous generation was declared lost
 }
 
-// job carries the shared state of one run: the task graph (dependency
-// counters, enqueue flags) plus the accumulated outputs and telemetry.
-type job struct {
-	cfg    Config
-	in     MapInput // the task bodies' input, fixed for the run
+// Job is one run's task graph: per-split completion state, per-keyblock
+// dependency counters and commit flags, plus the accumulated outputs and
+// telemetry. Create with NewJob, execute with Run.
+type Job struct {
+	cfg     Config
+	in      MapInput // the task bodies' input, fixed for the run
+	runner  Runner
+	order   []int // Map dispatch order; a split's position is its priority
+	rOrder  []int
+	allMaps []int // every split id, ascending: the global barrier's dependency set
+
 	h      *exec.Handle
-	rOrder []int
+	ctx    context.Context // done once the job has failed or Run has returned
+	cancel context.CancelFunc
 
 	mu       sync.Mutex
-	mapDone  []bool
-	nDone    int
-	outputs  [][]mapOutput // [split][keyblock]
+	maps     []mapState
 	events   []Event
 	counters Counters
 	failed   error
 
-	// Task-graph state, all guarded by mu. remaining[l] is Reduce task
-	// l's dependency counter: the number of Map tasks that must complete
-	// before l is runnable (|I_ℓ| under the dependency barrier, the split
-	// count under the global one). outstanding counts unresolved tasks —
-	// every Map and Reduce task resolves exactly once, by running, by
-	// being dropped from the queue on failure, or (a Reduce never
-	// enqueued) directly in failLocked — and done closes at zero.
-	remaining   []int
-	enqueued    []bool
-	reduceRank  []int // keyblock → position in rOrder (dispatch priority)
-	results     []ReduceOutput
-	reduceErrs  []error
-	outstanding int
-	done        chan struct{}
-	doneClosed  bool
+	// Per-keyblock state, guarded by mu. remaining[l] is Reduce task l's
+	// dependency counter: how many of its Map tasks have no committed
+	// output right now. enqueued[l] says a Reduce task submitted for the
+	// current outputs is queued or running; re-arm clears it, so a task
+	// already in the queue finds its counter non-zero and steps aside.
+	remaining  []int
+	enqueued   []bool
+	committed  []bool
+	nCommitted int
+	reduceRank []int // keyblock → position in rOrder (dispatch priority)
+	results    []ReduceOutput
+
+	// inflight counts tasks handed to the executor and not yet returned
+	// or dropped. The job is over when it is zero and every keyblock is
+	// committed (or the job has failed); done closes then.
+	inflight int
+	done     chan struct{}
+	settled  bool
 }
 
 // Run executes the job and blocks until completion.
 func Run(cfg Config) (*Result, error) {
+	j, err := NewJob(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return j.Run()
+}
+
+// NewJob validates cfg and builds the job's task graph without starting
+// it, so a Runner can hold the Job (for Needed) before the first task
+// runs.
+func NewJob(cfg Config) (*Job, error) {
 	if cfg.Query == nil {
 		return nil, ErrNoQuery
 	}
-	if cfg.Reader == nil {
+	if cfg.Reader == nil && cfg.Runner == nil {
 		return nil, ErrNoReader
 	}
 	if cfg.Part == nil {
 		return nil, ErrNoPartitioner
 	}
-	if (cfg.Barrier == DependencyBarrier || cfg.ValidateCounts || cfg.RecoverByRecompute) && cfg.Graph == nil {
+	if (cfg.Barrier == DependencyBarrier || cfg.ValidateCounts) && cfg.Graph == nil {
 		return nil, ErrNeedsGraph
 	}
 	in := MapInput{
@@ -300,57 +362,98 @@ func Run(cfg Config) (*Result, error) {
 		Reader2:           cfg.Reader2,
 		Combine:           cfg.Combine,
 		SortBufferRecords: cfg.SortBufferRecords,
-		Ctx:               cfg.Ctx,
 	}
 	var err error
 	if cfg.Join == nil {
 		if in.Op, err = cfg.Query.Op(); err != nil {
 			return nil, err
 		}
-	} else if cfg.Reader2 == nil {
+	} else if cfg.Reader2 == nil && cfg.Runner == nil {
 		return nil, ErrNoReader2
 	}
 	if in.Space, err = cfg.Query.IntermediateSpace(); err != nil {
 		return nil, err
 	}
-	order := cfg.MapOrder
-	if order == nil {
-		order = make([]int, len(cfg.Splits))
-		for i := range order {
-			order[i] = i
-		}
-	} else if err := checkPermutation(order, len(cfg.Splits)); err != nil {
-		return nil, err
-	}
-	rOrder := cfg.ReduceOrder
-	if rOrder == nil {
-		rOrder = make([]int, cfg.Part.NumKeyblocks())
-		for i := range rOrder {
-			rOrder[i] = i
-		}
-	} else if err := checkPermutation(rOrder, cfg.Part.NumKeyblocks()); err != nil {
-		return nil, err
-	}
-
 	r := cfg.Part.NumKeyblocks()
-	j := &job{
-		cfg:         cfg,
-		in:          in,
-		rOrder:      rOrder,
-		mapDone:     make([]bool, len(cfg.Splits)),
-		outputs:     make([][]mapOutput, len(cfg.Splits)),
-		remaining:   make([]int, r),
-		enqueued:    make([]bool, r),
-		reduceRank:  make([]int, r),
-		results:     make([]ReduceOutput, r),
-		reduceErrs:  make([]error, r),
-		outstanding: len(cfg.Splits) + r,
-		done:        make(chan struct{}),
+	order, err := orderOrIdentity(cfg.MapOrder, len(cfg.Splits))
+	if err != nil {
+		return nil, err
+	}
+	rOrder, err := orderOrIdentity(cfg.ReduceOrder, r)
+	if err != nil {
+		return nil, err
+	}
+	allMaps, _ := orderOrIdentity(nil, len(cfg.Splits))
+	j := &Job{
+		cfg:        cfg,
+		in:         in,
+		runner:     cfg.Runner,
+		order:      order,
+		rOrder:     rOrder,
+		allMaps:    allMaps,
+		maps:       make([]mapState, len(cfg.Splits)),
+		remaining:  make([]int, r),
+		enqueued:   make([]bool, r),
+		committed:  make([]bool, r),
+		reduceRank: make([]int, r),
+		results:    make([]ReduceOutput, r),
+		done:       make(chan struct{}),
+	}
+	if j.runner == nil {
+		j.runner = LocalRunner{In: in, Splits: cfg.Splits}
+	}
+	for rank, i := range order {
+		j.maps[i].rank = rank
 	}
 	for rank, l := range rOrder {
 		j.reduceRank[l] = rank
+		j.results[l].Keyblock = l
+		j.remaining[l] = len(j.deps(l))
 	}
+	return j, nil
+}
 
+// deps returns the splits keyblock l's Reduce task waits for and fetches
+// from: I_ℓ under the dependency barrier, every split under the global
+// one — stock Hadoop's all-to-all shuffle, which is what Table 3 counts.
+func (j *Job) deps(l int) []int {
+	if j.cfg.Barrier == DependencyBarrier {
+		return j.cfg.Graph.KBToSplits[l]
+	}
+	return j.allMaps
+}
+
+// dependents returns the keyblocks whose Reduce tasks wait for split i.
+func (j *Job) dependents(i int) []int {
+	if j.cfg.Barrier == DependencyBarrier {
+		return j.cfg.Graph.SplitToKB[i]
+	}
+	return j.rOrder
+}
+
+// Needed reports whether an uncommitted keyblock still depends on split
+// i's output — the one readiness question a Runner may ask (which
+// straggler is worth a backup attempt, which hosted output a departing
+// worker must still hand off).
+func (j *Job) Needed(i int) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.failed != nil {
+		return false
+	}
+	for _, l := range j.dependents(i) {
+		if !j.committed[l] {
+			return true
+		}
+	}
+	return false
+}
+
+// Run executes the job and blocks until every keyblock has committed or
+// the job has failed; either way every task the job started has returned
+// first, so no OnEvent or OnReduceOutput callback outlives Run.
+func (j *Job) Run() (*Result, error) {
+	cfg := j.cfg
 	// Without an injected executor the job runs on a private pool sized
 	// by Workers; with one, Workers becomes the job's MaxParallel cap on
 	// the shared pool.
@@ -371,14 +474,17 @@ func Run(cfg Config) (*Result, error) {
 
 	started := time.Now()
 
-	// Cancellation: record ctx.Err() as the job failure, drop every
-	// pending task and resolve the owed ones the moment the context is
-	// done. Running Map record loops observe the failure inside their
-	// amortised cancellation checks.
-	if cfg.Ctx != nil {
-		stop := context.AfterFunc(cfg.Ctx, func() { j.fail(cfg.Ctx.Err()) })
-		defer stop()
+	// Cancellation: the caller's context failing the job drops every
+	// pending task; the job's own context — what the Runner sees — is
+	// done on any failure, so running tasks abort too.
+	parent := cfg.Ctx
+	if parent == nil {
+		parent = context.Background()
 	}
+	j.ctx, j.cancel = context.WithCancel(parent)
+	defer j.cancel()
+	stop := context.AfterFunc(parent, func() { j.fail(parent.Err()) })
+	defer stop()
 
 	// Seed the task graph. Reduce tasks whose dependency counter is
 	// already zero (empty keyblocks; any keyblock when there are no
@@ -386,27 +492,15 @@ func Run(cfg Config) (*Result, error) {
 	// are scheduled before the Map tasks they depend on (§3.3), which
 	// exec.Class ordering guarantees for every later enqueue too.
 	j.mu.Lock()
-	for _, l := range rOrder {
-		if cfg.Barrier == DependencyBarrier {
-			j.remaining[l] = len(cfg.Graph.KBToSplits[l])
-		} else {
-			j.remaining[l] = len(cfg.Splits)
-		}
+	for _, l := range j.rOrder {
 		if j.remaining[l] == 0 {
 			j.enqueueReduceLocked(l)
 		}
 	}
-	for prio, i := range order {
-		i := i
-		j.h.Submit(exec.Map, prio, func() {
-			err := j.aborted()
-			if err == nil {
-				err = j.runMap(i)
-			}
-			j.mapFinished(i, err)
-		})
+	for _, i := range j.order {
+		j.submitMapLocked(i)
 	}
-	j.resolveLocked(0) // a splitless, reducerless job is already done
+	j.settleLocked() // a splitless, reducerless job is already done
 	j.mu.Unlock()
 
 	<-j.done
@@ -417,17 +511,10 @@ func Run(cfg Config) (*Result, error) {
 	if j.failed != nil {
 		// A cancelled job surfaces ctx.Err() itself, not a task-level
 		// wrapping of it, so callers can compare with errors.Is/==.
-		if cfg.Ctx != nil {
-			if cerr := cfg.Ctx.Err(); cerr != nil && errors.Is(j.failed, cerr) {
-				return nil, cerr
-			}
+		if cerr := parent.Err(); cerr != nil && errors.Is(j.failed, cerr) {
+			return nil, cerr
 		}
 		return nil, j.failed
-	}
-	for _, err := range j.reduceErrs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return &Result{
 		Outputs:  j.results,
@@ -438,128 +525,134 @@ func Run(cfg Config) (*Result, error) {
 	}, nil
 }
 
-// mapFinished resolves Map task i: on success it publishes completion to
-// the task graph, decrementing every dependent Reduce task's counter and
-// enqueueing those that become ready.
-func (j *job) mapFinished(i int, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err != nil {
-		j.failLocked(err)
-	} else if j.failed == nil && !j.mapDone[i] {
-		j.mapDone[i] = true
-		j.nDone++
-		if j.cfg.Barrier == DependencyBarrier {
-			for _, l := range j.cfg.Graph.SplitToKB[i] {
-				j.remaining[l]--
-				if j.remaining[l] == 0 {
-					j.enqueueReduceLocked(l)
-				}
-			}
-		} else {
-			// Global barrier: every Reduce task depends on every split.
-			for _, l := range j.rOrder {
-				j.remaining[l]--
-				if j.remaining[l] == 0 {
-					j.enqueueReduceLocked(l)
-				}
-			}
-		}
+// submitLocked hands one task to the executor and accounts it in flight
+// until it has returned. A rejected submission — the executor is closed —
+// fails the job instead of leaving it waiting for a task that will never
+// run. Caller holds j.mu.
+func (j *Job) submitLocked(class exec.Class, priority int, kind string, id int, fn func()) {
+	if j.failed != nil {
+		return
 	}
-	j.resolveLocked(1)
+	j.inflight++
+	ok := j.h.Submit(class, priority, func() {
+		if err := j.ctx.Err(); err != nil {
+			j.fail(err) // cancelled — or a no-op: the job failed while the task sat in the queue
+		} else {
+			fn()
+		}
+		j.mu.Lock()
+		j.inflight--
+		j.settleLocked()
+		j.mu.Unlock()
+	})
+	if !ok {
+		j.inflight--
+		j.failLocked(fmt.Errorf("%w: %s task %d rejected", ErrExecutorClosed, kind, id))
+	}
+}
+
+// submitMapLocked submits an execution of Map task i — its first, or a
+// re-execution after its output was lost — under the attempt budget.
+// Caller holds j.mu.
+func (j *Job) submitMapLocked(i int) {
+	m := &j.maps[i]
+	m.attempts++
+	if m.attempts > MaxTaskAttempts {
+		j.failLocked(fmt.Errorf("%w: map task %d exceeded %d attempts: %w", ErrRetryExhausted, i, MaxTaskAttempts, m.cause))
+		return
+	}
+	j.submitLocked(exec.Map, m.rank, "map", i, func() { j.runMap(i) })
 }
 
 // enqueueReduceLocked submits Reduce task l, whose dependencies are now
 // met. Caller holds j.mu. Class Reduce outranks queued Map work, and the
 // keyblock's rOrder rank carries ReduceOrder steering into dispatch.
-func (j *job) enqueueReduceLocked(l int) {
-	if j.enqueued[l] {
+func (j *Job) enqueueReduceLocked(l int) {
+	if j.enqueued[l] || j.committed[l] {
 		return
 	}
 	j.enqueued[l] = true
-	j.h.Submit(exec.Reduce, j.reduceRank[l], func() {
-		out := ReduceOutput{Keyblock: l}
-		err := j.aborted()
-		if err == nil {
-			out, err = j.runReduce(l)
-		}
-		j.mu.Lock()
-		j.results[l] = out
-		j.reduceErrs[l] = err
-		if err != nil {
-			j.failLocked(err)
-		}
-		j.resolveLocked(1)
-		j.mu.Unlock()
-	})
+	j.submitLocked(exec.Reduce, j.reduceRank[l], "reduce", l, func() { j.runReduce(l) })
 }
 
-// resolveLocked accounts n resolved tasks and completes the job when no
-// task remains outstanding. Caller holds j.mu.
-func (j *job) resolveLocked(n int) {
-	j.outstanding -= n
-	if j.outstanding <= 0 && !j.doneClosed {
-		j.doneClosed = true
-		close(j.done)
+// settleLocked completes the job once nothing is in flight. Caller holds
+// j.mu.
+func (j *Job) settleLocked() {
+	if j.inflight > 0 || j.settled {
+		return
 	}
+	if j.failed == nil && j.nCommitted < len(j.committed) {
+		// Nothing queued, nothing running, yet a keyblock is uncommitted:
+		// a dependency counter was stranded. Only a bug in this file, or a
+		// Runner reporting a loss outside the splits it was handed, gets
+		// here; fail instead of hanging.
+		j.failed = fmt.Errorf("mapreduce: job stalled with %d of %d keyblocks committed", j.nCommitted, len(j.committed))
+	}
+	j.settled = true
+	close(j.done)
 }
 
-// failLocked records the first error, drops every pending task from the
-// executor queue, and resolves the Reduce tasks that were never enqueued
-// so the job can complete. Caller holds j.mu.
-func (j *job) failLocked(err error) {
+// failLocked records the first error, aborts running tasks through the
+// job context and drops every pending one. Caller holds j.mu.
+func (j *Job) failLocked(err error) {
 	if j.failed != nil {
 		return
 	}
 	j.failed = err
-	// Dropped tasks (queued Maps and enqueued-but-undispatched Reduces)
-	// will never run; account them resolved here. Tasks already running
-	// resolve themselves when their fn returns.
-	j.resolveLocked(j.h.Cancel())
-	for _, l := range j.rOrder {
-		if !j.enqueued[l] {
-			j.enqueued[l] = true
-			j.results[l] = ReduceOutput{Keyblock: l}
-			j.reduceErrs[l] = err
-			j.resolveLocked(1)
+	j.cancel()
+	j.inflight -= j.h.Cancel()
+}
+
+// fail records the job's first error; see failLocked.
+func (j *Job) fail(err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.failLocked(err)
+	j.settleLocked()
+}
+
+// logLocked appends an event. The caller passes it to deliver once it
+// has dropped j.mu.
+func (j *Job) logLocked(kind EventKind, detail int) Event {
+	e := Event{Kind: kind, Detail: detail, At: time.Now()}
+	j.events = append(j.events, e)
+	return e
+}
+
+func (j *Job) emit(kind EventKind, detail int) {
+	j.mu.Lock()
+	e := j.logLocked(kind, detail)
+	j.mu.Unlock()
+	j.deliver(e)
+}
+
+func (j *Job) deliver(events ...Event) {
+	if cb := j.cfg.OnEvent; cb != nil {
+		for _, e := range events {
+			cb(e)
 		}
 	}
 }
 
-// fail records the first error and releases every owed task.
-func (j *job) fail(err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.failLocked(err)
-}
-
-// aborted returns the job's recorded failure, if any.
-func (j *job) aborted() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.failed
-}
-
-func (j *job) emit(e Event) {
-	j.mu.Lock()
-	j.events = append(j.events, e)
-	cb := j.cfg.OnEvent
-	j.mu.Unlock()
-	if cb != nil {
-		cb(e)
+// orderOrIdentity validates a task order as a permutation of [0,n); nil
+// means identity.
+func orderOrIdentity(order []int, n int) ([]int, error) {
+	if order == nil {
+		order = make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		return order, nil
 	}
-}
-
-func checkPermutation(order []int, n int) error {
 	if len(order) != n {
-		return fmt.Errorf("%w: %d entries for %d splits", ErrBadMapOrder, len(order), n)
+		return nil, fmt.Errorf("%w: %d entries for %d tasks", ErrBadMapOrder, len(order), n)
 	}
 	seen := make([]bool, n)
 	for _, i := range order {
 		if i < 0 || i >= n || seen[i] {
-			return fmt.Errorf("%w: bad entry %d", ErrBadMapOrder, i)
+			return nil, fmt.Errorf("%w: bad entry %d", ErrBadMapOrder, i)
 		}
 		seen[i] = true
 	}
-	return nil
+	return order, nil
 }

@@ -360,52 +360,6 @@ func TestCountAnnotationDetectsLoss(t *testing.T) {
 	}
 }
 
-func TestFailureRecoveryRefetch(t *testing.T) {
-	q := mustParse(t, "median temp[0,0 : 28,10] es {7,5}")
-	ref := referenceResults(t, q, synthValue)
-	cfg := buildJob(t, q, 2, true, true)
-	cfg.FailReduceOnce = map[int]bool{0: true, 1: true}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstReference(t, res, ref)
-	if res.Counters.RecomputedMaps != 0 {
-		t.Fatalf("refetch recovery recomputed %d maps", res.Counters.RecomputedMaps)
-	}
-	recovered := 0
-	for _, e := range res.Events {
-		if e.Kind == ReduceRecovered {
-			recovered++
-		}
-	}
-	if recovered != 2 {
-		t.Fatalf("recovered %d tasks, want 2", recovered)
-	}
-}
-
-func TestFailureRecoveryRecompute(t *testing.T) {
-	// §6 future work: re-execute only the Map subset a failed Reduce
-	// task depends on.
-	q := mustParse(t, "median temp[0,0 : 28,10] es {7,5}")
-	ref := referenceResults(t, q, synthValue)
-	cfg := buildJob(t, q, 2, true, true)
-	cfg.FailReduceOnce = map[int]bool{1: true}
-	cfg.RecoverByRecompute = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstReference(t, res, ref)
-	want := int64(len(cfg.Graph.KBToSplits[1]))
-	if res.Counters.RecomputedMaps != want {
-		t.Fatalf("recomputed %d maps, want %d (only I_ℓ)", res.Counters.RecomputedMaps, want)
-	}
-	if want >= int64(len(cfg.Splits)) {
-		t.Fatalf("test not meaningful: keyblock depends on all %d splits", len(cfg.Splits))
-	}
-}
-
 func TestMapOrderRespected(t *testing.T) {
 	q := mustParse(t, "avg temp[0,0 : 28,10] es {7,5}")
 	cfg := buildJob(t, q, 2, true, true)

@@ -71,18 +71,3 @@ func TestSortBufferAffectsUncombinedPairCount(t *testing.T) {
 			a2.Counters.MapPairsOut, a1.Counters.MapPairsOut)
 	}
 }
-
-// TestSortBufferWithSpillDir: segments, map-side merge and on-disk spill
-// files compose.
-func TestSortBufferWithSpillDir(t *testing.T) {
-	q := mustParse(t, "median temp[0,0 : 28,10] es {7,5}")
-	ref := referenceResults(t, q, synthValue)
-	cfg := buildJob(t, q, 2, true, true)
-	cfg.SortBufferRecords = 13
-	cfg.SpillDir = t.TempDir()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstReference(t, res, ref)
-}

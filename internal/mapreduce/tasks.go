@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"sidr/internal/coords"
 	"sidr/internal/join"
@@ -14,33 +13,187 @@ import (
 	"sidr/internal/query"
 )
 
-// runMap executes Map task i: read the split's live region, map every
-// source key into K' via the extraction shape, accumulate per-keyblock
-// intermediate pairs (combining when configured), and publish the outputs
-// with their source-count annotations. Completion bookkeeping (dependency
-// decrements, reduce enqueues) happens in mapFinished after MapEnd.
-func (j *job) runMap(i int) error {
-	j.emit(Event{Kind: MapStart, Detail: i, At: time.Now()})
-	outs, records, err := j.execMap(i)
+// runMap executes Map task i through the Runner and publishes its
+// completion to the task graph: every uncommitted dependent Reduce task's
+// counter drops, and those reaching zero are enqueued.
+func (j *Job) runMap(i int) {
+	j.emit(MapStart, i)
+	res, err := j.runner.RunMap(j.ctx, i)
 	if err != nil {
-		return err
+		j.fail(err)
+		return
 	}
-	var pairsOut int64
-	for _, o := range outs {
-		pairsOut += int64(len(o.pairs))
+	j.emit(MapEnd, i)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.failed != nil {
+		return
 	}
-	if j.cfg.SpillDir != "" {
-		if err := j.spill(i, outs); err != nil {
-			return err
+	m := &j.maps[i]
+	m.done, m.ref = true, res.Ref
+	j.counters.MapRecordsIn += res.Records
+	j.counters.MapPairsOut += res.Pairs
+	j.counters.ShuffleBytes += res.Bytes
+	for _, l := range j.dependents(i) {
+		if j.committed[l] {
+			continue
+		}
+		j.remaining[l]--
+		if j.remaining[l] == 0 {
+			j.enqueueReduceLocked(l)
 		}
 	}
+}
+
+// runReduce executes Reduce task l. Its dependency barrier was satisfied
+// when the task graph enqueued it — readiness is computed from I_ℓ
+// counters, never awaited — so the task fetches its intermediate data
+// through the Runner, validates the kv-count annotation tally, applies
+// the operator per key, and commits the output. A fetch that reports Map
+// outputs lost re-arms instead (rearm); the task graph runs the Reduce
+// again when they are back.
+func (j *Job) runReduce(l int) {
 	j.mu.Lock()
-	j.outputs[i] = outs
-	j.counters.MapRecordsIn += records
-	j.counters.MapPairsOut += pairsOut
+	if j.failed != nil || j.committed[l] || j.remaining[l] != 0 {
+		// Stale: the job is over, a sibling run of this task committed, or
+		// a dependency was invalidated while this run sat in the queue —
+		// its re-execution enqueues the keyblock afresh.
+		j.mu.Unlock()
+		return
+	}
+	// The run works from a snapshot of its dependencies' outputs; gens
+	// names the generation of each, so the run's verdicts — a loss report,
+	// a commit — only ever apply to what it actually consumed.
+	splits := j.deps(l)
+	refs, gens := make([]any, len(splits)), make([]int, len(splits))
+	for k, s := range splits {
+		refs[k], gens[k] = j.maps[s].ref, j.maps[s].gen
+	}
+	j.counters.Connections += int64(len(splits))
+	start := j.logLocked(ReduceStart, l)
 	j.mu.Unlock()
-	j.emit(Event{Kind: MapEnd, Detail: i, At: time.Now()})
-	return nil
+	j.deliver(start)
+
+	streams, tally, lost, err := j.runner.Fetch(j.ctx, l, refs)
+	if len(lost) > 0 {
+		j.rearm(splits, gens, lost, err)
+		return
+	}
+	// The §3.2.1 integrity gate: the annotation tally must equal the
+	// planner's expected source count or the keyblock never commits.
+	if err == nil && j.cfg.ValidateCounts {
+		if want := j.cfg.Graph.ExpectedCount[l]; tally != want {
+			err = fmt.Errorf("%w: keyblock %d received %d source pairs, expected %d", ErrCountMismatch, l, tally, want)
+		}
+	}
+	if err != nil {
+		j.fail(err)
+		return
+	}
+	out := ExecReduce(j.in, l, streams)
+
+	j.mu.Lock()
+	current := j.failed == nil && !j.committed[l]
+	for k, s := range splits {
+		// A sibling's loss report may have invalidated an output this run
+		// consumed; the fresh run its re-execution enqueues commits instead.
+		current = current && j.maps[s].gen == gens[k]
+	}
+	if !current {
+		j.mu.Unlock()
+		return
+	}
+	j.committed[l] = true
+	j.nCommitted++
+	j.results[l] = out
+	for _, vals := range out.Values {
+		j.counters.OutputValues += int64(len(vals))
+	}
+	j.mu.Unlock()
+	if j.cfg.OnReduceOutput != nil {
+		j.cfg.OnReduceOutput(out)
+	}
+	j.emit(ReduceEnd, l)
+}
+
+// rearm applies a Reduce run's loss report. Each reported split whose
+// output is still the generation the run was handed is invalidated —
+// once: a second report of the same generation, from a sibling that
+// fetched concurrently, finds it superseded and changes nothing — every
+// uncommitted keyblock depending on it gets its counter back and loses
+// its enqueued mark (its queued or running Reduce is stale now), and the
+// Map task re-executes under the attempt budget. The reporting Reduce is
+// among those dependents, so it runs again exactly when its counter next
+// reaches zero. Committed keyblocks keep their outputs: any generation's
+// output was valid data.
+func (j *Job) rearm(splits, gens, lost []int, cause error) {
+	if cause == nil {
+		cause = errOutputLost
+	}
+	isLost := make(map[int]bool, len(lost))
+	for _, s := range lost {
+		isLost[s] = true
+	}
+	var events []Event
+	j.mu.Lock()
+	for k, s := range splits {
+		m := &j.maps[s]
+		if j.failed != nil || !isLost[s] || m.gen != gens[k] {
+			continue
+		}
+		m.gen++
+		m.done, m.ref, m.cause = false, nil, cause
+		j.counters.RecomputedMaps++
+		events = append(events, j.logLocked(MapLost, s))
+		for _, kb := range j.dependents(s) {
+			if !j.committed[kb] {
+				j.remaining[kb]++
+				j.enqueued[kb] = false
+			}
+		}
+		j.submitMapLocked(s)
+	}
+	j.mu.Unlock()
+	j.deliver(events...)
+}
+
+// LocalRunner is the in-process Runner, the one a job gets when
+// Config.Runner is nil: Map tasks run ExecMap on In's readers and keep
+// their per-keyblock outputs in memory, so a reference is the output
+// itself and nothing is ever lost. (Exported so that a Runner which does
+// lose things — a test's — can wrap it.)
+type LocalRunner struct {
+	In     MapInput
+	Splits []InputSplit
+}
+
+func (r LocalRunner) RunMap(ctx context.Context, i int) (MapResult, error) {
+	in := r.In
+	in.Ctx = ctx
+	outs, records, err := ExecMap(in, r.Splits[i])
+	if err != nil {
+		return MapResult{}, fmt.Errorf("mapreduce: map task %d: %w", i, err)
+	}
+	res := MapResult{Ref: outs, Records: records}
+	for _, o := range outs {
+		res.Pairs += int64(len(o.Pairs))
+		for _, p := range o.Pairs {
+			res.Bytes += p.Value.ApproxBytes()
+		}
+	}
+	return res, nil
+}
+
+func (LocalRunner) Fetch(_ context.Context, l int, refs []any) (streams [][]kv.Pair, tally int64, lost []int, err error) {
+	// Each Map task's output for this keyblock is an independently sorted
+	// stream; collect them for the k-way merge.
+	for _, ref := range refs {
+		if o := ref.([]MapOut)[l]; len(o.Pairs) > 0 || o.SourceCount > 0 {
+			streams = append(streams, o.Pairs)
+			tally += o.SourceCount
+		}
+	}
+	return streams, tally, nil, nil
 }
 
 // scratchChunk sizes the mapScratch value slab's allocation unit.
@@ -144,11 +297,10 @@ func (s *mapScratch) recycle(segs [][]kv.Pair) {
 
 // MapInput bundles everything one task needs to execute outside a full
 // job. The distributed runtime (internal/cluster) uses it to run single
-// Map tasks on remote worker processes, and Reduce tasks in the
-// coordinator, through exactly the task bodies — accumulation,
-// combining, sort-buffer sealing, merge, operator application — the
-// in-process engine uses, so a clustered job's data is bit-identical to
-// a local run's.
+// Map tasks on remote worker processes through exactly the task body —
+// accumulation, combining, sort-buffer sealing — the in-process engine
+// uses (the Reduce body, ExecReduce, is the job loop's in both), so a
+// clustered job's data is bit-identical to a local run's.
 type MapInput struct {
 	Query  *query.Query
 	Op     ops.Operator // nil for joins, which carry theirs in Join
@@ -186,20 +338,6 @@ func (in MapInput) SpillRank() int {
 // MapOut is one keyblock's share of a standalone Map task's output:
 // the sorted intermediate pairs plus the §3.2.1 kv-count annotation.
 type MapOut = join.MapOut
-
-// execMap is the side-effect-free body of a Map task, shared by normal
-// execution and failure-recovery re-execution.
-func (j *job) execMap(i int) ([]mapOutput, int64, error) {
-	outs, records, err := ExecMap(j.in, j.cfg.Splits[i])
-	if err != nil {
-		return nil, 0, fmt.Errorf("mapreduce: map task %d: %w", i, err)
-	}
-	converted := make([]mapOutput, len(outs))
-	for l, o := range outs {
-		converted[l] = mapOutput{pairs: o.Pairs, sourceCount: o.SourceCount}
-	}
-	return converted, records, nil
-}
 
 // ExecMap runs one Map task standalone: read the split's live region,
 // map every source key into K' via the extraction shape, accumulate
@@ -375,138 +513,6 @@ func totalPairs(segs [][]kv.Pair) int {
 		n += len(s)
 	}
 	return n
-}
-
-// runReduce executes Reduce task l. Its dependency barrier was already
-// satisfied when the task graph enqueued it — readiness is computed from
-// I_ℓ counters, never awaited — so the task fetches and merges its
-// intermediate data, validates the kv-count annotation tally, applies
-// the operator per key, and commits the output.
-func (j *job) runReduce(l int) (ReduceOutput, error) {
-	j.emit(Event{Kind: ReduceStart, Detail: l, At: time.Now()})
-
-	out, err := j.execReduce(l)
-	if err != nil {
-		return ReduceOutput{Keyblock: l}, err
-	}
-
-	// Failure injection: the first attempt is discarded and the task
-	// re-executed, optionally re-running its dependent Map tasks instead
-	// of relying on persisted intermediate data (paper §6 future work).
-	j.mu.Lock()
-	shouldFail := j.cfg.FailReduceOnce[l]
-	if shouldFail {
-		delete(j.cfg.FailReduceOnce, l)
-	}
-	j.mu.Unlock()
-	if shouldFail {
-		if j.cfg.RecoverByRecompute {
-			for _, s := range j.cfg.Graph.KBToSplits[l] {
-				outs, _, err := j.execMap(s)
-				if err != nil {
-					return ReduceOutput{Keyblock: l}, err
-				}
-				j.mu.Lock()
-				j.outputs[s] = outs
-				j.counters.RecomputedMaps++
-				j.mu.Unlock()
-			}
-		}
-		j.emit(Event{Kind: ReduceRecovered, Detail: l, At: time.Now()})
-		out, err = j.execReduce(l)
-		if err != nil {
-			return ReduceOutput{Keyblock: l}, err
-		}
-	}
-
-	if j.cfg.OnReduceOutput != nil {
-		j.cfg.OnReduceOutput(out)
-	}
-	j.emit(Event{Kind: ReduceEnd, Detail: l, At: time.Now()})
-	return out, nil
-}
-
-// execReduce fetches, merges and reduces keyblock l's data.
-func (j *job) execReduce(l int) (ReduceOutput, error) {
-	if j.cfg.Ctx != nil {
-		if err := j.cfg.Ctx.Err(); err != nil {
-			return ReduceOutput{Keyblock: l}, err
-		}
-	}
-	// Shuffle: under the dependency barrier only the Map tasks in I_ℓ
-	// are contacted; under the global barrier every Map task is (stock
-	// Hadoop's all-to-all fetch), which is what Table 3 counts.
-	var sources []int
-	if j.cfg.Barrier == DependencyBarrier {
-		sources = j.cfg.Graph.KBToSplits[l]
-	} else {
-		sources = make([]int, len(j.cfg.Splits))
-		for i := range sources {
-			sources[i] = i
-		}
-	}
-
-	// Each Map task's output for this keyblock is an independently
-	// sorted stream; collect them for the k-way merge.
-	var streams [][]kv.Pair
-	var tally, pairsIn, bytesIn int64
-	var spills []string
-	j.mu.Lock()
-	for _, s := range sources {
-		j.counters.Connections++
-		o := j.outputs[s]
-		if l >= len(o) {
-			continue
-		}
-		if o[l].path != "" {
-			spills = append(spills, o[l].path)
-			continue
-		}
-		if len(o[l].pairs) == 0 && o[l].sourceCount == 0 {
-			continue
-		}
-		streams = append(streams, o[l].pairs)
-		tally += o[l].sourceCount
-		pairsIn += int64(len(o[l].pairs))
-		for _, p := range o[l].pairs {
-			bytesIn += p.Value.ApproxBytes()
-		}
-	}
-	j.mu.Unlock()
-	for _, path := range spills {
-		filePairs, src, err := readSpillFile(path)
-		if err != nil {
-			return ReduceOutput{}, err
-		}
-		streams = append(streams, filePairs)
-		tally += src
-		pairsIn += int64(len(filePairs))
-		for _, p := range filePairs {
-			bytesIn += p.Value.ApproxBytes()
-		}
-	}
-	j.mu.Lock()
-	j.counters.ReducePairsIn += pairsIn
-	j.counters.ShuffleBytes += bytesIn
-	j.mu.Unlock()
-
-	if j.cfg.ValidateCounts {
-		want := j.cfg.Graph.ExpectedCount[l]
-		if tally != want {
-			return ReduceOutput{}, fmt.Errorf("%w: keyblock %d received %d source pairs, expected %d",
-				ErrCountMismatch, l, tally, want)
-		}
-	}
-
-	out := ExecReduce(j.in, l, streams)
-	var produced int64
-	for _, vals := range out.Values {
-		produced += int64(len(vals))
-	}
-	j.mu.Lock()
-	j.counters.OutputValues += produced
-	j.mu.Unlock()
-	return out, nil
 }
 
 // ExecReduce is the body of Reduce task l once its shuffle is complete
