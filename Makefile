@@ -38,14 +38,16 @@ bench-spine:
 bench-paper:
 	$(GO) run ./cmd/sidrbench
 
-# fuzz exercises the untrusted-bytes decoders briefly (CI runs the same
-# targets; crashers land in testdata/fuzz).
+# fuzz exercises the untrusted-bytes decoders and the Map kernel's
+# differential oracle briefly (CI runs the same targets; crashers land in
+# testdata/fuzz).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadSpill -fuzztime=$(FUZZTIME) ./internal/kv/
 	$(GO) test -run=^$$ -fuzz=FuzzReadIndex -fuzztime=$(FUZZTIME) ./internal/sidx/
 	$(GO) test -run=^$$ -fuzz=FuzzIndexCRC -fuzztime=$(FUZZTIME) ./internal/sidx/
 	$(GO) test -run=^$$ -fuzz=FuzzParseJoin -fuzztime=$(FUZZTIME) ./internal/query/
+	$(GO) test -run=^$$ -fuzz=FuzzMapKernel -fuzztime=$(FUZZTIME) ./internal/mapreduce/
 
 # smoke runs the multi-process cluster smoke test (sidrd + 2 workers).
 smoke:

@@ -370,7 +370,7 @@ func (w *Worker) jobFor(req *MapRequest) (*workerJob, error) {
 		return nil, err
 	}
 	j.closer = closer
-	var reader2 mapreduce.RecordReader
+	var reader2 coords.RecordReader
 	if req.Dataset2 != nil {
 		if reader2, j.closer2, err = OpenDataset(*req.Dataset2); err != nil {
 			j.close()
@@ -450,7 +450,7 @@ func (w *Worker) handleRelease(rw http.ResponseWriter, r *http.Request) {
 
 // OpenDataset resolves a DatasetSpec into a record reader. The
 // returned closer is non-nil for file datasets.
-func OpenDataset(spec DatasetSpec) (mapreduce.RecordReader, io.Closer, error) {
+func OpenDataset(spec DatasetSpec) (coords.RecordReader, io.Closer, error) {
 	switch spec.Kind {
 	case "file":
 		f, err := ncfile.Open(spec.Path)

@@ -1,0 +1,160 @@
+package coords
+
+import (
+	"context"
+	"fmt"
+)
+
+// RecordReader is the record-reader contract: the one way a data source
+// hands values to a scan (Map tasks, join sampling, index builds). Values
+// move a slab at a time, never one callback per point. Readers must be
+// safe for concurrent calls on distinct slabs.
+type RecordReader interface {
+	// ReadSlabInto fills dst with the slab's values in row-major order —
+	// value i belongs to the slab's i-th point — and returns
+	// dst[:slab.Size()], allocating only when dst's capacity is short.
+	ReadSlabInto(slab Slab, dst []float64) ([]float64, error)
+}
+
+// BatchPoints is the batch size scans read at: 16 Ki values (128 KiB)
+// stay cache-resident while amortising a read call over whole rows.
+// Doubling it measured no faster and a megabyte more resident memory.
+const BatchPoints = 16 << 10
+
+// Batches calls fn with consecutive sub-slabs of s holding at most
+// maxPoints points each, in an order and of a shape such that
+// concatenating their row-major values yields s's: whole trailing
+// dimensions while they fit, then a range of the next dimension out (for
+// most inputs, a few whole leading-dimension rows). The slab passed to fn
+// is overwritten between calls; fn must not retain it.
+func (s Slab) Batches(maxPoints int64, fn func(Slab) error) error {
+	if s.Rank() == 0 || s.Size() == 0 {
+		return nil
+	}
+	// d is the dimension batches cut: every dimension after it is taken
+	// whole, every dimension before it one index at a time.
+	d, inner := s.Rank()-1, int64(1)
+	for d > 0 && inner*s.Shape[d] <= maxPoints {
+		inner *= s.Shape[d]
+		d--
+	}
+	step := max64(1, maxPoints/inner)
+	batch := s.Clone()
+	for i := 0; i < d; i++ {
+		batch.Shape[i] = 1
+	}
+	outer := Slab{Corner: s.Corner[:d], Shape: s.Shape[:d]}
+	for {
+		for off := int64(0); off < s.Shape[d]; off += step {
+			batch.Corner[d] = s.Corner[d] + off
+			batch.Shape[d] = min64(step, s.Shape[d]-off)
+			if err := fn(batch); err != nil {
+				return err
+			}
+		}
+		if !outer.Advance(batch.Corner[:d]) {
+			return nil
+		}
+	}
+}
+
+// ReadBatches scans s through r a batch of at most BatchPoints values at
+// a time: it reads each batch into buf — grown once, then reused — and
+// hands fn the batch with its values. A non-nil ctx is checked before
+// every read. The buffer is returned for the next scan.
+func ReadBatches(ctx context.Context, r RecordReader, s Slab, buf []float64, fn func(batch Slab, vals []float64) error) ([]float64, error) {
+	err := s.Batches(BatchPoints, func(batch Slab) (err error) {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if buf, err = r.ReadSlabInto(batch, buf); err != nil {
+			return err
+		}
+		return fn(batch, buf)
+	})
+	return buf, err
+}
+
+// TileWalk is the run decomposition of a row-major scan under an
+// extraction shape. The shape maps K to K' deterministically, so along
+// the innermost dimension up to Shape[last] consecutive points share one
+// K' key: a scan resolves the leading K' coordinates, the stride gaps and
+// the clipping once per innermost line and consumes whole runs. Keys are
+// addressed as cells, row-major offsets inside Box.
+type TileWalk struct {
+	// Box is the slab of K' keys the walk keeps; points mapping outside
+	// it are skipped.
+	Box Slab
+
+	shape, stride Shape
+}
+
+// Walk returns the run decomposition of e that keeps the keys in box.
+func (e Extraction) Walk(box Slab) (TileWalk, error) {
+	if e.Rank() == 0 || e.Rank() > MaxRank || box.Rank() != e.Rank() {
+		return TileWalk{}, ErrRankMismatch
+	}
+	return TileWalk{Box: box, shape: e.Shape, stride: e.EffectiveStride()}, nil
+}
+
+// Runs decomposes vals, the row-major values of batch, into runs: maximal
+// stretches of an innermost line whose points map to one key of Box. It
+// calls fn for each in row-major order with the key's cell, the row-major
+// offset of the run's first point inside its tile, and the values. Points
+// in stride gaps, at negative coordinates or mapping outside Box belong
+// to no run.
+func (w TileWalk) Runs(batch Slab, vals []float64, fn func(cell, off int64, run []float64) error) error {
+	last := len(w.stride) - 1
+	if batch.Rank() != last+1 {
+		return ErrRankMismatch
+	}
+	if int64(len(vals)) != batch.Size() {
+		return fmt.Errorf("coords: %d values for a batch of %d points", len(vals), batch.Size())
+	}
+	st, es := w.stride[last], w.shape[last]
+	boxLo, boxN := w.Box.Corner[last], w.Box.Shape[last]
+	lineLen := batch.Shape[last]
+	x0, end := batch.Corner[last], batch.Corner[last]+lineLen
+	// The innermost tile range is the same for every line of the batch.
+	tLo := max64(max64(x0, 0)/st, boxLo)
+	tHi := min64((end-1)/st+1, boxLo+boxN)
+	if tLo >= tHi {
+		return nil
+	}
+
+	var leadBuf [MaxRank]int64 // on the stack: Runs allocates nothing
+	lead := Coord(leadBuf[:last])
+	copy(lead, batch.Corner)
+	lines := Slab{Corner: batch.Corner[:last], Shape: batch.Shape[:last]}
+	for pos := int64(0); pos < int64(len(vals)); pos += lineLen {
+		// Resolve the line's leading dimensions once: base is the cell of
+		// its first Box key, off the tile offset of its first column.
+		base, off, ok := int64(0), int64(0), true
+		for d := 0; ok && d < last; d++ {
+			t := lead[d] / w.stride[d]
+			in, rel := lead[d]-t*w.stride[d], t-w.Box.Corner[d]
+			// Unsigned compares fold the negative cases into the bounds.
+			ok = uint64(in) < uint64(w.shape[d]) && uint64(rel) < uint64(w.Box.Shape[d])
+			base = base*w.Box.Shape[d] + rel
+			off = off*w.shape[d] + in
+		}
+		if ok {
+			base, off = base*boxN-boxLo, off*es
+			line := vals[pos : pos+lineLen]
+			for t := tLo; t < tHi; t++ {
+				s := t * st
+				a, b := max64(s, x0), min64(s+es, end)
+				if a >= b {
+					continue // the line starts in this tile's gap
+				}
+				if err := fn(base+t, off+a-s, line[a-x0:b-x0]); err != nil {
+					return err
+				}
+			}
+		}
+		lines.Advance(lead)
+	}
+	return nil
+}

@@ -1,0 +1,163 @@
+package coords
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// TestBatchesConcatenateToTheSlab: batches are bounded, and visiting
+// their points batch by batch visits the slab's points in row-major
+// order — so concatenated batch reads equal one read of the slab.
+func TestBatchesConcatenateToTheSlab(t *testing.T) {
+	for _, tc := range []struct {
+		slab        Slab
+		max         int64
+		wantBatches int
+	}{
+		{MustSlab(NewCoord(3), NewShape(100)), 32, 4},                 // rank 1: ranges of the only dimension
+		{MustSlab(NewCoord(0, 0, 0), NewShape(8, 256, 64)), 32768, 4}, // whole rows, two at a time
+		{MustSlab(NewCoord(1, 2, 3), NewShape(4, 5, 6)), 1000, 1},     // fits in one
+		{MustSlab(NewCoord(1, 2, 3), NewShape(4, 5, 6)), 30, 4},       // one row each
+		{MustSlab(NewCoord(1, 2, 3), NewShape(4, 5, 6)), 13, 4 * 3},   // rows cut: two lines at a time
+		{MustSlab(NewCoord(1, 2, 3), NewShape(4, 5, 6)), 4, 4 * 5 * 2},
+		{MustSlab(NewCoord(1, 2, 3), NewShape(4, 5, 6)), 1, 120},
+	} {
+		var want, got []string
+		tc.slab.Each(func(c Coord) bool { want = append(want, c.String()); return true })
+		n := 0
+		err := tc.slab.Batches(tc.max, func(b Slab) error {
+			n++
+			if b.Size() > tc.max {
+				t.Fatalf("%v max %d: batch %v holds %d points", tc.slab, tc.max, b, b.Size())
+			}
+			b.Each(func(c Coord) bool { got = append(got, c.String()); return true })
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != tc.wantBatches {
+			t.Errorf("%v max %d: %d batches, want %d", tc.slab, tc.max, n, tc.wantBatches)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%v max %d: batches visit %v, slab %v", tc.slab, tc.max, got, want)
+		}
+	}
+	stop := fmt.Errorf("stop")
+	calls := 0
+	err := MustSlab(NewCoord(0, 0), NewShape(4, 4)).Batches(4, func(Slab) error { calls++; return stop })
+	if err != stop || calls != 1 {
+		t.Fatalf("error did not stop the iteration: err %v after %d calls", err, calls)
+	}
+}
+
+// TestRunsMatchMapKeyPerPoint: over random geometries — strides with
+// gaps, non-zero corners, boxes that clip — the runs Runs hands out cover
+// exactly the points MapKey maps into the box, in row-major order, each
+// with the cell of its key and its offset inside its tile.
+func TestRunsMatchMapKeyPerPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 400; iter++ {
+		rank := 1 + rng.Intn(3)
+		es, st := make(Shape, rank), make(Shape, rank)
+		slab := Slab{Corner: make(Coord, rank), Shape: make(Shape, rank)}
+		for d := 0; d < rank; d++ {
+			es[d] = 1 + rng.Int63n(5)
+			st[d] = es[d] + rng.Int63n(3)
+			slab.Corner[d] = rng.Int63n(9)
+			slab.Shape[d] = 1 + rng.Int63n(14)
+		}
+		e := MustExtraction(es, st)
+		box, err := e.TileRange(slab)
+		if err != nil {
+			continue // the slab sits in stride gaps
+		}
+		// Clip the box at random so some mapped points fall outside it.
+		for d := 0; d < rank; d++ {
+			if box.Shape[d] > 1 && rng.Intn(2) == 0 {
+				box.Corner[d]++
+				box.Shape[d]--
+			}
+		}
+		type hit struct {
+			cell, off int64
+			v         float64
+		}
+		var want, got []hit
+		vals := make([]float64, 0, slab.Size())
+		slab.Each(func(c Coord) bool {
+			v := float64(len(vals))
+			vals = append(vals, v)
+			kp, ok := e.MapKey(c)
+			if !ok || !box.Contains(kp) {
+				return true
+			}
+			cell, _ := box.Linearize(kp)
+			tile, _ := e.Tile(kp)
+			off, _ := tile.Linearize(c)
+			want = append(want, hit{cell, off, v})
+			return true
+		})
+		w, err := e.Walk(box)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Walk the slab in small batches so lines are cut mid-tile too.
+		pos := 0
+		err = slab.Batches(1+rng.Int63n(40), func(b Slab) error {
+			n := int(b.Size())
+			defer func() { pos += n }()
+			return w.Runs(b, vals[pos:pos+n], func(cell, off int64, run []float64) error {
+				if int64(len(run)) > es[rank-1] || len(run) == 0 {
+					t.Fatalf("run of %d points under es %v", len(run), es)
+				}
+				for i, v := range run {
+					got = append(got, hit{cell, off + int64(i), v})
+				}
+				return nil
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("es %v stride %v slab %v box %v:\n runs   %v\n points %v", es, st, slab, box, got, want)
+		}
+	}
+}
+
+func TestRunsRejectsMismatchedBatch(t *testing.T) {
+	e := MustExtraction(NewShape(2, 2), nil)
+	w, err := e.Walk(MustSlab(NewCoord(0, 0), NewShape(2, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := func(int64, int64, []float64) error { return nil }
+	if err := w.Runs(MustSlab(NewCoord(0), NewShape(4)), make([]float64, 4), none); err != ErrRankMismatch {
+		t.Fatalf("rank-1 batch: err %v, want ErrRankMismatch", err)
+	}
+	if err := w.Runs(MustSlab(NewCoord(0, 0), NewShape(2, 2)), make([]float64, 3), none); err == nil {
+		t.Fatal("short value slice accepted")
+	}
+	if _, err := e.Walk(MustSlab(NewCoord(0), NewShape(2))); err != ErrRankMismatch {
+		t.Fatalf("rank-1 box: err %v, want ErrRankMismatch", err)
+	}
+}
+
+func TestKeyBox(t *testing.T) {
+	e := MustExtraction(NewShape(2, 3), NewShape(5, 3))
+	space := MustSlab(NewCoord(0, 0), NewShape(4, 2))
+	box := e.KeyBox(MustSlab(NewCoord(4, 2), NewShape(8, 4)), space)
+	if !box.Equal(MustSlab(NewCoord(1, 0), NewShape(2, 2))) {
+		t.Fatalf("KeyBox = %v", box)
+	}
+	// Rows 2–4 lie in the gap between tile rows: no key, zero extents.
+	if box := e.KeyBox(MustSlab(NewCoord(2, 0), NewShape(3, 6)), space); box.Size() != 0 || box.Rank() != 2 {
+		t.Fatalf("all-gap slab: KeyBox = %v", box)
+	}
+	// Tiles outside the keyspace are clipped away.
+	if box := e.KeyBox(MustSlab(NewCoord(20, 0), NewShape(2, 6)), space); box.Size() != 0 {
+		t.Fatalf("slab beyond the keyspace: KeyBox = %v", box)
+	}
+}

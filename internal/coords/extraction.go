@@ -167,6 +167,19 @@ func (e Extraction) TileRange(in Slab) (Slab, error) {
 	return Slab{Corner: corner, Shape: shape}, nil
 }
 
+// KeyBox returns the box of intermediate keys the points of in map to,
+// clipped to space: TileRange(in) ∩ space. A scan of in can touch no
+// other key, so the box bounds its accumulation state before it reads a
+// value. The box has zero extents when no point of in maps into space.
+func (e Extraction) KeyBox(in, space Slab) Slab {
+	if tiles, err := e.TileRange(in); err == nil {
+		if box, ok := tiles.Intersect(space); ok {
+			return box
+		}
+	}
+	return Slab{Corner: make(Coord, e.Rank()), Shape: make(Shape, e.Rank())}
+}
+
 // SourceRange returns the slab in the input space K whose points map to
 // intermediate keys within kpSlab (in K'). It is the inverse of TileRange
 // used when a Reduce task re-derives its input dependencies on demand

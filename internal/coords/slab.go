@@ -131,25 +131,22 @@ func (s Slab) EachReuse(fn func(Coord) bool) {
 	if s.Rank() == 0 || s.Size() == 0 {
 		return
 	}
-	cur := s.Corner.Clone()
-	end := s.End()
-	for {
-		if !fn(cur) {
-			return
-		}
-		// Row-major increment with carry.
-		i := len(cur) - 1
-		for ; i >= 0; i-- {
-			cur[i]++
-			if cur[i] < end[i] {
-				break
-			}
-			cur[i] = s.Corner[i]
-		}
-		if i < 0 {
-			return
-		}
+	for cur := s.Corner.Clone(); fn(cur) && s.Advance(cur); {
 	}
+}
+
+// Advance moves cur, a point of the slab, to its row-major successor in
+// place (increment with carry) and reports whether there was one; after
+// the last point cur is back at the corner.
+func (s Slab) Advance(cur Coord) bool {
+	for i := len(cur) - 1; i >= 0; i-- {
+		cur[i]++
+		if cur[i] < s.Corner[i]+s.Shape[i] {
+			return true
+		}
+		cur[i] = s.Corner[i]
+	}
+	return false
 }
 
 // Linearize maps a point inside the slab to its row-major offset relative

@@ -163,8 +163,8 @@ type Options struct {
 	// JoinSamplerA/B, when both set for a join query, let the planner
 	// sample per-keyblock expected load from the data and re-tile hot
 	// keyblocks. Nil skips sampling (base partition+ layout).
-	JoinSamplerA mapreduce.RecordReader
-	JoinSamplerB mapreduce.RecordReader
+	JoinSamplerA coords.RecordReader
+	JoinSamplerB coords.RecordReader
 	// Retile, when set for a join query, rebuilds the recorded keyblock
 	// layout instead of sampling — how clustered workers derive the exact
 	// plan the coordinator shipped. Takes precedence over the samplers.
@@ -419,14 +419,14 @@ func (p *Plan) KeyblockSlab(l int) (coords.Slab, bool) {
 
 // RunLocal executes a single-input plan on the in-process engine; see
 // RunLocalJoin.
-func (p *Plan) RunLocal(reader mapreduce.RecordReader, tweak func(*mapreduce.Config)) (*mapreduce.Result, error) {
+func (p *Plan) RunLocal(reader coords.RecordReader, tweak func(*mapreduce.Config)) (*mapreduce.Result, error) {
 	return p.RunLocalJoin(reader, nil, tweak)
 }
 
 // RunLocalJoin executes the plan on the in-process engine, one reader per
 // input (readerB is nil for single-input plans); see JobConfig for what
 // the engine choice wires.
-func (p *Plan) RunLocalJoin(readerA, readerB mapreduce.RecordReader, tweak func(*mapreduce.Config)) (*mapreduce.Result, error) {
+func (p *Plan) RunLocalJoin(readerA, readerB coords.RecordReader, tweak func(*mapreduce.Config)) (*mapreduce.Result, error) {
 	cfg := p.JobConfig(readerA, readerB)
 	if tweak != nil {
 		tweak(&cfg)
@@ -441,7 +441,7 @@ func (p *Plan) RunLocalJoin(readerA, readerB mapreduce.RecordReader, tweak func(
 // dependency-driven Map order and keyblock-priority Reduce order;
 // Hadoop/SciHadoop plans run with the global barrier and all-to-all
 // shuffle.
-func (p *Plan) JobConfig(readerA, readerB mapreduce.RecordReader) mapreduce.Config {
+func (p *Plan) JobConfig(readerA, readerB coords.RecordReader) mapreduce.Config {
 	cfg := mapreduce.Config{
 		Query:   p.Query,
 		Splits:  p.Splits,
@@ -464,7 +464,7 @@ func (p *Plan) JobConfig(readerA, readerB mapreduce.RecordReader) mapreduce.Conf
 // TaskInput binds the plan to its readers as the input of the standalone
 // task body mapreduce.ExecMap — what a cluster worker runs outside a full
 // in-process job (and what a mapreduce.LocalRunner is built from).
-func (p *Plan) TaskInput(readerA, readerB mapreduce.RecordReader) (mapreduce.MapInput, error) {
+func (p *Plan) TaskInput(readerA, readerB coords.RecordReader) (mapreduce.MapInput, error) {
 	in := mapreduce.MapInput{
 		Query:   p.Query,
 		Space:   p.Space,

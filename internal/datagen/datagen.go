@@ -129,7 +129,9 @@ func Integers(seed int64) func(coords.Coord) float64 {
 }
 
 // WriteDataset materialises a generated dataset into an ncfile container
-// with a single float64 variable named varName over dims d0, d1, ....
+// with a single float64 variable named varName over dims d0, d1, .... fn
+// receives one coordinate buffer that is overwritten between calls and
+// must not retain it — the contract of every generator in this package.
 func WriteDataset(path, varName string, shape coords.Shape, fn func(coords.Coord) float64) error {
 	if err := shape.Validate(); err != nil {
 		return err
@@ -148,23 +150,20 @@ func WriteDataset(path, varName string, shape coords.Shape, fn func(coords.Coord
 		return err
 	}
 	defer f.Close()
-	// Stream row by row to bound memory for large datasets.
-	rowShape := shape.Clone()
-	rowShape[0] = 1
-	buf := make([]float64, rowShape.Size())
-	for row := int64(0); row < shape[0]; row++ {
-		corner := make(coords.Coord, shape.Rank())
-		corner[0] = row
-		slab := coords.Slab{Corner: corner, Shape: rowShape}
-		i := 0
-		slab.Each(func(k coords.Coord) bool {
-			buf[i] = fn(k)
-			i++
+	// Stream batch by batch to bound memory for large datasets; whole
+	// rows coalesce into one write.
+	buf := make([]float64, 0, coords.BatchPoints)
+	full := coords.Slab{Corner: make(coords.Coord, shape.Rank()), Shape: shape}
+	err = full.Batches(coords.BatchPoints, func(batch coords.Slab) error {
+		buf = buf[:0]
+		batch.EachReuse(func(k coords.Coord) bool {
+			buf = append(buf, fn(k))
 			return true
 		})
-		if err := f.WriteSlab(varName, slab, buf); err != nil {
-			return err
-		}
+		return f.WriteSlab(varName, batch, buf)
+	})
+	if err != nil {
+		return err
 	}
 	return f.Sync()
 }

@@ -22,11 +22,16 @@ type MapOut struct {
 }
 
 // ExecMap runs one join Map task: read the split's live region on the
-// given side, accumulate per-(tile, keyblock) aggregates (skipping NaN
-// missing cells), and emit side-tagged sorted pairs per keyblock. The
-// returned slice is indexed by keyblock; the second return value is the
-// number of source records that mapped into the join keyspace.
-func ExecMap(p *Plan, side int, reader Reader, split coords.Slab, ctx context.Context) ([]MapOut, int64, error) {
+// given side in row batches, fold every run of present cells into its
+// tile's aggregate (skipping NaN missing cells), and emit side-tagged
+// sorted pairs per keyblock. It is a client of the same batch reader and
+// run decomposition as the single-input Map kernel: plain units
+// accumulate in one dense tile over the split's K' box; a carved tile's
+// heavy side splits each run at its shares' offset boundaries and its
+// light side folds the run into every share. The returned slice is
+// indexed by keyblock; the second return value is the number of source
+// records that mapped into the join keyspace.
+func ExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab, ctx context.Context) ([]MapOut, int64, error) {
 	outs := make([]MapOut, len(p.Units))
 	live, ok := split.Intersect(p.SideInput(side))
 	if !ok {
@@ -40,98 +45,116 @@ func ExecMap(p *Plan, side int, reader Reader, split coords.Slab, ctx context.Co
 		outs[kb].SourceCount = n
 	}
 
+	box := p.Q.Extraction.KeyBox(live, p.Space)
+	walk, err := p.Q.Extraction.Walk(box)
+	if err != nil {
+		return nil, 0, err
+	}
 	needSamples := p.Op.NeedsSamples()
-	rank := p.Space.Rank()
-	accums := make(map[int]map[int64]*kv.Value) // keyblock -> K'-linear -> agg
-	acc := func(kb int, k int64) *kv.Value {
-		m := accums[kb]
-		if m == nil {
-			m = make(map[int64]*kv.Value)
-			accums[kb] = m
+	tile := make([]kv.Value, box.Size()) // plain units, by cell of box
+	shareAcc := make([]kv.Value, len(p.Units))
+	// carved maps the cells of box that are carved tiles to their shares.
+	var carved map[int64][]int
+	for k, ids := range p.shares {
+		kp, err := p.Space.Delinearize(k)
+		if err != nil {
+			return nil, 0, err
 		}
-		v := m[k]
-		if v == nil {
-			v = &kv.Value{}
-			m[k] = v
+		if cell, err := box.Linearize(kp); err == nil {
+			if carved == nil {
+				carved = make(map[int64][]int)
+			}
+			carved[cell] = ids
 		}
-		return v
 	}
 
-	// Per-tile routing is resolved once per tile and cached across the
-	// row-major record loop (runs of cells share a tile).
-	var (
-		curKey   int64 = -1
-		curIDs   []int
-		curHeavy bool
-		curTile  coords.Slab
-	)
-	kpBuf := make(coords.Coord, 0, rank)
-	var records, seen int64
-	err = reader.ReadSplit(live, func(c coords.Coord, v float64) error {
-		if seen&63 == 0 && ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
+	var records int64
+	fold := func(cell, off int64, run []float64) error {
+		records += int64(len(run))
+		var ids []int
+		if carved != nil {
+			ids = carved[cell]
+		}
+		// Missing cells break the run: they are counted by the
+		// annotation, never aggregated.
+		for len(run) > 0 {
+			n := 0
+			for n < len(run) && !math.IsNaN(run[n]) {
+				n++
 			}
-		}
-		seen++
-		kp, mapped := p.Q.Extraction.MapKeyInto(c, kpBuf)
-		if kp != nil {
-			kpBuf = kp[:0]
-		}
-		if !mapped || !p.Space.Contains(kp) {
-			return nil
-		}
-		records++
-		if math.IsNaN(v) {
-			return nil // missing cell: counted by the annotation, never aggregated
-		}
-		k, err := p.Space.Linearize(kp)
-		if err != nil {
-			return err
-		}
-		if k != curKey {
-			curKey = k
-			curIDs, curHeavy = nil, false
-			if ids, shared := p.shares[k]; shared {
-				curIDs = ids
-				curHeavy = side == p.Units[ids[0]].Heavy
-				if curTile, err = p.Q.Extraction.Tile(kp); err != nil {
-					return err
+			present := run[:n]
+			switch {
+			case n == 0:
+				n = 1 // skip the missing cell
+			case ids == nil:
+				tile[cell].AddRun(present, needSamples)
+			case side == p.Units[ids[0]].Heavy:
+				// The shares partition the tile's offsets [0, size).
+				for _, id := range ids {
+					a, b := max(off, p.Units[id].OffLo), min(off+int64(n), p.Units[id].OffHi)
+					if a < b {
+						shareAcc[id].AddRun(present[a-off:b-off], needSamples)
+					}
+				}
+			default:
+				for _, id := range ids {
+					shareAcc[id].AddRun(present, needSamples)
 				}
 			}
-		}
-		switch {
-		case curIDs == nil:
-			acc(p.rangeUnit(k), k).Add(v, needSamples)
-		case curHeavy:
-			off, err := curTile.Linearize(c)
-			if err != nil {
-				return err
-			}
-			acc(p.shareByOffset(k, off), k).Add(v, needSamples)
-		default:
-			for _, id := range curIDs {
-				acc(id, k).Add(v, needSamples)
-			}
+			run, off = run[n:], off+int64(n)
 		}
 		return nil
+	}
+	_, err = coords.ReadBatches(ctx, reader, live, nil, func(batch coords.Slab, vals []float64) error {
+		return walk.Runs(batch, vals, fold)
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 
-	for kb, m := range accums {
-		pairs := make([]kv.Pair, 0, len(m))
-		for k, val := range m {
-			kp, err := p.Space.Delinearize(k)
-			if err != nil {
-				return nil, 0, err
-			}
-			key := append(kp, int64(side))
-			pairs = append(pairs, kv.Pair{Key: key, Value: *val})
+	// A plain unit owns a contiguous row-major range of K', and the walk
+	// below meets the box's keys in that order: each unit's pairs are one
+	// stretch of a single sorted slice.
+	n := 0
+	for i := range tile {
+		if tile[i].Count > 0 {
+			n++
 		}
-		kv.SortPairs(pairs)
-		outs[kb].Pairs = pairs
+	}
+	rank := p.Space.Rank()
+	pairs, keyArena := make([]kv.Pair, 0, n), make([]int64, n*(rank+1))
+	unit, start, cell := -1, 0, 0
+	box.EachReuse(func(kp coords.Coord) bool {
+		if v := &tile[cell]; v.Count > 0 {
+			k, lerr := p.Space.Linearize(kp)
+			if err = lerr; err != nil {
+				return false
+			}
+			if u := p.rangeUnit(k); u != unit {
+				if unit >= 0 {
+					outs[unit].Pairs = pairs[start:len(pairs):len(pairs)]
+				}
+				unit, start = u, len(pairs)
+			}
+			key := coords.Coord(keyArena[: rank+1 : rank+1])
+			keyArena = keyArena[rank+1:]
+			key[copy(key, kp)] = int64(side)
+			pairs = append(pairs, kv.Pair{Key: key, Value: *v})
+		}
+		cell++
+		return true
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	if unit >= 0 {
+		outs[unit].Pairs = pairs[start:]
+	}
+	for id := range shareAcc {
+		if shareAcc[id].Count > 0 {
+			key := append(p.Units[id].Tile.Clone(), int64(side))
+			outs[id].Pairs = []kv.Pair{{Key: key, Value: shareAcc[id]}}
+		}
 	}
 	return outs, records, nil
 }

@@ -34,12 +34,6 @@ import (
 	"sidr/internal/query"
 )
 
-// Reader is the record-reader contract (structurally identical to
-// mapreduce.RecordReader, restated here to avoid an import cycle).
-type Reader interface {
-	ReadSplit(slab coords.Slab, emit func(coords.Coord, float64) error) error
-}
-
 // Unit is one keyblock of a join plan. A plain unit owns the contiguous
 // row-major K'-range [Lo, Hi) of the join keyspace. A share unit (Tile
 // non-nil) owns one heavy tile's cells whose row-major offset within the
@@ -112,7 +106,7 @@ const maxSampledTiles = 1 << 20
 // Build plans a join over the two sides' splits. When both readers are
 // non-nil, per-tile loads are sampled from the data and hot keyblocks
 // re-tiled; otherwise the base partition+ layout is kept.
-func Build(q *query.Query, opts Options, readerA, readerB Reader, splitsA, splitsB []coords.Slab) (*Plan, error) {
+func Build(q *query.Query, opts Options, readerA, readerB coords.RecordReader, splitsA, splitsB []coords.Slab) (*Plan, error) {
 	if q == nil || !q.Join {
 		return nil, fmt.Errorf("join: not a join query")
 	}

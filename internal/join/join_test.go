@@ -10,13 +10,13 @@ import (
 
 type funcReader struct{ fn func(coords.Coord) float64 }
 
-func (r funcReader) ReadSplit(slab coords.Slab, emit func(coords.Coord, float64) error) error {
-	var err error
-	slab.Each(func(k coords.Coord) bool {
-		err = emit(k, r.fn(k))
-		return err == nil
+func (r funcReader) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, error) {
+	dst = dst[:0]
+	slab.EachReuse(func(k coords.Coord) bool {
+		dst = append(dst, r.fn(k))
+		return true
 	})
-	return err
+	return dst, nil
 }
 
 func mustQuery(t *testing.T, s string) *query.Query {

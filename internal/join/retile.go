@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"math"
 
 	"sidr/internal/coords"
@@ -17,38 +18,31 @@ const SampleStride = 16
 
 // sampleSide accumulates one side's estimated per-tile load into loads
 // (indexed by K'-linear offset in space).
-func sampleSide(q *query.Query, space, input coords.Slab, reader Reader, splits []coords.Slab, loads []int64) error {
-	kpBuf := make(coords.Coord, 0, space.Rank())
+func sampleSide(q *query.Query, space, input coords.Slab, reader coords.RecordReader, splits []coords.Slab, loads []int64) error {
+	walk, err := q.Extraction.Walk(space)
+	if err != nil {
+		return err
+	}
+	count := func(cell, _ int64, run []float64) error {
+		for _, v := range run {
+			if !math.IsNaN(v) { // missing cells carry no load
+				loads[cell] += SampleStride
+			}
+		}
+		return nil
+	}
+	var vals []float64
 	for _, split := range splits {
-		live, ok := split.Intersect(input)
+		row, ok := split.Intersect(input)
 		if !ok {
 			continue
 		}
-		rows, err := live.SplitDim(0, 1)
-		if err != nil {
-			return err
-		}
-		for j, row := range rows {
-			if j%SampleStride != 0 {
-				continue
-			}
-			err := reader.ReadSplit(row, func(k coords.Coord, v float64) error {
-				if math.IsNaN(v) {
-					return nil // missing cell
-				}
-				kp, mapped := q.Extraction.MapKeyInto(k, kpBuf)
-				if kp != nil {
-					kpBuf = kp[:0]
-				}
-				if !mapped || !space.Contains(kp) {
-					return nil
-				}
-				off, err := space.Linearize(kp)
-				if err != nil {
-					return err
-				}
-				loads[off] += SampleStride
-				return nil
+		// row steps through every SampleStride-th leading-dimension row
+		// of the split's live region.
+		end := row.Corner[0] + row.Shape[0]
+		for row.Shape[0] = 1; row.Corner[0] < end; row.Corner[0] += SampleStride {
+			vals, err = coords.ReadBatches(context.Background(), reader, row, vals, func(batch coords.Slab, vals []float64) error {
+				return walk.Runs(batch, vals, count)
 			})
 			if err != nil {
 				return err

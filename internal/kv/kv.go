@@ -68,6 +68,34 @@ func (v *Value) Add(x float64, keepSample bool) {
 	}
 }
 
+// AddRun folds xs into the value in order, exactly as len(xs) calls of
+// Add would: each statistic keeps its single accumulator and sees the
+// observations in the same sequence, so the result is bit-identical.
+func (v *Value) AddRun(xs []float64, keepSamples bool) {
+	if len(xs) == 0 {
+		return
+	}
+	sum, sumSq, lo, hi := v.Sum, v.SumSq, v.Min, v.Max
+	if v.Count == 0 {
+		lo, hi = xs[0], xs[0]
+	}
+	for _, x := range xs {
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+		sum += x
+		sumSq += x * x
+	}
+	v.Sum, v.SumSq, v.Min, v.Max = sum, sumSq, lo, hi
+	v.Count += int64(len(xs))
+	if keepSamples {
+		v.Samples = append(v.Samples, xs...)
+	}
+}
+
 // Merge folds another value into v (the combiner/reducer merge step).
 func (v *Value) Merge(o Value) {
 	if o.Count == 0 {

@@ -36,6 +36,44 @@ func TestValueAdd(t *testing.T) {
 	}
 }
 
+// TestAddRunIsRepeatedAdd: folding a run is bit-identical to adding its
+// observations one at a time — NaN, +Inf and signed zeros included, into
+// an empty value and into one already holding data. (Infinities of both
+// signs are left out: Inf − Inf mints a second NaN payload, and which
+// payload a NaN + NaN keeps is the compiler's operand order, not the
+// fold order.)
+func TestAddRunIsRepeatedAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	specials := []float64{math.NaN(), math.Inf(1), math.Copysign(0, -1), 0}
+	for iter := 0; iter < 500; iter++ {
+		xs := make([]float64, rng.Intn(20))
+		for i := range xs {
+			xs[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
+			if rng.Intn(9) == 0 {
+				xs[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		cut, keep := rng.Intn(len(xs)+1), iter%2 == 0
+		var one, run Value
+		for _, x := range xs {
+			one.Add(x, keep)
+		}
+		run.AddRun(xs[:cut], keep)
+		run.AddRun(xs[cut:], keep)
+		same := math.Float64bits(one.Sum) == math.Float64bits(run.Sum) &&
+			math.Float64bits(one.SumSq) == math.Float64bits(run.SumSq) &&
+			math.Float64bits(one.Min) == math.Float64bits(run.Min) &&
+			math.Float64bits(one.Max) == math.Float64bits(run.Max) &&
+			one.Count == run.Count && len(one.Samples) == len(run.Samples) && (one.Samples == nil) == (run.Samples == nil)
+		for i := 0; same && i < len(one.Samples); i++ {
+			same = math.Float64bits(one.Samples[i]) == math.Float64bits(run.Samples[i])
+		}
+		if !same {
+			t.Fatalf("xs %v cut %d: Add %+v, AddRun %+v", xs, cut, one, run)
+		}
+	}
+}
+
 func TestValueMerge(t *testing.T) {
 	a := NewValue(1, true)
 	a.Add(2, true)

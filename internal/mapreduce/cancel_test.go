@@ -20,11 +20,9 @@ type slowReader struct {
 	delay time.Duration
 }
 
-func (r *slowReader) ReadSplit(slab coords.Slab, emit func(coords.Coord, float64) error) error {
-	return r.inner.ReadSplit(slab, func(k coords.Coord, v float64) error {
-		time.Sleep(r.delay)
-		return emit(k, v)
-	})
+func (r *slowReader) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, error) {
+	time.Sleep(r.delay * time.Duration(slab.Size()))
+	return r.inner.ReadSlabInto(slab, dst)
 }
 
 func cancelConfig(t *testing.T, barrier BarrierMode) Config {

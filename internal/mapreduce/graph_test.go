@@ -69,15 +69,15 @@ func TestNoBarrierParkedGoroutines(t *testing.T) {
 
 	release := make(chan struct{})
 	inner := &FuncReader{Fn: synthValue}
-	cfg.Reader = readerFunc(func(slab coords.Slab, emit func(coords.Coord, float64) error) error {
+	cfg.Reader = readerFunc(func(slab coords.Slab, dst []float64) ([]float64, error) {
 		if slab.Corner.Equal(lastSplit.Corner) {
 			select {
 			case <-release:
 			case <-time.After(30 * time.Second):
-				return errors.New("gate never released")
+				return nil, errors.New("gate never released")
 			}
 		}
-		return inner.ReadSplit(slab, emit)
+		return inner.ReadSlabInto(slab, dst)
 	})
 
 	checked := make(chan error, 1)

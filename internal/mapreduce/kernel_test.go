@@ -1,0 +1,587 @@
+package mapreduce
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"sort"
+	"testing"
+
+	"sidr/internal/coords"
+	"sidr/internal/kv"
+	"sidr/internal/ops"
+	"sidr/internal/partition"
+	"sidr/internal/query"
+)
+
+// refExecMap is the per-point Map task body the batch kernel replaced,
+// kept verbatim (scratch pooling aside) as the differential oracle: one
+// callback per source point, MapKeyInto + Contains + Partition +
+// Linearize and a hash-map lookup each, Delinearize and a sort at seal
+// time. ExecMap must reproduce its output bit for bit.
+func refExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
+	q := in.Query
+	live, ok := split.Slab.Intersect(q.Input)
+	if !ok {
+		return make([]MapOut, in.Part.NumKeyblocks()), 0, nil
+	}
+	needSamples := in.Op.NeedsSamples()
+	combine := in.Combine && ops.CombinerLossless(in.Op)
+
+	r := in.Part.NumKeyblocks()
+	outs := make([]MapOut, r)
+	accums := make([]map[int64]*kv.Value, r)
+	for i := range accums {
+		accums[i] = make(map[int64]*kv.Value)
+	}
+	segments := make([][][]kv.Pair, r)
+	var records, buffered, seen int64
+	var kpBuf coords.Coord
+
+	sealSegment := func(kb int) error {
+		m := accums[kb]
+		if len(m) == 0 {
+			return nil
+		}
+		pairs := make([]kv.Pair, 0, len(m))
+		for off, val := range m {
+			kp, err := in.Space.Delinearize(off)
+			if err != nil {
+				return err
+			}
+			out := *val
+			if combine && in.Op.Kind() == ops.Filter {
+				out = ops.PreFilter(in.Op, out, q.Params()...)
+			}
+			if !combine && out.Count > 1 && out.Samples != nil {
+				for _, s := range out.Samples {
+					pairs = append(pairs, kv.Pair{Key: kp, Value: kv.NewValue(s, true)})
+				}
+				continue
+			}
+			pairs = append(pairs, kv.Pair{Key: kp, Value: out})
+		}
+		kv.SortPairs(pairs)
+		segments[kb] = append(segments[kb], pairs)
+		clear(m)
+		return nil
+	}
+	sealAll := func() error {
+		for kb := range accums {
+			if err := sealSegment(kb); err != nil {
+				return err
+			}
+		}
+		buffered = 0
+		return nil
+	}
+
+	err := eachPoint(in.Reader, live, func(k coords.Coord, v float64) error {
+		if seen&63 == 0 && in.Ctx != nil {
+			if err := in.Ctx.Err(); err != nil {
+				return err
+			}
+		}
+		seen++
+		kp, mapped := q.Extraction.MapKeyInto(k, kpBuf)
+		if kp != nil {
+			kpBuf = kp[:0]
+		}
+		if !mapped {
+			return nil // stride gap
+		}
+		if !in.Space.Contains(kp) {
+			return nil // discarded partial tile (KeepPartial == false semantics)
+		}
+		records++
+		kb, err := in.Part.Partition(kp)
+		if err != nil {
+			return err
+		}
+		off, err := in.Space.Linearize(kp)
+		if err != nil {
+			return err
+		}
+		m := accums[kb]
+		val := m[off]
+		if val == nil {
+			val = &kv.Value{}
+			m[off] = val
+		}
+		val.Add(v, needSamples)
+		outs[kb].SourceCount++
+		buffered++
+		if in.SortBufferRecords > 0 && buffered >= in.SortBufferRecords {
+			return sealAll()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := sealAll(); err != nil {
+		return nil, 0, err
+	}
+
+	for kb, segs := range segments {
+		switch {
+		case len(segs) == 0:
+		case len(segs) == 1:
+			outs[kb].Pairs = segs[0]
+		case combine:
+			outs[kb].Pairs = kv.MergeSorted(segs)
+		default:
+			all := make([]kv.Pair, 0, totalPairs(segs))
+			for _, s := range segs {
+				all = append(all, s...)
+			}
+			kv.SortPairs(all)
+			outs[kb].Pairs = all
+		}
+	}
+	return outs, records, nil
+}
+
+// eachPoint is the record stream the per-point kernel consumed: one emit
+// per point of the slab in row-major order, the coordinate valid only
+// for the duration of the call.
+func eachPoint(r coords.RecordReader, slab coords.Slab, emit func(coords.Coord, float64) error) error {
+	vals, err := r.ReadSlabInto(slab, nil)
+	if err != nil {
+		return err
+	}
+	i := 0
+	slab.EachReuse(func(k coords.Coord) bool {
+		err = emit(k, vals[i])
+		i++
+		return err == nil
+	})
+	return err
+}
+
+// valueBits renders every field of a value by its bits, so two values
+// compare equal exactly when they are math.Float64bits-identical.
+func valueBits(v kv.Value) string {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%x %x %x %x n=%d", math.Float64bits(v.Sum), math.Float64bits(v.SumSq),
+		math.Float64bits(v.Min), math.Float64bits(v.Max), v.Count)
+	if v.Samples == nil {
+		b.WriteString(" nil")
+	}
+	for _, s := range v.Samples {
+		fmt.Fprintf(&b, " %x", math.Float64bits(s))
+	}
+	return b.String()
+}
+
+// canonicalPairs renders a keyblock's pairs one line each, ordered by key
+// and, within one key, by value bits: the uncombined path ships one pair
+// per sample, and the order of a key's samples was left arbitrary by the
+// old kernel's unstable sort over a hash map, so per key the MULTISET is
+// the contract. With unique keys the rendering keeps the stream order.
+func canonicalPairs(t *testing.T, pairs []kv.Pair) []string {
+	t.Helper()
+	type line struct {
+		key  coords.Coord
+		bits string
+	}
+	lines := make([]line, len(pairs))
+	for i, p := range pairs {
+		if i > 0 && p.Key.Less(pairs[i-1].Key) {
+			t.Fatalf("pairs not sorted by key: %v after %v", p.Key, pairs[i-1].Key)
+		}
+		lines[i] = line{p.Key, valueBits(p.Value)}
+	}
+	sort.SliceStable(lines, func(a, b int) bool {
+		if c := lines[a].key.Compare(lines[b].key); c != 0 {
+			return c < 0
+		}
+		return lines[a].bits < lines[b].bits
+	})
+	out := make([]string, len(lines))
+	for i, l := range lines {
+		out[i] = fmt.Sprintf("%v %s", l.key, l.bits)
+	}
+	return out
+}
+
+// checkSameMapOutput holds the kernel's output against the oracle's:
+// records, per-keyblock SourceCount, keys and every kv.Value field.
+func checkSameMapOutput(t *testing.T, label string, got, want []MapOut, gotRecords, wantRecords int64) {
+	t.Helper()
+	if gotRecords != wantRecords {
+		t.Fatalf("%s: %d records, oracle %d", label, gotRecords, wantRecords)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d keyblocks, oracle %d", label, len(got), len(want))
+	}
+	for kb := range want {
+		if got[kb].SourceCount != want[kb].SourceCount {
+			t.Fatalf("%s kb %d: SourceCount %d, oracle %d", label, kb, got[kb].SourceCount, want[kb].SourceCount)
+		}
+		g, w := canonicalPairs(t, got[kb].Pairs), canonicalPairs(t, want[kb].Pairs)
+		if len(g) != len(w) {
+			t.Fatalf("%s kb %d: %d pairs, oracle %d", label, kb, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("%s kb %d pair %d:\n got    %s\n oracle %s", label, kb, i, g[i], w[i])
+			}
+		}
+	}
+}
+
+// kernelValue is a full-mantissa pseudo-random field (so a reassociated
+// sum changes low bits) with occasional NaN, ±Inf and -0 cells.
+func kernelValue(k coords.Coord) float64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, x := range k {
+		h ^= uint64(x) + 0x9e3779b97f4a7c15 + h<<6 + h>>2
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+	}
+	switch h % 97 {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Copysign(0, -1)
+	}
+	return (float64(h>>11)/float64(1<<53) - 0.5) * 1e3
+}
+
+// kernelCase is one geometry of the differential matrix.
+type kernelCase struct {
+	name        string
+	input       coords.Slab
+	es, stride  coords.Shape // stride nil = dense
+	dropPartial bool         // Space keeps only tiles wholly inside input
+	splitRows   []int64      // leading-dimension rows per split
+}
+
+func (c kernelCase) query(op string) *query.Query {
+	q := &query.Query{Operator: op, Variable: "v", Input: c.input,
+		Extraction: coords.MustExtraction(c.es, c.stride), KeepPartial: !c.dropPartial}
+	switch op {
+	case "filter_gt", "filter_lt":
+		q.Param = 100
+	case "filter_range":
+		q.Param, q.Param2, q.HasParam2 = -200, 150, true
+	case "percentile":
+		q.Param = 75
+	}
+	return q
+}
+
+// space is K'^T for the case: every tile overlapping the input, or only
+// the tiles wholly inside it (the KeepPartial == false discard).
+func (c kernelCase) space(t testing.TB, e coords.Extraction) coords.Slab {
+	t.Helper()
+	space, err := e.TileRange(c.input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.dropPartial {
+		return space
+	}
+	st := e.EffectiveStride()
+	for d := range space.Corner {
+		lo, end := c.input.Corner[d], c.input.Corner[d]+c.input.Shape[d]
+		first, last := (lo+st[d]-1)/st[d], (end-e.Shape[d])/st[d]
+		if end < e.Shape[d] || last < first {
+			continue // no whole tile in this dimension: keep the partial ones
+		}
+		space.Corner[d], space.Shape[d] = first, last-first+1
+	}
+	return space
+}
+
+var kernelCases = []kernelCase{
+	{name: "rank1", input: coords.MustSlab(coords.NewCoord(0), coords.NewShape(67)), es: coords.NewShape(5), splitRows: []int64{1, 7, 67}},
+	{name: "rank1-corner-stride", input: coords.MustSlab(coords.NewCoord(3), coords.NewShape(61)), es: coords.NewShape(4), stride: coords.NewShape(6), splitRows: []int64{5, 61}},
+	{name: "rank1-drop", input: coords.MustSlab(coords.NewCoord(2), coords.NewShape(40)), es: coords.NewShape(7), dropPartial: true, splitRows: []int64{3, 40}},
+	{name: "rank2", input: coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(28, 10)), es: coords.NewShape(7, 5), splitRows: []int64{1, 4, 28}},
+	{name: "rank2-partial", input: coords.MustSlab(coords.NewCoord(5, 3), coords.NewShape(23, 11)), es: coords.NewShape(4, 3), splitRows: []int64{3, 5, 23}},
+	{name: "rank2-partial-drop", input: coords.MustSlab(coords.NewCoord(5, 3), coords.NewShape(23, 11)), es: coords.NewShape(4, 3), dropPartial: true, splitRows: []int64{3, 23}},
+	{name: "rank2-gaps", input: coords.MustSlab(coords.NewCoord(1, 2), coords.NewShape(26, 17)), es: coords.NewShape(2, 3), stride: coords.NewShape(5, 4), splitRows: []int64{1, 4, 26}},
+	{name: "rank2-identity", input: coords.MustSlab(coords.NewCoord(2, 1), coords.NewShape(9, 8)), es: coords.NewShape(1, 1), splitRows: []int64{2, 9}},
+	{name: "rank2-one-tile", input: coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(6, 6)), es: coords.NewShape(8, 8), splitRows: []int64{2, 6}},
+	{name: "rank3", input: coords.MustSlab(coords.NewCoord(0, 0, 0), coords.NewShape(12, 6, 8)), es: coords.NewShape(4, 3, 4), splitRows: []int64{1, 5, 12}},
+	{name: "rank3-corner-gaps-drop", input: coords.MustSlab(coords.NewCoord(2, 1, 3), coords.NewShape(11, 7, 9)), es: coords.NewShape(2, 2, 3), stride: coords.NewShape(3, 2, 4), dropPartial: true, splitRows: []int64{2, 11}},
+	{name: "rank3-corner-partial", input: coords.MustSlab(coords.NewCoord(1, 2, 1), coords.NewShape(10, 5, 10)), es: coords.NewShape(3, 2, 4), splitRows: []int64{4, 10}},
+}
+
+// runKernelCase compares ExecMap with the oracle on every split of one
+// configuration.
+func runKernelCase(t *testing.T, c kernelCase, opName string, combine bool, sortBuffer int64, modulo bool, reducers int) {
+	t.Helper()
+	q := c.query(opName)
+	op, err := q.Op()
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := c.space(t, q.Extraction)
+	var part partition.Partitioner
+	if modulo {
+		part, err = partition.NewModulo(reducers, partition.TileIndexEncoding{Space: space})
+	} else {
+		part, err = partition.NewPartitionPlus(space, reducers, 0)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := MapInput{Query: q, Op: op, Space: space, Part: part, Reader: &FuncReader{Fn: kernelValue},
+		Combine: combine, SortBufferRecords: sortBuffer}
+	for _, rows := range c.splitRows {
+		slabs, err := c.input.SplitDim(0, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, slab := range slabs {
+			split := InputSplit{ID: i, Slab: slab}
+			label := fmt.Sprintf("%s %s combine=%t sort=%d modulo=%t rows=%d split=%d", c.name, opName, combine, sortBuffer, modulo, rows, i)
+			want, wantRecords, err := refExecMap(in, split)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", label, err)
+			}
+			got, gotRecords, err := ExecMap(in, split)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			checkSameMapOutput(t, label, got, want, gotRecords, wantRecords)
+		}
+	}
+}
+
+// TestMapKernelMatchesPerPointOracle is the differential matrix: rank 1–3
+// × extraction shapes and strides (gaps included) × non-zero corners ×
+// partial trailing tiles kept and discarded × every registered operator ×
+// Combine on/off × SortBufferRecords {0, 1, 5, 64} × partition+ and
+// Modulo × split sizes that cut tiles. Every pair the batch kernel emits
+// must equal the per-point oracle's by math.Float64bits.
+func TestMapKernelMatchesPerPointOracle(t *testing.T) {
+	for _, c := range kernelCases {
+		for _, opName := range ops.Names() {
+			for _, combine := range []bool{false, true} {
+				for _, sortBuffer := range []int64{0, 1, 5, 64} {
+					for _, modulo := range []bool{false, true} {
+						runKernelCase(t, c, opName, combine, sortBuffer, modulo, 3)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMapKernelEmptyBox: a split whose points all fall in stride gaps or
+// in discarded partial tiles takes the same path and emits nothing.
+func TestMapKernelEmptyBox(t *testing.T) {
+	q := &query.Query{Operator: "avg", Variable: "v",
+		Input:      coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(20, 6)),
+		Extraction: coords.MustExtraction(coords.NewShape(2, 3), coords.NewShape(5, 3))}
+	op, _ := q.Op()
+	space, err := q.IntermediateSpace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := partition.NewPartitionPlus(space, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := MapInput{Query: q, Op: op, Space: space, Part: pp, Reader: &FuncReader{Fn: kernelValue}, Combine: true}
+	for name, tc := range map[string]struct {
+		slab  coords.Slab
+		space coords.Slab
+	}{
+		"all-gap":   {coords.MustSlab(coords.NewCoord(2, 0), coords.NewShape(3, 6)), space},
+		"discarded": {coords.MustSlab(coords.NewCoord(15, 0), coords.NewShape(5, 6)), coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(3, 2))},
+	} {
+		in.Space = tc.space
+		split := InputSplit{Slab: tc.slab}
+		want, wantRecords, err := refExecMap(in, split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := &mapScratch{}
+		got, gotRecords, err := execMap(in, split, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSameMapOutput(t, name, got, want, gotRecords, wantRecords)
+		if gotRecords != 0 || len(scratch.tile) != 0 {
+			t.Fatalf("%s: %d records in a tile of %d cells, want none", name, gotRecords, len(scratch.tile))
+		}
+	}
+}
+
+// TestMapTileIsTheKeyBox: the dense tile holds exactly one cell per K'
+// key of the split's box — TileRange(live) ∩ Space, never more than
+// TileRange(live) — and every cell is used: the tile is no larger than
+// the key count the hash map held. The es {1,1} identity query is the
+// worst case (one cell per point).
+func TestMapTileIsTheKeyBox(t *testing.T) {
+	for _, c := range kernelCases {
+		q := c.query("avg")
+		op, _ := q.Op()
+		space := c.space(t, q.Extraction)
+		pp, err := partition.NewPartitionPlus(space, 3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := MapInput{Query: q, Op: op, Space: space, Part: pp, Reader: &FuncReader{Fn: kernelValue}, Combine: true}
+		slabs, err := c.input.SplitDim(0, c.splitRows[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, slab := range slabs {
+			scratch := &mapScratch{}
+			outs, _, err := execMap(in, InputSplit{Slab: slab}, scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := 0
+			for _, o := range outs {
+				keys += len(o.Pairs)
+			}
+			var bound int64
+			if tiles, err := q.Extraction.TileRange(slab); err == nil {
+				bound = tiles.Size()
+			}
+			box := q.Extraction.KeyBox(slab, space)
+			if n := int64(len(scratch.tile)); n != box.Size() || n > bound || n != int64(keys) {
+				t.Fatalf("%s split %v: tile of %d cells, box %d, TileRange %d, %d keys emitted", c.name, slab, n, box.Size(), bound, keys)
+			}
+			if c.name == "rank2-identity" && int64(len(scratch.tile)) != slab.Size() {
+				t.Fatalf("identity query: tile of %d cells for %d points", len(scratch.tile), slab.Size())
+			}
+			for i := range scratch.tile {
+				if scratch.tile[i].Count != 0 || scratch.tile[i].Samples != nil {
+					t.Fatalf("%s: cell %d not zeroed at seal", c.name, i)
+				}
+			}
+		}
+	}
+}
+
+// TestMapCancelledWithinOneBatch: cancellation is checked per batch, so a
+// context cancelled during a read aborts the task before the next one.
+func TestMapCancelledWithinOneBatch(t *testing.T) {
+	q := mustParse(t, "avg v[0,0 : 256,1024] es {8,8}") // 16 batches of 16 rows
+	op, _ := q.Op()
+	space, _ := q.IntermediateSpace()
+	pp, err := partition.NewPartitionPlus(space, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	reads := 0
+	inner := &FuncReader{Fn: synthValue}
+	in := MapInput{Query: q, Op: op, Space: space, Part: pp, Combine: true, Ctx: ctx,
+		Reader: readerFunc(func(slab coords.Slab, dst []float64) ([]float64, error) {
+			if slab.Size() > coords.BatchPoints {
+				t.Errorf("read of %d points exceeds a batch", slab.Size())
+			}
+			reads++
+			cancel()
+			return inner.ReadSlabInto(slab, dst)
+		})}
+	if _, _, err := ExecMap(in, InputSplit{Slab: q.Input}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if reads != 1 {
+		t.Fatalf("%d batches read after cancellation, want the task to stop after 1", reads)
+	}
+}
+
+// constReader fills batches without allocating, so an allocation count
+// sees the kernel only.
+type constReader struct{}
+
+func (constReader) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, error) {
+	n := slab.Size()
+	if int64(cap(dst)) < n {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = float64(i&1023) * 0.37
+	}
+	return dst, nil
+}
+
+// TestMapAllocsIndependentOfPoints: for a combinable operator a warm Map
+// task allocates per keyblock and per task, never per point or per batch:
+// 64× the points over the same K' box cost the same allocations.
+func TestMapAllocsIndependentOfPoints(t *testing.T) {
+	allocs := func(qs string) float64 {
+		q := mustParse(t, qs)
+		op, _ := q.Op()
+		space, _ := q.IntermediateSpace()
+		pp, err := partition.NewPartitionPlus(space, 4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := MapInput{Query: q, Op: op, Space: space, Part: pp, Reader: constReader{}, Combine: true}
+		split := InputSplit{Slab: q.Input}
+		scratch := &mapScratch{}
+		if _, _, err := execMap(in, split, scratch); err != nil { // warm the scratch
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := execMap(in, split, scratch); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small := allocs("avg v[0,0 : 64,64] es {8,8}")     // 4 Ki points, 1 batch
+	large := allocs("avg v[0,0 : 512,512] es {64,64}") // 256 Ki points, 16 batches, same 8×8 box
+	if small != large {
+		t.Fatalf("allocations grew with the input: %v for 4 Ki points, %v for 256 Ki", small, large)
+	}
+}
+
+// FuzzMapKernel drives the batch kernel and the per-point oracle with
+// fuzzed geometry — rank, shape, extraction shape, stride, corner, split
+// cut, operator, sort buffer, combiner, partitioner — and requires
+// identical output.
+func FuzzMapKernel(f *testing.F) {
+	// The matrix's corner cases: rank 1, non-zero corner with gaps, a
+	// split cutting a tile, identity tiles, one tile larger than the
+	// input, sort buffers of 1 and 5.
+	f.Add([]byte{0, 67, 1, 1, 5, 1, 1, 0, 0, 0, 0, 0, 0, 3, 9, 0, 0, 1, 0, 2})
+	f.Add([]byte{1, 26, 17, 1, 2, 3, 1, 3, 1, 0, 1, 2, 0, 5, 4, 6, 1, 0, 1, 3})
+	f.Add([]byte{1, 23, 11, 1, 4, 3, 1, 0, 0, 0, 5, 3, 0, 2, 7, 9, 5, 1, 0, 3})
+	f.Add([]byte{1, 9, 8, 1, 1, 1, 1, 0, 0, 0, 2, 1, 0, 0, 9, 1, 0, 0, 1, 4})
+	f.Add([]byte{1, 6, 6, 1, 8, 8, 1, 0, 0, 0, 0, 0, 0, 1, 3, 12, 64, 1, 0, 2})
+	f.Add([]byte{2, 11, 7, 9, 2, 2, 3, 1, 0, 1, 2, 1, 3, 3, 5, 7, 5, 0, 1, 3})
+	names := ops.Names()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 20 {
+			return
+		}
+		rank := int(b[0])%3 + 1
+		c := kernelCase{name: "fuzz", es: make(coords.Shape, rank), dropPartial: b[17]&2 != 0}
+		corner, shape, stride := make(coords.Coord, rank), make(coords.Shape, rank), make(coords.Shape, rank)
+		strided := false
+		for d := 0; d < rank; d++ {
+			shape[d] = int64(b[1+d])%24 + 1
+			c.es[d] = int64(b[4+d])%9 + 1
+			stride[d] = c.es[d] + int64(b[7+d])%4
+			strided = strided || stride[d] != c.es[d]
+			corner[d] = int64(b[10+d]) % 11
+		}
+		if strided {
+			c.stride = stride
+		}
+		c.input = coords.Slab{Corner: corner, Shape: shape}
+		if _, err := coords.MustExtraction(c.es, c.stride).TileRange(c.input); err != nil {
+			return // the whole input sits in stride gaps: no keyspace
+		}
+		c.splitRows = []int64{int64(b[13])%shape[0] + 1}
+		sortBuffer := int64(b[16]) % 70
+		runKernelCase(t, c, names[int(b[14])%len(names)], b[17]&1 != 0, sortBuffer, b[18]&1 != 0, int(b[19])%5+1)
+	})
+}

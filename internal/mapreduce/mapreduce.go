@@ -51,16 +51,6 @@ type InputSplit struct {
 	Hosts []string
 }
 
-// RecordReader produces the ⟨k, v⟩ pairs of one input split. Readers
-// must be safe for concurrent calls on distinct splits.
-type RecordReader interface {
-	// ReadSplit invokes emit for every point of the slab, in row-major
-	// order, stopping on the first error. The coordinate is only valid
-	// for the duration of the emit call — readers may reuse its storage
-	// between records — so consumers that keep it must Clone it.
-	ReadSplit(slab coords.Slab, emit func(k coords.Coord, v float64) error) error
-}
-
 // BarrierMode selects how Reduce tasks synchronise with Map tasks.
 type BarrierMode int
 
@@ -174,7 +164,7 @@ const MaxTaskAttempts = 5
 type Config struct {
 	Query  *query.Query
 	Splits []InputSplit
-	Reader RecordReader
+	Reader coords.RecordReader
 	Part   partition.Partitioner
 
 	// Join, when set, runs the job as a structural join: Splits is the
@@ -183,7 +173,7 @@ type Config struct {
 	// side B (see MapInput.Join). The task graph, barriers, shuffle and
 	// count validation work unchanged.
 	Join    *join.Plan
-	Reader2 RecordReader
+	Reader2 coords.RecordReader
 
 	// Runner, when set, executes the tasks somewhere other than this
 	// process's memory (see Runner); the readers are then unused. Nil

@@ -262,15 +262,15 @@ func TestDependencyBarrierEnablesEarlyReduces(t *testing.T) {
 		}
 	}
 	inner := &FuncReader{Fn: synthValue}
-	cfg.Reader = readerFunc(func(slab coords.Slab, emit func(coords.Coord, float64) error) error {
+	cfg.Reader = readerFunc(func(slab coords.Slab, dst []float64) ([]float64, error) {
 		if slab.Corner.Equal(lastSplit.Corner) {
 			select {
 			case <-reduce0Done:
 			case <-time.After(30 * time.Second):
-				return errors.New("reduce 0 never finished early: dependency barrier broken")
+				return nil, errors.New("reduce 0 never finished early: dependency barrier broken")
 			}
 		}
-		return inner.ReadSplit(slab, emit)
+		return inner.ReadSlabInto(slab, dst)
 	})
 	res, err := Run(cfg)
 	if err != nil {
@@ -396,19 +396,19 @@ func TestReaderErrorPropagates(t *testing.T) {
 		n++
 		return 0
 	}}
-	cfg.Reader = readerFunc(func(slab coords.Slab, emit func(coords.Coord, float64) error) error {
-		return boom
+	cfg.Reader = readerFunc(func(coords.Slab, []float64) ([]float64, error) {
+		return nil, boom
 	})
 	if _, err := Run(cfg); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want propagated reader error", err)
 	}
 }
 
-// readerFunc adapts a function to RecordReader.
-type readerFunc func(coords.Slab, func(coords.Coord, float64) error) error
+// readerFunc adapts a function to coords.RecordReader.
+type readerFunc func(coords.Slab, []float64) ([]float64, error)
 
-func (f readerFunc) ReadSplit(s coords.Slab, emit func(coords.Coord, float64) error) error {
-	return f(s, emit)
+func (f readerFunc) ReadSlabInto(s coords.Slab, dst []float64) ([]float64, error) {
+	return f(s, dst)
 }
 
 func TestGenerateSplits(t *testing.T) {

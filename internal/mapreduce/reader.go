@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
 
 	"sidr/internal/coords"
@@ -8,61 +9,49 @@ import (
 	"sidr/internal/ncfile"
 )
 
-// FileReader reads splits from an ncfile container — the SciHadoop
-// record reader whose input and output both live in logical coordinate
-// space (§2.4.1). Reads stream one leading-dimension row at a time, so
-// memory stays bounded by a row rather than the whole split.
+// FileReader reads slabs from an ncfile container — the SciHadoop record
+// reader whose input and output both live in logical coordinate space
+// (§2.4.1). Scans ask for a bounded batch of whole rows at a time, so
+// memory stays bounded by the batch rather than the whole split.
 type FileReader struct {
 	File *ncfile.File
 	Var  string
 }
 
-// ReadSplit implements RecordReader.
-func (r *FileReader) ReadSplit(slab coords.Slab, emit func(coords.Coord, float64) error) error {
-	rows, err := slab.SplitDim(0, 1)
-	if err != nil {
-		return err
-	}
-	for _, row := range rows {
-		vals, err := r.File.ReadSlab(r.Var, row)
-		if err != nil {
-			return err
-		}
-		i := 0
-		var emitErr error
-		row.EachReuse(func(k coords.Coord) bool {
-			if err := emit(k, vals[i]); err != nil {
-				emitErr = err
-				return false
-			}
-			i++
-			return true
-		})
-		if emitErr != nil {
-			return emitErr
-		}
-	}
-	return nil
+// ReadSlabInto implements coords.RecordReader.
+func (r *FileReader) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, error) {
+	return r.File.ReadSlabInto(r.Var, slab, dst)
 }
 
 // FuncReader synthesises values from a pure function of the coordinate —
 // datasets too large to materialise (or defined analytically) without a
-// file.
+// file. Fn must not retain its argument.
 type FuncReader struct {
 	Fn func(coords.Coord) float64
+	// Ctx, when set, aborts a read between points once it is done. Map
+	// tasks check cancellation per batch; a batch of Fn calls costs what
+	// the caller's function costs, so the one reader that runs caller
+	// code between points keeps the per-point check.
+	Ctx context.Context
 }
 
-// ReadSplit implements RecordReader.
-func (r *FuncReader) ReadSplit(slab coords.Slab, emit func(coords.Coord, float64) error) error {
-	var emitErr error
+// ReadSlabInto implements coords.RecordReader.
+func (r *FuncReader) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, error) {
+	if n := slab.Size(); int64(cap(dst)) < n {
+		dst = make([]float64, 0, n)
+	}
+	dst = dst[:0]
+	var err error
 	slab.EachReuse(func(k coords.Coord) bool {
-		if err := emit(k, r.Fn(k)); err != nil {
-			emitErr = err
-			return false
+		if r.Ctx != nil && len(dst)&63 == 0 {
+			if err = r.Ctx.Err(); err != nil {
+				return false
+			}
 		}
+		dst = append(dst, r.Fn(k))
 		return true
 	})
-	return emitErr
+	return dst, err
 }
 
 // GenerateSplits carves the query input into contiguous leading-dimension

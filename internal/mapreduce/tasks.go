@@ -196,55 +196,37 @@ func (LocalRunner) Fetch(_ context.Context, l int, refs []any) (streams [][]kv.P
 	return streams, tally, nil, nil
 }
 
-// scratchChunk sizes the mapScratch value slab's allocation unit.
-const scratchChunk = 512
-
-// mapScratch is reusable per-Map-task accumulation state: the
-// per-keyblock accumulator maps (buckets retained across tasks), a bump
-// slab for kv.Value cells, and a freelist of pair slices for sealed
+// mapScratch is reusable per-Map-task state: the batch buffer, the dense
+// accumulation tile, a seal's per-cell keyblock memo and per-keyblock
+// segment under construction, and a freelist of pair slices for sealed
 // segments that do not escape the task. Pooled process-wide so repeated
 // Map tasks stop paying per-split allocation churn.
 type mapScratch struct {
-	accums   []map[int64]*kv.Value
+	vals []float64 // one batch of source values
+	// tile holds one accumulator per K' key of the split's box, indexed
+	// by the key's row-major offset inside the box. Every cell is zero
+	// between tasks: a seal zeroes each cell it publishes, because the
+	// cell's Samples array escapes into the published pair.
+	tile     []kv.Value
+	kbOf     []int32     // keyblock of each live cell, in cell order
+	building [][]kv.Pair // per keyblock: the segment the current seal fills
 	segments [][][]kv.Pair
-	chunks   [][]kv.Value
-	ci, cn   int // bump position: chunk index, offset within chunk
 	free     [][]kv.Pair
-	kp       coords.Coord // MapKeyInto buffer for the record loop
 }
 
 var scratchPool = sync.Pool{New: func() any { return &mapScratch{} }}
 
-// reset prepares the scratch for a task with r keyblocks. Previously
-// handed-out slab cells are zeroed: their Samples headers may alias
-// arrays that escaped into published pairs, and a zeroed cell starts a
-// fresh array on its first Add instead of appending into a shared one.
-func (s *mapScratch) reset(r int) {
-	for i := 0; i < s.ci && i < len(s.chunks); i++ {
-		c := s.chunks[i]
-		for k := range c {
-			c[k] = kv.Value{}
-		}
+// reset prepares the scratch for a task with r keyblocks and a K' box of
+// cells keys.
+func (s *mapScratch) reset(r int, cells int64) {
+	if int64(cap(s.tile)) < cells {
+		s.tile = make([]kv.Value, cells)
 	}
-	if s.ci < len(s.chunks) {
-		c := s.chunks[s.ci]
-		for k := 0; k < s.cn; k++ {
-			c[k] = kv.Value{}
-		}
+	s.tile = s.tile[:cells]
+	if cap(s.building) < r {
+		s.building = make([][]kv.Pair, r)
 	}
-	s.ci, s.cn = 0, 0
-	if cap(s.accums) < r {
-		s.accums = make([]map[int64]*kv.Value, r)
-	} else {
-		s.accums = s.accums[:r]
-	}
-	for i, m := range s.accums {
-		if m != nil {
-			clear(m)
-		} else {
-			s.accums[i] = make(map[int64]*kv.Value)
-		}
-	}
+	s.building = s.building[:r]
 	if cap(s.segments) < r {
 		s.segments = make([][][]kv.Pair, r)
 	} else {
@@ -256,21 +238,6 @@ func (s *mapScratch) reset(r int) {
 			s.segments[i] = s.segments[i][:0]
 		}
 	}
-}
-
-// value hands out a zeroed kv.Value cell from the slab.
-func (s *mapScratch) value() *kv.Value {
-	if s.ci == len(s.chunks) {
-		s.chunks = append(s.chunks, make([]kv.Value, scratchChunk))
-	}
-	c := s.chunks[s.ci]
-	v := &c[s.cn]
-	s.cn++
-	if s.cn == len(c) {
-		s.ci++
-		s.cn = 0
-	}
-	return v
 }
 
 // pairBuf returns an empty pair slice, reusing a recycled segment when
@@ -306,7 +273,7 @@ type MapInput struct {
 	Op     ops.Operator // nil for joins, which carry theirs in Join
 	Space  coords.Slab  // K'^T, the intermediate keyspace
 	Part   partition.Partitioner
-	Reader RecordReader
+	Reader coords.RecordReader
 
 	// Join, when set, makes the task bodies those of a structural join:
 	// a split's side follows from its ID in the combined split list,
@@ -314,7 +281,7 @@ type MapInput struct {
 	// sides per tile (internal/join). Combine and SortBufferRecords do
 	// not apply to join Map tasks.
 	Join    *join.Plan
-	Reader2 RecordReader
+	Reader2 coords.RecordReader
 
 	// Combine enables map-side combining (applied only when lossless for
 	// the operator).
@@ -339,12 +306,12 @@ func (in MapInput) SpillRank() int {
 // the sorted intermediate pairs plus the §3.2.1 kv-count annotation.
 type MapOut = join.MapOut
 
-// ExecMap runs one Map task standalone: read the split's live region,
-// map every source key into K' via the extraction shape, accumulate
-// per-keyblock intermediate pairs (combining when configured), and
-// return the per-keyblock outputs with their source-count annotations.
-// The returned slice is indexed by keyblock. The second return value is
-// the number of source records read.
+// ExecMap runs one Map task standalone: read the split's live region in
+// row batches, fold every run of source points that shares a K' key into
+// the split's dense tile (combining when configured), and return the
+// per-keyblock outputs with their source-count annotations. The returned
+// slice is indexed by keyblock. The second return value is the number of
+// source records read.
 func ExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 	if jp := in.Join; jp != nil {
 		side, reader, missing := jp.Side(split.ID), in.Reader, ErrNoReader
@@ -356,127 +323,172 @@ func ExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 		}
 		return join.ExecMap(jp, side, reader, split.Slab, in.Ctx)
 	}
-	q := in.Query
-	live, ok := split.Slab.Intersect(q.Input)
-	if !ok {
-		return make([]MapOut, in.Part.NumKeyblocks()), 0, nil
+	scratch := scratchPool.Get().(*mapScratch)
+	outs, records, err := execMap(in, split, scratch)
+	if err != nil {
+		return nil, 0, err // the tile may hold live cells: drop the scratch
 	}
-	needSamples := in.Op.NeedsSamples()
-	combine := in.Combine && ops.CombinerLossless(in.Op)
+	scratchPool.Put(scratch)
+	return outs, records, nil
+}
 
+// execMap is the single-input Map kernel. The extraction shape makes the
+// split's image in K' a box known up front (KeyBox), so accumulation is a
+// dense tile indexed by key offset, and sealing is a linear walk that
+// meets the keys already in row-major order — no hash map, no sort.
+//
+// Per key the observations fold in row-major source order into one
+// accumulator per statistic, and a run is cut exactly where
+// SortBufferRecords fills, so outputs are bit-identical to folding point
+// by point.
+func execMap(in MapInput, split InputSplit, scratch *mapScratch) ([]MapOut, int64, error) {
+	q := in.Query
 	r := in.Part.NumKeyblocks()
 	outs := make([]MapOut, r)
-	// Per-keyblock accumulation keyed by the K' key's row-major offset.
-	// When SortBufferRecords bounds the buffer, full buffers are sealed
-	// into sorted segments (Hadoop's io.sort.mb spills) and merged
-	// map-side after the split is consumed. Maps, value cells and
-	// (non-escaping) segment slices come from pooled scratch.
-	scratch := scratchPool.Get().(*mapScratch)
-	scratch.reset(r)
-	defer scratchPool.Put(scratch)
-	accums := scratch.accums
-	segments := scratch.segments
-	var records, buffered, seen int64
-
-	// sealSegment converts one keyblock's accumulated buffer into a
-	// sorted pair segment. Single-segment keyblocks publish the segment
-	// directly, so seal buffers are only drawn from the freelist when a
-	// map-side merge will replace them (multi-segment case) — a direct
-	// publish must own fresh memory.
-	sealSegment := func(kb int) error {
-		m := accums[kb]
-		if len(m) == 0 {
-			return nil
-		}
-		var pairs []kv.Pair
-		if len(segments[kb]) > 0 || in.SortBufferRecords > 0 {
-			pairs = scratch.pairBuf(len(m))
-		} else {
-			pairs = make([]kv.Pair, 0, len(m))
-		}
-		for off, val := range m {
-			kp, err := in.Space.Delinearize(off)
-			if err != nil {
-				return err
-			}
-			out := *val
-			if combine && in.Op.Kind() == ops.Filter {
-				out = ops.PreFilter(in.Op, out, q.Params()...)
-			}
-			if !combine && out.Count > 1 && out.Samples != nil {
-				// Without a combiner each source pair ships separately;
-				// emit one pair per sample to model the uncombined byte
-				// volume. Aggregate-only operators still fold (their
-				// values are indistinguishable), matching Hadoop jobs
-				// that always configure combiners for such operators.
-				for _, s := range out.Samples {
-					pairs = append(pairs, kv.Pair{Key: kp, Value: kv.NewValue(s, true)})
-				}
-				continue
-			}
-			pairs = append(pairs, kv.Pair{Key: kp, Value: out})
-		}
-		kv.SortPairs(pairs)
-		segments[kb] = append(segments[kb], pairs)
-		clear(m)
-		return nil
+	live, ok := split.Slab.Intersect(q.Input)
+	if !ok {
+		return outs, 0, nil
 	}
-	sealAll := func() error {
-		for kb := range accums {
-			if err := sealSegment(kb); err != nil {
-				return err
-			}
-		}
-		buffered = 0
-		return nil
-	}
-
-	err := in.Reader.ReadSplit(live, func(k coords.Coord, v float64) error {
-		// Cancellation check amortised over the record loop so slow
-		// readers abort promptly without a per-point atomic.
-		if seen&63 == 0 && in.Ctx != nil {
-			if err := in.Ctx.Err(); err != nil {
-				return err
-			}
-		}
-		seen++
-		kp, mapped := q.Extraction.MapKeyInto(k, scratch.kp)
-		if kp != nil {
-			scratch.kp = kp[:0]
-		}
-		if !mapped {
-			return nil // stride gap
-		}
-		if !in.Space.Contains(kp) {
-			return nil // discarded partial tile (KeepPartial == false semantics)
-		}
-		records++
-		kb, err := in.Part.Partition(kp)
-		if err != nil {
-			return err
-		}
-		off, err := in.Space.Linearize(kp)
-		if err != nil {
-			return err
-		}
-		m := accums[kb]
-		val := m[off]
-		if val == nil {
-			val = scratch.value()
-			m[off] = val
-		}
-		val.Add(v, needSamples)
-		outs[kb].SourceCount++
-		buffered++
-		if in.SortBufferRecords > 0 && buffered >= in.SortBufferRecords {
-			return sealAll()
-		}
-		return nil
-	})
+	box := q.Extraction.KeyBox(live, in.Space)
+	walk, err := q.Extraction.Walk(box)
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := sealAll(); err != nil {
+	scratch.reset(r, box.Size())
+	tile, segments := scratch.tile, scratch.segments
+	rank := box.Rank()
+	needSamples := in.Op.NeedsSamples()
+	combine := in.Combine && ops.CombinerLossless(in.Op)
+	preFilter := combine && in.Op.Kind() == ops.Filter
+	params := q.Params()
+
+	var records, buffered int64
+	// [lo, hi) spans the cells touched since the last seal, so a bounded
+	// sort buffer does not re-walk the whole tile at every seal.
+	lo, hi := int64(len(tile)), int64(0)
+	// eachLive calls fn for every live cell of that span with its key, in
+	// row-major key order. fn must not retain key.
+	eachLive := func(fn func(v *kv.Value, key coords.Coord) error) error {
+		key, err := box.Delinearize(lo)
+		if err != nil {
+			return err
+		}
+		for c := lo; c < hi; c++ {
+			if v := &tile[c]; v.Count > 0 {
+				if err := fn(v, key); err != nil {
+					return err
+				}
+			}
+			box.Advance(key)
+		}
+		return nil
+	}
+	perSample := func(v *kv.Value) bool { return !combine && v.Count > 1 && v.Samples != nil }
+
+	// seal publishes every live cell into one sorted segment per keyblock
+	// and zeroes it. A count pass sizes each segment exactly; keys are
+	// carved from one backing array.
+	seal := func() error {
+		buffered = 0
+		if lo >= hi {
+			return nil
+		}
+		kbOf, counts := scratch.kbOf[:0], make([]int, r)
+		err := eachLive(func(v *kv.Value, key coords.Coord) error {
+			kb, err := in.Part.Partition(key)
+			if err != nil {
+				return err
+			}
+			kbOf = append(kbOf, int32(kb))
+			if perSample(v) {
+				counts[kb] += len(v.Samples)
+			} else {
+				counts[kb]++
+			}
+			return nil
+		})
+		scratch.kbOf = kbOf
+		if err != nil {
+			return err
+		}
+		building := scratch.building
+		for kb, n := range counts {
+			switch {
+			case n == 0:
+			case in.SortBufferRecords > 0:
+				// A map-side merge may replace this segment, so it can
+				// come from the freelist.
+				building[kb] = scratch.pairBuf(n)
+			default:
+				building[kb] = make([]kv.Pair, 0, n) // published as is
+			}
+		}
+		keyArena := make([]int64, len(kbOf)*rank)
+		_ = eachLive(func(v *kv.Value, key coords.Coord) error {
+			kb := kbOf[0]
+			kbOf = kbOf[1:]
+			kp := coords.Coord(keyArena[:rank:rank])
+			keyArena = keyArena[rank:]
+			copy(kp, key)
+			outs[kb].SourceCount += v.Count
+			switch {
+			case preFilter:
+				building[kb] = append(building[kb], kv.Pair{Key: kp, Value: ops.PreFilter(in.Op, *v, params...)})
+			case perSample(v):
+				// Without a combiner each source pair ships separately;
+				// emit one pair per sample to model the uncombined byte
+				// volume, each aliasing its slot of the key's own sample
+				// array. Aggregate-only operators still fold (their values
+				// are indistinguishable), matching Hadoop jobs that always
+				// configure combiners for such operators.
+				for i, x := range v.Samples {
+					one := kv.NewValue(x, false)
+					one.Samples = v.Samples[i : i+1 : i+1]
+					building[kb] = append(building[kb], kv.Pair{Key: kp, Value: one})
+				}
+			default:
+				building[kb] = append(building[kb], kv.Pair{Key: kp, Value: *v})
+			}
+			*v = kv.Value{}
+			return nil
+		})
+		for kb, pairs := range building {
+			if pairs != nil {
+				segments[kb] = append(segments[kb], pairs)
+				building[kb] = nil
+			}
+		}
+		lo, hi = int64(len(tile)), 0
+		return nil
+	}
+
+	fold := func(cell, _ int64, run []float64) error {
+		records += int64(len(run))
+		lo, hi = min(lo, cell), max(hi, cell+1)
+		// When SortBufferRecords bounds the buffer, full buffers are
+		// sealed into sorted segments (Hadoop's io.sort.mb spills) and
+		// merged map-side after the split is consumed.
+		for in.SortBufferRecords > 0 && buffered+int64(len(run)) >= in.SortBufferRecords {
+			n := in.SortBufferRecords - buffered
+			tile[cell].AddRun(run[:n], needSamples)
+			run = run[n:]
+			if err := seal(); err != nil {
+				return err
+			}
+			lo, hi = min(lo, cell), max(hi, cell+1)
+		}
+		tile[cell].AddRun(run, needSamples)
+		buffered += int64(len(run))
+		return nil
+	}
+
+	scratch.vals, err = coords.ReadBatches(in.Ctx, in.Reader, live, scratch.vals, func(batch coords.Slab, vals []float64) error {
+		return walk.Runs(batch, vals, fold)
+	})
+	if err == nil {
+		err = seal()
+	}
+	if err != nil {
 		return nil, 0, err
 	}
 

@@ -3,7 +3,9 @@ package ncfile
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"sync"
 
 	"sidr/internal/coords"
 )
@@ -48,7 +50,7 @@ func Create(path string, h *Header, fill float64) (*File, error) {
 			return nil, err
 		}
 		var one [8]byte
-		encodeValue(v.Type, fill, one[:])
+		encodeValues(v.Type, []float64{fill}, one[:])
 		for i := 0; i < bufElems; i++ {
 			copy(buf[i*8:], one[:])
 		}
@@ -136,92 +138,117 @@ func (fl *File) Size() (int64, error) {
 	return st.Size(), nil
 }
 
-// slabRuns invokes fn for every maximal contiguous element run of slab
-// within a variable of shape full, passing the linear element offset of
-// the run's start and its length. Runs follow row-major order, so
-// concatenating them yields the slab's values in row-major order.
-func slabRuns(full coords.Shape, slab coords.Slab, fn func(offset, length int64) error) error {
-	if full.Rank() != slab.Rank() {
+// checkSlab reports whether slab lies inside a variable of shape full. It
+// runs before anything is sized from the slab, so a request far outside
+// the variable — or one whose point count overflows — fails with
+// ErrOutOfBound instead of allocating.
+func checkSlab(full coords.Shape, slab coords.Slab) error {
+	if len(slab.Corner) != len(full) || len(slab.Shape) != len(full) {
 		return coords.ErrRankMismatch
 	}
-	fullSlab := coords.Slab{Corner: make(coords.Coord, full.Rank()), Shape: full}
-	if !fullSlab.ContainsSlab(slab) {
-		return fmt.Errorf("%w: %v in %v", ErrOutOfBound, slab, full)
+	for i, n := range full {
+		c, sh := slab.Corner[i], slab.Shape[i]
+		if c < 0 || sh < 1 || c > n || sh > n-c {
+			return fmt.Errorf("%w: %v in %v", ErrOutOfBound, slab, full)
+		}
 	}
-	rank := slab.Rank()
-	runLen := slab.Shape[rank-1]
-	// Iterate over the slab collapsed to its leading rank-1 dimensions.
-	if rank == 1 {
-		off, err := full.Linearize(slab.Corner)
+	return nil
+}
+
+// locate resolves the named variable and its shape and checks that slab
+// lies inside it — the common head of every hyperslab access.
+func (fl *File) locate(varName string, slab coords.Slab) (*Variable, coords.Shape, error) {
+	v, err := fl.header.Var(varName)
+	if err != nil {
+		return nil, nil, err
+	}
+	full, err := fl.header.VarShape(varName)
+	if err != nil {
+		return nil, nil, err
+	}
+	return v, full, checkSlab(full, slab)
+}
+
+// slabRuns invokes fn for every maximal contiguous element run of slab
+// within a variable of shape full, passing the linear element offset of
+// the run's start and its length: trailing dimensions the slab covers in
+// full coalesce with the dimension before them, so a band of whole rows
+// is one run. A run longer than maxLen elements is handed over in pieces.
+// Runs follow row-major order, so concatenating them yields the slab's
+// values in row-major order. slab must have passed checkSlab.
+func slabRuns(full coords.Shape, slab coords.Slab, maxLen int64, fn func(offset, length int64) error) error {
+	d := slab.Rank() - 1
+	runLen := slab.Shape[d]
+	for d > 0 && slab.Shape[d] == full[d] {
+		d--
+		runLen *= slab.Shape[d]
+	}
+	// One run per index of the dimensions before d.
+	outer := coords.Slab{Corner: slab.Corner[:d], Shape: slab.Shape[:d]}
+	for cur := slab.Corner.Clone(); ; {
+		off, err := full.Linearize(cur)
 		if err != nil {
 			return err
 		}
-		return fn(off, runLen)
-	}
-	outer := coords.Slab{
-		Corner: slab.Corner[:rank-1].Clone(),
-		Shape:  slab.Shape[:rank-1].Clone(),
-	}
-	var iterErr error
-	outer.Each(func(head coords.Coord) bool {
-		c := append(head.Clone(), slab.Corner[rank-1])
-		off, err := full.Linearize(c)
-		if err != nil {
-			iterErr = err
-			return false
+		for left := runLen; left > 0; off, left = off+maxLen, left-maxLen {
+			if err := fn(off, min(left, maxLen)); err != nil {
+				return err
+			}
 		}
-		if err := fn(off, runLen); err != nil {
-			iterErr = err
-			return false
+		if !outer.Advance(cur[:d]) {
+			return nil
 		}
-		return true
-	})
-	return iterErr
+	}
 }
+
+// ioElems bounds one positional read or write, so the byte buffer stays
+// small however long a coalesced run is. One scan batch is one piece.
+const ioElems = coords.BatchPoints
+
+var ioBufs = sync.Pool{New: func() any { b := make([]byte, ioElems*8); return &b }}
 
 // ReadSlab reads the hyperslab of the named variable into a freshly
 // allocated row-major []float64.
 func (fl *File) ReadSlab(varName string, slab coords.Slab) ([]float64, error) {
-	v, err := fl.header.Var(varName)
+	return fl.ReadSlabInto(varName, slab, nil)
+}
+
+// ReadSlabInto reads the hyperslab of the named variable into dst in
+// row-major order and returns dst[:slab.Size()], allocating only when
+// dst's capacity is short.
+func (fl *File) ReadSlabInto(varName string, slab coords.Slab, dst []float64) ([]float64, error) {
+	v, full, err := fl.locate(varName, slab)
 	if err != nil {
 		return nil, err
 	}
-	full, err := fl.header.VarShape(varName)
-	if err != nil {
-		return nil, err
+	if n := slab.Size(); int64(cap(dst)) < n {
+		dst = make([]float64, n)
+	} else {
+		dst = dst[:n]
 	}
-	out := make([]float64, slab.Size())
 	esz := v.Type.Size()
-	var buf []byte
-	pos := 0
-	err = slabRuns(full, slab, func(off, length int64) error {
-		need := length * esz
-		if int64(len(buf)) < need {
-			buf = make([]byte, need)
-		}
-		if _, err := fl.f.ReadAt(buf[:need], v.dataOffset+off*esz); err != nil {
+	bufp := ioBufs.Get().(*[]byte)
+	defer ioBufs.Put(bufp)
+	out := dst
+	err = slabRuns(full, slab, ioElems, func(off, n int64) error {
+		buf := (*bufp)[:n*esz]
+		if _, err := fl.f.ReadAt(buf, v.dataOffset+off*esz); err != nil {
 			return fmt.Errorf("ncfile: reading %q at %d: %w", varName, off, err)
 		}
-		for i := int64(0); i < length; i++ {
-			out[pos] = decodeValue(v.Type, buf[i*esz:])
-			pos++
-		}
+		decodeValues(v.Type, buf, out[:n])
+		out = out[n:]
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return dst, nil
 }
 
 // WriteSlab writes row-major values into the hyperslab of the named
 // variable. len(values) must equal slab.Size().
 func (fl *File) WriteSlab(varName string, slab coords.Slab, values []float64) error {
-	v, err := fl.header.Var(varName)
-	if err != nil {
-		return err
-	}
-	full, err := fl.header.VarShape(varName)
+	v, full, err := fl.locate(varName, slab)
 	if err != nil {
 		return err
 	}
@@ -229,20 +256,15 @@ func (fl *File) WriteSlab(varName string, slab coords.Slab, values []float64) er
 		return fmt.Errorf("ncfile: %d values for slab of %d elements", len(values), slab.Size())
 	}
 	esz := v.Type.Size()
-	var buf []byte
-	pos := 0
-	return slabRuns(full, slab, func(off, length int64) error {
-		need := length * esz
-		if int64(len(buf)) < need {
-			buf = make([]byte, need)
-		}
-		for i := int64(0); i < length; i++ {
-			encodeValue(v.Type, values[pos], buf[i*esz:])
-			pos++
-		}
-		if _, err := fl.f.WriteAt(buf[:need], v.dataOffset+off*esz); err != nil {
+	bufp := ioBufs.Get().(*[]byte)
+	defer ioBufs.Put(bufp)
+	return slabRuns(full, slab, ioElems, func(off, n int64) error {
+		buf := (*bufp)[:n*esz]
+		encodeValues(v.Type, values[:n], buf)
+		if _, err := fl.f.WriteAt(buf, v.dataOffset+off*esz); err != nil {
 			return fmt.Errorf("ncfile: writing %q at %d: %w", varName, off, err)
 		}
+		values = values[n:]
 		return nil
 	})
 }
@@ -257,17 +279,18 @@ func (fl *File) ReadAll(varName string) ([]float64, error) {
 	return fl.ReadSlab(varName, coords.Slab{Corner: make(coords.Coord, full.Rank()), Shape: full})
 }
 
-// CountRuns reports how many contiguous byte runs (seeks, effectively) a
-// hyperslab access of the named variable requires. Sparse, strided output
-// assignments translate into many runs; SIDR's contiguous keyblocks
-// translate into few — the effect Table 2 measures.
+// CountRuns reports how many maximal contiguous byte runs (seeks,
+// effectively) a hyperslab access of the named variable requires. Sparse,
+// strided output assignments translate into many runs; SIDR's contiguous
+// keyblocks translate into few — the effect Table 2 measures. Only the
+// tests call it: it is the observable of slabRuns' coalescing.
 func (fl *File) CountRuns(varName string, slab coords.Slab) (int64, error) {
-	full, err := fl.header.VarShape(varName)
+	_, full, err := fl.locate(varName, slab)
 	if err != nil {
 		return 0, err
 	}
 	var n int64
-	err = slabRuns(full, slab, func(off, length int64) error {
+	err = slabRuns(full, slab, math.MaxInt64, func(off, length int64) error {
 		n++
 		return nil
 	})

@@ -519,25 +519,34 @@ func decodeHeader(r io.Reader) (*Header, error) {
 	return h, nil
 }
 
-// encodeValue converts a float64 to the variable's stored representation.
-func encodeValue(t DataType, v float64, b []byte) {
+// encodeValues converts vals to the variable's stored representation,
+// eight bytes each, into b.
+func encodeValues(t DataType, vals []float64, b []byte) {
 	switch t {
 	case Float64:
-		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
+		}
 	case Int64:
-		binary.LittleEndian.PutUint64(b, uint64(int64(v)))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(b[i*8:], uint64(int64(v)))
+		}
 	}
 }
 
-// decodeValue converts stored bytes back to a float64.
-func decodeValue(t DataType, b []byte) float64 {
-	u := binary.LittleEndian.Uint64(b)
+// decodeValues converts len(out) stored elements of b back to float64s,
+// branching on the type once per call rather than per element.
+func decodeValues(t DataType, b []byte, out []float64) {
 	switch t {
 	case Float64:
-		return math.Float64frombits(u)
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+		}
 	case Int64:
-		return float64(int64(u))
+		for i := range out {
+			out[i] = float64(int64(binary.LittleEndian.Uint64(b[i*8:])))
+		}
 	default:
-		return 0
+		clear(out)
 	}
 }

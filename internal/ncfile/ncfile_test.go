@@ -1,10 +1,12 @@
 package ncfile
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -247,13 +249,13 @@ func TestCountRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	// A full-width slab is 1 run per row unless it spans whole rows.
+	// Runs are maximal: full-width rows coalesce into one run.
 	n, err := f.CountRuns("v", coords.MustSlab(coords.NewCoord(2, 0), coords.NewShape(3, 10)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Fatalf("full-width runs = %d, want 3", n)
+	if n != 1 {
+		t.Fatalf("full-width runs = %d, want 1", n)
 	}
 	n, err = f.CountRuns("v", coords.MustSlab(coords.NewCoord(0, 3), coords.NewShape(5, 2)))
 	if err != nil {
@@ -261,6 +263,76 @@ func TestCountRuns(t *testing.T) {
 	}
 	if n != 5 {
 		t.Fatalf("narrow runs = %d, want 5", n)
+	}
+
+	// A Map task's batch — 8 whole rows of a 512×256×64 variable — is one
+	// run; narrowing only the last dimension makes it one run per line.
+	big := &Header{
+		Dims: []Dimension{{Name: "t", Length: 512}, {Name: "y", Length: 256}, {Name: "x", Length: 64}},
+		Vars: []Variable{{Name: "v", Type: Float64, Dims: []string{"t", "y", "x"}}},
+	}
+	g, err := CreateEmpty(tempPath(t, "bigruns.ncf"), big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for _, tc := range []struct {
+		corner, shape []int64
+		want          int64
+	}{
+		{[]int64{16, 0, 0}, []int64{8, 256, 64}, 1},
+		{[]int64{16, 0, 0}, []int64{8, 256, 63}, 8 * 256},
+		{[]int64{16, 3, 0}, []int64{8, 250, 64}, 8},
+		{[]int64{16, 3, 5}, []int64{1, 1, 7}, 1},
+	} {
+		n, err := g.CountRuns("v", coords.MustSlab(coords.NewCoord(tc.corner...), coords.NewShape(tc.shape...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != tc.want {
+			t.Fatalf("slab %v+%v: %d runs, want %d", tc.corner, tc.shape, n, tc.want)
+		}
+	}
+}
+
+// TestOutOfBoundSlabNeverAllocates: containment is checked before the
+// read buffer is sized, so a request far outside the variable — or one
+// whose point count overflows int64 — is ErrOutOfBound, not an attempt to
+// allocate terabytes.
+func TestOutOfBoundSlabNeverAllocates(t *testing.T) {
+	h := &Header{
+		Dims: []Dimension{{Name: "a", Length: 4}, {Name: "b", Length: 4}},
+		Vars: []Variable{{Name: "v", Type: Float64, Dims: []string{"a", "b"}}},
+	}
+	f, err := Create(tempPath(t, "oob.ncf"), h, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for name, slab := range map[string]coords.Slab{
+		"huge":     {Corner: coords.NewCoord(0, 0), Shape: coords.NewShape(524288, 524288)},
+		"overflow": {Corner: coords.NewCoord(0, 0), Shape: coords.NewShape(1<<62, 1<<62)},
+		"wrapping": {Corner: coords.NewCoord(math.MaxInt64-1, 0), Shape: coords.NewShape(4, 4)},
+		"negative": {Corner: coords.NewCoord(-1, 0), Shape: coords.NewShape(2, 2)},
+		"empty":    {Corner: coords.NewCoord(0, 0), Shape: coords.NewShape(0, 4)},
+	} {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		_, rerr := f.ReadSlab("v", slab)
+		werr := f.WriteSlab("v", slab, nil)
+		runtime.ReadMemStats(&ms)
+		if !errors.Is(rerr, ErrOutOfBound) || !errors.Is(werr, ErrOutOfBound) {
+			t.Fatalf("%s: read err %v, write err %v, want ErrOutOfBound", name, rerr, werr)
+		}
+		// Header lookups and the error text allocate a few hundred bytes;
+		// a buffer sized from the slab would be huge.
+		if grew := ms.TotalAlloc - before; grew > 1<<16 {
+			t.Fatalf("%s: %d bytes allocated — the request was sized before it was checked", name, grew)
+		}
+	}
+	if _, err := f.ReadSlab("v", coords.Slab{Corner: coords.NewCoord(0), Shape: coords.NewShape(2)}); !errors.Is(err, coords.ErrRankMismatch) {
+		t.Fatalf("rank-1 slab of a rank-2 variable: err %v, want ErrRankMismatch", err)
 	}
 }
 

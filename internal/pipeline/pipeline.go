@@ -40,8 +40,9 @@ type Result struct {
 	Final *mapreduce.Result
 	// StageResults holds every stage's result in order.
 	StageResults []*mapreduce.Result
-	// OverlappedStarts counts downstream Map tasks that started before
-	// their upstream stage had fully completed — the pipelining win.
+	// OverlappedStarts counts downstream Map-task reads served before
+	// their upstream stage had fully completed — the pipelining win. A
+	// stage's splits are small, so that is one read per Map task.
 	OverlappedStarts int
 }
 
@@ -131,50 +132,37 @@ func (b *stageBuffer) waitFor(slab coords.Slab) (early bool, err error) {
 	}
 }
 
-// value reads one point; absent keys are zero. Used after waitFor.
-func (b *stageBuffer) value(k coords.Coord) (float64, error) {
-	off, err := b.space.Linearize(k)
-	if err != nil {
-		return 0, err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.values[off], nil
-}
-
-// bufferReader adapts a stageBuffer to the engine's RecordReader,
-// blocking each split read until its region has committed upstream.
+// bufferReader adapts a stageBuffer to the engine's record reader,
+// blocking each read until its region has committed upstream.
 type bufferReader struct {
 	buf     *stageBuffer
 	overlap *int
 	mu      *sync.Mutex
 }
 
-// ReadSplit implements mapreduce.RecordReader.
-func (r *bufferReader) ReadSplit(slab coords.Slab, emit func(coords.Coord, float64) error) error {
+// ReadSlabInto implements coords.RecordReader; absent keys read as zero.
+func (r *bufferReader) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, error) {
 	early, err := r.buf.waitFor(slab)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if early {
 		r.mu.Lock()
 		*r.overlap++
 		r.mu.Unlock()
 	}
-	var emitErr error
-	slab.Each(func(k coords.Coord) bool {
-		v, err := r.buf.value(k)
-		if err != nil {
-			emitErr = err
+	dst = dst[:0]
+	r.buf.mu.Lock()
+	defer r.buf.mu.Unlock()
+	slab.EachReuse(func(k coords.Coord) bool {
+		var off int64
+		if off, err = r.buf.space.Linearize(k); err != nil {
 			return false
 		}
-		if err := emit(k, v); err != nil {
-			emitErr = err
-			return false
-		}
+		dst = append(dst, r.buf.values[off])
 		return true
 	})
-	return emitErr
+	return dst, err
 }
 
 // Options tunes pipeline execution.
@@ -186,12 +174,12 @@ type Options struct {
 
 // Run executes the pipeline over the source reader. Every stage runs
 // with SIDR semantics; stages overlap whenever dependencies allow.
-func Run(source mapreduce.RecordReader, stages []Stage) (*Result, error) {
+func Run(source coords.RecordReader, stages []Stage) (*Result, error) {
 	return RunWithOptions(source, stages, Options{})
 }
 
 // RunWithOptions is Run with execution options.
-func RunWithOptions(source mapreduce.RecordReader, stages []Stage, opts Options) (*Result, error) {
+func RunWithOptions(source coords.RecordReader, stages []Stage, opts Options) (*Result, error) {
 	if source == nil {
 		return nil, fmt.Errorf("pipeline: nil source reader")
 	}
@@ -237,7 +225,7 @@ func RunWithOptions(source mapreduce.RecordReader, stages []Stage, opts Options)
 
 	// Launch all stages concurrently; stage n+1 blocks per split until
 	// its upstream keyblocks commit.
-	readers := make([]mapreduce.RecordReader, len(stages))
+	readers := make([]coords.RecordReader, len(stages))
 	buffers := make([]*stageBuffer, len(stages))
 	readers[0] = source
 	for i := 1; i < len(stages); i++ {

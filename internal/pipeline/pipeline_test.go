@@ -180,15 +180,15 @@ func TestStagesActuallyOverlap(t *testing.T) {
 	// Stage 1's input {364, 10} is split into 8 row bands; the last
 	// band starts at row 364 - ceil(364/8) + 1 or later — gating on
 	// corner row >= 310 isolates exactly the final split.
-	gate := readerFunc(func(slab coords.Slab, emit func(coords.Coord, float64) error) error {
+	gate := readerFunc(func(slab coords.Slab, dst []float64) ([]float64, error) {
 		if slab.Corner[0] >= 310 {
 			select {
 			case <-stage2Committed:
 			case <-time.After(30 * time.Second):
-				return errors.New("pipeline never overlapped stages")
+				return nil, errors.New("pipeline never overlapped stages")
 			}
 		}
-		return inner.ReadSplit(slab, emit)
+		return inner.ReadSlabInto(slab, dst)
 	})
 	res, err := RunWithOptions(gate, stages, Options{
 		OnEvent: func(stage int, e mapreduce.Event) {
@@ -234,8 +234,8 @@ func stage1Reference(t *testing.T) map[string]float64 {
 	return s1
 }
 
-type readerFunc func(coords.Slab, func(coords.Coord, float64) error) error
+type readerFunc func(coords.Slab, []float64) ([]float64, error)
 
-func (f readerFunc) ReadSplit(s coords.Slab, emit func(coords.Coord, float64) error) error {
-	return f(s, emit)
+func (f readerFunc) ReadSlabInto(s coords.Slab, dst []float64) ([]float64, error) {
+	return f(s, dst)
 }

@@ -19,6 +19,7 @@
 package sidx
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -80,13 +81,6 @@ func (ix *Index) Var(name string) *VarIndex {
 	return nil
 }
 
-// Reader is the structural data source the builder scans. It is
-// satisfied by the engine's record readers (mapreduce.FileReader,
-// mapreduce.FuncReader) without an adapter.
-type Reader interface {
-	ReadSplit(slab coords.Slab, emit func(k coords.Coord, v float64) error) error
-}
-
 // BuildOptions tunes index construction.
 type BuildOptions struct {
 	// Blocks is the target block count along the leading dimension
@@ -100,7 +94,7 @@ type BuildOptions struct {
 // BuildVar scans the variable once and returns its block-range index.
 // Blocks are scanned in parallel: each covers a near-equal band of
 // leading-dimension rows over the full trailing cross-section.
-func BuildVar(variable string, shape coords.Shape, r Reader, opts BuildOptions) (*VarIndex, error) {
+func BuildVar(variable string, shape coords.Shape, r coords.RecordReader, opts BuildOptions) (*VarIndex, error) {
 	if err := shape.Validate(); err != nil {
 		return nil, fmt.Errorf("sidx: %w", err)
 	}
@@ -147,6 +141,7 @@ func BuildVar(variable string, shape coords.Shape, r Reader, opts BuildOptions) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var vals []float64
 			for i := range work {
 				mu.Lock()
 				failed := firstErr != nil
@@ -161,14 +156,19 @@ func BuildVar(variable string, shape coords.Shape, r Reader, opts BuildOptions) 
 				}
 				slab.Corner[0] = b.Row0
 				slab.Shape[0] = b.Rows
-				err := r.ReadSplit(slab, func(_ coords.Coord, v float64) error {
-					if v < b.Min {
-						b.Min = v
+				var err error
+				vals, err = coords.ReadBatches(context.Background(), r, slab, vals, func(_ coords.Slab, vals []float64) error {
+					// Plain compares: a NaN never replaces a bound.
+					lo, hi := b.Min, b.Max
+					for _, v := range vals {
+						if v < lo {
+							lo = v
+						}
+						if v > hi {
+							hi = v
+						}
 					}
-					if v > b.Max {
-						b.Max = v
-					}
-					b.Count++
+					b.Min, b.Max, b.Count = lo, hi, b.Count+int64(len(vals))
 					return nil
 				})
 				if err != nil {

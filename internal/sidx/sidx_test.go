@@ -68,18 +68,18 @@ func TestBuildVarFewerRowsThanBlocks(t *testing.T) {
 }
 
 func TestBuildVarReadError(t *testing.T) {
-	bad := readerFunc(func(slab coords.Slab, emit func(coords.Coord, float64) error) error {
-		return fmt.Errorf("boom")
+	bad := readerFunc(func(coords.Slab, []float64) ([]float64, error) {
+		return nil, fmt.Errorf("boom")
 	})
 	if _, err := BuildVar("t", coords.NewShape(16, 2), bad, BuildOptions{Blocks: 4}); err == nil {
 		t.Fatal("BuildVar swallowed the reader error")
 	}
 }
 
-type readerFunc func(coords.Slab, func(coords.Coord, float64) error) error
+type readerFunc func(coords.Slab, []float64) ([]float64, error)
 
-func (f readerFunc) ReadSplit(slab coords.Slab, emit func(coords.Coord, float64) error) error {
-	return f(slab, emit)
+func (f readerFunc) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, error) {
+	return f(slab, dst)
 }
 
 func TestCovers(t *testing.T) {
@@ -141,13 +141,14 @@ func TestPruneSplitsConservative(t *testing.T) {
 	for i, s := range splits {
 		matches := false
 		r := &mapreduce.FuncReader{Fn: fn}
-		if err := r.ReadSplit(s, func(_ coords.Coord, v float64) error {
+		vals, err := r.ReadSlabInto(s, nil)
+		if err != nil {
+			t.Fatalf("scan split %d: %v", i, err)
+		}
+		for _, v := range vals {
 			if v > threshold {
 				matches = true
 			}
-			return nil
-		}); err != nil {
-			t.Fatalf("scan split %d: %v", i, err)
 		}
 		if matches && !kept[i] {
 			t.Fatalf("split %d has matching values but was pruned", i)

@@ -113,12 +113,13 @@ func (d *Dataset) Close() error {
 	return nil
 }
 
-// reader returns the dataset's record reader.
-func (d *Dataset) reader() mapreduce.RecordReader {
+// reader returns the dataset's record reader. A synthetic dataset runs
+// caller code per point, so its reads stop when ctx is done.
+func (d *Dataset) reader(ctx context.Context) coords.RecordReader {
 	if d.file != nil {
 		return &mapreduce.FileReader{File: d.file, Var: d.variable}
 	}
-	return &mapreduce.FuncReader{Fn: d.fn}
+	return &mapreduce.FuncReader{Fn: d.fn, Ctx: ctx}
 }
 
 // BuildIndex scans the dataset once and builds a structural block-range
@@ -131,7 +132,7 @@ func (d *Dataset) BuildIndex(blocks int) (*VarIndex, error) {
 	if variable == "" {
 		variable = "*" // synthetic datasets answer any variable name
 	}
-	return sidx.BuildVar(variable, d.shape, d.reader(), sidx.BuildOptions{Blocks: blocks})
+	return sidx.BuildVar(variable, d.shape, d.reader(context.Background()), sidx.BuildOptions{Blocks: blocks})
 }
 
 // Query is a validated structural query.
@@ -299,7 +300,7 @@ func Prepare(shape []int64, q *Query, opts RunOptions) (*Prepared, error) {
 // newPlan normalises the plan-time options in place and derives the
 // plan. samplerA/B are a join's two inputs, sampled for its keyblock
 // layout; a single-input plan has none and may prune by opts.Index.
-func newPlan(q *Query, opts *RunOptions, samplerA, samplerB mapreduce.RecordReader) (*core.Plan, error) {
+func newPlan(q *Query, opts *RunOptions, samplerA, samplerB coords.RecordReader) (*core.Plan, error) {
 	opts.Reducers, opts.SplitPoints = core.RequestDefaults(q.q, opts.Reducers, opts.SplitPoints)
 	return core.NewPlan(q.q, opts.Engine, core.Options{
 		Reducers:     opts.Reducers,
@@ -335,7 +336,7 @@ func (p *Prepared) Run(ctx context.Context, ds *Dataset, opts RunOptions) (*Resu
 	if !coords.Shape(ds.shape).Equal(p.shape) {
 		return nil, fmt.Errorf("sidr: dataset shape %v does not match prepared shape %v", ds.shape, p.shape)
 	}
-	return runPlan(ctx, p.plan, ds.reader(), nil, opts)
+	return runPlan(ctx, p.plan, ds.reader(ctx), nil, opts)
 }
 
 // runPlan executes a derived plan on the in-process engine and builds
@@ -343,7 +344,7 @@ func (p *Prepared) Run(ctx context.Context, ds *Dataset, opts RunOptions) (*Resu
 // (readerB nil) or join. Each Reduce output is copied into a
 // PartialResult once per consumer: for opts.OnPartial as it commits, and
 // for Result.Partials in commit order from the event stream.
-func runPlan(ctx context.Context, plan *core.Plan, readerA, readerB mapreduce.RecordReader, opts RunOptions) (*Result, error) {
+func runPlan(ctx context.Context, plan *core.Plan, readerA, readerB coords.RecordReader, opts RunOptions) (*Result, error) {
 	start := time.Now()
 	mrRes, err := plan.RunLocalJoin(readerA, readerB, func(cfg *mapreduce.Config) {
 		cfg.Ctx = ctx
@@ -438,11 +439,11 @@ func RunJoinContext(ctx context.Context, a, b *Dataset, q *Query, opts RunOption
 	if err := q.q.ValidateSecond(b.shape); err != nil {
 		return nil, err
 	}
-	plan, err := newPlan(q, &opts, a.reader(), b.reader())
+	plan, err := newPlan(q, &opts, a.reader(ctx), b.reader(ctx))
 	if err != nil {
 		return nil, err
 	}
-	return runPlan(ctx, plan, a.reader(), b.reader(), opts)
+	return runPlan(ctx, plan, a.reader(ctx), b.reader(ctx), opts)
 }
 
 // OutputSpace returns the shape of the query's intermediate/output
