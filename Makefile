@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race flake vet serve bench bench-spine bench-paper fuzz smoke smoke-serve clean
+.PHONY: build test race flake vet serve bench bench-kv bench-spine bench-paper fuzz smoke smoke-serve clean
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,14 @@ serve:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# bench-kv runs every micro-benchmark of the shuffle's two storage
+# layers once (CI does the same), so the shapes they measure — spill
+# encode/decode/verify per block kind, the run-riding merge — cannot rot
+# unnoticed. internal/spillstore has none yet; one added there is picked
+# up.
+bench-kv:
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/kv ./internal/spillstore
 
 # bench-spine runs the repo's one measurement harness (BENCHMARK.json):
 # five named workloads, end-to-end metrics plus per-layer attribution.

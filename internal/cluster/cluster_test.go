@@ -60,7 +60,7 @@ func (tw *testWorker) kill() {
 
 // startCluster brings up a coordinator and n registered in-process
 // workers, each serving on its own port.
-func startCluster(t *testing.T, n int, cfg CoordinatorConfig) (*Coordinator, []*testWorker) {
+func startCluster(t testing.TB, n int, cfg CoordinatorConfig) (*Coordinator, []*testWorker) {
 	t.Helper()
 	if cfg.HeartbeatTimeout == 0 {
 		cfg.HeartbeatTimeout = 30 * time.Second // tests drive liveness explicitly

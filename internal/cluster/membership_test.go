@@ -1,8 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +20,7 @@ import (
 
 	"sidr/internal/exec"
 	"sidr/internal/metrics"
+	"sidr/internal/spillstore"
 )
 
 // waitFor polls cond until it returns true or the deadline passes.
@@ -145,6 +151,126 @@ func TestDrainReplicaHandoff(t *testing.T) {
 	}
 	if n := late.MapsDone(); n != 0 {
 		t.Fatalf("late worker executed %d maps; mid-reduce registrants must get none", n)
+	}
+}
+
+// TestCorruptReplicaIsRefused pins what handleReplicate's verification
+// is for. Every pack a source serves carries one flipped payload bit
+// inside its first entry; the pack's own trailer CRC covers only the
+// directory, so Install accepts the copy. The target must refuse it
+// (502) through the spill's block checksums and release the attempt from
+// its store, the coordinator must record no replica candidate, and the
+// job — its shuffle gated until every push has been refused — must still
+// finish byte-identical to in-process from the primaries.
+func TestCorruptReplicaIsRefused(t *testing.T) {
+	const jobID = "corrupt-replica"
+	type refusal struct {
+		target int
+		req    ReplicateRequest
+		msg    string
+	}
+	var (
+		mu       sync.Mutex
+		refused  []refusal
+		accepted int
+	)
+	gate := make(chan struct{})
+	wrap := func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			switch {
+			case strings.HasPrefix(r.URL.Path, "/v1/shuffle"):
+				select {
+				case <-gate:
+				case <-r.Context().Done():
+					return
+				}
+				h.ServeHTTP(rw, r)
+			case strings.HasPrefix(r.URL.Path, "/v1/pack/"):
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, r)
+				body := rec.Body.Bytes()
+				// The first entry opens the pack: a 28-byte spill header, a
+				// 16-byte block header, then the block's payload.
+				if rec.Code != http.StatusOK || len(body) <= 28+16 || binary.LittleEndian.Uint32(body[24:28]) == 0 {
+					t.Errorf("pack %s: status %d, %d bytes — no block to damage", r.URL.Path, rec.Code, len(body))
+				} else {
+					body[28+16] ^= 0x04
+				}
+				rw.WriteHeader(rec.Code)
+				rw.Write(body)
+			case r.URL.Path == "/v1/replicate":
+				raw, _ := io.ReadAll(r.Body)
+				var req ReplicateRequest
+				json.Unmarshal(raw, &req)
+				r.Body = io.NopCloser(bytes.NewReader(raw))
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, r)
+				mu.Lock()
+				if rec.Code == http.StatusBadGateway {
+					refused = append(refused, refusal{i, req, rec.Body.String()})
+				} else {
+					accepted++
+				}
+				mu.Unlock()
+				rw.WriteHeader(rec.Code)
+				rw.Write(rec.Body.Bytes())
+			default:
+				h.ServeHTTP(rw, r)
+			}
+		})
+	}
+	reg := metrics.New()
+	c, workers := startChaosCluster(t, 2, CoordinatorConfig{Metrics: reg}, nil, wrap)
+
+	type outcome struct {
+		res *JobResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := runClusterJob(t, c, func(spec *JobSpec) { spec.ID = jobID })
+		done <- outcome{res, err}
+	}()
+
+	// 15 splits, one push each, one possible target each: every push is
+	// refused while the gate holds every reduce.
+	waitFor(t, 10*time.Second, "every replica push refused", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(refused)+accepted >= 15
+	})
+	// A failure below must not leave the job waiting at the gate, nor a
+	// handler waiting for mu.
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate()
+	mu.Lock()
+	pushes, acks := refused, accepted
+	mu.Unlock()
+	if acks != 0 {
+		t.Fatalf("%d corrupt replicas were acknowledged", acks)
+	}
+	for _, r := range pushes {
+		if !strings.Contains(r.msg, "replica verify") {
+			t.Fatalf("split %d refused before verification (%q): the damage must pass Install", r.req.Split, r.msg)
+		}
+		for kb := 0; kb < testJobPlan().Reducers; kb++ {
+			if _, _, err := workers[r.target].w.store.Open(jobID, r.req.Split, r.req.Attempt, kb); !errors.Is(err, spillstore.ErrNotFound) {
+				t.Fatalf("refused replica of split %d kb %d still in w%d's store (Open err = %v)", r.req.Split, kb, r.target, err)
+			}
+		}
+	}
+	openGate()
+
+	out := <-done
+	if out.err != nil {
+		t.Fatalf("job failed: %v", out.err)
+	}
+	assertMatchesInProcess(t, out.res)
+	if n := out.res.Counters.ReplicaPushes; n != 0 || reg.Counter("sidrd_cluster_replica_pushes_total").Value() != 0 {
+		t.Fatalf("coordinator recorded %d replica candidates from refused pushes", n)
+	}
+	if out.res.Counters.Reexecuted != 0 || out.res.Counters.ReplicaFetchFallbacks != 0 {
+		t.Fatalf("counters = %+v; the primaries were intact and no replica existed", out.res.Counters)
 	}
 }
 

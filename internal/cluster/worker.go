@@ -59,13 +59,10 @@ type WorkerConfig struct {
 	// Chaos, when set, injects worker-side faults into Map execution:
 	// scheduled kills, delays and hangs (see internal/faultinject).
 	Chaos *faultinject.Injector
-	// SpillCompress DEFLATEs each spill block (kv codec v3 per-block
+	// SpillCompress DEFLATEs each spill block (the kv codec's per-block
 	// compression). Trades Map-side CPU for shuffle bytes; the serving
 	// path is unaffected either way (spills are served as opaque bytes).
 	SpillCompress bool
-	// SpillBlockPairs overrides the v3 codec's pairs-per-block framing
-	// (0 = kv.DefaultBlockPairs).
-	SpillBlockPairs int
 	// Logf, when set, receives worker lifecycle logging.
 	Logf func(format string, args ...any)
 }
@@ -556,7 +553,7 @@ func (w *Worker) handleMap(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "spill store: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	opts := kv.V3Options{BlockPairs: w.cfg.SpillBlockPairs, Compress: w.cfg.SpillCompress}
+	opts := kv.V3Options{Compress: w.cfg.SpillCompress}
 	for _, kb := range j.plan.Graph.SplitToKB[req.Split] {
 		out := outs[kb]
 		n, err := pw.Append(kb, func(dst io.Writer) error {
@@ -632,8 +629,9 @@ func (w *Worker) handlePack(rw http.ResponseWriter, r *http.Request) {
 // handleReplicate installs a replica of another worker's attempt pack:
 // POST /v1/replicate {job_id, split, attempt, source_url}. The worker
 // pulls the pack from the source, installs it through the store's
-// structural validation (directory + CRC trailer), then re-verifies
-// every keyblock through the kv v3 checksum path before acknowledging —
+// structural validation (directory + CRC trailer), then puts every
+// keyblock through kv.VerifySpill — each check a fetching Reduce's
+// ReadSpill would make, without building a pair — before acknowledging:
 // a replica the coordinator counts on must be provably servable.
 func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -676,7 +674,7 @@ func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
 	for _, kb := range kbs {
 		sr, _, err := w.store.Open(req.JobID, req.Split, req.Attempt, kb)
 		if err == nil {
-			_, _, err = kv.ReadSpill(sr)
+			_, err = kv.VerifySpill(sr)
 		}
 		if err != nil {
 			w.store.ReleaseAttempt(req.JobID, req.Split, req.Attempt)

@@ -314,7 +314,7 @@ type flipReader struct {
 }
 
 // flipSkip is the byte offset corruption prefers to land past: the
-// size of a v3 kv spill header (28 bytes; v2's was 26), so flips land
+// size of the kv spill header (28 bytes), so flips land
 // in CRC-guarded territory — block payloads, block headers, or batch
 // frame headers — rather than in uncovered structural header fields.
 const flipSkip = 28

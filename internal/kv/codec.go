@@ -19,10 +19,11 @@ import (
 // that file" — so a Reduce task can tally its inputs without parsing
 // pair bodies.
 //
-// There is one format, version 3: the block-framed columnar layout
-// documented in codecv3.go. This file holds the header, the errors and
-// the two read entry points; anything that is not a version-3 spill is
-// rejected with ErrBadSpillVersion.
+// There is one format, version 4: the block-framed structural layout
+// documented in codecblock.go. This file holds the header, the errors
+// and the read entry points; anything that is not a version-4 spill —
+// the retired versions 2 and 3 included — is rejected with
+// ErrBadSpillVersion.
 
 var spillMagic = [4]byte{'S', 'P', 'I', 'L'}
 
@@ -64,7 +65,7 @@ func ReadSpillHeader(r io.Reader) (SpillHeader, error) {
 // readSpillHeader reads and validates the fixed file header. raw is the
 // exact header bytes consumed, which the body reader folds into its
 // per-block CRC seed.
-func readSpillHeader(r io.Reader) (h SpillHeader, raw [spillHeaderLenV3]byte, err error) {
+func readSpillHeader(r io.Reader) (h SpillHeader, raw [spillHeaderLen]byte, err error) {
 	// The magic and version are read and judged first, so a foreign or
 	// old-format file is named as such rather than reported as truncated.
 	if _, err := io.ReadFull(r, raw[:6]); err != nil {
@@ -74,7 +75,7 @@ func readSpillHeader(r io.Reader) (h SpillHeader, raw [spillHeaderLenV3]byte, er
 	if [4]byte(raw[:4]) != spillMagic {
 		return SpillHeader{}, raw, ErrBadSpillMagic
 	}
-	if v := le.Uint16(raw[4:6]); v != spillVersionV3 {
+	if v := le.Uint16(raw[4:6]); v != spillVersion {
 		return SpillHeader{}, raw, fmt.Errorf("%w: %d", ErrBadSpillVersion, v)
 	}
 	if _, err := io.ReadFull(r, raw[6:]); err != nil {
@@ -100,14 +101,23 @@ func readSpillHeader(r io.Reader) (h SpillHeader, raw [spillHeaderLenV3]byte, er
 // checksum. A mismatch returns ErrChecksum — the caller must treat the
 // spill as lost, never merge its pairs.
 func ReadSpill(r io.Reader) (SpillHeader, []Pair, error) {
+	var pairs []Pair // set only once every block has passed
+	h, err := readSpill(r, &pairs)
+	return h, pairs, err
+}
+
+// VerifySpill is ReadSpill without the pairs: the same loop makes every
+// check in the same order and returns the same errors, but nothing is
+// materialised — how a worker proves an installed replica servable.
+func VerifySpill(r io.Reader) (SpillHeader, error) {
+	return readSpill(r, nil)
+}
+
+func readSpill(r io.Reader, sink *[]Pair) (SpillHeader, error) {
 	br := bufio.NewReader(r)
 	h, raw, err := readSpillHeader(br)
 	if err != nil {
-		return SpillHeader{}, nil, err
+		return SpillHeader{}, err
 	}
-	pairs, err := readSpillV3Body(br, h, v3HeaderCRCSeed(raw[:]))
-	if err != nil {
-		return h, nil, err
-	}
-	return h, pairs, nil
+	return h, readBlocks(br, h, headerCRCSeed(raw[:]), sink)
 }

@@ -26,27 +26,42 @@ func v3ReencodeOpts(h SpillHeader) V3Options {
 
 // FuzzReadSpill feeds arbitrary bytes to the spill decoder. Properties:
 // no panics (corrupt and truncated spills are rejected with an error);
-// any accepted input re-encodes to a byte-identical fixed point (after
-// one framing normalisation pass) — the codec is the shuffle's wire
-// format, so decode must lose nothing WriteSpillV3 can express; and the
-// re-encoded bytes reject every single-bit flip outside the sourceCount
-// annotation, so corrupt bytes are never committed.
+// VerifySpill accepts exactly what ReadSpill accepts, with the same
+// error otherwise; any accepted input re-encodes to a byte-identical
+// fixed point (after one framing normalisation pass) — the codec is the
+// shuffle's wire format, so decode must lose nothing WriteSpillV3 can
+// express; and the re-encoded bytes reject every single-bit flip outside
+// the sourceCount annotation, so corrupt bytes are never committed.
 func FuzzReadSpill(f *testing.F) {
-	// Well-formed seeds across the codec's shapes: empty, aggregate-only
-	// values, sampled values and special floats, multiple blocks,
-	// compressed blocks.
+	// Well-formed seeds across the codec's shapes: empty; an aggregate
+	// block; a singleton block whose keys repeat; mixed blocks with
+	// special floats; negative, sparse and extreme keys; compressed
+	// blocks of each kind.
+	singletons := make([]Pair, 24)
+	for i := range singletons {
+		singletons[i] = Pair{Key: coords.NewCoord(2, int64(i/8)), Value: NewValue(float64(i)-3.5, true)}
+	}
 	f.Add(encodeSpillV3(f, 1, 0, nil, V3Options{}))
 	f.Add(encodeSpillV3(f, 3, 1500, []Pair{
 		{Key: coords.NewCoord(0, 1, 2), Value: Value{Sum: 3.5, SumSq: 12.25, Min: 3.5, Max: 3.5, Count: 1}},
 		{Key: coords.NewCoord(4, 5, 6), Value: Value{Sum: -1, SumSq: 1, Min: -1, Max: 0, Count: 2}},
 	}, V3Options{}))
+	f.Add(encodeSpillV3(f, 2, 24, singletons, V3Options{BlockPairs: 16}))
 	f.Add(encodeSpillV3(f, 2, 9, []Pair{
 		{Key: coords.NewCoord(9, 9), Value: Value{Count: 3, Samples: []float64{1.5, math.Inf(1), math.NaN()}}},
 	}, V3Options{}))
 	f.Add(encodeSpillV3(f, 3, 1500, v3TestPairs(20), V3Options{BlockPairs: 8}))
+	f.Add(encodeSpillV3(f, 2, 4, []Pair{
+		{Key: coords.NewCoord(math.MinInt64, -5), Value: NewValue(1, true)},
+		{Key: coords.NewCoord(-1000000, 7), Value: NewValue(math.NaN(), true)},
+		{Key: coords.NewCoord(0, 1<<50), Value: NewValue(2, false)},
+		{Key: coords.NewCoord(math.MaxInt64, math.MinInt64), Value: NewValue(3, false)},
+	}, V3Options{BlockPairs: 2}))
 	f.Add(encodeSpillV3(f, 3, 77, v3TestPairs(20), V3Options{BlockPairs: 8, Compress: true}))
-	// Corruption seeds: bad magic, bad version, the retired v2 header, a
-	// truncated header, a flipped payload bit, a truncated block.
+	f.Add(encodeSpillV3(f, 2, 24, singletons, V3Options{Compress: true}))
+	// Corruption seeds: bad magic, bad version, the retired v2 and v3
+	// headers, a truncated header, a flipped payload bit, a truncated
+	// block.
 	good := encodeSpillV3(f, 3, 9, v3TestPairs(6), V3Options{BlockPairs: 2})
 	badMagic := append([]byte(nil), good...)
 	copy(badMagic, "JUNK")
@@ -54,7 +69,8 @@ func FuzzReadSpill(f *testing.F) {
 	badVer := append([]byte(nil), good...)
 	badVer[4] = 0xff
 	f.Add(badVer)
-	f.Add(v2SpillHeader(2, 42))
+	f.Add(retiredSpillHeader(2, 2, 42))
+	f.Add(retiredSpillHeader(3, 2, 42))
 	f.Add(good[:5])
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)-1] ^= 0x01
@@ -63,6 +79,10 @@ func FuzzReadSpill(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, pairs, err := ReadSpill(bytes.NewReader(data))
+		vh, verr := VerifySpill(bytes.NewReader(data))
+		if vh != h || (err == nil) != (verr == nil) || (err != nil && err.Error() != verr.Error()) {
+			t.Fatalf("VerifySpill = %+v, %v; ReadSpill = %+v, %v", vh, verr, h, err)
+		}
 		if err != nil {
 			return // graceful rejection is the required behaviour
 		}

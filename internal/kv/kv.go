@@ -13,6 +13,7 @@ package kv
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sidr/internal/coords"
@@ -217,6 +218,12 @@ func TotalCount(ps []Pair) int64 {
 // re-sorting the concatenation. Streams must individually be sorted by
 // key (as Map tasks emit them); values of equal keys are folded through
 // Value.Merge. Input streams are not modified.
+//
+// The merge rides the streams' runs: the head stream's whole run of the
+// popped key is folded before the heap is touched again, and the key's
+// Samples grow once per run. Equal keys leave the heap in ascending
+// stream order and sit contiguously in their stream, so this is the
+// order a pair-at-a-time merge folds them in.
 func MergeSorted(streams [][]Pair) []Pair {
 	// Heap of stream heads ordered by key, ties by stream index for
 	// determinism.
@@ -225,14 +232,23 @@ func MergeSorted(streams [][]Pair) []Pair {
 		idx    int
 	}
 	heads := make([]head, 0, len(streams))
-	total := 0
+	// keys bounds the output from above: a stream contributes at most
+	// one key per stretch of pairs sharing a key slice. An uncombined
+	// stream repeats every key once per sample, so sizing the output by
+	// pairs would clear (and have the collector scan) many times what
+	// the merge fills.
+	keys := 0
 	for s, ps := range streams {
-		total += len(ps)
+		for i := range ps {
+			if i == 0 || !aliased(ps[i].Key, ps[i-1].Key) {
+				keys++
+			}
+		}
 		if len(ps) > 0 {
 			heads = append(heads, head{stream: s})
 		}
 	}
-	if total == 0 {
+	if keys == 0 {
 		return nil
 	}
 	less := func(a, b head) bool {
@@ -264,18 +280,38 @@ func MergeSorted(streams [][]Pair) []Pair {
 		down(i)
 	}
 
-	out := make([]Pair, 0, total)
+	out := make([]Pair, 0, keys)
 	for len(heads) > 0 {
-		h := heads[0]
-		p := streams[h.stream][h.idx]
-		if n := len(out); n > 0 && out[n-1].Key.Equal(p.Key) {
-			out[n-1].Value.Merge(p.Value)
-		} else {
-			out = append(out, Pair{Key: p.Key, Value: p.Value.Clone()})
+		ps := streams[heads[0].stream]
+		run := ps[heads[0].idx:]
+		n, samples := 1, len(run[0].Value.Samples)
+		for n < len(run) && sameKey(run[n].Key, run[0].Key) {
+			samples += len(run[n].Value.Samples)
+			n++
 		}
-		if h.idx+1 < len(streams[h.stream]) {
-			heads[0].idx++
+		run = run[:n]
+		if last := len(out) - 1; last >= 0 && out[last].Key.Equal(run[0].Key) {
+			v := &out[last].Value
+			if samples > 0 {
+				v.Samples = slices.Grow(v.Samples, samples)
+			}
+			for i := range run {
+				v.Merge(run[i].Value)
+			}
 		} else {
+			// The key's first pair is copied, as Clone would, into a
+			// sample array sized for the run.
+			v := run[0].Value
+			v.Samples = nil
+			if samples > 0 {
+				v.Samples = append(make([]float64, 0, samples), run[0].Value.Samples...)
+			}
+			for i := range run[1:] {
+				v.Merge(run[1+i].Value)
+			}
+			out = append(out, Pair{Key: run[0].Key, Value: v})
+		}
+		if heads[0].idx += n; heads[0].idx == len(ps) {
 			heads[0] = heads[len(heads)-1]
 			heads = heads[:len(heads)-1]
 		}

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,6 +9,138 @@ import (
 
 	"sidr/internal/coords"
 )
+
+// refMergeSorted is the pair-at-a-time heap merge MergeSorted replaced,
+// kept verbatim as the reference: pop one pair, fold it into the output's
+// last key or open a new one, fix the heap.
+func refMergeSorted(streams [][]Pair) []Pair {
+	type head struct {
+		stream int
+		idx    int
+	}
+	heads := make([]head, 0, len(streams))
+	total := 0
+	for s, ps := range streams {
+		total += len(ps)
+		if len(ps) > 0 {
+			heads = append(heads, head{stream: s})
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	less := func(a, b head) bool {
+		c := streams[a.stream][a.idx].Key.Compare(streams[b.stream][b.idx].Key)
+		if c != 0 {
+			return c < 0
+		}
+		return a.stream < b.stream
+	}
+	down := func(i int) {
+		for {
+			l, r := 2*i+1, 2*i+2
+			m := i
+			if l < len(heads) && less(heads[l], heads[m]) {
+				m = l
+			}
+			if r < len(heads) && less(heads[r], heads[m]) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			heads[i], heads[m] = heads[m], heads[i]
+			i = m
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := make([]Pair, 0, total)
+	for len(heads) > 0 {
+		h := heads[0]
+		p := streams[h.stream][h.idx]
+		if n := len(out); n > 0 && out[n-1].Key.Equal(p.Key) {
+			out[n-1].Value.Merge(p.Value)
+		} else {
+			out = append(out, Pair{Key: p.Key, Value: p.Value.Clone()})
+		}
+		if h.idx+1 < len(streams[h.stream]) {
+			heads[0].idx++
+		} else {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		down(0)
+	}
+	return out
+}
+
+// TestMergeSortedRidesRunsBitIdentically: keys repeated inside a stream
+// (the uncombined path ships one pair per sample) and across streams,
+// with and without samples, special floats and sample-less pairs mixed
+// into a sampled key — the run-draining merge returns what the
+// pair-at-a-time reference returns: same keys, every Value field equal
+// by Float64bits, samples in the same order, the same nil-ness of
+// Samples, and nothing aliasing the inputs.
+func TestMergeSortedRidesRunsBitIdentically(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1e-310}
+	for seed := int64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		streams := make([][]Pair, 1+r.Intn(6))
+		for s := range streams {
+			var ps []Pair
+			for k := int64(0); k < 12; k++ {
+				if r.Intn(3) == 0 {
+					continue // this stream skips the key
+				}
+				key := coords.NewCoord(k/4-1, k%4)
+				for m := 1 + r.Intn(5); m > 0; m-- {
+					x := r.NormFloat64() * 1e3
+					if r.Intn(8) == 0 {
+						x = specials[r.Intn(len(specials))]
+					}
+					var v Value
+					switch r.Intn(4) {
+					case 0:
+						v = NewValue(x, false)
+					case 1:
+						v = Value{Samples: []float64{}} // Count 0: Merge skips it, Clone keeps it
+					case 2:
+						v.AddRun([]float64{x, -x, x / 3}, true)
+					default:
+						v = NewValue(x, true)
+					}
+					k := key
+					if r.Intn(2) == 0 {
+						k = key.Clone() // equal keys need not share a slice
+					}
+					ps = append(ps, Pair{Key: k, Value: v})
+				}
+			}
+			streams[s] = ps
+		}
+		got, want := MergeSorted(streams), refMergeSorted(streams)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d keys, reference %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if !g.Key.Equal(w.Key) || !valueBitsEqual(g.Value, w.Value) || (g.Value.Samples == nil) != (w.Value.Samples == nil) {
+				t.Fatalf("seed %d key %d:\n got       %v %+v\n reference %v %+v", seed, i, g.Key, g.Value, w.Key, w.Value)
+			}
+		}
+		for _, p := range got {
+			for _, ps := range streams {
+				for _, q := range ps {
+					if len(p.Value.Samples) > 0 && len(q.Value.Samples) > 0 && &p.Value.Samples[0] == &q.Value.Samples[0] {
+						t.Fatalf("seed %d: merged samples alias an input stream", seed)
+					}
+				}
+			}
+		}
+	}
+}
 
 func TestMergeSortedEmpty(t *testing.T) {
 	if got := MergeSorted(nil); got != nil {

@@ -13,7 +13,7 @@
 //
 //	root/<job>/<split>-<attempt>.pack
 //
-//	entry bytes (each a complete kv spill stream, v2 or v3)
+//	entry bytes (each a complete kv spill stream)
 //	directory:
 //	  u32 nEntries
 //	  nEntries × ( u32 keyblock | u64 offset | u64 length )
