@@ -64,7 +64,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := p.Simulate(cfg, w)
+		res, err := experiments.Simulate(p, cfg, w)
 		if err != nil {
 			log.Fatal(err)
 		}

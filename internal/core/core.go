@@ -5,13 +5,11 @@
 // runs: the input splits, the intermediate keyspace K'^T, the
 // partitioner, the keyblocks, and the Map↔Reduce dependency graph.
 //
-// A Plan can then execute two ways:
-//
-//   - RunLocal: on the real in-process MapReduce engine, with the barrier
-//     mode, shuffle pattern, kv-count validation and Map order the chosen
-//     engine implies.
-//   - Simulate: on the discrete-event cluster model at paper scale, with
-//     the same scheduler policies and the plan's real dependency graph.
+// A Plan executes through the one job loop — RunLocal in process,
+// JobConfig with a Runner on a cluster — with the barrier mode, shuffle
+// pattern, kv-count validation and Map order the chosen engine implies.
+// (The paper-scale discrete-event model that replays a plan's real
+// dependency graph lives with its only callers, internal/experiments.)
 package core
 
 import (
@@ -27,9 +25,7 @@ import (
 	"sidr/internal/ops"
 	"sidr/internal/partition"
 	"sidr/internal/query"
-	"sidr/internal/sched"
 	"sidr/internal/sidx"
-	"sidr/internal/simcluster"
 )
 
 // Engine selects the execution semantics being compared in the paper.
@@ -455,7 +451,7 @@ func (p *Plan) JobConfig(readerA, readerB coords.RecordReader) mapreduce.Config 
 	if p.Engine == EngineSIDR {
 		cfg.Barrier = mapreduce.DependencyBarrier
 		cfg.ValidateCounts = true
-		cfg.MapOrder = sched.DependencyDrivenMapOrder(p.Graph, p.Priority)
+		cfg.MapOrder = p.Graph.MapOrder(p.Priority)
 		cfg.ReduceOrder = p.Priority // nil keeps keyblock order
 	}
 	return cfg
@@ -521,100 +517,4 @@ func (p *Plan) Assemble(outputs []mapreduce.ReduceOutput) (keys [][]int64, value
 		keys[i], values[i] = append([]int64(nil), r.Key...), r.Values
 	}
 	return keys, values, nil
-}
-
-// SimWorkload carries the per-task data volumes the simulator charges
-// for; Derive computes it from the plan and query.
-type SimWorkload struct {
-	Splits  []simcluster.Split
-	Reduces []simcluster.Reduce
-}
-
-// DeriveWorkload computes simulator workloads from the plan's real
-// geometry: split points from the dependency analysis, per-keyblock pair
-// and byte counts from the expected-count calculation.
-//
-// pairBytes is the serialised size of one intermediate pair; combined
-// controls whether Map-side combining collapses each tile's points into
-// one pair (distributive/holistic queries ship combined pairs in the
-// paper's runs).
-func (p *Plan) DeriveWorkload(pairBytes int64, combined bool) SimWorkload {
-	w := SimWorkload{}
-	for _, s := range p.Splits {
-		w.Splits = append(w.Splits, simcluster.Split{
-			Points: s.Slab.Size(),
-			Bytes:  s.Slab.Size() * 8,
-			Hosts:  s.Hosts,
-		})
-	}
-	r := p.Part.NumKeyblocks()
-	// Keys per keyblock: for partition+ the block sizes are exact; for
-	// modulo we approximate by expected count / points-per-tile.
-	tilePoints := p.Query.Extraction.Shape.Size()
-	for l := 0; l < r; l++ {
-		var pairs int64
-		if combined {
-			// Combining folds each tile's points into roughly one pair
-			// per K' key: exact block sizes for partition+, expected
-			// count divided by tile size for modulo keyblocks.
-			if p.Keyblocks != nil {
-				pairs = p.Keyblocks[l].Size()
-			} else {
-				pairs = p.Graph.ExpectedCount[l] / maxI64(tilePoints, 1)
-			}
-		} else {
-			pairs = p.Graph.ExpectedCount[l]
-		}
-		w.Reduces = append(w.Reduces, simcluster.Reduce{
-			Pairs:    pairs,
-			InBytes:  pairs * pairBytes,
-			OutBytes: pairs * 8,
-			Deps:     p.Graph.KBToSplits[l],
-		})
-	}
-	return w
-}
-
-// Simulate runs the plan on the discrete-event cluster model, using the
-// engine's scheduler policy, barrier mode, shuffle pattern, and Map cost
-// factor.
-func (p *Plan) Simulate(cfg simcluster.Config, w SimWorkload) (*simcluster.Result, error) {
-	return p.SimulateWith(cfg, w, nil)
-}
-
-// SimulateWith is Simulate with an optional Reduce-failure model for the
-// §6 recovery study.
-func (p *Plan) SimulateWith(cfg simcluster.Config, w SimWorkload, failure *simcluster.FailureModel) (*simcluster.Result, error) {
-	maps := make([]sched.MapInfo, len(w.Splits))
-	for i, s := range w.Splits {
-		maps[i] = sched.MapInfo{Hosts: s.Hosts}
-	}
-	job := simcluster.Job{
-		Splits:        w.Splits,
-		Reduces:       w.Reduces,
-		MapCostFactor: p.Engine.MapCostFactor(),
-		Failure:       failure,
-	}
-	switch p.Engine {
-	case EngineSIDR:
-		s, err := sched.NewSIDR(maps, p.Graph, p.Priority)
-		if err != nil {
-			return nil, err
-		}
-		job.Scheduler = s
-		job.GlobalBarrier = false
-		job.FetchAll = false
-	default:
-		job.Scheduler = sched.NewHadoop(maps, p.Reducers)
-		job.GlobalBarrier = true
-		job.FetchAll = true
-	}
-	return simcluster.Simulate(cfg, job)
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -190,67 +190,6 @@ func TestPlanWithHDFSLocality(t *testing.T) {
 	}
 }
 
-func TestDeriveWorkloadAndSimulate(t *testing.T) {
-	q := mustParse(t, "avg w[0,0 : 128,8] es {4,4}")
-	cfg := simcluster.DefaultConfig()
-	cfg.Workers = 2 // 8 map slots for 32 splits: four Map waves
-	cfg.JitterFrac = 0
-
-	var results []*simcluster.Result
-	for _, e := range []Engine{EngineHadoop, EngineSciHadoop, EngineSIDR} {
-		p, err := NewPlan(q, e, Options{Reducers: 4, SplitPoints: 32})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := p.DeriveWorkload(48, true)
-		if len(w.Splits) != len(p.Splits) || len(w.Reduces) != 4 {
-			t.Fatalf("workload %d/%d", len(w.Splits), len(w.Reduces))
-		}
-		res, err := p.Simulate(cfg, w)
-		if err != nil {
-			t.Fatalf("%v: %v", e, err)
-		}
-		results = append(results, res)
-	}
-	hadoop, sci, sidr := results[0], results[1], results[2]
-	// The paper's headline ordering: SIDR first result << SciHadoop <<
-	// Hadoop; Hadoop slowest overall.
-	if !(sidr.Stats.FirstResult < sci.Stats.FirstResult) {
-		t.Fatalf("SIDR first result %v not before SciHadoop %v", sidr.Stats.FirstResult, sci.Stats.FirstResult)
-	}
-	if !(sci.Stats.FirstResult < hadoop.Stats.FirstResult) {
-		t.Fatalf("SciHadoop first result %v not before Hadoop %v", sci.Stats.FirstResult, hadoop.Stats.FirstResult)
-	}
-	if !(sci.Stats.Makespan < hadoop.Stats.Makespan) {
-		t.Fatalf("SciHadoop %v not faster than Hadoop %v", sci.Stats.Makespan, hadoop.Stats.Makespan)
-	}
-	// Connection accounting: SIDR ≪ Hadoop-mode.
-	if !(sidr.Stats.Connections < hadoop.Stats.Connections) {
-		t.Fatalf("connections: SIDR %d vs Hadoop %d", sidr.Stats.Connections, hadoop.Stats.Connections)
-	}
-}
-
-func TestDeriveWorkloadUncombined(t *testing.T) {
-	q := mustParse(t, "avg w[0,0 : 16,4] es {4,4}")
-	p, err := NewPlan(q, EngineSIDR, Options{Reducers: 2, SplitPoints: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined := p.DeriveWorkload(48, true)
-	raw := p.DeriveWorkload(48, false)
-	var cPairs, rPairs int64
-	for i := range combined.Reduces {
-		cPairs += combined.Reduces[i].Pairs
-		rPairs += raw.Reduces[i].Pairs
-	}
-	if !(cPairs < rPairs) {
-		t.Fatalf("combined pairs %d not below raw %d", cPairs, rPairs)
-	}
-	if rPairs != q.Input.Size() {
-		t.Fatalf("raw pairs = %d, want input size %d", rPairs, q.Input.Size())
-	}
-}
-
 func TestSkewEncodingOption(t *testing.T) {
 	// Supplying the corner-in-K encoding reproduces §4.3: with an even
 	// extraction stride and even reducer count, half the keyblocks

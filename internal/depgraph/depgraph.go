@@ -50,6 +50,7 @@ func Build(q *query.Query, splits []coords.Slab, p partition.Partitioner) (*Grap
 		ExpectedCount: make([]int64, r),
 		SplitPoints:   make([]int64, len(splits)),
 	}
+	stride := q.Extraction.EffectiveStride()
 	for i, split := range splits {
 		in, ok := split.Intersect(q.Input)
 		if !ok {
@@ -62,14 +63,9 @@ func Build(q *query.Query, splits []coords.Slab, p partition.Partitioner) (*Grap
 		}
 		touched := make(map[int]int64) // keyblock -> source pairs from this split
 		var iterErr error
-		tiles.Each(func(kp coords.Coord) bool {
-			tile, err := q.Extraction.Tile(kp)
-			if err != nil {
-				iterErr = err
-				return false
-			}
-			overlap, ok := tile.Intersect(in)
-			if !ok {
+		tiles.EachReuse(func(kp coords.Coord) bool {
+			n := overlapSize(q.Extraction.Shape, stride, kp, in)
+			if n == 0 {
 				return true // strided gap tile grazed by TileRange bounds
 			}
 			kb, err := p.Partition(kp)
@@ -77,7 +73,7 @@ func Build(q *query.Query, splits []coords.Slab, p partition.Partitioner) (*Grap
 				iterErr = err
 				return false
 			}
-			touched[kb] += overlap.Size()
+			touched[kb] += n
 			return true
 		})
 		if iterErr != nil {
@@ -99,6 +95,22 @@ func Build(q *query.Query, splits []coords.Slab, p partition.Partitioner) (*Grap
 		}
 	}
 	return g, nil
+}
+
+// overlapSize is the number of points of in that the tile of intermediate
+// key kp covers — Extraction.Tile(kp) ∩ in, sized per dimension without
+// building either slab: a paper-scale plan visits millions of tiles.
+func overlapSize(es, stride coords.Shape, kp coords.Coord, in coords.Slab) int64 {
+	n := int64(1)
+	for d, k := range kp {
+		lo := max(k*stride[d], in.Corner[d])
+		hi := min(k*stride[d]+es[d], in.Corner[d]+in.Shape[d])
+		if hi <= lo {
+			return 0
+		}
+		n *= hi - lo
+	}
+	return n
 }
 
 // Builder accumulates per-(split, keyblock) source-pair contributions
@@ -162,6 +174,37 @@ func (g *Graph) NumKeyblocks() int { return len(g.KBToSplits) }
 
 // Deps returns I_ℓ for keyblock l.
 func (g *Graph) Deps(l int) []int { return g.KBToSplits[l] }
+
+// MapOrder returns a Map execution order that completes keyblocks in the
+// given priority order (nil: ascending keyblock id): the dependencies of
+// keyblock priority[0] first, then the unprocessed dependencies of
+// priority[1], and so on, with any remaining splits appended. The job
+// loop takes it as Config.MapOrder to realise SIDR's reduce-first
+// scheduling (§3.3) without a slot model.
+func (g *Graph) MapOrder(priority []int) []int {
+	if priority == nil {
+		priority = make([]int, g.NumKeyblocks())
+		for i := range priority {
+			priority[i] = i
+		}
+	}
+	order := make([]int, 0, g.NumSplits())
+	taken := make([]bool, g.NumSplits())
+	for _, l := range priority {
+		for _, m := range g.KBToSplits[l] {
+			if !taken[m] {
+				taken[m] = true
+				order = append(order, m)
+			}
+		}
+	}
+	for i := range taken {
+		if !taken[i] {
+			order = append(order, i)
+		}
+	}
+	return order
+}
 
 // SIDRConnections returns the total number of shuffle connections SIDR
 // opens: each Reduce task contacts exactly the Map tasks in its I_ℓ

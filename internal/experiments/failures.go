@@ -74,12 +74,11 @@ func FailureStudy(cfg simcluster.Config, reducers int, probs []float64) ([]Failu
 	return rows, nil
 }
 
-// simulateWithFailure is Plan.Simulate with a failure model attached.
-func simulateWithFailure(p *core.Plan, cfg simcluster.Config, w core.SimWorkload, prob float64, recompute bool) (*simcluster.Result, error) {
-	res, err := p.SimulateWith(cfg, w, &simcluster.FailureModel{
+// simulateWithFailure is Simulate with a failure model attached.
+func simulateWithFailure(p *core.Plan, cfg simcluster.Config, w SimWorkload, prob float64, recompute bool) (*simcluster.Result, error) {
+	return SimulateWith(p, cfg, w, &simcluster.FailureModel{
 		Prob:            prob,
 		Recompute:       recompute,
 		PersistOverhead: PersistOverheadDefault,
 	})
-	return res, err
 }

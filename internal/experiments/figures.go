@@ -22,7 +22,7 @@ func runConfig(q *query.Query, engine core.Engine, reducers int, cfg simcluster.
 	if err != nil {
 		return CurveResult{}, err
 	}
-	res, err := p.Simulate(cfg, w)
+	res, err := Simulate(p, cfg, w)
 	if err != nil {
 		return CurveResult{}, err
 	}
@@ -137,7 +137,7 @@ func Figure12(cfg simcluster.Config, runs int) ([]Figure12Row, error) {
 		for run := 0; run < runs; run++ {
 			c := cfg
 			c.Seed = cfg.Seed + int64(run)*7919
-			res, err := p.Simulate(c, w)
+			res, err := Simulate(p, c, w)
 			if err != nil {
 				return nil, err
 			}
@@ -185,7 +185,7 @@ func Figure13(cfg simcluster.Config) ([]CurveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	stockRes, err := stockPlan.Simulate(cfg, w)
+	stockRes, err := Simulate(stockPlan, cfg, w)
 	if err != nil {
 		return nil, err
 	}

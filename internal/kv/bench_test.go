@@ -28,10 +28,11 @@ func benchStreams(n, m int) [][]Pair {
 // keys to the innermost line.
 func benchKey(k int) coords.Coord { return coords.NewCoord(7, int64(k/16), int64(k%16)) }
 
-// repeatedKeyStreams is the Reduce input of an uncombined holistic
-// query: n streams over the same distinct keys, every key repeated
-// mult times in each stream, one sample per pair, pairs of a key sharing
-// its slice as decoded spills do.
+// repeatedKeyStreams is the worst case the key column's multiplicity and
+// the merge's run-riding exist for: n streams over the same distinct
+// keys, every key repeated mult times in each stream, one sample per
+// pair, pairs of a key sharing its slice as decoded spills do. (No Map
+// task emits it: the kernel ships one pair per key.)
 func repeatedKeyStreams(n, keys, mult int) [][]Pair {
 	r := rand.New(rand.NewSource(1))
 	streams := make([][]Pair, n)
@@ -54,7 +55,6 @@ func BenchmarkMergeSorted(b *testing.B) {
 		streams [][]Pair
 	}{
 		{"distinct-keys", benchStreams(16, 1000)},
-		// shuffle_median's keyblock: 4 splits × 512 keys × 32 samples.
 		{"repeated-keys", repeatedKeyStreams(4, 512, 32)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -113,11 +113,11 @@ func spillShapes() []struct {
 		name  string
 		pairs []Pair
 	}{
-		// An uncombined holistic split (shuffle_median): one pair per sample.
+		// One pair per sample: the sample column alone.
 		{"singletons", repeatedKeyStreams(1, 512, 32)[0]},
 		// A combined distributive split (avg): one aggregate per key.
 		{"aggregates", aggregates},
-		// A combined holistic split: one pair per key, 32 samples each.
+		// A holistic split (shuffle_median): one pair per key, 32 samples each.
 		{"sampled", sampled},
 	}
 }

@@ -115,9 +115,45 @@ func TestSpillV3RoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpillBlocksAreFramedByBytes: a pair weighs what its samples do, so a
+// block closes on payload size as well as on pair count — three pairs of
+// 200 000 samples are three blocks, each far below the reader's cap, not
+// one 4.8 MB block — and what the writer framed its readers accept.
+func TestSpillBlocksAreFramedByBytes(t *testing.T) {
+	const samples = 200000
+	pairs := make([]Pair, 3)
+	for i := range pairs {
+		var v Value
+		for s := 0; s < samples; s++ {
+			v.Add(float64(i*samples+s)*0.37-1e4, true)
+		}
+		pairs[i] = Pair{Key: coords.NewCoord(int64(i), 2), Value: v}
+	}
+	for _, opts := range []V3Options{{}, {Compress: true}} {
+		data := encodeSpillV3(t, 2, 3*samples, pairs, opts)
+		h, got, err := ReadSpill(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%+v: ReadSpill: %v", opts, err)
+		}
+		if vh, err := VerifySpill(bytes.NewReader(data)); err != nil || vh != h {
+			t.Fatalf("%+v: VerifySpill = %+v, %v; ReadSpill read %+v", opts, vh, err, h)
+		}
+		if h.Blocks != 3 || h.Pairs != 3 || h.SourceCount != 3*samples {
+			t.Fatalf("%+v: header %+v, want 3 pairs in 3 blocks", opts, h)
+		}
+		if !pairsEqual(t, 2, pairs, got) {
+			t.Fatalf("%+v: decoded pairs differ from written pairs", opts)
+		}
+	}
+	// Light pairs are still framed by count.
+	if h, _, err := ReadSpill(bytes.NewReader(encodeSpillV3(t, 3, 1, v3TestPairs(2*DefaultBlockPairs+1), V3Options{}))); err != nil || h.Blocks != 3 {
+		t.Fatalf("%d light pairs: header %+v, %v, want 3 blocks", 2*DefaultBlockPairs+1, h, err)
+	}
+}
+
 // TestKeyRunsCarryEveryKeyShape: the one key layout round-trips what a
 // Coord can hold — every rank, negative and sparse coordinates, a join's
-// trailing side coordinate, repeated keys from the uncombined path,
+// trailing side coordinate, repeated keys,
 // unsorted input, steps that wrap int64 (a box whose linear size no
 // int64 holds) — across block boundaries that cut a repeated key, with
 // pairs of one key sharing one decoded slice.

@@ -16,7 +16,8 @@ import (
 )
 
 // This file implements the spill format's body: pairs framed into
-// fixed-size blocks, each checksummed independently — so a streaming
+// blocks bounded by pair count and payload size (blockEnd), each
+// checksummed independently — so a streaming
 // reader rejects a flipped bit as soon as the damaged block arrives, and
 // a serving worker moves the file as opaque bytes without re-decoding a
 // pair. A block is structural: partition+ makes a keyblock a contiguous
@@ -74,13 +75,14 @@ const (
 	// compress/flate, BestSpeed — deterministic for a given input).
 	V3FlagDeflate uint16 = 1 << 0
 
-	// DefaultBlockPairs is the default pairs-per-block framing.
+	// DefaultBlockPairs is the default bound on the pairs of one block.
 	DefaultBlockPairs = 4096
 
 	// maxBlockLen caps a single block's claimed raw or stored byte
 	// length. The limit defends the decoder against corrupt or hostile
 	// length fields (including DEFLATE bombs) long before gigabytes are
-	// materialised; real blocks are a few hundred KB.
+	// materialised. The writer closes a block at about readStep of payload
+	// and refuses to emit one over the cap (a single pair that large).
 	maxBlockLen = 1 << 30
 	// readStep bounds how far a payload buffer grows ahead of the bytes
 	// that have arrived: a length is untrusted until they have.
@@ -96,7 +98,7 @@ const (
 	// no pair carries a sample.
 	maskAggregates uint8 = 0x1f
 	// maskSingletons keeps the sample column alone: every pair is one
-	// uncombined source point x — Count 1, one sample, Sum/Min/Max
+	// source point x — Count 1, one sample, Sum/Min/Max
 	// bit-equal to x, SumSq bit-equal to x*x. x is never NaN: the
 	// payload bits of a NaN product are not architecture-independent,
 	// so such a block keeps its columns.
@@ -111,8 +113,9 @@ func colWidth(mask uint8) int {
 
 // V3Options tunes WriteSpillV3.
 type V3Options struct {
-	// BlockPairs is the pairs-per-block framing (default
-	// DefaultBlockPairs). The final block holds the remainder.
+	// BlockPairs is the most pairs a block holds (default
+	// DefaultBlockPairs); a block also closes once its payload passes
+	// readStep. The final block holds the remainder.
 	BlockPairs int
 	// Compress DEFLATEs each block's payload.
 	Compress bool
@@ -132,7 +135,10 @@ func WriteSpillV3(w io.Writer, rank int, sourceCount int64, pairs []Pair, opts V
 	if opts.Compress {
 		flags |= V3FlagDeflate
 	}
-	nBlocks := (len(pairs) + blockPairs - 1) / blockPairs
+	nBlocks := 0
+	for off := 0; off < len(pairs); off = blockEnd(pairs, off, blockPairs) {
+		nBlocks++
+	}
 
 	le := binary.LittleEndian
 	var hdr [spillHeaderLen]byte
@@ -150,8 +156,9 @@ func WriteSpillV3(w io.Writer, rank int, sourceCount int64, pairs []Pair, opts V
 
 	var raw []byte // one payload buffer serves every block
 	var comp bytes.Buffer
-	for off := 0; off < len(pairs); off += blockPairs {
-		block := pairs[off:min(off+blockPairs, len(pairs))]
+	for off, end := 0, 0; off < len(pairs); off = end {
+		end = blockEnd(pairs, off, blockPairs)
+		block := pairs[off:end]
 		var err error
 		if raw, err = appendBlock(raw[:0], rank, block); err != nil {
 			return err
@@ -171,6 +178,9 @@ func WriteSpillV3(w io.Writer, rank int, sourceCount int64, pairs []Pair, opts V
 			}
 			stored = comp.Bytes()
 		}
+		if len(raw) > maxBlockLen || len(stored) > maxBlockLen {
+			return fmt.Errorf("kv: spill block of %d pairs is %d bytes (%d stored), over the %d a reader accepts", len(block), len(raw), len(stored), maxBlockLen)
+		}
 		var bh [blockHeaderLen]byte
 		le.PutUint32(bh[0:4], uint32(len(block)))
 		le.PutUint32(bh[4:8], uint32(len(raw)))
@@ -186,6 +196,20 @@ func WriteSpillV3(w io.Writer, rank int, sourceCount int64, pairs []Pair, opts V
 		}
 	}
 	return nil
+}
+
+// blockEnd returns where the block starting at pairs[off] ends: after
+// blockPairs pairs, or sooner once its value columns pass readStep — a
+// pair weighs what its samples do, so blocks are framed by bytes as well
+// as by count and stay far below maxBlockLen. No pair follows the one
+// that took its block past readStep, so a run of heavier pairs is one
+// block each.
+func blockEnd(pairs []Pair, off, blockPairs int) int {
+	end := off
+	for size := 0; end < len(pairs) && end-off < blockPairs && size < readStep; end++ {
+		size += colWidth(maskFull) + 8*len(pairs[end].Value.Samples)
+	}
+	return end
 }
 
 // headerCRCSeed folds every file-header field except the sourceCount

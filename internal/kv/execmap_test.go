@@ -56,38 +56,34 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // not hand-built pairs — through the codec: every keyblock output of
 // every split of each configuration must come back with equal keys and
 // every kv.Value field equal by math.Float64bits, pass VerifySpill, and
-// stay within the size the structural layout promises (on top of the
-// 28-byte header and 64 bytes per block).
+// stay within the size the structural layout promises: so many bytes per
+// pair and per source point (on top of the 28-byte header and 64 bytes
+// per block).
 func TestSpillRoundTripsRealMapOutputs(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		query        string
-		a, b         func(coords.Coord) float64
-		opts         core.Options
-		tweak        func(*mapreduce.MapInput)
-		bytesPerPair float64 // 0 = unchecked
-		carved       bool    // the join plan must have carved a tile
-		nans         bool    // the Map output must carry NaN samples
+		name          string
+		query         string
+		a, b          func(coords.Coord) float64
+		opts          core.Options
+		tweak         func(*mapreduce.MapInput)
+		bytesPerPair  float64 // 0 = unchecked
+		bytesPerPoint float64
+		carved        bool // the join plan must have carved a tile
+		nans          bool // the Map output must carry NaN samples
 	}{
 		// Combined distributive: one aggregate per key, no sample column.
 		{name: "avg-combined", query: "avg v[0,0,0 : 16,32,32] es {4,4,4}", a: field,
 			opts: core.Options{Reducers: 4, SplitPoints: 2 * 32 * 32}, bytesPerPair: 42},
-		// Uncombined holistic: one pair per source point, the sample alone.
+		// Holistic: one pair per key, its 32 samples of the split at 8 bytes
+		// per source point plus the key's own statistics — 8 + 48/n per
+		// point for n samples per pair.
 		{name: "median-uncombined", query: "median v[0,0,0 : 16,32,32] es {4,4,4}", a: field,
-			opts: core.Options{Reducers: 4, SplitPoints: 2 * 32 * 32}, bytesPerPair: 8.25},
+			opts: core.Options{Reducers: 4, SplitPoints: 2 * 32 * 32}, bytesPerPair: 48, bytesPerPoint: 8},
 		{name: "stddev-uncombined", query: "stddev v[0,0,0 : 16,32,32] es {4,4,4}", a: field,
 			opts:  core.Options{Reducers: 4, SplitPoints: 2 * 32 * 32},
 			tweak: func(in *mapreduce.MapInput) { in.Combine = false }},
 		{name: "filter_gt-prefiltered", query: "filter_gt v[0,0 : 40,30] es {4,5} param 100", a: field,
 			opts: core.Options{Reducers: 3, SplitPoints: 4 * 30}},
-		// A five-record sort buffer: many sealed segments, re-sorted, keys
-		// cut mid-tile.
-		{name: "median-sort-buffer-5", query: "median v[0,0 : 28,10] es {7,5}", a: field,
-			opts:  core.Options{Reducers: 3, SplitPoints: 4 * 10},
-			tweak: func(in *mapreduce.MapInput) { in.SortBufferRecords = 5 }},
-		{name: "avg-sort-buffer-5", query: "avg v[0,0 : 28,10] es {7,5}", a: field,
-			opts:  core.Options{Reducers: 3, SplitPoints: 4 * 10},
-			tweak: func(in *mapreduce.MapInput) { in.SortBufferRecords = 5 }},
 		// NaN samples: their blocks keep explicit columns.
 		{name: "median-nan-samples", query: "median v[0,0 : 28,10] es {7,5}", a: holed,
 			opts: core.Options{Reducers: 3, SplitPoints: 4 * 10}, nans: true},
@@ -179,9 +175,10 @@ func TestSpillRoundTripsRealMapOutputs(t *testing.T) {
 								t.Fatalf("split %d kb %d %+v pair %d:\n got  %v %+v\n want %v %+v", split.ID, kb, opts, i, got[i].Key, g, want.Key, w)
 							}
 						}
-						if limit := 28 + 64*float64(h.Blocks) + tc.bytesPerPair*float64(len(got)); tc.bytesPerPair > 0 && opts == (kv.V3Options{}) && float64(len(data)) > limit {
-							t.Fatalf("split %d kb %d: %d pairs in %d blocks encode to %d bytes, want ≤ %.0f (%.2f B/pair)",
-								split.ID, kb, len(got), h.Blocks, len(data), limit, tc.bytesPerPair)
+						limit := 28 + 64*float64(h.Blocks) + tc.bytesPerPair*float64(len(got)) + tc.bytesPerPoint*float64(h.SourceCount)
+						if tc.bytesPerPair > 0 && opts == (kv.V3Options{}) && float64(len(data)) > limit {
+							t.Fatalf("split %d kb %d: %d pairs of %d source points in %d blocks encode to %d bytes, want ≤ %.0f (%.0f B/pair + %.0f B/point)",
+								split.ID, kb, len(got), h.SourceCount, h.Blocks, len(data), limit, tc.bytesPerPair, tc.bytesPerPoint)
 						}
 					}
 				}

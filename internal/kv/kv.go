@@ -176,8 +176,10 @@ func (p Pair) String() string {
 	return fmt.Sprintf("<%v: n=%d sum=%g>", p.Key, p.Value.Count, p.Value.Sum)
 }
 
-// SortPairs orders pairs by key in row-major order — the sort phase every
-// Reduce task applies before merging (§2.3).
+// SortPairs orders pairs by key in row-major order. Map tasks emit their
+// pairs already sorted and Reduce merges the streams (MergeSorted), so no
+// task calls it: it is the sort the differential oracles of this
+// package, internal/mapreduce and internal/join hold those paths against.
 func SortPairs(ps []Pair) {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Key.Less(ps[j].Key) })
 }
@@ -233,10 +235,8 @@ func MergeSorted(streams [][]Pair) []Pair {
 	}
 	heads := make([]head, 0, len(streams))
 	// keys bounds the output from above: a stream contributes at most
-	// one key per stretch of pairs sharing a key slice. An uncombined
-	// stream repeats every key once per sample, so sizing the output by
-	// pairs would clear (and have the collector scan) many times what
-	// the merge fills.
+	// one key per stretch of pairs sharing a key slice — one per pair for
+	// a Map task's output, fewer for a decoded stream that repeats keys.
 	keys := 0
 	for s, ps := range streams {
 		for i := range ps {

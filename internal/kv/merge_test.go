@@ -77,7 +77,7 @@ func refMergeSorted(streams [][]Pair) []Pair {
 }
 
 // TestMergeSortedRidesRunsBitIdentically: keys repeated inside a stream
-// (the uncombined path ships one pair per sample) and across streams,
+// and across streams,
 // with and without samples, special floats and sample-less pairs mixed
 // into a sampled key — the run-draining merge returns what the
 // pair-at-a-time reference returns: same keys, every Value field equal

@@ -11,7 +11,7 @@ import (
 // benchConfig assembles a SIDR-engine job over the synthetic dataset for
 // the end-to-end engine benchmark. Kept apart from buildJob so the
 // benchmark does not depend on *testing.T helpers.
-func benchConfig(b *testing.B, qs string, reducers int, sortBuf int64) Config {
+func benchConfig(b *testing.B, qs string, reducers int) Config {
 	b.Helper()
 	q, err := query.Parse(qs)
 	if err != nil {
@@ -34,40 +34,26 @@ func benchConfig(b *testing.B, qs string, reducers int, sortBuf int64) Config {
 		b.Fatal(err)
 	}
 	return Config{
-		Query:             q,
-		Splits:            splits,
-		Reader:            &FuncReader{Fn: synthValue},
-		Part:              part,
-		Graph:             g,
-		Barrier:           DependencyBarrier,
-		ValidateCounts:    true,
-		Combine:           true,
-		SortBufferRecords: sortBuf,
+		Query:          q,
+		Splits:         splits,
+		Reader:         &FuncReader{Fn: synthValue},
+		Part:           part,
+		Graph:          g,
+		Barrier:        DependencyBarrier,
+		ValidateCounts: true,
+		Combine:        true,
 	}
 }
 
 // BenchmarkEngine measures a full Run of the SIDR engine (dependency
-// barrier, count validation, combining) over a 256×64 synthetic input —
-// the satellite-2 allocation target: per-split accumulator maps and pair
-// slices dominate the allocation profile.
+// barrier, count validation, combining) over a 256×64 synthetic input.
 func BenchmarkEngine(b *testing.B) {
-	cases := []struct {
-		name    string
-		sortBuf int64
-	}{
-		{"unbounded", 0},
-		{"sortbuf512", 512}, // forces multi-segment seal/merge per split
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			cfg := benchConfig(b, "avg temp[0,0 : 256,64] es {8,8}", 4, c.sortBuf)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cfg := benchConfig(b, "avg temp[0,0 : 256,64] es {8,8}", 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"testing"
 
 	"sidr/internal/coords"
@@ -17,67 +16,27 @@ import (
 )
 
 // refExecMap is the per-point Map task body the batch kernel replaced,
-// kept verbatim (scratch pooling aside) as the differential oracle: one
-// callback per source point, MapKeyInto + Contains + Partition +
-// Linearize and a hash-map lookup each, Delinearize and a sort at seal
-// time. ExecMap must reproduce its output bit for bit.
+// kept as the differential oracle: one callback per source point,
+// MapKeyInto + Contains + Partition + Linearize and a hash-map lookup
+// each, Delinearize and a sort at seal time. ExecMap must reproduce its
+// output bit for bit.
 func refExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 	q := in.Query
-	live, ok := split.Slab.Intersect(q.Input)
-	if !ok {
-		return make([]MapOut, in.Part.NumKeyblocks()), 0, nil
-	}
-	needSamples := in.Op.NeedsSamples()
-	combine := in.Combine && ops.CombinerLossless(in.Op)
-
 	r := in.Part.NumKeyblocks()
 	outs := make([]MapOut, r)
+	live, ok := split.Slab.Intersect(q.Input)
+	if !ok {
+		return outs, 0, nil
+	}
+	needSamples := in.Op.NeedsSamples()
+	preFilter := in.Combine && in.Op.Kind() == ops.Filter
+
 	accums := make([]map[int64]*kv.Value, r)
 	for i := range accums {
 		accums[i] = make(map[int64]*kv.Value)
 	}
-	segments := make([][][]kv.Pair, r)
-	var records, buffered, seen int64
+	var records, seen int64
 	var kpBuf coords.Coord
-
-	sealSegment := func(kb int) error {
-		m := accums[kb]
-		if len(m) == 0 {
-			return nil
-		}
-		pairs := make([]kv.Pair, 0, len(m))
-		for off, val := range m {
-			kp, err := in.Space.Delinearize(off)
-			if err != nil {
-				return err
-			}
-			out := *val
-			if combine && in.Op.Kind() == ops.Filter {
-				out = ops.PreFilter(in.Op, out, q.Params()...)
-			}
-			if !combine && out.Count > 1 && out.Samples != nil {
-				for _, s := range out.Samples {
-					pairs = append(pairs, kv.Pair{Key: kp, Value: kv.NewValue(s, true)})
-				}
-				continue
-			}
-			pairs = append(pairs, kv.Pair{Key: kp, Value: out})
-		}
-		kv.SortPairs(pairs)
-		segments[kb] = append(segments[kb], pairs)
-		clear(m)
-		return nil
-	}
-	sealAll := func() error {
-		for kb := range accums {
-			if err := sealSegment(kb); err != nil {
-				return err
-			}
-		}
-		buffered = 0
-		return nil
-	}
-
 	err := eachPoint(in.Reader, live, func(k coords.Coord, v float64) error {
 		if seen&63 == 0 && in.Ctx != nil {
 			if err := in.Ctx.Err(); err != nil {
@@ -112,34 +71,29 @@ func refExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 		}
 		val.Add(v, needSamples)
 		outs[kb].SourceCount++
-		buffered++
-		if in.SortBufferRecords > 0 && buffered >= in.SortBufferRecords {
-			return sealAll()
-		}
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := sealAll(); err != nil {
-		return nil, 0, err
-	}
-
-	for kb, segs := range segments {
-		switch {
-		case len(segs) == 0:
-		case len(segs) == 1:
-			outs[kb].Pairs = segs[0]
-		case combine:
-			outs[kb].Pairs = kv.MergeSorted(segs)
-		default:
-			all := make([]kv.Pair, 0, totalPairs(segs))
-			for _, s := range segs {
-				all = append(all, s...)
-			}
-			kv.SortPairs(all)
-			outs[kb].Pairs = all
+	for kb, m := range accums {
+		if len(m) == 0 {
+			continue
 		}
+		pairs := make([]kv.Pair, 0, len(m))
+		for off, val := range m {
+			kp, err := in.Space.Delinearize(off)
+			if err != nil {
+				return nil, 0, err
+			}
+			out := *val
+			if preFilter {
+				out = ops.PreFilter(in.Op, out, q.Params()...)
+			}
+			pairs = append(pairs, kv.Pair{Key: kp, Value: out})
+		}
+		kv.SortPairs(pairs)
+		outs[kb].Pairs = pairs
 	}
 	return outs, records, nil
 }
@@ -176,39 +130,23 @@ func valueBits(v kv.Value) string {
 	return b.String()
 }
 
-// canonicalPairs renders a keyblock's pairs one line each, ordered by key
-// and, within one key, by value bits: the uncombined path ships one pair
-// per sample, and the order of a key's samples was left arbitrary by the
-// old kernel's unstable sort over a hash map, so per key the MULTISET is
-// the contract. With unique keys the rendering keeps the stream order.
-func canonicalPairs(t *testing.T, pairs []kv.Pair) []string {
+// pairLines renders a keyblock's pairs one line each, in stream order,
+// and checks that order: strictly ascending keys, so one pair per key.
+func pairLines(t *testing.T, pairs []kv.Pair) []string {
 	t.Helper()
-	type line struct {
-		key  coords.Coord
-		bits string
-	}
-	lines := make([]line, len(pairs))
+	out := make([]string, len(pairs))
 	for i, p := range pairs {
-		if i > 0 && p.Key.Less(pairs[i-1].Key) {
-			t.Fatalf("pairs not sorted by key: %v after %v", p.Key, pairs[i-1].Key)
+		if i > 0 && !pairs[i-1].Key.Less(p.Key) {
+			t.Fatalf("pairs not strictly ascending by key: %v after %v", p.Key, pairs[i-1].Key)
 		}
-		lines[i] = line{p.Key, valueBits(p.Value)}
-	}
-	sort.SliceStable(lines, func(a, b int) bool {
-		if c := lines[a].key.Compare(lines[b].key); c != 0 {
-			return c < 0
-		}
-		return lines[a].bits < lines[b].bits
-	})
-	out := make([]string, len(lines))
-	for i, l := range lines {
-		out[i] = fmt.Sprintf("%v %s", l.key, l.bits)
+		out[i] = fmt.Sprintf("%v %s", p.Key, valueBits(p.Value))
 	}
 	return out
 }
 
-// checkSameMapOutput holds the kernel's output against the oracle's:
-// records, per-keyblock SourceCount, keys and every kv.Value field.
+// checkSameMapOutput holds the kernel's output against the oracle's, pair
+// for pair: records, per-keyblock SourceCount, keys and every kv.Value
+// field, a key's samples in the same (row-major source) order.
 func checkSameMapOutput(t *testing.T, label string, got, want []MapOut, gotRecords, wantRecords int64) {
 	t.Helper()
 	if gotRecords != wantRecords {
@@ -221,7 +159,7 @@ func checkSameMapOutput(t *testing.T, label string, got, want []MapOut, gotRecor
 		if got[kb].SourceCount != want[kb].SourceCount {
 			t.Fatalf("%s kb %d: SourceCount %d, oracle %d", label, kb, got[kb].SourceCount, want[kb].SourceCount)
 		}
-		g, w := canonicalPairs(t, got[kb].Pairs), canonicalPairs(t, want[kb].Pairs)
+		g, w := pairLines(t, got[kb].Pairs), pairLines(t, want[kb].Pairs)
 		if len(g) != len(w) {
 			t.Fatalf("%s kb %d: %d pairs, oracle %d", label, kb, len(g), len(w))
 		}
@@ -316,7 +254,7 @@ var kernelCases = []kernelCase{
 
 // runKernelCase compares ExecMap with the oracle on every split of one
 // configuration.
-func runKernelCase(t *testing.T, c kernelCase, opName string, combine bool, sortBuffer int64, modulo bool, reducers int) {
+func runKernelCase(t *testing.T, c kernelCase, opName string, combine bool, modulo bool, reducers int) {
 	t.Helper()
 	q := c.query(opName)
 	op, err := q.Op()
@@ -334,7 +272,7 @@ func runKernelCase(t *testing.T, c kernelCase, opName string, combine bool, sort
 		t.Fatal(err)
 	}
 	in := MapInput{Query: q, Op: op, Space: space, Part: part, Reader: &FuncReader{Fn: kernelValue},
-		Combine: combine, SortBufferRecords: sortBuffer}
+		Combine: combine}
 	for _, rows := range c.splitRows {
 		slabs, err := c.input.SplitDim(0, rows)
 		if err != nil {
@@ -342,7 +280,7 @@ func runKernelCase(t *testing.T, c kernelCase, opName string, combine bool, sort
 		}
 		for i, slab := range slabs {
 			split := InputSplit{ID: i, Slab: slab}
-			label := fmt.Sprintf("%s %s combine=%t sort=%d modulo=%t rows=%d split=%d", c.name, opName, combine, sortBuffer, modulo, rows, i)
+			label := fmt.Sprintf("%s %s combine=%t modulo=%t rows=%d split=%d", c.name, opName, combine, modulo, rows, i)
 			want, wantRecords, err := refExecMap(in, split)
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", label, err)
@@ -359,17 +297,15 @@ func runKernelCase(t *testing.T, c kernelCase, opName string, combine bool, sort
 // TestMapKernelMatchesPerPointOracle is the differential matrix: rank 1–3
 // × extraction shapes and strides (gaps included) × non-zero corners ×
 // partial trailing tiles kept and discarded × every registered operator ×
-// Combine on/off × SortBufferRecords {0, 1, 5, 64} × partition+ and
-// Modulo × split sizes that cut tiles. Every pair the batch kernel emits
-// must equal the per-point oracle's by math.Float64bits.
+// Combine on/off × partition+ and Modulo × split sizes that cut tiles.
+// Every pair the batch kernel emits must equal the per-point oracle's by
+// math.Float64bits.
 func TestMapKernelMatchesPerPointOracle(t *testing.T) {
 	for _, c := range kernelCases {
 		for _, opName := range ops.Names() {
 			for _, combine := range []bool{false, true} {
-				for _, sortBuffer := range []int64{0, 1, 5, 64} {
-					for _, modulo := range []bool{false, true} {
-						runKernelCase(t, c, opName, combine, sortBuffer, modulo, 3)
-					}
+				for _, modulo := range []bool{false, true} {
+					runKernelCase(t, c, opName, combine, modulo, 3)
 				}
 			}
 		}
@@ -545,25 +481,26 @@ func TestMapAllocsIndependentOfPoints(t *testing.T) {
 
 // FuzzMapKernel drives the batch kernel and the per-point oracle with
 // fuzzed geometry — rank, shape, extraction shape, stride, corner, split
-// cut, operator, sort buffer, combiner, partitioner — and requires
-// identical output.
+// cut, operator, combiner, partial-tile discard, partitioner — and
+// requires identical output.
 func FuzzMapKernel(f *testing.F) {
 	// The matrix's corner cases: rank 1, non-zero corner with gaps, a
 	// split cutting a tile, identity tiles, one tile larger than the
-	// input, sort buffers of 1 and 5.
-	f.Add([]byte{0, 67, 1, 1, 5, 1, 1, 0, 0, 0, 0, 0, 0, 3, 9, 0, 0, 1, 0, 2})
-	f.Add([]byte{1, 26, 17, 1, 2, 3, 1, 3, 1, 0, 1, 2, 0, 5, 4, 6, 1, 0, 1, 3})
-	f.Add([]byte{1, 23, 11, 1, 4, 3, 1, 0, 0, 0, 5, 3, 0, 2, 7, 9, 5, 1, 0, 3})
-	f.Add([]byte{1, 9, 8, 1, 1, 1, 1, 0, 0, 0, 2, 1, 0, 0, 9, 1, 0, 0, 1, 4})
-	f.Add([]byte{1, 6, 6, 1, 8, 8, 1, 0, 0, 0, 0, 0, 0, 1, 3, 12, 64, 1, 0, 2})
-	f.Add([]byte{2, 11, 7, 9, 2, 2, 3, 1, 0, 1, 2, 1, 3, 3, 5, 7, 5, 0, 1, 3})
+	// input, discarded partial tiles; holistic operators and filters with
+	// the combiner on and off.
+	f.Add([]byte{0, 67, 1, 1, 5, 1, 1, 0, 0, 0, 0, 0, 0, 3, 9, 1, 0, 2})
+	f.Add([]byte{1, 26, 17, 1, 2, 3, 1, 3, 1, 0, 1, 2, 0, 5, 4, 0, 1, 3})
+	f.Add([]byte{1, 23, 11, 1, 4, 3, 1, 0, 0, 0, 5, 3, 0, 2, 7, 1, 0, 3})
+	f.Add([]byte{1, 9, 8, 1, 1, 1, 1, 0, 0, 0, 2, 1, 0, 0, 11, 0, 1, 4})
+	f.Add([]byte{1, 6, 6, 1, 8, 8, 1, 0, 0, 0, 0, 0, 0, 1, 3, 1, 0, 2})
+	f.Add([]byte{2, 11, 7, 9, 2, 2, 3, 1, 0, 1, 2, 1, 3, 3, 5, 2, 1, 3})
 	names := ops.Names()
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if len(b) < 20 {
+		if len(b) < 18 {
 			return
 		}
 		rank := int(b[0])%3 + 1
-		c := kernelCase{name: "fuzz", es: make(coords.Shape, rank), dropPartial: b[17]&2 != 0}
+		c := kernelCase{name: "fuzz", es: make(coords.Shape, rank), dropPartial: b[15]&2 != 0}
 		corner, shape, stride := make(coords.Coord, rank), make(coords.Shape, rank), make(coords.Shape, rank)
 		strided := false
 		for d := 0; d < rank; d++ {
@@ -581,7 +518,72 @@ func FuzzMapKernel(f *testing.F) {
 			return // the whole input sits in stride gaps: no keyspace
 		}
 		c.splitRows = []int64{int64(b[13])%shape[0] + 1}
-		sortBuffer := int64(b[16]) % 70
-		runKernelCase(t, c, names[int(b[14])%len(names)], b[17]&1 != 0, sortBuffer, b[18]&1 != 0, int(b[19])%5+1)
+		runKernelCase(t, c, names[int(b[14])%len(names)], b[15]&1 != 0, b[16]&1 != 0, int(b[17])%5+1)
 	})
+}
+
+// TestHolisticKeyShipsOnePair: a holistic operator defeats the combiner's
+// fold, not the kernel's — a key leaves a Map task as one pair carrying
+// every sample in row-major source order, and the kv-count annotation
+// still counts source points.
+func TestHolisticKeyShipsOnePair(t *testing.T) {
+	q := mustParse(t, "median v[0,0 : 12,10] es {4,5}")
+	op, _ := q.Op()
+	space, _ := q.IntermediateSpace()
+	pp, err := partition.NewPartitionPlus(space, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := MapInput{Query: q, Op: op, Space: space, Part: pp, Reader: &FuncReader{Fn: kernelValue}, Combine: true}
+	split := coords.MustSlab(coords.NewCoord(2, 0), coords.NewShape(7, 10)) // cuts the tiles of rows 0–3 and 8–11
+	outs, records, err := ExecMap(in, InputSplit{Slab: split})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records != split.Size() {
+		t.Fatalf("%d records, want %d", records, split.Size())
+	}
+	// The expectation, straight off the definition: every point of the
+	// split, in row-major order, appended to its key's sample list.
+	want := map[string][]float64{}
+	split.EachReuse(func(k coords.Coord) bool {
+		kp, _ := q.Extraction.MapKeyInto(k, nil)
+		want[kp.String()] = append(want[kp.String()], kernelValue(k))
+		return true
+	})
+	var points int64
+	keys := 0
+	for kb, o := range outs {
+		live := 0
+		space.EachReuse(func(kp coords.Coord) bool {
+			if l, _ := pp.Partition(kp); l == kb && want[kp.String()] != nil {
+				live++
+			}
+			return true
+		})
+		if len(o.Pairs) != live {
+			t.Fatalf("keyblock %d: %d pairs for %d live keys", kb, len(o.Pairs), live)
+		}
+		var tally int64
+		for _, p := range o.Pairs {
+			samples := want[p.Key.String()]
+			if len(p.Value.Samples) != len(samples) || p.Value.Count != int64(len(samples)) {
+				t.Fatalf("key %v: %d samples, Count %d, want %d", p.Key, len(p.Value.Samples), p.Value.Count, len(samples))
+			}
+			for i, x := range samples {
+				if math.Float64bits(p.Value.Samples[i]) != math.Float64bits(x) {
+					t.Fatalf("key %v sample %d out of source order", p.Key, i)
+				}
+			}
+			tally += p.Value.Count
+		}
+		if o.SourceCount != tally {
+			t.Fatalf("keyblock %d: SourceCount %d, pairs carry %d", kb, o.SourceCount, tally)
+		}
+		points += o.SourceCount
+		keys += len(o.Pairs)
+	}
+	if points != split.Size() || keys != len(want) {
+		t.Fatalf("%d source points over %d pairs, want %d over %d", points, keys, split.Size(), len(want))
+	}
 }

@@ -99,7 +99,7 @@ type Event struct {
 // Counters aggregates runtime statistics.
 type Counters struct {
 	MapRecordsIn    int64 // source points read by Map tasks
-	MapPairsOut     int64 // intermediate pairs after combining
+	MapPairsOut     int64 // intermediate pairs: one per (split, K' key) the split touches
 	ShuffleBytes    int64 // approximate bytes of Map output (each crosses the shuffle once)
 	OutputValues    int64 // values emitted by Reduce tasks
 	Connections     int64 // shuffle fetches (Table 3's metric)
@@ -195,8 +195,8 @@ type Config struct {
 	// operator (§3.2.1 approach 2). Requires Graph.
 	ValidateCounts bool
 
-	// Combine runs map-side combining (lossless for distributive and
-	// filter operators; skipped automatically for holistic ones).
+	// Combine makes a filter's Map tasks pre-filter their samples (see
+	// MapInput.Combine).
 	Combine bool
 
 	// Workers bounds the job's task concurrency. Without an injected
@@ -236,13 +236,6 @@ type Config struct {
 	// partial results. Callbacks may arrive concurrently from multiple
 	// Reduce workers; Run does not return while one is running.
 	OnReduceOutput func(ReduceOutput)
-
-	// SortBufferRecords bounds the Map-side accumulation buffer,
-	// modelling Hadoop's io.sort.mb: when a Map task has buffered this
-	// many source records it seals the buffer into a sorted segment and
-	// starts a new one; segments are k-way merged map-side before the
-	// output is published. Zero means unbounded (a single segment).
-	SortBufferRecords int64
 }
 
 // Errors reported by Run.
@@ -345,13 +338,12 @@ func NewJob(cfg Config) (*Job, error) {
 		return nil, ErrNeedsGraph
 	}
 	in := MapInput{
-		Query:             cfg.Query,
-		Part:              cfg.Part,
-		Reader:            cfg.Reader,
-		Join:              cfg.Join,
-		Reader2:           cfg.Reader2,
-		Combine:           cfg.Combine,
-		SortBufferRecords: cfg.SortBufferRecords,
+		Query:   cfg.Query,
+		Part:    cfg.Part,
+		Reader:  cfg.Reader,
+		Join:    cfg.Join,
+		Reader2: cfg.Reader2,
+		Combine: cfg.Combine,
 	}
 	var err error
 	if cfg.Join == nil {

@@ -329,8 +329,9 @@ func TestShuffleConnectionCounts(t *testing.T) {
 }
 
 func TestCombinerReducesShuffleVolume(t *testing.T) {
-	// A filter pre-combiner discards non-matching samples map-side;
-	// without it every source sample ships as its own pair.
+	// A Map task ships one pair per key either way; what the combiner
+	// decides is whether a filter's pairs carry every sample or only the
+	// survivors of its predicate.
 	q := mustParse(t, "filter_gt temp[0,0 : 28,10] es {7,5} param 30")
 	with, err := Run(buildJob(t, q, 2, true, true))
 	if err != nil {
@@ -340,8 +341,11 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if with.Counters.MapPairsOut >= without.Counters.MapPairsOut {
-		t.Fatalf("combiner did not reduce pairs: %d vs %d", with.Counters.MapPairsOut, without.Counters.MapPairsOut)
+	if with.Counters.MapPairsOut != without.Counters.MapPairsOut {
+		t.Fatalf("combiner changed the pair count: %d vs %d", with.Counters.MapPairsOut, without.Counters.MapPairsOut)
+	}
+	if with.Counters.ShuffleBytes >= without.Counters.ShuffleBytes {
+		t.Fatalf("pre-filter did not reduce shuffle bytes: %d vs %d", with.Counters.ShuffleBytes, without.Counters.ShuffleBytes)
 	}
 	if with.Counters.MapRecordsIn != without.Counters.MapRecordsIn {
 		t.Fatalf("record counts differ: %d vs %d", with.Counters.MapRecordsIn, without.Counters.MapRecordsIn)

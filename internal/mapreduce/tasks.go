@@ -197,77 +197,27 @@ func (LocalRunner) Fetch(_ context.Context, l int, refs []any) (streams [][]kv.P
 }
 
 // mapScratch is reusable per-Map-task state: the batch buffer, the dense
-// accumulation tile, a seal's per-cell keyblock memo and per-keyblock
-// segment under construction, and a freelist of pair slices for sealed
-// segments that do not escape the task. Pooled process-wide so repeated
-// Map tasks stop paying per-split allocation churn.
+// accumulation tile and the seal's per-cell keyblock memo. Pooled
+// process-wide so repeated Map tasks stop paying per-split allocation
+// churn.
 type mapScratch struct {
 	vals []float64 // one batch of source values
 	// tile holds one accumulator per K' key of the split's box, indexed
 	// by the key's row-major offset inside the box. Every cell is zero
-	// between tasks: a seal zeroes each cell it publishes, because the
+	// between tasks: the seal zeroes each cell it publishes, because the
 	// cell's Samples array escapes into the published pair.
-	tile     []kv.Value
-	kbOf     []int32     // keyblock of each live cell, in cell order
-	building [][]kv.Pair // per keyblock: the segment the current seal fills
-	segments [][][]kv.Pair
-	free     [][]kv.Pair
+	tile []kv.Value
+	kbOf []int32 // keyblock of each live cell, in cell order
 }
 
 var scratchPool = sync.Pool{New: func() any { return &mapScratch{} }}
 
-// reset prepares the scratch for a task with r keyblocks and a K' box of
-// cells keys.
-func (s *mapScratch) reset(r int, cells int64) {
-	if int64(cap(s.tile)) < cells {
-		s.tile = make([]kv.Value, cells)
-	}
-	s.tile = s.tile[:cells]
-	if cap(s.building) < r {
-		s.building = make([][]kv.Pair, r)
-	}
-	s.building = s.building[:r]
-	if cap(s.segments) < r {
-		s.segments = make([][][]kv.Pair, r)
-	} else {
-		s.segments = s.segments[:r]
-		for i := range s.segments {
-			for k := range s.segments[i] {
-				s.segments[i][k] = nil // drop references to published pairs
-			}
-			s.segments[i] = s.segments[i][:0]
-		}
-	}
-}
-
-// pairBuf returns an empty pair slice, reusing a recycled segment when
-// one with capacity is available.
-func (s *mapScratch) pairBuf(n int) []kv.Pair {
-	for i := len(s.free) - 1; i >= 0; i-- {
-		if cap(s.free[i]) >= n {
-			buf := s.free[i][:0]
-			s.free = append(s.free[:i], s.free[i+1:]...)
-			return buf
-		}
-	}
-	return make([]kv.Pair, 0, n)
-}
-
-// recycle returns segment slices that did not escape the task (they were
-// merged into a fresh output slice) to the freelist.
-func (s *mapScratch) recycle(segs [][]kv.Pair) {
-	if len(s.free) >= 16 {
-		return
-	}
-	s.free = append(s.free, segs...)
-}
-
 // MapInput bundles everything one task needs to execute outside a full
 // job. The distributed runtime (internal/cluster) uses it to run single
 // Map tasks on remote worker processes through exactly the task body —
-// accumulation, combining, sort-buffer sealing — the in-process engine
-// uses (the Reduce body, ExecReduce, is the job loop's in both), so a
-// clustered job's data is bit-identical to a local run's.
+// accumulation, pre-filtering, the seal — the in-process engine uses (the
+// Reduce body, ExecReduce, is the job loop's in both), so a clustered
+// job's data is bit-identical to a local run's.
 type MapInput struct {
 	Query  *query.Query
 	Op     ops.Operator // nil for joins, which carry theirs in Join
@@ -278,17 +228,15 @@ type MapInput struct {
 	// Join, when set, makes the task bodies those of a structural join:
 	// a split's side follows from its ID in the combined split list,
 	// Reader serves side A and Reader2 side B, and Reduce pairs the two
-	// sides per tile (internal/join). Combine and SortBufferRecords do
-	// not apply to join Map tasks.
+	// sides per tile (internal/join). Combine does not apply to join Map
+	// tasks.
 	Join    *join.Plan
 	Reader2 coords.RecordReader
 
-	// Combine enables map-side combining (applied only when lossless for
-	// the operator).
+	// Combine makes a filter's Map tasks drop the samples its predicate
+	// rejects before they are shipped. A Map task folds every key into one
+	// pair whatever the operator, so this is all the combiner decides.
 	Combine bool
-	// SortBufferRecords bounds the map-side accumulation buffer (see
-	// Config.SortBufferRecords). Zero means unbounded.
-	SortBufferRecords int64
 	// Ctx, when set, aborts the record loop when done.
 	Ctx context.Context
 }
@@ -308,10 +256,10 @@ type MapOut = join.MapOut
 
 // ExecMap runs one Map task standalone: read the split's live region in
 // row batches, fold every run of source points that shares a K' key into
-// the split's dense tile (combining when configured), and return the
-// per-keyblock outputs with their source-count annotations. The returned
-// slice is indexed by keyblock. The second return value is the number of
-// source records read.
+// the split's dense tile, and return the per-keyblock outputs — one pair
+// per key — with their source-count annotations. The returned slice is
+// indexed by keyblock. The second return value is the number of source
+// records read.
 func ExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 	if jp := in.Join; jp != nil {
 		side, reader, missing := jp.Side(split.ID), in.Reader, ErrNoReader
@@ -334,17 +282,15 @@ func ExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 
 // execMap is the single-input Map kernel. The extraction shape makes the
 // split's image in K' a box known up front (KeyBox), so accumulation is a
-// dense tile indexed by key offset, and sealing is a linear walk that
+// dense tile indexed by key offset, and the seal is a linear walk that
 // meets the keys already in row-major order — no hash map, no sort.
 //
 // Per key the observations fold in row-major source order into one
-// accumulator per statistic, and a run is cut exactly where
-// SortBufferRecords fills, so outputs are bit-identical to folding point
-// by point.
+// accumulator per statistic, so outputs are bit-identical to folding
+// point by point, and a key's samples stay in source order.
 func execMap(in MapInput, split InputSplit, scratch *mapScratch) ([]MapOut, int64, error) {
 	q := in.Query
-	r := in.Part.NumKeyblocks()
-	outs := make([]MapOut, r)
+	outs := make([]MapOut, in.Part.NumKeyblocks())
 	live, ok := split.Slab.Intersect(q.Input)
 	if !ok {
 		return outs, 0, nil
@@ -354,177 +300,84 @@ func execMap(in MapInput, split InputSplit, scratch *mapScratch) ([]MapOut, int6
 	if err != nil {
 		return nil, 0, err
 	}
-	scratch.reset(r, box.Size())
-	tile, segments := scratch.tile, scratch.segments
-	rank := box.Rank()
+	if cells := box.Size(); int64(cap(scratch.tile)) < cells {
+		scratch.tile = make([]kv.Value, cells)
+	} else {
+		scratch.tile = scratch.tile[:cells]
+	}
+	tile := scratch.tile
 	needSamples := in.Op.NeedsSamples()
-	combine := in.Combine && ops.CombinerLossless(in.Op)
-	preFilter := combine && in.Op.Kind() == ops.Filter
-	params := q.Params()
 
-	var records, buffered int64
-	// [lo, hi) spans the cells touched since the last seal, so a bounded
-	// sort buffer does not re-walk the whole tile at every seal.
-	lo, hi := int64(len(tile)), int64(0)
-	// eachLive calls fn for every live cell of that span with its key, in
-	// row-major key order. fn must not retain key.
-	eachLive := func(fn func(v *kv.Value, key coords.Coord) error) error {
-		key, err := box.Delinearize(lo)
-		if err != nil {
-			return err
-		}
-		for c := lo; c < hi; c++ {
-			if v := &tile[c]; v.Count > 0 {
-				if err := fn(v, key); err != nil {
-					return err
-				}
-			}
-			box.Advance(key)
-		}
+	var records int64
+	fold := func(cell, _ int64, run []float64) error {
+		records += int64(len(run))
+		tile[cell].AddRun(run, needSamples)
 		return nil
 	}
-	perSample := func(v *kv.Value) bool { return !combine && v.Count > 1 && v.Samples != nil }
+	scratch.vals, err = coords.ReadBatches(in.Ctx, in.Reader, live, scratch.vals, func(batch coords.Slab, vals []float64) error {
+		return walk.Runs(batch, vals, fold)
+	})
+	if err == nil {
+		err = scratch.seal(in, box, outs)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return outs, records, nil
+}
 
-	// seal publishes every live cell into one sorted segment per keyblock
-	// and zeroes it. A count pass sizes each segment exactly; keys are
-	// carved from one backing array.
-	seal := func() error {
-		buffered = 0
-		if lo >= hi {
-			return nil
-		}
-		kbOf, counts := scratch.kbOf[:0], make([]int, r)
-		err := eachLive(func(v *kv.Value, key coords.Coord) error {
+// seal publishes every live cell of the tile as exactly one pair of its
+// keyblock's output and zeroes it. One odometer walk over the box meets
+// the keys in row-major order, routes each and sizes every output
+// exactly; keys are carved from one backing array.
+func (s *mapScratch) seal(in MapInput, box coords.Slab, outs []MapOut) error {
+	tile, rank := s.tile, box.Rank()
+	if len(tile) == 0 {
+		return nil
+	}
+	key, err := box.Delinearize(0)
+	if err != nil {
+		return err
+	}
+	keys := make([]int64, 0, len(tile)*rank)
+	kbOf, counts := s.kbOf[:0], make([]int, len(outs))
+	for c := range tile {
+		if tile[c].Count > 0 {
 			kb, err := in.Part.Partition(key)
 			if err != nil {
 				return err
 			}
 			kbOf = append(kbOf, int32(kb))
-			if perSample(v) {
-				counts[kb] += len(v.Samples)
-			} else {
-				counts[kb]++
-			}
-			return nil
-		})
-		scratch.kbOf = kbOf
-		if err != nil {
-			return err
+			counts[kb]++
+			keys = append(keys, key...)
 		}
-		building := scratch.building
-		for kb, n := range counts {
-			switch {
-			case n == 0:
-			case in.SortBufferRecords > 0:
-				// A map-side merge may replace this segment, so it can
-				// come from the freelist.
-				building[kb] = scratch.pairBuf(n)
-			default:
-				building[kb] = make([]kv.Pair, 0, n) // published as is
-			}
-		}
-		keyArena := make([]int64, len(kbOf)*rank)
-		_ = eachLive(func(v *kv.Value, key coords.Coord) error {
-			kb := kbOf[0]
-			kbOf = kbOf[1:]
-			kp := coords.Coord(keyArena[:rank:rank])
-			keyArena = keyArena[rank:]
-			copy(kp, key)
-			outs[kb].SourceCount += v.Count
-			switch {
-			case preFilter:
-				building[kb] = append(building[kb], kv.Pair{Key: kp, Value: ops.PreFilter(in.Op, *v, params...)})
-			case perSample(v):
-				// Without a combiner each source pair ships separately;
-				// emit one pair per sample to model the uncombined byte
-				// volume, each aliasing its slot of the key's own sample
-				// array. Aggregate-only operators still fold (their values
-				// are indistinguishable), matching Hadoop jobs that always
-				// configure combiners for such operators.
-				for i, x := range v.Samples {
-					one := kv.NewValue(x, false)
-					one.Samples = v.Samples[i : i+1 : i+1]
-					building[kb] = append(building[kb], kv.Pair{Key: kp, Value: one})
-				}
-			default:
-				building[kb] = append(building[kb], kv.Pair{Key: kp, Value: *v})
-			}
-			*v = kv.Value{}
-			return nil
-		})
-		for kb, pairs := range building {
-			if pairs != nil {
-				segments[kb] = append(segments[kb], pairs)
-				building[kb] = nil
-			}
-		}
-		lo, hi = int64(len(tile)), 0
-		return nil
+		box.Advance(key)
 	}
-
-	fold := func(cell, _ int64, run []float64) error {
-		records += int64(len(run))
-		lo, hi = min(lo, cell), max(hi, cell+1)
-		// When SortBufferRecords bounds the buffer, full buffers are
-		// sealed into sorted segments (Hadoop's io.sort.mb spills) and
-		// merged map-side after the split is consumed.
-		for in.SortBufferRecords > 0 && buffered+int64(len(run)) >= in.SortBufferRecords {
-			n := in.SortBufferRecords - buffered
-			tile[cell].AddRun(run[:n], needSamples)
-			run = run[n:]
-			if err := seal(); err != nil {
-				return err
-			}
-			lo, hi = min(lo, cell), max(hi, cell+1)
-		}
-		tile[cell].AddRun(run, needSamples)
-		buffered += int64(len(run))
-		return nil
-	}
-
-	scratch.vals, err = coords.ReadBatches(in.Ctx, in.Reader, live, scratch.vals, func(batch coords.Slab, vals []float64) error {
-		return walk.Runs(batch, vals, fold)
-	})
-	if err == nil {
-		err = seal()
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-
-	for kb, segs := range segments {
-		switch {
-		case len(segs) == 0:
-			// No data for this keyblock.
-		case len(segs) == 1:
-			outs[kb].Pairs = segs[0]
-		case combine:
-			// Map-side merge folds equal keys across segments — the
-			// combiner applied during Hadoop's spill merge. The merged
-			// slice is fresh, so the segments return to the freelist.
-			outs[kb].Pairs = kv.MergeSorted(segs)
-			scratch.recycle(segs)
-		default:
-			// Without a combiner segments are concatenated and re-sorted
-			// so downstream streams stay key-ordered but unfolded.
-			all := make([]kv.Pair, 0, totalPairs(segs))
-			for _, s := range segs {
-				all = append(all, s...)
-			}
-			kv.SortPairs(all)
-			outs[kb].Pairs = all
-			scratch.recycle(segs)
+	s.kbOf = kbOf
+	for kb, n := range counts {
+		if n > 0 {
+			outs[kb].Pairs = make([]kv.Pair, 0, n)
 		}
 	}
-	return outs, records, nil
-}
-
-func totalPairs(segs [][]kv.Pair) int {
-	n := 0
-	for _, s := range segs {
-		n += len(s)
+	preFilter := in.Combine && in.Op.Kind() == ops.Filter
+	params := in.Query.Params()
+	for c := range tile {
+		v := &tile[c]
+		if v.Count == 0 {
+			continue
+		}
+		out := &outs[kbOf[0]]
+		kbOf = kbOf[1:]
+		pair := kv.Pair{Key: keys[:rank:rank], Value: *v}
+		keys = keys[rank:]
+		if preFilter {
+			pair.Value = ops.PreFilter(in.Op, pair.Value, params...)
+		}
+		out.SourceCount += v.Count
+		out.Pairs = append(out.Pairs, pair)
+		*v = kv.Value{}
 	}
-	return n
+	return nil
 }
 
 // ExecReduce is the body of Reduce task l once its shuffle is complete

@@ -357,3 +357,37 @@ func TestQuickFilterPreFilterEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHolisticOperatorsReadOnlySamples pins the assumption the Map
+// kernel's identity argument rests on: a holistic key reaches Reduce as
+// per-split partial pairs, so its merged Sum/SumSq/Min/Max are folded in
+// a different association than a point-by-point pass would — which is
+// invisible only as long as no holistic operator reads them.
+func TestHolisticOperatorsReadOnlySamples(t *testing.T) {
+	v := valueOf(true, 3.5, -1.25, 7, 0.1, 0.2, 1e-9, 42, -6)
+	perturbed := v
+	perturbed.Sum, perturbed.SumSq = math.NaN(), -1
+	perturbed.Min, perturbed.Max = math.Inf(1), math.Inf(-1)
+	holistic := 0
+	for _, name := range Names() {
+		op, _ := Lookup(name)
+		if op.Kind() != Holistic {
+			continue
+		}
+		holistic++
+		for _, param := range []float64{0, 37.5, 100} {
+			want, got := op.Apply(v, param), op.Apply(perturbed, param)
+			if len(got) != len(want) {
+				t.Fatalf("%s param %g: %d values, %d with perturbed statistics", name, param, len(want), len(got))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s param %g reads the aggregate columns: value %d is %g, %g with them perturbed", name, param, i, want[i], got[i])
+				}
+			}
+		}
+	}
+	if holistic == 0 {
+		t.Fatal("no holistic operator registered")
+	}
+}

@@ -11,9 +11,11 @@
 //     depends on it. Marking dependents costs two pointer dereferences
 //     per dependency, as the paper notes.
 //
-// The schedulers are pure state machines — the cluster simulator and the
-// in-process engine both drive them — which keeps the policy logic
-// testable in isolation.
+// The schedulers are pure state machines, which keeps the policy logic
+// testable in isolation. Only the cluster simulator (internal/simcluster)
+// drives them: the job loop every real job runs through
+// (internal/mapreduce) realises the same reduce-first policy from
+// depgraph.Graph.MapOrder and its own dependency counters.
 package sched
 
 import (
@@ -214,34 +216,3 @@ func (s *SIDR) PendingMaps() int { return s.tree.remaining() }
 
 // PendingReduces implements Scheduler.
 func (s *SIDR) PendingReduces() int { return len(s.priority) - s.nextIdx }
-
-// DependencyDrivenMapOrder returns a Map execution order that completes
-// keyblocks in the given priority order: the dependencies of keyblock
-// priority[0] first, then the unprocessed dependencies of priority[1],
-// and so on, with any remaining splits appended. The in-process engine
-// feeds this to Config.MapOrder to realise SIDR scheduling without a slot
-// model.
-func DependencyDrivenMapOrder(graph *depgraph.Graph, priority []int) []int {
-	if priority == nil {
-		priority = make([]int, graph.NumKeyblocks())
-		for i := range priority {
-			priority[i] = i
-		}
-	}
-	order := make([]int, 0, graph.NumSplits())
-	taken := make([]bool, graph.NumSplits())
-	for _, l := range priority {
-		for _, m := range graph.KBToSplits[l] {
-			if !taken[m] {
-				taken[m] = true
-				order = append(order, m)
-			}
-		}
-	}
-	for i := 0; i < graph.NumSplits(); i++ {
-		if !taken[i] {
-			order = append(order, i)
-		}
-	}
-	return order
-}

@@ -206,9 +206,12 @@ func TestSIDRLocalIneligibleDoesNotBlockDeeperLocal(t *testing.T) {
 	}
 }
 
+// The job loop's realisation of the SIDR policy above is a static Map
+// order off the same graph (depgraph.Graph.MapOrder); it is held here
+// against the fixtures the scheduler itself is tested on.
 func TestDependencyDrivenMapOrder(t *testing.T) {
 	g := alignedGraph(t)
-	order := DependencyDrivenMapOrder(g, []int{2, 0, 3, 1})
+	order := g.MapOrder([]int{2, 0, 3, 1})
 	want := []int{2, 0, 3, 1}
 	for i := range want {
 		if order[i] != want[i] {
@@ -216,7 +219,7 @@ func TestDependencyDrivenMapOrder(t *testing.T) {
 		}
 	}
 	// Default priority yields keyblock order.
-	order = DependencyDrivenMapOrder(g, nil)
+	order = g.MapOrder(nil)
 	for i := 0; i < 4; i++ {
 		if order[i] != i {
 			t.Fatalf("default order = %v", order)
@@ -242,7 +245,7 @@ func TestDependencyDrivenMapOrderCoversUnreferencedSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := DependencyDrivenMapOrder(g, nil)
+	order := g.MapOrder(nil)
 	if len(order) != 4 {
 		t.Fatalf("order %v misses splits", order)
 	}

@@ -100,20 +100,24 @@ cmp -s "$WORK/plain.json" "$WORK/gunzip.json" \
 echo "   gzip payload identical after decode"
 
 echo "== tenant quota: a second in-flight acme job is a 429 tenant-quota"
-# Occupy the single job slot with a long default-tenant median (730k
-# points, one keyblock), so acme's next job queues — queued jobs count
-# toward the quota — and its job after that breaches it.
+# Occupy the single job slot with a default-tenant median over the whole
+# wind file (730k points, one keyblock), so acme's next job queues —
+# queued jobs count toward the quota — and its job after that breaches
+# it. One curl process sends the three submissions back to back on one
+# connection: the slot-holder runs for ~0.1 s, which separate
+# curl + python invocations can outlast.
 SLOW='median windspeed[0,0,0 : 365,50,40] es {365,50,40}'
-HOLD=$(curl -fsS "$BASE/v1/query" -H 'Content-Type: application/json' \
+code=$(curl -s -o "$WORK/hold.json" "$BASE/v1/query" \
+  -H 'Content-Type: application/json' \
   -d "{\"dataset\":\"wind\",\"query\":\"$SLOW\",\"reducers\":1}" \
-  | python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])')
-AJOB=$(curl -fsS "$BASE/v1/query" -H 'Content-Type: application/json' \
-  -H 'X-SIDR-Tenant: acme' \
+  --next -s -o "$WORK/ajob.json" "$BASE/v1/query" \
+  -H 'Content-Type: application/json' -H 'X-SIDR-Tenant: acme' \
   -d "{\"dataset\":\"temperature\",\"query\":\"min temperature[0,0,0 : 90,20,20] es {9,4,4}\",\"reducers\":4}" \
-  | python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])')
-code=$(curl -s -o "$WORK/quota.json" -w '%{http_code}' "$BASE/v1/query" \
+  --next -s -o "$WORK/quota.json" -w '%{http_code}' "$BASE/v1/query" \
   -H 'Content-Type: application/json' -H 'X-SIDR-Tenant: acme' \
   -d "{\"dataset\":\"temperature\",\"query\":\"sum temperature[0,0,0 : 90,20,20] es {9,4,4}\",\"reducers\":4}")
+HOLD=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["id"])' "$WORK/hold.json")
+AJOB=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["id"])' "$WORK/ajob.json")
 [ "$code" = "429" ] || { echo "FAIL: over-quota submit returned $code, want 429"; exit 1; }
 grep -q '"tenant-quota"' "$WORK/quota.json" \
   || { echo "FAIL: 429 body lacks detail tenant-quota: $(cat "$WORK/quota.json")"; exit 1; }
