@@ -11,15 +11,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# flake is the "green on every run, not most runs" gate for the two
-# packages whose tests schedule: the job loop and the cluster runtime.
+# flake is the "green on every run, not most runs" gate for the packages
+# whose tests schedule: the job loop, the cluster runtime, and the job
+# manager and server above them (collapse, cancel, notify hooks, streams).
 # The Map kernel's differential matrix and fuzz seeds are deterministic —
 # they run once; everything that schedules runs 20 times, then 5 under
 # the race detector.
+FLAKY = ./internal/mapreduce ./internal/cluster ./internal/jobs ./internal/server
 flake:
 	$(GO) test -count=1 -run=MapKernel ./internal/mapreduce
-	$(GO) test -count=20 -skip=MapKernel ./internal/mapreduce ./internal/cluster
-	$(GO) test -race -count=5 ./internal/mapreduce ./internal/cluster
+	$(GO) test -count=20 -skip=MapKernel $(FLAKY)
+	$(GO) test -race -count=5 $(FLAKY)
 
 vet:
 	$(GO) vet ./...

@@ -310,7 +310,7 @@ func BenchmarkAblationBarrierMethod(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			_, err := plan.RunLocal(ds.reader(context.Background()), func(cfg *mapreduce.Config) {
+			_, err := plan.RunLocal(ds.Reader(context.Background()), func(cfg *mapreduce.Config) {
 				cfg.ValidateCounts = validate
 			})
 			if err != nil {
@@ -341,7 +341,7 @@ func BenchmarkAblationCombiner(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			_, err := plan.RunLocal(ds.reader(context.Background()), func(cfg *mapreduce.Config) {
+			_, err := plan.RunLocal(ds.Reader(context.Background()), func(cfg *mapreduce.Config) {
 				cfg.Combine = combine
 			})
 			if err != nil {
@@ -373,11 +373,11 @@ func BenchmarkAblationFailureRecovery(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			in, err := plan.TaskInput(ds.reader(context.Background()), nil)
+			in, err := plan.TaskInput(ds.Reader(context.Background()), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := plan.RunLocal(ds.reader(context.Background()), func(cfg *mapreduce.Config) {
+			res, err := plan.RunLocal(ds.Reader(context.Background()), func(cfg *mapreduce.Config) {
 				cfg.Runner = &failOnceRunner{Runner: mapreduce.LocalRunner{In: in, Splits: plan.Splits},
 					keyblock: 1, deps: plan.Graph.KBToSplits[1], recompute: recompute}
 			})

@@ -69,7 +69,7 @@ func main() {
 		hbTimeout = flag.Duration("heartbeat-timeout", 5*time.Second, "evict workers that miss heartbeats for this long (with -cluster)")
 		specOn    = flag.Bool("speculation", false, "launch backup attempts for straggling Map dispatches (with -cluster)")
 		chaos     = flag.String("chaos", "", "coordinator-side fault-injection spec applied to dispatch/shuffle requests, e.g. \"seed=42,match=/v1/shuffle/,delay=0.1:50ms,flip=0.01\" (see internal/faultinject)")
-		rcBytes   = flag.Int64("result-cache-bytes", 64<<20, "byte budget of the versioned result cache serving repeat queries without re-execution (-1 disables)")
+		rcBytes   = flag.Int64("result-cache-bytes", 64<<20, "memory budget of the versioned result cache serving repeat queries without re-execution: bytes its entries keep alive, counted from their rows (-1 disables)")
 		tenantDef = flag.String("tenant-default", "0:1", "admission policy MAXINFLIGHT[:WEIGHT] for tenants without an explicit -tenant entry (0 = unlimited)")
 	)
 	tenants := make(map[string]jobs.TenantPolicy)

@@ -16,7 +16,6 @@ import (
 
 	"sidr/internal/core"
 	"sidr/internal/exec"
-	"sidr/internal/hdfs"
 	"sidr/internal/mapreduce"
 	"sidr/internal/metrics"
 )
@@ -678,17 +677,13 @@ type JobSpec struct {
 	// one.
 	ID string
 	// Plan is the plan-defining tuple workers re-derive the plan from.
+	// RunPlan fills it in from the plan it is handed.
 	Plan JobPlan
 	// Dataset tells workers how to open the input.
 	Dataset DatasetSpec
 	// Dataset2 is a join's side-B dataset; nil for single-input jobs.
 	// The plan tuple must then carry the join query and its Retile.
 	Dataset2 *DatasetSpec
-	// Namespace and File optionally attach HDFS block locations to
-	// splits for locality-aware placement (coordinator side only; split
-	// geometry is unaffected, so worker plans stay identical).
-	Namespace *hdfs.Namespace
-	File      string
 	// Exec runs the job's task graph (required). Reduce tasks outrank
 	// queued Map dispatch on it, preserving reduce-first scheduling.
 	Exec *exec.Executor
@@ -760,8 +755,11 @@ type Counters struct {
 
 // JobResult is a completed clustered job.
 type JobResult struct {
-	// Outputs holds every keyblock's finalized output, indexed by
-	// keyblock.
+	// Loop is the job loop's own result — outputs, commit events,
+	// counters — exactly what an in-process run of the plan returns.
+	Loop *mapreduce.Result
+	// Outputs (= Loop.Outputs) holds every keyblock's finalized output,
+	// indexed by keyblock.
 	Outputs []ReduceResult
 	// Plan is the coordinator-side plan the job ran under.
 	Plan     *core.Plan
@@ -860,13 +858,25 @@ func (m *mapTask) validAttempt(a int) bool {
 	return a == m.attempt || (m.hasSpec && a == m.specAttempt)
 }
 
-// Run executes a clustered job and blocks until it completes or fails.
-// The plan runs on the same job loop as an in-process run
-// (mapreduce.Job); this runner executes its Map tasks on workers
-// (locality first) and serves its Reduce tasks — which run here, in the
-// coordinator — by fetching exactly the spills they are handed from the
-// workers' shuffle endpoints.
+// Run executes a clustered job from its tuple alone — it derives the plan
+// the way a worker does, then runs it; see RunPlan.
 func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error) {
+	plan, err := spec.Plan.NewPlan()
+	if err != nil {
+		return nil, err
+	}
+	return c.RunPlan(ctx, plan, spec)
+}
+
+// RunPlan executes a derived plan as a clustered job and blocks until it
+// completes or fails. The tuple the workers re-derive the plan from is
+// read off plan (spec.Plan is overwritten); block locations on its splits
+// steer placement and never reach a worker. The plan runs on the same job
+// loop as an in-process run (mapreduce.Job); this runner executes its Map
+// tasks on workers (locality first) and serves its Reduce tasks — which
+// run here, in the coordinator — by fetching exactly the spills they are
+// handed from the workers' shuffle endpoints.
+func (c *Coordinator) RunPlan(ctx context.Context, plan *core.Plan, spec JobSpec) (*JobResult, error) {
 	if spec.Exec == nil {
 		return nil, fmt.Errorf("cluster: job needs an executor")
 	}
@@ -882,10 +892,7 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 	if c.AliveWorkers() == 0 {
 		return nil, ErrNoWorkers
 	}
-	plan, err := spec.Plan.newPlan(spec.Namespace, spec.File)
-	if err != nil {
-		return nil, err
-	}
+	spec.Plan = planTuple(plan)
 
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -898,14 +905,8 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 	// clustered job, whichever engine's barrier it runs under.
 	cfg.ValidateCounts = true
 	cfg.Exec, cfg.Workers, cfg.Weight = spec.Exec, spec.Workers, spec.Weight
-	if spec.OnPartial != nil {
-		cfg.OnReduceOutput = func(out ReduceResult) {
-			// Keyblocks nothing feeds commit empty without a callback.
-			if len(plan.Graph.KBToSplits[out.Keyblock]) > 0 {
-				spec.OnPartial(out)
-			}
-		}
-	}
+	cfg.OnReduceOutput = spec.OnPartial
+	var err error
 	if j.loop, err = mapreduce.NewJob(cfg); err != nil {
 		return nil, err
 	}
@@ -949,7 +950,7 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return &JobResult{Outputs: res.Outputs, Plan: plan, Counters: j.counters}, nil
+	return &JobResult{Loop: res, Outputs: res.Outputs, Plan: plan, Counters: j.counters}, nil
 }
 
 // releaseJob tells every live worker to drop one job's cached state and

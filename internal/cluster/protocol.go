@@ -38,7 +38,6 @@ import (
 	"fmt"
 
 	"sidr/internal/core"
-	"sidr/internal/hdfs"
 	"sidr/internal/join"
 	"sidr/internal/mapreduce"
 	"sidr/internal/query"
@@ -120,15 +119,10 @@ type JobPlan struct {
 	Retile *join.Retile `json:"retile,omitempty"`
 }
 
-// NewPlan derives the coordinator-identical core.Plan from the tuple.
+// NewPlan derives the core.Plan the tuple defines — what a worker does
+// with every tuple it receives, and what Coordinator.Run does for a
+// caller that holds no plan.
 func (jp JobPlan) NewPlan() (*core.Plan, error) {
-	return jp.newPlan(nil, "")
-}
-
-// newPlan optionally attaches HDFS block locations (coordinator side).
-// Locality hints never change split geometry, so plans with and without
-// them are otherwise identical.
-func (jp JobPlan) newPlan(ns *hdfs.Namespace, file string) (*core.Plan, error) {
 	engine, err := core.ParseEngine(jp.Engine)
 	if err != nil {
 		return nil, err
@@ -147,11 +141,28 @@ func (jp JobPlan) newPlan(ns *hdfs.Namespace, file string) (*core.Plan, error) {
 		Reducers:    jp.Reducers,
 		SplitPoints: jp.SplitPoints,
 		MaxSkew:     jp.MaxSkew,
-		Namespace:   ns,
-		File:        file,
 		KeepSplits:  jp.Pruned,
 		Retile:      jp.Retile,
 	})
+}
+
+// planTuple reads the tuple off a derived plan: the inverse of NewPlan,
+// and the one place a data-dependent plan input (the index's kept list,
+// a join's sampled layout) is put on the wire.
+func planTuple(p *core.Plan) JobPlan {
+	jp := JobPlan{
+		Query:       p.Query.String(),
+		Engine:      p.Engine.String(), // ParseEngine folds case
+		Reducers:    p.Reducers,
+		SplitPoints: p.SplitPoints,
+		MaxSkew:     p.MaxSkew,
+		Pruned:      p.KeptSplits,
+	}
+	if p.Join != nil {
+		rt := p.Join.Retiling()
+		jp.Retile = &rt
+	}
+	return jp
 }
 
 // MapRequest asks a worker to execute one Map task attempt.

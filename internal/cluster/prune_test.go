@@ -35,10 +35,11 @@ func TestClusterPrunedMatchesUnpruned(t *testing.T) {
 	}
 	jp := testJobPlan()
 	jp.Query = pruneQueryText
-	keep, total, pruned, err := core.PruneSplits(q, jp.SplitPoints, vi)
+	indexed, err := core.NewPlan(q, core.EngineSIDR, core.Options{Reducers: jp.Reducers, SplitPoints: jp.SplitPoints, Index: vi})
 	if err != nil {
 		t.Fatal(err)
 	}
+	keep, total, pruned := indexed.KeptSplits, len(indexed.Splits)+indexed.PrunedSplits, indexed.KeptSplits != nil
 	if !pruned || len(keep) == 0 || len(keep) == total {
 		t.Fatalf("prune ineffective: kept %d of %d (pruned=%v)", len(keep), total, pruned)
 	}

@@ -362,14 +362,14 @@ func (w *Worker) jobFor(req *MapRequest) (*workerJob, error) {
 		return nil, err
 	}
 	j := &workerJob{fingerprint: fp, plan: plan}
-	reader, closer, err := OpenDataset(req.Dataset)
+	reader, closer, err := openDataset(req.Dataset)
 	if err != nil {
 		return nil, err
 	}
 	j.closer = closer
 	var reader2 coords.RecordReader
 	if req.Dataset2 != nil {
-		if reader2, j.closer2, err = OpenDataset(*req.Dataset2); err != nil {
+		if reader2, j.closer2, err = openDataset(*req.Dataset2); err != nil {
 			j.close()
 			return nil, err
 		}
@@ -445,9 +445,9 @@ func (w *Worker) handleRelease(rw http.ResponseWriter, r *http.Request) {
 	rw.WriteHeader(http.StatusOK)
 }
 
-// OpenDataset resolves a DatasetSpec into a record reader. The
+// openDataset resolves a DatasetSpec into a record reader. The
 // returned closer is non-nil for file datasets.
-func OpenDataset(spec DatasetSpec) (coords.RecordReader, io.Closer, error) {
+func openDataset(spec DatasetSpec) (coords.RecordReader, io.Closer, error) {
 	switch spec.Kind {
 	case "file":
 		f, err := ncfile.Open(spec.Path)

@@ -176,6 +176,11 @@ type Plan struct {
 	Query    *query.Query
 	Engine   Engine
 	Reducers int
+	// SplitPoints (as resolved) and MaxSkew are the scalars the plan was
+	// derived with: with KeptSplits and Join.Retiling(), all a cluster
+	// worker needs to derive the identical plan (cluster.planTuple).
+	SplitPoints int64
+	MaxSkew     int64
 
 	// Splits are the Map-task work units.
 	Splits []mapreduce.InputSplit
@@ -239,7 +244,7 @@ func NewPlan(q *query.Query, engine Engine, opts Options) (*Plan, error) {
 		return nil, err
 	}
 
-	p := &Plan{Query: q, Engine: engine, Reducers: opts.Reducers, Splits: splits, Space: space}
+	p := &Plan{Query: q, Engine: engine, Reducers: opts.Reducers, SplitPoints: splitPoints, MaxSkew: opts.MaxSkew, Splits: splits, Space: space}
 
 	// Structural pruning happens here — after split generation, before
 	// the dependency graph — so I_ℓ and the kv-count barrier are derived
@@ -341,15 +346,17 @@ func newJoinPlan(q *query.Query, engine Engine, opts Options, splitPoints, bpp i
 		splits = append(splits, s)
 	}
 	p := &Plan{
-		Query:     q,
-		Engine:    engine,
-		Reducers:  opts.Reducers,
-		Splits:    splits,
-		Space:     jp.Space,
-		Part:      jp.Partitioner(),
-		Graph:     graph,
-		Keyblocks: jp.Keyblocks(),
-		Join:      jp,
+		Query:       q,
+		Engine:      engine,
+		Reducers:    opts.Reducers,
+		SplitPoints: splitPoints,
+		MaxSkew:     opts.MaxSkew,
+		Splits:      splits,
+		Space:       jp.Space,
+		Part:        jp.Partitioner(),
+		Graph:       graph,
+		Keyblocks:   jp.Keyblocks(),
+		Join:        jp,
 	}
 	if engine == EngineSIDR && opts.Priority != nil {
 		if len(opts.Priority) != jp.NumKeyblocks() {
@@ -380,8 +387,10 @@ func pruneKeepList(q *query.Query, slabs []coords.Slab, vi *sidx.VarIndex) ([]in
 
 // PruneSplits computes the index-pruned keep list for a query without
 // deriving a full plan: the same split geometry NewPlan generates,
-// filtered by the operator's conservative block predicate. The
-// coordinator path uses it to fill JobPlan.Pruned before dispatch.
+// filtered by the operator's conservative block predicate. No program
+// path calls it any more — the daemon reads a clustered job's kept list
+// off the plan it runs (Plan.KeptSplits) — and it stays only because
+// bench/replay.go compiles against it.
 // pruned is false when the operator or index admits no pruning (keep is
 // nil — run unpruned); total is the unpruned split count.
 func PruneSplits(q *query.Query, splitPoints int64, vi *sidx.VarIndex) (keep []int, total int, pruned bool, err error) {

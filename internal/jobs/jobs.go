@@ -143,6 +143,7 @@ type Job struct {
 	Req Request
 
 	q      *query.Query // Req.Query, parsed once at Submit
+	engine sidr.Engine  // Req.Engine, likewise
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -172,9 +173,9 @@ type Job struct {
 	finished      time.Time
 }
 
-func newJob(id string, req Request, q *query.Query) *Job {
+func newJob(id string, req Request, q *query.Query, engine sidr.Engine) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &Job{ID: id, Req: req, q: q, ctx: ctx, cancel: cancel, created: time.Now()}
+	j := &Job{ID: id, Req: req, q: q, engine: engine, ctx: ctx, cancel: cancel, created: time.Now()}
 	j.cond = sync.NewCond(&j.mu)
 	return j
 }
@@ -337,6 +338,14 @@ func (j *Job) addPartial(pr sidr.PartialResult) {
 	}
 	j.cond.Broadcast()
 	j.mu.Unlock()
+}
+
+// log returns the partial sequence committed so far, capacity-clipped so
+// no later append could write through the slice execute gives the result.
+func (j *Job) log() []sidr.PartialResult {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.partials[:len(j.partials):len(j.partials)]
 }
 
 // attach registers f as a collapse follower: already-committed partials

@@ -461,7 +461,7 @@ func TestExecuteRunsTheParsedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJob("job-parsed", Request{Dataset: "d", Query: "no longer parseable"}, q)
+	j := newJob("job-parsed", Request{Dataset: "d", Query: "no longer parseable"}, q, sidr.SIDR)
 	res, err := m.execute(j)
 	if err != nil {
 		t.Fatalf("execute re-read the request text: %v", err)

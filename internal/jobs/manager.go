@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,10 +11,11 @@ import (
 
 	"sidr"
 	"sidr/internal/cluster"
+	"sidr/internal/coords"
 	"sidr/internal/core"
 	"sidr/internal/exec"
 	"sidr/internal/hdfs"
-	"sidr/internal/join"
+	"sidr/internal/mapreduce"
 	"sidr/internal/metrics"
 	"sidr/internal/ops"
 	"sidr/internal/query"
@@ -61,9 +61,9 @@ type DatasetSpecProvider interface {
 // IndexProvider is an optional DatasetProvider extension: it returns
 // the structural block-range index (internal/sidx) built for a
 // registered dataset variable, or nil when none exists. When the
-// provider implements it, the manager consults the index to prune
-// value-predicated queries' split sets before execution — in-process
-// via RunOptions.Index, clustered via JobPlan.Pruned.
+// provider implements it, the manager's one plan derivation consults the
+// index to prune value-predicated queries' split sets, whichever engine
+// then runs the plan.
 type IndexProvider interface {
 	Index(name, variable string) *sidx.VarIndex
 }
@@ -98,10 +98,10 @@ type Config struct {
 	// execute on this manager's shared executor, so reduce-first
 	// scheduling and the process-wide concurrency budget apply.
 	Cluster *cluster.Coordinator
-	// ResultCacheBytes is the byte budget of the versioned result cache
-	// (default 64 MiB; < 0 disables caching). Entries are keyed on
-	// {dataset version, canonical query, engine, plan parameters} and
-	// store the finished wire-format result.
+	// ResultCacheBytes is the memory budget of the versioned result cache
+	// (default 64 MiB; < 0 disables caching): the bytes its entries keep
+	// alive, counted from their row and number counts. Entries are keyed
+	// on {dataset version, canonical query, engine, plan parameters}.
 	ResultCacheBytes int64
 	// Tenants maps tenant names to explicit admission policies; tenants
 	// absent from the map fall back to TenantDefault.
@@ -109,8 +109,8 @@ type Config struct {
 	// TenantDefault applies to every tenant without an explicit policy
 	// (zero value: unlimited in-flight, weight 1).
 	TenantDefault TenantPolicy
-	// Metrics receives job and plan-cache instrumentation (default: a
-	// private registry).
+	// Metrics receives job and cache instrumentation (default: a private
+	// registry).
 	Metrics *metrics.Registry
 	// Namespace, when set alongside Cluster, attaches HDFS block
 	// placements to cluster jobs whose dataset is registered in it, so
@@ -149,10 +149,9 @@ type Manager struct {
 	closed   bool
 
 	mSubmitted, mDone, mFailed, mCancelled, mRejected, mEvicted *metrics.Counter
-	mPlanHits, mPlanMisses, mPlanEvictions                      *metrics.Counter
 	mSidxHits, mSidxMisses, mSidxPruned                         *metrics.Counter
 	mCollapsed, mTenantRejected                                 *metrics.Counter
-	gQueued, gRunning, gPlanSize                                *metrics.Gauge
+	gQueued, gRunning                                           *metrics.Gauge
 	gSkewKeyblocks, gSkewStarved, gSkewMax                      *metrics.Gauge
 	gSkewMaxOverMean, gSkewCV, gSkewGini                        *metrics.Gauge
 	hQuerySeconds, hFirstResultSeconds                          *metrics.Histogram
@@ -198,9 +197,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		mCancelled:          cfg.Metrics.Counter("sidrd_jobs_cancelled_total"),
 		mRejected:           cfg.Metrics.Counter("sidrd_jobs_rejected_total"),
 		mEvicted:            cfg.Metrics.Counter("sidrd_jobs_evicted_total"),
-		mPlanHits:           cfg.Metrics.Counter("sidrd_plan_cache_hits_total"),
-		mPlanMisses:         cfg.Metrics.Counter("sidrd_plan_cache_misses_total"),
-		mPlanEvictions:      cfg.Metrics.Counter("sidrd_plan_cache_evictions_total"),
 		mSidxHits:           cfg.Metrics.Counter("sidrd_sidx_hits_total"),
 		mSidxMisses:         cfg.Metrics.Counter("sidrd_sidx_misses_total"),
 		mSidxPruned:         cfg.Metrics.Counter("sidrd_sidx_pruned_splits_total"),
@@ -208,7 +204,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		mTenantRejected:     cfg.Metrics.Counter("sidrd_tenant_rejected_total"),
 		gQueued:             cfg.Metrics.Gauge("sidrd_jobs_queued"),
 		gRunning:            cfg.Metrics.Gauge("sidrd_jobs_running"),
-		gPlanSize:           cfg.Metrics.Gauge("sidrd_plan_cache_size"),
 		gSkewKeyblocks:      cfg.Metrics.Gauge("sidrd_job_skew_keyblocks"),
 		gSkewStarved:        cfg.Metrics.Gauge("sidrd_job_skew_starved"),
 		gSkewMax:            cfg.Metrics.Gauge("sidrd_job_skew_max_load"),
@@ -264,7 +259,8 @@ func parseEngine(s string) (sidr.Engine, error) {
 // Per-tenant quotas gate all three: a tenant at its max-in-flight cap
 // is refused with ErrTenantQuota before any path is tried.
 func (m *Manager) Submit(req Request) (*Job, error) {
-	if _, err := parseEngine(req.Engine); err != nil {
+	engine, err := parseEngine(req.Engine)
+	if err != nil {
 		return nil, err
 	}
 	// Parse once and canonicalise up front: every spelling of one query
@@ -280,8 +276,8 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		return nil, fmt.Errorf("jobs: request needs a dataset")
 	}
 	// A join query reads two datasets; anything else exactly one. Past
-	// this check `Dataset2 != ""` IS "the query is a join": fastKey,
-	// execute and executeCluster rely on it to pick their second input.
+	// this check `Dataset2 != ""` IS "the query is a join": fastKey and
+	// execute rely on it to pick their second input.
 	if q.Join && req.Dataset2 == "" {
 		return nil, fmt.Errorf("jobs: join query needs dataset2")
 	}
@@ -306,7 +302,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		}
 	}
 	key, keyed := m.fastKey(req, q)
-	j := newJob(fmt.Sprintf("job-%06d", m.seq.Add(1)), req, q)
+	j := newJob(fmt.Sprintf("job-%06d", m.seq.Add(1)), req, q, engine)
 	j.cacheKey = key
 
 	m.mu.Lock()
@@ -322,12 +318,12 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 
 	// Fast path 1: a finished result under this exact version-pinned key.
 	// The job is born terminal — no queue slot, no tenant in-flight
-	// charge — with the cached run's partial log so streams replay the
-	// same sequence.
+	// charge — and its log IS the cached run's (the leader's own, see
+	// execute), so its stream replays what the first client was sent.
 	if keyed && m.rcache != nil {
 		if res, ok := m.rcache.get(key); ok {
 			j.resultHit = true
-			j.partials = append(j.partials, res.Partials...)
+			j.partials = res.Partials
 			j.started = j.created
 			m.jobs[j.ID] = j
 			m.order = append(m.order, j.ID)
@@ -592,51 +588,45 @@ func (m *Manager) publishSkew(j *Job, s skew.Summary) {
 	m.gSkewGini.Set(int64(s.Gini * 1000))
 }
 
-// execute runs the job's query in process: acquire its one or two
-// inputs, prepare (or reuse) the plan, run it under the job's context.
-// Cluster-routed jobs go to executeCluster. A join skips the plan cache
-// on purpose: its plan embeds a load profile sampled from the data at
-// plan time, so it is not a pure function of (shape, query, parameters)
-// like single-input plans are.
+// execute is the one request→result path, whichever engine runs the
+// tasks: acquire the one or two inputs, check the query against their
+// shapes, derive (or reuse) the plan, run it, and build the result from
+// the job loop's result and the job's own partial log.
 func (m *Manager) execute(j *Job) (*sidr.Result, error) {
-	if j.Req.Cluster {
-		return m.executeCluster(j)
-	}
-	engine, err := parseEngine(j.Req.Engine)
-	if err != nil {
-		return nil, err
-	}
-	q := sidr.NewQuery(j.q)
-	opts := sidr.RunOptions{
-		Engine:      engine,
-		Reducers:    j.Req.Reducers,
-		Workers:     j.Req.Workers,
-		Weight:      m.tenantWeight(j.Req.Tenant),
-		Exec:        m.exec,
-		SplitPoints: j.Req.SplitPoints,
-		MaxSkew:     j.Req.MaxSkew,
-		OnPartial:   j.addPartial,
-	}
-	ds, release, err := m.cfg.Datasets.Acquire(j.Req.Dataset, j.q.Variable)
+	dsA, release, err := m.cfg.Datasets.Acquire(j.Req.Dataset, j.q.Variable)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	if j.Req.Dataset2 != "" { // a join, by Submit's check
-		ds2, release2, err := m.cfg.Datasets.Acquire(j.Req.Dataset2, j.q.Variable2)
+	if err := j.q.Validate(dsA.Shape()); err != nil {
+		return nil, err
+	}
+	readerA := dsA.Reader(j.ctx)
+	var readerB coords.RecordReader // nil unless the query is a join
+	if j.Req.Dataset2 != "" {       // a join, by Submit's check
+		dsB, releaseB, err := m.cfg.Datasets.Acquire(j.Req.Dataset2, j.q.Variable2)
 		if err != nil {
 			return nil, err
 		}
-		defer release2()
-		return sidr.RunJoinContext(j.ctx, ds, ds2, q, opts)
+		defer releaseB()
+		if err := j.q.ValidateSecond(dsB.Shape()); err != nil {
+			return nil, err
+		}
+		readerB = dsB.Reader(j.ctx)
 	}
-	opts.Index = m.lookupIndex(j.Req.Dataset, j.q)
-	prep, err := m.prepare(ds.Shape(), q, &opts, j)
+	plan, err := m.plan(j, readerA, readerB)
 	if err != nil {
 		return nil, err
 	}
-	m.mSidxPruned.Add(int64(prep.PrunedSplits()))
-	return prep.Run(j.ctx, ds, opts)
+	m.mSidxPruned.Add(int64(plan.PrunedSplits))
+	loop, err := m.run(j, plan, readerA, readerB)
+	if err != nil {
+		return nil, err
+	}
+	// The loop has returned, so no commit callback will run any more
+	// (mapreduce.Job.Run), and finish turns addPartial into a no-op: the
+	// log is never appended to again, which lets the result share it.
+	return sidr.NewResult(plan, loop, j.log())
 }
 
 // lookupIndex resolves the structural index for a value-predicated
@@ -651,12 +641,10 @@ func (m *Manager) lookupIndex(dataset string, q *query.Query) *sidx.VarIndex {
 	if _, ok := ops.PrunePredicate(op, q.Params()...); !ok {
 		return nil // not value-predicated; the index has nothing to offer
 	}
-	prov, ok := m.cfg.Datasets.(IndexProvider)
-	if !ok {
-		m.mSidxMisses.Inc()
-		return nil
+	var vi *sidx.VarIndex
+	if prov, ok := m.cfg.Datasets.(IndexProvider); ok {
+		vi = prov.Index(dataset, q.Variable)
 	}
-	vi := prov.Index(dataset, q.Variable)
 	if vi == nil {
 		m.mSidxMisses.Inc()
 		return nil
@@ -665,151 +653,84 @@ func (m *Manager) lookupIndex(dataset string, q *query.Query) *sidx.VarIndex {
 	return vi
 }
 
-// executeCluster runs the job on the distributed runtime: the
-// coordinator dispatches Map tasks to worker processes and runs Reduce
-// tasks on the manager's shared executor, fetching each I_ℓ dependency
-// set over the networked shuffle. Workers re-derive the plan from the
-// JobPlan tuple; its only data-dependent part is the index's kept-split
-// list or — for a join — the keyblock layout sampled here, through the
-// same DatasetSpecs the workers resolve, and shipped verbatim so no
-// worker ever re-samples. Loads and the assembled result come from the
-// plan the coordinator ran under, as in process.
-func (m *Manager) executeCluster(j *Job) (*sidr.Result, error) {
-	coord := m.cfg.Cluster
-	if coord == nil {
+// plan derives the job's plan — once, for whichever engine runs it — from
+// the normalised parameters and the data-dependent inputs: a join samples
+// both acquired inputs for its keyblock layout, a value-predicated query
+// prunes by the structural index, a clustered job over a dataset mirrored
+// in the namespace carries block locations (joins skip locality: two
+// files, interleaved splits). Only an in-process single-input plan is a
+// pure function of (query, parameters, index), so only those are cached.
+func (m *Manager) plan(j *Job, readerA, readerB coords.RecordReader) (*core.Plan, error) {
+	opts := core.Options{MaxSkew: j.Req.MaxSkew}
+	opts.Reducers, opts.SplitPoints = core.RequestDefaults(j.q, j.Req.Reducers, j.Req.SplitPoints)
+	var key string
+	switch {
+	case readerB != nil:
+		opts.JoinSamplerA, opts.JoinSamplerB = readerA, readerB
+	case j.Req.Cluster:
+		opts.Index = m.lookupIndex(j.Req.Dataset, j.q)
+		if ns := m.cfg.Namespace; ns != nil && ns.Has(j.Req.Dataset) {
+			opts.Namespace, opts.File = ns, j.Req.Dataset
+		}
+	default:
+		opts.Index = m.lookupIndex(j.Req.Dataset, j.q)
+		if m.cache != nil {
+			key = planKey(j.q.String(), j.engine, opts)
+			if plan, ok := m.cache.get(key); ok {
+				j.setPlanHit(true)
+				return plan, nil
+			}
+		}
+	}
+	plan, err := core.NewPlan(j.q, j.engine, opts)
+	if err != nil {
+		return nil, err
+	}
+	if key != "" {
+		m.cache.put(key, plan)
+	}
+	return plan, nil
+}
+
+// run executes the plan's tasks, every commit going to the job's log, and
+// returns the job loop's result. It is the one place the engines differ:
+// in process the Map tasks read the acquired inputs; clustered, workers
+// run them — re-deriving the plan from the tuple read off it — and the
+// Reduce tasks, still on the shared executor, fetch each I_ℓ over the
+// networked shuffle.
+func (m *Manager) run(j *Job, plan *core.Plan, readerA, readerB coords.RecordReader) (*mapreduce.Result, error) {
+	onOutput := func(out mapreduce.ReduceOutput) { j.addPartial(sidr.NewPartial(out, time.Now())) }
+	weight := m.tenantWeight(j.Req.Tenant)
+	if !j.Req.Cluster {
+		return plan.RunLocalJoin(readerA, readerB, func(cfg *mapreduce.Config) {
+			cfg.Ctx, cfg.Exec, cfg.Workers, cfg.Weight = j.ctx, m.exec, j.Req.Workers, weight
+			cfg.OnReduceOutput = onOutput
+		})
+	}
+	if m.cfg.Cluster == nil {
 		return nil, ErrClusterDisabled
 	}
 	specs, ok := m.cfg.Datasets.(DatasetSpecProvider)
 	if !ok {
 		return nil, fmt.Errorf("jobs: dataset provider cannot describe datasets to cluster workers")
 	}
-	q := j.q
-	reducers, splitPoints := core.RequestDefaults(q, j.Req.Reducers, j.Req.SplitPoints)
-	spec := cluster.JobSpec{
-		ID:      j.ID,
-		Plan:    cluster.JobPlan{Query: q.String(), Engine: j.Req.Engine, Reducers: reducers, SplitPoints: splitPoints, MaxSkew: j.Req.MaxSkew},
-		Exec:    m.exec,
-		Workers: j.Req.Workers,
-		Weight:  m.tenantWeight(j.Req.Tenant),
-	}
+	spec := cluster.JobSpec{ID: j.ID, Exec: m.exec, Workers: j.Req.Workers, Weight: weight, OnPartial: onOutput}
 	var err error
-	if spec.Dataset, err = specs.DatasetSpec(j.Req.Dataset, q.Variable); err != nil {
+	if spec.Dataset, err = specs.DatasetSpec(j.Req.Dataset, j.q.Variable); err != nil {
 		return nil, err
 	}
-	if j.Req.Dataset2 != "" { // a join, by Submit's check
-		dspecB, err := specs.DatasetSpec(j.Req.Dataset2, q.Variable2)
+	if j.Req.Dataset2 != "" {
+		dspecB, err := specs.DatasetSpec(j.Req.Dataset2, j.q.Variable2)
 		if err != nil {
 			return nil, err
 		}
 		spec.Dataset2 = &dspecB
-		if spec.Plan.Retile, err = m.sampleRetile(j, spec); err != nil {
-			return nil, err
-		}
-	} else {
-		// Consult the structural index before dispatch: the kept-split
-		// list rides in the JobPlan tuple so index-less workers re-derive
-		// the coordinator's pruned plan exactly.
-		if vi := m.lookupIndex(j.Req.Dataset, q); vi != nil {
-			if keep, total, pruned, perr := core.PruneSplits(q, splitPoints, vi); perr == nil && pruned {
-				spec.Plan.Pruned = keep
-				m.mSidxPruned.Add(int64(total - len(keep)))
-			}
-		}
-		// Attach block locality when the dataset is mirrored in the
-		// namespace; joins skip locality (two files, interleaved splits).
-		if m.cfg.Namespace != nil && m.cfg.Namespace.Has(j.Req.Dataset) {
-			spec.Namespace, spec.File = m.cfg.Namespace, j.Req.Dataset
-		}
 	}
-
-	start := time.Now()
-	var partMu sync.Mutex
-	res := &sidr.Result{}
-	spec.OnPartial = func(out cluster.ReduceResult) {
-		pr := sidr.NewPartial(out, time.Now())
-		partMu.Lock()
-		if len(res.Partials) == 0 {
-			res.FirstResult = pr.At.Sub(start)
-		}
-		res.Partials = append(res.Partials, pr)
-		partMu.Unlock()
-		j.addPartial(pr)
-	}
-	cres, err := coord.Run(j.ctx, spec)
+	res, err := m.cfg.Cluster.RunPlan(j.ctx, plan, spec)
 	if err != nil {
 		return nil, err
 	}
-	res.Elapsed = time.Since(start)
-	res.Connections = cres.Counters.Connections
-	res.TasksDispatched = cres.Counters.MapsDispatched + int64(len(cres.Outputs))
-	res.KeyblockLoads = cres.Plan.Loads()
-	if res.Keys, res.Values, err = cres.Plan.Assemble(cres.Outputs); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// sampleRetile derives a clustered join's skew-adapted keyblock layout:
-// it plans the join once over both sides' data and records the layout
-// for the JobPlan tuple.
-func (m *Manager) sampleRetile(j *Job, spec cluster.JobSpec) (*join.Retile, error) {
-	engine, err := parseEngine(j.Req.Engine)
-	if err != nil {
-		return nil, err
-	}
-	readerA, closerA, err := cluster.OpenDataset(spec.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	defer closeQuiet(closerA)
-	readerB, closerB, err := cluster.OpenDataset(*spec.Dataset2)
-	if err != nil {
-		return nil, err
-	}
-	defer closeQuiet(closerB)
-	plan, err := core.NewPlan(j.q, engine, core.Options{
-		Reducers:     spec.Plan.Reducers,
-		SplitPoints:  spec.Plan.SplitPoints,
-		MaxSkew:      spec.Plan.MaxSkew,
-		JoinSamplerA: readerA,
-		JoinSamplerB: readerB,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rt := plan.Join.Retiling()
-	return &rt, nil
-}
-
-// closeQuiet closes a dataset handle that may legitimately be nil
-// (synthetic generator specs have nothing to close).
-func closeQuiet(c io.Closer) {
-	if c != nil {
-		c.Close()
-	}
-}
-
-// prepare returns a cached plan for the request or derives and caches a
-// new one. The canonical query string keys the cache so textual variants
-// of the same query share an entry.
-func (m *Manager) prepare(shape []int64, q *sidr.Query, opts *sidr.RunOptions, j *Job) (*sidr.Prepared, error) {
-	if m.cache == nil {
-		return sidr.Prepare(shape, q, *opts)
-	}
-	key := planKey(shape, q.String(), opts.Engine, *opts)
-	if prep, ok := m.cache.get(key); ok {
-		m.mPlanHits.Inc()
-		j.setPlanHit(true)
-		return prep, nil
-	}
-	prep, err := sidr.Prepare(shape, q, *opts)
-	if err != nil {
-		return nil, err
-	}
-	m.mPlanMisses.Inc()
-	m.mPlanEvictions.Add(int64(m.cache.put(key, prep)))
-	m.gPlanSize.Set(int64(m.cache.len()))
-	return prep, nil
+	return res.Loop, nil
 }
 
 // Shutdown stops admission, cancels still-queued jobs, and waits for

@@ -2,16 +2,16 @@ package jobs
 
 import (
 	"container/list"
-	"encoding/json"
 	"sync"
+	"unsafe"
 
 	"sidr"
 	"sidr/internal/metrics"
-	"sidr/internal/wire"
 )
 
-// resultCache is a byte-budgeted LRU of completed query results. SIDR's
-// premise makes this sound: a structural query's result is a pure
+// resultCache is an LRU of completed query results, budgeted by the
+// memory its entries keep alive (resultSize). SIDR's premise makes
+// caching sound: a structural query's result is a pure
 // function of {dataset contents, query, engine} — §3's precomputability
 // taken to its endpoint — so the daemon may serve a finished result
 // again instead of re-running the Map/shuffle/Reduce pipeline, as long
@@ -26,7 +26,7 @@ import (
 // once a job finishes, so a hit serves the exact object a previous run
 // produced and the wire encoding is byte-identical to the original
 // response — including the partial sequence a cached job's stream
-// replays.
+// replays, which is the log the first client was streamed from.
 type resultCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -63,19 +63,27 @@ func newResultCache(budget int64, reg *metrics.Registry) *resultCache {
 	}
 }
 
-// resultSize estimates an entry's wire footprint: the encoded final
-// result plus the encoded partial sequence a cached stream replays.
+// resultSize is the memory an entry keeps alive, counted not encoded:
+// the result and partial structs, the keyblock loads, and the rows of the
+// assembled result and of the partial log — each a key and a value slice,
+// 8 bytes per number and a slice header per row per side. Value storage a
+// partial shares with the assembled rows is counted on both sides, so the
+// figure errs high, never low; an empty result still has a size.
 func resultSize(res *sidr.Result) int64 {
-	b, err := json.Marshal(wire.FromResult(res))
-	if err != nil {
-		return 0
+	n := int64(unsafe.Sizeof(*res)) + int64(len(res.KeyblockLoads))*8 + rowsSize(res.Keys, res.Values)
+	for _, p := range res.Partials {
+		n += int64(unsafe.Sizeof(p)) + rowsSize(p.Keys, p.Values)
 	}
-	n := int64(len(b))
-	for i := range res.Partials {
-		p := wire.FromPartial(res.Partials[i])
-		if pb, err := json.Marshal(&p); err == nil {
-			n += int64(len(pb))
-		}
+	return n
+}
+
+func rowsSize(keys [][]int64, values [][]float64) int64 {
+	n := int64(len(keys)+len(values)) * int64(unsafe.Sizeof([]int64(nil)))
+	for _, k := range keys {
+		n += int64(len(k)) * 8
+	}
+	for _, v := range values {
+		n += int64(len(v)) * 8
 	}
 	return n
 }
@@ -101,7 +109,7 @@ func (c *resultCache) get(key string) (*sidr.Result, bool) {
 // the result was computed from (two for joins).
 func (c *resultCache) put(key string, datasets []string, res *sidr.Result) {
 	size := resultSize(res)
-	if size <= 0 || size > c.budget {
+	if size > c.budget {
 		return
 	}
 	c.mu.Lock()

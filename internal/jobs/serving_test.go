@@ -118,6 +118,44 @@ func TestResultCacheServesByteIdenticalRepeat(t *testing.T) {
 	}
 }
 
+// TestCacheHitReplaysTheLeadersStream: a job's result keeps the job's
+// own partial log — shared storage, not a second copy stamped and ordered
+// by the event log — so the stream a result-cache hit replays is byte for
+// byte, commit timestamps and keyblock order included, what the first
+// client was sent.
+func TestCacheHitReplaysTheLeadersStream(t *testing.T) {
+	m := newTestManager(t, Config{Datasets: newVersionedProvider([]int64{32, 32})})
+	stream := func() (*Job, string) {
+		t.Helper()
+		j, err := m.Submit(Request{Dataset: "d", Query: testQuery, Reducers: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sent []byte
+		st, err := j.Stream(context.Background(), func(pr sidr.PartialResult) error {
+			p := wire.FromPartial(pr)
+			line, err := json.Marshal(&p)
+			sent = append(append(sent, line...), '\n')
+			return err
+		})
+		if err != nil || st != Done {
+			t.Fatalf("stream: state %v, err %v, job err %v", st, err, j.Err())
+		}
+		return j, string(sent)
+	}
+	leader, sent := stream()
+	hit, replayed := stream()
+	if leader.Snapshot().ResultHit || !hit.Snapshot().ResultHit {
+		t.Fatal("want an executed leader followed by a result-cache hit")
+	}
+	if replayed != sent {
+		t.Fatalf("the hit's stream differs from its leader's:\n%s\nvs\n%s", replayed, sent)
+	}
+	if n := len(leader.partials); n != 8 || &leader.Result().Partials[0] != &leader.partials[0] || &hit.partials[0] != &leader.partials[0] {
+		t.Fatalf("%d partials; the leader's result and the hit's log must share the leader's log, not copy it", n)
+	}
+}
+
 func TestReregistrationInvalidatesResultCache(t *testing.T) {
 	reg := metrics.New()
 	p := newVersionedProvider([]int64{32, 32})

@@ -247,14 +247,6 @@ func Names() []string {
 	return out
 }
 
-// CombinerLossless reports whether running a combiner preserves the
-// operator's exact result. Distributive operators aggregate losslessly;
-// filters pre-filter losslessly; holistic operators only concatenate, so
-// a combiner is legal but pointless and the engine skips it.
-func CombinerLossless(op Operator) bool {
-	return op.Kind() != Holistic
-}
-
 // NumParams returns how many parameters the operator consumes (0, 1 or
 // 2) — the query parser validates the "param" clause against it.
 func NumParams(op Operator) int {

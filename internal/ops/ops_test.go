@@ -245,15 +245,6 @@ func TestNeedsSamples(t *testing.T) {
 	}
 }
 
-func TestCombinerLossless(t *testing.T) {
-	sum, _ := Lookup("sum")
-	med, _ := Lookup("median")
-	flt, _ := Lookup("filter_gt")
-	if !CombinerLossless(sum) || CombinerLossless(med) || !CombinerLossless(flt) {
-		t.Fatal("combiner legality wrong")
-	}
-}
-
 func TestPreFilter(t *testing.T) {
 	flt, _ := Lookup("filter_gt")
 	v := valueOf(true, 1, 9, 5, 6)

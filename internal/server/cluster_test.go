@@ -41,6 +41,14 @@ func clusterRegistry(t *testing.T) *Registry {
 // httptest ports and registers them with the coordinator.
 func startServerWorkers(t *testing.T, coord *cluster.Coordinator, n int) []*httptest.Server {
 	t.Helper()
+	return startTappedWorkers(t, coord, n, nil)
+}
+
+// startTappedWorkers is startServerWorkers with an observer: tap, when
+// set, sees every Map dispatch a worker receives, decoded from the wire,
+// before the worker does.
+func startTappedWorkers(t *testing.T, coord *cluster.Coordinator, n int, tap func(cluster.MapRequest)) []*httptest.Server {
+	t.Helper()
 	servers := make([]*httptest.Server, n)
 	for i := 0; i < n; i++ {
 		w, err := cluster.NewWorker(cluster.WorkerConfig{
@@ -50,7 +58,21 @@ func startServerWorkers(t *testing.T, coord *cluster.Coordinator, n int) []*http
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(w)
+		var h http.Handler = w
+		if tap != nil {
+			h = http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/map" {
+					body, _ := io.ReadAll(r.Body)
+					var req cluster.MapRequest
+					if err := json.Unmarshal(body, &req); err == nil {
+						tap(req)
+					}
+					r.Body = io.NopCloser(bytes.NewReader(body))
+				}
+				w.ServeHTTP(rw, r)
+			})
+		}
+		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
 		if err := coord.Register(fmt.Sprintf("srvw%d", i), srv.URL); err != nil {
 			t.Fatal(err)

@@ -113,9 +113,11 @@ func (d *Dataset) Close() error {
 	return nil
 }
 
-// reader returns the dataset's record reader. A synthetic dataset runs
+// Reader returns the dataset's record reader. A synthetic dataset runs
 // caller code per point, so its reads stop when ctx is done.
-func (d *Dataset) reader(ctx context.Context) coords.RecordReader {
+// Module-internal by its return type: the daemon (internal/jobs) samples
+// a join's sides and feeds Map tasks from the handles its provider holds.
+func (d *Dataset) Reader(ctx context.Context) coords.RecordReader {
 	if d.file != nil {
 		return &mapreduce.FileReader{File: d.file, Var: d.variable}
 	}
@@ -132,7 +134,7 @@ func (d *Dataset) BuildIndex(blocks int) (*VarIndex, error) {
 	if variable == "" {
 		variable = "*" // synthetic datasets answer any variable name
 	}
-	return sidx.BuildVar(variable, d.shape, d.reader(context.Background()), sidx.BuildOptions{Blocks: blocks})
+	return sidx.BuildVar(variable, d.shape, d.Reader(context.Background()), sidx.BuildOptions{Blocks: blocks})
 }
 
 // Query is a validated structural query.
@@ -152,14 +154,8 @@ func ParseQuery(s string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewQuery(q), nil
+	return &Query{q: q}, nil
 }
-
-// NewQuery wraps an already parsed query; the daemon parses a request
-// once and runs the same value through planning, pruning and execution.
-// Module-internal: its parameter type lives under internal/, so only
-// this module's packages (internal/jobs) can call it.
-func NewQuery(q *query.Query) *Query { return &Query{q: q} }
 
 // String renders the query in its canonical text form.
 func (q *Query) String() string { return q.q.String() }
@@ -262,9 +258,8 @@ var (
 // Prepared is a derived execution plan bound to a dataset shape. Plans
 // are pure functions of (dataset shape, query, engine, reducers, split
 // granularity, skew bound) — SIDR's routing is computable before
-// execution (§3) — so a Prepared can be cached and reused across
-// requests and across datasets of the same shape. It is safe for
-// concurrent Run calls.
+// execution (§3) — so a caller can prepare once and Run many times, over
+// any dataset of the same shape. It is safe for concurrent Run calls.
 type Prepared struct {
 	q     *Query
 	shape coords.Shape
@@ -336,17 +331,15 @@ func (p *Prepared) Run(ctx context.Context, ds *Dataset, opts RunOptions) (*Resu
 	if !coords.Shape(ds.shape).Equal(p.shape) {
 		return nil, fmt.Errorf("sidr: dataset shape %v does not match prepared shape %v", ds.shape, p.shape)
 	}
-	return runPlan(ctx, p.plan, ds.reader(ctx), nil, opts)
+	return runPlan(ctx, p.plan, ds.Reader(ctx), nil, opts)
 }
 
-// runPlan executes a derived plan on the in-process engine and builds
-// the Result — the one tail of every in-process run, single-input
-// (readerB nil) or join. Each Reduce output is copied into a
-// PartialResult once per consumer: for opts.OnPartial as it commits, and
-// for Result.Partials in commit order from the event stream.
+// runPlan executes a derived plan on the in-process engine, single-input
+// (readerB nil) or join, and ends in NewResult. Each Reduce output is
+// copied into a PartialResult once per consumer: for opts.OnPartial as it
+// commits, and for Result.Partials from the loop's events.
 func runPlan(ctx context.Context, plan *core.Plan, readerA, readerB coords.RecordReader, opts RunOptions) (*Result, error) {
-	start := time.Now()
-	mrRes, err := plan.RunLocalJoin(readerA, readerB, func(cfg *mapreduce.Config) {
+	loop, err := plan.RunLocalJoin(readerA, readerB, func(cfg *mapreduce.Config) {
 		cfg.Ctx = ctx
 		cfg.Workers = opts.Workers
 		cfg.Exec = opts.Exec
@@ -360,30 +353,44 @@ func runPlan(ctx context.Context, plan *core.Plan, readerA, readerB coords.Recor
 	if err != nil {
 		return nil, err
 	}
+	return NewResult(plan, loop, nil)
+}
+
+// NewResult builds the Result of a finished run of plan from the job
+// loop's own result — the one tail of every run, in process or on a
+// cluster. log is the run's partial sequence when the caller already
+// keeps one (the daemon's job log: a trusted consumer shares it with the
+// result instead of copying every key again); nil builds it from the
+// commit events. Module-internal like NewPartial, by its parameters.
+func NewResult(plan *core.Plan, loop *mapreduce.Result, log []PartialResult) (*Result, error) {
 	res := &Result{
-		Elapsed:         time.Since(start),
-		Connections:     mrRes.Counters.Connections,
-		TasksDispatched: mrRes.Counters.TasksDispatched,
+		Partials:        log,
+		Elapsed:         loop.Finished.Sub(loop.Started),
+		Connections:     loop.Counters.Connections,
+		TasksDispatched: loop.Counters.TasksDispatched,
 		KeyblockLoads:   plan.Loads(),
 	}
-	for _, e := range mrRes.Events {
+	for _, e := range loop.Events {
 		if e.Kind != mapreduce.ReduceEnd {
 			continue
 		}
-		if len(res.Partials) == 0 {
-			res.FirstResult = e.At.Sub(mrRes.Started)
+		if res.FirstResult == 0 {
+			res.FirstResult = e.At.Sub(loop.Started)
 		}
-		res.Partials = append(res.Partials, NewPartial(mrRes.Outputs[e.Detail], e.At))
+		if log == nil {
+			res.Partials = append(res.Partials, NewPartial(loop.Outputs[e.Detail], e.At))
+		}
 	}
-	if res.Keys, res.Values, err = plan.Assemble(mrRes.Outputs); err != nil {
+	var err error
+	if res.Keys, res.Values, err = plan.Assemble(loop.Outputs); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // NewPartial copies one keyblock's Reduce output into the facade's
-// partial-result form, committed at the given time. Module-internal like
-// NewQuery: the clustered path in internal/jobs builds its partials with
+// partial-result form, committed at the given time. Module-internal by
+// its parameter type: the daemon (internal/jobs) builds its job log with
 // it, so the copy is written once.
 func NewPartial(out mapreduce.ReduceOutput, at time.Time) PartialResult {
 	pr := PartialResult{Keyblock: out.Keyblock, Keys: make([][]int64, len(out.Keys)), Values: out.Values, At: at}
@@ -439,11 +446,11 @@ func RunJoinContext(ctx context.Context, a, b *Dataset, q *Query, opts RunOption
 	if err := q.q.ValidateSecond(b.shape); err != nil {
 		return nil, err
 	}
-	plan, err := newPlan(q, &opts, a.reader(ctx), b.reader(ctx))
+	plan, err := newPlan(q, &opts, a.Reader(ctx), b.Reader(ctx))
 	if err != nil {
 		return nil, err
 	}
-	return runPlan(ctx, plan, a.reader(ctx), b.reader(ctx), opts)
+	return runPlan(ctx, plan, a.Reader(ctx), b.Reader(ctx), opts)
 }
 
 // OutputSpace returns the shape of the query's intermediate/output
