@@ -3,7 +3,7 @@ package sidr
 // The benchmark harness: one testing.B benchmark per table and figure in
 // the paper's evaluation (§4), plus ablation benchmarks for the design
 // choices called out in DESIGN.md. Figure benchmarks drive the
-// paper-scale discrete-event simulation; Table 2 and the §4.5 micro
+// paper-scale simulation (the job loop in virtual time); Table 2 and the §4.5 micro
 // benchmark do real work (file IO, partitioning). Run with:
 //
 //	go test -bench=. -benchmem
@@ -26,7 +26,6 @@ import (
 	"sidr/internal/mapreduce"
 	"sidr/internal/ncfile"
 	"sidr/internal/partition"
-	"sidr/internal/sched"
 )
 
 // BenchmarkFigure9 regenerates Figure 9: Query 1 under Hadoop, SciHadoop
@@ -496,57 +495,5 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkAblationSchedulerPolicy compares the pure scheduling state
-// machines: stock Hadoop dispensing vs SIDR's gated, reduce-first policy
-// at paper-scale task counts.
-func BenchmarkAblationSchedulerPolicy(b *testing.B) {
-	q := experiments.Query1()
-	p, err := experiments.PaperPlan(q, core.EngineSIDR, 528)
-	if err != nil {
-		b.Fatal(err)
-	}
-	maps := make([]sched.MapInfo, len(p.Splits))
-	hosts := make([]string, 24)
-	for i := range hosts {
-		hosts[i] = fmt.Sprintf("node%02d", i)
-	}
-	for i := range maps {
-		maps[i] = sched.MapInfo{Hosts: []string{hosts[i%24]}}
-	}
-	b.Run("hadoop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := sched.NewHadoop(maps, 528)
-			drainScheduler(b, s, hosts)
-		}
-	})
-	b.Run("sidr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, err := sched.NewSIDR(maps, p.Graph, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			drainScheduler(b, s, hosts)
-		}
-	})
-}
-
-func drainScheduler(b *testing.B, s sched.Scheduler, hosts []string) {
-	b.Helper()
-	for s.PendingReduces() > 0 {
-		if s.NextReduce() < 0 {
-			b.Fatal("reduce starvation")
-		}
-		// Interleave map dispensing the way slot churn does.
-		for j := 0; j < 5; j++ {
-			s.NextMap(hosts[j%len(hosts)])
-		}
-	}
-	for s.PendingMaps() > 0 {
-		if s.NextMap(hosts[0]) < 0 {
-			b.Fatal("map starvation")
-		}
 	}
 }

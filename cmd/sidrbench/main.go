@@ -15,14 +15,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"sidr/internal/experiments"
 	"sidr/internal/trace"
 )
 
+// experimentNames is what -exp accepts.
+var experimentNames = []string{"all", "fig9", "fig10", "fig11", "fig12", "fig13", "table2", "table3", "partmicro", "failures"}
+
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment to run (all, fig9, fig10, fig11, fig12, fig13, table2, table3, partmicro, failures)")
+		exp    = flag.String("exp", "all", "experiment to run ("+strings.Join(experimentNames, ", ")+")")
 		seed   = flag.Int64("seed", 1, "simulation seed")
 		runs   = flag.Int("runs", 10, "repetitions for averaged experiments (fig12, table2, partmicro)")
 		curves = flag.Bool("curves", false, "dump full completion curves, not just summaries")
@@ -36,6 +41,10 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	if !slices.Contains(experimentNames, *exp) {
+		fmt.Fprintf(os.Stderr, "sidrbench: unknown experiment %q; -exp takes one of: %s\n", *exp, strings.Join(experimentNames, ", "))
+		os.Exit(2)
+	}
 
 	run := func(name string, fn func() error) {
 		if *exp != "all" && *exp != name {

@@ -1,6 +1,6 @@
 // Windspeed: the paper's Query 1 (§4.1) at laptop scale — a median over
 // a 4-dimensional windspeed dataset — run under all three engines plus a
-// paper-scale discrete-event simulation of the same query, reproducing
+// paper-scale simulation of the same query on the same job loop, reproducing
 // the Figure 9 comparison end to end.
 package main
 

@@ -276,18 +276,6 @@ func (s Shape) FloorDiv(es Shape) (Shape, error) {
 	return out, nil
 }
 
-// Mul returns s * t elementwise (each extent multiplied).
-func (s Shape) Mul(t Shape) (Shape, error) {
-	if len(s) != len(t) {
-		return nil, ErrRankMismatch
-	}
-	out := make(Shape, len(s))
-	for i := range s {
-		out[i] = s[i] * t[i]
-	}
-	return out, nil
-}
-
 // ParseCoord parses "{a, b, c}" or "a,b,c" into a Coord.
 func ParseCoord(s string) (Coord, error) {
 	xs, err := parseInt64List(s)

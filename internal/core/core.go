@@ -8,8 +8,8 @@
 // A Plan executes through the one job loop — RunLocal in process,
 // JobConfig with a Runner on a cluster — with the barrier mode, shuffle
 // pattern, kv-count validation and Map order the chosen engine implies.
-// (The paper-scale discrete-event model that replays a plan's real
-// dependency graph lives with its only callers, internal/experiments.)
+// (The paper-scale testbed model, internal/simcluster, is one more Runner
+// under that loop; only internal/experiments links it.)
 package core
 
 import (

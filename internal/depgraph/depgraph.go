@@ -246,18 +246,6 @@ func (g *Graph) TotalPoints() int64 {
 	return n
 }
 
-// DependencyBarrierMet reports whether keyblock l's data dependencies are
-// satisfied given the set of completed splits — the per-Reduce-task
-// barrier replacing Hadoop's global one (Figure 4b).
-func (g *Graph) DependencyBarrierMet(l int, done func(split int) bool) bool {
-	for _, s := range g.KBToSplits[l] {
-		if !done(s) {
-			return false
-		}
-	}
-	return true
-}
-
 // sortInts is insertion sort: dependency lists per split are small and
 // nearly sorted (map iteration aside), so this avoids pulling in
 // sort.Ints allocations in the hot planning loop.

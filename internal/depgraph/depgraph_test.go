@@ -2,6 +2,7 @@ package depgraph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -190,20 +191,34 @@ func TestSplitEntirelyInGap(t *testing.T) {
 	}
 }
 
-func TestDependencyBarrierMet(t *testing.T) {
-	q := weeklyQuery(t)
-	space, _ := q.IntermediateSpace()
-	pp, _ := partition.NewPartitionPlus(space, 4, 26)
-	g, err := Build(q, rowSplits(q.Input, 91), pp)
-	if err != nil {
-		t.Fatal(err)
+// The job loop realises SIDR's reduce-first policy (§3.3) as a static Map
+// order off the graph; the two tests below hold it on hand-built graphs.
+func TestDependencyDrivenMapOrder(t *testing.T) {
+	// Split i feeds exactly keyblock i.
+	b := NewBuilder(4, 4)
+	for i := 0; i < 4; i++ {
+		b.Add(i, i, 1)
 	}
-	done := map[int]bool{0: true}
-	if !g.DependencyBarrierMet(0, func(s int) bool { return done[s] }) {
-		t.Fatal("keyblock 0 should be unblocked by split 0 alone (Figure 4b)")
+	g := b.Graph()
+	if order := g.MapOrder([]int{2, 0, 3, 1}); !reflect.DeepEqual(order, []int{2, 0, 3, 1}) {
+		t.Fatalf("order = %v, want the priority order", order)
 	}
-	if g.DependencyBarrierMet(3, func(s int) bool { return done[s] }) {
-		t.Fatal("keyblock 3 unblocked without its dependency")
+	// Default priority yields keyblock order.
+	if order := g.MapOrder(nil); !reflect.DeepEqual(order, []int{0, 1, 2, 3}) {
+		t.Fatalf("default order = %v", order)
+	}
+}
+
+func TestDependencyDrivenMapOrderCoversUnreferencedSplits(t *testing.T) {
+	// Splits outside the query input appear in no I_ℓ but must still be
+	// ordered (they run as no-ops), after every split some keyblock needs;
+	// a split two keyblocks share is ordered once, by the first.
+	b := NewBuilder(4, 2)
+	b.Add(3, 0, 1)
+	b.Add(1, 0, 1)
+	b.Add(1, 1, 1)
+	if order := b.Graph().MapOrder(nil); !reflect.DeepEqual(order, []int{1, 3, 0, 2}) {
+		t.Fatalf("order = %v, want [1 3 0 2]", order)
 	}
 }
 

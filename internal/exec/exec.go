@@ -59,9 +59,16 @@ func (h taskHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h taskHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)        { *h = append(*h, x.(task)) }
-func (h *taskHeap) Pop() any          { old := *h; n := len(old); t := old[n-1]; old[n-1].fn = nil; *h = old[:n-1]; return t }
+func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *taskHeap) Push(x any)   { *h = append(*h, x.(task)) }
+func (h *taskHeap) Pop() any {
+	old := *h
+	n := len(old)
+	t := old[n-1]
+	old[n-1].fn = nil
+	*h = old[:n-1]
+	return t
+}
 
 // Stats is a point-in-time view of the pool.
 type Stats struct {

@@ -1,10 +1,11 @@
 // Package experiments contains one driver per table and figure in the
 // paper's evaluation (§4), regenerating the same rows and series from
 // this repository's implementation. Cluster-scale runs (Figures 9-13,
-// Table 3) execute the real planner — real splits, real partition+
-// keyblocks, real dependency graphs — on the discrete-event testbed
-// model; Table 2 and the partition+ micro-benchmark perform real file IO
-// and real partitioning work.
+// the §6 failure study) execute the real planner — real splits, real
+// partition+ keyblocks, real dependency graphs — and the real job loop on
+// the virtual-time testbed model (internal/simcluster); Table 2 and the
+// partition+ micro-benchmark perform real file IO and real partitioning
+// work.
 package experiments
 
 import (
@@ -63,8 +64,8 @@ const PaperBytesPerPoint = 4
 // PaperPlanEncoded is PaperPlan with an explicit modulo key encoding
 // (used by the Figure 13 skew experiment). Splits carry locality hints
 // from a simulated 24-node HDFS namespace holding the dataset at 3×
-// replication, so the schedulers' locality trees operate on realistic
-// block placements.
+// replication, so simulated Map placement works on realistic block
+// placements.
 //
 // A paper-scale plan walks millions of K' tiles to derive I_ℓ, and the
 // figures ask for the same few again and again, so each distinct plan is
@@ -160,11 +161,7 @@ func PaperWorkload(p *core.Plan, survivorFrac float64) (SimWorkload, error) {
 	}
 	w := SimWorkload{}
 	for _, s := range p.Splits {
-		w.Splits = append(w.Splits, simcluster.Split{
-			Points: s.Slab.Size(),
-			Bytes:  s.Slab.Size() * 8,
-			Hosts:  s.Hosts,
-		})
+		w.Splits = append(w.Splits, simcluster.Split{Points: s.Slab.Size()})
 	}
 	const pairOverhead = 40 // serialised kv.Value header bytes
 	for l := 0; l < p.Part.NumKeyblocks(); l++ {
@@ -186,12 +183,7 @@ func PaperWorkload(p *core.Plan, survivorFrac float64) (SimWorkload, error) {
 			inBytes = pairs * pairOverhead
 			outBytes = pairs * 8
 		}
-		w.Reduces = append(w.Reduces, simcluster.Reduce{
-			Pairs:    pairs,
-			InBytes:  inBytes,
-			OutBytes: outBytes,
-			Deps:     p.Graph.KBToSplits[l],
-		})
+		w.Reduces = append(w.Reduces, simcluster.Reduce{Pairs: pairs, InBytes: inBytes, OutBytes: outBytes})
 	}
 	return w, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"sidr/internal/core"
-	"sidr/internal/sched"
 	"sidr/internal/simcluster"
 )
 
@@ -13,9 +12,10 @@ type SimWorkload struct {
 	Reduces []simcluster.Reduce
 }
 
-// Simulate runs the plan on the discrete-event cluster model, using the
-// engine's scheduler policy, barrier mode, shuffle pattern, and Map cost
-// factor, over the plan's real dependency graph.
+// Simulate runs the plan on the cluster model: the job the plan hands
+// every engine (JobConfig — barrier mode, shuffle pattern, task order,
+// count gate), executed by the one job loop in virtual time at the
+// engine's Map cost factor.
 func Simulate(p *core.Plan, cfg simcluster.Config, w SimWorkload) (*simcluster.Result, error) {
 	return SimulateWith(p, cfg, w, nil)
 }
@@ -23,27 +23,10 @@ func Simulate(p *core.Plan, cfg simcluster.Config, w SimWorkload) (*simcluster.R
 // SimulateWith is Simulate with an optional Reduce-failure model for the
 // §6 recovery study.
 func SimulateWith(p *core.Plan, cfg simcluster.Config, w SimWorkload, failure *simcluster.FailureModel) (*simcluster.Result, error) {
-	maps := make([]sched.MapInfo, len(w.Splits))
-	for i, s := range w.Splits {
-		maps[i] = sched.MapInfo{Hosts: s.Hosts}
-	}
-	job := simcluster.Job{
+	return simcluster.Run(cfg, p.JobConfig(nil, nil), simcluster.Job{
 		Splits:        w.Splits,
 		Reduces:       w.Reduces,
 		MapCostFactor: p.Engine.MapCostFactor(),
 		Failure:       failure,
-	}
-	switch p.Engine {
-	case core.EngineSIDR:
-		s, err := sched.NewSIDR(maps, p.Graph, p.Priority)
-		if err != nil {
-			return nil, err
-		}
-		job.Scheduler = s
-	default:
-		job.Scheduler = sched.NewHadoop(maps, p.Reducers)
-		job.GlobalBarrier = true
-		job.FetchAll = true
-	}
-	return simcluster.Simulate(cfg, job)
+	})
 }

@@ -3,7 +3,6 @@ package ops
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // SideAgg is one side's fully merged aggregate for one join key (one
@@ -107,14 +106,4 @@ func LookupJoin(name string) (JoinOperator, error) {
 		return nil, fmt.Errorf("ops: unknown join operator %q", name)
 	}
 	return op, nil
-}
-
-// JoinNames returns all registered join operator names, sorted.
-func JoinNames() []string {
-	out := make([]string, 0, len(joinRegistry))
-	for n := range joinRegistry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

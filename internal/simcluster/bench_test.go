@@ -3,22 +3,18 @@ package simcluster
 import (
 	"testing"
 
-	"sidr/internal/sched"
+	"sidr/internal/core"
 )
 
-// BenchmarkSimulate measures the discrete-event engine on a mid-size
-// job: 512 Map and 64 Reduce tasks on the default 24-node testbed.
-func BenchmarkSimulate(b *testing.B) {
+// BenchmarkRun measures a simulated run of a mid-size job — 512 Map and
+// 64 Reduce tasks on the default 24-node testbed — job loop included.
+func BenchmarkRun(b *testing.B) {
 	cfg := DefaultConfig()
+	p := plan(b, core.EngineSIDR, 2048, 64)
+	loop, job := p.JobConfig(nil, nil), workload(p)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g := alignedDepGraph(512, 64)
-		s, err := sched.NewSIDR(noHosts(512), g, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		job := alignedJob(512, 64, s, false)
-		if _, err := Simulate(cfg, job); err != nil {
+		if _, err := Run(cfg, loop, job); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,18 @@
-// Package simcluster is a deterministic discrete-event model of the
-// paper's evaluation testbed: 24 worker nodes with 4 Map and 3 Reduce
-// slots each, single-GigE networking, and HDFS-style data locality. It
-// executes a job's *real* scheduling and dependency structure — the same
-// sched.Scheduler policies and depgraph output the in-process engine uses
-// — while advancing virtual time, so cluster-scale completion curves
-// (Figures 9-13) can be regenerated on one machine.
+// Package simcluster is a deterministic model of the paper's evaluation
+// testbed: 24 worker nodes with 4 Map and 3 Reduce slots each, single-GigE
+// networking, and HDFS-style data locality. It has no scheduler of its
+// own. A simulated run is the production job loop (mapreduce.Run) driven
+// through a Runner that charges virtual time to task slots instead of
+// executing anything — so barriers, dispatch order, loss recovery and the
+// §3.2.1 count gate in Figures 9-13 and the §6 failure study are the ones
+// every real job runs under, and cluster-scale completion curves can be
+// regenerated on one machine.
+//
+// The loop runs on one worker, so tasks are carried out one at a time in
+// its dispatch order (ready Reduce tasks before Map tasks, MapOrder and
+// ReduceOrder ranks within each) and a run is a list schedule: each task
+// is placed on the slot timelines when the loop hands it over, and there
+// is no clock to drive.
 //
 // The duration model is intentionally simple and fully documented:
 //
@@ -12,18 +20,21 @@
 //	reduceTime = shuffleTail + ReduceBase + ReducePerPair·pairs + output
 //
 // where shuffleTail is the fetch work that could not be overlapped with
-// waiting: one dependency's worth of bytes when the Reduce task was
-// assigned before its barrier cleared (prefetching hid the rest), or all
-// of its bytes when it was assigned late (nothing could be prefetched).
+// waiting: one dependency's worth of bytes when a Reduce slot was idle
+// before the task's barrier cleared (prefetching hid the rest), or all of
+// its bytes when every slot was busy until then (nothing could be
+// prefetched).
 package simcluster
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
-	"sidr/internal/sched"
-	"sidr/internal/simevent"
+	"sidr/internal/kv"
+	"sidr/internal/mapreduce"
 	"sidr/internal/trace"
 )
 
@@ -105,10 +116,6 @@ func DefaultConfig() Config {
 type Split struct {
 	// Points is the number of source points the task reads.
 	Points int64
-	// Bytes is the split's on-disk size (locality/shuffle accounting).
-	Bytes int64
-	// Hosts lists nodes holding the split's blocks.
-	Hosts []string
 }
 
 // Reduce is one Reduce task's workload.
@@ -119,29 +126,20 @@ type Reduce struct {
 	InBytes int64
 	// OutBytes is the committed output volume.
 	OutBytes int64
-	// Deps lists the Map tasks the keyblock depends on (I_ℓ). Under a
-	// global barrier it is ignored: the barrier is all Map tasks.
-	Deps []int
 }
 
-// Job binds workloads to a scheduling policy and barrier mode.
+// Job is what the simulator charges for. Everything about how the job
+// runs — barrier mode, which Map outputs a Reduce task fetches, task
+// order, the splits' locality hints — is the mapreduce.Config it is run
+// with.
 type Job struct {
+	// Splits and Reduces are indexed like the loop's splits and keyblocks.
 	Splits  []Split
 	Reduces []Reduce
-	// Scheduler dispenses tasks (sched.Hadoop or sched.SIDR).
-	Scheduler sched.Scheduler
-	// GlobalBarrier makes every Reduce wait for all Maps (stock
-	// semantics); false uses each Reduce's Deps.
-	GlobalBarrier bool
 	// MapCostFactor scales Map durations — >1 models stock Hadoop's
 	// byte-oriented splits reading data it cannot align to records
 	// (SciHadoop's headline improvement).
 	MapCostFactor float64
-	// FetchAll makes every Reduce contact every Map during shuffle
-	// (stock Hadoop); false contacts only Deps (SIDR). Affects
-	// connection accounting and, with Config.ConnSetup, shuffle time.
-	FetchAll bool
-
 	// Failure optionally injects Reduce-task failures to study the §6
 	// recovery trade-off.
 	Failure *FailureModel
@@ -152,12 +150,13 @@ type Job struct {
 // Reduce task just refetches; SIDR's proposed alternative skips
 // persistence and re-executes only the failed task's I_ℓ Map subset.
 type FailureModel struct {
-	// Prob is the per-Reduce-task failure probability.
+	// Prob is the probability that a Reduce task fails, once, at the end
+	// of its first attempt.
 	Prob float64
 	// Recompute selects the no-persist strategy: Map tasks run without
-	// the persistence overhead, and recovery re-executes the failed
-	// task's dependencies (charged to the recovering node's Map slots).
-	// False models stock persist-and-refetch.
+	// the persistence overhead, and a failed Reduce task finds the Map
+	// outputs it fetched gone — the job loop re-executes them and runs the
+	// task again. False models stock persist-and-refetch.
 	Recompute bool
 	// PersistOverhead is the fractional Map slowdown paid for persisting
 	// intermediate data (applied only when Recompute is false).
@@ -168,11 +167,12 @@ type FailureModel struct {
 type Stats struct {
 	// Makespan is the completion time of the last task.
 	Makespan float64
-	// FirstResult is the first Reduce commit time.
+	// FirstResult is the earliest Reduce commit time.
 	FirstResult float64
-	// MapsDone is when the last Map task finished.
+	// MapsDone is when the last Map task finished, re-executions included.
 	MapsDone float64
-	// Connections counts shuffle fetches (Table 3's metric).
+	// Connections counts shuffle fetches (Table 3's metric), as the job
+	// loop counted them.
 	Connections int64
 	// LocalMaps counts node-local Map executions.
 	LocalMaps int
@@ -204,267 +204,264 @@ func Nodes(n int) []string {
 	return out
 }
 
-// reduceState tracks one Reduce task's lifecycle in the simulator.
-type reduceState struct {
-	assigned   bool
-	assignedAt float64
-	node       int
-	remaining  int  // unmet dependencies
-	processing bool // barrier met, completion scheduled
-	done       bool
+// Run simulates job as loop would run it: loop is executed by the
+// production job loop, on one worker, with every task's body replaced by a
+// charge of virtual time (see runner). A job the loop cannot finish — a
+// stranded dependency counter, a split re-executed past MaxTaskAttempts, a
+// count-gate mismatch — is an error, never a hang.
+func Run(cfg Config, loop mapreduce.Config, job Job) (*Result, error) {
+	r, err := newRunner(cfg, loop, job)
+	if err != nil {
+		return nil, err
+	}
+	loop.Runner, loop.Workers = r, 1
+	out, err := mapreduce.Run(loop)
+	if err != nil {
+		return nil, err
+	}
+	r.res.Stats.Connections = out.Counters.Connections
+	r.res.Stats.Makespan = r.res.Trace.Makespan()
+	return &r.res, nil
 }
 
-// Simulate runs the job to completion and returns its trace and stats.
-func Simulate(cfg Config, job Job) (*Result, error) {
+// runner is the simulated mapreduce.Runner. The loop calls it for one task
+// at a time, so it needs no locking and its random draws replay identically
+// for a given seed.
+type runner struct {
+	cfg  Config
+	job  Job
+	loop mapreduce.Config
+	rng  *rand.Rand
+
+	nodeOf     map[string]int // node name → index
+	mapSlots   []timeline     // slot i belongs to node i / cfg.MapSlots
+	reduceFree []float64      // when each Reduce slot is next idle
+
+	mapEnd    []float64 // split → when its current output was committed
+	notBefore []float64 // split → the failure that lost its output; a re-execution starts no earlier
+	doomed    []bool    // keyblock → its next attempt fails; drawn up front, so both strategies lose the same tasks
+	retry     []bool    // keyblock → starting over after a failure, nothing prefetched
+
+	res Result
+}
+
+func newRunner(cfg Config, loop mapreduce.Config, job Job) (*runner, error) {
 	if cfg.Workers <= 0 || cfg.MapSlots <= 0 || cfg.ReduceSlots <= 0 {
 		return nil, fmt.Errorf("simcluster: invalid topology %d/%d/%d", cfg.Workers, cfg.MapSlots, cfg.ReduceSlots)
 	}
-	if job.Scheduler == nil {
-		return nil, fmt.Errorf("simcluster: job needs a scheduler")
+	if len(job.Splits) != len(loop.Splits) {
+		return nil, fmt.Errorf("simcluster: %d split workloads for %d splits", len(job.Splits), len(loop.Splits))
+	}
+	if loop.Part != nil && len(job.Reduces) != loop.Part.NumKeyblocks() {
+		return nil, fmt.Errorf("simcluster: %d reduce workloads for %d keyblocks", len(job.Reduces), loop.Part.NumKeyblocks())
 	}
 	if job.MapCostFactor <= 0 {
 		job.MapCostFactor = 1
 	}
-	eng := simevent.New()
-	res := &Result{}
-	res.Stats.FirstResult = math.NaN()
-
-	nMaps := len(job.Splits)
-	nReduces := len(job.Reduces)
-	freeMap := make([]int, cfg.Workers)
-	freeReduce := make([]int, cfg.Workers)
-	for i := range freeMap {
-		freeMap[i] = cfg.MapSlots
-		freeReduce[i] = cfg.ReduceSlots
+	if cfg.LocalityPenalty == 0 {
+		cfg.LocalityPenalty = 1
 	}
-	mapDone := make([]bool, nMaps)
-	mapsRemaining := nMaps
-	reduces := make([]reduceState, nReduces)
-	// dependents[m] lists reduces whose barrier includes map m.
-	dependents := make([][]int, nMaps)
-	for r, rd := range job.Reduces {
-		if job.GlobalBarrier {
-			reduces[r].remaining = nMaps
-			continue
-		}
-		reduces[r].remaining = len(rd.Deps)
-		for _, m := range rd.Deps {
-			dependents[m] = append(dependents[m], r)
+	r := &runner{
+		cfg:        cfg,
+		job:        job,
+		loop:       loop,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		nodeOf:     make(map[string]int, cfg.Workers),
+		mapSlots:   make([]timeline, cfg.Workers*cfg.MapSlots),
+		reduceFree: make([]float64, cfg.Workers*cfg.ReduceSlots),
+		mapEnd:     make([]float64, len(job.Splits)),
+		notBefore:  make([]float64, len(job.Splits)),
+		doomed:     make([]bool, len(job.Reduces)),
+		retry:      make([]bool, len(job.Reduces)),
+	}
+	if fm := job.Failure; fm != nil {
+		fails := rand.New(rand.NewSource(cfg.Seed))
+		for l := range r.doomed {
+			r.doomed[l] = fails.Float64() < fm.Prob
 		}
 	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	jitter := func() float64 {
-		if cfg.JitterFrac <= 0 {
-			return 1
-		}
-		return 1 + cfg.JitterFrac*(2*rng.Float64()-1)
-	}
-
-	var scheduleNode func(node int)
-
-	// startReduceProcessing schedules the post-barrier phase of reduce r.
-	startReduceProcessing := func(r int) {
-		st := &reduces[r]
-		if st.processing || st.done || !st.assigned || st.remaining > 0 {
-			return
-		}
-		st.processing = true
-		rd := job.Reduces[r]
-		deps := int64(len(rd.Deps))
-		conns := deps
-		if job.GlobalBarrier {
-			deps = int64(nMaps)
-		}
-		if job.FetchAll {
-			conns = int64(nMaps)
-		}
-		if deps == 0 {
-			deps = 1
-		}
-		// Shuffle tail: prefetching while waiting hides all but the last
-		// dependency's bytes; a late-assigned task prefetched nothing.
-		tailBytes := rd.InBytes / deps
-		if st.assignedAt >= eng.Now() {
-			tailBytes = rd.InBytes
-		}
-		var shuffle float64
-		if cfg.ShuffleBandwidth > 0 {
-			shuffle = float64(tailBytes) / cfg.ShuffleBandwidth
-		}
-		// Connection setup, serialised in MaxFetchConcurrency batches
-		// (§4.6's "undesirable serialization of communication").
-		if cfg.ConnSetup > 0 && conns > 0 {
-			batches := conns
-			if cfg.MaxFetchConcurrency > 0 {
-				batches = (conns + int64(cfg.MaxFetchConcurrency) - 1) / int64(cfg.MaxFetchConcurrency)
-			}
-			shuffle += float64(batches) * cfg.ConnSetup
-		}
-		processing := cfg.ReduceBase + cfg.ReducePerPair*float64(rd.Pairs)
-		dur := shuffle + processing
-		if cfg.OutputTime != nil {
-			dur += cfg.OutputTime(rd.OutBytes)
-		}
-		dur *= jitter()
-		// Failure injection: the task fails once and recovers, either by
-		// refetching persisted intermediate data or by re-executing its
-		// Map dependencies on this node's Map slots (§6).
-		if fm := job.Failure; fm != nil && rng.Float64() < fm.Prob {
-			res.Stats.FailedReduces++
-			var recovery float64
-			if cfg.ShuffleBandwidth > 0 {
-				recovery += float64(rd.InBytes) / cfg.ShuffleBandwidth
-			}
-			recovery += processing
-			if fm.Recompute {
-				var remap float64
-				for _, m := range rd.Deps {
-					sp := job.Splits[m]
-					remap += (cfg.MapBase + cfg.MapPerPoint*float64(sp.Points)) * job.MapCostFactor
-				}
-				recovery += remap / float64(cfg.MapSlots)
-			}
-			dur += recovery
-		}
-		node := st.node
-		eng.After(dur, func() {
-			st.done = true
-			res.Trace.Add(trace.Reduce, r, eng.Now())
-			if math.IsNaN(res.Stats.FirstResult) {
-				res.Stats.FirstResult = eng.Now()
-			}
-			freeReduce[node]++
-			scheduleNode(node)
-			// Dispensing the next reduce may unlock maps on any node.
-			for n := 0; n < cfg.Workers; n++ {
-				scheduleNode(n)
-			}
-		})
-	}
-
-	finishMap := func(m, node int) {
-		mapDone[m] = true
-		mapsRemaining--
-		res.Trace.Add(trace.Map, m, eng.Now())
-		if mapsRemaining == 0 {
-			res.Stats.MapsDone = eng.Now()
-		}
-		if job.GlobalBarrier {
-			if mapsRemaining == 0 {
-				for r := range reduces {
-					reduces[r].remaining = 0
-					startReduceProcessing(r)
-				}
-			} else {
-				// remaining counts are bulk-resolved above.
-			}
-		} else {
-			for _, r := range dependents[m] {
-				reduces[r].remaining--
-				startReduceProcessing(r)
-			}
-		}
-		freeMap[node]++
-		scheduleNode(node)
-	}
-
-	scheduleNode = func(node int) {
-		host := NodeName(node)
-		// Reduce slots first: SIDR schedules Reduce tasks ahead of the
-		// Map tasks they depend on; for stock Hadoop the order is
-		// irrelevant because Map eligibility is unconditional.
-		for freeReduce[node] > 0 {
-			r := job.Scheduler.NextReduce()
-			if r < 0 {
-				break
-			}
-			freeReduce[node]--
-			st := &reduces[r]
-			st.assigned = true
-			st.assignedAt = eng.Now()
-			st.node = node
-			// Count this task's shuffle connections at assignment.
-			if job.FetchAll {
-				res.Stats.Connections += int64(nMaps)
-			} else {
-				res.Stats.Connections += int64(len(job.Reduces[r].Deps))
-			}
-			if st.remaining == 0 {
-				startReduceProcessing(r)
-			}
-		}
-		for freeMap[node] > 0 {
-			m := job.Scheduler.NextMap(host)
-			if m < 0 {
-				break
-			}
-			freeMap[node]--
-			sp := job.Splits[m]
-			locality := cfg.LocalityPenalty
-			for _, h := range sp.Hosts {
-				if h == host {
-					locality = 1
-					res.Stats.LocalMaps++
-					break
-				}
-			}
-			if locality == 0 {
-				locality = 1
-			}
-			dur := (cfg.MapBase + cfg.MapPerPoint*float64(sp.Points)) * job.MapCostFactor * locality * jitter()
-			if fm := job.Failure; fm != nil && !fm.Recompute {
-				// Persisting intermediate data to disk slows every Map
-				// task (the cost §6 proposes to eliminate).
-				dur *= 1 + fm.PersistOverhead
-			}
-			if cfg.StragglerProb > 0 && rng.Float64() < cfg.StragglerProb {
-				res.Stats.Stragglers++
-				factor := cfg.StragglerFactor
-				if factor <= 1 {
-					factor = 4
-				}
-				straggled := dur * factor
-				if cfg.Speculation {
-					// A backup copy launches once the task exceeds the
-					// threshold and runs at normal speed; the earliest
-					// finisher wins. (The backup's slot is modelled as
-					// opportunistic spare capacity.)
-					threshold := cfg.SpeculationThreshold
-					if threshold <= 0 {
-						threshold = 1.5
-					}
-					backup := dur*threshold + dur
-					if backup < straggled {
-						res.Stats.SpeculativeWins++
-						straggled = backup
-					}
-				}
-				dur = straggled
-			}
-			mID := m
-			eng.After(dur, func() { finishMap(mID, node) })
-		}
-	}
-
-	// Kick off: fill every node's slots at t=0.
 	for n := 0; n < cfg.Workers; n++ {
-		scheduleNode(n)
+		r.nodeOf[NodeName(n)] = n
 	}
-	eng.Run()
-
-	if mapsRemaining > 0 || anyReduceUnfinished(reduces) {
-		return nil, fmt.Errorf("simcluster: deadlock — %d maps and some reduces unfinished (scheduler/barrier mismatch?)", mapsRemaining)
+	for i := range r.mapSlots {
+		r.mapSlots[i] = timeline{{0, math.Inf(1)}}
 	}
-	res.Stats.Makespan = res.Trace.Makespan()
-	return res, nil
+	r.res.Stats.FirstResult = math.NaN()
+	return r, nil
 }
 
-func anyReduceUnfinished(rs []reduceState) bool {
-	for i := range rs {
-		if !rs[i].done {
-			return true
+func (r *runner) jitter() float64 {
+	if r.cfg.JitterFrac <= 0 {
+		return 1
+	}
+	return 1 + r.cfg.JitterFrac*(2*r.rng.Float64()-1)
+}
+
+// RunMap charges Map task split to the Map slot where it finishes first.
+// The task picks its worker — a node holding the split's blocks runs it
+// without LocalityPenalty — the way the cluster coordinator places a
+// dispatch, rather than a freed slot picking its task. A re-execution
+// starts no earlier than the failure that lost the previous output.
+func (r *runner) RunMap(_ context.Context, split int) (mapreduce.MapResult, error) {
+	cfg, points := &r.cfg, r.job.Splits[split].Points
+	dur := (cfg.MapBase + cfg.MapPerPoint*float64(points)) * r.job.MapCostFactor * r.jitter()
+	if fm := r.job.Failure; fm != nil && !fm.Recompute {
+		// Persisting intermediate data to disk slows every Map task (the
+		// cost §6 proposes to eliminate).
+		dur *= 1 + fm.PersistOverhead
+	}
+	if cfg.StragglerProb > 0 && r.rng.Float64() < cfg.StragglerProb {
+		r.res.Stats.Stragglers++
+		factor := cfg.StragglerFactor
+		if factor <= 1 {
+			factor = 4
+		}
+		straggled := dur * factor
+		if cfg.Speculation {
+			// A backup copy launches once the task exceeds the threshold
+			// and runs at normal speed; the earliest finisher wins. (The
+			// backup's slot is modelled as opportunistic spare capacity.)
+			threshold := cfg.SpeculationThreshold
+			if threshold <= 0 {
+				threshold = 1.5
+			}
+			if backup := dur*threshold + dur; backup < straggled {
+				r.res.Stats.SpeculativeWins++
+				straggled = backup
+			}
+		}
+		dur = straggled
+	}
+
+	local := make([]bool, cfg.Workers)
+	for _, h := range r.loop.Splits[split].Hosts {
+		if n, ok := r.nodeOf[h]; ok {
+			local[n] = true
 		}
 	}
-	return false
+	slot, gap, start, end := -1, 0, 0.0, math.Inf(1)
+	for i, tl := range r.mapSlots {
+		d := dur
+		if !local[i/cfg.MapSlots] {
+			d *= cfg.LocalityPenalty
+		}
+		if s, g := tl.fit(r.notBefore[split], d); s+d < end {
+			slot, gap, start, end = i, g, s, s+d
+		}
+	}
+	r.mapSlots[slot].book(gap, start, end)
+	if local[slot/cfg.MapSlots] {
+		r.res.Stats.LocalMaps++
+	}
+	r.mapEnd[split] = end
+	r.res.Stats.MapsDone = math.Max(r.res.Stats.MapsDone, end)
+	r.res.Trace.Add(trace.Map, split, end)
+	return mapreduce.MapResult{Ref: split, Records: points}, nil
+}
+
+// Fetch charges Reduce task l to the earliest-free Reduce slot, starting
+// once the Map outputs it was handed are all committed, and reports the
+// planner's expected count as its tally so the loop's §3.2.1 gate stays
+// on. Under the no-persist failure model a failing task reports every
+// output it fetched as lost instead of committing: the loop re-executes
+// those splits and runs the task again.
+func (r *runner) Fetch(_ context.Context, l int, refs []any) (streams [][]kv.Pair, tally int64, lost []int, err error) {
+	cfg, rd := &r.cfg, r.job.Reduces[l]
+	var barrier float64
+	for _, ref := range refs {
+		barrier = math.Max(barrier, r.mapEnd[ref.(int)])
+	}
+	slot := 0
+	for i, free := range r.reduceFree {
+		if free < r.reduceFree[slot] {
+			slot = i
+		}
+	}
+	free := r.reduceFree[slot]
+
+	// Shuffle tail: a slot idle while the task waited prefetched all but
+	// the last dependency's bytes; a slot busy until the barrier cleared,
+	// or a task starting over after a failure, prefetched nothing.
+	tailBytes := rd.InBytes
+	if free < barrier && !r.retry[l] && len(refs) > 0 {
+		tailBytes /= int64(len(refs))
+	}
+	var shuffle float64
+	if cfg.ShuffleBandwidth > 0 {
+		shuffle = float64(tailBytes) / cfg.ShuffleBandwidth
+	}
+	// Connection setup, serialised in MaxFetchConcurrency batches (§4.6's
+	// "undesirable serialization of communication").
+	if conns := int64(len(refs)); cfg.ConnSetup > 0 && conns > 0 {
+		batches := conns
+		if cfg.MaxFetchConcurrency > 0 {
+			batches = (conns + int64(cfg.MaxFetchConcurrency) - 1) / int64(cfg.MaxFetchConcurrency)
+		}
+		shuffle += float64(batches) * cfg.ConnSetup
+	}
+	processing := cfg.ReduceBase + cfg.ReducePerPair*float64(rd.Pairs)
+	dur := shuffle + processing
+	if cfg.OutputTime != nil {
+		dur += cfg.OutputTime(rd.OutBytes)
+	}
+	dur *= r.jitter()
+	end := math.Max(barrier, free) + dur
+
+	// Failure injection (§6): the task fails once, at the end of its first
+	// attempt. With persisted intermediate data it refetches and reprocesses
+	// in place; without, the Map outputs it consumed are gone.
+	if r.doomed[l] {
+		r.doomed[l] = false
+		r.res.Stats.FailedReduces++
+		if r.job.Failure.Recompute {
+			r.retry[l] = true
+			r.reduceFree[slot] = end
+			for _, ref := range refs {
+				r.notBefore[ref.(int)] = end
+				lost = append(lost, ref.(int))
+			}
+			return nil, 0, lost, nil
+		}
+		if cfg.ShuffleBandwidth > 0 {
+			end += float64(rd.InBytes) / cfg.ShuffleBandwidth
+		}
+		end += processing
+	}
+	r.reduceFree[slot] = end
+	if first := &r.res.Stats.FirstResult; math.IsNaN(*first) || end < *first {
+		*first = end // commits are not handed over in time order
+	}
+	r.res.Trace.Add(trace.Reduce, l, end)
+	if g := r.loop.Graph; g != nil {
+		tally = g.ExpectedCount[l]
+	}
+	return nil, tally, nil, nil
+}
+
+// timeline is one Map slot's idle time: disjoint gaps in ascending order,
+// the last one open-ended. Gaps before the last exist only where a
+// re-executed Map task had to wait for the failure that caused it; later
+// tasks fill them.
+type timeline []gap
+
+type gap struct{ from, to float64 }
+
+// fit returns the earliest start ≥ ready at which d seconds fit into one
+// of the slot's gaps, and that gap's index.
+func (t timeline) fit(ready, d float64) (start float64, gap int) {
+	for g, idle := range t {
+		if start = math.Max(idle.from, ready); start+d <= idle.to {
+			return start, g
+		}
+	}
+	panic("simcluster: timeline without an open end")
+}
+
+// book occupies [start, end) of gap g.
+func (t *timeline) book(g int, start, end float64) {
+	idle := (*t)[g]
+	(*t)[g].from = end
+	if start > idle.from {
+		*t = slices.Insert(*t, g, gap{idle.from, start})
+	}
 }

@@ -1,15 +1,23 @@
 package simcluster
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
-	"sidr/internal/depgraph"
-	"sidr/internal/sched"
+	"sidr/internal/core"
+	"sidr/internal/kv"
+	"sidr/internal/mapreduce"
+	"sidr/internal/query"
 	"sidr/internal/trace"
 )
 
-// tinyConfig is a fast, noise-free cluster for unit tests.
+// tinyConfig is a fast, noise-free cluster for unit tests: 4 Map slots, 2
+// Reduce slots, 10 s Maps (20 s when not node-local).
 func tinyConfig() Config {
 	return Config{
 		Workers:          2,
@@ -26,99 +34,106 @@ func tinyConfig() Config {
 	}
 }
 
-// alignedJob builds m splits and r reduces where reduce l depends on the
-// contiguous run of m/r splits starting at l*m/r.
-func alignedJob(m, r int, sched sched.Scheduler, global bool) Job {
-	job := Job{Scheduler: sched, GlobalBarrier: global, MapCostFactor: 1}
-	for i := 0; i < m; i++ {
-		job.Splits = append(job.Splits, Split{Points: 100, Bytes: 1000})
+// plan is a small real plan: rows/4 splits of 32 points, each one row of
+// 4×4 tiles, and partition+ (or modulo) keyblocks over the rows/2 keys.
+// With SIDR every keyblock depends on a contiguous run of splits/reducers
+// splits and no split is shared.
+func plan(t testing.TB, engine core.Engine, rows, reducers int) *core.Plan {
+	t.Helper()
+	q, err := query.Parse(fmt.Sprintf("avg w[0,0 : %d,8] es {4,4}", rows))
+	if err != nil {
+		t.Fatal(err)
 	}
-	per := m / r
-	for l := 0; l < r; l++ {
-		var deps []int
-		for i := l * per; i < (l+1)*per && i < m; i++ {
-			deps = append(deps, i)
-		}
-		job.Reduces = append(job.Reduces, Reduce{Pairs: 10, InBytes: 1000, Deps: deps})
+	p, err := core.NewPlan(q, engine, core.Options{Reducers: reducers, SplitPoints: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Splits) != rows/4 {
+		t.Fatalf("plan has %d splits, want %d", len(p.Splits), rows/4)
+	}
+	return p
+}
+
+// workload charges every task of p the same: 100 points per split, 10
+// pairs and 1000 shuffled bytes per keyblock.
+func workload(p *core.Plan) Job {
+	job := Job{MapCostFactor: 1}
+	for range p.Splits {
+		job.Splits = append(job.Splits, Split{Points: 100})
+	}
+	for l := 0; l < p.Part.NumKeyblocks(); l++ {
+		job.Reduces = append(job.Reduces, Reduce{Pairs: 10, InBytes: 1000})
 	}
 	return job
 }
 
-// alignedDepGraph mirrors alignedJob's dependency structure as a
-// depgraph.Graph for the SIDR scheduler.
-func alignedDepGraph(m, r int) *depgraph.Graph {
-	g := &depgraph.Graph{
-		SplitToKB:     make([][]int, m),
-		KBToSplits:    make([][]int, r),
-		ExpectedCount: make([]int64, r),
-		SplitPoints:   make([]int64, m),
+func run(t testing.TB, cfg Config, p *core.Plan, job Job) *Result {
+	t.Helper()
+	res, err := Run(cfg, p.JobConfig(nil, nil), job)
+	if err != nil {
+		t.Fatal(err)
 	}
-	per := m / r
-	for i := 0; i < m; i++ {
-		kb := i / per
-		if kb >= r {
-			kb = r - 1
-		}
-		g.SplitToKB[i] = []int{kb}
-		g.KBToSplits[kb] = append(g.KBToSplits[kb], i)
-	}
-	return g
+	return res
 }
 
-func noHosts(m int) []sched.MapInfo { return make([]sched.MapInfo, m) }
-
 func TestSimulateValidation(t *testing.T) {
-	if _, err := Simulate(Config{}, Job{}); err == nil {
-		t.Fatal("empty config accepted")
+	p := plan(t, core.EngineSIDR, 128, 4)
+	if _, err := Run(Config{}, p.JobConfig(nil, nil), workload(p)); err == nil {
+		t.Fatal("empty topology accepted")
 	}
-	if _, err := Simulate(tinyConfig(), Job{}); err == nil {
-		t.Fatal("nil scheduler accepted")
+	short := workload(p)
+	short.Splits = short.Splits[1:]
+	if _, err := Run(tinyConfig(), p.JobConfig(nil, nil), short); err == nil {
+		t.Fatal("workload with a split missing accepted")
+	}
+	short = workload(p)
+	short.Reduces = short.Reduces[1:]
+	if _, err := Run(tinyConfig(), p.JobConfig(nil, nil), short); err == nil {
+		t.Fatal("workload with a keyblock missing accepted")
+	}
+	// The loop's own checks are the simulator's: task orders must permute.
+	loop := p.JobConfig(nil, nil)
+	loop.MapOrder = make([]int, len(p.Splits))
+	if _, err := Run(tinyConfig(), loop, workload(p)); !errors.Is(err, mapreduce.ErrBadMapOrder) {
+		t.Fatalf("repeated MapOrder entry: %v", err)
+	}
+	loop = p.JobConfig(nil, nil)
+	loop.ReduceOrder = []int{0, 1, 2, 2}
+	if _, err := Run(tinyConfig(), loop, workload(p)); !errors.Is(err, mapreduce.ErrBadMapOrder) {
+		t.Fatalf("repeated ReduceOrder entry: %v", err)
 	}
 }
 
 func TestGlobalBarrierReducesAfterAllMaps(t *testing.T) {
-	cfg := tinyConfig()
-	job := alignedJob(8, 2, sched.NewHadoop(noHosts(8), 2), true)
-	job.FetchAll = true
-	res, err := Simulate(cfg, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 8 maps on 4 slots at 10s (with locality penalty 2 since no hosts
-	// are local): 2 waves of 20s = 40s. No reduce may finish before then.
-	if res.Stats.MapsDone != 40 {
+	p := plan(t, core.EngineSciHadoop, 128, 2)
+	res := run(t, tinyConfig(), p, workload(p))
+	// 32 maps on 4 slots at 20 s (no split is node-local): 8 waves. No
+	// reduce may finish before then.
+	if res.Stats.MapsDone != 160 {
 		t.Fatalf("MapsDone = %v", res.Stats.MapsDone)
 	}
 	if res.Stats.FirstResult <= res.Stats.MapsDone {
 		t.Fatalf("global barrier violated: first result %v before maps done %v", res.Stats.FirstResult, res.Stats.MapsDone)
 	}
-	if res.Stats.Connections != 8*2 {
-		t.Fatalf("Connections = %d, want 16", res.Stats.Connections)
+	if res.Stats.Connections != 32*2 {
+		t.Fatalf("Connections = %d, want 64 (maps × reduces)", res.Stats.Connections)
 	}
 }
 
 func TestDependencyBarrierProducesEarlyResults(t *testing.T) {
-	cfg := tinyConfig()
-	g := alignedDepGraph(8, 2)
-	s, err := sched.NewSIDR(noHosts(8), g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := alignedJob(8, 2, s, false)
-	res, err := Simulate(cfg, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reduce 0 depends only on splits 0-3 (first map wave): its result
+	p := plan(t, core.EngineSIDR, 128, 2)
+	res := run(t, tinyConfig(), p, workload(p))
+	// Keyblock 0 depends only on the first half of the splits: its result
 	// must land before the last map finishes.
 	if !(res.Stats.FirstResult < res.Stats.MapsDone) {
 		t.Fatalf("no early result: first %v, maps done %v", res.Stats.FirstResult, res.Stats.MapsDone)
 	}
-	if res.Stats.Connections != 8 {
-		t.Fatalf("Connections = %d, want 8 (Σ|I_ℓ|)", res.Stats.Connections)
+	if res.Stats.Connections != 32 {
+		t.Fatalf("Connections = %d, want 32 (Σ|I_ℓ|)", res.Stats.Connections)
 	}
-	if res.Trace.Len() != 10 {
-		t.Fatalf("trace has %d entries", res.Trace.Len())
+	maps, reduces := res.Trace.SeriesOf(trace.Map), res.Trace.SeriesOf(trace.Reduce)
+	if len(maps.Times) != 32 || len(reduces.Times) != 2 {
+		t.Fatalf("trace has %d map and %d reduce completions", len(maps.Times), len(reduces.Times))
 	}
 }
 
@@ -129,123 +144,76 @@ func TestSIDRBeatsGlobalBarrierMakespan(t *testing.T) {
 	// during the Map phase.
 	cfg := tinyConfig()
 	cfg.ReduceBase = 30 // substantial reduce work makes overlap matter
-
-	g := alignedDepGraph(8, 4)
-	s, _ := sched.NewSIDR(noHosts(8), g, nil)
-	sidrRes, err := Simulate(cfg, alignedJob(8, 4, s, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hJob := alignedJob(8, 4, sched.NewHadoop(noHosts(8), 4), true)
-	hJob.FetchAll = true
-	hRes, err := Simulate(cfg, hJob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(sidrRes.Stats.Makespan < hRes.Stats.Makespan) {
-		t.Fatalf("SIDR %v not faster than global %v", sidrRes.Stats.Makespan, hRes.Stats.Makespan)
+	ss := plan(t, core.EngineSIDR, 128, 4)
+	sh := plan(t, core.EngineSciHadoop, 128, 4)
+	sidr, global := run(t, cfg, ss, workload(ss)), run(t, cfg, sh, workload(sh))
+	if !(sidr.Stats.Makespan < global.Stats.Makespan) {
+		t.Fatalf("SIDR %v not faster than global %v", sidr.Stats.Makespan, global.Stats.Makespan)
 	}
 }
 
 func TestLocalityReducesMapTime(t *testing.T) {
 	cfg := tinyConfig()
-	mkJob := func(local bool) Job {
-		hosts := noHosts(4)
-		if local {
-			for i := range hosts {
-				hosts[i] = sched.MapInfo{Hosts: []string{NodeName(i % cfg.Workers)}}
-			}
-		}
-		job := Job{Scheduler: sched.NewHadoop(hosts, 1), GlobalBarrier: true, FetchAll: true, MapCostFactor: 1}
-		for i := 0; i < 4; i++ {
-			sp := Split{Points: 100, Bytes: 100}
-			if local {
-				sp.Hosts = []string{NodeName(i % cfg.Workers)}
-			}
-			job.Splits = append(job.Splits, sp)
-		}
-		job.Reduces = []Reduce{{Pairs: 1, InBytes: 100}}
-		return job
+	p := plan(t, core.EngineSciHadoop, 128, 1)
+	placed := p.JobConfig(nil, nil)
+	placed.Splits = append([]mapreduce.InputSplit(nil), p.Splits...)
+	for i := range placed.Splits {
+		placed.Splits[i].Hosts = []string{NodeName(i % cfg.Workers), "elsewhere"}
 	}
-	localRes, err := Simulate(cfg, mkJob(true))
+	localRes, err := Run(cfg, placed, workload(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteRes, err := Simulate(cfg, mkJob(false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	remoteRes := run(t, cfg, p, workload(p))
 	if !(localRes.Stats.MapsDone < remoteRes.Stats.MapsDone) {
 		t.Fatalf("locality had no effect: %v vs %v", localRes.Stats.MapsDone, remoteRes.Stats.MapsDone)
 	}
-	if localRes.Stats.LocalMaps == 0 || remoteRes.Stats.LocalMaps != 0 {
+	// Each node holds half the splits and has half the slots, so every
+	// task finishes first on a node that holds it.
+	if localRes.Stats.LocalMaps != 32 || remoteRes.Stats.LocalMaps != 0 {
 		t.Fatalf("LocalMaps = %d / %d", localRes.Stats.LocalMaps, remoteRes.Stats.LocalMaps)
 	}
 }
 
 func TestMapCostFactorSlowsMaps(t *testing.T) {
-	cfg := tinyConfig()
-	base := alignedJob(4, 2, sched.NewHadoop(noHosts(4), 2), true)
-	base.FetchAll = true
-	r1, err := Simulate(cfg, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := alignedJob(4, 2, sched.NewHadoop(noHosts(4), 2), true)
-	slow.FetchAll = true
+	p := plan(t, core.EngineHadoop, 128, 2)
+	base, slow := workload(p), workload(p)
 	slow.MapCostFactor = 2.35
-	r2, err := Simulate(cfg, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := r2.Stats.MapsDone / r1.Stats.MapsDone
-	if math.Abs(ratio-2.35) > 1e-9 {
+	r1, r2 := run(t, tinyConfig(), p, base), run(t, tinyConfig(), p, slow)
+	if ratio := r2.Stats.MapsDone / r1.Stats.MapsDone; math.Abs(ratio-2.35) > 1e-9 {
 		t.Fatalf("map cost factor ratio = %v", ratio)
 	}
 }
 
 func TestDeterministicWithSeed(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Workers = 4
-	run := func() float64 {
-		g := alignedDepGraph(16, 4)
-		s, _ := sched.NewSIDR(noHosts(16), g, nil)
-		res, err := Simulate(cfg, alignedJob(16, 4, s, false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Stats.Makespan
-	}
-	if run() != run() {
-		t.Fatal("same seed produced different makespans")
+	cfg.Workers = 2
+	cfg.StragglerProb = 0.1
+	p := plan(t, core.EngineSIDR, 256, 4)
+	job := workload(p)
+	job.Failure = &FailureModel{Prob: 0.5, Recompute: true}
+	a, b := run(t, cfg, p, job), run(t, cfg, p, job)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed, different runs:\n%+v\n%+v", a, b)
 	}
 	cfg.Seed = 99
-	// Different seed should (almost surely) change the jittered result.
-	if run() == func() float64 { cfg.Seed = 1; return run() }() {
-		t.Log("seeds collided; not fatal but suspicious")
+	if c := run(t, cfg, p, job); reflect.DeepEqual(a.Trace, c.Trace) {
+		t.Fatal("a different seed replayed the same trace")
 	}
 }
 
 func TestDeadlockDetected(t *testing.T) {
-	// A SIDR-scheduled job where one split is referenced by no reduce:
-	// the map never becomes eligible and the simulator must report it.
-	g := &depgraph.Graph{
-		SplitToKB:     [][]int{{0}, {}},
-		KBToSplits:    [][]int{{0}},
-		ExpectedCount: []int64{1},
-		SplitPoints:   []int64{1, 1},
-	}
-	s, err := sched.NewSIDR(noHosts(2), g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := Job{
-		Scheduler: s,
-		Splits:    []Split{{Points: 1}, {Points: 1}},
-		Reduces:   []Reduce{{Pairs: 1, Deps: []int{0}}},
-	}
-	if _, err := Simulate(tinyConfig(), job); err == nil {
-		t.Fatal("stranded map not reported")
+	// A graph whose two directions disagree: keyblock 0 waits for split 0,
+	// but split 0 does not know it. The loop's stall detection reports it.
+	p := plan(t, core.EngineSIDR, 128, 2)
+	loop := p.JobConfig(nil, nil)
+	g := *p.Graph
+	g.SplitToKB = append([][]int(nil), g.SplitToKB...)
+	g.SplitToKB[0] = nil
+	loop.Graph = &g
+	_, err := Run(tinyConfig(), loop, workload(p))
+	if err == nil || !strings.Contains(err.Error(), "stalled") {
+		t.Fatalf("stranded keyblock: %v", err)
 	}
 }
 
@@ -254,24 +222,17 @@ func TestMoreReducersTrackMapCurve(t *testing.T) {
 	// move the Reduce completion curve closer to the Map completion
 	// curve (and shrink time-to-first-result).
 	cfg := DefaultConfig()
+	cfg.Workers = 4 // 16 Map slots for 96 splits: six waves
 	cfg.JitterFrac = 0
 	gap := func(r int) (first, makespan float64) {
-		m := 96
-		g := alignedDepGraph(m, r)
-		s, err := sched.NewSIDR(noHosts(m), g, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		job := alignedJob(m, r, s, false)
+		p := plan(t, core.EngineSIDR, 384, r)
+		job := workload(p)
 		for i := range job.Reduces {
 			// Fixed total reduce work split across r tasks.
 			job.Reduces[i].Pairs = int64(96000 / r)
 			job.Reduces[i].InBytes = int64(9600000 / r)
 		}
-		res, err := Simulate(cfg, job)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := run(t, cfg, p, job)
 		return res.Stats.FirstResult, res.Stats.Makespan
 	}
 	f4, m4 := gap(4)
@@ -284,11 +245,30 @@ func TestMoreReducersTrackMapCurve(t *testing.T) {
 	}
 }
 
+// offByOne perturbs the kv-count tally of every fetch.
+type offByOne struct{ mapreduce.Runner }
+
+func (r offByOne) Fetch(ctx context.Context, l int, refs []any) ([][]kv.Pair, int64, []int, error) {
+	streams, tally, lost, err := r.Runner.Fetch(ctx, l, refs)
+	return streams, tally + 1, lost, err
+}
+
+func TestCountGateIsOnInSimulation(t *testing.T) {
+	p := plan(t, core.EngineSIDR, 128, 2)
+	loop := p.JobConfig(nil, nil)
+	r, err := newRunner(tinyConfig(), loop, workload(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop.Runner, loop.Workers = offByOne{r}, 1
+	if _, err := mapreduce.Run(loop); !errors.Is(err, mapreduce.ErrCountMismatch) {
+		t.Fatalf("perturbed tally: %v, want ErrCountMismatch", err)
+	}
+}
+
 func TestNodes(t *testing.T) {
 	ns := Nodes(3)
 	if len(ns) != 3 || ns[0] != "node00" || ns[2] != "node02" {
 		t.Fatalf("Nodes = %v", ns)
 	}
 }
-
-var _ = trace.Map // keep the trace import for the helper types

@@ -3,29 +3,19 @@ package simcluster
 import (
 	"testing"
 
-	"sidr/internal/sched"
+	"sidr/internal/core"
 )
 
-func stragglerJob() Job {
-	return alignedJob(64, 4, sched.NewHadoop(noHosts(64), 4), true)
-}
+// stragglerPlan is 64 Maps under the global barrier.
+func stragglerPlan(t *testing.T) *core.Plan { return plan(t, core.EngineSciHadoop, 256, 4) }
 
 func TestStragglersSlowTheJob(t *testing.T) {
 	cfg := tinyConfig()
-	plain := stragglerJob()
-	plain.FetchAll = true
-	r0, err := Simulate(cfg, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := stragglerPlan(t)
+	r0 := run(t, cfg, p, workload(p))
 	cfg.StragglerProb = 0.1
 	cfg.StragglerFactor = 5
-	slow := stragglerJob()
-	slow.FetchAll = true
-	r1, err := Simulate(cfg, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := run(t, cfg, p, workload(p))
 	if r1.Stats.Stragglers == 0 {
 		t.Fatal("no stragglers injected")
 	}
@@ -35,25 +25,13 @@ func TestStragglersSlowTheJob(t *testing.T) {
 }
 
 func TestSpeculationMitigatesStragglers(t *testing.T) {
-	base := tinyConfig()
-	base.StragglerProb = 0.1
-	base.StragglerFactor = 8
-
-	noSpec := stragglerJob()
-	noSpec.FetchAll = true
-	r0, err := Simulate(base, noSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	spec := base
-	spec.Speculation = true
-	specJob := stragglerJob()
-	specJob.FetchAll = true
-	r1, err := Simulate(spec, specJob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := tinyConfig()
+	cfg.StragglerProb = 0.1
+	cfg.StragglerFactor = 8
+	p := stragglerPlan(t)
+	r0 := run(t, cfg, p, workload(p))
+	cfg.Speculation = true
+	r1 := run(t, cfg, p, workload(p))
 	if r1.Stats.SpeculativeWins == 0 {
 		t.Fatal("no speculative wins recorded")
 	}
@@ -65,13 +43,8 @@ func TestSpeculationMitigatesStragglers(t *testing.T) {
 func TestSpeculationNoOpWithoutStragglers(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Speculation = true
-	job := stragglerJob()
-	job.FetchAll = true
-	res, err := Simulate(cfg, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Stragglers != 0 || res.Stats.SpeculativeWins != 0 {
+	p := stragglerPlan(t)
+	if res := run(t, cfg, p, workload(p)); res.Stats.Stragglers != 0 || res.Stats.SpeculativeWins != 0 {
 		t.Fatalf("phantom stragglers: %+v", res.Stats)
 	}
 }

@@ -1,7 +1,7 @@
 // Package trace records task-completion traces and converts them into the
 // series the paper's figures plot: fraction of Map/Reduce tasks complete
-// over time (Figures 9-11, 13), first-result times, and cross-run
-// variance statistics (Figure 12).
+// over time (Figures 9-11, 13) and cross-run variance statistics
+// (Figure 12).
 package trace
 
 import (
@@ -40,9 +40,6 @@ func (t *Trace) Add(typ TaskType, id int, at float64) {
 	t.completions = append(t.completions, Completion{Type: typ, ID: id, At: at})
 }
 
-// Len returns the number of completions recorded.
-func (t *Trace) Len() int { return len(t.completions) }
-
 // times returns sorted completion times of one task type.
 func (t *Trace) times(typ TaskType) []float64 {
 	var out []float64
@@ -53,22 +50,6 @@ func (t *Trace) times(typ TaskType) []float64 {
 	}
 	sort.Float64s(out)
 	return out
-}
-
-// MapTimes returns sorted Map completion times.
-func (t *Trace) MapTimes() []float64 { return t.times(Map) }
-
-// ReduceTimes returns sorted Reduce completion times.
-func (t *Trace) ReduceTimes() []float64 { return t.times(Reduce) }
-
-// FirstResult returns the time the first Reduce output became available,
-// or NaN if none completed.
-func (t *Trace) FirstResult() float64 {
-	rs := t.ReduceTimes()
-	if len(rs) == 0 {
-		return math.NaN()
-	}
-	return rs[0]
 }
 
 // Makespan returns the completion time of the last task, or NaN for an

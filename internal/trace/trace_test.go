@@ -21,26 +21,23 @@ func TestTimesSorted(t *testing.T) {
 	tr.Add(Map, 0, 30)
 	tr.Add(Map, 1, 10)
 	tr.Add(Map, 2, 20)
-	ts := tr.MapTimes()
+	ts := tr.SeriesOf(Map).Times
 	if ts[0] != 10 || ts[1] != 20 || ts[2] != 30 {
-		t.Fatalf("MapTimes = %v", ts)
+		t.Fatalf("Map times = %v", ts)
 	}
 }
 
 func TestFirstResultAndMakespan(t *testing.T) {
 	tr := sampleTrace()
-	if tr.FirstResult() != 25 {
-		t.Fatalf("FirstResult = %v", tr.FirstResult())
+	if first := tr.SeriesOf(Reduce).Times[0]; first != 25 {
+		t.Fatalf("first result = %v", first)
 	}
 	if tr.Makespan() != 50 {
 		t.Fatalf("Makespan = %v", tr.Makespan())
 	}
 	empty := &Trace{}
-	if !math.IsNaN(empty.FirstResult()) || !math.IsNaN(empty.Makespan()) {
-		t.Fatal("empty trace should be NaN")
-	}
-	if empty.Len() != 0 || tr.Len() != 5 {
-		t.Fatal("Len wrong")
+	if !math.IsNaN(empty.Makespan()) || len(empty.SeriesOf(Reduce).Times) != 0 {
+		t.Fatal("empty trace should have no makespan and no results")
 	}
 }
 

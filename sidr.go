@@ -16,7 +16,7 @@
 //	res, _ := sidr.Run(ds, q, sidr.RunOptions{Engine: sidr.SIDR, Reducers: 4})
 //
 // The facade accepts plain []int64 coordinates; the internal packages
-// (coords, mapreduce, partition, depgraph, sched, simcluster, ...) expose
+// (coords, mapreduce, partition, depgraph, simcluster, ...) expose
 // the full machinery for advanced use within this module.
 package sidr
 
