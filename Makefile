@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race flake vet serve bench bench-kv bench-spine bench-paper fuzz smoke smoke-serve clean
+.PHONY: build test race flake vet serve bench bench-kv bench-serve bench-spine bench-paper fuzz smoke smoke-serve clean
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,12 @@ bench:
 bench-kv:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/kv
 
+# bench-serve runs the stream handler's micro-benchmarks once (CI does
+# the same): a result-cache hit sent from the entry's cached bytes and the
+# executed job's stream encoded live, identity and gzip.
+bench-serve:
+	$(GO) test -run='^$$' -bench='^BenchmarkStream' -benchtime=1x ./internal/server
+
 # bench-spine runs the repo's one measurement harness (BENCHMARK.json):
 # five named workloads, end-to-end metrics plus per-layer attribution.
 bench-spine:
@@ -67,8 +73,9 @@ smoke:
 	scripts/cluster_smoke.sh
 
 # smoke-serve checks the serving tier end to end over real HTTP: repeat
-# query is a recorded byte-identical cache hit, gzip decodes to identity
-# bytes, tenant quota breaches 429.
+# query is a recorded byte-identical cache hit whose stream — identity and
+# one hand-assembled gzip member — is the cold run's, gzip decodes to
+# identity bytes, tenant quota breaches 429.
 smoke-serve:
 	scripts/serve_smoke.sh
 

@@ -522,8 +522,16 @@ func (p *Plan) Assemble(outputs []mapreduce.ReduceOutput) (keys [][]int64, value
 		sort.Slice(rows, func(i, j int) bool { return rows[i].Key.Less(rows[j].Key) })
 	}
 	keys, values = make([][]int64, len(rows)), make([][]float64, len(rows))
+	n = 0
+	for _, r := range rows {
+		n += len(r.Key)
+	}
+	// One backing array for the result's keys, each handed out clipped to
+	// its own length so an append to one cannot reach the next.
+	arena := make([]int64, 0, n)
 	for i, r := range rows {
-		keys[i], values[i] = append([]int64(nil), r.Key...), r.Values
+		arena = append(arena, r.Key...)
+		keys[i], values[i] = arena[len(arena)-len(r.Key):len(arena):len(arena)], r.Values
 	}
 	return keys, values, nil
 }

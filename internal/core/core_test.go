@@ -213,3 +213,38 @@ func TestSkewEncodingOption(t *testing.T) {
 		t.Fatalf("keyblock 0 count = %d", p.Graph.ExpectedCount[0])
 	}
 }
+
+// TestAssembleAllocationsDoNotGrowWithRows: the assembled keys share one
+// backing array, so Assemble's allocation count stays a handful at any
+// row count (the row buffer, the sort's closure and swapper, the two
+// row-header slices, the arena), and the keys are clipped copies.
+func TestAssembleAllocationsDoNotGrowWithRows(t *testing.T) {
+	p, err := NewPlan(mustParse(t, "avg w[0,0 : 24,8] es {4,4}"), EngineSIDR, Options{Reducers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var allocs []float64
+	for _, rows := range []int{16, 16384} {
+		out := mapreduce.ReduceOutput{Keys: make([]coords.Coord, rows), Values: make([][]float64, rows)}
+		for i := range out.Keys {
+			out.Keys[i] = coords.Coord{int64(rows - i), int64(i)}
+		}
+		var keys [][]int64
+		allocs = append(allocs, testing.AllocsPerRun(5, func() {
+			if keys, _, err = p.Assemble([]mapreduce.ReduceOutput{out}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		_ = append(keys[0], -1)
+		if len(keys) != rows || keys[0][0] != 1 || keys[1][0] != 2 || keys[rows-1][0] != int64(rows) {
+			t.Fatalf("%d rows: assembled keys not sorted copies: %v … %v", rows, keys[:2], keys[rows-1])
+		}
+		out.Keys[rows-1][0] = -7
+		if keys[0][0] != 1 {
+			t.Fatal("assembled keys alias the Reduce output's")
+		}
+	}
+	if allocs[0] > 8 || allocs[1] > 8 {
+		t.Fatalf("Assemble allocations %v for 16 and 16384 rows; want ≤ 8 at both", allocs)
+	}
+}

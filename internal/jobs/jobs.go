@@ -13,6 +13,7 @@ import (
 
 	"sidr"
 	"sidr/internal/query"
+	"sidr/internal/wire"
 )
 
 // State is a job's lifecycle position.
@@ -152,7 +153,10 @@ type Job struct {
 	// (empty when the dataset provider is unversioned). notify fires
 	// exactly once when the job turns terminal, with no job lock held —
 	// the manager uses it for tenant in-flight and collapse-map cleanup.
-	cacheKey   string
+	cacheKey string
+	// hit is the result-cache entry a job served from the cache was born
+	// from (nil for every other job); set before the job is published.
+	hit        *resultEntry
 	follower   bool
 	notify     func()
 	notifyOnce sync.Once
@@ -199,6 +203,17 @@ func (j *Job) Result() *sidr.Result {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result
+}
+
+// EncodedStream returns the job's whole stream in the form it is sent —
+// the cache entry's own bytes, encoded once for every hit of the entry —
+// when the job was served from the result cache, and nil for any other
+// job: those stream through Stream as their keyblocks commit.
+func (j *Job) EncodedStream() ([]wire.EncodedEvent, error) {
+	if j.hit == nil {
+		return nil, nil
+	}
+	return j.hit.stream()
 }
 
 // Snapshot captures the job's current status.

@@ -100,8 +100,10 @@ type Config struct {
 	Cluster *cluster.Coordinator
 	// ResultCacheBytes is the memory budget of the versioned result cache
 	// (default 64 MiB; < 0 disables caching): the bytes its entries keep
-	// alive, counted from their row and number counts. Entries are keyed
-	// on {dataset version, canonical query, engine, plan parameters}.
+	// alive — their rows, counted from row and number counts, and, once
+	// an entry has been streamed to a hit, its encoded stream. Entries
+	// are keyed on {dataset version, canonical query, engine, plan
+	// parameters}.
 	ResultCacheBytes int64
 	// Tenants maps tenant names to explicit admission policies; tenants
 	// absent from the map fall back to TenantDefault.
@@ -321,7 +323,9 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	// charge — and its log IS the cached run's (the leader's own, see
 	// execute), so its stream replays what the first client was sent.
 	if keyed && m.rcache != nil {
-		if res, ok := m.rcache.get(key); ok {
+		if e, ok := m.rcache.get(key); ok {
+			res := e.res
+			j.hit = e
 			j.resultHit = true
 			j.partials = res.Partials
 			j.started = j.created

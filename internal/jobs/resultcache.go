@@ -7,6 +7,7 @@ import (
 
 	"sidr"
 	"sidr/internal/metrics"
+	"sidr/internal/wire"
 )
 
 // resultCache is an LRU of completed query results, budgeted by the
@@ -27,6 +28,11 @@ import (
 // produced and the wire encoding is byte-identical to the original
 // response — including the partial sequence a cached job's stream
 // replays, which is the log the first client was streamed from.
+//
+// An entry also stores what it serves: the first hit that opens a stream
+// encodes the result's events once (resultEntry.stream) and every later
+// hit is sent those bytes. They count against the same budget from the
+// moment they exist; a result nobody asks for twice never pays for them.
 type resultCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -34,8 +40,8 @@ type resultCache struct {
 	ll     *list.List // front = most recent
 	items  map[string]*list.Element
 
-	hits, misses, evictions *metrics.Counter
-	gBytes, gEntries        *metrics.Gauge
+	hits, misses, evictions, encodes *metrics.Counter
+	gBytes, gEntries                 *metrics.Gauge
 }
 
 type resultEntry struct {
@@ -45,7 +51,32 @@ type resultEntry struct {
 	// not just the primary.
 	datasets []string
 	res      *sidr.Result
-	size     int64
+	size     int64 // guarded by cache.mu
+
+	cache      *resultCache
+	encodeOnce sync.Once
+	encoded    []wire.EncodedEvent
+	encodeErr  error
+}
+
+// stream returns the entry's result as encoded stream events, encoding
+// them on the first call — concurrent first callers wait for the one
+// encoding — and charging their bytes to the cache's budget, which may
+// evict least recently used entries, this one included. A caller keeps
+// the events it was handed either way.
+func (e *resultEntry) stream() ([]wire.EncodedEvent, error) {
+	e.encodeOnce.Do(func() {
+		e.cache.encodes.Inc()
+		if e.encoded, e.encodeErr = wire.EncodeStream(e.res); e.encodeErr != nil {
+			return
+		}
+		n := int64(cap(e.encoded)) * int64(unsafe.Sizeof(wire.EncodedEvent{}))
+		for _, ev := range e.encoded {
+			n += int64(cap(ev.Tail) + cap(ev.Deflated))
+		}
+		e.cache.grow(e, n)
+	})
+	return e.encoded, e.encodeErr
 }
 
 // newResultCache builds a cache with the given byte budget and registers
@@ -58,6 +89,7 @@ func newResultCache(budget int64, reg *metrics.Registry) *resultCache {
 		hits:      reg.Counter("sidrd_resultcache_hits_total"),
 		misses:    reg.Counter("sidrd_resultcache_misses_total"),
 		evictions: reg.Counter("sidrd_resultcache_evictions_total"),
+		encodes:   reg.Counter("sidrd_resultcache_encodes_total"),
 		gBytes:    reg.Gauge("sidrd_resultcache_bytes"),
 		gEntries:  reg.Gauge("sidrd_resultcache_entries"),
 	}
@@ -88,9 +120,9 @@ func rowsSize(keys [][]int64, values [][]float64) int64 {
 	return n
 }
 
-// get returns the cached result and bumps its recency, counting the hit
+// get returns the cached entry and bumps its recency, counting the hit
 // or miss.
-func (c *resultCache) get(key string) (*sidr.Result, bool) {
+func (c *resultCache) get(key string) (*resultEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -100,7 +132,7 @@ func (c *resultCache) get(key string) (*sidr.Result, bool) {
 	}
 	c.ll.MoveToFront(el)
 	c.hits.Inc()
-	return el.Value.(*resultEntry).res, true
+	return el.Value.(*resultEntry), true
 }
 
 // put inserts a completed result under the key, evicting least recently
@@ -120,9 +152,30 @@ func (c *resultCache) put(key string, datasets []string, res *sidr.Result) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&resultEntry{key: key, datasets: datasets, res: res, size: size})
+	c.items[key] = c.ll.PushFront(&resultEntry{key: key, datasets: datasets, res: res, size: size, cache: c})
 	c.bytes += size
-	for c.bytes > c.budget && c.ll.Len() > 1 {
+	c.shrinkLocked()
+}
+
+// grow charges n more bytes to an entry that has gained its encoded
+// stream. An entry evicted or invalidated in the meantime is not
+// charged: the cache no longer keeps it alive.
+func (c *resultCache) grow(e *resultEntry, n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[e.key]; !ok || el.Value.(*resultEntry) != e {
+		return
+	}
+	e.size += n
+	c.bytes += n
+	c.shrinkLocked()
+}
+
+// shrinkLocked evicts from the cold end until the byte budget holds —
+// everything, if the one entry left is over it on its own — and
+// refreshes the gauges. Caller holds mu.
+func (c *resultCache) shrinkLocked() {
+	for c.bytes > c.budget {
 		c.evictLocked(c.ll.Back())
 	}
 	c.publishLocked()

@@ -354,3 +354,124 @@ func TestTenantQuotaRejects(t *testing.T) {
 		t.Fatalf("post-completion submit rejected: %v", err)
 	}
 }
+
+// TestEncodedStreamIsChargedToTheBudget: the encoded stream an entry
+// gains on its first streamed hit is counted in sidrd_resultcache_bytes
+// against the one budget — evicting least recently used entries to make
+// room — and leaves the account with the entry.
+func TestEncodedStreamIsChargedToTheBudget(t *testing.T) {
+	queries := []string{testQuery, "sum v[0,0 : 32,32] es {4,4}", "min v[0,0 : 32,32] es {4,4}"}
+	run := func(m *Manager, q string) *Job {
+		t.Helper()
+		j, err := m.Submit(Request{Dataset: "d", Query: q, Reducers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := j.Wait(context.Background()); st != Done {
+			t.Fatalf("%q: state %v, err %v", q, st, j.Err())
+		}
+		return j
+	}
+	// What one of these results is charged before it is encoded.
+	probe := metrics.New()
+	run(newTestManager(t, Config{Datasets: newVersionedProvider([]int64{32, 32}), Metrics: probe}), testQuery)
+	plain := probe.Gauge("sidrd_resultcache_bytes").Value()
+
+	reg := metrics.New()
+	budget := 3*plain + plain/4 // three plain entries fit; an encoded stream more does not
+	m := newTestManager(t, Config{Datasets: newVersionedProvider([]int64{32, 32}), Metrics: reg, ResultCacheBytes: budget})
+	bytes, entries := reg.Gauge("sidrd_resultcache_bytes"), reg.Gauge("sidrd_resultcache_entries")
+	evictions := reg.Counter("sidrd_resultcache_evictions_total")
+	for _, q := range queries {
+		run(m, q)
+	}
+	if bytes.Value() != 3*plain || entries.Value() != 3 || evictions.Value() != 0 {
+		t.Fatalf("three plain entries: %d bytes (want %d), %d entries, %d evictions", bytes.Value(), 3*plain, entries.Value(), evictions.Value())
+	}
+
+	hit := run(m, queries[1]) // recency: 1, 2, 0 — entry 0 is the coldest
+	if !hit.Snapshot().ResultHit || bytes.Value() != 3*plain {
+		t.Fatalf("a hit that has not streamed must cost nothing: hit %v, %d bytes", hit.Snapshot().ResultHit, bytes.Value())
+	}
+	events, err := hit.EncodedStream()
+	if err != nil || len(events) != 5 {
+		t.Fatalf("EncodedStream: %d events, err %v; want 4 partials and done", len(events), err)
+	}
+	var encoded int64
+	for _, ev := range events {
+		encoded += int64(len(ev.Tail) + len(ev.Deflated))
+	}
+	if encoded <= plain/4 {
+		t.Fatalf("the encoded stream (%d bytes) fits beside three plain entries; the test's budget is wrong", encoded)
+	}
+	if got := bytes.Value(); got < 2*plain+encoded || got > budget || entries.Value() != 2 || evictions.Value() != 1 {
+		t.Fatalf("after encoding: %d bytes (want ≥ %d, ≤ budget %d), %d entries, %d evictions",
+			got, 2*plain+encoded, budget, entries.Value(), evictions.Value())
+	}
+	if run(m, queries[0]).Snapshot().ResultHit {
+		t.Fatal("the least recently used entry survived; the encoded bytes evicted something else")
+	}
+	if !run(m, queries[1]).Snapshot().ResultHit {
+		t.Fatal("the encoded entry was evicted by its own encoding")
+	}
+	if got := bytes.Value(); got > budget {
+		t.Fatalf("%d bytes cached over a budget of %d", got, budget)
+	}
+
+	// The encoded bytes leave the account with their entry.
+	m.InvalidateDataset("d")
+	if bytes.Value() != 0 || entries.Value() != 0 {
+		t.Fatalf("after invalidation: %d bytes, %d entries", bytes.Value(), entries.Value())
+	}
+	// A hit born before the invalidation still holds what it was served,
+	// and encoding for an entry that is gone charges nobody.
+	if again, err := hit.EncodedStream(); err != nil || &again[0] != &events[0] {
+		t.Fatalf("the hit lost its stream to the invalidation: %v", err)
+	}
+}
+
+// TestConcurrentFirstHitsEncodeOnce: hits of one entry that open their
+// streams at the same moment share one encoding.
+func TestConcurrentFirstHitsEncodeOnce(t *testing.T) {
+	reg := metrics.New()
+	m := newTestManager(t, Config{Datasets: newVersionedProvider([]int64{32, 32}), Metrics: reg})
+	var hits []*Job
+	for i := 0; i < 9; i++ {
+		j, err := m.Submit(Request{Dataset: "d", Query: testQuery, Reducers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := j.Wait(context.Background()); st != Done {
+			t.Fatalf("state %v, err %v", st, j.Err())
+		}
+		if i > 0 {
+			hits = append(hits, j)
+		} else if events, err := j.EncodedStream(); events != nil || err != nil {
+			t.Fatalf("the executing job has an encoded stream: %d events, %v", len(events), err)
+		}
+	}
+	streams := make([][]wire.EncodedEvent, len(hits))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, j := range hits {
+		wg.Add(1)
+		go func(i int, j *Job) {
+			defer wg.Done()
+			<-start
+			var err error
+			if streams[i], err = j.EncodedStream(); err != nil {
+				t.Error(err)
+			}
+		}(i, j)
+	}
+	close(start)
+	wg.Wait()
+	if got := reg.Counter("sidrd_resultcache_encodes_total").Value(); got != 1 {
+		t.Fatalf("%d hits encoded the entry %d times, want once", len(hits), got)
+	}
+	for i, s := range streams {
+		if len(s) != 5 || &s[0] != &streams[0][0] {
+			t.Fatalf("hit %d was handed its own encoding (%d events)", i, len(s))
+		}
+	}
+}

@@ -16,7 +16,9 @@
 // Query-API responses (JSON and the NDJSON stream) are gzip-compressed
 // when the client sends Accept-Encoding: gzip; the stream's compressor
 // is flushed with every partial so compression never delays an early
-// result. Submissions are attributed to the tenant named by the
+// result. The stream of a job served from the result cache is not
+// encoded or compressed at all: it is written from the bytes the cache
+// entry keeps (gzip.go). Submissions are attributed to the tenant named by the
 // X-SIDR-Tenant header (default "default") for per-tenant admission
 // quotas and weighted scheduling; quota breaches answer 429 with
 // detail "tenant-quota".
@@ -42,6 +44,9 @@ type Server struct {
 	metrics  *metrics.Registry
 	mux      *http.ServeMux
 	requests *metrics.Counter
+	// How each stream was served: from a cache entry's encoded bytes, or
+	// encoded and compressed event by event.
+	streamsCached, streamsLive *metrics.Counter
 }
 
 // New wires the handler set. The first three dependencies are required;
@@ -55,12 +60,15 @@ func New(mgr *jobs.Manager, registry *Registry, reg *metrics.Registry, coord *cl
 		metrics:  reg,
 		mux:      http.NewServeMux(),
 		requests: reg.Counter("sidrd_http_requests_total"),
+
+		streamsCached: reg.Counter("sidrd_streams_cached_total"),
+		streamsLive:   reg.Counter("sidrd_streams_live_total"),
 	}
 	s.mux.HandleFunc("POST /v1/query", gzipped(s.handleSubmit))
 	s.mux.HandleFunc("GET /v1/jobs", gzipped(s.handleListJobs))
 	s.mux.HandleFunc("GET /v1/jobs/{id}", gzipped(s.handleGetJob))
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", gzipped(s.handleStream))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream) // negotiates its own encoding
 	s.mux.HandleFunc("GET /v1/datasets", gzipped(s.handleDatasets))
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -192,11 +200,34 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.Snapshot())
 }
 
+// handleStream sends a job's NDJSON stream. A job served from the result
+// cache holds its whole stream already encoded, and sending it is a few
+// Writes (writeCachedStream); any other job is encoded event by event as
+// its keyblocks commit.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
+	j, err := s.mgr.Get(r.PathValue("id"))
+	var events []wire.EncodedEvent
+	if err == nil {
+		if events, err = j.EncodedStream(); err != nil {
+			err = fmt.Errorf("encoding the cached stream: %w", err)
+		}
+	}
+	if events != nil {
+		s.streamsCached.Inc()
+		writeCachedStream(w, r, j.ID, events)
 		return
 	}
+	w, done := compressed(w, r)
+	defer done()
+	if err != nil {
+		status := http.StatusInternalServerError
+		if errors.Is(err, jobs.ErrUnknownJob) {
+			status = http.StatusNotFound
+		}
+		writeError(w, status, err)
+		return
+	}
+	s.streamsLive.Inc()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
@@ -206,21 +237,32 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	enc := json.NewEncoder(w)
 	flush() // commit headers before the first keyblock lands
 
-	state, err := j.Stream(r.Context(), func(pr sidr.PartialResult) error {
-		p := wire.FromPartial(pr)
-		if err := enc.Encode(wire.StreamEvent{Type: wire.EventPartial, JobID: j.ID, Partial: &p}); err != nil {
+	var head []byte
+	send := func(ev wire.StreamEvent) error {
+		tail, err := wire.EventTail(ev)
+		if err != nil {
+			return err
+		}
+		head = wire.AppendEventHead(head[:0], ev.Type, j.ID)
+		if _, err := w.Write(head); err != nil {
+			return err
+		}
+		if _, err := w.Write(tail); err != nil {
 			return err
 		}
 		flush()
 		return nil
+	}
+	state, err := j.Stream(r.Context(), func(pr sidr.PartialResult) error {
+		p := wire.FromPartial(pr)
+		return send(wire.StreamEvent{Type: wire.EventPartial, Partial: &p})
 	})
 	if err != nil {
 		return // client gone or write failed; nothing more to say
 	}
-	final := wire.StreamEvent{JobID: j.ID}
+	var final wire.StreamEvent
 	switch state {
 	case jobs.Done:
 		final.Type = wire.EventDone
@@ -237,8 +279,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			final.Detail = errorDetail(jerr)
 		}
 	}
-	enc.Encode(final)
-	flush()
+	send(final)
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {

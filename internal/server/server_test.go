@@ -25,21 +25,21 @@ import (
 
 // fixture wires a full daemon stack against an httptest server.
 type fixture struct {
-	t        *testing.T
+	t        testing.TB
 	ts       *httptest.Server
 	mgr      *jobs.Manager
 	registry *Registry
 	metrics  *metrics.Registry
 }
 
-func newFixture(t *testing.T, registry *Registry) *fixture {
+func newFixture(t testing.TB, registry *Registry) *fixture {
 	t.Helper()
 	return newFixtureCfg(t, registry, jobs.Config{})
 }
 
 // newFixtureCfg is newFixture with manager knobs (queue depth, worker
 // counts) under test control; cfg.Datasets and cfg.Metrics are set here.
-func newFixtureCfg(t *testing.T, registry *Registry, cfg jobs.Config) *fixture {
+func newFixtureCfg(t testing.TB, registry *Registry, cfg jobs.Config) *fixture {
 	t.Helper()
 	reg := metrics.New()
 	cfg.Datasets = registry

@@ -67,10 +67,21 @@ func TestReregistrationDropsCachedResults(t *testing.T) {
 	if a, b := resultBytes(t, f, first.ID), resultBytes(t, f, second.ID); a != b {
 		t.Fatalf("cached result bytes differ from original:\n%s\nvs\n%s", a, b)
 	}
+	// The hit's stream gives the entry its encoded bytes, on the cache's
+	// account; they must go when the entry goes.
+	cacheBytes := f.metrics.Gauge("sidrd_resultcache_bytes")
+	plain := cacheBytes.Value()
+	body, _ := f.streamBody(second.ID, "identity")
+	if grown := cacheBytes.Value() - plain; grown < int64(len(body))-64 {
+		t.Fatalf("streaming a hit grew the cache's bytes by %d; its identity stream alone is %d", grown, len(body))
+	}
 
 	// Re-registration: same name, different seed — different contents.
 	if !registry.Remove("temp") {
 		t.Fatal("Remove returned false for a registered dataset")
+	}
+	if got := cacheBytes.Value(); got != 0 {
+		t.Fatalf("sidrd_resultcache_bytes = %d after the only entry was invalidated", got)
 	}
 	if err := registry.AddGenerated("temp", tempSpec(8)); err != nil {
 		t.Fatal(err)

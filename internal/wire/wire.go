@@ -5,6 +5,9 @@
 package wire
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/json"
 	"time"
 
 	"sidr"
@@ -144,4 +147,101 @@ type StreamEvent struct {
 	// Detail carries the same saturation vocabulary as Error.Detail on
 	// "failed" events (e.g. DetailNoWorkers).
 	Detail string `json:"detail,omitempty"`
+}
+
+// A stream event's NDJSON line splits where its bytes stop depending on
+// the job it is sent for: AppendEventHead writes the opening up to and
+// including the job ID, EventTail everything after it. Head + tail is,
+// byte for byte, what json.Encoder emits for the StreamEvent. The server
+// writes every event through this pair, and the result cache keeps tails
+// (internal/jobs): a cached stream is re-sent under another job's ID by
+// writing that job's head in front of bytes encoded once.
+
+// AppendEventHead appends `{"type":"<typ>","job_id":"<jobID>"` to dst (no
+// job_id member when jobID is empty).
+func AppendEventHead(dst []byte, typ, jobID string) []byte {
+	dst = append(dst, `{"type":`...)
+	dst = appendString(dst, typ)
+	if jobID != "" {
+		dst = append(dst, `,"job_id":`...)
+		dst = appendString(dst, jobID)
+	}
+	return dst
+}
+
+// EventTail returns the rest of ev's line — `,"partial":{…}}` or
+// `,"result":{…}}` or the error members, down to the closing brace and
+// the newline. ev's Type and JobID belong to the head and are ignored.
+func EventTail(ev StreamEvent) ([]byte, error) {
+	ev.Type, ev.JobID = "", ""
+	b, err := json.Marshal(ev)
+	if err != nil {
+		return nil, err
+	}
+	return append(b[len(`{"type":""`):], '\n'), nil
+}
+
+// appendString appends s as a JSON string. Event types and job IDs are
+// plain ASCII, which is its own encoding; anything else goes the long way.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// EncodedEvent is one event of a finished result's stream in the form it
+// is sent, minus the head: what the result cache keeps so that a hit is
+// served by writing, not by encoding.
+type EncodedEvent struct {
+	Type string // the head's type member: EventPartial or EventDone
+	Tail []byte // EventTail's bytes
+	// Deflated is Tail as a raw deflate stream compressed on its own —
+	// no back-reference leaves the segment — at the default level and
+	// sync-flushed: it ends byte-aligned and holds no final block, so
+	// segments and stored blocks concatenate into one valid deflate
+	// stream behind any prefix.
+	Deflated []byte
+}
+
+// EncodeStream encodes the whole stream of a finished result: every
+// partial in log order, then the done event.
+func EncodeStream(res *sidr.Result) ([]EncodedEvent, error) {
+	events := make([]EncodedEvent, 0, len(res.Partials)+1)
+	var buf bytes.Buffer
+	fw, err := flate.NewWriter(&buf, flate.DefaultCompression)
+	if err != nil {
+		return nil, err
+	}
+	add := func(ev StreamEvent) error {
+		tail, err := EventTail(ev)
+		if err != nil {
+			return err
+		}
+		buf.Reset()
+		fw.Reset(&buf)
+		if _, err := fw.Write(tail); err != nil {
+			return err
+		}
+		if err := fw.Flush(); err != nil {
+			return err
+		}
+		events = append(events, EncodedEvent{Type: ev.Type, Tail: tail, Deflated: bytes.Clone(buf.Bytes())})
+		return nil
+	}
+	for _, pr := range res.Partials {
+		p := FromPartial(pr)
+		if err := add(StreamEvent{Type: EventPartial, Partial: &p}); err != nil {
+			return nil, err
+		}
+	}
+	if err := add(StreamEvent{Type: EventDone, Result: FromResult(res)}); err != nil {
+		return nil, err
+	}
+	return events, nil
 }

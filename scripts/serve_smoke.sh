@@ -4,9 +4,11 @@
 # Builds sidrd, registers a dataset, and runs the same query twice:
 # the first submission must execute cold, the second must be a recorded
 # result-cache hit (snapshot result_cache_hit=true, metrics counter
-# incremented) whose result bytes are identical to the first's. Also
-# checks gzip responses decode to the identity bytes and that a tenant
-# quota breach returns 429 with detail "tenant-quota".
+# incremented) whose result bytes are identical to the first's, and
+# whose stream — sent from the cache entry's encoded bytes, as identity
+# and as one hand-assembled gzip member — is the cold run's. Also checks
+# gzip responses decode to the identity bytes and that a tenant quota
+# breach returns 429 with detail "tenant-quota".
 #
 # Usage: scripts/serve_smoke.sh [port]
 set -euo pipefail
@@ -91,6 +93,31 @@ fi
 curl -fsS "$BASE/metrics" | grep -q '^sidrd_resultcache_hits_total 1' \
   || { echo "FAIL: sidrd_resultcache_hits_total != 1"; exit 1; }
 echo "   cache hit recorded, result bytes identical"
+
+echo "== the hit's stream: spliced from cached bytes, identity and one gzip member"
+stream_of() { # stream_of <job-id> <curl args...> -> the stream's body on stdout
+  local id="$1"; shift
+  curl -fsS "$@" "$BASE/v1/jobs/$id/stream"
+}
+stream_of "$JOB2" -H 'Accept-Encoding: identity' >"$WORK/hit.ndjson"
+stream_of "$JOB2" --compressed >"$WORK/hit.gunzip.ndjson"
+cmp -s "$WORK/hit.ndjson" "$WORK/hit.gunzip.ndjson" \
+  || { echo "FAIL: the hit's gzip stream decodes differently from its identity stream"; exit 1; }
+# zlib's view of the raw body: one member, CRC-32 and ISIZE right.
+stream_of "$JOB2" -H 'Accept-Encoding: gzip' >"$WORK/hit.ndjson.gz"
+gzip -t "$WORK/hit.ndjson.gz" \
+  || { echo "FAIL: gzip -t rejects the hit's gzip stream"; exit 1; }
+gzip -dc "$WORK/hit.ndjson.gz" | cmp -s - "$WORK/hit.ndjson" \
+  || { echo "FAIL: gzip -d of the hit's stream differs from its identity stream"; exit 1; }
+# Under the cold job's ID the hit's stream is the cold job's, byte for byte.
+stream_of "$JOB1" -H 'Accept-Encoding: identity' >"$WORK/cold.ndjson"
+sed "s/$JOB2/$JOB1/g" "$WORK/hit.ndjson" | cmp -s - "$WORK/cold.ndjson" \
+  || { echo "FAIL: the hit's stream differs from the cold run's beyond the job ID"; exit 1; }
+[ "$(grep -c '"type":"partial"' "$WORK/hit.ndjson")" = 4 ] && tail -1 "$WORK/hit.ndjson" | grep -q '"type":"done"' \
+  || { echo "FAIL: the hit's stream is not 4 partials and done"; exit 1; }
+curl -fsS "$BASE/metrics" | grep -q '^sidrd_resultcache_encodes_total 1$' \
+  || { echo "FAIL: the entry was not encoded exactly once for three hit streams"; exit 1; }
+echo "   hit stream == cold stream under the job ID; gzip member valid and identical after decode"
 
 echo "== gzip fetch decodes to the identity bytes"
 curl -fsS -H 'Accept-Encoding: identity' "$BASE/v1/jobs/$JOB1" >"$WORK/plain.json"

@@ -394,8 +394,16 @@ func NewResult(plan *core.Plan, loop *mapreduce.Result, log []PartialResult) (*R
 // it, so the copy is written once.
 func NewPartial(out mapreduce.ReduceOutput, at time.Time) PartialResult {
 	pr := PartialResult{Keyblock: out.Keyblock, Keys: make([][]int64, len(out.Keys)), Values: out.Values, At: at}
+	n := 0
+	for _, k := range out.Keys {
+		n += len(k)
+	}
+	// One backing array for the partial's keys, each handed out clipped
+	// to its own length so an append to one cannot reach the next.
+	arena := make([]int64, 0, n)
 	for i, k := range out.Keys {
-		pr.Keys[i] = append([]int64(nil), k...)
+		arena = append(arena, k...)
+		pr.Keys[i] = arena[len(arena)-len(k) : len(arena) : len(arena)]
 	}
 	return pr
 }
