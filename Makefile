@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race flake vet serve bench bench-kv bench-serve bench-spine bench-paper fuzz smoke smoke-serve clean
+.PHONY: build test race flake vet serve bench bench-kv bench-reduce bench-serve bench-spine bench-paper fuzz smoke smoke-serve clean
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,12 @@ bench:
 bench-kv:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/kv
 
+# bench-reduce runs the Reduce task body's micro-benchmark once (CI does
+# the same): the merge and the operator per key over a shuffle_median-
+# shaped keyblock — median, avg and filter_gt — with allocations reported.
+bench-reduce:
+	$(GO) test -run='^$$' -bench='^BenchmarkExecReduce$$' -benchtime=1x ./internal/mapreduce
+
 # bench-serve runs the stream handler's micro-benchmarks once (CI does
 # the same): a result-cache hit sent from the entry's cached bytes and the
 # executed job's stream encoded live, identity and gzip.
@@ -57,8 +63,8 @@ bench-spine:
 bench-paper:
 	$(GO) run ./cmd/sidrbench
 
-# fuzz exercises the untrusted-bytes decoders and the Map kernel's
-# differential oracle briefly (CI runs the same targets; crashers land in
+# fuzz exercises the untrusted-bytes decoders, the Map kernel's
+# differential oracle and the holistic operators' selection oracle briefly (CI runs the same targets; crashers land in
 # testdata/fuzz).
 FUZZTIME ?= 30s
 fuzz:
@@ -67,6 +73,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzIndexCRC -fuzztime=$(FUZZTIME) ./internal/sidx/
 	$(GO) test -run=^$$ -fuzz=FuzzParseJoin -fuzztime=$(FUZZTIME) ./internal/query/
 	$(GO) test -run=^$$ -fuzz=FuzzMapKernel -fuzztime=$(FUZZTIME) ./internal/mapreduce/
+	$(GO) test -run=^$$ -fuzz=FuzzSelect -fuzztime=$(FUZZTIME) ./internal/ops/
 
 # smoke runs the multi-process cluster smoke test (sidrd + 2 workers).
 smoke:

@@ -158,3 +158,44 @@ func (w TileWalk) Runs(batch Slab, vals []float64, fn func(cell, off int64, run 
 	}
 	return nil
 }
+
+// CellPoints counts, for every key of Box in cell order, the points of
+// live that Runs hands to it: per dimension, the overlap of the key's
+// tile [t·stride, t·stride+shape) with live (and with the non-negative
+// coordinates), multiplied over dimensions. It writes the counts into dst
+// — grown only when its capacity is short — and returns them with their
+// total, so a scan can size per-key storage before it reads a value.
+func (w TileWalk) CellPoints(live Slab, dst []int64) ([]int64, int64) {
+	n := w.Box.Size()
+	if int64(cap(dst)) < n {
+		dst = make([]int64, n)
+	}
+	dst = dst[:n]
+	if n == 0 {
+		return dst, 0
+	}
+	overlap := func(d int, t int64) int64 {
+		lo := max64(max64(t*w.stride[d], live.Corner[d]), 0)
+		hi := min64(t*w.stride[d]+w.shape[d], live.Corner[d]+live.Shape[d])
+		return max64(hi-lo, 0)
+	}
+	last := len(w.stride) - 1
+	var leadBuf [MaxRank]int64
+	lead := Coord(leadBuf[:last])
+	copy(lead, w.Box.Corner)
+	lines := Slab{Corner: w.Box.Corner[:last], Shape: w.Box.Shape[:last]}
+	tLo, tHi := w.Box.Corner[last], w.Box.Corner[last]+w.Box.Shape[last]
+	var total int64
+	for cell := dst; len(cell) > 0; lines.Advance(lead) {
+		outer := int64(1)
+		for d, t := range lead {
+			outer *= overlap(d, t)
+		}
+		for t := tLo; t < tHi; t++ {
+			cell[0] = outer * overlap(last, t)
+			total += cell[0]
+			cell = cell[1:]
+		}
+	}
+	return dst, total
+}

@@ -55,7 +55,8 @@ func TestBatchesConcatenateToTheSlab(t *testing.T) {
 // TestRunsMatchMapKeyPerPoint: over random geometries — strides with
 // gaps, non-zero corners, boxes that clip — the runs Runs hands out cover
 // exactly the points MapKey maps into the box, in row-major order, each
-// with the cell of its key and its offset inside its tile.
+// with the cell of its key and its offset inside its tile — and
+// CellPoints, computed from the geometry alone, counts them per cell.
 func TestRunsMatchMapKeyPerPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 400; iter++ {
@@ -123,6 +124,14 @@ func TestRunsMatchMapKeyPerPoint(t *testing.T) {
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("es %v stride %v slab %v box %v:\n runs   %v\n points %v", es, st, slab, box, got, want)
+		}
+		perCell := make([]int64, box.Size())
+		for _, h := range want {
+			perCell[h.cell]++
+		}
+		counts, total := w.CellPoints(slab, make([]int64, 0, 3))
+		if fmt.Sprint(counts) != fmt.Sprint(perCell) || total != int64(len(want)) {
+			t.Fatalf("es %v stride %v slab %v box %v: CellPoints %v (total %d), points per cell %v (total %d)", es, st, slab, box, counts, total, perCell, len(want))
 		}
 	}
 }

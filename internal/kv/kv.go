@@ -13,7 +13,6 @@ package kv
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"sidr/internal/coords"
@@ -142,14 +141,6 @@ func (v *Value) StdDev() float64 {
 	return math.Sqrt(variance)
 }
 
-// SortedSamples returns the samples in ascending order without mutating
-// the receiver.
-func (v *Value) SortedSamples() []float64 {
-	out := append([]float64(nil), v.Samples...)
-	sort.Float64s(out)
-	return out
-}
-
 // Clone returns a deep copy of the value.
 func (v Value) Clone() Value {
 	out := v
@@ -222,10 +213,14 @@ func TotalCount(ps []Pair) int64 {
 // Value.Merge. Input streams are not modified.
 //
 // The merge rides the streams' runs: the head stream's whole run of the
-// popped key is folded before the heap is touched again, and the key's
-// Samples grow once per run. Equal keys leave the heap in ascending
-// stream order and sit contiguously in their stream, so this is the
-// order a pair-at-a-time merge folds them in.
+// popped key is folded before the heap is touched again. Equal keys leave
+// the heap in ascending stream order and sit contiguously in their
+// stream, so this is the order a pair-at-a-time merge folds them in, and
+// a key is complete before the next one opens. The keys' samples are
+// therefore laid out one after another in a single array sized by a count
+// of the streams' samples: a key's Samples is a cap-clipped window of it
+// (nil when it has none), so appending to one key never writes into the
+// next.
 func MergeSorted(streams [][]Pair) []Pair {
 	// Heap of stream heads ordered by key, ties by stream index for
 	// determinism.
@@ -237,12 +232,14 @@ func MergeSorted(streams [][]Pair) []Pair {
 	// keys bounds the output from above: a stream contributes at most
 	// one key per stretch of pairs sharing a key slice — one per pair for
 	// a Map task's output, fewer for a decoded stream that repeats keys.
-	keys := 0
+	// samples bounds what the keys' windows receive.
+	keys, samples := 0, 0
 	for s, ps := range streams {
 		for i := range ps {
 			if i == 0 || !aliased(ps[i].Key, ps[i-1].Key) {
 				keys++
 			}
+			samples += len(ps[i].Value.Samples)
 		}
 		if len(ps) > 0 {
 			heads = append(heads, head{stream: s})
@@ -281,31 +278,39 @@ func MergeSorted(streams [][]Pair) []Pair {
 	}
 
 	out := make([]Pair, 0, keys)
+	arena, at := make([]float64, samples), 0
+	// seal clips the last key's window to the samples it received; the
+	// next key's window starts where it ends.
+	seal := func() {
+		v := &out[len(out)-1].Value
+		n := len(v.Samples)
+		v.Samples = nil
+		if n > 0 {
+			v.Samples = arena[at : at+n : at+n]
+		}
+		at += n
+	}
 	for len(heads) > 0 {
 		ps := streams[heads[0].stream]
 		run := ps[heads[0].idx:]
-		n, samples := 1, len(run[0].Value.Samples)
+		n := 1
 		for n < len(run) && sameKey(run[n].Key, run[0].Key) {
-			samples += len(run[n].Value.Samples)
 			n++
 		}
 		run = run[:n]
 		if last := len(out) - 1; last >= 0 && out[last].Key.Equal(run[0].Key) {
 			v := &out[last].Value
-			if samples > 0 {
-				v.Samples = slices.Grow(v.Samples, samples)
-			}
 			for i := range run {
 				v.Merge(run[i].Value)
 			}
 		} else {
-			// The key's first pair is copied, as Clone would, into a
-			// sample array sized for the run.
-			v := run[0].Value
-			v.Samples = nil
-			if samples > 0 {
-				v.Samples = append(make([]float64, 0, samples), run[0].Value.Samples...)
+			if len(out) > 0 {
+				seal()
 			}
+			// The key's first pair is copied, as Clone would, into the
+			// window that runs to the end of the arena.
+			v := run[0].Value
+			v.Samples = append(arena[at:at:len(arena)], run[0].Value.Samples...)
 			for i := range run[1:] {
 				v.Merge(run[1+i].Value)
 			}
@@ -317,5 +322,6 @@ func MergeSorted(streams [][]Pair) []Pair {
 		}
 		down(0)
 	}
+	seal()
 	return out
 }

@@ -117,20 +117,6 @@ func TestMeanStdDev(t *testing.T) {
 	}
 }
 
-func TestSortedSamplesDoesNotMutate(t *testing.T) {
-	var v Value
-	v.Add(3, true)
-	v.Add(1, true)
-	v.Add(2, true)
-	s := v.SortedSamples()
-	if s[0] != 1 || s[2] != 3 {
-		t.Fatalf("sorted = %v", s)
-	}
-	if v.Samples[0] != 3 {
-		t.Fatal("SortedSamples mutated receiver")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	var v Value
 	v.Add(1, true)

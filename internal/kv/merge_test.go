@@ -282,3 +282,82 @@ func TestQuickMergeSortedOutputSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// holisticStreams is a Reduce's input for a holistic keyblock: n streams,
+// each carrying keys [0, keys) with m samples per key, every key shared by
+// every stream.
+func holisticStreams(n, keys, m int, r *rand.Rand) [][]Pair {
+	streams := make([][]Pair, n)
+	for s := range streams {
+		ps := make([]Pair, keys)
+		for k := range ps {
+			var v Value
+			xs := make([]float64, m)
+			for i := range xs {
+				xs[i] = r.NormFloat64()
+			}
+			v.AddRun(xs, true)
+			ps[k] = Pair{Key: coords.NewCoord(int64(k/16), int64(k%16)), Value: v}
+		}
+		streams[s] = ps
+	}
+	return streams
+}
+
+// TestMergeSortedSampleWindows: the merged keys' samples share one array
+// as disjoint, cap-clipped windows — overwriting one key's samples or
+// appending to them leaves every other key's intact — and the input
+// streams are not modified.
+func TestMergeSortedSampleWindows(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	streams := holisticStreams(4, 48, 5, r)
+	// Uneven windows: keys a stream skips, sample-less pairs, and a
+	// pre-filtered-empty value.
+	streams[1] = streams[1][3:]
+	streams[2][7].Value = NewValue(1, false)
+	streams[3][9].Value = Value{Count: 2, Samples: []float64{}}
+	before := make([][]Pair, len(streams))
+	for s, ps := range streams {
+		for _, p := range ps {
+			before[s] = append(before[s], Pair{Key: p.Key.Clone(), Value: p.Value.Clone()})
+		}
+	}
+	got, want := MergeSorted(streams), refMergeSorted(streams)
+	if len(got) != len(want) {
+		t.Fatalf("%d keys, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		s := got[i].Value.Samples
+		if len(s) != cap(s) {
+			t.Fatalf("key %v: %d samples in a window of %d", got[i].Key, len(s), cap(s))
+		}
+		for j := range s {
+			s[j] = math.Inf(-1)
+		}
+		got[i].Value.Samples = append(s, math.Inf(1))
+		for k := i + 1; k < len(got); k++ {
+			if !valueBitsEqual(got[k].Value, want[k].Value) {
+				t.Fatalf("writing key %v's samples changed key %v: %v, want %v", got[i].Key, got[k].Key, got[k].Value.Samples, want[k].Value.Samples)
+			}
+		}
+	}
+	for s, ps := range streams {
+		for i, p := range ps {
+			if b := before[s][i]; !p.Key.Equal(b.Key) || !valueBitsEqual(p.Value, b.Value) {
+				t.Fatalf("stream %d pair %d modified: %v %+v, was %v %+v", s, i, p.Key, p.Value, b.Key, b.Value)
+			}
+		}
+	}
+}
+
+// TestMergeSortedAllocsIndependentOfKeys: a holistic merge allocates the
+// heap, the output and one sample array, whatever the key count.
+func TestMergeSortedAllocsIndependentOfKeys(t *testing.T) {
+	allocs := func(keys int) float64 {
+		streams := holisticStreams(4, keys, 32, rand.New(rand.NewSource(2)))
+		return testing.AllocsPerRun(5, func() { MergeSorted(streams) })
+	}
+	if small, large := allocs(16), allocs(1024); small != large || large > 3 {
+		t.Fatalf("MergeSorted allocations: %v for 16 keys, %v for 1024 (want equal, ≤ 3)", small, large)
+	}
+}

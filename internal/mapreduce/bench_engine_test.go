@@ -1,9 +1,12 @@
 package mapreduce
 
 import (
+	"math/rand"
 	"testing"
 
+	"sidr/internal/coords"
 	"sidr/internal/depgraph"
+	"sidr/internal/kv"
 	"sidr/internal/partition"
 	"sidr/internal/query"
 )
@@ -55,5 +58,49 @@ func BenchmarkEngine(b *testing.B) {
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkExecReduce measures one Reduce task's body — the k-way merge
+// and the operator per key — over 4 streams × 1 024 keys × 32 samples,
+// the shape of a shuffle_median keyblock (every key fed by every stream);
+// avg ships aggregates only, filter_gt keeps about half the samples.
+func BenchmarkExecReduce(b *testing.B) {
+	for _, qs := range []string{
+		"median v[0,0 : 128,256] es {4,8}",
+		"avg v[0,0 : 128,256] es {4,8}",
+		"filter_gt v[0,0 : 128,256] es {4,8} param 0",
+	} {
+		q, err := query.Parse(qs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		op, err := q.Op()
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(1))
+		streams := make([][]kv.Pair, 4)
+		for s := range streams {
+			ps := make([]kv.Pair, 1024)
+			xs := make([]float64, 32)
+			for k := range ps {
+				for i := range xs {
+					xs[i] = r.NormFloat64()
+				}
+				ps[k].Key = coords.NewCoord(int64(k/32), int64(k%32))
+				ps[k].Value.AddRun(xs, op.NeedsSamples())
+			}
+			streams[s] = ps
+		}
+		in := MapInput{Query: q, Op: op}
+		b.Run(q.Operator, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if out := ExecReduce(in, 0, streams); len(out.Keys) == 0 {
+					b.Fatal("no output")
+				}
+			}
+		})
 	}
 }

@@ -290,6 +290,25 @@ func runKernelCase(t *testing.T, c kernelCase, opName string, combine bool, modu
 				t.Fatalf("%s: %v", label, err)
 			}
 			checkSameMapOutput(t, label, got, want, gotRecords, wantRecords)
+			if op.NeedsSamples() {
+				checkSampleWindows(t, label, got)
+			}
+		}
+	}
+}
+
+// checkSampleWindows: a samples-keeping operator's pairs carry windows
+// sized from the geometry before the scan, so each is exactly full — a
+// short window would have been regrown by AddRun, a long one shows spare
+// capacity. (A pre-filtered pair's survivors get an array of their own,
+// exactly their size.)
+func checkSampleWindows(t *testing.T, label string, outs []MapOut) {
+	t.Helper()
+	for kb, o := range outs {
+		for _, p := range o.Pairs {
+			if len(p.Value.Samples) != cap(p.Value.Samples) {
+				t.Fatalf("%s kb %d key %v: %d samples in a window of %d", label, kb, p.Key, len(p.Value.Samples), cap(p.Value.Samples))
+			}
 		}
 	}
 }
@@ -448,9 +467,12 @@ func (constReader) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, err
 	return dst, nil
 }
 
-// TestMapAllocsIndependentOfPoints: for a combinable operator a warm Map
-// task allocates per keyblock and per task, never per point or per batch:
-// 64× the points over the same K' box cost the same allocations.
+// TestMapAllocsIndependentOfPoints: a warm Map task allocates per
+// keyblock and per task, never per point or per batch: 64× the points
+// over the same K' box cost the same allocations. That holds for the
+// operators that keep samples too — a key's samples go into a window of
+// one per-task array sized before the scan, and a filter's survivors are
+// compacted inside it, then copied out once per key.
 func TestMapAllocsIndependentOfPoints(t *testing.T) {
 	allocs := func(qs string) float64 {
 		q := mustParse(t, qs)
@@ -472,10 +494,12 @@ func TestMapAllocsIndependentOfPoints(t *testing.T) {
 			}
 		})
 	}
-	small := allocs("avg v[0,0 : 64,64] es {8,8}")     // 4 Ki points, 1 batch
-	large := allocs("avg v[0,0 : 512,512] es {64,64}") // 256 Ki points, 16 batches, same 8×8 box
-	if small != large {
-		t.Fatalf("allocations grew with the input: %v for 4 Ki points, %v for 256 Ki", small, large)
+	for _, op := range []string{"avg", "median", "filter_gt"} {
+		small := allocs(op + " v[0,0 : 64,64] es {8,8}")     // 4 Ki points, 1 batch
+		large := allocs(op + " v[0,0 : 512,512] es {64,64}") // 256 Ki points, 16 batches, same 8×8 box
+		if small != large {
+			t.Fatalf("%s: allocations grew with the input: %v for 4 Ki points, %v for 256 Ki", op, small, large)
+		}
 	}
 }
 

@@ -197,17 +197,19 @@ func (LocalRunner) Fetch(_ context.Context, l int, refs []any) (streams [][]kv.P
 }
 
 // mapScratch is reusable per-Map-task state: the batch buffer, the dense
-// accumulation tile and the seal's per-cell keyblock memo. Pooled
-// process-wide so repeated Map tasks stop paying per-split allocation
-// churn.
+// accumulation tile, the per-cell point counts and the seal's per-cell
+// keyblock memo. Pooled process-wide so repeated Map tasks stop paying
+// per-split allocation churn.
 type mapScratch struct {
 	vals []float64 // one batch of source values
 	// tile holds one accumulator per K' key of the split's box, indexed
 	// by the key's row-major offset inside the box. Every cell is zero
-	// between tasks: the seal zeroes each cell it publishes, because the
-	// cell's Samples array escapes into the published pair.
-	tile []kv.Value
-	kbOf []int32 // keyblock of each live cell, in cell order
+	// between tasks: the seal zeroes every cell, published or not,
+	// because a cell's Samples is a window of the task's sample arena,
+	// which escapes into the published pairs.
+	tile   []kv.Value
+	points []int64 // source points per cell (sizes the sample windows)
+	kbOf   []int32 // keyblock of each live cell, in cell order
 }
 
 var scratchPool = sync.Pool{New: func() any { return &mapScratch{} }}
@@ -307,6 +309,18 @@ func execMap(in MapInput, split InputSplit, scratch *mapScratch) ([]MapOut, int6
 	}
 	tile := scratch.tile
 	needSamples := in.Op.NeedsSamples()
+	if needSamples {
+		// The geometry says how many points reach each key, so every
+		// cell's samples get an exactly sized window of one array per task
+		// before the first value is read, and AddRun never reallocates.
+		var total int64
+		scratch.points, total = walk.CellPoints(live, scratch.points)
+		arena := make([]float64, total)
+		for c, n := range scratch.points {
+			tile[c].Samples = arena[:0:n]
+			arena = arena[n:]
+		}
+	}
 
 	var records int64
 	fold := func(cell, _ int64, run []float64) error {
@@ -327,9 +341,9 @@ func execMap(in MapInput, split InputSplit, scratch *mapScratch) ([]MapOut, int6
 }
 
 // seal publishes every live cell of the tile as exactly one pair of its
-// keyblock's output and zeroes it. One odometer walk over the box meets
-// the keys in row-major order, routes each and sizes every output
-// exactly; keys are carved from one backing array.
+// keyblock's output, and zeroes every cell. One odometer walk over the
+// box meets the keys in row-major order, routes each and sizes every
+// output exactly; keys are carved from one backing array.
 func (s *mapScratch) seal(in MapInput, box coords.Slab, outs []MapOut) error {
 	tile, rank := s.tile, box.Rank()
 	if len(tile) == 0 {
@@ -363,18 +377,17 @@ func (s *mapScratch) seal(in MapInput, box coords.Slab, outs []MapOut) error {
 	params := in.Query.Params()
 	for c := range tile {
 		v := &tile[c]
-		if v.Count == 0 {
-			continue
+		if v.Count > 0 {
+			out := &outs[kbOf[0]]
+			kbOf = kbOf[1:]
+			pair := kv.Pair{Key: keys[:rank:rank], Value: *v}
+			keys = keys[rank:]
+			if preFilter {
+				pair.Value = ops.PreFilter(in.Op, pair.Value, params...)
+			}
+			out.SourceCount += v.Count
+			out.Pairs = append(out.Pairs, pair)
 		}
-		out := &outs[kbOf[0]]
-		kbOf = kbOf[1:]
-		pair := kv.Pair{Key: keys[:rank:rank], Value: *v}
-		keys = keys[rank:]
-		if preFilter {
-			pair.Value = ops.PreFilter(in.Op, pair.Value, params...)
-		}
-		out.SourceCount += v.Count
-		out.Pairs = append(out.Pairs, pair)
 		*v = kv.Value{}
 	}
 	return nil
@@ -386,7 +399,9 @@ func (s *mapScratch) seal(in MapInput, box coords.Slab, outs []MapOut) error {
 // without a global re-sort, Hadoop's actual merge structure — then the
 // query operator per key, or the join's per-tile pairing of its two
 // sides. streams must be in ascending split order (stream-index
-// tie-breaks make the merge order-sensitive). Every engine reduces
+// tie-breaks make the merge order-sensitive). The merged values are the
+// task's own — each key's samples a window of one array the merge
+// allocates — so the operator orders them in place. Every engine reduces
 // through this one function.
 func ExecReduce(in MapInput, l int, streams [][]kv.Pair) ReduceOutput {
 	merged := kv.MergeSorted(streams)

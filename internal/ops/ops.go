@@ -61,6 +61,9 @@ type Operator interface {
 	// threshold, or a range's two bounds); most operators ignore them.
 	// Distributive and holistic operators return exactly one value;
 	// filters return zero or more.
+	//
+	// An operator that keeps samples may reorder or overwrite v.Samples
+	// and may return a window of it: callers pass a value they own.
 	Apply(v kv.Value, params ...float64) []float64
 }
 
@@ -123,18 +126,24 @@ func init() {
 	register(fn{name: "stddev", kind: Distributive, apply: func(v kv.Value, _ float64) []float64 {
 		return []float64{v.StdDev()}
 	}})
+	// The holistic operators order v.Samples in place. median and
+	// percentile select the order statistics they read (selectK) instead
+	// of sorting every sample.
 	register(fn{name: "median", kind: Holistic, samples: true, apply: func(v kv.Value, _ float64) []float64 {
-		s := v.SortedSamples()
+		s := v.Samples
 		if len(s) == 0 {
 			return []float64{0}
 		}
+		h := len(s) / 2
+		selectK(s, h)
 		if len(s)%2 == 1 {
-			return []float64{s[len(s)/2]}
+			return []float64{s[h]}
 		}
-		return []float64{(s[len(s)/2-1] + s[len(s)/2]) / 2}
+		return []float64{(maxOrdered(s[:h]) + s[h]) / 2}
 	}})
 	register(fn{name: "sort", kind: Holistic, samples: true, apply: func(v kv.Value, _ float64) []float64 {
-		return v.SortedSamples()
+		sort.Float64s(v.Samples)
+		return v.Samples
 	}})
 	// The three value-predicated filters also declare how the structural
 	// index may prune for them: a split is droppable when no overlapping
@@ -143,14 +152,13 @@ func init() {
 	// conservative — it never drops a contributing split.
 	register(fn{name: "filter_gt", kind: Filter, samples: true, nparams: 1,
 		apply: func(v kv.Value, p float64) []float64 {
-			var out []float64
+			out := v.Samples[:0]
 			for _, s := range v.Samples {
 				if s > p {
 					out = append(out, s)
 				}
 			}
-			sort.Float64s(out)
-			return out
+			return sorted(out)
 		},
 		prune: func(params []float64) func(min, max float64) bool {
 			p := params[0]
@@ -158,14 +166,13 @@ func init() {
 		}})
 	register(fn{name: "filter_lt", kind: Filter, samples: true, nparams: 1,
 		apply: func(v kv.Value, p float64) []float64 {
-			var out []float64
+			out := v.Samples[:0]
 			for _, s := range v.Samples {
 				if s < p {
 					out = append(out, s)
 				}
 			}
-			sort.Float64s(out)
-			return out
+			return sorted(out)
 		},
 		prune: func(params []float64) func(min, max float64) bool {
 			p := params[0]
@@ -175,14 +182,13 @@ func init() {
 	// query syntax supplies both bounds as "param lo,hi".
 	register(fn{name: "filter_range", kind: Filter, samples: true, nparams: 2,
 		apply2: func(v kv.Value, lo, hi float64) []float64 {
-			var out []float64
+			out := v.Samples[:0]
 			for _, s := range v.Samples {
 				if s >= lo && s <= hi {
 					out = append(out, s)
 				}
 			}
-			sort.Float64s(out)
-			return out
+			return sorted(out)
 		},
 		prune: func(params []float64) func(min, max float64) bool {
 			lo, hi := params[0], params[1]
@@ -210,7 +216,7 @@ func init() {
 	// percentile returns the p-th percentile (param in [0, 100]) using
 	// nearest-rank; param 50 matches median for odd sample counts.
 	register(fn{name: "percentile", kind: Holistic, samples: true, nparams: 1, apply: func(v kv.Value, p float64) []float64 {
-		s := v.SortedSamples()
+		s := v.Samples
 		if len(s) == 0 {
 			return []float64{0}
 		}
@@ -224,8 +230,19 @@ func init() {
 		if rank < 1 {
 			rank = 1
 		}
+		selectK(s, rank-1)
 		return []float64{s[rank-1]}
 	}})
+}
+
+// sorted sorts a filter's survivors, compacted in place over the key's
+// samples, and returns them cap-clipped; nil when none survived.
+func sorted(out []float64) []float64 {
+	if len(out) == 0 {
+		return nil
+	}
+	sort.Float64s(out)
+	return out[:len(out):len(out)]
 }
 
 // Lookup resolves an operator by its query-language name.
@@ -273,21 +290,23 @@ func PrunePredicate(op Operator, params ...float64) (keep func(min, max float64)
 
 // PreFilter applies a filter operator's predicate inside a combiner,
 // discarding non-matching samples early. For non-filter operators it
-// returns the value unchanged.
+// returns the value unchanged. The predicate runs in place over v's
+// samples (Apply's ownership rule); the sorted survivors are copied into
+// one array of exactly their size, so what ships does not keep the Map
+// task's sample arena alive.
 func PreFilter(op Operator, v kv.Value, params ...float64) kv.Value {
 	if op.Kind() != Filter {
 		return v
 	}
 	kept := op.Apply(v, params...)
 	var out kv.Value
-	for _, s := range kept {
-		out.Add(s, true)
-	}
+	out.AddRun(kept, false)
+	// A non-nil Samples, empty or not, tells "pre-filtered" from "no
+	// samples kept".
+	out.Samples = make([]float64, len(kept))
+	copy(out.Samples, kept)
 	// The Count annotation keeps tracking SOURCE pairs (not survivors) so
 	// the Reduce barrier tally stays correct after pre-filtering.
 	out.Count = v.Count
-	if out.Samples == nil {
-		out.Samples = []float64{} // distinguish "pre-filtered empty" from "no samples kept"
-	}
 	return out
 }

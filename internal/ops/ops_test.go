@@ -247,26 +247,155 @@ func TestNeedsSamples(t *testing.T) {
 
 func TestPreFilter(t *testing.T) {
 	flt, _ := Lookup("filter_gt")
-	v := valueOf(true, 1, 9, 5, 6)
-	out := PreFilter(flt, v, 5)
+	out := PreFilter(flt, valueOf(true, 1, 9, 5, 6), 5)
 	if out.Count != 4 {
 		t.Fatalf("PreFilter lost the source-count annotation: %d", out.Count)
 	}
-	if len(out.Samples) != 2 {
-		t.Fatalf("PreFilter samples = %v", out.Samples)
+	// The survivors, sorted, with the statistics folding them one by one
+	// gives — in an array of their own, exactly their size.
+	want := valueOf(true, 6, 9)
+	want.Count = 4
+	if len(out.Samples) != 2 || out.Samples[0] != 6 || out.Samples[1] != 9 || cap(out.Samples) != 2 ||
+		out.Sum != want.Sum || out.SumSq != want.SumSq || out.Min != want.Min || out.Max != want.Max {
+		t.Fatalf("PreFilter = %+v (cap %d), want %+v", out, cap(out.Samples), want)
 	}
 	// Pre-filtering to nothing must still carry Count and a non-nil
 	// samples slice.
-	none := PreFilter(flt, v, 100)
+	none := PreFilter(flt, valueOf(true, 1, 9, 5, 6), 100)
 	if none.Count != 4 || none.Samples == nil || len(none.Samples) != 0 {
 		t.Fatalf("PreFilter empty = %+v", none)
 	}
 	// Non-filter operators pass through untouched.
+	v := valueOf(true, 1, 9, 5, 6)
 	sum, _ := Lookup("sum")
 	same := PreFilter(sum, v, 5)
-	if same.Sum != v.Sum || same.Count != v.Count {
+	if same.Sum != v.Sum || same.Count != v.Count || same.Samples[0] != 1 {
 		t.Fatal("PreFilter modified non-filter value")
 	}
+}
+
+// sortedOracle is the definition median and percentile had before they
+// selected: sort a copy with sort.Float64s and read the order statistic.
+func sortedOracle(name string, p float64, xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if len(s) == 0 {
+		return 0
+	}
+	if name == "median" {
+		if len(s)%2 == 1 {
+			return s[len(s)/2]
+		}
+		return (s[len(s)/2-1] + s[len(s)/2]) / 2
+	}
+	p = math.Max(0, math.Min(p, 100))
+	rank := max(int(math.Ceil(p/100*float64(len(s)))), 1)
+	return s[rank-1]
+}
+
+var selectPercentiles = []float64{0, 1, 37.5, 50, 99, 100}
+
+// checkSelect holds median and every percentile of selectPercentiles over
+// xs against sortedOracle by Float64bits. The one exception is the one
+// neither sort.Float64s nor the selection specifies: when xs holds both
+// −0 and +0, which of the two ends up at a tied rank.
+func checkSelect(t *testing.T, xs []float64) {
+	t.Helper()
+	var negZero, posZero bool
+	for _, x := range xs {
+		negZero = negZero || (x == 0 && math.Signbit(x))
+		posZero = posZero || (x == 0 && !math.Signbit(x))
+	}
+	check := func(name string, p float64) {
+		op, _ := Lookup(name)
+		v := kv.Value{Samples: append([]float64(nil), xs...)}
+		got, want := op.Apply(v, p)[0], sortedOracle(name, p, xs)
+		if math.Float64bits(got) == math.Float64bits(want) || (negZero && posZero && got == 0 && want == 0) {
+			return
+		}
+		t.Fatalf("%s param %g over %d samples %v: got %v (%#x), sort.Float64s gives %v (%#x)",
+			name, p, len(xs), xs, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	check("median", 0)
+	for _, p := range selectPercentiles {
+		check("percentile", p)
+	}
+}
+
+// selectPalette spells the values the selection must order exactly as
+// sort.Float64s: NaN, ±Inf, ±0, subnormals and a few small integers that
+// repeat. Anything else a byte names is a full-mantissa value.
+var selectPalette = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+	5e-324, -5e-324, 1e-310, 1, 1, 2, -3}
+
+func paletteValue(b byte, r *rand.Rand) float64 {
+	if int(b) < len(selectPalette) {
+		return selectPalette[b]
+	}
+	if r != nil {
+		return r.NormFloat64() * 1e3
+	}
+	return (float64(b) - 128) * 1.25
+}
+
+// TestSelectMatchesSort: median and percentile select in place, and what
+// they select is what a full sort.Float64s puts at that rank, over slices
+// of 0–300 samples mixing every special value with duplicates.
+func TestSelectMatchesSort(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		xs := make([]float64, r.Intn(301))
+		special := 1 + r.Intn(4) // one in `special` samples comes off the palette
+		for i := range xs {
+			b := byte(255)
+			if r.Intn(special) == 0 {
+				b = byte(r.Intn(len(selectPalette)))
+			}
+			xs[i] = paletteValue(b, r)
+		}
+		checkSelect(t, xs)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	// Shapes that decide a quickselect's path: sorted, reversed, all
+	// equal, all NaN, and the small ranges it finishes by insertion.
+	for n := 0; n <= 40; n++ {
+		up, down, same, nan := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range up {
+			up[i], down[i], same[i], nan[i] = float64(i), float64(n-i), 7, math.NaN()
+		}
+		for _, xs := range [][]float64{up, down, same, nan} {
+			checkSelect(t, xs)
+		}
+	}
+	// McIlroy's adversary ("A Killer Adversary for Quicksort"), run
+	// against the median-of-three pivot rule for the median of 48, built
+	// this input: every pivot is nearly extreme, the quickselect runs out
+	// of its budget, and the sort it falls back to finishes.
+	killer := []float64{0, 24, 2, 25, 4, 26, 6, 27, 8, 28, 10, 29, 12, 30, 14, 31, 16, 32, 18, 33, 20, 34, 22,
+		3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 1}
+	checkSelect(t, killer)
+}
+
+// FuzzSelect is TestSelectMatchesSort with the fuzzer choosing the
+// samples: each byte is a palette value or a byte-derived number.
+func FuzzSelect(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 2, 3, 4})
+	f.Add([]byte{3, 4, 3, 4, 200, 3})
+	f.Add([]byte{5, 6, 7, 8, 8, 9, 10, 11, 250, 12, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) > 300 {
+			b = b[:300]
+		}
+		xs := make([]float64, len(b))
+		for i, c := range b {
+			xs[i] = paletteValue(c, nil)
+		}
+		checkSelect(t, xs)
+	})
 }
 
 // TestQuickDistributiveCombinerEquivalence: applying a distributive

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -177,6 +179,47 @@ func TestStringContainsParts(t *testing.T) {
 	for _, part := range []string{"avg", "t[1,2 : 3,4]", "es {1,2}"} {
 		if !strings.Contains(s, part) {
 			t.Fatalf("String %q missing %q", s, part)
+		}
+	}
+}
+
+// TestNaNParamRejected: a NaN in either param slot, however it is
+// spelled, is ErrNaNParam; ±Inf parses and its canonical rendering
+// round-trips.
+func TestNaNParamRejected(t *testing.T) {
+	for _, tc := range []struct {
+		q   string
+		nan bool
+	}{
+		{"percentile t[0,0 : 8,8] es {2,2} param NaN", true},
+		{"percentile t[0,0 : 8,8] es {2,2} param nan", true},
+		{"filter_gt t[0,0 : 8,8] es {2,2} param NAN", true},
+		{"filter_range t[0,0 : 8,8] es {2,2} param 1,NaN", true},
+		{"filter_range t[0,0 : 8,8] es {2,2} param nan,1", true},
+		{"percentile t[0,0 : 8,8] es {2,2} param inf", false},
+		{"percentile t[0,0 : 8,8] es {2,2} param -Inf", false},
+		{"filter_gt t[0,0 : 8,8] es {2,2} param +Inf", false},
+		{"filter_range t[0,0 : 8,8] es {2,2} param -inf,Inf", false},
+	} {
+		q, err := Parse(tc.q)
+		if tc.nan {
+			if !errors.Is(err, ErrNaNParam) {
+				t.Fatalf("Parse(%q) = %v, want ErrNaNParam", tc.q, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", tc.q, err)
+		}
+		if !math.IsInf(q.Param, 0) && !math.IsInf(q.Param2, 0) {
+			t.Fatalf("Parse(%q): params %v, %v, want an infinity", tc.q, q.Param, q.Param2)
+		}
+		q2, err := Parse(q.String())
+		if err != nil {
+			t.Fatalf("re-parse %q: %v", q.String(), err)
+		}
+		if q2.String() != q.String() || q2.Param != q.Param || q2.Param2 != q.Param2 {
+			t.Fatalf("%q: canonical %q re-parses as %q (%v, %v)", tc.q, q.String(), q2.String(), q2.Param, q2.Param2)
 		}
 	}
 }

@@ -519,6 +519,13 @@ func TestQueueFullDetailAndExecGauges(t *testing.T) {
 	req := jobs.Request{Dataset: "gated", Query: "avg v[0 : 16] es {4}", Workers: 1}
 	running := f.submit(req)
 	f.waitState(running.ID, "running")
+	// A running job has not necessarily handed its first task to the
+	// executor yet; the detail below reads the executor, so wait for it.
+	for deadline := time.Now().Add(10 * time.Second); f.mgr.ExecStats().Running < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the running job's task never reached the executor")
+		}
+	}
 	// Distinct queries: identical ones would collapse onto the running
 	// leader instead of consuming queue slots.
 	req2 := req
