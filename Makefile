@@ -64,8 +64,9 @@ bench-paper:
 	$(GO) run ./cmd/sidrbench
 
 # fuzz exercises the untrusted-bytes decoders, the Map kernel's
-# differential oracle and the holistic operators' selection oracle briefly (CI runs the same targets; crashers land in
-# testdata/fuzz).
+# differential oracle, the holistic operators' selection oracle and
+# partition+'s live-mask invariants briefly (CI runs the same targets;
+# crashers land in testdata/fuzz).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadSpill -fuzztime=$(FUZZTIME) ./internal/kv/
@@ -74,6 +75,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseJoin -fuzztime=$(FUZZTIME) ./internal/query/
 	$(GO) test -run=^$$ -fuzz=FuzzMapKernel -fuzztime=$(FUZZTIME) ./internal/mapreduce/
 	$(GO) test -run=^$$ -fuzz=FuzzSelect -fuzztime=$(FUZZTIME) ./internal/ops/
+	$(GO) test -run=^$$ -fuzz=FuzzPartitionPlusLive -fuzztime=$(FUZZTIME) ./internal/partition/
 
 # smoke runs the multi-process cluster smoke test (sidrd + 2 workers).
 smoke:

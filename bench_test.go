@@ -193,7 +193,7 @@ func benchPartition(b *testing.B, plus bool) {
 	var p partition.Partitioner
 	var err error
 	if plus {
-		p, err = partition.NewPartitionPlus(space, 22, 0)
+		p, err = partition.NewPartitionPlus(space, 22, 0, nil)
 	} else {
 		p, err = partition.NewModulo(22, partition.TileIndexEncoding{Space: space})
 	}
@@ -431,7 +431,7 @@ func BenchmarkAblationSkewBound(b *testing.B) {
 	for _, bound := range []int64{1000, 10_000, 65_536, 500_000} {
 		b.Run(fmt.Sprintf("maxskew-%d", bound), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pp, err := partition.NewPartitionPlus(space, 22, bound)
+				pp, err := partition.NewPartitionPlus(space, 22, bound, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -3,6 +3,7 @@ package sidr_test
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"sidr"
 )
@@ -42,12 +43,17 @@ func ExampleRun_earlyResults() {
 	ds, _ := sidr.Synthetic([]int64{8, 2}, checkerboard)
 	defer ds.Close()
 	q, _ := sidr.ParseQuery("max grid[0,0 : 8,2] es {2,2}")
-	var regions []int
+	var (
+		mu      sync.Mutex // partials may arrive concurrently
+		regions []int
+	)
 	_, err := sidr.Run(ds, q, sidr.RunOptions{
 		Engine:   sidr.SIDR,
 		Reducers: 2,
 		OnPartial: func(pr sidr.PartialResult) {
+			mu.Lock()
 			regions = append(regions, pr.Keyblock)
+			mu.Unlock()
 		},
 	})
 	if err != nil {

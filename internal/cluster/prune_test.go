@@ -9,6 +9,7 @@ import (
 	"sidr/internal/core"
 	"sidr/internal/datagen"
 	"sidr/internal/mapreduce"
+	"sidr/internal/partition"
 	"sidr/internal/query"
 	"sidr/internal/sidx"
 )
@@ -105,5 +106,50 @@ func TestFullyPrunedClusterJob(t *testing.T) {
 	keys, _ := flatten(res)
 	if len(keys) != 0 {
 		t.Fatalf("fully pruned job produced %d rows", len(keys))
+	}
+}
+
+// TestWorkerPlanMatchesIndexedPlan: a worker rebuilds a pruned plan from
+// planTuple's kept list alone, with no index, and must get the indexed
+// plan's partition+ layout — the live rows come from the kept splits on
+// both sides, so no mask travels on the wire.
+func TestWorkerPlanMatchesIndexedPlan(t *testing.T) {
+	gen := datagen.Temperature(testSeed)
+	shape := coords.NewShape(testDataset().Shape...)
+	vi, err := sidx.BuildVar("*", shape, &mapreduce.FuncReader{Fn: gen}, sidx.BuildOptions{Blocks: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := query.Parse(pruneQueryText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jp := testJobPlan()
+	indexed, err := core.NewPlan(q, core.EngineSIDR, core.Options{Reducers: jp.Reducers, SplitPoints: jp.SplitPoints, Index: vi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform, err := partition.NewPartitionPlus(indexed.Space, jp.Reducers, jp.MaxSkew, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if indexed.PrunedSplits == 0 || reflect.DeepEqual(indexed.Keyblocks, uniform.Blocks) {
+		t.Fatalf("pruned %d splits and kept the uniform layout: nothing to agree on", indexed.PrunedSplits)
+	}
+	worker, err := planTuple(indexed).NewPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(worker.Keyblocks) != len(indexed.Keyblocks) {
+		t.Fatalf("worker plan has %d keyblocks, coordinator %d", len(worker.Keyblocks), len(indexed.Keyblocks))
+	}
+	for l, kb := range indexed.Keyblocks {
+		if w := worker.Keyblocks[l]; w.Lo != kb.Lo || w.Hi != kb.Hi {
+			t.Fatalf("keyblock %d: worker [%d,%d), coordinator [%d,%d)", l, w.Lo, w.Hi, kb.Lo, kb.Hi)
+		}
+	}
+	wt, ct := worker.Part.(*partition.PartitionPlus).TileShape, indexed.Part.(*partition.PartitionPlus).TileShape
+	if !wt.Equal(ct) {
+		t.Fatalf("worker tile %v, coordinator tile %v", wt, ct)
 	}
 }

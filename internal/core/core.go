@@ -268,7 +268,7 @@ func NewPlan(q *query.Query, engine Engine, opts Options) (*Plan, error) {
 	}
 	switch engine {
 	case EngineSIDR:
-		pp, err := partition.NewPartitionPlus(space, opts.Reducers, opts.MaxSkew)
+		pp, err := partition.NewPartitionPlus(space, opts.Reducers, opts.MaxSkew, p.liveRows())
 		if err != nil {
 			return nil, err
 		}
@@ -301,6 +301,31 @@ func NewPlan(q *query.Query, engine Engine, opts Options) (*Plan, error) {
 		}
 	}
 	return p, nil
+}
+
+// liveRows marks the rows of K'^T's leading dimension that a pruned
+// plan's kept splits can reach — the rows of every kept split's tile
+// range — so partition+ balances the keys the job can produce instead of
+// all of K'^T. It returns nil (every row live) for an unpruned plan and
+// for a fully pruned one, which keeps their layout uniform. Workers
+// rebuild the plan from the same kept list, so their mask is the
+// coordinator's without shipping it.
+func (p *Plan) liveRows() []bool {
+	if len(p.KeptSplits) == 0 {
+		return nil
+	}
+	live := make([]bool, p.Space.Shape[0])
+	for _, s := range p.Splits {
+		in, ok := s.Slab.Intersect(p.Query.Input)
+		if !ok {
+			continue
+		}
+		box := p.Query.Extraction.KeyBox(in, p.Space)
+		for row := box.Corner[0]; row < box.Corner[0]+box.Shape[0]; row++ {
+			live[row-p.Space.Corner[0]] = true
+		}
+	}
+	return live
 }
 
 // newJoinPlan derives a plan for a two-input join query. Both sides'

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"sidr/internal/coords"
@@ -9,6 +10,7 @@ import (
 	"sidr/internal/mapreduce"
 	"sidr/internal/partition"
 	"sidr/internal/query"
+	"sidr/internal/sidx"
 	"sidr/internal/simcluster"
 )
 
@@ -246,5 +248,91 @@ func TestAssembleAllocationsDoNotGrowWithRows(t *testing.T) {
 	}
 	if allocs[0] > 8 || allocs[1] > 8 {
 		t.Fatalf("Assemble allocations %v for 16 and 16384 rows; want ≤ 8 at both", allocs)
+	}
+}
+
+// bandPlan is prune_filter's plan at a small size: a filter over a file
+// whose matches live in one band of 1/16 of the rows, indexed per split,
+// so pruning keeps 32 of 512 splits for 16 reducers.
+func bandPlan(t *testing.T) (*Plan, coords.RecordReader) {
+	t.Helper()
+	shape := coords.NewShape(2048, 4, 4)
+	base := datagen.EvenKeyed(3)
+	reader := &mapreduce.FuncReader{Fn: func(k coords.Coord) float64 {
+		if k[0] >= 384 && k[0] < 512 {
+			return 10 * base(k)
+		}
+		return base(k)
+	}}
+	vi, err := sidx.BuildVar("*", shape, reader, sidx.BuildOptions{Blocks: 512, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := mustParse(t, "filter_gt v[0,0,0 : 2048,4,4] es {4,2,2} param 900")
+	p, err := NewPlan(q, EngineSIDR, Options{Reducers: 16, SplitPoints: shape.Size() / 512, Index: vi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Splits) != 32 || p.PrunedSplits != 480 {
+		t.Fatalf("kept %d splits, pruned %d; want 32 and 480", len(p.Splits), p.PrunedSplits)
+	}
+	return p, reader
+}
+
+// TestPrunedFilterCommitsEarly pins SIDR's early result on a pruned plan
+// without a clock: partition+ tiles the band the kept splits reach, so
+// the first keyblock with a value commits before half of the Map tasks
+// have ended (map_frac_at_first < 0.5). One worker makes the order of
+// Map ends and commits deterministic.
+func TestPrunedFilterCommitsEarly(t *testing.T) {
+	p, reader := bandPlan(t)
+	res, err := p.RunLocal(reader, func(c *mapreduce.Config) { c.Workers = 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapsEnded := 0
+	for _, ev := range res.Events {
+		switch {
+		case ev.Kind == mapreduce.MapEnd:
+			mapsEnded++
+		case ev.Kind == mapreduce.ReduceEnd && len(res.Outputs[ev.Detail].Keys) > 0:
+			if 2*mapsEnded >= len(p.Splits) {
+				t.Fatalf("first keyblock with a value (%d) committed after %d of %d Map tasks", ev.Detail, mapsEnded, len(p.Splits))
+			}
+			return
+		}
+	}
+	t.Fatal("no keyblock committed a value")
+}
+
+// TestUnprunedLayoutIsUniform: a plan that prunes nothing — no index, or
+// an index that keeps every split — tiles all of K'^T exactly as
+// partition+ always has, so workloads without a selective filter keep
+// their keyblocks.
+func TestUnprunedLayoutIsUniform(t *testing.T) {
+	p, _ := bandPlan(t)
+	uniform, err := partition.NewPartitionPlus(p.Space, p.Reducers, p.MaxSkew, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpruned, err := NewPlan(p.Query, EngineSIDR, Options{Reducers: p.Reducers, SplitPoints: p.SplitPoints})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, len(unpruned.Splits))
+	for i := range all {
+		all[i] = i
+	}
+	keepAll, err := NewPlan(p.Query, EngineSIDR, Options{Reducers: p.Reducers, SplitPoints: p.SplitPoints, KeepSplits: all})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []*Plan{unpruned, keepAll} {
+		if !reflect.DeepEqual(q.Keyblocks, uniform.Blocks) {
+			t.Fatalf("unpruned keyblocks %v, want the uniform layout %v", q.Keyblocks, uniform.Blocks)
+		}
+	}
+	if reflect.DeepEqual(p.Keyblocks, uniform.Blocks) {
+		t.Fatal("pruned plan kept the uniform layout")
 	}
 }

@@ -20,7 +20,7 @@ func BenchmarkBuildPaperScale(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pp, err := partition.NewPartitionPlus(space, 22, 0)
+	pp, err := partition.NewPartitionPlus(space, 22, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestPartitionPlusAlignedDependencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := partition.NewPartitionPlus(space, 4, 26)
+	pp, err := partition.NewPartitionPlus(space, 4, 26, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestModuloCreatesGlobalDependencies(t *testing.T) {
 func TestExpectedCounts(t *testing.T) {
 	q := weeklyQuery(t)
 	space, _ := q.IntermediateSpace()
-	pp, _ := partition.NewPartitionPlus(space, 4, 26)
+	pp, _ := partition.NewPartitionPlus(space, 4, 26, nil)
 	splits := rowSplits(q.Input, 91)
 	g, err := Build(q, splits, pp)
 	if err != nil {
@@ -138,7 +138,7 @@ func TestSplitsOutsideQueryInput(t *testing.T) {
 	dataset := coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(100, 10))
 	splits := rowSplits(dataset, 25)
 	space, _ := q.IntermediateSpace()
-	pp, _ := partition.NewPartitionPlus(space, 2, 0)
+	pp, _ := partition.NewPartitionPlus(space, 2, 0, nil)
 	g, err := Build(q, splits, pp)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestStridedQueryCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	space, _ := q.IntermediateSpace()
-	pp, _ := partition.NewPartitionPlus(space, 2, 0)
+	pp, _ := partition.NewPartitionPlus(space, 2, 0, nil)
 	splits := rowSplits(q.Input, 4)
 	g, err := Build(q, splits, pp)
 	if err != nil {
@@ -181,7 +181,7 @@ func TestSplitEntirelyInGap(t *testing.T) {
 	}
 	gapSplit := coords.MustSlab(coords.NewCoord(1), coords.NewShape(3))
 	space, _ := q.IntermediateSpace()
-	pp, _ := partition.NewPartitionPlus(space, 2, 0)
+	pp, _ := partition.NewPartitionPlus(space, 2, 0, nil)
 	g, err := Build(q, []coords.Slab{gapSplit}, pp)
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestQuery1PaperScaleGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := partition.NewPartitionPlus(space, 22, 0)
+	pp, err := partition.NewPartitionPlus(space, 22, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestQuickInversionConsistent(t *testing.T) {
 		reducers := 1 + r.Intn(5)
 		var p partition.Partitioner
 		if r.Intn(2) == 0 {
-			p, err = partition.NewPartitionPlus(space, reducers, 1+r.Int63n(20))
+			p, err = partition.NewPartitionPlus(space, reducers, 1+r.Int63n(20), nil)
 		} else {
 			p, err = partition.NewModulo(reducers, partition.TileIndexEncoding{Space: space})
 		}
@@ -353,7 +353,7 @@ func TestQuickCountsPartitionIndependent(t *testing.T) {
 			return false
 		}
 		reducers := 1 + r.Intn(6)
-		pp, err := partition.NewPartitionPlus(space, reducers, 0)
+		pp, err := partition.NewPartitionPlus(space, reducers, 0, nil)
 		if err != nil {
 			return false
 		}

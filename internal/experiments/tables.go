@@ -237,7 +237,7 @@ func PartitionMicro(pairCount, runs, reducers int) (PartitionMicroResult, error)
 	if err != nil {
 		return PartitionMicroResult{}, err
 	}
-	pp, err := partition.NewPartitionPlus(space, reducers, 0)
+	pp, err := partition.NewPartitionPlus(space, reducers, 0, nil)
 	if err != nil {
 		return PartitionMicroResult{}, err
 	}

@@ -125,7 +125,7 @@ func Build(q *query.Query, opts Options, readerA, readerB coords.RecordReader, s
 	if maxSkew <= 0 {
 		maxSkew = partition.DefaultMaxSkew
 	}
-	pp, err := partition.NewPartitionPlus(space, opts.Reducers, maxSkew)
+	pp, err := partition.NewPartitionPlus(space, opts.Reducers, maxSkew, nil)
 	if err != nil {
 		return nil, err
 	}

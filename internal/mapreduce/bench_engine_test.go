@@ -28,7 +28,7 @@ func benchConfig(b *testing.B, qs string, reducers int) Config {
 	if err != nil {
 		b.Fatal(err)
 	}
-	part, err := partition.NewPartitionPlus(space, reducers, 0)
+	part, err := partition.NewPartitionPlus(space, reducers, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func cancelConfig(t *testing.T, barrier BarrierMode) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := partition.NewPartitionPlus(space, 4, 0)
+	pp, err := partition.NewPartitionPlus(space, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

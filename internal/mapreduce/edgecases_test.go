@@ -78,7 +78,7 @@ func TestSplitsBeyondQueryInput(t *testing.T) {
 		splits[i] = InputSplit{ID: i, Slab: s}
 	}
 	space, _ := q.IntermediateSpace()
-	pp, err := partition.NewPartitionPlus(space, 2, 0)
+	pp, err := partition.NewPartitionPlus(space, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

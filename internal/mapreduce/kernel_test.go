@@ -266,7 +266,7 @@ func runKernelCase(t *testing.T, c kernelCase, opName string, combine bool, modu
 	if modulo {
 		part, err = partition.NewModulo(reducers, partition.TileIndexEncoding{Space: space})
 	} else {
-		part, err = partition.NewPartitionPlus(space, reducers, 0)
+		part, err = partition.NewPartitionPlus(space, reducers, 0, nil)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +342,7 @@ func TestMapKernelEmptyBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := partition.NewPartitionPlus(space, 2, 0)
+	pp, err := partition.NewPartitionPlus(space, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestMapTileIsTheKeyBox(t *testing.T) {
 		q := c.query("avg")
 		op, _ := q.Op()
 		space := c.space(t, q.Extraction)
-		pp, err := partition.NewPartitionPlus(space, 3, 0)
+		pp, err := partition.NewPartitionPlus(space, 3, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +427,7 @@ func TestMapCancelledWithinOneBatch(t *testing.T) {
 	q := mustParse(t, "avg v[0,0 : 256,1024] es {8,8}") // 16 batches of 16 rows
 	op, _ := q.Op()
 	space, _ := q.IntermediateSpace()
-	pp, err := partition.NewPartitionPlus(space, 2, 0)
+	pp, err := partition.NewPartitionPlus(space, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestMapAllocsIndependentOfPoints(t *testing.T) {
 		q := mustParse(t, qs)
 		op, _ := q.Op()
 		space, _ := q.IntermediateSpace()
-		pp, err := partition.NewPartitionPlus(space, 4, 0)
+		pp, err := partition.NewPartitionPlus(space, 4, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -554,7 +554,7 @@ func TestHolisticKeyShipsOnePair(t *testing.T) {
 	q := mustParse(t, "median v[0,0 : 12,10] es {4,5}")
 	op, _ := q.Op()
 	space, _ := q.IntermediateSpace()
-	pp, err := partition.NewPartitionPlus(space, 2, 0)
+	pp, err := partition.NewPartitionPlus(space, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func buildJob(t *testing.T, q *query.Query, reducers int, sidr bool, combine boo
 	}
 	var part partition.Partitioner
 	if sidr {
-		pp, err := partition.NewPartitionPlus(space, reducers, 0)
+		pp, err := partition.NewPartitionPlus(space, reducers, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sidr/internal/coords"
@@ -146,7 +147,8 @@ type PartitionPlus struct {
 	// Blocks are the keyblocks, contiguous and in row-major order.
 	Blocks []Keyblock
 
-	r int
+	r    int
+	live []bool // live rows of Space's leading dimension; nil: all
 }
 
 // DefaultMaxSkew is the permissible-skew bound used when the query does
@@ -155,26 +157,45 @@ type PartitionPlus struct {
 const DefaultMaxSkew = 1 << 16
 
 // NewPartitionPlus partitions the intermediate keyspace `space` (K'^T)
-// into r contiguous, balanced keyblocks whose sizes differ by at most
-// maxSkew keys (Figure 7). maxSkew <= 0 selects DefaultMaxSkew.
-func NewPartitionPlus(space coords.Slab, r int, maxSkew int64) (*PartitionPlus, error) {
+// into r contiguous keyblocks balanced over its live keys (Figure 7).
+// live marks which rows of space's leading dimension (indexed from the
+// space's corner) any input split can reach — a structurally pruned
+// plan's kept splits reach only some; nil means every row is live.
+// Keyblocks hold live tile instances that differ in count by at most
+// one, and the keys between them ride along with the live instance
+// before them, so the keyblocks still cover all of space. maxSkew <= 0
+// selects DefaultMaxSkew.
+func NewPartitionPlus(space coords.Slab, r int, maxSkew int64, live []bool) (*PartitionPlus, error) {
 	if r <= 0 {
 		return nil, fmt.Errorf("partition: reducer count %d must be positive", r)
 	}
 	if err := space.Shape.Validate(); err != nil {
 		return nil, fmt.Errorf("partition: intermediate space: %w", err)
 	}
+	if live != nil && int64(len(live)) != space.Shape[0] {
+		return nil, fmt.Errorf("partition: live mask has %d rows for a space of %d", len(live), space.Shape[0])
+	}
 	if maxSkew <= 0 {
 		maxSkew = DefaultMaxSkew
 	}
 	total := space.Shape.Size()
+	pp := &PartitionPlus{Space: space.Clone(), r: r, live: slices.Clone(live)}
+	liveKeys := total
+	if live != nil {
+		liveKeys = 0
+		for _, l := range live {
+			if l {
+				liveKeys += pp.rowSize()
+			}
+		}
+	}
 
-	// The effective skew bound is tightened to the per-reducer share when
-	// the user bound is coarser, so a tile never spans more than one
-	// reducer's worth of keys (the "chosen by the system based on the
-	// query" case of §3.1).
+	// The effective skew bound is tightened to the per-reducer share of
+	// the live keys when the user bound is coarser, so a tile never spans
+	// more than one reducer's worth of reachable keys (the "chosen by the
+	// system based on the query" case of §3.1).
 	eff := maxSkew
-	if share := total / int64(r); share < eff {
+	if share := liveKeys / int64(r); share < eff {
 		eff = share
 		if eff < 1 {
 			eff = 1
@@ -209,33 +230,43 @@ func NewPartitionPlus(space coords.Slab, r int, maxSkew int64) (*PartitionPlus, 
 			tile[i] = 1
 		}
 	}
+	pp.TileShape = tile
 	tileSize := tile.Size()
 
-	// Step B: count tile instances and split them across r keyblocks.
-	// Instances tile the space in row-major order; treat them as a linear
-	// sequence and give each keyblock floor(instances/r) of them, with the
-	// first (instances mod r) keyblocks taking one extra — keyblocks
-	// differ by at most one instance of the chosen shape (§3.1, Figure 7).
+	// Step B: tile instances cover the space in row-major order; treat
+	// them as a linear sequence and give each keyblock floor(L/r) of the L
+	// live ones, with the first (L mod r) keyblocks taking one extra —
+	// keyblocks differ by at most one live instance of the chosen shape
+	// (§3.1, Figure 7). A keyblock starts at its first live instance, so a
+	// dead instance joins the keyblock before it and a dead prefix joins
+	// keyblock 0. With every row live this is the uniform split of all
+	// instances.
 	instances := (total + tileSize - 1) / tileSize
-	per := instances / int64(r)
-	rem := instances % int64(r)
-
-	pp := &PartitionPlus{Space: space.Clone(), TileShape: tile, r: r}
-	startTile := int64(0)
+	var nLive int64
+	for j := range instances {
+		if pp.instanceLive(j) {
+			nLive++
+		}
+	}
+	per := nLive / int64(r)
+	rem := nLive % int64(r)
+	starts := make([]int64, r+1) // starts[i]: keyblock i's first key offset
+	for i := 1; i <= r; i++ {
+		starts[i] = total
+	}
+	next, rank := 1, int64(0) // next keyblock to start; live instances seen
+	for j := int64(0); j < instances && next < r; j++ {
+		if !pp.instanceLive(j) {
+			continue
+		}
+		if rank == int64(next)*per+min(int64(next), rem) {
+			starts[next] = j * tileSize
+			next++
+		}
+		rank++
+	}
 	for i := 0; i < r; i++ {
-		n := per
-		if int64(i) < rem {
-			n++
-		}
-		lo := startTile * tileSize
-		hi := (startTile + n) * tileSize
-		startTile += n
-		if lo > total {
-			lo = total
-		}
-		if hi > total {
-			hi = total
-		}
+		lo, hi := starts[i], starts[i+1]
 		kb := Keyblock{Index: i, Lo: lo, Hi: hi}
 		if hi > lo {
 			kb.Slab, kb.Rect = rangeToSlab(space, lo, hi)
@@ -243,6 +274,27 @@ func NewPartitionPlus(space coords.Slab, r int, maxSkew int64) (*PartitionPlus, 
 		pp.Blocks = append(pp.Blocks, kb)
 	}
 	return pp, nil
+}
+
+// rowSize is the number of keys in one row of the space's leading
+// dimension.
+func (p *PartitionPlus) rowSize() int64 { return p.Space.Shape.Size() / p.Space.Shape[0] }
+
+// instanceLive reports whether tile instance j — the linear key range
+// [j·|tile|, (j+1)·|tile|) clipped to the space — touches a live row.
+func (p *PartitionPlus) instanceLive(j int64) bool {
+	if p.live == nil {
+		return true
+	}
+	tileSize, rowSize := p.TileShape.Size(), p.rowSize()
+	lo := j * tileSize
+	hi := min(lo+tileSize, p.Space.Shape.Size())
+	for row := lo / rowSize; row*rowSize < hi; row++ {
+		if p.live[row] {
+			return true
+		}
+	}
+	return false
 }
 
 // rangeToSlab converts a row-major linear range of the space into a
@@ -313,9 +365,10 @@ func (p *PartitionPlus) BlockSizes() []int64 {
 	return out
 }
 
-// TileCountSkew returns the difference in tile-instance counts between
-// the largest and smallest non-empty keyblock; §3.1 guarantees this is at
-// most one.
+// TileCountSkew returns the difference in live tile-instance counts
+// between the keyblocks holding the most and the fewest, over non-empty
+// keyblocks; §3.1 guarantees this is at most one. Instances are counted
+// afresh from the keyblock bounds and the live rows.
 func (p *PartitionPlus) TileCountSkew() int64 {
 	tileSize := p.TileShape.Size()
 	var lo, hi int64 = -1, 0
@@ -323,7 +376,12 @@ func (p *PartitionPlus) TileCountSkew() int64 {
 		if b.Size() == 0 {
 			continue
 		}
-		n := (b.Size() + tileSize - 1) / tileSize
+		var n int64
+		for j := b.Lo / tileSize; j*tileSize < b.Hi; j++ {
+			if p.instanceLive(j) {
+				n++
+			}
+		}
 		if lo < 0 || n < lo {
 			lo = n
 		}

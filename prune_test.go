@@ -1,10 +1,20 @@
 package sidr
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
+
+	"sidr/internal/cluster"
+	"sidr/internal/coords"
+	"sidr/internal/datagen"
+	"sidr/internal/exec"
 )
 
 // hotBand is deterministic data whose high values are confined to a
@@ -122,6 +132,119 @@ func TestPrunedSubsetInputAndEngines(t *testing.T) {
 		}
 		if !reflect.DeepEqual(base.Keys, pruned.Keys) || !reflect.DeepEqual(base.Values, pruned.Values) {
 			t.Fatalf("engine %v: pruned result diverges", engine)
+		}
+	}
+}
+
+// gappedBands is hotBand with two hot bands of leading-dimension rows,
+// [16,28) and [60,72), far enough apart that the splits a selective
+// predicate keeps are not contiguous and dead keys lie between them.
+func gappedBands(k []int64) float64 {
+	v := float64((k[0]*31+k[1]*7)%97) / 97.0 * 20.0
+	if k[0] >= 16 && k[0] < 28 || k[0] >= 60 && k[0] < 72 {
+		v += 100
+	}
+	return v
+}
+
+// TestPrunedGappedBandsMatchUnpruned: a pruned plan whose kept splits
+// form two separate bands tiles only their keys, so every keyblock gets
+// a live tile and a dependency, and its output is Float64bits-identical
+// to the unpruned run on the in-process engine and on a cluster.
+func TestPrunedGappedBandsMatchUnpruned(t *testing.T) {
+	shape := []int64{96, 8}
+	path := filepath.Join(t.TempDir(), "bands.ncf")
+	if err := datagen.WriteDataset(path, "t", coords.NewShape(shape...), func(k coords.Coord) float64 { return gappedBands(k) }); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := Open(path, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	vi, err := ds.BuildIndex(48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ParseQuery("filter_gt t[0,0 : 96,8] es {2,4} param 90")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := RunOptions{Engine: SIDR, Reducers: 4, SplitPoints: 16}
+	base, err := Run(ds, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Index = vi
+	prep, err := Prepare(shape, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := prep.plan
+	if kept := plan.KeptSplits; len(kept) != 12 || kept[len(kept)-1]-kept[0] == len(kept)-1 {
+		t.Fatalf("kept splits %v, want two separate bands of 6", kept)
+	}
+	// 24 live keys over 4 reducers: tiles of 6 keys, 5 of them live, so
+	// every keyblock holds a live tile and depends on a kept split.
+	for l, deps := range plan.Graph.KBToSplits {
+		if len(deps) == 0 {
+			t.Fatalf("keyblock %d [%d,%d) has no dependency", l, plan.Keyblocks[l].Lo, plan.Keyblocks[l].Hi)
+		}
+	}
+
+	pruned, err := prep.Run(t.Context(), ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "in-process", base, pruned)
+
+	c := cluster.NewCoordinator(cluster.CoordinatorConfig{HeartbeatTimeout: 30 * time.Second})
+	defer c.Close()
+	for i := range 2 {
+		w, err := cluster.NewWorker(cluster.WorkerConfig{Name: fmt.Sprintf("w%d", i), SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(w)
+		defer srv.Close()
+		defer w.Close()
+		if err := c.Register(fmt.Sprintf("w%d", i), srv.URL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ex := exec.New(2)
+	defer ex.Close()
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
+	res, err := c.RunPlan(ctx, plan, cluster.JobSpec{
+		Dataset: cluster.DatasetSpec{Kind: "file", Path: path, Variable: "t"},
+		Exec:    ex,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered, err := NewResult(plan, res.Loop, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "cluster", base, clustered)
+}
+
+// sameBits fails unless got has want's keys and the same float64 bits
+// for every value.
+func sameBits(t *testing.T, what string, want, got *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(want.Keys, got.Keys) || len(want.Values) != len(got.Values) {
+		t.Fatalf("%s: pruned keys diverge: %d rows, want %d", what, len(got.Keys), len(want.Keys))
+	}
+	for i := range want.Values {
+		if len(want.Values[i]) != len(got.Values[i]) {
+			t.Fatalf("%s: row %d has %d values, want %d", what, i, len(got.Values[i]), len(want.Values[i]))
+		}
+		for j, v := range want.Values[i] {
+			if math.Float64bits(v) != math.Float64bits(got.Values[i][j]) {
+				t.Fatalf("%s: row %d value %d is %v, want %v", what, i, j, got.Values[i][j], v)
+			}
 		}
 	}
 }
