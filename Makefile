@@ -12,12 +12,13 @@ race:
 	$(GO) test -race ./...
 
 # flake is the "green on every run, not most runs" gate for the packages
-# whose tests schedule: the job loop, the cluster runtime, and the job
-# manager and server above them (collapse, cancel, notify hooks, streams).
+# whose tests schedule: the job loop, the pipelines chained on it, the
+# cluster runtime, and the job manager and server above them (collapse,
+# cancel, notify hooks, streams).
 # The Map kernel's differential matrix and fuzz seeds are deterministic —
 # they run once; everything that schedules runs 20 times, then 5 under
 # the race detector.
-FLAKY = ./internal/mapreduce ./internal/cluster ./internal/jobs ./internal/server
+FLAKY = ./internal/mapreduce ./internal/pipeline ./internal/cluster ./internal/jobs ./internal/server
 flake:
 	$(GO) test -count=1 -run=MapKernel ./internal/mapreduce
 	$(GO) test -count=20 -skip=MapKernel $(FLAKY)

@@ -339,9 +339,14 @@ func BenchmarkAblationCombiner(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		in, err := plan.TaskInput(ds.Reader(context.Background()), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		in.Combine = combine
 		for i := 0; i < b.N; i++ {
-			_, err := plan.RunLocal(ds.Reader(context.Background()), func(cfg *mapreduce.Config) {
-				cfg.Combine = combine
+			_, err := plan.RunLocal(nil, func(cfg *mapreduce.Config) {
+				cfg.Runner = mapreduce.LocalRunner{In: in, Splits: plan.Splits}
 			})
 			if err != nil {
 				b.Fatal(err)

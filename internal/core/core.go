@@ -480,7 +480,6 @@ func (p *Plan) JobConfig(readerA, readerB coords.RecordReader) mapreduce.Config 
 		Join:    p.Join,
 		Part:    p.Part,
 		Graph:   p.Graph,
-		Combine: true,
 	}
 	if p.Engine == EngineSIDR {
 		cfg.Barrier = mapreduce.DependencyBarrier

@@ -44,7 +44,6 @@ func benchConfig(b *testing.B, qs string, reducers int) Config {
 		Graph:          g,
 		Barrier:        DependencyBarrier,
 		ValidateCounts: true,
-		Combine:        true,
 	}
 }
 

@@ -94,7 +94,6 @@ func TestSplitsBeyondQueryInput(t *testing.T) {
 		Graph:          g,
 		Barrier:        DependencyBarrier,
 		ValidateCounts: true,
-		Combine:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

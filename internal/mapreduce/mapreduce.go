@@ -16,8 +16,12 @@
 // counter reaches zero; a Reduce task whose fetch reports a Map output
 // lost re-arms — the split re-executes and every uncommitted dependent
 // waits for it again; and the §3.2.1 kv-count tally gates every commit.
-// Readiness is therefore computed, not discovered — no task ever parks
-// on a condition variable waiting for its barrier.
+// Map readiness works the same way one level up: in a pipeline's
+// downstream stage each split carries a counter of the upstream
+// keyblocks it reads (Config.Upstream), and the upstream commit that
+// zeroes it submits the Map task (Job.UpstreamCommitted). Readiness is
+// therefore computed, not discovered — no task ever parks on a
+// condition variable waiting for its barrier.
 //
 // Where the tasks run is a Runner's business. The in-process runner
 // executes ExecMap into memory; internal/cluster's dispatches Map
@@ -195,9 +199,12 @@ type Config struct {
 	// operator (§3.2.1 approach 2). Requires Graph.
 	ValidateCounts bool
 
-	// Combine makes a filter's Map tasks pre-filter their samples (see
-	// MapInput.Combine).
-	Combine bool
+	// Upstream, when set, makes the job a downstream stage of another:
+	// split i's Map task reads the output of the upstream keyblocks in
+	// Upstream.SplitToKB[i] and becomes runnable once UpstreamCommitted
+	// has reported each of them — I_ℓ one level up (internal/pipeline).
+	// Nil makes every Map task runnable at start.
+	Upstream *depgraph.Graph
 
 	// Workers bounds the job's task concurrency. Without an injected
 	// executor it sizes the job's private worker pool (default
@@ -304,6 +311,14 @@ type Job struct {
 	reduceRank []int // keyblock → position in rOrder (dispatch priority)
 	results    []ReduceOutput
 
+	// Map readiness, guarded by mu: upWait[i] counts the upstream
+	// keyblocks split i still waits for (Config.Upstream; all zero without
+	// one), awaiting the splits whose count is not zero yet. Until Run has
+	// started, a count reaching zero leaves the split for Run to submit.
+	upWait   []int
+	awaiting int
+	started  bool
+
 	// inflight counts tasks handed to the executor and not yet returned
 	// or dropped. The job is over when it is zero and every keyblock is
 	// committed (or the job has failed); done closes then.
@@ -343,7 +358,7 @@ func NewJob(cfg Config) (*Job, error) {
 		Reader:  cfg.Reader,
 		Join:    cfg.Join,
 		Reader2: cfg.Reader2,
-		Combine: cfg.Combine,
+		Combine: true,
 	}
 	var err error
 	if cfg.Join == nil {
@@ -379,7 +394,18 @@ func NewJob(cfg Config) (*Job, error) {
 		committed:  make([]bool, r),
 		reduceRank: make([]int, r),
 		results:    make([]ReduceOutput, r),
+		upWait:     make([]int, len(cfg.Splits)),
 		done:       make(chan struct{}),
+	}
+	if up := cfg.Upstream; up != nil {
+		if len(up.SplitToKB) != len(cfg.Splits) {
+			return nil, fmt.Errorf("mapreduce: upstream graph has %d splits for %d", len(up.SplitToKB), len(cfg.Splits))
+		}
+		for i, kbs := range up.SplitToKB {
+			if j.upWait[i] = len(kbs); j.upWait[i] > 0 {
+				j.awaiting++
+			}
+		}
 	}
 	if j.runner == nil {
 		j.runner = LocalRunner{In: in, Splits: cfg.Splits}
@@ -473,14 +499,19 @@ func (j *Job) Run() (*Result, error) {
 	// splits) enqueue immediately — under SIDR scheduling Reduce tasks
 	// are scheduled before the Map tasks they depend on (§3.3), which
 	// exec.Class ordering guarantees for every later enqueue too.
+	// Map tasks still waiting for upstream keyblocks are left to
+	// UpstreamCommitted.
 	j.mu.Lock()
+	j.started = true
 	for _, l := range j.rOrder {
 		if j.remaining[l] == 0 {
 			j.enqueueReduceLocked(l)
 		}
 	}
 	for _, i := range j.order {
-		j.submitMapLocked(i)
+		if j.upWait[i] == 0 {
+			j.submitMapLocked(i)
+		}
 	}
 	j.settleLocked() // a splitless, reducerless job is already done
 	j.mu.Unlock()
@@ -557,10 +588,34 @@ func (j *Job) enqueueReduceLocked(l int) {
 	j.submitLocked(exec.Reduce, j.reduceRank[l], "reduce", l, func() { j.runReduce(l) })
 }
 
-// settleLocked completes the job once nothing is in flight. Caller holds
-// j.mu.
+// UpstreamCommitted reports that upstream keyblock l has committed its
+// output: every split reading it (Config.Upstream.KBToSplits[l]) waits
+// for one keyblock fewer, and each whose count reaches zero is submitted
+// as a Map task — Map readiness computed the way Reduce readiness is.
+// Call it once per upstream keyblock, before or during Run.
+func (j *Job) UpstreamCommitted(l int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, i := range j.cfg.Upstream.KBToSplits[l] {
+		j.upWait[i]--
+		if j.upWait[i] > 0 {
+			continue
+		}
+		j.awaiting--
+		if j.started {
+			j.submitMapLocked(i)
+		}
+	}
+	if j.started {
+		j.settleLocked() // a rejected submission has failed the job
+	}
+}
+
+// settleLocked completes the job once nothing is in flight and no Map
+// task still waits for an upstream commit (unless the job has failed).
+// Caller holds j.mu.
 func (j *Job) settleLocked() {
-	if j.inflight > 0 || j.settled {
+	if j.inflight > 0 || j.settled || j.awaiting > 0 && j.failed == nil {
 		return
 	}
 	if j.failed == nil && j.nCommitted < len(j.committed) {

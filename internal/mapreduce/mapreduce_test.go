@@ -128,12 +128,21 @@ func buildJob(t *testing.T, q *query.Query, reducers int, sidr bool, combine boo
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Query:   q,
-		Splits:  splits,
-		Reader:  &FuncReader{Fn: synthValue},
-		Part:    part,
-		Graph:   g,
-		Combine: combine,
+		Query:  q,
+		Splits: splits,
+		Reader: &FuncReader{Fn: synthValue},
+		Part:   part,
+		Graph:  g,
+	}
+	if !combine {
+		// A job's own task input always combines; an uncombined run hands
+		// the loop a runner over an input that does not.
+		op, err := q.Op()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := MapInput{Query: q, Op: op, Space: space, Part: part, Reader: cfg.Reader}
+		cfg.Runner = LocalRunner{In: in, Splits: splits}
 	}
 	if sidr {
 		cfg.Barrier = DependencyBarrier

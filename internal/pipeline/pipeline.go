@@ -3,21 +3,30 @@
 // results for portions of the total output into pipe-lined
 // computations."
 //
-// A pipeline chains structural queries: stage n+1's input keyspace is
-// stage n's output keyspace K'^T. Because SIDR's partial results are
-// correct — not estimates — a downstream Map task may start as soon as
-// the upstream keyblocks covering its input split have committed,
-// overlapping the stages instead of running them back to back. The
-// gating reuses the same geometry machinery as SIDR's own barrier: an
-// upstream keyblock feeds a downstream split iff their regions overlap.
+// A pipeline chains structural queries: stage n+1's input lies in stage
+// n's output keyspace K'^T. Because SIDR's partial results are correct —
+// not estimates — a downstream Map task may run as soon as the upstream
+// keyblocks its input split reads have committed, overlapping the stages
+// instead of running them back to back. Which keyblocks those are is
+// I_ℓ one level up: the downstream split's keys put through the upstream
+// partitioner, known before either stage runs. So every stage is a job
+// on the one loop, the downstream job holds that relation as Map
+// readiness counters (mapreduce.Config.Upstream), and each upstream
+// commit decrements them (Job.UpstreamCommitted) — no Map task ever
+// waits inside its reader.
 package pipeline
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"time"
 
 	"sidr/internal/coords"
 	"sidr/internal/core"
+	"sidr/internal/depgraph"
+	"sidr/internal/exec"
 	"sidr/internal/mapreduce"
 	"sidr/internal/query"
 )
@@ -30,8 +39,6 @@ import (
 type Stage struct {
 	Query    *query.Query
 	Reducers int
-	// MaxSkew bounds partition+ skew for this stage (0 = default).
-	MaxSkew int64
 }
 
 // Result is a completed pipeline.
@@ -40,129 +47,9 @@ type Result struct {
 	Final *mapreduce.Result
 	// StageResults holds every stage's result in order.
 	StageResults []*mapreduce.Result
-	// OverlappedStarts counts downstream Map-task reads served before
-	// their upstream stage had fully completed — the pipelining win. A
-	// stage's splits are small, so that is one read per Map task.
+	// OverlappedStarts counts downstream Map tasks that started before
+	// their upstream stage's last keyblock committed — the pipelining win.
 	OverlappedStarts int
-}
-
-// stageBuffer accumulates one stage's output as a virtual array and
-// gates downstream reads on upstream keyblock commits.
-type stageBuffer struct {
-	space coords.Slab // the stage's output keyspace K'^T
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	values    map[int64]float64 // linearised K' offset -> value
-	committed []coords.Slab     // committed keyblock regions
-	allDone   bool
-	err       error
-}
-
-func newStageBuffer(space coords.Slab) *stageBuffer {
-	b := &stageBuffer{space: space, values: make(map[int64]float64)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// commit publishes one upstream keyblock's output.
-func (b *stageBuffer) commit(region coords.Slab, out mapreduce.ReduceOutput) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, k := range out.Keys {
-		off, err := b.space.Linearize(k)
-		if err != nil {
-			return err
-		}
-		if len(out.Values[i]) > 0 {
-			b.values[off] = out.Values[i][0]
-		}
-	}
-	b.committed = append(b.committed, region)
-	b.cond.Broadcast()
-	return nil
-}
-
-// finish marks the upstream stage complete (or failed).
-func (b *stageBuffer) finish(err error) {
-	b.mu.Lock()
-	b.allDone = true
-	if err != nil {
-		b.err = err
-	}
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// covered reports whether the slab lies entirely within committed
-// regions. Caller holds b.mu. Regions are contiguous keyblocks, so a
-// per-point containment check against the union suffices and slabs are
-// small (one split's tile range).
-func (b *stageBuffer) covered(slab coords.Slab) bool {
-	ok := true
-	slab.Each(func(k coords.Coord) bool {
-		for _, r := range b.committed {
-			if r.Contains(k) {
-				return true
-			}
-		}
-		ok = false
-		return false
-	})
-	return ok
-}
-
-// waitFor blocks until the slab's data is available; returns false if
-// the upstream stage finished without covering it (it then reads as
-// written, with absent keys zero).
-func (b *stageBuffer) waitFor(slab coords.Slab) (early bool, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		if b.err != nil {
-			return false, b.err
-		}
-		if b.covered(slab) {
-			return !b.allDone, nil
-		}
-		if b.allDone {
-			return false, nil
-		}
-		b.cond.Wait()
-	}
-}
-
-// bufferReader adapts a stageBuffer to the engine's record reader,
-// blocking each read until its region has committed upstream.
-type bufferReader struct {
-	buf     *stageBuffer
-	overlap *int
-	mu      *sync.Mutex
-}
-
-// ReadSlabInto implements coords.RecordReader; absent keys read as zero.
-func (r *bufferReader) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, error) {
-	early, err := r.buf.waitFor(slab)
-	if err != nil {
-		return nil, err
-	}
-	if early {
-		r.mu.Lock()
-		*r.overlap++
-		r.mu.Unlock()
-	}
-	dst = dst[:0]
-	r.buf.mu.Lock()
-	defer r.buf.mu.Unlock()
-	slab.EachReuse(func(k coords.Coord) bool {
-		var off int64
-		if off, err = r.buf.space.Linearize(k); err != nil {
-			return false
-		}
-		dst = append(dst, r.buf.values[off])
-		return true
-	})
-	return dst, err
 }
 
 // Options tunes pipeline execution.
@@ -183,124 +70,138 @@ func RunWithOptions(source coords.RecordReader, stages []Stage, opts Options) (*
 	if source == nil {
 		return nil, fmt.Errorf("pipeline: nil source reader")
 	}
-	if len(stages) == 0 {
-		return nil, fmt.Errorf("pipeline: no stages")
+	plans, upstream, err := plan(stages)
+	if err != nil {
+		return nil, err
 	}
-	// Validate stage chaining: stage n+1's input must equal stage n's
-	// output keyspace.
-	plans := make([]*core.Plan, len(stages))
-	var prevSpace coords.Slab
-	for i, st := range stages {
-		if st.Query == nil {
-			return nil, fmt.Errorf("pipeline: stage %d has no query", i)
+
+	// Every stage is a job on one shared executor; a stage that fails
+	// cancels the others through the shared context.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ex := exec.New(runtime.GOMAXPROCS(0))
+	defer ex.Close()
+
+	// Stage i's output is a dense array over its K'^T: a commit writes its
+	// keys' first values, then makes the downstream Maps reading that
+	// keyblock one dependency closer to runnable. Stage i+1 reads the
+	// array; chain validation keeps every read inside it.
+	jobs := make([]*mapreduce.Job, len(plans))
+	var reader coords.RecordReader = source
+	for i, p := range plans {
+		cfg := p.JobConfig(reader, nil)
+		cfg.Ctx, cfg.Exec, cfg.Upstream = ctx, ex, upstream[i]
+		if opts.OnEvent != nil {
+			cfg.OnEvent = func(e mapreduce.Event) { opts.OnEvent(i, e) }
 		}
-		if st.Reducers <= 0 {
-			return nil, fmt.Errorf("pipeline: stage %d needs reducers", i)
-		}
-		if i > 0 {
-			want := coords.Slab{Corner: make(coords.Coord, prevSpace.Rank()), Shape: prevSpace.Shape}
-			if !st.Query.Input.Equal(want) && !prevSpace.ContainsSlab(st.Query.Input) {
-				return nil, fmt.Errorf("pipeline: stage %d input %v does not chain from stage %d output space %v",
-					i, st.Query.Input, i-1, prevSpace)
+		if i+1 < len(plans) {
+			space, vals := p.Space, make([]float64, p.Space.Size())
+			cfg.OnReduceOutput = func(out mapreduce.ReduceOutput) {
+				for k, key := range out.Keys {
+					if off, err := space.Linearize(key); err == nil && len(out.Values[k]) > 0 {
+						vals[off] = out.Values[k][0]
+					}
+				}
+				jobs[i+1].UpstreamCommitted(out.Keyblock)
 			}
+			reader = &mapreduce.FuncReader{Fn: func(k coords.Coord) float64 {
+				off, _ := space.Linearize(k)
+				return vals[off]
+			}}
 		}
-		_, splitPoints := core.RequestDefaults(st.Query, st.Reducers, 0)
-		plan, err := core.NewPlan(st.Query, core.EngineSIDR, core.Options{
-			Reducers:    st.Reducers,
-			SplitPoints: splitPoints,
-			MaxSkew:     st.MaxSkew,
-		})
-		if err != nil {
+		if jobs[i], err = mapreduce.NewJob(cfg); err != nil {
 			return nil, fmt.Errorf("pipeline: stage %d: %w", i, err)
 		}
-		plans[i] = plan
-		prevSpace, err = st.Query.IntermediateSpace()
-		if err != nil {
-			return nil, err
-		}
 	}
 
-	res := &Result{StageResults: make([]*mapreduce.Result, len(stages))}
-	var overlapMu sync.Mutex
-
-	// Launch all stages concurrently; stage n+1 blocks per split until
-	// its upstream keyblocks commit.
-	readers := make([]coords.RecordReader, len(stages))
-	buffers := make([]*stageBuffer, len(stages))
-	readers[0] = source
-	for i := 1; i < len(stages); i++ {
-		space, err := stages[i-1].Query.IntermediateSpace()
-		if err != nil {
-			return nil, err
-		}
-		buffers[i] = newStageBuffer(space)
-		readers[i] = &bufferReader{buf: buffers[i], overlap: &res.OverlappedStarts, mu: &overlapMu}
-	}
-
-	errs := make([]error, len(stages))
-	var wg sync.WaitGroup
-	for i := range stages {
+	res := &Result{StageResults: make([]*mapreduce.Result, len(jobs))}
+	var (
+		wg       sync.WaitGroup
+		failOnce sync.Once
+		failed   error
+	)
+	for i, j := range jobs {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			plan := plans[i]
-			downstream := i+1 < len(stages)
-			mrRes, err := plan.RunLocal(readers[i], func(cfg *mapreduce.Config) {
-				if opts.OnEvent != nil {
-					cfg.OnEvent = func(e mapreduce.Event) { opts.OnEvent(i, e) }
-				}
-				if !downstream {
-					return
-				}
-				cfg.OnReduceOutput = func(out mapreduce.ReduceOutput) {
-					region, ok := plan.KeyblockSlab(out.Keyblock)
-					if !ok {
-						// Non-rectangular or empty keyblock: synthesise a
-						// covering region from the keys themselves.
-						if len(out.Keys) == 0 {
-							return
-						}
-						region = boundingSlab(out.Keys)
-					}
-					if err := buffers[i+1].commit(region, out); err != nil {
-						buffers[i+1].finish(err)
-					}
-				}
-			})
-			errs[i] = err
-			res.StageResults[i] = mrRes
-			if downstream {
-				buffers[i+1].finish(err)
+			r, err := j.Run()
+			if err != nil {
+				// The first failure is the cause; the others are its cancel.
+				failOnce.Do(func() { failed = fmt.Errorf("pipeline: stage %d: %w", i, err) })
+				cancel()
+				return
 			}
-		}(i)
+			res.StageResults[i] = r
+		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: stage %d: %w", i, err)
-		}
+	if failed != nil {
+		return nil, failed
 	}
-	res.Final = res.StageResults[len(stages)-1]
+	for i := 1; i < len(jobs); i++ {
+		res.OverlappedStarts += overlapped(res.StageResults[i-1].Events, res.StageResults[i].Events)
+	}
+	res.Final = res.StageResults[len(jobs)-1]
 	return res, nil
 }
 
-// boundingSlab returns the minimal slab covering the keys.
-func boundingSlab(keys []coords.Coord) coords.Slab {
-	lo := keys[0].Clone()
-	hi := keys[0].Clone()
-	for _, k := range keys[1:] {
-		for d := range k {
-			if k[d] < lo[d] {
-				lo[d] = k[d]
-			}
-			if k[d] > hi[d] {
-				hi[d] = k[d]
-			}
+// plan validates the chain and derives every stage's plan and, for each
+// stage after the first, its Map readiness graph: the upstream keyblocks
+// each of its splits reads. That is depgraph.Build over the downstream
+// splits with a unit extraction — every input point its own key — and
+// the upstream partitioner.
+func plan(stages []Stage) ([]*core.Plan, []*depgraph.Graph, error) {
+	if len(stages) == 0 {
+		return nil, nil, fmt.Errorf("pipeline: no stages")
+	}
+	plans := make([]*core.Plan, len(stages))
+	upstream := make([]*depgraph.Graph, len(stages))
+	for i, st := range stages {
+		if st.Query == nil {
+			return nil, nil, fmt.Errorf("pipeline: stage %d has no query", i)
+		}
+		if st.Reducers <= 0 {
+			return nil, nil, fmt.Errorf("pipeline: stage %d needs reducers", i)
+		}
+		if i > 0 && !plans[i-1].Space.ContainsSlab(st.Query.Input) {
+			return nil, nil, fmt.Errorf("pipeline: stage %d input %v does not chain from stage %d output space %v",
+				i, st.Query.Input, i-1, plans[i-1].Space)
+		}
+		_, splitPoints := core.RequestDefaults(st.Query, st.Reducers, 0)
+		p, err := core.NewPlan(st.Query, core.EngineSIDR, core.Options{Reducers: st.Reducers, SplitPoints: splitPoints})
+		if err != nil {
+			return nil, nil, fmt.Errorf("pipeline: stage %d: %w", i, err)
+		}
+		plans[i] = p
+		if i == 0 {
+			continue
+		}
+		unit := make(coords.Shape, st.Query.Input.Rank())
+		for d := range unit {
+			unit[d] = 1
+		}
+		points := &query.Query{Input: st.Query.Input, Extraction: coords.Extraction{Shape: unit}}
+		if upstream[i], err = depgraph.Build(points, mapreduce.Slabs(p.Splits), plans[i-1].Part); err != nil {
+			return nil, nil, fmt.Errorf("pipeline: stage %d: %w", i, err)
 		}
 	}
-	shape := make(coords.Shape, len(lo))
-	for d := range shape {
-		shape[d] = hi[d] - lo[d] + 1
+	return plans, upstream, nil
+}
+
+// overlapped counts the downstream stage's MapStarts that came before
+// the upstream stage's last ReduceEnd.
+func overlapped(up, down []mapreduce.Event) int {
+	var last time.Time
+	for _, e := range up {
+		if e.Kind == mapreduce.ReduceEnd && e.At.After(last) {
+			last = e.At
+		}
 	}
-	return coords.Slab{Corner: lo, Shape: shape}
+	n := 0
+	for _, e := range down {
+		if e.Kind == mapreduce.MapStart && e.At.Before(last) {
+			n++
+		}
+	}
+	return n
 }

@@ -2,8 +2,12 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,6 +100,259 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(&mapreduce.FuncReader{Fn: synth}, noQ); err == nil {
 		t.Fatal("nil stage query accepted")
 	}
+
+	// An offset upstream input has an offset K'^T (corner {2,0}): a
+	// zero-cornered copy of its shape is not inside it and must be
+	// rejected before any stage reads a record.
+	var reads atomic.Int64
+	counting := readerFunc(func(slab coords.Slab, dst []float64) ([]float64, error) {
+		reads.Add(1)
+		return (&mapreduce.FuncReader{Fn: synth}).ReadSlabInto(slab, dst)
+	})
+	zeroCornered := offsetChain(t, "avg s1[0,0 : 50,2] es {5,2}")
+	if _, err := Run(counting, zeroCornered); err == nil {
+		t.Fatal("zero-cornered copy of an offset output space accepted")
+	}
+	if n := reads.Load(); n != 0 {
+		t.Fatalf("rejected chain read %d batches", n)
+	}
+	// The chain that names the offset space itself runs and matches the
+	// stages run one after another.
+	chained := offsetChain(t, "avg s1[2,0 : 50,2] es {5,2}")
+	res, err := Run(&mapreduce.FuncReader{Fn: synth}, chained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameOutputs(t, res.Final, sequential(t, &mapreduce.FuncReader{Fn: synth}, chained))
+}
+
+// offsetChain is an upstream stage over an offset input (K'^T corner
+// {2,0}, shape {50,2}) followed by the given downstream query.
+func offsetChain(t *testing.T, down string) []Stage {
+	t.Helper()
+	return []Stage{
+		{Query: mustParse(t, "avg temp[14,0 : 350,10] es {7,5}"), Reducers: 4},
+		{Query: mustParse(t, down), Reducers: 2},
+	}
+}
+
+// sequential runs the stages one after another, each on a reader over the
+// previous stage's committed outputs — a key's first value, absent keys
+// zero — and returns the last stage's result.
+func sequential(t *testing.T, source coords.RecordReader, stages []Stage) *mapreduce.Result {
+	t.Helper()
+	reader := source
+	var last *mapreduce.Result
+	for i := range stages {
+		res, err := Run(reader, stages[i:i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = res.Final
+		firsts := firstValues(last)
+		reader = &mapreduce.FuncReader{Fn: func(k coords.Coord) float64 { return firsts[k.String()] }}
+	}
+	return last
+}
+
+// firstValues maps each output key of a stage to its first value.
+func firstValues(res *mapreduce.Result) map[string]float64 {
+	m := map[string]float64{}
+	for _, out := range res.Outputs {
+		for i, k := range out.Keys {
+			if len(out.Values[i]) > 0 {
+				m[k.String()] = out.Values[i][0]
+			}
+		}
+	}
+	return m
+}
+
+// sameOutputs requires two results to hold bit-identical values per key.
+func sameOutputs(t *testing.T, got, want *mapreduce.Result) {
+	t.Helper()
+	g, w := firstValues(got), firstValues(want)
+	if len(g) != len(w) || len(g) == 0 {
+		t.Fatalf("got %d keys, want %d", len(g), len(w))
+	}
+	for k, v := range w {
+		if gv, ok := g[k]; !ok || math.Float64bits(gv) != math.Float64bits(v) {
+			t.Fatalf("key %s: got %v want %v", k, gv, v)
+		}
+	}
+}
+
+// TestFilterChainReadsFirstValueAndZero pins what a downstream stage
+// reads of a multi-valued upstream: a key the filter omitted reads as 0,
+// a key with several survivors as its first value.
+func TestFilterChainReadsFirstValueAndZero(t *testing.T) {
+	stages := []Stage{
+		{Query: mustParse(t, "filter_gt temp[0,0 : 364,10] es {7,5} param 45"), Reducers: 4},
+		{Query: mustParse(t, "avg s1[0,0 : 52,2] es {4,2}"), Reducers: 2},
+	}
+	res, err := Run(&mapreduce.FuncReader{Fn: synth}, stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := firstValues(res.StageResults[0])
+	omitted, several := 52*2-len(s1), 0
+	for _, out := range res.StageResults[0].Outputs {
+		for _, v := range out.Values {
+			if len(v) > 1 {
+				several++
+			}
+		}
+	}
+	if omitted == 0 || several == 0 {
+		t.Fatalf("test premise broken: %d omitted keys, %d with several survivors", omitted, several)
+	}
+	want := map[string]float64{}
+	coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(13, 1)).Each(func(kp coords.Coord) bool {
+		var v kv.Value
+		coords.MustSlab(coords.NewCoord(kp[0]*4, 0), coords.NewShape(4, 2)).Each(func(k coords.Coord) bool {
+			v.Add(s1[k.String()], false) // absent: 0
+			return true
+		})
+		want[kp.String()] = v.Mean()
+		return true
+	})
+	got := firstValues(res.Final)
+	if len(got) != len(want) {
+		t.Fatalf("got %d keys, want %d", len(got), len(want))
+	}
+	for k, w := range want {
+		if math.Abs(got[k]-w) > 1e-9 {
+			t.Fatalf("key %s: got %v want %v", k, got[k], w)
+		}
+	}
+}
+
+// TestNoParkedDownstreamMaps pins that a downstream Map task whose
+// upstream keyblocks have not committed is a counter, not a goroutine:
+// with the upstream stage's last split gated inside its reader and every
+// task not downstream of it settled, the gated Map is the only Map task
+// running anywhere and nothing waits on a condition variable.
+func TestNoParkedDownstreamMaps(t *testing.T) {
+	stages := []Stage{
+		{Query: mustParse(t, "avg temp[0,0 : 364,10] es {7,5}"), Reducers: 4},
+		{Query: mustParse(t, "avg s1[0,0 : 52,2] es {1,2}"), Reducers: 2},
+	}
+	plans, upstream, err := plan(stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What the gate holds back: the upstream keyblocks reading the gated
+	// split, the downstream splits reading those, their keyblocks.
+	up, down := plans[0].Graph, plans[1].Graph
+	gated := len(plans[0].Splits) - 1
+	heldUp := map[int]bool{}
+	for _, l := range up.SplitToKB[gated] {
+		heldUp[l] = true
+	}
+	heldSplits, heldDown := map[int]bool{}, map[int]bool{}
+	for s, kbs := range upstream[1].SplitToKB {
+		for _, l := range kbs {
+			if heldUp[l] {
+				heldSplits[s] = true
+				for _, dl := range down.SplitToKB[s] {
+					heldDown[dl] = true
+				}
+			}
+		}
+	}
+	if len(heldSplits) == 0 || len(heldSplits) == down.NumSplits() || len(heldDown) == down.NumKeyblocks() {
+		t.Fatalf("test premise broken: %d of %d downstream splits held, %d of %d keyblocks",
+			len(heldSplits), down.NumSplits(), len(heldDown), down.NumKeyblocks())
+	}
+	want := [2][2]int{ // per stage: MapEnds, ReduceEnds
+		{up.NumSplits() - 1, up.NumKeyblocks() - len(heldUp)},
+		{down.NumSplits() - len(heldSplits), down.NumKeyblocks() - len(heldDown)},
+	}
+
+	var (
+		mu      sync.Mutex
+		seen    [2][2]int
+		once    sync.Once
+		settled = make(chan struct{})
+		release = make(chan struct{})
+	)
+	onEvent := func(stage int, e mapreduce.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch e.Kind {
+		case mapreduce.MapEnd:
+			seen[stage][0]++
+		case mapreduce.ReduceEnd:
+			seen[stage][1]++
+		}
+		if seen == want {
+			once.Do(func() { close(settled) })
+		}
+	}
+	gateRow := plans[0].Splits[gated].Slab.Corner[0]
+	inner := &mapreduce.FuncReader{Fn: synth}
+	gate := readerFunc(func(slab coords.Slab, dst []float64) ([]float64, error) {
+		if slab.Corner[0] >= gateRow {
+			select {
+			case <-release:
+			case <-time.After(30 * time.Second):
+				return nil, errors.New("gate never released")
+			}
+		}
+		return inner.ReadSlabInto(slab, dst)
+	})
+
+	checked := make(chan error, 1)
+	go func() {
+		defer close(release)
+		select {
+		case <-settled:
+		case <-time.After(30 * time.Second):
+			checked <- errors.New("tasks not downstream of the gate never settled")
+			return
+		}
+		// The last settled task may still be unwinding: wait until the
+		// gated Map is the only one in runMap, then look for parked waits.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			stacks := goroutines()
+			maps, conds := 0, 0
+			for _, g := range stacks {
+				if strings.Contains(g, "mapreduce.(*Job).runMap(") {
+					maps++
+				}
+				if strings.Contains(g, "sync.(*Cond).Wait") &&
+					(strings.Contains(g, "internal/pipeline") || strings.Contains(g, "internal/mapreduce")) {
+					conds++
+				}
+			}
+			if maps == 1 && conds == 0 {
+				checked <- nil
+				return
+			}
+			if time.Now().After(deadline) {
+				checked <- fmt.Errorf("%d goroutines in runMap (want the gated one), %d parked in a cond wait:\n%s",
+					maps, conds, strings.Join(stacks, "\n\n"))
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+
+	res, err := RunWithOptions(gate, stages, Options{OnEvent: onEvent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-checked; err != nil {
+		t.Fatal(err)
+	}
+	sameOutputs(t, res.Final, sequential(t, &mapreduce.FuncReader{Fn: synth}, stages))
+}
+
+// goroutines returns every goroutine's stack.
+func goroutines() []string {
+	buf := make([]byte, 1<<20)
+	return strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
 }
 
 func TestTwoStageMatchesSequentialComposition(t *testing.T) {
@@ -177,11 +434,16 @@ func TestStagesActuallyOverlap(t *testing.T) {
 	stage2Committed := make(chan struct{})
 	var once sync.Once
 
-	// Stage 1's input {364, 10} is split into 8 row bands; the last
-	// band starts at row 364 - ceil(364/8) + 1 or later — gating on
-	// corner row >= 310 isolates exactly the final split.
+	// Gating on the last row band's corner isolates exactly the final
+	// split: the stages share one pool, and on a 2-worker host two gated
+	// Maps would hold every worker.
+	plans, _, err := plan(stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastRow := plans[0].Splits[len(plans[0].Splits)-1].Slab.Corner[0]
 	gate := readerFunc(func(slab coords.Slab, dst []float64) ([]float64, error) {
-		if slab.Corner[0] >= 310 {
+		if slab.Corner[0] >= lastRow {
 			select {
 			case <-stage2Committed:
 			case <-time.After(30 * time.Second):
