@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race flake vet serve bench bench-kv bench-reduce bench-serve bench-spine bench-paper fuzz smoke smoke-serve clean
+.PHONY: build test race flake vet serve bench bench-kv bench-reduce bench-join bench-serve bench-spine bench-paper fuzz smoke smoke-serve clean
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,13 @@ bench-kv:
 bench-reduce:
 	$(GO) test -run='^$$' -bench='^BenchmarkExecReduce$$' -benchtime=1x ./internal/mapreduce
 
+# bench-join runs the join Map's micro-benchmarks once (CI does the
+# same): the Map task on one join_zipf-shaped split per side, dense and
+# mostly missing, and the plan-time dependency graph's geometric count,
+# with allocations reported.
+bench-join:
+	$(GO) test -run='^$$' -bench='^BenchmarkJoin' -benchtime=1x ./internal/join
+
 # bench-serve runs the stream handler's micro-benchmarks once (CI does
 # the same): a result-cache hit sent from the entry's cached bytes and the
 # executed job's stream encoded live, identity and gzip.
@@ -64,10 +71,10 @@ bench-spine:
 bench-paper:
 	$(GO) run ./cmd/sidrbench
 
-# fuzz exercises the untrusted-bytes decoders, the Map kernel's
-# differential oracle, the holistic operators' selection oracle and
-# partition+'s live-mask invariants briefly (CI runs the same targets;
-# crashers land in testdata/fuzz).
+# fuzz exercises the untrusted-bytes decoders, the differential oracles
+# of both Map kernels (single-input and join), the holistic operators'
+# selection oracle and partition+'s live-mask invariants briefly (CI runs
+# the same targets; crashers land in testdata/fuzz).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadSpill -fuzztime=$(FUZZTIME) ./internal/kv/
@@ -75,6 +82,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzIndexCRC -fuzztime=$(FUZZTIME) ./internal/sidx/
 	$(GO) test -run=^$$ -fuzz=FuzzParseJoin -fuzztime=$(FUZZTIME) ./internal/query/
 	$(GO) test -run=^$$ -fuzz=FuzzMapKernel -fuzztime=$(FUZZTIME) ./internal/mapreduce/
+	$(GO) test -run=^$$ -fuzz=FuzzJoinMapKernel -fuzztime=$(FUZZTIME) ./internal/join/
 	$(GO) test -run=^$$ -fuzz=FuzzSelect -fuzztime=$(FUZZTIME) ./internal/ops/
 	$(GO) test -run=^$$ -fuzz=FuzzPartitionPlusLive -fuzztime=$(FUZZTIME) ./internal/partition/
 

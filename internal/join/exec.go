@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"sidr/internal/coords"
 	"sidr/internal/kv"
@@ -13,7 +14,7 @@ import (
 
 // MapOut is one keyblock's share of a join Map task's output: sorted
 // pairs keyed [kp..., side] plus the §3.2.1 source-count annotation. The
-// annotation is geometric (RouteCounts) — independent of data content —
+// annotation is geometric (routeCounts) — independent of data content —
 // so the reduce-side tally validates transport completeness exactly even
 // though NaN cells are never accumulated.
 type MapOut struct {
@@ -21,14 +22,34 @@ type MapOut struct {
 	SourceCount int64
 }
 
+// mapScratch is the state a join Map task reuses from the last one: the
+// batch buffer, the per-cell points and the dense tile of plain-unit
+// accumulators. Every tile cell is zero between tasks — the seal zeroes
+// it, because a cell's Samples is a window that escapes into the pairs.
+type mapScratch struct {
+	vals   []float64
+	points []int64
+	tile   []kv.Value
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(mapScratch) }}
+
+// samplesChunk is how many floats a join Map task allocates at a time
+// for sample windows. A window is carved on its cell's first present
+// value, so a mostly missing side pays for the cells it fills, not for
+// its geometry.
+const samplesChunk = 16 << 10
+
 // ExecMap runs one join Map task: read the split's live region on the
 // given side in row batches, fold every run of present cells into its
 // tile's aggregate (skipping NaN missing cells), and emit side-tagged
-// sorted pairs per keyblock. It is a client of the same batch reader and
-// run decomposition as the single-input Map kernel: plain units
-// accumulate in one dense tile over the split's K' box; a carved tile's
-// heavy side splits each run at its shares' offset boundaries and its
-// light side folds the run into every share. The returned slice is
+// sorted pairs per keyblock. It is a client of the same batch reader,
+// run decomposition and geometry as the single-input Map kernel: one
+// routeCounts pass yields both the per-unit annotation and the points
+// reaching each key, which size a key's sample window exactly. Plain
+// units accumulate in one dense tile over the split's K' box; a carved
+// tile's heavy side splits each run at its shares' offset boundaries and
+// its light side folds the run into every share. The returned slice is
 // indexed by keyblock; the second return value is the number of source
 // records that mapped into the join keyspace.
 func ExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab, ctx context.Context) ([]MapOut, int64, error) {
@@ -37,40 +58,42 @@ func ExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab, c
 	if !ok {
 		return outs, 0, nil
 	}
-	counts, err := RouteCounts(p, side, live)
+	s := scratchPool.Get().(*mapScratch)
+	records, err := s.execMap(p, side, reader, live, ctx, outs)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, err // the tile may hold live cells: drop the scratch
 	}
+	scratchPool.Put(s)
+	return outs, records, nil
+}
+
+// execMap is ExecMap's body over the split's live region: it fills outs
+// and returns the record count.
+func (s *mapScratch) execMap(p *Plan, side int, reader coords.RecordReader, live coords.Slab, ctx context.Context, outs []MapOut) (int64, error) {
+	counts := make([]int64, len(p.Units))
+	g, err := routeCounts(p, side, live, s.points, counts)
+	if err != nil {
+		return 0, err
+	}
+	s.points = g.points
 	for kb, n := range counts {
 		outs[kb].SourceCount = n
 	}
 
-	box := p.Q.Extraction.KeyBox(live, p.Space)
-	walk, err := p.Q.Extraction.Walk(box)
-	if err != nil {
-		return nil, 0, err
+	box := g.walk.Box
+	if cells := box.Size(); int64(cap(s.tile)) < cells {
+		s.tile = make([]kv.Value, cells)
+	} else {
+		s.tile = s.tile[:cells]
 	}
+	tile, points, carved := s.tile, g.points, g.carved
 	needSamples := p.Op.NeedsSamples()
-	tile := make([]kv.Value, box.Size()) // plain units, by cell of box
-	shareAcc := make([]kv.Value, len(p.Units))
-	// carved maps the cells of box that are carved tiles to their shares.
-	var carved map[int64][]int
-	for k, ids := range p.shares {
-		kp, err := p.Space.Delinearize(k)
-		if err != nil {
-			return nil, 0, err
-		}
-		if cell, err := box.Linearize(kp); err == nil {
-			if carved == nil {
-				carved = make(map[int64][]int)
-			}
-			carved[cell] = ids
-		}
+	var shareAcc []kv.Value
+	if carved != nil {
+		shareAcc = make([]kv.Value, len(p.Units))
 	}
-
-	var records int64
+	var arena []float64 // the current chunk of sample windows
 	fold := func(cell, off int64, run []float64) error {
-		records += int64(len(run))
 		var ids []int
 		if carved != nil {
 			ids = carved[cell]
@@ -84,10 +107,20 @@ func ExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab, c
 			}
 			present := run[:n]
 			switch {
-			case n == 0:
-				n = 1 // skip the missing cell
+			case n == 0: // the run resumes on a missing cell
 			case ids == nil:
-				tile[cell].AddRun(present, needSamples)
+				v := &tile[cell]
+				if needSamples && v.Samples == nil {
+					// The cell's first present value: carve a window of
+					// every point that can reach it, so AddRun never
+					// regrows it.
+					w := points[cell]
+					if int64(len(arena)) < w {
+						arena = make([]float64, max(w, samplesChunk))
+					}
+					v.Samples, arena = arena[:0:w], arena[w:]
+				}
+				v.AddRun(present, needSamples)
 			case side == p.Units[ids[0]].Heavy:
 				// The shares partition the tile's offsets [0, size).
 				for _, id := range ids {
@@ -101,36 +134,62 @@ func ExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab, c
 					shareAcc[id].AddRun(present, needSamples)
 				}
 			}
+			// A missing stretch is skipped whole.
+			for n < len(run) && math.IsNaN(run[n]) {
+				n++
+			}
 			run, off = run[n:], off+int64(n)
 		}
 		return nil
 	}
-	_, err = coords.ReadBatches(ctx, reader, live, nil, func(batch coords.Slab, vals []float64) error {
-		return walk.Runs(batch, vals, fold)
+	s.vals, err = coords.ReadBatches(ctx, reader, live, s.vals, func(batch coords.Slab, vals []float64) error {
+		return g.walk.Runs(batch, vals, fold)
 	})
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
+	if err := s.seal(p, side, box, outs); err != nil {
+		return 0, err
+	}
+	for id := range shareAcc {
+		if shareAcc[id].Count > 0 {
+			key := append(p.Units[id].Tile.Clone(), int64(side))
+			outs[id].Pairs = []kv.Pair{{Key: key, Value: shareAcc[id]}}
+		}
+	}
+	return g.total, nil
+}
 
-	// A plain unit owns a contiguous row-major range of K', and the walk
-	// below meets the box's keys in that order: each unit's pairs are one
-	// stretch of a single sorted slice.
+// seal publishes every live cell of the tile as one side-tagged pair and
+// zeroes it; no other cell was touched. A plain unit owns a contiguous
+// row-major range of K', and the walk meets the box's keys in that
+// order: each unit's pairs are one stretch of a single sorted slice,
+// their keys carved from one array.
+func (s *mapScratch) seal(p *Plan, side int, box coords.Slab, outs []MapOut) error {
+	tile := s.tile
 	n := 0
 	for i := range tile {
 		if tile[i].Count > 0 {
 			n++
 		}
 	}
+	if n == 0 {
+		return nil
+	}
 	rank := p.Space.Rank()
 	pairs, keyArena := make([]kv.Pair, 0, n), make([]int64, n*(rank+1))
-	unit, start, cell := -1, 0, 0
-	box.EachReuse(func(kp coords.Coord) bool {
+	var kpBuf [coords.MaxRank]int64
+	kp := coords.Coord(kpBuf[:rank])
+	copy(kp, box.Corner)
+	unit, start, r := -1, 0, 0
+	for cell := range tile {
 		if v := &tile[cell]; v.Count > 0 {
-			k, lerr := p.Space.Linearize(kp)
-			if err = lerr; err != nil {
-				return false
+			k, err := p.Space.Linearize(kp)
+			if err != nil {
+				return err
 			}
-			if u := p.rangeUnit(k); u != unit {
+			r = p.rangeFrom(r, k)
+			if u := p.rangeIdx[r]; u != unit {
 				if unit >= 0 {
 					outs[unit].Pairs = pairs[start:len(pairs):len(pairs)]
 				}
@@ -140,23 +199,12 @@ func ExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab, c
 			keyArena = keyArena[rank+1:]
 			key[copy(key, kp)] = int64(side)
 			pairs = append(pairs, kv.Pair{Key: key, Value: *v})
+			*v = kv.Value{}
 		}
-		cell++
-		return true
-	})
-	if err != nil {
-		return nil, 0, err
+		box.Advance(kp)
 	}
-	if unit >= 0 {
-		outs[unit].Pairs = pairs[start:]
-	}
-	for id := range shareAcc {
-		if shareAcc[id].Count > 0 {
-			key := append(p.Units[id].Tile.Clone(), int64(side))
-			outs[id].Pairs = []kv.Pair{{Key: key, Value: shareAcc[id]}}
-		}
-	}
-	return outs, records, nil
+	outs[unit].Pairs = pairs[start:]
+	return nil
 }
 
 // Reduce evaluates keyblock l from its fully merged side-tagged pairs.

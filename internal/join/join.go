@@ -236,23 +236,17 @@ func (p *Plan) SideInput(side int) coords.Slab {
 // rangeUnit resolves the plain unit owning K'-linear offset k; callers
 // guarantee k is not a carved (shared) tile.
 func (p *Plan) rangeUnit(k int64) int {
-	i := sort.Search(len(p.rangeLo), func(i int) bool { return p.rangeLo[i] > k }) - 1
-	if i < 0 {
-		return p.rangeIdx[0]
-	}
-	return p.rangeIdx[i]
+	return p.rangeIdx[p.rangeFrom(0, k)]
 }
 
-// shareByOffset resolves the share unit owning cell offset off of the
-// shared tile with linear key k.
-func (p *Plan) shareByOffset(k, off int64) int {
-	ids := p.shares[k]
-	for _, id := range ids {
-		if off >= p.Units[id].OffLo && off < p.Units[id].OffHi {
-			return id
-		}
+// rangeFrom returns the index into rangeLo of the plain unit owning k,
+// searching forward from index i. Keys met in ascending order — a box's
+// keys in cell order — resolve in amortised constant time.
+func (p *Plan) rangeFrom(i int, k int64) int {
+	if i+1 < len(p.rangeLo) && p.rangeLo[i+1] <= k {
+		i += sort.Search(len(p.rangeLo)-i-1, func(j int) bool { return p.rangeLo[i+1+j] > k })
 	}
-	return ids[len(ids)-1]
+	return i
 }
 
 // Partitioner adapts the plan to the partition.Partitioner interface for
@@ -299,19 +293,23 @@ func (p *Plan) Keyblocks() []partition.Keyblock {
 // on workers to annotate spills, so the §3.2.1 tally holds exactly.
 func BuildGraph(p *Plan, splitsA, splitsB []coords.Slab) (*depgraph.Graph, error) {
 	b := depgraph.NewBuilder(len(splitsA)+len(splitsB), len(p.Units))
+	var points []int64
+	counts := make([]int64, len(p.Units))
 	add := func(base, side int, splits []coords.Slab) error {
 		for i, split := range splits {
 			live, ok := split.Intersect(p.SideInput(side))
 			if !ok {
 				continue
 			}
-			counts, err := RouteCounts(p, side, live)
+			g, err := routeCounts(p, side, live, points, counts)
 			if err != nil {
 				return fmt.Errorf("join: split %d: %w", base+i, err)
 			}
+			points = g.points
 			for kb, n := range counts {
 				b.Add(base+i, kb, n)
 			}
+			clear(counts)
 		}
 		return nil
 	}
@@ -324,59 +322,125 @@ func BuildGraph(p *Plan, splitsA, splitsB []coords.Slab) (*depgraph.Graph, error
 	return b.Graph(), nil
 }
 
-// RouteCounts computes the geometric per-keyblock source-pair count of
-// one side's live region: how many cells route to each unit, counting a
-// replicated light-side cell once per share. It is a pure function of
-// the plan and the region — the spill annotation and the plan-time
-// expectation agree by construction, independent of data content.
-func RouteCounts(p *Plan, side int, live coords.Slab) (map[int]int64, error) {
-	counts := make(map[int]int64)
-	tiles, err := p.Q.Extraction.TileRange(live)
+// geometry is one side's live region seen through the plan, known before
+// a value is read: the run walk over the box of keys the region reaches,
+// the points reaching each key of the box (by cell) and their total, and
+// the box's carved cells with their share units (nil when the box holds
+// none).
+type geometry struct {
+	walk   coords.TileWalk
+	points []int64
+	total  int64
+	carved map[int64][]int
+}
+
+// routeCounts adds to counts, indexed by unit, the geometric source-pair
+// count of one side's live region: one odometer walk over the region's
+// key box adds each key's points (TileWalk.CellPoints) to its plain
+// unit, or to every share of a carved tile on the light side; only a
+// carved tile's heavy side splits its overlap by cell offset across the
+// shares. It is a pure function of the plan and the region — the spill
+// annotation and the plan-time expectation agree by construction,
+// independent of data content. The per-cell points are written into
+// points, grown only when its capacity is short, and returned with the
+// walk for the Map kernel to size sample windows from.
+func routeCounts(p *Plan, side int, live coords.Slab, points, counts []int64) (geometry, error) {
+	walk, err := p.Q.Extraction.Walk(p.Q.Extraction.KeyBox(live, p.Space))
 	if err != nil {
-		return counts, nil // live region entirely inside stride gaps
+		return geometry{}, err
 	}
-	var iterErr error
-	tiles.Each(func(kp coords.Coord) bool {
-		if !p.Space.Contains(kp) {
-			return true
-		}
-		tile, err := p.Q.Extraction.Tile(kp)
-		if err != nil {
-			iterErr = err
-			return false
-		}
-		overlap, ok := tile.Intersect(live)
-		if !ok {
-			return true
-		}
-		k, err := p.Space.Linearize(kp)
-		if err != nil {
-			iterErr = err
-			return false
-		}
-		ids, shared := p.shares[k]
-		switch {
-		case !shared:
-			counts[p.rangeUnit(k)] += overlap.Size()
-		case side == p.Units[ids[0]].Heavy:
-			overlap.EachReuse(func(c coords.Coord) bool {
-				off, err := tile.Linearize(c)
+	g := geometry{walk: walk}
+	g.points, g.total = walk.CellPoints(live, points)
+	box := walk.Box
+	if g.carved, err = p.carvedCells(box); err != nil {
+		return geometry{}, err
+	}
+	var kpBuf [coords.MaxRank]int64
+	kp := coords.Coord(kpBuf[:box.Rank()])
+	copy(kp, box.Corner)
+	r := 0
+	for cell, n := range g.points {
+		if n > 0 {
+			switch ids := g.carved[int64(cell)]; {
+			case ids == nil:
+				k, err := p.Space.Linearize(kp)
 				if err != nil {
-					iterErr = err
-					return false
+					return geometry{}, err
 				}
-				counts[p.shareByOffset(k, off)]++
-				return true
-			})
-		default:
-			for _, id := range ids {
-				counts[id] += overlap.Size()
+				r = p.rangeFrom(r, k)
+				counts[p.rangeIdx[r]] += n
+			case side == p.Units[ids[0]].Heavy:
+				p.addHeavy(kp, ids, live, counts)
+			default:
+				for _, id := range ids {
+					counts[id] += n
+				}
 			}
 		}
-		return iterErr == nil
-	})
-	if iterErr != nil {
-		return nil, iterErr
+		box.Advance(kp)
 	}
-	return counts, nil
+	return g, nil
+}
+
+// carvedCells maps the cells of box that are carved tiles to their share
+// units; nil when box holds none.
+func (p *Plan) carvedCells(box coords.Slab) (map[int64][]int, error) {
+	var carved map[int64][]int
+	for k, ids := range p.shares {
+		kp, err := p.Space.Delinearize(k)
+		if err != nil {
+			return nil, err
+		}
+		if cell, err := box.Linearize(kp); err == nil {
+			if carved == nil {
+				carved = make(map[int64][]int)
+			}
+			carved[cell] = ids
+		}
+	}
+	return carved, nil
+}
+
+// addHeavy adds to counts the points of live inside carved tile kp, each
+// to the share owning its row-major cell offset in the tile. Along an
+// innermost line of the overlap the offsets are one contiguous range, so
+// a line is cut at the shares' bounds rather than walked point by point.
+func (p *Plan) addHeavy(kp coords.Coord, ids []int, live coords.Slab, counts []int64) {
+	e := p.Q.Extraction
+	st := e.EffectiveStride()
+	var loBuf, hiBuf, curBuf [coords.MaxRank]int64
+	lo, hi, cur := loBuf[:len(kp)], hiBuf[:len(kp)], curBuf[:len(kp)]
+	for d := range kp {
+		t := kp[d] * st[d]
+		lo[d] = max(t, live.Corner[d], 0)
+		hi[d] = min(t+e.Shape[d], live.Corner[d]+live.Shape[d])
+		if lo[d] >= hi[d] {
+			return
+		}
+	}
+	last := len(kp) - 1
+	width := hi[last] - lo[last]
+	copy(cur, lo)
+	for {
+		var off int64
+		for d := range cur {
+			off = off*e.Shape[d] + cur[d] - kp[d]*st[d]
+		}
+		// The shares partition the tile's offsets [0, size).
+		for _, id := range ids {
+			if a, b := max(off, p.Units[id].OffLo), min(off+width, p.Units[id].OffHi); a < b {
+				counts[id] += b - a
+			}
+		}
+		d := last - 1
+		for ; d >= 0; d-- {
+			if cur[d]++; cur[d] < hi[d] {
+				break
+			}
+			cur[d] = lo[d]
+		}
+		if d < 0 {
+			return
+		}
+	}
 }

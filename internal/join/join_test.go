@@ -115,69 +115,113 @@ func TestRebuildDeterministic(t *testing.T) {
 }
 
 // TestGraphCountsCoverInputs checks the §3.2.1 invariant the tally
-// barrier relies on: summed expected counts equal each side's live cell
-// count, with replicated light-side cells counted once per share.
+// barrier relies on: summed expected counts equal the cells of each side
+// that map into the join keyspace — the whole input for a dense tiling;
+// stride-gap cells and cells outside the other side's tile range excluded
+// for a strided one with offset corners.
 func TestGraphCountsCoverInputs(t *testing.T) {
-	q := mustQuery(t, "join jsum a[0,0 : 64,64] es {8,8} with b[0,0 : 64,64] es {8,8}")
-	splits := bandSplits(t, q.Input, 16)
+	for _, query := range []string{
+		"join jsum a[0,0 : 64,64] es {8,8} with b[0,0 : 64,64] es {8,8}",
+		"join jsum a[3,5 : 45,37] es {3,4} stride {5,6} with b[9,2 : 40,40] es {3,4} stride {5,6}",
+	} {
+		q := mustQuery(t, query)
+		splitsA, splitsB := bandSplits(t, q.Input, 16), bandSplits(t, q.Input2, 16)
 
-	// Uniform loads: no shares, so counts must cover both inputs exactly.
-	p, err := Build(q, Options{Reducers: 4}, funcReader{dense}, funcReader{dense}, splits, splits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := BuildGraph(p, splits, splits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, c := range g.ExpectedCount {
-		total += c
-	}
-	want := 2 * q.Input.Size()
-	if total != want {
-		t.Fatalf("expected counts total %d, want %d", total, want)
-	}
+		// Uniform loads: no shares, so counts must cover both inputs exactly.
+		p, err := Build(q, Options{Reducers: 4}, funcReader{dense}, funcReader{dense}, splitsA, splitsB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.shares) > 0 {
+			t.Fatalf("%s: uniform loads carved a tile", query)
+		}
+		g, err := BuildGraph(p, splitsA, splitsB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// mapped counts a side's cells that map into the keyspace, point
+		// by point.
+		mapped := func(input coords.Slab) (n int64) {
+			input.EachReuse(func(c coords.Coord) bool {
+				if kp, ok := q.Extraction.MapKey(c); ok && p.Space.Contains(kp) {
+					n++
+				}
+				return true
+			})
+			return n
+		}
+		wantA, wantB := mapped(q.Input), mapped(q.Input2)
+		var total int64
+		for _, c := range g.ExpectedCount {
+			total += c
+		}
+		if total != wantA+wantB {
+			t.Fatalf("%s: expected counts total %d, want %d", query, total, wantA+wantB)
+		}
 
-	// Each side's splits contribute exactly that side's cells.
-	var sideA int64
-	for i := 0; i < p.SideBoundary; i++ {
-		sideA += g.SplitPoints[i]
-	}
-	if sideA != q.Input.Size() {
-		t.Fatalf("side A contributes %d points, want %d", sideA, q.Input.Size())
+		// Each side's splits contribute exactly that side's cells.
+		var sideA int64
+		for i := 0; i < p.SideBoundary; i++ {
+			sideA += g.SplitPoints[i]
+		}
+		if sideA != wantA {
+			t.Fatalf("%s: side A contributes %d points, want %d", query, sideA, wantA)
+		}
 	}
 }
 
-// TestRouteCountsMatchExecMap checks that the geometric spill annotation
-// a worker derives (RouteCounts inside ExecMap) matches the plan-time
-// expectation per split, share replication included.
+// TestRouteCountsMatchExecMap checks that the spill annotation a worker
+// derives inside ExecMap is the geometric count BuildGraph plans from,
+// per split and summed per keyblock, share replication included.
 func TestRouteCountsMatchExecMap(t *testing.T) {
-	q := mustQuery(t, "join jsum a[0,0 : 64,64] es {8,8} with b[0,0 : 64,64] es {8,8}")
-	splits := bandSplits(t, q.Input, 16)
-	p, err := Build(q, Options{Reducers: 4, MaxSkew: 8}, funcReader{hotCorner}, funcReader{dense}, splits, splits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for side, fn := range map[int]func(coords.Coord) float64{0: hotCorner, 1: dense} {
-		for si, split := range splits {
-			outs, _, err := ExecMap(p, side, funcReader{fn}, split, nil)
-			if err != nil {
-				t.Fatalf("side %d split %d: %v", side, si, err)
-			}
-			live, ok := split.Intersect(p.SideInput(side))
-			if !ok {
-				continue
-			}
-			counts, err := RouteCounts(p, side, live)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for kb, o := range outs {
-				if o.SourceCount != counts[kb] {
-					t.Fatalf("side %d split %d kb %d: annotation %d, geometric %d",
-						side, si, kb, o.SourceCount, counts[kb])
+	for _, tc := range []struct {
+		query  string
+		a, b   func(coords.Coord) float64
+		carved bool
+	}{
+		{"join jsum a[0,0 : 64,64] es {8,8} with b[0,0 : 64,64] es {8,8}", hotCorner, dense, false},
+		{"join jsum a[0,0 : 64,32] es {8,8} with b[0,0 : 64,32] es {8,8}", hotNoisy, thinNoisy, true},
+	} {
+		q := mustQuery(t, tc.query)
+		splits := bandSplits(t, q.Input, 16)
+		p, err := Build(q, Options{Reducers: 4, MaxSkew: 8}, funcReader{tc.a}, funcReader{tc.b}, splits, splits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if carved := len(p.shares) > 0; carved != tc.carved {
+			t.Fatalf("%s: carved tiles = %t, want %t", tc.query, carved, tc.carved)
+		}
+		g, err := BuildGraph(p, splits, splits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		annotated := make([]int64, len(p.Units))
+		for side, fn := range []func(coords.Coord) float64{tc.a, tc.b} {
+			for si, split := range splits {
+				outs, _, err := ExecMap(p, side, funcReader{fn}, split, nil)
+				if err != nil {
+					t.Fatalf("side %d split %d: %v", side, si, err)
 				}
+				live, ok := split.Intersect(p.SideInput(side))
+				if !ok {
+					continue
+				}
+				want := make([]int64, len(p.Units))
+				if _, err := routeCounts(p, side, live, nil, want); err != nil {
+					t.Fatal(err)
+				}
+				for kb, o := range outs {
+					annotated[kb] += o.SourceCount
+					if o.SourceCount != want[kb] {
+						t.Fatalf("%s side %d split %d kb %d: annotation %d, geometric %d",
+							tc.query, side, si, kb, o.SourceCount, want[kb])
+					}
+				}
+			}
+		}
+		for kb, n := range annotated {
+			if n != g.ExpectedCount[kb] {
+				t.Fatalf("%s kb %d: annotations sum to %d, planned %d", tc.query, kb, n, g.ExpectedCount[kb])
 			}
 		}
 	}

@@ -4,28 +4,29 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"sidr/internal/coords"
 	"sidr/internal/kv"
+	"sidr/internal/query"
 )
 
 // refExecMap is the per-point join Map body the batch kernel replaced,
-// kept verbatim as the differential oracle: one callback per source
-// point, a keyblock→key→value map of maps, Delinearize and a sort at the
-// end. ExecMap must reproduce its output bit for bit.
+// kept as the differential oracle: one callback per source point, a
+// keyblock→key→value map of maps, Delinearize and a sort at the end.
+// Its §3.2.1 annotation is counted point by point too — a point mapped
+// into the keyspace counts once for its plain unit, once for the share
+// owning its offset on a carved tile's heavy side, once for every share
+// on the light side; a stride-gap point counts for no unit — so the
+// geometry ExecMap counts from is held against the points. ExecMap must
+// reproduce its output bit for bit.
 func refExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab, ctx context.Context) ([]MapOut, int64, error) {
 	outs := make([]MapOut, len(p.Units))
 	live, ok := split.Intersect(p.SideInput(side))
 	if !ok {
 		return outs, 0, nil
-	}
-	counts, err := RouteCounts(p, side, live)
-	if err != nil {
-		return nil, 0, err
-	}
-	for kb, n := range counts {
-		outs[kb].SourceCount = n
 	}
 
 	needSamples := p.Op.NeedsSamples()
@@ -53,7 +54,7 @@ func refExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab
 	)
 	kpBuf := make(coords.Coord, 0, rank)
 	var records, seen int64
-	err = eachPoint(reader, live, func(c coords.Coord, v float64) error {
+	err := eachPoint(reader, live, func(c coords.Coord, v float64) error {
 		if seen&63 == 0 && ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -68,9 +69,6 @@ func refExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab
 			return nil
 		}
 		records++
-		if math.IsNaN(v) {
-			return nil // missing cell: counted by the annotation, never aggregated
-		}
 		k, err := p.Space.Linearize(kp)
 		if err != nil {
 			return err
@@ -86,18 +84,31 @@ func refExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab
 				}
 			}
 		}
+		// A missing cell is counted by the annotation, never aggregated.
+		present := !math.IsNaN(v)
 		switch {
 		case curIDs == nil:
-			acc(p.rangeUnit(k), k).Add(v, needSamples)
+			kb := p.rangeUnit(k)
+			outs[kb].SourceCount++
+			if present {
+				acc(kb, k).Add(v, needSamples)
+			}
 		case curHeavy:
 			off, err := curTile.Linearize(c)
 			if err != nil {
 				return err
 			}
-			acc(p.shareByOffset(k, off), k).Add(v, needSamples)
+			kb := p.shareByOffset(k, off)
+			outs[kb].SourceCount++
+			if present {
+				acc(kb, k).Add(v, needSamples)
+			}
 		default:
 			for _, id := range curIDs {
-				acc(id, k).Add(v, needSamples)
+				outs[id].SourceCount++
+				if present {
+					acc(id, k).Add(v, needSamples)
+				}
 			}
 		}
 		return nil
@@ -120,6 +131,18 @@ func refExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab
 		outs[kb].Pairs = pairs
 	}
 	return outs, records, nil
+}
+
+// shareByOffset resolves the share unit owning cell offset off of the
+// shared tile with linear key k, one point at a time.
+func (p *Plan) shareByOffset(k, off int64) int {
+	ids := p.shares[k]
+	for _, id := range ids {
+		if off >= p.Units[id].OffLo && off < p.Units[id].OffHi {
+			return id
+		}
+	}
+	return ids[len(ids)-1]
 }
 
 // eachPoint is the record stream the per-point kernel consumed.
@@ -225,29 +248,195 @@ func TestJoinMapKernelMatchesPerPointOracle(t *testing.T) {
 					}
 					for si, split := range splits {
 						label := fmt.Sprintf("%s %s side %d rows %d split %d", tc.name, opName, side, rows, si)
-						want, wantRecords, err := refExecMap(p, side, funcReader{fn}, split, nil)
-						if err != nil {
-							t.Fatalf("%s: oracle: %v", label, err)
-						}
-						got, gotRecords, err := ExecMap(p, side, funcReader{fn}, split, nil)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if gotRecords != wantRecords || len(got) != len(want) {
-							t.Fatalf("%s: %d records in %d keyblocks, oracle %d in %d", label, gotRecords, len(got), wantRecords, len(want))
-						}
-						for kb := range want {
-							if got[kb].SourceCount != want[kb].SourceCount || len(got[kb].Pairs) != len(want[kb].Pairs) {
-								t.Fatalf("%s kb %d: annotation %d with %d pairs, oracle %d with %d", label, kb,
-									got[kb].SourceCount, len(got[kb].Pairs), want[kb].SourceCount, len(want[kb].Pairs))
-							}
-							for i := range want[kb].Pairs {
-								if g, w := pairBits(got[kb].Pairs[i]), pairBits(want[kb].Pairs[i]); g != w {
-									t.Fatalf("%s kb %d pair %d:\n got    %s\n oracle %s", label, kb, i, g, w)
-								}
-							}
-						}
+						matchOracle(t, label, p, side, funcReader{fn}, split)
 					}
+				}
+			}
+		}
+	}
+}
+
+// matchOracle runs ExecMap and refExecMap on one split and requires
+// equal records, annotations, keys and every kv.Value field by
+// math.Float64bits, samples included.
+func matchOracle(t *testing.T, label string, p *Plan, side int, r coords.RecordReader, split coords.Slab) {
+	t.Helper()
+	want, wantRecords, err := refExecMap(p, side, r, split, nil)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", label, err)
+	}
+	got, gotRecords, err := ExecMap(p, side, r, split, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if gotRecords != wantRecords || len(got) != len(want) {
+		t.Fatalf("%s: %d records in %d keyblocks, oracle %d in %d", label, gotRecords, len(got), wantRecords, len(want))
+	}
+	for kb := range want {
+		if got[kb].SourceCount != want[kb].SourceCount || len(got[kb].Pairs) != len(want[kb].Pairs) {
+			t.Fatalf("%s kb %d: annotation %d with %d pairs, oracle %d with %d", label, kb,
+				got[kb].SourceCount, len(got[kb].Pairs), want[kb].SourceCount, len(want[kb].Pairs))
+		}
+		for i := range want[kb].Pairs {
+			if g, w := pairBits(got[kb].Pairs[i]), pairBits(want[kb].Pairs[i]); g != w {
+				t.Fatalf("%s kb %d pair %d:\n got    %s\n oracle %s", label, kb, i, g, w)
+			}
+		}
+	}
+}
+
+// FuzzJoinMapKernel drives the join Map kernel and the per-point oracle
+// with fuzzed rank-2 joins — both sides' corners and shapes, extraction
+// shape and stride, missing-cell density, a hot corner that makes the
+// planner carve, reducers, MaxSkew, split rows per side and the operator
+// — and requires identical output on every split of both sides.
+func FuzzJoinMapKernel(f *testing.F) {
+	// Plain dense, strided with offset corners, carved heavy A with a thin
+	// side B, carved heavy B, jcorr over a mostly missing side.
+	f.Add([]byte{0, 0, 0, 0, 39, 23, 39, 23, 7, 7, 0, 0, 4, 0, 2, 0, 0, 7, 7, 0})
+	f.Add([]byte{3, 5, 9, 2, 41, 31, 30, 37, 2, 3, 2, 2, 4, 4, 2, 0, 0, 3, 4, 1})
+	f.Add([]byte{0, 0, 0, 0, 63, 31, 63, 31, 7, 7, 0, 0, 31, 31, 3, 1, 16, 15, 12, 0})
+	f.Add([]byte{0, 0, 0, 0, 63, 31, 63, 31, 7, 7, 0, 0, 31, 31, 3, 2, 16, 12, 15, 1})
+	f.Add([]byte{0, 0, 0, 0, 47, 31, 47, 31, 15, 15, 0, 0, 0, 30, 7, 0, 32, 13, 5, 2})
+	ops := []string{"jsum", "javg", "jcorr"}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 20 {
+			return
+		}
+		var corner, shape [2][2]int64
+		var es, stride [2]int64
+		for d := 0; d < 2; d++ {
+			corner[0][d], corner[1][d] = int64(b[d])%12, int64(b[2+d])%12
+			shape[0][d], shape[1][d] = int64(b[4+d])%64+1, int64(b[6+d])%64+1
+			es[d] = int64(b[8+d])%16 + 1
+			stride[d] = es[d] + int64(b[10+d])%4
+		}
+		op := ops[int(b[19])%len(ops)]
+		src := fmt.Sprintf("join %s a[%d,%d : %d,%d] es {%d,%d} stride {%d,%d} with b[%d,%d : %d,%d] es {%d,%d} stride {%d,%d}",
+			op, corner[0][0], corner[0][1], shape[0][0], shape[0][1], es[0], es[1], stride[0], stride[1],
+			corner[1][0], corner[1][1], shape[1][0], shape[1][1], es[0], es[1], stride[0], stride[1])
+		q, err := query.Parse(src)
+		if err != nil {
+			return // no join keyspace: the tile ranges miss each other or a side sits in stride gaps
+		}
+		// Side s is missing in about b[12+s]/32 of its cells outside its
+		// hot corner — the first tile's extent from the origin, when bit s
+		// of b[15] is set — so carving has a heavy tile to find.
+		fields := [2]func(coords.Coord) float64{}
+		for s := range fields {
+			density, hot := uint64(b[12+s]%32), b[15]&(1<<s) != 0
+			fields[s] = func(k coords.Coord) float64 {
+				v := noisy(k)
+				if hot && k[0] < es[0] && k[1] < es[1] {
+					return v
+				}
+				if uint64(math.Float64bits(v))%32 < density {
+					return nan()
+				}
+				return v
+			}
+		}
+		rows := [2]int64{int64(b[17])%shape[0][0] + 1, int64(b[18])%shape[1][0] + 1}
+		splitsA, err := q.Input.SplitDim(0, rows[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		splitsB, err := q.Input2.SplitDim(0, rows[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Reducers: int(b[14])%5 + 1, MaxSkew: int64(b[16]>>1) % 32, NoRetile: b[16]&1 != 0}
+		p, err := Build(q, opts, funcReader{fields[0]}, funcReader{fields[1]}, splitsA, splitsB)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		for side, splits := range [][]coords.Slab{splitsA, splitsB} {
+			for si, split := range splits {
+				matchOracle(t, fmt.Sprintf("%s %+v side %d split %d", src, opts, side, si), p, side, funcReader{fields[side]}, split)
+			}
+		}
+	})
+}
+
+// TestJoinMapAllocsFlatInTiles holds the join Map and the dependency
+// graph to a per-task allocation count that does not grow with the
+// tiles a split covers: the geometry is counted in one walk over the
+// key box, with no slab per tile, and sample windows come from chunks.
+func TestJoinMapAllocsFlatInTiles(t *testing.T) {
+	allocs := func(es int) (execMap, graph float64) {
+		q := mustQuery(t, fmt.Sprintf("join jcorr a[0,0 : 64,64] es {%d,%d} with b[0,0 : 64,64] es {%d,%d}", es, es, es, es))
+		splits := []coords.Slab{q.Input}
+		p, err := Build(q, Options{Reducers: 4}, funcReader{dense}, funcReader{dense}, splits, splits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One scratch, warmed, stands in for the pool, which drops
+		// entries at random under the race detector.
+		r, s := sliceReader(q.Input, dense), &mapScratch{}
+		run := func() {
+			if _, err := s.execMap(p, 0, r, q.Input, nil, make([]MapOut, len(p.Units))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		execMap = testing.AllocsPerRun(20, run)
+		graph = testing.AllocsPerRun(20, func() {
+			if _, err := BuildGraph(p, splits, splits); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return execMap, graph
+	}
+	m16, g16 := allocs(16) // 16 tiles
+	m256, g256 := allocs(4)
+	t.Logf("ExecMap %v → %v allocations, BuildGraph %v → %v, 16 → 256 tiles", m16, m256, g16, g256)
+	if m256 > m16 || g256 > g16 {
+		t.Fatalf("allocations grow with the tile count: ExecMap %v → %v, BuildGraph %v → %v", m16, m256, g16, g256)
+	}
+}
+
+// TestJoinMapSampleWindows checks the windows a sample-keeping join Map
+// carves: every plain pair's samples have exactly the capacity of the
+// points that reach its key — counted point by point, stride gaps and
+// the split's cut excluded — and no two windows share memory.
+func TestJoinMapSampleWindows(t *testing.T) {
+	q := mustQuery(t, "join jcorr a[3,5 : 45,37] es {3,4} stride {5,6} with b[9,2 : 40,40] es {3,4} stride {5,6}")
+	splitsA, splitsB := bandSplits(t, q.Input, 6), bandSplits(t, q.Input2, 6)
+	p, err := Build(q, Options{Reducers: 3}, funcReader{noisy}, funcReader{thinNoisy}, splitsA, splitsB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for side, splits := range [][]coords.Slab{splitsA, splitsB} {
+		fn := []func(coords.Coord) float64{noisy, thinNoisy}[side]
+		for si, split := range splits {
+			live, _ := split.Intersect(p.SideInput(side))
+			points := map[string]int{}
+			live.EachReuse(func(c coords.Coord) bool {
+				if kp, ok := q.Extraction.MapKey(c); ok {
+					points[kp.String()]++
+				}
+				return true
+			})
+			outs, _, err := ExecMap(p, side, funcReader{fn}, split, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type window struct{ lo, hi uintptr }
+			var windows []window
+			for _, o := range outs {
+				for _, pr := range o.Pairs {
+					s := pr.Value.Samples
+					if want := points[pr.Key[:p.Space.Rank()].String()]; cap(s) != want {
+						t.Fatalf("side %d split %d key %v: window of %d floats for %d points", side, si, pr.Key, cap(s), want)
+					}
+					lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+					windows = append(windows, window{lo, lo + uintptr(cap(s))*8})
+				}
+			}
+			sort.Slice(windows, func(i, j int) bool { return windows[i].lo < windows[j].lo })
+			for i := 1; i < len(windows); i++ {
+				if windows[i].lo < windows[i-1].hi {
+					t.Fatalf("side %d split %d: sample windows overlap", side, si)
 				}
 			}
 		}
