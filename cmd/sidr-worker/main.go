@@ -54,16 +54,15 @@ func main() {
 		dialTO      = flag.Duration("dial-timeout", 0, "coordinator dial/TLS timeout (0 = 2s)")
 		headerTO    = flag.Duration("header-timeout", 0, "coordinator response-header timeout (0 = 5s)")
 		chaos       = flag.String("chaos", "", "fault-injection spec, e.g. \"seed=42,kill-after-maps=5,hang=0.05,match=/v1/shuffle/,flip=0.01\" (see internal/faultinject)")
-		compress    = flag.Bool("spill-compress", false, "DEFLATE spill blocks: Map-side CPU for smaller shuffle transfers")
 	)
 	flag.Parse()
-	if err := run(*addr, *coordinator, *name, *node, *spillDir, *advertise, *heartbeat, *drainTO, *dialTO, *headerTO, *chaos, *compress); err != nil {
+	if err := run(*addr, *coordinator, *name, *node, *spillDir, *advertise, *heartbeat, *drainTO, *dialTO, *headerTO, *chaos); err != nil {
 		fmt.Fprintf(os.Stderr, "sidr-worker: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, coordinator, name, node, spillDir, advertise string, heartbeat, drainTO, dialTO, headerTO time.Duration, chaos string, compress bool) error {
+func run(addr, coordinator, name, node, spillDir, advertise string, heartbeat, drainTO, dialTO, headerTO time.Duration, chaos string) error {
 	if coordinator == "" {
 		return fmt.Errorf("-coordinator is required")
 	}
@@ -111,7 +110,6 @@ func run(addr, coordinator, name, node, spillDir, advertise string, heartbeat, d
 		DialTimeout:    dialTO,
 		HeaderTimeout:  headerTO,
 		Chaos:          inj,
-		SpillCompress:  compress,
 		Logf:           log.Printf,
 	})
 	if err != nil {

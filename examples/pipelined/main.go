@@ -35,7 +35,7 @@ func main() {
 	}
 
 	events := make(chan string, 256)
-	res, err := pipeline.RunWithOptions(
+	res, err := pipeline.Run(
 		&mapreduce.FuncReader{Fn: datagen.Temperature(11)},
 		stages,
 		pipeline.Options{

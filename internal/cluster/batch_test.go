@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"sidr/internal/kv"
+	"sidr/internal/metrics"
 )
 
 // TestBatchedVsPerSpillParity keeps its name from when a per-spill path
@@ -328,7 +329,8 @@ func rewriteMapResponses(t *testing.T, limit int64, fn func(*MapResponse) bool) 
 // recorded, and never leaving its task without an output.
 func runWithBadMapResponse(t *testing.T, damage func(*MapResponse) bool) {
 	t.Helper()
-	c, _ := startChaosCluster(t, 2, CoordinatorConfig{}, nil, rewriteMapResponses(t, 1, damage))
+	reg := metrics.New()
+	c, _ := startChaosCluster(t, 2, CoordinatorConfig{Metrics: reg}, nil, rewriteMapResponses(t, 1, damage))
 	res, err := runClusterJob(t, c, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -336,6 +338,9 @@ func runWithBadMapResponse(t *testing.T, damage func(*MapResponse) bool) {
 	assertMatchesInProcess(t, res)
 	if res.Counters.Retried == 0 {
 		t.Fatal("the bad map response was not re-dispatched")
+	}
+	if got := reg.Counter("sidrd_cluster_tasks_retried_total").Value(); got != res.Counters.Retried {
+		t.Fatalf("sidrd_cluster_tasks_retried_total = %d, the job retried %d", got, res.Counters.Retried)
 	}
 	if want := int64(len(res.Plan.Splits)) + res.Counters.Retried; res.Counters.MapsDispatched != want {
 		t.Fatalf("maps dispatched = %d, want splits + retries = %d", res.Counters.MapsDispatched, want)

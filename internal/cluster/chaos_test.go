@@ -128,6 +128,10 @@ func TestSpeculationOvertakesStraggler(t *testing.T) {
 	if got := reg.Counter("sidrd_cluster_speculative_wins_total").Value(); got == 0 {
 		t.Fatal("sidrd_cluster_speculative_wins_total stayed zero")
 	}
+	// Every win cancels the attempt it overtook.
+	if got, wins := reg.Counter("sidrd_cluster_speculative_cancelled_total").Value(), reg.Counter("sidrd_cluster_speculative_wins_total").Value(); got < wins {
+		t.Fatalf("sidrd_cluster_speculative_cancelled_total = %d, below the %d wins", got, wins)
+	}
 	mu.Lock()
 	for kb, n := range commits {
 		if n != 1 {

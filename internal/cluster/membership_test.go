@@ -149,6 +149,14 @@ func TestDrainReplicaHandoff(t *testing.T) {
 	if out.res.Counters.ReplicaPushes < 15 {
 		t.Fatalf("ReplicaPushes = %d, want >= 15", out.res.Counters.ReplicaPushes)
 	}
+	// The daemon-wide byte counter covers at least the job's own count
+	// (a push lands in the metric just after the job's counters).
+	waitFor(t, 10*time.Second, "replica bytes counted", func() bool {
+		return reg.Counter("sidrd_cluster_replica_bytes_total").Value() >= out.res.Counters.ReplicaBytes
+	})
+	if out.res.Counters.ReplicaBytes == 0 {
+		t.Fatal("15 replicas pushed no bytes")
+	}
 	if n := late.MapsDone(); n != 0 {
 		t.Fatalf("late worker executed %d maps; mid-reduce registrants must get none", n)
 	}

@@ -59,10 +59,6 @@ type WorkerConfig struct {
 	// Chaos, when set, injects worker-side faults into Map execution:
 	// scheduled kills, delays and hangs (see internal/faultinject).
 	Chaos *faultinject.Injector
-	// SpillCompress DEFLATEs each spill block (the kv codec's per-block
-	// compression). Trades Map-side CPU for shuffle bytes; the serving
-	// path is unaffected either way (spills are served as opaque bytes).
-	SpillCompress bool
 	// Logf, when set, receives worker lifecycle logging.
 	Logf func(format string, args ...any)
 }
@@ -553,11 +549,10 @@ func (w *Worker) handleMap(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "spill store: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	opts := kv.V3Options{Compress: w.cfg.SpillCompress}
 	for _, kb := range j.plan.Graph.SplitToKB[req.Split] {
 		out := outs[kb]
 		n, err := pw.Append(kb, func(dst io.Writer) error {
-			return kv.WriteSpillV3(dst, rank, out.SourceCount, out.Pairs, opts)
+			return kv.WriteSpillV3(dst, rank, out.SourceCount, out.Pairs, kv.V3Options{})
 		})
 		if err != nil {
 			pw.Abort()

@@ -182,18 +182,6 @@ func (s Shape) Equal(t Shape) bool { return Coord(s).Equal(Coord(t)) }
 // String renders the shape as {a, b, c}.
 func (s Shape) String() string { return braceJoin([]int64(s)) }
 
-// Strides returns the row-major stride of each dimension: the linear
-// distance between consecutive points along that dimension.
-func (s Shape) Strides() []int64 {
-	st := make([]int64, len(s))
-	acc := int64(1)
-	for i := len(s) - 1; i >= 0; i-- {
-		st[i] = acc
-		acc *= s[i]
-	}
-	return st
-}
-
 // Contains reports whether c lies within the shape rooted at the origin.
 func (s Shape) Contains(c Coord) bool {
 	if len(s) != len(c) {

@@ -2,7 +2,6 @@ package coords
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -93,14 +92,6 @@ func TestShapeSize(t *testing.T) {
 	}
 	if got := (Shape{}).Size(); got != 0 {
 		t.Fatalf("empty Size = %d, want 0", got)
-	}
-}
-
-func TestShapeStrides(t *testing.T) {
-	got := NewShape(4, 3, 2).Strides()
-	want := []int64{6, 2, 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Strides = %v, want %v", got, want)
 	}
 }
 

@@ -288,7 +288,7 @@ func TestQuickTileRangeTight(t *testing.T) {
 		ok := true
 		tr.Each(func(kp Coord) bool {
 			tile, err := e.Tile(kp)
-			if err != nil || !tile.Overlaps(in) {
+			if err != nil || !overlaps(tile, in) {
 				ok = false
 				return false
 			}

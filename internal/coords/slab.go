@@ -105,12 +105,6 @@ func (s Slab) Intersect(t Slab) (Slab, bool) {
 	return Slab{Corner: corner, Shape: shape}, true
 }
 
-// Overlaps reports whether s and t share at least one point.
-func (s Slab) Overlaps(t Slab) bool {
-	_, ok := s.Intersect(t)
-	return ok
-}
-
 // String renders the slab as corner{..} shape{..}.
 func (s Slab) String() string {
 	return fmt.Sprintf("corner%s shape%s", s.Corner, s.Shape)

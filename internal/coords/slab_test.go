@@ -77,9 +77,12 @@ func TestSlabIntersect(t *testing.T) {
 	if _, ok := a.Intersect(c); ok {
 		t.Fatal("touching slabs must not intersect")
 	}
-	if a.Overlaps(c) {
-		t.Fatal("Overlaps disagrees with Intersect")
-	}
+}
+
+// overlaps reports whether s and t share at least one point.
+func overlaps(s, t Slab) bool {
+	_, ok := s.Intersect(t)
+	return ok
 }
 
 func TestSlabEachRowMajor(t *testing.T) {
@@ -148,7 +151,7 @@ func TestSlabSplitDim(t *testing.T) {
 			t.Fatalf("part %d %v escapes parent", i, p)
 		}
 		for j := i + 1; j < len(parts); j++ {
-			if p.Overlaps(parts[j]) {
+			if overlaps(p, parts[j]) {
 				t.Fatalf("parts %d and %d overlap", i, j)
 			}
 		}
@@ -224,7 +227,7 @@ func TestQuickSplitDimPartition(t *testing.T) {
 				return false
 			}
 			for j := i + 1; j < len(parts); j++ {
-				if p.Overlaps(parts[j]) {
+				if overlaps(p, parts[j]) {
 					return false
 				}
 			}

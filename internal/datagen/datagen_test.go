@@ -114,12 +114,13 @@ func TestWriteDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	got, err := f.ReadAll("wind")
+	full := coords.Slab{Corner: coords.NewCoord(0, 0, 0), Shape: shape}
+	got, err := f.ReadSlab("wind", full)
 	if err != nil {
 		t.Fatal(err)
 	}
 	i := 0
-	coords.Slab{Corner: coords.NewCoord(0, 0, 0), Shape: shape}.Each(func(k coords.Coord) bool {
+	full.Each(func(k coords.Coord) bool {
 		if got[i] != gen(k) {
 			t.Fatalf("value at %v: got %v want %v", k, got[i], gen(k))
 		}

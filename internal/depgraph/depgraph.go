@@ -224,18 +224,6 @@ func (g *Graph) HadoopConnections() int64 {
 	return int64(g.NumSplits()) * int64(g.NumKeyblocks())
 }
 
-// MaxDeps returns the largest dependency set size — the worst-case
-// barrier any single Reduce task observes.
-func (g *Graph) MaxDeps() int {
-	m := 0
-	for _, deps := range g.KBToSplits {
-		if len(deps) > m {
-			m = len(deps)
-		}
-	}
-	return m
-}
-
 // TotalPoints returns the total number of source pairs across all
 // keyblocks; it must equal the query input size for dense extractions.
 func (g *Graph) TotalPoints() int64 {

@@ -69,9 +69,6 @@ func TestPartitionPlusAlignedDependencies(t *testing.T) {
 	if g.HadoopConnections() != 16 {
 		t.Fatalf("Hadoop connections = %d", g.HadoopConnections())
 	}
-	if g.MaxDeps() != 1 {
-		t.Fatalf("MaxDeps = %d", g.MaxDeps())
-	}
 }
 
 func TestModuloCreatesGlobalDependencies(t *testing.T) {

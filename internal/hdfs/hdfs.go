@@ -97,19 +97,6 @@ func NewNamespace(nodes []string, cfg Config) (*Namespace, error) {
 	return ns, nil
 }
 
-// BlockSize returns the namespace block size in bytes.
-func (ns *Namespace) BlockSize() int64 { return ns.blockSize }
-
-// Replication returns the replica count.
-func (ns *Namespace) Replication() int { return ns.replication }
-
-// Nodes returns the datanode names.
-func (ns *Namespace) Nodes() []string {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	return append([]string(nil), ns.nodes...)
-}
-
 // AddFile registers a logical file of the given byte size and assigns
 // block placements. Placement follows HDFS's spirit: the primary replica
 // rotates across nodes to spread load; further replicas go to distinct
@@ -151,45 +138,12 @@ func (ns *Namespace) AddFile(name string, size int64) error {
 	return nil
 }
 
-// AddOrReplaceFile registers a logical file, dropping any existing
-// placement under the same name first. Replacement re-rolls block
-// placements — callers that re-register a dataset get fresh locality,
-// exactly as rewriting a file in HDFS would.
-func (ns *Namespace) AddOrReplaceFile(name string, size int64) error {
-	if err := ns.Remove(name); err != nil && !errors.Is(err, ErrNotFound) {
-		return err
-	}
-	return ns.AddFile(name, size)
-}
-
 // Has reports whether a file is registered.
 func (ns *Namespace) Has(name string) bool {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
 	_, ok := ns.files[name]
 	return ok
-}
-
-// FileSize returns the registered size of a file.
-func (ns *Namespace) FileSize(name string) (int64, error) {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	m, ok := ns.files[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return m.size, nil
-}
-
-// Blocks returns all block locations of a file.
-func (ns *Namespace) Blocks(name string) ([]BlockLocation, error) {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	m, ok := ns.files[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return append([]BlockLocation(nil), m.blocks...), nil
 }
 
 // LocateRange returns the blocks overlapping the byte range [off,
@@ -250,17 +204,6 @@ func (ns *Namespace) RangeHosts(name string, off, length int64) ([]string, error
 		return hosts[i] < hosts[j]
 	})
 	return hosts, nil
-}
-
-// Remove unregisters a file.
-func (ns *Namespace) Remove(name string) error {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	if _, ok := ns.files[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	delete(ns.files, name)
-	return nil
 }
 
 func maxI64(a, b int64) int64 {

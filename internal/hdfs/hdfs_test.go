@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -23,11 +24,11 @@ func TestNewNamespaceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ns.Replication() != 2 {
-		t.Fatalf("replication should clamp to node count, got %d", ns.Replication())
+	if ns.replication != 2 {
+		t.Fatalf("replication should clamp to node count, got %d", ns.replication)
 	}
-	if ns.BlockSize() != DefaultBlockSize {
-		t.Fatalf("BlockSize = %d", ns.BlockSize())
+	if ns.blockSize != DefaultBlockSize {
+		t.Fatalf("block size = %d", ns.blockSize)
 	}
 }
 
@@ -45,7 +46,7 @@ func TestAddFileBlocks(t *testing.T) {
 	if err := ns.AddFile("neg", -1); err == nil {
 		t.Fatal("negative size accepted")
 	}
-	blocks, err := ns.Blocks("data")
+	blocks, err := ns.LocateRange("data", 0, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestRangeHostsRanked(t *testing.T) {
 	}
 	// The top-ranked host must hold at least as many bytes as any other;
 	// verify ranking by recomputing.
-	blocks, _ := ns.Blocks("f")
+	blocks, _ := ns.LocateRange("f", 0, math.MaxInt64)
 	byHost := map[string]int64{}
 	for _, b := range blocks {
 		for _, h := range b.Hosts {
@@ -148,7 +149,7 @@ func TestDeterministicPlacement(t *testing.T) {
 	mk := func() []BlockLocation {
 		ns, _ := NewNamespace(testNodes(8), Config{BlockSize: 64, Seed: 42})
 		ns.AddFile("f", 1000)
-		b, _ := ns.Blocks("f")
+		b, _ := ns.LocateRange("f", 0, math.MaxInt64)
 		return b
 	}
 	a, b := mk(), mk()
@@ -156,26 +157,6 @@ func TestDeterministicPlacement(t *testing.T) {
 		if fmt.Sprint(a[i]) != fmt.Sprint(b[i]) {
 			t.Fatalf("placement not deterministic at block %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestRemoveAndFileSize(t *testing.T) {
-	ns, _ := NewNamespace(testNodes(3), Config{BlockSize: 10})
-	ns.AddFile("f", 25)
-	if sz, err := ns.FileSize("f"); err != nil || sz != 25 {
-		t.Fatalf("FileSize = %d, %v", sz, err)
-	}
-	if err := ns.Remove("f"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ns.FileSize("f"); err == nil {
-		t.Fatal("removed file still present")
-	}
-	if err := ns.Remove("f"); err == nil {
-		t.Fatal("double remove accepted")
-	}
-	if _, err := ns.Blocks("f"); err == nil {
-		t.Fatal("Blocks on removed file accepted")
 	}
 }
 
@@ -190,7 +171,7 @@ func TestQuickBlockCoverage(t *testing.T) {
 		if err := ns.AddFile("f", size); err != nil {
 			return false
 		}
-		blocks, _ := ns.Blocks("f")
+		blocks, _ := ns.LocateRange("f", 0, math.MaxInt64)
 		var covered int64
 		prevEnd := int64(0)
 		for _, b := range blocks {
@@ -223,7 +204,7 @@ func TestInjectedRandPlacement(t *testing.T) {
 		if err := ns.AddFile("f", 1000); err != nil {
 			t.Fatal(err)
 		}
-		b, _ := ns.Blocks("f")
+		b, _ := ns.LocateRange("f", 0, math.MaxInt64)
 		return b
 	}
 	a, b := mk(1), mk(2)
@@ -242,7 +223,7 @@ func TestInjectedRandPlacement(t *testing.T) {
 	if err := other.AddFile("f", 1000); err != nil {
 		t.Fatal(err)
 	}
-	c, _ := other.Blocks("f")
+	c, _ := other.LocateRange("f", 0, math.MaxInt64)
 	same := true
 	for i := range a {
 		if fmt.Sprint(a[i]) != fmt.Sprint(c[i]) {

@@ -87,7 +87,8 @@ func TestJobLifecycleDone(t *testing.T) {
 }
 
 func TestJobFailure(t *testing.T) {
-	m := newTestManager(t, Config{Datasets: newFakeProvider([]int64{32, 32}, 0)})
+	reg := metrics.New()
+	m := newTestManager(t, Config{Datasets: newFakeProvider([]int64{32, 32}, 0), Metrics: reg})
 	j, err := m.Submit(Request{Dataset: "missing", Query: testQuery})
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +99,9 @@ func TestJobFailure(t *testing.T) {
 	}
 	if j.Err() == nil {
 		t.Fatal("failed job has nil error")
+	}
+	if got := reg.Counter("sidrd_jobs_failed_total").Value(); got != 1 {
+		t.Fatalf("failed counter = %d, want 1", got)
 	}
 }
 
@@ -196,9 +200,12 @@ func TestCancelQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Cancel(queued.ID); err != nil {
+	// As the server cancels: look the job up by id, then cancel it.
+	j, err := m.Get(queued.ID)
+	if err != nil {
 		t.Fatal(err)
 	}
+	j.Cancel()
 	if st := queued.State(); st != Cancelled {
 		t.Fatalf("queued job state = %v, want Cancelled immediately", st)
 	}

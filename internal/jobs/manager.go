@@ -123,11 +123,9 @@ type Config struct {
 
 // VersionProvider is an optional DatasetProvider extension: it returns
 // an opaque version token for a registered dataset variable that
-// changes whenever the dataset's contents could have changed
-// (re-registration bumps a generation; shape and structural-index
-// fingerprints ride along). The result cache requires it — without a
-// version to pin, cached results could go stale, so managers whose
-// provider lacks it simply never hit.
+// changes whenever the dataset's contents could have changed. The result
+// cache requires it — without a version to pin, cached results could go
+// stale, so managers whose provider lacks it simply never hit.
 type VersionProvider interface {
 	DatasetVersion(name, variable string) (string, bool)
 }
@@ -154,8 +152,7 @@ type Manager struct {
 	mSidxHits, mSidxMisses, mSidxPruned                         *metrics.Counter
 	mCollapsed, mTenantRejected                                 *metrics.Counter
 	gQueued, gRunning                                           *metrics.Gauge
-	gSkewKeyblocks, gSkewStarved, gSkewMax                      *metrics.Gauge
-	gSkewMaxOverMean, gSkewCV, gSkewGini                        *metrics.Gauge
+	gSkewKeyblocks, gSkewMaxOverMean                            *metrics.Gauge
 	hQuerySeconds, hFirstResultSeconds                          *metrics.Histogram
 }
 
@@ -207,11 +204,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		gQueued:             cfg.Metrics.Gauge("sidrd_jobs_queued"),
 		gRunning:            cfg.Metrics.Gauge("sidrd_jobs_running"),
 		gSkewKeyblocks:      cfg.Metrics.Gauge("sidrd_job_skew_keyblocks"),
-		gSkewStarved:        cfg.Metrics.Gauge("sidrd_job_skew_starved"),
-		gSkewMax:            cfg.Metrics.Gauge("sidrd_job_skew_max_load"),
 		gSkewMaxOverMean:    cfg.Metrics.Gauge("sidrd_job_skew_max_over_mean_milli"),
-		gSkewCV:             cfg.Metrics.Gauge("sidrd_job_skew_cv_milli"),
-		gSkewGini:           cfg.Metrics.Gauge("sidrd_job_skew_gini_milli"),
 		hQuerySeconds:       cfg.Metrics.Histogram("sidrd_query_seconds", nil),
 		hFirstResultSeconds: cfg.Metrics.Histogram("sidrd_first_result_seconds", nil),
 	}
@@ -432,8 +425,8 @@ func (m *Manager) fastKey(req Request, q *query.Query) (string, bool) {
 	}
 	var ver2 string
 	if req.Dataset2 != "" { // a join, by Submit's check
-		// Both inputs pin the key: a re-registration of EITHER side must
-		// change it, or a stale join result could be served.
+		// Both inputs pin the key: new contents on EITHER side must change
+		// it, or a stale join result could be served.
 		if ver2, ok = vp.DatasetVersion(req.Dataset2, q.Variable2); !ok {
 			return "", false
 		}
@@ -441,17 +434,6 @@ func (m *Manager) fastKey(req Request, q *query.Query) (string, bool) {
 	reducers, splitPoints := core.RequestDefaults(q, req.Reducers, req.SplitPoints)
 	return fmt.Sprintf("%s\x1f%s\x1f%s\x1f%s\x1f%d\x1f%d\x1f%d\x1f%t",
 		ver, ver2, req.Query, req.Engine, reducers, splitPoints, req.MaxSkew, req.Cluster), true
-}
-
-// InvalidateDataset drops every cached result for the named dataset.
-// The server calls it when a dataset is re-registered or removed;
-// version-keying already prevents stale hits, so this only reclaims
-// the dead entries' bytes eagerly.
-func (m *Manager) InvalidateDataset(name string) int {
-	if m.rcache == nil {
-		return 0
-	}
-	return m.rcache.invalidate(name)
 }
 
 // Get returns the job by id.
@@ -463,16 +445,6 @@ func (m *Manager) Get(id string) (*Job, error) {
 		return nil, ErrUnknownJob
 	}
 	return j, nil
-}
-
-// Cancel cancels the job by id.
-func (m *Manager) Cancel(id string) error {
-	j, err := m.Get(id)
-	if err != nil {
-		return err
-	}
-	j.Cancel()
-	return nil
 }
 
 // Jobs lists snapshots in submission order.
@@ -516,7 +488,7 @@ func (m *Manager) runJob(j *Job) {
 			// retires the collapse entry, so a concurrent identical submit
 			// always finds either the live leader or the cached result —
 			// never neither.
-			m.rcache.put(j.cacheKey, requestDatasets(j.Req), res)
+			m.rcache.put(j.cacheKey, res)
 		}
 		j.finish(Done, res, nil)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -561,18 +533,10 @@ func (m *Manager) prune() {
 	m.order = keep
 }
 
-// requestDatasets lists every dataset name a request reads, for
-// result-cache invalidation (two entries for joins).
-func requestDatasets(req Request) []string {
-	if req.Dataset2 != "" {
-		return []string{req.Dataset, req.Dataset2}
-	}
-	return []string{req.Dataset}
-}
-
-// publishSkew records the finished job's keyblock balance: on the job
-// snapshot and on the last-job skew gauges (ratios in milli-units, the
-// registry being integer-valued).
+// publishSkew records the finished job's keyblock balance: all of it on
+// the job snapshot, and its keyblock count and max/mean ratio on the
+// last-job skew gauges (the ratio in milli-units, the registry being
+// integer-valued).
 func (m *Manager) publishSkew(j *Job, s skew.Summary) {
 	j.setSkew(&SkewStats{
 		Keyblocks:   s.Keyblocks,
@@ -585,11 +549,7 @@ func (m *Manager) publishSkew(j *Job, s skew.Summary) {
 		Gini:        s.Gini,
 	})
 	m.gSkewKeyblocks.Set(int64(s.Keyblocks))
-	m.gSkewStarved.Set(int64(s.Starved))
-	m.gSkewMax.Set(s.Max)
 	m.gSkewMaxOverMean.Set(int64(s.MaxOverMean * 1000))
-	m.gSkewCV.Set(int64(s.CV * 1000))
-	m.gSkewGini.Set(int64(s.Gini * 1000))
 }
 
 // execute is the one request→result path, whichever engine runs the

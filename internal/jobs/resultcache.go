@@ -17,11 +17,9 @@ import (
 // taken to its endpoint — so the daemon may serve a finished result
 // again instead of re-running the Map/shuffle/Reduce pipeline, as long
 // as the key pins the dataset *contents*, not just its name. The fast
-// key therefore embeds the dataset version (registration generation +
-// shape + structural-index fingerprint, see jobs.VersionProvider):
-// re-registering a dataset changes the version, so a stale hit is
-// impossible by construction, and InvalidateDataset additionally drops
-// the dead entries eagerly to free the byte budget.
+// key therefore embeds the dataset version (name + shape +
+// structural-index fingerprint, see jobs.VersionProvider): new contents
+// are a new version, so a stale hit is impossible by construction.
 //
 // Entries store the job's *sidr.Result pointer. Results are immutable
 // once a job finishes, so a hit serves the exact object a previous run
@@ -45,13 +43,9 @@ type resultCache struct {
 }
 
 type resultEntry struct {
-	key string
-	// datasets lists every input's registry name — both sides of a join —
-	// so InvalidateDataset drops an entry when ANY of its inputs dies,
-	// not just the primary.
-	datasets []string
-	res      *sidr.Result
-	size     int64 // guarded by cache.mu
+	key  string
+	res  *sidr.Result
+	size int64 // guarded by cache.mu
 
 	cache      *resultCache
 	encodeOnce sync.Once
@@ -137,9 +131,8 @@ func (c *resultCache) get(key string) (*resultEntry, bool) {
 
 // put inserts a completed result under the key, evicting least recently
 // used entries until the byte budget holds. A result larger than the
-// whole budget is not cached. datasets lists every input dataset name
-// the result was computed from (two for joins).
-func (c *resultCache) put(key string, datasets []string, res *sidr.Result) {
+// whole budget is not cached.
+func (c *resultCache) put(key string, res *sidr.Result) {
 	size := resultSize(res)
 	if size > c.budget {
 		return
@@ -152,14 +145,14 @@ func (c *resultCache) put(key string, datasets []string, res *sidr.Result) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&resultEntry{key: key, datasets: datasets, res: res, size: size, cache: c})
+	c.items[key] = c.ll.PushFront(&resultEntry{key: key, res: res, size: size, cache: c})
 	c.bytes += size
 	c.shrinkLocked()
 }
 
 // grow charges n more bytes to an entry that has gained its encoded
-// stream. An entry evicted or invalidated in the meantime is not
-// charged: the cache no longer keeps it alive.
+// stream. An entry evicted in the meantime is not charged: the cache no
+// longer keeps it alive.
 func (c *resultCache) grow(e *resultEntry, n int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -179,29 +172,6 @@ func (c *resultCache) shrinkLocked() {
 		c.evictLocked(c.ll.Back())
 	}
 	c.publishLocked()
-}
-
-// invalidate drops every entry that read the named dataset (any
-// version, either join side) and returns how many were dropped.
-// Version-keying already makes stale hits impossible; this reclaims
-// their bytes the moment a re-registration makes them unreachable.
-func (c *resultCache) invalidate(dataset string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		for _, d := range el.Value.(*resultEntry).datasets {
-			if d == dataset {
-				c.evictLocked(el)
-				n++
-				break
-			}
-		}
-		el = next
-	}
-	c.publishLocked()
-	return n
 }
 
 // evictLocked removes one entry and counts the eviction. Caller holds mu.

@@ -156,7 +156,11 @@ func TestCacheHitReplaysTheLeadersStream(t *testing.T) {
 	}
 }
 
-func TestReregistrationInvalidatesResultCache(t *testing.T) {
+// TestVersionBumpMissesTheResultCache: new dataset contents are a new
+// version, so the next run misses and re-executes, its result differs
+// from the old contents', and a repeat against the new version hits
+// byte for byte.
+func TestVersionBumpMissesTheResultCache(t *testing.T) {
 	reg := metrics.New()
 	p := newVersionedProvider([]int64{32, 32})
 	m := newTestManager(t, Config{Datasets: p, Metrics: reg})
@@ -174,21 +178,14 @@ func TestReregistrationInvalidatesResultCache(t *testing.T) {
 	}
 
 	first := run()
-	// Re-register: new generation, new contents, and the eager drop.
-	p.bump("d")
-	if n := m.InvalidateDataset("d"); n != 1 {
-		t.Fatalf("InvalidateDataset dropped %d entries, want 1", n)
-	}
-	if got := reg.Gauge("sidrd_resultcache_entries").Value(); got != 0 {
-		t.Fatalf("entries after invalidation = %d, want 0", got)
-	}
+	p.bump("d") // new version, new contents
 
 	second := run()
 	if second.Snapshot().ResultHit {
-		t.Fatal("post-re-registration run served from cache")
+		t.Fatal("run against the new version served from cache")
 	}
 	if got, old := wireBytes(t, second.Result()), wireBytes(t, first.Result()); got == old {
-		t.Fatal("re-registered dataset produced the old contents' result")
+		t.Fatal("the new version produced the old contents' result")
 	}
 	if got := reg.Counter("sidrd_jobs_done_total").Value(); got != 2 {
 		t.Fatalf("executions = %d, want 2", got)
@@ -285,8 +282,9 @@ func TestCollapsedFollowerCancelLeavesLeaderRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wait until the leader actually runs so the next submit collapses.
+	running, queued := reg.Gauge("sidrd_jobs_running"), reg.Gauge("sidrd_jobs_queued")
 	deadline := time.Now().Add(5 * time.Second)
-	for leader.State() != Running && time.Now().Before(deadline) {
+	for (leader.State() != Running || running.Value() != 1) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	follower, err := m.Submit(Request{Dataset: "d", Query: testQuery, Reducers: 4})
@@ -295,6 +293,10 @@ func TestCollapsedFollowerCancelLeavesLeaderRunning(t *testing.T) {
 	}
 	if got := follower.Snapshot().CollapsedInto; got != leader.ID {
 		t.Fatalf("follower collapsed into %q, want %q", got, leader.ID)
+	}
+	// A follower takes neither a queue slot nor a worker.
+	if running.Value() != 1 || queued.Value() != 0 {
+		t.Fatalf("with a leader and its follower: %d running, %d queued; want 1 and 0", running.Value(), queued.Value())
 	}
 
 	follower.Cancel()
@@ -418,15 +420,21 @@ func TestEncodedStreamIsChargedToTheBudget(t *testing.T) {
 		t.Fatalf("%d bytes cached over a budget of %d", got, budget)
 	}
 
-	// The encoded bytes leave the account with their entry.
-	m.InvalidateDataset("d")
-	if bytes.Value() != 0 || entries.Value() != 0 {
-		t.Fatalf("after invalidation: %d bytes, %d entries", bytes.Value(), entries.Value())
+	// The encoded bytes leave the account with their entry: two fresh
+	// results push out the plain entry, then the encoded one, and what
+	// stays is two plain entries' worth.
+	run(m, "max v[0,0 : 32,32] es {4,4}")
+	run(m, "avg v[0,0 : 32,32] es {8,2}")
+	if bytes.Value() != 2*plain || entries.Value() != 2 || evictions.Value() != 4 {
+		t.Fatalf("after two fresh results: %d bytes (want %d), %d entries, %d evictions", bytes.Value(), 2*plain, entries.Value(), evictions.Value())
 	}
-	// A hit born before the invalidation still holds what it was served,
-	// and encoding for an entry that is gone charges nobody.
+	if run(m, queries[1]).Snapshot().ResultHit {
+		t.Fatal("the encoded entry survived two fresh results")
+	}
+	// A hit born before the eviction still holds what it was served, and
+	// encoding for an entry that is gone charges nobody.
 	if again, err := hit.EncodedStream(); err != nil || &again[0] != &events[0] {
-		t.Fatalf("the hit lost its stream to the invalidation: %v", err)
+		t.Fatalf("the hit lost its stream to the eviction: %v", err)
 	}
 }
 

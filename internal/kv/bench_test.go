@@ -80,8 +80,7 @@ func BenchmarkConcatSortMerge(b *testing.B) {
 				all = append(all, Pair{Key: p.Key, Value: p.Value.Clone()})
 			}
 		}
-		SortPairs(all)
-		if out := MergePairs(all); len(out) == 0 {
+		if out := sortMerge(all); len(out) == 0 {
 			b.Fatal("empty merge")
 		}
 	}

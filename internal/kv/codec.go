@@ -48,18 +48,8 @@ type SpillHeader struct {
 	SourceCount int64
 	// Pairs is the number of ⟨k',v'⟩ records in the file.
 	Pairs int
-	// Flags holds the format flags (V3FlagDeflate).
-	Flags uint16
 	// Blocks is the block count.
 	Blocks int
-}
-
-// ReadSpillHeader reads only the header — how a Reduce task learns the
-// annotation tally "without having to read and parse those files"
-// (§3.2.1).
-func ReadSpillHeader(r io.Reader) (SpillHeader, error) {
-	h, _, err := readSpillHeader(r)
-	return h, err
 }
 
 // readSpillHeader reads and validates the fixed file header. raw is the
@@ -87,11 +77,10 @@ func readSpillHeader(r io.Reader) (h SpillHeader, raw [spillHeaderLen]byte, err 
 	}
 	h.SourceCount = int64(le.Uint64(raw[10:18]))
 	h.Pairs = int(le.Uint32(raw[18:22]))
-	h.Flags = le.Uint16(raw[22:24])
-	if h.Flags&^V3FlagDeflate != 0 {
-		// Unknown flag bits would change payload interpretation; and on a
-		// blockless (empty) spill no block CRC exists to catch the flip.
-		return SpillHeader{}, raw, fmt.Errorf("kv: unknown spill flags %#x: %w", h.Flags, ErrBadSpillVersion)
+	if flags := le.Uint16(raw[22:24]); flags != 0 {
+		// No flag is defined; and on a blockless (empty) spill no block
+		// CRC exists to catch the flip.
+		return SpillHeader{}, raw, fmt.Errorf("kv: unknown spill flags %#x: %w", flags, ErrBadSpillVersion)
 	}
 	h.Blocks = int(le.Uint32(raw[24:28]))
 	return h, raw, nil

@@ -79,8 +79,8 @@ func pairsEqual(t *testing.T, rank int, a, b []Pair) bool {
 }
 
 // TestSpillV3RoundTrip: every framing (single block, multi block,
-// remainder block, empty, compressed) decodes back to the written
-// pairs with the header intact.
+// remainder block, empty) decodes back to the written pairs with the
+// header intact.
 func TestSpillV3RoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
@@ -91,8 +91,6 @@ func TestSpillV3RoundTrip(t *testing.T) {
 		{name: "single-block", n: 10, opts: V3Options{}},
 		{name: "multi-block", n: 100, opts: V3Options{BlockPairs: 16}},
 		{name: "exact-blocks", n: 64, opts: V3Options{BlockPairs: 16}},
-		{name: "compressed", n: 100, opts: V3Options{BlockPairs: 16, Compress: true}},
-		{name: "compressed-single", n: 5, opts: V3Options{Compress: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,9 +102,6 @@ func TestSpillV3RoundTrip(t *testing.T) {
 			}
 			if h.Rank != 3 || h.SourceCount != int64(tc.n)*10+7 || h.Pairs != tc.n {
 				t.Fatalf("header = %+v", h)
-			}
-			if tc.opts.Compress != (h.Flags&V3FlagDeflate != 0) {
-				t.Fatalf("compress flag = %x, opts = %+v", h.Flags, tc.opts)
 			}
 			if !pairsEqual(t, 3, pairs, got) {
 				t.Fatal("decoded pairs differ from written pairs")
@@ -129,21 +124,19 @@ func TestSpillBlocksAreFramedByBytes(t *testing.T) {
 		}
 		pairs[i] = Pair{Key: coords.NewCoord(int64(i), 2), Value: v}
 	}
-	for _, opts := range []V3Options{{}, {Compress: true}} {
-		data := encodeSpillV3(t, 2, 3*samples, pairs, opts)
-		h, got, err := ReadSpill(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%+v: ReadSpill: %v", opts, err)
-		}
-		if vh, err := VerifySpill(bytes.NewReader(data)); err != nil || vh != h {
-			t.Fatalf("%+v: VerifySpill = %+v, %v; ReadSpill read %+v", opts, vh, err, h)
-		}
-		if h.Blocks != 3 || h.Pairs != 3 || h.SourceCount != 3*samples {
-			t.Fatalf("%+v: header %+v, want 3 pairs in 3 blocks", opts, h)
-		}
-		if !pairsEqual(t, 2, pairs, got) {
-			t.Fatalf("%+v: decoded pairs differ from written pairs", opts)
-		}
+	data := encodeSpillV3(t, 2, 3*samples, pairs, V3Options{})
+	h, got, err := ReadSpill(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("ReadSpill: %v", err)
+	}
+	if vh, err := VerifySpill(bytes.NewReader(data)); err != nil || vh != h {
+		t.Fatalf("VerifySpill = %+v, %v; ReadSpill read %+v", vh, err, h)
+	}
+	if h.Blocks != 3 || h.Pairs != 3 || h.SourceCount != 3*samples {
+		t.Fatalf("header %+v, want 3 pairs in 3 blocks", h)
+	}
+	if !pairsEqual(t, 2, pairs, got) {
+		t.Fatal("decoded pairs differ from written pairs")
 	}
 	// Light pairs are still framed by count.
 	if h, _, err := ReadSpill(bytes.NewReader(encodeSpillV3(t, 3, 1, v3TestPairs(2*DefaultBlockPairs+1), V3Options{}))); err != nil || h.Blocks != 3 {
@@ -206,7 +199,7 @@ func TestKeyRunsCarryEveryKeyShape(t *testing.T) {
 			pairs[i] = Pair{Key: k, Value: NewValue(float64(i), true)}
 		}
 		rank := len(keys[0])
-		for _, opts := range []V3Options{{}, {BlockPairs: 7}, {BlockPairs: 7, Compress: true}} {
+		for _, opts := range []V3Options{{}, {BlockPairs: 7}} {
 			data := encodeSpillV3(t, rank, int64(len(pairs)), pairs, opts)
 			_, got, err := ReadSpill(bytes.NewReader(data))
 			if err != nil {
@@ -247,28 +240,6 @@ func TestDenseStretchCostsRunsNotKeys(t *testing.T) {
 	}
 }
 
-// TestReadSpillHeaderStopsAtHeader: ReadSpillHeader must work on a
-// stream that carries only the header bytes — §3.2.1's point is reading
-// the annotation without parsing pair bodies — and must consume nothing
-// past them.
-func TestReadSpillHeaderStopsAtHeader(t *testing.T) {
-	data := encodeSpillV3(t, 3, 12345, v3TestPairs(9), V3Options{BlockPairs: 4})
-	h, err := ReadSpillHeader(io.LimitReader(bytes.NewReader(data), spillHeaderLen))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Rank != 3 || h.SourceCount != 12345 || h.Pairs != 9 || h.Blocks != 3 {
-		t.Fatalf("header = %+v", h)
-	}
-	r := bytes.NewReader(data)
-	if _, err := ReadSpillHeader(r); err != nil {
-		t.Fatal(err)
-	}
-	if rest := r.Len(); rest != len(data)-spillHeaderLen {
-		t.Fatalf("header read left %d bytes unread, want %d", rest, len(data)-spillHeaderLen)
-	}
-}
-
 // TestQuickSpillRoundTrip round-trips random ranks, pair counts,
 // framings and values.
 func TestQuickSpillRoundTrip(t *testing.T) {
@@ -291,7 +262,7 @@ func TestQuickSpillRoundTrip(t *testing.T) {
 			src += int64(k)
 			pairs[i] = Pair{Key: key, Value: v}
 		}
-		opts := V3Options{BlockPairs: r.Intn(8), Compress: r.Intn(2) == 0}
+		opts := V3Options{BlockPairs: r.Intn(8)}
 		var buf bytes.Buffer
 		if err := WriteSpillV3(&buf, rank, src, pairs, opts); err != nil {
 			return false
@@ -328,10 +299,9 @@ func sealBlock(b []byte) []byte {
 	return b
 }
 
-// resealBlock rebuilds the block of an uncompressed single-block spill
-// around payload, with its lengths and CRC recomputed, so a case can
-// damage what the checksum covers and still reach the structural checks
-// behind it.
+// resealBlock rebuilds the block of a single-block spill around payload,
+// with its lengths and CRC recomputed, so a case can damage what the
+// checksum covers and still reach the structural checks behind it.
 func resealBlock(b, payload []byte) []byte {
 	out := append(append([]byte(nil), b[:spillHeaderLen+blockHeaderLen]...), payload...)
 	binary.LittleEndian.PutUint32(out[spillHeaderLen+4:], uint32(len(payload)))
@@ -377,10 +347,9 @@ func rejectShape(shape, n int) []Pair {
 // TestReadSpillRejects is the decoder's safety table: each case damages
 // one valid spill in one way and names the error the shuffle relies on
 // (nil want = any error). Every case must fail ReadSpill and VerifySpill
-// alike — same error, nothing surfaced; header cases must fail
-// ReadSpillHeader the same way. A body case patches the payload through
-// resealBlock, so it is the structural check that refuses it, not the
-// CRC.
+// alike — same error, nothing surfaced. A body case patches the payload
+// through resealBlock, so it is the structural check that refuses it,
+// not the CRC.
 func TestReadSpillRejects(t *testing.T) {
 	le := binary.LittleEndian
 	// body damages the (single) block's payload and reseals it.
@@ -398,23 +367,26 @@ func TestReadSpillRejects(t *testing.T) {
 		shape  int
 		damage func(b []byte) []byte
 		want   error
-		header bool // ReadSpillHeader must reject it too
 	}{
-		{name: "bad-magic", n: 1, header: true, want: ErrBadSpillMagic,
+		{name: "bad-magic", n: 1, want: ErrBadSpillMagic,
 			damage: func(b []byte) []byte { copy(b, "NOPE"); return b }},
-		{name: "foreign-bytes", header: true, want: ErrBadSpillMagic,
+		{name: "foreign-bytes", want: ErrBadSpillMagic,
 			damage: func([]byte) []byte { return []byte("XXXXxxxxxxxx") }},
-		{name: "unknown-version", n: 1, header: true, want: ErrBadSpillVersion,
+		{name: "unknown-version", n: 1, want: ErrBadSpillVersion,
 			damage: func(b []byte) []byte { le.PutUint16(b[4:6], 0x0909); return b }},
-		{name: "version-judged-before-truncation", header: true, want: ErrBadSpillVersion,
+		{name: "version-judged-before-truncation", want: ErrBadSpillVersion,
 			damage: func(b []byte) []byte { b[4] = 9; return b[:6] }},
-		{name: "unknown-flags", n: 1, header: true, want: ErrBadSpillVersion,
+		{name: "unknown-flags", n: 1, want: ErrBadSpillVersion,
 			damage: func(b []byte) []byte { b[23] |= 0x80; return b }},
-		{name: "zero-rank", n: 1, header: true,
+		// The retired DEFLATE bit, with the block CRC recomputed so that
+		// the header check, not the checksum, refuses it.
+		{name: "deflate-flag-resealed", n: 1, want: ErrBadSpillVersion,
+			damage: func(b []byte) []byte { b[22] |= 1; return sealBlock(b) }},
+		{name: "zero-rank", n: 1,
 			damage: func(b []byte) []byte { le.PutUint32(b[6:10], 0); return b }},
-		{name: "implausible-rank", n: 1, header: true,
+		{name: "implausible-rank", n: 1,
 			damage: func(b []byte) []byte { le.PutUint32(b[6:10], coords.MaxRank+1); return b }},
-		{name: "truncated-header", n: 1, header: true, want: io.ErrUnexpectedEOF,
+		{name: "truncated-header", n: 1, want: io.ErrUnexpectedEOF,
 			damage: func(b []byte) []byte { return b[:spillHeaderLen-1] }},
 		{name: "truncated-body", n: 3,
 			damage: func(b []byte) []byte { return b[:len(b)-4] }},
@@ -509,11 +481,6 @@ func TestReadSpillRejects(t *testing.T) {
 			if _, verr := VerifySpill(bytes.NewReader(data)); verr == nil || verr.Error() != err.Error() {
 				t.Fatalf("VerifySpill err = %v, ReadSpill said %v", verr, err)
 			}
-			if tc.header {
-				if _, err := ReadSpillHeader(bytes.NewReader(data)); err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
-					t.Fatalf("ReadSpillHeader err = %v, want %v", err, tc.want)
-				}
-			}
 		})
 	}
 }
@@ -539,34 +506,25 @@ func TestRejectTableStartsFromTheLayoutItAssumes(t *testing.T) {
 // until the bytes it announces have arrived and passed the CRC. A block
 // header claiming a payload just under the 1 GiB plausibility cap, over
 // a 64-byte stream, must be rejected having allocated a few read steps
-// at most — stored and (through a tiny DEFLATE stream) inflated alike.
+// at most.
 func TestReadSpillAllocatesOnlyWhatArrives(t *testing.T) {
 	le := binary.LittleEndian
-	for _, compress := range []bool{false, true} {
-		data := encodeSpillV3(t, 1, 1, rejectShape(shapeAggregates, 1), V3Options{Compress: compress})
-		if compress {
-			// Keep the stored bytes; claim they inflate to the cap.
-			le.PutUint32(data[spillHeaderLen+4:], maxBlockLen-1)
-			sealBlock(data)
-		} else {
-			data = data[:64]
-			le.PutUint32(data[spillHeaderLen+4:], maxBlockLen-1)
-			le.PutUint32(data[spillHeaderLen+8:], maxBlockLen-1)
+	data := encodeSpillV3(t, 1, 1, rejectShape(shapeAggregates, 1), V3Options{})[:64]
+	le.PutUint32(data[spillHeaderLen+4:], maxBlockLen-1)
+	le.PutUint32(data[spillHeaderLen+8:], maxBlockLen-1)
+	for name, read := range map[string]func() error{
+		"ReadSpill":   func() error { _, _, err := ReadSpill(bytes.NewReader(data)); return err },
+		"VerifySpill": func() error { _, err := VerifySpill(bytes.NewReader(data)); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s accepted a block claiming %d bytes", name, maxBlockLen-1)
 		}
-		for name, read := range map[string]func() error{
-			"ReadSpill":   func() error { _, _, err := ReadSpill(bytes.NewReader(data)); return err },
-			"VerifySpill": func() error { _, err := VerifySpill(bytes.NewReader(data)); return err },
-		} {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			err := read()
-			runtime.ReadMemStats(&after)
-			if err == nil {
-				t.Fatalf("%s compress=%v accepted a block claiming %d bytes", name, compress, maxBlockLen-1)
-			}
-			if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
-				t.Fatalf("%s compress=%v allocated %d bytes refusing a %d-byte stream (%v)", name, compress, got, len(data), err)
-			}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+			t.Fatalf("%s allocated %d bytes refusing a %d-byte stream (%v)", name, got, len(data), err)
 		}
 	}
 }
@@ -598,9 +556,6 @@ func testRejectsRetired(t *testing.T, version uint16) {
 	if _, err := VerifySpill(bytes.NewReader(data)); !errors.Is(err, ErrBadSpillVersion) {
 		t.Fatalf("VerifySpill err = %v, want ErrBadSpillVersion", err)
 	}
-	if _, err := ReadSpillHeader(bytes.NewReader(data)); !errors.Is(err, ErrBadSpillVersion) {
-		t.Fatalf("ReadSpillHeader err = %v, want ErrBadSpillVersion", err)
-	}
 }
 
 // TestSpillV3DetectsBitFlip: flipping any single bit outside the
@@ -630,35 +585,31 @@ func TestSpillV3DetectsBitFlip(t *testing.T) {
 		},
 	}
 	for _, pairs := range sets {
-		for _, opts := range []V3Options{{BlockPairs: 4}, {BlockPairs: 4, Compress: true}} {
-			data := encodeSpillV3(t, 2, 42, pairs, opts)
-			for i := 0; i < len(data); i++ {
-				if i >= 10 && i < 18 {
-					continue // the annotation is the kv-count gate's to verify
+		data := encodeSpillV3(t, 2, 42, pairs, V3Options{BlockPairs: 4})
+		for i := 0; i < len(data); i++ {
+			if i >= 10 && i < 18 {
+				continue // the annotation is the kv-count gate's to verify
+			}
+			for bit := 0; bit < 8; bit++ {
+				flipped := append([]byte(nil), data...)
+				flipped[i] ^= 1 << bit
+				if _, _, err := ReadSpill(bytes.NewReader(flipped)); err == nil {
+					t.Fatalf("flip at byte %d bit %d decoded without error", i, bit)
 				}
-				for bit := 0; bit < 8; bit++ {
-					flipped := append([]byte(nil), data...)
-					flipped[i] ^= 1 << bit
-					if _, _, err := ReadSpill(bytes.NewReader(flipped)); err == nil {
-						t.Fatalf("flip at byte %d bit %d (compress=%v) decoded without error",
-							i, bit, opts.Compress)
-					}
-					if _, err := VerifySpill(bytes.NewReader(flipped)); err == nil {
-						t.Fatalf("flip at byte %d bit %d (compress=%v) verified without error",
-							i, bit, opts.Compress)
-					}
+				if _, err := VerifySpill(bytes.NewReader(flipped)); err == nil {
+					t.Fatalf("flip at byte %d bit %d verified without error", i, bit)
 				}
 			}
-			// Annotation tamper must NOT trip a checksum.
-			patched := append([]byte(nil), data...)
-			patched[10] ^= 0x01
-			h, _, err := ReadSpill(bytes.NewReader(patched))
-			if err != nil {
-				t.Fatalf("sourceCount tamper tripped a checksum: %v", err)
-			}
-			if h.SourceCount == 42 {
-				t.Fatal("tamper did not change the annotation")
-			}
+		}
+		// Annotation tamper must NOT trip a checksum.
+		patched := append([]byte(nil), data...)
+		patched[10] ^= 0x01
+		h, _, err := ReadSpill(bytes.NewReader(patched))
+		if err != nil {
+			t.Fatalf("sourceCount tamper tripped a checksum: %v", err)
+		}
+		if h.SourceCount == 42 {
+			t.Fatal("tamper did not change the annotation")
 		}
 	}
 }

@@ -2,8 +2,6 @@ package kv
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -29,12 +27,12 @@ import (
 //
 //	file header (28 bytes):
 //	  magic "SPIL" | u16 version=4 | u32 rank | u64 sourceCount
-//	  | u32 nPairs | u16 flags | u32 nBlocks
+//	  | u32 nPairs | u16 flags=0 | u32 nBlocks
 //
 //	nBlocks × block:
 //	  block header (16 bytes):
-//	    u32 bPairs | u32 rawLen | u32 encLen | u32 crc
-//	  stored payload (encLen bytes; == raw payload unless flag 0 set)
+//	    u32 bPairs | u32 rawLen | u32 encLen (== rawLen) | u32 crc
+//	  payload (rawLen bytes)
 //
 //	raw block payload (rawLen bytes):
 //	  u8  column mask (maskFull, maskAggregates or maskSingletons)
@@ -59,11 +57,15 @@ import (
 // Reduce side. Every other header field is folded into each block's CRC
 // as a seed, so a flipped rank/flags/count bit is caught by the first
 // block read. Block CRCs cover their own header's first 12 bytes plus
-// the stored payload.
+// the payload.
 //
-// The "V3" in WriteSpillV3, V3Options and V3FlagDeflate is historical
-// (bench/replay.go compiles against those names); the format they write
-// is version 4.
+// The flags field and the second block length are what remains of a
+// per-block DEFLATE option. The frame keeps them so that version 4 stays
+// byte for byte what it was; a reader refuses any flag bit, and a block
+// whose two lengths differ.
+//
+// The "V3" in WriteSpillV3 and V3Options is historical (bench/replay.go
+// compiles against those names); the format they write is version 4.
 
 const (
 	spillVersion uint16 = 4
@@ -71,18 +73,15 @@ const (
 	spillHeaderLen = 28
 	// blockHeaderLen is the per-block frame header length.
 	blockHeaderLen = 16
-	// V3FlagDeflate marks per-block DEFLATE compression (stdlib
-	// compress/flate, BestSpeed — deterministic for a given input).
-	V3FlagDeflate uint16 = 1 << 0
 
 	// DefaultBlockPairs is the default bound on the pairs of one block.
 	DefaultBlockPairs = 4096
 
-	// maxBlockLen caps a single block's claimed raw or stored byte
-	// length. The limit defends the decoder against corrupt or hostile
-	// length fields (including DEFLATE bombs) long before gigabytes are
-	// materialised. The writer closes a block at about readStep of payload
-	// and refuses to emit one over the cap (a single pair that large).
+	// maxBlockLen caps a single block's claimed byte length. The limit
+	// defends the decoder against corrupt or hostile length fields long
+	// before gigabytes are materialised. The writer closes a block at
+	// about readStep of payload and refuses to emit one over the cap (a
+	// single pair that large).
 	maxBlockLen = 1 << 30
 	// readStep bounds how far a payload buffer grows ahead of the bytes
 	// that have arrived: a length is untrusted until they have.
@@ -117,8 +116,6 @@ type V3Options struct {
 	// DefaultBlockPairs); a block also closes once its payload passes
 	// readStep. The final block holds the remainder.
 	BlockPairs int
-	// Compress DEFLATEs each block's payload.
-	Compress bool
 }
 
 // WriteSpillV3 serialises sorted pairs in the block-framed format with
@@ -130,10 +127,6 @@ func WriteSpillV3(w io.Writer, rank int, sourceCount int64, pairs []Pair, opts V
 	blockPairs := opts.BlockPairs
 	if blockPairs <= 0 {
 		blockPairs = DefaultBlockPairs
-	}
-	var flags uint16
-	if opts.Compress {
-		flags |= V3FlagDeflate
 	}
 	nBlocks := 0
 	for off := 0; off < len(pairs); off = blockEnd(pairs, off, blockPairs) {
@@ -147,7 +140,7 @@ func WriteSpillV3(w io.Writer, rank int, sourceCount int64, pairs []Pair, opts V
 	le.PutUint32(hdr[6:10], uint32(rank))
 	le.PutUint64(hdr[10:18], uint64(sourceCount))
 	le.PutUint32(hdr[18:22], uint32(len(pairs)))
-	le.PutUint16(hdr[22:24], flags)
+	// hdr[22:24], the flags, stay zero.
 	le.PutUint32(hdr[24:28], uint32(nBlocks))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
@@ -155,7 +148,6 @@ func WriteSpillV3(w io.Writer, rank int, sourceCount int64, pairs []Pair, opts V
 	seed := headerCRCSeed(hdr[:])
 
 	var raw []byte // one payload buffer serves every block
-	var comp bytes.Buffer
 	for off, end := 0, 0; off < len(pairs); off = end {
 		end = blockEnd(pairs, off, blockPairs)
 		block := pairs[off:end]
@@ -163,35 +155,20 @@ func WriteSpillV3(w io.Writer, rank int, sourceCount int64, pairs []Pair, opts V
 		if raw, err = appendBlock(raw[:0], rank, block); err != nil {
 			return err
 		}
-		stored := raw
-		if opts.Compress {
-			comp.Reset()
-			fw, err := flate.NewWriter(&comp, flate.BestSpeed)
-			if err != nil {
-				return err
-			}
-			if _, err := fw.Write(raw); err != nil {
-				return err
-			}
-			if err := fw.Close(); err != nil {
-				return err
-			}
-			stored = comp.Bytes()
-		}
-		if len(raw) > maxBlockLen || len(stored) > maxBlockLen {
-			return fmt.Errorf("kv: spill block of %d pairs is %d bytes (%d stored), over the %d a reader accepts", len(block), len(raw), len(stored), maxBlockLen)
+		if len(raw) > maxBlockLen {
+			return fmt.Errorf("kv: spill block of %d pairs is %d bytes, over the %d a reader accepts", len(block), len(raw), maxBlockLen)
 		}
 		var bh [blockHeaderLen]byte
 		le.PutUint32(bh[0:4], uint32(len(block)))
 		le.PutUint32(bh[4:8], uint32(len(raw)))
-		le.PutUint32(bh[8:12], uint32(len(stored)))
+		le.PutUint32(bh[8:12], uint32(len(raw)))
 		crc := crc32.Update(seed, castagnoli, bh[0:12])
-		crc = crc32.Update(crc, castagnoli, stored)
+		crc = crc32.Update(crc, castagnoli, raw)
 		le.PutUint32(bh[12:16], crc)
 		if _, err := w.Write(bh[:]); err != nil {
 			return err
 		}
-		if _, err := w.Write(stored); err != nil {
+		if _, err := w.Write(raw); err != nil {
 			return err
 		}
 	}
@@ -365,18 +342,16 @@ func readExact(r io.Reader, buf []byte, n int) ([]byte, error) {
 
 // readBlocks is the one block loop behind ReadSpill and VerifySpill. It
 // reads the block stream following the file header and checks every
-// block — frame plausibility, CRC (seeded by the header fields), inflated
-// length, payload structure — before a pair exists. With a sink the
-// verified payloads are kept until the last block has passed; the pairs,
-// their keys and their samples are then decoded into one backing array
-// each, sized by what was verified. With a nil sink the same checks run
-// on one reused buffer and nothing is built.
+// block — frame plausibility, CRC (seeded by the header fields), payload
+// structure — before a pair exists. With a sink the verified payloads
+// are kept until the last block has passed; the pairs, their keys and
+// their samples are then decoded into one backing array each, sized by
+// what was verified. With a nil sink the same checks run on one reused
+// buffer and nothing is built.
 func readBlocks(br *bufio.Reader, h SpillHeader, seed uint32, sink *[]Pair) error {
 	le := binary.LittleEndian
-	compressed := h.Flags&V3FlagDeflate != 0
-	// stored holds stored payloads, raw inflated ones; whichever holds the
-	// raw payloads accumulates them for a sink, everything else is reused.
-	var stored, raw []byte
+	// payloads accumulates the blocks for a sink; without one it is reused.
+	var payloads []byte
 	var kept []struct{ pairs, bytes int } // the verified blocks, for a sink
 	keys, samples, remaining := 0, 0, h.Pairs
 	for b := 0; b < h.Blocks; b++ {
@@ -391,45 +366,22 @@ func readBlocks(br *bufio.Reader, h SpillHeader, seed uint32, sink *[]Pair) erro
 		if bPairs <= 0 || bPairs > remaining {
 			return fmt.Errorf("kv: spill block %d claims %d pairs with %d remaining: %w", b, bPairs, remaining, ErrChecksum)
 		}
-		if rawLen <= 0 || rawLen > maxBlockLen || encLen <= 0 || encLen > maxBlockLen {
+		if rawLen <= 0 || rawLen > maxBlockLen || encLen != rawLen {
 			return fmt.Errorf("kv: spill block %d implausible lengths raw=%d enc=%d: %w", b, rawLen, encLen, ErrChecksum)
 		}
-		if sink == nil || compressed {
-			stored = stored[:0]
+		if sink == nil {
+			payloads = payloads[:0]
 		}
-		at := len(stored)
+		at := len(payloads)
 		var err error
-		if stored, err = readExact(br, stored, encLen); err != nil {
-			return fmt.Errorf("kv: truncated spill block %d: %d of %d bytes: %w", b, len(stored)-at, encLen, err)
+		if payloads, err = readExact(br, payloads, rawLen); err != nil {
+			return fmt.Errorf("kv: truncated spill block %d: %d of %d bytes: %w", b, len(payloads)-at, rawLen, err)
 		}
-		payload := stored[at:]
+		payload := payloads[at:]
 		crc := crc32.Update(seed, castagnoli, bh[0:12])
 		crc = crc32.Update(crc, castagnoli, payload)
 		if crc != wantCRC {
 			return fmt.Errorf("kv: spill block %d crc %08x, header says %08x: %w", b, crc, wantCRC, ErrChecksum)
-		}
-		if compressed {
-			if sink == nil {
-				raw = raw[:0]
-			}
-			at = len(raw)
-			// Exactly rawLen bytes, then a clean end of stream.
-			fr := flate.NewReader(bytes.NewReader(payload))
-			if raw, err = readExact(fr, raw, rawLen); err == nil {
-				var more [1]byte
-				if _, err = io.ReadFull(fr, more[:]); err == io.EOF {
-					err = fr.Close()
-				} else if err == nil {
-					err = fmt.Errorf("stream continues")
-				}
-			}
-			if err != nil {
-				return fmt.Errorf("kv: spill block %d does not inflate to the %d bytes its header says (%v): %w",
-					b, rawLen, err, ErrChecksum)
-			}
-			payload = raw[at:]
-		} else if encLen != rawLen {
-			return fmt.Errorf("kv: uncompressed spill block %d stored %d != raw %d: %w", b, encLen, rawLen, ErrChecksum)
 		}
 		k, s, err := checkBlock(h.Rank, bPairs, payload)
 		if err != nil {
@@ -448,10 +400,6 @@ func readBlocks(br *bufio.Reader, h SpillHeader, seed uint32, sink *[]Pair) erro
 		return nil
 	}
 	// Every count below is backed by bytes that arrived and passed.
-	payloads := stored
-	if compressed {
-		payloads = raw
-	}
 	a := arenas{pairs: make([]Pair, h.Pairs), keys: make([]int64, keys*h.Rank), samples: make([]float64, samples)}
 	*sink = a.pairs
 	for _, blk := range kept {

@@ -147,7 +147,7 @@ func TestSpillRoundTripsRealMapOutputs(t *testing.T) {
 							}
 						}
 					}
-					for _, opts := range []kv.V3Options{{}, {BlockPairs: 7}, {Compress: true}} {
+					for _, opts := range []kv.V3Options{{}, {BlockPairs: 7}} {
 						var buf bytes.Buffer
 						if err := kv.WriteSpillV3(&buf, rank, out.SourceCount, out.Pairs, opts); err != nil {
 							t.Fatalf("split %d kb %d %+v: %v", split.ID, kb, opts, err)

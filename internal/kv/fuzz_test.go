@@ -21,7 +21,7 @@ func v3ReencodeOpts(h SpillHeader) V3Options {
 	if bp <= 0 {
 		bp = 1
 	}
-	return V3Options{BlockPairs: bp, Compress: h.Flags&V3FlagDeflate != 0}
+	return V3Options{BlockPairs: bp}
 }
 
 // FuzzReadSpill feeds arbitrary bytes to the spill decoder. Properties:
@@ -35,8 +35,7 @@ func v3ReencodeOpts(h SpillHeader) V3Options {
 func FuzzReadSpill(f *testing.F) {
 	// Well-formed seeds across the codec's shapes: empty; an aggregate
 	// block; a singleton block whose keys repeat; mixed blocks with
-	// special floats; negative, sparse and extreme keys; compressed
-	// blocks of each kind.
+	// special floats; negative, sparse and extreme keys.
 	singletons := make([]Pair, 24)
 	for i := range singletons {
 		singletons[i] = Pair{Key: coords.NewCoord(2, int64(i/8)), Value: NewValue(float64(i)-3.5, true)}
@@ -57,11 +56,10 @@ func FuzzReadSpill(f *testing.F) {
 		{Key: coords.NewCoord(0, 1<<50), Value: NewValue(2, false)},
 		{Key: coords.NewCoord(math.MaxInt64, math.MinInt64), Value: NewValue(3, false)},
 	}, V3Options{BlockPairs: 2}))
-	f.Add(encodeSpillV3(f, 3, 77, v3TestPairs(20), V3Options{BlockPairs: 8, Compress: true}))
-	f.Add(encodeSpillV3(f, 2, 24, singletons, V3Options{Compress: true}))
 	// Corruption seeds: bad magic, bad version, the retired v2 and v3
 	// headers, a truncated header, a flipped payload bit, a truncated
-	// block.
+	// block, and the retired DEFLATE flag on a resealed one-block spill
+	// and on an empty one.
 	good := encodeSpillV3(f, 3, 9, v3TestPairs(6), V3Options{BlockPairs: 2})
 	badMagic := append([]byte(nil), good...)
 	copy(badMagic, "JUNK")
@@ -76,6 +74,12 @@ func FuzzReadSpill(f *testing.F) {
 	flipped[len(flipped)-1] ^= 0x01
 	f.Add(flipped)
 	f.Add(flipped[:len(flipped)-7])
+	deflated := encodeSpillV3(f, 3, 9, v3TestPairs(6), V3Options{})
+	deflated[22] |= 1
+	f.Add(sealBlock(deflated))
+	emptyFlagged := encodeSpillV3(f, 1, 0, nil, V3Options{})
+	emptyFlagged[22] |= 1
+	f.Add(emptyFlagged)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, pairs, err := ReadSpill(bytes.NewReader(data))
@@ -98,7 +102,7 @@ func FuzzReadSpill(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decoding re-encoded spill: %v", err)
 		}
-		if h1.Rank != h.Rank || h1.SourceCount != h.SourceCount || h1.Pairs != h.Pairs || h1.Flags != h.Flags {
+		if h1.Rank != h.Rank || h1.SourceCount != h.SourceCount || h1.Pairs != h.Pairs {
 			t.Fatalf("header fields changed across re-encode: %+v != %+v", h1, h)
 		}
 		buf.Reset()

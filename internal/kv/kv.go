@@ -175,36 +175,6 @@ func SortPairs(ps []Pair) {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Key.Less(ps[j].Key) })
 }
 
-// MergePairs collapses sorted pairs with equal keys into one pair per key
-// (the Reduce-side merge producing ⟨k', list-of-v'⟩; here the list is
-// folded through Value.Merge). ps must already be sorted.
-func MergePairs(ps []Pair) []Pair {
-	if len(ps) == 0 {
-		return nil
-	}
-	out := make([]Pair, 0, len(ps))
-	cur := Pair{Key: ps[0].Key, Value: ps[0].Value.Clone()}
-	for _, p := range ps[1:] {
-		if p.Key.Equal(cur.Key) {
-			cur.Value.Merge(p.Value)
-			continue
-		}
-		out = append(out, cur)
-		cur = Pair{Key: p.Key, Value: p.Value.Clone()}
-	}
-	return append(out, cur)
-}
-
-// TotalCount sums the Count annotations of a pair set — the tally a
-// Reduce task keeps to know when all source ⟨k,v⟩ pairs have arrived.
-func TotalCount(ps []Pair) int64 {
-	var n int64
-	for _, p := range ps {
-		n += p.Value.Count
-	}
-	return n
-}
-
 // MergeSorted performs the Reduce-side k-way merge: each stream is one
 // Map task's already-sorted output for this keyblock; the result is the
 // fully merged ⟨k', folded-value⟩ list in row-major key order — without

@@ -149,35 +149,12 @@ func TestSortMergePairs(t *testing.T) {
 	if !ps[0].Key.Equal(coords.NewCoord(0, 0)) || !ps[3].Key.Equal(coords.NewCoord(1, 0)) {
 		t.Fatalf("sort order wrong: %v", ps)
 	}
-	merged := MergePairs(ps)
+	merged := MergeSorted([][]Pair{ps})
 	if len(merged) != 3 {
 		t.Fatalf("merged to %d pairs, want 3", len(merged))
 	}
 	if merged[1].Value.Count != 2 || merged[1].Value.Sum != 3 {
 		t.Fatalf("merged middle = %+v", merged[1].Value)
-	}
-	if MergePairs(nil) != nil {
-		t.Fatal("MergePairs(nil) != nil")
-	}
-}
-
-func TestMergePairsDoesNotAliasInput(t *testing.T) {
-	v := NewValue(1, true)
-	ps := []Pair{{Key: coords.NewCoord(0), Value: v}}
-	merged := MergePairs(ps)
-	merged[0].Value.Add(9, true)
-	if len(v.Samples) != 1 {
-		t.Fatal("MergePairs aliased input samples")
-	}
-}
-
-func TestTotalCount(t *testing.T) {
-	ps := []Pair{
-		{Key: coords.NewCoord(0), Value: Value{Count: 3}},
-		{Key: coords.NewCoord(1), Value: Value{Count: 4}},
-	}
-	if TotalCount(ps) != 7 {
-		t.Fatalf("TotalCount = %d", TotalCount(ps))
 	}
 }
 

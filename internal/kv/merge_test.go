@@ -215,8 +215,7 @@ func TestQuickMergeSortedEqualsSortMerge(t *testing.T) {
 			}
 		}
 		got := MergeSorted(streams)
-		SortPairs(all)
-		want := MergePairs(all)
+		want := sortMerge(all)
 		if len(got) != len(want) {
 			return false
 		}
@@ -247,6 +246,22 @@ func TestQuickMergeSortedEqualsSortMerge(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sortMerge is the naive Reduce-side merge MergeSorted is held against:
+// sort the concatenated streams, then fold each run of equal keys through
+// Value.Merge into clones of the input values.
+func sortMerge(ps []Pair) []Pair {
+	SortPairs(ps)
+	var out []Pair
+	for _, p := range ps {
+		if n := len(out); n > 0 && p.Key.Equal(out[n-1].Key) {
+			out[n-1].Value.Merge(p.Value)
+			continue
+		}
+		out = append(out, Pair{Key: p.Key, Value: p.Value.Clone()})
+	}
+	return out
 }
 
 func abs(x float64) float64 {

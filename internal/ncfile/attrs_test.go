@@ -55,7 +55,7 @@ func TestAttributesRoundTrip(t *testing.T) {
 	}
 	// Data offsets must account for the attribute bytes: the payload
 	// must read back intact.
-	vals, err := g.ReadAll("temperature")
+	vals, err := readAll(g, "temperature")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package ncfile
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
 
@@ -16,7 +15,6 @@ import (
 type File struct {
 	f      *os.File
 	header *Header
-	path   string
 }
 
 // Create writes a new container at path with the given header. The data
@@ -67,7 +65,7 @@ func Create(path string, h *Header, fill float64) (*File, error) {
 			remaining -= n
 		}
 	}
-	return &File{f: f, header: h, path: path}, nil
+	return &File{f: f, header: h}, nil
 }
 
 // CreateEmpty writes a new container whose payload space is allocated via
@@ -99,7 +97,7 @@ func CreateEmpty(path string, h *Header) (*File, error) {
 		f.Close()
 		return nil, err
 	}
-	return &File{f: f, header: h, path: path}, nil
+	return &File{f: f, header: h}, nil
 }
 
 // Open opens an existing container read-write.
@@ -113,15 +111,12 @@ func Open(path string) (*File, error) {
 		f.Close()
 		return nil, err
 	}
-	return &File{f: f, header: h, path: path}, nil
+	return &File{f: f, header: h}, nil
 }
 
 // Header returns the container's structural metadata. Callers must not
 // mutate it.
 func (fl *File) Header() *Header { return fl.header }
-
-// Path returns the file's path.
-func (fl *File) Path() string { return fl.path }
 
 // Close flushes and closes the underlying file.
 func (fl *File) Close() error { return fl.f.Close() }
@@ -267,34 +262,6 @@ func (fl *File) WriteSlab(varName string, slab coords.Slab, values []float64) er
 		values = values[n:]
 		return nil
 	})
-}
-
-// ReadAll reads a variable's entire payload; a convenience for small
-// files and tests.
-func (fl *File) ReadAll(varName string) ([]float64, error) {
-	full, err := fl.header.VarShape(varName)
-	if err != nil {
-		return nil, err
-	}
-	return fl.ReadSlab(varName, coords.Slab{Corner: make(coords.Coord, full.Rank()), Shape: full})
-}
-
-// CountRuns reports how many maximal contiguous byte runs (seeks,
-// effectively) a hyperslab access of the named variable requires. Sparse,
-// strided output assignments translate into many runs; SIDR's contiguous
-// keyblocks translate into few — the effect Table 2 measures. Only the
-// tests call it: it is the observable of slabRuns' coalescing.
-func (fl *File) CountRuns(varName string, slab coords.Slab) (int64, error) {
-	_, full, err := fl.locate(varName, slab)
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	err = slabRuns(full, slab, math.MaxInt64, func(off, length int64) error {
-		n++
-		return nil
-	})
-	return n, err
 }
 
 var _ io.Closer = (*File)(nil)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
 
@@ -198,52 +197,4 @@ func WritePairs(path string, rank int, keys []coords.Coord, values []float64) (i
 		return 0, err
 	}
 	return st.Size(), f.Close()
-}
-
-// ReadPairs reads a pair file back, returning keys and values.
-func ReadPairs(path string) ([]coords.Coord, []float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, nil, err
-	}
-	if magic != pairMagic {
-		return nil, nil, ErrBadMagic
-	}
-	le := binary.LittleEndian
-	var b4 [4]byte
-	if _, err := io.ReadFull(br, b4[:]); err != nil {
-		return nil, nil, err
-	}
-	rank := int(le.Uint32(b4[:]))
-	if rank <= 0 || rank > coords.MaxRank {
-		return nil, nil, fmt.Errorf("ncfile: implausible pair rank %d", rank)
-	}
-	var b8 [8]byte
-	if _, err := io.ReadFull(br, b8[:]); err != nil {
-		return nil, nil, err
-	}
-	count := le.Uint64(b8[:])
-	keys := make([]coords.Coord, 0, count)
-	values := make([]float64, 0, count)
-	for i := uint64(0); i < count; i++ {
-		k := make(coords.Coord, rank)
-		for d := 0; d < rank; d++ {
-			if _, err := io.ReadFull(br, b8[:]); err != nil {
-				return nil, nil, err
-			}
-			k[d] = int64(le.Uint64(b8[:]))
-		}
-		if _, err := io.ReadFull(br, b8[:]); err != nil {
-			return nil, nil, err
-		}
-		keys = append(keys, k)
-		values = append(values, math.Float64frombits(le.Uint64(b8[:])))
-	}
-	return keys, values, nil
 }

@@ -61,12 +61,7 @@ type Options struct {
 
 // Run executes the pipeline over the source reader. Every stage runs
 // with SIDR semantics; stages overlap whenever dependencies allow.
-func Run(source coords.RecordReader, stages []Stage) (*Result, error) {
-	return RunWithOptions(source, stages, Options{})
-}
-
-// RunWithOptions is Run with execution options.
-func RunWithOptions(source coords.RecordReader, stages []Stage, opts Options) (*Result, error) {
+func Run(source coords.RecordReader, stages []Stage, opts Options) (*Result, error) {
 	if source == nil {
 		return nil, fmt.Errorf("pipeline: nil source reader")
 	}

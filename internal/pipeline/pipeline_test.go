@@ -79,25 +79,25 @@ func reference(t *testing.T) map[string]float64 {
 
 func TestRunValidation(t *testing.T) {
 	stages := twoStage(t)
-	if _, err := Run(nil, stages); err == nil {
+	if _, err := Run(nil, stages, Options{}); err == nil {
 		t.Fatal("nil source accepted")
 	}
-	if _, err := Run(&mapreduce.FuncReader{Fn: synth}, nil); err == nil {
+	if _, err := Run(&mapreduce.FuncReader{Fn: synth}, nil, Options{}); err == nil {
 		t.Fatal("no stages accepted")
 	}
 	bad := twoStage(t)
 	bad[1].Reducers = 0
-	if _, err := Run(&mapreduce.FuncReader{Fn: synth}, bad); err == nil {
+	if _, err := Run(&mapreduce.FuncReader{Fn: synth}, bad, Options{}); err == nil {
 		t.Fatal("zero reducers accepted")
 	}
 	mis := twoStage(t)
 	mis[1].Query = mustParse(t, "avg s1[0,0 : 99,2] es {4,2}")
-	if _, err := Run(&mapreduce.FuncReader{Fn: synth}, mis); err == nil {
+	if _, err := Run(&mapreduce.FuncReader{Fn: synth}, mis, Options{}); err == nil {
 		t.Fatal("mis-chained stages accepted")
 	}
 	noQ := twoStage(t)
 	noQ[0].Query = nil
-	if _, err := Run(&mapreduce.FuncReader{Fn: synth}, noQ); err == nil {
+	if _, err := Run(&mapreduce.FuncReader{Fn: synth}, noQ, Options{}); err == nil {
 		t.Fatal("nil stage query accepted")
 	}
 
@@ -110,7 +110,7 @@ func TestRunValidation(t *testing.T) {
 		return (&mapreduce.FuncReader{Fn: synth}).ReadSlabInto(slab, dst)
 	})
 	zeroCornered := offsetChain(t, "avg s1[0,0 : 50,2] es {5,2}")
-	if _, err := Run(counting, zeroCornered); err == nil {
+	if _, err := Run(counting, zeroCornered, Options{}); err == nil {
 		t.Fatal("zero-cornered copy of an offset output space accepted")
 	}
 	if n := reads.Load(); n != 0 {
@@ -119,7 +119,7 @@ func TestRunValidation(t *testing.T) {
 	// The chain that names the offset space itself runs and matches the
 	// stages run one after another.
 	chained := offsetChain(t, "avg s1[2,0 : 50,2] es {5,2}")
-	res, err := Run(&mapreduce.FuncReader{Fn: synth}, chained)
+	res, err := Run(&mapreduce.FuncReader{Fn: synth}, chained, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func sequential(t *testing.T, source coords.RecordReader, stages []Stage) *mapre
 	reader := source
 	var last *mapreduce.Result
 	for i := range stages {
-		res, err := Run(reader, stages[i:i+1])
+		res, err := Run(reader, stages[i:i+1], Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestFilterChainReadsFirstValueAndZero(t *testing.T) {
 		{Query: mustParse(t, "filter_gt temp[0,0 : 364,10] es {7,5} param 45"), Reducers: 4},
 		{Query: mustParse(t, "avg s1[0,0 : 52,2] es {4,2}"), Reducers: 2},
 	}
-	res, err := Run(&mapreduce.FuncReader{Fn: synth}, stages)
+	res, err := Run(&mapreduce.FuncReader{Fn: synth}, stages, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestNoParkedDownstreamMaps(t *testing.T) {
 		}
 	}()
 
-	res, err := RunWithOptions(gate, stages, Options{OnEvent: onEvent})
+	res, err := Run(gate, stages, Options{OnEvent: onEvent})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func goroutines() []string {
 }
 
 func TestTwoStageMatchesSequentialComposition(t *testing.T) {
-	res, err := Run(&mapreduce.FuncReader{Fn: synth}, twoStage(t))
+	res, err := Run(&mapreduce.FuncReader{Fn: synth}, twoStage(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestTwoStageMatchesSequentialComposition(t *testing.T) {
 }
 
 func TestSingleStagePipeline(t *testing.T) {
-	res, err := Run(&mapreduce.FuncReader{Fn: synth}, twoStage(t)[:1])
+	res, err := Run(&mapreduce.FuncReader{Fn: synth}, twoStage(t)[:1], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestThreeStagePipeline(t *testing.T) {
 		Query:    mustParse(t, "max s2[0,0 : 13,1] es {13,1}"),
 		Reducers: 1,
 	})
-	res, err := Run(&mapreduce.FuncReader{Fn: synth}, stages)
+	res, err := Run(&mapreduce.FuncReader{Fn: synth}, stages, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestStagesActuallyOverlap(t *testing.T) {
 		}
 		return inner.ReadSlabInto(slab, dst)
 	})
-	res, err := RunWithOptions(gate, stages, Options{
+	res, err := Run(gate, stages, Options{
 		OnEvent: func(stage int, e mapreduce.Event) {
 			if stage == 1 && e.Kind == mapreduce.ReduceEnd {
 				once.Do(func() { close(stage2Committed) })

@@ -2,11 +2,21 @@ package query
 
 import "testing"
 
+// canonical is the text a request's query is keyed under: the query
+// parsed, then rendered.
+func canonical(s string) (string, error) {
+	q, err := Parse(s)
+	if err != nil {
+		return "", err
+	}
+	return q.String(), nil
+}
+
 // TestCanonicalCollapsesSpellings pins the property the daemon's caches
 // rely on: every trivially different spelling of one query canonicalises
 // to the same string.
 func TestCanonicalCollapsesSpellings(t *testing.T) {
-	canon, err := Canonical("avg temp[0,0,0 : 364,250,200] es {7,5,1}")
+	canon, err := canonical("avg temp[0,0,0 : 364,250,200] es {7,5,1}")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,12 +28,12 @@ func TestCanonicalCollapsesSpellings(t *testing.T) {
 		"avg temp[0,0,0 :\n364,250,200] es {7,5,1}",
 	}
 	for _, v := range variants {
-		got, err := Canonical(v)
+		got, err := canonical(v)
 		if err != nil {
-			t.Fatalf("Canonical(%q): %v", v, err)
+			t.Fatalf("canonical(%q): %v", v, err)
 		}
 		if got != canon {
-			t.Fatalf("Canonical(%q) = %q, want %q", v, got, canon)
+			t.Fatalf("canonical(%q) = %q, want %q", v, got, canon)
 		}
 	}
 }
@@ -43,16 +53,16 @@ func TestCanonicalNormalisesParams(t *testing.T) {
 			"filter_range v[0,0 : 8,8] es {2,2} param 0,20"},
 	}
 	for _, c := range cases {
-		ca, err := Canonical(c.a)
+		ca, err := canonical(c.a)
 		if err != nil {
-			t.Fatalf("Canonical(%q): %v", c.a, err)
+			t.Fatalf("canonical(%q): %v", c.a, err)
 		}
-		cb, err := Canonical(c.b)
+		cb, err := canonical(c.b)
 		if err != nil {
-			t.Fatalf("Canonical(%q): %v", c.b, err)
+			t.Fatalf("canonical(%q): %v", c.b, err)
 		}
 		if ca != cb {
-			t.Fatalf("Canonical(%q) = %q != Canonical(%q) = %q", c.a, ca, c.b, cb)
+			t.Fatalf("canonical(%q) = %q != canonical(%q) = %q", c.a, ca, c.b, cb)
 		}
 	}
 }
@@ -67,20 +77,20 @@ func TestCanonicalFixedPoint(t *testing.T) {
 		"filter_range v[0,0 : 8,8] es {2,2} param 10,20",
 		"avg v[0,0 : 32,32] es {4,4} stride {8,8} keep-partial",
 	} {
-		c1, err := Canonical(s)
+		c1, err := canonical(s)
 		if err != nil {
-			t.Fatalf("Canonical(%q): %v", s, err)
+			t.Fatalf("canonical(%q): %v", s, err)
 		}
-		c2, err := Canonical(c1)
+		c2, err := canonical(c1)
 		if err != nil {
-			t.Fatalf("Canonical(%q): %v", c1, err)
+			t.Fatalf("canonical(%q): %v", c1, err)
 		}
 		if c1 != c2 {
 			t.Fatalf("not a fixed point: %q -> %q -> %q", s, c1, c2)
 		}
 	}
-	a, _ := Canonical("avg v[0,0 : 32,32] es {4,4}")
-	b, _ := Canonical("avg v[0,0 : 32,32] es {8,8}")
+	a, _ := canonical("avg v[0,0 : 32,32] es {4,4}")
+	b, _ := canonical("avg v[0,0 : 32,32] es {8,8}")
 	if a == b {
 		t.Fatalf("distinct queries canonicalised to one string: %q", a)
 	}
@@ -90,8 +100,8 @@ func TestCanonicalFixedPoint(t *testing.T) {
 // queries fail instead of being cached under a garbage key.
 func TestCanonicalRejectsInvalid(t *testing.T) {
 	for _, s := range []string{"", "avg", "avg v[0,0 : 8,8]", "nosuchop v[0 : 8] es {2}"} {
-		if _, err := Canonical(s); err == nil {
-			t.Fatalf("Canonical(%q) succeeded, want error", s)
+		if _, err := canonical(s); err == nil {
+			t.Fatalf("canonical(%q) succeeded, want error", s)
 		}
 	}
 }

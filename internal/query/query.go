@@ -248,7 +248,12 @@ func (q *Query) IntermediateSpace() (coords.Slab, error) {
 	return inter, nil
 }
 
-// String renders the query in the package's text syntax.
+// String renders the query in the package's text syntax. It is the
+// canonical form: trivially different spellings of one query — extra
+// whitespace, spaces inside bracket groups, "40.0" vs "40", "+1e1" vs
+// "10" — parse to queries that render as one string. The job manager
+// replaces each request's query text with it before any cache or
+// collapse key is taken, so textual variants share entries.
 func (q *Query) String() string {
 	var b strings.Builder
 	if q.Join {
@@ -472,20 +477,6 @@ func parseJoin(toks []string) (*Query, error) {
 		return nil, err
 	}
 	return q, nil
-}
-
-// Canonical parses s and re-renders it in the canonical text form, so
-// trivially different spellings of one query — extra whitespace, spaces
-// inside bracket groups, "40.0" vs "40", "+1e1" vs "10" — map to one
-// string. Every cache keyed on query text (the plan cache, the result
-// cache, in-flight collapsing) keys on the canonical form, so textual
-// variants of the same query share entries instead of fragmenting them.
-func Canonical(s string) (string, error) {
-	q, err := Parse(s)
-	if err != nil {
-		return "", err
-	}
-	return q.String(), nil
 }
 
 // tokenize splits on whitespace but keeps {...} and [...] groups (which

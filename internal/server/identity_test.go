@@ -192,6 +192,11 @@ func TestRequestIdentityAcrossEnginesAndSpellings(t *testing.T) {
 			}
 		})
 	}
+	// Generated datasets are indexed at registration, so each executed
+	// filter — two rows, in process and clustered — found its index.
+	if hits, misses := f.metrics.Counter("sidrd_sidx_hits_total").Value(), f.metrics.Counter("sidrd_sidx_misses_total").Value(); hits != 4 || misses != 0 {
+		t.Errorf("index lookups: %d hits, %d misses; want 4 and 0", hits, misses)
+	}
 }
 
 // inProcessPlan derives the plan an in-process run of the request uses,

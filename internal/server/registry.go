@@ -39,26 +39,22 @@ type source struct {
 
 // handle is one refcounted open dataset, keyed by (dataset, variable).
 type handle struct {
-	ds      *sidr.Dataset
-	refs    int
-	retired bool // source removed or replaced; close on last release
+	ds   *sidr.Dataset
+	refs int
 }
 
-// Registry maps dataset names to open sidr.Datasets. Handles are opened
-// lazily on first Acquire, refcounted, and kept open across jobs so
-// concurrent queries share one ncfile handle (positional reads make the
-// files safe for concurrent readers). Close tears down idle handles
-// immediately and busy ones as their last user releases them.
+// Registry maps dataset names to open sidr.Datasets. A name is
+// registered once and never removed, so a dataset's contents are fixed
+// for the registry's life. Handles are opened lazily on first Acquire,
+// refcounted, and kept open across jobs so concurrent queries share one
+// ncfile handle (positional reads make the files safe for concurrent
+// readers). Close tears down idle handles immediately and busy ones as
+// their last user releases them.
 type Registry struct {
 	mu      sync.Mutex
 	sources map[string]*source
 	open    map[string]*handle // key: name + "\x00" + variable
-	// gens counts registrations per dataset name, surviving Remove:
-	// re-registering a name always yields a new generation, so version
-	// tokens from the old contents can never collide with the new.
-	gens         map[string]uint64
-	onInvalidate func(name string)
-	closing      bool
+	closing bool
 	// ns, when set, mirrors every registered dataset as a logical HDFS
 	// file so cluster jobs get block-location locality hints.
 	ns *hdfs.Namespace
@@ -66,25 +62,13 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{sources: make(map[string]*source), open: make(map[string]*handle), gens: make(map[string]uint64)}
-}
-
-// SetOnInvalidate installs the hook fired (outside the registry lock)
-// whenever a dataset is removed — including the removal half of a
-// re-registration. The server points it at the job manager's
-// InvalidateDataset so cached results die with the dataset version
-// that produced them.
-func (r *Registry) SetOnInvalidate(fn func(name string)) {
-	r.mu.Lock()
-	r.onInvalidate = fn
-	r.mu.Unlock()
+	return &Registry{sources: make(map[string]*source), open: make(map[string]*handle)}
 }
 
 // SetNamespace attaches a simulated HDFS namespace. Every dataset —
 // already registered or added later — is mirrored into it as a logical
 // file sized to its largest variable (row-major float64 layout), giving
-// cluster jobs block-location locality hints. The namespace itself is
-// handed on to the job manager via Namespace.
+// cluster jobs block-location locality hints.
 func (r *Registry) SetNamespace(ns *hdfs.Namespace) {
 	r.mu.Lock()
 	r.ns = ns
@@ -97,15 +81,8 @@ func (r *Registry) SetNamespace(ns *hdfs.Namespace) {
 		return
 	}
 	for name, size := range sizes {
-		_ = ns.AddOrReplaceFile(name, size)
+		_ = ns.AddFile(name, size) // ErrExists: the name keeps its placement
 	}
-}
-
-// Namespace returns the attached block namespace (nil if none).
-func (r *Registry) Namespace() *hdfs.Namespace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ns
 }
 
 // datasetBytes sizes a dataset's logical HDFS file: its largest
@@ -126,7 +103,7 @@ func datasetBytes(src *source) int64 {
 // back into the registry.
 func (r *Registry) nsMirrorLocked(name string, src *source) {
 	if r.ns != nil {
-		_ = r.ns.AddOrReplaceFile(name, datasetBytes(src))
+		_ = r.ns.AddFile(name, datasetBytes(src)) // ErrExists: the name keeps its placement
 	}
 }
 
@@ -191,7 +168,6 @@ func (r *Registry) AddFile(name, path string) error {
 	if _, dup := r.sources[name]; dup {
 		return fmt.Errorf("server: dataset %q already registered", name)
 	}
-	r.gens[name]++
 	src := &source{info: info, path: path, idx: idx}
 	r.sources[name] = src
 	r.nsMirrorLocked(name, src)
@@ -253,7 +229,6 @@ func (r *Registry) AddSynthetic(name string, shape []int64, fn func(k []int64) f
 	if _, dup := r.sources[name]; dup {
 		return fmt.Errorf("server: dataset %q already registered", name)
 	}
-	r.gens[name]++
 	src := &source{info: info, shape: append([]int64(nil), shape...), fn: fn}
 	r.sources[name] = src
 	r.nsMirrorLocked(name, src)
@@ -290,7 +265,6 @@ func (r *Registry) AddGenerated(name string, spec cluster.DatasetSpec) error {
 	if _, dup := r.sources[name]; dup {
 		return fmt.Errorf("server: dataset %q already registered", name)
 	}
-	r.gens[name]++
 	src := &source{
 		info:  info,
 		shape: append([]int64(nil), spec.Shape...),
@@ -355,52 +329,11 @@ func (r *Registry) List() []DatasetInfo {
 	return out
 }
 
-// Remove unregisters the dataset and fires the invalidation hook. Open
-// handles are retired: idle ones close immediately, busy ones close as
-// their last user releases them — in-flight jobs finish against the
-// contents they started with. Returns false for unknown names.
-// Re-registration is Remove followed by Add*: the name's generation
-// keeps counting up, so cached results keyed on the old version can
-// never be served against the new contents.
-func (r *Registry) Remove(name string) bool {
-	r.mu.Lock()
-	_, ok := r.sources[name]
-	if !ok {
-		r.mu.Unlock()
-		return false
-	}
-	delete(r.sources, name)
-	if r.ns != nil {
-		_ = r.ns.Remove(name)
-	}
-	prefix := name + "\x00"
-	for key, h := range r.open {
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		h.retired = true
-		if h.refs <= 0 {
-			h.ds.Close()
-		}
-		delete(r.open, key)
-	}
-	fn := r.onInvalidate
-	r.mu.Unlock()
-	if fn != nil {
-		fn(name)
-	}
-	return true
-}
-
 // DatasetVersion returns an opaque token pinning the dataset variable's
-// current contents: registration generation, variable shape, and the
-// structural index fingerprint (a content summary for file and
-// generated datasets). Any re-registration bumps the generation, so the
-// token changes whenever the answer to a query could. Implements
+// contents: name, variable shape, and the structural index fingerprint
+// (a content summary for file and generated datasets). Implements
 // jobs.VersionProvider. Returns false for unknown datasets or
-// variables — such requests bypass the result cache entirely, which is
-// also how opaque AddSynthetic functions without indexes stay safe:
-// their token still changes per registration via the generation.
+// variables — such requests bypass the result cache entirely.
 func (r *Registry) DatasetVersion(name, variable string) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -426,7 +359,7 @@ func (r *Registry) DatasetVersion(name, variable string) (string, bool) {
 			fp = ix.Fingerprint()
 		}
 	}
-	return fmt.Sprintf("%s#%d|%v|%08x", name, r.gens[name], vi.Shape, fp), true
+	return fmt.Sprintf("%s|%v|%08x", name, vi.Shape, fp), true
 }
 
 // Acquire opens (or reuses) the dataset's handle for the variable and
@@ -462,10 +395,8 @@ func (r *Registry) Acquire(name, variable string) (*sidr.Dataset, func(), error)
 	return ds, r.releaseFunc(key, h), nil
 }
 
-// releaseFunc returns a once-only decrement for the handle. It captures
-// the handle itself, not just the key: after a Remove and
-// re-registration the key may map to a fresh handle, and releasing the
-// retired one must not touch its replacement. Caller holds r.mu.
+// releaseFunc returns a once-only decrement for the handle. Caller
+// holds r.mu.
 func (r *Registry) releaseFunc(key string, h *handle) func() {
 	var once sync.Once
 	return func() {
@@ -476,16 +407,9 @@ func (r *Registry) releaseFunc(key string, h *handle) func() {
 			if h.refs > 0 {
 				return
 			}
-			if h.retired {
-				// Already out of r.open (Remove evicted it); just close.
-				h.ds.Close()
-				return
-			}
 			if r.closing {
 				h.ds.Close()
-				if r.open[key] == h {
-					delete(r.open, key)
-				}
+				delete(r.open, key)
 			}
 		})
 	}

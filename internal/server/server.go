@@ -75,9 +75,6 @@ func New(mgr *jobs.Manager, registry *Registry, reg *metrics.Registry, coord *cl
 	if coord != nil {
 		coord.Mount(s.mux)
 	}
-	// A re-registered or removed dataset invalidates its cached results;
-	// version-keying already prevents stale hits, this reclaims the bytes.
-	registry.SetOnInvalidate(func(name string) { mgr.InvalidateDataset(name) })
 	return s
 }
 

@@ -239,8 +239,16 @@ func TestStreamingEndToEnd(t *testing.T) {
 	// re-executing.
 	snap2 := f.submit(req)
 	f.waitState(snap2.ID, "done")
-	if !strings.Contains(f.metricsText(), "sidrd_resultcache_hits_total 1") {
-		t.Fatalf("metrics do not record a result-cache hit:\n%s", f.metricsText())
+	text := f.metricsText()
+	if !strings.Contains(text, "sidrd_resultcache_hits_total 1") {
+		t.Fatalf("metrics do not record a result-cache hit:\n%s", text)
+	}
+	// One execution was timed; the hit was not. The dataset's handle
+	// stays open between jobs.
+	for _, line := range []string{"sidrd_query_seconds_count 1", "sidrd_first_result_seconds_count 1", "sidrd_datasets_open 1"} {
+		if !strings.Contains(text, line+"\n") {
+			t.Fatalf("metrics lack %q:\n%s", line, text)
+		}
 	}
 
 	// The same query against a different dataset of the same shape misses

@@ -376,11 +376,11 @@ func TestWriteDenseOutputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals, err := f.ReadAll("out")
+		shape, _ := f.Header().VarShape("out")
+		vals, err := f.ReadSlab("out", coords.Slab{Corner: make(coords.Coord, shape.Rank()), Shape: shape})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shape, _ := f.Header().VarShape("out")
 		slab := coords.Slab{Corner: coords.NewCoord(v.Origin...), Shape: shape}
 		i := 0
 		slab.Each(func(k coords.Coord) bool {
