@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -26,13 +27,16 @@ const auditAllowlist = "testdata/audit_allowlist.txt"
 
 // TestEveryExportHasAReader fails on code that nothing reads:
 //
-//   - an exported package-level identifier or exported method under
-//     internal/ that no non-test file of another package (cmd/, examples/,
-//     bench/ and the root package included) refers to. A method also
-//     counts as read when an interface type in the module, or in a package
-//     it imports, declares a method of that name;
+//   - an exported package-level identifier or exported method of the root
+//     package or of a package under internal/ that no non-test file of
+//     another package (cmd/, examples/, bench/, internal/ and the root
+//     package) refers to. A method also counts as read when an interface
+//     type in the module, or in a package it imports, declares a method of
+//     that name;
 //   - a "sidrd_…" metric name that non-test Go registers and that no test
-//     file, scripts/*.sh, README.md or bench/ file mentions.
+//     file, scripts/*.sh, README.md or bench/ file mentions;
+//   - a flag that a cmd/ command defines and that README.md, scripts/*.sh
+//     and the Makefile never name as -flag.
 //
 // A finding passes only when the allowlist names it, and an allowlist line
 // that matches no finding fails too, so a fixed entry has to be removed.
@@ -47,6 +51,11 @@ func TestEveryExportHasAReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	findings = append(findings, metricFindings...)
+	flagFindings, err := unnamedFlags(".", pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings = append(findings, flagFindings...)
 
 	allow, err := readAllowlist(auditAllowlist)
 	if err != nil {
@@ -73,7 +82,8 @@ func TestEveryExportHasAReader(t *testing.T) {
 }
 
 // finding is one unread name. key is what the allowlist matches:
-// "internal/pkg.Name", "internal/pkg.Type.Method" or the metric name.
+// "internal/pkg.Name", "internal/pkg.Type.Method", "sidr.Name" (the root
+// package), the metric name, or "cmd/name -flag".
 type finding struct {
 	kind, key string
 }
@@ -226,7 +236,7 @@ func unreadExports(pkgs []*auditPkg) []finding {
 	var out []finding
 	for _, p := range pkgs {
 		rel := strings.TrimPrefix(p.path, auditModule+"/")
-		if !strings.HasPrefix(rel, "internal/") {
+		if rel != auditModule && !strings.HasPrefix(rel, "internal/") {
 			continue
 		}
 		scope := p.types.Scope()
@@ -368,6 +378,83 @@ func unreadMetrics(root string) ([]finding, error) {
 		re := regexp.MustCompile(regexp.QuoteMeta(name) + `(_bucket|_sum|_count)?([^a-z0-9_]|$)`)
 		if !re.MatchString(text) {
 			out = append(out, finding{"metric", name})
+		}
+	}
+	return out, nil
+}
+
+// flagDefiners maps the flag package's defining functions (and FlagSet
+// methods) to the argument that holds the flag's name.
+var flagDefiners = map[string]int{
+	"Bool": 0, "BoolFunc": 0, "Duration": 0, "Float64": 0, "Func": 0,
+	"Int": 0, "Int64": 0, "String": 0, "Uint": 0, "Uint64": 0,
+	"BoolVar": 1, "DurationVar": 1, "Float64Var": 1, "IntVar": 1,
+	"Int64Var": 1, "StringVar": 1, "TextVar": 1, "UintVar": 1,
+	"Uint64Var": 1, "Var": 1,
+}
+
+// unnamedFlags reports every flag a cmd/ package defines that no reader
+// names as "-flag": README.md, scripts/*.sh or the Makefile. A flag whose
+// name is not a string literal fails the audit outright.
+func unnamedFlags(root string, pkgs []*auditPkg) ([]finding, error) {
+	var corpus strings.Builder
+	docs, err := filepath.Glob(filepath.Join(root, "scripts", "*.sh"))
+	if err != nil {
+		return nil, err
+	}
+	for _, path := range append(docs, filepath.Join(root, "README.md"), filepath.Join(root, "Makefile")) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		corpus.Write(b)
+		corpus.WriteByte('\n')
+	}
+	text := corpus.String()
+	var out []finding
+	for _, p := range pkgs {
+		rel := strings.TrimPrefix(p.path, auditModule+"/")
+		if !strings.HasPrefix(rel, "cmd/") {
+			continue
+		}
+		var bad error
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if bad != nil {
+					return false
+				}
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				obj := p.info.Uses[sel.Sel]
+				arg, defines := flagDefiners[sel.Sel.Name]
+				if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "flag" || !defines || len(call.Args) <= arg {
+					return true
+				}
+				lit, ok := call.Args[arg].(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					bad = fmt.Errorf("%s: a flag.%s name is not a string literal", rel, sel.Sel.Name)
+					return false
+				}
+				name, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					bad = err
+					return false
+				}
+				re := regexp.MustCompile(`(^|[^A-Za-z0-9_-])-` + regexp.QuoteMeta(name) + `([^A-Za-z0-9_-]|$)`)
+				if !re.MatchString(text) {
+					out = append(out, finding{"flag", rel + " -" + name})
+				}
+				return true
+			})
+		}
+		if bad != nil {
+			return nil, bad
 		}
 	}
 	return out, nil

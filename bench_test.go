@@ -290,37 +290,6 @@ func BenchmarkAblationDependencyStoreVsRecompute(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationBarrierMethod compares the two correctness barriers of
-// §3.2.1 on real executions: method 1 (I_ℓ dependency sets only) vs
-// method 2 validation on top (kv-count annotations).
-func BenchmarkAblationBarrierMethod(b *testing.B) {
-	gen := datagen.Windspeed(3)
-	q, err := ParseQuery("avg w[0,0 : 256,16] es {4,4}")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds, err := Synthetic([]int64{256, 16}, func(k []int64) float64 { return gen(coords.Coord(k)) })
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, validate bool) {
-		plan, err := core.NewPlan(q.q, core.EngineSIDR, core.Options{Reducers: 4, SplitPoints: 256})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			_, err := plan.RunLocal(ds.Reader(context.Background()), func(cfg *mapreduce.Config) {
-				cfg.ValidateCounts = validate
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("deps-only", func(b *testing.B) { run(b, false) })
-	b.Run("deps+annotations", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkAblationCombiner compares Map-side combining on and off for a
 // filter query (uncombined runs ship every sample of a key, combined runs
 // only the predicate's survivors).

@@ -1,7 +1,7 @@
 // Command sidrd is the long-running query-serving daemon: it registers
-// the *.ncf datasets under -data, runs queries with an LRU plan cache,
-// and streams each keyblock's output as NDJSON the moment it commits —
-// SIDR's early correct results over the wire.
+// the *.ncf datasets under -data, runs queries with a 128-entry LRU plan
+// cache, and streams each keyblock's output as NDJSON the moment it
+// commits — SIDR's early correct results over the wire.
 //
 // All jobs share one process-wide task executor of -exec-workers
 // goroutines: Map/Reduce tasks from every running job are dispatched
@@ -60,7 +60,6 @@ func main() {
 		maxJobs   = flag.Int("max-jobs", 0, "max concurrently running jobs (0 = GOMAXPROCS)")
 		execWork  = flag.Int("exec-workers", 0, "task executor pool size shared by all jobs (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 64, "queued-job admission limit")
-		planCache = flag.Int("plan-cache", 128, "LRU plan cache entries (-1 disables)")
 		retain    = flag.Int("retain-jobs", 256, "finished jobs kept for status/stream lookups before eviction (-1 keeps all)")
 		drain     = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget for in-flight jobs")
 		clusterOn = flag.Bool("cluster", false, "embed the cluster coordinator: accept sidr-worker registrations and route {\"cluster\":true} jobs through the distributed runtime")
@@ -87,13 +86,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sidrd: -tenant-default: %v\n", err)
 		os.Exit(1)
 	}
-	if err := run(*addr, *dataDir, *maxJobs, *execWork, *queue, *planCache, *retain, *drain, *clusterOn, *replicas, *nodes, *hbTimeout, *specOn, *chaos, *rcBytes, tenants, tdef); err != nil {
+	if err := run(*addr, *dataDir, *maxJobs, *execWork, *queue, *retain, *drain, *clusterOn, *replicas, *nodes, *hbTimeout, *specOn, *chaos, *rcBytes, tenants, tdef); err != nil {
 		fmt.Fprintf(os.Stderr, "sidrd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataDir string, maxJobs, execWorkers, queue, planCache, retain int, drain time.Duration, clusterOn bool, replicas int, nodes string, hbTimeout time.Duration, specOn bool, chaos string, rcBytes int64, tenants map[string]jobs.TenantPolicy, tenantDefault jobs.TenantPolicy) error {
+func run(addr, dataDir string, maxJobs, execWorkers, queue, retain int, drain time.Duration, clusterOn bool, replicas int, nodes string, hbTimeout time.Duration, specOn bool, chaos string, rcBytes int64, tenants map[string]jobs.TenantPolicy, tenantDefault jobs.TenantPolicy) error {
 	reg := metrics.New()
 	registry := server.NewRegistry()
 	var ns *hdfs.Namespace
@@ -155,7 +154,6 @@ func run(addr, dataDir string, maxJobs, execWorkers, queue, planCache, retain in
 		MaxConcurrent:    maxJobs,
 		ExecWorkers:      execWorkers,
 		QueueDepth:       queue,
-		PlanCacheSize:    planCache,
 		RetainJobs:       retain,
 		ResultCacheBytes: rcBytes,
 		Tenants:          tenants,

@@ -33,12 +33,22 @@ const (
 	testSeed      = 42
 )
 
+// testShape is the extent of the tests' temperature grid.
+var testShape = []int64{30, 24, 24}
+
 func testJobPlan() JobPlan {
 	return JobPlan{Query: testQueryText, Engine: "sidr", Reducers: 4, SplitPoints: 1500}
 }
 
-func testDataset() DatasetSpec {
-	return DatasetSpec{Kind: "synthetic", Generator: "temperature", Seed: testSeed, Shape: []int64{30, 24, 24}}
+// testDataset writes the tests' temperature grid to a file under t's
+// temp directory and returns the spec workers open it by.
+func testDataset(t testing.TB) DatasetSpec {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "temp.ncf")
+	if err := datagen.WriteDataset(path, "temp", coords.NewShape(testShape...), datagen.Temperature(testSeed)); err != nil {
+		t.Fatal(err)
+	}
+	return DatasetSpec{Kind: "file", Path: path, Variable: "temp"}
 }
 
 // testWorker is one in-process worker instance on its own port.
@@ -92,7 +102,7 @@ func runClusterJob(t *testing.T, c *Coordinator, tweak func(*JobSpec)) (*JobResu
 	t.Helper()
 	ex := exec.New(4)
 	t.Cleanup(ex.Close)
-	spec := JobSpec{Plan: testJobPlan(), Dataset: testDataset(), Exec: ex}
+	spec := JobSpec{Plan: testJobPlan(), Dataset: testDataset(t), Exec: ex}
 	if tweak != nil {
 		tweak(&spec)
 	}
@@ -110,7 +120,7 @@ func inProcessRun(t *testing.T) *sidr.Result {
 func inProcessEngineRun(t *testing.T, engine sidr.Engine) *sidr.Result {
 	t.Helper()
 	gen := datagen.Temperature(testSeed)
-	ds, err := sidr.Synthetic(testDataset().Shape, func(k []int64) float64 { return gen(coords.Coord(k)) })
+	ds, err := sidr.Synthetic(testShape, func(k []int64) float64 { return gen(coords.Coord(k)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +468,7 @@ func TestCancelBeforeMapResultRecorded(t *testing.T) {
 	c.onMapResult = func(string, int, string) { cancel() }
 	ex := exec.New(4)
 	t.Cleanup(ex.Close)
-	_, err := c.Run(ctx, JobSpec{Plan: testJobPlan(), Dataset: testDataset(), Exec: ex})
+	_, err := c.Run(ctx, JobSpec{Plan: testJobPlan(), Dataset: testDataset(t), Exec: ex})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -588,7 +598,7 @@ func TestClosedExecutorFailsJob(t *testing.T) {
 	ex.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	_, err := c.Run(ctx, JobSpec{Plan: testJobPlan(), Dataset: testDataset(), Exec: ex})
+	_, err := c.Run(ctx, JobSpec{Plan: testJobPlan(), Dataset: testDataset(t), Exec: ex})
 	if !errors.Is(err, ErrExecutorClosed) {
 		t.Fatalf("err = %v, want ErrExecutorClosed", err)
 	}
@@ -624,7 +634,7 @@ func TestClosedExecutorFailsRun(t *testing.T) {
 		gen := datagen.Temperature(testSeed)
 		var reads atomic.Int64
 		var once sync.Once
-		ds, err := sidr.Synthetic(testDataset().Shape, func(k []int64) float64 {
+		ds, err := sidr.Synthetic(testShape, func(k []int64) float64 {
 			// One pool worker runs the Maps one after another: a read past
 			// the first split's worth means the first Map has committed.
 			if midFlight && reads.Add(1) > splitSize {
@@ -666,7 +676,7 @@ func TestClosedExecutorFailsRun(t *testing.T) {
 			c.onMapResult = func(string, int, string) { once.Do(func() { closeFromTask(ex) }) }
 		}
 		return func() error {
-			_, err := c.Run(context.Background(), JobSpec{Plan: jp, Dataset: testDataset(), Exec: ex})
+			_, err := c.Run(context.Background(), JobSpec{Plan: jp, Dataset: testDataset(t), Exec: ex})
 			return err
 		}
 	}
@@ -738,7 +748,7 @@ func TestJobIDReuseReplacesStaleCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	req1 := &MapRequest{JobID: "job-1", Plan: testJobPlan(), Dataset: testDataset()}
+	req1 := &MapRequest{JobID: "job-1", Plan: testJobPlan(), Dataset: testDataset(t)}
 	j1, err := w.jobFor(req1)
 	if err != nil {
 		t.Fatal(err)
@@ -752,9 +762,8 @@ func TestJobIDReuseReplacesStaleCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ds := testDataset()
-	ds.Seed++ // a new job wearing the recycled ID
-	req2 := &MapRequest{JobID: "job-1", Plan: testJobPlan(), Dataset: ds}
+	// A new job wearing the recycled ID, over another dataset.
+	req2 := &MapRequest{JobID: "job-1", Plan: testJobPlan(), Dataset: testDataset(t)}
 	j2, err := w.jobFor(req2)
 	if err != nil {
 		t.Fatal(err)

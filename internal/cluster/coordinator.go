@@ -46,9 +46,6 @@ type CoordinatorConfig struct {
 	// When set, it is used for both — chaos/fault-injection tests wrap
 	// one transport and must intercept every request.
 	Client *http.Client
-	// Seed seeds backoff jitter; 0 uses a fixed seed. Jitter only
-	// desynchronises retries, so determinism is harmless.
-	Seed int64
 	// Logf, when set, receives coordinator lifecycle logging.
 	Logf func(format string, args ...any)
 
@@ -199,7 +196,8 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		baseCancel: baseCancel,
 		workers:    make(map[string]*workerState),
 		active:     make(map[string]*clusterJob),
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		// Jitter only desynchronises retries, so a fixed seed is harmless.
+		rng: rand.New(rand.NewSource(0)),
 
 		mWorkersAlive:   cfg.Metrics.Gauge("sidrd_cluster_workers_alive"),
 		mQuarantinedG:   cfg.Metrics.Gauge("sidrd_cluster_workers_quarantined"),
@@ -901,9 +899,6 @@ func (c *Coordinator) RunPlan(ctx context.Context, plan *core.Plan, spec JobSpec
 	j := &clusterJob{c: c, spec: spec, plan: plan, ctx: jctx, pushCtx: pushCtx, maps: make([]mapTask, len(plan.Splits))}
 	cfg := plan.JobConfig(nil, nil)
 	cfg.Runner, cfg.Ctx = j, jctx
-	// Map outputs cross a network here, so the §3.2.1 gate guards every
-	// clustered job, whichever engine's barrier it runs under.
-	cfg.ValidateCounts = true
 	cfg.Exec, cfg.Workers, cfg.Weight = spec.Exec, spec.Workers, spec.Weight
 	cfg.OnReduceOutput = spec.OnPartial
 	var err error

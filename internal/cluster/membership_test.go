@@ -87,7 +87,7 @@ func TestDrainReplicaHandoff(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
-		res, err := c.Run(ctx, JobSpec{Plan: testJobPlan(), Dataset: testDataset(), Exec: ex})
+		res, err := c.Run(ctx, JobSpec{Plan: testJobPlan(), Dataset: testDataset(t), Exec: ex})
 		done <- outcome{res, err}
 	}()
 

@@ -64,32 +64,19 @@ var (
 	ErrSpillCorrupt = errors.New("cluster: spill integrity failure")
 )
 
-// DatasetSpec tells a worker how to open the job's dataset by itself.
-// Specs must be resolvable on every worker: a file spec names a path
-// visible to the worker process; a synthetic spec names one of the
-// deterministic internal/datagen generators, which are pure functions
-// of (seed, coordinate) and therefore reproduce bit-identically
-// anywhere.
+// DatasetSpec tells a worker how to open the job's dataset by itself: an
+// ncfile container at a path visible to the worker process. Every
+// dataset a daemon serves is a file (sidrd registers the *.ncf files of
+// its -data directory), so that is the only kind the wire carries; to
+// run a generated dataset on a cluster, write it to a file first with the
+// datagen command or with WriteDataset (internal/datagen).
 type DatasetSpec struct {
-	// Kind is "file" or "synthetic".
+	// Kind is "file".
 	Kind string `json:"kind"`
-	// Path is the ncfile container path (file datasets).
+	// Path is the ncfile container path.
 	Path string `json:"path,omitempty"`
-	// Variable is the ncfile variable to read (file datasets).
+	// Variable is the ncfile variable to read.
 	Variable string `json:"variable,omitempty"`
-	// Generator names a datagen generator for synthetic datasets:
-	// "windspeed", "gaussian", "temperature" or "evenkeyed".
-	Generator string `json:"generator,omitempty"`
-	// Shape is the synthetic dataset's extents.
-	Shape []int64 `json:"shape,omitempty"`
-	// Seed seeds the generator.
-	Seed int64 `json:"seed,omitempty"`
-	// Mean and Std parameterise the gaussian generator (Std 0 means 1).
-	Mean float64 `json:"mean,omitempty"`
-	Std  float64 `json:"std,omitempty"`
-	// Skew parameterises the zipf generator's presence exponent (0 means
-	// the datagen default).
-	Skew float64 `json:"skew,omitempty"`
 }
 
 // JobPlan is the plan-defining tuple shipped with every Map task. A

@@ -25,7 +25,7 @@ const pruneQueryText = "filter_gt temp[0,0,0 : 30,24,24] es {1,4,4} param 5"
 // output to both the unpruned clustered run and the in-process engine.
 func TestClusterPrunedMatchesUnpruned(t *testing.T) {
 	gen := datagen.Temperature(testSeed)
-	shape := coords.NewShape(testDataset().Shape...)
+	shape := coords.NewShape(testShape...)
 	vi, err := sidx.BuildVar("*", shape, &mapreduce.FuncReader{Fn: gen}, sidx.BuildOptions{Blocks: 15})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestClusterPrunedMatchesUnpruned(t *testing.T) {
 
 	// Triple agreement: the in-process engine, fed the same plan scalars,
 	// must match too.
-	ds, err := sidr.Synthetic(testDataset().Shape, func(k []int64) float64 { return gen(coords.Coord(k)) })
+	ds, err := sidr.Synthetic(testShape, func(k []int64) float64 { return gen(coords.Coord(k)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestFullyPrunedClusterJob(t *testing.T) {
 // both sides, so no mask travels on the wire.
 func TestWorkerPlanMatchesIndexedPlan(t *testing.T) {
 	gen := datagen.Temperature(testSeed)
-	shape := coords.NewShape(testDataset().Shape...)
+	shape := coords.NewShape(testShape...)
 	vi, err := sidx.BuildVar("*", shape, &mapreduce.FuncReader{Fn: gen}, sidx.BuildOptions{Blocks: 15})
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ import (
 
 	"sidr/internal/coords"
 	"sidr/internal/core"
-	"sidr/internal/datagen"
 	"sidr/internal/faultinject"
 	"sidr/internal/kv"
 	"sidr/internal/mapreduce"
@@ -45,16 +44,13 @@ type WorkerConfig struct {
 	CoordinatorURL string
 	// Heartbeat is the heartbeat period (default 1s).
 	Heartbeat time.Duration
-	// Client performs registration/heartbeat requests. The default uses
-	// NewTransport's phase-scoped timeouts (dial, TLS handshake,
-	// response header) rather than a whole-request deadline, tuned by
-	// DialTimeout and HeaderTimeout.
-	Client *http.Client
-	// DialTimeout bounds dialing and TLS handshaking on the default
-	// client (0 = 2s). Ignored when Client is set.
+	// DialTimeout bounds dialing and TLS handshaking on the client that
+	// performs registration and heartbeat requests (0 = 2s). The client
+	// uses NewTransport's phase-scoped timeouts (dial, TLS handshake,
+	// response header) rather than a whole-request deadline.
 	DialTimeout time.Duration
-	// HeaderTimeout bounds the wait for response headers on the default
-	// client (0 = 5s). Ignored when Client is set.
+	// HeaderTimeout bounds that client's wait for response headers
+	// (0 = 5s).
 	HeaderTimeout time.Duration
 	// Chaos, when set, injects worker-side faults into Map execution:
 	// scheduled kills, delays and hangs (see internal/faultinject).
@@ -96,8 +92,8 @@ type workerJob struct {
 	fingerprint string // canonical {Plan,Dataset,Dataset2} encoding
 	plan        *core.Plan
 	input       mapreduce.MapInput
-	// closer/closer2 are the ncfile handles of file datasets (closer2 a
-	// join's side B); nil for synthetic ones.
+	// closer/closer2 are the ncfile handles of the job's inputs; closer2
+	// is a join's side B, nil for a single-input job.
 	closer, closer2 io.Closer
 }
 
@@ -126,14 +122,12 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = time.Second
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Transport: NewTransport(cfg.DialTimeout, cfg.HeaderTimeout)}
-	}
 	store, err := spillstore.New(cfg.SpillDir)
 	if err != nil {
 		return nil, err
 	}
-	w := &Worker{cfg: cfg, client: cfg.Client, store: store,
+	client := &http.Client{Transport: NewTransport(cfg.DialTimeout, cfg.HeaderTimeout)}
+	w := &Worker{cfg: cfg, client: client, store: store,
 		drainCh: make(chan struct{}), jobs: make(map[string]*workerJob)}
 	w.mux = http.NewServeMux()
 	w.mux.HandleFunc("/v1/map", w.handleMap)
@@ -160,15 +154,8 @@ func (w *Worker) Close() error {
 	defer w.mu.Unlock()
 	var first error
 	for id, j := range w.jobs {
-		if j.closer != nil {
-			if err := j.closer.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		if j.closer2 != nil {
-			if err := j.closer2.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := j.close(); err != nil && first == nil {
+			first = err
 		}
 		delete(w.jobs, id)
 	}
@@ -378,14 +365,15 @@ func (w *Worker) jobFor(req *MapRequest) (*workerJob, error) {
 	return j, nil
 }
 
-// close releases the job's dataset handles.
-func (j *workerJob) close() {
-	if j.closer != nil {
-		j.closer.Close()
-	}
+// close releases the job's dataset handles and returns the first error.
+func (j *workerJob) close() error {
+	err := j.closer.Close()
 	if j.closer2 != nil {
-		j.closer2.Close()
+		if err2 := j.closer2.Close(); err == nil {
+			err = err2
+		}
 	}
+	return err
 }
 
 // releaseLocked drops one job's cached state, pack handles and spill
@@ -441,52 +429,17 @@ func (w *Worker) handleRelease(rw http.ResponseWriter, r *http.Request) {
 	rw.WriteHeader(http.StatusOK)
 }
 
-// openDataset resolves a DatasetSpec into a record reader. The
-// returned closer is non-nil for file datasets.
+// openDataset opens a DatasetSpec's file and returns its record reader
+// and the handle to close.
 func openDataset(spec DatasetSpec) (coords.RecordReader, io.Closer, error) {
-	switch spec.Kind {
-	case "file":
-		f, err := ncfile.Open(spec.Path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &mapreduce.FileReader{File: f, Var: spec.Variable}, f, nil
-	case "synthetic":
-		fn, err := GeneratorFunc(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &mapreduce.FuncReader{Fn: fn}, nil, nil
-	default:
+	if spec.Kind != "file" {
 		return nil, nil, fmt.Errorf("cluster: unknown dataset kind %q", spec.Kind)
 	}
-}
-
-// GeneratorFunc resolves a synthetic spec's generator to its pure
-// coordinate function. Generators are deterministic in (seed,
-// coordinate), so every worker — and the coordinator's own registry —
-// reproduces the same dataset bit-identically from the spec alone.
-func GeneratorFunc(spec DatasetSpec) (func(coords.Coord) float64, error) {
-	switch spec.Generator {
-	case "windspeed":
-		return datagen.Windspeed(spec.Seed), nil
-	case "gaussian":
-		mean, std := spec.Mean, spec.Std
-		if std == 0 {
-			std = 1
-		}
-		return datagen.Gaussian(spec.Seed, mean, std), nil
-	case "temperature":
-		return datagen.Temperature(spec.Seed), nil
-	case "evenkeyed":
-		return datagen.EvenKeyed(spec.Seed), nil
-	case "zipf":
-		return datagen.Zipf(spec.Seed, spec.Skew), nil
-	case "integers":
-		return datagen.Integers(spec.Seed), nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown synthetic generator %q", spec.Generator)
+	f, err := ncfile.Open(spec.Path)
+	if err != nil {
+		return nil, nil, err
 	}
+	return &mapreduce.FileReader{File: f, Var: spec.Variable}, f, nil
 }
 
 // handleMap executes one Map task attempt: run the shared ExecMap path,

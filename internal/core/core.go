@@ -109,6 +109,10 @@ func RequestDefaults(q *query.Query, reducers int, splitPoints int64) (int, int6
 	return reducers, splitPoints
 }
 
+// bytesPerPoint is the element size split placement and the default split
+// size assume: every dataset stores float64 values.
+const bytesPerPoint = 8
+
 // Options tunes plan construction.
 type Options struct {
 	// Reducers is the Reduce task count (required, >= 1).
@@ -132,12 +136,10 @@ type Options struct {
 	// Priority optionally orders SIDR keyblock scheduling
 	// (computational steering, §3.4); nil means keyblock order.
 	Priority []int
-	// Namespace and File attach HDFS locality hints to splits.
+	// Namespace and File attach HDFS locality hints to a single-input
+	// plan's splits, at 8 bytes per point; a join's splits get none.
 	Namespace *hdfs.Namespace
 	File      string
-	// BytesPerPoint is the on-disk element size for locality math
-	// (default 8).
-	BytesPerPoint int64
 	// Index, when set, enables structural pruning: for value-predicated
 	// operators, splits whose indexed [min, max] block ranges cannot
 	// satisfy the predicate are dropped BEFORE the dependency graph is
@@ -154,8 +156,6 @@ type Options struct {
 	// precedence over Index.
 	KeepSplits []int
 
-	// File2 names side B's HDFS file for locality hints (join queries).
-	File2 string
 	// JoinSamplerA/B, when both set for a join query, let the planner
 	// sample per-keyblock expected load from the data and re-tile hot
 	// keyblocks. Nil skips sampling (base partition+ layout).
@@ -220,21 +220,17 @@ func NewPlan(q *query.Query, engine Engine, opts Options) (*Plan, error) {
 	if opts.Reducers < 1 {
 		return nil, fmt.Errorf("core: need at least one reducer, got %d", opts.Reducers)
 	}
-	bpp := opts.BytesPerPoint
-	if bpp <= 0 {
-		bpp = 8
-	}
 	splitPoints := opts.SplitPoints
 	if splitPoints <= 0 {
-		splitPoints = (128 << 20) / bpp
+		splitPoints = (128 << 20) / bytesPerPoint
 	}
 	if q.Join {
-		return newJoinPlan(q, engine, opts, splitPoints, bpp)
+		return newJoinPlan(q, engine, opts, splitPoints)
 	}
 	splits := opts.Splits
 	if splits == nil {
 		var err error
-		splits, err = mapreduce.GenerateSplits(q.Input, splitPoints, opts.Namespace, opts.File, bpp)
+		splits, err = mapreduce.GenerateSplits(q.Input, splitPoints, opts.Namespace, opts.File, bytesPerPoint)
 		if err != nil {
 			return nil, err
 		}
@@ -335,12 +331,12 @@ func (p *Plan) liveRows() []bool {
 // join planner — sampled and re-tiled when samplers are supplied,
 // rebuilt verbatim when a recorded Retile is (the clustered-worker
 // path). Structural index pruning does not apply to joins.
-func newJoinPlan(q *query.Query, engine Engine, opts Options, splitPoints, bpp int64) (*Plan, error) {
-	splitsA, err := mapreduce.GenerateSplits(q.Input, splitPoints, opts.Namespace, opts.File, bpp)
+func newJoinPlan(q *query.Query, engine Engine, opts Options, splitPoints int64) (*Plan, error) {
+	splitsA, err := mapreduce.GenerateSplits(q.Input, splitPoints, nil, "", bytesPerPoint)
 	if err != nil {
 		return nil, fmt.Errorf("core: side A splits: %w", err)
 	}
-	splitsB, err := mapreduce.GenerateSplits(q.Input2, splitPoints, opts.Namespace, opts.File2, bpp)
+	splitsB, err := mapreduce.GenerateSplits(q.Input2, splitPoints, nil, "", bytesPerPoint)
 	if err != nil {
 		return nil, fmt.Errorf("core: side B splits: %w", err)
 	}
@@ -425,7 +421,7 @@ func PruneSplits(q *query.Query, splitPoints int64, vi *sidx.VarIndex) (keep []i
 	if splitPoints <= 0 {
 		return nil, 0, false, fmt.Errorf("core: PruneSplits needs explicit split points")
 	}
-	splits, err := mapreduce.GenerateSplits(q.Input, splitPoints, nil, "", 8)
+	splits, err := mapreduce.GenerateSplits(q.Input, splitPoints, nil, "", bytesPerPoint)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -466,8 +462,9 @@ func (p *Plan) RunLocalJoin(readerA, readerB coords.RecordReader, tweak func(*ma
 
 // JobConfig is the plan as a job for the one job loop, wherever its tasks
 // run: in process on the given readers, or — with the caller setting
-// Config.Runner and no readers — on a cluster. For SIDR plans it enables
-// the dependency barrier, dependency-only shuffle, kv-count validation,
+// Config.Runner and no readers — on a cluster. Every engine's job carries
+// the plan's graph, so every Reduce passes the §3.2.1 kv-count gate. For
+// SIDR plans it enables the dependency barrier, dependency-only shuffle,
 // dependency-driven Map order and keyblock-priority Reduce order;
 // Hadoop/SciHadoop plans run with the global barrier and all-to-all
 // shuffle.
@@ -483,7 +480,6 @@ func (p *Plan) JobConfig(readerA, readerB coords.RecordReader) mapreduce.Config 
 	}
 	if p.Engine == EngineSIDR {
 		cfg.Barrier = mapreduce.DependencyBarrier
-		cfg.ValidateCounts = true
 		cfg.MapOrder = p.Graph.MapOrder(p.Priority)
 		cfg.ReduceOrder = p.Priority // nil keeps keyblock order
 	}

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
 	"sidr/internal/coords"
 	"sidr/internal/datagen"
 	"sidr/internal/hdfs"
+	"sidr/internal/kv"
 	"sidr/internal/mapreduce"
 	"sidr/internal/partition"
 	"sidr/internal/query"
@@ -139,6 +142,45 @@ func TestRunLocalAllEnginesAgree(t *testing.T) {
 	}
 }
 
+// underReport is a runner whose Fetch reports keyblock 0's annotation
+// tally one source pair short, as if a Map output had lost a pair.
+type underReport struct{ mapreduce.Runner }
+
+func (r underReport) Fetch(ctx context.Context, l int, refs []any) ([][]kv.Pair, int64, []int, error) {
+	streams, tally, lost, err := r.Runner.Fetch(ctx, l, refs)
+	if l == 0 {
+		tally--
+	}
+	return streams, tally, lost, err
+}
+
+// TestBarrierEnginesCheckTheTally: the §3.2.1 kv-count gate follows the
+// plan's graph, not the engine. An in-process Hadoop or SciHadoop run —
+// global barrier, no dependency counters — whose keyblock 0 comes up one
+// pair short fails with ErrCountMismatch instead of committing a wrong
+// answer. Mutation check: skipping the gate when Barrier is not
+// DependencyBarrier fails this test.
+func TestBarrierEnginesCheckTheTally(t *testing.T) {
+	q := mustParse(t, "avg w[0,0 : 24,8] es {4,4}")
+	reader := &mapreduce.FuncReader{Fn: datagen.Windspeed(11)}
+	for _, e := range []Engine{EngineHadoop, EngineSciHadoop} {
+		p, err := NewPlan(q, e, Options{Reducers: 3, SplitPoints: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := p.TaskInput(reader, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = p.RunLocal(reader, func(cfg *mapreduce.Config) {
+			cfg.Runner = underReport{mapreduce.LocalRunner{In: in, Splits: p.Splits}}
+		})
+		if !errors.Is(err, mapreduce.ErrCountMismatch) {
+			t.Fatalf("%v: err = %v, want ErrCountMismatch", e, err)
+		}
+	}
+}
+
 func TestRunLocalSIDRPriority(t *testing.T) {
 	q := mustParse(t, "avg w[0,0 : 16,4] es {4,4}")
 	p, err := NewPlan(q, EngineSIDR, Options{Reducers: 4, SplitPoints: 16, MaxSkew: 1, Priority: []int{3, 2, 1, 0}})
@@ -264,7 +306,7 @@ func bandPlan(t *testing.T) (*Plan, coords.RecordReader) {
 		}
 		return base(k)
 	}}
-	vi, err := sidx.BuildVar("*", shape, reader, sidx.BuildOptions{Blocks: 512, Workers: 1})
+	vi, err := sidx.BuildVar("*", shape, reader, sidx.BuildOptions{Blocks: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,12 +52,6 @@ type Config struct {
 	BlockSize   int64 // defaults to DefaultBlockSize
 	Replication int   // defaults to DefaultReplication
 	Seed        int64 // placement RNG seed; fixed seed → deterministic layout
-	// Rand, when set, is the placement RNG itself and overrides Seed.
-	// Injecting one lets tests drive several namespaces from one known
-	// stream, or share deterministic placement with a larger simulation.
-	// The namespace takes ownership: placement draws are serialised under
-	// its lock, but the caller must not draw from it concurrently.
-	Rand *rand.Rand
 }
 
 // Errors reported by the package.
@@ -83,16 +77,12 @@ func NewNamespace(nodes []string, cfg Config) (*Namespace, error) {
 	if rep > len(nodes) {
 		rep = len(nodes)
 	}
-	rng := cfg.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
 	ns := &Namespace{
 		blockSize:   bs,
 		replication: rep,
 		nodes:       append([]string(nil), nodes...),
 		files:       make(map[string]*fileMeta),
-		rng:         rng,
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
 	}
 	return ns, nil
 }

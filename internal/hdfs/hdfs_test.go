@@ -3,7 +3,6 @@ package hdfs
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -185,53 +184,5 @@ func TestQuickBlockCoverage(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestInjectedRandPlacement(t *testing.T) {
-	// An injected *rand.Rand overrides Seed: two namespaces driven by
-	// rands at the same stream position lay out blocks identically, even
-	// when their Seed fields disagree.
-	mk := func(seed int64) []BlockLocation {
-		ns, err := NewNamespace(testNodes(8), Config{
-			BlockSize: 64,
-			Seed:      seed * 1000, // must be ignored
-			Rand:      rand.New(rand.NewSource(7)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ns.AddFile("f", 1000); err != nil {
-			t.Fatal(err)
-		}
-		b, _ := ns.LocateRange("f", 0, math.MaxInt64)
-		return b
-	}
-	a, b := mk(1), mk(2)
-	for i := range a {
-		if fmt.Sprint(a[i]) != fmt.Sprint(b[i]) {
-			t.Fatalf("injected-rand placement not reproducible at block %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-
-	// And a rand at a different stream position yields a different
-	// layout — the injected source really is the one drawn from.
-	other, err := NewNamespace(testNodes(8), Config{BlockSize: 64, Rand: rand.New(rand.NewSource(8))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.AddFile("f", 1000); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := other.LocateRange("f", 0, math.MaxInt64)
-	same := true
-	for i := range a {
-		if fmt.Sprint(a[i]) != fmt.Sprint(c[i]) {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("differently seeded injected rands produced identical layouts")
 	}
 }

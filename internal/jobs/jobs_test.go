@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"sidr"
+	"sidr/internal/cluster"
 	"sidr/internal/metrics"
 	"sidr/internal/query"
+	"sidr/internal/sidx"
 )
 
 // fakeProvider serves synthetic datasets by name; a per-point delay and
@@ -45,6 +47,16 @@ func (p *fakeProvider) Acquire(name, variable string) (*sidr.Dataset, func(), er
 	}
 	return ds, func() { ds.Close() }, nil
 }
+
+// The fake has no file to hand a cluster worker, no index and no
+// version, so its jobs run unpruned and always execute.
+func (p *fakeProvider) DatasetSpec(name, variable string) (cluster.DatasetSpec, error) {
+	return cluster.DatasetSpec{}, fmt.Errorf("no file for dataset %q", name)
+}
+
+func (p *fakeProvider) Index(name, variable string) *sidx.VarIndex { return nil }
+
+func (p *fakeProvider) DatasetVersion(name, variable string) (string, bool) { return "", false }
 
 func newTestManager(t *testing.T, cfg Config) *Manager {
 	t.Helper()

@@ -41,31 +41,23 @@ var (
 	ErrTenantQuota = errors.New("jobs: tenant quota exceeded")
 )
 
-// DatasetProvider resolves dataset names to open datasets. Acquire
-// returns the dataset and a release func the manager calls when the job
-// is finished with it; implementations refcount handles so concurrent
-// jobs share them.
+// DatasetProvider is what the manager knows of the datasets it serves.
+// Acquire returns an open dataset and a release func the manager calls
+// when the job is finished with it; implementations refcount handles so
+// concurrent jobs share them. DatasetSpec describes a dataset as the
+// cluster.DatasetSpec sidr-worker processes open by themselves
+// (clustered jobs). Index returns the structural block-range index
+// (internal/sidx) of a dataset variable, or nil when there is none; the
+// one plan derivation consults it to prune value-predicated queries'
+// split sets, whichever engine then runs the plan. DatasetVersion returns
+// an opaque token that changes whenever the variable's contents could
+// have changed; the result cache and in-flight collapse key on it, and a
+// dataset without one (false) is always executed.
 type DatasetProvider interface {
 	Acquire(name, variable string) (*sidr.Dataset, func(), error)
-}
-
-// DatasetSpecProvider is the optional second half of a DatasetProvider:
-// it describes a registered dataset as a cluster.DatasetSpec that
-// sidr-worker processes can resolve on their own (a file path, or a
-// deterministic synthetic generator). Cluster-routed jobs require the
-// manager's provider to implement it.
-type DatasetSpecProvider interface {
 	DatasetSpec(name, variable string) (cluster.DatasetSpec, error)
-}
-
-// IndexProvider is an optional DatasetProvider extension: it returns
-// the structural block-range index (internal/sidx) built for a
-// registered dataset variable, or nil when none exists. When the
-// provider implements it, the manager's one plan derivation consults the
-// index to prune value-predicated queries' split sets, whichever engine
-// then runs the plan.
-type IndexProvider interface {
 	Index(name, variable string) *sidx.VarIndex
+	DatasetVersion(name, variable string) (string, bool)
 }
 
 // Config parametrises a Manager.
@@ -119,15 +111,6 @@ type Config struct {
 	// the coordinator can prefer split-local workers. Locality hints
 	// never change split geometry or results — only placement.
 	Namespace *hdfs.Namespace
-}
-
-// VersionProvider is an optional DatasetProvider extension: it returns
-// an opaque version token for a registered dataset variable that
-// changes whenever the dataset's contents could have changed. The result
-// cache requires it — without a version to pin, cached results could go
-// stale, so managers whose provider lacks it simply never hit.
-type VersionProvider interface {
-	DatasetVersion(name, variable string) (string, bool)
 }
 
 // Manager owns the worker pool, job table and plan cache.
@@ -283,14 +266,10 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		req.Tenant = DefaultTenantName
 	}
 	if req.Cluster {
-		// Reject unroutable cluster jobs at the door: no coordinator, a
-		// provider that cannot describe datasets to workers, or an empty
-		// worker table all fail fast instead of queueing a doomed job.
+		// Reject unroutable cluster jobs at the door: no coordinator or
+		// an empty worker table fail fast instead of queueing a doomed job.
 		if m.cfg.Cluster == nil {
 			return nil, ErrClusterDisabled
-		}
-		if _, ok := m.cfg.Datasets.(DatasetSpecProvider); !ok {
-			return nil, fmt.Errorf("jobs: dataset provider cannot describe datasets to cluster workers")
 		}
 		if m.cfg.Cluster.AliveWorkers() == 0 {
 			return nil, cluster.ErrNoWorkers
@@ -415,11 +394,7 @@ func (m *Manager) tenantGauge(tenant string) *metrics.Gauge {
 // bytes. Returns false when the provider cannot version any input; such
 // requests always execute.
 func (m *Manager) fastKey(req Request, q *query.Query) (string, bool) {
-	vp, ok := m.cfg.Datasets.(VersionProvider)
-	if !ok {
-		return "", false
-	}
-	ver, ok := vp.DatasetVersion(req.Dataset, q.Variable)
+	ver, ok := m.cfg.Datasets.DatasetVersion(req.Dataset, q.Variable)
 	if !ok {
 		return "", false
 	}
@@ -427,7 +402,7 @@ func (m *Manager) fastKey(req Request, q *query.Query) (string, bool) {
 	if req.Dataset2 != "" { // a join, by Submit's check
 		// Both inputs pin the key: new contents on EITHER side must change
 		// it, or a stale join result could be served.
-		if ver2, ok = vp.DatasetVersion(req.Dataset2, q.Variable2); !ok {
+		if ver2, ok = m.cfg.Datasets.DatasetVersion(req.Dataset2, q.Variable2); !ok {
 			return "", false
 		}
 	}
@@ -605,10 +580,7 @@ func (m *Manager) lookupIndex(dataset string, q *query.Query) *sidx.VarIndex {
 	if _, ok := ops.PrunePredicate(op, q.Params()...); !ok {
 		return nil // not value-predicated; the index has nothing to offer
 	}
-	var vi *sidx.VarIndex
-	if prov, ok := m.cfg.Datasets.(IndexProvider); ok {
-		vi = prov.Index(dataset, q.Variable)
-	}
+	vi := m.cfg.Datasets.Index(dataset, q.Variable)
 	if vi == nil {
 		m.mSidxMisses.Inc()
 		return nil
@@ -674,17 +646,13 @@ func (m *Manager) run(j *Job, plan *core.Plan, readerA, readerB coords.RecordRea
 	if m.cfg.Cluster == nil {
 		return nil, ErrClusterDisabled
 	}
-	specs, ok := m.cfg.Datasets.(DatasetSpecProvider)
-	if !ok {
-		return nil, fmt.Errorf("jobs: dataset provider cannot describe datasets to cluster workers")
-	}
 	spec := cluster.JobSpec{ID: j.ID, Exec: m.exec, Workers: j.Req.Workers, Weight: weight, OnPartial: onOutput}
 	var err error
-	if spec.Dataset, err = specs.DatasetSpec(j.Req.Dataset, j.q.Variable); err != nil {
+	if spec.Dataset, err = m.cfg.Datasets.DatasetSpec(j.Req.Dataset, j.q.Variable); err != nil {
 		return nil, err
 	}
 	if j.Req.Dataset2 != "" {
-		dspecB, err := specs.DatasetSpec(j.Req.Dataset2, j.q.Variable2)
+		dspecB, err := m.cfg.Datasets.DatasetSpec(j.Req.Dataset2, j.q.Variable2)
 		if err != nil {
 			return nil, err
 		}

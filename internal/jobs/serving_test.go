@@ -10,12 +10,14 @@ import (
 	"time"
 
 	"sidr"
+	"sidr/internal/cluster"
 	"sidr/internal/metrics"
+	"sidr/internal/sidx"
 	"sidr/internal/wire"
 )
 
-// versionedProvider is a fakeProvider that also implements
-// VersionProvider, unlocking the result-cache and collapse fast paths.
+// versionedProvider is a fakeProvider whose datasets have versions,
+// unlocking the result-cache and collapse fast paths.
 // bump simulates a re-registration; gate, when set, blocks every point
 // read until released so runs stay in flight under test control.
 type versionedProvider struct {
@@ -46,6 +48,12 @@ func (p *versionedProvider) Acquire(name, variable string) (*sidr.Dataset, func(
 	}
 	return ds, func() { ds.Close() }, nil
 }
+
+func (p *versionedProvider) DatasetSpec(name, variable string) (cluster.DatasetSpec, error) {
+	return cluster.DatasetSpec{}, fmt.Errorf("no file for dataset %q", name)
+}
+
+func (p *versionedProvider) Index(name, variable string) *sidx.VarIndex { return nil }
 
 func (p *versionedProvider) DatasetVersion(name, variable string) (string, bool) {
 	p.mu.Lock()

@@ -37,13 +37,12 @@ func benchConfig(b *testing.B, qs string, reducers int) Config {
 		b.Fatal(err)
 	}
 	return Config{
-		Query:          q,
-		Splits:         splits,
-		Reader:         &FuncReader{Fn: synthValue},
-		Part:           part,
-		Graph:          g,
-		Barrier:        DependencyBarrier,
-		ValidateCounts: true,
+		Query:   q,
+		Splits:  splits,
+		Reader:  &FuncReader{Fn: synthValue},
+		Part:    part,
+		Graph:   g,
+		Barrier: DependencyBarrier,
 	}
 }
 

@@ -87,13 +87,12 @@ func TestSplitsBeyondQueryInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(Config{
-		Query:          q,
-		Splits:         splits,
-		Reader:         &FuncReader{Fn: synthValue},
-		Part:           pp,
-		Graph:          g,
-		Barrier:        DependencyBarrier,
-		ValidateCounts: true,
+		Query:   q,
+		Splits:  splits,
+		Reader:  &FuncReader{Fn: synthValue},
+		Part:    pp,
+		Graph:   g,
+		Barrier: DependencyBarrier,
 	})
 	if err != nil {
 		t.Fatal(err)

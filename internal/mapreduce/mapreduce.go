@@ -190,14 +190,11 @@ type Config struct {
 	Ctx context.Context
 
 	// Graph supplies I_ℓ and expected counts; required for
-	// DependencyBarrier and for count validation.
+	// DependencyBarrier. When set, every Reduce task — whatever the
+	// barrier — checks its kv-count annotation tally against the expected
+	// source count before applying the operator (§3.2.1 approach 2).
 	Graph   *depgraph.Graph
 	Barrier BarrierMode
-
-	// ValidateCounts makes each Reduce task verify the kv-count annotation
-	// tally against the expected source count before applying the
-	// operator (§3.2.1 approach 2). Requires Graph.
-	ValidateCounts bool
 
 	// Upstream, when set, makes the job a downstream stage of another:
 	// split i's Map task reads the output of the upstream keyblocks in
@@ -251,7 +248,7 @@ var (
 	ErrNoReader      = errors.New("mapreduce: config needs a record reader")
 	ErrNoReader2     = errors.New("mapreduce: join config needs a second record reader")
 	ErrNoPartitioner = errors.New("mapreduce: config needs a partitioner")
-	ErrNeedsGraph    = errors.New("mapreduce: dependency barrier and count validation need a dependency graph")
+	ErrNeedsGraph    = errors.New("mapreduce: dependency barrier needs a dependency graph")
 	ErrBadMapOrder   = errors.New("mapreduce: MapOrder must permute split indices")
 	// ErrCountMismatch means a Reduce task's kv-count annotation tally did
 	// not equal the dependency graph's expected source count; the task
@@ -349,7 +346,7 @@ func NewJob(cfg Config) (*Job, error) {
 	if cfg.Part == nil {
 		return nil, ErrNoPartitioner
 	}
-	if (cfg.Barrier == DependencyBarrier || cfg.ValidateCounts) && cfg.Graph == nil {
+	if cfg.Barrier == DependencyBarrier && cfg.Graph == nil {
 		return nil, ErrNeedsGraph
 	}
 	in := MapInput{

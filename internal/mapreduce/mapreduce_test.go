@@ -146,7 +146,6 @@ func buildJob(t *testing.T, q *query.Query, reducers int, sidr bool, combine boo
 	}
 	if sidr {
 		cfg.Barrier = DependencyBarrier
-		cfg.ValidateCounts = true
 	}
 	return cfg
 }

@@ -87,13 +87,12 @@ func handGraph(t *testing.T, nSplits int, kbToSplits [][]int) Config {
 		}
 	}
 	return Config{
-		Query:          mustParse(t, "sum v[0 : 64] es {1}"),
-		Splits:         make([]InputSplit, nSplits),
-		Part:           kbCount(len(kbToSplits)),
-		Graph:          g,
-		Runner:         synthRunner{g},
-		Barrier:        DependencyBarrier,
-		ValidateCounts: true,
+		Query:   mustParse(t, "sum v[0 : 64] es {1}"),
+		Splits:  make([]InputSplit, nSplits),
+		Part:    kbCount(len(kbToSplits)),
+		Graph:   g,
+		Runner:  synthRunner{g},
+		Barrier: DependencyBarrier,
 	}
 }
 

@@ -81,7 +81,7 @@ func (j *Job) runReduce(l int) {
 	}
 	// The §3.2.1 integrity gate: the annotation tally must equal the
 	// planner's expected source count or the keyblock never commits.
-	if err == nil && j.cfg.ValidateCounts {
+	if err == nil && j.cfg.Graph != nil {
 		if want := j.cfg.Graph.ExpectedCount[l]; tally != want {
 			err = fmt.Errorf("%w: keyblock %d received %d source pairs, expected %d", ErrCountMismatch, l, tally, want)
 		}

@@ -9,32 +9,40 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"sidr"
 	"sidr/internal/cluster"
+	"sidr/internal/coords"
 	"sidr/internal/datagen"
 	"sidr/internal/jobs"
 	"sidr/internal/metrics"
 	"sidr/internal/wire"
 )
 
-// clusterRegistry builds a registry with one generator-backed synthetic
-// dataset that cluster workers can reproduce from its spec.
+// clusterRegistry builds a registry with one generated dataset, "temp",
+// that cluster workers open from its file.
 func clusterRegistry(t *testing.T) *Registry {
 	t.Helper()
 	registry := NewRegistry()
-	if err := registry.AddGenerated("temp", cluster.DatasetSpec{
-		Kind:      "synthetic",
-		Generator: "temperature",
-		Shape:     []int64{30, 24, 24},
-		Seed:      7,
-	}); err != nil {
+	addGenerated(t, registry, "temp", "temp", []int64{30, 24, 24}, datagen.Temperature(7))
+	return registry
+}
+
+// addGenerated writes a generator's dataset to a file under t's temp
+// directory and registers it under name, as sidrd serves a datagen file.
+func addGenerated(t *testing.T, r *Registry, name, variable string, shape []int64, fn func(coords.Coord) float64) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name+".ncf")
+	if err := datagen.WriteDataset(path, variable, coords.NewShape(shape...), fn); err != nil {
 		t.Fatal(err)
 	}
-	return registry
+	if err := r.AddFile(name, path); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // startServerWorkers spawns n in-process cluster workers on distinct
@@ -291,16 +299,8 @@ func TestClusterJoinEndToEndThroughDaemon(t *testing.T) {
 	})
 	startServerWorkers(t, coord, 2)
 	registry := NewRegistry()
-	if err := registry.AddGenerated("left", cluster.DatasetSpec{
-		Kind: "synthetic", Generator: "integers", Shape: []int64{48, 32}, Seed: 11,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := registry.AddGenerated("right", cluster.DatasetSpec{
-		Kind: "synthetic", Generator: "zipf", Shape: []int64{48, 32}, Seed: 23, Skew: 1.3,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	addGenerated(t, registry, "left", "a", []int64{48, 32}, datagen.Integers(11))
+	addGenerated(t, registry, "right", "b", []int64{48, 32}, datagen.Zipf(23, 1.3))
 	f := newFixtureCfg(t, registry, jobs.Config{Cluster: coord})
 
 	joinReq := jobs.Request{

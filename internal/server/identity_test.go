@@ -13,6 +13,7 @@ import (
 	"sidr"
 	"sidr/internal/cluster"
 	"sidr/internal/core"
+	"sidr/internal/datagen"
 	"sidr/internal/jobs"
 	"sidr/internal/join"
 	"sidr/internal/metrics"
@@ -55,14 +56,8 @@ func TestRequestIdentityAcrossEnginesAndSpellings(t *testing.T) {
 		tapMu.Unlock()
 	})
 	registry := clusterRegistry(t) // "temp", 30×24×24
-	for name, spec := range map[string]cluster.DatasetSpec{
-		"left":  {Kind: "synthetic", Generator: "integers", Shape: []int64{48, 32}, Seed: 11},
-		"right": {Kind: "synthetic", Generator: "zipf", Shape: []int64{64, 32}, Seed: 23, Skew: 1.3},
-	} {
-		if err := registry.AddGenerated(name, spec); err != nil {
-			t.Fatal(err)
-		}
-	}
+	addGenerated(t, registry, "left", "a", []int64{48, 32}, datagen.Integers(11))
+	addGenerated(t, registry, "right", "b", []int64{64, 32}, datagen.Zipf(23, 1.3))
 	f := newFixtureCfg(t, registry, jobs.Config{Cluster: coord})
 
 	// run executes the request and returns its result, whether it was a

@@ -33,7 +33,6 @@ type source struct {
 	path  string                    // file datasets
 	shape []int64                   // synthetic datasets
 	fn    func(k []int64) float64   // synthetic datasets
-	spec  *cluster.DatasetSpec      // generator-backed synthetics (cluster-resolvable)
 	idx   map[string]*sidx.VarIndex // structural indexes by variable name
 }
 
@@ -49,7 +48,7 @@ type handle struct {
 // refcounted, and kept open across jobs so concurrent queries share one
 // ncfile handle (positional reads make the files safe for concurrent
 // readers). Close tears down idle handles immediately and busy ones as
-// their last user releases them.
+// their last user releases them. It is the daemon's jobs.DatasetProvider.
 type Registry struct {
 	mu      sync.Mutex
 	sources map[string]*source
@@ -187,31 +186,6 @@ func defaultSplitCount(shape coords.Shape) int {
 	return len(splits)
 }
 
-// buildSyntheticIndex scans a synthetic dataset once and summarises it;
-// synthetic sources answer any variable name, so the index is filed
-// under "*".
-func buildSyntheticIndex(shape coords.Shape, fn func(coords.Coord) float64) (*sidx.VarIndex, error) {
-	return sidx.BuildVar("*", shape, &mapreduce.FuncReader{Fn: fn}, sidx.BuildOptions{})
-}
-
-// syntheticInfo fills the "*" variable's registration metadata from a
-// build attempt (ix nil means the source runs unpruned).
-func syntheticInfo(shape []int64, ix *sidx.VarIndex, took time.Duration) VariableInfo {
-	vi := VariableInfo{
-		Name:   "*",
-		Shape:  append([]int64(nil), shape...),
-		Splits: defaultSplitCount(coords.NewShape(shape...)),
-	}
-	vi.IndexStatus = "none"
-	if ix != nil {
-		vi.IndexStatus = "built"
-		vi.IndexBlocks = len(ix.Blocks)
-		vi.IndexBytes = (&sidx.Index{Vars: []*sidx.VarIndex{ix}}).EncodedSize()
-		vi.IndexBuildMs = float64(took) / float64(time.Millisecond)
-	}
-	return vi
-}
-
 // AddSynthetic registers a pure-function dataset of the given shape;
 // any variable name resolves to it.
 func (r *Registry) AddSynthetic(name string, shape []int64, fn func(k []int64) float64) error {
@@ -220,10 +194,14 @@ func (r *Registry) AddSynthetic(name string, shape []int64, fn func(k []int64) f
 	}
 	// No index for opaque functions: registration may not invoke caller
 	// code (a fn may block, be expensive, or have side effects), so only
-	// file and generator-backed datasets — whose data the registry owns —
-	// are scanned. IndexStatus stays "none" and queries run unpruned.
-	info := DatasetInfo{Name: name, Kind: "synthetic",
-		Variables: []VariableInfo{syntheticInfo(shape, nil, 0)}}
+	// files — whose data the registry owns — are scanned. IndexStatus
+	// stays "none" and queries run unpruned.
+	info := DatasetInfo{Name: name, Kind: "synthetic", Variables: []VariableInfo{{
+		Name:        "*",
+		Shape:       append([]int64(nil), shape...),
+		Splits:      defaultSplitCount(coords.NewShape(shape...)),
+		IndexStatus: "none",
+	}}}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.sources[name]; dup {
@@ -235,52 +213,10 @@ func (r *Registry) AddSynthetic(name string, shape []int64, fn func(k []int64) f
 	return nil
 }
 
-// AddGenerated registers a synthetic dataset backed by one of the
-// deterministic datagen generators. Unlike AddSynthetic's opaque
-// function, a generated dataset is described by a cluster.DatasetSpec,
-// so sidr-worker processes can reproduce it bit-identically from the
-// spec alone and cluster-routed jobs can use it.
-func (r *Registry) AddGenerated(name string, spec cluster.DatasetSpec) error {
-	if spec.Kind != "synthetic" {
-		return fmt.Errorf("server: generated dataset %q needs kind \"synthetic\", got %q", name, spec.Kind)
-	}
-	if len(spec.Shape) == 0 {
-		return fmt.Errorf("server: generated dataset %q needs a shape", name)
-	}
-	fn, err := cluster.GeneratorFunc(spec)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	ix, _ := buildSyntheticIndex(coords.NewShape(spec.Shape...), fn)
-	info := DatasetInfo{Name: name, Kind: "synthetic",
-		Variables: []VariableInfo{syntheticInfo(spec.Shape, ix, time.Since(start))}}
-	idx := make(map[string]*sidx.VarIndex)
-	if ix != nil {
-		idx["*"] = ix
-	}
-	specCopy := spec
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.sources[name]; dup {
-		return fmt.Errorf("server: dataset %q already registered", name)
-	}
-	src := &source{
-		info:  info,
-		shape: append([]int64(nil), spec.Shape...),
-		fn:    func(k []int64) float64 { return fn(coords.Coord(k)) },
-		spec:  &specCopy,
-		idx:   idx,
-	}
-	r.sources[name] = src
-	r.nsMirrorLocked(name, src)
-	return nil
-}
-
-// DatasetSpec describes a registered dataset in a form a cluster worker
-// can resolve by itself: file datasets by path+variable, generated
-// synthetics by their generator spec. Opaque AddSynthetic functions are
-// not describable. Implements jobs.DatasetSpecProvider.
+// DatasetSpec describes a registered file dataset as the spec a cluster
+// worker opens by itself: its path and the variable. A synthetic
+// dataset's function lives only in this process, so workers cannot
+// reproduce it.
 func (r *Registry) DatasetSpec(name, variable string) (cluster.DatasetSpec, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -288,14 +224,10 @@ func (r *Registry) DatasetSpec(name, variable string) (cluster.DatasetSpec, erro
 	if !ok {
 		return cluster.DatasetSpec{}, fmt.Errorf("server: unknown dataset %q", name)
 	}
-	switch {
-	case src.spec != nil:
-		return *src.spec, nil
-	case src.path != "":
-		return cluster.DatasetSpec{Kind: "file", Path: src.path, Variable: variable}, nil
-	default:
-		return cluster.DatasetSpec{}, fmt.Errorf("server: synthetic dataset %q has no generator spec; cluster workers cannot reproduce it", name)
+	if src.path == "" {
+		return cluster.DatasetSpec{}, fmt.Errorf("server: synthetic dataset %q is not a file; cluster workers cannot open it", name)
 	}
+	return cluster.DatasetSpec{Kind: "file", Path: src.path, Variable: variable}, nil
 }
 
 // ScanDir registers every *.ncf file in dir under its basename (without
@@ -331,9 +263,9 @@ func (r *Registry) List() []DatasetInfo {
 
 // DatasetVersion returns an opaque token pinning the dataset variable's
 // contents: name, variable shape, and the structural index fingerprint
-// (a content summary for file and generated datasets). Implements
-// jobs.VersionProvider. Returns false for unknown datasets or
-// variables — such requests bypass the result cache entirely.
+// (a content summary of a file's variable). Returns false for unknown
+// datasets or variables — such requests bypass the result cache
+// entirely.
 func (r *Registry) DatasetVersion(name, variable string) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -352,19 +284,15 @@ func (r *Registry) DatasetVersion(name, variable string) (string, bool) {
 		return "", false
 	}
 	var fp uint32
-	if src.idx != nil {
-		if ix := src.idx[variable]; ix != nil {
-			fp = ix.Fingerprint()
-		} else if ix := src.idx["*"]; ix != nil {
-			fp = ix.Fingerprint()
-		}
+	if ix := src.idx[variable]; ix != nil {
+		fp = ix.Fingerprint()
 	}
 	return fmt.Sprintf("%s|%v|%08x", name, vi.Shape, fp), true
 }
 
 // Acquire opens (or reuses) the dataset's handle for the variable and
 // bumps its refcount; the returned release func must be called when the
-// job is done with it. Implements jobs.DatasetProvider.
+// job is done with it.
 func (r *Registry) Acquire(name, variable string) (*sidr.Dataset, func(), error) {
 	key := name + "\x00" + variable
 	r.mu.Lock()
@@ -416,19 +344,14 @@ func (r *Registry) releaseFunc(key string, h *handle) func() {
 }
 
 // Index returns the structural block-range index for the dataset
-// variable, or nil when none was built. Synthetic sources answer any
-// variable name with their "*" index. Implements jobs.IndexProvider.
+// variable, or nil when none was built (a synthetic dataset has none).
 func (r *Registry) Index(name, variable string) *sidx.VarIndex {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	src, ok := r.sources[name]
-	if !ok || src.idx == nil {
-		return nil
+	if src, ok := r.sources[name]; ok {
+		return src.idx[variable]
 	}
-	if vi := src.idx[variable]; vi != nil {
-		return vi
-	}
-	return src.idx["*"]
+	return nil
 }
 
 // IndexBytes returns the total serialized size of every registered

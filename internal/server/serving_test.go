@@ -9,7 +9,7 @@ import (
 	"net/http"
 	"testing"
 
-	"sidr/internal/cluster"
+	"sidr/internal/datagen"
 	"sidr/internal/jobs"
 	"sidr/internal/wire"
 )
@@ -34,8 +34,12 @@ func resultBytes(t *testing.T, f *fixture, id string) string {
 	return string(res)
 }
 
-func tempSpec(seed int64) cluster.DatasetSpec {
-	return cluster.DatasetSpec{Kind: "synthetic", Generator: "temperature", Shape: []int64{24, 16}, Seed: seed}
+// tempRegistry registers a 24×16 temperature grid as "temp", variable v.
+func tempRegistry(t *testing.T) *Registry {
+	t.Helper()
+	registry := NewRegistry()
+	addGenerated(t, registry, "temp", "v", []int64{24, 16}, datagen.Temperature(7))
+	return registry
 }
 
 // TestRepeatQueryIsAByteIdenticalCacheHit is the serving tier's
@@ -43,11 +47,7 @@ func tempSpec(seed int64) cluster.DatasetSpec {
 // with a byte-identical result, and the hit's stream is charged to the
 // cache.
 func TestRepeatQueryIsAByteIdenticalCacheHit(t *testing.T) {
-	registry := NewRegistry()
-	if err := registry.AddGenerated("temp", tempSpec(7)); err != nil {
-		t.Fatal(err)
-	}
-	f := newFixture(t, registry)
+	f := newFixture(t, tempRegistry(t))
 
 	req := jobs.Request{Dataset: "temp", Query: "avg v[0,0 : 24,16] es {4,4}", Reducers: 4}
 	run := func() jobs.Snapshot {
@@ -242,11 +242,7 @@ func TestGzipStreamDeliversEarlyPartials(t *testing.T) {
 // TestGzipJSONMatchesIdentity asserts a gzip job fetch decodes to the
 // identity response's exact bytes.
 func TestGzipJSONMatchesIdentity(t *testing.T) {
-	registry := NewRegistry()
-	if err := registry.AddGenerated("temp", tempSpec(7)); err != nil {
-		t.Fatal(err)
-	}
-	f := newFixture(t, registry)
+	f := newFixture(t, tempRegistry(t))
 	snap := f.submit(jobs.Request{Dataset: "temp", Query: "avg v[0,0 : 24,16] es {4,4}", Reducers: 4})
 	f.waitState(snap.ID, "done")
 

@@ -87,13 +87,12 @@ type BuildOptions struct {
 	// (default 64, capped at the row count). More blocks prune at finer
 	// granularity and cost proportionally more index bytes.
 	Blocks int
-	// Workers bounds the parallel block scans (default GOMAXPROCS).
-	Workers int
 }
 
 // BuildVar scans the variable once and returns its block-range index.
-// Blocks are scanned in parallel: each covers a near-equal band of
-// leading-dimension rows over the full trailing cross-section.
+// Blocks are scanned in parallel, GOMAXPROCS at a time: each covers a
+// near-equal band of leading-dimension rows over the full trailing
+// cross-section.
 func BuildVar(variable string, shape coords.Shape, r coords.RecordReader, opts BuildOptions) (*VarIndex, error) {
 	if err := shape.Validate(); err != nil {
 		return nil, fmt.Errorf("sidx: %w", err)
@@ -109,13 +108,7 @@ func BuildVar(variable string, shape coords.Shape, r coords.RecordReader, opts B
 	if int64(n) > rows {
 		n = int(rows)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 
 	start := time.Now()
 	vi := &VarIndex{Variable: variable, Shape: shape.Clone(), Blocks: make([]Block, n)}

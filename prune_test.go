@@ -73,23 +73,19 @@ func TestPrunedQueriesMatchUnpruned(t *testing.T) {
 			t.Fatalf("case %d: unpruned %q: %v", i, qs, err)
 		}
 		opts.Index = vi
-		prep, err := Prepare(shape, q, opts)
+		plan, err := newPlan(q, &opts, nil, nil)
 		if err != nil {
-			t.Fatalf("case %d: prepare pruned %q: %v", i, qs, err)
+			t.Fatalf("case %d: plan pruned %q: %v", i, qs, err)
 		}
-		pruned, err := prep.Run(t.Context(), ds, opts)
+		pruned, err := runPlan(plan, ds.Reader(t.Context()), nil, opts)
 		if err != nil {
 			t.Fatalf("case %d: pruned %q: %v", i, qs, err)
 		}
 		if !reflect.DeepEqual(base.Keys, pruned.Keys) || !reflect.DeepEqual(base.Values, pruned.Values) {
 			t.Fatalf("case %d: pruned result diverges for %q\nunpruned: %d rows\npruned:   %d rows (dropped %d splits)",
-				i, qs, len(base.Keys), len(pruned.Keys), prep.PrunedSplits())
+				i, qs, len(base.Keys), len(pruned.Keys), plan.PrunedSplits)
 		}
-		totalPruned += prep.PrunedSplits()
-		if prep.PrunedSplits() > 0 && prep.SplitCount() >= len(base.Keys) {
-			// SplitCount reflects the post-prune dispatch set.
-			_ = prep.SplitCount()
-		}
+		totalPruned += plan.PrunedSplits
 	}
 	if totalPruned == 0 {
 		t.Fatal("30 seeded queries never pruned a split — the property test exercised nothing")
@@ -119,15 +115,15 @@ func TestPrunedSubsetInputAndEngines(t *testing.T) {
 			t.Fatalf("engine %v unpruned: %v", engine, err)
 		}
 		opts.Index = vi
-		prep, err := Prepare(shape, q, opts)
+		plan, err := newPlan(q, &opts, nil, nil)
 		if err != nil {
-			t.Fatalf("engine %v prepare: %v", engine, err)
+			t.Fatalf("engine %v plan: %v", engine, err)
 		}
-		pruned, err := prep.Run(t.Context(), ds, opts)
+		pruned, err := runPlan(plan, ds.Reader(t.Context()), nil, opts)
 		if err != nil {
 			t.Fatalf("engine %v pruned: %v", engine, err)
 		}
-		if prep.PrunedSplits() == 0 {
+		if plan.PrunedSplits == 0 {
 			t.Fatalf("engine %v: selective query pruned nothing", engine)
 		}
 		if !reflect.DeepEqual(base.Keys, pruned.Keys) || !reflect.DeepEqual(base.Values, pruned.Values) {
@@ -176,11 +172,10 @@ func TestPrunedGappedBandsMatchUnpruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Index = vi
-	prep, err := Prepare(shape, q, opts)
+	plan, err := newPlan(q, &opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := prep.plan
 	if kept := plan.KeptSplits; len(kept) != 12 || kept[len(kept)-1]-kept[0] == len(kept)-1 {
 		t.Fatalf("kept splits %v, want two separate bands of 6", kept)
 	}
@@ -192,7 +187,7 @@ func TestPrunedGappedBandsMatchUnpruned(t *testing.T) {
 		}
 	}
 
-	pruned, err := prep.Run(t.Context(), ds, opts)
+	pruned, err := runPlan(plan, ds.Reader(t.Context()), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

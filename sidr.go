@@ -36,20 +36,6 @@ import (
 	"sidr/internal/sidx"
 )
 
-// VarIndex is a structural block-range index over one dataset variable:
-// per-block min/max/count summaries that let the planner prune input
-// splits a value-predicated query provably cannot match. Build one with
-// Dataset.BuildIndex and pass it via RunOptions.Index. See internal/sidx.
-type VarIndex = sidx.VarIndex
-
-// Executor is a bounded shared worker pool that many concurrent runs can
-// be scheduled onto; see RunOptions.Exec. Create with NewExecutor and
-// Close it when no more runs will use it.
-type Executor = exec.Executor
-
-// NewExecutor starts a shared pool of the given size (minimum 1).
-func NewExecutor(workers int) *Executor { return exec.New(workers) }
-
 // Engine selects execution semantics: stock Hadoop, SciHadoop, or SIDR.
 type Engine = core.Engine
 
@@ -125,11 +111,12 @@ func (d *Dataset) Reader(ctx context.Context) coords.RecordReader {
 }
 
 // BuildIndex scans the dataset once and builds a structural block-range
-// index over it, splitting the leading dimension into the given number
-// of blocks (0 means the sidx default). The index is conservative:
-// plans that consult it (RunOptions.Index) return byte-identical
-// results to unindexed plans, only faster on selective predicates.
-func (d *Dataset) BuildIndex(blocks int) (*VarIndex, error) {
+// index over it (internal/sidx: per-block min/max/count summaries),
+// splitting the leading dimension into the given number of blocks (0
+// means the sidx default). The index is conservative: plans that consult
+// it (RunOptions.Index) return byte-identical results to unindexed
+// plans, only faster on selective predicates.
+func (d *Dataset) BuildIndex(blocks int) (*sidx.VarIndex, error) {
 	variable := d.variable
 	if variable == "" {
 		variable = "*" // synthetic datasets answer any variable name
@@ -219,7 +206,7 @@ type RunOptions struct {
 	// provably cannot match, before the dependency graph is derived.
 	// Results are identical to running without the index. Build one
 	// with Dataset.BuildIndex.
-	Index *VarIndex
+	Index *sidx.VarIndex
 	// Workers bounds the run's task concurrency. Without an injected
 	// executor it sizes the run's private worker pool (default
 	// runtime.GOMAXPROCS(0), so the engine scales with the machine);
@@ -227,15 +214,10 @@ type RunOptions struct {
 	// concurrently on the shared pool (0 = bounded only by the pool).
 	Workers int
 	// Exec, when set, runs the query's Map and Reduce tasks on a shared
-	// bounded executor instead of a private per-run pool, so many
-	// concurrent runs stay within one process-wide worker budget. The
-	// executor must outlive the call.
+	// bounded executor (internal/exec) instead of a private per-run pool,
+	// so many concurrent runs stay within one process-wide worker budget.
+	// The executor must outlive the call.
 	Exec *exec.Executor
-	// Weight is the run's weighted-fair share of the shared executor:
-	// when several runs have runnable tasks, a weight-w run dispatches up
-	// to w consecutive tasks per scheduling turn (default 1; only
-	// meaningful with Exec). The daemon maps per-tenant weights onto it.
-	Weight int
 	// OnPartial receives each keyblock's output as soon as it commits.
 	// Callbacks may arrive concurrently.
 	OnPartial func(PartialResult)
@@ -247,50 +229,12 @@ type RunOptions struct {
 
 // Errors reported when a query's kind does not match the entry point.
 var (
-	// ErrJoinNeedsTwoDatasets rejects a join query handed to the
-	// single-dataset entry points (Run, RunContext, Prepare): a join
+	// errJoinNeedsTwoDatasets rejects a join query handed to Run: a join
 	// reads two datasets, so use RunJoin.
-	ErrJoinNeedsTwoDatasets = errors.New("sidr: a join query needs two datasets (use RunJoin)")
-	// ErrNotJoin rejects a single-input query handed to RunJoin.
-	ErrNotJoin = errors.New("sidr: RunJoin needs a join query")
+	errJoinNeedsTwoDatasets = errors.New("sidr: a join query needs two datasets (use RunJoin)")
+	// errNotJoin rejects a single-input query handed to RunJoin.
+	errNotJoin = errors.New("sidr: RunJoin needs a join query")
 )
-
-// Prepared is a derived execution plan bound to a dataset shape. Plans
-// are pure functions of (dataset shape, query, engine, reducers, split
-// granularity, skew bound) — SIDR's routing is computable before
-// execution (§3) — so a caller can prepare once and Run many times, over
-// any dataset of the same shape. It is safe for concurrent Run calls.
-type Prepared struct {
-	q     *Query
-	shape coords.Shape
-	opts  RunOptions // plan-time options, normalised
-	plan  *core.Plan
-}
-
-// Prepare derives the execution plan for the query against any dataset
-// of the given shape. Plan-time options (Engine, Reducers, SplitPoints,
-// MaxSkew, Priority) are fixed here; execution-time options (Workers,
-// OnPartial) are taken per Run call.
-func Prepare(shape []int64, q *Query, opts RunOptions) (*Prepared, error) {
-	if q == nil {
-		return nil, fmt.Errorf("sidr: nil query")
-	}
-	s := coords.NewShape(shape...)
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if q.q.Join {
-		return nil, ErrJoinNeedsTwoDatasets
-	}
-	if err := q.q.Validate(s); err != nil {
-		return nil, err
-	}
-	plan, err := newPlan(q, &opts, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{q: q, shape: s, opts: opts, plan: plan}, nil
-}
 
 // newPlan normalises the plan-time options in place and derives the
 // plan. samplerA/B are a join's two inputs, sampled for its keyblock
@@ -309,41 +253,15 @@ func newPlan(q *Query, opts *RunOptions, samplerA, samplerB coords.RecordReader)
 	})
 }
 
-// Query returns the prepared query.
-func (p *Prepared) Query() *Query { return p.q }
-
-// SplitCount returns how many input splits the plan will dispatch Map
-// tasks for (after any index pruning).
-func (p *Prepared) SplitCount() int { return len(p.plan.Splits) }
-
-// PrunedSplits returns how many input splits the structural index
-// proved irrelevant and removed from the plan (0 when no index was
-// supplied or nothing could be pruned).
-func (p *Prepared) PrunedSplits() int { return p.plan.PrunedSplits }
-
-// Run executes the prepared plan over a dataset of the prepared shape.
-// Only the execution-time fields of opts (Workers, Weight, Exec, OnPartial) are used;
-// ctx cancellation aborts the run promptly, returning ctx.Err().
-func (p *Prepared) Run(ctx context.Context, ds *Dataset, opts RunOptions) (*Result, error) {
-	if ds == nil {
-		return nil, fmt.Errorf("sidr: nil dataset")
-	}
-	if !coords.Shape(ds.shape).Equal(p.shape) {
-		return nil, fmt.Errorf("sidr: dataset shape %v does not match prepared shape %v", ds.shape, p.shape)
-	}
-	return runPlan(ctx, p.plan, ds.Reader(ctx), nil, opts)
-}
-
 // runPlan executes a derived plan on the in-process engine, single-input
 // (readerB nil) or join, and ends in NewResult. Each Reduce output is
 // copied into a PartialResult once per consumer: for opts.OnPartial as it
-// commits, and for Result.Partials from the loop's events.
-func runPlan(ctx context.Context, plan *core.Plan, readerA, readerB coords.RecordReader, opts RunOptions) (*Result, error) {
+// commits, and for Result.Partials from the loop's events. Only the
+// execution-time fields of opts (Workers, Exec, OnPartial) are read.
+func runPlan(plan *core.Plan, readerA, readerB coords.RecordReader, opts RunOptions) (*Result, error) {
 	loop, err := plan.RunLocalJoin(readerA, readerB, func(cfg *mapreduce.Config) {
-		cfg.Ctx = ctx
 		cfg.Workers = opts.Workers
 		cfg.Exec = opts.Exec
-		cfg.Weight = opts.Weight
 		if opts.OnPartial != nil {
 			cfg.OnReduceOutput = func(out mapreduce.ReduceOutput) {
 				opts.OnPartial(NewPartial(out, time.Now()))
@@ -410,43 +328,37 @@ func NewPartial(out mapreduce.ReduceOutput, at time.Time) PartialResult {
 
 // Run executes the query over the dataset.
 func Run(ds *Dataset, q *Query, opts RunOptions) (*Result, error) {
-	return RunContext(context.Background(), ds, q, opts)
-}
-
-// RunContext is Run with cancellation: when ctx is done the Map and
-// Reduce loops and barrier waits abort promptly and ctx.Err() is
-// returned.
-func RunContext(ctx context.Context, ds *Dataset, q *Query, opts RunOptions) (*Result, error) {
 	if ds == nil || q == nil {
 		return nil, fmt.Errorf("sidr: nil dataset or query")
 	}
-	p, err := Prepare(ds.Shape(), q, opts)
+	if q.q.Join {
+		return nil, errJoinNeedsTwoDatasets
+	}
+	if err := q.q.Validate(ds.shape); err != nil {
+		return nil, err
+	}
+	plan, err := newPlan(q, &opts, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return p.Run(ctx, ds, opts)
+	return runPlan(plan, ds.Reader(context.Background()), nil, opts)
 }
 
-// RunJoin executes a two-input structural join query (parsed from the
-// `join <op> A[...] es {..} with B[...] es {..}` grammar) over the two
-// datasets. See RunJoinContext.
+// RunJoin plans and executes a two-input structural join query (parsed
+// from the `join <op> A[...] es {..} with B[...] es {..}` grammar) over
+// the two datasets: both sides' per-keyblock expected load is sampled at
+// plan time, hot keyblocks are re-tiled (unless opts.NoJoinRetile), and
+// the job runs on the in-process engine with the chosen engine's barrier
+// and shuffle semantics. Partials carry raw per-keyblock reduce output —
+// for a heavy tile carved into shares these are 4-wide moment rows,
+// folded into final values during result assembly — while Keys/Values
+// always hold the assembled final rows.
 func RunJoin(a, b *Dataset, q *Query, opts RunOptions) (*Result, error) {
-	return RunJoinContext(context.Background(), a, b, q, opts)
-}
-
-// RunJoinContext plans and executes a join: both sides' per-keyblock
-// expected load is sampled at plan time, hot keyblocks are re-tiled
-// (unless opts.NoJoinRetile), and the job runs on the in-process engine
-// with the chosen engine's barrier and shuffle semantics. Partials carry
-// raw per-keyblock reduce output — for a heavy tile carved into shares
-// these are 4-wide moment rows, folded into final values during result
-// assembly — while Keys/Values always hold the assembled final rows.
-func RunJoinContext(ctx context.Context, a, b *Dataset, q *Query, opts RunOptions) (*Result, error) {
 	if a == nil || b == nil || q == nil {
 		return nil, fmt.Errorf("sidr: nil dataset or query")
 	}
 	if !q.q.Join {
-		return nil, ErrNotJoin
+		return nil, errNotJoin
 	}
 	if err := q.q.Validate(a.shape); err != nil {
 		return nil, err
@@ -454,11 +366,12 @@ func RunJoinContext(ctx context.Context, a, b *Dataset, q *Query, opts RunOption
 	if err := q.q.ValidateSecond(b.shape); err != nil {
 		return nil, err
 	}
+	ctx := context.Background()
 	plan, err := newPlan(q, &opts, a.Reader(ctx), b.Reader(ctx))
 	if err != nil {
 		return nil, err
 	}
-	return runPlan(ctx, plan, a.Reader(ctx), b.Reader(ctx), opts)
+	return runPlan(plan, a.Reader(ctx), b.Reader(ctx), opts)
 }
 
 // OutputSpace returns the shape of the query's intermediate/output

@@ -79,9 +79,9 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestQueryKindMismatchRejected: a join handed to the single-dataset
-// entry points, and a single-input query handed to RunJoin, are both
-// refused with a sentinel before any plan is derived.
+// TestQueryKindMismatchRejected: a join handed to Run, and a
+// single-input query handed to RunJoin, are both refused with a sentinel
+// before any plan is derived.
 func TestQueryKindMismatchRejected(t *testing.T) {
 	ds, _ := Synthetic([]int64{28, 10}, synthTemp)
 	single, _ := ParseQuery("avg t[0,0 : 28,10] es {7,5}")
@@ -89,14 +89,11 @@ func TestQueryKindMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(ds, join, RunOptions{Engine: SIDR}); !errors.Is(err, ErrJoinNeedsTwoDatasets) {
-		t.Errorf("Run(join) = %v, want ErrJoinNeedsTwoDatasets", err)
+	if _, err := Run(ds, join, RunOptions{Engine: SIDR}); !errors.Is(err, errJoinNeedsTwoDatasets) {
+		t.Errorf("Run(join) = %v, want errJoinNeedsTwoDatasets", err)
 	}
-	if _, err := Prepare(ds.Shape(), join, RunOptions{}); !errors.Is(err, ErrJoinNeedsTwoDatasets) {
-		t.Errorf("Prepare(join) = %v, want ErrJoinNeedsTwoDatasets", err)
-	}
-	if _, err := RunJoin(ds, ds, single, RunOptions{Engine: SIDR}); !errors.Is(err, ErrNotJoin) {
-		t.Errorf("RunJoin(single) = %v, want ErrNotJoin", err)
+	if _, err := RunJoin(ds, ds, single, RunOptions{Engine: SIDR}); !errors.Is(err, errNotJoin) {
+		t.Errorf("RunJoin(single) = %v, want errNotJoin", err)
 	}
 }
 
@@ -221,12 +218,16 @@ func TestPartialCopiedOncePerConsumer(t *testing.T) {
 	ds, _ := Synthetic([]int64{256, 64}, synthTemp)
 	q, _ := ParseQuery("avg t[0,0 : 256,64] es {2,2}")
 	const keys = 128 * 32
-	prep, err := Prepare(ds.Shape(), q, RunOptions{Engine: SIDR, Reducers: 4})
+	planOpts := RunOptions{Engine: SIDR, Reducers: 4}
+	plan, err := newPlan(q, &planOpts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := func(opts RunOptions) (*Result, error) {
+		return runPlan(plan, ds.Reader(context.Background()), nil, opts)
+	}
 
-	res, err := prep.Run(context.Background(), ds, RunOptions{Workers: 1, OnPartial: func(pr PartialResult) {
+	res, err := run(RunOptions{Workers: 1, OnPartial: func(pr PartialResult) {
 		for _, k := range pr.Keys {
 			for d := range k {
 				k[d] = -1
@@ -236,7 +237,7 @@ func TestPartialCopiedOncePerConsumer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := prep.Run(context.Background(), ds, RunOptions{Workers: 1})
+	ref, err := run(RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestPartialCopiedOncePerConsumer(t *testing.T) {
 	allocs := func(opts RunOptions) float64 {
 		opts.Workers = 1
 		return testing.AllocsPerRun(5, func() {
-			res, err := prep.Run(context.Background(), ds, opts)
+			res, err := run(opts)
 			if err != nil || len(res.Keys) != keys {
 				t.Fatalf("run: %v", err)
 			}
