@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"sidr/internal/coords"
@@ -88,7 +91,7 @@ func refExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 			}
 			out := *val
 			if preFilter {
-				out = ops.PreFilter(in.Op, out, q.Params()...)
+				out = refPreFilter(in.Op, out, q.Params()...)
 			}
 			pairs = append(pairs, kv.Pair{Key: kp, Value: out})
 		}
@@ -96,6 +99,33 @@ func refExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 		outs[kb].Pairs = pairs
 	}
 	return outs, records, nil
+}
+
+// refPreFilter is the combiner the Map kernel's fold-time selection
+// replaced, kept as part of the oracle: the predicate over a key's
+// samples in source order, sort.Float64s over the survivors, the
+// statistics folded over the sorted survivors into a value whose Count
+// stays the source count and whose Samples, non-nil even when empty, is
+// an array of the survivors' own.
+func refPreFilter(op ops.Operator, v kv.Value, params ...float64) kv.Value {
+	p := append(append([]float64(nil), params...), 0, 0)
+	keep := map[string]func(float64) bool{
+		"filter_gt":    func(x float64) bool { return x > p[0] },
+		"filter_lt":    func(x float64) bool { return x < p[0] },
+		"filter_range": func(x float64) bool { return x >= p[0] && x <= p[1] },
+	}[op.Name()]
+	kept := []float64{}
+	for _, x := range v.Samples {
+		if keep(x) {
+			kept = append(kept, x)
+		}
+	}
+	sort.Float64s(kept)
+	var out kv.Value
+	out.AddRun(kept, false)
+	out.Samples = kept[:len(kept):len(kept)]
+	out.Count = v.Count
+	return out
 }
 
 // eachPoint is the record stream the per-point kernel consumed: one emit
@@ -198,6 +228,7 @@ type kernelCase struct {
 	es, stride  coords.Shape // stride nil = dense
 	dropPartial bool         // Space keeps only tiles wholly inside input
 	splitRows   []int64      // leading-dimension rows per split
+	params      []float64    // a filter's parameters; nil: the matrix's
 }
 
 func (c kernelCase) query(op string) *query.Query {
@@ -210,6 +241,9 @@ func (c kernelCase) query(op string) *query.Query {
 		q.Param, q.Param2, q.HasParam2 = -200, 150, true
 	case "percentile":
 		q.Param = 75
+	}
+	if c.params != nil && strings.HasPrefix(op, "filter_") {
+		q.Param, q.Param2 = c.params[0], c.params[1]
 	}
 	return q
 }
@@ -300,8 +334,8 @@ func runKernelCase(t *testing.T, c kernelCase, opName string, combine bool, modu
 // checkSampleWindows: a samples-keeping operator's pairs carry windows
 // sized from the geometry before the scan, so each is exactly full — a
 // short window would have been regrown by AddRun, a long one shows spare
-// capacity. (A pre-filtered pair's survivors get an array of their own,
-// exactly their size.)
+// capacity. (A pre-filtered pair's survivors are a cap-clipped window of
+// the task's one survivor array.)
 func checkSampleWindows(t *testing.T, label string, outs []MapOut) {
 	t.Helper()
 	for kb, o := range outs {
@@ -472,9 +506,11 @@ func (constReader) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, err
 // over the same K' box cost the same allocations. That holds for the
 // operators that keep samples too — a key's samples go into a window of
 // one per-task array sized before the scan, and a filter's survivors are
-// compacted inside it, then copied out once per key.
+// selected into a pooled arena as the scan folds, then copied out into
+// one array per task. So a filter's allocated bytes follow its survivors,
+// not its points: with none surviving, 64× the points cost the same bytes.
 func TestMapAllocsIndependentOfPoints(t *testing.T) {
-	allocs := func(qs string) float64 {
+	measure := func(qs string) (allocs float64, bytes uint64, survivors int) {
 		q := mustParse(t, qs)
 		op, _ := q.Op()
 		space, _ := q.IntermediateSpace()
@@ -485,20 +521,49 @@ func TestMapAllocsIndependentOfPoints(t *testing.T) {
 		in := MapInput{Query: q, Op: op, Space: space, Part: pp, Reader: constReader{}, Combine: true}
 		split := InputSplit{Slab: q.Input}
 		scratch := &mapScratch{}
-		if _, _, err := execMap(in, split, scratch); err != nil { // warm the scratch
+		outs, _, err := execMap(in, split, scratch) // warm the scratch
+		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(5, func() {
+		for _, o := range outs {
+			for _, p := range o.Pairs {
+				survivors += len(p.Value.Samples)
+			}
+		}
+		run := func() {
 			if _, _, err := execMap(in, split, scratch); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		allocs = testing.AllocsPerRun(5, run)
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs, survivors
 	}
-	for _, op := range []string{"avg", "median", "filter_gt"} {
-		small := allocs(op + " v[0,0 : 64,64] es {8,8}")     // 4 Ki points, 1 batch
-		large := allocs(op + " v[0,0 : 512,512] es {64,64}") // 256 Ki points, 16 batches, same 8×8 box
+	for _, op := range []string{"avg", "median", "filter_gt", "filter_gt param 1000"} {
+		name, params, _ := strings.Cut(op, " ")
+		small, smallBytes, _ := measure(name + " v[0,0 : 64,64] es {8,8} " + params)             // 4 Ki points, 1 batch
+		large, largeBytes, survivors := measure(name + " v[0,0 : 512,512] es {64,64} " + params) // 256 Ki points, 16 batches, same 8×8 box
 		if small != large {
 			t.Fatalf("%s: allocations grew with the input: %v for 4 Ki points, %v for 256 Ki", op, small, large)
+		}
+		// The byte counts are process-wide, so a stray runtime allocation
+		// can land in them; slack absorbs that, and is a 2 000th of the
+		// 2 MiB a per-point array costs at 256 Ki points.
+		const slack = 1 << 10
+		switch {
+		case params != "" && (survivors != 0 || largeBytes > smallBytes+slack):
+			// constReader's values stay below 400: nothing passes.
+			t.Fatalf("%s: %d survivors, %d bytes for 4 Ki points, %d for 256 Ki", op, survivors, smallBytes, largeBytes)
+		case name == "filter_gt" && largeBytes > smallBytes+8*uint64(survivors)+8<<10+slack:
+			// Beyond its survivors' array (rounded to a page), a filter
+			// allocates no more for more points.
+			t.Fatalf("%s: %d bytes for 256 Ki points and %d survivors, %d for 4 Ki points", op, largeBytes, survivors, smallBytes)
 		}
 	}
 }
@@ -518,6 +583,13 @@ func FuzzMapKernel(f *testing.F) {
 	f.Add([]byte{1, 9, 8, 1, 1, 1, 1, 0, 0, 0, 2, 1, 0, 0, 11, 0, 1, 4})
 	f.Add([]byte{1, 6, 6, 1, 8, 8, 1, 0, 0, 0, 0, 0, 0, 1, 3, 1, 0, 2})
 	f.Add([]byte{2, 11, 7, 9, 2, 2, 3, 1, 0, 1, 2, 1, 3, 3, 5, 2, 1, 3})
+	// Filters whose bounds are values of the field, with the combiner on
+	// and off: samples equal to a bound, a range with lo == hi and one
+	// with lo > hi.
+	f.Add([]byte{1, 20, 12, 1, 4, 3, 0, 0, 0, 0, 1, 2, 0, 6, 3, 1, 0, 3, 37, 0})
+	f.Add([]byte{1, 20, 12, 1, 4, 3, 0, 0, 0, 0, 1, 2, 0, 6, 4, 1, 1, 3, 5, 0})
+	f.Add([]byte{2, 9, 7, 11, 2, 3, 4, 0, 1, 0, 1, 0, 2, 4, 5, 1, 0, 2, 41, 41})
+	f.Add([]byte{0, 60, 1, 1, 6, 1, 1, 0, 0, 0, 3, 0, 0, 17, 5, 1, 1, 4, 50, 9})
 	names := ops.Names()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) < 18 {
@@ -542,7 +614,20 @@ func FuzzMapKernel(f *testing.F) {
 			return // the whole input sits in stride gaps: no keyspace
 		}
 		c.splitRows = []int64{int64(b[13])%shape[0] + 1}
-		runKernelCase(t, c, names[int(b[14])%len(names)], b[15]&1 != 0, b[16]&1 != 0, int(b[17])%5+1)
+		opName := names[int(b[14])%len(names)]
+		if len(b) >= 20 {
+			// A filter's bounds become values the field takes at two of
+			// the input's points, so samples sit at and around them.
+			at := func(i byte) float64 {
+				k, _ := c.input.Delinearize(int64(i) % c.input.Size())
+				return kernelValue(k)
+			}
+			c.params = []float64{at(b[18]), at(b[19])}
+			if math.IsNaN(c.params[0]) || opName == "filter_range" && math.IsNaN(c.params[1]) {
+				return // queries reject NaN parameters
+			}
+		}
+		runKernelCase(t, c, opName, b[15]&1 != 0, b[16]&1 != 0, int(b[17])%5+1)
 	})
 }
 

@@ -197,9 +197,9 @@ func (LocalRunner) Fetch(_ context.Context, l int, refs []any) (streams [][]kv.P
 }
 
 // mapScratch is reusable per-Map-task state: the batch buffer, the dense
-// accumulation tile, the per-cell point counts and the seal's per-cell
-// keyblock memo. Pooled process-wide so repeated Map tasks stop paying
-// per-split allocation churn.
+// accumulation tile, the per-cell point counts, the seal's per-cell
+// keyblock memo and a filter's survivor arena. Pooled process-wide so
+// repeated Map tasks stop paying per-split allocation churn.
 type mapScratch struct {
 	vals []float64 // one batch of source values
 	// tile holds one accumulator per K' key of the split's box, indexed
@@ -210,6 +210,10 @@ type mapScratch struct {
 	tile   []kv.Value
 	points []int64 // source points per cell (sizes the sample windows)
 	kbOf   []int32 // keyblock of each live cell, in cell order
+	// survivors backs a pre-filtering task's sample windows. The seal
+	// copies the survivors out, so unlike the arena of a task that ships
+	// every sample it never escapes and serves task after task.
+	survivors []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return &mapScratch{} }}
@@ -309,13 +313,29 @@ func execMap(in MapInput, split InputSplit, scratch *mapScratch) ([]MapOut, int6
 	}
 	tile := scratch.tile
 	needSamples := in.Op.NeedsSamples()
+	// With the combiner on, a filter keeps only its predicate's survivors:
+	// they are selected run by run as the scan folds, and Count alone
+	// tracks the source points.
+	var keep func(dst, run []float64) []float64
+	if in.Combine {
+		keep, _ = ops.Selector(in.Op, in.Query.Params()...)
+	}
 	if needSamples {
 		// The geometry says how many points reach each key, so every
 		// cell's samples get an exactly sized window of one array per task
-		// before the first value is read, and AddRun never reallocates.
+		// before the first value is read, and AddRun (or keep) never
+		// reallocates.
 		var total int64
 		scratch.points, total = walk.CellPoints(live, scratch.points)
-		arena := make([]float64, total)
+		var arena []float64
+		if keep == nil {
+			arena = make([]float64, total)
+		} else {
+			if int64(cap(scratch.survivors)) < total {
+				scratch.survivors = make([]float64, total)
+			}
+			arena = scratch.survivors
+		}
 		for c, n := range scratch.points {
 			tile[c].Samples = arena[:0:n]
 			arena = arena[n:]
@@ -325,14 +345,19 @@ func execMap(in MapInput, split InputSplit, scratch *mapScratch) ([]MapOut, int6
 	var records int64
 	fold := func(cell, _ int64, run []float64) error {
 		records += int64(len(run))
-		tile[cell].AddRun(run, needSamples)
+		if v := &tile[cell]; keep != nil {
+			v.Count += int64(len(run))
+			v.Samples = keep(v.Samples, run)
+		} else {
+			v.AddRun(run, needSamples)
+		}
 		return nil
 	}
 	scratch.vals, err = coords.ReadBatches(in.Ctx, in.Reader, live, scratch.vals, func(batch coords.Slab, vals []float64) error {
 		return walk.Runs(batch, vals, fold)
 	})
 	if err == nil {
-		err = scratch.seal(in, box, outs)
+		err = scratch.seal(in, box, outs, keep != nil)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -343,8 +368,11 @@ func execMap(in MapInput, split InputSplit, scratch *mapScratch) ([]MapOut, int6
 // seal publishes every live cell of the tile as exactly one pair of its
 // keyblock's output, and zeroes every cell. One odometer walk over the
 // box meets the keys in row-major order, routes each and sizes every
-// output exactly; keys are carved from one backing array.
-func (s *mapScratch) seal(in MapInput, box coords.Slab, outs []MapOut) error {
+// output exactly; keys are carved from one backing array. When the cells
+// hold a filter's survivors (filtered), each key's are sorted and copied
+// out into one array per task, and its statistics fold the sorted
+// survivors while Count keeps the source points the tally needs.
+func (s *mapScratch) seal(in MapInput, box coords.Slab, outs []MapOut, filtered bool) error {
 	tile, rank := s.tile, box.Rank()
 	if len(tile) == 0 {
 		return nil
@@ -355,6 +383,7 @@ func (s *mapScratch) seal(in MapInput, box coords.Slab, outs []MapOut) error {
 	}
 	keys := make([]int64, 0, len(tile)*rank)
 	kbOf, counts := s.kbOf[:0], make([]int, len(outs))
+	survivors := 0
 	for c := range tile {
 		if tile[c].Count > 0 {
 			kb, err := in.Part.Partition(key)
@@ -364,6 +393,7 @@ func (s *mapScratch) seal(in MapInput, box coords.Slab, outs []MapOut) error {
 			kbOf = append(kbOf, int32(kb))
 			counts[kb]++
 			keys = append(keys, key...)
+			survivors += len(tile[c].Samples)
 		}
 		box.Advance(key)
 	}
@@ -373,8 +403,10 @@ func (s *mapScratch) seal(in MapInput, box coords.Slab, outs []MapOut) error {
 			outs[kb].Pairs = make([]kv.Pair, 0, n)
 		}
 	}
-	preFilter := in.Combine && in.Op.Kind() == ops.Filter
-	params := in.Query.Params()
+	var kept []float64 // non-nil even when empty: it marks "pre-filtered"
+	if filtered {
+		kept = make([]float64, survivors)
+	}
 	for c := range tile {
 		v := &tile[c]
 		if v.Count > 0 {
@@ -382,8 +414,14 @@ func (s *mapScratch) seal(in MapInput, box coords.Slab, outs []MapOut) error {
 			kbOf = kbOf[1:]
 			pair := kv.Pair{Key: keys[:rank:rank], Value: *v}
 			keys = keys[rank:]
-			if preFilter {
-				pair.Value = ops.PreFilter(in.Op, pair.Value, params...)
+			if filtered {
+				n := len(v.Samples)
+				ops.SortSurvivors(v.Samples)
+				pair.Value = kv.Value{Samples: kept[:n:n]}
+				kept = kept[n:]
+				copy(pair.Value.Samples, v.Samples)
+				pair.Value.AddRun(pair.Value.Samples, false)
+				pair.Value.Count = v.Count
 			}
 			out.SourceCount += v.Count
 			out.Pairs = append(out.Pairs, pair)

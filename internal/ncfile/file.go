@@ -210,7 +210,8 @@ func (fl *File) ReadSlab(varName string, slab coords.Slab) ([]float64, error) {
 
 // ReadSlabInto reads the hyperslab of the named variable into dst in
 // row-major order and returns dst[:slab.Size()], allocating only when
-// dst's capacity is short.
+// dst's capacity is short. Where the stored bytes are the in-memory
+// float64s (rawBytes), each run is read straight into dst.
 func (fl *File) ReadSlabInto(varName string, slab coords.Slab, dst []float64) ([]float64, error) {
 	v, full, err := fl.locate(varName, slab)
 	if err != nil {
@@ -226,11 +227,16 @@ func (fl *File) ReadSlabInto(varName string, slab coords.Slab, dst []float64) ([
 	defer ioBufs.Put(bufp)
 	out := dst
 	err = slabRuns(full, slab, ioElems, func(off, n int64) error {
-		buf := (*bufp)[:n*esz]
+		buf, direct := rawBytes(v.Type, out[:n])
+		if !direct {
+			buf = (*bufp)[:n*esz]
+		}
 		if _, err := fl.f.ReadAt(buf, v.dataOffset+off*esz); err != nil {
 			return fmt.Errorf("ncfile: reading %q at %d: %w", varName, off, err)
 		}
-		decodeValues(v.Type, buf, out[:n])
+		if !direct {
+			decodeValues(v.Type, buf, out[:n])
+		}
 		out = out[n:]
 		return nil
 	})
@@ -254,8 +260,11 @@ func (fl *File) WriteSlab(varName string, slab coords.Slab, values []float64) er
 	bufp := ioBufs.Get().(*[]byte)
 	defer ioBufs.Put(bufp)
 	return slabRuns(full, slab, ioElems, func(off, n int64) error {
-		buf := (*bufp)[:n*esz]
-		encodeValues(v.Type, values[:n], buf)
+		buf, direct := rawBytes(v.Type, values[:n])
+		if !direct {
+			buf = (*bufp)[:n*esz]
+			encodeValues(v.Type, values[:n], buf)
+		}
 		if _, err := fl.f.WriteAt(buf, v.dataOffset+off*esz); err != nil {
 			return fmt.Errorf("ncfile: writing %q at %d: %w", varName, off, err)
 		}

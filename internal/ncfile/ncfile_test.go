@@ -582,3 +582,85 @@ func TestDataTypeString(t *testing.T) {
 		t.Fatal("unknown type has nonzero size")
 	}
 }
+
+// FuzzReadSlab holds ReadSlabInto against decodeValues by Float64bits:
+// for every point of a slab, the value read is the one decodeValues makes
+// of the point's stored bytes — read straight into dst for a Float64
+// variable, converted for an Int64 one. The payload is arbitrary bits
+// (NaN payloads, ±0, subnormals); a slab narrower than the variable reads
+// one strided run per row. Writing a Float64 slab's values back stores
+// the same bytes.
+func FuzzReadSlab(f *testing.F) {
+	bits := func(ws ...uint64) []byte {
+		b := make([]byte, 8*len(ws))
+		for i, w := range ws {
+			binary.LittleEndian.PutUint64(b[8*i:], w)
+		}
+		return b
+	}
+	special := bits(0x7ff8000000000001, 0xfff4000000000000, 1<<63, 0, 1, 0x000fffffffffffff,
+		0x7ff0000000000000, 0xfff0000000000000, math.Float64bits(-2.5), 1<<62|12345)
+	f.Add(uint8(0), uint8(0), uint8(6), uint8(7), false, special)
+	f.Add(uint8(1), uint8(2), uint8(4), uint8(3), false, special)
+	f.Add(uint8(2), uint8(5), uint8(3), uint8(2), true, special)
+	f.Add(uint8(0), uint8(6), uint8(6), uint8(1), true, bits(1<<63, 1<<63-1, 42))
+	f.Fuzz(func(t *testing.T, r0, c0, rn, cn uint8, isInt bool, payload []byte) {
+		const rows, cols = 6, 7
+		if len(payload) == 0 {
+			return
+		}
+		typ := Float64
+		if isInt {
+			typ = Int64
+		}
+		h := &Header{
+			Dims: []Dimension{{Name: "t", Length: rows}, {Name: "x", Length: cols}},
+			Vars: []Variable{{Name: "v", Type: typ, Dims: []string{"t", "x"}}},
+		}
+		fl, err := CreateEmpty(tempPath(t, "fuzz.ncf"), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fl.Close()
+		stored := make([]byte, rows*cols*8)
+		for i := range stored {
+			stored[i] = payload[i%len(payload)]
+		}
+		v, _ := fl.Header().Var("v")
+		if _, err := fl.f.WriteAt(stored, v.dataOffset); err != nil {
+			t.Fatal(err)
+		}
+		corner := coords.NewCoord(int64(r0)%rows, int64(c0)%cols)
+		slab := coords.Slab{Corner: corner,
+			Shape: coords.NewShape(int64(rn)%(rows-corner[0])+1, int64(cn)%(cols-corner[1])+1)}
+		got, err := fl.ReadSlabInto("v", slab, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := coords.NewShape(rows, cols)
+		i := 0
+		slab.EachReuse(func(k coords.Coord) bool {
+			off, _ := full.Linearize(k)
+			want := make([]float64, 1)
+			decodeValues(typ, stored[off*8:off*8+8], want)
+			if math.Float64bits(got[i]) != math.Float64bits(want[0]) {
+				t.Fatalf("%s point %v: read %#x, decodeValues %#x", typ, k, math.Float64bits(got[i]), math.Float64bits(want[0]))
+			}
+			i++
+			return true
+		})
+		if typ != Float64 {
+			return
+		}
+		if err := fl.WriteSlab("v", slab, got); err != nil {
+			t.Fatal(err)
+		}
+		back := make([]byte, len(stored))
+		if _, err := fl.f.ReadAt(back, v.dataOffset); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, stored) {
+			t.Fatalf("writing %v's values back changed the stored bytes", slab)
+		}
+	})
+}
