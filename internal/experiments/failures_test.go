@@ -9,8 +9,7 @@ func TestFailureStudyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale simulation")
 	}
-	cfg := TestbedConfig(1)
-	rows, err := FailureStudy(cfg, 176, []float64{0, 0.5})
+	rows, err := failuresSeed1()
 	if err != nil {
 		t.Fatal(err)
 	}
