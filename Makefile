@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race flake vet serve bench bench-kv bench-map bench-reduce bench-join bench-serve bench-spine bench-paper fuzz smoke smoke-serve clean
+.PHONY: build test race flake vet serve bench bench-kv bench-map bench-reduce bench-join bench-plan bench-serve bench-spine bench-paper fuzz smoke smoke-serve clean
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,14 @@ bench-reduce:
 bench-join:
 	$(GO) test -run='^$$' -bench='^BenchmarkJoin' -benchtime=1x ./internal/join
 
+# bench-plan runs the planner's dependency-graph micro-benchmarks once
+# (CI does the same): Build over scan_avg-, shuffle_median- and
+# prune_filter-shaped single-input plans, and the join's BuildGraph, with
+# allocations reported.
+bench-plan:
+	$(GO) test -run='^$$' -bench='^BenchmarkBuild$$' -benchtime=1x ./internal/depgraph
+	$(GO) test -run='^$$' -bench='^BenchmarkJoinBuildGraph$$' -benchtime=1x ./internal/join
+
 # bench-serve runs the stream handler's micro-benchmarks once (CI does
 # the same): a result-cache hit sent from the entry's cached bytes and the
 # executed job's stream encoded live, identity and gzip.
@@ -79,11 +87,11 @@ bench-paper:
 	$(GO) run ./cmd/sidrbench
 
 # fuzz exercises the untrusted-bytes decoders, the differential oracles
-# of both Map kernels (single-input and join), a filter's fold-time
-# survivor selection and sort, the direct slab read, the holistic
-# operators' selection oracle and partition+'s live-mask invariants
-# briefly (CI runs
-# the same targets; crashers land in testdata/fuzz).
+# of both Map kernels (single-input and join) and of the dependency
+# graph, a filter's fold-time survivor selection and sort, the direct
+# slab read, the holistic operators' selection oracle and partition+'s
+# live-mask invariants briefly (CI runs the same targets; crashers land
+# in testdata/fuzz).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadSpill -fuzztime=$(FUZZTIME) ./internal/kv/
@@ -96,6 +104,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzJoinMapKernel -fuzztime=$(FUZZTIME) ./internal/join/
 	$(GO) test -run=^$$ -fuzz=FuzzSelect -fuzztime=$(FUZZTIME) ./internal/ops/
 	$(GO) test -run=^$$ -fuzz=FuzzPartitionPlusLive -fuzztime=$(FUZZTIME) ./internal/partition/
+	$(GO) test -run=^$$ -fuzz=FuzzDependencyGraph -fuzztime=$(FUZZTIME) ./internal/depgraph/
 
 # smoke runs the multi-process cluster smoke test (sidrd + 2 workers).
 smoke:

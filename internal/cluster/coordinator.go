@@ -603,11 +603,7 @@ func (c *Coordinator) logf(format string, args ...any) {
 // POST /v1/cluster/register, POST /v1/cluster/heartbeat,
 // GET /v1/cluster/workers, POST /v1/drain.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("/v1/cluster/register", func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("POST /v1/cluster/register", func(rw http.ResponseWriter, r *http.Request) {
 		var req RegisterRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
@@ -619,11 +615,7 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 		}
 		rw.WriteHeader(http.StatusOK)
 	})
-	mux.HandleFunc("/v1/cluster/heartbeat", func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("POST /v1/cluster/heartbeat", func(rw http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
@@ -641,11 +633,7 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 		rw.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(rw).Encode(HeartbeatResponse{Draining: draining})
 	})
-	mux.HandleFunc("/v1/drain", func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("POST /v1/drain", func(rw http.ResponseWriter, r *http.Request) {
 		var req DrainRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
@@ -657,11 +645,7 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 		}
 		rw.WriteHeader(http.StatusOK)
 	})
-	mux.HandleFunc("/v1/cluster/workers", func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(rw, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("GET /v1/cluster/workers", func(rw http.ResponseWriter, _ *http.Request) {
 		rw.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(rw).Encode(struct {
 			Workers []WorkerInfo `json:"workers"`

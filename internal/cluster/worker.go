@@ -130,11 +130,11 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	w := &Worker{cfg: cfg, client: client, store: store,
 		drainCh: make(chan struct{}), jobs: make(map[string]*workerJob)}
 	w.mux = http.NewServeMux()
-	w.mux.HandleFunc("/v1/map", w.handleMap)
-	w.mux.HandleFunc(shuffleBatchPath, w.handleShuffleBatch)
-	w.mux.HandleFunc("/v1/release", w.handleRelease)
-	w.mux.HandleFunc("/v1/replicate", w.handleReplicate)
-	w.mux.HandleFunc("/v1/pack/", w.handlePack)
+	w.mux.HandleFunc("POST /v1/map", w.handleMap)
+	w.mux.HandleFunc("POST "+shuffleBatchPath, w.handleShuffleBatch)
+	w.mux.HandleFunc("POST /v1/release", w.handleRelease)
+	w.mux.HandleFunc("POST /v1/replicate", w.handleReplicate)
+	w.mux.HandleFunc("GET /v1/pack/{job}/{split}/{attempt}", w.handlePack)
 	w.mux.HandleFunc("/healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(rw, "ok")
 	})
@@ -395,10 +395,6 @@ func (w *Worker) releaseLocked(jobID string) {
 // Releasing an unknown job is a no-op (the coordinator broadcasts
 // releases to every live worker).
 func (w *Worker) handleRelease(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req ReleaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(rw, "bad release request: "+err.Error(), http.StatusBadRequest)
@@ -449,10 +445,6 @@ func openDataset(spec DatasetSpec) (coords.RecordReader, io.Closer, error) {
 // Reduce task performs exactly |I_ℓ| fetches and its annotation tally is
 // complete.
 func (w *Worker) handleMap(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	if w.draining.Load() {
 		// Draining: no new work, but existing spills stay fetchable.
 		http.Error(rw, "worker is draining", http.StatusServiceUnavailable)
@@ -547,17 +539,14 @@ func validJobID(id string) bool {
 // this — one transfer per attempt instead of one per keyblock — and the
 // pack's own directory + CRC trailer make the copy self-validating.
 func (w *Worker) handlePack(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(rw, "GET only", http.StatusMethodNotAllowed)
+	job := r.PathValue("job")
+	if !validJobID(job) {
+		http.Error(rw, "bad job id", http.StatusBadRequest)
 		return
 	}
-	parts := strings.Split(strings.TrimPrefix(r.URL.Path, "/v1/pack/"), "/")
-	if len(parts) != 3 || !validJobID(parts[0]) {
-		http.Error(rw, "want /v1/pack/{job}/{split}/{attempt}", http.StatusBadRequest)
-		return
-	}
-	nums := make([]int, 2)
-	for i, s := range parts[1:] {
+	var nums [2]int
+	for i, name := range []string{"split", "attempt"} {
+		s := r.PathValue(name)
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
 			http.Error(rw, "bad pack path component "+s, http.StatusBadRequest)
@@ -565,7 +554,7 @@ func (w *Worker) handlePack(rw http.ResponseWriter, r *http.Request) {
 		}
 		nums[i] = n
 	}
-	src, mtime, err := w.store.OpenPack(parts[0], nums[0], nums[1])
+	src, mtime, err := w.store.OpenPack(job, nums[0], nums[1])
 	if err != nil {
 		http.Error(rw, "no such pack", http.StatusNotFound)
 		return
@@ -582,10 +571,6 @@ func (w *Worker) handlePack(rw http.ResponseWriter, r *http.Request) {
 // ReadSpill would make, without building a pair — before acknowledging:
 // a replica the coordinator counts on must be provably servable.
 func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req ReplicateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(rw, "bad replicate request: "+err.Error(), http.StatusBadRequest)
@@ -649,10 +634,6 @@ func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
 // context is checked between frames so an abandoned fetch stops
 // consuming disk bandwidth.
 func (w *Worker) handleShuffleBatch(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req BatchFetchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(rw, "bad batch request: "+err.Error(), http.StatusBadRequest)

@@ -7,7 +7,8 @@
 // per-split spill addressing work unchanged; the side is derived from
 // the split index and carried as a trailing coordinate on every spill
 // key. Each keyblock's dependency set I_ℓ is the union of contributing
-// splits from both datasets (depgraph.Builder).
+// splits from both datasets, counted per split by routeCounts into
+// depgraph.New.
 //
 // Because partition+'s uniform-tile assumption breaks when per-tile load
 // is value-dependent (missing data, selective sides), the planner
@@ -292,34 +293,25 @@ func (p *Plan) Keyblocks() []partition.Keyblock {
 // included), then I_ℓ as the union across sides. The same counting runs
 // on workers to annotate spills, so the §3.2.1 tally holds exactly.
 func BuildGraph(p *Plan, splitsA, splitsB []coords.Slab) (*depgraph.Graph, error) {
-	b := depgraph.NewBuilder(len(splitsA)+len(splitsB), len(p.Units))
 	var points []int64
-	counts := make([]int64, len(p.Units))
-	add := func(base, side int, splits []coords.Slab) error {
-		for i, split := range splits {
-			live, ok := split.Intersect(p.SideInput(side))
-			if !ok {
-				continue
-			}
-			g, err := routeCounts(p, side, live, points, counts)
-			if err != nil {
-				return fmt.Errorf("join: split %d: %w", base+i, err)
-			}
-			points = g.points
-			for kb, n := range counts {
-				b.Add(base+i, kb, n)
-			}
-			clear(counts)
+	return depgraph.New(len(splitsA)+len(splitsB), len(p.Units), func(i int, counts []int64) error {
+		side, split := 0, coords.Slab{}
+		if i < len(splitsA) {
+			split = splitsA[i]
+		} else {
+			side, split = 1, splitsB[i-len(splitsA)]
 		}
+		live, ok := split.Intersect(p.SideInput(side))
+		if !ok {
+			return nil
+		}
+		g, err := routeCounts(p, side, live, points, counts)
+		if err != nil {
+			return fmt.Errorf("join: split %d: %w", i, err)
+		}
+		points = g.points
 		return nil
-	}
-	if err := add(0, 0, splitsA); err != nil {
-		return nil, err
-	}
-	if err := add(len(splitsA), 1, splitsB); err != nil {
-		return nil, err
-	}
-	return b.Graph(), nil
+	})
 }
 
 // geometry is one side's live region seen through the plan, known before

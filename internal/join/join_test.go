@@ -160,9 +160,13 @@ func TestGraphCountsCoverInputs(t *testing.T) {
 		}
 
 		// Each side's splits contribute exactly that side's cells.
+		gA, err := BuildGraph(p, splitsA, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var sideA int64
-		for i := 0; i < p.SideBoundary; i++ {
-			sideA += g.SplitPoints[i]
+		for _, c := range gA.ExpectedCount {
+			sideA += c
 		}
 		if sideA != wantA {
 			t.Fatalf("%s: side A contributes %d points, want %d", query, sideA, wantA)

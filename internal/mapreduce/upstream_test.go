@@ -17,13 +17,16 @@ func upstreamJob(t *testing.T, upstreamKBs int, reads func(s int) []int) (Config
 	t.Helper()
 	q := mustParse(t, "avg temp[0,0 : 64,8] es {4,4}")
 	cfg := buildJob(t, q, 4, true, true)
-	b := depgraph.NewBuilder(len(cfg.Splits), upstreamKBs)
-	for s := range cfg.Splits {
+	g, err := depgraph.New(len(cfg.Splits), upstreamKBs, func(s int, counts []int64) error {
 		for _, l := range reads(s) {
-			b.Add(s, l, 1)
+			counts[l]++
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg.Upstream = b.Graph()
+	cfg.Upstream = g
 	return cfg, referenceResults(t, q, synthValue)
 }
 
@@ -159,7 +162,11 @@ func TestUpstreamWithoutDepsMatchesNil(t *testing.T) {
 
 func TestUpstreamGraphMustCoverSplits(t *testing.T) {
 	cfg, _ := upstreamJob(t, 1, func(int) []int { return nil })
-	cfg.Upstream = depgraph.NewBuilder(len(cfg.Splits)-1, 1).Graph()
+	short, err := depgraph.New(len(cfg.Splits)-1, 1, func(int, []int64) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Upstream = short
 	if _, err := NewJob(cfg); err == nil || !strings.Contains(err.Error(), "upstream") {
 		t.Fatalf("NewJob accepted an upstream graph over the wrong split count: %v", err)
 	}

@@ -260,13 +260,13 @@ func TestNoParkedDownstreamMaps(t *testing.T) {
 			}
 		}
 	}
-	if len(heldSplits) == 0 || len(heldSplits) == down.NumSplits() || len(heldDown) == down.NumKeyblocks() {
+	if len(heldSplits) == 0 || len(heldSplits) == len(down.SplitToKB) || len(heldDown) == down.NumKeyblocks() {
 		t.Fatalf("test premise broken: %d of %d downstream splits held, %d of %d keyblocks",
-			len(heldSplits), down.NumSplits(), len(heldDown), down.NumKeyblocks())
+			len(heldSplits), len(down.SplitToKB), len(heldDown), down.NumKeyblocks())
 	}
 	want := [2][2]int{ // per stage: MapEnds, ReduceEnds
-		{up.NumSplits() - 1, up.NumKeyblocks() - len(heldUp)},
-		{down.NumSplits() - len(heldSplits), down.NumKeyblocks() - len(heldDown)},
+		{len(up.SplitToKB) - 1, up.NumKeyblocks() - len(heldUp)},
+		{len(down.SplitToKB) - len(heldSplits), down.NumKeyblocks() - len(heldDown)},
 	}
 
 	var (
