@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race flake vet serve bench bench-kv bench-map bench-reduce bench-join bench-plan bench-serve bench-spine bench-paper fuzz smoke smoke-serve clean
+.PHONY: build test race flake vet serve bench bench-kv bench-map bench-reduce bench-plan bench-serve bench-spine bench-paper fuzz smoke smoke-serve clean
 
 build:
 	$(GO) build ./...
@@ -42,25 +42,21 @@ bench:
 bench-kv:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/kv
 
-# bench-map runs the single-input Map task's micro-benchmark once (CI does
-# the same): the read, the fold and the seal over one prune_filter-shaped
-# split — avg, median and filter_gt at about 26 and 128 survivors a key —
-# with allocations reported.
+# bench-map runs the Map kernel's micro-benchmarks once (CI does the
+# same). There is one kernel (internal/mapkernel) and these are its two
+# clients: a single-input Map task over one prune_filter-shaped split —
+# avg, median and filter_gt at about 26 and 128 survivors a key — and a
+# join Map task on one join_zipf-shaped split per side, dense and mostly
+# missing. Allocations are reported.
 bench-map:
 	$(GO) test -run='^$$' -bench='^BenchmarkExecMap$$' -benchtime=1x ./internal/mapreduce
+	$(GO) test -run='^$$' -bench='^BenchmarkJoinExecMap$$' -benchtime=1x ./internal/join
 
 # bench-reduce runs the Reduce task body's micro-benchmark once (CI does
 # the same): the merge and the operator per key over a shuffle_median-
 # shaped keyblock — median, avg and filter_gt — with allocations reported.
 bench-reduce:
 	$(GO) test -run='^$$' -bench='^BenchmarkExecReduce$$' -benchtime=1x ./internal/mapreduce
-
-# bench-join runs the join Map's micro-benchmarks once (CI does the
-# same): the Map task on one join_zipf-shaped split per side, dense and
-# mostly missing, and the plan-time dependency graph's geometric count,
-# with allocations reported.
-bench-join:
-	$(GO) test -run='^$$' -bench='^BenchmarkJoin' -benchtime=1x ./internal/join
 
 # bench-plan runs the planner's dependency-graph micro-benchmarks once
 # (CI does the same): Build over scan_avg-, shuffle_median- and
@@ -86,12 +82,12 @@ bench-spine:
 bench-paper:
 	$(GO) run ./cmd/sidrbench
 
-# fuzz exercises the untrusted-bytes decoders, the differential oracles
-# of both Map kernels (single-input and join) and of the dependency
-# graph, a filter's fold-time survivor selection and sort, the direct
-# slab read, the holistic operators' selection oracle and partition+'s
-# live-mask invariants briefly (CI runs the same targets; crashers land
-# in testdata/fuzz).
+# fuzz exercises the untrusted-bytes decoders, the one Map kernel
+# against its two differential oracles (single-input and join), the
+# dependency graph's oracle, a filter's fold-time survivor selection and
+# sort, the direct slab read, the holistic operators' selection oracle and
+# partition+'s live-mask invariants briefly (CI runs the same targets;
+# crashers land in testdata/fuzz).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadSpill -fuzztime=$(FUZZTIME) ./internal/kv/

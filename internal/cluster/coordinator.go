@@ -681,7 +681,7 @@ type JobSpec struct {
 }
 
 // ReduceResult is one finalized keyblock output — the in-process
-// engine's type, produced by the same mapreduce.ExecReduce.
+// engine's type, produced by the job loop's one Reduce task body.
 type ReduceResult = mapreduce.ReduceOutput
 
 // Counters aggregates one job's bookkeeping.

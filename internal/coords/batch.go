@@ -38,7 +38,7 @@ func (s Slab) Batches(maxPoints int64, fn func(Slab) error) error {
 		inner *= s.Shape[d]
 		d--
 	}
-	step := max64(1, maxPoints/inner)
+	step := max(1, maxPoints/inner)
 	batch := s.Clone()
 	for i := 0; i < d; i++ {
 		batch.Shape[i] = 1
@@ -47,7 +47,7 @@ func (s Slab) Batches(maxPoints int64, fn func(Slab) error) error {
 	for {
 		for off := int64(0); off < s.Shape[d]; off += step {
 			batch.Corner[d] = s.Corner[d] + off
-			batch.Shape[d] = min64(step, s.Shape[d]-off)
+			batch.Shape[d] = min(step, s.Shape[d]-off)
 			if err := fn(batch); err != nil {
 				return err
 			}
@@ -118,8 +118,8 @@ func (w TileWalk) Runs(batch Slab, vals []float64, fn func(cell, off int64, run 
 	lineLen := batch.Shape[last]
 	x0, end := batch.Corner[last], batch.Corner[last]+lineLen
 	// The innermost tile range is the same for every line of the batch.
-	tLo := max64(max64(x0, 0)/st, boxLo)
-	tHi := min64((end-1)/st+1, boxLo+boxN)
+	tLo := max(max(x0, 0)/st, boxLo)
+	tHi := min((end-1)/st+1, boxLo+boxN)
 	if tLo >= tHi {
 		return nil
 	}
@@ -145,7 +145,7 @@ func (w TileWalk) Runs(batch Slab, vals []float64, fn func(cell, off int64, run 
 			line := vals[pos : pos+lineLen]
 			for t := tLo; t < tHi; t++ {
 				s := t * st
-				a, b := max64(s, x0), min64(s+es, end)
+				a, b := max(s, x0), min(s+es, end)
 				if a >= b {
 					continue // the line starts in this tile's gap
 				}
@@ -175,9 +175,9 @@ func (w TileWalk) CellPoints(live Slab, dst []int64) ([]int64, int64) {
 		return dst, 0
 	}
 	overlap := func(d int, t int64) int64 {
-		lo := max64(max64(t*w.stride[d], live.Corner[d]), 0)
-		hi := min64(t*w.stride[d]+w.shape[d], live.Corner[d]+live.Shape[d])
-		return max64(hi-lo, 0)
+		lo := max(max(t*w.stride[d], live.Corner[d]), 0)
+		hi := min(t*w.stride[d]+w.shape[d], live.Corner[d]+live.Shape[d])
+		return max(hi-lo, 0)
 	}
 	last := len(w.stride) - 1
 	var leadBuf [MaxRank]int64

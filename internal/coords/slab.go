@@ -94,8 +94,8 @@ func (s Slab) Intersect(t Slab) (Slab, bool) {
 	corner := make(Coord, s.Rank())
 	shape := make(Shape, s.Rank())
 	for i := range corner {
-		lo := max64(s.Corner[i], t.Corner[i])
-		hi := min64(s.Corner[i]+s.Shape[i], t.Corner[i]+t.Shape[i])
+		lo := max(s.Corner[i], t.Corner[i])
+		hi := min(s.Corner[i]+s.Shape[i], t.Corner[i]+t.Shape[i])
 		if hi <= lo {
 			return Slab{}, false
 		}
@@ -186,7 +186,7 @@ func (s Slab) SplitDim(dim int, chunk int64) ([]Slab, error) {
 		c := s.Corner.Clone()
 		c[dim] += off
 		sh := s.Shape.Clone()
-		sh[dim] = min64(chunk, s.Shape[dim]-off)
+		sh[dim] = min(chunk, s.Shape[dim]-off)
 		out = append(out, Slab{Corner: c, Shape: sh})
 	}
 	return out, nil
@@ -219,18 +219,4 @@ func (s Slab) SplitDimCount(dim, n int) ([]Slab, error) {
 		off += size
 	}
 	return out, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

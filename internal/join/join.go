@@ -30,6 +30,7 @@ import (
 
 	"sidr/internal/coords"
 	"sidr/internal/depgraph"
+	"sidr/internal/mapkernel"
 	"sidr/internal/ops"
 	"sidr/internal/partition"
 	"sidr/internal/query"
@@ -50,8 +51,8 @@ type Unit struct {
 	Heavy int `json:"heavy,omitempty"`
 }
 
-// Shared reports whether the unit is a heavy-tile share.
-func (u Unit) Shared() bool { return u.Tile != nil }
+// shared reports whether the unit is a heavy-tile share.
+func (u Unit) shared() bool { return u.Tile != nil }
 
 // Retile records the planner's keyblock layout so remote workers rebuild
 // identical routing without re-sampling. EstLoads is the sampled
@@ -191,7 +192,7 @@ func Rebuild(q *query.Query, sideBoundary int, rt Retile) (*Plan, error) {
 		shares:       make(map[int64][]int),
 	}
 	for i, u := range p.Units {
-		if u.Shared() {
+		if u.shared() {
 			k, err := space.Linearize(u.Tile)
 			if err != nil {
 				return nil, fmt.Errorf("join: share tile %v outside keyspace: %w", u.Tile, err)
@@ -226,8 +227,8 @@ func (p *Plan) Side(split int) int {
 	return 1
 }
 
-// SideInput returns the given side's input slab.
-func (p *Plan) SideInput(side int) coords.Slab {
+// sideInput returns the given side's input slab.
+func (p *Plan) sideInput(side int) coords.Slab {
 	if side == 0 {
 		return p.Q.Input
 	}
@@ -250,10 +251,10 @@ func (p *Plan) rangeFrom(i int, k int64) int {
 	return i
 }
 
-// Partitioner adapts the plan to the partition.Partitioner interface for
-// generic consumers (task ordering, diagnostics). Shared tiles resolve
-// to their first share; the join map path routes per cell and never goes
-// through this adapter.
+// Partitioner adapts the plan to the partition.Partitioner interface:
+// the Map kernel routes plain keys through it, as do task ordering and
+// diagnostics. Shared tiles resolve to their first share; the Map kernel
+// routes their cells by carvedCells instead.
 func (p *Plan) Partitioner() partition.Partitioner { return planPartitioner{p} }
 
 type planPartitioner struct{ p *Plan }
@@ -277,7 +278,7 @@ func (p *Plan) Keyblocks() []partition.Keyblock {
 	out := make([]partition.Keyblock, len(p.Units))
 	for i, u := range p.Units {
 		kb := partition.Keyblock{Index: i, Lo: u.Lo, Hi: u.Hi}
-		if u.Shared() {
+		if u.shared() {
 			k, err := p.Space.Linearize(u.Tile)
 			if err == nil {
 				kb.Lo, kb.Hi = k, k+1
@@ -290,8 +291,9 @@ func (p *Plan) Keyblocks() []partition.Keyblock {
 
 // BuildGraph derives the dependency graph: for every split of both
 // sides, the geometric contribution to each keyblock (replication
-// included), then I_ℓ as the union across sides. The same counting runs
-// on workers to annotate spills, so the §3.2.1 tally holds exactly.
+// included), then I_ℓ as the union across sides. The Map kernel's fold
+// annotates spills with the points it visits, which is exactly this
+// count, so the §3.2.1 tally holds exactly.
 func BuildGraph(p *Plan, splitsA, splitsB []coords.Slab) (*depgraph.Graph, error) {
 	var points []int64
 	return depgraph.New(len(splitsA)+len(splitsB), len(p.Units), func(i int, counts []int64) error {
@@ -301,103 +303,99 @@ func BuildGraph(p *Plan, splitsA, splitsB []coords.Slab) (*depgraph.Graph, error
 		} else {
 			side, split = 1, splitsB[i-len(splitsA)]
 		}
-		live, ok := split.Intersect(p.SideInput(side))
+		live, ok := split.Intersect(p.sideInput(side))
 		if !ok {
 			return nil
 		}
-		g, err := routeCounts(p, side, live, points, counts)
-		if err != nil {
+		var err error
+		if points, err = routeCounts(p, side, live, points, counts); err != nil {
 			return fmt.Errorf("join: split %d: %w", i, err)
 		}
-		points = g.points
 		return nil
 	})
-}
-
-// geometry is one side's live region seen through the plan, known before
-// a value is read: the run walk over the box of keys the region reaches,
-// the points reaching each key of the box (by cell) and their total, and
-// the box's carved cells with their share units (nil when the box holds
-// none).
-type geometry struct {
-	walk   coords.TileWalk
-	points []int64
-	total  int64
-	carved map[int64][]int
 }
 
 // routeCounts adds to counts, indexed by unit, the geometric source-pair
 // count of one side's live region: one odometer walk over the region's
 // key box adds each key's points (TileWalk.CellPoints) to its plain
-// unit, or to every share of a carved tile on the light side; only a
-// carved tile's heavy side splits its overlap by cell offset across the
-// shares. It is a pure function of the plan and the region — the spill
-// annotation and the plan-time expectation agree by construction,
-// independent of data content. The per-cell points are written into
-// points, grown only when its capacity is short, and returned with the
-// walk for the Map kernel to size sample windows from.
-func routeCounts(p *Plan, side int, live coords.Slab, points, counts []int64) (geometry, error) {
+// unit; a carved tile's points go to its shares by their offset bounds
+// (addHeavy), so the heavy side splits its overlap by cell offset and
+// the light side's reaches every share whole. It is a pure function of
+// the plan and the region, independent of data content: the planner's
+// expectation of what the Map kernel's fold visits. The per-cell points
+// are written into points, grown only when its capacity is short, and
+// returned for the next call.
+func routeCounts(p *Plan, side int, live coords.Slab, points, counts []int64) ([]int64, error) {
 	walk, err := p.Q.Extraction.Walk(p.Q.Extraction.KeyBox(live, p.Space))
 	if err != nil {
-		return geometry{}, err
+		return points, err
 	}
-	g := geometry{walk: walk}
-	g.points, g.total = walk.CellPoints(live, points)
+	points, _ = walk.CellPoints(live, points)
 	box := walk.Box
-	if g.carved, err = p.carvedCells(box); err != nil {
-		return geometry{}, err
+	carved, err := p.carvedCells(box, side)
+	if err != nil {
+		return points, err
 	}
 	var kpBuf [coords.MaxRank]int64
 	kp := coords.Coord(kpBuf[:box.Rank()])
 	copy(kp, box.Corner)
 	r := 0
-	for cell, n := range g.points {
+	for cell, n := range points {
 		if n > 0 {
-			switch ids := g.carved[int64(cell)]; {
-			case ids == nil:
+			if shares := carved[int64(cell)]; shares != nil {
+				p.addHeavy(kp, shares, live, counts)
+			} else {
 				k, err := p.Space.Linearize(kp)
 				if err != nil {
-					return geometry{}, err
+					return points, err
 				}
 				r = p.rangeFrom(r, k)
 				counts[p.rangeIdx[r]] += n
-			case side == p.Units[ids[0]].Heavy:
-				p.addHeavy(kp, ids, live, counts)
-			default:
-				for _, id := range ids {
-					counts[id] += n
-				}
 			}
 		}
 		box.Advance(kp)
 	}
-	return g, nil
+	return points, nil
 }
 
-// carvedCells maps the cells of box that are carved tiles to their share
-// units; nil when box holds none.
-func (p *Plan) carvedCells(box coords.Slab) (map[int64][]int, error) {
-	var carved map[int64][]int
+// carvedCells maps the cells of box that are carved tiles to their shares
+// as the given side routes them: the heavy side's shares keep their units'
+// offset bounds, and the light side is replicated, every share taking the
+// whole tile. It is nil when box holds no carved tile.
+func (p *Plan) carvedCells(box coords.Slab, side int) (map[int64][]mapkernel.Share, error) {
+	var carved map[int64][]mapkernel.Share
 	for k, ids := range p.shares {
 		kp, err := p.Space.Delinearize(k)
 		if err != nil {
 			return nil, err
 		}
-		if cell, err := box.Linearize(kp); err == nil {
-			if carved == nil {
-				carved = make(map[int64][]int)
-			}
-			carved[cell] = ids
+		cell, err := box.Linearize(kp)
+		if err != nil {
+			continue
 		}
+		if carved == nil {
+			carved = make(map[int64][]mapkernel.Share)
+		}
+		shares := make([]mapkernel.Share, len(ids))
+		for i, id := range ids {
+			u := p.Units[id]
+			shares[i] = mapkernel.Share{KB: id, OffHi: p.Q.Extraction.Shape.Size()}
+			if side == u.Heavy {
+				shares[i].OffLo, shares[i].OffHi = u.OffLo, u.OffHi
+			}
+		}
+		carved[cell] = shares
 	}
 	return carved, nil
 }
 
 // addHeavy adds to counts the points of live inside carved tile kp, each
-// to the share owning its row-major cell offset in the tile. Along an
-// innermost line of the overlap the offsets are one contiguous range, so
-// a line is cut at the shares' bounds rather than walked point by point.
-func (p *Plan) addHeavy(kp coords.Coord, ids []int, live coords.Slab, counts []int64) {
+// to every share whose bounds hold its row-major cell offset in the tile:
+// the heavy side's shares partition the tile, the light side's each hold
+// it whole. Along an innermost line of the overlap the offsets are one
+// contiguous range, so a line is cut at the shares' bounds rather than
+// walked point by point.
+func (p *Plan) addHeavy(kp coords.Coord, shares []mapkernel.Share, live coords.Slab, counts []int64) {
 	e := p.Q.Extraction
 	st := e.EffectiveStride()
 	var loBuf, hiBuf, curBuf [coords.MaxRank]int64
@@ -418,10 +416,9 @@ func (p *Plan) addHeavy(kp coords.Coord, ids []int, live coords.Slab, counts []i
 		for d := range cur {
 			off = off*e.Shape[d] + cur[d] - kp[d]*st[d]
 		}
-		// The shares partition the tile's offsets [0, size).
-		for _, id := range ids {
-			if a, b := max(off, p.Units[id].OffLo), min(off+width, p.Units[id].OffHi); a < b {
-				counts[id] += b - a
+		for _, sh := range shares {
+			if a, b := max(off, sh.OffLo), min(off+width, sh.OffHi); a < b {
+				counts[sh.KB] += b - a
 			}
 		}
 		d := last - 1

@@ -75,7 +75,7 @@ func TestRetileReducesSkew(t *testing.T) {
 	}
 	shares := 0
 	for _, u := range retiled.Units {
-		if u.Shared() {
+		if u.shared() {
 			shares++
 		}
 	}
@@ -206,7 +206,7 @@ func TestRouteCountsMatchExecMap(t *testing.T) {
 				if err != nil {
 					t.Fatalf("side %d split %d: %v", side, si, err)
 				}
-				live, ok := split.Intersect(p.SideInput(side))
+				live, ok := split.Intersect(p.sideInput(side))
 				if !ok {
 					continue
 				}

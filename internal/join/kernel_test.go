@@ -10,6 +10,7 @@ import (
 
 	"sidr/internal/coords"
 	"sidr/internal/kv"
+	"sidr/internal/mapkernel"
 	"sidr/internal/query"
 )
 
@@ -24,7 +25,7 @@ import (
 // reproduce its output bit for bit.
 func refExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab, ctx context.Context) ([]MapOut, int64, error) {
 	outs := make([]MapOut, len(p.Units))
-	live, ok := split.Intersect(p.SideInput(side))
+	live, ok := split.Intersect(p.sideInput(side))
 	if !ok {
 		return outs, 0, nil
 	}
@@ -242,7 +243,7 @@ func TestJoinMapKernelMatchesPerPointOracle(t *testing.T) {
 			}
 			for side, fn := range []func(coords.Coord) float64{tc.a, tc.b} {
 				for _, rows := range []int64{3, 8, 13, 64} {
-					splits, err := p.SideInput(side).SplitDim(0, rows)
+					splits, err := p.sideInput(side).SplitDim(0, rows)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -361,7 +362,8 @@ func FuzzJoinMapKernel(f *testing.F) {
 // TestJoinMapAllocsFlatInTiles holds the join Map and the dependency
 // graph to a per-task allocation count that does not grow with the
 // tiles a split covers: the geometry is counted in one walk over the
-// key box, with no slab per tile, and sample windows come from chunks.
+// key box, with no slab per tile, and sample windows come from the Map
+// kernel's scratch.
 func TestJoinMapAllocsFlatInTiles(t *testing.T) {
 	allocs := func(es int) (execMap, graph float64) {
 		q := mustQuery(t, fmt.Sprintf("join jcorr a[0,0 : 64,64] es {%d,%d} with b[0,0 : 64,64] es {%d,%d}", es, es, es, es))
@@ -372,9 +374,9 @@ func TestJoinMapAllocsFlatInTiles(t *testing.T) {
 		}
 		// One scratch, warmed, stands in for the pool, which drops
 		// entries at random under the race detector.
-		r, s := sliceReader(q.Input, dense), &mapScratch{}
+		r, s := sliceReader(q.Input, dense), &mapkernel.Scratch{}
 		run := func() {
-			if _, err := s.execMap(p, 0, r, q.Input, nil, make([]MapOut, len(p.Units))); err != nil {
+			if _, _, err := mapkernel.Exec(p.MapTask(0, r, q.Input, nil), s); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -396,9 +398,10 @@ func TestJoinMapAllocsFlatInTiles(t *testing.T) {
 }
 
 // TestJoinMapSampleWindows checks the windows a sample-keeping join Map
-// carves: every plain pair's samples have exactly the capacity of the
-// points that reach its key — counted point by point, stride gaps and
-// the split's cut excluded — and no two windows share memory.
+// ships: a missing cell is a value the selection drops, so the kernel
+// copies each key's kept values out, and every plain pair's samples have
+// exactly the capacity of the values it holds. No two windows share
+// memory.
 func TestJoinMapSampleWindows(t *testing.T) {
 	q := mustQuery(t, "join jcorr a[3,5 : 45,37] es {3,4} stride {5,6} with b[9,2 : 40,40] es {3,4} stride {5,6}")
 	splitsA, splitsB := bandSplits(t, q.Input, 6), bandSplits(t, q.Input2, 6)
@@ -409,14 +412,6 @@ func TestJoinMapSampleWindows(t *testing.T) {
 	for side, splits := range [][]coords.Slab{splitsA, splitsB} {
 		fn := []func(coords.Coord) float64{noisy, thinNoisy}[side]
 		for si, split := range splits {
-			live, _ := split.Intersect(p.SideInput(side))
-			points := map[string]int{}
-			live.EachReuse(func(c coords.Coord) bool {
-				if kp, ok := q.Extraction.MapKey(c); ok {
-					points[kp.String()]++
-				}
-				return true
-			})
 			outs, _, err := ExecMap(p, side, funcReader{fn}, split, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -426,8 +421,8 @@ func TestJoinMapSampleWindows(t *testing.T) {
 			for _, o := range outs {
 				for _, pr := range o.Pairs {
 					s := pr.Value.Samples
-					if want := points[pr.Key[:p.Space.Rank()].String()]; cap(s) != want {
-						t.Fatalf("side %d split %d key %v: window of %d floats for %d points", side, si, pr.Key, cap(s), want)
+					if cap(s) != len(s) {
+						t.Fatalf("side %d split %d key %v: window of %d floats for %d samples", side, si, pr.Key, cap(s), len(s))
 					}
 					lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
 					windows = append(windows, window{lo, lo + uintptr(cap(s))*8})

@@ -9,12 +9,12 @@ import (
 	"sidr/internal/query"
 )
 
-// SampleStride is the plan-time sampling factor: every SampleStride-th
+// sampleStride is the plan-time sampling factor: every sampleStride-th
 // leading-dimension row of each split is read and each present (non-NaN)
-// cell contributes SampleStride to its tile's estimated load. Fixed and
+// cell contributes sampleStride to its tile's estimated load. Fixed and
 // deterministic, so the coordinator and an in-process run derive the
 // same re-tiling from the same data.
-const SampleStride = 16
+const sampleStride = 16
 
 // sampleSide accumulates one side's estimated per-tile load into loads
 // (indexed by K'-linear offset in space).
@@ -26,7 +26,7 @@ func sampleSide(q *query.Query, space, input coords.Slab, reader coords.RecordRe
 	count := func(cell, _ int64, run []float64) error {
 		for _, v := range run {
 			if !math.IsNaN(v) { // missing cells carry no load
-				loads[cell] += SampleStride
+				loads[cell] += sampleStride
 			}
 		}
 		return nil
@@ -37,10 +37,10 @@ func sampleSide(q *query.Query, space, input coords.Slab, reader coords.RecordRe
 		if !ok {
 			continue
 		}
-		// row steps through every SampleStride-th leading-dimension row
+		// row steps through every sampleStride-th leading-dimension row
 		// of the split's live region.
 		end := row.Corner[0] + row.Shape[0]
-		for row.Shape[0] = 1; row.Corner[0] < end; row.Corner[0] += SampleStride {
+		for row.Shape[0] = 1; row.Corner[0] < end; row.Corner[0] += sampleStride {
 			vals, err = coords.ReadBatches(context.Background(), reader, row, vals, func(batch coords.Slab, vals []float64) error {
 				return walk.Runs(batch, vals, count)
 			})
@@ -178,7 +178,7 @@ func estLoads(q *query.Query, units []Unit, loads, loadsA, loadsB []int64) []int
 	tileSize := q.Extraction.Shape.Size()
 	out := make([]int64, len(units))
 	for i, u := range units {
-		if !u.Shared() {
+		if !u.shared() {
 			var sum int64
 			for k := u.Lo; k < u.Hi; k++ {
 				sum += loads[k]

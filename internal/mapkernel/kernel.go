@@ -1,0 +1,328 @@
+// Package mapkernel is SIDR's one Map kernel, the body of every Map task,
+// single-input and join alike. The extraction shape maps K to K'
+// deterministically (§3.2), so the keys a split can reach form a box known
+// before a value is read. The kernel reads the split's live region in row
+// batches (coords.ReadBatches), folds every run of points that share a key
+// (coords.TileWalk.Runs) into a dense tile of accumulators indexed by the
+// key's cell in the box, and seals the tile in row-major order into one
+// sorted pair per key and keyblock, with the §3.2.1 source-count
+// annotation. A caller supplies data only: a router, a key suffix and a
+// value selection.
+package mapkernel
+
+import (
+	"context"
+	"slices"
+	"sync"
+
+	"sidr/internal/coords"
+	"sidr/internal/kv"
+	"sidr/internal/ops"
+	"sidr/internal/partition"
+)
+
+// Task is one Map task: where it reads, how it maps and routes keys, and
+// which values it keeps.
+type Task struct {
+	Reader coords.RecordReader
+	// The task reads Split ∩ Input.
+	Split, Input coords.Slab
+	Extraction   coords.Extraction
+	// Space is K'^T, the intermediate keyspace; points mapping outside it
+	// are skipped.
+	Space coords.Slab
+	Route Router
+	// Suffix is appended to every key the task emits (a join's side bit);
+	// nil appends nothing.
+	Suffix []int64
+	// Samples makes every pair carry the values it kept, in source order,
+	// besides their statistics.
+	Samples bool
+	// Keep, when set, selects the values of a run a key keeps, with
+	// ops.Selector's contract. The values it drops are still points the
+	// annotation counts. Nil keeps every value.
+	Keep func(dst, run []float64) []float64
+	// Survivors makes the kept values a filter's survivors (it needs
+	// Samples): they are the pair's samples alone, sorted at the seal with
+	// the statistics folded over them there, and Count stays the points.
+	// Otherwise the kept values are the key's observations — a join's
+	// present cells — folded as they arrive and counted by Count.
+	Survivors bool
+	// Ctx, when set, is checked before every batch read.
+	Ctx context.Context
+}
+
+// Router sends each key of a task's box to a keyblock.
+type Router struct {
+	// Part routes every key that is not a carved tile.
+	Part partition.Partitioner
+	// Carved, when set, returns the cells of box that are carved tiles,
+	// each with its shares, or nil when the box holds none. A share's
+	// keyblock receives that share and nothing else.
+	Carved func(box coords.Slab) (map[int64][]Share, error)
+}
+
+// Share is one keyblock's part of a carved tile (SharesSkew, Afrati et
+// al.): the tile's points whose row-major offset inside the tile lies in
+// [OffLo, OffHi). A side that is split gives its shares disjoint bounds;
+// a side that is replicated gives every share the whole tile.
+type Share struct {
+	KB           int
+	OffLo, OffHi int64
+}
+
+// Out is one keyblock's share of a Map task's output: its pairs, sorted
+// by key, and the §3.2.1 kv-count annotation — the source points the
+// task's fold handed the keyblock's keys, dropped values included.
+type Out struct {
+	Pairs       []kv.Pair
+	SourceCount int64
+}
+
+// Scratch is the state a Map task reuses from the last one: the batch
+// buffer, the dense tile, the per-cell point counts, the pooled sample
+// arena and the seal's lists. Exec takes one from a process-wide pool
+// unless the caller hands it one.
+type Scratch struct {
+	vals []float64 // one batch of source values
+	// Tile holds one accumulator per key of the task's box, by cell. Every
+	// cell is zero between tasks: the seal zeroes every cell, visited or
+	// not, because a cell's Samples is a window of a sample arena.
+	Tile   []cell
+	points []int64 // source points per cell: the sample windows' sizes
+	// arena backs the sample windows. It serves task after task until a
+	// task drops no value and the pairs take it.
+	arena []float64
+	total int64     // the points the windows were sized for
+	sel   []float64 // a run's kept values, when the task keeps no samples
+	ship  []*cell   // the accumulators that ship a pair, in key order
+	kbOf  []int32   // the keyblock of each, likewise
+	keys  []int64   // their keys, suffix included, likewise
+}
+
+// cell is one key's accumulator. Count plus missing is the source points
+// the fold handed the key: its share of the annotation.
+type cell struct {
+	kv.Value
+	missing int64 // points Count leaves out: a join's missing cells
+}
+
+var pool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// Exec runs one Map task with s, or with a pooled Scratch when s is nil.
+// It returns the task's output indexed by keyblock and the number of
+// source points that mapped into the keyspace.
+func Exec(t Task, s *Scratch) ([]Out, int64, error) {
+	if s != nil {
+		return s.run(&t)
+	}
+	s = pool.Get().(*Scratch)
+	outs, records, err := s.run(&t)
+	if err == nil {
+		pool.Put(s) // a failed task's tile may hold live cells: it is dropped
+	}
+	return outs, records, err
+}
+
+// run is the kernel. The box makes accumulation a dense tile indexed by
+// cell, and the seal a linear walk that meets the keys in row-major order:
+// no hash map, no sort. A key's points fold in row-major source order into
+// one accumulator per statistic, so outputs are bit-identical to folding
+// point by point, and its samples stay in source order.
+func (s *Scratch) run(t *Task) ([]Out, int64, error) {
+	outs := make([]Out, t.Route.Part.NumKeyblocks())
+	live, ok := t.Split.Intersect(t.Input)
+	if !ok {
+		return outs, 0, nil
+	}
+	walk, err := t.Extraction.Walk(t.Extraction.KeyBox(live, t.Space))
+	if err != nil {
+		return nil, 0, err
+	}
+	box := walk.Box
+	var carved map[int64][]Share
+	var shares []cell // the carved tiles' accumulators, by keyblock
+	if t.Route.Carved != nil {
+		if carved, err = t.Route.Carved(box); err != nil {
+			return nil, 0, err
+		}
+		if carved != nil {
+			shares = make([]cell, len(outs))
+		}
+	}
+	if cells := box.Size(); int64(cap(s.Tile)) < cells {
+		s.Tile = make([]cell, cells)
+	} else {
+		s.Tile = s.Tile[:cells]
+	}
+	if t.Samples {
+		s.windows(t, walk, live)
+	}
+
+	var records int64
+	tile, keep, samples, survivors := s.Tile, t.Keep, t.Samples, t.Survivors
+	fold := func(c, off int64, run []float64) error {
+		records += int64(len(run))
+		if carved != nil {
+			if list := carved[c]; list != nil {
+				for _, sh := range list {
+					if a, b := max(off, sh.OffLo), min(off+int64(len(run)), sh.OffHi); a < b {
+						s.add(t, &shares[sh.KB], run[a-off:b-off])
+					}
+				}
+				return nil
+			}
+		}
+		// The two commonest folds run in line, as add does them: a call per
+		// run cost scan_avg's queries about 9 %.
+		switch v := &tile[c]; {
+		case keep == nil:
+			v.AddRun(run, samples)
+		case survivors:
+			v.Count += int64(len(run))
+			v.Samples = keep(v.Samples, run)
+		default:
+			s.add(t, v, run)
+		}
+		return nil
+	}
+	s.vals, err = coords.ReadBatches(t.Ctx, t.Reader, live, s.vals, func(batch coords.Slab, vals []float64) error {
+		return walk.Runs(batch, vals, fold)
+	})
+	if err == nil {
+		err = s.seal(t, box, carved, shares, outs)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return outs, records, nil
+}
+
+// windows gives every cell's samples a window sized, from the geometry,
+// to the points that can reach the key, so the fold never regrows one.
+// The windows are carved in cell order from the scratch's arena. If the
+// task drops no value they fill it and the pairs take it whole; otherwise
+// the seal copies the kept values out into one exact array and the arena
+// serves the next task. A task without a selection cannot drop values,
+// so its arena is a fresh, exactly sized array; a selecting task reuses
+// the last one, grown when short. So a task that keeps every sample, a
+// join's dense side included, allocates one array of them and copies
+// nothing, and a filter's bytes follow its survivors. (A dense join side
+// that both copied its values and left a pooled arena their size behind
+// raised join_zipf's peak RSS by 8 %.)
+func (s *Scratch) windows(t *Task, walk coords.TileWalk, live coords.Slab) {
+	s.points, s.total = walk.CellPoints(live, s.points)
+	if t.Keep == nil || int64(cap(s.arena)) < s.total {
+		s.arena = make([]float64, s.total)
+	}
+	arena := s.arena
+	for c, n := range s.points {
+		s.Tile[c].Samples = arena[:0:n]
+		arena = arena[n:]
+	}
+}
+
+// add folds one run into c. Every value of the run is a point of the
+// annotation; the selection decides which the key keeps.
+func (s *Scratch) add(t *Task, c *cell, run []float64) {
+	switch {
+	case t.Keep == nil:
+		c.AddRun(run, t.Samples)
+	case t.Survivors:
+		c.Count += int64(len(run))
+		c.Samples = t.Keep(slices.Grow(c.Samples, len(run)), run)
+	case t.Samples:
+		n := len(c.Samples)
+		c.Samples = t.Keep(slices.Grow(c.Samples, len(run)), run)
+		c.AddRun(c.Samples[n:], false)
+		c.missing += int64(len(run) - (len(c.Samples) - n))
+	default:
+		s.sel = t.Keep(slices.Grow(s.sel[:0], len(run)), run)
+		c.AddRun(s.sel, false)
+		c.missing += int64(len(run) - len(s.sel))
+	}
+}
+
+// seal publishes the task's output and zeroes every cell. Each visited
+// key adds its points to its keyblock's annotation; a key that kept an
+// observation ships exactly one pair. One odometer walk over the box
+// meets the keys in row-major order and routes each, so each keyblock's
+// pairs are sorted as they are placed; every carved tile's share then
+// ships its own. Pairs and keys are carved from one array each. A
+// filter's survivors are sorted in their windows and its statistics
+// folded over them. Unless no value was dropped, the kept values are
+// then copied out into one array per task.
+func (s *Scratch) seal(t *Task, box coords.Slab, carved map[int64][]Share, shares []cell, outs []Out) error {
+	key := box.Corner.Clone()
+	counts := make([]int, len(outs))
+	kept := 0
+	visit := func(c *cell, kb int, key coords.Coord) {
+		outs[kb].SourceCount += c.Count + c.missing
+		if c.Count > 0 {
+			s.ship, s.kbOf = append(s.ship, c), append(s.kbOf, int32(kb))
+			s.keys = append(append(s.keys, key...), t.Suffix...)
+			counts[kb]++
+			kept += len(c.Samples)
+		}
+	}
+	for i := range s.Tile {
+		if c := &s.Tile[i]; c.Count+c.missing > 0 {
+			kb, err := t.Route.Part.Partition(key)
+			if err != nil {
+				return err
+			}
+			visit(c, kb, key)
+		}
+		box.Advance(key)
+	}
+	for i, list := range carved {
+		tile, err := box.Delinearize(i)
+		if err != nil {
+			return err
+		}
+		for _, sh := range list {
+			if c := &shares[sh.KB]; c.Count+c.missing > 0 {
+				visit(c, sh.KB, tile)
+			}
+		}
+	}
+
+	pairs, keys := make([]kv.Pair, len(s.ship)), slices.Clone(s.keys)
+	for kb, at := 0, 0; kb < len(counts); kb++ {
+		if n := counts[kb]; n > 0 {
+			outs[kb].Pairs = pairs[at : at : at+n]
+			at += n
+		}
+	}
+	var arena []float64 // non-nil even when empty: a filter's pairs always carry samples
+	if t.Samples {
+		if int64(kept) == s.total {
+			s.arena = nil // no value was dropped: the pairs take the arena
+		} else {
+			arena = make([]float64, kept)
+		}
+	}
+	width := box.Rank() + len(t.Suffix)
+	for i, c := range s.ship {
+		v := c.Value
+		if t.Survivors {
+			ops.SortSurvivors(v.Samples)
+			v = kv.Value{Samples: v.Samples}
+			v.AddRun(v.Samples, false)
+			v.Count = c.Count
+		}
+		if arena != nil {
+			n := len(v.Samples)
+			v.Samples = arena[:n:n]
+			arena = arena[n:]
+			copy(v.Samples, c.Samples)
+		}
+		out := &outs[s.kbOf[i]]
+		out.Pairs = append(out.Pairs, kv.Pair{Key: keys[:width:width], Value: v})
+		keys = keys[width:]
+	}
+	clear(s.ship)
+	s.ship, s.kbOf, s.keys = s.ship[:0], s.kbOf[:0], s.keys[:0]
+	clear(s.Tile)
+	return nil
+}

@@ -97,7 +97,7 @@ func BenchmarkExecReduce(b *testing.B) {
 		b.Run(q.Operator, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if out := ExecReduce(in, 0, streams); len(out.Keys) == 0 {
+				if out := execReduce(in, 0, streams); len(out.Keys) == 0 {
 					b.Fatal("no output")
 				}
 			}

@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"sidr/internal/coords"
+	"sidr/internal/join"
 	"sidr/internal/kv"
+	"sidr/internal/mapkernel"
 	"sidr/internal/ops"
 	"sidr/internal/partition"
 	"sidr/internal/query"
@@ -394,14 +396,14 @@ func TestMapKernelEmptyBox(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scratch := &mapScratch{}
+		scratch := &mapkernel.Scratch{}
 		got, gotRecords, err := execMap(in, split, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkSameMapOutput(t, name, got, want, gotRecords, wantRecords)
-		if gotRecords != 0 || len(scratch.tile) != 0 {
-			t.Fatalf("%s: %d records in a tile of %d cells, want none", name, gotRecords, len(scratch.tile))
+		if gotRecords != 0 || len(scratch.Tile) != 0 {
+			t.Fatalf("%s: %d records in a tile of %d cells, want none", name, gotRecords, len(scratch.Tile))
 		}
 	}
 }
@@ -426,7 +428,7 @@ func TestMapTileIsTheKeyBox(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, slab := range slabs {
-			scratch := &mapScratch{}
+			scratch := &mapkernel.Scratch{}
 			outs, _, err := execMap(in, InputSplit{Slab: slab}, scratch)
 			if err != nil {
 				t.Fatal(err)
@@ -440,14 +442,14 @@ func TestMapTileIsTheKeyBox(t *testing.T) {
 				bound = tiles.Size()
 			}
 			box := q.Extraction.KeyBox(slab, space)
-			if n := int64(len(scratch.tile)); n != box.Size() || n > bound || n != int64(keys) {
+			if n := int64(len(scratch.Tile)); n != box.Size() || n > bound || n != int64(keys) {
 				t.Fatalf("%s split %v: tile of %d cells, box %d, TileRange %d, %d keys emitted", c.name, slab, n, box.Size(), bound, keys)
 			}
-			if c.name == "rank2-identity" && int64(len(scratch.tile)) != slab.Size() {
-				t.Fatalf("identity query: tile of %d cells for %d points", len(scratch.tile), slab.Size())
+			if c.name == "rank2-identity" && int64(len(scratch.Tile)) != slab.Size() {
+				t.Fatalf("identity query: tile of %d cells for %d points", len(scratch.Tile), slab.Size())
 			}
-			for i := range scratch.tile {
-				if scratch.tile[i].Count != 0 || scratch.tile[i].Samples != nil {
+			for i := range scratch.Tile {
+				if scratch.Tile[i].Count != 0 || scratch.Tile[i].Samples != nil {
 					t.Fatalf("%s: cell %d not zeroed at seal", c.name, i)
 				}
 			}
@@ -501,6 +503,18 @@ func (constReader) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, err
 	return dst, nil
 }
 
+// gapReader is constReader with every third value missing (NaN), the
+// way a sparse side of a join reads.
+type gapReader struct{}
+
+func (gapReader) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, error) {
+	dst, _ = constReader{}.ReadSlabInto(slab, dst)
+	for i := 0; i < len(dst); i += 3 {
+		dst[i] = math.NaN()
+	}
+	return dst, nil
+}
+
 // TestMapAllocsIndependentOfPoints: a warm Map task allocates per
 // keyblock and per task, never per point or per batch: 64× the points
 // over the same K' box cost the same allocations. That holds for the
@@ -509,19 +523,32 @@ func (constReader) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, err
 // selected into a pooled arena as the scan folds, then copied out into
 // one array per task. So a filter's allocated bytes follow its survivors,
 // not its points: with none surviving, 64× the points cost the same bytes.
+// A join's jcorr Map runs the same kernel, its present cells selected
+// like survivors: a dense side and a side with missing cells allocate no
+// more for more points either.
 func TestMapAllocsIndependentOfPoints(t *testing.T) {
-	measure := func(qs string) (allocs float64, bytes uint64, survivors int) {
+	measure := func(qs string, split int) (allocs float64, bytes uint64, survivors int) {
 		q := mustParse(t, qs)
-		op, _ := q.Op()
-		space, _ := q.IntermediateSpace()
-		pp, err := partition.NewPartitionPlus(space, 4, 0, nil)
-		if err != nil {
-			t.Fatal(err)
+		in := MapInput{Query: q, Reader: constReader{}, Combine: true}
+		if q.Join {
+			splits := []coords.Slab{q.Input}
+			jp, err := join.Build(q, join.Options{Reducers: 4}, nil, nil, splits, splits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in.Join, in.Part, in.Reader2 = jp, jp.Partitioner(), gapReader{}
+		} else {
+			in.Op, _ = q.Op()
+			in.Space, _ = q.IntermediateSpace()
+			pp, err := partition.NewPartitionPlus(in.Space, 4, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in.Part = pp
 		}
-		in := MapInput{Query: q, Op: op, Space: space, Part: pp, Reader: constReader{}, Combine: true}
-		split := InputSplit{Slab: q.Input}
-		scratch := &mapScratch{}
-		outs, _, err := execMap(in, split, scratch) // warm the scratch
+		s := InputSplit{ID: split, Slab: q.Input}
+		scratch := &mapkernel.Scratch{}
+		outs, _, err := execMap(in, s, scratch) // warm the scratch
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -531,7 +558,7 @@ func TestMapAllocsIndependentOfPoints(t *testing.T) {
 			}
 		}
 		run := func() {
-			if _, _, err := execMap(in, split, scratch); err != nil {
+			if _, _, err := execMap(in, s, scratch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -547,8 +574,8 @@ func TestMapAllocsIndependentOfPoints(t *testing.T) {
 	}
 	for _, op := range []string{"avg", "median", "filter_gt", "filter_gt param 1000"} {
 		name, params, _ := strings.Cut(op, " ")
-		small, smallBytes, _ := measure(name + " v[0,0 : 64,64] es {8,8} " + params)             // 4 Ki points, 1 batch
-		large, largeBytes, survivors := measure(name + " v[0,0 : 512,512] es {64,64} " + params) // 256 Ki points, 16 batches, same 8×8 box
+		small, smallBytes, _ := measure(name+" v[0,0 : 64,64] es {8,8} "+params, 0)             // 4 Ki points, 1 batch
+		large, largeBytes, survivors := measure(name+" v[0,0 : 512,512] es {64,64} "+params, 0) // 256 Ki points, 16 batches, same 8×8 box
 		if small != large {
 			t.Fatalf("%s: allocations grew with the input: %v for 4 Ki points, %v for 256 Ki", op, small, large)
 		}
@@ -564,6 +591,14 @@ func TestMapAllocsIndependentOfPoints(t *testing.T) {
 			// Beyond its survivors' array (rounded to a page), a filter
 			// allocates no more for more points.
 			t.Fatalf("%s: %d bytes for 256 Ki points and %d survivors, %d for 4 Ki points", op, largeBytes, survivors, smallBytes)
+		}
+	}
+	// Split 0 reads the dense side A, split 1 side B with missing cells.
+	for side, name := range []string{"jcorr dense side", "jcorr side with missing cells"} {
+		small, _, _ := measure("join jcorr a[0,0 : 64,64] es {8,8} with b[0,0 : 64,64] es {8,8}", side)
+		large, _, _ := measure("join jcorr a[0,0 : 512,512] es {64,64} with b[0,0 : 512,512] es {64,64}", side)
+		if small != large {
+			t.Fatalf("%s: allocations grew with the input: %v for 4 Ki points, %v for 256 Ki", name, small, large)
 		}
 	}
 }

@@ -244,11 +244,11 @@ type Config struct {
 
 // Errors reported by Run.
 var (
-	ErrNoQuery       = errors.New("mapreduce: config needs a query")
-	ErrNoReader      = errors.New("mapreduce: config needs a record reader")
-	ErrNoReader2     = errors.New("mapreduce: join config needs a second record reader")
-	ErrNoPartitioner = errors.New("mapreduce: config needs a partitioner")
-	ErrNeedsGraph    = errors.New("mapreduce: dependency barrier needs a dependency graph")
+	errNoQuery       = errors.New("mapreduce: config needs a query")
+	errNoReader      = errors.New("mapreduce: config needs a record reader")
+	errNoReader2     = errors.New("mapreduce: join config needs a second record reader")
+	errNoPartitioner = errors.New("mapreduce: config needs a partitioner")
+	errNeedsGraph    = errors.New("mapreduce: dependency barrier needs a dependency graph")
 	ErrBadMapOrder   = errors.New("mapreduce: MapOrder must permute split indices")
 	// ErrCountMismatch means a Reduce task's kv-count annotation tally did
 	// not equal the dependency graph's expected source count; the task
@@ -338,16 +338,16 @@ func Run(cfg Config) (*Result, error) {
 // runs.
 func NewJob(cfg Config) (*Job, error) {
 	if cfg.Query == nil {
-		return nil, ErrNoQuery
+		return nil, errNoQuery
 	}
 	if cfg.Reader == nil && cfg.Runner == nil {
-		return nil, ErrNoReader
+		return nil, errNoReader
 	}
 	if cfg.Part == nil {
-		return nil, ErrNoPartitioner
+		return nil, errNoPartitioner
 	}
 	if cfg.Barrier == DependencyBarrier && cfg.Graph == nil {
-		return nil, ErrNeedsGraph
+		return nil, errNeedsGraph
 	}
 	in := MapInput{
 		Query:   cfg.Query,
@@ -363,7 +363,7 @@ func NewJob(cfg Config) (*Job, error) {
 			return nil, err
 		}
 	} else if cfg.Reader2 == nil && cfg.Runner == nil {
-		return nil, ErrNoReader2
+		return nil, errNoReader2
 	}
 	if in.Space, err = cfg.Query.IntermediateSpace(); err != nil {
 		return nil, err

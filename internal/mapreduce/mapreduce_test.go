@@ -161,18 +161,18 @@ func mustParse(t *testing.T, s string) *query.Query {
 
 func TestConfigValidation(t *testing.T) {
 	q := mustParse(t, "avg t[0 : 8] es {2}")
-	if _, err := Run(Config{}); !errors.Is(err, ErrNoQuery) {
+	if _, err := Run(Config{}); !errors.Is(err, errNoQuery) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := Run(Config{Query: q}); !errors.Is(err, ErrNoReader) {
+	if _, err := Run(Config{Query: q}); !errors.Is(err, errNoReader) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := Run(Config{Query: q, Reader: &FuncReader{Fn: synthValue}}); !errors.Is(err, ErrNoPartitioner) {
+	if _, err := Run(Config{Query: q, Reader: &FuncReader{Fn: synthValue}}); !errors.Is(err, errNoPartitioner) {
 		t.Fatalf("err = %v", err)
 	}
 	cfg := buildJob(t, q, 2, true, true)
 	cfg.Graph = nil
-	if _, err := Run(cfg); !errors.Is(err, ErrNeedsGraph) {
+	if _, err := Run(cfg); !errors.Is(err, errNeedsGraph) {
 		t.Fatalf("err = %v", err)
 	}
 	cfg = buildJob(t, q, 2, true, true)
@@ -517,7 +517,7 @@ func TestExecReduceFilterOmitsEmptyKeys(t *testing.T) {
 		return MapInput{Query: q, Op: op}
 	}
 
-	out := ExecReduce(input("filter_gt v[0 : 6] es {2} param 10"), 3, streams)
+	out := execReduce(input("filter_gt v[0 : 6] es {2} param 10"), 3, streams)
 	if out.Keyblock != 3 || len(out.Keys) != 1 || out.Keys[0][0] != 1 {
 		t.Fatalf("filter output = %+v, want only key 1 in keyblock 3", out)
 	}
@@ -525,7 +525,7 @@ func TestExecReduceFilterOmitsEmptyKeys(t *testing.T) {
 		t.Fatalf("key 1 survivors = %v, want 11 and 12", got)
 	}
 
-	out = ExecReduce(input("max v[0 : 6] es {2}"), 0, streams)
+	out = execReduce(input("max v[0 : 6] es {2}"), 0, streams)
 	if len(out.Keys) != 3 {
 		t.Fatalf("aggregate emitted %d keys, want all 3", len(out.Keys))
 	}

@@ -3,11 +3,11 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"sidr/internal/coords"
 	"sidr/internal/join"
 	"sidr/internal/kv"
+	"sidr/internal/mapkernel"
 	"sidr/internal/ops"
 	"sidr/internal/partition"
 	"sidr/internal/query"
@@ -90,7 +90,7 @@ func (j *Job) runReduce(l int) {
 		j.fail(err)
 		return
 	}
-	out := ExecReduce(j.in, l, streams)
+	out := execReduce(j.in, l, streams)
 
 	j.mu.Lock()
 	current := j.failed == nil && !j.committed[l]
@@ -196,33 +196,11 @@ func (LocalRunner) Fetch(_ context.Context, l int, refs []any) (streams [][]kv.P
 	return streams, tally, nil, nil
 }
 
-// mapScratch is reusable per-Map-task state: the batch buffer, the dense
-// accumulation tile, the per-cell point counts, the seal's per-cell
-// keyblock memo and a filter's survivor arena. Pooled process-wide so
-// repeated Map tasks stop paying per-split allocation churn.
-type mapScratch struct {
-	vals []float64 // one batch of source values
-	// tile holds one accumulator per K' key of the split's box, indexed
-	// by the key's row-major offset inside the box. Every cell is zero
-	// between tasks: the seal zeroes every cell, published or not,
-	// because a cell's Samples is a window of the task's sample arena,
-	// which escapes into the published pairs.
-	tile   []kv.Value
-	points []int64 // source points per cell (sizes the sample windows)
-	kbOf   []int32 // keyblock of each live cell, in cell order
-	// survivors backs a pre-filtering task's sample windows. The seal
-	// copies the survivors out, so unlike the arena of a task that ships
-	// every sample it never escapes and serves task after task.
-	survivors []float64
-}
-
-var scratchPool = sync.Pool{New: func() any { return &mapScratch{} }}
-
 // MapInput bundles everything one task needs to execute outside a full
 // job. The distributed runtime (internal/cluster) uses it to run single
 // Map tasks on remote worker processes through exactly the task body —
 // accumulation, pre-filtering, the seal — the in-process engine uses (the
-// Reduce body, ExecReduce, is the job loop's in both), so a clustered
+// Reduce body, execReduce, is the job loop's in both), so a clustered
 // job's data is bit-identical to a local run's.
 type MapInput struct {
 	Query  *query.Query
@@ -258,180 +236,54 @@ func (in MapInput) SpillRank() int {
 
 // MapOut is one keyblock's share of a standalone Map task's output:
 // the sorted intermediate pairs plus the §3.2.1 kv-count annotation.
-type MapOut = join.MapOut
+type MapOut = mapkernel.Out
 
-// ExecMap runs one Map task standalone: read the split's live region in
-// row batches, fold every run of source points that shares a K' key into
-// the split's dense tile, and return the per-keyblock outputs — one pair
-// per key — with their source-count annotations. The returned slice is
-// indexed by keyblock. The second return value is the number of source
-// records read.
+// ExecMap runs one Map task standalone on the Map kernel: read the
+// split's live region in row batches, fold every run of source points
+// that shares a K' key into the split's dense tile, and return the
+// per-keyblock outputs — one pair per key — with their source-count
+// annotations. The returned slice is indexed by keyblock. The second
+// return value is the number of source records read.
 func ExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
+	return execMap(in, split, nil)
+}
+
+// execMap is ExecMap with the kernel's scratch s, or a pooled one when s
+// is nil. A join split reads its side's input (join.Plan.MapTask); a
+// single-input one routes through the partitioner, and with the combiner
+// on a filter keeps only its predicate's survivors, selected run by run
+// as the scan folds.
+func execMap(in MapInput, split InputSplit, s *mapkernel.Scratch) ([]MapOut, int64, error) {
 	if jp := in.Join; jp != nil {
-		side, reader, missing := jp.Side(split.ID), in.Reader, ErrNoReader
+		side, reader, missing := jp.Side(split.ID), in.Reader, errNoReader
 		if side == 1 {
-			reader, missing = in.Reader2, ErrNoReader2
+			reader, missing = in.Reader2, errNoReader2
 		}
 		if reader == nil {
 			return nil, 0, missing
 		}
-		return join.ExecMap(jp, side, reader, split.Slab, in.Ctx)
+		return mapkernel.Exec(jp.MapTask(side, reader, split.Slab, in.Ctx), s)
 	}
-	scratch := scratchPool.Get().(*mapScratch)
-	outs, records, err := execMap(in, split, scratch)
-	if err != nil {
-		return nil, 0, err // the tile may hold live cells: drop the scratch
-	}
-	scratchPool.Put(scratch)
-	return outs, records, nil
-}
-
-// execMap is the single-input Map kernel. The extraction shape makes the
-// split's image in K' a box known up front (KeyBox), so accumulation is a
-// dense tile indexed by key offset, and the seal is a linear walk that
-// meets the keys already in row-major order — no hash map, no sort.
-//
-// Per key the observations fold in row-major source order into one
-// accumulator per statistic, so outputs are bit-identical to folding
-// point by point, and a key's samples stay in source order.
-func execMap(in MapInput, split InputSplit, scratch *mapScratch) ([]MapOut, int64, error) {
 	q := in.Query
-	outs := make([]MapOut, in.Part.NumKeyblocks())
-	live, ok := split.Slab.Intersect(q.Input)
-	if !ok {
-		return outs, 0, nil
-	}
-	box := q.Extraction.KeyBox(live, in.Space)
-	walk, err := q.Extraction.Walk(box)
-	if err != nil {
-		return nil, 0, err
-	}
-	if cells := box.Size(); int64(cap(scratch.tile)) < cells {
-		scratch.tile = make([]kv.Value, cells)
-	} else {
-		scratch.tile = scratch.tile[:cells]
-	}
-	tile := scratch.tile
-	needSamples := in.Op.NeedsSamples()
-	// With the combiner on, a filter keeps only its predicate's survivors:
-	// they are selected run by run as the scan folds, and Count alone
-	// tracks the source points.
 	var keep func(dst, run []float64) []float64
 	if in.Combine {
-		keep, _ = ops.Selector(in.Op, in.Query.Params()...)
+		keep, _ = ops.Selector(in.Op, q.Params()...)
 	}
-	if needSamples {
-		// The geometry says how many points reach each key, so every
-		// cell's samples get an exactly sized window of one array per task
-		// before the first value is read, and AddRun (or keep) never
-		// reallocates.
-		var total int64
-		scratch.points, total = walk.CellPoints(live, scratch.points)
-		var arena []float64
-		if keep == nil {
-			arena = make([]float64, total)
-		} else {
-			if int64(cap(scratch.survivors)) < total {
-				scratch.survivors = make([]float64, total)
-			}
-			arena = scratch.survivors
-		}
-		for c, n := range scratch.points {
-			tile[c].Samples = arena[:0:n]
-			arena = arena[n:]
-		}
-	}
-
-	var records int64
-	fold := func(cell, _ int64, run []float64) error {
-		records += int64(len(run))
-		if v := &tile[cell]; keep != nil {
-			v.Count += int64(len(run))
-			v.Samples = keep(v.Samples, run)
-		} else {
-			v.AddRun(run, needSamples)
-		}
-		return nil
-	}
-	scratch.vals, err = coords.ReadBatches(in.Ctx, in.Reader, live, scratch.vals, func(batch coords.Slab, vals []float64) error {
-		return walk.Runs(batch, vals, fold)
-	})
-	if err == nil {
-		err = scratch.seal(in, box, outs, keep != nil)
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return outs, records, nil
+	return mapkernel.Exec(mapkernel.Task{
+		Reader:     in.Reader,
+		Split:      split.Slab,
+		Input:      q.Input,
+		Extraction: q.Extraction,
+		Space:      in.Space,
+		Route:      mapkernel.Router{Part: in.Part},
+		Samples:    in.Op.NeedsSamples(),
+		Keep:       keep,
+		Survivors:  keep != nil,
+		Ctx:        in.Ctx,
+	}, s)
 }
 
-// seal publishes every live cell of the tile as exactly one pair of its
-// keyblock's output, and zeroes every cell. One odometer walk over the
-// box meets the keys in row-major order, routes each and sizes every
-// output exactly; keys are carved from one backing array. When the cells
-// hold a filter's survivors (filtered), each key's are sorted and copied
-// out into one array per task, and its statistics fold the sorted
-// survivors while Count keeps the source points the tally needs.
-func (s *mapScratch) seal(in MapInput, box coords.Slab, outs []MapOut, filtered bool) error {
-	tile, rank := s.tile, box.Rank()
-	if len(tile) == 0 {
-		return nil
-	}
-	key, err := box.Delinearize(0)
-	if err != nil {
-		return err
-	}
-	keys := make([]int64, 0, len(tile)*rank)
-	kbOf, counts := s.kbOf[:0], make([]int, len(outs))
-	survivors := 0
-	for c := range tile {
-		if tile[c].Count > 0 {
-			kb, err := in.Part.Partition(key)
-			if err != nil {
-				return err
-			}
-			kbOf = append(kbOf, int32(kb))
-			counts[kb]++
-			keys = append(keys, key...)
-			survivors += len(tile[c].Samples)
-		}
-		box.Advance(key)
-	}
-	s.kbOf = kbOf
-	for kb, n := range counts {
-		if n > 0 {
-			outs[kb].Pairs = make([]kv.Pair, 0, n)
-		}
-	}
-	var kept []float64 // non-nil even when empty: it marks "pre-filtered"
-	if filtered {
-		kept = make([]float64, survivors)
-	}
-	for c := range tile {
-		v := &tile[c]
-		if v.Count > 0 {
-			out := &outs[kbOf[0]]
-			kbOf = kbOf[1:]
-			pair := kv.Pair{Key: keys[:rank:rank], Value: *v}
-			keys = keys[rank:]
-			if filtered {
-				n := len(v.Samples)
-				ops.SortSurvivors(v.Samples)
-				pair.Value = kv.Value{Samples: kept[:n:n]}
-				kept = kept[n:]
-				copy(pair.Value.Samples, v.Samples)
-				pair.Value.AddRun(pair.Value.Samples, false)
-				pair.Value.Count = v.Count
-			}
-			out.SourceCount += v.Count
-			out.Pairs = append(out.Pairs, pair)
-		}
-		*v = kv.Value{}
-	}
-	return nil
-}
-
-// ExecReduce is the body of Reduce task l once its shuffle is complete
+// execReduce is the body of Reduce task l once its shuffle is complete
 // and validated: the Reduce-side sort/merge (§2.3) — Map outputs arrive
 // as sorted streams, so a k-way merge yields the ⟨k', merged-value⟩ list
 // without a global re-sort, Hadoop's actual merge structure — then the
@@ -441,7 +293,7 @@ func (s *mapScratch) seal(in MapInput, box coords.Slab, outs []MapOut, filtered 
 // task's own — each key's samples a window of one array the merge
 // allocates — so the operator orders them in place. Every engine reduces
 // through this one function.
-func ExecReduce(in MapInput, l int, streams [][]kv.Pair) ReduceOutput {
+func execReduce(in MapInput, l int, streams [][]kv.Pair) ReduceOutput {
 	merged := kv.MergeSorted(streams)
 	if in.Join != nil {
 		keys, values := join.Reduce(in.Join, l, merged)
