@@ -66,11 +66,14 @@ bench-plan:
 	$(GO) test -run='^$$' -bench='^BenchmarkBuild$$' -benchtime=1x ./internal/depgraph
 	$(GO) test -run='^$$' -bench='^BenchmarkJoinBuildGraph$$' -benchtime=1x ./internal/join
 
-# bench-serve runs the stream handler's micro-benchmarks once (CI does
-# the same): a result-cache hit sent from the entry's cached bytes and the
-# executed job's stream encoded live, identity and gzip.
+# bench-serve runs the serving tier's micro-benchmarks once (CI does the
+# same): a result-cache hit sent from the entry's cached bytes and the
+# executed job's stream encoded live, identity and gzip; then the wire
+# codec on serve_mix-shaped results — avg, median and filter_gt — encoding
+# a stream's tails and decoding its lines, with allocations reported.
 bench-serve:
 	$(GO) test -run='^$$' -bench='^BenchmarkStream' -benchtime=1x ./internal/server
+	$(GO) test -run='^$$' -bench='^Benchmark(StreamDecode|EventTail)$$' -benchtime=1x ./internal/wire
 
 # bench-spine runs the repo's one measurement harness (BENCHMARK.json):
 # five named workloads, end-to-end metrics plus per-layer attribution.
@@ -85,9 +88,10 @@ bench-paper:
 # fuzz exercises the untrusted-bytes decoders, the one Map kernel
 # against its two differential oracles (single-input and join), the
 # dependency graph's oracle, a filter's fold-time survivor selection and
-# sort, the direct slab read, the holistic operators' selection oracle and
-# partition+'s live-mask invariants briefly (CI runs the same targets;
-# crashers land in testdata/fuzz).
+# sort, the direct slab read, the holistic operators' selection oracle,
+# partition+'s live-mask invariants and the wire's dense row codec
+# against encoding/json briefly (CI runs the same targets; crashers land
+# in testdata/fuzz).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadSpill -fuzztime=$(FUZZTIME) ./internal/kv/
@@ -101,6 +105,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSelect -fuzztime=$(FUZZTIME) ./internal/ops/
 	$(GO) test -run=^$$ -fuzz=FuzzPartitionPlusLive -fuzztime=$(FUZZTIME) ./internal/partition/
 	$(GO) test -run=^$$ -fuzz=FuzzDependencyGraph -fuzztime=$(FUZZTIME) ./internal/depgraph/
+	$(GO) test -run=^$$ -fuzz=FuzzWireRows -fuzztime=$(FUZZTIME) ./internal/wire/
 
 # smoke runs the multi-process cluster smoke test (sidrd + 2 workers).
 smoke:

@@ -382,13 +382,24 @@ func TestEncodedStreamIsChargedToTheBudget(t *testing.T) {
 		}
 		return j
 	}
-	// What one of these results is charged before it is encoded.
+	// What one of these results is charged before it is encoded, and what
+	// encoding its stream adds.
 	probe := metrics.New()
-	run(newTestManager(t, Config{Datasets: newVersionedProvider([]int64{32, 32}), Metrics: probe}), testQuery)
+	pm := newTestManager(t, Config{Datasets: newVersionedProvider([]int64{32, 32}), Metrics: probe})
+	run(pm, testQuery)
 	plain := probe.Gauge("sidrd_resultcache_bytes").Value()
+	if _, err := run(pm, testQuery).EncodedStream(); err != nil {
+		t.Fatal(err)
+	}
+	stream := probe.Gauge("sidrd_resultcache_bytes").Value() - plain
+	if stream <= 0 || stream > 2*plain {
+		t.Fatalf("encoding a stream charged %d bytes beside a plain entry's %d; the test's budget cannot be set", stream, plain)
+	}
 
 	reg := metrics.New()
-	budget := 3*plain + plain/4 // three plain entries fit; an encoded stream more does not
+	// Three plain entries fit; an encoded stream more does not, but does
+	// once one plain entry is gone.
+	budget := 3*plain + stream/2
 	m := newTestManager(t, Config{Datasets: newVersionedProvider([]int64{32, 32}), Metrics: reg, ResultCacheBytes: budget})
 	bytes, entries := reg.Gauge("sidrd_resultcache_bytes"), reg.Gauge("sidrd_resultcache_entries")
 	evictions := reg.Counter("sidrd_resultcache_evictions_total")
@@ -411,7 +422,7 @@ func TestEncodedStreamIsChargedToTheBudget(t *testing.T) {
 	for _, ev := range events {
 		encoded += int64(len(ev.Tail) + len(ev.Deflated))
 	}
-	if encoded <= plain/4 {
+	if encoded <= budget-3*plain {
 		t.Fatalf("the encoded stream (%d bytes) fits beside three plain entries; the test's budget is wrong", encoded)
 	}
 	if got := bytes.Value(); got < 2*plain+encoded || got > budget || entries.Value() != 2 || evictions.Value() != 1 {

@@ -2,6 +2,25 @@
 // (internal/server) and the CLIs (cmd/sidrquery -json), so a query
 // result serialises identically whether it travelled over HTTP or
 // stdout.
+//
+// A result's rows — Keys[i] with Values[i], the bulk of every stream —
+// travel dense, as three members instead of one small array per key and
+// per value:
+//
+//	"keys":{"corner":[…],"shape":[…],"runs":[off,len,…]},"counts":[…],"values":[…]
+//
+// corner and shape are the keys' bounding box. Each run names len
+// consecutive row-major cells from offset off inside it, in key order, so
+// a client expands key i of a run as corner + unravel(off+i, shape), the
+// last dimension varying fastest. A dense keyblock is one run; keys need
+// not be sorted or distinct, since a key that does not continue the run
+// before it starts a new one. counts gives each key's number of values and
+// is left out when every key has exactly one; values are every key's
+// values back to back, in key order. The empty row set is
+// `"keys":{"corner":[],"shape":[],"runs":[]},"values":[]`. Partial and
+// Result write and read this layout by hand, without reflection
+// (codec.go); their Go shape is the plain [][]int64 and [][]float64 of
+// sidr.Result.
 package wire
 
 import (
@@ -71,15 +90,17 @@ type DatasetInfo struct {
 	Variables []VariableInfo `json:"variables"`
 }
 
-// Result is the JSON form of a completed sidr.Result.
+// Result is the JSON form of a completed sidr.Result. Its rows travel in
+// the package's dense layout; the other members are "rows", "partials",
+// "first_result_ms", "elapsed_ms" and "connections".
 type Result struct {
-	Keys        [][]int64   `json:"keys"`
-	Values      [][]float64 `json:"values"`
-	Rows        int         `json:"rows"`
-	Partials    int         `json:"partials"`
-	FirstMillis float64     `json:"first_result_ms"`
-	ElapsedMS   float64     `json:"elapsed_ms"`
-	Connections int64       `json:"connections"`
+	Keys        [][]int64
+	Values      [][]float64
+	Rows        int
+	Partials    int
+	FirstMillis float64
+	ElapsedMS   float64
+	Connections int64
 }
 
 // FromResult converts a sidr.Result.
@@ -106,12 +127,14 @@ func FromResult(r *sidr.Result) *Result {
 }
 
 // Partial is the JSON form of one committed keyblock — SIDR's early
-// correct partial result (§4, Figure 4b) as a stream event payload.
+// correct partial result (§4, Figure 4b) as a stream event payload. Its
+// members are "keyblock", the rows in the package's dense layout, and
+// "at".
 type Partial struct {
-	Keyblock int         `json:"keyblock"`
-	Keys     [][]int64   `json:"keys"`
-	Values   [][]float64 `json:"values"`
-	At       time.Time   `json:"at"`
+	Keyblock int
+	Keys     [][]int64
+	Values   [][]float64
+	At       time.Time
 }
 
 // FromPartial converts a sidr.PartialResult.
@@ -172,13 +195,40 @@ func AppendEventHead(dst []byte, typ, jobID string) []byte {
 // EventTail returns the rest of ev's line — `,"partial":{…}}` or
 // `,"result":{…}}` or the error members, down to the closing brace and
 // the newline. ev's Type and JobID belong to the head and are ignored.
+// Events with an error or a detail — failed and cancelled ones — are
+// short and go through encoding/json; every other event, partial and
+// done among them, is appended by hand.
 func EventTail(ev StreamEvent) ([]byte, error) {
-	ev.Type, ev.JobID = "", ""
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return nil, err
+	if ev.Error != "" || ev.Detail != "" {
+		ev.Type, ev.JobID = "", ""
+		b, err := json.Marshal(ev)
+		if err != nil {
+			return nil, err
+		}
+		return append(b[len(`{"type":""`):], '\n'), nil
 	}
-	return append(b[len(`{"type":""`):], '\n'), nil
+	rows := 0
+	if ev.Partial != nil {
+		rows += len(ev.Partial.Values)
+	}
+	if ev.Result != nil {
+		rows += len(ev.Result.Values)
+	}
+	dst := make([]byte, 0, 192+24*rows) // 24 bytes hold any float64's text
+	var err error
+	if p := ev.Partial; p != nil {
+		dst = append(dst, `,"partial":`...)
+		if dst, err = p.appendJSON(dst); err != nil {
+			return nil, err
+		}
+	}
+	if r := ev.Result; r != nil {
+		dst = append(dst, `,"result":`...)
+		if dst, err = r.appendJSON(dst); err != nil {
+			return nil, err
+		}
+	}
+	return append(dst, "}\n"...), nil
 }
 
 // appendString appends s as a JSON string. Event types and job IDs are
@@ -231,7 +281,8 @@ func EncodeStream(res *sidr.Result) ([]EncodedEvent, error) {
 		if err := fw.Flush(); err != nil {
 			return err
 		}
-		events = append(events, EncodedEvent{Type: ev.Type, Tail: tail, Deflated: bytes.Clone(buf.Bytes())})
+		// Both are kept for the entry's life: no spare capacity.
+		events = append(events, EncodedEvent{Type: ev.Type, Tail: bytes.Clone(tail), Deflated: bytes.Clone(buf.Bytes())})
 		return nil
 	}
 	for _, pr := range res.Partials {

@@ -75,14 +75,14 @@ submit() { # submit <cluster-bool> [query] -> prints job id
     -d "{\"dataset\":\"temperature\",\"query\":\"$q\",\"engine\":\"sidr\",\"reducers\":4,\"cluster\":$1}" \
     | python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])'
 }
-result_of() { # result_of <job-id> -> prints the done event's result JSON
+result_of() { # result_of <job-id> -> prints the done event's rows (keys, per-key counts, flat values)
   curl -fsSN "$BASE/v1/jobs/$1/stream" | python3 -c '
 import json, sys
 for line in sys.stdin:
     ev = json.loads(line)
     if ev["type"] == "done":
         r = ev["result"]
-        print(json.dumps({"keys": r["keys"], "values": r["values"], "rows": r["rows"]}, sort_keys=True))
+        print(json.dumps({"keys": r["keys"], "counts": r.get("counts"), "values": r["values"], "rows": r["rows"]}, sort_keys=True))
         sys.exit(0)
     if ev["type"] in ("failed", "cancelled"):
         sys.exit(f"job {ev}")
@@ -207,7 +207,7 @@ for line in open(sys.argv[1]):
     ev = json.loads(line)
     if ev["type"] == "done":
         r = ev["result"]
-        print(json.dumps({"keys": r["keys"], "values": r["values"], "rows": r["rows"]}, sort_keys=True))
+        print(json.dumps({"keys": r["keys"], "counts": r.get("counts"), "values": r["values"], "rows": r["rows"]}, sort_keys=True))
         sys.exit(0)
     if ev["type"] in ("failed", "cancelled"):
         sys.exit(f"job {ev}")
@@ -293,7 +293,7 @@ for line in open(sys.argv[1]):
     ev = json.loads(line)
     if ev["type"] == "done":
         r = ev["result"]
-        print(json.dumps({"keys": r["keys"], "values": r["values"], "rows": r["rows"]}, sort_keys=True))
+        print(json.dumps({"keys": r["keys"], "counts": r.get("counts"), "values": r["values"], "rows": r["rows"]}, sort_keys=True))
         sys.exit(0)
     if ev["type"] in ("failed", "cancelled"):
         sys.exit(f"job {ev}")
