@@ -1,7 +1,6 @@
 package sidr_test
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -20,11 +19,6 @@ import (
 	"testing"
 )
 
-// auditAllowlist names the audit's accepted findings, one per line: the
-// finding's key, then the reason it stays. The list may only shrink: CI
-// refuses a change that adds a line to it.
-const auditAllowlist = "testdata/audit_allowlist.txt"
-
 // TestEveryExportHasAReader fails on code that nothing reads:
 //
 //   - an exported package-level identifier or exported method of the root
@@ -38,52 +32,73 @@ const auditAllowlist = "testdata/audit_allowlist.txt"
 //   - a flag that a cmd/ command defines and that README.md, scripts/*.sh
 //     and the Makefile never name as -flag.
 //
-// A finding passes only when the allowlist names it, and an allowlist line
-// that matches no finding fails too, so a fixed entry has to be removed.
+// Every finding fails: there is no list of accepted ones.
 func TestEveryExportHasAReader(t *testing.T) {
-	pkgs, err := loadModule(".")
+	findings, err := audit(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := unreadExports(pkgs)
-	metricFindings, err := unreadMetrics(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings = append(findings, metricFindings...)
-	flagFindings, err := unnamedFlags(".", pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings = append(findings, flagFindings...)
-
-	allow, err := readAllowlist(auditAllowlist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := make(map[string]bool, len(findings))
 	for _, f := range findings {
-		found[f.key] = true
-		if _, ok := allow[f.key]; !ok {
-			t.Errorf("%s %s has no reader: use it, delete it, or (test support only) list it in %s", f.kind, f.key, auditAllowlist)
-		}
+		t.Errorf("%s %s has no reader: use it, unexport it, move it into the tests that use it, or delete it", f.kind, f.key)
 	}
-	var stale []string
-	for key := range allow {
-		if !found[key] {
-			stale = append(stale, key)
-		}
-	}
-	sort.Strings(stale)
-	for _, key := range stale {
-		t.Errorf("%s lists %s, which now has a reader or is gone: delete its line", auditAllowlist, key)
-	}
-	t.Logf("%d findings, %d allowlisted", len(findings), len(allow))
 }
 
-// finding is one unread name. key is what the allowlist matches:
-// "internal/pkg.Name", "internal/pkg.Type.Method", "sidr.Name" (the root
-// package), the metric name, or "cmd/name -flag".
+// TestAuditFindsEachKind runs the audit over a fixture module that plants
+// one finding of each kind beside names that are read, and expects those
+// findings and nothing else.
+func TestAuditFindsEachKind(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(filepath.Join("testdata", "auditfixture")); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	findings, err := audit(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, f.kind+" "+f.key)
+	}
+	sort.Strings(got)
+	want := []string{
+		"flag cmd/tool -planted",
+		"func internal/lib.TestOnly",
+		"func internal/lib.Unread",
+		"metric sidrd_fixture_planted_total",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("audit found\n  %s\nwant\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}
+
+// audit runs the three rules over the module rooted at root, which must
+// be the working directory: the metric and flag rules match reader paths
+// relative to it.
+func audit(root string) ([]finding, error) {
+	pkgs, err := loadModule(root)
+	if err != nil {
+		return nil, err
+	}
+	findings := unreadExports(pkgs)
+	metricFindings, err := unreadMetrics(root)
+	if err != nil {
+		return nil, err
+	}
+	findings = append(findings, metricFindings...)
+	flagFindings, err := unnamedFlags(root, pkgs)
+	if err != nil {
+		return nil, err
+	}
+	return append(findings, flagFindings...), nil
+}
+
+// finding is one unread name. key names it: "internal/pkg.Name",
+// "internal/pkg.Type.Method", "sidr.Name" (the root package), the metric
+// name, or "cmd/name -flag".
 type finding struct {
 	kind, key string
 }
@@ -458,31 +473,4 @@ func unnamedFlags(root string, pkgs []*auditPkg) ([]finding, error) {
 		}
 	}
 	return out, nil
-}
-
-// readAllowlist parses "key reason…" lines; blank lines and lines that
-// start with # are skipped, and every entry must give a reason.
-func readAllowlist(path string) (map[string]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	allow := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for n := 1; sc.Scan(); n++ {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		key, reason, _ := strings.Cut(line, " ")
-		if strings.TrimSpace(reason) == "" {
-			return nil, fmt.Errorf("%s:%d: %s has no reason", path, n, key)
-		}
-		if _, dup := allow[key]; dup {
-			return nil, fmt.Errorf("%s:%d: %s listed twice", path, n, key)
-		}
-		allow[key] = strings.TrimSpace(reason)
-	}
-	return allow, sc.Err()
 }

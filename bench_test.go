@@ -26,6 +26,7 @@ import (
 	"sidr/internal/mapreduce"
 	"sidr/internal/ncfile"
 	"sidr/internal/partition"
+	"sidr/internal/skew"
 )
 
 // BenchmarkFigure9 regenerates Figure 9: Query 1 under Hadoop, SciHadoop
@@ -116,12 +117,8 @@ func BenchmarkFigure13(b *testing.B) {
 func BenchmarkTable2(b *testing.B) {
 	for _, reduces := range []int{20, 40, 80} {
 		b.Run(fmt.Sprintf("sentinel-%d", reduces), func(b *testing.B) {
-			cfg := experiments.Table2Config{
-				Dir:           b.TempDir(),
-				PointsPerTask: 1 << 14,
-				ReduceCounts:  []int{reduces},
-				Runs:          1,
-			}
+			cfg := experiments.DefaultTable2Config(b.TempDir())
+			cfg.PointsPerTask, cfg.ReduceCounts, cfg.Runs = 1<<14, []int{reduces}, 1
 			for i := 0; i < b.N; i++ {
 				if _, err := experiments.Table2(cfg); err != nil {
 					b.Fatal(err)
@@ -282,7 +279,7 @@ func BenchmarkAblationDependencyStoreVsRecompute(b *testing.B) {
 				if !ok {
 					b.Fatal("keyblock not rectangular")
 				}
-				if _, err := q.Extraction.SourceRange(slab); err != nil {
+				if _, err := sourceRange(q.Extraction, slab); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -315,7 +312,7 @@ func BenchmarkAblationCombiner(b *testing.B) {
 		in.Combine = combine
 		for i := 0; i < b.N; i++ {
 			_, err := plan.RunLocal(nil, func(cfg *mapreduce.Config) {
-				cfg.Runner = mapreduce.LocalRunner{In: in, Splits: plan.Splits}
+				cfg.Runner = localRunner{in, plan.Splits}
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -351,7 +348,7 @@ func BenchmarkAblationFailureRecovery(b *testing.B) {
 				b.Fatal(err)
 			}
 			res, err := plan.RunLocal(ds.Reader(context.Background()), func(cfg *mapreduce.Config) {
-				cfg.Runner = &failOnceRunner{Runner: mapreduce.LocalRunner{In: in, Splits: plan.Splits},
+				cfg.Runner = &failOnceRunner{localRunner: localRunner{in, plan.Splits},
 					keyblock: 1, deps: plan.Graph.KBToSplits[1], recompute: recompute}
 			})
 			if err != nil {
@@ -371,7 +368,7 @@ func BenchmarkAblationFailureRecovery(b *testing.B) {
 // the whole dependency set (deps) lost, which makes the job loop
 // re-execute it.
 type failOnceRunner struct {
-	mapreduce.Runner
+	localRunner
 	keyblock  int
 	deps      []int
 	recompute bool
@@ -383,11 +380,11 @@ func (r *failOnceRunner) Fetch(ctx context.Context, l int, refs []any) ([][]kv.P
 		if r.recompute {
 			return nil, 0, r.deps, fmt.Errorf("keyblock %d: injected loss of %v", l, r.deps)
 		}
-		if _, _, _, err := r.Runner.Fetch(ctx, l, refs); err != nil { // the fetch whose result is thrown away
+		if _, _, _, err := r.localRunner.Fetch(ctx, l, refs); err != nil { // the fetch whose result is thrown away
 			return nil, 0, nil, err
 		}
 	}
-	return r.Runner.Fetch(ctx, l, refs)
+	return r.localRunner.Fetch(ctx, l, refs)
 }
 
 // BenchmarkAblationSkewBound sweeps partition+'s permissible-skew bound
@@ -410,7 +407,11 @@ func BenchmarkAblationSkewBound(b *testing.B) {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.Logf("tile=%v tileCountSkew=%d", pp.TileShape, pp.TileCountSkew())
+					sizes := make([]int64, len(pp.Blocks))
+					for j, kb := range pp.Blocks {
+						sizes[j] = kb.Size()
+					}
+					b.Logf("tile=%v keyblock keys max/mean=%.3f", pp.TileShape, skew.Summarize(sizes).MaxOverMean)
 				}
 			}
 		})
@@ -470,4 +471,46 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 			}
 		})
 	}
+}
+
+// sourceRange is the input slab whose points map to the intermediate keys
+// of kp: from its first tile's corner to its last tile's end.
+func sourceRange(e coords.Extraction, kp coords.Slab) (coords.Slab, error) {
+	st := e.EffectiveStride()
+	if kp.Rank() != len(st) {
+		return coords.Slab{}, fmt.Errorf("rank %d, extraction rank %d", kp.Rank(), len(st))
+	}
+	corner := make(coords.Coord, kp.Rank())
+	shape := make(coords.Shape, kp.Rank())
+	for i := range corner {
+		corner[i] = kp.Corner[i] * st[i]
+		shape[i] = (kp.Corner[i]+kp.Shape[i]-1)*st[i] + e.Shape[i] - corner[i]
+	}
+	return coords.Slab{Corner: corner, Shape: shape}, nil
+}
+
+// localRunner runs Map tasks in process through mapreduce.ExecMap and
+// keeps their outputs in memory, as a job without a Runner does, for a
+// test's runner to wrap.
+type localRunner struct {
+	in     mapreduce.MapInput
+	splits []mapreduce.InputSplit
+}
+
+func (r localRunner) RunMap(ctx context.Context, i int) (mapreduce.MapResult, error) {
+	in := r.in
+	in.Ctx = ctx
+	outs, records, err := mapreduce.ExecMap(in, r.splits[i])
+	return mapreduce.MapResult{Ref: outs, Records: records}, err
+}
+
+func (localRunner) Fetch(_ context.Context, l int, refs []any) ([][]kv.Pair, int64, []int, error) {
+	var streams [][]kv.Pair
+	var tally int64
+	for _, ref := range refs {
+		o := ref.([]mapreduce.MapOut)[l]
+		streams = append(streams, o.Pairs)
+		tally += o.SourceCount
+	}
+	return streams, tally, nil, nil
 }

@@ -62,7 +62,7 @@ func TestBatchEndpointFraming(t *testing.T) {
 		commitSpill(t, w, "job-x", split, 0, 5, b)
 	}
 
-	post := func(req BatchFetchRequest) *http.Response {
+	post := func(req batchFetchRequest) *http.Response {
 		t.Helper()
 		body, _ := json.Marshal(req)
 		resp, err := http.Post(srv.URL+shuffleBatchPath, "application/json", bytes.NewReader(body))
@@ -75,11 +75,11 @@ func TestBatchEndpointFraming(t *testing.T) {
 
 	// Deliberately not ascending: frames must come back in request order.
 	order := []int{1, 0, 2}
-	refs := make([]SpillRef, len(order))
+	refs := make([]spillRef, len(order))
 	for i, s := range order {
-		refs[i] = SpillRef{Split: s, Attempt: 0}
+		refs[i] = spillRef{Split: s, Attempt: 0}
 	}
-	resp := post(BatchFetchRequest{JobID: "job-x", Keyblock: 5, Spills: refs})
+	resp := post(batchFetchRequest{JobID: "job-x", Keyblock: 5, Spills: refs})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch returned %d", resp.StatusCode)
 	}
@@ -119,15 +119,15 @@ func TestBatchEndpointFraming(t *testing.T) {
 	}
 
 	// One missing spill fails the whole batch before any byte streams.
-	if resp := post(BatchFetchRequest{JobID: "job-x", Keyblock: 5,
-		Spills: []SpillRef{{Split: 0, Attempt: 0}, {Split: 9, Attempt: 0}}}); resp.StatusCode != http.StatusNotFound {
+	if resp := post(batchFetchRequest{JobID: "job-x", Keyblock: 5,
+		Spills: []spillRef{{Split: 0, Attempt: 0}, {Split: 9, Attempt: 0}}}); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing spill → %d, want 404", resp.StatusCode)
 	}
-	if resp := post(BatchFetchRequest{JobID: "job-x", Keyblock: -1,
-		Spills: []SpillRef{{Split: 0, Attempt: 0}}}); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(batchFetchRequest{JobID: "job-x", Keyblock: -1,
+		Spills: []spillRef{{Split: 0, Attempt: 0}}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative keyblock → %d, want 400", resp.StatusCode)
 	}
-	if resp := post(BatchFetchRequest{JobID: "job-x", Keyblock: 5}); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(batchFetchRequest{JobID: "job-x", Keyblock: 5}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty spill list → %d, want 400", resp.StatusCode)
 	}
 	getResp, err := http.Get(srv.URL + shuffleBatchPath)
@@ -186,7 +186,7 @@ func TestOnlyCommittedPacksAreServed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body, _ := json.Marshal(BatchFetchRequest{JobID: "j", Keyblock: 0, Spills: []SpillRef{{Split: 0, Attempt: 0}}})
+	body, _ := json.Marshal(batchFetchRequest{JobID: "j", Keyblock: 0, Spills: []spillRef{{Split: 0, Attempt: 0}}})
 	resp, err := http.Post(srv.URL+shuffleBatchPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestRetryIsABatchOfOne(t *testing.T) {
 				return
 			}
 			raw, _ := io.ReadAll(r.Body)
-			var req BatchFetchRequest
+			var req batchFetchRequest
 			json.Unmarshal(raw, &req)
 			mu.Lock()
 			first := !failed[i] && len(req.Spills) > 1
@@ -298,7 +298,7 @@ func TestRetryIsABatchOfOne(t *testing.T) {
 // rewriteMapResponses interposes on workers' /v1/map endpoints: fn edits
 // each successful response before the coordinator sees it and reports
 // whether it did, up to limit edits across all workers (0 = no limit).
-func rewriteMapResponses(t *testing.T, limit int64, fn func(*MapResponse) bool) func(int, http.Handler) http.Handler {
+func rewriteMapResponses(t *testing.T, limit int64, fn func(*mapResponse) bool) func(int, http.Handler) http.Handler {
 	var edits atomic.Int64
 	return func(_ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
@@ -310,7 +310,7 @@ func rewriteMapResponses(t *testing.T, limit int64, fn func(*MapResponse) bool) 
 			h.ServeHTTP(rec, r)
 			body := rec.Body.Bytes()
 			if rec.Code == http.StatusOK && (limit == 0 || edits.Add(1) <= limit) {
-				var mr MapResponse
+				var mr mapResponse
 				if err := json.Unmarshal(body, &mr); err != nil {
 					t.Errorf("map response unusable: %v: %s", err, body)
 				} else if fn(&mr) {
@@ -327,7 +327,7 @@ func rewriteMapResponses(t *testing.T, limit int64, fn func(*MapResponse) bool) 
 // Map response damaged on its way to the coordinator. A response the
 // coordinator cannot record is a failed attempt: re-dispatched, never
 // recorded, and never leaving its task without an output.
-func runWithBadMapResponse(t *testing.T, damage func(*MapResponse) bool) {
+func runWithBadMapResponse(t *testing.T, damage func(*mapResponse) bool) {
 	t.Helper()
 	reg := metrics.New()
 	c, _ := startChaosCluster(t, 2, CoordinatorConfig{Metrics: reg}, nil, rewriteMapResponses(t, 1, damage))
@@ -351,7 +351,7 @@ func runWithBadMapResponse(t *testing.T, damage func(*MapResponse) bool) {
 // spill metadata of a keyblock its split feeds is a failed attempt,
 // because every shuffle fetch validates against that metadata.
 func TestIncompleteMapResponseRedispatched(t *testing.T) {
-	runWithBadMapResponse(t, func(mr *MapResponse) bool {
+	runWithBadMapResponse(t, func(mr *mapResponse) bool {
 		if len(mr.Outputs) == 0 {
 			t.Errorf("first map response has no outputs to drop")
 			return false
@@ -364,5 +364,5 @@ func TestIncompleteMapResponseRedispatched(t *testing.T) {
 // TestWrongAttemptMapResponseRedispatched: so is one that answers for
 // another attempt than the one dispatched.
 func TestWrongAttemptMapResponseRedispatched(t *testing.T) {
-	runWithBadMapResponse(t, func(mr *MapResponse) bool { mr.Attempt += 7; return true })
+	runWithBadMapResponse(t, func(mr *mapResponse) bool { mr.Attempt += 7; return true })
 }

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,7 +53,7 @@ func startChaosCluster(t *testing.T, n int, cfg CoordinatorConfig,
 		tw := &testWorker{w: w, dir: dir, srv: httptest.NewServer(h)}
 		t.Cleanup(tw.kill)
 		t.Cleanup(func() { tw.w.Close() })
-		if err := c.Register(wc.Name, tw.srv.URL); err != nil {
+		if err := c.registerNode(wc.Name, tw.srv.URL, ""); err != nil {
 			t.Fatal(err)
 		}
 		workers = append(workers, tw)
@@ -61,7 +63,7 @@ func startChaosCluster(t *testing.T, n int, cfg CoordinatorConfig,
 
 // assertMatchesInProcess fails unless the clustered result is
 // byte-identical to the in-process engine on the same query.
-func assertMatchesInProcess(t *testing.T, res *JobResult) {
+func assertMatchesInProcess(t *testing.T, res *jobResult) {
 	t.Helper()
 	local := inProcessRun(t)
 	keys, vals := flatten(res)
@@ -195,18 +197,18 @@ func TestQuarantineHysteresis(t *testing.T) {
 
 	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Minute, Metrics: reg})
 	defer c.Close()
-	if err := c.Register("flaky", healthy.URL); err != nil {
+	if err := c.registerNode("flaky", healthy.URL, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Register("good", healthy.URL); err != nil {
+	if err := c.registerNode("good", healthy.URL, ""); err != nil {
 		t.Fatal(err)
 	}
 
 	// Two straight failures push the EWMA (α=0.3) to 0.51 > 0.5.
 	c.noteOutcome("flaky", true)
 	c.noteOutcome("flaky", true)
-	ws := c.Workers()
-	var flaky WorkerInfo
+	ws := c.workerTable()
+	var flaky workerInfo
 	for _, w := range ws {
 		if w.Name == "flaky" {
 			flaky = w
@@ -243,7 +245,7 @@ func TestQuarantineHysteresis(t *testing.T) {
 	// One successful probe decays 0.51 to 0.357 — above the reinstate
 	// threshold, so hysteresis keeps it quarantined.
 	c.probeQuarantined(context.Background())
-	if ws := c.Workers(); func() bool {
+	if ws := c.workerTable(); func() bool {
 		for _, w := range ws {
 			if w.Name == "flaky" {
 				return !w.Quarantined
@@ -257,7 +259,7 @@ func TestQuarantineHysteresis(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.probeQuarantined(context.Background())
 	}
-	for _, w := range c.Workers() {
+	for _, w := range c.workerTable() {
 		if w.Name == "flaky" && w.Quarantined {
 			t.Fatalf("worker still quarantined after recovery: %+v", w)
 		}
@@ -276,16 +278,16 @@ func TestQuarantineHysteresis(t *testing.T) {
 func TestScoreSurvivesReregistration(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Minute})
 	defer c.Close()
-	if err := c.Register("w0", "http://127.0.0.1:1"); err != nil {
+	if err := c.registerNode("w0", "http://127.0.0.1:1", ""); err != nil {
 		t.Fatal(err)
 	}
 	c.noteOutcome("w0", true)
 	c.noteOutcome("w0", true)
 	c.markDead("w0")
-	if err := c.Register("w0", "http://127.0.0.1:2"); err != nil {
+	if err := c.registerNode("w0", "http://127.0.0.1:2", ""); err != nil {
 		t.Fatal(err)
 	}
-	w := c.Workers()[0]
+	w := c.workerTable()[0]
 	if !w.Alive || !w.Quarantined || w.FailScore <= 0.5 {
 		t.Fatalf("re-registration laundered the fail score: %+v", w)
 	}
@@ -302,7 +304,7 @@ func TestCloseUnblocksReleaseBroadcast(t *testing.T) {
 	defer hang.Close()
 
 	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Minute})
-	if err := c.Register("w0", hang.URL); err != nil {
+	if err := c.registerNode("w0", hang.URL, ""); err != nil {
 		t.Fatal(err)
 	}
 	c.releaseAttempt(hang.URL, "job-x", 0, 0)
@@ -368,19 +370,48 @@ func TestChaosSoak(t *testing.T) {
 					Transport: faultinject.New(spec).Transport(http.DefaultTransport),
 				}
 			}
-			var workerInj *faultinject.Injector
+			var workers []*testWorker
+			var maps, hangs atomic.Int64
 			mutate := func(i int, wc *WorkerConfig) {
-				if i != 0 {
+				if i != 0 || !tc.hang {
 					return
 				}
-				switch {
-				case tc.kill:
-					workerInj = faultinject.New(faultinject.Spec{KillAfterMaps: 2})
-					wc.Chaos = workerInj
-				case tc.hang:
-					workerInj = faultinject.New(faultinject.Spec{Seed: 404, HangP: 0.2})
-					wc.Chaos = workerInj
+				spec, err := faultinject.Parse("seed=404,hang=0.2")
+				if err != nil {
+					t.Fatal(err)
 				}
+				wc.Chaos = faultinject.New(spec)
+			}
+			// Worker 0's Map dispatches pass through here. Under "kill" the
+			// 2nd one takes the worker's server and spill directory down, as
+			// a SIGKILL would, before any spill is written (async because a
+			// handler cannot join its own server shutdown). Under "hang" each
+			// hung attempt is counted from the error the worker answers with.
+			wrap := func(i int, h http.Handler) http.Handler {
+				if i != 0 || !(tc.kill || tc.hang) {
+					return nil
+				}
+				return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+					if r.URL.Path != "/v1/map" {
+						h.ServeHTTP(rw, r)
+						return
+					}
+					if tc.kill && maps.Add(1) == 2 {
+						go workers[0].kill()
+						http.Error(rw, "worker killed", http.StatusServiceUnavailable)
+						return
+					}
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, r)
+					if strings.Contains(rec.Body.String(), "injected hang") {
+						hangs.Add(1)
+					}
+					for k, v := range rec.Header() {
+						rw.Header()[k] = v
+					}
+					rw.WriteHeader(rec.Code)
+					rw.Write(rec.Body.Bytes())
+				})
 			}
 			if tc.hang {
 				cfg.Speculation = true
@@ -388,13 +419,8 @@ func TestChaosSoak(t *testing.T) {
 				cfg.SpeculationMin = 10 * time.Millisecond
 				cfg.SpeculationInterval = 2 * time.Millisecond
 			}
-			c, workers := startChaosCluster(t, 3, cfg, mutate, nil)
-			if tc.kill {
-				// The injector's exit hook stands in for SIGKILL: the worker's
-				// server and spill directory vanish mid-job. Async because a
-				// handler cannot join its own server shutdown.
-				workerInj.SetExit(func(int) { go workers[0].kill() })
-			}
+			var c *Coordinator
+			c, workers = startChaosCluster(t, 3, cfg, mutate, wrap)
 			var total Counters
 			for run := 0; run < max(tc.runs, 1); run++ {
 				res, err := runClusterJob(t, c, func(spec *JobSpec) {
@@ -420,7 +446,7 @@ func TestChaosSoak(t *testing.T) {
 			if tc.kill && total.Reexecuted+total.ReplicaFetchFallbacks == 0 {
 				t.Fatal("worker kill caused neither a re-execution nor a replica fetch")
 			}
-			if tc.hang && workerInj.Counts()["hang"] > 0 && total.Speculated == 0 {
+			if tc.hang && hangs.Load() > 0 && total.Speculated == 0 {
 				t.Fatal("injected hangs were never speculated around")
 			}
 			if tc.wantFallback && total.BatchFallbacks == 0 {

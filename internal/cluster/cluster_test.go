@@ -90,7 +90,7 @@ func startCluster(t testing.TB, n int, cfg CoordinatorConfig) (*Coordinator, []*
 		tw := &testWorker{w: w, srv: httptest.NewServer(w), dir: dir}
 		t.Cleanup(tw.kill)
 		t.Cleanup(func() { tw.w.Close() })
-		if err := c.Register(fmt.Sprintf("w%d", i), tw.srv.URL); err != nil {
+		if err := c.registerNode(fmt.Sprintf("w%d", i), tw.srv.URL, ""); err != nil {
 			t.Fatal(err)
 		}
 		workers = append(workers, tw)
@@ -98,7 +98,7 @@ func startCluster(t testing.TB, n int, cfg CoordinatorConfig) (*Coordinator, []*
 	return c, workers
 }
 
-func runClusterJob(t *testing.T, c *Coordinator, tweak func(*JobSpec)) (*JobResult, error) {
+func runClusterJob(t *testing.T, c *Coordinator, tweak func(*JobSpec)) (*jobResult, error) {
 	t.Helper()
 	ex := exec.New(4)
 	t.Cleanup(ex.Close)
@@ -138,7 +138,7 @@ func inProcessEngineRun(t *testing.T, engine sidr.Engine) *sidr.Result {
 
 // flatten orders a clustered job's outputs exactly like the sidr facade
 // flattens in-process results: global row-major key sort.
-func flatten(res *JobResult) ([][]int64, [][]float64) {
+func flatten(res *jobResult) ([][]int64, [][]float64) {
 	type row struct {
 		key  coords.Coord
 		vals []float64
@@ -218,7 +218,7 @@ func TestClusterMatchesInProcessEngine(t *testing.T) {
 	}
 	// Both workers actually executed Map tasks.
 	for _, tw := range workers {
-		if tw.w.MapsDone() == 0 {
+		if tw.w.mapsDone.Load() == 0 {
 			t.Fatalf("worker did no map work; not a distributed run")
 		}
 	}
@@ -236,7 +236,7 @@ func TestClusteredBaselineEngine(t *testing.T) {
 	res, err := runClusterJob(t, c, func(spec *JobSpec) {
 		spec.Plan.Engine = "hadoop"
 		spec.OnPartial = func(ReduceResult) {
-			mapsAtFirstPartial.CompareAndSwap(-1, workers[0].w.MapsDone()+workers[1].w.MapsDone())
+			mapsAtFirstPartial.CompareAndSwap(-1, workers[0].w.mapsDone.Load()+workers[1].w.mapsDone.Load())
 		}
 	})
 	if err != nil {
@@ -274,8 +274,12 @@ func TestShuffleAccountingMetrics(t *testing.T) {
 	}
 	// The histogram observes HTTP requests, not logical connections: a
 	// request carrying n spills is one observation.
-	if reg.Histogram("sidrd_shuffle_fetch_seconds", nil).Count() != res.Counters.ShuffleRequests {
-		t.Fatal("fetch latency histogram count != shuffle requests")
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("sidrd_shuffle_fetch_seconds_count %d\n", res.Counters.ShuffleRequests); !strings.Contains(text.String(), want) {
+		t.Fatalf("fetch latency histogram lacks %q", want)
 	}
 	if got := reg.Counter("sidrd_shuffle_requests_total").Value(); got != res.Counters.ShuffleRequests {
 		t.Fatalf("sidrd_shuffle_requests_total = %d, want %d", got, res.Counters.ShuffleRequests)
@@ -340,7 +344,7 @@ func tamperSourceCount(inner *Worker) http.Handler {
 // runOnTamperedWorker runs the test job under the named engine on a
 // single worker served through wrap; partials counts the keyblocks that
 // finalized.
-func runOnTamperedWorker(t *testing.T, engine string, wrap func(*Worker) http.Handler) (res *JobResult, partials int64, err error) {
+func runOnTamperedWorker(t *testing.T, engine string, wrap func(*Worker) http.Handler) (res *jobResult, partials int64, err error) {
 	t.Helper()
 	dir := t.TempDir()
 	w, err := NewWorker(WorkerConfig{Name: "w0", SpillDir: dir})
@@ -356,7 +360,7 @@ func runOnTamperedWorker(t *testing.T, engine string, wrap func(*Worker) http.Ha
 		RetryBase:        time.Millisecond,
 		RetryMax:         10 * time.Millisecond,
 	})
-	if err := c.Register("w0", srv.URL); err != nil {
+	if err := c.registerNode("w0", srv.URL, ""); err != nil {
 		t.Fatal(err)
 	}
 	var n atomic.Int64
@@ -368,9 +372,9 @@ func runOnTamperedWorker(t *testing.T, engine string, wrap func(*Worker) http.Ha
 }
 
 // TestShortKVCountNeverFinalizes: a reduce whose annotation tally comes
-// up short must never finalize — the job fails with ErrCountMismatch and
-// no partial is ever delivered — whichever engine's barrier it runs
-// under.
+// up short must never finalize — the job fails with
+// mapreduce.ErrCountMismatch and no partial is ever delivered —
+// whichever engine's barrier it runs under.
 func TestShortKVCountNeverFinalizes(t *testing.T) {
 	for _, engine := range []string{"sidr", "hadoop"} {
 		t.Run(engine, func(t *testing.T) {
@@ -378,8 +382,8 @@ func TestShortKVCountNeverFinalizes(t *testing.T) {
 			if err == nil {
 				t.Fatalf("job finalized despite short kv-counts: %+v", res.Counters)
 			}
-			if !errors.Is(err, ErrCountMismatch) {
-				t.Fatalf("err = %v, want ErrCountMismatch", err)
+			if !errors.Is(err, mapreduce.ErrCountMismatch) {
+				t.Fatalf("err = %v, want mapreduce.ErrCountMismatch", err)
 			}
 			if partials != 0 {
 				t.Fatalf("%d reduces finalized with short kv-counts", partials)
@@ -394,7 +398,7 @@ func TestShortKVCountNeverFinalizes(t *testing.T) {
 // the shuffle; the job loop's tally against the planner's expected count
 // must still refuse to finalize, again under either barrier.
 func TestUndercountingMapNeverFinalizes(t *testing.T) {
-	undercount := rewriteMapResponses(t, 0, func(mr *MapResponse) bool {
+	undercount := rewriteMapResponses(t, 0, func(mr *mapResponse) bool {
 		for k := range mr.Outputs {
 			if mr.Outputs[k].SourceCount > 0 {
 				mr.Outputs[k].SourceCount--
@@ -410,8 +414,8 @@ func TestUndercountingMapNeverFinalizes(t *testing.T) {
 			if err == nil {
 				t.Fatalf("job finalized on undercounted Map outputs: %+v", res.Counters)
 			}
-			if !errors.Is(err, ErrCountMismatch) || !strings.Contains(err.Error(), "expected") {
-				t.Fatalf("err = %v, want the job loop's tally-vs-expected ErrCountMismatch", err)
+			if !errors.Is(err, mapreduce.ErrCountMismatch) || !strings.Contains(err.Error(), "expected") {
+				t.Fatalf("err = %v, want the job loop's tally-vs-expected mapreduce.ErrCountMismatch", err)
 			}
 			if partials != 0 {
 				t.Fatalf("%d reduces finalized on undercounted Map outputs", partials)
@@ -479,7 +483,7 @@ func TestCancelBeforeMapResultRecorded(t *testing.T) {
 // task's output (what a loss re-opens is the job loop's side of the
 // story: mapreduce's TestReexecutedAttemptCannotDoubleSatisfy).
 func TestStaleAttemptDiscarded(t *testing.T) {
-	plan, err := testJobPlan().NewPlan()
+	plan, err := testJobPlan().newPlan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,10 +498,10 @@ func TestStaleAttemptDiscarded(t *testing.T) {
 	}
 	// mapResp is what a worker would send for one attempt of split 0:
 	// spill metadata for every keyblock the split feeds.
-	mapResp := func(attempt int) *MapResponse {
-		resp := &MapResponse{Split: 0, Attempt: attempt}
+	mapResp := func(attempt int) *mapResponse {
+		resp := &mapResponse{Split: 0, Attempt: attempt}
 		for _, kb := range plan.Graph.SplitToKB[0] {
-			resp.Outputs = append(resp.Outputs, KeyblockMeta{Keyblock: kb})
+			resp.Outputs = append(resp.Outputs, keyblockMeta{Keyblock: kb})
 		}
 		return resp
 	}
@@ -523,27 +527,27 @@ func TestStaleAttemptDiscarded(t *testing.T) {
 // TestHeartbeatEviction pins deadline-based eviction and re-registration.
 func TestHeartbeatEviction(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: 50 * time.Millisecond})
-	if err := c.Register("w0", "http://127.0.0.1:1"); err != nil {
+	if err := c.registerNode("w0", "http://127.0.0.1:1", ""); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.AliveWorkers(); n != 1 {
 		t.Fatalf("alive = %d after register, want 1", n)
 	}
-	if ok, _ := c.Heartbeat("w0"); !ok {
+	if ok, _ := c.heartbeat("w0"); !ok {
 		t.Fatal("heartbeat for live worker rejected")
 	}
 	time.Sleep(120 * time.Millisecond)
 	if n := c.AliveWorkers(); n != 0 {
 		t.Fatalf("alive = %d after deadline, want 0", n)
 	}
-	if ok, _ := c.Heartbeat("w0"); ok {
+	if ok, _ := c.heartbeat("w0"); ok {
 		t.Fatal("heartbeat for evicted worker accepted; it must re-register")
 	}
-	ws := c.Workers()
+	ws := c.workerTable()
 	if len(ws) != 1 || ws[0].Alive {
 		t.Fatalf("workers list = %+v, want one dead entry", ws)
 	}
-	if err := c.Register("w0", "http://127.0.0.1:1"); err != nil {
+	if err := c.registerNode("w0", "http://127.0.0.1:1", ""); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.AliveWorkers(); n != 1 {
@@ -556,7 +560,7 @@ func TestHeartbeatEviction(t *testing.T) {
 func TestLocalityAwarePlacement(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Minute})
 	for _, n := range []string{"host-a", "host-b", "host-c"} {
-		if err := c.Register(n, "http://"+n); err != nil {
+		if err := c.registerNode(n, "http://"+n, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -587,11 +591,11 @@ func TestNoWorkers(t *testing.T) {
 }
 
 // TestClosedExecutorFailsJob: a job whose executor is shut down must
-// fail with ErrExecutorClosed instead of blocking on tasks that will
-// never run.
+// fail with the job loop's executor-closed error instead of blocking on
+// tasks that will never run.
 func TestClosedExecutorFailsJob(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Minute})
-	if err := c.Register("w0", "http://127.0.0.1:1"); err != nil {
+	if err := c.registerNode("w0", "http://127.0.0.1:1", ""); err != nil {
 		t.Fatal(err)
 	}
 	ex := exec.New(1)
@@ -599,8 +603,8 @@ func TestClosedExecutorFailsJob(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	_, err := c.Run(ctx, JobSpec{Plan: testJobPlan(), Dataset: testDataset(t), Exec: ex})
-	if !errors.Is(err, ErrExecutorClosed) {
-		t.Fatalf("err = %v, want ErrExecutorClosed", err)
+	if err == nil || !strings.Contains(err.Error(), "executor closed") {
+		t.Fatalf("err = %v, want the job loop's executor-closed error", err)
 	}
 }
 
@@ -618,9 +622,9 @@ func closeFromTask(ex *exec.Executor) {
 
 // TestClosedExecutorFailsRun: every engine submits its tasks through the
 // one job loop, so an executor closed before a run starts, or under it
-// once the first Map has committed, fails the run with the one
-// ErrExecutorClosed — promptly, never by blocking on tasks that will not
-// run. (The in-process rows hung forever before the engines shared the
+// once the first Map has committed, fails the run with the job loop's
+// one executor-closed error — promptly, never by blocking on tasks that
+// will not run. (The in-process rows hung forever before the engines shared the
 // loop.)
 func TestClosedExecutorFailsRun(t *testing.T) {
 	q, err := sidr.ParseQuery(testQueryText)
@@ -703,8 +707,8 @@ func TestClosedExecutorFailsRun(t *testing.T) {
 			go func() { done <- run() }()
 			select {
 			case err := <-done:
-				if !errors.Is(err, ErrExecutorClosed) || !errors.Is(err, mapreduce.ErrExecutorClosed) {
-					t.Fatalf("err = %v, want the job loop's ErrExecutorClosed", err)
+				if err == nil || !strings.Contains(err.Error(), "executor closed") {
+					t.Fatalf("err = %v, want the job loop's executor-closed error", err)
 				}
 				if el := time.Since(start); el > time.Second {
 					t.Fatalf("run took %v to fail", el)
@@ -748,7 +752,7 @@ func TestJobIDReuseReplacesStaleCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	req1 := &MapRequest{JobID: "job-1", Plan: testJobPlan(), Dataset: testDataset(t)}
+	req1 := &mapRequest{JobID: "job-1", Plan: testJobPlan(), Dataset: testDataset(t)}
 	j1, err := w.jobFor(req1)
 	if err != nil {
 		t.Fatal(err)
@@ -763,7 +767,7 @@ func TestJobIDReuseReplacesStaleCache(t *testing.T) {
 	}
 
 	// A new job wearing the recycled ID, over another dataset.
-	req2 := &MapRequest{JobID: "job-1", Plan: testJobPlan(), Dataset: testDataset(t)}
+	req2 := &mapRequest{JobID: "job-1", Plan: testJobPlan(), Dataset: testDataset(t)}
 	j2, err := w.jobFor(req2)
 	if err != nil {
 		t.Fatal(err)

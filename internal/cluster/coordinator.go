@@ -42,7 +42,7 @@ type CoordinatorConfig struct {
 	// uses a plain client (a Map response's headers arrive only after the
 	// Map finishes executing, so no response-header timeout applies;
 	// per-request contexts bound lifetimes) and shuffle fetches use a
-	// pooled keep-alive transport sized for reduce fan-in (NewTransport).
+	// pooled keep-alive transport sized for reduce fan-in (newTransport).
 	// When set, it is used for both — chaos/fault-injection tests wrap
 	// one transport and must intercept every request.
 	Client *http.Client
@@ -336,17 +336,12 @@ func (c *Coordinator) quarantineGaugeLocked() {
 	c.mQuarantinedG.Set(n)
 }
 
-// Register adds (or revives) a worker with no locality identity.
-func (c *Coordinator) Register(name, url string) error {
-	return c.RegisterNode(name, url, "")
-}
-
-// RegisterNode adds (or revives) a worker, recording the namespace node
+// registerNode adds (or revives) a worker, recording the namespace node
 // it claims co-location with. Registration may happen mid-job: the next
 // pickWorker sees the new worker immediately. Re-registering a drained
 // or evicted name revives it with a clean membership state (health
 // score survives by design).
-func (c *Coordinator) RegisterNode(name, url, node string) error {
+func (c *Coordinator) registerNode(name, url, node string) error {
 	if name == "" || url == "" {
 		return fmt.Errorf("cluster: register needs name and url")
 	}
@@ -375,7 +370,7 @@ func (c *Coordinator) RegisterNode(name, url, node string) error {
 // it was drained and released (exit, don't rejoin), otherwise it is
 // unknown and should re-register. draining with ok=true tells the
 // worker the coordinator wants it to drain.
-func (c *Coordinator) Heartbeat(name string) (ok, draining bool) {
+func (c *Coordinator) heartbeat(name string) (ok, draining bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.workers[name]
@@ -395,14 +390,14 @@ func (c *Coordinator) Heartbeat(name string) (ok, draining bool) {
 }
 
 // Workers lists the worker table, alive first then by name.
-func (c *Coordinator) Workers() []WorkerInfo {
+func (c *Coordinator) workerTable() []workerInfo {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pruneLocked(now)
-	out := make([]WorkerInfo, 0, len(c.workers))
+	out := make([]workerInfo, 0, len(c.workers))
 	for _, w := range c.workers {
-		out = append(out, WorkerInfo{
+		out = append(out, workerInfo{
 			Name:        w.name,
 			URL:         w.url,
 			Node:        w.node,
@@ -604,24 +599,24 @@ func (c *Coordinator) logf(format string, args ...any) {
 // GET /v1/cluster/workers, POST /v1/drain.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/cluster/register", func(rw http.ResponseWriter, r *http.Request) {
-		var req RegisterRequest
+		var req registerRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if err := c.RegisterNode(req.Name, req.URL, req.Node); err != nil {
+		if err := c.registerNode(req.Name, req.URL, req.Node); err != nil {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
 		rw.WriteHeader(http.StatusOK)
 	})
 	mux.HandleFunc("POST /v1/cluster/heartbeat", func(rw http.ResponseWriter, r *http.Request) {
-		var req HeartbeatRequest
+		var req heartbeatRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
-		ok, draining := c.Heartbeat(req.Name)
+		ok, draining := c.heartbeat(req.Name)
 		if !ok {
 			if draining {
 				http.Error(rw, "drained; exit", http.StatusGone)
@@ -631,15 +626,15 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 			return
 		}
 		rw.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(rw).Encode(HeartbeatResponse{Draining: draining})
+		json.NewEncoder(rw).Encode(heartbeatResponse{Draining: draining})
 	})
 	mux.HandleFunc("POST /v1/drain", func(rw http.ResponseWriter, r *http.Request) {
-		var req DrainRequest
+		var req drainRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if err := c.Drain(req.Name); err != nil {
+		if err := c.drain(req.Name); err != nil {
 			http.Error(rw, err.Error(), http.StatusNotFound)
 			return
 		}
@@ -648,8 +643,8 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/cluster/workers", func(rw http.ResponseWriter, _ *http.Request) {
 		rw.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(rw).Encode(struct {
-			Workers []WorkerInfo `json:"workers"`
-		}{c.Workers()})
+			Workers []workerInfo `json:"workers"`
+		}{c.workerTable()})
 	})
 }
 
@@ -735,8 +730,8 @@ type Counters struct {
 	DispatchRemote int64
 }
 
-// JobResult is a completed clustered job.
-type JobResult struct {
+// jobResult is a completed clustered job.
+type jobResult struct {
 	// Loop is the job loop's own result — outputs, commit events,
 	// counters — exactly what an in-process run of the plan returns.
 	Loop *mapreduce.Result
@@ -793,7 +788,7 @@ type hosted struct {
 	// covers every keyblock in SplitToKB[split] (recordMapResult rejects
 	// a response that does not). Shuffle fetches validate every received
 	// frame against it.
-	outputs map[int]KeyblockMeta
+	outputs map[int]keyblockMeta
 	// cands lists the workers holding the attempt's pack, guarded by
 	// clusterJob.mu: the one fetches go to first — its producer, until
 	// that is gone and a replica is promoted — then the other verified
@@ -842,8 +837,8 @@ func (m *mapTask) validAttempt(a int) bool {
 
 // Run executes a clustered job from its tuple alone — it derives the plan
 // the way a worker does, then runs it; see RunPlan.
-func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	plan, err := spec.Plan.NewPlan()
+func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*jobResult, error) {
+	plan, err := spec.Plan.newPlan()
 	if err != nil {
 		return nil, err
 	}
@@ -858,7 +853,7 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 // tasks on workers (locality first) and serves its Reduce tasks — which
 // run here, in the coordinator — by fetching exactly the spills they are
 // handed from the workers' shuffle endpoints.
-func (c *Coordinator) RunPlan(ctx context.Context, plan *core.Plan, spec JobSpec) (*JobResult, error) {
+func (c *Coordinator) RunPlan(ctx context.Context, plan *core.Plan, spec JobSpec) (*jobResult, error) {
 	if spec.Exec == nil {
 		return nil, fmt.Errorf("cluster: job needs an executor")
 	}
@@ -929,7 +924,7 @@ func (c *Coordinator) RunPlan(ctx context.Context, plan *core.Plan, spec JobSpec
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return &JobResult{Loop: res, Outputs: res.Outputs, Plan: plan, Counters: j.counters}, nil
+	return &jobResult{Loop: res, Outputs: res.Outputs, Plan: plan, Counters: j.counters}, nil
 }
 
 // releaseJob tells every live worker to drop one job's cached state and
@@ -959,7 +954,7 @@ func (c *Coordinator) releaseJob(jobID string) {
 		go func(u string) {
 			defer wg.Done()
 			defer c.releases.Done()
-			c.postRelease(ctx, u, ReleaseRequest{JobID: jobID})
+			c.postRelease(ctx, u, releaseRequest{JobID: jobID})
 		}(u)
 	}
 	wg.Wait()
@@ -978,11 +973,11 @@ func (c *Coordinator) releaseAttempt(baseURL, jobID string, split, attempt int) 
 		defer c.releases.Done()
 		ctx, cancel := context.WithTimeout(c.baseCtx, 2*time.Second)
 		defer cancel()
-		c.postRelease(ctx, baseURL, ReleaseRequest{JobID: jobID, Split: &split, Attempt: &attempt})
+		c.postRelease(ctx, baseURL, releaseRequest{JobID: jobID, Split: &split, Attempt: &attempt})
 	}()
 }
 
-func (c *Coordinator) postRelease(ctx context.Context, baseURL string, rr ReleaseRequest) {
+func (c *Coordinator) postRelease(ctx context.Context, baseURL string, rr releaseRequest) {
 	body, err := json.Marshal(rr)
 	if err != nil {
 		return
@@ -1267,12 +1262,12 @@ func isConnError(err error) bool {
 }
 
 // postMap performs one /v1/map dispatch under the attempt's context.
-func (j *clusterJob) postMap(ctx context.Context, baseURL string, split, attempt int) (*MapResponse, error) {
+func (j *clusterJob) postMap(ctx context.Context, baseURL string, split, attempt int) (*mapResponse, error) {
 	j.c.mDispatched.Inc()
 	j.mu.Lock()
 	j.counters.MapsDispatched++
 	j.mu.Unlock()
-	body, err := json.Marshal(MapRequest{
+	body, err := json.Marshal(mapRequest{
 		JobID:    j.spec.ID,
 		Split:    split,
 		Attempt:  attempt,
@@ -1300,7 +1295,7 @@ func (j *clusterJob) postMap(ctx context.Context, baseURL string, split, attempt
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("worker returned %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	var mr MapResponse
+	var mr mapResponse
 	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
 		return nil, err
 	}
@@ -1316,9 +1311,9 @@ func (j *clusterJob) postMap(ctx context.Context, baseURL string, split, attempt
 // said — because every shuffle fetch validates against that metadata. So
 // is a live attempt's result that had to be dropped, which leaves the
 // task without an output; dropping a stale one is not.
-func (j *clusterJob) recordMapResult(i, attempt int, worker, url string, start time.Time, resp *MapResponse) error {
+func (j *clusterJob) recordMapResult(i, attempt int, worker, url string, start time.Time, resp *mapResponse) error {
 	c := j.c
-	outputs := make(map[int]KeyblockMeta, len(resp.Outputs))
+	outputs := make(map[int]keyblockMeta, len(resp.Outputs))
 	for _, o := range resp.Outputs {
 		outputs[o.Keyblock] = o
 	}

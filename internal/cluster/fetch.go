@@ -3,7 +3,7 @@
 //
 // fetchOnce is the only code that talks to a worker's shuffle endpoint:
 // one POST /v1/shuffle/batch naming N≥1 spills of one keyblock, every
-// returned frame validated against the Map-time KeyblockMeta and decoded
+// returned frame validated against the Map-time keyblockMeta and decoded
 // through the kv codec's block checksums. It classifies nothing and
 // retries nothing.
 //
@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"sidr/internal/kv"
+	"sidr/internal/mapreduce"
 )
 
 // fetchRetries is how many times a single-spill shuffle fetch is
@@ -41,7 +42,7 @@ type reduceDep struct {
 	host *hosted
 	// meta is the spill's Map-time record (size, pair count, kv-count
 	// annotation); a fetched frame must match it exactly.
-	meta KeyblockMeta
+	meta keyblockMeta
 	// cands snapshots host.cands, the workers holding the attempt's pack —
 	// byte-identical copies, so meta holds across all of them. ci indexes
 	// the candidate the dep is (being) fetched from.
@@ -187,7 +188,7 @@ func (j *clusterJob) fetchDep(ctx context.Context, l int, d *reduceDep, deps []r
 			}
 		}
 		switch {
-		case errors.Is(err, ErrCountMismatch):
+		case errors.Is(err, mapreduce.ErrCountMismatch):
 			return nil, fmt.Errorf("keyblock %d: %w", l, err)
 		case errors.Is(err, kv.ErrChecksum):
 			c.mSpillsCorrupt.Inc()
@@ -282,9 +283,9 @@ func (j *clusterJob) lostWithWorkers(deps []reduceDep) (lost []int) {
 // is exactly Σ|I_ℓ| however the spills were batched.
 func (j *clusterJob) fetchOnce(ctx context.Context, baseURL string, l int, deps []*reduceDep) error {
 	c := j.c
-	breq := BatchFetchRequest{JobID: j.spec.ID, Keyblock: l, Spills: make([]SpillRef, len(deps))}
+	breq := batchFetchRequest{JobID: j.spec.ID, Keyblock: l, Spills: make([]spillRef, len(deps))}
 	for i, d := range deps {
-		breq.Spills[i] = SpillRef{Split: d.host.split, Attempt: d.host.attempt}
+		breq.Spills[i] = spillRef{Split: d.host.split, Attempt: d.host.attempt}
 	}
 	body, err := json.Marshal(breq)
 	if err != nil {
@@ -340,7 +341,7 @@ func (j *clusterJob) fetchOnce(ctx context.Context, baseURL string, l int, deps 
 		}
 		if hdr.SourceCount != d.meta.SourceCount {
 			return fmt.Errorf("%w: split %d spill annotates %d source pairs, Map recorded %d",
-				ErrCountMismatch, h.split, hdr.SourceCount, d.meta.SourceCount)
+				mapreduce.ErrCountMismatch, h.split, hdr.SourceCount, d.meta.SourceCount)
 		}
 		d.pairs = pairs
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,7 +19,6 @@ import (
 
 	"sidr/internal/exec"
 	"sidr/internal/metrics"
-	"sidr/internal/spillstore"
 )
 
 // waitFor polls cond until it returns true or the deadline passes.
@@ -78,7 +76,7 @@ func TestDrainReplicaHandoff(t *testing.T) {
 	c, workers := startChaosCluster(t, 2, CoordinatorConfig{Metrics: reg}, nil, wrap)
 
 	type outcome struct {
-		res *JobResult
+		res *jobResult
 		err error
 	}
 	done := make(chan outcome, 1)
@@ -101,14 +99,14 @@ func TestDrainReplicaHandoff(t *testing.T) {
 	// Drain w0 and wait for its release. Its spills all have replicas on
 	// w1, so the drain must complete even though no reduce has fetched a
 	// byte yet — and must not count as a death.
-	if err := c.Drain("w0"); err != nil {
+	if err := c.drain("w0"); err != nil {
 		t.Fatalf("Drain(w0): %v", err)
 	}
-	if err := c.Drain("w0"); err != nil {
+	if err := c.drain("w0"); err != nil {
 		t.Fatalf("second Drain(w0) not idempotent: %v", err)
 	}
 	waitFor(t, 10*time.Second, "w0 drained", func() bool {
-		for _, wi := range c.Workers() {
+		for _, wi := range c.workerTable() {
 			if wi.Name == "w0" {
 				return wi.Drained
 			}
@@ -126,7 +124,7 @@ func TestDrainReplicaHandoff(t *testing.T) {
 	lateSrv := httptest.NewServer(late)
 	t.Cleanup(lateSrv.Close)
 	t.Cleanup(func() { late.Close() })
-	if err := c.Register("late", lateSrv.URL); err != nil {
+	if err := c.registerNode("late", lateSrv.URL, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -157,7 +155,7 @@ func TestDrainReplicaHandoff(t *testing.T) {
 	if out.res.Counters.ReplicaBytes == 0 {
 		t.Fatal("15 replicas pushed no bytes")
 	}
-	if n := late.MapsDone(); n != 0 {
+	if n := late.mapsDone.Load(); n != 0 {
 		t.Fatalf("late worker executed %d maps; mid-reduce registrants must get none", n)
 	}
 }
@@ -174,7 +172,7 @@ func TestCorruptReplicaIsRefused(t *testing.T) {
 	const jobID = "corrupt-replica"
 	type refusal struct {
 		target int
-		req    ReplicateRequest
+		req    replicateRequest
 		msg    string
 	}
 	var (
@@ -208,7 +206,7 @@ func TestCorruptReplicaIsRefused(t *testing.T) {
 				rw.Write(body)
 			case r.URL.Path == "/v1/replicate":
 				raw, _ := io.ReadAll(r.Body)
-				var req ReplicateRequest
+				var req replicateRequest
 				json.Unmarshal(raw, &req)
 				r.Body = io.NopCloser(bytes.NewReader(raw))
 				rec := httptest.NewRecorder()
@@ -231,7 +229,7 @@ func TestCorruptReplicaIsRefused(t *testing.T) {
 	c, workers := startChaosCluster(t, 2, CoordinatorConfig{Metrics: reg}, nil, wrap)
 
 	type outcome struct {
-		res *JobResult
+		res *jobResult
 		err error
 	}
 	done := make(chan outcome, 1)
@@ -262,7 +260,7 @@ func TestCorruptReplicaIsRefused(t *testing.T) {
 			t.Fatalf("split %d refused before verification (%q): the damage must pass Install", r.req.Split, r.msg)
 		}
 		for kb := 0; kb < testJobPlan().Reducers; kb++ {
-			if _, _, err := workers[r.target].w.store.Open(jobID, r.req.Split, r.req.Attempt, kb); !errors.Is(err, spillstore.ErrNotFound) {
+			if _, _, err := workers[r.target].w.store.Open(jobID, r.req.Split, r.req.Attempt, kb); err == nil || !strings.Contains(err.Error(), "not found") {
 				t.Fatalf("refused replica of split %d kb %d still in w%d's store (Open err = %v)", r.req.Split, kb, r.target, err)
 			}
 		}
@@ -289,10 +287,10 @@ func TestDrainLastLocalWorker(t *testing.T) {
 	reg := metrics.New()
 	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Minute, Metrics: reg})
 	t.Cleanup(c.Close)
-	if err := c.RegisterNode("wa", "http://wa", "node-a"); err != nil {
+	if err := c.registerNode("wa", "http://wa", "node-a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RegisterNode("wb", "http://wb", "node-b"); err != nil {
+	if err := c.registerNode("wb", "http://wb", "node-b"); err != nil {
 		t.Fatal(err)
 	}
 	name, _, local, err := c.pickWorker([]string{"node-a"}, nil)
@@ -304,7 +302,7 @@ func TestDrainLastLocalWorker(t *testing.T) {
 	}
 	c.releaseWorker(name, false)
 
-	if err := c.Drain("wa"); err != nil {
+	if err := c.drain("wa"); err != nil {
 		t.Fatal(err)
 	}
 	name, _, local, err = c.pickWorker([]string{"node-a"}, nil)
@@ -334,7 +332,7 @@ func TestDrainEndpoint(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
-	if err := c.Register("w0", "http://127.0.0.1:1"); err != nil {
+	if err := c.registerNode("w0", "http://127.0.0.1:1", ""); err != nil {
 		t.Fatal(err)
 	}
 	post := func(body string) int {
@@ -355,7 +353,7 @@ func TestDrainEndpoint(t *testing.T) {
 	if code := post(`{"name":"w0"}`); code != http.StatusOK {
 		t.Fatalf("double drain = %d, want 200 (idempotent)", code)
 	}
-	ok, draining := c.Heartbeat("w0")
+	ok, draining := c.heartbeat("w0")
 	if ok && !draining {
 		t.Fatal("heartbeat of a draining worker did not carry the draining flag")
 	}
@@ -367,7 +365,7 @@ func TestDrainEndpoint(t *testing.T) {
 	// exit" (410 on the wire) — never "unknown, re-register".
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ok, draining = c.Heartbeat("w0")
+		ok, draining = c.heartbeat("w0")
 		if !ok {
 			break
 		}
@@ -429,7 +427,7 @@ func TestDrainIdleWorkerExitsInsteadOfRejoining(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := c.Drain("idle"); err != nil {
+	if err := c.drain("idle"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -452,7 +450,7 @@ func TestDrainIdleWorkerExitsInsteadOfRejoining(t *testing.T) {
 		t.Fatalf("worker-side drain after release: %v", err)
 	}
 	// No fresh registration may have snuck in behind the drain.
-	for _, wi := range c.Workers() {
+	for _, wi := range c.workerTable() {
 		if wi.Name == "idle" && wi.Alive {
 			t.Fatal("drained idle worker re-registered as alive")
 		}
@@ -513,7 +511,7 @@ func TestChurnSoak(t *testing.T) {
 			tw := &testWorker{w: w, srv: httptest.NewServer(w), dir: dir}
 			t.Cleanup(tw.kill)
 			t.Cleanup(func() { w.Close() })
-			if err := c.Register(name, tw.srv.URL); err != nil {
+			if err := c.registerNode(name, tw.srv.URL, ""); err != nil {
 				t.Error(err)
 				return
 			}
@@ -527,7 +525,7 @@ func TestChurnSoak(t *testing.T) {
 				alive = alive[1:]
 				if i == 2 {
 					old.tw.kill()
-				} else if err := c.Drain(old.name); err == nil {
+				} else if err := c.drain(old.name); err == nil {
 					draining = append(draining, old)
 				}
 			}
@@ -537,7 +535,7 @@ func TestChurnSoak(t *testing.T) {
 			var still []member
 			for _, m := range draining {
 				released := false
-				for _, wi := range c.Workers() {
+				for _, wi := range c.workerTable() {
 					if wi.Name == m.name && wi.Drained {
 						released = true
 					}

@@ -51,13 +51,10 @@ var (
 	ErrNoWorkers = errors.New("cluster: no live workers")
 	// ErrRetryExhausted means a dispatch kept failing after every retry,
 	// or a Map output kept getting lost until the job loop's re-execution
-	// budget was spent. ErrCountMismatch is the §3.2.1 gate refusing to
-	// finalize a keyblock, ErrExecutorClosed a task submission rejected
-	// because the daemon is shutting down under the job. All three are
-	// the job loop's own values: both engines fail with the same errors.
+	// budget was spent. It is the job loop's own value, as are the count
+	// mismatch and closed-executor errors a job can fail with: both
+	// engines fail with the same errors.
 	ErrRetryExhausted = mapreduce.ErrRetryExhausted
-	ErrCountMismatch  = mapreduce.ErrCountMismatch
-	ErrExecutorClosed = mapreduce.ErrExecutorClosed
 	// ErrSpillCorrupt means a Map task's re-execution budget was spent on
 	// spills that kept failing their payload checksum — the job refused
 	// to commit corrupt pairs and gave up instead.
@@ -109,7 +106,7 @@ type JobPlan struct {
 // NewPlan derives the core.Plan the tuple defines — what a worker does
 // with every tuple it receives, and what Coordinator.Run does for a
 // caller that holds no plan.
-func (jp JobPlan) NewPlan() (*core.Plan, error) {
+func (jp JobPlan) newPlan() (*core.Plan, error) {
 	engine, err := core.ParseEngine(jp.Engine)
 	if err != nil {
 		return nil, err
@@ -152,8 +149,8 @@ func planTuple(p *core.Plan) JobPlan {
 	return jp
 }
 
-// MapRequest asks a worker to execute one Map task attempt.
-type MapRequest struct {
+// mapRequest asks a worker to execute one Map task attempt.
+type mapRequest struct {
 	JobID   string      `json:"job_id"`
 	Split   int         `json:"split"`
 	Attempt int         `json:"attempt"`
@@ -163,29 +160,29 @@ type MapRequest struct {
 	Dataset2 *DatasetSpec `json:"dataset2,omitempty"`
 }
 
-// KeyblockMeta summarises one keyblock's share of a completed Map task:
+// keyblockMeta summarises one keyblock's share of a completed Map task:
 // the spill's pair count, its kv-count annotation, and its serialised
 // size. Keyblocks the task produced no data for are omitted.
-type KeyblockMeta struct {
+type keyblockMeta struct {
 	Keyblock    int   `json:"keyblock"`
 	Pairs       int   `json:"pairs"`
 	SourceCount int64 `json:"source_count"`
 	Bytes       int64 `json:"bytes"`
 }
 
-// MapResponse reports a completed Map task attempt. The spills named by
+// mapResponse reports a completed Map task attempt. The spills named by
 // Outputs are fetchable from the worker's shuffle endpoint until the
 // job is released.
-type MapResponse struct {
+type mapResponse struct {
 	JobID   string         `json:"job_id"`
 	Split   int            `json:"split"`
 	Attempt int            `json:"attempt"`
 	Records int64          `json:"records"`
-	Outputs []KeyblockMeta `json:"outputs"`
+	Outputs []keyblockMeta `json:"outputs"`
 }
 
-// RegisterRequest announces a worker to the coordinator.
-type RegisterRequest struct {
+// registerRequest announces a worker to the coordinator.
+type registerRequest struct {
 	// Name is the worker's stable identity; locality hints match against
 	// it. Re-registering an evicted name revives it.
 	Name string `json:"name"`
@@ -197,61 +194,61 @@ type RegisterRequest struct {
 	Node string `json:"node,omitempty"`
 }
 
-// HeartbeatRequest keeps a registered worker alive.
-type HeartbeatRequest struct {
+// heartbeatRequest keeps a registered worker alive.
+type heartbeatRequest struct {
 	Name string `json:"name"`
 }
 
-// HeartbeatResponse is the coordinator's reply to a heartbeat. Draining
+// heartbeatResponse is the coordinator's reply to a heartbeat. Draining
 // tells the worker the coordinator has put it into the draining state
 // (an operator hit POST /v1/drain naming it); the worker should stop
 // accepting Map dispatches and begin its own drain flow. A drained and
 // released worker gets a 404 instead — that is its signal to exit.
-type HeartbeatResponse struct {
+type heartbeatResponse struct {
 	Draining bool `json:"draining,omitempty"`
 }
 
-// DrainRequest asks the coordinator to move one worker into the
+// drainRequest asks the coordinator to move one worker into the
 // draining state: no new dispatches, in-flight attempts finish, spills
 // keep being served until every hosted attempt has been fetched or
 // replicated away, then the worker is released (deregistered without
 // the death penalty — drain never contributes to health scoring).
-type DrainRequest struct {
+type drainRequest struct {
 	Name string `json:"name"`
 }
 
-// ReplicateRequest asks a worker to pull one committed pack file from
+// replicateRequest asks a worker to pull one committed pack file from
 // another worker and install it in its own spill store, so the spills
 // inside survive the source worker's death or drain. The target fetches
-// PackPath from SourceURL, verifies every keyblock stream's kv block
+// packPath from SourceURL, verifies every keyblock stream's kv block
 // checksums, and only then registers the pack.
-type ReplicateRequest struct {
+type replicateRequest struct {
 	JobID     string `json:"job_id"`
 	Split     int    `json:"split"`
 	Attempt   int    `json:"attempt"`
 	SourceURL string `json:"source_url"`
 }
 
-// ReplicateResponse reports a completed replica install.
-type ReplicateResponse struct {
+// replicateResponse reports a completed replica install.
+type replicateResponse struct {
 	Bytes int64 `json:"bytes"`
 }
 
-// ReleaseRequest asks a worker to drop one job's cached plan/dataset
+// releaseRequest asks a worker to drop one job's cached plan/dataset
 // state and delete its spills. The coordinator broadcasts it to live
 // workers when a job resolves (success or failure). When Split and
 // Attempt are both set, the release is scoped to that single attempt's
 // spill directory — used to reclaim a cancelled speculative attempt's
 // output while the job keeps running.
-type ReleaseRequest struct {
+type releaseRequest struct {
 	JobID   string `json:"job_id"`
 	Split   *int   `json:"split,omitempty"`
 	Attempt *int   `json:"attempt,omitempty"`
 }
 
-// WorkerInfo is the coordinator's view of one worker, as listed by
+// workerInfo is the coordinator's view of one worker, as listed by
 // GET /v1/cluster/workers.
-type WorkerInfo struct {
+type workerInfo struct {
 	Name      string  `json:"name"`
 	URL       string  `json:"url"`
 	Node      string  `json:"node,omitempty"`
@@ -272,11 +269,11 @@ type WorkerInfo struct {
 	Drained  bool `json:"drained,omitempty"`
 }
 
-// PackPath returns the worker-relative URL of one committed pack file:
+// packPath returns the worker-relative URL of one committed pack file:
 // /v1/pack/{job}/{split}/{attempt}. A replica target streams the whole
 // pack from here, so replication moves one file per attempt instead of
 // one request per keyblock.
-func PackPath(jobID string, split, attempt int) string {
+func packPath(jobID string, split, attempt int) string {
 	return fmt.Sprintf("/v1/pack/%s/%d/%d", jobID, split, attempt)
 }
 
@@ -287,22 +284,22 @@ func PackPath(jobID string, split, attempt int) string {
 // the same request naming one spill.
 const shuffleBatchPath = "/v1/shuffle/batch"
 
-// SpillRef names one spill inside a batch fetch; the keyblock is shared
+// spillRef names one spill inside a batch fetch; the keyblock is shared
 // by the whole request.
-type SpillRef struct {
+type spillRef struct {
 	Split   int `json:"split"`
 	Attempt int `json:"attempt"`
 }
 
-// BatchFetchRequest asks a worker for several spills of one keyblock in
+// batchFetchRequest asks a worker for several spills of one keyblock in
 // a single framed response stream. Spills are returned in request
 // order — the fetcher depends on it to keep the Reduce merge's stream
 // order (and therefore its tie-breaking) identical to the in-process
 // engine's.
-type BatchFetchRequest struct {
+type batchFetchRequest struct {
 	JobID    string     `json:"job_id"`
 	Keyblock int        `json:"keyblock"`
-	Spills   []SpillRef `json:"spills"`
+	Spills   []spillRef `json:"spills"`
 }
 
 // The batch response body is a sequence of frames, one per requested

@@ -136,7 +136,7 @@ func TestWorkerPlanMatchesIndexedPlan(t *testing.T) {
 	if indexed.PrunedSplits == 0 || reflect.DeepEqual(indexed.Keyblocks, uniform.Blocks) {
 		t.Fatalf("pruned %d splits and kept the uniform layout: nothing to agree on", indexed.PrunedSplits)
 	}
-	worker, err := planTuple(indexed).NewPlan()
+	worker, err := planTuple(indexed).newPlan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +148,7 @@ func TestWorkerPlanMatchesIndexedPlan(t *testing.T) {
 			t.Fatalf("keyblock %d: worker [%d,%d), coordinator [%d,%d)", l, w.Lo, w.Hi, kb.Lo, kb.Hi)
 		}
 	}
-	wt, ct := worker.Part.(*partition.PartitionPlus).TileShape, indexed.Part.(*partition.PartitionPlus).TileShape
-	if !wt.Equal(ct) {
-		t.Fatalf("worker tile %v, coordinator tile %v", wt, ct)
+	if !reflect.DeepEqual(worker.Part, indexed.Part) {
+		t.Fatalf("worker partitioner %+v, coordinator %+v", worker.Part, indexed.Part)
 	}
 }

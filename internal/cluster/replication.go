@@ -40,7 +40,7 @@ const drainPoll = 30 * time.Millisecond
 // that completes the hand-off. Idempotent: draining or already-drained
 // workers return nil without a second watcher; unknown or dead workers
 // are an error.
-func (c *Coordinator) Drain(name string) error {
+func (c *Coordinator) drain(name string) error {
 	c.mu.Lock()
 	w := c.workers[name]
 	if w == nil {
@@ -203,7 +203,7 @@ func (j *clusterJob) pushReplica(i int, out *hosted, srcURL string, exclude map[
 		if name == "" {
 			return // nowhere to put it; a drain watcher may retry later
 		}
-		n, err := c.postReplicate(j.pushCtx, url, ReplicateRequest{
+		n, err := c.postReplicate(j.pushCtx, url, replicateRequest{
 			JobID: j.spec.ID, Split: i, Attempt: out.attempt, SourceURL: srcURL,
 		})
 		if err != nil {
@@ -257,7 +257,7 @@ func (c *Coordinator) pickReplicaTarget(exclude map[string]bool) (name, url stri
 
 // postReplicate performs one /v1/replicate request against the target
 // worker, returning the installed pack's byte size.
-func (c *Coordinator) postReplicate(ctx context.Context, baseURL string, rr ReplicateRequest) (int64, error) {
+func (c *Coordinator) postReplicate(ctx context.Context, baseURL string, rr replicateRequest) (int64, error) {
 	body, err := json.Marshal(rr)
 	if err != nil {
 		return 0, err
@@ -279,7 +279,7 @@ func (c *Coordinator) postReplicate(ctx context.Context, baseURL string, rr Repl
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return 0, fmt.Errorf("replicate returned %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	var rresp ReplicateResponse
+	var rresp replicateResponse
 	if err := json.NewDecoder(resp.Body).Decode(&rresp); err != nil {
 		return 0, err
 	}

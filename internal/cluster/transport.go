@@ -9,7 +9,7 @@ import (
 	"sidr/internal/metrics"
 )
 
-// NewTransport builds an http.RoundTripper with phase-scoped timeouts
+// newTransport builds an http.RoundTripper with phase-scoped timeouts
 // instead of a whole-request deadline: dialing (and TLS handshaking)
 // and waiting for response headers are each bounded, while reading an
 // arbitrarily large response body is not. A blanket http.Client.Timeout
@@ -28,11 +28,11 @@ import (
 // response header. A negative headerTimeout disables the header bound
 // entirely — used by the dispatch client, whose responses arrive only
 // after Map execution finishes.
-func NewTransport(dialTimeout, headerTimeout time.Duration) *http.Transport {
+func newTransport(dialTimeout, headerTimeout time.Duration) *http.Transport {
 	return NewTransportWithStats(dialTimeout, headerTimeout, nil)
 }
 
-// NewTransportWithStats is NewTransport with an optional dial counter:
+// NewTransportWithStats is newTransport with an optional dial counter:
 // every new TCP connection increments dials, so pool effectiveness is
 // observable (requests served minus dials made = connections reused).
 func NewTransportWithStats(dialTimeout, headerTimeout time.Duration, dials *metrics.Counter) *http.Transport {

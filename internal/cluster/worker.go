@@ -46,7 +46,7 @@ type WorkerConfig struct {
 	Heartbeat time.Duration
 	// DialTimeout bounds dialing and TLS handshaking on the client that
 	// performs registration and heartbeat requests (0 = 2s). The client
-	// uses NewTransport's phase-scoped timeouts (dial, TLS handshake,
+	// uses newTransport's phase-scoped timeouts (dial, TLS handshake,
 	// response header) rather than a whole-request deadline.
 	DialTimeout time.Duration
 	// HeaderTimeout bounds that client's wait for response headers
@@ -99,7 +99,7 @@ type workerJob struct {
 
 // jobFingerprint canonically encodes the plan-and-dataset tuple a job's
 // cached state is valid for.
-func jobFingerprint(req *MapRequest) string {
+func jobFingerprint(req *mapRequest) string {
 	b, _ := json.Marshal(struct {
 		Plan     JobPlan      `json:"plan"`
 		Dataset  DatasetSpec  `json:"dataset"`
@@ -126,7 +126,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	client := &http.Client{Transport: NewTransport(cfg.DialTimeout, cfg.HeaderTimeout)}
+	client := &http.Client{Transport: newTransport(cfg.DialTimeout, cfg.HeaderTimeout)}
 	w := &Worker{cfg: cfg, client: client, store: store,
 		drainCh: make(chan struct{}), jobs: make(map[string]*workerJob)}
 	w.mux = http.NewServeMux()
@@ -143,9 +143,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 
 // ServeHTTP implements http.Handler.
 func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) { w.mux.ServeHTTP(rw, r) }
-
-// MapsDone returns how many Map attempts completed successfully.
-func (w *Worker) MapsDone() int64 { return w.mapsDone.Load() }
 
 // Close releases cached dataset handles and open spill pack handles.
 // Spill files are left on disk; the owner of SpillDir reclaims them.
@@ -196,7 +193,7 @@ func (w *Worker) Start(ctx context.Context) {
 }
 
 func (w *Worker) register(ctx context.Context) bool {
-	body, _ := json.Marshal(RegisterRequest{Name: w.cfg.Name, URL: w.cfg.AdvertiseURL, Node: w.cfg.Node})
+	body, _ := json.Marshal(registerRequest{Name: w.cfg.Name, URL: w.cfg.AdvertiseURL, Node: w.cfg.Node})
 	ok := w.post(ctx, "/v1/cluster/register", body)
 	if ok {
 		w.logf("registered with %s as %q", w.cfg.CoordinatorURL, w.cfg.Name)
@@ -208,7 +205,7 @@ func (w *Worker) register(ctx context.Context) bool {
 // draining, exit). A heartbeat response carrying the draining flag
 // signals a coordinator-initiated drain.
 func (w *Worker) heartbeat(ctx context.Context) bool {
-	body, _ := json.Marshal(HeartbeatRequest{Name: w.cfg.Name})
+	body, _ := json.Marshal(heartbeatRequest{Name: w.cfg.Name})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		strings.TrimSuffix(w.cfg.CoordinatorURL, "/")+"/v1/cluster/heartbeat", strings.NewReader(string(body)))
 	if err != nil {
@@ -233,7 +230,7 @@ func (w *Worker) heartbeat(ctx context.Context) bool {
 	if resp.StatusCode != http.StatusOK {
 		return false
 	}
-	var hb HeartbeatResponse
+	var hb heartbeatResponse
 	if json.NewDecoder(resp.Body).Decode(&hb) == nil && hb.Draining {
 		w.signalDrain()
 	}
@@ -260,9 +257,6 @@ func (w *Worker) signalDrain() {
 // (via the heartbeat response). The process main should then run Drain.
 func (w *Worker) DrainSignal() <-chan struct{} { return w.drainCh }
 
-// Draining reports whether the worker is refusing new Map dispatches.
-func (w *Worker) Draining() bool { return w.draining.Load() }
-
 // SweepTemps removes orphaned spill temp files older than olderThan.
 func (w *Worker) SweepTemps(olderThan time.Duration) int { return w.store.SweepTemps(olderThan) }
 
@@ -278,7 +272,7 @@ func (w *Worker) Drain(ctx context.Context) error {
 	if w.cfg.CoordinatorURL == "" {
 		return nil
 	}
-	body, _ := json.Marshal(DrainRequest{Name: w.cfg.Name})
+	body, _ := json.Marshal(drainRequest{Name: w.cfg.Name})
 	if !w.post(ctx, "/v1/drain", body) {
 		return fmt.Errorf("cluster: drain request to %s failed", w.cfg.CoordinatorURL)
 	}
@@ -329,7 +323,7 @@ func (w *Worker) logf(format string, args ...any) {
 // entry and its spills are dropped first, so a restarted coordinator
 // that reuses a generated job ID never runs against the old job's plan
 // or is served its spills.
-func (w *Worker) jobFor(req *MapRequest) (*workerJob, error) {
+func (w *Worker) jobFor(req *mapRequest) (*workerJob, error) {
 	fp := jobFingerprint(req)
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -340,7 +334,7 @@ func (w *Worker) jobFor(req *MapRequest) (*workerJob, error) {
 		w.logf("job %s re-submitted with a different plan/dataset; dropping stale state", req.JobID)
 		w.releaseLocked(req.JobID)
 	}
-	plan, err := req.Plan.NewPlan()
+	plan, err := req.Plan.newPlan()
 	if err != nil {
 		return nil, err
 	}
@@ -395,7 +389,7 @@ func (w *Worker) releaseLocked(jobID string) {
 // Releasing an unknown job is a no-op (the coordinator broadcasts
 // releases to every live worker).
 func (w *Worker) handleRelease(rw http.ResponseWriter, r *http.Request) {
-	var req ReleaseRequest
+	var req releaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(rw, "bad release request: "+err.Error(), http.StatusBadRequest)
 		return
@@ -450,7 +444,7 @@ func (w *Worker) handleMap(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "worker is draining", http.StatusServiceUnavailable)
 		return
 	}
-	var req MapRequest
+	var req mapRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(rw, "bad map request: "+err.Error(), http.StatusBadRequest)
 		return
@@ -488,7 +482,7 @@ func (w *Worker) handleMap(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rank := in.SpillRank()
-	resp := MapResponse{JobID: req.JobID, Split: req.Split, Attempt: req.Attempt, Records: records}
+	resp := mapResponse{JobID: req.JobID, Split: req.Split, Attempt: req.Attempt, Records: records}
 	pw, err := w.store.Begin(req.JobID, req.Split, req.Attempt)
 	if err != nil {
 		http.Error(rw, "spill store: "+err.Error(), http.StatusInternalServerError)
@@ -504,7 +498,7 @@ func (w *Worker) handleMap(rw http.ResponseWriter, r *http.Request) {
 			http.Error(rw, "spill write: "+err.Error(), http.StatusInternalServerError)
 			return
 		}
-		resp.Outputs = append(resp.Outputs, KeyblockMeta{
+		resp.Outputs = append(resp.Outputs, keyblockMeta{
 			Keyblock:    kb,
 			Pairs:       len(out.Pairs),
 			SourceCount: out.SourceCount,
@@ -571,7 +565,7 @@ func (w *Worker) handlePack(rw http.ResponseWriter, r *http.Request) {
 // ReadSpill would make, without building a pair — before acknowledging:
 // a replica the coordinator counts on must be provably servable.
 func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
-	var req ReplicateRequest
+	var req replicateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(rw, "bad replicate request: "+err.Error(), http.StatusBadRequest)
 		return
@@ -580,7 +574,7 @@ func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "bad replicate request", http.StatusBadRequest)
 		return
 	}
-	url := strings.TrimSuffix(req.SourceURL, "/") + PackPath(req.JobID, req.Split, req.Attempt)
+	url := strings.TrimSuffix(req.SourceURL, "/") + packPath(req.JobID, req.Split, req.Attempt)
 	get, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
 	if err != nil {
 		http.Error(rw, "bad source url: "+err.Error(), http.StatusBadRequest)
@@ -618,12 +612,12 @@ func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
 	w.logf("installed replica %s/%d attempt %d (%d bytes, %d keyblocks) from %s",
 		req.JobID, req.Split, req.Attempt, n, len(kbs), req.SourceURL)
 	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(ReplicateResponse{Bytes: n})
+	json.NewEncoder(rw).Encode(replicateResponse{Bytes: n})
 }
 
 // handleShuffleBatch is the worker's one shuffle endpoint. It streams a
 // Reduce task's spill subset held by this worker in one response: POST
-// /v1/shuffle/batch with a BatchFetchRequest body naming N≥1 spills of
+// /v1/shuffle/batch with a batchFetchRequest body naming N≥1 spills of
 // one keyblock. A spill is served only from a committed spillstore pack
 // (a SectionReader over the shared pack handle — zero copy, zero
 // re-decode). Frames are emitted in request order — the coordinator's
@@ -634,7 +628,7 @@ func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
 // context is checked between frames so an abandoned fetch stops
 // consuming disk bandwidth.
 func (w *Worker) handleShuffleBatch(rw http.ResponseWriter, r *http.Request) {
-	var req BatchFetchRequest
+	var req batchFetchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(rw, "bad batch request: "+err.Error(), http.StatusBadRequest)
 		return

@@ -32,8 +32,8 @@ type Shape []int64
 // combined.
 var ErrRankMismatch = errors.New("coords: rank mismatch")
 
-// ErrInvalidShape is returned when a shape has a non-positive extent.
-var ErrInvalidShape = errors.New("coords: shape extents must be positive")
+// errInvalidShape is returned when a shape has a non-positive extent.
+var errInvalidShape = errors.New("coords: shape extents must be positive")
 
 // NewCoord copies xs into a fresh Coord.
 func NewCoord(xs ...int64) Coord {
@@ -148,17 +148,17 @@ func (s Shape) Clone() Shape {
 	return out
 }
 
-// Validate returns ErrInvalidShape unless every extent is positive.
+// Validate returns errInvalidShape unless every extent is positive.
 func (s Shape) Validate() error {
 	if len(s) == 0 {
-		return fmt.Errorf("%w: empty shape", ErrInvalidShape)
+		return fmt.Errorf("%w: empty shape", errInvalidShape)
 	}
 	if len(s) > MaxRank {
 		return fmt.Errorf("coords: rank %d exceeds MaxRank %d", len(s), MaxRank)
 	}
 	for i, x := range s {
 		if x <= 0 {
-			return fmt.Errorf("%w: dim %d has extent %d", ErrInvalidShape, i, x)
+			return fmt.Errorf("%w: dim %d has extent %d", errInvalidShape, i, x)
 		}
 	}
 	return nil
@@ -182,19 +182,6 @@ func (s Shape) Equal(t Shape) bool { return Coord(s).Equal(Coord(t)) }
 // String renders the shape as {a, b, c}.
 func (s Shape) String() string { return braceJoin([]int64(s)) }
 
-// Contains reports whether c lies within the shape rooted at the origin.
-func (s Shape) Contains(c Coord) bool {
-	if len(s) != len(c) {
-		return false
-	}
-	for i := range s {
-		if c[i] < 0 || c[i] >= s[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Linearize converts a coordinate within the shape (origin-rooted) to a
 // row-major linear offset. It reports an error when c is out of bounds.
 func (s Shape) Linearize(c Coord) (int64, error) {
@@ -211,9 +198,9 @@ func (s Shape) Linearize(c Coord) (int64, error) {
 	return off, nil
 }
 
-// Delinearize converts a row-major linear offset back to a coordinate
+// delinearize converts a row-major linear offset back to a coordinate
 // within the shape.
-func (s Shape) Delinearize(off int64) (Coord, error) {
+func (s Shape) delinearize(off int64) (Coord, error) {
 	size := s.Size()
 	if off < 0 || off >= size {
 		return nil, fmt.Errorf("coords: offset %d outside shape %v (size %d)", off, s, size)
@@ -224,44 +211,6 @@ func (s Shape) Delinearize(off int64) (Coord, error) {
 		off /= s[i]
 	}
 	return c, nil
-}
-
-// CeilDiv returns the shape obtained by dividing each extent of s by the
-// corresponding extent of es, rounding up. This is the K -> K' keyspace
-// size computation from SIDR §3 (Area 3): the intermediate keyspace for a
-// query over keyspace s with extraction shape es.
-func (s Shape) CeilDiv(es Shape) (Shape, error) {
-	if len(s) != len(es) {
-		return nil, ErrRankMismatch
-	}
-	if err := es.Validate(); err != nil {
-		return nil, err
-	}
-	out := make(Shape, len(s))
-	for i := range s {
-		out[i] = (s[i] + es[i] - 1) / es[i]
-	}
-	return out, nil
-}
-
-// FloorDiv returns the shape obtained by dividing each extent of s by es,
-// rounding down; used when a query discards trailing partial tiles (the
-// paper's "throw away the data from the 365-th day" case).
-func (s Shape) FloorDiv(es Shape) (Shape, error) {
-	if len(s) != len(es) {
-		return nil, ErrRankMismatch
-	}
-	if err := es.Validate(); err != nil {
-		return nil, err
-	}
-	out := make(Shape, len(s))
-	for i := range s {
-		out[i] = s[i] / es[i]
-		if out[i] == 0 {
-			out[i] = 1 // a query never has an empty output dimension
-		}
-	}
-	return out, nil
 }
 
 // ParseCoord parses "{a, b, c}" or "a,b,c" into a Coord.

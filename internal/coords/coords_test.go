@@ -98,7 +98,7 @@ func TestShapeSize(t *testing.T) {
 func TestLinearizeDelinearizeRoundTrip(t *testing.T) {
 	s := NewShape(3, 4, 5)
 	for off := int64(0); off < s.Size(); off++ {
-		c, err := s.Delinearize(off)
+		c, err := s.delinearize(off)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,10 +135,10 @@ func TestLinearizeOutOfBounds(t *testing.T) {
 	if _, err := s.Linearize(NewCoord(0)); err == nil {
 		t.Fatal("rank mismatch accepted")
 	}
-	if _, err := s.Delinearize(4); err == nil {
+	if _, err := s.delinearize(4); err == nil {
 		t.Fatal("offset == size accepted")
 	}
-	if _, err := s.Delinearize(-1); err == nil {
+	if _, err := s.delinearize(-1); err == nil {
 		t.Fatal("negative offset accepted")
 	}
 }
@@ -261,4 +261,55 @@ func TestQuickCeilDivBound(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// CeilDiv returns the shape obtained by dividing each extent of s by the
+// corresponding extent of es, rounding up. This is the K -> K' keyspace
+// size computation from SIDR §3 (Area 3): the intermediate keyspace for a
+// query over keyspace s with extraction shape es.
+func (s Shape) CeilDiv(es Shape) (Shape, error) {
+	if len(s) != len(es) {
+		return nil, ErrRankMismatch
+	}
+	if err := es.Validate(); err != nil {
+		return nil, err
+	}
+	out := make(Shape, len(s))
+	for i := range s {
+		out[i] = (s[i] + es[i] - 1) / es[i]
+	}
+	return out, nil
+}
+
+// FloorDiv returns the shape obtained by dividing each extent of s by es,
+// rounding down; used when a query discards trailing partial tiles (the
+// paper's "throw away the data from the 365-th day" case).
+func (s Shape) FloorDiv(es Shape) (Shape, error) {
+	if len(s) != len(es) {
+		return nil, ErrRankMismatch
+	}
+	if err := es.Validate(); err != nil {
+		return nil, err
+	}
+	out := make(Shape, len(s))
+	for i := range s {
+		out[i] = s[i] / es[i]
+		if out[i] == 0 {
+			out[i] = 1 // a query never has an empty output dimension
+		}
+	}
+	return out, nil
+}
+
+// Contains reports whether c lies within the shape rooted at the origin.
+func (s Shape) Contains(c Coord) bool {
+	if len(s) != len(c) {
+		return false
+	}
+	for i := range s {
+		if c[i] < 0 || c[i] >= s[i] {
+			return false
+		}
+	}
+	return true
 }

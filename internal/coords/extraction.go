@@ -41,15 +41,6 @@ func NewExtraction(shape, stride Shape) (Extraction, error) {
 	return e, nil
 }
 
-// MustExtraction is NewExtraction that panics on error.
-func MustExtraction(shape, stride Shape) Extraction {
-	e, err := NewExtraction(shape, stride)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Rank returns the extraction shape's dimensionality.
 func (e Extraction) Rank() int { return len(e.Shape) }
 
@@ -60,43 +51,6 @@ func (e Extraction) EffectiveStride() Shape {
 		return e.Stride
 	}
 	return e.Shape
-}
-
-// MapKey maps a key k in the input keyspace K to its key in the
-// intermediate keyspace K' (SIDR §3, Area 2): each coordinate is divided
-// by the corresponding stride extent. For strided extractions a point may
-// fall in the gap between tiles; ok is false in that case.
-func (e Extraction) MapKey(k Coord) (kp Coord, ok bool) {
-	kp, ok = e.MapKeyInto(k, nil)
-	if !ok {
-		return nil, false
-	}
-	return kp, true
-}
-
-// MapKeyInto is MapKey writing into buf when it has the capacity (the
-// returned coordinate then aliases buf), so per-record loops can map
-// keys without allocating.
-func (e Extraction) MapKeyInto(k, buf Coord) (kp Coord, ok bool) {
-	st := e.EffectiveStride()
-	if len(k) != len(st) {
-		return nil, false
-	}
-	if cap(buf) >= len(k) {
-		kp = buf[:len(k)]
-	} else {
-		kp = make(Coord, len(k))
-	}
-	for i := range k {
-		if k[i] < 0 {
-			return kp, false
-		}
-		kp[i] = k[i] / st[i]
-		if k[i]%st[i] >= e.Shape[i] {
-			return kp, false // in the inter-tile gap of a strided access
-		}
-	}
-	return kp, true
 }
 
 // Tile returns the slab in K covered by the tile for intermediate key kp.
@@ -113,21 +67,6 @@ func (e Extraction) Tile(kp Coord) (Slab, error) {
 		corner[i] = kp[i] * st[i]
 	}
 	return Slab{Corner: corner, Shape: e.Shape.Clone()}, nil
-}
-
-// IntermediateSpace computes the shape of the intermediate keyspace K'^T
-// for a query whose input keyspace (origin-rooted) has shape ks
-// (SIDR §3, Area 3). Partial trailing tiles are included (ceil division)
-// when keepPartial is true, discarded (floor division) otherwise.
-func (e Extraction) IntermediateSpace(ks Shape, keepPartial bool) (Shape, error) {
-	st := e.EffectiveStride()
-	if len(ks) != len(st) {
-		return nil, ErrRankMismatch
-	}
-	if keepPartial {
-		return ks.CeilDiv(st)
-	}
-	return ks.FloorDiv(st)
 }
 
 // TileRange returns the slab of intermediate keys (in K') whose tiles
@@ -178,26 +117,6 @@ func (e Extraction) KeyBox(in, space Slab) Slab {
 		}
 	}
 	return Slab{Corner: make(Coord, e.Rank()), Shape: make(Shape, e.Rank())}
-}
-
-// SourceRange returns the slab in the input space K whose points map to
-// intermediate keys within kpSlab (in K'). It is the inverse of TileRange
-// used when a Reduce task re-derives its input dependencies on demand
-// (the paper's "store vs re-compute" alternative, §3.2.1).
-func (e Extraction) SourceRange(kpSlab Slab) (Slab, error) {
-	st := e.EffectiveStride()
-	if kpSlab.Rank() != len(st) {
-		return Slab{}, ErrRankMismatch
-	}
-	corner := make(Coord, kpSlab.Rank())
-	shape := make(Shape, kpSlab.Rank())
-	for i := range corner {
-		corner[i] = kpSlab.Corner[i] * st[i]
-		// Last tile's data region ends at (corner+shape-1)*st + e.Shape.
-		end := (kpSlab.Corner[i]+kpSlab.Shape[i]-1)*st[i] + e.Shape[i]
-		shape[i] = end - corner[i]
-	}
-	return Slab{Corner: corner, Shape: shape}, nil
 }
 
 // String renders the extraction shape (with stride when present).

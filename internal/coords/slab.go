@@ -41,36 +41,9 @@ func (s Slab) Rank() int { return len(s.Corner) }
 // Size returns the number of points in the slab.
 func (s Slab) Size() int64 { return s.Shape.Size() }
 
-// End returns the exclusive upper corner (corner + shape).
-func (s Slab) End() Coord {
-	out := make(Coord, len(s.Corner))
-	for i := range s.Corner {
-		out[i] = s.Corner[i] + s.Shape[i]
-	}
-	return out
-}
-
 // Clone returns a deep copy of the slab.
 func (s Slab) Clone() Slab {
 	return Slab{Corner: s.Corner.Clone(), Shape: s.Shape.Clone()}
-}
-
-// Equal reports whether two slabs describe the same region.
-func (s Slab) Equal(t Slab) bool {
-	return s.Corner.Equal(t.Corner) && s.Shape.Equal(t.Shape)
-}
-
-// Contains reports whether the point c lies within the slab.
-func (s Slab) Contains(c Coord) bool {
-	if len(c) != len(s.Corner) {
-		return false
-	}
-	for i := range c {
-		if c[i] < s.Corner[i] || c[i] >= s.Corner[i]+s.Shape[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ContainsSlab reports whether t lies entirely within s.
@@ -164,7 +137,7 @@ func (s Slab) Linearize(c Coord) (int64, error) {
 // Delinearize maps a row-major offset relative to the slab's corner back
 // to an absolute coordinate.
 func (s Slab) Delinearize(off int64) (Coord, error) {
-	rel, err := s.Shape.Delinearize(off)
+	rel, err := s.Shape.delinearize(off)
 	if err != nil {
 		return nil, err
 	}

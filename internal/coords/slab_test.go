@@ -238,3 +238,30 @@ func TestQuickSplitDimPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// End returns the exclusive upper corner (corner + shape).
+func (s Slab) End() Coord {
+	out := make(Coord, len(s.Corner))
+	for i := range s.Corner {
+		out[i] = s.Corner[i] + s.Shape[i]
+	}
+	return out
+}
+
+// Contains reports whether the point c lies within the slab.
+func (s Slab) Contains(c Coord) bool {
+	if len(c) != len(s.Corner) {
+		return false
+	}
+	for i := range c {
+		if c[i] < s.Corner[i] || c[i] >= s.Corner[i]+s.Shape[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Equal reports whether two slabs describe the same region.
+func (s Slab) Equal(t Slab) bool {
+	return s.Corner.Equal(t.Corner) && s.Shape.Equal(t.Shape)
+}

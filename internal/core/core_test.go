@@ -48,7 +48,15 @@ func TestPlanPartitionerPerEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sidr.Part.(*partition.PartitionPlus); !ok {
+	plus, err := partition.NewPartitionPlus(coords.MustSlab(coords.NewCoord(0), coords.NewShape(4)), 2, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modulo, err := partition.NewModulo(2, partition.TileIndexEncoding{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.TypeOf(sidr.Part) != reflect.TypeOf(plus) {
 		t.Fatalf("SIDR partitioner = %T", sidr.Part)
 	}
 	if sidr.Keyblocks == nil {
@@ -59,7 +67,7 @@ func TestPlanPartitionerPerEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := p.Part.(*partition.Modulo); !ok {
+		if reflect.TypeOf(p.Part) != reflect.TypeOf(modulo) {
 			t.Fatalf("%v partitioner = %T", e, p.Part)
 		}
 		if p.Keyblocks != nil {
@@ -144,10 +152,10 @@ func TestRunLocalAllEnginesAgree(t *testing.T) {
 
 // underReport is a runner whose Fetch reports keyblock 0's annotation
 // tally one source pair short, as if a Map output had lost a pair.
-type underReport struct{ mapreduce.Runner }
+type underReport struct{ localRunner }
 
 func (r underReport) Fetch(ctx context.Context, l int, refs []any) ([][]kv.Pair, int64, []int, error) {
-	streams, tally, lost, err := r.Runner.Fetch(ctx, l, refs)
+	streams, tally, lost, err := r.localRunner.Fetch(ctx, l, refs)
 	if l == 0 {
 		tally--
 	}
@@ -173,7 +181,7 @@ func TestBarrierEnginesCheckTheTally(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = p.RunLocal(reader, func(cfg *mapreduce.Config) {
-			cfg.Runner = underReport{mapreduce.LocalRunner{In: in, Splits: p.Splits}}
+			cfg.Runner = underReport{localRunner{in, p.Splits}}
 		})
 		if !errors.Is(err, mapreduce.ErrCountMismatch) {
 			t.Fatalf("%v: err = %v, want ErrCountMismatch", e, err)
@@ -377,4 +385,30 @@ func TestUnprunedLayoutIsUniform(t *testing.T) {
 	if reflect.DeepEqual(p.Keyblocks, uniform.Blocks) {
 		t.Fatal("pruned plan kept the uniform layout")
 	}
+}
+
+// localRunner runs Map tasks in process through mapreduce.ExecMap and
+// keeps their outputs in memory, as a job without a Runner does, for a
+// test's runner to wrap.
+type localRunner struct {
+	in     mapreduce.MapInput
+	splits []mapreduce.InputSplit
+}
+
+func (r localRunner) RunMap(ctx context.Context, i int) (mapreduce.MapResult, error) {
+	in := r.in
+	in.Ctx = ctx
+	outs, records, err := mapreduce.ExecMap(in, r.splits[i])
+	return mapreduce.MapResult{Ref: outs, Records: records}, err
+}
+
+func (localRunner) Fetch(_ context.Context, l int, refs []any) ([][]kv.Pair, int64, []int, error) {
+	var streams [][]kv.Pair
+	var tally int64
+	for _, ref := range refs {
+		o := ref.([]mapreduce.MapOut)[l]
+		streams = append(streams, o.Pairs)
+		tally += o.SourceCount
+	}
+	return streams, tally, nil, nil
 }

@@ -303,7 +303,7 @@ func TestQuickInversionConsistent(t *testing.T) {
 			Operator:   "sum",
 			Variable:   "v",
 			Input:      coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(rows, cols)),
-			Extraction: coords.MustExtraction(coords.NewShape(1+int64(r.Intn(4)), 1+int64(r.Intn(3))), nil),
+			Extraction: mustExtraction(coords.NewShape(1+int64(r.Intn(4)), 1+int64(r.Intn(3))), nil),
 		}
 		space, err := q.IntermediateSpace()
 		if err != nil {
@@ -368,7 +368,7 @@ func TestQuickCountsPartitionIndependent(t *testing.T) {
 			Operator:   "avg",
 			Variable:   "v",
 			Input:      coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(rows, cols)),
-			Extraction: coords.MustExtraction(coords.NewShape(es, 1), nil),
+			Extraction: mustExtraction(coords.NewShape(es, 1), nil),
 		}
 		space, err := q.IntermediateSpace()
 		if err != nil {
@@ -410,10 +410,10 @@ func referenceGraph(q *query.Query, splits []coords.Slab, p partition.Partitione
 		counts[i] = make([]int64, r)
 		var err error
 		split.EachReuse(func(k coords.Coord) bool {
-			if !q.Input.Contains(k) {
+			if !slabContains(q.Input, k) {
 				return true
 			}
-			kp, ok := q.Extraction.MapKey(k)
+			kp, ok := mapKey(q.Extraction, k, nil)
 			if !ok {
 				return true
 			}
@@ -484,9 +484,9 @@ func FuzzDependencyGraph(f *testing.F) {
 			dataset.Shape[d] = corner[d] + shape[d] + int64(b[18]>>(2*d))%4
 		}
 		q := &query.Query{Operator: "sum", Variable: "v", Input: coords.Slab{Corner: corner, Shape: shape},
-			Extraction: coords.MustExtraction(es, nil)}
+			Extraction: mustExtraction(es, nil)}
 		if b[13]&1 != 0 {
-			q.Extraction = coords.MustExtraction(es, stride)
+			q.Extraction = mustExtraction(es, stride)
 		}
 		space, err := q.IntermediateSpace()
 		if err != nil {
@@ -533,4 +533,37 @@ func FuzzDependencyGraph(f *testing.F) {
 				g.SplitToKB, g.KBToSplits, g.ExpectedCount, want.SplitToKB, want.KBToSplits, want.ExpectedCount)
 		}
 	})
+}
+
+// mapKey maps input key k to its intermediate key (SIDR §3, Area 2),
+// writing into buf when it has the capacity; ok is false for a key
+// outside the keyspace or in a strided extraction's inter-tile gap.
+func mapKey(e coords.Extraction, k, buf coords.Coord) (kp coords.Coord, ok bool) {
+	st := e.EffectiveStride()
+	if len(k) != len(st) {
+		return nil, false
+	}
+	kp = append(buf[:0], k...)
+	for i := range kp {
+		if k[i] < 0 || k[i]%st[i] >= e.Shape[i] {
+			return kp, false
+		}
+		kp[i] = k[i] / st[i]
+	}
+	return kp, true
+}
+
+// mustExtraction is coords.NewExtraction that panics on error.
+func mustExtraction(shape, stride coords.Shape) coords.Extraction {
+	e, err := coords.NewExtraction(shape, stride)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// slabContains reports whether c lies in s.
+func slabContains(s coords.Slab, c coords.Coord) bool {
+	_, err := s.Linearize(c)
+	return err == nil
 }

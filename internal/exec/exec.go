@@ -118,9 +118,6 @@ func New(workers int) *Executor {
 	return e
 }
 
-// Workers returns the pool size.
-func (e *Executor) Workers() int { return e.workers }
-
 // Stats returns a snapshot of the pool.
 func (e *Executor) Stats() Stats {
 	e.mu.Lock()

@@ -11,7 +11,7 @@ import (
 )
 
 func TestQueriesParse(t *testing.T) {
-	q1, q2 := Query1(), Query2()
+	q1, q2 := Query1(), query2()
 	if q1.Operator != "median" || q2.Operator != "filter_gt" {
 		t.Fatalf("queries changed: %v / %v", q1, q2)
 	}
@@ -33,8 +33,8 @@ func TestPaperPlanGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Splits) != PaperSplits {
-		t.Fatalf("%d splits, want %d", len(p.Splits), PaperSplits)
+	if len(p.Splits) != paperSplits {
+		t.Fatalf("%d splits, want %d", len(p.Splits), paperSplits)
 	}
 	var total int64
 	for _, s := range p.Splits {
@@ -70,11 +70,11 @@ func TestPaperWorkloadByOperatorClass(t *testing.T) {
 		t.Fatalf("holistic shuffle bytes = %d, want full dataset %d", in1, p1.Query.Input.Size()*8)
 	}
 	// Filter: survivors only (plus per-key overhead).
-	p2, err := PaperPlan(Query2(), core.EngineSIDR, 22)
+	p2, err := PaperPlan(query2(), core.EngineSIDR, 22)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := PaperWorkload(p2, Query2SurvivorFrac)
+	w2, err := PaperWorkload(p2, query2SurvivorFrac)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +216,11 @@ func TestFigure13Shape(t *testing.T) {
 func TestSkewLoads(t *testing.T) {
 	q := Query1()
 	enc := partition.CornerInKEncoding{InputSpace: q.Input.Shape, Extraction: q.Extraction}
-	stock, err := PaperPlanEncoded(q, core.EngineSciHadoop, 22, enc)
+	stock, err := paperPlanEncoded(q, core.EngineSciHadoop, 22, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := SkewLoads(stock)
+	st := skewLoads(stock)
 	// §4.3: every encoded key is even, so the 11 odd keyblocks starve
 	// and even ones carry double.
 	if st.Starved != 11 {
@@ -236,7 +236,7 @@ func TestSkewLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = SkewLoads(sidr)
+	st = skewLoads(sidr)
 	// partition+ balances to within one tile instance: with the default
 	// skew bound (65,536 keys) over 163,636 keys per reducer that is at
 	// most ~1.2× the mean, against 2× for the pathological modulo case.
@@ -249,7 +249,7 @@ func TestSkewLoads(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	cfg := Table2Config{
+	cfg := table2Config{
 		Dir:           t.TempDir(),
 		PointsPerTask: 1 << 12,
 		ReduceCounts:  []int{4, 8, 16},
@@ -283,7 +283,7 @@ func TestTable2Shape(t *testing.T) {
 	if pairs.Bytes != want {
 		t.Fatalf("pair bytes = %d, want %d", pairs.Bytes, want)
 	}
-	if _, err := Table2(Table2Config{}); err == nil {
+	if _, err := Table2(table2Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 }

@@ -7,12 +7,12 @@ import (
 	"sidr/internal/simcluster"
 )
 
-// FailureStudyRow compares the two §6 recovery strategies at one failure
+// failureStudyRow compares the two §6 recovery strategies at one failure
 // probability: stock persist-everything (every Map task pays a
 // persistence overhead, recovery refetches) vs SIDR's proposed
 // no-persist (full-speed Map tasks, recovery re-executes the failed
 // Reduce task's I_ℓ Map subset).
-type FailureStudyRow struct {
+type failureStudyRow struct {
 	FailureProb       float64
 	PersistMakespan   float64
 	PersistFailures   int
@@ -21,7 +21,7 @@ type FailureStudyRow struct {
 }
 
 // Format renders the row as one harness output line.
-func (r FailureStudyRow) Format() string {
+func (r failureStudyRow) Format() string {
 	winner := "persist"
 	if r.RecomputeMakespan < r.PersistMakespan {
 		winner = "no-persist"
@@ -31,10 +31,10 @@ func (r FailureStudyRow) Format() string {
 		r.RecomputeMakespan, r.RecomputeFailures, winner)
 }
 
-// PersistOverheadDefault is the fractional Map-task slowdown charged for
+// persistOverheadDefault is the fractional Map-task slowdown charged for
 // persisting intermediate data to local disk (a spill write alongside
 // every Map task's output).
-const PersistOverheadDefault = 0.08
+const persistOverheadDefault = 0.08
 
 // FailureStudy runs the §6 hypothesis at paper scale: Query 1 under SIDR
 // with the given Reduce count, sweeping Reduce-failure probabilities.
@@ -43,7 +43,7 @@ const PersistOverheadDefault = 0.08
 // low failure rates and loses once re-execution dominates; the crossover
 // moves to higher failure rates as the Reduce count grows (smaller I_ℓ
 // sets make re-execution cheaper).
-func FailureStudy(cfg simcluster.Config, reducers int, probs []float64) ([]FailureStudyRow, error) {
+func FailureStudy(cfg simcluster.Config, reducers int, probs []float64) ([]failureStudyRow, error) {
 	q := Query1()
 	p, err := PaperPlan(q, core.EngineSIDR, reducers)
 	if err != nil {
@@ -53,9 +53,9 @@ func FailureStudy(cfg simcluster.Config, reducers int, probs []float64) ([]Failu
 	if err != nil {
 		return nil, err
 	}
-	var rows []FailureStudyRow
+	var rows []failureStudyRow
 	for _, prob := range probs {
-		row := FailureStudyRow{FailureProb: prob}
+		row := failureStudyRow{FailureProb: prob}
 		for _, recompute := range []bool{false, true} {
 			res, err := simulateWithFailure(p, cfg, w, prob, recompute)
 			if err != nil {
@@ -75,10 +75,10 @@ func FailureStudy(cfg simcluster.Config, reducers int, probs []float64) ([]Failu
 }
 
 // simulateWithFailure is Simulate with a failure model attached.
-func simulateWithFailure(p *core.Plan, cfg simcluster.Config, w SimWorkload, prob float64, recompute bool) (*simcluster.Result, error) {
-	return SimulateWith(p, cfg, w, &simcluster.FailureModel{
+func simulateWithFailure(p *core.Plan, cfg simcluster.Config, w simWorkload, prob float64, recompute bool) (*simcluster.Result, error) {
+	return simulateWith(p, cfg, w, &simcluster.FailureModel{
 		Prob:            prob,
 		Recompute:       recompute,
-		PersistOverhead: PersistOverheadDefault,
+		PersistOverhead: persistOverheadDefault,
 	})
 }

@@ -71,9 +71,9 @@ func Figure10(cfg simcluster.Config) ([]CurveResult, error) {
 	return out, nil
 }
 
-// Query2SurvivorFrac is the fraction of values a 3σ filter passes
+// query2SurvivorFrac is the fraction of values a 3σ filter passes
 // (§4.1: 0.1% of the dataset).
-const Query2SurvivorFrac = 0.001
+const query2SurvivorFrac = 0.001
 
 // Figure11 regenerates Figure 11: the Query 2 filter under SciHadoop at
 // 22 Reduce tasks and SIDR at 22, 66 and 176. Expected shape: Reduce
@@ -81,15 +81,15 @@ const Query2SurvivorFrac = 0.001
 // with fewer tasks, and SIDR's total-time gain over SciHadoop is much
 // smaller than for Query 1.
 func Figure11(cfg simcluster.Config) ([]CurveResult, error) {
-	q := Query2()
+	q := query2()
 	out := make([]CurveResult, 0, 4)
-	cr, err := runConfig(q, core.EngineSciHadoop, 22, cfg, Query2SurvivorFrac, "22 Reduces(SH)")
+	cr, err := runConfig(q, core.EngineSciHadoop, 22, cfg, query2SurvivorFrac, "22 Reduces(SH)")
 	if err != nil {
 		return nil, fmt.Errorf("figure 11 SciHadoop: %w", err)
 	}
 	out = append(out, cr)
 	for _, r := range []int{22, 66, 176} {
-		cr, err := runConfig(q, core.EngineSIDR, r, cfg, Query2SurvivorFrac, fmt.Sprintf("%d Reduces(SS)", r))
+		cr, err := runConfig(q, core.EngineSIDR, r, cfg, query2SurvivorFrac, fmt.Sprintf("%d Reduces(SS)", r))
 		if err != nil {
 			return nil, fmt.Errorf("figure 11 SIDR %d: %w", r, err)
 		}
@@ -98,8 +98,8 @@ func Figure11(cfg simcluster.Config) ([]CurveResult, error) {
 	return out, nil
 }
 
-// Figure12Row is one reducer-count row of the variance experiment.
-type Figure12Row struct {
+// figure12Row is one reducer-count row of the variance experiment.
+type figure12Row struct {
 	Reducers   int
 	Runs       int
 	MeanTotal  float64
@@ -108,7 +108,7 @@ type Figure12Row struct {
 }
 
 // Format renders the row as one harness output line.
-func (r Figure12Row) Format() string {
+func (r figure12Row) Format() string {
 	return fmt.Sprintf("%4d reducers over %d runs: meanTotal=%7.1fs maxStdDev=%6.1fs meanStdDev=%6.1fs",
 		r.Reducers, r.Runs, r.MeanTotal, r.MaxStdDev, r.MeanStdDev)
 }
@@ -117,12 +117,12 @@ func (r Figure12Row) Format() string {
 // times across `runs` seeded executions, for 22 and 88 Reduce tasks.
 // Expected shape: more Reduce tasks shrink each task's dependency set and
 // with it the completion-time variance.
-func Figure12(cfg simcluster.Config, runs int) ([]Figure12Row, error) {
+func Figure12(cfg simcluster.Config, runs int) ([]figure12Row, error) {
 	if runs < 2 {
 		return nil, fmt.Errorf("figure 12 needs at least 2 runs, got %d", runs)
 	}
 	q := Query1()
-	var out []Figure12Row
+	var out []figure12Row
 	for _, r := range []int{22, 88} {
 		p, err := PaperPlan(q, core.EngineSIDR, r)
 		if err != nil {
@@ -148,7 +148,7 @@ func Figure12(cfg simcluster.Config, runs int) ([]Figure12Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Figure12Row{
+		out = append(out, figure12Row{
 			Reducers:   r,
 			Runs:       runs,
 			MeanTotal:  totals / float64(runs),
@@ -177,7 +177,7 @@ func Figure13(cfg simcluster.Config) ([]CurveResult, error) {
 		InputSpace: q.Input.Shape,
 		Extraction: q.Extraction,
 	}
-	stockPlan, err := PaperPlanEncoded(q, core.EngineSciHadoop, 22, enc)
+	stockPlan, err := paperPlanEncoded(q, core.EngineSciHadoop, 22, enc)
 	if err != nil {
 		return nil, err
 	}
@@ -196,9 +196,9 @@ func Figure13(cfg simcluster.Config) ([]CurveResult, error) {
 	return []CurveResult{summarize("22 Reducers (stock)", stockRes), sidrCR}, nil
 }
 
-// SkewLoads computes the §4.3 keyblock-load imbalance statistics for a
+// skewLoads computes the §4.3 keyblock-load imbalance statistics for a
 // plan.
-func SkewLoads(p *core.Plan) skew.Summary {
+func skewLoads(p *core.Plan) skew.Summary {
 	return skew.Summarize(p.Graph.ExpectedCount)
 }
 
@@ -208,7 +208,7 @@ func SkewLoads(p *core.Plan) skew.Summary {
 func Figure13Skew() (stock, sidr skew.Summary, err error) {
 	q := Query1()
 	enc := partition.CornerInKEncoding{InputSpace: q.Input.Shape, Extraction: q.Extraction}
-	stockPlan, err := PaperPlanEncoded(q, core.EngineSciHadoop, 22, enc)
+	stockPlan, err := paperPlanEncoded(q, core.EngineSciHadoop, 22, enc)
 	if err != nil {
 		return skew.Summary{}, skew.Summary{}, err
 	}
@@ -216,7 +216,7 @@ func Figure13Skew() (stock, sidr skew.Summary, err error) {
 	if err != nil {
 		return skew.Summary{}, skew.Summary{}, err
 	}
-	return SkewLoads(stockPlan), SkewLoads(sidrPlan), nil
+	return skewLoads(stockPlan), skewLoads(sidrPlan), nil
 }
 
 func shortName(e core.Engine) string {

@@ -14,7 +14,7 @@ var (
 	figure9Seed1  = sync.OnceValues(func() ([]CurveResult, error) { return Figure9(TestbedConfig(1)) })
 	figure13Seed1 = sync.OnceValues(func() ([]CurveResult, error) { return Figure13(TestbedConfig(1)) })
 	table3Rows    = sync.OnceValues(Table3)
-	failuresSeed1 = sync.OnceValues(func() ([]FailureStudyRow, error) {
+	failuresSeed1 = sync.OnceValues(func() ([]failureStudyRow, error) {
 		return FailureStudy(TestbedConfig(1), 176, []float64{0, 0.5})
 	})
 )

@@ -22,9 +22,9 @@ import (
 	"sidr/internal/trace"
 )
 
-// PaperSplits is the paper's input-split count for the 348 GB Query 1/2
+// paperSplits is the paper's input-split count for the 348 GB Query 1/2
 // dataset at a 128 MB HDFS block size (§4.1).
-const PaperSplits = 2781
+const paperSplits = 2781
 
 // Query1 returns the paper's Query 1 (§4.1): a median over the
 // {7200, 360, 720, 50} windspeed dataset with extraction shape
@@ -38,11 +38,11 @@ func Query1() *query.Query {
 	return q
 }
 
-// Query2 returns the paper's Query 2 (§4.1): a filter over a same-sized
+// query2 returns the paper's Query 2 (§4.1): a filter over a same-sized
 // normally distributed dataset returning values more than three standard
 // deviations above the mean (0.1% of the data), with extraction shape
 // {2, 40, 40, 10}.
-func Query2() *query.Query {
+func query2() *query.Query {
 	q, err := query.Parse("filter_gt gauss[0,0,0,0 : 7200,360,720,50] es {2,40,40,10} param 3")
 	if err != nil {
 		panic(err)
@@ -51,17 +51,17 @@ func Query2() *query.Query {
 }
 
 // PaperPlan derives a paper-scale plan: the query split into exactly
-// PaperSplits leading-dimension bands (matching the paper's 2,781) with
+// paperSplits leading-dimension bands (matching the paper's 2,781) with
 // the given engine and reducer count.
 func PaperPlan(q *query.Query, engine core.Engine, reducers int) (*core.Plan, error) {
-	return PaperPlanEncoded(q, engine, reducers, nil)
+	return paperPlanEncoded(q, engine, reducers, nil)
 }
 
-// PaperBytesPerPoint is the dataset element size (the paper stores int
+// paperBytesPerPoint is the dataset element size (the paper stores int
 // values; 348 GB over 93.31 G points ≈ 4 bytes).
-const PaperBytesPerPoint = 4
+const paperBytesPerPoint = 4
 
-// PaperPlanEncoded is PaperPlan with an explicit modulo key encoding
+// paperPlanEncoded is PaperPlan with an explicit modulo key encoding
 // (used by the Figure 13 skew experiment). Splits carry locality hints
 // from a simulated 24-node HDFS namespace holding the dataset at 3×
 // replication, so simulated Map placement works on realistic block
@@ -71,7 +71,7 @@ const PaperBytesPerPoint = 4
 // figures ask for the same few again and again, so each distinct plan is
 // built once per process. Plans are read-only after NewPlan; callers
 // share the returned value.
-func PaperPlanEncoded(q *query.Query, engine core.Engine, reducers int, enc partition.KeyEncoding) (*core.Plan, error) {
+func paperPlanEncoded(q *query.Query, engine core.Engine, reducers int, enc partition.KeyEncoding) (*core.Plan, error) {
 	key := fmt.Sprintf("%v|%v|%d|%T%v", q, engine, reducers, enc, enc)
 	paperPlans.Lock()
 	defer paperPlans.Unlock()
@@ -85,7 +85,7 @@ func PaperPlanEncoded(q *query.Query, engine core.Engine, reducers int, enc part
 	return p, err
 }
 
-// paperPlans memoises PaperPlanEncoded. Building under the lock keeps two
+// paperPlans memoises paperPlanEncoded. Building under the lock keeps two
 // callers from deriving the same plan twice.
 var paperPlans = struct {
 	sync.Mutex
@@ -93,7 +93,7 @@ var paperPlans = struct {
 }{m: map[string]*core.Plan{}}
 
 func buildPaperPlan(q *query.Query, engine core.Engine, reducers int, enc partition.KeyEncoding) (*core.Plan, error) {
-	slabs, err := q.Input.SplitDimCount(0, PaperSplits)
+	slabs, err := q.Input.SplitDimCount(0, paperSplits)
 	if err != nil {
 		return nil, err
 	}
@@ -102,13 +102,13 @@ func buildPaperPlan(q *query.Query, engine core.Engine, reducers int, enc partit
 		return nil, err
 	}
 	const file = "dataset.ncf"
-	if err := ns.AddFile(file, q.Input.Size()*PaperBytesPerPoint); err != nil {
+	if err := ns.AddFile(file, q.Input.Size()*paperBytesPerPoint); err != nil {
 		return nil, err
 	}
 	splits := make([]mapreduce.InputSplit, len(slabs))
 	var off int64
 	for i, s := range slabs {
-		hosts, err := ns.RangeHosts(file, off*PaperBytesPerPoint, s.Size()*PaperBytesPerPoint)
+		hosts, err := ns.RangeHosts(file, off*paperBytesPerPoint, s.Size()*paperBytesPerPoint)
 		if err != nil {
 			return nil, err
 		}
@@ -154,12 +154,12 @@ func TestbedConfig(seed int64) simcluster.Config {
 // operators ship every source sample (8 bytes each); distributive and
 // filter operators ship combined pairs (filters ship only survivors,
 // estimated with the survivor fraction).
-func PaperWorkload(p *core.Plan, survivorFrac float64) (SimWorkload, error) {
+func PaperWorkload(p *core.Plan, survivorFrac float64) (simWorkload, error) {
 	op, err := p.Query.Op()
 	if err != nil {
-		return SimWorkload{}, err
+		return simWorkload{}, err
 	}
-	w := SimWorkload{}
+	w := simWorkload{}
 	for _, s := range p.Splits {
 		w.Splits = append(w.Splits, simcluster.Split{Points: s.Slab.Size()})
 	}

@@ -5,9 +5,9 @@ import (
 	"sidr/internal/simcluster"
 )
 
-// SimWorkload carries the per-task data volumes the simulator charges
+// simWorkload carries the per-task data volumes the simulator charges
 // for; PaperWorkload computes it from a plan and its query.
-type SimWorkload struct {
+type simWorkload struct {
 	Splits  []simcluster.Split
 	Reduces []simcluster.Reduce
 }
@@ -16,13 +16,13 @@ type SimWorkload struct {
 // every engine (JobConfig — barrier mode, shuffle pattern, task order,
 // count gate), executed by the one job loop in virtual time at the
 // engine's Map cost factor.
-func Simulate(p *core.Plan, cfg simcluster.Config, w SimWorkload) (*simcluster.Result, error) {
-	return SimulateWith(p, cfg, w, nil)
+func Simulate(p *core.Plan, cfg simcluster.Config, w simWorkload) (*simcluster.Result, error) {
+	return simulateWith(p, cfg, w, nil)
 }
 
-// SimulateWith is Simulate with an optional Reduce-failure model for the
+// simulateWith is Simulate with an optional Reduce-failure model for the
 // §6 recovery study.
-func SimulateWith(p *core.Plan, cfg simcluster.Config, w SimWorkload, failure *simcluster.FailureModel) (*simcluster.Result, error) {
+func simulateWith(p *core.Plan, cfg simcluster.Config, w simWorkload, failure *simcluster.FailureModel) (*simcluster.Result, error) {
 	return simcluster.Run(cfg, p.JobConfig(nil, nil), simcluster.Job{
 		Splits:        w.Splits,
 		Reduces:       w.Reduces,

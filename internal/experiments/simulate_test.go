@@ -16,7 +16,7 @@ func TestSimulateOrdersEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := simcluster.DefaultConfig()
+	cfg := TestbedConfig(1)
 	cfg.Workers = 2 // 8 map slots for 32 splits: four Map waves
 	cfg.JitterFrac = 0
 

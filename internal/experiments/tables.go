@@ -14,11 +14,11 @@ import (
 	"sidr/internal/partition"
 )
 
-// Table2Row is one row of the Reduce-output write-scaling experiment
+// table2Row is one row of the Reduce-output write-scaling experiment
 // (§4.4): the time and file size for a single representative Reduce task
 // to write its output under each strategy, as the total output space
 // scales with the Reduce task count.
-type Table2Row struct {
+type table2Row struct {
 	Strategy     ncfile.OutputStrategy
 	TotalReduces int
 	// Seconds is the mean write time over Runs runs; StdDev its standard
@@ -30,13 +30,13 @@ type Table2Row struct {
 }
 
 // Format renders the row in Table 2's layout.
-func (r Table2Row) Format() string {
+func (r table2Row) Format() string {
 	return fmt.Sprintf("%-8s reduces=%3d time=%8.4fs (σ %.4f) size=%8.2f MB",
 		r.Strategy, r.TotalReduces, r.Seconds, r.StdDev, float64(r.Bytes)/(1<<20))
 }
 
-// Table2Config parametrises the write-scaling micro-benchmark.
-type Table2Config struct {
+// table2Config parametrises the write-scaling micro-benchmark.
+type table2Config struct {
 	// Dir is the directory files are written into.
 	Dir string
 	// PointsPerTask is the useful output of one Reduce task (fixed as
@@ -53,8 +53,8 @@ type Table2Config struct {
 // experiment: the per-task output is fixed and the total output space
 // doubles with the task count, so the sentinel strategy's cost doubles
 // per row while SIDR's dense write stays constant.
-func DefaultTable2Config(dir string) Table2Config {
-	return Table2Config{
+func DefaultTable2Config(dir string) table2Config {
+	return table2Config{
 		Dir:           dir,
 		PointsPerTask: 1 << 16, // 512 KiB of useful output per task
 		ReduceCounts:  []int{20, 40, 80},
@@ -70,7 +70,7 @@ func DefaultTable2Config(dir string) Table2Config {
 // and scatters the task's values into every R-th slot — modulo
 // partitioning assigns it keys strided across the space; the SIDR row
 // writes the task's contiguous keyblock as a dense file with an origin.
-func Table2(cfg Table2Config) ([]Table2Row, error) {
+func Table2(cfg table2Config) ([]table2Row, error) {
 	if cfg.Runs < 1 || cfg.PointsPerTask < 1 || len(cfg.ReduceCounts) == 0 {
 		return nil, fmt.Errorf("experiments: bad Table 2 config %+v", cfg)
 	}
@@ -80,7 +80,7 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 		values[i] = rng.NormFloat64()
 	}
 
-	var rows []Table2Row
+	var rows []table2Row
 	for _, r := range cfg.ReduceCounts {
 		total := coords.NewShape(int64(r) * cfg.PointsPerTask)
 		// Modulo partitioning hands this task every R-th key.
@@ -96,7 +96,7 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Table2Row{Strategy: ncfile.Sentinel, TotalReduces: r, Seconds: secs, StdDev: sd, Bytes: bytes})
+		rows = append(rows, table2Row{Strategy: ncfile.Sentinel, TotalReduces: r, Seconds: secs, StdDev: sd, Bytes: bytes})
 	}
 
 	// SIDR: one dense contiguous keyblock, independent of the total.
@@ -109,7 +109,7 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, Table2Row{Strategy: ncfile.Dense, TotalReduces: 0, Seconds: secs, StdDev: sd, Bytes: bytes})
+	rows = append(rows, table2Row{Strategy: ncfile.Dense, TotalReduces: 0, Seconds: secs, StdDev: sd, Bytes: bytes})
 
 	// Coordinate/value pairs: the paper's alternative sparse layout with
 	// constant per-value overhead.
@@ -125,7 +125,7 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, Table2Row{Strategy: ncfile.Pairs, TotalReduces: 0, Seconds: secs, StdDev: sd, Bytes: bytes})
+	rows = append(rows, table2Row{Strategy: ncfile.Pairs, TotalReduces: 0, Seconds: secs, StdDev: sd, Bytes: bytes})
 	return rows, nil
 }
 
@@ -158,8 +158,8 @@ func sqrt(x float64) float64 {
 	return math.Sqrt(x)
 }
 
-// Table3Row is one row of the shuffle-connection scaling table (§4.6).
-type Table3Row struct {
+// table3Row is one row of the shuffle-connection scaling table (§4.6).
+type table3Row struct {
 	Maps        int
 	Reduces     int
 	HadoopConns int64
@@ -167,22 +167,22 @@ type Table3Row struct {
 }
 
 // Format renders the row in Table 3's layout.
-func (r Table3Row) Format() string {
+func (r table3Row) Format() string {
 	return fmt.Sprintf("%d/%-5d hadoop=%-10d sidr=%d", r.Maps, r.Reduces, r.HadoopConns, r.SIDRConns)
 }
 
 // Table3 regenerates Table 3: total Map↔Reduce connections for Query 1
 // as the Reduce count scales. Hadoop's count is Maps×Reduces; SIDR's is
 // Σ|I_ℓ| computed from the real dependency graphs.
-func Table3() ([]Table3Row, error) {
+func Table3() ([]table3Row, error) {
 	q := Query1()
-	var rows []Table3Row
+	var rows []table3Row
 	for _, r := range []int{22, 66, 132, 264, 528, 1024} {
 		p, err := PaperPlan(q, core.EngineSIDR, r)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Table3Row{
+		rows = append(rows, table3Row{
 			Maps:        len(p.Splits),
 			Reduces:     r,
 			HadoopConns: p.Graph.HadoopConnections(),
@@ -192,10 +192,10 @@ func Table3() ([]Table3Row, error) {
 	return rows, nil
 }
 
-// PartitionMicroResult reports the §4.5 partitioning micro-benchmark:
+// partitionMicroResult reports the §4.5 partitioning micro-benchmark:
 // the time to partition PairCount intermediate key/value pairs with the
 // default partitioner and with partition+.
-type PartitionMicroResult struct {
+type partitionMicroResult struct {
 	PairCount    int
 	Runs         int
 	DefaultSecs  float64
@@ -205,7 +205,7 @@ type PartitionMicroResult struct {
 }
 
 // Format renders the result like §4.5's prose (times in milliseconds).
-func (r PartitionMicroResult) Format() string {
+func (r partitionMicroResult) Format() string {
 	return fmt.Sprintf("partition %d pairs over %d runs: default=%.1fms (σ %.1f)  partition+=%.1fms (σ %.1f)",
 		r.PairCount, r.Runs, r.DefaultSecs*1e3, r.DefaultStdev*1e3, r.PlusSecs*1e3, r.PlusStdev*1e3)
 }
@@ -216,9 +216,9 @@ const PartitionMicroPairs = 6_480_000
 // PartitionMicro loads pairCount intermediate pairs into memory and
 // measures only the partitioning time of each function, mirroring §4.5's
 // methodology.
-func PartitionMicro(pairCount, runs, reducers int) (PartitionMicroResult, error) {
+func PartitionMicro(pairCount, runs, reducers int) (partitionMicroResult, error) {
 	if pairCount < 1 || runs < 1 || reducers < 1 {
-		return PartitionMicroResult{}, fmt.Errorf("experiments: bad partition micro config")
+		return partitionMicroResult{}, fmt.Errorf("experiments: bad partition micro config")
 	}
 	// A 2-D intermediate keyspace big enough to hold pairCount distinct
 	// keys.
@@ -228,18 +228,18 @@ func PartitionMicro(pairCount, runs, reducers int) (PartitionMicroResult, error)
 	for i := range keys {
 		kp, err := space.Delinearize(int64(i))
 		if err != nil {
-			return PartitionMicroResult{}, err
+			return partitionMicroResult{}, err
 		}
 		keys[i] = kp
 	}
 
 	mod, err := partition.NewModulo(reducers, partition.TileIndexEncoding{Space: space})
 	if err != nil {
-		return PartitionMicroResult{}, err
+		return partitionMicroResult{}, err
 	}
 	pp, err := partition.NewPartitionPlus(space, reducers, 0, nil)
 	if err != nil {
-		return PartitionMicroResult{}, err
+		return partitionMicroResult{}, err
 	}
 
 	measure := func(p partition.Partitioner) (float64, float64, error) {
@@ -266,7 +266,7 @@ func PartitionMicro(pairCount, runs, reducers int) (PartitionMicroResult, error)
 		return mean, sqrt(v), nil
 	}
 
-	res := PartitionMicroResult{PairCount: pairCount, Runs: runs}
+	res := partitionMicroResult{PairCount: pairCount, Runs: runs}
 	if res.DefaultSecs, res.DefaultStdev, err = measure(mod); err != nil {
 		return res, err
 	}

@@ -1,5 +1,5 @@
 // Package faultinject is a deterministic, seeded chaos layer for the
-// distributed runtime. One Injector, built from a scriptable Spec,
+// distributed runtime. One Injector, built from a scriptable schedule,
 // drives every kind of adversity the cluster must survive:
 //
 //   - a client-side http.RoundTripper wrapper (Transport) that can
@@ -15,7 +15,7 @@
 // Every decision comes from one seeded PRNG behind a mutex, so a given
 // (seed, sequence of probes) replays the same schedule — chaos tests
 // are reproducible, and `sidr-worker -chaos` / `sidrd -chaos` schedules
-// can be pinned in CI. Counts() reports how many of each action
+// can be pinned in CI. The injector counts how many of each action
 // actually fired, so tests can assert the chaos they asked for
 // happened.
 package faultinject
@@ -34,18 +34,18 @@ import (
 	"time"
 )
 
-// ErrInjectedDrop is the connection-level failure Transport returns for
+// errInjectedDrop is the connection-level failure Transport returns for
 // a dropped request; the coordinator treats it like any dial failure.
-var ErrInjectedDrop = errors.New("faultinject: injected connection drop")
+var errInjectedDrop = errors.New("faultinject: injected connection drop")
 
-// ErrInjectedHang is returned by BeforeMap when a hung attempt's
+// errInjectedHang is returned by BeforeMap when a hung attempt's
 // context is cancelled out from under it.
-var ErrInjectedHang = errors.New("faultinject: injected hang cancelled")
+var errInjectedHang = errors.New("faultinject: injected hang cancelled")
 
-// Spec is one chaos schedule. Probabilities are per-decision in [0,1];
+// schedule is one chaos schedule. Probabilities are per-decision in [0,1];
 // zero values disable an action. Parse builds one from the compact
 // flag syntax shared by -chaos on sidrd and sidr-worker.
-type Spec struct {
+type schedule struct {
 	// Seed seeds the schedule's PRNG; the same seed replays the same
 	// decisions in the same probe order.
 	Seed int64
@@ -56,7 +56,7 @@ type Spec struct {
 	// DelayP delays a request by Delay before forwarding it.
 	DelayP float64
 	Delay  time.Duration
-	// DropP fails a request at the connection level (ErrInjectedDrop).
+	// DropP fails a request at the connection level (errInjectedDrop).
 	DropP float64
 	// ErrorP replaces a response with an injected 503.
 	ErrorP float64
@@ -83,8 +83,8 @@ type Spec struct {
 //
 //	seed=42,match=/v1/shuffle/,delay=0.2:50ms,drop=0.05,error=0.1,
 //	slow=0.1:2ms,flip=0.05,map-delay=0.2:100ms,hang=0.01,kill-after-maps=5
-func Parse(s string) (Spec, error) {
-	spec := Spec{SlowChunk: 1024, SlowPause: time.Millisecond, Delay: 25 * time.Millisecond, MapDelay: 100 * time.Millisecond}
+func Parse(s string) (schedule, error) {
+	spec := schedule{SlowChunk: 1024, SlowPause: time.Millisecond, Delay: 25 * time.Millisecond, MapDelay: 100 * time.Millisecond}
 	if strings.TrimSpace(s) == "" {
 		return spec, nil
 	}
@@ -154,11 +154,11 @@ func Parse(s string) (Spec, error) {
 	return spec, nil
 }
 
-// Injector applies one Spec's schedule. Safe for concurrent use; all
+// Injector applies one schedule. Safe for concurrent use; all
 // randomness flows through one seeded PRNG so a fixed probe order
 // replays identically.
 type Injector struct {
-	spec Spec
+	spec schedule
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -170,7 +170,7 @@ type Injector struct {
 }
 
 // New builds an injector for the spec.
-func New(spec Spec) *Injector {
+func New(spec schedule) *Injector {
 	if spec.SlowChunk <= 0 {
 		spec.SlowChunk = 1024
 	}
@@ -180,22 +180,6 @@ func New(spec Spec) *Injector {
 		counts: make(map[string]int64),
 		exit:   os.Exit,
 	}
-}
-
-// SetExit replaces the process-kill hook (tests; default os.Exit).
-func (in *Injector) SetExit(fn func(code int)) { in.exit = fn }
-
-// Counts snapshots how many of each action fired, keyed by action name
-// ("delay", "drop", "error", "slow", "flip", "map-delay", "hang",
-// "kill"). Tests assert the chaos they scheduled actually happened.
-func (in *Injector) Counts() map[string]int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[string]int64, len(in.counts))
-	for k, v := range in.counts {
-		out[k] = v
-	}
-	return out
 }
 
 // roll draws one decision; fires with probability p and counts it.
@@ -260,7 +244,7 @@ func (t *chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 	}
 	if in.roll(in.spec.DropP, "drop") {
-		return nil, ErrInjectedDrop
+		return nil, errInjectedDrop
 	}
 	resp, err := t.inner.RoundTrip(req)
 	if err != nil {
@@ -471,7 +455,7 @@ func (in *Injector) BeforeMap(ctx context.Context) error {
 	}
 	if in.roll(in.spec.HangP, "hang") {
 		<-ctx.Done()
-		return fmt.Errorf("%w: %v", ErrInjectedHang, ctx.Err())
+		return fmt.Errorf("%w: %v", errInjectedHang, ctx.Err())
 	}
 	return nil
 }

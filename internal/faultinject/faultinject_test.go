@@ -17,7 +17,7 @@ func TestParseSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Spec{
+	want := schedule{
 		Seed: 42, Match: "/v1/shuffle/",
 		DelayP: 0.2, Delay: 50 * time.Millisecond,
 		DropP: 0.05, ErrorP: 0.1,
@@ -43,7 +43,7 @@ func TestParseSpec(t *testing.T) {
 // decisions for the same probe sequence.
 func TestDeterminism(t *testing.T) {
 	seq := func() []bool {
-		in := New(Spec{Seed: 7})
+		in := New(schedule{Seed: 7})
 		out := make([]bool, 200)
 		for i := range out {
 			out[i] = in.roll(0.3, "x")
@@ -74,15 +74,15 @@ func TestTransportDropAndError(t *testing.T) {
 	})
 	req := httptest.NewRequest(http.MethodGet, "http://x/v1/map", nil)
 
-	in := New(Spec{Seed: 1, DropP: 1})
-	if _, err := in.Transport(inner).RoundTrip(req); !errors.Is(err, ErrInjectedDrop) {
-		t.Fatalf("err = %v, want ErrInjectedDrop", err)
+	in := New(schedule{Seed: 1, DropP: 1})
+	if _, err := in.Transport(inner).RoundTrip(req); !errors.Is(err, errInjectedDrop) {
+		t.Fatalf("err = %v, want errInjectedDrop", err)
 	}
 	if in.Counts()["drop"] != 1 {
 		t.Fatalf("counts = %v", in.Counts())
 	}
 
-	in = New(Spec{Seed: 1, ErrorP: 1})
+	in = New(schedule{Seed: 1, ErrorP: 1})
 	resp, err := in.Transport(inner).RoundTrip(req)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestTransportFlipChangesExactlyOneBit(t *testing.T) {
 	inner := roundTripperFunc(func(r *http.Request) (*http.Response, error) {
 		return okResponse(string(orig)), nil
 	})
-	in := New(Spec{Seed: 3, FlipP: 1})
+	in := New(schedule{Seed: 3, FlipP: 1})
 	resp, err := in.Transport(inner).RoundTrip(httptest.NewRequest(http.MethodGet, "http://x/", nil))
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestTransportSlowStreamDeliversEverything(t *testing.T) {
 	inner := roundTripperFunc(func(r *http.Request) (*http.Response, error) {
 		return okResponse(string(body)), nil
 	})
-	in := New(Spec{Seed: 9, SlowP: 1, SlowChunk: 16, SlowPause: time.Microsecond})
+	in := New(schedule{Seed: 9, SlowP: 1, SlowChunk: 16, SlowPause: time.Microsecond})
 	resp, err := in.Transport(inner).RoundTrip(httptest.NewRequest(http.MethodGet, "http://x/", nil))
 	if err != nil {
 		t.Fatal(err)
@@ -156,13 +156,13 @@ func TestTransportMatchFilter(t *testing.T) {
 	inner := roundTripperFunc(func(r *http.Request) (*http.Response, error) {
 		return okResponse("ok"), nil
 	})
-	in := New(Spec{Seed: 1, DropP: 1, Match: "/v1/shuffle/"})
+	in := New(schedule{Seed: 1, DropP: 1, Match: "/v1/shuffle/"})
 	resp, err := in.Transport(inner).RoundTrip(httptest.NewRequest(http.MethodGet, "http://x/v1/map", nil))
 	if err != nil {
 		t.Fatalf("non-matching path was chaosed: %v", err)
 	}
 	resp.Body.Close()
-	if _, err := in.Transport(inner).RoundTrip(httptest.NewRequest(http.MethodGet, "http://x/v1/shuffle/j/0/0/0", nil)); !errors.Is(err, ErrInjectedDrop) {
+	if _, err := in.Transport(inner).RoundTrip(httptest.NewRequest(http.MethodGet, "http://x/v1/shuffle/j/0/0/0", nil)); !errors.Is(err, errInjectedDrop) {
 		t.Fatalf("matching path not dropped: %v", err)
 	}
 }
@@ -174,7 +174,7 @@ func TestMiddlewareFlip(t *testing.T) {
 	inner := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		rw.Write(payload)
 	})
-	in := New(Spec{Seed: 11, FlipP: 1, Match: "/v1/shuffle/"})
+	in := New(schedule{Seed: 11, FlipP: 1, Match: "/v1/shuffle/"})
 	srv := httptest.NewServer(in.Middleware(inner))
 	defer srv.Close()
 
@@ -205,9 +205,9 @@ func TestMiddlewareFlip(t *testing.T) {
 // TestBeforeMapKillSchedule: the kill fires exactly at the scheduled
 // attempt, through the overridable exit hook.
 func TestBeforeMapKillSchedule(t *testing.T) {
-	in := New(Spec{Seed: 5, KillAfterMaps: 3})
+	in := New(schedule{Seed: 5, KillAfterMaps: 3})
 	var killed []int
-	in.SetExit(func(code int) { killed = append(killed, code) })
+	in.exit = func(code int) { killed = append(killed, code) }
 	for i := 0; i < 3; i++ {
 		in.BeforeMap(context.Background())
 	}
@@ -222,7 +222,7 @@ func TestBeforeMapKillSchedule(t *testing.T) {
 // TestBeforeMapHangRespectsContext: a hung attempt unblocks when its
 // context is cancelled and reports the injected hang.
 func TestBeforeMapHangRespectsContext(t *testing.T) {
-	in := New(Spec{Seed: 5, HangP: 1})
+	in := New(schedule{Seed: 5, HangP: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- in.BeforeMap(ctx) }()
@@ -234,10 +234,23 @@ func TestBeforeMapHangRespectsContext(t *testing.T) {
 	cancel()
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrInjectedHang) {
-			t.Fatalf("err = %v, want ErrInjectedHang", err)
+		if !errors.Is(err, errInjectedHang) {
+			t.Fatalf("err = %v, want errInjectedHang", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("hang did not unblock on cancel")
 	}
+}
+
+// Counts snapshots how many of each action fired, keyed by action name
+// ("delay", "drop", "error", "slow", "flip", "map-delay", "hang",
+// "kill"). Tests assert the chaos they scheduled actually happened.
+func (in *Injector) Counts() map[string]int64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	out := make(map[string]int64, len(in.counts))
+	for k, v := range in.counts {
+		out[k] = v
+	}
+	return out
 }

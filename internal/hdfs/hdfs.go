@@ -15,15 +15,15 @@ import (
 	"sync"
 )
 
-// DefaultBlockSize matches the paper's HDFS configuration (128 MB).
-const DefaultBlockSize = 128 << 20
+// defaultBlockSize matches the paper's HDFS configuration (128 MB).
+const defaultBlockSize = 128 << 20
 
-// DefaultReplication matches the paper's HDFS configuration (3×).
-const DefaultReplication = 3
+// defaultReplication matches the paper's HDFS configuration (3×).
+const defaultReplication = 3
 
-// BlockLocation describes one block of a file and the datanodes holding
+// blockLocation describes one block of a file and the datanodes holding
 // its replicas.
-type BlockLocation struct {
+type blockLocation struct {
 	Index  int      // block number within the file
 	Offset int64    // first byte of the block
 	Length int64    // bytes in this block (last block may be short)
@@ -33,7 +33,7 @@ type BlockLocation struct {
 // fileMeta records a registered file's layout.
 type fileMeta struct {
 	size   int64
-	blocks []BlockLocation
+	blocks []blockLocation
 }
 
 // Namespace is a simulated HDFS namespace: a set of datanodes and the
@@ -49,30 +49,30 @@ type Namespace struct {
 
 // Config parametrises a Namespace.
 type Config struct {
-	BlockSize   int64 // defaults to DefaultBlockSize
-	Replication int   // defaults to DefaultReplication
+	BlockSize   int64 // defaults to defaultBlockSize
+	Replication int   // defaults to defaultReplication
 	Seed        int64 // placement RNG seed; fixed seed → deterministic layout
 }
 
 // Errors reported by the package.
 var (
-	ErrNoNodes  = errors.New("hdfs: namespace has no datanodes")
-	ErrNotFound = errors.New("hdfs: no such file")
-	ErrExists   = errors.New("hdfs: file already exists")
+	errNoNodes  = errors.New("hdfs: namespace has no datanodes")
+	errNotFound = errors.New("hdfs: no such file")
+	errExists   = errors.New("hdfs: file already exists")
 )
 
 // NewNamespace builds a namespace over the given datanodes.
 func NewNamespace(nodes []string, cfg Config) (*Namespace, error) {
 	if len(nodes) == 0 {
-		return nil, ErrNoNodes
+		return nil, errNoNodes
 	}
 	bs := cfg.BlockSize
 	if bs <= 0 {
-		bs = DefaultBlockSize
+		bs = defaultBlockSize
 	}
 	rep := cfg.Replication
 	if rep <= 0 {
-		rep = DefaultReplication
+		rep = defaultReplication
 	}
 	if rep > len(nodes) {
 		rep = len(nodes)
@@ -98,7 +98,7 @@ func (ns *Namespace) AddFile(name string, size int64) error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	if _, ok := ns.files[name]; ok {
-		return fmt.Errorf("%w: %q", ErrExists, name)
+		return fmt.Errorf("%w: %q", errExists, name)
 	}
 	meta := &fileMeta{size: size}
 	nblocks := int((size + ns.blockSize - 1) / ns.blockSize)
@@ -122,7 +122,7 @@ func (ns *Namespace) AddFile(name string, size int64) error {
 			}
 			hosts = append(hosts, ns.nodes[p])
 		}
-		meta.blocks = append(meta.blocks, BlockLocation{Index: i, Offset: off, Length: length, Hosts: hosts})
+		meta.blocks = append(meta.blocks, blockLocation{Index: i, Offset: off, Length: length, Hosts: hosts})
 	}
 	ns.files[name] = meta
 	return nil
@@ -136,9 +136,9 @@ func (ns *Namespace) Has(name string) bool {
 	return ok
 }
 
-// LocateRange returns the blocks overlapping the byte range [off,
+// locateRange returns the blocks overlapping the byte range [off,
 // off+length) of a file, in offset order.
-func (ns *Namespace) LocateRange(name string, off, length int64) ([]BlockLocation, error) {
+func (ns *Namespace) locateRange(name string, off, length int64) ([]blockLocation, error) {
 	if off < 0 || length < 0 {
 		return nil, fmt.Errorf("hdfs: invalid range [%d, %d)", off, off+length)
 	}
@@ -146,7 +146,7 @@ func (ns *Namespace) LocateRange(name string, off, length int64) ([]BlockLocatio
 	defer ns.mu.RUnlock()
 	m, ok := ns.files[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+		return nil, fmt.Errorf("%w: %q", errNotFound, name)
 	}
 	if off >= m.size || length == 0 {
 		return nil, nil
@@ -160,14 +160,14 @@ func (ns *Namespace) LocateRange(name string, off, length int64) ([]BlockLocatio
 	if last >= len(m.blocks) {
 		last = len(m.blocks) - 1
 	}
-	return append([]BlockLocation(nil), m.blocks[first:last+1]...), nil
+	return append([]blockLocation(nil), m.blocks[first:last+1]...), nil
 }
 
 // RangeHosts returns the hosts holding data for the byte range, ranked by
 // the number of bytes of the range they store locally (descending). This
 // is the locality hint attached to input splits.
 func (ns *Namespace) RangeHosts(name string, off, length int64) ([]string, error) {
-	blocks, err := ns.LocateRange(name, off, length)
+	blocks, err := ns.locateRange(name, off, length)
 	if err != nil {
 		return nil, err
 	}

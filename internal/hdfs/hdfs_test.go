@@ -26,7 +26,7 @@ func TestNewNamespaceValidation(t *testing.T) {
 	if ns.replication != 2 {
 		t.Fatalf("replication should clamp to node count, got %d", ns.replication)
 	}
-	if ns.blockSize != DefaultBlockSize {
+	if ns.blockSize != defaultBlockSize {
 		t.Fatalf("block size = %d", ns.blockSize)
 	}
 }
@@ -45,7 +45,7 @@ func TestAddFileBlocks(t *testing.T) {
 	if err := ns.AddFile("neg", -1); err == nil {
 		t.Fatal("negative size accepted")
 	}
-	blocks, err := ns.LocateRange("data", 0, math.MaxInt64)
+	blocks, err := ns.locateRange("data", 0, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestLocateRange(t *testing.T) {
 		{0, 0, 0},
 	}
 	for _, c := range cases {
-		got, err := ns.LocateRange("f", c.off, c.length)
+		got, err := ns.locateRange("f", c.off, c.length)
 		if err != nil {
 			t.Fatalf("LocateRange(%d,%d): %v", c.off, c.length, err)
 		}
@@ -108,10 +108,10 @@ func TestLocateRange(t *testing.T) {
 			t.Fatalf("LocateRange(%d,%d) = %d blocks, want %d", c.off, c.length, len(got), c.wantBlocks)
 		}
 	}
-	if _, err := ns.LocateRange("f", -1, 10); err == nil {
+	if _, err := ns.locateRange("f", -1, 10); err == nil {
 		t.Fatal("negative offset accepted")
 	}
-	if _, err := ns.LocateRange("missing", 0, 10); err == nil {
+	if _, err := ns.locateRange("missing", 0, 10); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -130,7 +130,7 @@ func TestRangeHostsRanked(t *testing.T) {
 	}
 	// The top-ranked host must hold at least as many bytes as any other;
 	// verify ranking by recomputing.
-	blocks, _ := ns.LocateRange("f", 0, math.MaxInt64)
+	blocks, _ := ns.locateRange("f", 0, math.MaxInt64)
 	byHost := map[string]int64{}
 	for _, b := range blocks {
 		for _, h := range b.Hosts {
@@ -145,10 +145,10 @@ func TestRangeHostsRanked(t *testing.T) {
 }
 
 func TestDeterministicPlacement(t *testing.T) {
-	mk := func() []BlockLocation {
+	mk := func() []blockLocation {
 		ns, _ := NewNamespace(testNodes(8), Config{BlockSize: 64, Seed: 42})
 		ns.AddFile("f", 1000)
-		b, _ := ns.LocateRange("f", 0, math.MaxInt64)
+		b, _ := ns.locateRange("f", 0, math.MaxInt64)
 		return b
 	}
 	a, b := mk(), mk()
@@ -170,7 +170,7 @@ func TestQuickBlockCoverage(t *testing.T) {
 		if err := ns.AddFile("f", size); err != nil {
 			return false
 		}
-		blocks, _ := ns.LocateRange("f", 0, math.MaxInt64)
+		blocks, _ := ns.locateRange("f", 0, math.MaxInt64)
 		var covered int64
 		prevEnd := int64(0)
 		for _, b := range blocks {

@@ -1,9 +1,9 @@
 // Package jobs runs queries as managed jobs on a bounded worker pool:
 // admission control at submit, a lifecycle FSM
 // (queued→running→done/failed/cancelled) with per-job context
-// cancellation, an LRU plan cache exploiting SIDR's precomputable
-// routing, and a partial-result log that late subscribers replay — the
-// daemon-side substrate for streaming SIDR's early correct results.
+// cancellation, a versioned result cache with in-flight collapse, and a
+// partial-result log that late subscribers replay — the daemon-side
+// substrate for streaming SIDR's early correct results.
 package jobs
 
 import (
@@ -13,35 +13,36 @@ import (
 
 	"sidr"
 	"sidr/internal/query"
+	"sidr/internal/skew"
 	"sidr/internal/wire"
 )
 
-// State is a job's lifecycle position.
-type State int
+// jobState is a job's lifecycle position.
+type jobState int
 
 const (
-	// Queued means admitted but not yet claimed by a worker.
-	Queued State = iota
-	// Running means a worker is executing the query.
-	Running
+	// stateQueued means admitted but not yet claimed by a worker.
+	stateQueued jobState = iota
+	// stateRunning means a worker is executing the query.
+	stateRunning
 	// Done means the query completed and Result is set.
 	Done
-	// Failed means the query errored; Err is set.
-	Failed
+	// stateFailed means the query errored; Err is set.
+	stateFailed
 	// Cancelled means the job was cancelled while queued or running.
 	Cancelled
 )
 
 // String names the state as it appears on the wire.
-func (s State) String() string {
+func (s jobState) String() string {
 	switch s {
-	case Queued:
+	case stateQueued:
 		return "queued"
-	case Running:
+	case stateRunning:
 		return "running"
 	case Done:
 		return "done"
-	case Failed:
+	case stateFailed:
 		return "failed"
 	case Cancelled:
 		return "cancelled"
@@ -50,8 +51,8 @@ func (s State) String() string {
 	}
 }
 
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool { return s == Done || s == Failed || s == Cancelled }
+// terminal reports whether the state is final.
+func (s jobState) terminal() bool { return s == Done || s == stateFailed || s == Cancelled }
 
 // Request describes one query submission.
 type Request struct {
@@ -81,23 +82,8 @@ type Request struct {
 	Cluster bool `json:"cluster,omitempty"`
 	// Tenant is the tenant the job is accounted to for quota and
 	// weighted-fair scheduling; the server fills it from the
-	// X-SIDR-Tenant header, and empty means DefaultTenantName.
+	// X-SIDR-Tenant header, and empty means defaultTenantName.
 	Tenant string `json:"tenant,omitempty"`
-}
-
-// SkewStats is the per-job keyblock load-imbalance summary, computed
-// from the plan's expected per-keyblock loads (sampled estimates for
-// join plans, geometric expected counts otherwise). It is the wire form
-// of skew.Summary.
-type SkewStats struct {
-	Keyblocks   int     `json:"keyblocks"`
-	Total       int64   `json:"total"`
-	Starved     int     `json:"starved"`
-	Max         int64   `json:"max"`
-	Min         int64   `json:"min"`
-	MaxOverMean float64 `json:"max_over_mean"`
-	CV          float64 `json:"cv"`
-	Gini        float64 `json:"gini"`
 }
 
 // Snapshot is a point-in-time view of a job for status responses.
@@ -112,10 +98,11 @@ type Snapshot struct {
 	Cluster  bool   `json:"cluster,omitempty"`
 	Tenant   string `json:"tenant,omitempty"`
 	Partials int    `json:"partials"`
-	PlanHit  bool   `json:"plan_cache_hit"`
-	// Skew summarises the plan's per-keyblock load balance; set once the
-	// job has executed (absent for cache hits and collapse followers).
-	Skew *SkewStats `json:"skew,omitempty"`
+	// Skew summarises the plan's per-keyblock load balance, computed from
+	// its expected per-keyblock loads (sampled estimates for join plans,
+	// geometric expected counts otherwise); set once the job has executed
+	// (absent for cache hits and collapse followers).
+	Skew *skew.Summary `json:"skew,omitempty"`
 	// ResultHit marks a job served entirely from the versioned result
 	// cache: it was terminal at submission and never executed.
 	ResultHit bool `json:"result_cache_hit,omitempty"`
@@ -163,14 +150,13 @@ type Job struct {
 
 	mu            sync.Mutex
 	cond          *sync.Cond
-	state         State
+	state         jobState
 	err           error
 	result        *sidr.Result
 	partials      []sidr.PartialResult
 	followers     []*Job
-	planHit       bool
 	resultHit     bool
-	skewStats     *SkewStats
+	skewStats     *skew.Summary
 	collapsedInto string
 	created       time.Time
 	started       time.Time
@@ -184,14 +170,14 @@ func newJob(id string, req Request, q *query.Query, engine sidr.Engine) *Job {
 	return j
 }
 
-// State returns the current lifecycle state.
-func (j *Job) State() State {
+// currentState returns the current lifecycle state.
+func (j *Job) currentState() jobState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
 }
 
-// Err returns the job's terminal error (nil unless Failed or Cancelled).
+// Err returns the job's terminal error (nil unless failed or cancelled).
 func (j *Job) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -231,7 +217,6 @@ func (j *Job) Snapshot() Snapshot {
 		Cluster:       j.Req.Cluster,
 		Tenant:        j.Req.Tenant,
 		Partials:      len(j.partials),
-		PlanHit:       j.planHit,
 		ResultHit:     j.resultHit,
 		Skew:          j.skewStats,
 		CollapsedInto: j.collapsedInto,
@@ -251,7 +236,7 @@ func (j *Job) Snapshot() Snapshot {
 // leader's execution and its other subscribers keep going.
 func (j *Job) Cancel() {
 	j.mu.Lock()
-	if j.state == Queued || (j.follower && !j.state.Terminal()) {
+	if j.state == stateQueued || (j.follower && !j.state.terminal()) {
 		j.state = Cancelled
 		j.err = context.Canceled
 		j.finished = time.Now()
@@ -265,7 +250,7 @@ func (j *Job) Cancel() {
 // notifyTerminal fires the manager's cleanup hook exactly once, with no
 // job lock held, but only once the job is actually terminal.
 func (j *Job) notifyTerminal() {
-	if !j.State().Terminal() {
+	if !j.currentState().terminal() {
 		return
 	}
 	j.notifyOnce.Do(func() {
@@ -277,7 +262,7 @@ func (j *Job) notifyTerminal() {
 
 // Wait blocks until the job reaches a terminal state or ctx is done,
 // returning the state observed.
-func (j *Job) Wait(ctx context.Context) (State, error) {
+func (j *Job) Wait(ctx context.Context) (jobState, error) {
 	stop := context.AfterFunc(ctx, func() {
 		j.mu.Lock()
 		j.cond.Broadcast()
@@ -286,10 +271,10 @@ func (j *Job) Wait(ctx context.Context) (State, error) {
 	defer stop()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for !j.state.Terminal() && ctx.Err() == nil {
+	for !j.state.terminal() && ctx.Err() == nil {
 		j.cond.Wait()
 	}
-	if err := ctx.Err(); err != nil && !j.state.Terminal() {
+	if err := ctx.Err(); err != nil && !j.state.terminal() {
 		return j.state, err
 	}
 	return j.state, nil
@@ -299,10 +284,10 @@ func (j *Job) Wait(ctx context.Context) (State, error) {
 // ones first, then delivering new ones as keyblocks commit — and returns
 // the job's terminal state once the job finishes and the log is drained.
 // The error reports stream transport problems only: non-nil when fn
-// failed or ctx was done. A drained Failed or Cancelled job returns a
+// failed or ctx was done. A drained failed or cancelled job returns a
 // nil error; the job's own terminal error stays on Err, so callers can
 // still emit a terminal event after a clean drain.
-func (j *Job) Stream(ctx context.Context, fn func(sidr.PartialResult) error) (State, error) {
+func (j *Job) Stream(ctx context.Context, fn func(sidr.PartialResult) error) (jobState, error) {
 	stop := context.AfterFunc(ctx, func() {
 		j.mu.Lock()
 		j.cond.Broadcast()
@@ -312,7 +297,7 @@ func (j *Job) Stream(ctx context.Context, fn func(sidr.PartialResult) error) (St
 	i := 0
 	for {
 		j.mu.Lock()
-		for i >= len(j.partials) && !j.state.Terminal() && ctx.Err() == nil {
+		for i >= len(j.partials) && !j.state.terminal() && ctx.Err() == nil {
 			j.cond.Wait()
 		}
 		if err := ctx.Err(); err != nil {
@@ -325,7 +310,7 @@ func (j *Job) Stream(ctx context.Context, fn func(sidr.PartialResult) error) (St
 			i++
 			j.mu.Unlock()
 			if err := fn(pr); err != nil {
-				return j.State(), err
+				return j.currentState(), err
 			}
 			continue
 		}
@@ -343,7 +328,7 @@ func (j *Job) Stream(ctx context.Context, fn func(sidr.PartialResult) error) (St
 // sees the complete partial sequence.
 func (j *Job) addPartial(pr sidr.PartialResult) {
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if j.state.terminal() {
 		j.mu.Unlock()
 		return
 	}
@@ -373,13 +358,13 @@ func (j *Job) log() []sidr.PartialResult {
 func (j *Job) attach(f *Job) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	if j.state.terminal() {
 		return false
 	}
 	f.mu.Lock()
 	f.follower = true
 	f.collapsedInto = j.ID
-	f.state = Running // being served by the leader's execution
+	f.state = stateRunning // being served by the leader's execution
 	f.started = time.Now()
 	f.partials = append(f.partials, j.partials...)
 	f.cond.Broadcast()
@@ -388,15 +373,15 @@ func (j *Job) attach(f *Job) bool {
 	return true
 }
 
-// start transitions Queued→Running; false means the job was already
+// start transitions queued→running; false means the job was already
 // cancelled and must not run.
 func (j *Job) start() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != Queued {
+	if j.state != stateQueued {
 		return false
 	}
-	j.state = Running
+	j.state = stateRunning
 	j.started = time.Now()
 	j.cond.Broadcast()
 	return true
@@ -407,10 +392,10 @@ func (j *Job) start() bool {
 // under the leader's lock — after the last forwarded partial, never
 // before it — while the manager-facing notify hooks run afterwards with
 // no lock held.
-func (j *Job) finish(state State, res *sidr.Result, err error) {
+func (j *Job) finish(state jobState, res *sidr.Result, err error) {
 	j.mu.Lock()
 	var fws []*Job
-	if !j.state.Terminal() {
+	if !j.state.terminal() {
 		j.state = state
 		j.result = res
 		j.err = err
@@ -434,9 +419,9 @@ func (j *Job) finish(state State, res *sidr.Result, err error) {
 // the state and wake waiters. A follower its subscriber already
 // cancelled stays cancelled. The manager notify hook is NOT fired here —
 // the leader fires it lock-free after unwinding.
-func (j *Job) deliverTerminal(state State, res *sidr.Result, err error) {
+func (j *Job) deliverTerminal(state jobState, res *sidr.Result, err error) {
 	j.mu.Lock()
-	if !j.state.Terminal() {
+	if !j.state.terminal() {
 		j.state = state
 		j.result = res
 		j.err = err
@@ -447,13 +432,7 @@ func (j *Job) deliverTerminal(state State, res *sidr.Result, err error) {
 	j.cancel()
 }
 
-func (j *Job) setPlanHit(hit bool) {
-	j.mu.Lock()
-	j.planHit = hit
-	j.mu.Unlock()
-}
-
-func (j *Job) setSkew(s *SkewStats) {
+func (j *Job) setSkew(s *skew.Summary) {
 	j.mu.Lock()
 	j.skewStats = s
 	j.mu.Unlock()

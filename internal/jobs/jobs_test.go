@@ -106,8 +106,8 @@ func TestJobFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _ := j.Wait(context.Background())
-	if st != Failed {
-		t.Fatalf("state = %v, want Failed", st)
+	if st != stateFailed {
+		t.Fatalf("state = %v, want failed", st)
 	}
 	if j.Err() == nil {
 		t.Fatal("failed job has nil error")
@@ -175,7 +175,7 @@ func TestCancelRunning(t *testing.T) {
 	}
 	// Wait for it to start running, then cancel.
 	deadline := time.Now().Add(5 * time.Second)
-	for j.State() == Queued && time.Now().Before(deadline) {
+	for j.currentState() == stateQueued && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	start := time.Now()
@@ -218,67 +218,11 @@ func TestCancelQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Cancel()
-	if st := queued.State(); st != Cancelled {
+	if st := queued.currentState(); st != Cancelled {
 		t.Fatalf("queued job state = %v, want Cancelled immediately", st)
 	}
 	if st, _ := blocker.Wait(context.Background()); st != Done {
 		t.Fatalf("blocker = %v, want Done", st)
-	}
-}
-
-func TestPlanCacheHitAndEviction(t *testing.T) {
-	reg := metrics.New()
-	m := newTestManager(t, Config{PlanCacheSize: 2, Datasets: newFakeProvider([]int64{32, 32}, 0), Metrics: reg})
-	run := func(query string) {
-		t.Helper()
-		j, err := m.Submit(Request{Dataset: "d", Query: query})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st, _ := j.Wait(context.Background()); st != Done {
-			t.Fatalf("job = %v (%v)", st, j.Err())
-		}
-	}
-	q1 := "avg v[0,0 : 32,32] es {4,4}"
-	q2 := "max v[0,0 : 32,32] es {8,8}"
-	q3 := "min v[0,0 : 32,32] es {2,2}"
-	run(q1) // miss
-	run(q1) // hit
-	run(q2) // miss
-	run(q3) // miss → evicts q1
-	run(q1) // miss again
-	hits := reg.Counter("sidrd_plan_cache_hits_total").Value()
-	misses := reg.Counter("sidrd_plan_cache_misses_total").Value()
-	evicted := reg.Counter("sidrd_plan_cache_evictions_total").Value()
-	if hits != 1 || misses != 4 || evicted < 1 {
-		t.Fatalf("hits=%d misses=%d evicted=%d; want 1/4/≥1", hits, misses, evicted)
-	}
-	if got := reg.Gauge("sidrd_plan_cache_size").Value(); got != 2 {
-		t.Fatalf("plan cache size = %d, want 2", got)
-	}
-}
-
-func TestPlanCacheHitMatchesMissResult(t *testing.T) {
-	m := newTestManager(t, Config{Datasets: newFakeProvider([]int64{32, 32}, 0)})
-	var results []*sidr.Result
-	for i := 0; i < 2; i++ {
-		j, err := m.Submit(Request{Dataset: "d", Query: testQuery})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st, _ := j.Wait(context.Background()); st != Done {
-			t.Fatalf("job = %v (%v)", st, j.Err())
-		}
-		results = append(results, j.Result())
-	}
-	if len(results[0].Keys) != len(results[1].Keys) {
-		t.Fatalf("row counts differ: %d vs %d", len(results[0].Keys), len(results[1].Keys))
-	}
-	for i := range results[0].Keys {
-		if fmt.Sprint(results[0].Keys[i]) != fmt.Sprint(results[1].Keys[i]) ||
-			fmt.Sprint(results[0].Values[i]) != fmt.Sprint(results[1].Values[i]) {
-			t.Fatalf("row %d differs between cached and uncached run", i)
-		}
 	}
 }
 
@@ -314,12 +258,12 @@ func TestStreamFailedJobDrainsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := j.Wait(context.Background()); st != Failed {
-		t.Fatalf("state = %v, want Failed", st)
+	if st, _ := j.Wait(context.Background()); st != stateFailed {
+		t.Fatalf("state = %v, want failed", st)
 	}
 	st, err := j.Stream(context.Background(), func(pr sidr.PartialResult) error { return nil })
-	if st != Failed || err != nil {
-		t.Fatalf("Stream = %v, %v; want Failed, nil", st, err)
+	if st != stateFailed || err != nil {
+		t.Fatalf("Stream = %v, %v; want failed, nil", st, err)
 	}
 	if j.Err() == nil {
 		t.Fatal("failed job lost its error")
@@ -433,7 +377,7 @@ func TestShutdownRejectsAndDrains(t *testing.T) {
 	if err := m.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown = %v", err)
 	}
-	if st := j.State(); !st.Terminal() {
+	if st := j.currentState(); !st.terminal() {
 		t.Fatalf("job not terminal after shutdown: %v", st)
 	}
 	if _, err := m.Submit(Request{Dataset: "d", Query: testQuery}); !errors.Is(err, ErrShuttingDown) {

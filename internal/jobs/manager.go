@@ -32,16 +32,16 @@ var (
 	ErrShuttingDown = errors.New("jobs: manager shutting down")
 	// ErrUnknownJob is returned for lookups of ids never issued.
 	ErrUnknownJob = errors.New("jobs: unknown job")
-	// ErrClusterDisabled rejects cluster-routed submissions when the
+	// errClusterDisabled rejects cluster-routed submissions when the
 	// manager has no coordinator configured.
-	ErrClusterDisabled = errors.New("jobs: clustered execution not enabled")
+	errClusterDisabled = errors.New("jobs: clustered execution not enabled")
 	// ErrTenantQuota is per-tenant admission control rejecting a
 	// submission because the tenant is at its max-in-flight quota; the
 	// server answers 429 with detail "tenant-quota".
 	ErrTenantQuota = errors.New("jobs: tenant quota exceeded")
 )
 
-// DatasetProvider is what the manager knows of the datasets it serves.
+// datasetProvider is what the manager knows of the datasets it serves.
 // Acquire returns an open dataset and a release func the manager calls
 // when the job is finished with it; implementations refcount handles so
 // concurrent jobs share them. DatasetSpec describes a dataset as the
@@ -53,7 +53,7 @@ var (
 // an opaque token that changes whenever the variable's contents could
 // have changed; the result cache and in-flight collapse key on it, and a
 // dataset without one (false) is always executed.
-type DatasetProvider interface {
+type datasetProvider interface {
 	Acquire(name, variable string) (*sidr.Dataset, func(), error)
 	DatasetSpec(name, variable string) (cluster.DatasetSpec, error)
 	Index(name, variable string) *sidx.VarIndex
@@ -73,8 +73,11 @@ type Config struct {
 	// QueueDepth bounds queued-but-not-running jobs; submissions beyond
 	// it fail with ErrQueueFull (default 64).
 	QueueDepth int
-	// PlanCacheSize bounds the LRU plan cache (default 128; < 0
-	// disables caching).
+	// PlanCacheSize is ignored.
+	//
+	// Deprecated: the manager keeps no plan cache; a repeated request is
+	// answered by the result cache before it is planned. The field stays
+	// only because the benchmark harness (bench/serve.go) still sets it.
 	PlanCacheSize int
 	// RetainJobs caps how many terminal (done/failed/cancelled) jobs
 	// the table keeps; the oldest are evicted — results, partial logs
@@ -83,7 +86,7 @@ type Config struct {
 	// all).
 	RetainJobs int
 	// Datasets resolves dataset names (required).
-	Datasets DatasetProvider
+	Datasets datasetProvider
 	// Cluster, when set, enables Request.Cluster jobs: the coordinator
 	// dispatches their Map tasks to registered worker processes and runs
 	// their Reduce tasks over the networked shuffle. Reduce tasks still
@@ -113,11 +116,11 @@ type Config struct {
 	Namespace *hdfs.Namespace
 }
 
-// Manager owns the worker pool, job table and plan cache.
+// Manager owns the worker pool, job table, result cache and collapse
+// table.
 type Manager struct {
 	cfg   Config
 	queue chan *Job
-	cache *planCache
 	exec  *exec.Executor
 	seq   atomic.Int64
 	wg    sync.WaitGroup
@@ -153,9 +156,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.PlanCacheSize == 0 {
-		cfg.PlanCacheSize = 128
-	}
 	if cfg.RetainJobs == 0 {
 		cfg.RetainJobs = 256
 	}
@@ -190,9 +190,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		gSkewMaxOverMean:    cfg.Metrics.Gauge("sidrd_job_skew_max_over_mean_milli"),
 		hQuerySeconds:       cfg.Metrics.Histogram("sidrd_query_seconds", nil),
 		hFirstResultSeconds: cfg.Metrics.Histogram("sidrd_first_result_seconds", nil),
-	}
-	if cfg.PlanCacheSize > 0 {
-		m.cache = newPlanCache(cfg.PlanCacheSize, cfg.Metrics)
 	}
 	if cfg.ResultCacheBytes > 0 {
 		m.rcache = newResultCache(cfg.ResultCacheBytes, cfg.Metrics)
@@ -242,8 +239,8 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		return nil, err
 	}
 	// Parse once and canonicalise up front: every spelling of one query
-	// maps to one string, so the plan cache, result cache and collapse
-	// table all share entries across textual variants. The parsed query
+	// maps to one string, so the result cache and the collapse table
+	// share entries across textual variants. The parsed query
 	// rides on the job; execution never re-parses the text.
 	q, err := query.Parse(req.Query)
 	if err != nil {
@@ -263,13 +260,13 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		return nil, fmt.Errorf("jobs: dataset2 is only valid with a join query")
 	}
 	if req.Tenant == "" {
-		req.Tenant = DefaultTenantName
+		req.Tenant = defaultTenantName
 	}
 	if req.Cluster {
 		// Reject unroutable cluster jobs at the door: no coordinator or
 		// an empty worker table fail fast instead of queueing a doomed job.
 		if m.cfg.Cluster == nil {
-			return nil, ErrClusterDisabled
+			return nil, errClusterDisabled
 		}
 		if m.cfg.Cluster.AliveWorkers() == 0 {
 			return nil, cluster.ErrNoWorkers
@@ -471,7 +468,7 @@ func (m *Manager) runJob(j *Job) {
 		j.finish(Cancelled, nil, err)
 	default:
 		m.mFailed.Inc()
-		j.finish(Failed, nil, err)
+		j.finish(stateFailed, nil, err)
 	}
 }
 
@@ -487,7 +484,7 @@ func (m *Manager) prune() {
 	defer m.mu.Unlock()
 	terminal := 0
 	for _, id := range m.order {
-		if m.jobs[id].State().Terminal() {
+		if m.jobs[id].currentState().terminal() {
 			terminal++
 		}
 	}
@@ -497,7 +494,7 @@ func (m *Manager) prune() {
 	}
 	keep := m.order[:0]
 	for _, id := range m.order {
-		if evict > 0 && m.jobs[id].State().Terminal() {
+		if evict > 0 && m.jobs[id].currentState().terminal() {
 			delete(m.jobs, id)
 			m.mEvicted.Inc()
 			evict--
@@ -513,16 +510,7 @@ func (m *Manager) prune() {
 // last-job skew gauges (the ratio in milli-units, the registry being
 // integer-valued).
 func (m *Manager) publishSkew(j *Job, s skew.Summary) {
-	j.setSkew(&SkewStats{
-		Keyblocks:   s.Keyblocks,
-		Total:       s.Total,
-		Starved:     s.Starved,
-		Max:         s.Max,
-		Min:         s.Min,
-		MaxOverMean: s.MaxOverMean,
-		CV:          s.CV,
-		Gini:        s.Gini,
-	})
+	j.setSkew(&s)
 	m.gSkewKeyblocks.Set(int64(s.Keyblocks))
 	m.gSkewMaxOverMean.Set(int64(s.MaxOverMean * 1000))
 }
@@ -594,12 +582,10 @@ func (m *Manager) lookupIndex(dataset string, q *query.Query) *sidx.VarIndex {
 // both acquired inputs for its keyblock layout, a value-predicated query
 // prunes by the structural index, a clustered job over a dataset mirrored
 // in the namespace carries block locations (joins skip locality: two
-// files, interleaved splits). Only an in-process single-input plan is a
-// pure function of (query, parameters, index), so only those are cached.
+// files, interleaved splits).
 func (m *Manager) plan(j *Job, readerA, readerB coords.RecordReader) (*core.Plan, error) {
 	opts := core.Options{MaxSkew: j.Req.MaxSkew}
 	opts.Reducers, opts.SplitPoints = core.RequestDefaults(j.q, j.Req.Reducers, j.Req.SplitPoints)
-	var key string
 	switch {
 	case readerB != nil:
 		opts.JoinSamplerA, opts.JoinSamplerB = readerA, readerB
@@ -610,22 +596,8 @@ func (m *Manager) plan(j *Job, readerA, readerB coords.RecordReader) (*core.Plan
 		}
 	default:
 		opts.Index = m.lookupIndex(j.Req.Dataset, j.q)
-		if m.cache != nil {
-			key = planKey(j.q.String(), j.engine, opts)
-			if plan, ok := m.cache.get(key); ok {
-				j.setPlanHit(true)
-				return plan, nil
-			}
-		}
 	}
-	plan, err := core.NewPlan(j.q, j.engine, opts)
-	if err != nil {
-		return nil, err
-	}
-	if key != "" {
-		m.cache.put(key, plan)
-	}
-	return plan, nil
+	return core.NewPlan(j.q, j.engine, opts)
 }
 
 // run executes the plan's tasks, every commit going to the job's log, and
@@ -644,7 +616,7 @@ func (m *Manager) run(j *Job, plan *core.Plan, readerA, readerB coords.RecordRea
 		})
 	}
 	if m.cfg.Cluster == nil {
-		return nil, ErrClusterDisabled
+		return nil, errClusterDisabled
 	}
 	spec := cluster.JobSpec{ID: j.ID, Exec: m.exec, Workers: j.Req.Workers, Weight: weight, OnPartial: onOutput}
 	var err error
@@ -681,7 +653,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	// slot and collapse entry.
 	var queued, running []*Job
 	for _, j := range m.jobs {
-		if j.State() == Queued {
+		if j.currentState() == stateQueued {
 			queued = append(queued, j)
 		} else {
 			running = append(running, j)
@@ -718,17 +690,4 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 // from admission saturation (jobs rejected at the queue).
 func (m *Manager) ExecStats() exec.Stats {
 	return m.exec.Stats()
-}
-
-// WaitIdle blocks until no job is queued or running, or until the
-// timeout elapses; used by tests to detect quiescence.
-func (m *Manager) WaitIdle(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if m.gQueued.Value() == 0 && m.gRunning.Value() == 0 {
-			return true
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return false
 }

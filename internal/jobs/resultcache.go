@@ -18,8 +18,9 @@ import (
 // again instead of re-running the Map/shuffle/Reduce pipeline, as long
 // as the key pins the dataset *contents*, not just its name. The fast
 // key therefore embeds the dataset version (name + shape +
-// structural-index fingerprint, see DatasetProvider.DatasetVersion): new contents
-// are a new version, so a stale hit is impossible by construction.
+// structural-index fingerprint, see datasetProvider.DatasetVersion): new
+// contents are a new version, so a stale hit is impossible by
+// construction.
 //
 // Entries store the job's *sidr.Result pointer. Results are immutable
 // once a job finishes, so a hit serves the exact object a previous run

@@ -292,7 +292,7 @@ func TestCollapsedFollowerCancelLeavesLeaderRunning(t *testing.T) {
 	// Wait until the leader actually runs so the next submit collapses.
 	running, queued := reg.Gauge("sidrd_jobs_running"), reg.Gauge("sidrd_jobs_queued")
 	deadline := time.Now().Add(5 * time.Second)
-	for (leader.State() != Running || running.Value() != 1) && time.Now().Before(deadline) {
+	for (leader.currentState() != stateRunning || running.Value() != 1) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	follower, err := m.Submit(Request{Dataset: "d", Query: testQuery, Reducers: 4})
@@ -311,7 +311,7 @@ func TestCollapsedFollowerCancelLeavesLeaderRunning(t *testing.T) {
 	if st, _ := follower.Wait(context.Background()); st != Cancelled {
 		t.Fatalf("cancelled follower state = %v", st)
 	}
-	if st := leader.State(); st.Terminal() {
+	if st := leader.currentState(); st.terminal() {
 		t.Fatalf("cancelling a follower terminalised the leader (state %v)", st)
 	}
 
@@ -501,4 +501,17 @@ func TestConcurrentFirstHitsEncodeOnce(t *testing.T) {
 			t.Fatalf("hit %d was handed its own encoding (%d events)", i, len(s))
 		}
 	}
+}
+
+// WaitIdle blocks until no job is queued or running, or until the
+// timeout elapses; used by tests to detect quiescence.
+func (m *Manager) WaitIdle(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if m.gQueued.Value() == 0 && m.gRunning.Value() == 0 {
+			return true
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return false
 }

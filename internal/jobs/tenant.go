@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// DefaultTenantName is the tenant requests without an X-SIDR-Tenant
+// defaultTenantName is the tenant requests without an X-SIDR-Tenant
 // header (or Request.Tenant field) are accounted to.
-const DefaultTenantName = "default"
+const defaultTenantName = "default"
 
 // TenantPolicy is one tenant's admission and scheduling contract.
 type TenantPolicy struct {

@@ -36,12 +36,12 @@ import (
 	"sidr/internal/query"
 )
 
-// Unit is one keyblock of a join plan. A plain unit owns the contiguous
+// joinUnit is one keyblock of a join plan. A plain unit owns the contiguous
 // row-major K'-range [Lo, Hi) of the join keyspace. A share unit (Tile
 // non-nil) owns one heavy tile's cells whose row-major offset within the
 // full tile falls in [OffLo, OffHi) on the heavy side; the light side is
 // replicated into every share of the tile.
-type Unit struct {
+type joinUnit struct {
 	Lo    int64        `json:"lo"`
 	Hi    int64        `json:"hi"`
 	Tile  coords.Coord `json:"tile,omitempty"`
@@ -52,15 +52,15 @@ type Unit struct {
 }
 
 // shared reports whether the unit is a heavy-tile share.
-func (u Unit) shared() bool { return u.Tile != nil }
+func (u joinUnit) shared() bool { return u.Tile != nil }
 
 // Retile records the planner's keyblock layout so remote workers rebuild
 // identical routing without re-sampling. EstLoads is the sampled
 // expected load per unit (source pairs, replication included), the
 // vector skew statistics and the bench report summarize.
 type Retile struct {
-	Units    []Unit  `json:"units"`
-	EstLoads []int64 `json:"est_loads,omitempty"`
+	Units    []joinUnit `json:"units"`
+	EstLoads []int64    `json:"est_loads,omitempty"`
 }
 
 // Plan is a fully resolved join execution plan.
@@ -74,7 +74,7 @@ type Plan struct {
 	// it read side A, the rest side B.
 	SideBoundary int
 	// Units is the keyblock layout; the slice index is the keyblock id.
-	Units []Unit
+	Units []joinUnit
 	// EstLoads is the sampled expected load per unit (nil when the plan
 	// was built without sampling).
 	EstLoads []int64
@@ -148,11 +148,11 @@ func Build(q *query.Query, opts Options, readerA, readerB coords.RecordReader, s
 		}
 	}
 
-	var units []Unit
+	var units []joinUnit
 	if loads == nil || opts.NoRetile {
-		units = make([]Unit, len(pp.Blocks))
+		units = make([]joinUnit, len(pp.Blocks))
 		for i, b := range pp.Blocks {
-			units[i] = Unit{Lo: b.Lo, Hi: b.Hi}
+			units[i] = joinUnit{Lo: b.Lo, Hi: b.Hi}
 		}
 	} else {
 		units = retile(q, pp.Blocks, loads, loadsA, loadsB, opts.Reducers, maxSkew, op.NeedsSamples())

@@ -143,7 +143,7 @@ func TestGraphCountsCoverInputs(t *testing.T) {
 		// by point.
 		mapped := func(input coords.Slab) (n int64) {
 			input.EachReuse(func(c coords.Coord) bool {
-				if kp, ok := q.Extraction.MapKey(c); ok && p.Space.Contains(kp) {
+				if kp, ok := mapKey(q.Extraction, c, nil); ok && slabContains(p.Space, kp) {
 					n++
 				}
 				return true
@@ -229,4 +229,28 @@ func TestRouteCountsMatchExecMap(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mapKey maps input key k to its intermediate key (SIDR §3, Area 2),
+// writing into buf when it has the capacity; ok is false for a key
+// outside the keyspace or in a strided extraction's inter-tile gap.
+func mapKey(e coords.Extraction, k, buf coords.Coord) (kp coords.Coord, ok bool) {
+	st := e.EffectiveStride()
+	if len(k) != len(st) {
+		return nil, false
+	}
+	kp = append(buf[:0], k...)
+	for i := range kp {
+		if k[i] < 0 || k[i]%st[i] >= e.Shape[i] {
+			return kp, false
+		}
+		kp[i] = k[i] / st[i]
+	}
+	return kp, true
+}
+
+// slabContains reports whether c lies in s.
+func slabContains(s coords.Slab, c coords.Coord) bool {
+	_, err := s.Linearize(c)
+	return err == nil
 }

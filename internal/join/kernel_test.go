@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -62,11 +63,11 @@ func refExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab
 			}
 		}
 		seen++
-		kp, mapped := p.Q.Extraction.MapKeyInto(c, kpBuf)
+		kp, mapped := mapKey(p.Q.Extraction, c, kpBuf)
 		if kp != nil {
 			kpBuf = kp[:0]
 		}
-		if !mapped || !p.Space.Contains(kp) {
+		if !mapped || !slabContains(p.Space, kp) {
 			return nil
 		}
 		records++
@@ -128,7 +129,7 @@ func refExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab
 			key := append(kp, int64(side))
 			pairs = append(pairs, kv.Pair{Key: key, Value: *val})
 		}
-		kv.SortPairs(pairs)
+		slices.SortFunc(pairs, func(a, b kv.Pair) int { return a.Key.Compare(b.Key) })
 		outs[kb].Pairs = pairs
 	}
 	return outs, records, nil

@@ -74,7 +74,7 @@ func loadBound(total int64, reducers int, maxSkew int64) int64 {
 // replicated) — unless the operator needs raw samples, in which case the
 // tile stays whole (sub-aggregates would lose positional alignment) and
 // becomes its own range.
-func retile(q *query.Query, blocks []partition.Keyblock, loads, loadsA, loadsB []int64, reducers int, maxSkew int64, needSamples bool) []Unit {
+func retile(q *query.Query, blocks []partition.Keyblock, loads, loadsA, loadsB []int64, reducers int, maxSkew int64, needSamples bool) []joinUnit {
 	var total int64
 	for _, l := range loads {
 		total += l
@@ -82,7 +82,7 @@ func retile(q *query.Query, blocks []partition.Keyblock, loads, loadsA, loadsB [
 	bound := loadBound(total, reducers, maxSkew)
 	tileSize := q.Extraction.Shape.Size()
 
-	var units []Unit
+	var units []joinUnit
 	// emitRange splits [lo, hi) into load-weighted contiguous chunks of
 	// at most bound estimated load each.
 	emitRange := func(lo, hi int64) {
@@ -106,12 +106,12 @@ func retile(q *query.Query, blocks []partition.Keyblock, loads, loadsA, loadsB [
 			// Cut after tile k once this part's share of the load is met,
 			// keeping at least one tile per remaining part.
 			if part < m && acc*m >= load*part && (hi-k-1) >= (m-part) {
-				units = append(units, Unit{Lo: start, Hi: k + 1})
+				units = append(units, joinUnit{Lo: start, Hi: k + 1})
 				start = k + 1
 				part++
 			}
 		}
-		units = append(units, Unit{Lo: start, Hi: hi})
+		units = append(units, joinUnit{Lo: start, Hi: hi})
 	}
 	emitShares := func(k int64) {
 		s := (loads[k] + bound - 1) / bound
@@ -131,11 +131,11 @@ func retile(q *query.Query, blocks []partition.Keyblock, loads, loadsA, loadsB [
 		kp, err := spaceDelin(q, k)
 		if err != nil {
 			// Unreachable for in-range k; keep the tile whole.
-			units = append(units, Unit{Lo: k, Hi: k + 1})
+			units = append(units, joinUnit{Lo: k, Hi: k + 1})
 			return
 		}
 		for i := int64(0); i < s; i++ {
-			units = append(units, Unit{
+			units = append(units, joinUnit{
 				Lo: k, Hi: k + 1, Tile: kp,
 				OffLo: tileSize * i / s, OffHi: tileSize * (i + 1) / s,
 				Heavy: heavy,
@@ -170,7 +170,7 @@ func spaceDelin(q *query.Query, k int64) (coords.Coord, error) {
 // estLoads computes the per-unit estimated load: a plain range sums its
 // tiles; a share takes its offset-proportional slice of the heavy side
 // plus the whole replicated light side.
-func estLoads(q *query.Query, units []Unit, loads, loadsA, loadsB []int64) []int64 {
+func estLoads(q *query.Query, units []joinUnit, loads, loadsA, loadsB []int64) []int64 {
 	space, err := q.IntermediateSpace()
 	if err != nil {
 		return nil

@@ -23,7 +23,7 @@ import (
 // documented in codecblock.go. This file holds the header, the errors
 // and the read entry points; anything that is not a version-4 spill —
 // the retired versions 2 and 3 included — is rejected with
-// ErrBadSpillVersion.
+// errBadSpillVersion.
 
 var spillMagic = [4]byte{'S', 'P', 'I', 'L'}
 
@@ -31,16 +31,16 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Errors reported by the codec.
 var (
-	ErrBadSpillMagic   = errors.New("kv: bad spill magic")
-	ErrBadSpillVersion = errors.New("kv: unsupported spill version")
+	errBadSpillMagic   = errors.New("kv: bad spill magic")
+	errBadSpillVersion = errors.New("kv: unsupported spill version")
 	// ErrChecksum reports that a spill block does not match the CRC32C
 	// recorded in its block header — the bytes were corrupted between
 	// the Map task's write and this read.
 	ErrChecksum = errors.New("kv: spill payload checksum mismatch")
 )
 
-// SpillHeader is the metadata of one Map output partition file.
-type SpillHeader struct {
+// spillHeader is the metadata of one Map output partition file.
+type spillHeader struct {
 	// Rank is the dimensionality of the intermediate keys.
 	Rank int
 	// SourceCount is the number of source ⟨k,v⟩ pairs the file's
@@ -55,32 +55,32 @@ type SpillHeader struct {
 // readSpillHeader reads and validates the fixed file header. raw is the
 // exact header bytes consumed, which the body reader folds into its
 // per-block CRC seed.
-func readSpillHeader(r io.Reader) (h SpillHeader, raw [spillHeaderLen]byte, err error) {
+func readSpillHeader(r io.Reader) (h spillHeader, raw [spillHeaderLen]byte, err error) {
 	// The magic and version are read and judged first, so a foreign or
 	// old-format file is named as such rather than reported as truncated.
 	if _, err := io.ReadFull(r, raw[:6]); err != nil {
-		return SpillHeader{}, raw, err
+		return spillHeader{}, raw, err
 	}
 	le := binary.LittleEndian
 	if [4]byte(raw[:4]) != spillMagic {
-		return SpillHeader{}, raw, ErrBadSpillMagic
+		return spillHeader{}, raw, errBadSpillMagic
 	}
 	if v := le.Uint16(raw[4:6]); v != spillVersion {
-		return SpillHeader{}, raw, fmt.Errorf("%w: %d", ErrBadSpillVersion, v)
+		return spillHeader{}, raw, fmt.Errorf("%w: %d", errBadSpillVersion, v)
 	}
 	if _, err := io.ReadFull(r, raw[6:]); err != nil {
-		return SpillHeader{}, raw, err
+		return spillHeader{}, raw, err
 	}
 	h.Rank = int(le.Uint32(raw[6:10]))
 	if h.Rank <= 0 || h.Rank > coords.MaxRank {
-		return SpillHeader{}, raw, fmt.Errorf("kv: implausible spill rank %d", h.Rank)
+		return spillHeader{}, raw, fmt.Errorf("kv: implausible spill rank %d", h.Rank)
 	}
 	h.SourceCount = int64(le.Uint64(raw[10:18]))
 	h.Pairs = int(le.Uint32(raw[18:22]))
 	if flags := le.Uint16(raw[22:24]); flags != 0 {
 		// No flag is defined; and on a blockless (empty) spill no block
 		// CRC exists to catch the flip.
-		return SpillHeader{}, raw, fmt.Errorf("kv: unknown spill flags %#x: %w", flags, ErrBadSpillVersion)
+		return spillHeader{}, raw, fmt.Errorf("kv: unknown spill flags %#x: %w", flags, errBadSpillVersion)
 	}
 	h.Blocks = int(le.Uint32(raw[24:28]))
 	return h, raw, nil
@@ -89,7 +89,7 @@ func readSpillHeader(r io.Reader) (h SpillHeader, raw [spillHeaderLen]byte, err 
 // ReadSpill deserialises a full spill file, verifying every block's
 // checksum. A mismatch returns ErrChecksum — the caller must treat the
 // spill as lost, never merge its pairs.
-func ReadSpill(r io.Reader) (SpillHeader, []Pair, error) {
+func ReadSpill(r io.Reader) (spillHeader, []Pair, error) {
 	var pairs []Pair // set only once every block has passed
 	h, err := readSpill(r, &pairs)
 	return h, pairs, err
@@ -98,15 +98,15 @@ func ReadSpill(r io.Reader) (SpillHeader, []Pair, error) {
 // VerifySpill is ReadSpill without the pairs: the same loop makes every
 // check in the same order and returns the same errors, but nothing is
 // materialised — how a worker proves an installed replica servable.
-func VerifySpill(r io.Reader) (SpillHeader, error) {
+func VerifySpill(r io.Reader) (spillHeader, error) {
 	return readSpill(r, nil)
 }
 
-func readSpill(r io.Reader, sink *[]Pair) (SpillHeader, error) {
+func readSpill(r io.Reader, sink *[]Pair) (spillHeader, error) {
 	br := bufio.NewReader(r)
 	h, raw, err := readSpillHeader(br)
 	if err != nil {
-		return SpillHeader{}, err
+		return spillHeader{}, err
 	}
 	return h, readBlocks(br, h, headerCRCSeed(raw[:]), sink)
 }

@@ -139,8 +139,8 @@ func TestSpillBlocksAreFramedByBytes(t *testing.T) {
 		t.Fatal("decoded pairs differ from written pairs")
 	}
 	// Light pairs are still framed by count.
-	if h, _, err := ReadSpill(bytes.NewReader(encodeSpillV3(t, 3, 1, v3TestPairs(2*DefaultBlockPairs+1), V3Options{}))); err != nil || h.Blocks != 3 {
-		t.Fatalf("%d light pairs: header %+v, %v, want 3 blocks", 2*DefaultBlockPairs+1, h, err)
+	if h, _, err := ReadSpill(bytes.NewReader(encodeSpillV3(t, 3, 1, v3TestPairs(2*defaultBlockPairs+1), V3Options{}))); err != nil || h.Blocks != 3 {
+		t.Fatalf("%d light pairs: header %+v, %v, want 3 blocks", 2*defaultBlockPairs+1, h, err)
 	}
 }
 
@@ -368,19 +368,19 @@ func TestReadSpillRejects(t *testing.T) {
 		damage func(b []byte) []byte
 		want   error
 	}{
-		{name: "bad-magic", n: 1, want: ErrBadSpillMagic,
+		{name: "bad-magic", n: 1, want: errBadSpillMagic,
 			damage: func(b []byte) []byte { copy(b, "NOPE"); return b }},
-		{name: "foreign-bytes", want: ErrBadSpillMagic,
+		{name: "foreign-bytes", want: errBadSpillMagic,
 			damage: func([]byte) []byte { return []byte("XXXXxxxxxxxx") }},
-		{name: "unknown-version", n: 1, want: ErrBadSpillVersion,
+		{name: "unknown-version", n: 1, want: errBadSpillVersion,
 			damage: func(b []byte) []byte { le.PutUint16(b[4:6], 0x0909); return b }},
-		{name: "version-judged-before-truncation", want: ErrBadSpillVersion,
+		{name: "version-judged-before-truncation", want: errBadSpillVersion,
 			damage: func(b []byte) []byte { b[4] = 9; return b[:6] }},
-		{name: "unknown-flags", n: 1, want: ErrBadSpillVersion,
+		{name: "unknown-flags", n: 1, want: errBadSpillVersion,
 			damage: func(b []byte) []byte { b[23] |= 0x80; return b }},
 		// The retired DEFLATE bit, with the block CRC recomputed so that
 		// the header check, not the checksum, refuses it.
-		{name: "deflate-flag-resealed", n: 1, want: ErrBadSpillVersion,
+		{name: "deflate-flag-resealed", n: 1, want: errBadSpillVersion,
 			damage: func(b []byte) []byte { b[22] |= 1; return sealBlock(b) }},
 		{name: "zero-rank", n: 1,
 			damage: func(b []byte) []byte { le.PutUint32(b[6:10], 0); return b }},
@@ -550,11 +550,11 @@ func TestReadSpillRejectsV3(t *testing.T) { testRejectsRetired(t, 3) }
 
 func testRejectsRetired(t *testing.T, version uint16) {
 	data := retiredSpillHeader(version, 2, 42)
-	if _, _, err := ReadSpill(bytes.NewReader(data)); !errors.Is(err, ErrBadSpillVersion) {
-		t.Fatalf("ReadSpill err = %v, want ErrBadSpillVersion", err)
+	if _, _, err := ReadSpill(bytes.NewReader(data)); !errors.Is(err, errBadSpillVersion) {
+		t.Fatalf("ReadSpill err = %v, want errBadSpillVersion", err)
 	}
-	if _, err := VerifySpill(bytes.NewReader(data)); !errors.Is(err, ErrBadSpillVersion) {
-		t.Fatalf("VerifySpill err = %v, want ErrBadSpillVersion", err)
+	if _, err := VerifySpill(bytes.NewReader(data)); !errors.Is(err, errBadSpillVersion) {
+		t.Fatalf("VerifySpill err = %v, want errBadSpillVersion", err)
 	}
 }
 

@@ -74,8 +74,8 @@ const (
 	// blockHeaderLen is the per-block frame header length.
 	blockHeaderLen = 16
 
-	// DefaultBlockPairs is the default bound on the pairs of one block.
-	DefaultBlockPairs = 4096
+	// defaultBlockPairs is the default bound on the pairs of one block.
+	defaultBlockPairs = 4096
 
 	// maxBlockLen caps a single block's claimed byte length. The limit
 	// defends the decoder against corrupt or hostile length fields long
@@ -113,7 +113,7 @@ func colWidth(mask uint8) int {
 // V3Options tunes WriteSpillV3.
 type V3Options struct {
 	// BlockPairs is the most pairs a block holds (default
-	// DefaultBlockPairs); a block also closes once its payload passes
+	// defaultBlockPairs); a block also closes once its payload passes
 	// readStep. The final block holds the remainder.
 	BlockPairs int
 }
@@ -126,7 +126,7 @@ func WriteSpillV3(w io.Writer, rank int, sourceCount int64, pairs []Pair, opts V
 	}
 	blockPairs := opts.BlockPairs
 	if blockPairs <= 0 {
-		blockPairs = DefaultBlockPairs
+		blockPairs = defaultBlockPairs
 	}
 	nBlocks := 0
 	for off := 0; off < len(pairs); off = blockEnd(pairs, off, blockPairs) {
@@ -348,7 +348,7 @@ func readExact(r io.Reader, buf []byte, n int) ([]byte, error) {
 // their samples are then decoded into one backing array each, sized by
 // what was verified. With a nil sink the same checks run on one reused
 // buffer and nothing is built.
-func readBlocks(br *bufio.Reader, h SpillHeader, seed uint32, sink *[]Pair) error {
+func readBlocks(br *bufio.Reader, h spillHeader, seed uint32, sink *[]Pair) error {
 	le := binary.LittleEndian
 	// payloads accumulates the blocks for a sink; without one it is reused.
 	var payloads []byte

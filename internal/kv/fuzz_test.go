@@ -13,7 +13,7 @@ import (
 // of the framing (ceil(n/ceil(n/ceil(n/k))) = ceil(n/ceil(n/k))), which
 // gives the fuzz target a deterministic byte-level fixed point even for
 // crafted inputs with irregular block sizes.
-func v3ReencodeOpts(h SpillHeader) V3Options {
+func v3ReencodeOpts(h spillHeader) V3Options {
 	bp := 1
 	if h.Blocks > 0 {
 		bp = (h.Pairs + h.Blocks - 1) / h.Blocks

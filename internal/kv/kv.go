@@ -13,7 +13,6 @@ package kv
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"sidr/internal/coords"
 )
@@ -36,16 +35,6 @@ type Value struct {
 	// values for filters. Nil when the operator runs in aggregate-only
 	// mode.
 	Samples []float64
-}
-
-// NewValue returns a Value seeded with a single observation, keeping the
-// raw sample only when keepSample is true.
-func NewValue(v float64, keepSample bool) Value {
-	val := Value{Sum: v, SumSq: v * v, Min: v, Max: v, Count: 1}
-	if keepSample {
-		val.Samples = []float64{v}
-	}
-	return val
 }
 
 // Add folds a single observation into the value.
@@ -96,8 +85,8 @@ func (v *Value) AddRun(xs []float64, keepSamples bool) {
 	}
 }
 
-// Merge folds another value into v (the combiner/reducer merge step).
-func (v *Value) Merge(o Value) {
+// merge folds another value into v (the combiner/reducer merge step).
+func (v *Value) merge(o Value) {
 	if o.Count == 0 {
 		return
 	}
@@ -141,15 +130,6 @@ func (v *Value) StdDev() float64 {
 	return math.Sqrt(variance)
 }
 
-// Clone returns a deep copy of the value.
-func (v Value) Clone() Value {
-	out := v
-	if v.Samples != nil {
-		out.Samples = append([]float64(nil), v.Samples...)
-	}
-	return out
-}
-
 // ApproxBytes estimates the serialised size of the value, used by the
 // shuffle accounting and the cluster simulator's data models.
 func (v Value) ApproxBytes() int64 {
@@ -167,20 +147,12 @@ func (p Pair) String() string {
 	return fmt.Sprintf("<%v: n=%d sum=%g>", p.Key, p.Value.Count, p.Value.Sum)
 }
 
-// SortPairs orders pairs by key in row-major order. Map tasks emit their
-// pairs already sorted and Reduce merges the streams (MergeSorted), so no
-// task calls it: it is the sort the differential oracles of this
-// package, internal/mapreduce and internal/join hold those paths against.
-func SortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Key.Less(ps[j].Key) })
-}
-
 // MergeSorted performs the Reduce-side k-way merge: each stream is one
 // Map task's already-sorted output for this keyblock; the result is the
 // fully merged ⟨k', folded-value⟩ list in row-major key order — without
 // re-sorting the concatenation. Streams must individually be sorted by
 // key (as Map tasks emit them); values of equal keys are folded through
-// Value.Merge. Input streams are not modified.
+// Value.merge. Input streams are not modified.
 //
 // The merge rides the streams' runs: the head stream's whole run of the
 // popped key is folded before the heap is touched again. Equal keys leave
@@ -271,7 +243,7 @@ func MergeSorted(streams [][]Pair) []Pair {
 		if last := len(out) - 1; last >= 0 && out[last].Key.Equal(run[0].Key) {
 			v := &out[last].Value
 			for i := range run {
-				v.Merge(run[i].Value)
+				v.merge(run[i].Value)
 			}
 		} else {
 			if len(out) > 0 {
@@ -282,7 +254,7 @@ func MergeSorted(streams [][]Pair) []Pair {
 			v := run[0].Value
 			v.Samples = append(arena[at:at:len(arena)], run[0].Value.Samples...)
 			for i := range run[1:] {
-				v.Merge(run[1+i].Value)
+				v.merge(run[1+i].Value)
 			}
 			out = append(out, Pair{Key: run[0].Key, Value: v})
 		}

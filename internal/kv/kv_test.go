@@ -3,6 +3,7 @@ package kv
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -79,7 +80,7 @@ func TestValueMerge(t *testing.T) {
 	a.Add(2, true)
 	b := NewValue(10, true)
 	b.Add(-5, true)
-	a.Merge(b)
+	a.merge(b)
 	if a.Count != 4 || a.Sum != 8 || a.Min != -5 || a.Max != 10 {
 		t.Fatalf("Merge = %+v", a)
 	}
@@ -88,13 +89,13 @@ func TestValueMerge(t *testing.T) {
 	}
 	// Merging an empty value is a no-op.
 	before := a.Clone()
-	a.Merge(Value{})
+	a.merge(Value{})
 	if a.Count != before.Count || a.Sum != before.Sum {
 		t.Fatalf("empty merge changed value: %+v", a)
 	}
 	// Merging into an empty value copies min/max.
 	var e Value
-	e.Merge(b)
+	e.merge(b)
 	if e.Min != -5 || e.Max != 10 || e.Count != 2 {
 		t.Fatalf("merge into empty = %+v", e)
 	}
@@ -179,7 +180,7 @@ func TestQuickMergeEquivalentToAdds(t *testing.T) {
 			}
 			all.Add(x, true)
 		}
-		a.Merge(b)
+		a.merge(b)
 		return a.Count == all.Count &&
 			math.Abs(a.Sum-all.Sum) < 1e-9 &&
 			a.Min == all.Min && a.Max == all.Max &&
@@ -208,7 +209,7 @@ func TestQuickCountAnnotationAdditive(t *testing.T) {
 		// Merge in random order.
 		for len(vals) > 1 {
 			i := r.Intn(len(vals) - 1)
-			vals[i].Merge(vals[i+1])
+			vals[i].merge(vals[i+1])
 			vals = append(vals[:i+1], vals[i+2:]...)
 		}
 		return vals[0].Count == total
@@ -216,4 +217,31 @@ func TestQuickCountAnnotationAdditive(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// NewValue returns a Value seeded with a single observation, keeping the
+// raw sample only when keepSample is true.
+func NewValue(v float64, keepSample bool) Value {
+	val := Value{Sum: v, SumSq: v * v, Min: v, Max: v, Count: 1}
+	if keepSample {
+		val.Samples = []float64{v}
+	}
+	return val
+}
+
+// Clone returns a deep copy of the value.
+func (v Value) Clone() Value {
+	out := v
+	if v.Samples != nil {
+		out.Samples = append([]float64(nil), v.Samples...)
+	}
+	return out
+}
+
+// SortPairs orders pairs by key in row-major order. Map tasks emit their
+// pairs already sorted and Reduce merges the streams (MergeSorted), so no
+// task calls it: it is the sort the differential oracles of this
+// package, internal/mapreduce and internal/join hold those paths against.
+func SortPairs(ps []Pair) {
+	sort.Slice(ps, func(i, j int) bool { return ps[i].Key.Less(ps[j].Key) })
 }

@@ -61,7 +61,7 @@ func refMergeSorted(streams [][]Pair) []Pair {
 		h := heads[0]
 		p := streams[h.stream][h.idx]
 		if n := len(out); n > 0 && out[n-1].Key.Equal(p.Key) {
-			out[n-1].Value.Merge(p.Value)
+			out[n-1].Value.merge(p.Value)
 		} else {
 			out = append(out, Pair{Key: p.Key, Value: p.Value.Clone()})
 		}
@@ -250,13 +250,13 @@ func TestQuickMergeSortedEqualsSortMerge(t *testing.T) {
 
 // sortMerge is the naive Reduce-side merge MergeSorted is held against:
 // sort the concatenated streams, then fold each run of equal keys through
-// Value.Merge into clones of the input values.
+// Value.merge into clones of the input values.
 func sortMerge(ps []Pair) []Pair {
 	SortPairs(ps)
 	var out []Pair
 	for _, p := range ps {
 		if n := len(out); n > 0 && p.Key.Equal(out[n-1].Key) {
-			out[n-1].Value.Merge(p.Value)
+			out[n-1].Value.merge(p.Value)
 			continue
 		}
 		out = append(out, Pair{Key: p.Key, Value: p.Value.Clone()})

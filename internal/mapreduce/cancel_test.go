@@ -25,7 +25,7 @@ func (r *slowReader) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, e
 	return r.inner.ReadSlabInto(slab, dst)
 }
 
-func cancelConfig(t *testing.T, barrier BarrierMode) Config {
+func cancelConfig(t *testing.T, barrier barrierMode) Config {
 	t.Helper()
 	q, err := query.Parse("avg v[0,0 : 64,64] es {8,8}")
 	if err != nil {
@@ -58,7 +58,7 @@ func cancelConfig(t *testing.T, barrier BarrierMode) Config {
 }
 
 func TestRunCancelled(t *testing.T) {
-	for _, barrier := range []BarrierMode{GlobalBarrier, DependencyBarrier} {
+	for _, barrier := range []barrierMode{globalBarrier, DependencyBarrier} {
 		t.Run(barrier.String(), func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			cfg := cancelConfig(t, barrier)

@@ -140,7 +140,7 @@ func TestGlobalBarrierDeterministic(t *testing.T) {
 	ref := referenceResults(t, q, synthValue)
 	render := func(workers int) string {
 		cfg := buildJob(t, q, 3, false, true)
-		cfg.Barrier = GlobalBarrier
+		cfg.Barrier = globalBarrier
 		cfg.Workers = workers
 		res, err := Run(cfg)
 		if err != nil {

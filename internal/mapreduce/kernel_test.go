@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -22,7 +23,7 @@ import (
 
 // refExecMap is the per-point Map task body the batch kernel replaced,
 // kept as the differential oracle: one callback per source point,
-// MapKeyInto + Contains + Partition + Linearize and a hash-map lookup
+// mapKey + Contains + Partition + Linearize and a hash-map lookup
 // each, Delinearize and a sort at seal time. ExecMap must reproduce its
 // output bit for bit.
 func refExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
@@ -49,14 +50,14 @@ func refExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 			}
 		}
 		seen++
-		kp, mapped := q.Extraction.MapKeyInto(k, kpBuf)
+		kp, mapped := mapKey(q.Extraction, k, kpBuf)
 		if kp != nil {
 			kpBuf = kp[:0]
 		}
 		if !mapped {
 			return nil // stride gap
 		}
-		if !in.Space.Contains(kp) {
+		if !slabContains(in.Space, kp) {
 			return nil // discarded partial tile (KeepPartial == false semantics)
 		}
 		records++
@@ -97,7 +98,7 @@ func refExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 			}
 			pairs = append(pairs, kv.Pair{Key: kp, Value: out})
 		}
-		kv.SortPairs(pairs)
+		slices.SortFunc(pairs, func(a, b kv.Pair) int { return a.Key.Compare(b.Key) })
 		outs[kb].Pairs = pairs
 	}
 	return outs, records, nil
@@ -235,7 +236,7 @@ type kernelCase struct {
 
 func (c kernelCase) query(op string) *query.Query {
 	q := &query.Query{Operator: op, Variable: "v", Input: c.input,
-		Extraction: coords.MustExtraction(c.es, c.stride), KeepPartial: !c.dropPartial}
+		Extraction: mustExtraction(c.es, c.stride), KeepPartial: !c.dropPartial}
 	switch op {
 	case "filter_gt", "filter_lt":
 		q.Param = 100
@@ -357,7 +358,7 @@ func checkSampleWindows(t *testing.T, label string, outs []MapOut) {
 // math.Float64bits.
 func TestMapKernelMatchesPerPointOracle(t *testing.T) {
 	for _, c := range kernelCases {
-		for _, opName := range ops.Names() {
+		for _, opName := range opNames {
 			for _, combine := range []bool{false, true} {
 				for _, modulo := range []bool{false, true} {
 					runKernelCase(t, c, opName, combine, modulo, 3)
@@ -372,7 +373,7 @@ func TestMapKernelMatchesPerPointOracle(t *testing.T) {
 func TestMapKernelEmptyBox(t *testing.T) {
 	q := &query.Query{Operator: "avg", Variable: "v",
 		Input:      coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(20, 6)),
-		Extraction: coords.MustExtraction(coords.NewShape(2, 3), coords.NewShape(5, 3))}
+		Extraction: mustExtraction(coords.NewShape(2, 3), coords.NewShape(5, 3))}
 	op, _ := q.Op()
 	space, err := q.IntermediateSpace()
 	if err != nil {
@@ -625,7 +626,7 @@ func FuzzMapKernel(f *testing.F) {
 	f.Add([]byte{1, 20, 12, 1, 4, 3, 0, 0, 0, 0, 1, 2, 0, 6, 4, 1, 1, 3, 5, 0})
 	f.Add([]byte{2, 9, 7, 11, 2, 3, 4, 0, 1, 0, 1, 0, 2, 4, 5, 1, 0, 2, 41, 41})
 	f.Add([]byte{0, 60, 1, 1, 6, 1, 1, 0, 0, 0, 3, 0, 0, 17, 5, 1, 1, 4, 50, 9})
-	names := ops.Names()
+	names := opNames
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) < 18 {
 			return
@@ -645,7 +646,7 @@ func FuzzMapKernel(f *testing.F) {
 			c.stride = stride
 		}
 		c.input = coords.Slab{Corner: corner, Shape: shape}
-		if _, err := coords.MustExtraction(c.es, c.stride).TileRange(c.input); err != nil {
+		if _, err := mustExtraction(c.es, c.stride).TileRange(c.input); err != nil {
 			return // the whole input sits in stride gaps: no keyspace
 		}
 		c.splitRows = []int64{int64(b[13])%shape[0] + 1}
@@ -691,7 +692,7 @@ func TestHolisticKeyShipsOnePair(t *testing.T) {
 	// split, in row-major order, appended to its key's sample list.
 	want := map[string][]float64{}
 	split.EachReuse(func(k coords.Coord) bool {
-		kp, _ := q.Extraction.MapKeyInto(k, nil)
+		kp, _ := mapKey(q.Extraction, k, nil)
 		want[kp.String()] = append(want[kp.String()], kernelValue(k))
 		return true
 	})
@@ -731,3 +732,40 @@ func TestHolisticKeyShipsOnePair(t *testing.T) {
 		t.Fatalf("%d source points over %d pairs, want %d over %d", points, keys, split.Size(), len(want))
 	}
 }
+
+// mapKey maps input key k to its intermediate key (SIDR §3, Area 2),
+// writing into buf when it has the capacity; ok is false for a key
+// outside the keyspace or in a strided extraction's inter-tile gap.
+func mapKey(e coords.Extraction, k, buf coords.Coord) (kp coords.Coord, ok bool) {
+	st := e.EffectiveStride()
+	if len(k) != len(st) {
+		return nil, false
+	}
+	kp = append(buf[:0], k...)
+	for i := range kp {
+		if k[i] < 0 || k[i]%st[i] >= e.Shape[i] {
+			return kp, false
+		}
+		kp[i] = k[i] / st[i]
+	}
+	return kp, true
+}
+
+// mustExtraction is coords.NewExtraction that panics on error.
+func mustExtraction(shape, stride coords.Shape) coords.Extraction {
+	e, err := coords.NewExtraction(shape, stride)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// slabContains reports whether c lies in s.
+func slabContains(s coords.Slab, c coords.Coord) bool {
+	_, err := s.Linearize(c)
+	return err == nil
+}
+
+// opNames are the operators internal/ops registers (its TestNames pins
+// the same list).
+var opNames = []string{"absmax", "avg", "count", "filter_gt", "filter_lt", "filter_range", "max", "median", "min", "percentile", "range", "sort", "stddev", "sum"}

@@ -55,13 +55,13 @@ type InputSplit struct {
 	Hosts []string
 }
 
-// BarrierMode selects how Reduce tasks synchronise with Map tasks.
-type BarrierMode int
+// barrierMode selects how Reduce tasks synchronise with Map tasks.
+type barrierMode int
 
 const (
-	// GlobalBarrier makes every Reduce task wait for all Map tasks —
+	// globalBarrier makes every Reduce task wait for all Map tasks —
 	// stock Hadoop semantics (Figure 4a).
-	GlobalBarrier BarrierMode = iota
+	globalBarrier barrierMode = iota
 	// DependencyBarrier lets each Reduce task start once the splits in
 	// its I_ℓ are processed — SIDR semantics (Figure 4b). Requires
 	// Config.Graph.
@@ -69,39 +69,39 @@ const (
 )
 
 // String names the mode.
-func (b BarrierMode) String() string {
-	if b == GlobalBarrier {
+func (b barrierMode) String() string {
+	if b == globalBarrier {
 		return "global"
 	}
 	return "dependency"
 }
 
-// EventKind enumerates trace events.
-type EventKind int
+// eventKind enumerates trace events.
+type eventKind int
 
 const (
 	// MapStart and MapEnd bracket a Map task (Detail = split id).
-	MapStart EventKind = iota
+	MapStart eventKind = iota
 	MapEnd
 	// ReduceStart marks a Reduce task's barrier being satisfied and
 	// processing beginning; ReduceEnd marks its output being committed
 	// (Detail = keyblock id).
 	ReduceStart
 	ReduceEnd
-	// MapLost marks a committed Map output declared lost by a Reduce
+	// mapLost marks a committed Map output declared lost by a Reduce
 	// task's fetch: the split re-executes (Detail = split id).
-	MapLost
+	mapLost
 )
 
 // Event is one timestamped runtime event.
 type Event struct {
-	Kind   EventKind
+	Kind   eventKind
 	Detail int
 	At     time.Time
 }
 
-// Counters aggregates runtime statistics.
-type Counters struct {
+// counters aggregates runtime statistics.
+type counters struct {
 	MapRecordsIn    int64 // source points read by Map tasks
 	MapPairsOut     int64 // intermediate pairs: one per (split, K' key) the split touches
 	ShuffleBytes    int64 // approximate bytes of Map output (each crosses the shuffle once)
@@ -122,17 +122,17 @@ type ReduceOutput struct {
 // Result is a completed job.
 type Result struct {
 	Outputs  []ReduceOutput // indexed by keyblock
-	Counters Counters
+	Counters counters
 	Events   []Event
 	Started  time.Time
 	Finished time.Time
 }
 
-// Runner is where a job's tasks execute. The job loop decides when each
+// taskRunner is where a job's tasks execute. The job loop decides when each
 // runs and what a failure re-opens; a Runner only carries the tasks out.
 // Both methods are called concurrently from executor workers and must
 // return promptly once ctx is done.
-type Runner interface {
+type taskRunner interface {
 	// RunMap executes Map task split to completion: its output is
 	// committed wherever the runner keeps Map outputs before RunMap
 	// returns. A failure fails the job, so a runner with somewhere else
@@ -182,7 +182,7 @@ type Config struct {
 	// Runner, when set, executes the tasks somewhere other than this
 	// process's memory (see Runner); the readers are then unused. Nil
 	// runs ExecMap on Reader/Reader2 and keeps Map outputs in memory.
-	Runner Runner
+	Runner taskRunner
 
 	// Ctx, when set, cancels the job: Map record loops, pending task
 	// dispatch and Reduce execution all abort promptly once it is done,
@@ -194,7 +194,7 @@ type Config struct {
 	// barrier — checks its kv-count annotation tally against the expected
 	// source count before applying the operator (§3.2.1 approach 2).
 	Graph   *depgraph.Graph
-	Barrier BarrierMode
+	Barrier barrierMode
 
 	// Upstream, when set, makes the job a downstream stage of another:
 	// split i's Map task reads the output of the upstream keyblocks in
@@ -249,7 +249,7 @@ var (
 	errNoReader2     = errors.New("mapreduce: join config needs a second record reader")
 	errNoPartitioner = errors.New("mapreduce: config needs a partitioner")
 	errNeedsGraph    = errors.New("mapreduce: dependency barrier needs a dependency graph")
-	ErrBadMapOrder   = errors.New("mapreduce: MapOrder must permute split indices")
+	errBadMapOrder   = errors.New("mapreduce: MapOrder must permute split indices")
 	// ErrCountMismatch means a Reduce task's kv-count annotation tally did
 	// not equal the dependency graph's expected source count; the task
 	// refused to commit (§3.2.1).
@@ -257,10 +257,10 @@ var (
 	// ErrRetryExhausted means a task kept failing, or its output kept
 	// getting lost, until its attempt budget was spent.
 	ErrRetryExhausted = errors.New("mapreduce: task attempt budget exhausted")
-	// ErrExecutorClosed means the executor (or the job's handle on it) was
+	// errExecutorClosed means the executor (or the job's handle on it) was
 	// closed while the job still had tasks to submit — the process is
 	// shutting down under the job.
-	ErrExecutorClosed = errors.New("mapreduce: executor closed")
+	errExecutorClosed = errors.New("mapreduce: executor closed")
 
 	errOutputLost = errors.New("map output lost")
 )
@@ -281,7 +281,7 @@ type mapState struct {
 type Job struct {
 	cfg     Config
 	in      MapInput // the task bodies' input, fixed for the run
-	runner  Runner
+	runner  taskRunner
 	order   []int // Map dispatch order; a split's position is its priority
 	rOrder  []int
 	allMaps []int // every split id, ascending: the global barrier's dependency set
@@ -293,7 +293,7 @@ type Job struct {
 	mu       sync.Mutex
 	maps     []mapState
 	events   []Event
-	counters Counters
+	counters counters
 	failed   error
 
 	// Per-keyblock state, guarded by mu. remaining[l] is Reduce task l's
@@ -405,7 +405,7 @@ func NewJob(cfg Config) (*Job, error) {
 		}
 	}
 	if j.runner == nil {
-		j.runner = LocalRunner{In: in, Splits: cfg.Splits}
+		j.runner = localRunner{In: in, Splits: cfg.Splits}
 	}
 	for rank, i := range order {
 		j.maps[i].rank = rank
@@ -557,7 +557,7 @@ func (j *Job) submitLocked(class exec.Class, priority int, kind string, id int, 
 	})
 	if !ok {
 		j.inflight--
-		j.failLocked(fmt.Errorf("%w: %s task %d rejected", ErrExecutorClosed, kind, id))
+		j.failLocked(fmt.Errorf("%w: %s task %d rejected", errExecutorClosed, kind, id))
 	}
 }
 
@@ -647,13 +647,13 @@ func (j *Job) fail(err error) {
 
 // logLocked appends an event. The caller passes it to deliver once it
 // has dropped j.mu.
-func (j *Job) logLocked(kind EventKind, detail int) Event {
+func (j *Job) logLocked(kind eventKind, detail int) Event {
 	e := Event{Kind: kind, Detail: detail, At: time.Now()}
 	j.events = append(j.events, e)
 	return e
 }
 
-func (j *Job) emit(kind EventKind, detail int) {
+func (j *Job) emit(kind eventKind, detail int) {
 	j.mu.Lock()
 	e := j.logLocked(kind, detail)
 	j.mu.Unlock()
@@ -679,12 +679,12 @@ func orderOrIdentity(order []int, n int) ([]int, error) {
 		return order, nil
 	}
 	if len(order) != n {
-		return nil, fmt.Errorf("%w: %d entries for %d tasks", ErrBadMapOrder, len(order), n)
+		return nil, fmt.Errorf("%w: %d entries for %d tasks", errBadMapOrder, len(order), n)
 	}
 	seen := make([]bool, n)
 	for _, i := range order {
 		if i < 0 || i >= n || seen[i] {
-			return nil, fmt.Errorf("%w: bad entry %d", ErrBadMapOrder, i)
+			return nil, fmt.Errorf("%w: bad entry %d", errBadMapOrder, i)
 		}
 		seen[i] = true
 	}

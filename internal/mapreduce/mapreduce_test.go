@@ -142,7 +142,7 @@ func buildJob(t *testing.T, q *query.Query, reducers int, sidr bool, combine boo
 			t.Fatal(err)
 		}
 		in := MapInput{Query: q, Op: op, Space: space, Part: part, Reader: cfg.Reader}
-		cfg.Runner = LocalRunner{In: in, Splits: splits}
+		cfg.Runner = localRunner{In: in, Splits: splits}
 	}
 	if sidr {
 		cfg.Barrier = DependencyBarrier
@@ -177,11 +177,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 	cfg = buildJob(t, q, 2, true, true)
 	cfg.MapOrder = []int{0}
-	if _, err := Run(cfg); !errors.Is(err, ErrBadMapOrder) {
+	if _, err := Run(cfg); !errors.Is(err, errBadMapOrder) {
 		t.Fatalf("err = %v", err)
 	}
 	cfg.MapOrder = []int{0, 0}
-	if _, err := Run(cfg); !errors.Is(err, ErrBadMapOrder) {
+	if _, err := Run(cfg); !errors.Is(err, errBadMapOrder) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -221,7 +221,7 @@ func TestFileReaderEndToEnd(t *testing.T) {
 		Dims: []ncfile.Dimension{{Name: "time", Length: 21}, {Name: "lat", Length: 10}},
 		Vars: []ncfile.Variable{{Name: "temp", Type: ncfile.Float64, Dims: []string{"time", "lat"}}},
 	}
-	f, err := ncfile.Create(path, h, 0)
+	f, err := ncfile.CreateEmpty(path, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestGlobalBarrierBlocksAllReduces(t *testing.T) {
 	// MapEnd (Figure 4a).
 	q := mustParse(t, "avg temp[0,0 : 64,8] es {4,4}")
 	cfg := buildJob(t, q, 4, false, true)
-	cfg.Barrier = GlobalBarrier
+	cfg.Barrier = globalBarrier
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -470,7 +470,7 @@ func TestRandomizedEnginesAgree(t *testing.T) {
 			Operator:   op,
 			Variable:   "v",
 			Input:      coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(rows, cols)),
-			Extraction: coords.MustExtraction(coords.NewShape(es0, es1), nil),
+			Extraction: mustExtraction(coords.NewShape(es0, es1), nil),
 		}
 		if err := q.Validate(nil); err != nil {
 			t.Fatal(err)

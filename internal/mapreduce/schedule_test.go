@@ -45,8 +45,8 @@ func synthCount(s, l int) int64 { return int64(3*s + l + 1) }
 // key of the split's own.
 func synthPairs(s, l int) []kv.Pair {
 	return []kv.Pair{
-		{Key: coords.NewCoord(int64(l)), Value: kv.NewValue(0.1*float64(s+1), false)},
-		{Key: coords.NewCoord(int64(1000 + s)), Value: kv.NewValue(float64(s)+0.5, false)},
+		{Key: coords.NewCoord(int64(l)), Value: oneValue(0.1 * float64(s+1))},
+		{Key: coords.NewCoord(int64(1000 + s)), Value: oneValue(float64(s) + 0.5)},
 	}
 }
 
@@ -112,7 +112,7 @@ type lossyRef struct {
 // job loop did with it — executions per split, and for every keyblock
 // the references and tally of the last fetch that returned streams.
 type lossyRunner struct {
-	inner Runner
+	inner taskRunner
 	// lose is asked outside mu on fetch number call (1-based) of keyblock
 	// l, with the splits whose outputs the fetch was handed. Nil loses
 	// nothing.
@@ -314,12 +314,12 @@ func checkSchedule(t *testing.T, cfg Config, run *scheduleRun, clean *Result) {
 	}
 	lostEvents := int64(0)
 	for _, e := range run.res.Events {
-		if e.Kind == MapLost {
+		if e.Kind == mapLost {
 			lostEvents++
 		}
 	}
 	if re := run.runner.reruns(); run.res.Counters.RecomputedMaps != re || lostEvents != re {
-		t.Fatalf("RecomputedMaps = %d, MapLost events = %d, re-executions seen by the runner = %d",
+		t.Fatalf("RecomputedMaps = %d, mapLost events = %d, re-executions seen by the runner = %d",
 			run.res.Counters.RecomputedMaps, lostEvents, re)
 	}
 	if d := diffOutputs(run.res.Outputs, clean.Outputs); d != "" {
@@ -380,7 +380,7 @@ func TestSeededSchedules(t *testing.T) {
 	start := time.Now()
 	seeds := 0
 	for gi, g := range graphs {
-		for _, barrier := range []BarrierMode{DependencyBarrier, GlobalBarrier} {
+		for _, barrier := range []barrierMode{DependencyBarrier, globalBarrier} {
 			newCfg := func() Config {
 				cfg := g.cfg()
 				cfg.Barrier = barrier
@@ -556,7 +556,7 @@ func TestReexecutedAttemptCannotDoubleSatisfy(t *testing.T) {
 	lastLost, lastMapEnd, firstStart := -1, -1, -1
 	for i, e := range run.res.Events {
 		switch {
-		case e.Kind == MapLost:
+		case e.Kind == mapLost:
 			lastLost, firstStart = i, -1
 		case e.Kind == MapEnd:
 			lastMapEnd = i
@@ -578,7 +578,7 @@ func TestFailureRecoveryRefetch(t *testing.T) {
 	ref := referenceResults(t, q, synthValue)
 	cfg := buildJob(t, q, 2, true, true)
 	lossy := newLossy(&cfg, faults{})
-	flaky := &refetchRunner{Runner: lossy, failFirst: map[int]bool{0: true, 1: true}}
+	flaky := &refetchRunner{taskRunner: lossy, failFirst: map[int]bool{0: true, 1: true}}
 	cfg.Runner = flaky
 	res, err := Run(cfg)
 	if err != nil {
@@ -592,7 +592,7 @@ func TestFailureRecoveryRefetch(t *testing.T) {
 		t.Fatalf("refetch recovery recomputed %d maps", res.Counters.RecomputedMaps)
 	}
 	for _, e := range res.Events {
-		if e.Kind == MapLost {
+		if e.Kind == mapLost {
 			t.Fatalf("split %d declared lost though its output was only refetched", e.Detail)
 		}
 	}
@@ -602,7 +602,7 @@ func TestFailureRecoveryRefetch(t *testing.T) {
 // listed keyblock the way a transport does — an error, nothing lost —
 // and its Fetch recovers by fetching again from the same references.
 type refetchRunner struct {
-	Runner
+	taskRunner
 	mu        sync.Mutex
 	failFirst map[int]bool
 	refetches int
@@ -618,7 +618,7 @@ func (r *refetchRunner) fetchOnce(ctx context.Context, l int, refs []any) ([][]k
 	if fail {
 		return nil, 0, nil, errTransient
 	}
-	return r.Runner.Fetch(ctx, l, refs)
+	return r.taskRunner.Fetch(ctx, l, refs)
 }
 
 func (r *refetchRunner) Fetch(ctx context.Context, l int, refs []any) ([][]kv.Pair, int64, []int, error) {
@@ -697,4 +697,11 @@ func TestFailureRecoveryRecompute(t *testing.T) {
 	if want >= int64(len(cfg.Splits)) {
 		t.Fatalf("test not meaningful: keyblock depends on all %d splits", len(cfg.Splits))
 	}
+}
+
+// oneValue is a value holding the single observation x.
+func oneValue(x float64) kv.Value {
+	var v kv.Value
+	v.Add(x, false)
+	return v
 }

@@ -144,7 +144,7 @@ func (j *Job) rearm(splits, gens, lost []int, cause error) {
 		m.gen++
 		m.done, m.ref, m.cause = false, nil, cause
 		j.counters.RecomputedMaps++
-		events = append(events, j.logLocked(MapLost, s))
+		events = append(events, j.logLocked(mapLost, s))
 		for _, kb := range j.dependents(s) {
 			if !j.committed[kb] {
 				j.remaining[kb]++
@@ -157,17 +157,16 @@ func (j *Job) rearm(splits, gens, lost []int, cause error) {
 	j.deliver(events...)
 }
 
-// LocalRunner is the in-process Runner, the one a job gets when
+// localRunner is the in-process Runner, the one a job gets when
 // Config.Runner is nil: Map tasks run ExecMap on In's readers and keep
 // their per-keyblock outputs in memory, so a reference is the output
-// itself and nothing is ever lost. (Exported so that a Runner which does
-// lose things — a test's — can wrap it.)
-type LocalRunner struct {
+// itself and nothing is ever lost.
+type localRunner struct {
 	In     MapInput
 	Splits []InputSplit
 }
 
-func (r LocalRunner) RunMap(ctx context.Context, i int) (MapResult, error) {
+func (r localRunner) RunMap(ctx context.Context, i int) (MapResult, error) {
 	in := r.In
 	in.Ctx = ctx
 	outs, records, err := ExecMap(in, r.Splits[i])
@@ -184,7 +183,7 @@ func (r LocalRunner) RunMap(ctx context.Context, i int) (MapResult, error) {
 	return res, nil
 }
 
-func (LocalRunner) Fetch(_ context.Context, l int, refs []any) (streams [][]kv.Pair, tally int64, lost []int, err error) {
+func (localRunner) Fetch(_ context.Context, l int, refs []any) (streams [][]kv.Pair, tally int64, lost []int, err error) {
 	// Each Map task's output for this keyblock is an independently sorted
 	// stream; collect them for the k-way merge.
 	for _, ref := range refs {

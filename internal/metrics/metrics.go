@@ -67,13 +67,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // Sum returns the total of all observations.
 func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
@@ -81,8 +74,8 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// DefBuckets covers query latencies from 1 ms to ~2 min.
-var DefBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 120}
+// defBuckets covers query latencies from 1 ms to ~2 min.
+var defBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 120}
 
 // Registry holds named instruments. The zero value is not usable; call
 // New.
@@ -127,7 +120,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it with the given
-// bucket upper bounds on first use (nil means DefBuckets). Later calls
+// bucket upper bounds on first use (nil means defBuckets). Later calls
 // keep the original buckets.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	r.mu.Lock()
@@ -135,7 +128,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	h := r.histograms[name]
 	if h == nil {
 		if bounds == nil {
-			bounds = DefBuckets
+			bounds = defBuckets
 		}
 		bs := append([]float64(nil), bounds...)
 		sort.Float64s(bs)

@@ -135,3 +135,10 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatalf("observations = %d, want 8000", got)
 	}
 }
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.count
+}

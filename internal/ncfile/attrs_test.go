@@ -24,7 +24,7 @@ func TestAttributesRoundTrip(t *testing.T) {
 			{Name: "grid", Value: "25N-50N 1/10 deg"},
 		},
 	}
-	f, err := Create(path, h, 0)
+	f, err := create(path, h, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestAttributesRoundTrip(t *testing.T) {
 	if _, ok := got.Attr("missing"); ok {
 		t.Fatal("phantom global attr")
 	}
-	tv, err := got.Var("temperature")
+	tv, err := got.variable("temperature")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDescribeFigure1Style(t *testing.T) {
 		},
 		Vars: []Variable{{
 			Name:   "temperature",
-			Type:   Int64,
+			Type:   int64Type,
 			Dims:   []string{"time", "lat", "lon"},
 			Origin: []int64{0, 0, 0},
 			Attrs:  []Attribute{{Name: "units", Value: "degC"}},
@@ -108,11 +108,11 @@ func TestAttributesAffectHeaderSize(t *testing.T) {
 		Vars:  []Variable{{Name: "v", Type: Float64, Dims: []string{"x"}, Attrs: []Attribute{{Name: "a", Value: "bb"}}}},
 		Attrs: []Attribute{{Name: "g", Value: "vv"}},
 	}
-	p, err := plain.TotalSize()
+	p, err := plain.totalSize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := attributed.TotalSize()
+	a, err := attributed.totalSize()
 	if err != nil {
 		t.Fatal(err)
 	}

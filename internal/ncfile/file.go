@@ -17,13 +17,13 @@ type File struct {
 	header *Header
 }
 
-// Create writes a new container at path with the given header. The data
+// create writes a new container at path with the given header. The data
 // payload is materialised immediately: fill holds the initial value for
 // every element of every variable (the "sentinel" when building sparse
 // output files; zero is typical for dense files about to be fully
 // written).
-func Create(path string, h *Header, fill float64) (*File, error) {
-	if err := h.Validate(); err != nil {
+func create(path string, h *Header, fill float64) (*File, error) {
+	if err := h.validate(); err != nil {
 		return nil, err
 	}
 	if err := h.assignOffsets(); err != nil {
@@ -71,10 +71,10 @@ func Create(path string, h *Header, fill float64) (*File, error) {
 // CreateEmpty writes a new container whose payload space is allocated via
 // truncation rather than explicit writes. On filesystems with sparse-file
 // support this is nearly free — it models the cheap allocation of a dense
-// output file that a task will fully overwrite, as opposed to Create with
+// output file that a task will fully overwrite, as opposed to create with
 // a sentinel which pays for every byte.
 func CreateEmpty(path string, h *Header) (*File, error) {
-	if err := h.Validate(); err != nil {
+	if err := h.validate(); err != nil {
 		return nil, err
 	}
 	if err := h.assignOffsets(); err != nil {
@@ -88,7 +88,7 @@ func CreateEmpty(path string, h *Header) (*File, error) {
 		f.Close()
 		return nil, err
 	}
-	total, err := h.TotalSize()
+	total, err := h.totalSize()
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -136,7 +136,7 @@ func (fl *File) Size() (int64, error) {
 // checkSlab reports whether slab lies inside a variable of shape full. It
 // runs before anything is sized from the slab, so a request far outside
 // the variable — or one whose point count overflows — fails with
-// ErrOutOfBound instead of allocating.
+// errOutOfBound instead of allocating.
 func checkSlab(full coords.Shape, slab coords.Slab) error {
 	if len(slab.Corner) != len(full) || len(slab.Shape) != len(full) {
 		return coords.ErrRankMismatch
@@ -144,7 +144,7 @@ func checkSlab(full coords.Shape, slab coords.Slab) error {
 	for i, n := range full {
 		c, sh := slab.Corner[i], slab.Shape[i]
 		if c < 0 || sh < 1 || c > n || sh > n-c {
-			return fmt.Errorf("%w: %v in %v", ErrOutOfBound, slab, full)
+			return fmt.Errorf("%w: %v in %v", errOutOfBound, slab, full)
 		}
 	}
 	return nil
@@ -153,7 +153,7 @@ func checkSlab(full coords.Shape, slab coords.Slab) error {
 // locate resolves the named variable and its shape and checks that slab
 // lies inside it — the common head of every hyperslab access.
 func (fl *File) locate(varName string, slab coords.Slab) (*Variable, coords.Shape, error) {
-	v, err := fl.header.Var(varName)
+	v, err := fl.header.variable(varName)
 	if err != nil {
 		return nil, nil, err
 	}

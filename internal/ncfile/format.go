@@ -26,26 +26,26 @@ import (
 	"sidr/internal/coords"
 )
 
-// Magic identifies an ncfile container.
-var Magic = [4]byte{'N', 'C', 'F', 'G'}
+// fileMagic identifies an ncfile container.
+var fileMagic = [4]byte{'N', 'C', 'F', 'G'}
 
-// Version is the current format version.
-const Version uint16 = 1
+// formatVersion is the current format version.
+const formatVersion uint16 = 1
 
-// DataType enumerates supported element types.
-type DataType uint8
+// dataType enumerates supported element types.
+type dataType uint8
 
 const (
 	// Float64 stores IEEE-754 doubles.
-	Float64 DataType = iota + 1
-	// Int64 stores signed 64-bit integers.
-	Int64
+	Float64 dataType = iota + 1
+	// int64Type stores signed 64-bit integers.
+	int64Type
 )
 
 // Size returns the element size in bytes.
-func (d DataType) Size() int64 {
+func (d dataType) Size() int64 {
 	switch d {
-	case Float64, Int64:
+	case Float64, int64Type:
 		return 8
 	default:
 		return 0
@@ -53,14 +53,14 @@ func (d DataType) Size() int64 {
 }
 
 // String names the data type in metadata dumps.
-func (d DataType) String() string {
+func (d dataType) String() string {
 	switch d {
 	case Float64:
 		return "double"
-	case Int64:
+	case int64Type:
 		return "int64"
 	default:
-		return fmt.Sprintf("DataType(%d)", uint8(d))
+		return fmt.Sprintf("dataType(%d)", uint8(d))
 	}
 }
 
@@ -80,7 +80,7 @@ type Attribute struct {
 // Variable is a typed array defined over an ordered list of dimensions.
 type Variable struct {
 	Name string
-	Type DataType
+	Type dataType
 	Dims []string // names into Header.Dims, slowest-varying first
 
 	// Origin optionally records the variable's global position when the
@@ -106,64 +106,44 @@ type Header struct {
 	Attrs []Attribute
 }
 
-// Attr returns the named global attribute value.
-func (h *Header) Attr(name string) (string, bool) {
-	for _, a := range h.Attrs {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
-// Attr returns the named per-variable attribute value.
-func (v *Variable) Attr(name string) (string, bool) {
-	for _, a := range v.Attrs {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
 // Errors reported by the package.
 var (
-	ErrBadMagic   = errors.New("ncfile: bad magic")
-	ErrBadVersion = errors.New("ncfile: unsupported version")
-	ErrNoVariable = errors.New("ncfile: no such variable")
-	ErrNoDim      = errors.New("ncfile: no such dimension")
-	ErrOutOfBound = errors.New("ncfile: hyperslab outside variable bounds")
+	errBadMagic   = errors.New("ncfile: bad magic")
+	errBadVersion = errors.New("ncfile: unsupported version")
+	errNoVariable = errors.New("ncfile: no such variable")
+	errNoDim      = errors.New("ncfile: no such dimension")
+	errOutOfBound = errors.New("ncfile: hyperslab outside variable bounds")
 )
 
-// DimLength returns the length of the named dimension.
-func (h *Header) DimLength(name string) (int64, error) {
+// dimLength returns the length of the named dimension.
+func (h *Header) dimLength(name string) (int64, error) {
 	for _, d := range h.Dims {
 		if d.Name == name {
 			return d.Length, nil
 		}
 	}
-	return 0, fmt.Errorf("%w: %q", ErrNoDim, name)
+	return 0, fmt.Errorf("%w: %q", errNoDim, name)
 }
 
-// Var returns the named variable.
-func (h *Header) Var(name string) (*Variable, error) {
+// variable returns the named variable.
+func (h *Header) variable(name string) (*Variable, error) {
 	for i := range h.Vars {
 		if h.Vars[i].Name == name {
 			return &h.Vars[i], nil
 		}
 	}
-	return nil, fmt.Errorf("%w: %q", ErrNoVariable, name)
+	return nil, fmt.Errorf("%w: %q", errNoVariable, name)
 }
 
 // VarShape returns the full shape of the named variable.
 func (h *Header) VarShape(name string) (coords.Shape, error) {
-	v, err := h.Var(name)
+	v, err := h.variable(name)
 	if err != nil {
 		return nil, err
 	}
 	shape := make(coords.Shape, len(v.Dims))
 	for i, dn := range v.Dims {
-		l, err := h.DimLength(dn)
+		l, err := h.dimLength(dn)
 		if err != nil {
 			return nil, err
 		}
@@ -172,9 +152,9 @@ func (h *Header) VarShape(name string) (coords.Shape, error) {
 	return shape, nil
 }
 
-// Validate checks internal consistency: unique names, positive lengths,
+// validate checks internal consistency: unique names, positive lengths,
 // variables referencing declared dimensions.
-func (h *Header) Validate() error {
+func (h *Header) validate() error {
 	seen := make(map[string]bool, len(h.Dims))
 	for _, d := range h.Dims {
 		if d.Name == "" {
@@ -288,8 +268,8 @@ func (h *Header) assignOffsets() error {
 	return nil
 }
 
-// TotalSize returns the byte size of a complete file with this header.
-func (h *Header) TotalSize() (int64, error) {
+// totalSize returns the byte size of a complete file with this header.
+func (h *Header) totalSize() (int64, error) {
 	if err := h.assignOffsets(); err != nil {
 		return 0, err
 	}
@@ -306,14 +286,14 @@ func (h *Header) TotalSize() (int64, error) {
 
 // encode writes the header (with magic and version) to w.
 func (h *Header) encode(w io.Writer) error {
-	if err := h.Validate(); err != nil {
+	if err := h.validate(); err != nil {
 		return err
 	}
 	if err := h.assignOffsets(); err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(Magic[:]); err != nil {
+	if _, err := bw.Write(fileMagic[:]); err != nil {
 		return err
 	}
 	le := binary.LittleEndian
@@ -329,7 +309,7 @@ func (h *Header) encode(w io.Writer) error {
 			writeStr(a.Value)
 		}
 	}
-	writeU16(Version)
+	writeU16(formatVersion)
 	writeU32(uint32(len(h.Dims)))
 	for _, d := range h.Dims {
 		writeStr(d.Name)
@@ -365,8 +345,8 @@ func decodeHeader(r io.Reader) (*Header, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("ncfile: reading magic: %w", err)
 	}
-	if magic != Magic {
-		return nil, ErrBadMagic
+	if magic != fileMagic {
+		return nil, errBadMagic
 	}
 	le := binary.LittleEndian
 	readU16 := func() (uint16, error) {
@@ -406,8 +386,8 @@ func decodeHeader(r io.Reader) (*Header, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver != Version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
+	if ver != formatVersion {
+		return nil, fmt.Errorf("%w: %d", errBadVersion, ver)
 	}
 	const maxEntries = 1 << 20 // guard against corrupt headers
 	readAttrs := func() ([]Attribute, error) {
@@ -511,9 +491,9 @@ func decodeHeader(r io.Reader) (*Header, error) {
 		if err != nil {
 			return nil, err
 		}
-		h.Vars = append(h.Vars, Variable{Name: name, Type: DataType(tb), Dims: dims, Origin: origin, Attrs: attrs, dataOffset: int64(off)})
+		h.Vars = append(h.Vars, Variable{Name: name, Type: dataType(tb), Dims: dims, Origin: origin, Attrs: attrs, dataOffset: int64(off)})
 	}
-	if err := h.Validate(); err != nil {
+	if err := h.validate(); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -521,13 +501,13 @@ func decodeHeader(r io.Reader) (*Header, error) {
 
 // encodeValues converts vals to the variable's stored representation,
 // eight bytes each, into b.
-func encodeValues(t DataType, vals []float64, b []byte) {
+func encodeValues(t dataType, vals []float64, b []byte) {
 	switch t {
 	case Float64:
 		for i, v := range vals {
 			binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
 		}
-	case Int64:
+	case int64Type:
 		for i, v := range vals {
 			binary.LittleEndian.PutUint64(b[i*8:], uint64(int64(v)))
 		}
@@ -536,13 +516,13 @@ func encodeValues(t DataType, vals []float64, b []byte) {
 
 // decodeValues converts len(out) stored elements of b back to float64s,
 // branching on the type once per call rather than per element.
-func decodeValues(t DataType, b []byte, out []float64) {
+func decodeValues(t dataType, b []byte, out []float64) {
 	switch t {
 	case Float64:
 		for i := range out {
 			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 		}
-	case Int64:
+	case int64Type:
 		for i := range out {
 			out[i] = float64(int64(binary.LittleEndian.Uint64(b[i*8:])))
 		}

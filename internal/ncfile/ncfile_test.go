@@ -30,13 +30,13 @@ func paperHeader() *Header {
 			{Name: "lon", Length: 200},
 		},
 		Vars: []Variable{
-			{Name: "temperature", Type: Int64, Dims: []string{"time", "lat", "lon"}},
+			{Name: "temperature", Type: int64Type, Dims: []string{"time", "lat", "lon"}},
 		},
 	}
 }
 
 func TestHeaderValidate(t *testing.T) {
-	if err := paperHeader().Validate(); err != nil {
+	if err := paperHeader().validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []*Header{
@@ -54,7 +54,7 @@ func TestHeaderValidate(t *testing.T) {
 		}},
 	}
 	for i, h := range bad {
-		if err := h.Validate(); err == nil {
+		if err := h.validate(); err == nil {
 			t.Errorf("bad header %d accepted", i)
 		}
 	}
@@ -62,10 +62,10 @@ func TestHeaderValidate(t *testing.T) {
 
 func TestHeaderLookups(t *testing.T) {
 	h := paperHeader()
-	if l, err := h.DimLength("lat"); err != nil || l != 250 {
+	if l, err := h.dimLength("lat"); err != nil || l != 250 {
 		t.Fatalf("DimLength(lat) = %d, %v", l, err)
 	}
-	if _, err := h.DimLength("nope"); err == nil {
+	if _, err := h.dimLength("nope"); err == nil {
 		t.Fatal("missing dim accepted")
 	}
 	shape, err := h.VarShape("temperature")
@@ -86,10 +86,10 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 		Dims: []Dimension{{Name: "t", Length: 4}, {Name: "x", Length: 6}},
 		Vars: []Variable{
 			{Name: "wind", Type: Float64, Dims: []string{"t", "x"}},
-			{Name: "flags", Type: Int64, Dims: []string{"x"}, Origin: []int64{10}},
+			{Name: "flags", Type: int64Type, Dims: []string{"x"}, Origin: []int64{10}},
 		},
 	}
-	f, err := Create(path, h, 0)
+	f, err := create(path, h, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 	if len(got.Dims) != 2 || len(got.Vars) != 2 {
 		t.Fatalf("header round trip: %+v", got)
 	}
-	v, err := got.Var("flags")
+	v, err := got.variable("flags")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestWriteReadSlab(t *testing.T) {
 		Dims: []Dimension{{Name: "a", Length: 5}, {Name: "b", Length: 7}},
 		Vars: []Variable{{Name: "v", Type: Float64, Dims: []string{"a", "b"}}},
 	}
-	f, err := Create(path, h, -1)
+	f, err := create(path, h, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +175,10 @@ func TestWriteReadSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := coords.NewShape(5, 7)
+	full := coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(5, 7))
 	for off := int64(0); off < full.Size(); off++ {
 		c, _ := full.Delinearize(off)
-		if slab.Contains(c) {
+		if slabContains(slab, c) {
 			continue
 		}
 		if all[off] != -1 {
@@ -193,7 +193,7 @@ func TestWriteSlabErrors(t *testing.T) {
 		Dims: []Dimension{{Name: "a", Length: 4}},
 		Vars: []Variable{{Name: "v", Type: Float64, Dims: []string{"a"}}},
 	}
-	f, err := Create(path, h, 0)
+	f, err := create(path, h, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +216,9 @@ func TestInt64Rounding(t *testing.T) {
 	path := tempPath(t, "int.ncf")
 	h := &Header{
 		Dims: []Dimension{{Name: "a", Length: 3}},
-		Vars: []Variable{{Name: "v", Type: Int64, Dims: []string{"a"}}},
+		Vars: []Variable{{Name: "v", Type: int64Type, Dims: []string{"a"}}},
 	}
-	f, err := Create(path, h, 0)
+	f, err := create(path, h, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestInt64Rounding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Int64 stores truncate toward zero as Go's float64->int64 conversion.
+	// int64Type stores truncate toward zero as Go's float64->int64 conversion.
 	want := []float64{1, -2, 42}
 	for i := range want {
 		if back[i] != want[i] {
@@ -273,7 +273,7 @@ func TestCountRuns(t *testing.T) {
 		Dims: []Dimension{{Name: "a", Length: 10}, {Name: "b", Length: 10}},
 		Vars: []Variable{{Name: "v", Type: Float64, Dims: []string{"a", "b"}}},
 	}
-	f, err := Create(path, h, 0)
+	f, err := create(path, h, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,14 +326,14 @@ func TestCountRuns(t *testing.T) {
 
 // TestOutOfBoundSlabNeverAllocates: containment is checked before the
 // read buffer is sized, so a request far outside the variable — or one
-// whose point count overflows int64 — is ErrOutOfBound, not an attempt to
+// whose point count overflows int64 — is errOutOfBound, not an attempt to
 // allocate terabytes.
 func TestOutOfBoundSlabNeverAllocates(t *testing.T) {
 	h := &Header{
 		Dims: []Dimension{{Name: "a", Length: 4}, {Name: "b", Length: 4}},
 		Vars: []Variable{{Name: "v", Type: Float64, Dims: []string{"a", "b"}}},
 	}
-	f, err := Create(tempPath(t, "oob.ncf"), h, 0)
+	f, err := create(tempPath(t, "oob.ncf"), h, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,8 +351,8 @@ func TestOutOfBoundSlabNeverAllocates(t *testing.T) {
 		_, rerr := f.ReadSlab("v", slab)
 		werr := f.WriteSlab("v", slab, nil)
 		runtime.ReadMemStats(&ms)
-		if !errors.Is(rerr, ErrOutOfBound) || !errors.Is(werr, ErrOutOfBound) {
-			t.Fatalf("%s: read err %v, write err %v, want ErrOutOfBound", name, rerr, werr)
+		if !errors.Is(rerr, errOutOfBound) || !errors.Is(werr, errOutOfBound) {
+			t.Fatalf("%s: read err %v, write err %v, want errOutOfBound", name, rerr, werr)
 		}
 		// Header lookups and the error text allocate a few hundred bytes;
 		// a buffer sized from the slab would be huge.
@@ -371,7 +371,7 @@ func TestQuickSlabRoundTrip(t *testing.T) {
 		Dims: []Dimension{{Name: "a", Length: 6}, {Name: "b", Length: 5}, {Name: "c", Length: 4}},
 		Vars: []Variable{{Name: "v", Type: Float64, Dims: []string{"a", "b", "c"}}},
 	}
-	f, err := Create(path, h, 0)
+	f, err := create(path, h, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestWriteDenseOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	v, err := f.Header().Var("out")
+	v, err := f.Header().variable("out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func TestWriteReadPairs(t *testing.T) {
 }
 
 func TestCreateEmptyIsCheap(t *testing.T) {
-	// CreateEmpty must produce a file whose logical size matches Create's
+	// CreateEmpty must produce a file whose logical size matches create's
 	// but without writing the payload; both must read back as usable.
 	h := &Header{
 		Dims: []Dimension{{Name: "a", Length: 100}, {Name: "b", Length: 100}},
@@ -533,7 +533,7 @@ func TestCreateEmptyIsCheap(t *testing.T) {
 	}
 	p1 := tempPath(t, "full.ncf")
 	p2 := tempPath(t, "empty.ncf")
-	f1, err := Create(p1, h, 0)
+	f1, err := create(p1, h, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +561,7 @@ func TestCreateEmptyIsCheap(t *testing.T) {
 
 func TestTotalSize(t *testing.T) {
 	h := paperHeader()
-	total, err := h.TotalSize()
+	total, err := h.totalSize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,10 +575,10 @@ func TestTotalSize(t *testing.T) {
 }
 
 func TestDataTypeString(t *testing.T) {
-	if Float64.String() != "double" || Int64.String() != "int64" {
-		t.Fatal("DataType names changed")
+	if Float64.String() != "double" || int64Type.String() != "int64" {
+		t.Fatal("dataType names changed")
 	}
-	if DataType(99).Size() != 0 {
+	if dataType(99).Size() != 0 {
 		t.Fatal("unknown type has nonzero size")
 	}
 }
@@ -586,7 +586,7 @@ func TestDataTypeString(t *testing.T) {
 // FuzzReadSlab holds ReadSlabInto against decodeValues by Float64bits:
 // for every point of a slab, the value read is the one decodeValues makes
 // of the point's stored bytes — read straight into dst for a Float64
-// variable, converted for an Int64 one. The payload is arbitrary bits
+// variable, converted for an int64Type one. The payload is arbitrary bits
 // (NaN payloads, ±0, subnormals); a slab narrower than the variable reads
 // one strided run per row. Writing a Float64 slab's values back stores
 // the same bytes.
@@ -611,7 +611,7 @@ func FuzzReadSlab(f *testing.F) {
 		}
 		typ := Float64
 		if isInt {
-			typ = Int64
+			typ = int64Type
 		}
 		h := &Header{
 			Dims: []Dimension{{Name: "t", Length: rows}, {Name: "x", Length: cols}},
@@ -626,7 +626,7 @@ func FuzzReadSlab(f *testing.F) {
 		for i := range stored {
 			stored[i] = payload[i%len(payload)]
 		}
-		v, _ := fl.Header().Var("v")
+		v, _ := fl.Header().variable("v")
 		if _, err := fl.f.WriteAt(stored, v.dataOffset); err != nil {
 			t.Fatal(err)
 		}
@@ -663,4 +663,30 @@ func FuzzReadSlab(f *testing.F) {
 			t.Fatalf("writing %v's values back changed the stored bytes", slab)
 		}
 	})
+}
+
+// slabContains reports whether c lies in s.
+func slabContains(s coords.Slab, c coords.Coord) bool {
+	_, err := s.Linearize(c)
+	return err == nil
+}
+
+// Attr returns the named global attribute value.
+func (h *Header) Attr(name string) (string, bool) {
+	for _, a := range h.Attrs {
+		if a.Name == name {
+			return a.Value, true
+		}
+	}
+	return "", false
+}
+
+// Attr returns the named per-variable attribute value.
+func (v *Variable) Attr(name string) (string, bool) {
+	for _, a := range v.Attrs {
+		if a.Name == name {
+			return a.Value, true
+		}
+	}
+	return "", false
 }

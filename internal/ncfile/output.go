@@ -111,7 +111,7 @@ func WriteSentinel(path, varName string, totalSpace coords.Shape, sentinel float
 	// The sentinel fill is the expensive part: every byte of the full
 	// output space is written, regardless of how little useful data this
 	// task holds.
-	f, err := Create(path, h, sentinel)
+	f, err := create(path, h, sentinel)
 	if err != nil {
 		return 0, err
 	}

@@ -8,9 +8,9 @@ import "unsafe"
 // stores them as, when those are the same bytes: a Float64 variable's
 // little-endian IEEE-754 payload is exactly how this target holds
 // float64s, so a read lands in vals and a write leaves from it with no
-// per-element conversion, bit for bit. ok is false for Int64 variables,
+// per-element conversion, bit for bit. ok is false for int64Type variables,
 // whose values convert through decodeValues and encodeValues.
-func rawBytes(t DataType, vals []float64) (b []byte, ok bool) {
+func rawBytes(t dataType, vals []float64) (b []byte, ok bool) {
 	if t != Float64 {
 		return nil, false
 	}

@@ -5,4 +5,4 @@ package ncfile
 // rawBytes reports that no variable's stored bytes are this target's
 // in-memory float64s: on a big-endian target every value converts
 // through decodeValues and encodeValues.
-func rawBytes(DataType, []float64) ([]byte, bool) { return nil, false }
+func rawBytes(dataType, []float64) ([]byte, bool) { return nil, false }

@@ -17,13 +17,13 @@ import (
 	"sidr/internal/kv"
 )
 
-// Kind classifies an operator's aggregation structure.
-type Kind int
+// opKind classifies an operator's aggregation structure.
+type opKind int
 
 const (
-	// Distributive operators (sum, min, ...) can be computed from
+	// distributive operators (sum, min, ...) can be computed from
 	// partial aggregates; combiners are lossless.
-	Distributive Kind = iota
+	distributive opKind = iota
 	// Holistic operators (median, sort) need all raw samples at the
 	// Reduce task; combiners may only concatenate.
 	Holistic
@@ -33,9 +33,9 @@ const (
 )
 
 // String names the kind.
-func (k Kind) String() string {
+func (k opKind) String() string {
 	switch k {
-	case Distributive:
+	case distributive:
 		return "distributive"
 	case Holistic:
 		return "holistic"
@@ -52,14 +52,14 @@ type Operator interface {
 	// Name is the operator's query-language name.
 	Name() string
 	// Kind classifies the operator.
-	Kind() Kind
+	Kind() opKind
 	// NeedsSamples reports whether Map tasks must retain raw samples in
 	// intermediate values for this operator.
 	NeedsSamples() bool
 	// Apply computes the outputs for one intermediate key from its fully
 	// merged value. params carry the operator parameters (e.g. a filter
 	// threshold, or a range's two bounds); most operators ignore them.
-	// Distributive and holistic operators return exactly one value;
+	// distributive and holistic operators return exactly one value;
 	// filters return zero or more.
 	//
 	// An operator that keeps samples may reorder or overwrite v.Samples
@@ -71,7 +71,7 @@ type Operator interface {
 // every other operator sets apply.
 type fn struct {
 	name    string
-	kind    Kind
+	kind    opKind
 	samples bool
 	nparams int // parameters the operator consumes (for query validation)
 	apply   func(v kv.Value, param float64) []float64
@@ -84,7 +84,7 @@ type fn struct {
 }
 
 func (f fn) Name() string       { return f.name }
-func (f fn) Kind() Kind         { return f.kind }
+func (f fn) Kind() opKind       { return f.kind }
 func (f fn) NeedsSamples() bool { return f.samples }
 func (f fn) Apply(v kv.Value, params ...float64) []float64 {
 	p, p2 := two(params)
@@ -122,22 +122,22 @@ func register(op Operator) {
 }
 
 func init() {
-	register(fn{name: "sum", kind: Distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "sum", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
 		return []float64{v.Sum}
 	}})
-	register(fn{name: "count", kind: Distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "count", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
 		return []float64{float64(v.Count)}
 	}})
-	register(fn{name: "avg", kind: Distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "avg", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
 		return []float64{v.Mean()}
 	}})
-	register(fn{name: "min", kind: Distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "min", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
 		return []float64{v.Min}
 	}})
-	register(fn{name: "max", kind: Distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "max", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
 		return []float64{v.Max}
 	}})
-	register(fn{name: "stddev", kind: Distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "stddev", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
 		return []float64{v.StdDev()}
 	}})
 	// The holistic operators order v.Samples in place. median and
@@ -208,13 +208,13 @@ func init() {
 			lo, hi := params[0], params[1]
 			return func(min, max float64) bool { return max >= lo && min <= hi }
 		}})
-	register(fn{name: "range", kind: Distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "range", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
 		if v.Count == 0 {
 			return []float64{0}
 		}
 		return []float64{v.Max - v.Min}
 	}})
-	register(fn{name: "absmax", kind: Distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "absmax", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
 		a, b := v.Min, v.Max
 		if a < 0 {
 			a = -a
@@ -256,16 +256,6 @@ func Lookup(name string) (Operator, error) {
 		return nil, fmt.Errorf("ops: unknown operator %q", name)
 	}
 	return op, nil
-}
-
-// Names returns all registered operator names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // NumParams returns how many parameters the operator consumes (0, 1 or

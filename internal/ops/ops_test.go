@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sidr/internal/coords"
 	"sidr/internal/kv"
 )
 
@@ -212,8 +213,8 @@ func TestPrunePredicates(t *testing.T) {
 }
 
 func TestKinds(t *testing.T) {
-	kinds := map[string]Kind{
-		"sum": Distributive, "avg": Distributive, "stddev": Distributive,
+	kinds := map[string]opKind{
+		"sum": distributive, "avg": distributive, "stddev": distributive,
 		"median": Holistic, "sort": Holistic,
 		"filter_gt": Filter, "filter_lt": Filter,
 	}
@@ -226,8 +227,8 @@ func TestKinds(t *testing.T) {
 			t.Errorf("%s kind = %v, want %v", name, op.Kind(), want)
 		}
 	}
-	if Distributive.String() != "distributive" || Holistic.String() != "holistic" || Filter.String() != "filter" {
-		t.Fatal("Kind names changed")
+	if distributive.String() != "distributive" || Holistic.String() != "holistic" || Filter.String() != "filter" {
+		t.Fatal("opKind names changed")
 	}
 }
 
@@ -549,10 +550,7 @@ func TestQuickDistributiveCombinerEquivalence(t *testing.T) {
 			partials[i%parts].Add(x, false)
 			full.Add(x, false)
 		}
-		var merged kv.Value
-		for _, p := range partials {
-			merged.Merge(p)
-		}
+		merged := mergeValues(partials)
 		for _, name := range names {
 			op, err := Lookup(name)
 			if err != nil {
@@ -587,11 +585,11 @@ func TestQuickFilterSurvivorsEquivalence(t *testing.T) {
 			full.Add(x, true)
 			parts[i%len(parts)].Add(x, true)
 		}
-		var merged kv.Value
-		for _, p := range parts {
-			pf := preFiltered(flt, p, thresh)
-			merged.Merge(pf)
+		filtered := make([]kv.Value, len(parts))
+		for i, p := range parts {
+			filtered[i] = preFiltered(flt, p, thresh)
 		}
+		merged := mergeValues(filtered)
 		a := flt.Apply(merged, thresh)
 		b := flt.Apply(full, thresh)
 		if merged.Count != full.Count || len(a) != len(b) {
@@ -641,4 +639,24 @@ func TestHolisticOperatorsReadOnlySamples(t *testing.T) {
 	if holistic == 0 {
 		t.Fatal("no holistic operator registered")
 	}
+}
+
+// mergeValues folds one key's values from several Map tasks as a Reduce
+// task does: through kv.MergeSorted.
+func mergeValues(vs []kv.Value) kv.Value {
+	streams := make([][]kv.Pair, len(vs))
+	for i, v := range vs {
+		streams[i] = []kv.Pair{{Key: coords.NewCoord(0), Value: v}}
+	}
+	return kv.MergeSorted(streams)[0].Value
+}
+
+// Names returns all registered operator names, sorted.
+func Names() []string {
+	out := make([]string, 0, len(registry))
+	for n := range registry {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
 }

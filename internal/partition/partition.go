@@ -1,12 +1,12 @@
 // Package partition implements the two intermediate-data partitioners the
 // paper compares:
 //
-//   - Modulo — Hadoop's default: the modulo of the key's binary
+//   - modulo — Hadoop's default: the modulo of the key's binary
 //     representation by the number of Reduce tasks (§3.1). It partitions
 //     the whole representable keyspace, so patterned coordinate keys
 //     produce skewed keyblocks (§4.3) and its keyblocks are scattered
 //     across K', creating global Map→Reduce dependencies (§3.4).
-//   - PartitionPlus — SIDR's partitioner: computes the actual
+//   - partitionPlus — SIDR's partitioner: computes the actual
 //     intermediate keyspace K'^T, tiles it with an n-dimensional shape
 //     bounded by a permissible skew, and assigns contiguous runs of tiles
 //     to keyblocks (Figure 7). Keyblocks are balanced to within one tile
@@ -83,32 +83,32 @@ func (e CornerInKEncoding) Encode(kp coords.Coord) (int64, error) {
 	return e.InputSpace.Linearize(tile.Corner)
 }
 
-// Modulo is Hadoop's default partitioner: encoded key modulo the Reduce
+// modulo is Hadoop's default partitioner: encoded key modulo the Reduce
 // task count.
-type Modulo struct {
+type modulo struct {
 	R   int
 	Enc KeyEncoding
 }
 
 // NewModulo builds a modulo partitioner over r keyblocks.
-func NewModulo(r int, enc KeyEncoding) (*Modulo, error) {
+func NewModulo(r int, enc KeyEncoding) (*modulo, error) {
 	if r <= 0 {
 		return nil, fmt.Errorf("partition: reducer count %d must be positive", r)
 	}
 	if enc == nil {
 		return nil, fmt.Errorf("partition: nil key encoding")
 	}
-	return &Modulo{R: r, Enc: enc}, nil
+	return &modulo{R: r, Enc: enc}, nil
 }
 
 // Name implements Partitioner.
-func (m *Modulo) Name() string { return "modulo/" + m.Enc.Name() }
+func (m *modulo) Name() string { return "modulo/" + m.Enc.Name() }
 
 // NumKeyblocks implements Partitioner.
-func (m *Modulo) NumKeyblocks() int { return m.R }
+func (m *modulo) NumKeyblocks() int { return m.R }
 
 // Partition implements Partitioner.
-func (m *Modulo) Partition(kp coords.Coord) (int, error) {
+func (m *modulo) Partition(kp coords.Coord) (int, error) {
 	v, err := m.Enc.Encode(kp)
 	if err != nil {
 		return 0, err
@@ -120,7 +120,7 @@ func (m *Modulo) Partition(kp coords.Coord) (int, error) {
 	return idx, nil
 }
 
-// Keyblock is one PartitionPlus keyblock: a contiguous run of row-major
+// Keyblock is one partitionPlus keyblock: a contiguous run of row-major
 // linear positions within K'^T, with its rectangular slab when the run is
 // a rectangle (which holds whenever the run is whole tiles stacked along
 // the leading dimension — the common case, including every paper query).
@@ -138,8 +138,8 @@ type Keyblock struct {
 // Size returns the number of K' keys in the keyblock.
 func (k Keyblock) Size() int64 { return k.Hi - k.Lo }
 
-// PartitionPlus is SIDR's structure-aware partitioner.
-type PartitionPlus struct {
+// partitionPlus is SIDR's structure-aware partitioner.
+type partitionPlus struct {
 	// Space is the intermediate keyspace K'^T.
 	Space coords.Slab
 	// TileShape is the skew-bounding shape chosen per Figure 7 step A.
@@ -165,7 +165,7 @@ const DefaultMaxSkew = 1 << 16
 // one, and the keys between them ride along with the live instance
 // before them, so the keyblocks still cover all of space. maxSkew <= 0
 // selects DefaultMaxSkew.
-func NewPartitionPlus(space coords.Slab, r int, maxSkew int64, live []bool) (*PartitionPlus, error) {
+func NewPartitionPlus(space coords.Slab, r int, maxSkew int64, live []bool) (*partitionPlus, error) {
 	if r <= 0 {
 		return nil, fmt.Errorf("partition: reducer count %d must be positive", r)
 	}
@@ -179,7 +179,7 @@ func NewPartitionPlus(space coords.Slab, r int, maxSkew int64, live []bool) (*Pa
 		maxSkew = DefaultMaxSkew
 	}
 	total := space.Shape.Size()
-	pp := &PartitionPlus{Space: space.Clone(), r: r, live: slices.Clone(live)}
+	pp := &partitionPlus{Space: space.Clone(), r: r, live: slices.Clone(live)}
 	liveKeys := total
 	if live != nil {
 		liveKeys = 0
@@ -278,11 +278,11 @@ func NewPartitionPlus(space coords.Slab, r int, maxSkew int64, live []bool) (*Pa
 
 // rowSize is the number of keys in one row of the space's leading
 // dimension.
-func (p *PartitionPlus) rowSize() int64 { return p.Space.Shape.Size() / p.Space.Shape[0] }
+func (p *partitionPlus) rowSize() int64 { return p.Space.Shape.Size() / p.Space.Shape[0] }
 
 // instanceLive reports whether tile instance j — the linear key range
 // [j·|tile|, (j+1)·|tile|) clipped to the space — touches a live row.
-func (p *PartitionPlus) instanceLive(j int64) bool {
+func (p *partitionPlus) instanceLive(j int64) bool {
 	if p.live == nil {
 		return true
 	}
@@ -332,15 +332,15 @@ func rangeToSlab(space coords.Slab, lo, hi int64) (coords.Slab, bool) {
 }
 
 // Name implements Partitioner.
-func (p *PartitionPlus) Name() string { return "partition+" }
+func (p *partitionPlus) Name() string { return "partition+" }
 
 // NumKeyblocks implements Partitioner.
-func (p *PartitionPlus) NumKeyblocks() int { return p.r }
+func (p *partitionPlus) NumKeyblocks() int { return p.r }
 
 // Partition implements Partitioner. Keyblock spans are sorted and
 // contiguous, so a binary search over block lower bounds resolves the
 // lookup.
-func (p *PartitionPlus) Partition(kp coords.Coord) (int, error) {
+func (p *partitionPlus) Partition(kp coords.Coord) (int, error) {
 	off, err := p.Space.Linearize(kp)
 	if err != nil {
 		return 0, err
@@ -353,44 +353,4 @@ func (p *PartitionPlus) Partition(kp coords.Coord) (int, error) {
 		return 0, fmt.Errorf("partition: key %v (offset %d) outside all keyblocks", kp, off)
 	}
 	return idx, nil
-}
-
-// BlockSizes returns the number of K' keys in each keyblock, in order —
-// the key-distribution guarantee the skew experiments measure.
-func (p *PartitionPlus) BlockSizes() []int64 {
-	out := make([]int64, len(p.Blocks))
-	for i, b := range p.Blocks {
-		out[i] = b.Size()
-	}
-	return out
-}
-
-// TileCountSkew returns the difference in live tile-instance counts
-// between the keyblocks holding the most and the fewest, over non-empty
-// keyblocks; §3.1 guarantees this is at most one. Instances are counted
-// afresh from the keyblock bounds and the live rows.
-func (p *PartitionPlus) TileCountSkew() int64 {
-	tileSize := p.TileShape.Size()
-	var lo, hi int64 = -1, 0
-	for _, b := range p.Blocks {
-		if b.Size() == 0 {
-			continue
-		}
-		var n int64
-		for j := b.Lo / tileSize; j*tileSize < b.Hi; j++ {
-			if p.instanceLive(j) {
-				n++
-			}
-		}
-		if lo < 0 || n < lo {
-			lo = n
-		}
-		if n > hi {
-			hi = n
-		}
-	}
-	if lo < 0 {
-		return 0
-	}
-	return hi - lo
 }

@@ -61,7 +61,7 @@ func TestCornerInKEncodingSkewPathology(t *testing.T) {
 	// every encoded key is even, so an even Reduce count starves all
 	// odd-numbered Reduce tasks.
 	input := coords.NewShape(16, 16)
-	ex := coords.MustExtraction(coords.NewShape(2, 2), nil)
+	ex := mustExtraction(coords.NewShape(2, 2), nil)
 	enc := CornerInKEncoding{InputSpace: input, Extraction: ex}
 	m, err := NewModulo(2, enc)
 	if err != nil {
@@ -502,4 +502,53 @@ func checkLiveLayout(t *testing.T, space coords.Slab, reducers int, maxSkew int6
 	if !explicit.TileShape.Equal(uniform.TileShape) || !reflect.DeepEqual(explicit.Blocks, uniform.Blocks) {
 		t.Fatalf("all-live mask layout %v differs from the nil-mask layout %v", explicit.Blocks, uniform.Blocks)
 	}
+}
+
+// mustExtraction is coords.NewExtraction that panics on error.
+func mustExtraction(shape, stride coords.Shape) coords.Extraction {
+	e, err := coords.NewExtraction(shape, stride)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// BlockSizes returns the number of K' keys in each keyblock, in order —
+// the key-distribution guarantee the skew experiments measure.
+func (p *partitionPlus) BlockSizes() []int64 {
+	out := make([]int64, len(p.Blocks))
+	for i, b := range p.Blocks {
+		out[i] = b.Size()
+	}
+	return out
+}
+
+// TileCountSkew returns the difference in live tile-instance counts
+// between the keyblocks holding the most and the fewest, over non-empty
+// keyblocks; §3.1 guarantees this is at most one. Instances are counted
+// afresh from the keyblock bounds and the live rows.
+func (p *partitionPlus) TileCountSkew() int64 {
+	tileSize := p.TileShape.Size()
+	var lo, hi int64 = -1, 0
+	for _, b := range p.Blocks {
+		if b.Size() == 0 {
+			continue
+		}
+		var n int64
+		for j := b.Lo / tileSize; j*tileSize < b.Hi; j++ {
+			if p.instanceLive(j) {
+				n++
+			}
+		}
+		if lo < 0 || n < lo {
+			lo = n
+		}
+		if n > hi {
+			hi = n
+		}
+	}
+	if lo < 0 {
+		return 0
+	}
+	return hi - lo
 }

@@ -41,8 +41,8 @@ type Stage struct {
 	Reducers int
 }
 
-// Result is a completed pipeline.
-type Result struct {
+// result is a completed pipeline.
+type result struct {
 	// Final is the last stage's result.
 	Final *mapreduce.Result
 	// StageResults holds every stage's result in order.
@@ -61,7 +61,7 @@ type Options struct {
 
 // Run executes the pipeline over the source reader. Every stage runs
 // with SIDR semantics; stages overlap whenever dependencies allow.
-func Run(source coords.RecordReader, stages []Stage, opts Options) (*Result, error) {
+func Run(source coords.RecordReader, stages []Stage, opts Options) (*result, error) {
 	if source == nil {
 		return nil, fmt.Errorf("pipeline: nil source reader")
 	}
@@ -109,7 +109,7 @@ func Run(source coords.RecordReader, stages []Stage, opts Options) (*Result, err
 		}
 	}
 
-	res := &Result{StageResults: make([]*mapreduce.Result, len(jobs))}
+	res := &result{StageResults: make([]*mapreduce.Result, len(jobs))}
 	var (
 		wg       sync.WaitGroup
 		failOnce sync.Once

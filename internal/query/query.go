@@ -30,12 +30,12 @@ import (
 	"sidr/internal/ops"
 )
 
-// ErrNaNParam rejects a NaN operator parameter, in either slot. No
+// errNaNParam rejects a NaN operator parameter, in either slot. No
 // operator gives it a meaning — percentile would take the rank of a NaN,
 // an integer conversion Go leaves implementation-defined. ±Inf keeps its
 // meaning (a filter bound, a percentile clamped to 0 or 100) and is
 // accepted.
-var ErrNaNParam = errors.New("query: param is NaN")
+var errNaNParam = errors.New("query: param is NaN")
 
 // Query is a validated structural query.
 type Query struct {
@@ -94,7 +94,7 @@ func (q *Query) Validate(varShape coords.Shape) error {
 		return fmt.Errorf("query: operator %s needs two parameters (param lo,hi)", q.Operator)
 	}
 	if math.IsNaN(q.Param) || math.IsNaN(q.Param2) {
-		return ErrNaNParam
+		return errNaNParam
 	}
 	if q.HasParam2 && q.Param > q.Param2 {
 		return fmt.Errorf("query: empty param range [%g, %g]", q.Param, q.Param2)

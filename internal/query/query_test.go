@@ -184,7 +184,7 @@ func TestStringContainsParts(t *testing.T) {
 }
 
 // TestNaNParamRejected: a NaN in either param slot, however it is
-// spelled, is ErrNaNParam; ±Inf parses and its canonical rendering
+// spelled, is errNaNParam; ±Inf parses and its canonical rendering
 // round-trips.
 func TestNaNParamRejected(t *testing.T) {
 	for _, tc := range []struct {
@@ -203,8 +203,8 @@ func TestNaNParamRejected(t *testing.T) {
 	} {
 		q, err := Parse(tc.q)
 		if tc.nan {
-			if !errors.Is(err, ErrNaNParam) {
-				t.Fatalf("Parse(%q) = %v, want ErrNaNParam", tc.q, err)
+			if !errors.Is(err, errNaNParam) {
+				t.Fatalf("Parse(%q) = %v, want errNaNParam", tc.q, err)
 			}
 			continue
 		}

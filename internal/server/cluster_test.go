@@ -52,10 +52,16 @@ func startServerWorkers(t *testing.T, coord *cluster.Coordinator, n int) []*http
 	return startTappedWorkers(t, coord, n, nil)
 }
 
+// mapDispatch is the part of a /v1/map request body a tap reads.
+type mapDispatch struct {
+	JobID string          `json:"job_id"`
+	Plan  cluster.JobPlan `json:"plan"`
+}
+
 // startTappedWorkers is startServerWorkers with an observer: tap, when
 // set, sees every Map dispatch a worker receives, decoded from the wire,
 // before the worker does.
-func startTappedWorkers(t *testing.T, coord *cluster.Coordinator, n int, tap func(cluster.MapRequest)) []*httptest.Server {
+func startTappedWorkers(t *testing.T, coord *cluster.Coordinator, n int, tap func(mapDispatch)) []*httptest.Server {
 	t.Helper()
 	servers := make([]*httptest.Server, n)
 	for i := 0; i < n; i++ {
@@ -71,7 +77,7 @@ func startTappedWorkers(t *testing.T, coord *cluster.Coordinator, n int, tap fun
 			h = http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/v1/map" {
 					body, _ := io.ReadAll(r.Body)
-					var req cluster.MapRequest
+					var req mapDispatch
 					if err := json.Unmarshal(body, &req); err == nil {
 						tap(req)
 					}
@@ -82,12 +88,24 @@ func startTappedWorkers(t *testing.T, coord *cluster.Coordinator, n int, tap fun
 		}
 		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
-		if err := coord.Register(fmt.Sprintf("srvw%d", i), srv.URL); err != nil {
-			t.Fatal(err)
-		}
+		registerWorker(t, coord, fmt.Sprintf("srvw%d", i), srv.URL)
 		servers[i] = srv
 	}
 	return servers
+}
+
+// registerWorker registers a worker with the coordinator through its
+// HTTP endpoint, as a sidr-worker does at start.
+func registerWorker(t *testing.T, c *cluster.Coordinator, name, url string) {
+	t.Helper()
+	mux := http.NewServeMux()
+	c.Mount(mux)
+	body := fmt.Sprintf(`{"name":%q,"url":%q}`, name, url)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/register", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("register %s: %d %s", name, rec.Code, rec.Body)
+	}
 }
 
 func postQuery(t *testing.T, url string, req jobs.Request) *http.Response {

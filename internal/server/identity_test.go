@@ -50,7 +50,7 @@ func TestRequestIdentityAcrossEnginesAndSpellings(t *testing.T) {
 	})
 	var tapMu sync.Mutex
 	tuples := map[string]cluster.JobPlan{} // job id -> the tuple its Map dispatches carried
-	startTappedWorkers(t, coord, 2, func(req cluster.MapRequest) {
+	startTappedWorkers(t, coord, 2, func(req mapDispatch) {
 		tapMu.Lock()
 		tuples[req.JobID] = req.Plan
 		tapMu.Unlock()

@@ -20,16 +20,9 @@ import (
 	"sidr/internal/wire"
 )
 
-// VariableInfo and DatasetInfo are the /v1/datasets wire forms; the
-// documented JSON shape lives in internal/wire.
-type (
-	VariableInfo = wire.VariableInfo
-	DatasetInfo  = wire.DatasetInfo
-)
-
 // source is a registered dataset not yet opened.
 type source struct {
-	info  DatasetInfo
+	info  wire.DatasetInfo
 	path  string                    // file datasets
 	shape []int64                   // synthetic datasets
 	fn    func(k []int64) float64   // synthetic datasets
@@ -48,7 +41,8 @@ type handle struct {
 // refcounted, and kept open across jobs so concurrent queries share one
 // ncfile handle (positional reads make the files safe for concurrent
 // readers). Close tears down idle handles immediately and busy ones as
-// their last user releases them. It is the daemon's jobs.DatasetProvider.
+// their last user releases them. It is the daemon's provider of datasets
+// to the job manager.
 type Registry struct {
 	mu      sync.Mutex
 	sources map[string]*source
@@ -118,7 +112,7 @@ func (r *Registry) AddFile(name, path string) error {
 		return err
 	}
 	defer f.Close()
-	info := DatasetInfo{Name: name, Kind: "file", Path: path}
+	info := wire.DatasetInfo{Name: name, Kind: "file", Path: path}
 	idx := make(map[string]*sidx.VarIndex)
 	sidecar := path + ".sidx"
 	loaded := make(map[string]*sidx.VarIndex)
@@ -133,7 +127,7 @@ func (r *Registry) AddFile(name, path string) error {
 		if err != nil {
 			return err
 		}
-		vi := VariableInfo{Name: v.Name, Shape: shape, Splits: defaultSplitCount(shape), IndexStatus: "none"}
+		vi := wire.VariableInfo{Name: v.Name, Shape: shape, Splits: defaultSplitCount(shape), IndexStatus: "none"}
 		start := time.Now()
 		ix := loaded[v.Name]
 		if ix != nil && ix.Shape.Equal(shape) {
@@ -186,33 +180,6 @@ func defaultSplitCount(shape coords.Shape) int {
 	return len(splits)
 }
 
-// AddSynthetic registers a pure-function dataset of the given shape;
-// any variable name resolves to it.
-func (r *Registry) AddSynthetic(name string, shape []int64, fn func(k []int64) float64) error {
-	if fn == nil {
-		return fmt.Errorf("server: nil synthetic dataset function")
-	}
-	// No index for opaque functions: registration may not invoke caller
-	// code (a fn may block, be expensive, or have side effects), so only
-	// files — whose data the registry owns — are scanned. IndexStatus
-	// stays "none" and queries run unpruned.
-	info := DatasetInfo{Name: name, Kind: "synthetic", Variables: []VariableInfo{{
-		Name:        "*",
-		Shape:       append([]int64(nil), shape...),
-		Splits:      defaultSplitCount(coords.NewShape(shape...)),
-		IndexStatus: "none",
-	}}}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.sources[name]; dup {
-		return fmt.Errorf("server: dataset %q already registered", name)
-	}
-	src := &source{info: info, shape: append([]int64(nil), shape...), fn: fn}
-	r.sources[name] = src
-	r.nsMirrorLocked(name, src)
-	return nil
-}
-
 // DatasetSpec describes a registered file dataset as the spec a cluster
 // worker opens by itself: its path and the variable. A synthetic
 // dataset's function lives only in this process, so workers cannot
@@ -249,11 +216,11 @@ func (r *Registry) ScanDir(dir string) (int, error) {
 	return n, nil
 }
 
-// List returns the registered datasets sorted by name.
-func (r *Registry) List() []DatasetInfo {
+// list returns the registered datasets sorted by name.
+func (r *Registry) list() []wire.DatasetInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]DatasetInfo, 0, len(r.sources))
+	out := make([]wire.DatasetInfo, 0, len(r.sources))
 	for _, s := range r.sources {
 		out = append(out, s.info)
 	}
@@ -273,7 +240,7 @@ func (r *Registry) DatasetVersion(name, variable string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	var vi *VariableInfo
+	var vi *wire.VariableInfo
 	for i := range src.info.Variables {
 		if src.info.Variables[i].Name == variable || src.info.Variables[i].Name == "*" {
 			vi = &src.info.Variables[i]
@@ -354,9 +321,9 @@ func (r *Registry) Index(name, variable string) *sidx.VarIndex {
 	return nil
 }
 
-// IndexBytes returns the total serialized size of every registered
+// indexBytes returns the total serialized size of every registered
 // structural index; the server exposes it as a gauge.
-func (r *Registry) IndexBytes() int64 {
+func (r *Registry) indexBytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var total int64
@@ -368,8 +335,8 @@ func (r *Registry) IndexBytes() int64 {
 	return total
 }
 
-// OpenHandles returns the number of currently open dataset handles.
-func (r *Registry) OpenHandles() int {
+// openHandles returns the number of currently open dataset handles.
+func (r *Registry) openHandles() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.open)

@@ -37,8 +37,8 @@ import (
 	"sidr/internal/wire"
 )
 
-// Server routes daemon HTTP traffic. Create with New.
-type Server struct {
+// daemon routes the daemon's HTTP traffic. Create with New.
+type daemon struct {
 	mgr      *jobs.Manager
 	registry *Registry
 	metrics  *metrics.Registry
@@ -53,8 +53,8 @@ type Server struct {
 // coord may be nil for a daemon without clustering. When set, the
 // coordinator's worker endpoints (/v1/cluster/register, heartbeat,
 // workers) are mounted alongside the query API.
-func New(mgr *jobs.Manager, registry *Registry, reg *metrics.Registry, coord *cluster.Coordinator) *Server {
-	s := &Server{
+func New(mgr *jobs.Manager, registry *Registry, reg *metrics.Registry, coord *cluster.Coordinator) *daemon {
+	s := &daemon{
 		mgr:      mgr,
 		registry: registry,
 		metrics:  reg,
@@ -79,7 +79,7 @@ func New(mgr *jobs.Manager, registry *Registry, reg *metrics.Registry, coord *cl
 }
 
 // ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (s *daemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	s.mux.ServeHTTP(w, r)
 }
@@ -118,7 +118,7 @@ func errorDetail(err error) string {
 // queue being full with an idle executor means jobs are arriving faster
 // than workers pick them up, while a saturated executor means the
 // machine is out of task capacity.
-func (s *Server) rejectFull(w http.ResponseWriter, err error) {
+func (s *daemon) rejectFull(w http.ResponseWriter, err error) {
 	st := s.mgr.ExecStats()
 	var detail string
 	if st.Queued > 0 || st.Running >= st.Workers {
@@ -131,7 +131,7 @@ func (s *Server) rejectFull(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusTooManyRequests, wire.Error{Error: err.Error(), Detail: detail})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+func (s *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobs.Request
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
@@ -162,11 +162,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
+func (s *daemon) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.mgr.Jobs())
 }
 
-func (s *Server) job(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
+func (s *daemon) job(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
 	j, err := s.mgr.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
@@ -175,7 +175,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
 	return j, true
 }
 
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
+func (s *daemon) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
 		return
@@ -188,7 +188,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, jobView{Snapshot: j.Snapshot(), Result: wire.FromResult(j.Result())})
 }
 
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
+func (s *daemon) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
 		return
@@ -201,7 +201,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 // cache holds its whole stream already encoded, and sending it is a few
 // Writes (writeCachedStream); any other job is encoded event by event as
 // its keyblocks commit.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+func (s *daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 	j, err := s.mgr.Get(r.PathValue("id"))
 	var events []wire.EncodedEvent
 	if err == nil {
@@ -279,13 +279,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	send(final)
 }
 
-func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.registry.List())
+func (s *daemon) handleDatasets(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.registry.list())
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Gauge("sidrd_datasets_open").Set(int64(s.registry.OpenHandles()))
-	s.metrics.Gauge("sidrd_sidx_index_bytes").Set(s.registry.IndexBytes())
+func (s *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.metrics.Gauge("sidrd_datasets_open").Set(int64(s.registry.openHandles()))
+	s.metrics.Gauge("sidrd_sidx_index_bytes").Set(s.registry.indexBytes())
 	st := s.mgr.ExecStats()
 	s.metrics.Gauge("sidrd_exec_workers").Set(int64(st.Workers))
 	s.metrics.Gauge("sidrd_exec_queue_depth").Set(int64(st.Queued))
@@ -298,7 +298,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.WriteText(w)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }

@@ -118,8 +118,8 @@ func (f *fixture) metricsText() string {
 // TestStreamingEndToEnd is the acceptance path: a SIDR query whose last
 // keyblock's inputs are gated, so early keyblocks stream while the job
 // is demonstrably still running; the assembled stream must equal a
-// direct sidr.Run, and a second identical submission must hit the plan
-// cache.
+// direct sidr.Run, and a second identical submission must hit the
+// result cache.
 func TestStreamingEndToEnd(t *testing.T) {
 	gate := make(chan struct{})
 	gateClosed := false
@@ -160,7 +160,7 @@ func TestStreamingEndToEnd(t *testing.T) {
 
 	scanner := bufio.NewScanner(resp.Body)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	var partials []wire.Partial
+	var partials []*wire.StreamEvent
 	var done *wire.StreamEvent
 	for scanner.Scan() {
 		var ev wire.StreamEvent
@@ -169,7 +169,7 @@ func TestStreamingEndToEnd(t *testing.T) {
 		}
 		switch ev.Type {
 		case wire.EventPartial:
-			partials = append(partials, *ev.Partial)
+			partials = append(partials, &ev)
 			if len(partials) == 2 {
 				// Two early results have arrived over the wire; the job
 				// must still be running — its last keyblock is gated.
@@ -223,9 +223,9 @@ func TestStreamingEndToEnd(t *testing.T) {
 	}
 	// Every key of the final result must have arrived in some partial.
 	streamed := make(map[string][]float64)
-	for _, p := range partials {
-		for i := range p.Keys {
-			streamed[fmt.Sprint(p.Keys[i])] = p.Values[i]
+	for _, ev := range partials {
+		for i := range ev.Partial.Keys {
+			streamed[fmt.Sprint(ev.Partial.Keys[i])] = ev.Partial.Values[i]
 		}
 	}
 	for i, k := range direct.Keys {
@@ -233,6 +233,22 @@ func TestStreamingEndToEnd(t *testing.T) {
 		if !ok || fmt.Sprint(vals) != fmt.Sprint(direct.Values[i]) {
 			t.Fatalf("key %v missing or wrong in partial stream", k)
 		}
+	}
+
+	// The job's snapshot carries the plan's skew summary under the member
+	// names and in the order the daemon has always sent.
+	jresp, err := http.Get(f.ts.URL + "/v1/jobs/" + snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var members map[string]json.RawMessage
+	if err := json.NewDecoder(jresp.Body).Decode(&members); err != nil {
+		t.Fatal(err)
+	}
+	jresp.Body.Close()
+	const wantSkew = `{"keyblocks":4,"total":64,"starved":0,"max":16,"min":16,"max_over_mean":1,"cv":0,"gini":0}`
+	if got := string(members["skew"]); got != wantSkew {
+		t.Fatalf("snapshot skew = %s, want %s", got, wantSkew)
 	}
 
 	// Second identical submission: served from the result cache without
@@ -252,8 +268,7 @@ func TestStreamingEndToEnd(t *testing.T) {
 	}
 
 	// The same query against a different dataset of the same shape misses
-	// the result cache (version differs) but reuses the prepared plan —
-	// plans are a function of shape, not contents.
+	// the result cache (its version differs), so it executes.
 	if err := registry.AddSynthetic("blocky2", []int64{64}, func(k []int64) float64 { return float64(k[0]) }); err != nil {
 		t.Fatal(err)
 	}
@@ -261,8 +276,8 @@ func TestStreamingEndToEnd(t *testing.T) {
 	req3.Dataset = "blocky2"
 	snap3 := f.submit(req3)
 	f.waitState(snap3.ID, "done")
-	if !strings.Contains(f.metricsText(), "sidrd_plan_cache_hits_total 1") {
-		t.Fatalf("metrics do not record a plan-cache hit:\n%s", f.metricsText())
+	if !strings.Contains(f.metricsText(), "sidrd_query_seconds_count 2\n") {
+		t.Fatalf("metrics do not record a second execution:\n%s", f.metricsText())
 	}
 }
 
@@ -445,7 +460,7 @@ func TestFileDatasetAndListing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var infos []DatasetInfo
+	var infos []wire.DatasetInfo
 	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +477,7 @@ func TestFileDatasetAndListing(t *testing.T) {
 	snapB := f.submit(jobs.Request{Dataset: "temp", Query: "max temp[0,0 : 28,10] es {7,5}"})
 	f.waitState(snapA.ID, "done")
 	f.waitState(snapB.ID, "done")
-	if got := registry.OpenHandles(); got != 1 {
+	if got := registry.openHandles(); got != 1 {
 		t.Fatalf("open handles = %d, want 1 shared handle", got)
 	}
 }
@@ -580,4 +595,31 @@ func TestQueueFullDetailAndExecGauges(t *testing.T) {
 	close(gate)
 	gateClosed = true
 	f.waitState(running.ID, "done")
+}
+
+// AddSynthetic registers a pure-function dataset of the given shape;
+// any variable name resolves to it.
+func (r *Registry) AddSynthetic(name string, shape []int64, fn func(k []int64) float64) error {
+	if fn == nil {
+		return fmt.Errorf("server: nil synthetic dataset function")
+	}
+	// No index for opaque functions: registration may not invoke caller
+	// code (a fn may block, be expensive, or have side effects), so only
+	// files — whose data the registry owns — are scanned. IndexStatus
+	// stays "none" and queries run unpruned.
+	info := wire.DatasetInfo{Name: name, Kind: "synthetic", Variables: []wire.VariableInfo{{
+		Name:        "*",
+		Shape:       append([]int64(nil), shape...),
+		Splits:      defaultSplitCount(coords.NewShape(shape...)),
+		IndexStatus: "none",
+	}}}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.sources[name]; dup {
+		return fmt.Errorf("server: dataset %q already registered", name)
+	}
+	src := &source{info: info, shape: append([]int64(nil), shape...), fn: fn}
+	r.sources[name] = src
+	r.nsMirrorLocked(name, src)
+	return nil
 }

@@ -44,16 +44,16 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Errors reported by the codec.
 var (
-	ErrBadMagic   = errors.New("sidx: bad index magic")
-	ErrBadVersion = errors.New("sidx: unsupported index version")
-	// ErrChecksum reports that the payload does not match the CRC32C in
+	errBadMagic   = errors.New("sidx: bad index magic")
+	errBadVersion = errors.New("sidx: unsupported index version")
+	// errChecksum reports that the payload does not match the CRC32C in
 	// the header — the index bytes were corrupted since they were
 	// written; pruning with them would be unsound.
-	ErrChecksum = errors.New("sidx: index payload checksum mismatch")
+	errChecksum = errors.New("sidx: index payload checksum mismatch")
 )
 
-// Write serialises the index.
-func Write(w io.Writer, ix *Index) error {
+// writeIndex serialises the index.
+func writeIndex(w io.Writer, ix *Index) error {
 	payload, err := encodePayload(ix)
 	if err != nil {
 		return err
@@ -114,21 +114,21 @@ func encodePayload(ix *Index) ([]byte, error) {
 	return bw.Bytes(), nil
 }
 
-// Read deserialises an index, verifying the payload against the
-// header's CRC32C. A mismatch returns ErrChecksum; the caller must
+// readIndex deserialises an index, verifying the payload against the
+// header's CRC32C. A mismatch returns errChecksum; the caller must
 // discard the index and rebuild.
-func Read(r io.Reader) (*Index, error) {
+func readIndex(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 	var hdr [indexHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, err
 	}
 	if [4]byte(hdr[:4]) != indexMagic {
-		return nil, ErrBadMagic
+		return nil, errBadMagic
 	}
 	le := binary.LittleEndian
 	if le.Uint16(hdr[4:6]) != indexVersion {
-		return nil, ErrBadVersion
+		return nil, errBadVersion
 	}
 	nVars := int(le.Uint32(hdr[6:10]))
 	wantCRC := le.Uint32(hdr[10:14])
@@ -138,7 +138,7 @@ func Read(r io.Reader) (*Index, error) {
 		return nil, err
 	}
 	if crc32.Checksum(payload, castagnoli) != wantCRC {
-		return nil, fmt.Errorf("sidx: index crc mismatch: %w", ErrChecksum)
+		return nil, fmt.Errorf("sidx: index crc mismatch: %w", errChecksum)
 	}
 
 	pr := bytes.NewReader(payload)
@@ -197,10 +197,10 @@ func Read(r io.Reader) (*Index, error) {
 		vi := &VarIndex{
 			Variable: string(name),
 			Shape:    shape,
-			Blocks:   make([]Block, 0, min(int(nBlocks), 1024)),
+			Blocks:   make([]rowBlock, 0, min(int(nBlocks), 1024)),
 		}
 		for b := uint32(0); b < nBlocks; b++ {
-			var blk Block
+			var blk rowBlock
 			u, err := get64()
 			if err != nil {
 				return nil, fmt.Errorf("sidx: truncated block %d of %q: %w", b, vi.Variable, err)
@@ -242,10 +242,10 @@ func (ix *Index) EncodedSize() int64 {
 }
 
 // Fingerprint is a stable identity of the variable's statistics — the
-// CRC32C of its single-variable encoding. Plan caches that key on
-// (shape, query, engine) alone would be poisoned by pruning, which is
-// data-dependent; mixing the fingerprint into the key scopes cached
-// pruned plans to the exact index that produced them.
+// CRC32C of its single-variable encoding. Pruning is data-dependent, so
+// a cache keyed on (shape, query, engine) alone would be poisoned by it;
+// mixing the fingerprint into a dataset's version scopes cached pruned
+// results to the exact index that produced them.
 func (vi *VarIndex) Fingerprint() uint32 {
 	vi.fpOnce.Do(func() {
 		payload, err := encodePayload(&Index{Vars: []*VarIndex{vi}})
@@ -264,7 +264,7 @@ func (ix *Index) Save(path string) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := Write(tmp, ix); err != nil {
+	if err := writeIndex(tmp, ix); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -281,5 +281,5 @@ func Load(path string) (*Index, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(f)
+	return readIndex(f)
 }

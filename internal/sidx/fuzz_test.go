@@ -22,12 +22,12 @@ func FuzzReadIndex(f *testing.F) {
 		f.Fatalf("BuildVar: %v", err)
 	}
 	var good bytes.Buffer
-	if err := Write(&good, &Index{Vars: []*VarIndex{vi}}); err != nil {
+	if err := writeIndex(&good, &Index{Vars: []*VarIndex{vi}}); err != nil {
 		f.Fatalf("Write: %v", err)
 	}
 	f.Add(good.Bytes())
 	var empty bytes.Buffer
-	if err := Write(&empty, &Index{}); err != nil {
+	if err := writeIndex(&empty, &Index{}); err != nil {
 		f.Fatalf("Write empty: %v", err)
 	}
 	f.Add(empty.Bytes())
@@ -41,20 +41,20 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := Read(bytes.NewReader(data))
+		ix, err := readIndex(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input: fine, as long as it didn't panic
 		}
 		var first bytes.Buffer
-		if err := Write(&first, ix); err != nil {
+		if err := writeIndex(&first, ix); err != nil {
 			t.Fatalf("re-encoding accepted index: %v", err)
 		}
-		back, err := Read(bytes.NewReader(first.Bytes()))
+		back, err := readIndex(bytes.NewReader(first.Bytes()))
 		if err != nil {
 			t.Fatalf("decoding own encoding: %v", err)
 		}
 		var second bytes.Buffer
-		if err := Write(&second, back); err != nil {
+		if err := writeIndex(&second, back); err != nil {
 			t.Fatalf("second encode: %v", err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -65,7 +65,7 @@ func FuzzReadIndex(f *testing.F) {
 
 // FuzzReadIndex above covers arbitrary corruption; this regression
 // pins the specific guarantee pruning relies on — a bit flip anywhere
-// in a valid payload is rejected with ErrChecksum, never silently
+// in a valid payload is rejected with errChecksum, never silently
 // decoded into wrong statistics.
 func FuzzIndexCRC(f *testing.F) {
 	vi, err := BuildVar("t", coords.NewShape(16, 2),
@@ -75,7 +75,7 @@ func FuzzIndexCRC(f *testing.F) {
 		f.Fatalf("BuildVar: %v", err)
 	}
 	var good bytes.Buffer
-	if err := Write(&good, &Index{Vars: []*VarIndex{vi}}); err != nil {
+	if err := writeIndex(&good, &Index{Vars: []*VarIndex{vi}}); err != nil {
 		f.Fatalf("Write: %v", err)
 	}
 	payloadLen := good.Len() - indexHeaderLen
@@ -87,8 +87,8 @@ func FuzzIndexCRC(f *testing.F) {
 		}
 		mutated := append([]byte(nil), good.Bytes()...)
 		mutated[indexHeaderLen+off] ^= mask
-		if _, err := Read(bytes.NewReader(mutated)); !errors.Is(err, ErrChecksum) {
-			t.Fatalf("payload flip at %d (mask %02x): got %v, want ErrChecksum", off, mask, err)
+		if _, err := readIndex(bytes.NewReader(mutated)); !errors.Is(err, errChecksum) {
+			t.Fatalf("payload flip at %d (mask %02x): got %v, want errChecksum", off, mask, err)
 		}
 	})
 }

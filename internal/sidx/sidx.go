@@ -29,9 +29,9 @@ import (
 	"sidr/internal/coords"
 )
 
-// Block summarises one contiguous band of leading-dimension rows across
+// rowBlock summarises one contiguous band of leading-dimension rows across
 // the variable's full trailing cross-section.
-type Block struct {
+type rowBlock struct {
 	// Row0 is the first dim-0 row the block covers.
 	Row0 int64
 	// Rows is the number of dim-0 rows covered.
@@ -53,7 +53,7 @@ type VarIndex struct {
 	// apply an index whose shape does not cover the query input.
 	Shape coords.Shape
 	// Blocks are the per-band summaries, ascending by Row0.
-	Blocks []Block
+	Blocks []rowBlock
 	// BuildTime is how long the parallel build took (not serialized).
 	BuildTime time.Duration
 
@@ -65,20 +65,6 @@ type VarIndex struct {
 // (de)serialisation: a file dataset's sidecar holds every variable.
 type Index struct {
 	Vars []*VarIndex
-}
-
-// Var returns the index for the named variable, accepting the "*"
-// wildcard entry synthetic datasets register; nil when absent.
-func (ix *Index) Var(name string) *VarIndex {
-	if ix == nil {
-		return nil
-	}
-	for _, vi := range ix.Vars {
-		if vi.Variable == name || vi.Variable == "*" {
-			return vi
-		}
-	}
-	return nil
 }
 
 // BuildOptions tunes index construction.
@@ -111,7 +97,7 @@ func BuildVar(variable string, shape coords.Shape, r coords.RecordReader, opts B
 	workers := min(runtime.GOMAXPROCS(0), n)
 
 	start := time.Now()
-	vi := &VarIndex{Variable: variable, Shape: shape.Clone(), Blocks: make([]Block, n)}
+	vi := &VarIndex{Variable: variable, Shape: shape.Clone(), Blocks: make([]rowBlock, n)}
 	// Near-equal row bands: the first rem blocks take one extra row.
 	base, rem := rows/int64(n), rows%int64(n)
 	row := int64(0)
@@ -120,7 +106,7 @@ func BuildVar(variable string, shape coords.Shape, r coords.RecordReader, opts B
 		if int64(i) < rem {
 			span++
 		}
-		vi.Blocks[i] = Block{Row0: row, Rows: span, Min: math.Inf(1), Max: math.Inf(-1)}
+		vi.Blocks[i] = rowBlock{Row0: row, Rows: span, Min: math.Inf(1), Max: math.Inf(-1)}
 		row += span
 	}
 

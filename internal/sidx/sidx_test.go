@@ -179,13 +179,13 @@ func TestCodecRoundTrip(t *testing.T) {
 	ix := &Index{Vars: []*VarIndex{a, b}}
 
 	var buf bytes.Buffer
-	if err := Write(&buf, ix); err != nil {
+	if err := writeIndex(&buf, ix); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	if got := ix.EncodedSize(); got != int64(buf.Len()) {
 		t.Fatalf("EncodedSize %d != written %d", got, buf.Len())
 	}
-	back, err := Read(bytes.NewReader(buf.Bytes()))
+	back, err := readIndex(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -206,30 +206,30 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCodecRejectsCorruption(t *testing.T) {
 	ix := &Index{Vars: []*VarIndex{buildRowIndex(t, coords.NewShape(20, 2), 5)}}
 	var buf bytes.Buffer
-	if err := Write(&buf, ix); err != nil {
+	if err := writeIndex(&buf, ix); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	good := buf.Bytes()
 
 	flipped := append([]byte(nil), good...)
 	flipped[indexHeaderLen+3] ^= 0xFF // corrupt payload
-	if _, err := Read(bytes.NewReader(flipped)); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("corrupt payload: got %v, want ErrChecksum", err)
+	if _, err := readIndex(bytes.NewReader(flipped)); !errors.Is(err, errChecksum) {
+		t.Fatalf("corrupt payload: got %v, want errChecksum", err)
 	}
 
 	magic := append([]byte(nil), good...)
 	magic[0] = 'x'
-	if _, err := Read(bytes.NewReader(magic)); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("bad magic: got %v, want ErrBadMagic", err)
+	if _, err := readIndex(bytes.NewReader(magic)); !errors.Is(err, errBadMagic) {
+		t.Fatalf("bad magic: got %v, want errBadMagic", err)
 	}
 
 	ver := append([]byte(nil), good...)
 	ver[4] = 99
-	if _, err := Read(bytes.NewReader(ver)); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("bad version: got %v, want ErrBadVersion", err)
+	if _, err := readIndex(bytes.NewReader(ver)); !errors.Is(err, errBadVersion) {
+		t.Fatalf("bad version: got %v, want errBadVersion", err)
 	}
 
-	if _, err := Read(bytes.NewReader(good[:len(good)-2])); err == nil {
+	if _, err := readIndex(bytes.NewReader(good[:len(good)-2])); err == nil {
 		t.Fatal("truncated index decoded cleanly")
 	}
 }
@@ -264,4 +264,18 @@ func TestFingerprint(t *testing.T) {
 	if c.Fingerprint() == a.Fingerprint() {
 		t.Fatal("different data, same fingerprint")
 	}
+}
+
+// Var returns the index for the named variable, accepting the "*"
+// wildcard entry synthetic datasets register; nil when absent.
+func (ix *Index) Var(name string) *VarIndex {
+	if ix == nil {
+		return nil
+	}
+	for _, vi := range ix.Vars {
+		if vi.Variable == name || vi.Variable == "*" {
+			return vi
+		}
+	}
+	return nil
 }

@@ -87,9 +87,10 @@ func TestRecomputeFailureRunsTheLoopsRearm(t *testing.T) {
 	strategy := func(recompute bool) (res *Result, lost int, commits []int) {
 		loop := p.JobConfig(nil, nil)
 		commits = make([]int, 4)
+		lost = -len(p.Splits) // every Map starts once; a lost one starts again
 		loop.OnEvent = func(e mapreduce.Event) {
-			if e.Kind == mapreduce.MapLost {
-				lost++ // one per Counters.RecomputedMaps increment
+			if e.Kind == mapreduce.MapStart {
+				lost++
 			}
 		}
 		loop.OnReduceOutput = func(o mapreduce.ReduceOutput) { commits[o.Keyblock]++ }

@@ -93,25 +93,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the paper-testbed topology with a cost model
-// calibrated so Query 1's curves land in the same regime as Figure 9
-// (map phase ~1,100 s for SciHadoop-style execution at 22 reducers).
-func DefaultConfig() Config {
-	return Config{
-		Workers:          24,
-		MapSlots:         4,
-		ReduceSlots:      3,
-		MapBase:          2.0,
-		MapPerPoint:      8.0e-7,
-		LocalityPenalty:  1.3,
-		JitterFrac:       0.08,
-		ShuffleBandwidth: 80e6,
-		ReduceBase:       1.0,
-		ReducePerPair:    1.2e-6,
-		Seed:             1,
-	}
-}
-
 // Split is one Map task's workload.
 type Split struct {
 	// Points is the number of source points the task reads.
@@ -163,8 +144,8 @@ type FailureModel struct {
 	PersistOverhead float64
 }
 
-// Stats aggregates a simulated run.
-type Stats struct {
+// runStats aggregates a simulated run.
+type runStats struct {
 	// Makespan is the completion time of the last task.
 	Makespan float64
 	// FirstResult is the earliest Reduce commit time.
@@ -188,18 +169,18 @@ type Stats struct {
 // Result carries the trace and stats of one simulated run.
 type Result struct {
 	Trace trace.Trace
-	Stats Stats
+	Stats runStats
 }
 
-// NodeName returns the canonical name of worker i, shared with the HDFS
+// nodeName returns the canonical name of worker i, shared with the HDFS
 // namespace so locality hints resolve.
-func NodeName(i int) string { return fmt.Sprintf("node%02d", i) }
+func nodeName(i int) string { return fmt.Sprintf("node%02d", i) }
 
 // Nodes returns the canonical node names for a worker count.
 func Nodes(n int) []string {
 	out := make([]string, n)
 	for i := range out {
-		out[i] = NodeName(i)
+		out[i] = nodeName(i)
 	}
 	return out
 }
@@ -281,7 +262,7 @@ func newRunner(cfg Config, loop mapreduce.Config, job Job) (*runner, error) {
 		}
 	}
 	for n := 0; n < cfg.Workers; n++ {
-		r.nodeOf[NodeName(n)] = n
+		r.nodeOf[nodeName(n)] = n
 	}
 	for i := range r.mapSlots {
 		r.mapSlots[i] = timeline{{0, math.Inf(1)}}

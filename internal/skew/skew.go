@@ -13,23 +13,24 @@ import (
 // Summary holds the imbalance statistics of one keyblock load vector.
 type Summary struct {
 	// Keyblocks is the number of keyblocks measured.
-	Keyblocks int
+	Keyblocks int `json:"keyblocks"`
 	// Total is the summed load.
-	Total int64
+	Total int64 `json:"total"`
 	// Starved counts keyblocks with zero load.
-	Starved int
+	Starved int `json:"starved"`
 	// Max and Min are the extreme loads (Min over all keyblocks,
 	// including starved ones).
-	Max, Min int64
+	Max int64 `json:"max"`
+	Min int64 `json:"min"`
 	// MaxOverMean is the heaviest keyblock relative to the mean load; 1
 	// is perfect balance.
-	MaxOverMean float64
+	MaxOverMean float64 `json:"max_over_mean"`
 	// CV is the coefficient of variation (σ/mean); 0 is perfect balance.
-	CV float64
+	CV float64 `json:"cv"`
 	// Gini is the Gini coefficient of the load distribution in [0, 1);
 	// 0 is perfect balance, values near 1 mean a few keyblocks hold
 	// nearly everything.
-	Gini float64
+	Gini float64 `json:"gini"`
 }
 
 // Summarize computes imbalance statistics for per-keyblock loads
@@ -85,27 +86,4 @@ func gini(loads []int64, sum float64) float64 {
 func (s Summary) Format() string {
 	return fmt.Sprintf("keyblocks=%d total=%d starved=%d max/mean=%.3f cv=%.3f gini=%.3f",
 		s.Keyblocks, s.Total, s.Starved, s.MaxOverMean, s.CV, s.Gini)
-}
-
-// Balanced reports whether loads satisfy partition+'s guarantee: no
-// starved keyblock and every load within `slack` of the mean (e.g. one
-// tile instance).
-func Balanced(loads []int64, slack int64) bool {
-	if len(loads) == 0 {
-		return true
-	}
-	var total int64
-	for _, l := range loads {
-		if l == 0 {
-			return false
-		}
-		total += l
-	}
-	mean := float64(total) / float64(len(loads))
-	for _, l := range loads {
-		if math.Abs(float64(l)-mean) > float64(slack) {
-			return false
-		}
-	}
-	return true
 }

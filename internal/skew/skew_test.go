@@ -124,3 +124,26 @@ func TestQuickScaleInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Balanced reports whether loads satisfy partition+'s guarantee: no
+// starved keyblock and every load within `slack` of the mean (e.g. one
+// tile instance).
+func Balanced(loads []int64, slack int64) bool {
+	if len(loads) == 0 {
+		return true
+	}
+	var total int64
+	for _, l := range loads {
+		if l == 0 {
+			return false
+		}
+		total += l
+	}
+	mean := float64(total) / float64(len(loads))
+	for _, l := range loads {
+		if math.Abs(float64(l)-mean) > float64(slack) {
+			return false
+		}
+	}
+	return true
+}

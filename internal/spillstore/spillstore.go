@@ -61,12 +61,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Errors reported by the store.
 var (
-	// ErrNotFound reports that no pack (or no entry within the pack)
+	// errNotFound reports that no pack (or no entry within the pack)
 	// exists for the requested spill.
-	ErrNotFound = errors.New("spillstore: spill not found")
-	// ErrCorruptPack reports a pack whose trailer or directory fails
+	errNotFound = errors.New("spillstore: spill not found")
+	// errCorruptPack reports a pack whose trailer or directory fails
 	// validation.
-	ErrCorruptPack = errors.New("spillstore: corrupt pack")
+	errCorruptPack = errors.New("spillstore: corrupt pack")
 )
 
 type packKey struct {
@@ -113,9 +113,9 @@ func (s *Store) packPath(k packKey) string {
 	return filepath.Join(s.root, k.job, fmt.Sprintf("%d-%d.pack", k.split, k.attempt))
 }
 
-// PackWriter accumulates one Map attempt's keyblock spills into a pack
+// packWriter accumulates one Map attempt's keyblock spills into a pack
 // temp file. Exactly one of Commit or Abort must be called.
-type PackWriter struct {
+type packWriter struct {
 	s     *Store
 	k     packKey
 	f     *os.File
@@ -128,7 +128,7 @@ type PackWriter struct {
 }
 
 // Begin starts writing the pack for one (job, split, attempt).
-func (s *Store) Begin(job string, split, attempt int) (*PackWriter, error) {
+func (s *Store) Begin(job string, split, attempt int) (*packWriter, error) {
 	dir := filepath.Join(s.root, job)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -137,7 +137,7 @@ func (s *Store) Begin(job string, split, attempt int) (*PackWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PackWriter{
+	return &packWriter{
 		s:  s,
 		k:  packKey{job: job, split: split, attempt: attempt},
 		f:  f,
@@ -159,7 +159,7 @@ func (c *countWriter) Write(p []byte) (int, error) {
 
 // Append writes one keyblock's spill via fn and records it in the
 // directory. Returns the entry's byte length.
-func (pw *PackWriter) Append(keyblock int, fn func(io.Writer) error) (int64, error) {
+func (pw *packWriter) Append(keyblock int, fn func(io.Writer) error) (int64, error) {
 	cw := &countWriter{w: pw.bw}
 	if err := fn(cw); err != nil {
 		return 0, err
@@ -174,7 +174,7 @@ func (pw *PackWriter) Append(keyblock int, fn func(io.Writer) error) (int64, err
 // place, and registers the pack for serving. A pack committed for a
 // (job, split, attempt) that already has one replaces it — duplicate
 // Map attempts are idempotent re-writes.
-func (pw *PackWriter) Commit() error {
+func (pw *packWriter) Commit() error {
 	if pw.done {
 		return fmt.Errorf("spillstore: pack writer already finished")
 	}
@@ -228,14 +228,14 @@ func (pw *PackWriter) Commit() error {
 	return nil
 }
 
-func (pw *PackWriter) fail(err error) error {
+func (pw *packWriter) fail(err error) error {
 	pw.f.Close()
 	os.Remove(pw.f.Name())
 	return err
 }
 
 // Abort discards the pack temp file. Safe after Commit (no-op).
-func (pw *PackWriter) Abort() {
+func (pw *packWriter) Abort() {
 	if pw.done {
 		return
 	}
@@ -260,7 +260,7 @@ func (s *Store) Open(job string, split, attempt, keyblock int) (*io.SectionReade
 		var err error
 		if p, err = loadPack(s.packPath(k)); err != nil {
 			if os.IsNotExist(err) {
-				return nil, time.Time{}, ErrNotFound
+				return nil, time.Time{}, errNotFound
 			}
 			return nil, time.Time{}, err
 		}
@@ -269,7 +269,7 @@ func (s *Store) Open(job string, split, attempt, keyblock int) (*io.SectionReade
 	e, ok := p.dir[keyblock]
 	if !ok {
 		return nil, time.Time{}, fmt.Errorf("%w: keyblock %d not in pack %s/%d-%d",
-			ErrNotFound, keyblock, job, split, attempt)
+			errNotFound, keyblock, job, split, attempt)
 	}
 	return io.NewSectionReader(p.f, e.off, e.length), p.mtime, nil
 }
@@ -290,7 +290,7 @@ func (s *Store) OpenPack(job string, split, attempt int) (*io.SectionReader, tim
 		var err error
 		if p, err = loadPack(s.packPath(k)); err != nil {
 			if os.IsNotExist(err) {
-				return nil, time.Time{}, ErrNotFound
+				return nil, time.Time{}, errNotFound
 			}
 			return nil, time.Time{}, err
 		}
@@ -372,19 +372,19 @@ func parsePack(f *os.File) (*pack, error) {
 	}
 	size := info.Size()
 	if size < trailerLen+4 {
-		return nil, fmt.Errorf("%w: %d bytes is too short", ErrCorruptPack, size)
+		return nil, fmt.Errorf("%w: %d bytes is too short", errCorruptPack, size)
 	}
 	var trailer [trailerLen]byte
 	if _, err := f.ReadAt(trailer[:], size-trailerLen); err != nil {
 		return nil, err
 	}
 	if [4]byte(trailer[8:12]) != packMagic {
-		return nil, fmt.Errorf("%w: bad trailer magic", ErrCorruptPack)
+		return nil, fmt.Errorf("%w: bad trailer magic", errCorruptPack)
 	}
 	le := binary.LittleEndian
 	dirLen := int64(le.Uint32(trailer[0:4]))
 	if dirLen < 4 || dirLen > maxDirLen || dirLen > size-trailerLen {
-		return nil, fmt.Errorf("%w: implausible directory length %d", ErrCorruptPack, dirLen)
+		return nil, fmt.Errorf("%w: implausible directory length %d", errCorruptPack, dirLen)
 	}
 	dir := make([]byte, dirLen)
 	dataEnd := size - trailerLen - dirLen
@@ -392,12 +392,12 @@ func parsePack(f *os.File) (*pack, error) {
 		return nil, err
 	}
 	if got, want := crc32.Checksum(dir, castagnoli), le.Uint32(trailer[4:8]); got != want {
-		return nil, fmt.Errorf("%w: directory crc %08x, trailer says %08x", ErrCorruptPack, got, want)
+		return nil, fmt.Errorf("%w: directory crc %08x, trailer says %08x", errCorruptPack, got, want)
 	}
 	n := int(le.Uint32(dir[0:4]))
 	if int64(4+n*dirEntryLen) != dirLen {
 		return nil, fmt.Errorf("%w: %d entries need %d directory bytes, have %d",
-			ErrCorruptPack, n, 4+n*dirEntryLen, dirLen)
+			errCorruptPack, n, 4+n*dirEntryLen, dirLen)
 	}
 	m := make(map[int]dirEntry, n)
 	for i := 0; i < n; i++ {
@@ -406,7 +406,7 @@ func parsePack(f *os.File) (*pack, error) {
 		e := dirEntry{off: int64(le.Uint64(p[4:12])), length: int64(le.Uint64(p[12:20]))}
 		if e.off < 0 || e.length < 0 || e.off+e.length > dataEnd {
 			return nil, fmt.Errorf("%w: entry kb=%d [%d,+%d) outside data bytes [0,%d)",
-				ErrCorruptPack, kb, e.off, e.length, dataEnd)
+				errCorruptPack, kb, e.off, e.length, dataEnd)
 		}
 		m[kb] = e
 	}

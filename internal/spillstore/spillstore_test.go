@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-func writeEntry(t *testing.T, pw *PackWriter, kb int, payload string) {
+func writeEntry(t *testing.T, pw *packWriter, kb int, payload string) {
 	t.Helper()
 	n, err := pw.Append(kb, func(w io.Writer) error {
 		_, err := io.WriteString(w, payload)
@@ -39,7 +39,7 @@ func readAll(t *testing.T, s *Store, job string, split, attempt, kb int) string 
 	return string(b)
 }
 
-// TestPackRoundTrip: entries written through a PackWriter come back
+// TestPackRoundTrip: entries written through a packWriter come back
 // byte-identical through Open, from both the committing store and a
 // fresh store that must recover the directory from the trailer.
 func TestPackRoundTrip(t *testing.T) {
@@ -89,23 +89,23 @@ func TestPackRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenMissing pins ErrNotFound for absent packs and absent entries.
+// TestOpenMissing pins errNotFound for absent packs and absent entries.
 func TestOpenMissing(t *testing.T) {
 	s, err := New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, _, err := s.Open("nope", 0, 0, 0); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing pack err = %v, want ErrNotFound", err)
+	if _, _, err := s.Open("nope", 0, 0, 0); !errors.Is(err, errNotFound) {
+		t.Fatalf("missing pack err = %v, want errNotFound", err)
 	}
 	pw, _ := s.Begin("job", 0, 0)
 	writeEntry(t, pw, 1, "one")
 	if err := pw.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Open("job", 0, 0, 2); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing entry err = %v, want ErrNotFound", err)
+	if _, _, err := s.Open("job", 0, 0, 2); !errors.Is(err, errNotFound) {
+		t.Fatalf("missing entry err = %v, want errNotFound", err)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestAbortRemovesTemp(t *testing.T) {
 	if n := countTemps(t, root); n != 0 {
 		t.Fatalf("%d temp files left after abort", n)
 	}
-	if _, _, err := s.Open("job", 0, 0, 0); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.Open("job", 0, 0, 0); !errors.Is(err, errNotFound) {
 		t.Fatalf("aborted pack served: err = %v", err)
 	}
 }
@@ -187,7 +187,7 @@ func TestReleaseAttempt(t *testing.T) {
 		}
 	}
 	s.ReleaseAttempt("job", 0, 0)
-	if _, _, err := s.Open("job", 0, 0, 0); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.Open("job", 0, 0, 0); !errors.Is(err, errNotFound) {
 		t.Fatalf("released attempt still served: %v", err)
 	}
 	if got := readAll(t, s, "job", 0, 1, 0); got != "attempt 1" {
@@ -229,11 +229,11 @@ func TestCorruptTrailerRejected(t *testing.T) {
 	// Directory byte flip → crc mismatch.
 	bad := append([]byte(nil), good...)
 	bad[len(bad)-trailerLen-3] ^= 0x01
-	if err := reopen(bad); !errors.Is(err, ErrCorruptPack) {
+	if err := reopen(bad); !errors.Is(err, errCorruptPack) {
 		t.Fatalf("flipped directory accepted: %v", err)
 	}
 	// Truncated trailer.
-	if err := reopen(good[:len(good)-5]); !errors.Is(err, ErrCorruptPack) {
+	if err := reopen(good[:len(good)-5]); !errors.Is(err, errCorruptPack) {
 		t.Fatalf("truncated trailer accepted: %v", err)
 	}
 	// Intact file still loads.
@@ -326,8 +326,8 @@ func TestInstallReplicatesPack(t *testing.T) {
 	if len(whole) == 0 {
 		t.Fatal("OpenPack returned an empty pack")
 	}
-	if _, _, err := src.OpenPack("job1", 4, 99); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("OpenPack(missing) = %v, want ErrNotFound", err)
+	if _, _, err := src.OpenPack("job1", 4, 99); !errors.Is(err, errNotFound) {
+		t.Fatalf("OpenPack(missing) = %v, want errNotFound", err)
 	}
 
 	dstRoot := t.TempDir()
@@ -383,7 +383,7 @@ func TestInstallReplicatesPack(t *testing.T) {
 	if _, _, err := bad.Install("job1", 4, 1, strings.NewReader(string(flipped))); err == nil {
 		t.Fatal("directory-corrupted pack installed without error")
 	}
-	if _, _, err := bad.Open("job1", 4, 1, 2); !errors.Is(err, ErrNotFound) {
+	if _, _, err := bad.Open("job1", 4, 1, 2); !errors.Is(err, errNotFound) {
 		t.Fatalf("rejected install left a readable pack: %v", err)
 	}
 	if n := countTemps(t, t.TempDir()); n != 0 {

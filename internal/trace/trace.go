@@ -11,37 +11,37 @@ import (
 	"strings"
 )
 
-// TaskType distinguishes trace entries.
-type TaskType int
+// taskType distinguishes trace entries.
+type taskType int
 
 const (
 	// Map marks a Map task completion.
-	Map TaskType = iota
+	Map taskType = iota
 	// Reduce marks a Reduce task completion (its output is committed and
 	// available — the paper's "results available" metric).
 	Reduce
 )
 
-// Completion is one task completing at a virtual or wall-clock time (in
+// completion is one task completing at a virtual or wall-clock time (in
 // seconds).
-type Completion struct {
-	Type TaskType
+type completion struct {
+	Type taskType
 	ID   int
 	At   float64
 }
 
 // Trace is an ordered set of completions.
 type Trace struct {
-	completions []Completion
+	completions []completion
 }
 
 // Add records a completion.
-func (t *Trace) Add(typ TaskType, id int, at float64) {
-	t.completions = append(t.completions, Completion{Type: typ, ID: id, At: at})
+func (t *Trace) Add(typ taskType, id int, at float64) {
+	t.completions = append(t.completions, completion{Type: typ, ID: id, At: at})
 }
 
 // times returns sorted completion times of one task type.
-func (t *Trace) times(typ TaskType) []float64 {
+func (t *Trace) times(typ taskType) []float64 {
 	var out []float64
 	for _, c := range t.completions {
 		if c.Type == typ {
@@ -73,7 +73,7 @@ type Series struct {
 }
 
 // SeriesOf builds the completion curve for one task type.
-func (t *Trace) SeriesOf(typ TaskType) Series {
+func (t *Trace) SeriesOf(typ taskType) Series {
 	ts := t.times(typ)
 	s := Series{Times: ts, Fractions: make([]float64, len(ts))}
 	n := float64(len(ts))
@@ -123,10 +123,10 @@ func (s Series) Render(label string) string {
 	return b.String()
 }
 
-// VarianceStats summarises cross-run variation of completion times at
+// varianceStats summarises cross-run variation of completion times at
 // each task rank: Mean[i] and StdDev[i] are the statistics of the i-th
 // completion across runs (Figure 12's error bars).
-type VarianceStats struct {
+type varianceStats struct {
 	Mean   []float64
 	StdDev []float64
 }
@@ -134,17 +134,17 @@ type VarianceStats struct {
 // VarianceAcross computes per-rank mean and standard deviation across
 // runs of the same configuration. All runs must have the same task count;
 // it errors otherwise.
-func VarianceAcross(runs []Series) (VarianceStats, error) {
+func VarianceAcross(runs []Series) (varianceStats, error) {
 	if len(runs) == 0 {
-		return VarianceStats{}, fmt.Errorf("trace: no runs")
+		return varianceStats{}, fmt.Errorf("trace: no runs")
 	}
 	n := len(runs[0].Times)
 	for i, r := range runs {
 		if len(r.Times) != n {
-			return VarianceStats{}, fmt.Errorf("trace: run %d has %d tasks, want %d", i, len(r.Times), n)
+			return varianceStats{}, fmt.Errorf("trace: run %d has %d tasks, want %d", i, len(r.Times), n)
 		}
 	}
-	vs := VarianceStats{Mean: make([]float64, n), StdDev: make([]float64, n)}
+	vs := varianceStats{Mean: make([]float64, n), StdDev: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		var sum, sumSq float64
 		for _, r := range runs {
@@ -164,7 +164,7 @@ func VarianceAcross(runs []Series) (VarianceStats, error) {
 
 // MaxStdDev returns the largest per-rank standard deviation — the
 // headline variance number Figure 12 compares across Reduce counts.
-func (v VarianceStats) MaxStdDev() float64 {
+func (v varianceStats) MaxStdDev() float64 {
 	m := 0.0
 	for _, s := range v.StdDev {
 		if s > m {
@@ -175,7 +175,7 @@ func (v VarianceStats) MaxStdDev() float64 {
 }
 
 // MeanStdDev returns the average per-rank standard deviation.
-func (v VarianceStats) MeanStdDev() float64 {
+func (v varianceStats) MeanStdDev() float64 {
 	if len(v.StdDev) == 0 {
 		return 0
 	}

@@ -111,7 +111,7 @@ func TestVarianceAcross(t *testing.T) {
 	if _, err := VarianceAcross([]Series{{Times: []float64{1}}, {Times: []float64{1, 2}}}); err == nil {
 		t.Fatal("ragged runs accepted")
 	}
-	if (VarianceStats{}).MeanStdDev() != 0 {
+	if (varianceStats{}).MeanStdDev() != 0 {
 		t.Fatal("empty MeanStdDev != 0")
 	}
 }

@@ -11,11 +11,11 @@ import (
 )
 
 // MarshalJSON writes p with its rows in the package's dense layout.
-func (p Partial) MarshalJSON() ([]byte, error) {
+func (p partial) MarshalJSON() ([]byte, error) {
 	return p.appendJSON(make([]byte, 0, 64+24*len(p.Values)))
 }
 
-func (p *Partial) appendJSON(dst []byte) ([]byte, error) {
+func (p *partial) appendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `{"keyblock":`...)
 	dst = strconv.AppendInt(dst, int64(p.Keyblock), 10)
 	dst = append(dst, ',')
@@ -34,7 +34,7 @@ func (p *Partial) appendJSON(dst []byte) ([]byte, error) {
 
 // UnmarshalJSON reads p from the package's dense layout. Keys are
 // windows of one array, and so are Values.
-func (p *Partial) UnmarshalJSON(b []byte) error {
+func (p *partial) UnmarshalJSON(b []byte) error {
 	return unmarshalRows(b, &p.Keys, &p.Values, func(s *scanner, name []byte) error {
 		switch string(name) {
 		case "keyblock":

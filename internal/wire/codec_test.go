@@ -39,7 +39,7 @@ func TestRowsLayout(t *testing.T) {
 		if string(got) != c.want {
 			t.Errorf("appendRows(%v, %v)\n = %s\nwant %s", c.keys, c.values, got, c.want)
 		}
-		var p Partial
+		var p partial
 		if err := json.Unmarshal([]byte("{"+c.want+"}"), &p); err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestRowsRejectRunsBeforeKeys(t *testing.T) {
 		`{"keys":{"corner":[0],"shape":[2],"runs":[0,2]},"counts":[3,-1],"values":[1,2]}`,
 		`{"keys":{"corner":[0],"shape":[2],"runs":[0,1]},"values":[1e400]}`,
 	} {
-		var p Partial
+		var p partial
 		if err := json.Unmarshal([]byte(in), &p); err == nil {
 			t.Errorf("%s decoded to %v %v", in, p.Keys, p.Values)
 		}
@@ -217,7 +217,7 @@ func sameRows(t *testing.T, what string, keys [][]int64, values [][]float64, got
 // FuzzWireRows checks the dense codec against encoding/json and against
 // the layout's own definition:
 //   - rows derived from the input round-trip by Float64bits through
-//     Partial and Result, and the layout read by reflection and expanded
+//     partial and Result, and the layout read by reflection and expanded
 //     by the documented recipe gives the same rows back;
 //   - every value's text is json.Marshal's, and NaN or ±Inf is an error;
 //   - counts appear exactly when some key has other than one value;
@@ -232,13 +232,13 @@ func FuzzWireRows(f *testing.F) {
 	f.Add([]byte(`{"keys":{"corner":[0],"shape":[4],"runs":[0,4]},"values":[1,2,3,4],"rows":4,"partials":1,"first_result_ms":0.25,"elapsed_ms":3,"connections":9,"extra":[{"x":null}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The input as JSON: no panic, and what decodes is stable.
-		var p Partial
+		var p partial
 		if err := p.UnmarshalJSON(data); err == nil {
 			b, err := json.Marshal(p)
 			if err != nil {
 				t.Fatalf("re-encoding a decoded partial: %v", err)
 			}
-			var q Partial
+			var q partial
 			if err := json.Unmarshal(b, &q); err != nil {
 				t.Fatalf("decoding a re-encoded partial %s: %v", b, err)
 			}
@@ -263,14 +263,14 @@ func FuzzWireRows(f *testing.F) {
 			}
 		}
 		at := time.Unix(0, int64(src.next())<<40|int64(src.next())).UTC()
-		b, err := json.Marshal(Partial{Keyblock: int(int8(src.next())), Keys: keys, Values: values, At: at})
+		b, err := json.Marshal(partial{Keyblock: int(int8(src.next())), Keys: keys, Values: values, At: at})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if hasCounts := bytes.Contains(b, []byte(`"counts"`)); hasCounts == ones && len(values) > 0 {
 			t.Fatalf("counts written: %v, every key one value: %v\n%s", hasCounts, ones, b)
 		}
-		var gotP Partial
+		var gotP partial
 		if err := json.Unmarshal(b, &gotP); err != nil {
 			t.Fatalf("decoding %s: %v", b, err)
 		}
@@ -331,7 +331,7 @@ func FuzzWireRows(f *testing.F) {
 			if len(row) > 0 {
 				saved := row[0]
 				row[0] = [3]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i%3]
-				if _, err := json.Marshal(Partial{Keys: keys, Values: values}); err == nil || !strings.Contains(err.Error(), "unsupported value") {
+				if _, err := json.Marshal(partial{Keys: keys, Values: values}); err == nil || !strings.Contains(err.Error(), "unsupported value") {
 					t.Fatalf("%v encoded without an unsupported-value error: %v", row[0], err)
 				}
 				row[0] = saved

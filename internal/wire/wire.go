@@ -17,7 +17,7 @@
 // before it starts a new one. counts gives each key's number of values and
 // is left out when every key has exactly one; values are every key's
 // values back to back, in key order. The empty row set is
-// `"keys":{"corner":[],"shape":[],"runs":[]},"values":[]`. Partial and
+// `"keys":{"corner":[],"shape":[],"runs":[]},"values":[]`. A partial and a
 // Result write and read this layout by hand, without reflection
 // (codec.go); their Go shape is the plain [][]int64 and [][]float64 of
 // sidr.Result.
@@ -126,11 +126,11 @@ func FromResult(r *sidr.Result) *Result {
 	return out
 }
 
-// Partial is the JSON form of one committed keyblock — SIDR's early
+// partial is the JSON form of one committed keyblock — SIDR's early
 // correct partial result (§4, Figure 4b) as a stream event payload. Its
 // members are "keyblock", the rows in the package's dense layout, and
 // "at".
-type Partial struct {
+type partial struct {
 	Keyblock int
 	Keys     [][]int64
 	Values   [][]float64
@@ -138,8 +138,8 @@ type Partial struct {
 }
 
 // FromPartial converts a sidr.PartialResult.
-func FromPartial(pr sidr.PartialResult) Partial {
-	p := Partial{Keyblock: pr.Keyblock, Keys: pr.Keys, Values: pr.Values, At: pr.At}
+func FromPartial(pr sidr.PartialResult) partial {
+	p := partial{Keyblock: pr.Keyblock, Keys: pr.Keys, Values: pr.Values, At: pr.At}
 	if p.Keys == nil {
 		p.Keys = [][]int64{}
 	}
@@ -164,7 +164,7 @@ const (
 type StreamEvent struct {
 	Type    string   `json:"type"`
 	JobID   string   `json:"job_id,omitempty"`
-	Partial *Partial `json:"partial,omitempty"`
+	Partial *partial `json:"partial,omitempty"`
 	Result  *Result  `json:"result,omitempty"`
 	Error   string   `json:"error,omitempty"`
 	// Detail carries the same saturation vocabulary as Error.Detail on

@@ -15,10 +15,10 @@ import (
 func TestEventHeadAndTailAreTheEncodersLine(t *testing.T) {
 	at := time.Date(2026, 10, 4, 12, 0, 0, 123456789, time.UTC)
 	events := []StreamEvent{
-		{Type: EventPartial, JobID: "job-000001", Partial: &Partial{
+		{Type: EventPartial, JobID: "job-000001", Partial: &partial{
 			Keyblock: 3, Keys: [][]int64{{0, 1}, {0, 2}}, Values: [][]float64{{1.5}, {math.MaxFloat64, 1e-7}}, At: at}},
-		{Type: EventPartial, JobID: "job-000002", Partial: &Partial{Keys: [][]int64{}, Values: [][]float64{}, At: at}},
-		{Type: EventPartial, JobID: "job-000002", Partial: &Partial{Keys: [][]int64{{4}}, Values: [][]float64{{}}, At: at}},
+		{Type: EventPartial, JobID: "job-000002", Partial: &partial{Keys: [][]int64{}, Values: [][]float64{}, At: at}},
+		{Type: EventPartial, JobID: "job-000002", Partial: &partial{Keys: [][]int64{{4}}, Values: [][]float64{{}}, At: at}},
 		{Type: EventDone, JobID: "job-000003", Result: &Result{
 			Keys: [][]int64{{7}}, Values: [][]float64{{0.1}}, Rows: 1, Partials: 1, FirstMillis: 0.25, ElapsedMS: 3, Connections: 9}},
 		{Type: EventFailed, JobID: "job-000004", Error: "no <workers> & \"none\"", Detail: DetailNoWorkers},

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -203,9 +205,7 @@ func TestPrunedGappedBandsMatchUnpruned(t *testing.T) {
 		srv := httptest.NewServer(w)
 		defer srv.Close()
 		defer w.Close()
-		if err := c.Register(fmt.Sprintf("w%d", i), srv.URL); err != nil {
-			t.Fatal(err)
-		}
+		registerWorker(t, c, fmt.Sprintf("w%d", i), srv.URL)
 	}
 	ex := exec.New(2)
 	defer ex.Close()
@@ -241,5 +241,19 @@ func sameBits(t *testing.T, what string, want, got *Result) {
 				t.Fatalf("%s: row %d value %d is %v, want %v", what, i, j, got.Values[i][j], v)
 			}
 		}
+	}
+}
+
+// registerWorker registers a worker with the coordinator through its
+// HTTP endpoint, as a sidr-worker does at start.
+func registerWorker(t *testing.T, c *cluster.Coordinator, name, url string) {
+	t.Helper()
+	mux := http.NewServeMux()
+	c.Mount(mux)
+	body := fmt.Sprintf(`{"name":%q,"url":%q}`, name, url)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/register", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("register %s: %d %s", name, rec.Code, rec.Body)
 	}
 }

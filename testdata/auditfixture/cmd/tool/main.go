@@ -1,0 +1,17 @@
+// Command tool defines two flags: README.md names -named, nothing names
+// the other.
+package main
+
+import (
+	"flag"
+	"fmt"
+
+	"sidr/internal/lib"
+)
+
+func main() {
+	named := flag.Int("named", 0, "a flag README.md names")
+	planted := flag.Bool("planted", false, "a flag no reader names")
+	flag.Parse()
+	fmt.Println(*named, *planted, lib.Used(), lib.Metrics)
+}
