@@ -15,9 +15,8 @@
 // tasks re-executed elsewhere.
 //
 // SIGTERM drains instead of dying: the worker stops accepting Map
-// dispatches but keeps serving its spills until every dependent reduce
-// has fetched them or the coordinator has replicated them away, then
-// exits cleanly (bounded by -drain-timeout; a second signal forces
+// dispatches but keeps serving its spills until every reduce that
+// depends on them has fetched them and committed, then exits cleanly (bounded by -drain-timeout; a second signal forces
 // immediate shutdown). SIGINT shuts down immediately. The coordinator
 // can also initiate a drain via its /v1/drain endpoint — the worker
 // learns of it through the heartbeat response and runs the same path.

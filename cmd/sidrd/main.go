@@ -63,7 +63,6 @@ func main() {
 		retain    = flag.Int("retain-jobs", 256, "finished jobs kept for status/stream lookups before eviction (-1 keeps all)")
 		drain     = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget for in-flight jobs")
 		clusterOn = flag.Bool("cluster", false, "embed the cluster coordinator: accept sidr-worker registrations and route {\"cluster\":true} jobs through the distributed runtime")
-		replicas  = flag.Int("spill-replicas", 1, "replicate each committed Map attempt's spill pack to this many other workers so worker loss costs a re-fetch, not a re-execution; 0 disables (with -cluster)")
 		nodes     = flag.String("nodes", "", "comma-separated HDFS namespace node names: datasets get simulated block placements across them and Map dispatch prefers split-local workers (match via sidr-worker -node) (with -cluster)")
 		hbTimeout = flag.Duration("heartbeat-timeout", 5*time.Second, "evict workers that miss heartbeats for this long (with -cluster)")
 		specOn    = flag.Bool("speculation", false, "launch backup attempts for straggling Map dispatches (with -cluster)")
@@ -86,13 +85,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sidrd: -tenant-default: %v\n", err)
 		os.Exit(1)
 	}
-	if err := run(*addr, *dataDir, *maxJobs, *execWork, *queue, *retain, *drain, *clusterOn, *replicas, *nodes, *hbTimeout, *specOn, *chaos, *rcBytes, tenants, tdef); err != nil {
+	if err := run(*addr, *dataDir, *maxJobs, *execWork, *queue, *retain, *drain, *clusterOn, *nodes, *hbTimeout, *specOn, *chaos, *rcBytes, tenants, tdef); err != nil {
 		fmt.Fprintf(os.Stderr, "sidrd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataDir string, maxJobs, execWorkers, queue, retain int, drain time.Duration, clusterOn bool, replicas int, nodes string, hbTimeout time.Duration, specOn bool, chaos string, rcBytes int64, tenants map[string]jobs.TenantPolicy, tenantDefault jobs.TenantPolicy) error {
+func run(addr, dataDir string, maxJobs, execWorkers, queue, retain int, drain time.Duration, clusterOn bool, nodes string, hbTimeout time.Duration, specOn bool, chaos string, rcBytes int64, tenants map[string]jobs.TenantPolicy, tenantDefault jobs.TenantPolicy) error {
 	reg := metrics.New()
 	registry := server.NewRegistry()
 	var ns *hdfs.Namespace
@@ -123,12 +122,8 @@ func run(addr, dataDir string, maxJobs, execWorkers, queue, retain int, drain ti
 
 	var coord *cluster.Coordinator
 	if clusterOn {
-		if replicas == 0 {
-			replicas = -1 // flag 0 = off; config 0 would mean "default 1"
-		}
 		ccfg := cluster.CoordinatorConfig{
 			HeartbeatTimeout: hbTimeout,
-			SpillReplicas:    replicas,
 			Metrics:          reg,
 			Logf:             log.Printf,
 			Speculation:      specOn,

@@ -426,9 +426,9 @@ func TestChaosSoak(t *testing.T) {
 				res, err := runClusterJob(t, c, func(spec *JobSpec) {
 					if tc.kill {
 						// Workers = 1 stays: only a real death shows the fetch policy
-						// classing a committed spill lost with its worker (or finding
-						// its replica), so w0's first Map must commit before its
-						// second dispatch, one task at a time, kills it.
+						// classing a committed spill lost with its worker, so w0's
+						// first Map must commit before its second dispatch, one task
+						// at a time, kills it.
 						spec.Workers = 1
 					}
 				})
@@ -437,14 +437,12 @@ func TestChaosSoak(t *testing.T) {
 				}
 				assertMatchesInProcess(t, res)
 				total.Reexecuted += res.Counters.Reexecuted
-				total.ReplicaFetchFallbacks += res.Counters.ReplicaFetchFallbacks
 				total.Speculated += res.Counters.Speculated
 				total.BatchFallbacks += res.Counters.BatchFallbacks
 			}
-			// The killed worker's committed spill is re-executed — or, if its
-			// replica was installed before the kill, re-fetched from there.
-			if tc.kill && total.Reexecuted+total.ReplicaFetchFallbacks == 0 {
-				t.Fatal("worker kill caused neither a re-execution nor a replica fetch")
+			// The killed worker's committed spill is re-executed.
+			if tc.kill && total.Reexecuted == 0 {
+				t.Fatal("worker kill caused no re-execution")
 			}
 			if tc.hang && hangs.Load() > 0 && total.Speculated == 0 {
 				t.Fatal("injected hangs were never speculated around")

@@ -434,8 +434,8 @@ func TestWorkerLossReexecution(t *testing.T) {
 
 	// Kill w0 the moment it answers its first Map dispatch. The hook fires
 	// before the result is recorded, let alone published to the job loop,
-	// so the spills die before a replica push can copy them or a dependent
-	// reduce fetch them: the loss can only be repaired by re-execution.
+	// so the spills die before a dependent reduce can fetch them: the loss
+	// can only be repaired by re-execution.
 	c.onMapResult = func(_ string, _ int, worker string) {
 		if worker == "w0" {
 			workers[0].kill()
@@ -519,7 +519,7 @@ func TestStaleAttemptDiscarded(t *testing.T) {
 	if err := j.recordMapResult(0, 1, "w0", "http://current", time.Now(), mapResp(1)); err != nil {
 		t.Fatal(err)
 	}
-	if out := j.maps[0].out; out == nil || out.attempt != 1 || out.cands[0].url != "http://current" {
+	if out := j.maps[0].out; out == nil || out.attempt != 1 || out.url != "http://current" {
 		t.Fatalf("current attempt was not recorded: %+v", out)
 	}
 }

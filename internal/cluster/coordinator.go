@@ -29,11 +29,11 @@ type CoordinatorConfig struct {
 	// retries (defaults 25ms and 1s); actual sleeps are jittered.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// SpillReplicas is how many additional workers each committed Map
-	// attempt's pack file is pushed to, asynchronously, so a worker
-	// death or drain costs a replica re-fetch instead of a split
-	// re-execution. 0 means the default of 1; negative disables
-	// replication.
+	// SpillReplicas is ignored.
+	//
+	// Deprecated: spills are not replicated; a lost spill is recovered by
+	// re-executing its split. The field stays only because the benchmark
+	// harness (bench/cluster.go) still sets it.
 	SpillReplicas int
 	// Metrics receives the sidrd_cluster_* / sidrd_shuffle_* instruments
 	// (default: a private registry).
@@ -124,9 +124,6 @@ type Coordinator struct {
 	mQuarantines    *metrics.Counter
 	mReinstates     *metrics.Counter
 	mDrainingG      *metrics.Gauge
-	mReplicaPushes  *metrics.Counter
-	mReplicaBytes   *metrics.Counter
-	mReplicaFallbks *metrics.Counter
 	mDispatchLocal  *metrics.Counter
 	mDispatchRemote *metrics.Counter
 
@@ -165,12 +162,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	}
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = time.Second
-	}
-	switch {
-	case cfg.SpillReplicas == 0:
-		cfg.SpillReplicas = 1
-	case cfg.SpillReplicas < 0:
-		cfg.SpillReplicas = 0
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.New()
@@ -219,9 +210,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		mReinstates:    cfg.Metrics.Counter("sidrd_cluster_reinstates_total"),
 
 		mDrainingG:      cfg.Metrics.Gauge("sidrd_cluster_workers_draining"),
-		mReplicaPushes:  cfg.Metrics.Counter("sidrd_cluster_replica_pushes_total"),
-		mReplicaBytes:   cfg.Metrics.Counter("sidrd_cluster_replica_bytes_total"),
-		mReplicaFallbks: cfg.Metrics.Counter("sidrd_cluster_replica_fetch_fallbacks_total"),
 		mDispatchLocal:  cfg.Metrics.Counter("sidrd_cluster_dispatch_local_total"),
 		mDispatchRemote: cfg.Metrics.Counter("sidrd_cluster_dispatch_remote_total"),
 	}
@@ -714,14 +702,12 @@ type Counters struct {
 	// CorruptSpills counts shuffle fetches rejected by the spill payload
 	// checksum; each one re-executed its source split.
 	CorruptSpills int64
-	// ReplicaPushes counts pack replicas successfully installed on
-	// another worker; ReplicaBytes their byte volume.
+	// ReplicaPushes and ReplicaBytes are always 0.
+	//
+	// Deprecated: spills are not replicated. The fields stay only because
+	// the benchmark harness (bench/cluster.go) still reads them.
 	ReplicaPushes int64
 	ReplicaBytes  int64
-	// ReplicaFetchFallbacks counts reduce dependencies served from a
-	// replica because the hosting worker died or drained — each one is a
-	// re-execution that didn't happen.
-	ReplicaFetchFallbacks int64
 	// DispatchLocal and DispatchRemote count Map dispatches of splits
 	// that carried block-location hints, split by whether the pick
 	// matched one (node-local placement) or fell back to a remote
@@ -745,7 +731,7 @@ type jobResult struct {
 
 // clusterJob is the remote mapreduce.Runner of one Run: it carries out
 // the Map and fetch tasks the job loop hands it — dispatching Map attempts
-// to workers (with retry, speculation and replication) and fetching
+// to workers (with retry and speculation) and fetching
 // spills back under the shuffle's failure policy (fetch.go). When a
 // Reduce may run, what a lost spill re-opens and whether a keyblock may
 // commit are the loop's decisions, not made here.
@@ -756,21 +742,16 @@ type clusterJob struct {
 	// loop is the job loop driving this runner; the runner only ever asks
 	// it whether a split's output is still needed.
 	loop *mapreduce.Job
-	// ctx bounds the runner's background work — speculation, backup
-	// dispatches, replica pushes not yet sent. Run cancels it once the
-	// loop has returned.
+	// ctx bounds the runner's background work — speculation and backup
+	// dispatches. Run cancels it once the loop has returned.
 	ctx context.Context
-	// pushCtx bounds replica push requests already on the wire: resolving
-	// the job does not abandon them (the target could still install the
-	// pack after the release broadcast had passed it); Run joins them.
-	pushCtx context.Context
 
 	// specWG tracks the speculation monitor and backup dispatch
 	// goroutines, which run outside the executor handle on purpose: a
 	// backup submitted through the handle could queue behind the very
-	// hung dispatches it exists to overtake. replWG tracks replica pushes.
-	// Run joins both before releasing worker state.
-	specWG, replWG sync.WaitGroup
+	// hung dispatches it exists to overtake. Run joins them before
+	// releasing worker state.
+	specWG sync.WaitGroup
 
 	mu        sync.Mutex
 	maps      []mapTask
@@ -789,11 +770,9 @@ type hosted struct {
 	// a response that does not). Shuffle fetches validate every received
 	// frame against it.
 	outputs map[int]keyblockMeta
-	// cands lists the workers holding the attempt's pack, guarded by
-	// clusterJob.mu: the one fetches go to first — its producer, until
-	// that is gone and a replica is promoted — then the other verified
-	// replicas, usable interchangeably.
-	cands []replicaLoc
+	// worker names the one worker holding the attempt's pack, and url
+	// where it is fetched from.
+	worker, url string
 }
 
 // mapTask tracks one Map task's current attempt (plus, under
@@ -802,9 +781,6 @@ type hosted struct {
 type mapTask struct {
 	attempt int     // current primary attempt ID
 	out     *hosted // the winning attempt's output; nil while none has completed
-
-	// replInFlight dedupes concurrent replica push scheduling.
-	replInFlight bool
 
 	next        int                        // next attempt ID to allocate (see allocAttempt)
 	started     time.Time                  // when the current primary dispatch began running
@@ -873,9 +849,7 @@ func (c *Coordinator) RunPlan(ctx context.Context, plan *core.Plan, spec JobSpec
 
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	pushCtx, pushCancel := context.WithCancel(c.baseCtx)
-	defer pushCancel()
-	j := &clusterJob{c: c, spec: spec, plan: plan, ctx: jctx, pushCtx: pushCtx, maps: make([]mapTask, len(plan.Splits))}
+	j := &clusterJob{c: c, spec: spec, plan: plan, ctx: jctx, maps: make([]mapTask, len(plan.Splits))}
 	cfg := plan.JobConfig(nil, nil)
 	cfg.Runner, cfg.Ctx = j, jctx
 	cfg.Exec, cfg.Workers, cfg.Weight = spec.Exec, spec.Workers, spec.Weight
@@ -907,17 +881,11 @@ func (c *Coordinator) RunPlan(ctx context.Context, plan *core.Plan, spec JobSpec
 
 	res, err := j.loop.Run()
 
-	// The job is resolved either way: abort backup dispatches and pushes
-	// not yet sent, join the speculation goroutines, let pushes already
-	// on the wire land (briefly — a hung target is abandoned), then
-	// release worker-side state (cached plan/dataset and spills) before
-	// handing the result back. The broadcast comes last so that nothing
-	// of this job can be installed behind it.
+	// The job is resolved either way: abort backup dispatches, join the
+	// speculation goroutines, then release worker-side state (cached
+	// plan/dataset and spills) before handing the result back.
 	cancel()
 	j.specWG.Wait()
-	grace := time.AfterFunc(2*time.Second, pushCancel)
-	j.replWG.Wait()
-	grace.Stop()
 	c.releaseJob(spec.ID)
 	if err != nil {
 		return nil, err
@@ -1358,8 +1326,7 @@ func (j *clusterJob) recordMapResult(i, attempt int, worker, url string, start t
 		m.hasSpec = false
 		m.specWorker = ""
 	}
-	m.out = &hosted{split: i, attempt: attempt, records: resp.Records, outputs: outputs,
-		cands: []replicaLoc{{worker: worker, url: url}}}
+	m.out = &hosted{split: i, attempt: attempt, records: resp.Records, outputs: outputs, worker: worker, url: url}
 	j.durations = append(j.durations, time.Since(start))
 	j.counters.Records += resp.Records
 	if specWin {
@@ -1376,8 +1343,5 @@ func (j *clusterJob) recordMapResult(i, attempt int, worker, url string, start t
 			c.releaseAttempt(c.workerURL(loserWorker), j.spec.ID, i, loserAttempt)
 		}
 	}
-	// Replicate the freshly committed pack before anything can lose it;
-	// async, so the reduce pipeline never waits on replication.
-	j.scheduleReplicas(i)
 	return nil
 }

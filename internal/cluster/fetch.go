@@ -11,10 +11,12 @@
 // each is fetched from and every group is tried once — the common case,
 // one request per (reduce, worker) pair. Whatever is still missing goes
 // through fetchDep, the policy: the same primitive as a batch of one,
-// under retries with jittered backoff, replica failover, and the error
-// taxonomy that ends in one of three verdicts — fetched, these splits'
-// output is lost, or the job must fail. What a loss re-opens is the job
-// loop's business (mapreduce.Job), not decided here.
+// under retries with jittered backoff and the error taxonomy that ends
+// in one of three verdicts — fetched, these splits' output is lost, or
+// the job must fail. Every spill lives on the one worker that produced
+// it; a lost one is recovered only by re-executing its split, and what a
+// loss re-opens is the job loop's business (mapreduce.Job), not decided
+// here.
 package cluster
 
 import (
@@ -32,8 +34,8 @@ import (
 )
 
 // fetchRetries is how many times a single-spill shuffle fetch is
-// attempted against one hosting worker before the next replica is tried
-// or the spill is declared lost.
+// attempted against its hosting worker before the spill is declared
+// lost.
 const fetchRetries = 4
 
 // reduceDep is one spill a reduce task needs: the hosted Map output it
@@ -43,26 +45,10 @@ type reduceDep struct {
 	// meta is the spill's Map-time record (size, pair count, kv-count
 	// annotation); a fetched frame must match it exactly.
 	meta keyblockMeta
-	// cands snapshots host.cands, the workers holding the attempt's pack —
-	// byte-identical copies, so meta holds across all of them. ci indexes
-	// the candidate the dep is (being) fetched from.
-	cands []replicaLoc
-	ci    int
 	// pairs is the decoded spill, valid once got is set (by the request
 	// that carried it succeeding as a whole).
 	pairs []kv.Pair
 	got   bool
-}
-
-// liveCandidate returns the index of the first live candidate at or
-// after from, or -1.
-func (c *Coordinator) liveCandidate(cands []replicaLoc, from int) int {
-	for k := from; k < len(cands); k++ {
-		if c.liveWorker(cands[k].worker) {
-			return k
-		}
-	}
-	return -1
 }
 
 // Fetch gathers keyblock l's Reduce input from the hosted Map outputs
@@ -73,16 +59,14 @@ func (c *Coordinator) liveCandidate(cands []replicaLoc, from int) int {
 // header's annotation against the Map-time record tallied here.
 func (j *clusterJob) Fetch(ctx context.Context, l int, refs []any) ([][]kv.Pair, int64, []int, error) {
 	deps := make([]reduceDep, 0, len(refs))
-	j.mu.Lock()
 	for _, ref := range refs {
 		h := ref.(*hosted)
 		// A split that does not feed l wrote no spill for it (the global
 		// barrier's all-to-all shuffle asks every split).
 		if meta, ok := h.outputs[l]; ok {
-			deps = append(deps, reduceDep{host: h, meta: meta, cands: append([]replicaLoc(nil), h.cands...)})
+			deps = append(deps, reduceDep{host: h, meta: meta})
 		}
 	}
-	j.mu.Unlock()
 	if lost, err := j.fetchDeps(ctx, l, deps); err != nil {
 		return nil, 0, lost, err
 	}
@@ -101,17 +85,13 @@ func (j *clusterJob) Fetch(ctx context.Context, l int, refs []any) ([][]kv.Pair,
 // splits' output is gone.
 func (j *clusterJob) fetchDeps(ctx context.Context, l int, deps []reduceDep) (lost []int, err error) {
 	c := j.c
-	// Group by the worker each dep is fetched from, in order of first
-	// appearance. A dep starts at its first live candidate, so a primary
-	// already known dead is routed around instead of spending the retry
-	// budget on a closed socket; with no live candidate it starts at the
-	// producer — a death is only discovered by the fetch that pays for it.
+	// Group by the worker hosting each dep, in order of first appearance.
+	// A death is only discovered by the fetch that pays for it.
 	var order []string
 	groups := make(map[string][]*reduceDep)
 	for i := range deps {
 		d := &deps[i]
-		d.ci = max(c.liveCandidate(d.cands, 0), 0)
-		u := d.cands[d.ci].url
+		u := d.host.url
 		if _, ok := groups[u]; !ok {
 			order = append(order, u)
 		}
@@ -139,134 +119,72 @@ func (j *clusterJob) fetchDeps(ctx context.Context, l int, deps []reduceDep) (lo
 				return lost, err
 			}
 		}
-		from := d.cands[d.ci].worker
-		c.noteOutcome(from, false)
-		if producer := d.cands[0].worker; from != producer {
-			c.mReplicaFallbks.Inc()
-			j.mu.Lock()
-			j.counters.ReplicaFetchFallbacks++
-			j.mu.Unlock()
-			c.logf("reduce %s: split %d attempt %d served by replica on %q (primary %q gone)",
-				j.spec.ID, d.host.split, d.host.attempt, from, producer)
-		}
+		c.noteOutcome(d.host.worker, false)
 	}
 	return nil, nil
 }
 
 // fetchDep is the shuffle's failure policy, applied to one dependency
-// as batches of one. Each candidate gets fetchRetries tries with
-// jittered exponential backoff; a candidate that cannot serve the spill
-// is penalised (health score; marked dead on connection-level evidence)
-// and the next live replica is tried. When no candidate is left the
-// attempt's output is lost — together, if its worker died, with every
-// other dependency the death left without a live copy. Two errors are
-// judged before failover because another copy of the same pack cannot
-// cure them: a block checksum failure means the bytes at rest are poison
-// — refetching cannot fix them either, so it ends the retries at once and
-// the output is lost while the worker stays alive — and an annotation
-// that still disagrees with the Map-time record after every retry is the
-// §3.2.1 gate refusing to finalize: the job fails. A nil error means the
-// spill was fetched.
+// as batches of one: fetchRetries tries with jittered exponential
+// backoff against the worker hosting it. Then the verdict. An
+// annotation that still disagrees with the Map-time record is the
+// §3.2.1 gate refusing to finalize: the job fails. A block checksum
+// failure means the bytes at rest are poison — refetching cannot fix
+// them, so it ends the retries at once and the output is lost while the
+// worker stays alive. A connection-level failure means the worker died,
+// and every spill of this reduce that a dead worker held died with it:
+// they are reported lost together. Any other failure (released pack,
+// persistent 5xx) loses this attempt's output alone. A nil error means
+// the spill was fetched.
 func (j *clusterJob) fetchDep(ctx context.Context, l int, d *reduceDep, deps []reduceDep) (lost []int, err error) {
 	c, h := j.c, d.host
-	for {
-		cand := d.cands[d.ci]
-		for try := 0; try < fetchRetries; try++ {
-			if try > 0 {
-				if err := sleep(ctx, c.backoff(try-1)); err != nil {
-					return nil, err
-				}
-			}
-			if err = j.fetchOnce(ctx, cand.url, l, []*reduceDep{d}); err == nil {
-				return nil, nil
-			}
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			if errors.Is(err, kv.ErrChecksum) {
-				break
+	for try := 0; try < fetchRetries; try++ {
+		if try > 0 {
+			if err := sleep(ctx, c.backoff(try-1)); err != nil {
+				return nil, err
 			}
 		}
-		switch {
-		case errors.Is(err, mapreduce.ErrCountMismatch):
-			return nil, fmt.Errorf("keyblock %d: %w", l, err)
-		case errors.Is(err, kv.ErrChecksum):
-			c.mSpillsCorrupt.Inc()
-			j.mu.Lock()
-			j.counters.CorruptSpills++
-			j.mu.Unlock()
-			c.noteOutcome(cand.worker, true)
-			c.logf("reduce %s/kb%d: spill for split %d attempt %d corrupt on %q: %v — re-executing",
-				j.spec.ID, l, h.split, h.attempt, cand.worker, err)
-			return []int{h.split}, fmt.Errorf("%w: split %d attempt %d on %q: %v", ErrSpillCorrupt, h.split, h.attempt, cand.worker, err)
+		if err = j.fetchOnce(ctx, h.url, l, []*reduceDep{d}); err == nil {
+			return nil, nil
 		}
-		dead := isConnError(err)
-		if dead {
-			c.markDead(cand.worker)
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		c.noteOutcome(cand.worker, true)
-		if next := c.liveCandidate(d.cands, d.ci+1); next >= 0 {
-			c.logf("reduce %s/kb%d: split %d attempt %d unavailable on %q (%v); trying replica",
-				j.spec.ID, l, h.split, h.attempt, cand.worker, err)
-			d.ci = next
-			continue
+		if errors.Is(err, kv.ErrChecksum) {
+			break
 		}
-		if dead {
-			// The spill died with its worker — and so did every other
-			// spill only dead workers hold; report them in one batch. With
-			// nothing lost, every one of them has a replica this fetch did
-			// not know of when it began: go on with those.
-			c.logf("reduce %s/kb%d: spill for split %d lost on %q: %v", j.spec.ID, l, h.split, cand.worker, err)
-			if lost := j.lostWithWorkers(deps); len(lost) > 0 {
-				return lost, fmt.Errorf("split %d attempt %d lost with %q: %v", h.split, h.attempt, cand.worker, err)
-			}
-			continue
-		}
-		// The worker answers but cannot produce this spill (released
-		// pack, persistent 5xx): the attempt is lost though the worker
-		// lives.
-		c.logf("reduce %s/kb%d: spill for split %d attempt %d unserved by %q: %v — re-executing",
-			j.spec.ID, l, h.split, h.attempt, cand.worker, err)
-		return []int{h.split}, fmt.Errorf("split %d attempt %d unserved by %q: %v", h.split, h.attempt, cand.worker, err)
 	}
+	switch {
+	case errors.Is(err, mapreduce.ErrCountMismatch):
+		return nil, fmt.Errorf("keyblock %d: %w", l, err)
+	case errors.Is(err, kv.ErrChecksum):
+		c.mSpillsCorrupt.Inc()
+		j.mu.Lock()
+		j.counters.CorruptSpills++
+		j.mu.Unlock()
+		c.noteOutcome(h.worker, true)
+		c.logf("reduce %s/kb%d: spill for split %d attempt %d corrupt on %q: %v — re-executing",
+			j.spec.ID, l, h.split, h.attempt, h.worker, err)
+		return []int{h.split}, fmt.Errorf("%w: split %d attempt %d on %q: %v", ErrSpillCorrupt, h.split, h.attempt, h.worker, err)
+	case isConnError(err):
+		c.markDead(h.worker)
+		c.noteOutcome(h.worker, true)
+		c.logf("reduce %s/kb%d: spill for split %d lost on %q: %v", j.spec.ID, l, h.split, h.worker, err)
+		return j.lostWithWorkers(deps, h.worker), fmt.Errorf("split %d attempt %d lost with %q: %v", h.split, h.attempt, h.worker, err)
+	}
+	c.noteOutcome(h.worker, true)
+	c.logf("reduce %s/kb%d: spill for split %d attempt %d unserved by %q: %v — re-executing",
+		j.spec.ID, l, h.split, h.attempt, h.worker, err)
+	return []int{h.split}, fmt.Errorf("split %d attempt %d unserved by %q: %v", h.split, h.attempt, h.worker, err)
 }
 
-// lostWithWorkers sorts out a reduce's dependencies after a worker
-// death. One whose first candidate is gone but which has a verified
-// replica on a live worker carries the identical pack there: the replica
-// is promoted to first candidate — later fetches, pushes and drain
-// hand-offs treat it as the producer — and nothing re-executes. The
-// splits left with no live copy at all are returned as lost. Deps still
-// to be fetched restart from the candidates as they are now.
-func (j *clusterJob) lostWithWorkers(deps []reduceDep) (lost []int) {
-	c := j.c
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// lostWithWorkers lists the splits among a reduce's dependencies hosted
+// by the worker that just died or by any other worker no longer live —
+// fetched or not, the reduce cannot run until they are re-executed.
+func (j *clusterJob) lostWithWorkers(deps []reduceDep, dead string) (lost []int) {
 	for i := range deps {
-		d := &deps[i]
-		h := d.host
-		if !c.liveWorker(h.cands[0].worker) {
-			ri := c.liveCandidate(h.cands, 1)
-			if ri < 0 {
-				lost = append(lost, h.split)
-				continue
-			}
-			c.logf("map %s/%d: worker %q gone; promoting replica on %q (attempt %d kept)",
-				j.spec.ID, h.split, h.cands[0].worker, h.cands[ri].worker, h.attempt)
-			promoted := []replicaLoc{h.cands[ri]}
-			for k, cand := range h.cands[1:] {
-				if k+1 != ri {
-					promoted = append(promoted, cand)
-				}
-			}
-			h.cands = promoted
-			// The promotion IS the replica fallback: fetches from now on
-			// see the replica as first candidate and count nothing.
-			c.mReplicaFallbks.Inc()
-			j.counters.ReplicaFetchFallbacks++
-		}
-		if !d.got {
-			d.cands, d.ci = append([]replicaLoc(nil), h.cands...), 0
+		if h := deps[i].host; h.worker == dead || !j.c.liveWorker(h.worker) {
+			lost = append(lost, h.split)
 		}
 	}
 	return lost

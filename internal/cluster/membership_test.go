@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,46 +34,49 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestDrainReplicaHandoff is the elastic-membership flagship: with the
-// shuffle gated shut, every Map completes and replicates, the worker
-// hosting half the spills drains and is released (drain ≠ death), a
-// late worker registers mid-reduce, the drained worker is then killed
-// outright, and only after that does the shuffle open. Every dependency
-// on the dead worker must be served from its replica — zero
-// re-executions, byte-identical output — and the late registrant must
-// have received no Map work.
-func TestDrainReplicaHandoff(t *testing.T) {
-	reg := metrics.New()
+// workerRow returns one worker's row of the coordinator's worker table.
+func workerRow(c *Coordinator, name string) workerInfo {
+	for _, wi := range c.workerTable() {
+		if wi.Name == name {
+			return wi
+		}
+	}
+	return workerInfo{}
+}
+
+// TestDrainByConsumption is the elastic-membership flagship: with the
+// shuffle gated shut, every Map completes and w0 drains. No copy of its
+// spills exists anywhere else, so while a reduce still needs one w0 must
+// stay draining — serving, not released — however long the gate holds;
+// once the gate opens and the reduces have consumed its spills it is
+// released. Drain is not death: nothing re-executes, the output is
+// byte-identical, and a worker registering mid-reduce gets no Map work.
+func TestDrainByConsumption(t *testing.T) {
 	gate := make(chan struct{})
-	w0dead := make(chan struct{}) // lets w0's gated handlers abort so its server can close
-	wrap := func(i int, h http.Handler) http.Handler {
+	wrap := func(_ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if strings.HasPrefix(r.URL.Path, "/v1/shuffle") {
-				if i == 0 {
-					select {
-					case <-w0dead:
-						http.Error(rw, "killed", http.StatusServiceUnavailable)
-						return
-					case <-gate:
-					}
-					select {
-					case <-w0dead:
-						http.Error(rw, "killed", http.StatusServiceUnavailable)
-						return
-					default:
-					}
-				} else {
-					select {
-					case <-gate:
-					case <-r.Context().Done():
-						return
-					}
+				select {
+				case <-gate:
+				case <-r.Context().Done():
+					return
 				}
 			}
 			h.ServeHTTP(rw, r)
 		})
 	}
-	c, workers := startChaosCluster(t, 2, CoordinatorConfig{Metrics: reg}, nil, wrap)
+	c, _ := startChaosCluster(t, 2, CoordinatorConfig{}, nil, wrap)
+	plan, err := testJobPlan().newPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	hosted := make(map[int]string) // split → worker, as accepted
+	c.onMapResult = func(_ string, split int, worker string) {
+		mu.Lock()
+		hosted[split] = worker
+		mu.Unlock()
+	}
 
 	type outcome struct {
 		res *jobResult
@@ -82,42 +85,52 @@ func TestDrainReplicaHandoff(t *testing.T) {
 	done := make(chan outcome, 1)
 	ex := exec.New(4)
 	t.Cleanup(ex.Close)
+	spec := JobSpec{Plan: testJobPlan(), Dataset: testDataset(t), Exec: ex}
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
-		res, err := c.Run(ctx, JobSpec{Plan: testJobPlan(), Dataset: testDataset(t), Exec: ex})
+		res, err := c.Run(ctx, spec)
 		done <- outcome{res, err}
 	}()
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate()
 
-	// All 15 splits (30 rows / 2 per split) must commit and replicate
-	// before anything else moves; the gate keeps every reduce fetch
-	// pending meanwhile.
-	waitFor(t, 10*time.Second, "all replicas pushed", func() bool {
-		return reg.Counter("sidrd_cluster_replica_pushes_total").Value() >= 15
+	// Every split must be mapped before anything else moves; the gate
+	// keeps every reduce fetch pending meanwhile.
+	waitFor(t, 10*time.Second, "every split mapped", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(hosted) == len(plan.Splits)
 	})
+	mu.Lock()
+	onW0 := 0
+	for _, w := range hosted {
+		if w == "w0" {
+			onW0++
+		}
+	}
+	mu.Unlock()
+	if onW0 == 0 {
+		t.Fatal("w0 hosts no spill; the drain would have nothing to hand off")
+	}
 
-	// Drain w0 and wait for its release. Its spills all have replicas on
-	// w1, so the drain must complete even though no reduce has fetched a
-	// byte yet — and must not count as a death.
 	if err := c.drain("w0"); err != nil {
 		t.Fatalf("Drain(w0): %v", err)
 	}
 	if err := c.drain("w0"); err != nil {
 		t.Fatalf("second Drain(w0) not idempotent: %v", err)
 	}
-	waitFor(t, 10*time.Second, "w0 drained", func() bool {
-		for _, wi := range c.workerTable() {
-			if wi.Name == "w0" {
-				return wi.Drained
-			}
+	// No reduce has fetched a byte, so every spill w0 hosts is still
+	// needed: w0 must keep draining through many watcher polls.
+	for until := time.Now().Add(250 * time.Millisecond); time.Now().Before(until); time.Sleep(drainPoll) {
+		if wi := workerRow(c, "w0"); !wi.Alive || !wi.Draining || wi.Drained {
+			t.Fatalf("w0 = %+v while reduces still need its %d spills; want draining, alive, not drained", wi, onW0)
 		}
-		return false
-	})
+	}
 
 	// A worker registering mid-reduce joins live membership but gets no
 	// Map work — the maps are long done.
-	lateDir := t.TempDir()
-	late, err := NewWorker(WorkerConfig{Name: "late", SpillDir: lateDir})
+	late, err := NewWorker(WorkerConfig{Name: "late", SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,143 +141,141 @@ func TestDrainReplicaHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Now the drained worker dies for real; its spills are gone.
-	close(w0dead)
-	workers[0].kill()
-	close(gate)
-
+	openGate()
 	out := <-done
 	if out.err != nil {
 		t.Fatalf("job failed: %v", out.err)
 	}
+	waitFor(t, 10*time.Second, "w0 released once its spills were consumed", func() bool {
+		return workerRow(c, "w0").Drained
+	})
 	assertMatchesInProcess(t, out.res)
 	if out.res.Counters.Reexecuted != 0 {
-		t.Fatalf("Reexecuted = %d; replica fall-back should have avoided all re-execution", out.res.Counters.Reexecuted)
-	}
-	if out.res.Counters.ReplicaFetchFallbacks == 0 {
-		t.Fatal("no dependency was served from a replica despite the primary dying")
-	}
-	if out.res.Counters.ReplicaPushes < 15 {
-		t.Fatalf("ReplicaPushes = %d, want >= 15", out.res.Counters.ReplicaPushes)
-	}
-	// The daemon-wide byte counter covers at least the job's own count
-	// (a push lands in the metric just after the job's counters).
-	waitFor(t, 10*time.Second, "replica bytes counted", func() bool {
-		return reg.Counter("sidrd_cluster_replica_bytes_total").Value() >= out.res.Counters.ReplicaBytes
-	})
-	if out.res.Counters.ReplicaBytes == 0 {
-		t.Fatal("15 replicas pushed no bytes")
+		t.Fatalf("Reexecuted = %d; a drain hands off by consumption and re-executes nothing", out.res.Counters.Reexecuted)
 	}
 	if n := late.mapsDone.Load(); n != 0 {
 		t.Fatalf("late worker executed %d maps; mid-reduce registrants must get none", n)
 	}
 }
 
-// TestCorruptReplicaIsRefused pins what handleReplicate's verification
-// is for. Every pack a source serves carries one flipped payload bit
-// inside its first entry; the pack's own trailer CRC covers only the
-// directory, so Install accepts the copy. The target must refuse it
-// (502) through the spill's block checksums and release the attempt from
-// its store, the coordinator must record no replica candidate, and the
-// job — its shuffle gated until every push has been refused — must still
-// finish byte-identical to in-process from the primaries.
-func TestCorruptReplicaIsRefused(t *testing.T) {
-	const jobID = "corrupt-replica"
-	type refusal struct {
-		target int
-		req    replicateRequest
-		msg    string
+// TestDeathReexecutesOnlyUncommittedIl is §6's claim on real processes:
+// a lost spill costs the re-execution of its split only if a keyblock
+// that has not committed still depends on it. Keyblock 0 is let through
+// the shuffle and commits while every other keyblock's fetches are held;
+// then the worker hosting a split that feeds keyblock 0 alone dies. Of
+// the splits it hosted, exactly those in some uncommitted keyblock's
+// I_ℓ must re-execute — not the ones only the committed keyblock read —
+// and the output must stay byte-identical.
+func TestDeathReexecutesOnlyUncommittedIl(t *testing.T) {
+	plan, err := testJobPlan().newPlan()
+	if err != nil {
+		t.Fatal(err)
 	}
-	var (
-		mu       sync.Mutex
-		refused  []refusal
-		accepted int
-	)
+	g := plan.Graph
+	only0 := -1 // a split whose output keyblock 0 alone reads
+	for s, kbs := range g.SplitToKB {
+		if len(kbs) == 1 && kbs[0] == 0 {
+			only0 = s
+			break
+		}
+	}
+	if only0 < 0 || len(g.KBToSplits) < 2 {
+		t.Fatalf("test plan has no split feeding keyblock 0 alone (%d keyblocks)", len(g.KBToSplits))
+	}
+
 	gate := make(chan struct{})
+	dead := make([]chan struct{}, 2) // closed: the worker's handlers abort like a dead process
+	for i := range dead {
+		dead[i] = make(chan struct{})
+	}
 	wrap := func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			switch {
-			case strings.HasPrefix(r.URL.Path, "/v1/shuffle"):
-				select {
-				case <-gate:
-				case <-r.Context().Done():
-					return
-				}
-				h.ServeHTTP(rw, r)
-			case strings.HasPrefix(r.URL.Path, "/v1/pack/"):
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, r)
-				body := rec.Body.Bytes()
-				// The first entry opens the pack: a 28-byte spill header, a
-				// 16-byte block header, then the block's payload.
-				if rec.Code != http.StatusOK || len(body) <= 28+16 || binary.LittleEndian.Uint32(body[24:28]) == 0 {
-					t.Errorf("pack %s: status %d, %d bytes — no block to damage", r.URL.Path, rec.Code, len(body))
-				} else {
-					body[28+16] ^= 0x04
-				}
-				rw.WriteHeader(rec.Code)
-				rw.Write(body)
-			case r.URL.Path == "/v1/replicate":
-				raw, _ := io.ReadAll(r.Body)
-				var req replicateRequest
-				json.Unmarshal(raw, &req)
-				r.Body = io.NopCloser(bytes.NewReader(raw))
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, r)
-				mu.Lock()
-				if rec.Code == http.StatusBadGateway {
-					refused = append(refused, refusal{i, req, rec.Body.String()})
-				} else {
-					accepted++
-				}
-				mu.Unlock()
-				rw.WriteHeader(rec.Code)
-				rw.Write(rec.Body.Bytes())
+			select {
+			case <-dead[i]:
+				panic(http.ErrAbortHandler)
 			default:
-				h.ServeHTTP(rw, r)
 			}
+			if r.URL.Path == shuffleBatchPath {
+				raw, _ := io.ReadAll(r.Body)
+				var req batchFetchRequest
+				if json.Unmarshal(raw, &req) == nil && req.Keyblock != 0 {
+					select {
+					case <-gate:
+					case <-dead[i]:
+						panic(http.ErrAbortHandler)
+					case <-r.Context().Done():
+						return
+					}
+				}
+				r.Body = io.NopCloser(bytes.NewReader(raw))
+			}
+			h.ServeHTTP(rw, r)
 		})
 	}
-	reg := metrics.New()
-	c, workers := startChaosCluster(t, 2, CoordinatorConfig{Metrics: reg}, nil, wrap)
+	c, workers := startChaosCluster(t, 2, CoordinatorConfig{}, nil, wrap)
+	var mu sync.Mutex
+	hosted := make(map[int]string) // split → worker, as accepted
+	committed := make(map[int]bool)
+	c.onMapResult = func(_ string, split int, worker string) {
+		mu.Lock()
+		hosted[split] = worker
+		mu.Unlock()
+	}
 
 	type outcome struct {
 		res *jobResult
 		err error
 	}
 	done := make(chan outcome, 1)
+	ex := exec.New(4)
+	t.Cleanup(ex.Close)
+	spec := JobSpec{Plan: testJobPlan(), Dataset: testDataset(t), Exec: ex,
+		OnPartial: func(rr ReduceResult) {
+			mu.Lock()
+			committed[rr.Keyblock] = true
+			mu.Unlock()
+		}}
 	go func() {
-		res, err := runClusterJob(t, c, func(spec *JobSpec) { spec.ID = jobID })
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		res, err := c.Run(ctx, spec)
 		done <- outcome{res, err}
 	}()
-
-	// 15 splits, one push each, one possible target each: every push is
-	// refused while the gate holds every reduce.
-	waitFor(t, 10*time.Second, "every replica push refused", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(refused)+accepted >= 15
-	})
-	// A failure below must not leave the job waiting at the gate, nor a
-	// handler waiting for mu.
 	openGate := sync.OnceFunc(func() { close(gate) })
 	defer openGate()
+
+	waitFor(t, 10*time.Second, "keyblock 0 committed and every split mapped", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return committed[0] && len(hosted) == len(plan.Splits)
+	})
 	mu.Lock()
-	pushes, acks := refused, accepted
-	mu.Unlock()
-	if acks != 0 {
-		t.Fatalf("%d corrupt replicas were acknowledged", acks)
-	}
-	for _, r := range pushes {
-		if !strings.Contains(r.msg, "replica verify") {
-			t.Fatalf("split %d refused before verification (%q): the damage must pass Install", r.req.Split, r.msg)
+	victim := hosted[only0]
+	need := make(map[int]bool) // the victim's splits an uncommitted keyblock reads
+	hostedByVictim := 0
+	for _, w := range hosted {
+		if w == victim {
+			hostedByVictim++
 		}
-		for kb := 0; kb < testJobPlan().Reducers; kb++ {
-			if _, _, err := workers[r.target].w.store.Open(jobID, r.req.Split, r.req.Attempt, kb); err == nil || !strings.Contains(err.Error(), "not found") {
-				t.Fatalf("refused replica of split %d kb %d still in w%d's store (Open err = %v)", r.req.Split, kb, r.target, err)
+	}
+	for kb, splits := range g.KBToSplits {
+		if committed[kb] {
+			continue
+		}
+		for _, s := range splits {
+			if hosted[s] == victim {
+				need[s] = true
 			}
 		}
 	}
+	mu.Unlock()
+	t.Logf("%s hosted %d splits; %d of them feed an uncommitted keyblock", victim, hostedByVictim, len(need))
+	vi, err := strconv.Atoi(strings.TrimPrefix(victim, "w"))
+	if err != nil {
+		t.Fatalf("victim %q is not a started worker", victim)
+	}
+	close(dead[vi])
+	workers[vi].kill()
 	openGate()
 
 	out := <-done
@@ -272,11 +283,9 @@ func TestCorruptReplicaIsRefused(t *testing.T) {
 		t.Fatalf("job failed: %v", out.err)
 	}
 	assertMatchesInProcess(t, out.res)
-	if n := out.res.Counters.ReplicaPushes; n != 0 || reg.Counter("sidrd_cluster_replica_pushes_total").Value() != 0 {
-		t.Fatalf("coordinator recorded %d replica candidates from refused pushes", n)
-	}
-	if out.res.Counters.Reexecuted != 0 || out.res.Counters.ReplicaFetchFallbacks != 0 {
-		t.Fatalf("counters = %+v; the primaries were intact and no replica existed", out.res.Counters)
+	if got := out.res.Counters.Reexecuted; got != int64(len(need)) {
+		t.Fatalf("Reexecuted = %d, want %d: the splits %s hosted that an uncommitted keyblock reads (it hosted %d)",
+			got, len(need), victim, hostedByVictim)
 	}
 }
 

@@ -210,28 +210,11 @@ type heartbeatResponse struct {
 
 // drainRequest asks the coordinator to move one worker into the
 // draining state: no new dispatches, in-flight attempts finish, spills
-// keep being served until every hosted attempt has been fetched or
-// replicated away, then the worker is released (deregistered without
+// keep being served until no uncommitted keyblock needs any hosted
+// attempt, then the worker is released (deregistered without
 // the death penalty — drain never contributes to health scoring).
 type drainRequest struct {
 	Name string `json:"name"`
-}
-
-// replicateRequest asks a worker to pull one committed pack file from
-// another worker and install it in its own spill store, so the spills
-// inside survive the source worker's death or drain. The target fetches
-// packPath from SourceURL, verifies every keyblock stream's kv block
-// checksums, and only then registers the pack.
-type replicateRequest struct {
-	JobID     string `json:"job_id"`
-	Split     int    `json:"split"`
-	Attempt   int    `json:"attempt"`
-	SourceURL string `json:"source_url"`
-}
-
-// replicateResponse reports a completed replica install.
-type replicateResponse struct {
-	Bytes int64 `json:"bytes"`
 }
 
 // releaseRequest asks a worker to drop one job's cached plan/dataset
@@ -267,14 +250,6 @@ type workerInfo struct {
 	// worker was released.
 	Draining bool `json:"draining,omitempty"`
 	Drained  bool `json:"drained,omitempty"`
-}
-
-// packPath returns the worker-relative URL of one committed pack file:
-// /v1/pack/{job}/{split}/{attempt}. A replica target streams the whole
-// pack from here, so replication moves one file per attempt instead of
-// one request per keyblock.
-func packPath(jobID string, split, attempt int) string {
-	return fmt.Sprintf("/v1/pack/%s/%d/%d", jobID, split, attempt)
 }
 
 // shuffleBatchPath is the worker's one shuffle endpoint: one POST

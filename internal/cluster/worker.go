@@ -133,8 +133,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	w.mux.HandleFunc("POST /v1/map", w.handleMap)
 	w.mux.HandleFunc("POST "+shuffleBatchPath, w.handleShuffleBatch)
 	w.mux.HandleFunc("POST /v1/release", w.handleRelease)
-	w.mux.HandleFunc("POST /v1/replicate", w.handleReplicate)
-	w.mux.HandleFunc("GET /v1/pack/{job}/{split}/{attempt}", w.handlePack)
 	w.mux.HandleFunc("/healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(rw, "ok")
 	})
@@ -276,7 +274,7 @@ func (w *Worker) Drain(ctx context.Context) error {
 	if !w.post(ctx, "/v1/drain", body) {
 		return fmt.Errorf("cluster: drain request to %s failed", w.cfg.CoordinatorURL)
 	}
-	w.logf("draining: waiting for spills to be fetched or replicated away")
+	w.logf("draining: serving spills until every reduce that needs them has fetched them")
 	w.store.SweepTemps(time.Minute)
 	t := time.NewTicker(w.cfg.Heartbeat)
 	defer t.Stop()
@@ -526,93 +524,6 @@ func validJobID(id string) bool {
 		}
 	}
 	return id != ""
-}
-
-// handlePack streams one attempt's entire pack file:
-// GET /v1/pack/{job}/{split}/{attempt}. The replica install path pulls
-// this — one transfer per attempt instead of one per keyblock — and the
-// pack's own directory + CRC trailer make the copy self-validating.
-func (w *Worker) handlePack(rw http.ResponseWriter, r *http.Request) {
-	job := r.PathValue("job")
-	if !validJobID(job) {
-		http.Error(rw, "bad job id", http.StatusBadRequest)
-		return
-	}
-	var nums [2]int
-	for i, name := range []string{"split", "attempt"} {
-		s := r.PathValue(name)
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			http.Error(rw, "bad pack path component "+s, http.StatusBadRequest)
-			return
-		}
-		nums[i] = n
-	}
-	src, mtime, err := w.store.OpenPack(job, nums[0], nums[1])
-	if err != nil {
-		http.Error(rw, "no such pack", http.StatusNotFound)
-		return
-	}
-	rw.Header().Set("Content-Type", "application/octet-stream")
-	http.ServeContent(rw, r, "", mtime, src)
-}
-
-// handleReplicate installs a replica of another worker's attempt pack:
-// POST /v1/replicate {job_id, split, attempt, source_url}. The worker
-// pulls the pack from the source, installs it through the store's
-// structural validation (directory + CRC trailer), then puts every
-// keyblock through kv.VerifySpill — each check a fetching Reduce's
-// ReadSpill would make, without building a pair — before acknowledging:
-// a replica the coordinator counts on must be provably servable.
-func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
-	var req replicateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(rw, "bad replicate request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !validJobID(req.JobID) || req.Split < 0 || req.Attempt < 0 || req.SourceURL == "" {
-		http.Error(rw, "bad replicate request", http.StatusBadRequest)
-		return
-	}
-	url := strings.TrimSuffix(req.SourceURL, "/") + packPath(req.JobID, req.Split, req.Attempt)
-	get, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
-	if err != nil {
-		http.Error(rw, "bad source url: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	resp, err := w.client.Do(get)
-	if err != nil {
-		http.Error(rw, "pull pack: "+err.Error(), http.StatusBadGateway)
-		return
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		http.Error(rw, fmt.Sprintf("source returned %d", resp.StatusCode), http.StatusBadGateway)
-		return
-	}
-	n, kbs, err := w.store.Install(req.JobID, req.Split, req.Attempt, resp.Body)
-	if err != nil {
-		http.Error(rw, "install pack: "+err.Error(), http.StatusBadGateway)
-		return
-	}
-	for _, kb := range kbs {
-		sr, _, err := w.store.Open(req.JobID, req.Split, req.Attempt, kb)
-		if err == nil {
-			_, err = kv.VerifySpill(sr)
-		}
-		if err != nil {
-			w.store.ReleaseAttempt(req.JobID, req.Split, req.Attempt)
-			http.Error(rw, fmt.Sprintf("replica verify kb %d: %v", kb, err), http.StatusBadGateway)
-			return
-		}
-	}
-	w.logf("installed replica %s/%d attempt %d (%d bytes, %d keyblocks) from %s",
-		req.JobID, req.Split, req.Attempt, n, len(kbs), req.SourceURL)
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(replicateResponse{Bytes: n})
 }
 
 // handleShuffleBatch is the worker's one shuffle endpoint. It streams a

@@ -152,20 +152,3 @@ func BenchmarkSpillWriteRead(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkVerifySpill is the replica install's check: ReadSpill's loop
-// with no pair sink.
-func BenchmarkVerifySpill(b *testing.B) {
-	for _, shape := range spillShapes() {
-		b.Run(shape.name, func(b *testing.B) {
-			data := encodeSpillV3(b, 3, int64(len(shape.pairs)), shape.pairs, V3Options{})
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := VerifySpill(bytes.NewReader(data)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -90,23 +90,11 @@ func readSpillHeader(r io.Reader) (h spillHeader, raw [spillHeaderLen]byte, err 
 // checksum. A mismatch returns ErrChecksum — the caller must treat the
 // spill as lost, never merge its pairs.
 func ReadSpill(r io.Reader) (spillHeader, []Pair, error) {
-	var pairs []Pair // set only once every block has passed
-	h, err := readSpill(r, &pairs)
-	return h, pairs, err
-}
-
-// VerifySpill is ReadSpill without the pairs: the same loop makes every
-// check in the same order and returns the same errors, but nothing is
-// materialised — how a worker proves an installed replica servable.
-func VerifySpill(r io.Reader) (spillHeader, error) {
-	return readSpill(r, nil)
-}
-
-func readSpill(r io.Reader, sink *[]Pair) (spillHeader, error) {
 	br := bufio.NewReader(r)
 	h, raw, err := readSpillHeader(br)
 	if err != nil {
-		return spillHeader{}, err
+		return spillHeader{}, nil, err
 	}
-	return h, readBlocks(br, h, headerCRCSeed(raw[:]), sink)
+	pairs, err := readBlocks(br, h, headerCRCSeed(raw[:]))
+	return h, pairs, err
 }

@@ -129,9 +129,6 @@ func TestSpillBlocksAreFramedByBytes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadSpill: %v", err)
 	}
-	if vh, err := VerifySpill(bytes.NewReader(data)); err != nil || vh != h {
-		t.Fatalf("VerifySpill = %+v, %v; ReadSpill read %+v", vh, err, h)
-	}
 	if h.Blocks != 3 || h.Pairs != 3 || h.SourceCount != 3*samples {
 		t.Fatalf("header %+v, want 3 pairs in 3 blocks", h)
 	}
@@ -346,8 +343,8 @@ func rejectShape(shape, n int) []Pair {
 
 // TestReadSpillRejects is the decoder's safety table: each case damages
 // one valid spill in one way and names the error the shuffle relies on
-// (nil want = any error). Every case must fail ReadSpill and VerifySpill
-// alike — same error, nothing surfaced. A body case patches the payload
+// (nil want = any error). Every case must fail ReadSpill, surfacing
+// nothing. A body case patches the payload
 // through resealBlock, so it is the structural check that refuses it,
 // not the CRC.
 func TestReadSpillRejects(t *testing.T) {
@@ -478,9 +475,6 @@ func TestReadSpillRejects(t *testing.T) {
 			if got != nil {
 				t.Fatalf("rejected spill surfaced %d pairs", len(got))
 			}
-			if _, verr := VerifySpill(bytes.NewReader(data)); verr == nil || verr.Error() != err.Error() {
-				t.Fatalf("VerifySpill err = %v, ReadSpill said %v", verr, err)
-			}
 		})
 	}
 }
@@ -513,8 +507,7 @@ func TestReadSpillAllocatesOnlyWhatArrives(t *testing.T) {
 	le.PutUint32(data[spillHeaderLen+4:], maxBlockLen-1)
 	le.PutUint32(data[spillHeaderLen+8:], maxBlockLen-1)
 	for name, read := range map[string]func() error{
-		"ReadSpill":   func() error { _, _, err := ReadSpill(bytes.NewReader(data)); return err },
-		"VerifySpill": func() error { _, err := VerifySpill(bytes.NewReader(data)); return err },
+		"ReadSpill": func() error { _, _, err := ReadSpill(bytes.NewReader(data)); return err },
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -552,9 +545,6 @@ func testRejectsRetired(t *testing.T, version uint16) {
 	data := retiredSpillHeader(version, 2, 42)
 	if _, _, err := ReadSpill(bytes.NewReader(data)); !errors.Is(err, errBadSpillVersion) {
 		t.Fatalf("ReadSpill err = %v, want errBadSpillVersion", err)
-	}
-	if _, err := VerifySpill(bytes.NewReader(data)); !errors.Is(err, errBadSpillVersion) {
-		t.Fatalf("VerifySpill err = %v, want errBadSpillVersion", err)
 	}
 }
 
@@ -596,9 +586,6 @@ func TestSpillV3DetectsBitFlip(t *testing.T) {
 				if _, _, err := ReadSpill(bytes.NewReader(flipped)); err == nil {
 					t.Fatalf("flip at byte %d bit %d decoded without error", i, bit)
 				}
-				if _, err := VerifySpill(bytes.NewReader(flipped)); err == nil {
-					t.Fatalf("flip at byte %d bit %d verified without error", i, bit)
-				}
 			}
 		}
 		// Annotation tamper must NOT trip a checksum.
@@ -621,9 +608,6 @@ func TestSpillV3RejectsEveryTruncation(t *testing.T) {
 	for n := 0; n < len(data); n++ {
 		if _, _, err := ReadSpill(bytes.NewReader(data[:n])); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", n, len(data))
-		}
-		if _, err := VerifySpill(bytes.NewReader(data[:n])); err == nil {
-			t.Fatalf("prefix of %d/%d bytes verified without error", n, len(data))
 		}
 	}
 }

@@ -340,73 +340,62 @@ func readExact(r io.Reader, buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// readBlocks is the one block loop behind ReadSpill and VerifySpill. It
-// reads the block stream following the file header and checks every
-// block — frame plausibility, CRC (seeded by the header fields), payload
-// structure — before a pair exists. With a sink the verified payloads
-// are kept until the last block has passed; the pairs, their keys and
-// their samples are then decoded into one backing array each, sized by
-// what was verified. With a nil sink the same checks run on one reused
-// buffer and nothing is built.
-func readBlocks(br *bufio.Reader, h spillHeader, seed uint32, sink *[]Pair) error {
+// readBlocks is ReadSpill's block loop. It reads the block stream
+// following the file header and checks every block — frame
+// plausibility, CRC (seeded by the header fields), payload structure —
+// before a pair exists. The verified payloads are kept until the last
+// block has passed; the pairs, their keys and their samples are then
+// decoded into one backing array each, sized by what was verified.
+func readBlocks(br *bufio.Reader, h spillHeader, seed uint32) ([]Pair, error) {
 	le := binary.LittleEndian
-	// payloads accumulates the blocks for a sink; without one it is reused.
 	var payloads []byte
-	var kept []struct{ pairs, bytes int } // the verified blocks, for a sink
+	var kept []struct{ pairs, bytes int } // the verified blocks
 	keys, samples, remaining := 0, 0, h.Pairs
 	for b := 0; b < h.Blocks; b++ {
 		var bh [blockHeaderLen]byte
 		if _, err := io.ReadFull(br, bh[:]); err != nil {
-			return fmt.Errorf("kv: truncated spill block %d header: %w", b, err)
+			return nil, fmt.Errorf("kv: truncated spill block %d header: %w", b, err)
 		}
 		bPairs := int(le.Uint32(bh[0:4]))
 		rawLen := int(le.Uint32(bh[4:8]))
 		encLen := int(le.Uint32(bh[8:12]))
 		wantCRC := le.Uint32(bh[12:16])
 		if bPairs <= 0 || bPairs > remaining {
-			return fmt.Errorf("kv: spill block %d claims %d pairs with %d remaining: %w", b, bPairs, remaining, ErrChecksum)
+			return nil, fmt.Errorf("kv: spill block %d claims %d pairs with %d remaining: %w", b, bPairs, remaining, ErrChecksum)
 		}
 		if rawLen <= 0 || rawLen > maxBlockLen || encLen != rawLen {
-			return fmt.Errorf("kv: spill block %d implausible lengths raw=%d enc=%d: %w", b, rawLen, encLen, ErrChecksum)
-		}
-		if sink == nil {
-			payloads = payloads[:0]
+			return nil, fmt.Errorf("kv: spill block %d implausible lengths raw=%d enc=%d: %w", b, rawLen, encLen, ErrChecksum)
 		}
 		at := len(payloads)
 		var err error
 		if payloads, err = readExact(br, payloads, rawLen); err != nil {
-			return fmt.Errorf("kv: truncated spill block %d: %d of %d bytes: %w", b, len(payloads)-at, rawLen, err)
+			return nil, fmt.Errorf("kv: truncated spill block %d: %d of %d bytes: %w", b, len(payloads)-at, rawLen, err)
 		}
 		payload := payloads[at:]
 		crc := crc32.Update(seed, castagnoli, bh[0:12])
 		crc = crc32.Update(crc, castagnoli, payload)
 		if crc != wantCRC {
-			return fmt.Errorf("kv: spill block %d crc %08x, header says %08x: %w", b, crc, wantCRC, ErrChecksum)
+			return nil, fmt.Errorf("kv: spill block %d crc %08x, header says %08x: %w", b, crc, wantCRC, ErrChecksum)
 		}
 		k, s, err := checkBlock(h.Rank, bPairs, payload)
 		if err != nil {
-			return fmt.Errorf("kv: spill block %d: %w", b, err)
+			return nil, fmt.Errorf("kv: spill block %d: %w", b, err)
 		}
-		if sink != nil {
-			kept = append(kept, struct{ pairs, bytes int }{bPairs, len(payload)})
-			keys, samples = keys+k, samples+s
-		}
+		kept = append(kept, struct{ pairs, bytes int }{bPairs, len(payload)})
+		keys, samples = keys+k, samples+s
 		remaining -= bPairs
 	}
 	if remaining != 0 {
-		return fmt.Errorf("kv: spill blocks hold %d pairs, header says %d: %w", h.Pairs-remaining, h.Pairs, ErrChecksum)
-	}
-	if sink == nil {
-		return nil
+		return nil, fmt.Errorf("kv: spill blocks hold %d pairs, header says %d: %w", h.Pairs-remaining, h.Pairs, ErrChecksum)
 	}
 	// Every count below is backed by bytes that arrived and passed.
-	a := arenas{pairs: make([]Pair, h.Pairs), keys: make([]int64, keys*h.Rank), samples: make([]float64, samples)}
-	*sink = a.pairs
+	pairs := make([]Pair, h.Pairs)
+	a := arenas{pairs: pairs, keys: make([]int64, keys*h.Rank), samples: make([]float64, samples)}
 	for _, blk := range kept {
 		a.fill(h.Rank, blk.pairs, payloads[:blk.bytes])
 		payloads = payloads[blk.bytes:]
 	}
-	return nil
+	return pairs, nil
 }
 
 // keyRun is one decoded run of the key column.

@@ -26,8 +26,7 @@ func v3ReencodeOpts(h spillHeader) V3Options {
 
 // FuzzReadSpill feeds arbitrary bytes to the spill decoder. Properties:
 // no panics (corrupt and truncated spills are rejected with an error);
-// VerifySpill accepts exactly what ReadSpill accepts, with the same
-// error otherwise; any accepted input re-encodes to a byte-identical
+// any accepted input re-encodes to a byte-identical
 // fixed point (after one framing normalisation pass) — the codec is the
 // shuffle's wire format, so decode must lose nothing WriteSpillV3 can
 // express; and the re-encoded bytes reject every single-bit flip outside
@@ -83,10 +82,6 @@ func FuzzReadSpill(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, pairs, err := ReadSpill(bytes.NewReader(data))
-		vh, verr := VerifySpill(bytes.NewReader(data))
-		if vh != h || (err == nil) != (verr == nil) || (err != nil && err.Error() != verr.Error()) {
-			t.Fatalf("VerifySpill = %+v, %v; ReadSpill = %+v, %v", vh, verr, h, err)
-		}
 		if err != nil {
 			return // graceful rejection is the required behaviour
 		}

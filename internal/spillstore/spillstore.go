@@ -40,7 +40,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -84,7 +83,6 @@ type dirEntry struct {
 type pack struct {
 	f     *os.File
 	dir   map[int]dirEntry
-	size  int64
 	mtime time.Time
 }
 
@@ -116,15 +114,14 @@ func (s *Store) packPath(k packKey) string {
 // packWriter accumulates one Map attempt's keyblock spills into a pack
 // temp file. Exactly one of Commit or Abort must be called.
 type packWriter struct {
-	s     *Store
-	k     packKey
-	f     *os.File
-	bw    *bufio.Writer
-	off   int64
-	kbs   []int
-	ents  []dirEntry
-	done  bool
-	mtime time.Time
+	s    *Store
+	k    packKey
+	f    *os.File
+	bw   *bufio.Writer
+	off  int64
+	kbs  []int
+	ents []dirEntry
+	done bool
 }
 
 // Begin starts writing the pack for one (job, split, attempt).
@@ -210,8 +207,7 @@ func (pw *packWriter) Commit() error {
 	for i, kb := range pw.kbs {
 		m[kb] = pw.ents[i]
 	}
-	size := pw.off + int64(len(dir)) + trailerLen
-	p := &pack{f: pw.f, dir: m, size: size, mtime: time.Now()}
+	p := &pack{f: pw.f, dir: m, mtime: time.Now()}
 
 	s := pw.s
 	s.mu.Lock()
@@ -245,9 +241,9 @@ func (pw *packWriter) Abort() {
 }
 
 // Open returns a reader over one keyblock's spill bytes plus the
-// pack's modification time (for http.ServeContent). The returned
-// SectionReader stays valid until the pack is released; concurrent
-// Opens share the underlying file.
+// pack's modification time. The returned SectionReader stays valid
+// until the pack is released; concurrent Opens share the underlying
+// file.
 func (s *Store) Open(job string, split, attempt, keyblock int) (*io.SectionReader, time.Time, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -274,98 +270,18 @@ func (s *Store) Open(job string, split, attempt, keyblock int) (*io.SectionReade
 	return io.NewSectionReader(p.f, e.off, e.length), p.mtime, nil
 }
 
-// OpenPack returns a reader over one attempt's entire pack file (entry
-// bytes + directory + trailer) plus its modification time — the unit of
-// replication. The SectionReader stays valid until the pack is
-// released.
-func (s *Store) OpenPack(job string, split, attempt int) (*io.SectionReader, time.Time, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, time.Time{}, fmt.Errorf("spillstore: store closed")
-	}
-	k := packKey{job: job, split: split, attempt: attempt}
-	p, ok := s.packs[k]
-	if !ok {
-		var err error
-		if p, err = loadPack(s.packPath(k)); err != nil {
-			if os.IsNotExist(err) {
-				return nil, time.Time{}, errNotFound
-			}
-			return nil, time.Time{}, err
-		}
-		s.packs[k] = p
-	}
-	return io.NewSectionReader(p.f, 0, p.size), p.mtime, nil
-}
-
-// Install writes a pack streamed from another worker (a replica push)
-// to a temp file, validates its trailer and directory, renames it into
-// place and registers it for serving — the receive half of OpenPack.
-// Returns the pack's byte size and the keyblocks it holds. A pack
-// already installed for the (job, split, attempt) is replaced.
-func (s *Store) Install(job string, split, attempt int, r io.Reader) (int64, []int, error) {
-	dir := filepath.Join(s.root, job)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, nil, err
-	}
-	f, err := os.CreateTemp(dir, ".pack-*")
-	if err != nil {
-		return 0, nil, err
-	}
-	discard := func(err error) (int64, []int, error) {
-		f.Close()
-		os.Remove(f.Name())
-		return 0, nil, err
-	}
-	n, err := io.Copy(f, r)
-	if err != nil {
-		return discard(err)
-	}
-	p, err := parsePack(f)
-	if err != nil {
-		return discard(err)
-	}
-	k := packKey{job: job, split: split, attempt: attempt}
-	final := s.packPath(k)
-	if err := os.Rename(f.Name(), final); err != nil {
-		return discard(err)
-	}
-	kbs := make([]int, 0, len(p.dir))
-	for kb := range p.dir {
-		kbs = append(kbs, kb)
-	}
-	sort.Ints(kbs)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		p.f.Close()
-		os.Remove(final)
-		return 0, nil, fmt.Errorf("spillstore: store closed")
-	}
-	if old, ok := s.packs[k]; ok {
-		old.f.Close()
-	}
-	s.packs[k] = p
-	return n, kbs, nil
-}
-
 // loadPack opens an existing pack file and rebuilds its directory from
 // the trailer.
-func loadPack(path string) (*pack, error) {
+func loadPack(path string) (_ *pack, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	p, err := parsePack(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return p, nil
-}
-
-func parsePack(f *os.File) (*pack, error) {
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	info, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -410,7 +326,7 @@ func parsePack(f *os.File) (*pack, error) {
 		}
 		m[kb] = e
 	}
-	return &pack{f: f, dir: m, size: size, mtime: info.ModTime()}, nil
+	return &pack{f: f, dir: m, mtime: info.ModTime()}, nil
 }
 
 // ReleaseJob closes and forgets every pack of one job. It does not

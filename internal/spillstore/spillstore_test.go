@@ -291,102 +291,3 @@ func countTemps(t *testing.T, root string) int {
 	})
 	return n
 }
-
-// TestInstallReplicatesPack: a pack streamed out of one store via
-// OpenPack installs into a second store byte-identically (the replica
-// path), a corrupted stream is rejected without registering anything,
-// and Install replaces an existing pack atomically.
-func TestInstallReplicatesPack(t *testing.T) {
-	src, err := New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	pw, err := src.Begin("job1", 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeEntry(t, pw, 2, "alpha")
-	writeEntry(t, pw, 5, strings.Repeat("b", 9_000))
-	if err := pw.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	whole := func() []byte {
-		sr, _, err := src.OpenPack("job1", 4, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := io.ReadAll(sr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}()
-	if len(whole) == 0 {
-		t.Fatal("OpenPack returned an empty pack")
-	}
-	if _, _, err := src.OpenPack("job1", 4, 99); !errors.Is(err, errNotFound) {
-		t.Fatalf("OpenPack(missing) = %v, want errNotFound", err)
-	}
-
-	dstRoot := t.TempDir()
-	dst, err := New(dstRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-	n, kbs, err := dst.Install("job1", 4, 1, strings.NewReader(string(whole)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(whole)) {
-		t.Fatalf("Install = %d bytes, want %d", n, len(whole))
-	}
-	if want := []int{2, 5}; !strings.HasPrefix(fmt.Sprint(kbs), fmt.Sprint(want)) {
-		t.Fatalf("Install keyblocks = %v, want %v", kbs, want)
-	}
-	if got := readAll(t, dst, "job1", 4, 1, 2); got != "alpha" {
-		t.Fatalf("installed kb 2 = %q", got)
-	}
-	if got := readAll(t, dst, "job1", 4, 1, 5); len(got) != 9_000 {
-		t.Fatalf("installed kb 5 length = %d", len(got))
-	}
-	// A re-install over the same key replaces the pack, and the replica
-	// survives a store restart (the file is durable, not cache state).
-	if _, _, err := dst.Install("job1", 4, 1, strings.NewReader(string(whole))); err != nil {
-		t.Fatalf("re-install: %v", err)
-	}
-	dst2, err := New(dstRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst2.Close()
-	if got := readAll(t, dst2, "job1", 4, 1, 2); got != "alpha" {
-		t.Fatalf("reloaded kb 2 = %q", got)
-	}
-
-	// Truncated and directory-corrupted streams must be rejected and
-	// leave no pack (and no temp) behind. (Payload bytes are outside the
-	// pack trailer's CRC — their integrity is the kv codec's job, which
-	// the replica install path re-verifies per keyblock.)
-	bad, err := New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Close()
-	if _, _, err := bad.Install("job1", 4, 1, strings.NewReader(string(whole[:len(whole)-3]))); err == nil {
-		t.Fatal("truncated pack installed without error")
-	}
-	flipped := append([]byte(nil), whole...)
-	flipped[len(flipped)-20] ^= 0x40 // inside the CRC-protected directory
-	if _, _, err := bad.Install("job1", 4, 1, strings.NewReader(string(flipped))); err == nil {
-		t.Fatal("directory-corrupted pack installed without error")
-	}
-	if _, _, err := bad.Open("job1", 4, 1, 2); !errors.Is(err, errNotFound) {
-		t.Fatalf("rejected install left a readable pack: %v", err)
-	}
-	if n := countTemps(t, t.TempDir()); n != 0 {
-		t.Fatalf("%d temps after rejected installs", n)
-	}
-}

@@ -36,9 +36,9 @@ echo "== datasets (quickstart shape + join inputs)"
 "$BIN/datagen" -out "$DATA/left.ncf" -var a -shape 64,48 -kind integers -seed 11
 "$BIN/datagen" -out "$DATA/right.ncf" -var b -shape 64,48 -kind zipf -skew 1.4 -seed 23
 
-echo "== launch sidrd (clustered, replicated, 3-node namespace) + 3 workers"
+echo "== launch sidrd (clustered, 3-node namespace) + 3 workers"
 "$BIN/sidrd" -addr "127.0.0.1:${PORT}" -data "$DATA" -cluster \
-  -spill-replicas 1 -nodes node1,node2,node3 \
+  -nodes node1,node2,node3 \
   >"$WORK/sidrd.log" 2>&1 &
 PIDS+=($!)
 WPIDS=()
@@ -105,7 +105,7 @@ if ! cmp -s "$WORK/cluster.json" "$WORK/local.json"; then
   exit 1
 fi
 
-mc=$(curl -fsS "$BASE/metrics" | grep -E '^sidrd_(cluster_tasks_dispatched_total|shuffle_(connections|requests|batch_fallbacks)_total|cluster_dispatch_(local|remote)_total|cluster_replica_pushes_total)' || true)
+mc=$(curl -fsS "$BASE/metrics" | grep -E '^sidrd_(cluster_tasks_dispatched_total|shuffle_(connections|requests|batch_fallbacks)_total|cluster_dispatch_(local|remote)_total)' || true)
 echo "$mc" | sed 's/^/   /'
 echo "$mc" | grep -q 'sidrd_shuffle_connections_total' || { echo "FAIL: no shuffle metrics"; exit 1; }
 echo "$mc" | grep -q 'sidrd_shuffle_batch_fallbacks_total' || { echo "FAIL: sidrd_shuffle_batch_fallbacks_total not exported"; exit 1; }
@@ -221,10 +221,10 @@ reexec=$(curl -fsS "$BASE/metrics" | grep -E '^sidrd_cluster_reexecuted_total' |
 echo "   ${reexec:-sidrd_cluster_reexecuted_total 0 (job outran the kill)}"
 echo "   post-kill result identical to in-process engine"
 
-echo "== drain: SIGTERM a worker mid-job; replicas must absorb the exit, zero re-executions"
+echo "== drain: SIGTERM a worker mid-job; it serves its spills until they are consumed, zero re-executions"
 # The drain leg gets its own daemon whose shuffle fetches are chaos-
-# delayed 1.5s: reduces fetch well after the drained worker has handed
-# off and exited, so its spills MUST be served from replicas. A plain
+# delayed 1.5s: the drained worker must keep serving its spills until
+# the delayed reduce has fetched them, and only then exit. A plain
 # daemon's jobs finish in ~0.3s — faster than any process can drain.
 # -exec-workers 4: with three workers, the drain target only receives a
 # Map when at least three dispatches are in flight at once, which the
@@ -232,7 +232,7 @@ echo "== drain: SIGTERM a worker mid-job; replicas must absorb the exit, zero re
 DPORT=$((PORT + 1))
 DBASE="http://127.0.0.1:${DPORT}"
 "$BIN/sidrd" -addr "127.0.0.1:${DPORT}" -data "$DATA" -cluster -exec-workers 4 \
-  -spill-replicas 1 -nodes node1,node2 \
+  -nodes node1,node2 \
   -chaos "seed=11,match=/v1/shuffle/,delay=1.0:1500ms" \
   >"$WORK/sidrd-drain.log" 2>&1 &
 PIDS+=($!)
@@ -246,48 +246,41 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 # One keyblock spanning every split: the single reduce only fetches
-# after the whole map phase, well past the drained worker's exit.
+# after the whole map phase, well past the SIGTERM.
 DRAIN_QUERY='avg temperature[0,0,0 : 364,50,40] es {365,50,40}'
 DLJOB=$(submit false "$DRAIN_QUERY")
 result_of "$DLJOB" >"$WORK/drain_local.json"
-submit_drain() { # -> prints job id (clustered, on the drain daemon)
-  curl -fsS "$DBASE/v1/query" -H 'Content-Type: application/json' \
-    -d "{\"dataset\":\"temperature\",\"query\":\"$DRAIN_QUERY\",\"engine\":\"sidr\",\"reducers\":4,\"cluster\":true}" \
-    | python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])'
-}
-drained_ok=0
-for attempt in 1 2 3; do
-  DNAME="smoke-d$attempt"
-  "$BIN/sidr-worker" -coordinator "$DBASE" -name "$DNAME" -node node2 \
-    -spill-dir "$WORK/spill-d$attempt" -heartbeat 50ms \
-    >"$WORK/worker-d$attempt.log" 2>&1 &
-  DPID=$!
-  PIDS+=($DPID)
-  for _ in $(seq 1 100); do
-    curl -fsS "$DBASE/v1/cluster/workers" | grep -q "\"$DNAME\"" && break
-    sleep 0.05
-  done
-  reexec_before=$(metric "$DBASE" sidrd_cluster_reexecuted_total)
-  fb_before=$(metric "$DBASE" sidrd_cluster_replica_fetch_fallbacks_total)
-  DJOB=$(submit_drain)
-  : >"$WORK/drain_stream.ndjson"
-  curl -fsSN "$DBASE/v1/jobs/$DJOB/stream" >"$WORK/drain_stream.ndjson" &
-  STREAM_PID=$!
-  # SIGTERM as soon as the target has committed its first Map: it
-  # refuses further dispatches, waits for its spills to replicate,
-  # deregisters, and exits — all before the delayed reduce fetches.
-  for _ in $(seq 1 400); do
-    curl -fsS "$DBASE/v1/cluster/workers" | python3 -c '
+DNAME="smoke-d"
+"$BIN/sidr-worker" -coordinator "$DBASE" -name "$DNAME" -node node2 \
+  -spill-dir "$WORK/spill-d" -heartbeat 50ms \
+  >"$WORK/worker-d.log" 2>&1 &
+DPID=$!
+PIDS+=($DPID)
+for _ in $(seq 1 100); do
+  curl -fsS "$DBASE/v1/cluster/workers" | grep -q "\"$DNAME\"" && break
+  sleep 0.05
+done
+reexec_before=$(metric "$DBASE" sidrd_cluster_reexecuted_total)
+DJOB=$(curl -fsS "$DBASE/v1/query" -H 'Content-Type: application/json' \
+  -d "{\"dataset\":\"temperature\",\"query\":\"$DRAIN_QUERY\",\"engine\":\"sidr\",\"reducers\":4,\"cluster\":true}" \
+  | python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])')
+curl -fsSN "$DBASE/v1/jobs/$DJOB/stream" >"$WORK/drain_stream.ndjson" &
+STREAM_PID=$!
+# SIGTERM as soon as the target has committed its first Map: it refuses
+# further dispatches, serves its spills to the delayed reduce, is
+# released once that reduce has consumed them, and exits.
+for _ in $(seq 1 400); do
+  curl -fsS "$DBASE/v1/cluster/workers" | python3 -c '
 import json, sys
 for w in json.load(sys.stdin)["workers"]:
     if w["name"] == sys.argv[1] and w.get("maps_done", 0) >= 1:
         sys.exit(0)
 sys.exit(1)' "$DNAME" 2>/dev/null && break
-    sleep 0.02
-  done
-  kill -TERM "$DPID"
-  wait "$STREAM_PID" || { echo "FAIL: stream for $DJOB aborted"; exit 1; }
-  python3 -c '
+  sleep 0.02
+done
+kill -TERM "$DPID"
+wait "$STREAM_PID" || { echo "FAIL: stream for $DJOB aborted"; exit 1; }
+python3 -c '
 import json, sys
 for line in open(sys.argv[1]):
     ev = json.loads(line)
@@ -298,37 +291,28 @@ for line in open(sys.argv[1]):
     if ev["type"] in ("failed", "cancelled"):
         sys.exit(f"job {ev}")
 sys.exit("stream ended without a terminal event")' "$WORK/drain_stream.ndjson" >"$WORK/drain.json"
-  if ! cmp -s "$WORK/drain.json" "$WORK/drain_local.json"; then
-    echo "FAIL: post-drain result differs from in-process result"
-    diff "$WORK/drain.json" "$WORK/drain_local.json" | head -5
-    exit 1
-  fi
-  # Drain is not death: nothing may have been re-executed.
-  reexec_after=$(metric "$DBASE" sidrd_cluster_reexecuted_total)
-  if [ "$reexec_after" != "$reexec_before" ]; then
-    echo "FAIL: drain caused re-executions ($reexec_before -> $reexec_after)"
-    exit 1
-  fi
-  # The drained worker must actually exit (clean deregistration, not a hang).
-  for _ in $(seq 1 400); do
-    kill -0 "$DPID" 2>/dev/null || break
-    sleep 0.05
-  done
-  if kill -0 "$DPID" 2>/dev/null; then
-    echo "FAIL: drained worker $DNAME (pid $DPID) never exited"
-    exit 1
-  fi
-  echo "   $DNAME drained and exited; result identical, re-executions unchanged ($reexec_after)"
-  fb_after=$(metric "$DBASE" sidrd_cluster_replica_fetch_fallbacks_total)
-  if [ "$fb_after" -gt "$fb_before" ]; then
-    drained_ok=1
-    echo "   replica fall-backs served $((fb_after - fb_before)) post-exit fetch(es)"
-    break
-  fi
-  echo "   attempt $attempt: job outran the drain (all fetches hit the primary); retrying"
+if ! cmp -s "$WORK/drain.json" "$WORK/drain_local.json"; then
+  echo "FAIL: post-drain result differs from in-process result"
+  diff "$WORK/drain.json" "$WORK/drain_local.json" | head -5
+  exit 1
+fi
+# Drain is not death: nothing may have been re-executed.
+reexec_after=$(metric "$DBASE" sidrd_cluster_reexecuted_total)
+if [ "$reexec_after" != "$reexec_before" ]; then
+  echo "FAIL: drain caused re-executions ($reexec_before -> $reexec_after)"
+  exit 1
+fi
+# The drained worker must actually exit (clean deregistration, not a hang).
+for _ in $(seq 1 400); do
+  kill -0 "$DPID" 2>/dev/null || break
+  sleep 0.05
 done
-[ "$drained_ok" = 1 ] || { echo "FAIL: drain never exercised a replica fall-back"; exit 1; }
-[ "$(metric "$DBASE" sidrd_cluster_replica_pushes_total)" -gt 0 ] \
-  || { echo "FAIL: no spill was replicated"; exit 1; }
+if kill -0 "$DPID" 2>/dev/null; then
+  echo "FAIL: drained worker $DNAME (pid $DPID) never exited"
+  exit 1
+fi
+grep -q 'drained: released by coordinator' "$WORK/worker-d.log" \
+  || { echo "FAIL: $DNAME exited without being released"; cat "$WORK/worker-d.log"; exit 1; }
+echo "   $DNAME drained and exited; result identical, re-executions unchanged ($reexec_after)"
 
 echo "PASS: clustered results identical to in-process engine (with and without worker loss)"
