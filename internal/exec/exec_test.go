@@ -119,8 +119,12 @@ func TestClassAndPriorityOrder(t *testing.T) {
 		wg.Add(1)
 		return func() { defer wg.Done(); mu.Lock(); order = append(order, id); mu.Unlock() }
 	}
+	// Hold the worker while we queue, and queue only once it is held: a
+	// worker still idle would dispatch the first task queued at once.
+	held := make(chan struct{})
 	wg.Add(1)
-	h.Submit(Map, -1, func() { defer wg.Done(); <-gate }) // hold the worker while we queue
+	h.Submit(Map, -1, func() { defer wg.Done(); close(held); <-gate })
+	<-held
 	h.Submit(Map, 2, record(102))
 	h.Submit(Map, 0, record(100))
 	h.Submit(Reduce, 1, record(1))

@@ -42,6 +42,7 @@ func (p *Plan) MapTask(side int, reader coords.RecordReader, split coords.Slab, 
 			return p.carvedCells(box, side)
 		}},
 		Suffix:  []int64{int64(side)},
+		Stats:   p.Op.Stats(),
 		Samples: p.Op.NeedsSamples(),
 		Keep:    present,
 		Ctx:     ctx,

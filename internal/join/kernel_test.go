@@ -22,8 +22,10 @@ import (
 // into the keyspace counts once for its plain unit, once for the share
 // owning its offset on a carved tile's heavy side, once for every share
 // on the light side; a stride-gap point counts for no unit — so the
-// geometry ExecMap counts from is held against the points. ExecMap must
-// reproduce its output bit for bit.
+// geometry ExecMap counts from is held against the points. It folds
+// every statistic and then sets the ones the operator does not declare
+// to +0, as the kernel leaves them. ExecMap must reproduce its output
+// bit for bit.
 func refExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab, ctx context.Context) ([]MapOut, int64, error) {
 	outs := make([]MapOut, len(p.Units))
 	live, ok := split.Intersect(p.sideInput(side))
@@ -127,12 +129,26 @@ func refExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab
 				return nil, 0, err
 			}
 			key := append(kp, int64(side))
-			pairs = append(pairs, kv.Pair{Key: key, Value: *val})
+			pairs = append(pairs, kv.Pair{Key: key, Value: declared(*val, p.Op.Stats())})
 		}
 		slices.SortFunc(pairs, func(a, b kv.Pair) int { return a.Key.Compare(b.Key) })
 		outs[kb].Pairs = pairs
 	}
 	return outs, records, nil
+}
+
+// declared is v with every statistic outside st set to +0.
+func declared(v kv.Value, st kv.Stats) kv.Value {
+	if st&kv.StatSum == 0 {
+		v.Sum = 0
+	}
+	if st&kv.StatSumSq == 0 {
+		v.SumSq = 0
+	}
+	if st&kv.StatMinMax == 0 {
+		v.Min, v.Max = 0, 0
+	}
+	return v
 }
 
 // shareByOffset resolves the share unit owning cell offset off of the

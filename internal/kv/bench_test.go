@@ -86,8 +86,9 @@ func BenchmarkConcatSortMerge(b *testing.B) {
 	}
 }
 
-// spillShapes are the three block kinds the codec distinguishes, each
-// 16384 pairs (or samples) of one rank-3 Map output walked row-major.
+// spillShapes are three block kinds the codec distinguishes, each 16384
+// pairs (or samples) of one rank-3 Map output walked row-major, with the
+// statistics its operator declares.
 func spillShapes() []struct {
 	name  string
 	pairs []Pair
@@ -96,7 +97,7 @@ func spillShapes() []struct {
 	var aggregates, sampled []Pair
 	for k := 0; k < 16384; k++ {
 		var v Value
-		v.AddRun([]float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}, false)
+		v.AddRun([]float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}, StatSum, false)
 		aggregates = append(aggregates, Pair{Key: benchKey(k), Value: v})
 	}
 	for k := 0; k < 512; k++ {
@@ -105,16 +106,17 @@ func spillShapes() []struct {
 			xs[i] = r.NormFloat64()
 		}
 		var v Value
-		v.AddRun(xs, true)
+		v.AddRun(xs, 0, true)
 		sampled = append(sampled, Pair{Key: benchKey(k), Value: v})
 	}
 	return []struct {
 		name  string
 		pairs []Pair
 	}{
-		// One pair per sample: the sample column alone.
+		// One pair per sample, every statistic derived: the sample column
+		// alone.
 		{"singletons", repeatedKeyStreams(1, 512, 32)[0]},
-		// A combined distributive split (avg): one aggregate per key.
+		// A combined distributive split (avg): one sum and count per key.
 		{"aggregates", aggregates},
 		// A holistic split (shuffle_median): one pair per key, 32 samples each.
 		{"sampled", sampled},

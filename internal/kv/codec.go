@@ -19,10 +19,10 @@ import (
 // that file" — so a Reduce task can tally its inputs without parsing
 // pair bodies.
 //
-// There is one format, version 4: the block-framed structural layout
+// There is one format, version 5: the block-framed structural layout
 // documented in codecblock.go. This file holds the header, the errors
-// and the read entry points; anything that is not a version-4 spill —
-// the retired versions 2 and 3 included — is rejected with
+// and the read entry points; anything that is not a version-5 spill —
+// the retired versions 2, 3 and 4 included — is rejected with
 // errBadSpillVersion.
 
 var spillMagic = [4]byte{'S', 'P', 'I', 'L'}

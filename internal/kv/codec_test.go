@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -321,7 +322,7 @@ const (
 
 // Shapes of the valid spill a reject case starts from.
 const (
-	shapeAggregates = iota // Value{Sum: 2, Count: 1}: no sample anywhere
+	shapeAggregates = iota // Value{Sum: 2, Count: 1}: sums and counts
 	shapeSingletons        // NewValue(x, true): the sample column alone
 	shapeMixed             // two samples per pair: every column kept
 )
@@ -440,12 +441,21 @@ func TestReadSpillRejects(t *testing.T) {
 			damage: body(func(p []byte) []byte { return p[:payNRuns+2] })},
 
 		// Column masks.
-		{name: "mask-unknown-bits", n: 1, want: ErrChecksum, damage: set(payMask, maskAggregates|0x80)},
-		{name: "mask-drops-underivable-column", n: 1, want: ErrChecksum, damage: set(payMask, maskAggregates&^0x10)},
+		{name: "mask-unknown-bits", n: 1, want: ErrChecksum, damage: set(payMask, colCount|colSum|0x80)},
+		{name: "mask-drops-underivable-column", n: 1, want: ErrChecksum, damage: set(payMask, colSum)},
 		{name: "mask-empty", n: 1, want: ErrChecksum, damage: set(payMask, 0)},
-		// Aggregates relabelled as singletons: 40 bytes where the mask
+		// The sample counts and the samples come together or not at all,
+		// and a singleton block has no sample counts.
+		{name: "mask-sample-counts-without-samples", n: 1, want: ErrChecksum, damage: set(payMask, colCount|colSum|colNSamples)},
+		{name: "mask-samples-without-sample-counts", n: 1, want: ErrChecksum, damage: set(payMask, colCount|colSum|colSamples)},
+		{name: "mask-singletons-with-sample-counts", n: 2, shape: shapeSingletons, want: ErrChecksum,
+			damage: set(payMask, colStats|colNSamples|colSamples)},
+		// Aggregates relabelled as singletons: 16 bytes where the mask
 		// implies 8.
-		{name: "mask-singletons-over-aggregates", n: 1, want: ErrChecksum, damage: set(payMask, maskSingletons)},
+		{name: "mask-singletons-over-aggregates", n: 1, want: ErrChecksum, damage: set(payMask, colSamples|colSum)},
+		// A stored column relabelled as +0: 16 bytes where the mask
+		// implies 8.
+		{name: "mask-drops-a-stored-column", n: 1, want: ErrChecksum, damage: set(payMask, colCount)},
 		// A NaN sample cannot stand for its SumSq (the product's payload
 		// bits are not portable), so the encoder never drops columns
 		// over one and the decoder refuses a block that claims to.
@@ -484,11 +494,11 @@ func TestReadSpillRejects(t *testing.T) {
 // instead of silently turning cases into CRC failures.
 func TestRejectTableStartsFromTheLayoutItAssumes(t *testing.T) {
 	p := encodeSpillV3(t, 1, 3, rejectShape(shapeAggregates, 3), V3Options{})[spillHeaderLen+blockHeaderLen:]
-	want := []byte{maskAggregates, 2, 0, 0, 0 /* run 0: */, 0, 1, 1 /* run 1: step +1 zig-zag */, 2, 1, 2}
-	if !bytes.Equal(p[:len(want)], want) || len(p) != len(want)+3*40 {
-		t.Fatalf("aggregate payload starts % x (%d bytes), want % x + 120", p[:len(want)], len(p), want)
+	want := []byte{colCount | colSum, 2, 0, 0, 0 /* run 0: */, 0, 1, 1 /* run 1: step +1 zig-zag */, 2, 1, 2}
+	if !bytes.Equal(p[:len(want)], want) || len(p) != len(want)+3*16 {
+		t.Fatalf("aggregate payload starts % x (%d bytes), want % x + 48", p[:len(want)], len(p), want)
 	}
-	if p = encodeSpillV3(t, 1, 2, rejectShape(shapeSingletons, 2), V3Options{})[spillHeaderLen+blockHeaderLen:]; p[payMask] != maskSingletons || len(p) != payRun1+payRunLen+2*8 {
+	if p = encodeSpillV3(t, 1, 2, rejectShape(shapeSingletons, 2), V3Options{})[spillHeaderLen+blockHeaderLen:]; p[payMask] != colSamples|colStats || len(p) != payRun1+payRunLen+2*8 {
 		t.Fatalf("singleton payload: mask %#x, %d bytes", p[payMask], len(p))
 	}
 	if p = encodeSpillV3(t, 1, 2, rejectShape(shapeMixed, 2), V3Options{})[spillHeaderLen+blockHeaderLen:]; p[payMask] != maskFull || len(p) != payRun1+payRunLen+2*(44+16) {
@@ -524,11 +534,14 @@ func TestReadSpillAllocatesOnlyWhatArrives(t *testing.T) {
 
 // retiredSpillHeader hand-builds the header of a retired format: the
 // row-oriented version 2 (26 bytes: magic, version, rank, sourceCount,
-// nPairs, payload CRC) or the columnar version 3 (28 bytes, the fields
-// version 4 still has).
+// nPairs, payload CRC), or the columnar version 3 or the structural
+// version 4 (28 bytes, the fields version 5 still has).
 func retiredSpillHeader(version uint16, rank uint32, sourceCount uint64) []byte {
 	le := binary.LittleEndian
-	b := make([]byte, 26+2*int(version-2))
+	b := make([]byte, 28)
+	if version == 2 {
+		b = b[:26]
+	}
 	copy(b, "SPIL")
 	le.PutUint16(b[4:6], version)
 	le.PutUint32(b[6:10], rank)
@@ -536,10 +549,13 @@ func retiredSpillHeader(version uint16, rank uint32, sourceCount uint64) []byte 
 	return b
 }
 
-// TestReadSpillRejectsV2 / V3: there is one spill format; a file of a
-// retired version is refused by name, not misparsed.
+// TestReadSpillRejectsV2 / V3 / V4: there is one spill format; a file of
+// a retired version is refused by name, not misparsed. (Version 4's
+// singleton mask derived every statistic; version 5's derives the ones
+// its bits name.)
 func TestReadSpillRejectsV2(t *testing.T) { testRejectsRetired(t, 2) }
 func TestReadSpillRejectsV3(t *testing.T) { testRejectsRetired(t, 3) }
+func TestReadSpillRejectsV4(t *testing.T) { testRejectsRetired(t, 4) }
 
 func testRejectsRetired(t *testing.T, version uint16) {
 	data := retiredSpillHeader(version, 2, 42)
@@ -609,5 +625,84 @@ func TestSpillV3RejectsEveryTruncation(t *testing.T) {
 		if _, _, err := ReadSpill(bytes.NewReader(data[:n])); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", n, len(data))
 		}
+	}
+}
+
+// declaredSets are the statistic sets operators declare (ops.Operator.Stats),
+// and every statistic, which hand-built and merged values carry.
+var declaredSets = []Stats{0, StatSum, StatSum | StatSumSq, StatMinMax, allStats}
+
+// declaredPairs is a Map output whose values fold only st: n keys of
+// points each, keeping their samples when sampled. One point a key,
+// sampled, is a singleton block.
+func declaredPairs(st Stats, n, points int, sampled bool) []Pair {
+	r := rand.New(rand.NewSource(int64(st)))
+	pairs := make([]Pair, n)
+	for i := range pairs {
+		xs := make([]float64, points)
+		for j := range xs {
+			xs[j] = r.NormFloat64()*100 + 1
+		}
+		pairs[i].Key = coords.NewCoord(int64(i))
+		pairs[i].Value.AddRun(xs, st, sampled)
+	}
+	return pairs
+}
+
+// statColumns is the column bits of the statistics in st.
+func statColumns(st Stats) uint8 {
+	var m uint8
+	if st&StatSum != 0 {
+		m |= colSum
+	}
+	if st&StatSumSq != 0 {
+		m |= colSumSq
+	}
+	if st&StatMinMax != 0 {
+		m |= colMin | colMax
+	}
+	return m
+}
+
+// TestStatColumnsAtZeroAreNotWritten: a block stores only the statistic
+// columns some pair holds other than +0, and a singleton block derives
+// only the ones its pairs carry, for every declared set: the mask and the
+// payload size say so, and every value round-trips bit for bit. A median
+// of single points keeps its NaN samples in the singleton layout, since
+// it derives no SumSq.
+func TestStatColumnsAtZeroAreNotWritten(t *testing.T) {
+	for _, st := range declaredSets {
+		for _, c := range []struct {
+			name    string
+			points  int
+			sampled bool
+			mask    uint8
+			width   int // fixed bytes per pair
+		}{
+			{"aggregates", 3, false, colCount | statColumns(st), 8 * (1 + bits.OnesCount8(statColumns(st)))},
+			{"sampled", 3, true, colCount | colNSamples | colSamples | statColumns(st), 12 + 8*bits.OnesCount8(statColumns(st))},
+			{"singletons", 1, true, colSamples | statColumns(st), 0},
+		} {
+			pairs := declaredPairs(st, 10, c.points, c.sampled)
+			data := encodeSpillV3(t, 1, int64(10*c.points), pairs, V3Options{})
+			p := data[spillHeaderLen+blockHeaderLen:]
+			keys := payRun1 + payRunLen // two runs of keys 0..9
+			if samples := 8 * 10 * c.points * int(b2u(c.sampled)); p[payMask] != c.mask || len(p) != keys+10*c.width+samples {
+				t.Fatalf("stats %03b %s: mask %#x and %d payload bytes, want %#x and %d", st, c.name, p[payMask], len(p), c.mask, keys+10*c.width+samples)
+			}
+			_, got, err := ReadSpill(bytes.NewReader(data))
+			if err != nil || !pairsEqual(t, 1, pairs, got) {
+				t.Fatalf("stats %03b %s: round trip failed: %v", st, c.name, err)
+			}
+		}
+	}
+	nans := []Pair{{Key: coords.NewCoord(0), Value: Value{Count: 1, Samples: []float64{math.NaN()}}},
+		{Key: coords.NewCoord(1), Value: Value{Count: 1, Samples: []float64{-1}}}}
+	data := encodeSpillV3(t, 1, 2, nans, V3Options{})
+	if mask := data[spillHeaderLen+blockHeaderLen]; mask != colSamples {
+		t.Fatalf("median singletons with a NaN sample: mask %#x, want %#x", mask, colSamples)
+	}
+	if _, got, err := ReadSpill(bytes.NewReader(data)); err != nil || !pairsEqual(t, 1, nans, got) {
+		t.Fatalf("median singletons with a NaN sample: round trip failed: %v", err)
 	}
 }

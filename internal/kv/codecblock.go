@@ -21,12 +21,14 @@ import (
 // pair. A block is structural: partition+ makes a keyblock a contiguous
 // box of K' that a Map task walks in row-major order, so the key column
 // is stored as runs of a repeated step, and a value column is stored
-// only when it cannot be recomputed from the columns that are.
+// only when it is neither +0 in every pair nor recomputable from the
+// columns that are. A Map task folds only the statistics its operator
+// reads and leaves the others +0, so a block carries those alone.
 //
 // Layout (little-endian):
 //
 //	file header (28 bytes):
-//	  magic "SPIL" | u16 version=4 | u32 rank | u64 sourceCount
+//	  magic "SPIL" | u16 version=5 | u32 rank | u64 sourceCount
 //	  | u32 nPairs | u16 flags=0 | u32 nBlocks
 //
 //	nBlocks × block:
@@ -35,17 +37,37 @@ import (
 //	  payload (rawLen bytes)
 //
 //	raw block payload (rawLen bytes):
-//	  u8  column mask (maskFull, maskAggregates or maskSingletons)
+//	  u8  column mask (one bit per column, below)
 //	  u32 nRuns
 //	  nRuns × key run:
 //	    rank × varint    step from the previous distinct key (zig-zag;
 //	                     the block's first key steps from the origin)
 //	    uvarint mult     consecutive pairs sharing each key, ≥ 1
 //	    uvarint repeat   keys the run yields, each one step on, ≥ 1
-//	  the columns the mask keeps, bPairs entries each, in this order:
+//	  the columns the mask stores, bPairs entries each, in this order:
 //	    f64 sums | f64 sum-of-squares | f64 mins | f64 maxs
 //	    | i64 counts | u32 per-pair sample counts
 //	  Σ nSamples × f64   samples, in pair order
+//
+// The mask has one bit per column in stored order (sum 0x01, sum of
+// squares 0x02, min 0x04, max 0x08, count 0x10, sample counts 0x20,
+// samples 0x40) and picks one of two layouts:
+//
+//   - count set: the block stores the statistic columns the mask names,
+//     which are those some pair holds other than +0; a statistic the mask
+//     leaves out decodes as +0 in every pair. The sample counts and the
+//     samples are stored together or, when no pair carries a sample, not
+//     at all. An aggregate-only sum block is mask 0x11, 16 bytes a pair;
+//     a median block of many points a key is 0x70, 12 bytes a pair plus
+//     its samples.
+//   - count clear: a singleton block, mask 0x40 plus statistic bits. Every
+//     pair is one source point x, its one sample: Count 1, and each named
+//     statistic derived from x — Sum, Min and Max bit-equal to x, SumSq
+//     bit-equal to x*x — while every other is +0. Only the samples are
+//     stored. A block deriving SumSq holds no NaN: the payload bits of a
+//     NaN product are not architecture-independent.
+//
+// No other mask is valid.
 //
 // Steps are per dimension and wrap in two's complement, so the one key
 // layout carries everything a Coord can (negative, sparse, repeated,
@@ -60,15 +82,16 @@ import (
 // the payload.
 //
 // The flags field and the second block length are what remains of a
-// per-block DEFLATE option. The frame keeps them so that version 4 stays
-// byte for byte what it was; a reader refuses any flag bit, and a block
-// whose two lengths differ.
+// per-block DEFLATE option. The frame keeps them as version 4 had them; a
+// reader refuses any flag bit, and a block whose two lengths differ.
+// Version 5 changed only what a mask means: version 4 had three masks,
+// and its singleton mask derived every statistic.
 //
 // The "V3" in WriteSpillV3 and V3Options is historical (bench/replay.go
-// compiles against those names); the format they write is version 4.
+// compiles against those names); the format they write is version 5.
 
 const (
-	spillVersion uint16 = 4
+	spillVersion uint16 = 5
 	// spillHeaderLen is the fixed byte length of the file header.
 	spillHeaderLen = 28
 	// blockHeaderLen is the per-block frame header length.
@@ -88,26 +111,51 @@ const (
 	readStep = 1 << 20
 )
 
-// A column mask has one bit per column in stored order — sum, sumsq,
-// min, max, count, nSamples, samples — and one of three values.
+// The column mask's bits, in stored order (see the layout above).
 const (
-	// maskFull keeps every column.
-	maskFull uint8 = 0x7f
-	// maskAggregates drops the sample-count column of a block in which
-	// no pair carries a sample.
-	maskAggregates uint8 = 0x1f
-	// maskSingletons keeps the sample column alone: every pair is one
-	// source point x — Count 1, one sample, Sum/Min/Max
-	// bit-equal to x, SumSq bit-equal to x*x. x is never NaN: the
-	// payload bits of a NaN product are not architecture-independent,
-	// so such a block keeps its columns.
-	maskSingletons uint8 = 0x40
+	colSum uint8 = 1 << iota
+	colSumSq
+	colMin
+	colMax
+	colCount
+	colNSamples
+	colSamples
+
+	// colStats are the four statistic columns, bit c for stat(c).
+	colStats = colSum | colSumSq | colMin | colMax
+	// maskFull stores every column.
+	maskFull = colStats | colCount | colNSamples | colSamples
 )
 
-// colWidth is the bytes per pair of the fixed-width columns mask keeps:
-// five 8-byte statistics and the u32 sample count.
+// validMask reports whether mask is one of the two layouts.
+func validMask(mask uint8) bool {
+	if mask&colCount == 0 {
+		return mask&^colStats == colSamples
+	}
+	return mask&^maskFull == 0 && (mask&colNSamples == 0) == (mask&colSamples == 0)
+}
+
+// colWidth is the bytes per pair of the fixed-width columns mask stores:
+// 8 for each statistic and the count, 4 for the sample count. A
+// singleton block stores none.
 func colWidth(mask uint8) int {
-	return 8*bits.OnesCount8(mask&0x1f) + 4*bits.OnesCount8(mask&0x20)
+	if mask&colCount == 0 {
+		return 0
+	}
+	return 8*bits.OnesCount8(mask&(colStats|colCount)) + 4*bits.OnesCount8(mask&colNSamples)
+}
+
+// stat is v's statistic column c, in stored order: Sum, SumSq, Min, Max.
+func (v *Value) stat(c int) *float64 {
+	switch c {
+	case 0:
+		return &v.Sum
+	case 1:
+		return &v.SumSq
+	case 2:
+		return &v.Min
+	}
+	return &v.Max
 }
 
 // V3Options tunes WriteSpillV3.
@@ -203,35 +251,50 @@ func f64at(col []byte, i int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(col[8*i:]))
 }
 
-// isSingleton reports whether v is bit for bit what its one sample
-// implies (see maskSingletons).
-func (v *Value) isSingleton() bool {
+// columns returns the statistic columns v holds other than +0 and, when
+// v is one source point (Count 1, one sample x), the ones x derives bit
+// for bit (see the singleton layout): Sum, Min and Max equal to x, SumSq
+// to x*x unless x is NaN. single reports whether v is such a point.
+func (v *Value) columns() (set, derived uint8, single bool) {
+	sum, sumSq, lo, hi := math.Float64bits(v.Sum), math.Float64bits(v.SumSq), math.Float64bits(v.Min), math.Float64bits(v.Max)
+	set = b2u(sum != 0)*colSum | b2u(sumSq != 0)*colSumSq | b2u(lo != 0)*colMin | b2u(hi != 0)*colMax
 	if v.Count != 1 || len(v.Samples) != 1 {
-		return false
+		return set, 0, false
 	}
 	x := v.Samples[0]
 	b := math.Float64bits(x)
-	return x == x && math.Float64bits(v.Sum) == b && math.Float64bits(v.Min) == b &&
-		math.Float64bits(v.Max) == b && math.Float64bits(v.SumSq) == math.Float64bits(x*x)
+	derived = b2u(sum == b)*colSum | b2u(x == x && sumSq == math.Float64bits(x*x))*colSumSq |
+		b2u(lo == b)*colMin | b2u(hi == b)*colMax
+	return set, derived, true
+}
+
+// b2u is 1 for true, 0 for false.
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // blockMask picks the smallest column set the block's values can be
-// recomputed from, verifying every dropped column bit for bit, and
-// counts the block's samples.
+// recomputed from — verifying bit for bit every statistic it drops as +0
+// or derives from a singleton's sample — and counts the block's samples.
 func blockMask(pairs []Pair) (mask uint8, samples int) {
-	singletons := true
+	singletons, derivable := true, colStats
 	for i := range pairs {
 		v := &pairs[i].Value
-		singletons = singletons && v.isSingleton()
+		set, derived, single := v.columns()
+		mask |= set
+		singletons, derivable = singletons && single, derivable&derived
 		samples += len(v.Samples)
 	}
 	switch {
-	case singletons:
-		return maskSingletons, samples
+	case singletons && mask&^derivable == 0:
+		return colSamples | mask, samples
 	case samples == 0:
-		return maskAggregates, 0
+		return colCount | mask, 0
 	}
-	return maskFull, samples
+	return colCount | colNSamples | colSamples | mask, samples
 }
 
 // aliased reports whether a and b are one slice — how the pairs of a
@@ -290,25 +353,22 @@ func appendBlock(dst []byte, rank int, pairs []Pair) ([]byte, error) {
 	}
 	le.PutUint32(dst[runsAt:], uint32(runs))
 
-	n := len(pairs)
-	dst = slices.Grow(dst, n*colWidth(mask)+samples*8)
-	if mask != maskSingletons {
-		cols := dst[len(dst) : len(dst)+5*8*n]
-		dst = dst[:len(dst)+len(cols)]
-		for i := range pairs {
-			v := &pairs[i].Value
-			for c, f := range [4]float64{v.Sum, v.SumSq, v.Min, v.Max} {
-				le.PutUint64(cols[8*(c*n+i):], math.Float64bits(f))
+	dst = slices.Grow(dst, len(pairs)*colWidth(mask)+samples*8)
+	if mask&colCount != 0 {
+		for c := 0; c < 4; c++ {
+			if mask&(1<<c) != 0 {
+				for i := range pairs {
+					dst = le.AppendUint64(dst, math.Float64bits(*pairs[i].Value.stat(c)))
+				}
 			}
-			le.PutUint64(cols[8*(4*n+i):], uint64(v.Count))
 		}
-	}
-	if mask == maskAggregates {
-		return dst, nil
-	}
-	if mask == maskFull {
 		for i := range pairs {
-			dst = le.AppendUint32(dst, uint32(len(pairs[i].Value.Samples)))
+			dst = le.AppendUint64(dst, uint64(pairs[i].Value.Count))
+		}
+		if mask&colNSamples != 0 {
+			for i := range pairs {
+				dst = le.AppendUint32(dst, uint32(len(pairs[i].Value.Samples)))
+			}
 		}
 	}
 	for i := range pairs {
@@ -436,7 +496,7 @@ func checkBlock(rank, n int, raw []byte) (keys, samples int, err error) {
 		return 0, 0, fmt.Errorf("kv: block payload of %d bytes: %w", len(raw), ErrChecksum)
 	}
 	mask, nRuns := raw[0], le.Uint32(raw[1:5])
-	if mask != maskFull && mask != maskAggregates && mask != maskSingletons {
+	if !validMask(mask) {
 		return 0, 0, fmt.Errorf("kv: block column mask %#x: %w", mask, ErrChecksum)
 	}
 	cols, left := raw[5:], n
@@ -454,22 +514,23 @@ func checkBlock(rank, n int, raw []byte) (keys, samples int, err error) {
 
 	// The value columns must fill the rest of the payload exactly.
 	fixed, total := uint64(n)*uint64(colWidth(mask)), uint64(0)
-	if mask == maskSingletons {
+	if mask&colCount == 0 {
 		total = uint64(n)
 	}
-	if mask == maskFull && uint64(len(cols)) >= fixed {
+	if mask&colNSamples != 0 && uint64(len(cols)) >= fixed {
+		counts := cols[fixed-4*uint64(n):]
 		for i := 0; i < n; i++ {
-			total += uint64(le.Uint32(cols[5*8*n+4*i:]))
+			total += uint64(le.Uint32(counts[4*i:]))
 		}
 	}
 	if uint64(len(cols)) != fixed+total*8 {
 		return 0, 0, fmt.Errorf("kv: block columns are %d bytes, mask %#x over %d pairs and %d samples needs %d: %w",
 			len(cols), mask, n, total, fixed+total*8, ErrChecksum)
 	}
-	if mask == maskSingletons {
+	if mask&(colCount|colSumSq) == colSumSq {
 		for i := 0; i < n; i++ {
 			if x := f64at(cols, i); x != x {
-				return 0, 0, fmt.Errorf("kv: singleton block carries a NaN sample, which cannot derive its columns: %w", ErrChecksum)
+				return 0, 0, fmt.Errorf("kv: singleton block derives SumSq from a NaN sample: %w", ErrChecksum)
 			}
 		}
 	}
@@ -508,26 +569,45 @@ func (a *arenas) fill(rank, n int, raw []byte) {
 			}
 		}
 	}
-	if mask == maskSingletons {
+	if mask&colCount == 0 {
 		ss := a.samples[:n]
 		a.samples = a.samples[n:]
 		for i := range out {
 			x := f64at(cols, i)
 			ss[i] = x
 			v := &out[i].Value
-			v.Sum, v.SumSq, v.Min, v.Max, v.Count, v.Samples = x, x*x, x, x, 1, ss[i:i+1:i+1]
+			v.Count, v.Samples = 1, ss[i:i+1:i+1]
+			if mask&colSum != 0 {
+				v.Sum = x
+			}
+			if mask&colSumSq != 0 {
+				v.SumSq = x * x
+			}
+			if mask&colMin != 0 {
+				v.Min = x
+			}
+			if mask&colMax != 0 {
+				v.Max = x
+			}
 		}
 		return
 	}
-	for i := range out {
-		v := &out[i].Value
-		v.Sum, v.SumSq, v.Min, v.Max = f64at(cols, i), f64at(cols, n+i), f64at(cols, 2*n+i), f64at(cols, 3*n+i)
-		v.Count = int64(le.Uint64(cols[8*(4*n+i):]))
+	// A statistic the mask leaves out stays +0, as the arena was made.
+	for c := 0; c < 4; c++ {
+		if mask&(1<<c) != 0 {
+			for i := range out {
+				*out[i].Value.stat(c) = f64at(cols, i)
+			}
+			cols = cols[8*n:]
+		}
 	}
-	if mask == maskAggregates {
+	for i := range out {
+		out[i].Value.Count = int64(le.Uint64(cols[8*i:]))
+	}
+	if mask&colSamples == 0 {
 		return
 	}
-	counts, vals := cols[5*8*n:], cols[(5*8+4)*n:]
+	counts, vals := cols[8*n:], cols[(8+4)*n:]
 	for i := range out {
 		if c := int(le.Uint32(counts[4*i:])); c > 0 {
 			ss := a.samples[:c:c]

@@ -55,7 +55,19 @@ func FuzzReadSpill(f *testing.F) {
 		{Key: coords.NewCoord(0, 1<<50), Value: NewValue(2, false)},
 		{Key: coords.NewCoord(math.MaxInt64, math.MinInt64), Value: NewValue(3, false)},
 	}, V3Options{BlockPairs: 2}))
-	// Corruption seeds: bad magic, bad version, the retired v2 and v3
+	// Each declared set of statistics, the others left +0: aggregate,
+	// sampled and singleton blocks, and a singleton block of median
+	// points with a NaN sample, which derives nothing.
+	for _, st := range declaredSets {
+		f.Add(encodeSpillV3(f, 1, 30, declaredPairs(st, 10, 3, false), V3Options{}))
+		f.Add(encodeSpillV3(f, 1, 30, declaredPairs(st, 10, 3, true), V3Options{BlockPairs: 4}))
+		f.Add(encodeSpillV3(f, 1, 10, declaredPairs(st, 10, 1, true), V3Options{}))
+	}
+	f.Add(encodeSpillV3(f, 1, 2, []Pair{
+		{Key: coords.NewCoord(0), Value: Value{Count: 1, Samples: []float64{math.NaN()}}},
+		{Key: coords.NewCoord(3), Value: Value{Count: 1, Samples: []float64{math.Inf(-1)}}},
+	}, V3Options{}))
+	// Corruption seeds: bad magic, bad version, the retired v2, v3 and v4
 	// headers, a truncated header, a flipped payload bit, a truncated
 	// block, and the retired DEFLATE flag on a resealed one-block spill
 	// and on an empty one.
@@ -68,6 +80,7 @@ func FuzzReadSpill(f *testing.F) {
 	f.Add(badVer)
 	f.Add(retiredSpillHeader(2, 2, 42))
 	f.Add(retiredSpillHeader(3, 2, 42))
+	f.Add(retiredSpillHeader(4, 2, 42))
 	f.Add(good[:5])
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)-1] ^= 0x01

@@ -37,7 +37,10 @@ type Value struct {
 	Samples []float64
 }
 
-// Add folds a single observation into the value.
+// Add folds a single observation into the value, every statistic
+// included. No task calls it: it is the per-point definition of each
+// statistic that the Map kernel's differential oracles hold AddRun
+// against.
 func (v *Value) Add(x float64, keepSample bool) {
 	if v.Count == 0 {
 		v.Min, v.Max = x, x
@@ -57,28 +60,65 @@ func (v *Value) Add(x float64, keepSample bool) {
 	}
 }
 
-// AddRun folds xs into the value in order, exactly as len(xs) calls of
-// Add would: each statistic keeps its single accumulator and sees the
-// observations in the same sequence, so the result is bit-identical.
-func (v *Value) AddRun(xs []float64, keepSamples bool) {
+// Stats is a set of the statistics besides Count that a Value folds. An
+// operator declares the ones it reads (ops.Operator.Stats); the Map kernel
+// folds only those, and every other statistic of its pairs stays +0.
+// Count is not in the set: it is the §3.2.1 kv-count annotation, which
+// every value carries.
+type Stats uint8
+
+const (
+	StatSum    Stats = 1 << iota // Sum
+	StatSumSq                    // SumSq
+	StatMinMax                   // Min and Max
+)
+
+// AddRun folds xs into the value in order, for the statistics in st and
+// Count. Each statistic in st keeps its single accumulator and sees the
+// observations in the same sequence as len(xs) calls of Add would, so it
+// is bit-identical to theirs; a statistic outside st is left as it is.
+// The set is read once per run: each combination an operator declares
+// has a loop of its own.
+func (v *Value) AddRun(xs []float64, st Stats, keepSamples bool) {
 	if len(xs) == 0 {
 		return
 	}
-	sum, sumSq, lo, hi := v.Sum, v.SumSq, v.Min, v.Max
-	if v.Count == 0 {
-		lo, hi = xs[0], xs[0]
-	}
-	for _, x := range xs {
-		if x < lo {
-			lo = x
+	switch st &^ StatMinMax {
+	case StatSum:
+		sum := v.Sum
+		for _, x := range xs {
+			sum += x
 		}
-		if x > hi {
-			hi = x
+		v.Sum = sum
+	case StatSumSq:
+		sumSq := v.SumSq
+		for _, x := range xs {
+			sumSq += x * x
 		}
-		sum += x
-		sumSq += x * x
+		v.SumSq = sumSq
+	case StatSum | StatSumSq:
+		sum, sumSq := v.Sum, v.SumSq
+		for _, x := range xs {
+			sum += x
+			sumSq += x * x
+		}
+		v.Sum, v.SumSq = sum, sumSq
 	}
-	v.Sum, v.SumSq, v.Min, v.Max = sum, sumSq, lo, hi
+	if st&StatMinMax != 0 {
+		lo, hi := v.Min, v.Max
+		if v.Count == 0 {
+			lo, hi = xs[0], xs[0]
+		}
+		for _, x := range xs {
+			if x < lo {
+				lo = x
+			}
+			if x > hi {
+				hi = x
+			}
+		}
+		v.Min, v.Max = lo, hi
+	}
 	v.Count += int64(len(xs))
 	if keepSamples {
 		v.Samples = append(v.Samples, xs...)

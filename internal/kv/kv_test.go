@@ -37,16 +37,35 @@ func TestValueAdd(t *testing.T) {
 	}
 }
 
+// allStats folds every statistic, as Add does.
+const allStats = StatSum | StatSumSq | StatMinMax
+
+// declared is v with every statistic outside st set to +0: what a fold
+// of st alone leaves.
+func declared(v Value, st Stats) Value {
+	if st&StatSum == 0 {
+		v.Sum = 0
+	}
+	if st&StatSumSq == 0 {
+		v.SumSq = 0
+	}
+	if st&StatMinMax == 0 {
+		v.Min, v.Max = 0, 0
+	}
+	return v
+}
+
 // TestAddRunIsRepeatedAdd: folding a run is bit-identical to adding its
-// observations one at a time — NaN, +Inf and signed zeros included, into
-// an empty value and into one already holding data. (Infinities of both
-// signs are left out: Inf − Inf mints a second NaN payload, and which
-// payload a NaN + NaN keeps is the compiler's operand order, not the
-// fold order.)
+// observations one at a time, for every set of statistics: each one in
+// the set equals Add's, each one outside it stays +0, and Count and the
+// samples are Add's — NaN, +Inf and signed zeros included, into an empty
+// value and into one already holding data. (Infinities of both signs are
+// left out: Inf − Inf mints a second NaN payload, and which payload a
+// NaN + NaN keeps is the compiler's operand order, not the fold order.)
 func TestAddRunIsRepeatedAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	specials := []float64{math.NaN(), math.Inf(1), math.Copysign(0, -1), 0}
-	for iter := 0; iter < 500; iter++ {
+	for iter := 0; iter < 800; iter++ {
 		xs := make([]float64, rng.Intn(20))
 		for i := range xs {
 			xs[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
@@ -54,13 +73,14 @@ func TestAddRunIsRepeatedAdd(t *testing.T) {
 				xs[i] = specials[rng.Intn(len(specials))]
 			}
 		}
-		cut, keep := rng.Intn(len(xs)+1), iter%2 == 0
+		cut, keep, st := rng.Intn(len(xs)+1), iter%2 == 0, Stats(iter/2%8)
 		var one, run Value
 		for _, x := range xs {
 			one.Add(x, keep)
 		}
-		run.AddRun(xs[:cut], keep)
-		run.AddRun(xs[cut:], keep)
+		one = declared(one, st)
+		run.AddRun(xs[:cut], st, keep)
+		run.AddRun(xs[cut:], st, keep)
 		same := math.Float64bits(one.Sum) == math.Float64bits(run.Sum) &&
 			math.Float64bits(one.SumSq) == math.Float64bits(run.SumSq) &&
 			math.Float64bits(one.Min) == math.Float64bits(run.Min) &&
@@ -70,7 +90,7 @@ func TestAddRunIsRepeatedAdd(t *testing.T) {
 			same = math.Float64bits(one.Samples[i]) == math.Float64bits(run.Samples[i])
 		}
 		if !same {
-			t.Fatalf("xs %v cut %d: Add %+v, AddRun %+v", xs, cut, one, run)
+			t.Fatalf("xs %v cut %d stats %03b: Add %+v, AddRun %+v", xs, cut, st, one, run)
 		}
 	}
 }

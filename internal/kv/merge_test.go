@@ -107,7 +107,7 @@ func TestMergeSortedRidesRunsBitIdentically(t *testing.T) {
 					case 1:
 						v = Value{Samples: []float64{}} // Count 0: Merge skips it, Clone keeps it
 					case 2:
-						v.AddRun([]float64{x, -x, x / 3}, true)
+						v.AddRun([]float64{x, -x, x / 3}, allStats, true)
 					default:
 						v = NewValue(x, true)
 					}
@@ -311,7 +311,7 @@ func holisticStreams(n, keys, m int, r *rand.Rand) [][]Pair {
 			for i := range xs {
 				xs[i] = r.NormFloat64()
 			}
-			v.AddRun(xs, true)
+			v.AddRun(xs, allStats, true)
 			ps[k] = Pair{Key: coords.NewCoord(int64(k/16), int64(k%16)), Value: v}
 		}
 		streams[s] = ps

@@ -6,8 +6,10 @@
 // (coords.TileWalk.Runs) into a dense tile of accumulators indexed by the
 // key's cell in the box, and seals the tile in row-major order into one
 // sorted pair per key and keyblock, with the §3.2.1 source-count
-// annotation. A caller supplies data only: a router, a key suffix and a
-// value selection.
+// annotation. It folds only the statistics the operator declares
+// (ops.Operator.Stats): the others stay +0, and the spill does not write
+// them. A caller supplies data only: a router, a key suffix, the
+// statistics and a value selection.
 package mapkernel
 
 import (
@@ -35,6 +37,9 @@ type Task struct {
 	// Suffix is appended to every key the task emits (a join's side bit);
 	// nil appends nothing.
 	Suffix []int64
+	// Stats are the statistics every pair folds besides Count, its
+	// operator's declaration; every other statistic stays +0.
+	Stats kv.Stats
 	// Samples makes every pair carry the values it kept, in source order,
 	// besides their statistics.
 	Samples bool
@@ -44,7 +49,8 @@ type Task struct {
 	Keep func(dst, run []float64) []float64
 	// Survivors makes the kept values a filter's survivors (it needs
 	// Samples): they are the pair's samples alone, sorted at the seal with
-	// the statistics folded over them there, and Count stays the points.
+	// the declared statistics folded over them there, and Count stays the
+	// points.
 	// Otherwise the kept values are the key's observations — a join's
 	// present cells — folded as they arrive and counted by Count.
 	Survivors bool
@@ -160,7 +166,7 @@ func (s *Scratch) run(t *Task) ([]Out, int64, error) {
 	}
 
 	var records int64
-	tile, keep, samples, survivors := s.Tile, t.Keep, t.Samples, t.Survivors
+	tile, stats, keep, samples, survivors := s.Tile, t.Stats, t.Keep, t.Samples, t.Survivors
 	fold := func(c, off int64, run []float64) error {
 		records += int64(len(run))
 		if carved != nil {
@@ -177,7 +183,7 @@ func (s *Scratch) run(t *Task) ([]Out, int64, error) {
 		// run cost scan_avg's queries about 9 %.
 		switch v := &tile[c]; {
 		case keep == nil:
-			v.AddRun(run, samples)
+			v.AddRun(run, stats, samples)
 		case survivors:
 			v.Count += int64(len(run))
 			v.Samples = keep(v.Samples, run)
@@ -227,18 +233,18 @@ func (s *Scratch) windows(t *Task, walk coords.TileWalk, live coords.Slab) {
 func (s *Scratch) add(t *Task, c *cell, run []float64) {
 	switch {
 	case t.Keep == nil:
-		c.AddRun(run, t.Samples)
+		c.AddRun(run, t.Stats, t.Samples)
 	case t.Survivors:
 		c.Count += int64(len(run))
 		c.Samples = t.Keep(slices.Grow(c.Samples, len(run)), run)
 	case t.Samples:
 		n := len(c.Samples)
 		c.Samples = t.Keep(slices.Grow(c.Samples, len(run)), run)
-		c.AddRun(c.Samples[n:], false)
+		c.AddRun(c.Samples[n:], t.Stats, false)
 		c.missing += int64(len(run) - (len(c.Samples) - n))
 	default:
 		s.sel = t.Keep(slices.Grow(s.sel[:0], len(run)), run)
-		c.AddRun(s.sel, false)
+		c.AddRun(s.sel, t.Stats, false)
 		c.missing += int64(len(run) - len(s.sel))
 	}
 }
@@ -249,9 +255,9 @@ func (s *Scratch) add(t *Task, c *cell, run []float64) {
 // meets the keys in row-major order and routes each, so each keyblock's
 // pairs are sorted as they are placed; every carved tile's share then
 // ships its own. Pairs and keys are carved from one array each. A
-// filter's survivors are sorted in their windows and its statistics
-// folded over them. Unless no value was dropped, the kept values are
-// then copied out into one array per task.
+// filter's survivors are sorted in their windows and its declared
+// statistics, if any, folded over them. Unless no value was dropped, the
+// kept values are then copied out into one array per task.
 func (s *Scratch) seal(t *Task, box coords.Slab, carved map[int64][]Share, shares []cell, outs []Out) error {
 	key := box.Corner.Clone()
 	counts := make([]int, len(outs))
@@ -308,7 +314,7 @@ func (s *Scratch) seal(t *Task, box coords.Slab, carved map[int64][]Share, share
 		if t.Survivors {
 			ops.SortSurvivors(v.Samples)
 			v = kv.Value{Samples: v.Samples}
-			v.AddRun(v.Samples, false)
+			v.AddRun(v.Samples, t.Stats, false)
 			v.Count = c.Count
 		}
 		if arena != nil {

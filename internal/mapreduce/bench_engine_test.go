@@ -89,7 +89,7 @@ func BenchmarkExecReduce(b *testing.B) {
 					xs[i] = r.NormFloat64()
 				}
 				ps[k].Key = coords.NewCoord(int64(k/32), int64(k%32))
-				ps[k].Value.AddRun(xs, op.NeedsSamples())
+				ps[k].Value.AddRun(xs, op.Stats(), op.NeedsSamples())
 			}
 			streams[s] = ps
 		}
@@ -106,15 +106,18 @@ func BenchmarkExecReduce(b *testing.B) {
 }
 
 // BenchmarkExecMap measures one Map task — the read, the fold and the
-// seal — over a prune_filter-shaped split: 4×128×64 points of a file,
-// uniform in [0, 1000), under es {4,8,8} and 16 keyblocks. avg ships
-// aggregates, median every sample, and filter_gt param 900 about one
-// value in ten, selected as the scan folds: about 26 of a key's 256
-// points, below ops' insertion-sort cutoff of 48. filter_gt_500 keeps
-// about 128 a key, above it.
+// seal. The first four cases read a prune_filter-shaped split: 4×128×64
+// points of a file, uniform in [0, 1000), under es {4,8,8} and 16
+// keyblocks. avg ships sums and counts, median every sample, and
+// filter_gt param 900 about one value in ten, selected as the scan folds:
+// about 26 of a key's 256 points, below ops' insertion-sort cutoff of 48.
+// filter_gt_500 keeps about 128 a key, above it. avg_es8 reads one split
+// of scan_avg's query — 8×256×64 points under es {8,8,8} and 8 keyblocks —
+// whose runs are 8 points long, so the fold of the statistics avg
+// declares is most of its work.
 func BenchmarkExecMap(b *testing.B) {
 	h := &ncfile.Header{
-		Dims: []ncfile.Dimension{{Name: "t", Length: 4}, {Name: "y", Length: 128}, {Name: "x", Length: 64}},
+		Dims: []ncfile.Dimension{{Name: "t", Length: 8}, {Name: "y", Length: 256}, {Name: "x", Length: 64}},
 		Vars: []ncfile.Variable{{Name: "v", Type: ncfile.Float64, Dims: []string{"t", "y", "x"}}},
 	}
 	f, err := ncfile.CreateEmpty(filepath.Join(b.TempDir(), "split.ncf"), h)
@@ -122,20 +125,24 @@ func BenchmarkExecMap(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer f.Close()
-	slab := coords.MustSlab(coords.NewCoord(0, 0, 0), coords.NewShape(4, 128, 64))
+	file := coords.MustSlab(coords.NewCoord(0, 0, 0), coords.NewShape(8, 256, 64))
 	r := rand.New(rand.NewSource(1))
-	vals := make([]float64, slab.Size())
+	vals := make([]float64, file.Size())
 	for i := range vals {
 		vals[i] = r.Float64() * 1000
 	}
-	if err := f.WriteSlab("v", slab, vals); err != nil {
+	if err := f.WriteSlab("v", file, vals); err != nil {
 		b.Fatal(err)
 	}
-	for _, c := range []struct{ name, query string }{
-		{"avg", "avg v[0,0,0 : 4,128,64] es {4,8,8}"},
-		{"median", "median v[0,0,0 : 4,128,64] es {4,8,8}"},
-		{"filter_gt", "filter_gt v[0,0,0 : 4,128,64] es {4,8,8} param 900"},
-		{"filter_gt_500", "filter_gt v[0,0,0 : 4,128,64] es {4,8,8} param 500"},
+	for _, c := range []struct {
+		name, query string
+		reducers    int
+	}{
+		{"avg", "avg v[0,0,0 : 4,128,64] es {4,8,8}", 16},
+		{"median", "median v[0,0,0 : 4,128,64] es {4,8,8}", 16},
+		{"filter_gt", "filter_gt v[0,0,0 : 4,128,64] es {4,8,8} param 900", 16},
+		{"filter_gt_500", "filter_gt v[0,0,0 : 4,128,64] es {4,8,8} param 500", 16},
+		{"avg_es8", "avg v[0,0,0 : 8,256,64] es {8,8,8}", 8},
 	} {
 		q, err := query.Parse(c.query)
 		if err != nil {
@@ -149,11 +156,12 @@ func BenchmarkExecMap(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		part, err := partition.NewPartitionPlus(space, 16, 0, nil)
+		part, err := partition.NewPartitionPlus(space, c.reducers, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		in := MapInput{Query: q, Op: op, Space: space, Part: part, Reader: &FileReader{File: f, Var: "v"}, Combine: true}
+		slab := q.Input
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(slab.Size() * 8)
 			b.ReportAllocs()

@@ -24,8 +24,9 @@ import (
 // refExecMap is the per-point Map task body the batch kernel replaced,
 // kept as the differential oracle: one callback per source point,
 // mapKey + Contains + Partition + Linearize and a hash-map lookup
-// each, Delinearize and a sort at seal time. ExecMap must reproduce its
-// output bit for bit.
+// each, Delinearize and a sort at seal time. It folds every statistic
+// and then sets the ones the operator does not declare to +0, as the
+// kernel leaves them. ExecMap must reproduce its output bit for bit.
 func refExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 	q := in.Query
 	r := in.Part.NumKeyblocks()
@@ -96,7 +97,7 @@ func refExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 			if preFilter {
 				out = refPreFilter(in.Op, out, q.Params()...)
 			}
-			pairs = append(pairs, kv.Pair{Key: kp, Value: out})
+			pairs = append(pairs, kv.Pair{Key: kp, Value: declared(out, in.Op.Stats())})
 		}
 		slices.SortFunc(pairs, func(a, b kv.Pair) int { return a.Key.Compare(b.Key) })
 		outs[kb].Pairs = pairs
@@ -125,7 +126,9 @@ func refPreFilter(op ops.Operator, v kv.Value, params ...float64) kv.Value {
 	}
 	sort.Float64s(kept)
 	var out kv.Value
-	out.AddRun(kept, false)
+	for _, x := range kept {
+		out.Add(x, false)
+	}
 	out.Samples = kept[:len(kept):len(kept)]
 	out.Count = v.Count
 	return out
@@ -146,6 +149,22 @@ func eachPoint(r coords.RecordReader, slab coords.Slab, emit func(coords.Coord, 
 		return err == nil
 	})
 	return err
+}
+
+// declared is v with every statistic outside st set to +0: what the
+// kernel leaves of a fold of every statistic when its operator declares
+// st.
+func declared(v kv.Value, st kv.Stats) kv.Value {
+	if st&kv.StatSum == 0 {
+		v.Sum = 0
+	}
+	if st&kv.StatSumSq == 0 {
+		v.SumSq = 0
+	}
+	if st&kv.StatMinMax == 0 {
+		v.Min, v.Max = 0, 0
+	}
+	return v
 }
 
 // valueBits renders every field of a value by its bits, so two values

@@ -275,6 +275,7 @@ func execMap(in MapInput, split InputSplit, s *mapkernel.Scratch) ([]MapOut, int
 		Extraction: q.Extraction,
 		Space:      in.Space,
 		Route:      mapkernel.Router{Part: in.Part},
+		Stats:      in.Op.Stats(),
 		Samples:    in.Op.NeedsSamples(),
 		Keep:       keep,
 		Survivors:  keep != nil,

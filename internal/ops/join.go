@@ -3,6 +3,8 @@ package ops
 import (
 	"fmt"
 	"math"
+
+	"sidr/internal/kv"
 )
 
 // SideAgg is one side's fully merged aggregate for one join key (one
@@ -27,6 +29,10 @@ type JoinOperator interface {
 	// re-tiling may range-split their keyblocks but never cell-splits a
 	// single tile (sub-aggregates would lose positional alignment).
 	NeedsSamples() bool
+	// Stats declares the statistics Combine reads besides Count and the
+	// samples; the only one a SideAgg carries is Sum. Map tasks fold only
+	// these, and every other statistic stays +0.
+	Stats() kv.Stats
 	// Combine computes the output for one join key from both sides'
 	// merged aggregates. ok is false when the row must be omitted.
 	Combine(a, b SideAgg, params ...float64) (out []float64, ok bool)
@@ -36,11 +42,13 @@ type JoinOperator interface {
 type jfn struct {
 	name    string
 	samples bool
+	stats   kv.Stats
 	combine func(a, b SideAgg) []float64
 }
 
 func (f jfn) Name() string       { return f.name }
 func (f jfn) NeedsSamples() bool { return f.samples }
+func (f jfn) Stats() kv.Stats    { return f.stats }
 func (f jfn) Combine(a, b SideAgg, _ ...float64) ([]float64, bool) {
 	if a.Count == 0 || b.Count == 0 {
 		return nil, false
@@ -59,12 +67,12 @@ func registerJoin(op JoinOperator) {
 
 func init() {
 	// jsum: total of both sides' present cells.
-	registerJoin(jfn{name: "jsum", combine: func(a, b SideAgg) []float64 {
+	registerJoin(jfn{name: "jsum", stats: kv.StatSum, combine: func(a, b SideAgg) []float64 {
 		return []float64{a.Sum + b.Sum}
 	}})
 	// javg: mean of the two per-side means, so a side with fewer present
 	// cells still carries half the weight.
-	registerJoin(jfn{name: "javg", combine: func(a, b SideAgg) []float64 {
+	registerJoin(jfn{name: "javg", stats: kv.StatSum, combine: func(a, b SideAgg) []float64 {
 		return []float64{(a.Sum/float64(a.Count) + b.Sum/float64(b.Count)) / 2}
 	}})
 	// jcorr: Pearson correlation of the two sides' sample vectors zipped

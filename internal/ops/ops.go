@@ -56,6 +56,10 @@ type Operator interface {
 	// NeedsSamples reports whether Map tasks must retain raw samples in
 	// intermediate values for this operator.
 	NeedsSamples() bool
+	// Stats declares the statistics Apply reads besides Count and the
+	// samples. Map tasks fold only these; every other statistic of the
+	// value Apply receives is +0.
+	Stats() kv.Stats
 	// Apply computes the outputs for one intermediate key from its fully
 	// merged value. params carry the operator parameters (e.g. a filter
 	// threshold, or a range's two bounds); most operators ignore them.
@@ -73,7 +77,8 @@ type fn struct {
 	name    string
 	kind    opKind
 	samples bool
-	nparams int // parameters the operator consumes (for query validation)
+	stats   kv.Stats // the statistics apply reads
+	nparams int      // parameters the operator consumes (for query validation)
 	apply   func(v kv.Value, param float64) []float64
 	// keep is a filter's selection loop (see Selector); Apply runs it
 	// over a key's samples in place.
@@ -86,6 +91,7 @@ type fn struct {
 func (f fn) Name() string       { return f.name }
 func (f fn) Kind() opKind       { return f.kind }
 func (f fn) NeedsSamples() bool { return f.samples }
+func (f fn) Stats() kv.Stats    { return f.stats }
 func (f fn) Apply(v kv.Value, params ...float64) []float64 {
 	p, p2 := two(params)
 	if f.keep != nil {
@@ -122,22 +128,22 @@ func register(op Operator) {
 }
 
 func init() {
-	register(fn{name: "sum", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "sum", kind: distributive, stats: kv.StatSum, apply: func(v kv.Value, _ float64) []float64 {
 		return []float64{v.Sum}
 	}})
 	register(fn{name: "count", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
 		return []float64{float64(v.Count)}
 	}})
-	register(fn{name: "avg", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "avg", kind: distributive, stats: kv.StatSum, apply: func(v kv.Value, _ float64) []float64 {
 		return []float64{v.Mean()}
 	}})
-	register(fn{name: "min", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "min", kind: distributive, stats: kv.StatMinMax, apply: func(v kv.Value, _ float64) []float64 {
 		return []float64{v.Min}
 	}})
-	register(fn{name: "max", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "max", kind: distributive, stats: kv.StatMinMax, apply: func(v kv.Value, _ float64) []float64 {
 		return []float64{v.Max}
 	}})
-	register(fn{name: "stddev", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "stddev", kind: distributive, stats: kv.StatSum | kv.StatSumSq, apply: func(v kv.Value, _ float64) []float64 {
 		return []float64{v.StdDev()}
 	}})
 	// The holistic operators order v.Samples in place. median and
@@ -208,13 +214,13 @@ func init() {
 			lo, hi := params[0], params[1]
 			return func(min, max float64) bool { return max >= lo && min <= hi }
 		}})
-	register(fn{name: "range", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "range", kind: distributive, stats: kv.StatMinMax, apply: func(v kv.Value, _ float64) []float64 {
 		if v.Count == 0 {
 			return []float64{0}
 		}
 		return []float64{v.Max - v.Min}
 	}})
-	register(fn{name: "absmax", kind: distributive, apply: func(v kv.Value, _ float64) []float64 {
+	register(fn{name: "absmax", kind: distributive, stats: kv.StatMinMax, apply: func(v kv.Value, _ float64) []float64 {
 		a, b := v.Min, v.Max
 		if a < 0 {
 			a = -a

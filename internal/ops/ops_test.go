@@ -278,14 +278,14 @@ func TestFilterSurvivors(t *testing.T) {
 }
 
 // preFiltered is what a Map task ships for one key under a filter with
-// the combiner on: the key's survivors, sorted, with the statistics
-// folded over them and Count the source points.
+// the combiner on: the key's survivors, sorted, with the statistics the
+// filter declares folded over them and Count the source points.
 func preFiltered(op Operator, v kv.Value, params ...float64) kv.Value {
 	sel, _ := Selector(op, params...)
 	kept := sel(make([]float64, 0, len(v.Samples)), v.Samples)
 	SortSurvivors(kept)
 	var out kv.Value
-	out.AddRun(kept, false)
+	out.AddRun(kept, op.Stats(), false)
 	out.Samples, out.Count = kept, v.Count
 	return out
 }
@@ -607,37 +607,101 @@ func TestQuickFilterSurvivorsEquivalence(t *testing.T) {
 	}
 }
 
-// TestHolisticOperatorsReadOnlySamples pins the assumption the Map
-// kernel's identity argument rests on: a holistic key reaches Reduce as
-// per-split partial pairs, so its merged Sum/SumSq/Min/Max are folded in
-// a different association than a point-by-point pass would — which is
-// invisible only as long as no holistic operator reads them.
-func TestHolisticOperatorsReadOnlySamples(t *testing.T) {
-	v := valueOf(true, 3.5, -1.25, 7, 0.1, 0.2, 1e-9, 42, -6)
-	perturbed := v
-	perturbed.Sum, perturbed.SumSq = math.NaN(), -1
-	perturbed.Min, perturbed.Max = math.Inf(1), math.Inf(-1)
-	holistic := 0
-	for _, name := range Names() {
-		op, _ := Lookup(name)
-		if op.Kind() != Holistic {
-			continue
-		}
-		holistic++
-		for _, param := range []float64{0, 37.5, 100} {
-			want, got := op.Apply(v, param), op.Apply(perturbed, param)
-			if len(got) != len(want) {
-				t.Fatalf("%s param %g: %d values, %d with perturbed statistics", name, param, len(want), len(got))
+// TestOperatorsReadOnlyWhatTheyDeclare holds every registered operator,
+// single-input and join, to its Stats declaration, which the Map kernel
+// folds and the spill writes: Apply (or Combine) on a value with every
+// statistic folded must give, bit for bit, what it gives on a copy whose
+// undeclared statistics are poisoned — NaN, ±Inf or random bits — over
+// random inputs that include NaN, ±0 and ±Inf. (A join side's NaN cells
+// are missing data, never folded, so its inputs hold none.) The holistic
+// operators and the filters declare nothing, which is what lets a key's
+// statistics stay +0 although its per-split partials, merged, would fold
+// them in another association than one pass over its points.
+func TestOperatorsReadOnlyWhatTheyDeclare(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	draw := func() []float64 {
+		xs := make([]float64, rng.Intn(12))
+		for i := range xs {
+			xs[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(8)-4))
+			if rng.Intn(5) == 0 {
+				xs[i] = specials[rng.Intn(len(specials))]
 			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s param %g reads the aggregate columns: value %d is %g, %g with them perturbed", name, param, i, want[i], got[i])
+		}
+		return xs
+	}
+	poison := func(x *float64) {
+		*x = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Float64frombits(rng.Uint64())}[rng.Intn(4)]
+	}
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	clone := func(v kv.Value) kv.Value {
+		v.Samples = append([]float64(nil), v.Samples...)
+		return v
+	}
+	joins := make([]string, 0, len(joinRegistry))
+	for name := range joinRegistry {
+		joins = append(joins, name)
+	}
+	sort.Strings(joins)
+	for iter := 0; iter < 3000; iter++ {
+		xs := draw()
+		params := []float64{rng.Float64()*120 - 10, rng.Float64()*120 - 10}
+		for _, name := range Names() {
+			op, _ := Lookup(name)
+			full, st := valueOf(op.NeedsSamples(), xs...), op.Stats()
+			poisoned := full
+			if st&kv.StatSum == 0 {
+				poison(&poisoned.Sum)
+			}
+			if st&kv.StatSumSq == 0 {
+				poison(&poisoned.SumSq)
+			}
+			if st&kv.StatMinMax == 0 {
+				poison(&poisoned.Min)
+				poison(&poisoned.Max)
+			}
+			if want, got := op.Apply(clone(full), params...), op.Apply(clone(poisoned), params...); !same(want, got) {
+				t.Fatalf("%s declares %03b but reads more: over %v it gives %v, %v with the rest poisoned (%+v)",
+					name, st, xs, want, got, poisoned)
+			}
+		}
+		var sides [2]SideAgg
+		for s := range sides {
+			for _, x := range draw() {
+				if x == x {
+					sides[s].Sum += x
+					sides[s].Count++
+					sides[s].Samples = append(sides[s].Samples, x)
 				}
 			}
 		}
-	}
-	if holistic == 0 {
-		t.Fatal("no holistic operator registered")
+		for _, name := range joins {
+			op := joinRegistry[name]
+			a, b := sides[0], sides[1]
+			if !op.NeedsSamples() {
+				a.Samples, b.Samples = nil, nil
+			}
+			pa, pb := a, b
+			if op.Stats()&kv.StatSum == 0 {
+				poison(&pa.Sum)
+				poison(&pb.Sum)
+			}
+			want, wok := op.Combine(a, b)
+			got, gok := op.Combine(pa, pb)
+			if wok != gok || !same(want, got) {
+				t.Fatalf("%s declares %03b but reads more: %v (%t), %v (%t) with the rest poisoned", name, op.Stats(), want, wok, got, gok)
+			}
+		}
 	}
 }
 
