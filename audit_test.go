@@ -24,9 +24,9 @@ import (
 //   - an exported package-level identifier or exported method of the root
 //     package or of a package under internal/ that no non-test file of
 //     another package (cmd/, examples/, bench/, internal/ and the root
-//     package) refers to. A method also counts as read when an interface
-//     type in the module, or in a package it imports, declares a method of
-//     that name;
+//     package) refers to. A method also counts as read when its type, or a
+//     pointer to it, implements an interface type in the module, or in a
+//     package it imports, that declares a method of that name;
 //   - a "sidrd_…" metric name that non-test Go registers and that no test
 //     file, scripts/*.sh, README.md or bench/ file mentions;
 //   - a flag that a cmd/ command defines and that README.md, scripts/*.sh
@@ -68,6 +68,7 @@ func TestAuditFindsEachKind(t *testing.T) {
 		"flag cmd/tool -planted",
 		"func internal/lib.TestOnly",
 		"func internal/lib.Unread",
+		"method internal/lib.Bag.Size",
 		"metric sidrd_fixture_planted_total",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -208,7 +209,7 @@ func (l *moduleLoader) load(path string) (*auditPkg, error) {
 	}
 	p := &auditPkg{
 		path: path,
-		info: &types.Info{Uses: map[*ast.Ident]types.Object{}},
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
 	}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
@@ -246,7 +247,7 @@ func unreadExports(pkgs []*auditPkg) []finding {
 			}
 		}
 	}
-	ifaceMethods := interfaceMethodNames(pkgs)
+	ifaces := interfaceTypes(pkgs)
 
 	var out []finding
 	for _, p := range pkgs {
@@ -270,7 +271,7 @@ func unreadExports(pkgs []*auditPkg) []finding {
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
-				if m.Exported() && !read[m] && !ifaceMethods[m.Name()] {
+				if m.Exported() && !read[m] && !readThroughInterface(named, m.Name(), ifaces) {
 					out = append(out, finding{"method", rel + "." + name + "." + m.Name()})
 				}
 			}
@@ -293,16 +294,18 @@ func objectKind(obj types.Object) string {
 	return "name"
 }
 
-// interfaceMethodNames collects the method names that any interface type
-// declares: named interfaces in every package the module reaches, the
+// interfaceTypes collects, by method name, the interface types that
+// declare it: named interfaces in every package the module reaches, the
 // predeclared error, and every interface literal in the module's source.
-func interfaceMethodNames(pkgs []*auditPkg) map[string]bool {
-	names := map[string]bool{"Error": true}
-	addIface := func(it *types.Interface) {
+func interfaceTypes(pkgs []*auditPkg) map[string][]*types.Interface {
+	byName := map[string][]*types.Interface{}
+	add := func(it *types.Interface) {
 		for i := 0; i < it.NumMethods(); i++ {
-			names[it.Method(i).Name()] = true
+			name := it.Method(i).Name()
+			byName[name] = append(byName[name], it)
 		}
 	}
+	add(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	seen := map[*types.Package]bool{}
 	var visit func(*types.Package)
 	visit = func(tp *types.Package) {
@@ -314,7 +317,7 @@ func interfaceMethodNames(pkgs []*auditPkg) map[string]bool {
 		for _, name := range scope.Names() {
 			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
 				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-					addIface(it)
+					add(it)
 				}
 			}
 		}
@@ -327,17 +330,28 @@ func interfaceMethodNames(pkgs []*auditPkg) map[string]bool {
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if it, ok := n.(*ast.InterfaceType); ok {
-					for _, m := range it.Methods.List {
-						for _, id := range m.Names {
-							names[id.Name] = true
-						}
+					if tv, ok := p.info.Types[it]; ok {
+						add(tv.Type.Underlying().(*types.Interface))
 					}
 				}
 				return true
 			})
 		}
 	}
-	return names
+	return byName
+}
+
+// readThroughInterface reports whether method name of named is read
+// through an interface: named, or a pointer to it, implements an
+// interface in ifaces that declares the name. A generic type is asked
+// about its methods as declared, which no instantiation can widen.
+func readThroughInterface(named *types.Named, name string, ifaces map[string][]*types.Interface) bool {
+	for _, it := range ifaces[name] {
+		if types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
+			return true
+		}
+	}
+	return false
 }
 
 var metricLiteral = regexp.MustCompile(`"(sidrd_[a-z0-9_]+)"`)

@@ -11,8 +11,9 @@ import (
 )
 
 // BenchmarkClusterMedian runs the bench's shuffle_median query shape — a
-// holistic operator, so every source point crosses the shuffle as its
-// own pair — at a quarter of its extents through Coordinator.Run on two
+// holistic operator, whose 2-row split target the planner rounds to the
+// 4-row tile grid, so every key is split-local and crosses the shuffle
+// finished — at a quarter of its extents through Coordinator.Run on two
 // loopback workers; shuffle-B/op is what one job moves.
 func BenchmarkClusterMedian(b *testing.B) {
 	shape := coords.NewShape(32, 64, 64)

@@ -72,26 +72,14 @@ func (c Coord) Equal(d Coord) bool {
 	return true
 }
 
-// Add returns c + d elementwise.
-func (c Coord) Add(d Coord) (Coord, error) {
+// add returns c + d elementwise.
+func (c Coord) add(d Coord) (Coord, error) {
 	if len(c) != len(d) {
 		return nil, ErrRankMismatch
 	}
 	out := make(Coord, len(c))
 	for i := range c {
 		out[i] = c[i] + d[i]
-	}
-	return out, nil
-}
-
-// Sub returns c - d elementwise.
-func (c Coord) Sub(d Coord) (Coord, error) {
-	if len(c) != len(d) {
-		return nil, ErrRankMismatch
-	}
-	out := make(Coord, len(c))
-	for i := range c {
-		out[i] = c[i] - d[i]
 	}
 	return out, nil
 }

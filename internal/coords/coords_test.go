@@ -15,17 +15,30 @@ func TestNewCoordCopies(t *testing.T) {
 	}
 }
 
+// sub returns c - d elementwise: add's inverse, which only this test
+// needs.
+func (c Coord) sub(d Coord) (Coord, error) {
+	if len(c) != len(d) {
+		return nil, ErrRankMismatch
+	}
+	out := make(Coord, len(c))
+	for i := range c {
+		out[i] = c[i] - d[i]
+	}
+	return out, nil
+}
+
 func TestCoordAddSub(t *testing.T) {
 	a := NewCoord(1, 2, 3)
 	b := NewCoord(10, 20, 30)
-	sum, err := a.Add(b)
+	sum, err := a.add(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sum.Equal(NewCoord(11, 22, 33)) {
 		t.Fatalf("Add = %v", sum)
 	}
-	diff, err := sum.Sub(b)
+	diff, err := sum.sub(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +48,10 @@ func TestCoordAddSub(t *testing.T) {
 }
 
 func TestCoordAddRankMismatch(t *testing.T) {
-	if _, err := NewCoord(1).Add(NewCoord(1, 2)); err == nil {
+	if _, err := NewCoord(1).add(NewCoord(1, 2)); err == nil {
 		t.Fatal("expected rank mismatch error")
 	}
-	if _, err := NewCoord(1).Sub(NewCoord(1, 2)); err == nil {
+	if _, err := NewCoord(1).sub(NewCoord(1, 2)); err == nil {
 		t.Fatal("expected rank mismatch error")
 	}
 }

@@ -141,7 +141,7 @@ func (s Slab) Delinearize(off int64) (Coord, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rel.Add(s.Corner)
+	return rel.add(s.Corner)
 }
 
 // SplitDim splits the slab into pieces of at most chunk extent along

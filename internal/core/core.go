@@ -230,7 +230,7 @@ func NewPlan(q *query.Query, engine Engine, opts Options) (*Plan, error) {
 	splits := opts.Splits
 	if splits == nil {
 		var err error
-		splits, err = mapreduce.GenerateSplits(q.Input, splitPoints, opts.Namespace, opts.File, bytesPerPoint)
+		splits, err = mapreduce.GenerateSplits(q.Input, tileSplitPoints(q.Input, q.Extraction, splitPoints), opts.Namespace, opts.File, bytesPerPoint)
 		if err != nil {
 			return nil, err
 		}
@@ -299,6 +299,29 @@ func NewPlan(q *query.Query, engine Engine, opts Options) (*Plan, error) {
 	return p, nil
 }
 
+// tileSplitPoints is the split target the planner hands
+// mapreduce.GenerateSplits for an input tiled by e: target rounded to
+// leading-dimension bands that are a whole number of e's leading stride,
+// the nearest such number and never less than one. Cut from a corner on
+// the tile grid, such bands hold every tile whole, so every key is
+// split-local: one Map task emits it, and for median or percentile that
+// task ships it finished. The target stands in two cases: when one
+// stride is more than twice the band it asks for (tall tiles), so the
+// split count does not collapse; and when the input's leading corner is
+// off the grid, where bands cut from the corner straddle tiles whatever
+// their height. Coordinator and workers derive the same bands from the
+// same target.
+func tileSplitPoints(input coords.Slab, e coords.Extraction, target int64) int64 {
+	row := input.Size() / input.Shape[0]
+	band := max(target/row, 1)
+	stride := e.EffectiveStride()[0]
+	aligned := max((band+stride/2)/stride, 1) * stride
+	if aligned > 2*band || input.Corner[0]%stride != 0 {
+		return target
+	}
+	return aligned * row
+}
+
 // liveRows marks the rows of K'^T's leading dimension that a pruned
 // plan's kept splits can reach — the rows of every kept split's tile
 // range — so partition+ balances the keys the job can produce instead of
@@ -332,11 +355,11 @@ func (p *Plan) liveRows() []bool {
 // rebuilt verbatim when a recorded Retile is (the clustered-worker
 // path). Structural index pruning does not apply to joins.
 func newJoinPlan(q *query.Query, engine Engine, opts Options, splitPoints int64) (*Plan, error) {
-	splitsA, err := mapreduce.GenerateSplits(q.Input, splitPoints, nil, "", bytesPerPoint)
+	splitsA, err := mapreduce.GenerateSplits(q.Input, tileSplitPoints(q.Input, q.Extraction, splitPoints), nil, "", bytesPerPoint)
 	if err != nil {
 		return nil, fmt.Errorf("core: side A splits: %w", err)
 	}
-	splitsB, err := mapreduce.GenerateSplits(q.Input2, splitPoints, nil, "", bytesPerPoint)
+	splitsB, err := mapreduce.GenerateSplits(q.Input2, tileSplitPoints(q.Input2, q.Extraction2, splitPoints), nil, "", bytesPerPoint)
 	if err != nil {
 		return nil, fmt.Errorf("core: side B splits: %w", err)
 	}
@@ -421,7 +444,7 @@ func PruneSplits(q *query.Query, splitPoints int64, vi *sidx.VarIndex) (keep []i
 	if splitPoints <= 0 {
 		return nil, 0, false, fmt.Errorf("core: PruneSplits needs explicit split points")
 	}
-	splits, err := mapreduce.GenerateSplits(q.Input, splitPoints, nil, "", bytesPerPoint)
+	splits, err := mapreduce.GenerateSplits(q.Input, tileSplitPoints(q.Input, q.Extraction, splitPoints), nil, "", bytesPerPoint)
 	if err != nil {
 		return nil, 0, false, err
 	}

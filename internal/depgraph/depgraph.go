@@ -111,8 +111,8 @@ func Build(q *query.Query, splits []coords.Slab, p partition.Partitioner) (*Grap
 // numSplits returns the split count.
 func (g *Graph) numSplits() int { return len(g.SplitToKB) }
 
-// NumKeyblocks returns the keyblock count.
-func (g *Graph) NumKeyblocks() int { return len(g.KBToSplits) }
+// numKeyblocks returns the keyblock count.
+func (g *Graph) numKeyblocks() int { return len(g.KBToSplits) }
 
 // MapOrder returns a Map execution order that completes keyblocks in the
 // given priority order (nil: ascending keyblock id): the dependencies of
@@ -122,7 +122,7 @@ func (g *Graph) NumKeyblocks() int { return len(g.KBToSplits) }
 // scheduling (§3.3) without a slot model.
 func (g *Graph) MapOrder(priority []int) []int {
 	if priority == nil {
-		priority = make([]int, g.NumKeyblocks())
+		priority = make([]int, g.numKeyblocks())
 		for i := range priority {
 			priority[i] = i
 		}
@@ -160,5 +160,5 @@ func (g *Graph) SIDRConnections() int64 {
 // Hadoop opens: every Reduce task contacts every Map task (Table 3,
 // Hadoop column).
 func (g *Graph) HadoopConnections() int64 {
-	return int64(g.numSplits()) * int64(g.NumKeyblocks())
+	return int64(g.numSplits()) * int64(g.numKeyblocks())
 }

@@ -78,8 +78,8 @@ func TestPartitionPlusAlignedDependencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.numSplits() != 4 || g.NumKeyblocks() != 4 {
-		t.Fatalf("graph %dx%d", g.numSplits(), g.NumKeyblocks())
+	if g.numSplits() != 4 || g.numKeyblocks() != 4 {
+		t.Fatalf("graph %dx%d", g.numSplits(), g.numKeyblocks())
 	}
 	for l := 0; l < 4; l++ {
 		deps := g.KBToSplits[l]

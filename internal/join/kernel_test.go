@@ -15,6 +15,28 @@ import (
 	"sidr/internal/query"
 )
 
+// addPoint folds one observation into v, every statistic included: the
+// per-point definition of each statistic, which the Map kernel's
+// kv.Value.AddRun must reproduce bit for bit.
+func addPoint(v *kv.Value, x float64, keepSample bool) {
+	if v.Count == 0 {
+		v.Min, v.Max = x, x
+	} else {
+		if x < v.Min {
+			v.Min = x
+		}
+		if x > v.Max {
+			v.Max = x
+		}
+	}
+	v.Sum += x
+	v.SumSq += x * x
+	v.Count++
+	if keepSample {
+		v.Samples = append(v.Samples, x)
+	}
+}
+
 // refExecMap is the per-point join Map body the batch kernel replaced,
 // kept as the differential oracle: one callback per source point, a
 // keyblock→key→value map of maps, Delinearize and a sort at the end.
@@ -95,7 +117,7 @@ func refExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab
 			kb := p.rangeUnit(k)
 			outs[kb].SourceCount++
 			if present {
-				acc(kb, k).Add(v, needSamples)
+				addPoint(acc(kb, k), v, needSamples)
 			}
 		case curHeavy:
 			off, err := curTile.Linearize(c)
@@ -105,13 +127,13 @@ func refExecMap(p *Plan, side int, reader coords.RecordReader, split coords.Slab
 			kb := p.shareByOffset(k, off)
 			outs[kb].SourceCount++
 			if present {
-				acc(kb, k).Add(v, needSamples)
+				addPoint(acc(kb, k), v, needSamples)
 			}
 		default:
 			for _, id := range curIDs {
 				outs[id].SourceCount++
 				if present {
-					acc(id, k).Add(v, needSamples)
+					addPoint(acc(id, k), v, needSamples)
 				}
 			}
 		}

@@ -168,19 +168,26 @@ func TestSpillRoundTripsRealMapOutputs(t *testing.T) {
 		// Combined avg: one sum and one count per key, no sample column.
 		{name: "avg-combined", query: "avg v[0,0,0 : 16,32,32] es {4,4,4}", a: field,
 			opts: core.Options{Reducers: 4, SplitPoints: 2 * 32 * 32}, bytesPerPair: 18},
-		// Holistic: one pair per key, its 32 samples of the split at 8 bytes
+		// Holistic: one pair per key, its samples of the split at 8 bytes
 		// per source point plus the key's count and sample count — 8 + 14/n
 		// per point for n samples per pair.
 		{name: "median-uncombined", query: "median v[0,0,0 : 16,32,32] es {4,4,4}", a: field,
-			opts: core.Options{Reducers: 4, SplitPoints: 2 * 32 * 32}, bytesPerPair: 14, bytesPerPoint: 8},
+			opts:  core.Options{Reducers: 4, SplitPoints: 2 * 32 * 32},
+			tweak: func(in *mapreduce.MapInput) { in.Combine = false }, bytesPerPair: 14, bytesPerPoint: 8},
+		// Finished: the splits hold every tile whole, so each key ships its
+		// one median with its count and sample count, whatever its points.
+		{name: "median-finished", query: "median v[0,0,0 : 16,32,32] es {4,4,4}", a: field,
+			opts: core.Options{Reducers: 4, SplitPoints: 4 * 32 * 32}, bytesPerPair: 22},
 		{name: "stddev-uncombined", query: "stddev v[0,0,0 : 16,32,32] es {4,4,4}", a: field,
 			opts:  core.Options{Reducers: 4, SplitPoints: 2 * 32 * 32},
 			tweak: func(in *mapreduce.MapInput) { in.Combine = false }},
 		{name: "filter_gt-prefiltered", query: "filter_gt v[0,0 : 40,30] es {4,5} param 100", a: field,
 			opts: core.Options{Reducers: 3, SplitPoints: 4 * 30}},
-		// NaN samples: their blocks keep explicit columns.
+		// NaN samples: their blocks keep explicit columns. Uncombined, so
+		// no key ships finished.
 		{name: "median-nan-samples", query: "median v[0,0 : 28,10] es {7,5}", a: holed,
-			opts: core.Options{Reducers: 3, SplitPoints: 4 * 10}, nans: true},
+			opts:  core.Options{Reducers: 3, SplitPoints: 4 * 10},
+			tweak: func(in *mapreduce.MapInput) { in.Combine = false }, nans: true},
 		// Joins: rank+1 keys with the trailing side coordinate. jcorr is
 		// holistic and never carves; the carved layout is exercised with
 		// jsum on the same skewed inputs.

@@ -18,7 +18,7 @@ import (
 )
 
 // Value is the intermediate value for one (key, map-task) contribution.
-// The zero Value is an empty aggregate ready for Add.
+// The zero Value is an empty aggregate ready for AddRun.
 type Value struct {
 	// Aggregate state for distributive operators.
 	Sum   float64
@@ -27,37 +27,15 @@ type Value struct {
 	Max   float64
 
 	// Count is the number of source ⟨k,v⟩ pairs this value represents
-	// (the SIDR correctness annotation). It is maintained by Add and
-	// Merge regardless of operator kind.
+	// (the SIDR correctness annotation). It is maintained by AddRun and
+	// merge regardless of operator kind. A Map task that finishes a
+	// split-local key keeps it: one sample then stands for Count points.
 	Count int64
 
 	// Samples holds raw values for holistic operators and matching
 	// values for filters. Nil when the operator runs in aggregate-only
 	// mode.
 	Samples []float64
-}
-
-// Add folds a single observation into the value, every statistic
-// included. No task calls it: it is the per-point definition of each
-// statistic that the Map kernel's differential oracles hold AddRun
-// against.
-func (v *Value) Add(x float64, keepSample bool) {
-	if v.Count == 0 {
-		v.Min, v.Max = x, x
-	} else {
-		if x < v.Min {
-			v.Min = x
-		}
-		if x > v.Max {
-			v.Max = x
-		}
-	}
-	v.Sum += x
-	v.SumSq += x * x
-	v.Count++
-	if keepSample {
-		v.Samples = append(v.Samples, x)
-	}
 }
 
 // Stats is a set of the statistics besides Count that a Value folds. An
@@ -75,8 +53,9 @@ const (
 
 // AddRun folds xs into the value in order, for the statistics in st and
 // Count. Each statistic in st keeps its single accumulator and sees the
-// observations in the same sequence as len(xs) calls of Add would, so it
-// is bit-identical to theirs; a statistic outside st is left as it is.
+// observations in the same sequence as folding them one point at a time
+// would, so it is bit-identical to that per-point definition (the tests
+// hold it); a statistic outside st is left as it is.
 // The set is read once per run: each combination an operator declares
 // has a loop of its own.
 func (v *Value) AddRun(xs []float64, st Stats, keepSamples bool) {

@@ -10,6 +10,28 @@ import (
 	"sidr/internal/coords"
 )
 
+// Add folds a single observation into the value, every statistic
+// included: the per-point definition of each statistic, which AddRun and
+// the Map kernel must reproduce bit for bit.
+func (v *Value) Add(x float64, keepSample bool) {
+	if v.Count == 0 {
+		v.Min, v.Max = x, x
+	} else {
+		if x < v.Min {
+			v.Min = x
+		}
+		if x > v.Max {
+			v.Max = x
+		}
+	}
+	v.Sum += x
+	v.SumSq += x * x
+	v.Count++
+	if keepSample {
+		v.Samples = append(v.Samples, x)
+	}
+}
+
 func TestNewValue(t *testing.T) {
 	v := NewValue(3, false)
 	if v.Count != 1 || v.Sum != 3 || v.Min != 3 || v.Max != 3 || v.SumSq != 9 {

@@ -8,8 +8,10 @@
 // sorted pair per key and keyblock, with the §3.2.1 source-count
 // annotation. It folds only the statistics the operator declares
 // (ops.Operator.Stats): the others stay +0, and the spill does not write
-// them. A caller supplies data only: a router, a key suffix, the
-// statistics and a value selection.
+// them. A key whose every input point the split holds can ship finished:
+// its one output instead of its samples (Task.Finish). A caller supplies
+// data only: a router, a key suffix, the statistics, a value selection
+// and a finisher.
 package mapkernel
 
 import (
@@ -54,6 +56,12 @@ type Task struct {
 	// Otherwise the kept values are the key's observations — a join's
 	// present cells — folded as they arrive and counted by Count.
 	Survivors bool
+	// Finish, when set, is the operator's reduction of one key's samples
+	// to its one output, with ops.Finisher's contract (it needs Samples
+	// and no Keep). A key whose every point of Input lies in Split is
+	// split-local: no other task emits it, so it ships finished, its
+	// samples reduced to [Finish(samples)], and Count stays its points.
+	Finish func(samples []float64) float64
 	// Ctx, when set, is checked before every batch read.
 	Ctx context.Context
 }
@@ -96,6 +104,9 @@ type Scratch struct {
 	// not, because a cell's Samples is a window of a sample arena.
 	Tile   []cell
 	points []int64 // source points per cell: the sample windows' sizes
+	// input is, per cell, the points of the whole input its key has: a
+	// key is split-local where this equals points.
+	input []int64
 	// arena backs the sample windows. It serves task after task until a
 	// task drops no value and the pairs take it.
 	arena []float64
@@ -209,16 +220,20 @@ func (s *Scratch) run(t *Task) ([]Out, int64, error) {
 // The windows are carved in cell order from the scratch's arena. If the
 // task drops no value they fill it and the pairs take it whole; otherwise
 // the seal copies the kept values out into one exact array and the arena
-// serves the next task. A task without a selection cannot drop values,
-// so its arena is a fresh, exactly sized array; a selecting task reuses
-// the last one, grown when short. So a task that keeps every sample, a
-// join's dense side included, allocates one array of them and copies
-// nothing, and a filter's bytes follow its survivors. (A dense join side
+// serves the next task. A task that neither selects nor finishes keys
+// cannot drop values, so its arena is a fresh, exactly sized array; a
+// selecting or finishing task reuses the last one, grown when short. So
+// a task that keeps every sample, a join's dense side included,
+// allocates one array of them and copies nothing, and a filter's bytes
+// follow its survivors and a finishing task's its unfinished keys. (A dense join side
 // that both copied its values and left a pooled arena their size behind
 // raised join_zipf's peak RSS by 8 %.)
 func (s *Scratch) windows(t *Task, walk coords.TileWalk, live coords.Slab) {
 	s.points, s.total = walk.CellPoints(live, s.points)
-	if t.Keep == nil || int64(cap(s.arena)) < s.total {
+	if t.Finish != nil {
+		s.input, _ = walk.CellPoints(t.Input, s.input)
+	}
+	if t.Keep == nil && t.Finish == nil || int64(cap(s.arena)) < s.total {
 		s.arena = make([]float64, s.total)
 	}
 	arena := s.arena
@@ -249,9 +264,10 @@ func (s *Scratch) add(t *Task, c *cell, run []float64) {
 	}
 }
 
-// seal publishes the task's output and zeroes every cell. Each visited
-// key adds its points to its keyblock's annotation; a key that kept an
-// observation ships exactly one pair. One odometer walk over the box
+// seal publishes the task's output and zeroes every cell. A split-local
+// key's samples are first finished in their window; then each visited
+// key adds its points to its keyblock's annotation, and a key that kept
+// an observation ships exactly one pair. One odometer walk over the box
 // meets the keys in row-major order and routes each, so each keyblock's
 // pairs are sorted as they are placed; every carved tile's share then
 // ships its own. Pairs and keys are carved from one array each. A
@@ -273,6 +289,9 @@ func (s *Scratch) seal(t *Task, box coords.Slab, carved map[int64][]Share, share
 	}
 	for i := range s.Tile {
 		if c := &s.Tile[i]; c.Count+c.missing > 0 {
+			if t.Finish != nil && s.points[i] == s.input[i] {
+				c.Samples = append(c.Samples[:0], t.Finish(c.Samples))
+			}
 			kb, err := t.Route.Part.Partition(key)
 			if err != nil {
 				return err

@@ -26,7 +26,10 @@ import (
 // mapKey + Contains + Partition + Linearize and a hash-map lookup
 // each, Delinearize and a sort at seal time. It folds every statistic
 // and then sets the ones the operator does not declare to +0, as the
-// kernel leaves them. ExecMap must reproduce its output bit for bit.
+// kernel leaves them. With the combiner on, a median or percentile key
+// all of whose input points the split holds ships finished: its samples
+// become the operator applied to them, and Count stays its points.
+// ExecMap must reproduce its output bit for bit.
 func refExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 	q := in.Query
 	r := in.Part.NumKeyblocks()
@@ -37,6 +40,17 @@ func refExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 	}
 	needSamples := in.Op.NeedsSamples()
 	preFilter := in.Combine && in.Op.Kind() == ops.Filter
+	var inputPoints map[int64]int64 // each key's points in the whole input
+	if _, finishes := ops.Finisher(in.Op); in.Combine && finishes {
+		inputPoints = map[int64]int64{}
+		q.Input.EachReuse(func(k coords.Coord) bool {
+			if kp, mapped := mapKey(q.Extraction, k, nil); mapped && slabContains(in.Space, kp) {
+				off, _ := in.Space.Linearize(kp)
+				inputPoints[off]++
+			}
+			return true
+		})
+	}
 
 	accums := make([]map[int64]*kv.Value, r)
 	for i := range accums {
@@ -76,7 +90,7 @@ func refExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 			val = &kv.Value{}
 			m[off] = val
 		}
-		val.Add(v, needSamples)
+		addPoint(val, v, needSamples)
 		outs[kb].SourceCount++
 		return nil
 	})
@@ -97,12 +111,37 @@ func refExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 			if preFilter {
 				out = refPreFilter(in.Op, out, q.Params()...)
 			}
+			if inputPoints != nil && inputPoints[off] == out.Count {
+				out.Samples = in.Op.Apply(kv.Value{Samples: slices.Clone(out.Samples)}, q.Params()...)
+			}
 			pairs = append(pairs, kv.Pair{Key: kp, Value: declared(out, in.Op.Stats())})
 		}
 		slices.SortFunc(pairs, func(a, b kv.Pair) int { return a.Key.Compare(b.Key) })
 		outs[kb].Pairs = pairs
 	}
 	return outs, records, nil
+}
+
+// addPoint folds one observation into v, every statistic included: the
+// per-point definition of each statistic, which the Map kernel's
+// kv.Value.AddRun must reproduce bit for bit.
+func addPoint(v *kv.Value, x float64, keepSample bool) {
+	if v.Count == 0 {
+		v.Min, v.Max = x, x
+	} else {
+		if x < v.Min {
+			v.Min = x
+		}
+		if x > v.Max {
+			v.Max = x
+		}
+	}
+	v.Sum += x
+	v.SumSq += x * x
+	v.Count++
+	if keepSample {
+		v.Samples = append(v.Samples, x)
+	}
 }
 
 // refPreFilter is the combiner the Map kernel's fold-time selection
@@ -127,7 +166,7 @@ func refPreFilter(op ops.Operator, v kv.Value, params ...float64) kv.Value {
 	sort.Float64s(kept)
 	var out kv.Value
 	for _, x := range kept {
-		out.Add(x, false)
+		addPoint(&out, x, false)
 	}
 	out.Samples = kept[:len(kept):len(kept)]
 	out.Count = v.Count
@@ -645,6 +684,14 @@ func FuzzMapKernel(f *testing.F) {
 	f.Add([]byte{1, 20, 12, 1, 4, 3, 0, 0, 0, 0, 1, 2, 0, 6, 4, 1, 1, 3, 5, 0})
 	f.Add([]byte{2, 9, 7, 11, 2, 3, 4, 0, 1, 0, 1, 0, 2, 4, 5, 1, 0, 2, 41, 41})
 	f.Add([]byte{0, 60, 1, 1, 6, 1, 1, 0, 0, 0, 3, 0, 0, 17, 5, 1, 1, 4, 50, 9})
+	// median and percentile with the combiner on, over splits that hold
+	// some tiles whole and cut others: split-local keys ship finished
+	// beside straddling ones, across stride gaps, with a partial trailing
+	// tile kept (the first two) and discarded (the third), and an input
+	// corner off the grid in a trailing dimension (the second).
+	f.Add([]byte{1, 20, 9, 0, 3, 2, 0, 2, 0, 0, 0, 0, 0, 7, 7, 1, 0, 2})
+	f.Add([]byte{2, 13, 7, 6, 2, 1, 3, 1, 0, 0, 0, 3, 0, 5, 9, 1, 1, 3})
+	f.Add([]byte{0, 19, 1, 1, 5, 1, 1, 2, 0, 0, 0, 0, 0, 8, 7, 3, 0, 1})
 	names := opNames
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) < 18 {
@@ -687,9 +734,13 @@ func FuzzMapKernel(f *testing.F) {
 }
 
 // TestHolisticKeyShipsOnePair: a holistic operator defeats the combiner's
-// fold, not the kernel's — a key leaves a Map task as one pair carrying
-// every sample in row-major source order, and the kv-count annotation
-// still counts source points.
+// fold, not the kernel's — a key leaves a Map task as one pair, and the
+// kv-count annotation still counts source points. The split [2,9) holds
+// the es {4,5} tiles of rows 4–7 whole and cuts those of rows 0–3 and
+// 8–11. With the combiner on, a key of rows 4–7 is split-local and ships
+// finished: exactly one sample, its median, with Count its 20 source
+// points. A straddling key, and every key with the combiner off, ships
+// what it always has: every sample in row-major source order.
 func TestHolisticKeyShipsOnePair(t *testing.T) {
 	q := mustParse(t, "median v[0,0 : 12,10] es {4,5}")
 	op, _ := q.Op()
@@ -698,15 +749,7 @@ func TestHolisticKeyShipsOnePair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := MapInput{Query: q, Op: op, Space: space, Part: pp, Reader: &FuncReader{Fn: kernelValue}, Combine: true}
-	split := coords.MustSlab(coords.NewCoord(2, 0), coords.NewShape(7, 10)) // cuts the tiles of rows 0–3 and 8–11
-	outs, records, err := ExecMap(in, InputSplit{Slab: split})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if records != split.Size() {
-		t.Fatalf("%d records, want %d", records, split.Size())
-	}
+	split := coords.MustSlab(coords.NewCoord(2, 0), coords.NewShape(7, 10))
 	// The expectation, straight off the definition: every point of the
 	// split, in row-major order, appended to its key's sample list.
 	want := map[string][]float64{}
@@ -715,40 +758,67 @@ func TestHolisticKeyShipsOnePair(t *testing.T) {
 		want[kp.String()] = append(want[kp.String()], kernelValue(k))
 		return true
 	})
-	var points int64
-	keys := 0
-	for kb, o := range outs {
-		live := 0
-		space.EachReuse(func(kp coords.Coord) bool {
-			if l, _ := pp.Partition(kp); l == kb && want[kp.String()] != nil {
-				live++
-			}
-			return true
-		})
-		if len(o.Pairs) != live {
-			t.Fatalf("keyblock %d: %d pairs for %d live keys", kb, len(o.Pairs), live)
+	for _, combine := range []bool{true, false} {
+		in := MapInput{Query: q, Op: op, Space: space, Part: pp, Reader: &FuncReader{Fn: kernelValue}, Combine: combine}
+		outs, records, err := ExecMap(in, InputSplit{Slab: split})
+		if err != nil {
+			t.Fatal(err)
 		}
-		var tally int64
-		for _, p := range o.Pairs {
-			samples := want[p.Key.String()]
-			if len(p.Value.Samples) != len(samples) || p.Value.Count != int64(len(samples)) {
-				t.Fatalf("key %v: %d samples, Count %d, want %d", p.Key, len(p.Value.Samples), p.Value.Count, len(samples))
-			}
-			for i, x := range samples {
-				if math.Float64bits(p.Value.Samples[i]) != math.Float64bits(x) {
-					t.Fatalf("key %v sample %d out of source order", p.Key, i)
+		if records != split.Size() {
+			t.Fatalf("%d records, want %d", records, split.Size())
+		}
+		var points int64
+		keys, finished := 0, 0
+		for kb, o := range outs {
+			live := 0
+			space.EachReuse(func(kp coords.Coord) bool {
+				if l, _ := pp.Partition(kp); l == kb && want[kp.String()] != nil {
+					live++
 				}
+				return true
+			})
+			if len(o.Pairs) != live {
+				t.Fatalf("keyblock %d: %d pairs for %d live keys", kb, len(o.Pairs), live)
 			}
-			tally += p.Value.Count
+			var tally int64
+			for _, p := range o.Pairs {
+				samples := want[p.Key.String()]
+				if p.Value.Count != int64(len(samples)) {
+					t.Fatalf("key %v: Count %d, want its %d source points", p.Key, p.Value.Count, len(samples))
+				}
+				if combine && p.Key[0] == 1 {
+					sorted := slices.Clone(samples)
+					sort.Float64s(sorted)
+					h := len(sorted) / 2
+					median := (sorted[h-1] + sorted[h]) / 2
+					if len(p.Value.Samples) != 1 || math.Float64bits(p.Value.Samples[0]) != math.Float64bits(median) {
+						t.Fatalf("split-local key %v: samples %v, want the one median %v", p.Key, p.Value.Samples, median)
+					}
+					finished++
+				} else {
+					if len(p.Value.Samples) != len(samples) {
+						t.Fatalf("key %v: %d samples, want %d", p.Key, len(p.Value.Samples), len(samples))
+					}
+					for i, x := range samples {
+						if math.Float64bits(p.Value.Samples[i]) != math.Float64bits(x) {
+							t.Fatalf("key %v sample %d out of source order", p.Key, i)
+						}
+					}
+				}
+				tally += p.Value.Count
+			}
+			if o.SourceCount != tally {
+				t.Fatalf("keyblock %d: SourceCount %d, pairs carry %d", kb, o.SourceCount, tally)
+			}
+			points += o.SourceCount
+			keys += len(o.Pairs)
 		}
-		if o.SourceCount != tally {
-			t.Fatalf("keyblock %d: SourceCount %d, pairs carry %d", kb, o.SourceCount, tally)
+		if points != split.Size() || keys != len(want) {
+			t.Fatalf("%d source points over %d pairs, want %d over %d", points, keys, split.Size(), len(want))
 		}
-		points += o.SourceCount
-		keys += len(o.Pairs)
-	}
-	if points != split.Size() || keys != len(want) {
-		t.Fatalf("%d source points over %d pairs, want %d over %d", points, keys, split.Size(), len(want))
+		if wantFinished := map[bool]int{true: 2, false: 0}[combine]; finished != wantFinished {
+			t.Fatalf("combine=%t: %d keys finished, want %d", combine, finished, wantFinished)
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func referenceResults(t *testing.T, q *query.Query, value func(coords.Coord) flo
 		}
 		var v kv.Value
 		live.Each(func(k coords.Coord) bool {
-			v.Add(value(k), true)
+			addPoint(&v, value(k), true)
 			return true
 		})
 		vals := op.Apply(v, q.Params()...)
@@ -496,7 +496,7 @@ func TestExecReduceFilterOmitsEmptyKeys(t *testing.T) {
 	pair := func(k int64, vs ...float64) kv.Pair {
 		var v kv.Value
 		for _, x := range vs {
-			v.Add(x, true)
+			addPoint(&v, x, true)
 		}
 		return kv.Pair{Key: coords.NewCoord(k), Value: v}
 	}

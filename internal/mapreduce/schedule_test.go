@@ -702,6 +702,6 @@ func TestFailureRecoveryRecompute(t *testing.T) {
 // oneValue is a value holding the single observation x.
 func oneValue(x float64) kv.Value {
 	var v kv.Value
-	v.Add(x, false)
+	addPoint(&v, x, false)
 	return v
 }

@@ -217,8 +217,10 @@ type MapInput struct {
 	Reader2 coords.RecordReader
 
 	// Combine makes a filter's Map tasks drop the samples its predicate
-	// rejects before they are shipped. A Map task folds every key into one
-	// pair whatever the operator, so this is all the combiner decides.
+	// rejects before they are shipped, and a median's or percentile's
+	// finish every key no other Map task emits (ops.Finisher). A Map task
+	// folds every key into one pair whatever the operator, so this is all
+	// the combiner decides.
 	Combine bool
 	// Ctx, when set, aborts the record loop when done.
 	Ctx context.Context
@@ -251,7 +253,8 @@ func ExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 // is nil. A join split reads its side's input (join.Plan.MapTask); a
 // single-input one routes through the partitioner, and with the combiner
 // on a filter keeps only its predicate's survivors, selected run by run
-// as the scan folds.
+// as the scan folds, and a holistic operator that has a finisher ships
+// each split-local key's one output instead of its samples.
 func execMap(in MapInput, split InputSplit, s *mapkernel.Scratch) ([]MapOut, int64, error) {
 	if jp := in.Join; jp != nil {
 		side, reader, missing := jp.Side(split.ID), in.Reader, errNoReader
@@ -265,8 +268,10 @@ func execMap(in MapInput, split InputSplit, s *mapkernel.Scratch) ([]MapOut, int
 	}
 	q := in.Query
 	var keep func(dst, run []float64) []float64
+	var finish func(samples []float64) float64
 	if in.Combine {
 		keep, _ = ops.Selector(in.Op, q.Params()...)
+		finish, _ = ops.Finisher(in.Op, q.Params()...)
 	}
 	return mapkernel.Exec(mapkernel.Task{
 		Reader:     in.Reader,
@@ -279,6 +284,7 @@ func execMap(in MapInput, split InputSplit, s *mapkernel.Scratch) ([]MapOut, int
 		Samples:    in.Op.NeedsSamples(),
 		Keep:       keep,
 		Survivors:  keep != nil,
+		Finish:     finish,
 		Ctx:        in.Ctx,
 	}, s)
 }

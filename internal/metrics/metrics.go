@@ -15,9 +15,17 @@ import (
 	"sync/atomic"
 )
 
+// level is the int64 a counter or a gauge holds.
+type level struct {
+	v atomic.Int64
+}
+
+// Value returns the current level.
+func (l *level) Value() int64 { return l.v.Load() }
+
 // Counter is a monotonically increasing int64.
 type Counter struct {
-	v atomic.Int64
+	level
 }
 
 // Inc adds one.
@@ -30,12 +38,9 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
 // Gauge is an instantaneous int64 level (queue depths, open handles).
 type Gauge struct {
-	v atomic.Int64
+	level
 }
 
 // Set replaces the level.
@@ -43,9 +48,6 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add moves the level by n (may be negative).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram accumulates float64 observations into cumulative buckets
 // with a sum and count, Prometheus-style.
@@ -65,13 +67,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.sum += v
 	h.count++
-}
-
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // defBuckets covers query latencies from 1 ms to ~2 min.

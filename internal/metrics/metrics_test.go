@@ -35,8 +35,8 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Count() != 5 {
 		t.Fatalf("count = %d, want 5", h.Count())
 	}
-	if h.Sum() != 56.05 {
-		t.Fatalf("sum = %g, want 56.05", h.Sum())
+	if h.sum != 56.05 {
+		t.Fatalf("sum = %g, want 56.05", h.sum)
 	}
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {

@@ -124,8 +124,8 @@ func (fl *File) Close() error { return fl.f.Close() }
 // Sync flushes file contents to stable storage.
 func (fl *File) Sync() error { return fl.f.Sync() }
 
-// Size returns the current byte size of the file on disk.
-func (fl *File) Size() (int64, error) {
+// size returns the current byte size of the file on disk.
+func (fl *File) size() (int64, error) {
 	st, err := fl.f.Stat()
 	if err != nil {
 		return 0, err
@@ -222,7 +222,7 @@ func (fl *File) ReadSlabInto(varName string, slab coords.Slab, dst []float64) ([
 	} else {
 		dst = dst[:n]
 	}
-	esz := v.Type.Size()
+	esz := v.Type.size()
 	bufp := ioBufs.Get().(*[]byte)
 	defer ioBufs.Put(bufp)
 	out := dst
@@ -256,7 +256,7 @@ func (fl *File) WriteSlab(varName string, slab coords.Slab, values []float64) er
 	if int64(len(values)) != slab.Size() {
 		return fmt.Errorf("ncfile: %d values for slab of %d elements", len(values), slab.Size())
 	}
-	esz := v.Type.Size()
+	esz := v.Type.size()
 	bufp := ioBufs.Get().(*[]byte)
 	defer ioBufs.Put(bufp)
 	return slabRuns(full, slab, ioElems, func(off, n int64) error {

@@ -42,8 +42,8 @@ const (
 	int64Type
 )
 
-// Size returns the element size in bytes.
-func (d dataType) Size() int64 {
+// size returns the element size in bytes.
+func (d dataType) size() int64 {
 	switch d {
 	case Float64, int64Type:
 		return 8
@@ -177,7 +177,7 @@ func (h *Header) validate() error {
 			return fmt.Errorf("ncfile: duplicate variable %q", v.Name)
 		}
 		vseen[v.Name] = true
-		if v.Type.Size() == 0 {
+		if v.Type.size() == 0 {
 			return fmt.Errorf("ncfile: variable %q has unknown type", v.Name)
 		}
 		if len(v.Dims) == 0 {
@@ -263,7 +263,7 @@ func (h *Header) assignOffsets() error {
 		if err != nil {
 			return err
 		}
-		off += shape.Size() * h.Vars[i].Type.Size()
+		off += shape.Size() * h.Vars[i].Type.size()
 	}
 	return nil
 }
@@ -281,7 +281,7 @@ func (h *Header) totalSize() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return last.dataOffset + shape.Size()*last.Type.Size(), nil
+	return last.dataOffset + shape.Size()*last.Type.size(), nil
 }
 
 // encode writes the header (with magic and version) to w.

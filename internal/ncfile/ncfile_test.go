@@ -537,14 +537,14 @@ func TestCreateEmptyIsCheap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, _ := f1.Size()
+	s1, _ := f1.size()
 	f1.Close()
 	h2 := &Header{Dims: h.Dims, Vars: []Variable{{Name: "v", Type: Float64, Dims: []string{"a", "b"}}}}
 	f2, err := CreateEmpty(p2, h2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := f2.Size()
+	s2, _ := f2.size()
 	f2.Close()
 	if s1 != s2 {
 		t.Fatalf("sizes differ: %d vs %d", s1, s2)
@@ -578,7 +578,7 @@ func TestDataTypeString(t *testing.T) {
 	if Float64.String() != "double" || int64Type.String() != "int64" {
 		t.Fatal("dataType names changed")
 	}
-	if dataType(99).Size() != 0 {
+	if dataType(99).size() != 0 {
 		t.Fatal("unknown type has nonzero size")
 	}
 }

@@ -85,7 +85,7 @@ func WriteDense(path, varName string, keyblock coords.Slab, values []float64) (i
 		f.Close()
 		return 0, err
 	}
-	size, err := f.Size()
+	size, err := f.size()
 	if err != nil {
 		f.Close()
 		return 0, err
@@ -129,7 +129,7 @@ func WriteSentinel(path, varName string, totalSpace coords.Shape, sentinel float
 		f.Close()
 		return 0, err
 	}
-	size, err := f.Size()
+	size, err := f.size()
 	if err != nil {
 		f.Close()
 		return 0, err

@@ -71,8 +71,8 @@ type Operator interface {
 	Apply(v kv.Value, params ...float64) []float64
 }
 
-// fn is a table-driven operator implementation. Filters set keep;
-// every other operator sets apply.
+// fn is a table-driven operator implementation. Filters set keep,
+// median and percentile set finish, and every other operator sets apply.
 type fn struct {
 	name    string
 	kind    opKind
@@ -83,6 +83,10 @@ type fn struct {
 	// keep is a filter's selection loop (see Selector); Apply runs it
 	// over a key's samples in place.
 	keep func(dst, run []float64, p, p2 float64) []float64
+	// finish is a holistic operator's reduction of one key's samples to
+	// its one output (see Finisher); Apply runs it over a key's samples
+	// in place.
+	finish func(s []float64, p float64) float64
 	// prune, when set, derives the conservative block-level predicate
 	// the structural index (internal/sidx) prunes splits with.
 	prune func(params []float64) func(min, max float64) bool
@@ -103,6 +107,9 @@ func (f fn) Apply(v kv.Value, params ...float64) []float64 {
 		}
 		SortSurvivors(out)
 		return out[:len(out):len(out)]
+	}
+	if f.finish != nil {
+		return []float64{f.finish(v.Samples, p)}
 	}
 	return f.apply(v, p)
 }
@@ -149,17 +156,16 @@ func init() {
 	// The holistic operators order v.Samples in place. median and
 	// percentile select the order statistics they read (selectK) instead
 	// of sorting every sample.
-	register(fn{name: "median", kind: Holistic, samples: true, apply: func(v kv.Value, _ float64) []float64 {
-		s := v.Samples
+	register(fn{name: "median", kind: Holistic, samples: true, finish: func(s []float64, _ float64) float64 {
 		if len(s) == 0 {
-			return []float64{0}
+			return 0
 		}
 		h := len(s) / 2
 		selectK(s, h)
 		if len(s)%2 == 1 {
-			return []float64{s[h]}
+			return s[h]
 		}
-		return []float64{(maxOrdered(s[:h]) + s[h]) / 2}
+		return (maxOrdered(s[:h]) + s[h]) / 2
 	}})
 	register(fn{name: "sort", kind: Holistic, samples: true, apply: func(v kv.Value, _ float64) []float64 {
 		sort.Float64s(v.Samples)
@@ -235,10 +241,9 @@ func init() {
 	}})
 	// percentile returns the p-th percentile (param in [0, 100]) using
 	// nearest-rank; param 50 matches median for odd sample counts.
-	register(fn{name: "percentile", kind: Holistic, samples: true, nparams: 1, apply: func(v kv.Value, p float64) []float64 {
-		s := v.Samples
+	register(fn{name: "percentile", kind: Holistic, samples: true, nparams: 1, finish: func(s []float64, p float64) float64 {
 		if len(s) == 0 {
-			return []float64{0}
+			return 0
 		}
 		if p < 0 {
 			p = 0
@@ -251,7 +256,7 @@ func init() {
 			rank = 1
 		}
 		selectK(s, rank-1)
-		return []float64{s[rank-1]}
+		return s[rank-1]
 	}})
 }
 
@@ -303,6 +308,22 @@ func Selector(op Operator, params ...float64) (sel func(dst, run []float64) []fl
 	}
 	p, p2 := two(params)
 	return func(dst, run []float64) []float64 { return f.keep(dst, run, p, p2) }, true
+}
+
+// Finisher returns a holistic operator's reduction for the given
+// parameters, the one its Apply runs: finish(s) is the operator's one
+// output for a key whose samples are s, and may reorder s. Applied to a
+// value whose one sample is finish(s), Apply returns that sample
+// unchanged, so a Map task that holds every sample of a key can ship
+// the key finished. ok is false for every other operator — sort, the
+// filters and the distributive operators.
+func Finisher(op Operator, params ...float64) (finish func(samples []float64) float64, ok bool) {
+	f, isFn := op.(fn)
+	if !isFn || f.finish == nil {
+		return nil, false
+	}
+	p, _ := two(params)
+	return func(s []float64) float64 { return f.finish(s, p) }, true
 }
 
 func b2i(b bool) int {

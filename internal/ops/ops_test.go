@@ -12,10 +12,32 @@ import (
 	"sidr/internal/kv"
 )
 
+// addPoint folds one observation into v, every statistic included: the
+// per-point definition of each statistic, which the Map kernel's
+// kv.Value.AddRun must reproduce bit for bit.
+func addPoint(v *kv.Value, x float64, keepSample bool) {
+	if v.Count == 0 {
+		v.Min, v.Max = x, x
+	} else {
+		if x < v.Min {
+			v.Min = x
+		}
+		if x > v.Max {
+			v.Max = x
+		}
+	}
+	v.Sum += x
+	v.SumSq += x * x
+	v.Count++
+	if keepSample {
+		v.Samples = append(v.Samples, x)
+	}
+}
+
 func valueOf(samples bool, xs ...float64) kv.Value {
 	var v kv.Value
 	for _, x := range xs {
-		v.Add(x, samples)
+		addPoint(&v, x, samples)
 	}
 	return v
 }
@@ -547,8 +569,8 @@ func TestQuickDistributiveCombinerEquivalence(t *testing.T) {
 		partials := make([]kv.Value, parts)
 		var full kv.Value
 		for i, x := range xs {
-			partials[i%parts].Add(x, false)
-			full.Add(x, false)
+			addPoint(&partials[i%parts], x, false)
+			addPoint(&full, x, false)
 		}
 		merged := mergeValues(partials)
 		for _, name := range names {
@@ -582,8 +604,8 @@ func TestQuickFilterSurvivorsEquivalence(t *testing.T) {
 		parts := make([]kv.Value, 1+r.Intn(4))
 		for i := 0; i < n; i++ {
 			x := r.NormFloat64()
-			full.Add(x, true)
-			parts[i%len(parts)].Add(x, true)
+			addPoint(&full, x, true)
+			addPoint(&parts[i%len(parts)], x, true)
 		}
 		filtered := make([]kv.Value, len(parts))
 		for i, p := range parts {
@@ -700,6 +722,62 @@ func TestOperatorsReadOnlyWhatTheyDeclare(t *testing.T) {
 			got, gok := op.Combine(pa, pb)
 			if wok != gok || !same(want, got) {
 				t.Fatalf("%s declares %03b but reads more: %v (%t), %v (%t) with the rest poisoned", name, op.Stats(), want, wok, got, gok)
+			}
+		}
+	}
+}
+
+// TestFinisherMatchesApply holds the Map kernel's finishing step to the
+// Reduce's Apply. Finisher is ok for median and percentile alone. Over
+// random sample sets with NaN, ±0, ±Inf and duplicates, finish(s) equals
+// Apply's one output by math.Float64bits, and Apply of the value a Map
+// task ships for a finished key — that one sample, Count still the key's
+// points, every statistic +0 — returns it unchanged. No join operator is
+// an Operator, so none can be passed to Finisher.
+func TestFinisherMatchesApply(t *testing.T) {
+	for _, name := range Names() {
+		op, _ := Lookup(name)
+		if _, ok := Finisher(op); ok != (name == "median" || name == "percentile") {
+			t.Fatalf("Finisher(%s) ok = %t", name, ok)
+		}
+	}
+	for name, op := range joinRegistry {
+		if _, isOp := op.(Operator); isOp {
+			t.Fatalf("join operator %s is an Operator", name)
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	pool := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1.5, -2.25}
+	for iter := 0; iter < 2000; iter++ {
+		xs := make([]float64, rng.Intn(14))
+		for i := range xs {
+			switch rng.Intn(3) {
+			case 0:
+				xs[i] = pool[rng.Intn(len(pool))]
+			case 1:
+				if i > 0 {
+					xs[i] = xs[rng.Intn(i)] // a duplicate
+					break
+				}
+				fallthrough
+			default:
+				xs[i] = rng.NormFloat64() * 100
+			}
+		}
+		for _, c := range []struct {
+			name string
+			p    float64
+		}{{"median", 0}, {"percentile", 0}, {"percentile", 1}, {"percentile", 50}, {"percentile", 99}, {"percentile", 100}} {
+			op, _ := Lookup(c.name)
+			finish, _ := Finisher(op, c.p)
+			want := op.Apply(kv.Value{Samples: append([]float64(nil), xs...), Count: int64(len(xs))}, c.p)
+			got := finish(append([]float64(nil), xs...))
+			if len(want) != 1 || math.Float64bits(want[0]) != math.Float64bits(got) {
+				t.Fatalf("%s p=%v over %v: Apply %v, finish %v", c.name, c.p, xs, want, got)
+			}
+			once := op.Apply(kv.Value{Samples: []float64{got}, Count: int64(len(xs))}, c.p)
+			if len(once) != 1 || math.Float64bits(once[0]) != math.Float64bits(got) {
+				t.Fatalf("%s p=%v: Apply of the finished sample %v gives %v", c.name, c.p, got, once)
 			}
 		}
 	}

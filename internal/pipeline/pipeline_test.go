@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"sidr/internal/coords"
-	"sidr/internal/kv"
 	"sidr/internal/mapreduce"
 	"sidr/internal/query"
 )
@@ -52,26 +51,30 @@ func reference(t *testing.T) map[string]float64 {
 	s1 := map[string]float64{}
 	s1space := coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(52, 2))
 	s1space.Each(func(kp coords.Coord) bool {
-		var v kv.Value
+		var sum float64
+		var n int
 		tile := coords.MustSlab(coords.NewCoord(kp[0]*7, kp[1]*5), coords.NewShape(7, 5))
 		tile.Each(func(k coords.Coord) bool {
-			v.Add(synth(k), false)
+			sum += synth(k)
+			n++
 			return true
 		})
-		s1[kp.String()] = v.Mean()
+		s1[kp.String()] = sum / float64(n)
 		return true
 	})
 	// Stage 2.
 	out := map[string]float64{}
 	s2space := coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(13, 1))
 	s2space.Each(func(kp coords.Coord) bool {
-		var v kv.Value
+		var sum float64
+		var n int
 		tile := coords.MustSlab(coords.NewCoord(kp[0]*4, kp[1]*2), coords.NewShape(4, 2))
 		tile.Each(func(k coords.Coord) bool {
-			v.Add(s1[k.String()], false)
+			sum += s1[k.String()]
+			n++
 			return true
 		})
-		out[kp.String()] = v.Mean()
+		out[kp.String()] = sum / float64(n)
 		return true
 	})
 	return out
@@ -208,12 +211,14 @@ func TestFilterChainReadsFirstValueAndZero(t *testing.T) {
 	}
 	want := map[string]float64{}
 	coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(13, 1)).Each(func(kp coords.Coord) bool {
-		var v kv.Value
+		var sum float64
+		var n int
 		coords.MustSlab(coords.NewCoord(kp[0]*4, 0), coords.NewShape(4, 2)).Each(func(k coords.Coord) bool {
-			v.Add(s1[k.String()], false) // absent: 0
+			sum += s1[k.String()] // absent: 0
+			n++
 			return true
 		})
-		want[kp.String()] = v.Mean()
+		want[kp.String()] = sum / float64(n)
 		return true
 	})
 	got := firstValues(res.Final)
@@ -260,13 +265,13 @@ func TestNoParkedDownstreamMaps(t *testing.T) {
 			}
 		}
 	}
-	if len(heldSplits) == 0 || len(heldSplits) == len(down.SplitToKB) || len(heldDown) == down.NumKeyblocks() {
+	if len(heldSplits) == 0 || len(heldSplits) == len(down.SplitToKB) || len(heldDown) == len(down.KBToSplits) {
 		t.Fatalf("test premise broken: %d of %d downstream splits held, %d of %d keyblocks",
-			len(heldSplits), len(down.SplitToKB), len(heldDown), down.NumKeyblocks())
+			len(heldSplits), len(down.SplitToKB), len(heldDown), len(down.KBToSplits))
 	}
 	want := [2][2]int{ // per stage: MapEnds, ReduceEnds
-		{len(up.SplitToKB) - 1, up.NumKeyblocks() - len(heldUp)},
-		{len(down.SplitToKB) - len(heldSplits), down.NumKeyblocks() - len(heldDown)},
+		{len(up.SplitToKB) - 1, len(up.KBToSplits) - len(heldUp)},
+		{len(down.SplitToKB) - len(heldSplits), len(down.KBToSplits) - len(heldDown)},
 	}
 
 	var (
@@ -484,13 +489,15 @@ func stage1Reference(t *testing.T) map[string]float64 {
 	s1 := map[string]float64{}
 	space := coords.MustSlab(coords.NewCoord(0, 0), coords.NewShape(52, 2))
 	space.Each(func(kp coords.Coord) bool {
-		var v kv.Value
+		var sum float64
+		var n int
 		tile := coords.MustSlab(coords.NewCoord(kp[0]*7, kp[1]*5), coords.NewShape(7, 5))
 		tile.Each(func(k coords.Coord) bool {
-			v.Add(synth(k), false)
+			sum += synth(k)
+			n++
 			return true
 		})
-		s1[kp.String()] = v.Mean()
+		s1[kp.String()] = sum / float64(n)
 		return true
 	})
 	return s1

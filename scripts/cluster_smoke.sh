@@ -118,6 +118,28 @@ echo "$mc" | grep -q 'sidrd_shuffle_batch_fallbacks_total' || { echo "FAIL: sidr
 [ "$(metric "$BASE" sidrd_cluster_dispatch_local_total)" -gt 0 ] \
   || { echo "FAIL: no dispatch used block locality"; exit 1; }
 
+echo "== clustered median on tile-aligned splits"
+# The default target (45 rows) rounds to 42-row bands, six 7-row tiles
+# each: every key is split-local, and its Map task ships it finished —
+# one sample for its 140 points, so the shuffle moves well under a byte
+# per source point (8 B a point when every sample ships).
+MEDIAN_QUERY='median temperature[0,0,0 : 364,50,40] es {7,5,4}'
+shuffled_before=$(metric "$BASE" sidrd_shuffle_bytes_total)
+MCJOB=$(submit true "$MEDIAN_QUERY")
+result_of "$MCJOB" >"$WORK/median_cluster.json"
+shuffled=$(( $(metric "$BASE" sidrd_shuffle_bytes_total) - shuffled_before ))
+[ "$shuffled" -gt 0 ] && [ "$shuffled" -lt $((364 * 50 * 40)) ] \
+  || { echo "FAIL: clustered median shuffled $shuffled bytes for $((364 * 50 * 40)) points"; exit 1; }
+echo "   shuffled $shuffled bytes for $((364 * 50 * 40)) points"
+MLJOB=$(submit false "$MEDIAN_QUERY")
+result_of "$MLJOB" >"$WORK/median_local.json"
+if ! cmp -s "$WORK/median_cluster.json" "$WORK/median_local.json"; then
+  echo "FAIL: clustered median differs from in-process median"
+  diff "$WORK/median_cluster.json" "$WORK/median_local.json" | head -5
+  exit 1
+fi
+echo "   median results identical ($(python3 -c "import json;print(json.load(open('$WORK/median_cluster.json'))['rows'])") rows)"
+
 echo "== structural index: registration built it, selective filter prunes through it"
 curl -fsS "$BASE/v1/datasets" | python3 -c '
 import json, sys
