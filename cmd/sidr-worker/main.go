@@ -45,7 +45,6 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:0", "listen address")
 		coordinator = flag.String("coordinator", "", "coordinator base URL (e.g. http://127.0.0.1:7171)")
 		name        = flag.String("name", "", "worker identity (default: worker-<port>)")
-		node        = flag.String("node", "", "locality identity: the HDFS namespace node this worker is co-located with (default: none)")
 		spillDir    = flag.String("spill-dir", "", "spill directory (default: a temp dir)")
 		advertise   = flag.String("advertise", "", "base URL the coordinator dials back (default: http://<addr>)")
 		heartbeat   = flag.Duration("heartbeat", time.Second, "heartbeat period")
@@ -55,13 +54,13 @@ func main() {
 		chaos       = flag.String("chaos", "", "fault-injection spec, e.g. \"seed=42,kill-after-maps=5,hang=0.05,match=/v1/shuffle/,flip=0.01\" (see internal/faultinject)")
 	)
 	flag.Parse()
-	if err := run(*addr, *coordinator, *name, *node, *spillDir, *advertise, *heartbeat, *drainTO, *dialTO, *headerTO, *chaos); err != nil {
+	if err := run(*addr, *coordinator, *name, *spillDir, *advertise, *heartbeat, *drainTO, *dialTO, *headerTO, *chaos); err != nil {
 		fmt.Fprintf(os.Stderr, "sidr-worker: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, coordinator, name, node, spillDir, advertise string, heartbeat, drainTO, dialTO, headerTO time.Duration, chaos string) error {
+func run(addr, coordinator, name, spillDir, advertise string, heartbeat, drainTO, dialTO, headerTO time.Duration, chaos string) error {
 	if coordinator == "" {
 		return fmt.Errorf("-coordinator is required")
 	}
@@ -101,7 +100,6 @@ func run(addr, coordinator, name, node, spillDir, advertise string, heartbeat, d
 	}
 	w, err := cluster.NewWorker(cluster.WorkerConfig{
 		Name:           name,
-		Node:           node,
 		SpillDir:       spillDir,
 		AdvertiseURL:   advertise,
 		CoordinatorURL: coordinator,

@@ -41,13 +41,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"sidr/internal/cluster"
 	"sidr/internal/faultinject"
-	"sidr/internal/hdfs"
 	"sidr/internal/jobs"
 	"sidr/internal/metrics"
 	"sidr/internal/server"
@@ -63,7 +61,6 @@ func main() {
 		retain    = flag.Int("retain-jobs", 256, "finished jobs kept for status/stream lookups before eviction (-1 keeps all)")
 		drain     = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget for in-flight jobs")
 		clusterOn = flag.Bool("cluster", false, "embed the cluster coordinator: accept sidr-worker registrations and route {\"cluster\":true} jobs through the distributed runtime")
-		nodes     = flag.String("nodes", "", "comma-separated HDFS namespace node names: datasets get simulated block placements across them and Map dispatch prefers split-local workers (match via sidr-worker -node) (with -cluster)")
 		hbTimeout = flag.Duration("heartbeat-timeout", 5*time.Second, "evict workers that miss heartbeats for this long (with -cluster)")
 		specOn    = flag.Bool("speculation", false, "launch backup attempts for straggling Map dispatches (with -cluster)")
 		chaos     = flag.String("chaos", "", "coordinator-side fault-injection spec applied to dispatch/shuffle requests, e.g. \"seed=42,match=/v1/shuffle/,delay=0.1:50ms,flip=0.01\" (see internal/faultinject)")
@@ -85,31 +82,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sidrd: -tenant-default: %v\n", err)
 		os.Exit(1)
 	}
-	if err := run(*addr, *dataDir, *maxJobs, *execWork, *queue, *retain, *drain, *clusterOn, *nodes, *hbTimeout, *specOn, *chaos, *rcBytes, tenants, tdef); err != nil {
+	if err := run(*addr, *dataDir, *maxJobs, *execWork, *queue, *retain, *drain, *clusterOn, *hbTimeout, *specOn, *chaos, *rcBytes, tenants, tdef); err != nil {
 		fmt.Fprintf(os.Stderr, "sidrd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataDir string, maxJobs, execWorkers, queue, retain int, drain time.Duration, clusterOn bool, nodes string, hbTimeout time.Duration, specOn bool, chaos string, rcBytes int64, tenants map[string]jobs.TenantPolicy, tenantDefault jobs.TenantPolicy) error {
+func run(addr, dataDir string, maxJobs, execWorkers, queue, retain int, drain time.Duration, clusterOn bool, hbTimeout time.Duration, specOn bool, chaos string, rcBytes int64, tenants map[string]jobs.TenantPolicy, tenantDefault jobs.TenantPolicy) error {
 	reg := metrics.New()
 	registry := server.NewRegistry()
-	var ns *hdfs.Namespace
-	if nodes != "" {
-		var names []string
-		for _, n := range strings.Split(nodes, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-		var err error
-		ns, err = hdfs.NewNamespace(names, hdfs.Config{})
-		if err != nil {
-			return fmt.Errorf("-nodes: %w", err)
-		}
-		registry.SetNamespace(ns)
-		log.Printf("sidrd: simulated HDFS namespace over %d node(s); Map dispatch prefers split-local workers", len(names))
-	}
 	if dataDir != "" {
 		n, err := registry.ScanDir(dataDir)
 		if err != nil {
@@ -155,7 +136,6 @@ func run(addr, dataDir string, maxJobs, execWorkers, queue, retain int, drain ti
 		TenantDefault:    tenantDefault,
 		Datasets:         registry,
 		Cluster:          coord,
-		Namespace:        ns,
 		Metrics:          reg,
 	})
 	if err != nil {

@@ -53,7 +53,7 @@ func startChaosCluster(t *testing.T, n int, cfg CoordinatorConfig,
 		tw := &testWorker{w: w, dir: dir, srv: httptest.NewServer(h)}
 		t.Cleanup(tw.kill)
 		t.Cleanup(func() { tw.w.Close() })
-		if err := c.registerNode(wc.Name, tw.srv.URL, ""); err != nil {
+		if err := c.register(wc.Name, tw.srv.URL); err != nil {
 			t.Fatal(err)
 		}
 		workers = append(workers, tw)
@@ -197,10 +197,10 @@ func TestQuarantineHysteresis(t *testing.T) {
 
 	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Minute, Metrics: reg})
 	defer c.Close()
-	if err := c.registerNode("flaky", healthy.URL, ""); err != nil {
+	if err := c.register("flaky", healthy.URL); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.registerNode("good", healthy.URL, ""); err != nil {
+	if err := c.register("good", healthy.URL); err != nil {
 		t.Fatal(err)
 	}
 
@@ -227,7 +227,7 @@ func TestQuarantineHysteresis(t *testing.T) {
 	// While a healthy worker exists, dispatches never land on the
 	// quarantined one — even when the healthy worker is busier.
 	for i := 0; i < 3; i++ {
-		name, _, _, err := c.pickWorker(nil, nil)
+		name, _, err := c.pickWorker(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestQuarantineHysteresis(t *testing.T) {
 	}
 	// With every healthy worker excluded, the quarantined one is still
 	// preferred over nothing.
-	name, _, _, err := c.pickWorker(nil, map[string]bool{"good": true})
+	name, _, err := c.pickWorker(map[string]bool{"good": true})
 	if err != nil || name != "flaky" {
 		t.Fatalf("fallback pick = %q, %v; want quarantined worker", name, err)
 	}
@@ -278,13 +278,13 @@ func TestQuarantineHysteresis(t *testing.T) {
 func TestScoreSurvivesReregistration(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Minute})
 	defer c.Close()
-	if err := c.registerNode("w0", "http://127.0.0.1:1", ""); err != nil {
+	if err := c.register("w0", "http://127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
 	c.noteOutcome("w0", true)
 	c.noteOutcome("w0", true)
 	c.markDead("w0")
-	if err := c.registerNode("w0", "http://127.0.0.1:2", ""); err != nil {
+	if err := c.register("w0", "http://127.0.0.1:2"); err != nil {
 		t.Fatal(err)
 	}
 	w := c.workerTable()[0]
@@ -304,7 +304,7 @@ func TestCloseUnblocksReleaseBroadcast(t *testing.T) {
 	defer hang.Close()
 
 	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Minute})
-	if err := c.registerNode("w0", hang.URL, ""); err != nil {
+	if err := c.register("w0", hang.URL); err != nil {
 		t.Fatal(err)
 	}
 	c.releaseAttempt(hang.URL, "job-x", 0, 0)

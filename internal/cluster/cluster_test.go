@@ -90,7 +90,7 @@ func startCluster(t testing.TB, n int, cfg CoordinatorConfig) (*Coordinator, []*
 		tw := &testWorker{w: w, srv: httptest.NewServer(w), dir: dir}
 		t.Cleanup(tw.kill)
 		t.Cleanup(func() { tw.w.Close() })
-		if err := c.registerNode(fmt.Sprintf("w%d", i), tw.srv.URL, ""); err != nil {
+		if err := c.register(fmt.Sprintf("w%d", i), tw.srv.URL); err != nil {
 			t.Fatal(err)
 		}
 		workers = append(workers, tw)
@@ -360,7 +360,7 @@ func runOnTamperedWorker(t *testing.T, engine string, wrap func(*Worker) http.Ha
 		RetryBase:        time.Millisecond,
 		RetryMax:         10 * time.Millisecond,
 	})
-	if err := c.registerNode("w0", srv.URL, ""); err != nil {
+	if err := c.register("w0", srv.URL); err != nil {
 		t.Fatal(err)
 	}
 	var n atomic.Int64
@@ -527,7 +527,7 @@ func TestStaleAttemptDiscarded(t *testing.T) {
 // TestHeartbeatEviction pins deadline-based eviction and re-registration.
 func TestHeartbeatEviction(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: 50 * time.Millisecond})
-	if err := c.registerNode("w0", "http://127.0.0.1:1", ""); err != nil {
+	if err := c.register("w0", "http://127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.AliveWorkers(); n != 1 {
@@ -547,7 +547,7 @@ func TestHeartbeatEviction(t *testing.T) {
 	if len(ws) != 1 || ws[0].Alive {
 		t.Fatalf("workers list = %+v, want one dead entry", ws)
 	}
-	if err := c.registerNode("w0", "http://127.0.0.1:1", ""); err != nil {
+	if err := c.register("w0", "http://127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.AliveWorkers(); n != 1 {
@@ -555,27 +555,17 @@ func TestHeartbeatEviction(t *testing.T) {
 	}
 }
 
-// TestLocalityAwarePlacement: a split whose block locations name a live
-// worker must be placed on that worker.
-func TestLocalityAwarePlacement(t *testing.T) {
+// TestLeastLoadedPlacement: each pick counts as running on its worker,
+// so consecutive picks over idle workers land on different ones.
+func TestLeastLoadedPlacement(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Minute})
 	for _, n := range []string{"host-a", "host-b", "host-c"} {
-		if err := c.registerNode(n, "http://"+n, ""); err != nil {
+		if err := c.register(n, "http://"+n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	name, _, _, err := c.pickWorker([]string{"host-b"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "host-b" {
-		t.Fatalf("placed on %q, want locality host %q", name, "host-b")
-	}
-	c.releaseWorker(name, false)
-
-	// Without hints, least-loaded wins.
-	n1, _, _, _ := c.pickWorker(nil, nil)
-	n2, _, _, _ := c.pickWorker(nil, nil)
+	n1, _, _ := c.pickWorker(nil)
+	n2, _, _ := c.pickWorker(nil)
 	if n1 == n2 {
 		t.Fatalf("consecutive placements both chose %q despite load", n1)
 	}
@@ -595,7 +585,7 @@ func TestNoWorkers(t *testing.T) {
 // tasks that will never run.
 func TestClosedExecutorFailsJob(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Minute})
-	if err := c.registerNode("w0", "http://127.0.0.1:1", ""); err != nil {
+	if err := c.register("w0", "http://127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
 	ex := exec.New(1)

@@ -124,8 +124,6 @@ type Coordinator struct {
 	mQuarantines    *metrics.Counter
 	mReinstates     *metrics.Counter
 	mDrainingG      *metrics.Gauge
-	mDispatchLocal  *metrics.Counter
-	mDispatchRemote *metrics.Counter
 
 	// onMapResult is a test hook observing accepted Map results.
 	onMapResult func(jobID string, split int, worker string)
@@ -137,7 +135,6 @@ type Coordinator struct {
 type workerState struct {
 	name        string
 	url         string
-	node        string // locality identity; split host lists match it
 	lastSeen    time.Time
 	evicted     bool
 	running     int
@@ -208,10 +205,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		mSpillsCorrupt: cfg.Metrics.Counter("sidrd_cluster_spills_corrupt_total"),
 		mQuarantines:   cfg.Metrics.Counter("sidrd_cluster_quarantines_total"),
 		mReinstates:    cfg.Metrics.Counter("sidrd_cluster_reinstates_total"),
-
-		mDrainingG:      cfg.Metrics.Gauge("sidrd_cluster_workers_draining"),
-		mDispatchLocal:  cfg.Metrics.Counter("sidrd_cluster_dispatch_local_total"),
-		mDispatchRemote: cfg.Metrics.Counter("sidrd_cluster_dispatch_remote_total"),
+		mDrainingG:     cfg.Metrics.Gauge("sidrd_cluster_workers_draining"),
 	}
 	if userClient != nil {
 		c.shuffleClient = userClient
@@ -324,12 +318,11 @@ func (c *Coordinator) quarantineGaugeLocked() {
 	c.mQuarantinedG.Set(n)
 }
 
-// registerNode adds (or revives) a worker, recording the namespace node
-// it claims co-location with. Registration may happen mid-job: the next
-// pickWorker sees the new worker immediately. Re-registering a drained
-// or evicted name revives it with a clean membership state (health
-// score survives by design).
-func (c *Coordinator) registerNode(name, url, node string) error {
+// register adds (or revives) a worker. Registration may happen
+// mid-job: the next pickWorker sees the new worker immediately.
+// Re-registering a drained or evicted name revives it with a clean
+// membership state (health score survives by design).
+func (c *Coordinator) register(name, url string) error {
 	if name == "" || url == "" {
 		return fmt.Errorf("cluster: register needs name and url")
 	}
@@ -341,15 +334,12 @@ func (c *Coordinator) registerNode(name, url, node string) error {
 		c.workers[name] = w
 	}
 	w.url = strings.TrimSuffix(url, "/")
-	if node != "" {
-		w.node = node
-	}
 	w.lastSeen = time.Now()
 	w.evicted = false
 	w.draining = false
 	w.drained = false
 	c.pruneLocked(time.Now())
-	c.logf("worker %q registered at %s (node %q)", name, w.url, w.node)
+	c.logf("worker %q registered at %s", name, w.url)
 	return nil
 }
 
@@ -388,7 +378,6 @@ func (c *Coordinator) workerTable() []workerInfo {
 		out = append(out, workerInfo{
 			Name:        w.name,
 			URL:         w.url,
-			Node:        w.node,
 			Alive:       !w.evicted,
 			Running:     w.running,
 			MapsDone:    w.mapsDone,
@@ -467,65 +456,41 @@ func (c *Coordinator) markDead(name string) {
 	c.pruneLocked(time.Now())
 }
 
-// pickWorker chooses a live worker for a Map task, preferring the
-// split's block-location hosts — node-local beats any remote worker,
-// then least running tasks, then name. not lists worker names to avoid
-// (prior failed attempts of the same dispatch, or a speculation
-// primary's host). Quarantined workers are a last resort before
-// excluded ones: healthy∧allowed, then quarantined∧allowed, then any
-// live worker. Draining workers are never picked in any tier: drain
-// means no new work, full stop. local reports whether the pick matched
-// a host hint; the dispatch_{local,remote} metrics advance only for
-// splits that carry hints at all.
-func (c *Coordinator) pickWorker(hosts []string, not map[string]bool) (name, url string, local bool, err error) {
+// pickWorker chooses a live worker for a Map task: least running tasks,
+// then name. not lists worker names to avoid (prior failed attempts of
+// the same dispatch, or a speculation primary's host). Quarantined
+// workers are a last resort before excluded ones: healthy∧allowed, then
+// quarantined∧allowed, then any live worker. Draining workers are never
+// picked in any tier: drain means no new work, full stop.
+func (c *Coordinator) pickWorker(not map[string]bool) (name, url string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pruneLocked(time.Now())
-	isLocal := func(w *workerState) bool {
-		for _, h := range hosts {
-			if h == w.node || h == w.name {
-				return true
-			}
-		}
-		return false
-	}
-	pick := func(allow func(*workerState) bool) (*workerState, bool) {
+	pick := func(allow func(*workerState) bool) *workerState {
 		var best *workerState
-		bestLocal := false
 		for _, w := range c.workers {
 			if w.evicted || w.draining || !allow(w) {
 				continue
 			}
-			local := isLocal(w)
-			switch {
-			case best == nil,
-				local && !bestLocal,
-				local == bestLocal && w.running < best.running,
-				local == bestLocal && w.running == best.running && w.name < best.name:
-				best, bestLocal = w, local
+			if best == nil || w.running < best.running ||
+				w.running == best.running && w.name < best.name {
+				best = w
 			}
 		}
-		return best, bestLocal
+		return best
 	}
-	best, bestLocal := pick(func(w *workerState) bool { return !w.quarantined && !not[w.name] })
+	best := pick(func(w *workerState) bool { return !w.quarantined && !not[w.name] })
 	if best == nil {
-		best, bestLocal = pick(func(w *workerState) bool { return !not[w.name] })
-	}
-	if best == nil {
-		best, bestLocal = pick(func(w *workerState) bool { return true })
+		best = pick(func(w *workerState) bool { return !not[w.name] })
 	}
 	if best == nil {
-		return "", "", false, ErrNoWorkers
+		best = pick(func(w *workerState) bool { return true })
+	}
+	if best == nil {
+		return "", "", ErrNoWorkers
 	}
 	best.running++
-	if len(hosts) > 0 {
-		if bestLocal {
-			c.mDispatchLocal.Inc()
-		} else {
-			c.mDispatchRemote.Inc()
-		}
-	}
-	return best.name, best.url, bestLocal, nil
+	return best.name, best.url, nil
 }
 
 // workerURL resolves a worker name to its last-registered base URL.
@@ -592,7 +557,7 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if err := c.registerNode(req.Name, req.URL, req.Node); err != nil {
+		if err := c.register(req.Name, req.URL); err != nil {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -708,12 +673,6 @@ type Counters struct {
 	// the benchmark harness (bench/cluster.go) still reads them.
 	ReplicaPushes int64
 	ReplicaBytes  int64
-	// DispatchLocal and DispatchRemote count Map dispatches of splits
-	// that carried block-location hints, split by whether the pick
-	// matched one (node-local placement) or fell back to a remote
-	// worker.
-	DispatchLocal  int64
-	DispatchRemote int64
 }
 
 // jobResult is a completed clustered job.
@@ -1102,12 +1061,11 @@ func (j *clusterJob) dispatchAttempt(ctx context.Context, i, attempt int, tried 
 	}
 	j.mu.Unlock()
 
-	hosts := j.plan.Splits[i].Hosts
 	for try := 0; ; try++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		name, url, local, err := c.pickWorker(hosts, tried)
+		name, url, err := c.pickWorker(tried)
 		if err != nil {
 			if speculative {
 				// No worker to run the backup on: withdraw it quietly and
@@ -1116,15 +1074,6 @@ func (j *clusterJob) dispatchAttempt(ctx context.Context, i, attempt int, tried 
 				return nil
 			}
 			return fmt.Errorf("map task %d: %w", i, err)
-		}
-		if len(hosts) > 0 {
-			j.mu.Lock()
-			if local {
-				j.counters.DispatchLocal++
-			} else {
-				j.counters.DispatchRemote++
-			}
-			j.mu.Unlock()
 		}
 
 		// Register the in-flight dispatch: per-attempt context (so the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -137,7 +138,7 @@ func TestDrainByConsumption(t *testing.T) {
 	lateSrv := httptest.NewServer(late)
 	t.Cleanup(lateSrv.Close)
 	t.Cleanup(func() { late.Close() })
-	if err := c.registerNode("late", lateSrv.URL, ""); err != nil {
+	if err := c.register("late", lateSrv.URL); err != nil {
 		t.Fatal(err)
 	}
 
@@ -289,44 +290,77 @@ func TestDeathReexecutesOnlyUncommittedIl(t *testing.T) {
 	}
 }
 
-// TestDrainLastLocalWorker: when the only split-local worker is
-// draining, dispatch must fall back to a healthy remote worker rather
-// than the draining one (or fail).
-func TestDrainLastLocalWorker(t *testing.T) {
-	reg := metrics.New()
-	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Minute, Metrics: reg})
-	t.Cleanup(c.Close)
-	if err := c.registerNode("wa", "http://wa", "node-a"); err != nil {
-		t.Fatal(err)
+// TestDrainingWorkerNeverPicked: pickWorker orders live workers by
+// least running, then name, through three tiers — healthy and allowed,
+// quarantined and allowed, any live — and never picks a draining worker
+// in any of them.
+func TestDrainingWorkerNeverPicked(t *testing.T) {
+	newPair := func(t *testing.T) *Coordinator {
+		c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Minute})
+		t.Cleanup(c.Close)
+		for _, n := range []string{"wa", "wb"} {
+			if err := c.register(n, "http://"+n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
 	}
-	if err := c.registerNode("wb", "http://wb", "node-b"); err != nil {
-		t.Fatal(err)
-	}
-	name, _, local, err := c.pickWorker([]string{"node-a"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "wa" || !local {
-		t.Fatalf("pick = %q (local=%v), want node-local wa", name, local)
+
+	// Two idle workers give wa by name; once wa drains, wb.
+	c := newPair(t)
+	name, _, err := c.pickWorker(nil)
+	if err != nil || name != "wa" {
+		t.Fatalf("pick = %q, %v; want wa by name", name, err)
 	}
 	c.releaseWorker(name, false)
-
 	if err := c.drain("wa"); err != nil {
 		t.Fatal(err)
 	}
-	name, _, local, err = c.pickWorker([]string{"node-a"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "wb" || local {
-		t.Fatalf("pick = %q (local=%v), want remote wb while wa drains", name, local)
+	name, _, err = c.pickWorker(nil)
+	if err != nil || name != "wb" {
+		t.Fatalf("pick = %q, %v; want wb while wa drains", name, err)
 	}
 	c.releaseWorker(name, false)
-	if got := reg.Counter("sidrd_cluster_dispatch_local_total").Value(); got != 1 {
-		t.Fatalf("dispatch_local_total = %d, want 1", got)
-	}
-	if got := reg.Counter("sidrd_cluster_dispatch_remote_total").Value(); got != 1 {
-		t.Fatalf("dispatch_remote_total = %d, want 1", got)
+
+	// The last tier (TestQuarantineHysteresis covers the first two),
+	// then each tier with wa draining where it would otherwise win.
+	// want "" means ErrNoWorkers.
+	for _, tc := range []struct {
+		name                       string
+		draining, quarantined, not []string
+		want                       string
+	}{
+		{name: "excluded before none", not: []string{"wa", "wb"}, want: "wa"},
+		{name: "draining in the healthy tier", draining: []string{"wa"}, want: "wb"},
+		{name: "draining in the quarantined tier", draining: []string{"wa"}, quarantined: []string{"wa", "wb"}, want: "wb"},
+		{name: "draining in the excluded tier", draining: []string{"wa"}, not: []string{"wa", "wb"}, want: "wb"},
+		{name: "only draining", draining: []string{"wa", "wb"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newPair(t)
+			c.mu.Lock()
+			for _, n := range tc.draining {
+				c.workers[n].draining = true
+			}
+			for _, n := range tc.quarantined {
+				c.workers[n].quarantined = true
+			}
+			c.mu.Unlock()
+			not := make(map[string]bool)
+			for _, n := range tc.not {
+				not[n] = true
+			}
+			name, _, err := c.pickWorker(not)
+			if tc.want == "" {
+				if !errors.Is(err, ErrNoWorkers) {
+					t.Fatalf("pick = %q, %v; want ErrNoWorkers", name, err)
+				}
+				return
+			}
+			if err != nil || name != tc.want {
+				t.Fatalf("pick = %q, %v; want %q", name, err, tc.want)
+			}
+		})
 	}
 }
 
@@ -341,7 +375,7 @@ func TestDrainEndpoint(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
-	if err := c.registerNode("w0", "http://127.0.0.1:1", ""); err != nil {
+	if err := c.register("w0", "http://127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
 	post := func(body string) int {
@@ -520,7 +554,7 @@ func TestChurnSoak(t *testing.T) {
 			tw := &testWorker{w: w, srv: httptest.NewServer(w), dir: dir}
 			t.Cleanup(tw.kill)
 			t.Cleanup(func() { w.Close() })
-			if err := c.registerNode(name, tw.srv.URL, ""); err != nil {
+			if err := c.register(name, tw.srv.URL); err != nil {
 				t.Error(err)
 				return
 			}

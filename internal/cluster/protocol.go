@@ -183,15 +183,11 @@ type mapResponse struct {
 
 // registerRequest announces a worker to the coordinator.
 type registerRequest struct {
-	// Name is the worker's stable identity; locality hints match against
-	// it. Re-registering an evicted name revives it.
+	// Name is the worker's stable identity. Re-registering an evicted
+	// name revives it.
 	Name string `json:"name"`
 	// URL is the base URL the coordinator dials the worker at.
 	URL string `json:"url"`
-	// Node is the worker's locality identity: the HDFS-namespace node it
-	// claims co-location with. Split host lists match against it (and,
-	// as a fallback, against Name). Empty means placement-blind.
-	Node string `json:"node,omitempty"`
 }
 
 // heartbeatRequest keeps a registered worker alive.
@@ -234,7 +230,6 @@ type releaseRequest struct {
 type workerInfo struct {
 	Name      string  `json:"name"`
 	URL       string  `json:"url"`
-	Node      string  `json:"node,omitempty"`
 	Alive     bool    `json:"alive"`
 	Running   int     `json:"running"`
 	MapsDone  int64   `json:"maps_done"`

@@ -25,14 +25,8 @@ import (
 
 // WorkerConfig configures one worker process (or in-process instance).
 type WorkerConfig struct {
-	// Name is the worker's stable identity. Locality hints on input
-	// splits are matched against it, so naming workers after the hosts
-	// of an hdfs.Namespace gives locality-aware Map placement.
+	// Name is the worker's stable identity.
 	Name string
-	// Node is the worker's locality identity: the hdfs.Namespace node it
-	// is co-located with. Split host lists are matched against Node
-	// first, then Name. Empty means placement-blind.
-	Node string
 	// SpillDir is where Map attempt spills are materialised and served
 	// from. Required.
 	SpillDir string
@@ -191,7 +185,7 @@ func (w *Worker) Start(ctx context.Context) {
 }
 
 func (w *Worker) register(ctx context.Context) bool {
-	body, _ := json.Marshal(registerRequest{Name: w.cfg.Name, URL: w.cfg.AdvertiseURL, Node: w.cfg.Node})
+	body, _ := json.Marshal(registerRequest{Name: w.cfg.Name, URL: w.cfg.AdvertiseURL})
 	ok := w.post(ctx, "/v1/cluster/register", body)
 	if ok {
 		w.logf("registered with %s as %q", w.cfg.CoordinatorURL, w.cfg.Name)

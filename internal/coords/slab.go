@@ -104,8 +104,12 @@ func (s Slab) EachReuse(fn func(Coord) bool) {
 
 // Advance moves cur, a point of the slab, to its row-major successor in
 // place (increment with carry) and reports whether there was one; after
-// the last point cur is back at the corner.
-func (s Slab) Advance(cur Coord) bool {
+// the last point cur is back at the corner. It takes the slab by
+// pointer: inlined into a per-point loop, a value receiver copied the
+// slab onto the stack at every step, and that copy's cost swung with the
+// binary's layout (6 % and 50 % of a serve_mix set-up's CPU samples in
+// two builds of the same loop, on a 2-vCPU VM).
+func (s *Slab) Advance(cur Coord) bool {
 	for i := len(cur) - 1; i >= 0; i-- {
 		cur[i]++
 		if cur[i] < s.Corner[i]+s.Shape[i] {

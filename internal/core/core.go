@@ -19,7 +19,6 @@ import (
 
 	"sidr/internal/coords"
 	"sidr/internal/depgraph"
-	"sidr/internal/hdfs"
 	"sidr/internal/join"
 	"sidr/internal/mapreduce"
 	"sidr/internal/ops"
@@ -109,8 +108,8 @@ func RequestDefaults(q *query.Query, reducers int, splitPoints int64) (int, int6
 	return reducers, splitPoints
 }
 
-// bytesPerPoint is the element size split placement and the default split
-// size assume: every dataset stores float64 values.
+// bytesPerPoint is the element size the default split size assumes:
+// every dataset stores float64 values.
 const bytesPerPoint = 8
 
 // Options tunes plan construction.
@@ -136,10 +135,6 @@ type Options struct {
 	// Priority optionally orders SIDR keyblock scheduling
 	// (computational steering, §3.4); nil means keyblock order.
 	Priority []int
-	// Namespace and File attach HDFS locality hints to a single-input
-	// plan's splits, at 8 bytes per point; a join's splits get none.
-	Namespace *hdfs.Namespace
-	File      string
 	// Index, when set, enables structural pruning: for value-predicated
 	// operators, splits whose indexed [min, max] block ranges cannot
 	// satisfy the predicate are dropped BEFORE the dependency graph is
@@ -230,7 +225,7 @@ func NewPlan(q *query.Query, engine Engine, opts Options) (*Plan, error) {
 	splits := opts.Splits
 	if splits == nil {
 		var err error
-		splits, err = mapreduce.GenerateSplits(q.Input, tileSplitPoints(q.Input, q.Extraction, splitPoints), opts.Namespace, opts.File, bytesPerPoint)
+		splits, err = mapreduce.GenerateSplits(q.Input, tileSplitPoints(q.Input, q.Extraction, splitPoints), nil, "", bytesPerPoint)
 		if err != nil {
 			return nil, err
 		}

@@ -8,13 +8,11 @@ import (
 
 	"sidr/internal/coords"
 	"sidr/internal/datagen"
-	"sidr/internal/hdfs"
 	"sidr/internal/kv"
 	"sidr/internal/mapreduce"
 	"sidr/internal/partition"
 	"sidr/internal/query"
 	"sidr/internal/sidx"
-	"sidr/internal/simcluster"
 )
 
 func mustParse(t *testing.T, s string) *query.Query {
@@ -213,32 +211,6 @@ func TestRunLocalSIDRPriority(t *testing.T) {
 	// Priority {3,2,1,0} with aligned splits runs maps in reverse order.
 	if len(mapStarts) == 0 || mapStarts[0] != 3 {
 		t.Fatalf("map starts = %v, want prioritised split 3 first", mapStarts)
-	}
-}
-
-func TestPlanWithHDFSLocality(t *testing.T) {
-	q := mustParse(t, "avg w[0,0 : 64,8] es {4,4}")
-	ns, err := hdfs.NewNamespace(simcluster.Nodes(4), hdfs.Config{BlockSize: 512, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.AddFile("w.ncf", 64*8*8); err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPlan(q, EngineSIDR, Options{
-		Reducers: 2, SplitPoints: 64, Namespace: ns, File: "w.ncf",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withHosts := 0
-	for _, s := range p.Splits {
-		if len(s.Hosts) > 0 {
-			withHosts++
-		}
-	}
-	if withHosts != len(p.Splits) {
-		t.Fatalf("%d of %d splits have locality hints", withHosts, len(p.Splits))
 	}
 }
 

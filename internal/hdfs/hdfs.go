@@ -4,7 +4,9 @@
 // metadata layer is modelled — actual bytes live in ordinary local files
 // (or are purely synthetic for simulator-scale datasets) — because block
 // placement is the only HDFS behaviour the paper's scheduling experiments
-// depend on.
+// depend on. It serves the simulator only: the paper-scale plans of
+// internal/experiments attach its hosts to their splits, and
+// internal/simcluster reads them; the daemon path never imports it.
 package hdfs
 
 import (
@@ -126,14 +128,6 @@ func (ns *Namespace) AddFile(name string, size int64) error {
 	}
 	ns.files[name] = meta
 	return nil
-}
-
-// Has reports whether a file is registered.
-func (ns *Namespace) Has(name string) bool {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	_, ok := ns.files[name]
-	return ok
 }
 
 // locateRange returns the blocks overlapping the byte range [off,

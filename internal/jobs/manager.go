@@ -14,7 +14,6 @@ import (
 	"sidr/internal/coords"
 	"sidr/internal/core"
 	"sidr/internal/exec"
-	"sidr/internal/hdfs"
 	"sidr/internal/mapreduce"
 	"sidr/internal/metrics"
 	"sidr/internal/ops"
@@ -109,11 +108,6 @@ type Config struct {
 	// Metrics receives job and cache instrumentation (default: a private
 	// registry).
 	Metrics *metrics.Registry
-	// Namespace, when set alongside Cluster, attaches HDFS block
-	// placements to cluster jobs whose dataset is registered in it, so
-	// the coordinator can prefer split-local workers. Locality hints
-	// never change split geometry or results — only placement.
-	Namespace *hdfs.Namespace
 }
 
 // Manager owns the worker pool, job table, result cache and collapse
@@ -579,22 +573,14 @@ func (m *Manager) lookupIndex(dataset string, q *query.Query) *sidx.VarIndex {
 
 // plan derives the job's plan — once, for whichever engine runs it — from
 // the normalised parameters and the data-dependent inputs: a join samples
-// both acquired inputs for its keyblock layout, a value-predicated query
-// prunes by the structural index, a clustered job over a dataset mirrored
-// in the namespace carries block locations (joins skip locality: two
-// files, interleaved splits).
+// both acquired inputs for its keyblock layout, and a value-predicated
+// query prunes by the structural index.
 func (m *Manager) plan(j *Job, readerA, readerB coords.RecordReader) (*core.Plan, error) {
 	opts := core.Options{MaxSkew: j.Req.MaxSkew}
 	opts.Reducers, opts.SplitPoints = core.RequestDefaults(j.q, j.Req.Reducers, j.Req.SplitPoints)
-	switch {
-	case readerB != nil:
+	if readerB != nil {
 		opts.JoinSamplerA, opts.JoinSamplerB = readerA, readerB
-	case j.Req.Cluster:
-		opts.Index = m.lookupIndex(j.Req.Dataset, j.q)
-		if ns := m.cfg.Namespace; ns != nil && ns.Has(j.Req.Dataset) {
-			opts.Namespace, opts.File = ns, j.Req.Dataset
-		}
-	default:
+	} else {
 		opts.Index = m.lookupIndex(j.Req.Dataset, j.q)
 	}
 	return core.NewPlan(j.q, j.engine, opts)

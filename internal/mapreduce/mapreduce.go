@@ -48,10 +48,14 @@ import (
 )
 
 // InputSplit is a unit of Map work: a logical-coordinate slab of the
-// dataset plus the hosts holding it (locality hints).
+// dataset.
 type InputSplit struct {
-	ID    int
-	Slab  coords.Slab
+	ID   int
+	Slab coords.Slab
+	// Hosts are the simulated block store's hosts holding the slab,
+	// primary first. Only the paper-scale experiment plans
+	// (internal/experiments) set them, and only the simulated cluster
+	// (internal/simcluster) reads them; the daemon's splits carry none.
 	Hosts []string
 }
 

@@ -56,9 +56,9 @@ func (r *FuncReader) ReadSlabInto(slab coords.Slab, dst []float64) ([]float64, e
 
 // GenerateSplits carves the query input into contiguous leading-dimension
 // bands of roughly targetPoints points each — SciHadoop's
-// logical-coordinate split generation. When ns and file are given, each
-// split gets locality hints from the block store assuming a row-major
-// byte layout of bytesPerPoint bytes per element.
+// logical-coordinate split generation. The splits carry no Hosts. ns,
+// file and bytesPerPoint are unread: they stay only because the
+// benchmark harness (bench/replay.go) calls GenerateSplits with them.
 func GenerateSplits(input coords.Slab, targetPoints int64, ns *hdfs.Namespace, file string, bytesPerPoint int64) ([]InputSplit, error) {
 	if targetPoints <= 0 {
 		return nil, fmt.Errorf("mapreduce: targetPoints must be positive, got %d", targetPoints)
@@ -75,17 +75,6 @@ func GenerateSplits(input coords.Slab, targetPoints int64, ns *hdfs.Namespace, f
 	splits := make([]InputSplit, len(slabs))
 	for i, s := range slabs {
 		splits[i] = InputSplit{ID: i, Slab: s}
-		if ns != nil && file != "" {
-			off, err := input.Linearize(s.Corner)
-			if err != nil {
-				return nil, err
-			}
-			hosts, err := ns.RangeHosts(file, off*bytesPerPoint, s.Size()*bytesPerPoint)
-			if err != nil {
-				return nil, err
-			}
-			splits[i].Hosts = hosts
-		}
 	}
 	return splits, nil
 }

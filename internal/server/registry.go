@@ -12,7 +12,6 @@ import (
 	"sidr/internal/cluster"
 	"sidr/internal/coords"
 	"sidr/internal/core"
-	"sidr/internal/hdfs"
 	"sidr/internal/mapreduce"
 	"sidr/internal/ncfile"
 	"sidr/internal/query"
@@ -48,56 +47,11 @@ type Registry struct {
 	sources map[string]*source
 	open    map[string]*handle // key: name + "\x00" + variable
 	closing bool
-	// ns, when set, mirrors every registered dataset as a logical HDFS
-	// file so cluster jobs get block-location locality hints.
-	ns *hdfs.Namespace
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{sources: make(map[string]*source), open: make(map[string]*handle)}
-}
-
-// SetNamespace attaches a simulated HDFS namespace. Every dataset —
-// already registered or added later — is mirrored into it as a logical
-// file sized to its largest variable (row-major float64 layout), giving
-// cluster jobs block-location locality hints.
-func (r *Registry) SetNamespace(ns *hdfs.Namespace) {
-	r.mu.Lock()
-	r.ns = ns
-	sizes := make(map[string]int64, len(r.sources))
-	for name, src := range r.sources {
-		sizes[name] = datasetBytes(src)
-	}
-	r.mu.Unlock()
-	if ns == nil {
-		return
-	}
-	for name, size := range sizes {
-		_ = ns.AddFile(name, size) // ErrExists: the name keeps its placement
-	}
-}
-
-// datasetBytes sizes a dataset's logical HDFS file: its largest
-// variable's element count at 8 bytes per point — the same row-major
-// layout GenerateSplits assumes when mapping splits to block ranges.
-func datasetBytes(src *source) int64 {
-	var max int64
-	for _, v := range src.info.Variables {
-		if n := coords.NewShape(v.Shape...).Size() * 8; n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// nsMirrorLocked registers one dataset in the attached namespace.
-// Caller holds r.mu; the namespace has its own lock and never calls
-// back into the registry.
-func (r *Registry) nsMirrorLocked(name string, src *source) {
-	if r.ns != nil {
-		_ = r.ns.AddFile(name, datasetBytes(src)) // ErrExists: the name keeps its placement
-	}
 }
 
 // AddFile registers an ncfile container under the given name, reading
@@ -161,15 +115,15 @@ func (r *Registry) AddFile(name, path string) error {
 	if _, dup := r.sources[name]; dup {
 		return fmt.Errorf("server: dataset %q already registered", name)
 	}
-	src := &source{info: info, path: path, idx: idx}
-	r.sources[name] = src
-	r.nsMirrorLocked(name, src)
+	r.sources[name] = &source{info: info, path: path, idx: idx}
 	return nil
 }
 
-// defaultSplitCount reports how many Map input splits the default
-// granularity generates for a query over the full variable; listed so
-// clients can judge pruning ratios.
+// defaultSplitCount reports how many Map input splits the default plan
+// of a unit-tile extraction over the full variable generates; listed so
+// clients can judge pruning ratios. A query's own extraction can change
+// the count, as the planner rounds its split bands to the tile grid
+// (DESIGN §8).
 func defaultSplitCount(shape coords.Shape) int {
 	slab := coords.Slab{Corner: make(coords.Coord, shape.Rank()), Shape: shape}
 	_, splitPoints := core.RequestDefaults(&query.Query{Input: slab}, 0, 0)

@@ -17,9 +17,11 @@ import (
 
 	"sidr"
 	"sidr/internal/coords"
+	"sidr/internal/core"
 	"sidr/internal/datagen"
 	"sidr/internal/jobs"
 	"sidr/internal/metrics"
+	"sidr/internal/query"
 	"sidr/internal/wire"
 )
 
@@ -482,6 +484,60 @@ func TestFileDatasetAndListing(t *testing.T) {
 	}
 }
 
+// TestListedSplitsAreAUnitExtractionsPlan pins the split count GET
+// /v1/datasets lists for a variable to the default plan of a unit-tile
+// extraction over all of it, so the two cannot drift. A query's own
+// extraction can plan another count, because the planner rounds its
+// bands to the tile grid (DESIGN §8): es {28,10,10} over 364 rows
+// plans 56-row bands, 7 splits, where the listing says 9.
+func TestListedSplitsAreAUnitExtractionsPlan(t *testing.T) {
+	for _, tc := range []struct {
+		shape           []int64
+		extraction      []int64
+		listed, planned int
+	}{
+		{[]int64{364, 60, 40}, []int64{1, 1, 1}, 9, 9},
+		{[]int64{48, 36, 36, 10}, []int64{1, 1, 1, 1}, 8, 8},
+		{[]int64{28, 10}, []int64{1, 1}, 10, 10},
+		{[]int64{100}, []int64{1}, 8, 8},
+		{[]int64{364, 60, 40}, []int64{28, 10, 10}, 9, 7},
+	} {
+		shape := coords.NewShape(tc.shape...)
+		plan := func(extraction []int64) int {
+			q, err := query.Parse(fmt.Sprintf("avg v[%s : %s] es {%s}",
+				joinInts(make([]int64, len(tc.shape))), joinInts(tc.shape), joinInts(extraction)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reducers, splitPoints := core.RequestDefaults(q, 0, 0)
+			p, err := core.NewPlan(q, core.EngineSIDR, core.Options{Reducers: reducers, SplitPoints: splitPoints})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return len(p.Splits)
+		}
+		unit := make([]int64, len(tc.shape))
+		for i := range unit {
+			unit[i] = 1
+		}
+		if listed, want := defaultSplitCount(shape), plan(unit); listed != want {
+			t.Fatalf("%v: listed %d splits, a unit extraction plans %d", tc.shape, listed, want)
+		}
+		if listed, planned := defaultSplitCount(shape), plan(tc.extraction); listed != tc.listed || planned != tc.planned {
+			t.Fatalf("%v es %v: listed %d, planned %d; want %d and %d", tc.shape, tc.extraction, listed, planned, tc.listed, tc.planned)
+		}
+	}
+}
+
+// joinInts formats a coordinate list the way the query language spells it.
+func joinInts(xs []int64) string {
+	s := make([]string, len(xs))
+	for i, x := range xs {
+		s[i] = fmt.Sprint(x)
+	}
+	return strings.Join(s, ",")
+}
+
 func TestHTTPErrorsAndHealth(t *testing.T) {
 	registry := NewRegistry()
 	f := newFixture(t, registry)
@@ -618,8 +674,6 @@ func (r *Registry) AddSynthetic(name string, shape []int64, fn func(k []int64) f
 	if _, dup := r.sources[name]; dup {
 		return fmt.Errorf("server: dataset %q already registered", name)
 	}
-	src := &source{info: info, shape: append([]int64(nil), shape...), fn: fn}
-	r.sources[name] = src
-	r.nsMirrorLocked(name, src)
+	r.sources[name] = &source{info: info, shape: append([]int64(nil), shape...), fn: fn}
 	return nil
 }

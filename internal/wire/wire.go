@@ -65,9 +65,11 @@ const (
 type VariableInfo struct {
 	Name  string  `json:"name"` // "*" for synthetic datasets (any name resolves)
 	Shape []int64 `json:"shape"`
-	// Splits is how many Map input splits a default-granularity plan
-	// over the full variable generates — the denominator for judging
-	// how much the structural index pruned.
+	// Splits is how many Map input splits the default plan of a
+	// unit-tile extraction over the full variable generates — the
+	// denominator for judging how much the structural index pruned. A
+	// query's own extraction can change the count: the planner rounds
+	// its split bands to the tile grid (DESIGN §8).
 	Splits int `json:"splits"`
 	// IndexStatus tells whether a structural block-range index
 	// (internal/sidx) backs the variable: "built" (scanned at

@@ -2,7 +2,7 @@
 # cluster_smoke.sh — end-to-end smoke test of the distributed runtime.
 #
 # Builds the binaries, generates a quickstart-shaped dataset, launches a
-# clustered sidrd plus two sidr-worker processes, runs one query through
+# clustered sidrd plus three sidr-worker processes, runs one query through
 # POST /v1/query with {"cluster":true}, and asserts the streamed result
 # is identical to the in-process engine's answer for the same request.
 #
@@ -36,14 +36,13 @@ echo "== datasets (quickstart shape + join inputs)"
 "$BIN/datagen" -out "$DATA/left.ncf" -var a -shape 64,48 -kind integers -seed 11
 "$BIN/datagen" -out "$DATA/right.ncf" -var b -shape 64,48 -kind zipf -skew 1.4 -seed 23
 
-echo "== launch sidrd (clustered, 3-node namespace) + 3 workers"
+echo "== launch sidrd (clustered) + 3 workers"
 "$BIN/sidrd" -addr "127.0.0.1:${PORT}" -data "$DATA" -cluster \
-  -nodes node1,node2,node3 \
   >"$WORK/sidrd.log" 2>&1 &
 PIDS+=($!)
 WPIDS=()
 for i in 1 2 3; do
-  "$BIN/sidr-worker" -coordinator "$BASE" -name "smoke-w$i" -node "node$i" \
+  "$BIN/sidr-worker" -coordinator "$BASE" -name "smoke-w$i" \
     -spill-dir "$WORK/spill$i" >"$WORK/worker$i.log" 2>&1 &
   PIDS+=($!)
   WPIDS+=($!)
@@ -105,7 +104,7 @@ if ! cmp -s "$WORK/cluster.json" "$WORK/local.json"; then
   exit 1
 fi
 
-mc=$(curl -fsS "$BASE/metrics" | grep -E '^sidrd_(cluster_tasks_dispatched_total|shuffle_(connections|requests|batch_fallbacks)_total|cluster_dispatch_(local|remote)_total)' || true)
+mc=$(curl -fsS "$BASE/metrics" | grep -E '^sidrd_(cluster_tasks_dispatched_total|shuffle_(connections|requests|batch_fallbacks)_total)' || true)
 echo "$mc" | sed 's/^/   /'
 echo "$mc" | grep -q 'sidrd_shuffle_connections_total' || { echo "FAIL: no shuffle metrics"; exit 1; }
 echo "$mc" | grep -q 'sidrd_shuffle_batch_fallbacks_total' || { echo "FAIL: sidrd_shuffle_batch_fallbacks_total not exported"; exit 1; }
@@ -113,10 +112,6 @@ echo "$mc" | grep -q 'sidrd_shuffle_batch_fallbacks_total' || { echo "FAIL: sidr
 # requests stay below the Σ|I_ℓ| connection count.
 [ "$(metric "$BASE" sidrd_shuffle_requests_total)" -lt "$(metric "$BASE" sidrd_shuffle_connections_total)" ] \
   || { echo "FAIL: shuffle requests not below connections — batching collapsed nothing"; exit 1; }
-# One 5.8MB file fits one 128MB block replicated to all 3 nodes, so
-# every hinted dispatch must have found a node-local worker.
-[ "$(metric "$BASE" sidrd_cluster_dispatch_local_total)" -gt 0 ] \
-  || { echo "FAIL: no dispatch used block locality"; exit 1; }
 
 echo "== clustered median on tile-aligned splits"
 # The default target (45 rows) rounds to 42-row bands, six 7-row tiles
@@ -254,12 +249,11 @@ echo "== drain: SIGTERM a worker mid-job; it serves its spills until they are co
 DPORT=$((PORT + 1))
 DBASE="http://127.0.0.1:${DPORT}"
 "$BIN/sidrd" -addr "127.0.0.1:${DPORT}" -data "$DATA" -cluster -exec-workers 4 \
-  -nodes node1,node2 \
   -chaos "seed=11,match=/v1/shuffle/,delay=1.0:1500ms" \
   >"$WORK/sidrd-drain.log" 2>&1 &
 PIDS+=($!)
 for i in 1 2; do
-  "$BIN/sidr-worker" -coordinator "$DBASE" -name "smoke-b$i" -node "node$i" \
+  "$BIN/sidr-worker" -coordinator "$DBASE" -name "smoke-b$i" \
     -spill-dir "$WORK/spill-b$i" >"$WORK/worker-b$i.log" 2>&1 &
   PIDS+=($!)
 done
@@ -273,7 +267,7 @@ DRAIN_QUERY='avg temperature[0,0,0 : 364,50,40] es {365,50,40}'
 DLJOB=$(submit false "$DRAIN_QUERY")
 result_of "$DLJOB" >"$WORK/drain_local.json"
 DNAME="smoke-d"
-"$BIN/sidr-worker" -coordinator "$DBASE" -name "$DNAME" -node node2 \
+"$BIN/sidr-worker" -coordinator "$DBASE" -name "$DNAME" \
   -spill-dir "$WORK/spill-d" -heartbeat 50ms \
   >"$WORK/worker-d.log" 2>&1 &
 DPID=$!
