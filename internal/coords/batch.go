@@ -77,12 +77,13 @@ func ReadBatches(ctx context.Context, r RecordReader, s Slab, buf []float64, fn 
 	return buf, err
 }
 
-// TileWalk is the run decomposition of a row-major scan under an
+// TileWalk is the line decomposition of a row-major scan under an
 // extraction shape. The shape maps K to K' deterministically, so along
-// the innermost dimension up to Shape[last] consecutive points share one
-// K' key: a scan resolves the leading K' coordinates, the stride gaps and
-// the clipping once per innermost line and consumes whole runs. Keys are
-// addressed as cells, row-major offsets inside Box.
+// the innermost dimension the key boundaries are known before a value is
+// read: a scan resolves the leading K' coordinates once per innermost
+// line (Lines) and the innermost tiles, the stride gaps and the clipping
+// once per batch (Spans). Keys are addressed as cells, row-major offsets
+// inside Box.
 type TileWalk struct {
 	// Box is the slab of K' keys the walk keeps; points mapping outside
 	// it are skipped.
@@ -91,7 +92,7 @@ type TileWalk struct {
 	shape, stride Shape
 }
 
-// Walk returns the run decomposition of e that keeps the keys in box.
+// Walk returns the line decomposition of e that keeps the keys in box.
 func (e Extraction) Walk(box Slab) (TileWalk, error) {
 	if e.Rank() == 0 || e.Rank() > MaxRank || box.Rank() != e.Rank() {
 		return TileWalk{}, ErrRankMismatch
@@ -99,13 +100,42 @@ func (e Extraction) Walk(box Slab) (TileWalk, error) {
 	return TileWalk{Box: box, shape: e.Shape, stride: e.EffectiveStride()}, nil
 }
 
-// Runs decomposes vals, the row-major values of batch, into runs: maximal
-// stretches of an innermost line whose points map to one key of Box. It
-// calls fn for each in row-major order with the key's cell, the row-major
-// offset of the run's first point inside its tile, and the values. Points
-// in stride gaps, at negative coordinates or mapping outside Box belong
-// to no run.
-func (w TileWalk) Runs(batch Slab, vals []float64, fn func(cell, off int64, run []float64) error) error {
+// Span is the stretch of every innermost line of a batch that maps to one
+// innermost tile: line[Lo:Hi] belongs to the key whose cell is the line's
+// base plus Cell, and its first point lies Off points into the tile's
+// innermost extent.
+type Span struct{ Cell, Off, Lo, Hi int64 }
+
+// Spans appends to dst, in line order, the spans every line of batch is
+// cut into: the innermost tiles of Box the lines reach, each clipped by
+// its stride gap, by the batch and by the non-negative coordinates. They
+// name distinct cells and are never empty. A batch of another rank than
+// the walk has none.
+func (w TileWalk) Spans(batch Slab, dst []Span) []Span {
+	last := len(w.stride) - 1
+	if batch.Rank() != last+1 {
+		return dst
+	}
+	st, es, boxLo := w.stride[last], w.shape[last], w.Box.Corner[last]
+	x0, end := batch.Corner[last], batch.Corner[last]+batch.Shape[last]
+	tHi := min((end-1)/st+1, boxLo+w.Box.Shape[last])
+	for t := max(max(x0, 0)/st, boxLo); t < tHi; t++ {
+		s := t * st
+		if a, b := max(s, x0), min(s+es, end); a < b { // else the line starts in this tile's gap
+			dst = append(dst, Span{Cell: t - boxLo, Off: a - s, Lo: a - x0, Hi: b - x0})
+		}
+	}
+	return dst
+}
+
+// Lines calls fn, in row-major order, for every innermost line of batch
+// whose leading coordinates map into Box, with the line's values, its
+// base — the cell of the first key of the line's row of Box — and its
+// off — the row-major offset inside a tile of the line's leading
+// coordinates. A span sp of the batch then holds the key base+sp.Cell,
+// and its points start off+sp.Off into the tile. vals are the row-major
+// values of batch.
+func (w TileWalk) Lines(batch Slab, vals []float64, fn func(base, off int64, line []float64) error) error {
 	last := len(w.stride) - 1
 	if batch.Rank() != last+1 {
 		return ErrRankMismatch
@@ -113,24 +143,12 @@ func (w TileWalk) Runs(batch Slab, vals []float64, fn func(cell, off int64, run 
 	if int64(len(vals)) != batch.Size() {
 		return fmt.Errorf("coords: %d values for a batch of %d points", len(vals), batch.Size())
 	}
-	st, es := w.stride[last], w.shape[last]
-	boxLo, boxN := w.Box.Corner[last], w.Box.Shape[last]
 	lineLen := batch.Shape[last]
-	x0, end := batch.Corner[last], batch.Corner[last]+lineLen
-	// The innermost tile range is the same for every line of the batch.
-	tLo := max(max(x0, 0)/st, boxLo)
-	tHi := min((end-1)/st+1, boxLo+boxN)
-	if tLo >= tHi {
-		return nil
-	}
-
-	var leadBuf [MaxRank]int64 // on the stack: Runs allocates nothing
+	var leadBuf [MaxRank]int64 // on the stack: Lines allocates nothing
 	lead := Coord(leadBuf[:last])
 	copy(lead, batch.Corner)
 	lines := Slab{Corner: batch.Corner[:last], Shape: batch.Shape[:last]}
 	for pos := int64(0); pos < int64(len(vals)); pos += lineLen {
-		// Resolve the line's leading dimensions once: base is the cell of
-		// its first Box key, off the tile offset of its first column.
 		base, off, ok := int64(0), int64(0), true
 		for d := 0; ok && d < last; d++ {
 			t := lead[d] / w.stride[d]
@@ -141,17 +159,8 @@ func (w TileWalk) Runs(batch Slab, vals []float64, fn func(cell, off int64, run 
 			off = off*w.shape[d] + in
 		}
 		if ok {
-			base, off = base*boxN-boxLo, off*es
-			line := vals[pos : pos+lineLen]
-			for t := tLo; t < tHi; t++ {
-				s := t * st
-				a, b := max(s, x0), min(s+es, end)
-				if a >= b {
-					continue // the line starts in this tile's gap
-				}
-				if err := fn(base+t, off+a-s, line[a-x0:b-x0]); err != nil {
-					return err
-				}
+			if err := fn(base*w.Box.Shape[last], off*w.shape[last], vals[pos:pos+lineLen]); err != nil {
+				return err
 			}
 		}
 		lines.Advance(lead)
@@ -159,12 +168,31 @@ func (w TileWalk) Runs(batch Slab, vals []float64, fn func(cell, off int64, run 
 	return nil
 }
 
+// Runs decomposes vals, the row-major values of batch, into runs: maximal
+// stretches of an innermost line whose points map to one key of Box, for
+// a scan whose unit is a run. It calls fn for each in row-major order
+// with the key's cell, the row-major offset of the run's first point
+// inside its tile, and the values. It is Lines cut at the batch's Spans.
+func (w TileWalk) Runs(batch Slab, vals []float64, fn func(cell, off int64, run []float64) error) error {
+	var buf [8]Span
+	spans := w.Spans(batch, buf[:0])
+	return w.Lines(batch, vals, func(base, off int64, line []float64) error {
+		for _, sp := range spans {
+			if err := fn(base+sp.Cell, off+sp.Off, line[sp.Lo:sp.Hi]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // CellPoints counts, for every key of Box in cell order, the points of
-// live that Runs hands to it: per dimension, the overlap of the key's
-// tile [t·stride, t·stride+shape) with live (and with the non-negative
-// coordinates), multiplied over dimensions. It writes the counts into dst
-// — grown only when its capacity is short — and returns them with their
-// total, so a scan can size per-key storage before it reads a value.
+// live that Lines and Spans hand to it: per dimension, the overlap of the
+// key's tile [t·stride, t·stride+shape) with live (and with the
+// non-negative coordinates), multiplied over dimensions. It writes the
+// counts into dst — grown only when its capacity is short — and returns
+// them with their total, so a scan can size per-key storage before it
+// reads a value.
 func (w TileWalk) CellPoints(live Slab, dst []int64) ([]int64, int64) {
 	n := w.Box.Size()
 	if int64(cap(dst)) < n {

@@ -2,6 +2,7 @@ package coords
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -136,6 +137,84 @@ func TestRunsMatchMapKeyPerPoint(t *testing.T) {
 	}
 }
 
+// TestLinesMatchRuns: over 2 000 random geometries — rank 1–4, stride
+// gaps, negative and off-grid corners, partial trailing tiles, boxes
+// clipped by a keyspace, batches that cut lines mid-tile — folding every
+// line Lines hands out through its batch's Spans gives each cell the sum
+// and count of the points MapKey sends to it. Both fold in row-major
+// order, so the sums agree by Float64bits.
+func TestLinesMatchRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for checked := 0; checked < 2000; {
+		rank := 1 + rng.Intn(4)
+		es, st := make(Shape, rank), make(Shape, rank)
+		slab := Slab{Corner: make(Coord, rank), Shape: make(Shape, rank)}
+		space := Slab{Corner: make(Coord, rank), Shape: make(Shape, rank)}
+		for d := 0; d < rank; d++ {
+			es[d] = 1 + rng.Int63n(5)
+			st[d] = es[d] + rng.Int63n(3)
+			slab.Corner[d] = rng.Int63n(16) - 5
+			slab.Shape[d] = 1 + rng.Int63n(9)
+			space.Corner[d] = rng.Int63n(2)
+			space.Shape[d] = 1 + rng.Int63n(5)
+		}
+		if rng.Intn(3) == 0 { // long innermost lines: many tiles each
+			slab.Shape[rank-1] = 1 + rng.Int63n(70)
+			space.Shape[rank-1] = 1 + rng.Int63n(25)
+		}
+		e := MustExtraction(es, st)
+		tiles, err := e.TileRange(slab)
+		if err != nil {
+			continue // the slab sits in stride gaps
+		}
+		box, ok := tiles.Intersect(space)
+		if !ok {
+			continue
+		}
+		checked++
+		wantSum, wantN := make([]float64, box.Size()), make([]int64, box.Size())
+		vals := make([]float64, 0, slab.Size())
+		slab.Each(func(c Coord) bool {
+			v := rng.NormFloat64() * 1e3
+			vals = append(vals, v)
+			if kp, ok := e.MapKey(c); ok && box.Contains(kp) {
+				cell, _ := box.Linearize(kp)
+				wantSum[cell] += v
+				wantN[cell]++
+			}
+			return true
+		})
+		w, err := e.Walk(box)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotSum, gotN := make([]float64, box.Size()), make([]int64, box.Size())
+		pos := int64(0)
+		err = slab.Batches(1+rng.Int63n(40), func(b Slab) error {
+			spans := w.Spans(b, nil)
+			defer func() { pos += b.Size() }()
+			return w.Lines(b, vals[pos:pos+b.Size()], func(base, _ int64, line []float64) error {
+				for _, sp := range spans {
+					for _, v := range line[sp.Lo:sp.Hi] {
+						gotSum[base+sp.Cell] += v
+						gotN[base+sp.Cell]++
+					}
+				}
+				return nil
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range wantSum {
+			if math.Float64bits(gotSum[c]) != math.Float64bits(wantSum[c]) || gotN[c] != wantN[c] {
+				t.Fatalf("es %v stride %v slab %v box %v cell %d: lines fold (%v, %d), points (%v, %d)",
+					es, st, slab, box, c, gotSum[c], gotN[c], wantSum[c], wantN[c])
+			}
+		}
+	}
+}
+
 func TestRunsRejectsMismatchedBatch(t *testing.T) {
 	e := MustExtraction(NewShape(2, 2), nil)
 	w, err := e.Walk(MustSlab(NewCoord(0, 0), NewShape(2, 2)))
@@ -148,6 +227,16 @@ func TestRunsRejectsMismatchedBatch(t *testing.T) {
 	}
 	if err := w.Runs(MustSlab(NewCoord(0, 0), NewShape(2, 2)), make([]float64, 3), none); err == nil {
 		t.Fatal("short value slice accepted")
+	}
+	line := func(int64, int64, []float64) error { return nil }
+	if err := w.Lines(MustSlab(NewCoord(0), NewShape(4)), make([]float64, 4), line); err != ErrRankMismatch {
+		t.Fatalf("Lines, rank-1 batch: err %v, want ErrRankMismatch", err)
+	}
+	if err := w.Lines(MustSlab(NewCoord(0, 0), NewShape(2, 2)), make([]float64, 3), line); err == nil {
+		t.Fatal("Lines: short value slice accepted")
+	}
+	if spans := w.Spans(MustSlab(NewCoord(0), NewShape(4)), nil); len(spans) != 0 {
+		t.Fatalf("rank-1 batch: spans %v, want none", spans)
 	}
 	if _, err := e.Walk(MustSlab(NewCoord(0), NewShape(2))); err != ErrRankMismatch {
 		t.Fatalf("rank-1 box: err %v, want ErrRankMismatch", err)

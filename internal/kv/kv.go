@@ -64,43 +64,114 @@ func (v *Value) AddRun(xs []float64, st Stats, keepSamples bool) {
 	}
 	switch st &^ StatMinMax {
 	case StatSum:
-		sum := v.Sum
-		for _, x := range xs {
-			sum += x
-		}
-		v.Sum = sum
+		v.Sum = sum(v.Sum, xs)
 	case StatSumSq:
-		sumSq := v.SumSq
-		for _, x := range xs {
-			sumSq += x * x
-		}
-		v.SumSq = sumSq
+		v.SumSq = sumSq(v.SumSq, xs)
 	case StatSum | StatSumSq:
-		sum, sumSq := v.Sum, v.SumSq
-		for _, x := range xs {
-			sum += x
-			sumSq += x * x
-		}
-		v.Sum, v.SumSq = sum, sumSq
+		v.Sum, v.SumSq = sums(v.Sum, v.SumSq, xs)
 	}
 	if st&StatMinMax != 0 {
-		lo, hi := v.Min, v.Max
-		if v.Count == 0 {
-			lo, hi = xs[0], xs[0]
-		}
-		for _, x := range xs {
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
-		}
-		v.Min, v.Max = lo, hi
+		v.Min, v.Max = v.minMax(xs)
 	}
 	v.Count += int64(len(xs))
 	if keepSamples {
 		v.Samples = append(v.Samples, xs...)
+	}
+}
+
+// The fold loops, one per statistic: each adds xs to its accumulator in
+// order. minMax needs a non-empty xs; a value with no observation yet
+// starts from xs[0].
+func sum(s float64, xs []float64) float64 {
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+func sumSq(q float64, xs []float64) float64 {
+	for _, x := range xs {
+		q += x * x
+	}
+	return q
+}
+
+func sums(s, q float64, xs []float64) (float64, float64) {
+	for _, x := range xs {
+		s += x
+		q += x * x
+	}
+	return s, q
+}
+
+func (v *Value) minMax(xs []float64) (lo, hi float64) {
+	lo, hi = v.Min, v.Max
+	if v.Count == 0 {
+		lo, hi = xs[0], xs[0]
+	}
+	for _, x := range xs {
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+	}
+	return lo, hi
+}
+
+// LineFoldOf returns the line fold of the statistics st, which a scan
+// picks once. The fold folds one innermost line into a tile of values:
+// for each span in order, line[sp.Lo:sp.Hi] into tile[base+sp.Cell], as
+// AddRun without samples would. A line's spans name distinct cells
+// (coords.TileWalk.Spans), so every value still sees its observations in
+// source order, and the fold is bit-identical to AddRun's.
+func LineFoldOf(st Stats) func(tile []Value, base int64, line []float64, spans []coords.Span) {
+	return lineFolds[st&(StatSum|StatSumSq|StatMinMax)]
+}
+
+var lineFolds = [8]func(tile []Value, base int64, line []float64, spans []coords.Span){
+	0: func(tile []Value, base int64, _ []float64, spans []coords.Span) {
+		for _, sp := range spans {
+			tile[base+sp.Cell].Count += sp.Hi - sp.Lo
+		}
+	},
+	StatSum: func(tile []Value, base int64, line []float64, spans []coords.Span) {
+		for _, sp := range spans {
+			v := &tile[base+sp.Cell]
+			v.Sum = sum(v.Sum, line[sp.Lo:sp.Hi])
+			v.Count += sp.Hi - sp.Lo
+		}
+	},
+	StatSumSq: func(tile []Value, base int64, line []float64, spans []coords.Span) {
+		for _, sp := range spans {
+			v := &tile[base+sp.Cell]
+			v.SumSq = sumSq(v.SumSq, line[sp.Lo:sp.Hi])
+			v.Count += sp.Hi - sp.Lo
+		}
+	},
+	StatSum | StatSumSq: func(tile []Value, base int64, line []float64, spans []coords.Span) {
+		for _, sp := range spans {
+			v := &tile[base+sp.Cell]
+			v.Sum, v.SumSq = sums(v.Sum, v.SumSq, line[sp.Lo:sp.Hi])
+			v.Count += sp.Hi - sp.Lo
+		}
+	},
+}
+
+// A set with Min and Max folds them in a pass of their own, then its sums
+// and Count: the accumulators are independent, and the first pass must
+// read Count before the second raises it.
+func init() {
+	for st := StatMinMax; st < StatMinMax<<1; st++ {
+		rest := lineFolds[st&^StatMinMax]
+		lineFolds[st] = func(tile []Value, base int64, line []float64, spans []coords.Span) {
+			for _, sp := range spans {
+				v := &tile[base+sp.Cell]
+				v.Min, v.Max = v.minMax(line[sp.Lo:sp.Hi])
+			}
+			rest(tile, base, line, spans)
+		}
 	}
 }
 

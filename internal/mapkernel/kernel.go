@@ -2,13 +2,16 @@
 // single-input and join alike. The extraction shape maps K to K'
 // deterministically (§3.2), so the keys a split can reach form a box known
 // before a value is read. The kernel reads the split's live region in row
-// batches (coords.ReadBatches), folds every run of points that share a key
-// (coords.TileWalk.Runs) into a dense tile of accumulators indexed by the
-// key's cell in the box, and seals the tile in row-major order into one
-// sorted pair per key and keyblock, with the §3.2.1 source-count
-// annotation. It folds only the statistics the operator declares
-// (ops.Operator.Stats): the others stay +0, and the spill does not write
-// them. A key whose every input point the split holds can ship finished:
+// batches (coords.ReadBatches), folds each innermost line
+// (coords.TileWalk.Lines), cut at its tiles' spans, into a dense tile of
+// accumulators indexed by the key's cell in the box — a whole line per
+// call with its statistic set's loop (kv.LineFoldOf) when every value is
+// an observation, run by run for samples, selections and carved tiles —
+// and seals the tile in row-major order into one sorted pair per key and
+// keyblock, with the §3.2.1 source-count annotation. It folds only the
+// statistics the operator declares (ops.Operator.Stats): the others stay
+// +0, and the spill does not write them. A key whose every input point
+// the split holds can ship finished:
 // its one output instead of its samples (Task.Finish). A caller supplies
 // data only: a router, a key suffix, the statistics, a value selection
 // and a finisher.
@@ -94,37 +97,38 @@ type Out struct {
 }
 
 // Scratch is the state a Map task reuses from the last one: the batch
-// buffer, the dense tile, the per-cell point counts, the pooled sample
-// arena and the seal's lists. Exec takes one from a process-wide pool
-// unless the caller hands it one.
+// buffer and its spans, the dense tile, the per-cell point counts, the
+// pooled sample arena and the seal's lists. Exec takes one from a
+// process-wide pool unless the caller hands it one.
 type Scratch struct {
-	vals []float64 // one batch of source values
-	// Tile holds one accumulator per key of the task's box, by cell. Every
-	// cell is zero between tasks: the seal zeroes every cell, visited or
-	// not, because a cell's Samples is a window of a sample arena.
-	Tile   []cell
-	points []int64 // source points per cell: the sample windows' sizes
+	vals  []float64     // one batch of source values
+	spans []coords.Span // the batch's spans
+	// Tile holds one accumulator per key of the task's box, by cell, then,
+	// when the box holds carved tiles, one per keyblock for its shares.
+	// Every accumulator is zero between tasks: the seal zeroes them all,
+	// visited or not, because a cell's Samples is a window of a sample
+	// arena. Count plus missing is the source points the fold handed an
+	// accumulator: its share of the annotation.
+	Tile    []kv.Value
+	missing []int64 // points Count leaves out: a join's missing cells
+	points  []int64 // source points per cell: the sample windows' sizes
 	// input is, per cell, the points of the whole input its key has: a
 	// key is split-local where this equals points.
 	input []int64
 	// arena backs the sample windows. It serves task after task until a
 	// task drops no value and the pairs take it.
 	arena []float64
-	total int64     // the points the windows were sized for
-	sel   []float64 // a run's kept values, when the task keeps no samples
-	ship  []*cell   // the accumulators that ship a pair, in key order
-	kbOf  []int32   // the keyblock of each, likewise
-	keys  []int64   // their keys, suffix included, likewise
-}
-
-// cell is one key's accumulator. Count plus missing is the source points
-// the fold handed the key: its share of the annotation.
-type cell struct {
-	kv.Value
-	missing int64 // points Count leaves out: a join's missing cells
+	total int64       // the points the windows were sized for
+	sel   []float64   // a run's kept values, when the task keeps no samples
+	ship  []*kv.Value // the accumulators that ship a pair, in key order
+	kbOf  []int32     // the keyblock of each, likewise
+	keys  []int64     // their keys, suffix included, likewise
 }
 
 var pool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// lineFoldOf picks a task's line fold; a variable so tests can watch it.
+var lineFoldOf = kv.LineFoldOf
 
 // Exec runs one Map task with s, or with a pooled Scratch when s is nil.
 // It returns the task's output indexed by keyblock and the number of
@@ -158,61 +162,82 @@ func (s *Scratch) run(t *Task) ([]Out, int64, error) {
 	}
 	box := walk.Box
 	var carved map[int64][]Share
-	var shares []cell // the carved tiles' accumulators, by keyblock
 	if t.Route.Carved != nil {
 		if carved, err = t.Route.Carved(box); err != nil {
 			return nil, 0, err
 		}
-		if carved != nil {
-			shares = make([]cell, len(outs))
-		}
 	}
-	if cells := box.Size(); int64(cap(s.Tile)) < cells {
-		s.Tile = make([]cell, cells)
-	} else {
-		s.Tile = s.Tile[:cells]
+	cells, n := box.Size(), box.Size()
+	if carved != nil {
+		n += int64(len(outs))
 	}
+	s.Tile, s.missing = resize(s.Tile, n), resize(s.missing, n)
 	if t.Samples {
 		s.windows(t, walk, live)
 	}
 
+	// The fold is picked once per task: whole lines when every value is an
+	// observation of its key, else run by run.
 	var records int64
-	tile, stats, keep, samples, survivors := s.Tile, t.Stats, t.Keep, t.Samples, t.Survivors
-	fold := func(c, off int64, run []float64) error {
-		records += int64(len(run))
-		if carved != nil {
-			if list := carved[c]; list != nil {
-				for _, sh := range list {
-					if a, b := max(off, sh.OffLo), min(off+int64(len(run)), sh.OffHi); a < b {
-						s.add(t, &shares[sh.KB], run[a-off:b-off])
-					}
-				}
-				return nil
-			}
-		}
-		// The two commonest folds run in line, as add does them: a call per
-		// run cost scan_avg's queries about 9 %.
-		switch v := &tile[c]; {
-		case keep == nil:
-			v.AddRun(run, stats, samples)
-		case survivors:
-			v.Count += int64(len(run))
-			v.Samples = keep(v.Samples, run)
-		default:
-			s.add(t, v, run)
-		}
-		return nil
+	line := lineFoldOf(t.Stats)
+	if t.Keep != nil || t.Samples || carved != nil {
+		line = nil
 	}
 	s.vals, err = coords.ReadBatches(t.Ctx, t.Reader, live, s.vals, func(batch coords.Slab, vals []float64) error {
-		return walk.Runs(batch, vals, fold)
+		spans := walk.Spans(batch, s.spans[:0])
+		s.spans = spans
+		var points int64 // per line
+		for _, sp := range spans {
+			points += sp.Hi - sp.Lo
+		}
+		return walk.Lines(batch, vals, func(base, off int64, vals []float64) error {
+			records += points
+			if line != nil {
+				line(s.Tile, base, vals, spans)
+				return nil
+			}
+			// The two commonest run folds run in line, as add does them,
+			// saving a call per run.
+			for _, sp := range spans {
+				c, run := base+sp.Cell, vals[sp.Lo:sp.Hi]
+				switch v := &s.Tile[c]; {
+				case carved != nil && carved[c] != nil:
+					// A carved tile's run folds into the shares its tile
+					// offsets reach.
+					o := off + sp.Off
+					for _, sh := range carved[c] {
+						if a, b := max(o, sh.OffLo), min(o+int64(len(run)), sh.OffHi); a < b {
+							s.add(t, cells+int64(sh.KB), run[a-o:b-o])
+						}
+					}
+				case t.Keep == nil:
+					v.AddRun(run, t.Stats, t.Samples)
+				case t.Survivors:
+					v.Count += int64(len(run))
+					v.Samples = t.Keep(v.Samples, run)
+				default:
+					s.add(t, c, run)
+				}
+			}
+			return nil
+		})
 	})
 	if err == nil {
-		err = s.seal(t, box, carved, shares, outs)
+		err = s.seal(t, box, carved, outs)
 	}
 	if err != nil {
 		return nil, 0, err
 	}
 	return outs, records, nil
+}
+
+// resize returns xs with length n, reallocated only when its capacity is
+// short. The seal leaves every element zero.
+func resize[T any](xs []T, n int64) []T {
+	if int64(cap(xs)) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
 }
 
 // windows gives every cell's samples a window sized, from the geometry,
@@ -243,9 +268,10 @@ func (s *Scratch) windows(t *Task, walk coords.TileWalk, live coords.Slab) {
 	}
 }
 
-// add folds one run into c. Every value of the run is a point of the
-// annotation; the selection decides which the key keeps.
-func (s *Scratch) add(t *Task, c *cell, run []float64) {
+// add folds one run into accumulator i. Every value of the run is a point
+// of the annotation; the selection decides which the key keeps.
+func (s *Scratch) add(t *Task, i int64, run []float64) {
+	c := &s.Tile[i]
 	switch {
 	case t.Keep == nil:
 		c.AddRun(run, t.Stats, t.Samples)
@@ -256,11 +282,11 @@ func (s *Scratch) add(t *Task, c *cell, run []float64) {
 		n := len(c.Samples)
 		c.Samples = t.Keep(slices.Grow(c.Samples, len(run)), run)
 		c.AddRun(c.Samples[n:], t.Stats, false)
-		c.missing += int64(len(run) - (len(c.Samples) - n))
+		s.missing[i] += int64(len(run) - (len(c.Samples) - n))
 	default:
 		s.sel = t.Keep(slices.Grow(s.sel[:0], len(run)), run)
 		c.AddRun(s.sel, t.Stats, false)
-		c.missing += int64(len(run) - len(s.sel))
+		s.missing[i] += int64(len(run) - len(s.sel))
 	}
 }
 
@@ -274,12 +300,14 @@ func (s *Scratch) add(t *Task, c *cell, run []float64) {
 // filter's survivors are sorted in their windows and its declared
 // statistics, if any, folded over them. Unless no value was dropped, the
 // kept values are then copied out into one array per task.
-func (s *Scratch) seal(t *Task, box coords.Slab, carved map[int64][]Share, shares []cell, outs []Out) error {
+func (s *Scratch) seal(t *Task, box coords.Slab, carved map[int64][]Share, outs []Out) error {
 	key := box.Corner.Clone()
 	counts := make([]int, len(outs))
 	kept := 0
-	visit := func(c *cell, kb int, key coords.Coord) {
-		outs[kb].SourceCount += c.Count + c.missing
+	handed := func(i int) int64 { return s.Tile[i].Count + s.missing[i] }
+	visit := func(i, kb int, key coords.Coord) {
+		c := &s.Tile[i]
+		outs[kb].SourceCount += handed(i)
 		if c.Count > 0 {
 			s.ship, s.kbOf = append(s.ship, c), append(s.kbOf, int32(kb))
 			s.keys = append(append(s.keys, key...), t.Suffix...)
@@ -287,27 +315,28 @@ func (s *Scratch) seal(t *Task, box coords.Slab, carved map[int64][]Share, share
 			kept += len(c.Samples)
 		}
 	}
-	for i := range s.Tile {
-		if c := &s.Tile[i]; c.Count+c.missing > 0 {
-			if t.Finish != nil && s.points[i] == s.input[i] {
+	cells := int(box.Size())
+	for i := range cells {
+		if handed(i) > 0 {
+			if c := &s.Tile[i]; t.Finish != nil && s.points[i] == s.input[i] {
 				c.Samples = append(c.Samples[:0], t.Finish(c.Samples))
 			}
 			kb, err := t.Route.Part.Partition(key)
 			if err != nil {
 				return err
 			}
-			visit(c, kb, key)
+			visit(i, kb, key)
 		}
 		box.Advance(key)
 	}
-	for i, list := range carved {
-		tile, err := box.Delinearize(i)
+	for c, list := range carved {
+		tile, err := box.Delinearize(c)
 		if err != nil {
 			return err
 		}
 		for _, sh := range list {
-			if c := &shares[sh.KB]; c.Count+c.missing > 0 {
-				visit(c, sh.KB, tile)
+			if handed(cells+sh.KB) > 0 {
+				visit(cells+sh.KB, sh.KB, tile)
 			}
 		}
 	}
@@ -329,7 +358,7 @@ func (s *Scratch) seal(t *Task, box coords.Slab, carved map[int64][]Share, share
 	}
 	width := box.Rank() + len(t.Suffix)
 	for i, c := range s.ship {
-		v := c.Value
+		v := *c
 		if t.Survivors {
 			ops.SortSurvivors(v.Samples)
 			v = kv.Value{Samples: v.Samples}
@@ -349,5 +378,6 @@ func (s *Scratch) seal(t *Task, box coords.Slab, carved map[int64][]Share, share
 	clear(s.ship)
 	s.ship, s.kbOf, s.keys = s.ship[:0], s.kbOf[:0], s.keys[:0]
 	clear(s.Tile)
+	clear(s.missing)
 	return nil
 }

@@ -114,7 +114,9 @@ func BenchmarkExecReduce(b *testing.B) {
 // filter_gt_500 keeps about 128 a key, above it. avg_es8 reads one split
 // of scan_avg's query — 8×256×64 points under es {8,8,8} and 8 keyblocks —
 // whose runs are 8 points long, so the fold of the statistics avg
-// declares is most of its work.
+// declares is most of its work. sum_es8, stddev_es8 and max_es8 read the
+// same split for the other line folds: Sum alone (as avg), Sum and SumSq,
+// and Min and Max.
 func BenchmarkExecMap(b *testing.B) {
 	h := &ncfile.Header{
 		Dims: []ncfile.Dimension{{Name: "t", Length: 8}, {Name: "y", Length: 256}, {Name: "x", Length: 64}},
@@ -143,6 +145,9 @@ func BenchmarkExecMap(b *testing.B) {
 		{"filter_gt", "filter_gt v[0,0,0 : 4,128,64] es {4,8,8} param 900", 16},
 		{"filter_gt_500", "filter_gt v[0,0,0 : 4,128,64] es {4,8,8} param 500", 16},
 		{"avg_es8", "avg v[0,0,0 : 8,256,64] es {8,8,8}", 8},
+		{"sum_es8", "sum v[0,0,0 : 8,256,64] es {8,8,8}", 8},
+		{"stddev_es8", "stddev v[0,0,0 : 8,256,64] es {8,8,8}", 8},
+		{"max_es8", "max v[0,0,0 : 8,256,64] es {8,8,8}", 8},
 	} {
 		q, err := query.Parse(c.query)
 		if err != nil {

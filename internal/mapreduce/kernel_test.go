@@ -345,6 +345,13 @@ var kernelCases = []kernelCase{
 	{name: "rank3", input: coords.MustSlab(coords.NewCoord(0, 0, 0), coords.NewShape(12, 6, 8)), es: coords.NewShape(4, 3, 4), splitRows: []int64{1, 5, 12}},
 	{name: "rank3-corner-gaps-drop", input: coords.MustSlab(coords.NewCoord(2, 1, 3), coords.NewShape(11, 7, 9)), es: coords.NewShape(2, 2, 3), stride: coords.NewShape(3, 2, 4), dropPartial: true, splitRows: []int64{2, 11}},
 	{name: "rank3-corner-partial", input: coords.MustSlab(coords.NewCoord(1, 2, 1), coords.NewShape(10, 5, 10)), es: coords.NewShape(3, 2, 4), splitRows: []int64{4, 10}},
+	// Lines of many tiles, for the line folds: a line a batch cuts
+	// mid-tile (the input is longer than coords.BatchPoints), and wide
+	// lines with gaps, an off-grid corner and a partial last tile, kept
+	// and discarded.
+	{name: "rank1-batch-cut", input: coords.MustSlab(coords.NewCoord(3), coords.NewShape(coords.BatchPoints+1000)), es: coords.NewShape(7), stride: coords.NewShape(9), splitRows: []int64{coords.BatchPoints + 1000}},
+	{name: "rank2-wide-lines", input: coords.MustSlab(coords.NewCoord(1, 5), coords.NewShape(9, 203)), es: coords.NewShape(2, 8), stride: coords.NewShape(3, 10), splitRows: []int64{2, 9}},
+	{name: "rank2-wide-lines-drop", input: coords.MustSlab(coords.NewCoord(1, 5), coords.NewShape(9, 203)), es: coords.NewShape(2, 8), dropPartial: true, splitRows: []int64{4}},
 }
 
 // runKernelCase compares ExecMap with the oracle on every split of one
@@ -692,6 +699,15 @@ func FuzzMapKernel(f *testing.F) {
 	f.Add([]byte{1, 20, 9, 0, 3, 2, 0, 2, 0, 0, 0, 0, 0, 7, 7, 1, 0, 2})
 	f.Add([]byte{2, 13, 7, 6, 2, 1, 3, 1, 0, 0, 0, 3, 0, 5, 9, 1, 1, 3})
 	f.Add([]byte{0, 19, 1, 1, 5, 1, 1, 2, 0, 0, 0, 0, 0, 8, 7, 3, 0, 1})
+	// The line folds: sum across stride gaps from an off-grid corner, avg
+	// at rank 3 with partial tiles discarded, stddev along one line with
+	// gaps, max under a 1-row extraction shape, range at rank 3 with a
+	// kept partial tile.
+	f.Add([]byte{1, 22, 21, 0, 2, 4, 0, 1, 2, 0, 2, 3, 0, 4, 13, 1, 0, 2})
+	f.Add([]byte{2, 10, 8, 16, 1, 2, 3, 0, 0, 1, 1, 2, 5, 3, 1, 2, 1, 1})
+	f.Add([]byte{0, 23, 0, 0, 3, 0, 0, 2, 0, 0, 7, 0, 0, 9, 12, 1, 0, 4})
+	f.Add([]byte{1, 17, 13, 0, 0, 5, 0, 0, 3, 0, 3, 5, 0, 2, 6, 3, 1, 1})
+	f.Add([]byte{2, 7, 8, 19, 3, 2, 5, 1, 0, 0, 4, 9, 10, 1, 10, 0, 0, 3})
 	names := opNames
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) < 18 {
