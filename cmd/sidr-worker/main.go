@@ -8,7 +8,11 @@
 // Usage:
 //
 //	sidr-worker -addr 127.0.0.1:7101 -coordinator http://127.0.0.1:7171 \
-//	    -name worker-1 -spill-dir /tmp/sidr-worker-1
+//	    -name worker-1
+//
+// Spills are held in the worker's memory until the coordinator releases
+// their job; a restarted worker holds none, and the coordinator
+// re-executes the splits it still needs.
 //
 // The worker heartbeats every -heartbeat; miss the coordinator's
 // deadline and it is evicted, its spills declared lost, and its Map
@@ -32,7 +36,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -45,7 +48,6 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:0", "listen address")
 		coordinator = flag.String("coordinator", "", "coordinator base URL (e.g. http://127.0.0.1:7171)")
 		name        = flag.String("name", "", "worker identity (default: worker-<port>)")
-		spillDir    = flag.String("spill-dir", "", "spill directory (default: a temp dir)")
 		advertise   = flag.String("advertise", "", "base URL the coordinator dials back (default: http://<addr>)")
 		heartbeat   = flag.Duration("heartbeat", time.Second, "heartbeat period")
 		drainTO     = flag.Duration("drain-timeout", 60*time.Second, "max time to wait for spill hand-off on SIGTERM drain")
@@ -54,13 +56,13 @@ func main() {
 		chaos       = flag.String("chaos", "", "fault-injection spec, e.g. \"seed=42,kill-after-maps=5,hang=0.05,match=/v1/shuffle/,flip=0.01\" (see internal/faultinject)")
 	)
 	flag.Parse()
-	if err := run(*addr, *coordinator, *name, *spillDir, *advertise, *heartbeat, *drainTO, *dialTO, *headerTO, *chaos); err != nil {
+	if err := run(*addr, *coordinator, *name, *advertise, *heartbeat, *drainTO, *dialTO, *headerTO, *chaos); err != nil {
 		fmt.Fprintf(os.Stderr, "sidr-worker: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, coordinator, name, spillDir, advertise string, heartbeat, drainTO, dialTO, headerTO time.Duration, chaos string) error {
+func run(addr, coordinator, name, advertise string, heartbeat, drainTO, dialTO, headerTO time.Duration, chaos string) error {
 	if coordinator == "" {
 		return fmt.Errorf("-coordinator is required")
 	}
@@ -76,19 +78,6 @@ func run(addr, coordinator, name, spillDir, advertise string, heartbeat, drainTO
 	if advertise == "" {
 		advertise = "http://" + boundAddr
 	}
-	cleanup := func() {}
-	if spillDir == "" {
-		dir, err := os.MkdirTemp("", "sidr-worker-*")
-		if err != nil {
-			return err
-		}
-		spillDir = dir
-		cleanup = func() { os.RemoveAll(dir) }
-	} else {
-		spillDir = filepath.Clean(spillDir)
-	}
-	defer cleanup()
-
 	var inj *faultinject.Injector
 	if chaos != "" {
 		spec, err := faultinject.Parse(chaos)
@@ -100,7 +89,6 @@ func run(addr, coordinator, name, spillDir, advertise string, heartbeat, drainTO
 	}
 	w, err := cluster.NewWorker(cluster.WorkerConfig{
 		Name:           name,
-		SpillDir:       spillDir,
 		AdvertiseURL:   advertise,
 		CoordinatorURL: coordinator,
 		Heartbeat:      heartbeat,
@@ -131,7 +119,7 @@ func run(addr, coordinator, name, spillDir, advertise string, heartbeat, drainTO
 	httpSrv := &http.Server{Handler: handler}
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("sidr-worker: %q serving on %s (spills in %s), coordinator %s", name, boundAddr, spillDir, coordinator)
+		log.Printf("sidr-worker: %q serving on %s, coordinator %s", name, boundAddr, coordinator)
 		errCh <- httpSrv.Serve(ln)
 	}()
 
@@ -168,8 +156,6 @@ func run(addr, coordinator, name, spillDir, advertise string, heartbeat, drainTO
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("sidr-worker: http shutdown: %v", err)
 	}
-	// Nothing can be mid-write now: reclaim any temp files immediately.
-	w.SweepTemps(0)
 	log.Printf("sidr-worker: bye")
 	return nil
 }

@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,7 +41,7 @@ func TestBatchedVsPerSpillParity(t *testing.T) {
 // exact bytes behind a 24-byte SFRM header, an exact Content-Length,
 // and clean rejections for missing spills and bad requests.
 func TestBatchEndpointFraming(t *testing.T) {
-	w, err := NewWorker(WorkerConfig{Name: "w0", SpillDir: t.TempDir()})
+	w, err := NewWorker(WorkerConfig{Name: "w0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +159,11 @@ func commitSpill(t *testing.T, w *Worker, job string, split, attempt, kb int, b 
 
 // TestOnlyCommittedPacksAreServed: a spill exists for the shuffle only
 // as an entry of a committed spillstore pack, reachable only through
-// POST /v1/shuffle/batch. A kb-N.spill file dropped into SpillDir where
-// the retired per-keyblock layout kept it is not served, and the
-// retired per-spill GET route is gone.
+// POST /v1/shuffle/batch. An aborted attempt and an attempt begun but
+// not committed are not served, and the retired per-spill GET route is
+// gone.
 func TestOnlyCommittedPacksAreServed(t *testing.T) {
-	dir := t.TempDir()
-	w, err := NewWorker(WorkerConfig{Name: "w0", SpillDir: dir})
+	w, err := NewWorker(WorkerConfig{Name: "w0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,24 +175,40 @@ func TestOnlyCommittedPacksAreServed(t *testing.T) {
 	if err := kv.WriteSpillV3(&spill, 1, 0, nil, kv.V3Options{}); err != nil {
 		t.Fatal(err)
 	}
-	p := filepath.Join(dir, "j", "0-0", "kb-0.spill")
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		t.Fatal(err)
+	fetch := func(attempt int) int {
+		t.Helper()
+		body, _ := json.Marshal(batchFetchRequest{JobID: "j", Keyblock: 0, Spills: []spillRef{{Split: 0, Attempt: attempt}}})
+		resp, err := http.Post(srv.URL+shuffleBatchPath, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	if err := os.WriteFile(p, spill.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	begin := func(attempt int) interface{ Abort() } {
+		t.Helper()
+		pw, err := w.store.Begin("j", 0, attempt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pw.Append(0, func(dst io.Writer) error {
+			_, err := dst.Write(spill.Bytes())
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return pw
 	}
-
-	body, _ := json.Marshal(batchFetchRequest{JobID: "j", Keyblock: 0, Spills: []spillRef{{Split: 0, Attempt: 0}}})
-	resp, err := http.Post(srv.URL+shuffleBatchPath, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	begin(0).Abort()
+	if code := fetch(0); code != http.StatusNotFound {
+		t.Fatalf("aborted attempt → %d from the batch endpoint, want 404", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("loose spill file → %d from the batch endpoint, want 404", resp.StatusCode)
+	open := begin(1)
+	defer open.Abort()
+	if code := fetch(1); code != http.StatusNotFound {
+		t.Fatalf("uncommitted attempt → %d from the batch endpoint, want 404", code)
 	}
-	resp, err = http.Get(srv.URL + "/v1/shuffle/j/0/0/0")
+	resp, err := http.Get(srv.URL + "/v1/shuffle/j/0/0/0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +218,9 @@ func TestOnlyCommittedPacksAreServed(t *testing.T) {
 	}
 
 	// The same bytes committed through the store are served.
-	commitSpill(t, w, "j", 0, 0, 0, spill.Bytes())
-	resp, err = http.Post(srv.URL+shuffleBatchPath, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("committed spill → %d, want 200", resp.StatusCode)
+	commitSpill(t, w, "j", 0, 2, 0, spill.Bytes())
+	if code := fetch(2); code != http.StatusOK {
+		t.Fatalf("committed spill → %d, want 200", code)
 	}
 }
 

@@ -35,8 +35,7 @@ func startChaosCluster(t *testing.T, n int, cfg CoordinatorConfig,
 	t.Cleanup(c.Close)
 	var workers []*testWorker
 	for i := 0; i < n; i++ {
-		dir := t.TempDir()
-		wc := WorkerConfig{Name: fmt.Sprintf("w%d", i), SpillDir: dir}
+		wc := WorkerConfig{Name: fmt.Sprintf("w%d", i)}
 		if mutate != nil {
 			mutate(i, &wc)
 		}
@@ -50,7 +49,7 @@ func startChaosCluster(t *testing.T, n int, cfg CoordinatorConfig,
 				h = wrapped
 			}
 		}
-		tw := &testWorker{w: w, dir: dir, srv: httptest.NewServer(h)}
+		tw := &testWorker{w: w, srv: httptest.NewServer(h)}
 		t.Cleanup(tw.kill)
 		t.Cleanup(func() { tw.w.Close() })
 		if err := c.register(wc.Name, tw.srv.URL); err != nil {
@@ -336,6 +335,7 @@ func TestChaosSoak(t *testing.T) {
 		name         string
 		spec         string // coordinator-side transport chaos
 		kill         bool   // SIGKILL worker 0 after its 2nd map
+		restart      bool   // restart worker 0 under its own name as its 1st map answers
 		hang         bool   // worker 0 hangs ~20% of maps; speculation rescues
 		wantFallback bool   // ≥1 multi-spill fetch must fail and be re-fetched singly
 		runs         int    // jobs run back to back under the schedule (0 = 1)
@@ -355,6 +355,10 @@ func TestChaosSoak(t *testing.T) {
 		// error, so batches must still land.
 		{name: "slow-batch", spec: "seed=606,match=/v1/shuffle/batch,slow=0.5:1ms,delay=0.2:1ms"},
 		{name: "kill-worker", kill: true},
+		// The restarted process holds none of the old one's packs, so the
+		// first fetch of that Map's spills is unserved and the split
+		// re-executes.
+		{name: "restart-worker", restart: true},
 		{name: "hang-speculation", hang: true},
 	}
 	for _, tc := range cases {
@@ -370,8 +374,11 @@ func TestChaosSoak(t *testing.T) {
 					Transport: faultinject.New(spec).Transport(http.DefaultTransport),
 				}
 			}
-			var workers []*testWorker
-			var maps, hangs atomic.Int64
+			var (
+				c           *Coordinator
+				workers     []*testWorker
+				maps, hangs atomic.Int64
+			)
 			mutate := func(i int, wc *WorkerConfig) {
 				if i != 0 || !tc.hang {
 					return
@@ -383,15 +390,21 @@ func TestChaosSoak(t *testing.T) {
 				wc.Chaos = faultinject.New(spec)
 			}
 			// Worker 0's Map dispatches pass through here. Under "kill" the
-			// 2nd one takes the worker's server and spill directory down, as
-			// a SIGKILL would, before any spill is written (async because a
-			// handler cannot join its own server shutdown). Under "hang" each
-			// hung attempt is counted from the error the worker answers with.
+			// 2nd one takes the worker's server down, as a SIGKILL would,
+			// before any spill is written (async because a handler cannot
+			// join its own server shutdown). Under "restart" the 1st one's
+			// answer is held back until a fresh worker of the same name
+			// serves in the old one's place, so no fetch reaches the old
+			// process. Under "hang" each hung attempt is counted from the
+			// error the worker answers with.
 			wrap := func(i int, h http.Handler) http.Handler {
-				if i != 0 || !(tc.kill || tc.hang) {
+				if i != 0 || !(tc.kill || tc.hang || tc.restart) {
 					return nil
 				}
+				var cur atomic.Pointer[http.Handler]
+				cur.Store(&h)
 				return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+					h := *cur.Load()
 					if r.URL.Path != "/v1/map" {
 						h.ServeHTTP(rw, r)
 						return
@@ -406,6 +419,20 @@ func TestChaosSoak(t *testing.T) {
 					if strings.Contains(rec.Body.String(), "injected hang") {
 						hangs.Add(1)
 					}
+					if tc.restart && rec.Code == http.StatusOK && maps.Add(1) == 1 {
+						fresh, err := NewWorker(WorkerConfig{Name: "w0"})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						t.Cleanup(func() { fresh.Close() })
+						var fh http.Handler = fresh
+						cur.Store(&fh)
+						workers[0].w.Close()
+						if err := c.register("w0", workers[0].srv.URL); err != nil {
+							t.Error(err)
+						}
+					}
 					for k, v := range rec.Header() {
 						rw.Header()[k] = v
 					}
@@ -419,7 +446,6 @@ func TestChaosSoak(t *testing.T) {
 				cfg.SpeculationMin = 10 * time.Millisecond
 				cfg.SpeculationInterval = 2 * time.Millisecond
 			}
-			var c *Coordinator
 			c, workers = startChaosCluster(t, 3, cfg, mutate, wrap)
 			var total Counters
 			for run := 0; run < max(tc.runs, 1); run++ {
@@ -440,9 +466,10 @@ func TestChaosSoak(t *testing.T) {
 				total.Speculated += res.Counters.Speculated
 				total.BatchFallbacks += res.Counters.BatchFallbacks
 			}
-			// The killed worker's committed spill is re-executed.
-			if tc.kill && total.Reexecuted == 0 {
-				t.Fatal("worker kill caused no re-execution")
+			// The killed or restarted worker's committed spill is
+			// re-executed.
+			if (tc.kill || tc.restart) && total.Reexecuted == 0 {
+				t.Fatalf("%s caused no re-execution", tc.name)
 			}
 			if tc.hang && hangs.Load() > 0 && total.Speculated == 0 {
 				t.Fatal("injected hangs were never speculated around")

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -55,16 +54,14 @@ func testDataset(t testing.TB) DatasetSpec {
 type testWorker struct {
 	w    *Worker
 	srv  *httptest.Server
-	dir  string
 	once sync.Once
 }
 
-// kill simulates losing the worker process and its disk.
+// kill simulates losing the worker process and the spills it holds.
 func (tw *testWorker) kill() {
 	tw.once.Do(func() {
 		tw.srv.CloseClientConnections()
 		tw.srv.Close()
-		os.RemoveAll(tw.dir)
 	})
 }
 
@@ -82,12 +79,11 @@ func startCluster(t testing.TB, n int, cfg CoordinatorConfig) (*Coordinator, []*
 	c := NewCoordinator(cfg)
 	var workers []*testWorker
 	for i := 0; i < n; i++ {
-		dir := t.TempDir()
-		w, err := NewWorker(WorkerConfig{Name: fmt.Sprintf("w%d", i), SpillDir: dir})
+		w, err := NewWorker(WorkerConfig{Name: fmt.Sprintf("w%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tw := &testWorker{w: w, srv: httptest.NewServer(w), dir: dir}
+		tw := &testWorker{w: w, srv: httptest.NewServer(w)}
 		t.Cleanup(tw.kill)
 		t.Cleanup(func() { tw.w.Close() })
 		if err := c.register(fmt.Sprintf("w%d", i), tw.srv.URL); err != nil {
@@ -346,8 +342,7 @@ func tamperSourceCount(inner *Worker) http.Handler {
 // finalized.
 func runOnTamperedWorker(t *testing.T, engine string, wrap func(*Worker) http.Handler) (res *jobResult, partials int64, err error) {
 	t.Helper()
-	dir := t.TempDir()
-	w, err := NewWorker(WorkerConfig{Name: "w0", SpillDir: dir})
+	w, err := NewWorker(WorkerConfig{Name: "w0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -711,7 +706,7 @@ func TestClosedExecutorFailsRun(t *testing.T) {
 }
 
 // TestJobReleaseCleansWorkerState: once Run returns, the workers'
-// cached job state and spill directories for that job are gone.
+// cached job state and spill packs for that job are gone.
 func TestJobReleaseCleansWorkerState(t *testing.T) {
 	c, workers := startCluster(t, 1, CoordinatorConfig{})
 	if _, err := runClusterJob(t, c, nil); err != nil {
@@ -724,12 +719,15 @@ func TestJobReleaseCleansWorkerState(t *testing.T) {
 	if cached != 0 {
 		t.Fatalf("worker still caches %d job(s) after release", cached)
 	}
-	entries, err := os.ReadDir(tw.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("spill dir not cleaned after release: %d entries", len(entries))
+	assertStoreEmpty(t, "w0", tw.w)
+}
+
+// assertStoreEmpty fails unless w's spill store holds no bytes and no
+// job entry: every pack and released-attempt mark went with its job.
+func assertStoreEmpty(t *testing.T, name string, w *Worker) {
+	t.Helper()
+	if held, jobs := w.store.Held(); held != 0 || jobs != 0 {
+		t.Errorf("worker %s: store holds %d spill bytes for %d jobs after release", name, held, jobs)
 	}
 }
 
@@ -737,7 +735,7 @@ func TestJobReleaseCleansWorkerState(t *testing.T) {
 // a generated job ID with a different {plan,dataset} tuple must not be
 // served the old job's cached plan or spills.
 func TestJobIDReuseReplacesStaleCache(t *testing.T) {
-	w, err := NewWorker(WorkerConfig{Name: "w0", SpillDir: t.TempDir()})
+	w, err := NewWorker(WorkerConfig{Name: "w0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -748,13 +746,7 @@ func TestJobIDReuseReplacesStaleCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A pack the dead coordinator's job left behind.
-	stale := filepath.Join(w.cfg.SpillDir, "job-1", "0-0.pack")
-	if err := os.MkdirAll(filepath.Dir(stale), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(stale, []byte("stale"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	commitSpill(t, w, "job-1", 0, 0, 0, []byte("stale"))
 
 	// A new job wearing the recycled ID, over another dataset.
 	req2 := &mapRequest{JobID: "job-1", Plan: testJobPlan(), Dataset: testDataset(t)}
@@ -765,9 +757,10 @@ func TestJobIDReuseReplacesStaleCache(t *testing.T) {
 	if j1 == j2 {
 		t.Fatal("stale cache entry reused for a different plan/dataset")
 	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+	if _, _, err := w.store.Open("job-1", 0, 0, 0); err == nil {
 		t.Fatal("stale spill survived replacement; the new job could be served old data")
 	}
+	assertStoreEmpty(t, "w0", w)
 	j3, err := w.jobFor(req2)
 	if err != nil {
 		t.Fatal(err)

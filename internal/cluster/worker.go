@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,8 +25,12 @@ import (
 type WorkerConfig struct {
 	// Name is the worker's stable identity.
 	Name string
-	// SpillDir is where Map attempt spills are materialised and served
-	// from. Required.
+	// SpillDir is ignored.
+	//
+	// Deprecated: spills are held in the worker's memory; a spill the
+	// worker cannot serve is recovered by re-executing its split. The
+	// field stays only because the benchmark harness (bench/cluster.go)
+	// still sets it.
 	SpillDir string
 	// AdvertiseURL is the base URL the coordinator should dial this
 	// worker at (e.g. "http://127.0.0.1:7101").
@@ -102,21 +104,15 @@ func jobFingerprint(req *mapRequest) string {
 	return string(b)
 }
 
-// NewWorker builds a worker. SpillDir is created if missing.
+// NewWorker builds a worker.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("cluster: worker needs a name")
 	}
-	if cfg.SpillDir == "" {
-		return nil, fmt.Errorf("cluster: worker needs a spill dir")
-	}
-	if err := os.MkdirAll(cfg.SpillDir, 0o755); err != nil {
-		return nil, err
-	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = time.Second
 	}
-	store, err := spillstore.New(cfg.SpillDir)
+	store, err := spillstore.New("")
 	if err != nil {
 		return nil, err
 	}
@@ -136,8 +132,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 // ServeHTTP implements http.Handler.
 func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) { w.mux.ServeHTTP(rw, r) }
 
-// Close releases cached dataset handles and open spill pack handles.
-// Spill files are left on disk; the owner of SpillDir reclaims them.
+// Close releases cached dataset handles and every spill pack the
+// worker holds.
 func (w *Worker) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -249,15 +245,12 @@ func (w *Worker) signalDrain() {
 // (via the heartbeat response). The process main should then run Drain.
 func (w *Worker) DrainSignal() <-chan struct{} { return w.drainCh }
 
-// SweepTemps removes orphaned spill temp files older than olderThan.
-func (w *Worker) SweepTemps(olderThan time.Duration) int { return w.store.SweepTemps(olderThan) }
-
 // Drain performs the worker side of a graceful exit: stop accepting Map
 // dispatches, tell the coordinator to drain this worker (idempotent if
-// the drain was coordinator-initiated), sweep orphaned temp files, then
-// keep heartbeating — and serving spills — until the coordinator
-// releases us (heartbeat 404) or ctx expires. The HTTP server must stay
-// up throughout; shut it down only after Drain returns.
+// the drain was coordinator-initiated), then keep heartbeating — and
+// serving spills — until the coordinator releases us (heartbeat 404) or
+// ctx expires. The HTTP server must stay up throughout; shut it down
+// only after Drain returns.
 func (w *Worker) Drain(ctx context.Context) error {
 	w.draining.Store(true)
 	w.signalDrain()
@@ -269,7 +262,6 @@ func (w *Worker) Drain(ctx context.Context) error {
 		return fmt.Errorf("cluster: drain request to %s failed", w.cfg.CoordinatorURL)
 	}
 	w.logf("draining: serving spills until every reduce that needs them has fetched them")
-	w.store.SweepTemps(time.Minute)
 	t := time.NewTicker(w.cfg.Heartbeat)
 	defer t.Stop()
 	for {
@@ -362,15 +354,14 @@ func (j *workerJob) close() error {
 	return err
 }
 
-// releaseLocked drops one job's cached state, pack handles and spill
-// directory. Caller holds w.mu.
+// releaseLocked drops one job's cached state and spill packs. Caller
+// holds w.mu.
 func (w *Worker) releaseLocked(jobID string) {
 	if j, ok := w.jobs[jobID]; ok {
 		j.close()
 		delete(w.jobs, jobID)
 	}
 	w.store.ReleaseJob(jobID)
-	os.RemoveAll(filepath.Join(w.cfg.SpillDir, jobID))
 }
 
 // handleRelease drops a resolved job's cached state and spills:
@@ -396,9 +387,6 @@ func (w *Worker) handleRelease(rw http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.store.ReleaseAttempt(req.JobID, *req.Split, *req.Attempt)
-		// Release is also the natural sweep point for temp files a
-		// crashed or aborted attempt orphaned.
-		w.store.SweepTemps(time.Minute)
 		w.logf("released job %s split %d attempt %d", req.JobID, *req.Split, *req.Attempt)
 		rw.WriteHeader(http.StatusOK)
 		return
@@ -406,8 +394,8 @@ func (w *Worker) handleRelease(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
 	w.releaseLocked(req.JobID)
 	w.mu.Unlock()
-	w.store.SweepTemps(time.Minute)
-	w.logf("released job %s", req.JobID)
+	held, jobs := w.store.Held()
+	w.logf("released job %s; %d spill bytes held for %d jobs", req.JobID, held, jobs)
 	rw.WriteHeader(http.StatusOK)
 }
 
@@ -455,6 +443,15 @@ func (w *Worker) handleMap(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Begin before the Map runs: the pack belongs to the job's store entry
+	// as it stands now, so a release that lands while the Map runs
+	// discards the pack at Commit instead of leaving it held.
+	pw, err := w.store.Begin(req.JobID, req.Split, req.Attempt)
+	if err != nil {
+		http.Error(rw, "spill store: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	defer pw.Abort()
 	w.running.Add(1)
 	defer w.running.Add(-1)
 	if w.cfg.Chaos != nil {
@@ -475,18 +472,12 @@ func (w *Worker) handleMap(rw http.ResponseWriter, r *http.Request) {
 	}
 	rank := in.SpillRank()
 	resp := mapResponse{JobID: req.JobID, Split: req.Split, Attempt: req.Attempt, Records: records}
-	pw, err := w.store.Begin(req.JobID, req.Split, req.Attempt)
-	if err != nil {
-		http.Error(rw, "spill store: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
 	for _, kb := range j.plan.Graph.SplitToKB[req.Split] {
 		out := outs[kb]
 		n, err := pw.Append(kb, func(dst io.Writer) error {
 			return kv.WriteSpillV3(dst, rank, out.SourceCount, out.Pairs, kv.V3Options{})
 		})
 		if err != nil {
-			pw.Abort()
 			http.Error(rw, "spill write: "+err.Error(), http.StatusInternalServerError)
 			return
 		}
@@ -524,14 +515,14 @@ func validJobID(id string) bool {
 // Reduce task's spill subset held by this worker in one response: POST
 // /v1/shuffle/batch with a batchFetchRequest body naming N≥1 spills of
 // one keyblock. A spill is served only from a committed spillstore pack
-// (a SectionReader over the shared pack handle — zero copy, zero
+// (a SectionReader over the pack's bytes in memory — no copy, no
 // re-decode). Frames are emitted in request order — the coordinator's
 // merge is order-sensitive — each a 24-byte SFRM header followed by the
-// spill's exact on-disk bytes. Every spill is resolved
+// spill's exact bytes as the Map encoded them. Every spill is resolved
 // before the status line is written, so a 200 always carries an exact
 // precomputed Content-Length and every requested frame; the request
 // context is checked between frames so an abandoned fetch stops
-// consuming disk bandwidth.
+// taking the worker's bandwidth.
 func (w *Worker) handleShuffleBatch(rw http.ResponseWriter, r *http.Request) {
 	var req batchFetchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {

@@ -65,10 +65,7 @@ func startTappedWorkers(t *testing.T, coord *cluster.Coordinator, n int, tap fun
 	t.Helper()
 	servers := make([]*httptest.Server, n)
 	for i := 0; i < n; i++ {
-		w, err := cluster.NewWorker(cluster.WorkerConfig{
-			Name:     fmt.Sprintf("srvw%d", i),
-			SpillDir: t.TempDir(),
-		})
+		w, err := cluster.NewWorker(cluster.WorkerConfig{Name: fmt.Sprintf("srvw%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,397 +1,200 @@
-// Package spillstore implements the worker-side spill pack: one
-// append-only file per (job, split, attempt) holding every keyblock
-// spill that Map attempt produced, with an in-memory keyblock →
-// (offset, length) directory for serving.
-//
-// The pack replaces the one-file-per-keyblock layout
-// (job/split-attempt/kb-N.spill): a Map attempt with k keyblocks costs
-// one create + one rename instead of k of each, and the shuffle serves
-// a spill as a byte-range copy off the pack — the worker never
-// re-decodes a pair it already encoded.
-//
-// On-disk layout:
-//
-//	root/<job>/<split>-<attempt>.pack
-//
-//	entry bytes (each a complete kv spill stream)
-//	directory:
-//	  u32 nEntries
-//	  nEntries × ( u32 keyblock | u64 offset | u64 length )
-//	trailer (12 bytes):
-//	  u32 dirLen   (bytes of the directory block above)
-//	  u32 crc32c   (of the directory block)
-//	  magic "SPKF"
-//
-// The directory lives at the tail so writes stay strictly append-only;
-// a reader recovers it by reading the fixed trailer, then the dirLen
-// bytes before it. Packs are written to a ".pack-*" temp and renamed on
-// Commit, so a concurrent fetch never observes a partial pack; Abort
-// removes the temp, and SweepTemps reclaims any orphans left by a
-// crashed attempt.
+// Package spillstore holds a worker's spill packs in memory: one byte
+// slice per (job, split, attempt) holding that Map attempt's keyblock
+// spills, served as byte ranges. A fetch the worker cannot serve
+// re-executes its split, so nothing goes to disk.
 package spillstore
 
 import (
-	"bufio"
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 )
 
-var packMagic = [4]byte{'S', 'P', 'K', 'F'}
+// maxBytes bounds the spill bytes one store holds, committed or being
+// written. An uncombined job spills about 8.4 B a point (ROADMAP item
+// 3), so 1 GiB holds the unreleased spills of about 128 M input points:
+// sixteen jobs at the 8 M points of that item's planned large scale.
+const maxBytes = 1 << 30
 
-const (
-	trailerLen  = 12
-	dirEntryLen = 20
-	// maxDirLen caps the directory size a reader will buffer; a pack
-	// directory is ~20 bytes per keyblock, so even huge plans stay far
-	// below this.
-	maxDirLen = 1 << 26
-)
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Errors reported by the store.
+// Errors: no pack or keyblock for a spill; an Append past the bound.
 var (
-	// errNotFound reports that no pack (or no entry within the pack)
-	// exists for the requested spill.
 	errNotFound = errors.New("spillstore: spill not found")
-	// errCorruptPack reports a pack whose trailer or directory fails
-	// validation.
-	errCorruptPack = errors.New("spillstore: corrupt pack")
+	errFull     = errors.New("spillstore: spill bytes over the store's bound")
 )
 
-type packKey struct {
-	job            string
-	split, attempt int
-}
+type packKey struct{ split, attempt int }
+type dirEntry struct{ off, length int64 }
 
-type dirEntry struct {
-	off, length int64
-}
-
-// pack is one committed, immutable pack file held open for serving.
-// Concurrent readers share the *os.File through io.SectionReader
-// (ReadAt is safe for concurrent use).
+// pack is one committed, immutable pack.
 type pack struct {
-	f     *os.File
-	dir   map[int]dirEntry
-	mtime time.Time
+	buf []byte
+	dir map[int]dirEntry
+	at  time.Time
 }
 
-// Store manages the pack files under one root directory.
+// jobPacks is one job's packs; a nil pack marks an attempt released
+// before it committed, and dropped an entry ReleaseJob removed.
+type jobPacks struct {
+	packs   map[packKey]*pack
+	dropped bool
+}
+
+// Store holds the packs of one worker.
 type Store struct {
-	root string
-
-	mu     sync.Mutex
-	packs  map[packKey]*pack
-	closed bool
+	limit int64
+	mu    sync.Mutex
+	jobs  map[string]*jobPacks
+	bytes int64
 }
 
-// New opens (creating if needed) a store rooted at dir. Existing pack
-// files are loaded lazily on first Open.
+// New returns an empty store. root is unread: it stays only because
+// bench/replay.go calls New with it. The error is always nil.
 func New(root string) (*Store, error) {
-	if root == "" {
-		return nil, fmt.Errorf("spillstore: empty root")
-	}
-	if err := os.MkdirAll(root, 0o755); err != nil {
-		return nil, err
-	}
-	return &Store{root: root, packs: make(map[packKey]*pack)}, nil
+	return &Store{limit: maxBytes, jobs: make(map[string]*jobPacks)}, nil
 }
 
-func (s *Store) packPath(k packKey) string {
-	return filepath.Join(s.root, k.job, fmt.Sprintf("%d-%d.pack", k.split, k.attempt))
-}
-
-// packWriter accumulates one Map attempt's keyblock spills into a pack
-// temp file. Exactly one of Commit or Abort must be called.
+// packWriter builds one Map attempt's pack until Commit or Abort.
 type packWriter struct {
 	s    *Store
+	e    *jobPacks
 	k    packKey
-	f    *os.File
-	bw   *bufio.Writer
-	off  int64
-	kbs  []int
-	ents []dirEntry
+	buf  bytes.Buffer
+	dir  map[int]dirEntry
 	done bool
 }
 
-// Begin starts writing the pack for one (job, split, attempt).
+// Begin starts the pack of one (job, split, attempt) in the job's entry
+// as it stands now, starting a fresh entry if the job has none.
 func (s *Store) Begin(job string, split, attempt int) (*packWriter, error) {
-	dir := filepath.Join(s.root, job)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.jobs[job]
+	if e == nil {
+		e = &jobPacks{packs: make(map[packKey]*pack)}
+		s.jobs[job] = e
 	}
-	f, err := os.CreateTemp(dir, ".pack-*")
-	if err != nil {
-		return nil, err
-	}
-	return &packWriter{
-		s:  s,
-		k:  packKey{job: job, split: split, attempt: attempt},
-		f:  f,
-		bw: bufio.NewWriterSize(f, 1<<16),
-	}, nil
+	return &packWriter{s: s, e: e, k: packKey{split, attempt}, dir: make(map[int]dirEntry)}, nil
 }
 
-// countWriter tracks bytes written through it.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// Append writes one keyblock's spill via fn and records it in the
-// directory. Returns the entry's byte length.
+// Append writes one keyblock's spill via fn and returns its length. Past
+// the store's byte bound it fails and records nothing.
 func (pw *packWriter) Append(keyblock int, fn func(io.Writer) error) (int64, error) {
-	cw := &countWriter{w: pw.bw}
-	if err := fn(cw); err != nil {
+	off := pw.buf.Len()
+	if err := fn(&pw.buf); err != nil {
+		pw.buf.Truncate(off)
 		return 0, err
 	}
-	pw.kbs = append(pw.kbs, keyblock)
-	pw.ents = append(pw.ents, dirEntry{off: pw.off, length: cw.n})
-	pw.off += cw.n
-	return cw.n, nil
-}
-
-// Commit appends the directory and trailer, renames the temp into
-// place, and registers the pack for serving. A pack committed for a
-// (job, split, attempt) that already has one replaces it — duplicate
-// Map attempts are idempotent re-writes.
-func (pw *packWriter) Commit() error {
-	if pw.done {
-		return fmt.Errorf("spillstore: pack writer already finished")
-	}
-	pw.done = true
-	le := binary.LittleEndian
-	dir := make([]byte, 4+dirEntryLen*len(pw.ents))
-	le.PutUint32(dir[0:4], uint32(len(pw.ents)))
-	for i, e := range pw.ents {
-		p := dir[4+i*dirEntryLen:]
-		le.PutUint32(p[0:4], uint32(pw.kbs[i]))
-		le.PutUint64(p[4:12], uint64(e.off))
-		le.PutUint64(p[12:20], uint64(e.length))
-	}
-	var trailer [trailerLen]byte
-	le.PutUint32(trailer[0:4], uint32(len(dir)))
-	le.PutUint32(trailer[4:8], crc32.Checksum(dir, castagnoli))
-	copy(trailer[8:12], packMagic[:])
-	if _, err := pw.bw.Write(dir); err != nil {
-		return pw.fail(err)
-	}
-	if _, err := pw.bw.Write(trailer[:]); err != nil {
-		return pw.fail(err)
-	}
-	if err := pw.bw.Flush(); err != nil {
-		return pw.fail(err)
-	}
-
-	final := pw.s.packPath(pw.k)
-	if err := os.Rename(pw.f.Name(), final); err != nil {
-		return pw.fail(err)
-	}
-	m := make(map[int]dirEntry, len(pw.ents))
-	for i, kb := range pw.kbs {
-		m[kb] = pw.ents[i]
-	}
-	p := &pack{f: pw.f, dir: m, mtime: time.Now()}
-
+	n := int64(pw.buf.Len() - off)
 	s := pw.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		p.f.Close()
-		os.Remove(final)
-		return fmt.Errorf("spillstore: store closed")
+	if s.bytes+n > s.limit {
+		pw.buf.Truncate(off)
+		return 0, fmt.Errorf("%w: %d held + %d > %d", errFull, s.bytes, n, s.limit)
 	}
-	if old, ok := s.packs[pw.k]; ok {
-		old.f.Close()
-	}
-	s.packs[pw.k] = p
+	s.bytes += n
+	pw.dir[keyblock] = dirEntry{off: int64(off), length: n}
+	return n, nil
+}
+
+// Commit registers the pack in the entry Begin captured, replacing any
+// pack of the same attempt (duplicate Map attempts are idempotent). A
+// pack released after Begin registers nothing. The error is always nil.
+func (pw *packWriter) Commit() error {
+	pw.finish(true)
 	return nil
 }
 
-func (pw *packWriter) fail(err error) error {
-	pw.f.Close()
-	os.Remove(pw.f.Name())
-	return err
-}
+// Abort discards the pack. Safe after Commit (no-op).
+func (pw *packWriter) Abort() { pw.finish(false) }
 
-// Abort discards the pack temp file. Safe after Commit (no-op).
-func (pw *packWriter) Abort() {
+// finish commits or discards the pack, once.
+func (pw *packWriter) finish(commit bool) {
+	s, e := pw.s, pw.e
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if pw.done {
 		return
 	}
 	pw.done = true
-	pw.f.Close()
-	os.Remove(pw.f.Name())
+	old, seen := e.packs[pw.k]
+	if !commit || e.dropped || seen && old == nil {
+		s.bytes -= int64(pw.buf.Len())
+		return
+	}
+	if old != nil {
+		s.bytes -= int64(len(old.buf))
+	}
+	e.packs[pw.k] = &pack{buf: pw.buf.Bytes(), dir: pw.dir, at: time.Now()}
 }
 
-// Open returns a reader over one keyblock's spill bytes plus the
-// pack's modification time. The returned SectionReader stays valid
-// until the pack is released; concurrent Opens share the underlying
-// file.
+// Open returns a reader over one keyblock's spill and its pack's commit
+// time. The reader stays valid after the pack is released.
 func (s *Store) Open(job string, split, attempt, keyblock int) (*io.SectionReader, time.Time, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, time.Time{}, fmt.Errorf("spillstore: store closed")
-	}
-	k := packKey{job: job, split: split, attempt: attempt}
-	p, ok := s.packs[k]
-	if !ok {
-		var err error
-		if p, err = loadPack(s.packPath(k)); err != nil {
-			if os.IsNotExist(err) {
-				return nil, time.Time{}, errNotFound
+	if e := s.jobs[job]; e != nil {
+		if p := e.packs[packKey{split, attempt}]; p != nil {
+			if d, ok := p.dir[keyblock]; ok {
+				return io.NewSectionReader(bytes.NewReader(p.buf), d.off, d.length), p.at, nil
 			}
-			return nil, time.Time{}, err
 		}
-		s.packs[k] = p
 	}
-	e, ok := p.dir[keyblock]
-	if !ok {
-		return nil, time.Time{}, fmt.Errorf("%w: keyblock %d not in pack %s/%d-%d",
-			errNotFound, keyblock, job, split, attempt)
-	}
-	return io.NewSectionReader(p.f, e.off, e.length), p.mtime, nil
+	return nil, time.Time{}, errNotFound
 }
 
-// loadPack opens an existing pack file and rebuilds its directory from
-// the trailer.
-func loadPack(path string) (_ *pack, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-		}
-	}()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := info.Size()
-	if size < trailerLen+4 {
-		return nil, fmt.Errorf("%w: %d bytes is too short", errCorruptPack, size)
-	}
-	var trailer [trailerLen]byte
-	if _, err := f.ReadAt(trailer[:], size-trailerLen); err != nil {
-		return nil, err
-	}
-	if [4]byte(trailer[8:12]) != packMagic {
-		return nil, fmt.Errorf("%w: bad trailer magic", errCorruptPack)
-	}
-	le := binary.LittleEndian
-	dirLen := int64(le.Uint32(trailer[0:4]))
-	if dirLen < 4 || dirLen > maxDirLen || dirLen > size-trailerLen {
-		return nil, fmt.Errorf("%w: implausible directory length %d", errCorruptPack, dirLen)
-	}
-	dir := make([]byte, dirLen)
-	dataEnd := size - trailerLen - dirLen
-	if _, err := f.ReadAt(dir, dataEnd); err != nil {
-		return nil, err
-	}
-	if got, want := crc32.Checksum(dir, castagnoli), le.Uint32(trailer[4:8]); got != want {
-		return nil, fmt.Errorf("%w: directory crc %08x, trailer says %08x", errCorruptPack, got, want)
-	}
-	n := int(le.Uint32(dir[0:4]))
-	if int64(4+n*dirEntryLen) != dirLen {
-		return nil, fmt.Errorf("%w: %d entries need %d directory bytes, have %d",
-			errCorruptPack, n, 4+n*dirEntryLen, dirLen)
-	}
-	m := make(map[int]dirEntry, n)
-	for i := 0; i < n; i++ {
-		p := dir[4+i*dirEntryLen:]
-		kb := int(le.Uint32(p[0:4]))
-		e := dirEntry{off: int64(le.Uint64(p[4:12])), length: int64(le.Uint64(p[12:20]))}
-		if e.off < 0 || e.length < 0 || e.off+e.length > dataEnd {
-			return nil, fmt.Errorf("%w: entry kb=%d [%d,+%d) outside data bytes [0,%d)",
-				errCorruptPack, kb, e.off, e.length, dataEnd)
-		}
-		m[kb] = e
-	}
-	return &pack{f: f, dir: m, mtime: info.ModTime()}, nil
-}
-
-// ReleaseJob closes and forgets every pack of one job. It does not
-// remove files — callers that own the root remove the job directory.
+// ReleaseJob forgets the job's entry and its packs. A pack still being
+// written registers nothing; a reused job ID starts a fresh entry.
 func (s *Store) ReleaseJob(job string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k, p := range s.packs {
-		if k.job == job {
-			p.f.Close()
-			delete(s.packs, k)
-		}
+	if e := s.jobs[job]; e != nil {
+		s.dropLocked(job, e)
 	}
 }
 
-// ReleaseAttempt closes, forgets and deletes one attempt's pack (a
-// speculation loser or superseded attempt being reclaimed).
+// dropLocked forgets job's entry e. Caller holds s.mu.
+func (s *Store) dropLocked(job string, e *jobPacks) {
+	for _, p := range e.packs {
+		if p != nil {
+			s.bytes -= int64(len(p.buf))
+		}
+	}
+	e.dropped = true
+	delete(s.jobs, job)
+}
+
+// ReleaseAttempt forgets one attempt's pack (a speculation loser or a
+// superseded attempt). One still being written registers nothing.
 func (s *Store) ReleaseAttempt(job string, split, attempt int) {
-	k := packKey{job: job, split: split, attempt: attempt}
+	k := packKey{split, attempt}
 	s.mu.Lock()
-	if p, ok := s.packs[k]; ok {
-		p.f.Close()
-		delete(s.packs, k)
+	defer s.mu.Unlock()
+	if e := s.jobs[job]; e != nil {
+		if p := e.packs[k]; p != nil {
+			s.bytes -= int64(len(p.buf))
+		}
+		e.packs[k] = nil
 	}
-	s.mu.Unlock()
-	os.Remove(s.packPath(k))
 }
 
-// SweepTemps removes orphaned ".pack-*" and ".spill-*" temp files under
-// the root that are older than olderThan — the leavings of attempts
-// that died mid-write. Returns how many were removed.
-func (s *Store) SweepTemps(olderThan time.Duration) int {
-	cutoff := time.Now().Add(-olderThan)
-	removed := 0
-	filepath.WalkDir(s.root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if !strings.HasPrefix(name, ".pack-") && !strings.HasPrefix(name, ".spill-") {
-			return nil
-		}
-		info, err := d.Info()
-		if err != nil || info.ModTime().After(cutoff) {
-			return nil
-		}
-		if os.Remove(path) == nil {
-			removed++
-		}
-		return nil
-	})
-	return removed
+// Held reports the spill bytes held, committed or being written, and
+// the number of jobs with an entry.
+func (s *Store) Held() (bytes int64, jobs int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bytes, len(s.jobs)
 }
 
-// Close closes every open pack handle. The store is unusable after.
+// Close releases every job. The error is always nil.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var first error
-	for k, p := range s.packs {
-		if err := p.f.Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(s.packs, k)
+	for job, e := range s.jobs {
+		s.dropLocked(job, e)
 	}
-	s.closed = true
-	return first
+	return nil
 }

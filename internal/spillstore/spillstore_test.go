@@ -4,12 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func writeEntry(t *testing.T, pw *packWriter, kb int, payload string) {
@@ -40,62 +37,34 @@ func readAll(t *testing.T, s *Store, job string, split, attempt, kb int) string 
 }
 
 // TestPackRoundTrip: entries written through a packWriter come back
-// byte-identical through Open, from both the committing store and a
-// fresh store that must recover the directory from the trailer.
+// byte-identical through Open.
 func TestPackRoundTrip(t *testing.T) {
-	root := t.TempDir()
-	s, err := New(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
+	s := newStore(t)
 	pw, err := s.Begin("job1", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writeEntry(t, pw, 0, "keyblock zero bytes")
 	writeEntry(t, pw, 7, "")
-	writeEntry(t, pw, 3, strings.Repeat("x", 70_000)) // spans bufio flushes
+	writeEntry(t, pw, 3, strings.Repeat("x", 70_000))
 	if err := pw.Commit(); err != nil {
 		t.Fatal(err)
 	}
-
-	check := func(s *Store) {
-		t.Helper()
-		if got := readAll(t, s, "job1", 2, 0, 0); got != "keyblock zero bytes" {
-			t.Fatalf("kb 0 = %q", got)
-		}
-		if got := readAll(t, s, "job1", 2, 0, 7); got != "" {
-			t.Fatalf("kb 7 = %q, want empty", got)
-		}
-		if got := readAll(t, s, "job1", 2, 0, 3); len(got) != 70_000 {
-			t.Fatalf("kb 3 length = %d", len(got))
-		}
+	if got := readAll(t, s, "job1", 2, 0, 0); got != "keyblock zero bytes" {
+		t.Fatalf("kb 0 = %q", got)
 	}
-	check(s)
-
-	// A fresh store over the same root rebuilds the directory from disk.
-	s2, err := New(root)
-	if err != nil {
-		t.Fatal(err)
+	if got := readAll(t, s, "job1", 2, 0, 7); got != "" {
+		t.Fatalf("kb 7 = %q, want empty", got)
 	}
-	defer s2.Close()
-	check(s2)
-
-	// No temp files remain.
-	if n := countTemps(t, root); n != 0 {
-		t.Fatalf("%d temp files left after commit", n)
+	if got := readAll(t, s, "job1", 2, 0, 3); got != strings.Repeat("x", 70_000) {
+		t.Fatalf("kb 3 = %d bytes, want 70000 x", len(got))
 	}
+	assertHeld(t, s, 19+70_000, 1)
 }
 
 // TestOpenMissing pins errNotFound for absent packs and absent entries.
 func TestOpenMissing(t *testing.T) {
-	s, err := New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newStore(t)
 	if _, _, err := s.Open("nope", 0, 0, 0); !errors.Is(err, errNotFound) {
 		t.Fatalf("missing pack err = %v, want errNotFound", err)
 	}
@@ -109,76 +78,32 @@ func TestOpenMissing(t *testing.T) {
 	}
 }
 
-// TestAbortRemovesTemp: an aborted attempt leaves nothing behind — the
-// temp-file leak the per-keyblock layout had on WriteSpill failure.
-func TestAbortRemovesTemp(t *testing.T) {
-	root := t.TempDir()
-	s, err := New(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+// TestAbortRegistersNothing: an aborted attempt, and an Append whose
+// writer fails, leave nothing served and no bytes held.
+func TestAbortRegistersNothing(t *testing.T) {
+	s := newStore(t)
 	pw, err := s.Begin("job", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writeEntry(t, pw, 0, "doomed")
 	boom := errors.New("boom")
-	if _, err := pw.Append(1, func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+	if _, err := pw.Append(1, func(w io.Writer) error {
+		io.WriteString(w, "half a spill")
+		return boom
+	}); !errors.Is(err, boom) {
 		t.Fatalf("Append error = %v", err)
 	}
 	pw.Abort()
-	if n := countTemps(t, root); n != 0 {
-		t.Fatalf("%d temp files left after abort", n)
-	}
 	if _, _, err := s.Open("job", 0, 0, 0); !errors.Is(err, errNotFound) {
 		t.Fatalf("aborted pack served: err = %v", err)
 	}
-}
-
-// TestSweepTemps reclaims orphans a crashed attempt would leave.
-func TestSweepTemps(t *testing.T) {
-	root := t.TempDir()
-	s, err := New(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	dir := filepath.Join(root, "job")
-	os.MkdirAll(dir, 0o755)
-	for _, name := range []string{".pack-orphan1", ".spill-orphan2"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("junk"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A live pack and a non-temp file must survive.
-	pw, _ := s.Begin("job", 1, 0)
-	writeEntry(t, pw, 0, "live")
-	if err := pw.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.SweepTemps(0); n != 2 {
-		t.Fatalf("swept %d temps, want 2", n)
-	}
-	if got := readAll(t, s, "job", 1, 0, 0); got != "live" {
-		t.Fatalf("live pack damaged by sweep: %q", got)
-	}
-	// Fresh temps inside the age guard survive.
-	if err := os.WriteFile(filepath.Join(dir, ".pack-fresh"), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.SweepTemps(time.Hour); n != 0 {
-		t.Fatalf("swept %d fresh temps, want 0", n)
-	}
+	assertHeld(t, s, 0, 1)
 }
 
 // TestReleaseAttempt removes exactly one attempt's pack.
 func TestReleaseAttempt(t *testing.T) {
-	s, err := New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newStore(t)
 	for attempt := 0; attempt < 2; attempt++ {
 		pw, _ := s.Begin("job", 0, attempt)
 		writeEntry(t, pw, 0, fmt.Sprintf("attempt %d", attempt))
@@ -193,62 +118,102 @@ func TestReleaseAttempt(t *testing.T) {
 	if got := readAll(t, s, "job", 0, 1, 0); got != "attempt 1" {
 		t.Fatalf("surviving attempt = %q", got)
 	}
+	assertHeld(t, s, int64(len("attempt 1")), 1)
 }
 
-// TestCorruptTrailerRejected: truncations and flipped directory bits
-// must fail pack recovery, never misdirect a byte-range.
-func TestCorruptTrailerRejected(t *testing.T) {
-	root := t.TempDir()
-	s, err := New(root)
-	if err != nil {
+// TestLateCommitRegistersNothing: a pack whose job or attempt is
+// released between Begin and Commit is neither served nor held, and a
+// job ID used again starts a fresh entry that the orphan cannot touch.
+func TestLateCommitRegistersNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		release func(s *Store)
+	}{
+		{"job", func(s *Store) { s.ReleaseJob("job") }},
+		{"attempt", func(s *Store) { s.ReleaseAttempt("job", 0, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newStore(t)
+			pw, err := s.Begin("job", 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeEntry(t, pw, 0, "late")
+			tc.release(s)
+			if err := pw.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Open("job", 0, 0, 0); !errors.Is(err, errNotFound) {
+				t.Fatalf("pack committed after its release is served: err = %v", err)
+			}
+			if b, _ := s.Held(); b != 0 {
+				t.Fatalf("store holds %d bytes after a late commit, want 0", b)
+			}
+			s.ReleaseJob("job")
+			assertHeld(t, s, 0, 0)
+		})
+	}
+
+	// The orphan of a released job commits after the reused ID's fresh
+	// entry has a pack of its own under the same key.
+	s := newStore(t)
+	stale, _ := s.Begin("job", 0, 0)
+	writeEntry(t, stale, 0, "stale")
+	s.ReleaseJob("job")
+	fresh, _ := s.Begin("job", 0, 0)
+	writeEntry(t, fresh, 0, "fresh")
+	if err := fresh.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	if err := stale.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, s, "job", 0, 0, 0); got != "fresh" {
+		t.Fatalf("reused job ID served %q, want the fresh job's pack", got)
+	}
+	assertHeld(t, s, int64(len("fresh")), 1)
+}
+
+// TestByteBound: an Append that would take the store past its bound
+// fails with errFull and records nothing; the bytes freed by a release
+// make room again.
+func TestByteBound(t *testing.T) {
+	s := newStore(t)
+	s.limit = 10
 	pw, _ := s.Begin("job", 0, 0)
-	writeEntry(t, pw, 0, "payload bytes here")
+	writeEntry(t, pw, 0, "123456")
+	if _, err := pw.Append(1, func(w io.Writer) error {
+		_, err := io.WriteString(w, "12345")
+		return err
+	}); !errors.Is(err, errFull) {
+		t.Fatalf("Append past the bound: err = %v, want errFull", err)
+	}
+	assertHeld(t, s, 6, 1)
+	writeEntry(t, pw, 1, "1234")
 	if err := pw.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	path := filepath.Join(root, "job", "0-0.pack")
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if got := readAll(t, s, "job", 0, 0, 1); got != "1234" {
+		t.Fatalf("kb 1 after a refused Append = %q", got)
 	}
-	reopen := func(b []byte) error {
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s2, err := New(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s2.Close()
-		_, _, err = s2.Open("job", 0, 0, 0)
+	other, _ := s.Begin("job", 1, 0)
+	if _, err := other.Append(0, func(w io.Writer) error {
+		_, err := io.WriteString(w, "1")
 		return err
+	}); !errors.Is(err, errFull) {
+		t.Fatalf("Append on a full store: err = %v, want errFull", err)
 	}
-	// Directory byte flip → crc mismatch.
-	bad := append([]byte(nil), good...)
-	bad[len(bad)-trailerLen-3] ^= 0x01
-	if err := reopen(bad); !errors.Is(err, errCorruptPack) {
-		t.Fatalf("flipped directory accepted: %v", err)
-	}
-	// Truncated trailer.
-	if err := reopen(good[:len(good)-5]); !errors.Is(err, errCorruptPack) {
-		t.Fatalf("truncated trailer accepted: %v", err)
-	}
-	// Intact file still loads.
-	if err := reopen(good); err != nil {
-		t.Fatalf("intact pack rejected: %v", err)
-	}
+	other.Abort()
+	s.ReleaseJob("job")
+	assertHeld(t, s, 0, 0)
+	again, _ := s.Begin("job", 0, 0)
+	writeEntry(t, again, 0, "0123456789")
+	again.Abort()
 }
 
-// TestConcurrentOpens: many readers share one pack file safely.
+// TestConcurrentOpens: many readers share one pack safely.
 func TestConcurrentOpens(t *testing.T) {
-	s, err := New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newStore(t)
 	pw, _ := s.Begin("job", 0, 0)
 	for kb := 0; kb < 8; kb++ {
 		writeEntry(t, pw, kb, strings.Repeat(fmt.Sprintf("<%d>", kb), 1000))
@@ -278,16 +243,35 @@ func TestConcurrentOpens(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+
+	// A reader obtained before the release still reads its bytes after.
+	sr, _, err := s.Open("job", 0, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ReleaseJob("job")
+	if _, _, err := s.Open("job", 0, 0, 5); !errors.Is(err, errNotFound) {
+		t.Fatalf("released pack still served: %v", err)
+	}
+	if b, err := io.ReadAll(sr); err != nil || string(b) != strings.Repeat("<5>", 1000) {
+		t.Fatalf("reader opened before the release read %d bytes, err=%v", len(b), err)
+	}
 }
 
-func countTemps(t *testing.T, root string) int {
+func newStore(t *testing.T) *Store {
 	t.Helper()
-	n := 0
-	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasPrefix(d.Name(), ".pack-") {
-			n++
-		}
-		return nil
-	})
-	return n
+	s, err := New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// assertHeld checks the store's byte count and number of job entries.
+func assertHeld(t *testing.T, s *Store, bytes int64, jobs int) {
+	t.Helper()
+	if b, j := s.Held(); b != bytes || j != jobs {
+		t.Fatalf("store holds %d bytes over %d jobs, want %d over %d", b, j, bytes, jobs)
+	}
 }

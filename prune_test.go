@@ -198,7 +198,7 @@ func TestPrunedGappedBandsMatchUnpruned(t *testing.T) {
 	c := cluster.NewCoordinator(cluster.CoordinatorConfig{HeartbeatTimeout: 30 * time.Second})
 	defer c.Close()
 	for i := range 2 {
-		w, err := cluster.NewWorker(cluster.WorkerConfig{Name: fmt.Sprintf("w%d", i), SpillDir: t.TempDir()})
+		w, err := cluster.NewWorker(cluster.WorkerConfig{Name: fmt.Sprintf("w%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ PIDS+=($!)
 WPIDS=()
 for i in 1 2 3; do
   "$BIN/sidr-worker" -coordinator "$BASE" -name "smoke-w$i" \
-    -spill-dir "$WORK/spill$i" >"$WORK/worker$i.log" 2>&1 &
+    >"$WORK/worker$i.log" 2>&1 &
   PIDS+=($!)
   WPIDS+=($!)
 done
@@ -254,7 +254,7 @@ DBASE="http://127.0.0.1:${DPORT}"
 PIDS+=($!)
 for i in 1 2; do
   "$BIN/sidr-worker" -coordinator "$DBASE" -name "smoke-b$i" \
-    -spill-dir "$WORK/spill-b$i" >"$WORK/worker-b$i.log" 2>&1 &
+    >"$WORK/worker-b$i.log" 2>&1 &
   PIDS+=($!)
 done
 for _ in $(seq 1 100); do
@@ -267,8 +267,7 @@ DRAIN_QUERY='avg temperature[0,0,0 : 364,50,40] es {365,50,40}'
 DLJOB=$(submit false "$DRAIN_QUERY")
 result_of "$DLJOB" >"$WORK/drain_local.json"
 DNAME="smoke-d"
-"$BIN/sidr-worker" -coordinator "$DBASE" -name "$DNAME" \
-  -spill-dir "$WORK/spill-d" -heartbeat 50ms \
+"$BIN/sidr-worker" -coordinator "$DBASE" -name "$DNAME" -heartbeat 50ms \
   >"$WORK/worker-d.log" 2>&1 &
 DPID=$!
 PIDS+=($DPID)
