@@ -95,8 +95,6 @@ bench-paper:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadSpill -fuzztime=$(FUZZTIME) ./internal/kv/
-	$(GO) test -run=^$$ -fuzz=FuzzReadIndex -fuzztime=$(FUZZTIME) ./internal/sidx/
-	$(GO) test -run=^$$ -fuzz=FuzzIndexCRC -fuzztime=$(FUZZTIME) ./internal/sidx/
 	$(GO) test -run=^$$ -fuzz=FuzzParseJoin -fuzztime=$(FUZZTIME) ./internal/query/
 	$(GO) test -run=^$$ -fuzz=FuzzMapKernel -fuzztime=$(FUZZTIME) ./internal/mapreduce/
 	$(GO) test -run=^$$ -fuzz=FuzzFilterSurvivors -fuzztime=$(FUZZTIME) ./internal/ops/

@@ -71,6 +71,12 @@ func assertMatchesInProcess(t *testing.T, res *jobResult) {
 	}
 }
 
+// speculateFast lowers the coordinator's straggler constants so a test
+// job speculates within milliseconds. Call it before the first job.
+func speculateFast(c *Coordinator) {
+	c.specFactor, c.specMin, c.specInterval = 2, 10*time.Millisecond, 2*time.Millisecond
+}
+
 // TestSpeculationOvertakesStraggler: one worker stalls every Map
 // dispatch forever. The straggler monitor must launch a backup attempt
 // on the other worker, the backup must win, the stalled primary must be
@@ -78,13 +84,7 @@ func assertMatchesInProcess(t *testing.T, res *jobResult) {
 // byte-identical output.
 func TestSpeculationOvertakesStraggler(t *testing.T) {
 	reg := metrics.New()
-	cfg := CoordinatorConfig{
-		Metrics:             reg,
-		Speculation:         true,
-		SpeculationFactor:   2,
-		SpeculationMin:      10 * time.Millisecond,
-		SpeculationInterval: 2 * time.Millisecond,
-	}
+	cfg := CoordinatorConfig{Metrics: reg, Speculation: true}
 	stall := func(i int, h http.Handler) http.Handler {
 		if i != 0 {
 			return h
@@ -102,6 +102,7 @@ func TestSpeculationOvertakesStraggler(t *testing.T) {
 		})
 	}
 	c, _ := startChaosCluster(t, 2, cfg, nil, stall)
+	speculateFast(c)
 
 	var (
 		mu      sync.Mutex
@@ -442,11 +443,9 @@ func TestChaosSoak(t *testing.T) {
 			}
 			if tc.hang {
 				cfg.Speculation = true
-				cfg.SpeculationFactor = 2
-				cfg.SpeculationMin = 10 * time.Millisecond
-				cfg.SpeculationInterval = 2 * time.Millisecond
 			}
 			c, workers = startChaosCluster(t, 3, cfg, mutate, wrap)
+			speculateFast(c)
 			var total Counters
 			for run := 0; run < max(tc.runs, 1); run++ {
 				res, err := runClusterJob(t, c, func(spec *JobSpec) {

@@ -50,21 +50,25 @@ type CoordinatorConfig struct {
 	Logf func(format string, args ...any)
 
 	// Speculation enables backup attempts for straggling Map dispatches:
-	// when a running attempt's age exceeds SpeculationFactor × the median
-	// completed attempt duration (and at least SpeculationMin), and an
-	// unsatisfied keyblock depends on its split, a backup attempt is
-	// launched on a different worker. First completion wins; the loser is
-	// cancelled and its spills released. I_ℓ makes this targeted: splits
-	// no open keyblock needs are never speculated on.
+	// when a running attempt's age exceeds 3× the median completed
+	// attempt duration (and at least 500ms), and an unsatisfied keyblock
+	// depends on its split, a backup attempt is launched on a different
+	// worker. First completion wins; the loser is cancelled and its
+	// spills released. I_ℓ makes this targeted: splits no open keyblock
+	// needs are never speculated on.
 	Speculation bool
-	// SpeculationFactor is the straggler multiple (default 3).
-	SpeculationFactor float64
-	// SpeculationMin floors the straggler threshold (default 500ms) so
-	// tiny jobs don't speculate on scheduling noise.
-	SpeculationMin time.Duration
-	// SpeculationInterval is the straggler scan period (default 100ms).
-	SpeculationInterval time.Duration
 }
+
+// Straggler detection: a running Map attempt is a straggler once its age
+// exceeds specFactor × the median completed attempt duration, floored at
+// specMin so tiny jobs don't speculate on scheduling noise; the monitor
+// scans every specInterval. A Coordinator copies them into fields the
+// package's tests lower.
+const (
+	specFactor   = 3
+	specMin      = 500 * time.Millisecond
+	specInterval = 100 * time.Millisecond
+)
 
 // Worker health scoring: healthAlpha is the EWMA weight of the newest
 // dispatch/fetch/probe outcome in a worker's fail score; a worker whose
@@ -84,6 +88,11 @@ const (
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	client *http.Client
+	// specFactor, specMin and specInterval are the straggler constants
+	// of the same names.
+	specFactor   float64
+	specMin      time.Duration
+	specInterval time.Duration
 	// shuffleClient performs shuffle fetches. Separate from the dispatch client so shuffle gets pooled
 	// keep-alive connections and a response-header timeout without
 	// imposing either on long-running Map dispatches.
@@ -167,23 +176,17 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
 	}
-	if cfg.SpeculationFactor <= 0 {
-		cfg.SpeculationFactor = 3
-	}
-	if cfg.SpeculationMin <= 0 {
-		cfg.SpeculationMin = 500 * time.Millisecond
-	}
-	if cfg.SpeculationInterval <= 0 {
-		cfg.SpeculationInterval = 100 * time.Millisecond
-	}
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		cfg:        cfg,
-		client:     cfg.Client,
-		baseCtx:    baseCtx,
-		baseCancel: baseCancel,
-		workers:    make(map[string]*workerState),
-		active:     make(map[string]*clusterJob),
+		cfg:          cfg,
+		client:       cfg.Client,
+		specFactor:   specFactor,
+		specMin:      specMin,
+		specInterval: specInterval,
+		baseCtx:      baseCtx,
+		baseCancel:   baseCancel,
+		workers:      make(map[string]*workerState),
+		active:       make(map[string]*clusterJob),
 		// Jitter only desynchronises retries, so a fixed seed is harmless.
 		rng: rand.New(rand.NewSource(0)),
 
@@ -603,8 +606,8 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 
 // JobSpec describes one clustered job.
 type JobSpec struct {
-	// ID names the job on the wire and in spill paths; empty generates
-	// one.
+	// ID names the job on the wire and in the workers' spill stores;
+	// empty generates one.
 	ID string
 	// Plan is the plan-defining tuple workers re-derive the plan from.
 	// RunPlan fills it in from the plan it is handed.
@@ -782,12 +785,12 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*jobResult, error)
 
 // RunPlan executes a derived plan as a clustered job and blocks until it
 // completes or fails. The tuple the workers re-derive the plan from is
-// read off plan (spec.Plan is overwritten); block locations on its splits
-// steer placement and never reach a worker. The plan runs on the same job
+// read off plan (spec.Plan is overwritten). The plan runs on the same job
 // loop as an in-process run (mapreduce.Job); this runner executes its Map
-// tasks on workers (locality first) and serves its Reduce tasks — which
-// run here, in the coordinator — by fetching exactly the spills they are
-// handed from the workers' shuffle endpoints.
+// tasks on workers (the least-loaded healthy worker first, see
+// pickWorker) and serves its Reduce tasks — which run here, in the
+// coordinator — by fetching exactly the spills they are handed from the
+// workers' shuffle endpoints.
 func (c *Coordinator) RunPlan(ctx context.Context, plan *core.Plan, spec JobSpec) (*jobResult, error) {
 	if spec.Exec == nil {
 		return nil, fmt.Errorf("cluster: job needs an executor")
@@ -966,7 +969,7 @@ func (j *clusterJob) RunMap(ctx context.Context, i int) (mapreduce.MapResult, er
 // speculationLoop periodically scans for straggling Map dispatches
 // until the job resolves.
 func (j *clusterJob) speculationLoop() {
-	t := time.NewTicker(j.c.cfg.SpeculationInterval)
+	t := time.NewTicker(j.c.specInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -979,7 +982,7 @@ func (j *clusterJob) speculationLoop() {
 }
 
 // scanStragglers launches a backup attempt for every running primary
-// dispatch older than SpeculationFactor × the median completed attempt
+// dispatch older than specFactor × the median completed attempt
 // duration, provided an uncommitted keyblock depends on its split and
 // no backup is already in flight. Backups avoid the primary's worker
 // and run in direct goroutines (not through the executor handle), so a
@@ -992,9 +995,9 @@ func (j *clusterJob) scanStragglers() {
 		j.mu.Unlock()
 		return // no baseline yet: the first completions define "normal"
 	}
-	threshold := time.Duration(float64(medianDuration(j.durations)) * c.cfg.SpeculationFactor)
-	if threshold < c.cfg.SpeculationMin {
-		threshold = c.cfg.SpeculationMin
+	threshold := time.Duration(float64(medianDuration(j.durations)) * c.specFactor)
+	if threshold < c.specMin {
+		threshold = c.specMin
 	}
 	type launch struct {
 		split, attempt int

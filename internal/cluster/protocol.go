@@ -214,10 +214,10 @@ type drainRequest struct {
 }
 
 // releaseRequest asks a worker to drop one job's cached plan/dataset
-// state and delete its spills. The coordinator broadcasts it to live
-// workers when a job resolves (success or failure). When Split and
-// Attempt are both set, the release is scoped to that single attempt's
-// spill directory — used to reclaim a cancelled speculative attempt's
+// state and the spills it holds in memory. The coordinator broadcasts it
+// to live workers when a job resolves (success or failure). When Split
+// and Attempt are both set, the release is scoped to that single
+// attempt's pack — used to reclaim a cancelled speculative attempt's
 // output while the job keeps running.
 type releaseRequest struct {
 	JobID   string `json:"job_id"`

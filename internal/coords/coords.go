@@ -164,9 +164,6 @@ func (s Shape) Size() int64 {
 	return n
 }
 
-// Equal reports whether s and t have identical extents.
-func (s Shape) Equal(t Shape) bool { return Coord(s).Equal(Coord(t)) }
-
 // String renders the shape as {a, b, c}.
 func (s Shape) String() string { return braceJoin([]int64(s)) }
 

@@ -2,6 +2,7 @@ package coords
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -166,14 +167,14 @@ func TestCeilFloorDiv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ceil.Equal(NewShape(53, 50, 200)) {
+	if !slices.Equal(ceil, NewShape(53, 50, 200)) {
 		t.Fatalf("CeilDiv = %v", ceil)
 	}
 	floor, err := ks.FloorDiv(es)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !floor.Equal(NewShape(52, 50, 200)) {
+	if !slices.Equal(floor, NewShape(52, 50, 200)) {
 		t.Fatalf("FloorDiv = %v", floor)
 	}
 }
@@ -199,7 +200,7 @@ func TestParseCoordShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Equal(NewShape(20, 50, 50)) {
+	if !slices.Equal(s, NewShape(20, 50, 50)) {
 		t.Fatalf("ParseShape = %v", s)
 	}
 	if _, err := ParseShape("{1, 0}"); err == nil {

@@ -2,6 +2,7 @@ package coords
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -98,14 +99,14 @@ func TestIntermediateSpacePaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(NewShape(52, 50, 200)) {
+	if !slices.Equal(got, NewShape(52, 50, 200)) {
 		t.Fatalf("IntermediateSpace = %v", got)
 	}
 	kept, err := e.IntermediateSpace(NewShape(365, 250, 200), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !kept.Equal(NewShape(53, 50, 200)) {
+	if !slices.Equal(kept, NewShape(53, 50, 200)) {
 		t.Fatalf("IntermediateSpace keepPartial = %v", kept)
 	}
 }
@@ -118,7 +119,7 @@ func TestIntermediateSpaceQuery1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(NewShape(3600, 10, 20, 5)) {
+	if !slices.Equal(got, NewShape(3600, 10, 20, 5)) {
 		t.Fatalf("IntermediateSpace = %v", got)
 	}
 	if got.Size() != 3_600_000 {

@@ -2,6 +2,7 @@ package coords
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -159,7 +160,7 @@ func TestSlabSplitDim(t *testing.T) {
 	if total != s.Size() {
 		t.Fatalf("parts cover %d points, want %d", total, s.Size())
 	}
-	if !parts[3].Shape.Equal(NewShape(1, 4)) {
+	if !slices.Equal(parts[3].Shape, NewShape(1, 4)) {
 		t.Fatalf("last part shape = %v, want {1, 4}", parts[3].Shape)
 	}
 }
@@ -263,5 +264,5 @@ func (s Slab) Contains(c Coord) bool {
 
 // Equal reports whether two slabs describe the same region.
 func (s Slab) Equal(t Slab) bool {
-	return s.Corner.Equal(t.Corner) && s.Shape.Equal(t.Shape)
+	return s.Corner.Equal(t.Corner) && slices.Equal(s.Shape, t.Shape)
 }

@@ -11,9 +11,10 @@ import (
 	"sidr/internal/coords"
 )
 
-// This file implements the on-disk representation of intermediate data:
-// the Map output "spill" files Reduce tasks fetch during the shuffle.
-// Each file carries a header with the SIDR kv-count annotation — §3.2.1:
+// This file implements the byte representation of intermediate data:
+// the Map output "spills" Reduce tasks fetch during the shuffle, held as
+// byte slices in the cluster worker's memory (internal/spillstore).
+// Each spill carries a header with the SIDR kv-count annotation — §3.2.1:
 // "the addition of a field to the header for each Map output file that
 // indicates how many ⟨k,v⟩ are represented by the set of all ⟨k',v'⟩ in
 // that file" — so a Reduce task can tally its inputs without parsing

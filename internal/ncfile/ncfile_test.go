@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -72,7 +73,7 @@ func TestHeaderLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !shape.Equal(coords.NewShape(365, 250, 200)) {
+	if !slices.Equal(shape, coords.NewShape(365, 250, 200)) {
 		t.Fatalf("VarShape = %v", shape)
 	}
 	if _, err := h.VarShape("nope"); err == nil {

@@ -3,6 +3,7 @@ package partition
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -116,7 +117,7 @@ func TestPartitionPlusPaperGeometry(t *testing.T) {
 	}
 	// Tile should be {10,10,20,5}: one K' row is 1000 keys, 10 rows fit
 	// in the 10000 bound.
-	if !pp.TileShape.Equal(coords.NewShape(10, 10, 20, 5)) {
+	if !slices.Equal(pp.TileShape, coords.NewShape(10, 10, 20, 5)) {
 		t.Fatalf("tile = %v", pp.TileShape)
 	}
 	var total int64
@@ -316,7 +317,7 @@ func TestPartitionPlusAllLiveIsTodaysLayout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !pp.TileShape.Equal(coords.NewShape(c.tile...)) {
+			if !slices.Equal(pp.TileShape, coords.NewShape(c.tile...)) {
 				t.Fatalf("%v r=%d: tile %v, want %v", c.shape, c.r, pp.TileShape, c.tile)
 			}
 			lo := int64(0)
@@ -350,7 +351,7 @@ func TestPartitionPlusLiveBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pp.TileShape.Equal(coords.NewShape(2, 16, 8)) {
+	if !slices.Equal(pp.TileShape, coords.NewShape(2, 16, 8)) {
 		t.Fatalf("tile %v, want the live share {2,16,8}", pp.TileShape)
 	}
 	rowSize := int64(16 * 8)
@@ -499,7 +500,7 @@ func checkLiveLayout(t *testing.T, space coords.Slab, reducers int, maxSkew int6
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !explicit.TileShape.Equal(uniform.TileShape) || !reflect.DeepEqual(explicit.Blocks, uniform.Blocks) {
+	if !slices.Equal(explicit.TileShape, uniform.TileShape) || !reflect.DeepEqual(explicit.Blocks, uniform.Blocks) {
 		t.Fatalf("all-live mask layout %v differs from the nil-mask layout %v", explicit.Blocks, uniform.Blocks)
 	}
 }

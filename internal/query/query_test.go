@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,17 +19,17 @@ func TestParseQuery1(t *testing.T) {
 	if q.Operator != "median" || q.Variable != "windspeed" {
 		t.Fatalf("parsed %+v", q)
 	}
-	if !q.Input.Shape.Equal(coords.NewShape(7200, 360, 720, 50)) {
+	if !slices.Equal(q.Input.Shape, coords.NewShape(7200, 360, 720, 50)) {
 		t.Fatalf("input shape = %v", q.Input.Shape)
 	}
-	if !q.Extraction.Shape.Equal(coords.NewShape(2, 36, 36, 10)) {
+	if !slices.Equal(q.Extraction.Shape, coords.NewShape(2, 36, 36, 10)) {
 		t.Fatalf("es = %v", q.Extraction.Shape)
 	}
 	ks, err := q.IntermediateSpace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ks.Shape.Equal(coords.NewShape(3600, 10, 20, 5)) {
+	if !slices.Equal(ks.Shape, coords.NewShape(3600, 10, 20, 5)) {
 		t.Fatalf("K' = %v", ks.Shape)
 	}
 }
@@ -41,7 +42,7 @@ func TestParseOptions(t *testing.T) {
 	if q.Param != 4.5 || !q.KeepPartial {
 		t.Fatalf("parsed %+v", q)
 	}
-	if !q.Extraction.Stride.Equal(coords.NewShape(3, 3)) {
+	if !slices.Equal(q.Extraction.Stride, coords.NewShape(3, 3)) {
 		t.Fatalf("stride = %v", q.Extraction.Stride)
 	}
 }

@@ -55,11 +55,11 @@ func NewRegistry() *Registry {
 }
 
 // AddFile registers an ncfile container under the given name, reading
-// its header to list variables. Each variable gets a structural
-// block-range index: a matching .sidx sidecar next to the container is
-// loaded, otherwise the variable is scanned once (in parallel) and the
-// fresh index persisted back to the sidecar best-effort. Index trouble
-// never fails registration — the dataset just runs unpruned.
+// its header to list variables. Each variable's structural block-range
+// index is built by one parallel scan and held in memory only, so it
+// describes the file as registered; nothing is written beside the
+// container. A failed build never fails registration — the variable
+// just runs unpruned.
 func (r *Registry) AddFile(name, path string) error {
 	f, err := ncfile.Open(path)
 	if err != nil {
@@ -68,14 +68,6 @@ func (r *Registry) AddFile(name, path string) error {
 	defer f.Close()
 	info := wire.DatasetInfo{Name: name, Kind: "file", Path: path}
 	idx := make(map[string]*sidx.VarIndex)
-	sidecar := path + ".sidx"
-	loaded := make(map[string]*sidx.VarIndex)
-	if ix, lerr := sidx.Load(sidecar); lerr == nil {
-		for _, vi := range ix.Vars {
-			loaded[vi.Variable] = vi
-		}
-	}
-	rebuilt := false
 	for _, v := range f.Header().Vars {
 		shape, err := f.Header().VarShape(v.Name)
 		if err != nil {
@@ -83,32 +75,15 @@ func (r *Registry) AddFile(name, path string) error {
 		}
 		vi := wire.VariableInfo{Name: v.Name, Shape: shape, Splits: defaultSplitCount(shape), IndexStatus: "none"}
 		start := time.Now()
-		ix := loaded[v.Name]
-		if ix != nil && ix.Shape.Equal(shape) {
-			vi.IndexStatus = "loaded"
-		} else {
-			ix, err = sidx.BuildVar(v.Name, shape, &mapreduce.FileReader{File: f, Var: v.Name}, sidx.BuildOptions{})
-			if err != nil {
-				info.Variables = append(info.Variables, vi)
-				continue
-			}
+		ix, err := sidx.BuildVar(v.Name, shape, &mapreduce.FileReader{File: f, Var: v.Name}, sidx.BuildOptions{})
+		if err == nil {
 			vi.IndexStatus = "built"
-			rebuilt = true
+			vi.IndexBlocks = len(ix.Blocks)
+			vi.IndexBytes = (&sidx.Index{Vars: []*sidx.VarIndex{ix}}).EncodedSize()
+			vi.IndexBuildMs = float64(time.Since(start)) / float64(time.Millisecond)
+			idx[v.Name] = ix
 		}
-		vi.IndexBlocks = len(ix.Blocks)
-		vi.IndexBytes = (&sidx.Index{Vars: []*sidx.VarIndex{ix}}).EncodedSize()
-		vi.IndexBuildMs = float64(time.Since(start)) / float64(time.Millisecond)
-		idx[v.Name] = ix
 		info.Variables = append(info.Variables, vi)
-	}
-	if rebuilt {
-		all := &sidx.Index{}
-		for _, v := range f.Header().Vars { // header order keeps the sidecar deterministic
-			if ix := idx[v.Name]; ix != nil {
-				all.Vars = append(all.Vars, ix)
-			}
-		}
-		_ = all.Save(sidecar) // best-effort; a read-only data dir is fine
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -275,15 +250,15 @@ func (r *Registry) Index(name, variable string) *sidx.VarIndex {
 	return nil
 }
 
-// indexBytes returns the total serialized size of every registered
-// structural index; the server exposes it as a gauge.
+// indexBytes returns the total size of every registered structural
+// index, as recorded at registration; the server exposes it as a gauge.
 func (r *Registry) indexBytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var total int64
 	for _, src := range r.sources {
-		for _, ix := range src.idx {
-			total += (&sidx.Index{Vars: []*sidx.VarIndex{ix}}).EncodedSize()
+		for _, v := range src.info.Variables {
+			total += v.IndexBytes
 		}
 	}
 	return total

@@ -14,13 +14,15 @@
 //
 // The index is tiny relative to the data it summarises (a few dozen
 // blocks of five scalars per variable), is built in parallel at
-// dataset-register time, and persists in a versioned CRC-protected
-// on-disk format (see codec.go) alongside file datasets.
+// dataset-register time, and lives only in memory: every start scans
+// each variable once, so the index always describes the file as it is.
 package sidx
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"runtime"
 	"sync"
@@ -54,17 +56,64 @@ type VarIndex struct {
 	Shape coords.Shape
 	// Blocks are the per-band summaries, ascending by Row0.
 	Blocks []rowBlock
-	// BuildTime is how long the parallel build took (not serialized).
+	// BuildTime is how long the parallel build took.
 	BuildTime time.Duration
 
 	fpOnce sync.Once
 	fp     uint32
 }
 
-// Index bundles the per-variable indexes of one dataset, the unit of
-// (de)serialisation: a file dataset's sidecar holds every variable.
+// Index bundles the per-variable indexes of one dataset.
 type Index struct {
 	Vars []*VarIndex
+}
+
+// statsLen is the byte length of one variable's flat statistics: a
+// 2-byte name length and the name, a 2-byte rank and 8 bytes a dim, a
+// 4-byte block count and five 8-byte scalars a block.
+func (vi *VarIndex) statsLen() int {
+	return 2 + len(vi.Variable) + 2 + 8*vi.Shape.Rank() + 4 + 40*len(vi.Blocks)
+}
+
+// EncodedSize returns the byte size of the index's flat statistics,
+// summed over its variables.
+func (ix *Index) EncodedSize() int64 {
+	var n int64
+	for _, vi := range ix.Vars {
+		n += int64(vi.statsLen())
+	}
+	return n
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Fingerprint is a stable identity of the variable's statistics — the
+// CRC32C of their flat little-endian layout (see statsLen), computed
+// once. Pruning is data-dependent, so a cache keyed on (shape, query,
+// engine) alone would be poisoned by it; mixing the fingerprint into a
+// dataset's version scopes cached pruned results to the exact index
+// that produced them.
+func (vi *VarIndex) Fingerprint() uint32 {
+	vi.fpOnce.Do(func() {
+		le := binary.LittleEndian
+		b := make([]byte, 0, vi.statsLen())
+		b = le.AppendUint16(b, uint16(len(vi.Variable)))
+		b = append(b, vi.Variable...)
+		b = le.AppendUint16(b, uint16(vi.Shape.Rank()))
+		for _, d := range vi.Shape {
+			b = le.AppendUint64(b, uint64(d))
+		}
+		b = le.AppendUint32(b, uint32(len(vi.Blocks)))
+		for _, blk := range vi.Blocks {
+			b = le.AppendUint64(b, uint64(blk.Row0))
+			b = le.AppendUint64(b, uint64(blk.Rows))
+			b = le.AppendUint64(b, math.Float64bits(blk.Min))
+			b = le.AppendUint64(b, math.Float64bits(blk.Max))
+			b = le.AppendUint64(b, uint64(blk.Count))
+		}
+		vi.fp = crc32.Checksum(b, castagnoli)
+	})
+	return vi.fp
 }
 
 // BuildOptions tunes index construction.
@@ -174,7 +223,8 @@ func BuildVar(variable string, shape coords.Shape, r coords.RecordReader, opts B
 
 // Covers reports whether the index may prune a query over the given
 // input slab: ranks match and the slab lies within the indexed shape.
-// A mismatched index (stale sidecar, wrong variable) never prunes.
+// An index that does not cover the slab (another variable's, say)
+// never prunes.
 func (vi *VarIndex) Covers(input coords.Slab) bool {
 	if vi == nil || input.Rank() != vi.Shape.Rank() || len(vi.Blocks) == 0 {
 		return false

@@ -1,12 +1,8 @@
 package sidx
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
-	"reflect"
 	"testing"
 
 	"sidr/internal/coords"
@@ -172,83 +168,6 @@ func TestPruneKeepsUncoveredRows(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	a := buildRowIndex(t, coords.NewShape(40, 3), 7)
-	b := buildRowIndex(t, coords.NewShape(12, 5), 3)
-	b.Variable = "other"
-	ix := &Index{Vars: []*VarIndex{a, b}}
-
-	var buf bytes.Buffer
-	if err := writeIndex(&buf, ix); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if got := ix.EncodedSize(); got != int64(buf.Len()) {
-		t.Fatalf("EncodedSize %d != written %d", got, buf.Len())
-	}
-	back, err := readIndex(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if len(back.Vars) != 2 {
-		t.Fatalf("got %d vars, want 2", len(back.Vars))
-	}
-	for i, want := range ix.Vars {
-		got := back.Vars[i]
-		if got.Variable != want.Variable || !got.Shape.Equal(want.Shape) || !reflect.DeepEqual(got.Blocks, want.Blocks) {
-			t.Fatalf("var %d round-trip mismatch", i)
-		}
-	}
-	if back.Var("other") == nil || back.Var("missing") != nil {
-		t.Fatal("Var lookup broken after round trip")
-	}
-}
-
-func TestCodecRejectsCorruption(t *testing.T) {
-	ix := &Index{Vars: []*VarIndex{buildRowIndex(t, coords.NewShape(20, 2), 5)}}
-	var buf bytes.Buffer
-	if err := writeIndex(&buf, ix); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	good := buf.Bytes()
-
-	flipped := append([]byte(nil), good...)
-	flipped[indexHeaderLen+3] ^= 0xFF // corrupt payload
-	if _, err := readIndex(bytes.NewReader(flipped)); !errors.Is(err, errChecksum) {
-		t.Fatalf("corrupt payload: got %v, want errChecksum", err)
-	}
-
-	magic := append([]byte(nil), good...)
-	magic[0] = 'x'
-	if _, err := readIndex(bytes.NewReader(magic)); !errors.Is(err, errBadMagic) {
-		t.Fatalf("bad magic: got %v, want errBadMagic", err)
-	}
-
-	ver := append([]byte(nil), good...)
-	ver[4] = 99
-	if _, err := readIndex(bytes.NewReader(ver)); !errors.Is(err, errBadVersion) {
-		t.Fatalf("bad version: got %v, want errBadVersion", err)
-	}
-
-	if _, err := readIndex(bytes.NewReader(good[:len(good)-2])); err == nil {
-		t.Fatal("truncated index decoded cleanly")
-	}
-}
-
-func TestSaveLoad(t *testing.T) {
-	ix := &Index{Vars: []*VarIndex{buildRowIndex(t, coords.NewShape(24, 2), 6)}}
-	path := filepath.Join(t.TempDir(), "data.ncf.sidx")
-	if err := ix.Save(path); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	back, err := Load(path)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if vi := back.Var("t"); vi == nil || !reflect.DeepEqual(vi.Blocks, ix.Vars[0].Blocks) {
-		t.Fatal("Save/Load round trip mismatch")
-	}
-}
-
 func TestFingerprint(t *testing.T) {
 	a := buildRowIndex(t, coords.NewShape(30, 2), 5)
 	b := buildRowIndex(t, coords.NewShape(30, 2), 5)
@@ -264,18 +183,4 @@ func TestFingerprint(t *testing.T) {
 	if c.Fingerprint() == a.Fingerprint() {
 		t.Fatal("different data, same fingerprint")
 	}
-}
-
-// Var returns the index for the named variable, accepting the "*"
-// wildcard entry synthetic datasets register; nil when absent.
-func (ix *Index) Var(name string) *VarIndex {
-	if ix == nil {
-		return nil
-	}
-	for _, vi := range ix.Vars {
-		if vi.Variable == name || vi.Variable == "*" {
-			return vi
-		}
-	}
-	return nil
 }

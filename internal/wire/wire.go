@@ -73,12 +73,12 @@ type VariableInfo struct {
 	Splits int `json:"splits"`
 	// IndexStatus tells whether a structural block-range index
 	// (internal/sidx) backs the variable: "built" (scanned at
-	// registration), "loaded" (deserialized from a .sidx sidecar next
-	// to the container), or "none".
+	// registration and held in memory) or "none".
 	IndexStatus string `json:"index_status"`
 	// IndexBlocks, IndexBytes and IndexBuildMs describe the index when
-	// IndexStatus is not "none": its block count, serialized size, and
-	// how long the registration-time build (or sidecar load) took.
+	// IndexStatus is "built": its block count, the byte size of its
+	// statistics (sidx.Index.EncodedSize), and how long the
+	// registration-time scan took.
 	IndexBlocks  int     `json:"index_blocks,omitempty"`
 	IndexBytes   int64   `json:"index_bytes,omitempty"`
 	IndexBuildMs float64 `json:"index_build_ms,omitempty"`

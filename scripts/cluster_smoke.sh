@@ -143,13 +143,17 @@ for ds in json.load(sys.stdin):
         continue
     v = ds["variables"][0]
     status, blocks, nbytes = v["index_status"], v["index_blocks"], v["index_bytes"]
-    if status not in ("built", "loaded"):
+    if status != "built":
         sys.exit("index_status = " + status)
     if nbytes <= 0 or blocks <= 0:
         sys.exit("implausible index metadata: " + json.dumps(v))
     print("   index %s: %d blocks, %dB, %d default splits" % (status, blocks, nbytes, v["splits"]))
     sys.exit(0)
 sys.exit("temperature dataset not listed")'
+# The index lives in memory: registration writes nothing beside the data.
+if ls "$DATA" | grep -q '\.sidx$'; then
+  echo "FAIL: registration left a .sidx file in $DATA"; ls "$DATA"; exit 1
+fi
 # Only mid-year days exceed 25°C in the seeded temperature data, so the
 # predicate is satisfiable in a minority of leading-dimension splits.
 FILTER_QUERY='filter_gt temperature[0,0,0 : 365,50,40] es {5,5,8} param 25'
