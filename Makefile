@@ -54,17 +54,20 @@ bench-map:
 
 # bench-reduce runs the Reduce task body's micro-benchmark once (CI does
 # the same): the merge and the operator per key over a shuffle_median-
-# shaped keyblock — median, avg and filter_gt — with allocations reported.
+# shaped keyblock — median, avg and filter_gt — and the join Reduce over
+# a join_zipf-shaped jcorr keyblock, a dense stream against a mostly
+# missing one, read in place without a merge; allocations are reported.
 bench-reduce:
 	$(GO) test -run='^$$' -bench='^BenchmarkExecReduce$$' -benchtime=1x ./internal/mapreduce
 
-# bench-plan runs the planner's dependency-graph micro-benchmarks once
-# (CI does the same): Build over scan_avg-, shuffle_median- and
-# prune_filter-shaped single-input plans, and the join's BuildGraph, with
-# allocations reported.
+# bench-plan runs the planner's micro-benchmarks once (CI does the
+# same): the dependency graph's Build over scan_avg-, shuffle_median- and
+# prune_filter-shaped single-input plans; then, at join_zipf's shape, the
+# join's Build — plan-time sampling of both sides and the re-tiling — and
+# its BuildGraph, with allocations reported.
 bench-plan:
 	$(GO) test -run='^$$' -bench='^BenchmarkBuild$$' -benchtime=1x ./internal/depgraph
-	$(GO) test -run='^$$' -bench='^BenchmarkJoinBuildGraph$$' -benchtime=1x ./internal/join
+	$(GO) test -run='^$$' -bench='^BenchmarkJoinBuild(Graph)?$$' -benchtime=1x ./internal/join
 
 # bench-serve runs the serving tier's micro-benchmarks once (CI does the
 # same): a result-cache hit sent from the entry's cached bytes and the

@@ -168,24 +168,6 @@ func (w TileWalk) Lines(batch Slab, vals []float64, fn func(base, off int64, lin
 	return nil
 }
 
-// Runs decomposes vals, the row-major values of batch, into runs: maximal
-// stretches of an innermost line whose points map to one key of Box, for
-// a scan whose unit is a run. It calls fn for each in row-major order
-// with the key's cell, the row-major offset of the run's first point
-// inside its tile, and the values. It is Lines cut at the batch's Spans.
-func (w TileWalk) Runs(batch Slab, vals []float64, fn func(cell, off int64, run []float64) error) error {
-	var buf [8]Span
-	spans := w.Spans(batch, buf[:0])
-	return w.Lines(batch, vals, func(base, off int64, line []float64) error {
-		for _, sp := range spans {
-			if err := fn(base+sp.Cell, off+sp.Off, line[sp.Lo:sp.Hi]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // CellPoints counts, for every key of Box in cell order, the points of
 // live that Lines and Spans hand to it: per dimension, the overlap of the
 // key's tile [t·stride, t·stride+shape) with live (and with the

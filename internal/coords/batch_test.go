@@ -53,8 +53,27 @@ func TestBatchesConcatenateToTheSlab(t *testing.T) {
 	}
 }
 
+// runs decomposes vals, the row-major values of batch, into runs: maximal
+// stretches of an innermost line whose points map to one key of w.Box. It
+// calls fn for each in row-major order with the key's cell, the row-major
+// offset of the run's first point inside its tile, and the values. It is
+// Lines cut at the batch's Spans, the per-run view the tests below hold
+// the walk to.
+func runs(w TileWalk, batch Slab, vals []float64, fn func(cell, off int64, run []float64) error) error {
+	var buf [8]Span
+	spans := w.Spans(batch, buf[:0])
+	return w.Lines(batch, vals, func(base, off int64, line []float64) error {
+		for _, sp := range spans {
+			if err := fn(base+sp.Cell, off+sp.Off, line[sp.Lo:sp.Hi]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // TestRunsMatchMapKeyPerPoint: over random geometries — strides with
-// gaps, non-zero corners, boxes that clip — the runs Runs hands out cover
+// gaps, non-zero corners, boxes that clip — the runs the walk hands out cover
 // exactly the points MapKey maps into the box, in row-major order, each
 // with the cell of its key and its offset inside its tile — and
 // CellPoints, computed from the geometry alone, counts them per cell.
@@ -110,7 +129,7 @@ func TestRunsMatchMapKeyPerPoint(t *testing.T) {
 		err = slab.Batches(1+rng.Int63n(40), func(b Slab) error {
 			n := int(b.Size())
 			defer func() { pos += n }()
-			return w.Runs(b, vals[pos:pos+n], func(cell, off int64, run []float64) error {
+			return runs(w, b, vals[pos:pos+n], func(cell, off int64, run []float64) error {
 				if int64(len(run)) > es[rank-1] || len(run) == 0 {
 					t.Fatalf("run of %d points under es %v", len(run), es)
 				}
@@ -222,10 +241,10 @@ func TestRunsRejectsMismatchedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	none := func(int64, int64, []float64) error { return nil }
-	if err := w.Runs(MustSlab(NewCoord(0), NewShape(4)), make([]float64, 4), none); err != ErrRankMismatch {
+	if err := runs(w, MustSlab(NewCoord(0), NewShape(4)), make([]float64, 4), none); err != ErrRankMismatch {
 		t.Fatalf("rank-1 batch: err %v, want ErrRankMismatch", err)
 	}
-	if err := w.Runs(MustSlab(NewCoord(0, 0), NewShape(2, 2)), make([]float64, 3), none); err == nil {
+	if err := runs(w, MustSlab(NewCoord(0, 0), NewShape(2, 2)), make([]float64, 3), none); err == nil {
 		t.Fatal("short value slice accepted")
 	}
 	line := func(int64, int64, []float64) error { return nil }

@@ -64,6 +64,21 @@ func BenchmarkJoinExecMap(b *testing.B) {
 	}
 }
 
+// BenchmarkJoinBuild plans the join_zipf-shaped join: the plan-time
+// sampling of both sides, every 16th row of each split, then the
+// re-tiling against the sampled loads.
+func BenchmarkJoinBuild(b *testing.B) {
+	p, readers, splits := joinZipf(b)
+	opts := Options{Reducers: 8, MaxSkew: 16}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(p.Q, opts, readers[0], readers[1], splits, splits); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkJoinBuildGraph derives the join_zipf-shaped plan's dependency
 // graph: the geometric count of every split of both sides.
 func BenchmarkJoinBuildGraph(b *testing.B) {

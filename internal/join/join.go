@@ -136,11 +136,21 @@ func Build(q *query.Query, opts Options, readerA, readerB coords.RecordReader, s
 	if readerA != nil && readerB != nil && space.Size() <= maxSampledTiles {
 		loadsA = make([]int64, space.Size())
 		loadsB = make([]int64, space.Size())
-		if err := sampleSide(q, space, q.Input, readerA, splitsA, loadsA); err != nil {
-			return nil, fmt.Errorf("join: sampling side A: %w", err)
+		// The sides are sampled at once, B on a goroutine of its own: the
+		// reads are independent, and a reader is safe for concurrent calls.
+		var errB error
+		doneB := make(chan struct{})
+		go func() {
+			defer close(doneB)
+			errB = sampleSide(q, space, q.Input2, readerB, splitsB, loadsB)
+		}()
+		errA := sampleSide(q, space, q.Input, readerA, splitsA, loadsA)
+		<-doneB
+		if errA != nil {
+			return nil, fmt.Errorf("join: sampling side A: %w", errA)
 		}
-		if err := sampleSide(q, space, q.Input2, readerB, splitsB, loadsB); err != nil {
-			return nil, fmt.Errorf("join: sampling side B: %w", err)
+		if errB != nil {
+			return nil, fmt.Errorf("join: sampling side B: %w", errB)
 		}
 		loads = make([]int64, space.Size())
 		for i := range loads {

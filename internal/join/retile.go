@@ -1,7 +1,6 @@
 package join
 
 import (
-	"context"
 	"math"
 
 	"sidr/internal/coords"
@@ -17,17 +16,26 @@ import (
 const sampleStride = 16
 
 // sampleSide accumulates one side's estimated per-tile load into loads
-// (indexed by K'-linear offset in space).
+// (indexed by K'-linear offset in space). It reads every sampleStride-th
+// leading-dimension row of each split's live region in one read, and
+// counts each line's present cells span by span. Every sampled row of a
+// split has the same innermost extent, so the split's spans are cut once
+// — at rank 1, where a row is one point of that extent, once per row.
 func sampleSide(q *query.Query, space, input coords.Slab, reader coords.RecordReader, splits []coords.Slab, loads []int64) error {
 	walk, err := q.Extraction.Walk(space)
 	if err != nil {
 		return err
 	}
-	count := func(cell, _ int64, run []float64) error {
-		for _, v := range run {
-			if !math.IsNaN(v) { // missing cells carry no load
-				loads[cell] += sampleStride
+	var spans []coords.Span
+	count := func(base, _ int64, line []float64) error {
+		for _, sp := range spans {
+			var n int64
+			for _, v := range line[sp.Lo:sp.Hi] {
+				if !math.IsNaN(v) { // missing cells carry no load
+					n++
+				}
 			}
+			loads[base+sp.Cell] += n * sampleStride
 		}
 		return nil
 	}
@@ -40,11 +48,16 @@ func sampleSide(q *query.Query, space, input coords.Slab, reader coords.RecordRe
 		// row steps through every sampleStride-th leading-dimension row
 		// of the split's live region.
 		end := row.Corner[0] + row.Shape[0]
-		for row.Shape[0] = 1; row.Corner[0] < end; row.Corner[0] += sampleStride {
-			vals, err = coords.ReadBatches(context.Background(), reader, row, vals, func(batch coords.Slab, vals []float64) error {
-				return walk.Runs(batch, vals, count)
-			})
-			if err != nil {
+		row.Shape[0] = 1
+		spans = walk.Spans(row, spans[:0])
+		for ; row.Corner[0] < end; row.Corner[0] += sampleStride {
+			if row.Rank() == 1 {
+				spans = walk.Spans(row, spans[:0])
+			}
+			if vals, err = reader.ReadSlabInto(row, vals); err != nil {
+				return err
+			}
+			if err := walk.Lines(row, vals, count); err != nil {
 				return err
 			}
 		}

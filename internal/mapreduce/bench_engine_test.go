@@ -7,6 +7,7 @@ import (
 
 	"sidr/internal/coords"
 	"sidr/internal/depgraph"
+	"sidr/internal/join"
 	"sidr/internal/kv"
 	"sidr/internal/ncfile"
 	"sidr/internal/partition"
@@ -103,6 +104,45 @@ func BenchmarkExecReduce(b *testing.B) {
 			}
 		})
 	}
+
+	// jcorr reduces a join_zipf-shaped keyblock, its streams read where
+	// they lie: one dense side-A stream of 1 024 tiles × 256 samples, and
+	// one side-B stream that is mostly missing — one tile in eight keeps
+	// 1–8 present cells.
+	q, err := query.Parse("join jcorr a[0,0 : 512,512] es {16,16} with b[0,0 : 512,512] es {16,16}")
+	if err != nil {
+		b.Fatal(err)
+	}
+	jp, err := join.Build(q, join.Options{Reducers: 1}, nil, nil, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	pair := func(k, side int64, n int) kv.Pair {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = r.NormFloat64()
+		}
+		p := kv.Pair{Key: coords.NewCoord(k/32, k%32, side)}
+		p.Value.AddRun(xs, jp.Op.Stats(), true)
+		return p
+	}
+	streams := make([][]kv.Pair, 2)
+	for k := int64(0); k < 1024; k++ {
+		streams[0] = append(streams[0], pair(k, 0, 256))
+		if k%8 == 3 {
+			streams[1] = append(streams[1], pair(k, 1, 1+r.Intn(8)))
+		}
+	}
+	in := MapInput{Query: q, Join: jp}
+	b.Run("jcorr", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if out := execReduce(in, 0, streams); len(out.Keys) == 0 {
+				b.Fatal("no output")
+			}
+		}
+	})
 }
 
 // BenchmarkExecMap measures one Map task — the read, the fold and the

@@ -290,21 +290,24 @@ func execMap(in MapInput, split InputSplit, s *mapkernel.Scratch) ([]MapOut, int
 }
 
 // execReduce is the body of Reduce task l once its shuffle is complete
-// and validated: the Reduce-side sort/merge (§2.3) — Map outputs arrive
+// and validated. streams must be in ascending split order: stream-index
+// tie-breaks make the fold order-sensitive. A join keyblock hands its
+// streams straight to join.Reduce, which walks them in key order and
+// pairs the two sides per tile where the pairs lie — its operators only
+// read samples, so nothing is copied for a key one pair holds. Every
+// other query runs the Reduce-side sort/merge (§2.3) — Map outputs arrive
 // as sorted streams, so a k-way merge yields the ⟨k', merged-value⟩ list
 // without a global re-sort, Hadoop's actual merge structure — then the
-// query operator per key, or the join's per-tile pairing of its two
-// sides. streams must be in ascending split order (stream-index
-// tie-breaks make the merge order-sensitive). The merged values are the
-// task's own — each key's samples a window of one array the merge
-// allocates — so the operator orders them in place. Every engine reduces
-// through this one function.
+// query operator per key. The merged values are the task's own — each
+// key's samples a window of one array the merge allocates — so the
+// operator orders them in place. Every engine reduces through this one
+// function.
 func execReduce(in MapInput, l int, streams [][]kv.Pair) ReduceOutput {
-	merged := kv.MergeSorted(streams)
 	if in.Join != nil {
-		keys, values := join.Reduce(in.Join, l, merged)
+		keys, values := join.Reduce(in.Join, l, streams...)
 		return ReduceOutput{Keyblock: l, Keys: keys, Values: values}
 	}
+	merged := kv.MergeSorted(streams)
 	out := ReduceOutput{Keyblock: l, Keys: make([]coords.Coord, 0, len(merged)), Values: make([][]float64, 0, len(merged))}
 	isFilter := in.Op.Kind() == ops.Filter
 	params := in.Query.Params()

@@ -34,7 +34,10 @@ type JoinOperator interface {
 	// these, and every other statistic stays +0.
 	Stats() kv.Stats
 	// Combine computes the output for one join key from both sides'
-	// merged aggregates. ok is false when the row must be omitted.
+	// folded aggregates. ok is false when the row must be omitted. It
+	// must not modify a SideAgg's Samples: they are the windows the Map
+	// task, or a decoded spill, left them in, which the join Reduce
+	// reads in place.
 	Combine(a, b SideAgg, params ...float64) (out []float64, ok bool)
 }
 

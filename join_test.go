@@ -152,6 +152,39 @@ func TestJoinMatchesReference(t *testing.T) {
 			requireSameRows(t, label, wantK, res.Keys, wantV, res.Values)
 		}
 	}
+
+	// Off-grid trials: both inputs start off the tile grid, so split bands
+	// are not rounded to it and three-row splits cut every tile, whose
+	// parts reach the Reduce from several streams. Their samples must be
+	// concatenated in split order: jcorr zips the sides by position, and
+	// the zipf side's missing cells make the order show.
+	for trial := 0; trial < 6; trial++ {
+		es := []int64{4, 8, 16}[rng.Intn(3)]
+		c0 := 1 + rng.Int63n(es-1)
+		n0, n1 := 24+rng.Int63n(41), 16+rng.Int63n(33)
+		op := opNames[trial%len(opNames)]
+		side := "[" + itoa(c0) + ",0 : " + itoa(n0) + "," + itoa(n1) + "] es {" + itoa(es) + "," + itoa(es) + "}"
+		qs := "join " + op + " a" + side + " with b" + side
+		q, err := ParseQuery(qs)
+		if err != nil {
+			t.Fatalf("off-grid trial %d: parse %q: %v", trial, qs, err)
+		}
+		fa, fb := datagen.Integers(rng.Int63n(1000)+1), datagen.Zipf(rng.Int63n(1000)+1, 1.0+rng.Float64())
+		dsA, err := Synthetic([]int64{c0 + n0, n1}, func(k []int64) float64 { return fa(coords.Coord(k)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		dsB, err := Synthetic([]int64{c0 + n0, n1}, func(k []int64) float64 { return fb(coords.Coord(k)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantK, wantV := refJoin(t, q, fa, fb)
+		res, err := RunJoin(dsA, dsB, q, RunOptions{Engine: SIDR, Reducers: 1 + rng.Intn(6), SplitPoints: 3 * n1})
+		if err != nil {
+			t.Fatalf("off-grid trial %d (%q): %v", trial, qs, err)
+		}
+		requireSameRows(t, qs+" [three-row splits]", wantK, res.Keys, wantV, res.Values)
+	}
 }
 
 func joinQueryText(op string, n0, n1, m0, m1, es int64) string {
