@@ -37,8 +37,8 @@ bench:
 
 # bench-kv runs every micro-benchmark of the shuffle's codec layer once
 # (CI does the same), so the shapes they measure — spill
-# encode/decode/verify per block kind, the run-riding merge — cannot rot
-# unnoticed.
+# encode/decode/verify per block kind, the merged list kv.MergeSorted
+# collects from the Reduce's key walk — cannot rot unnoticed.
 bench-kv:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/kv
 
@@ -53,10 +53,12 @@ bench-map:
 	$(GO) test -run='^$$' -bench='^BenchmarkJoinExecMap$$' -benchtime=1x ./internal/join
 
 # bench-reduce runs the Reduce task body's micro-benchmark once (CI does
-# the same): the merge and the operator per key over a shuffle_median-
-# shaped keyblock — median, avg and filter_gt — and the join Reduce over
-# a join_zipf-shaped jcorr keyblock, a dense stream against a mostly
-# missing one, read in place without a merge; allocations are reported.
+# the same): the key walk and the operator per key over a shuffle_median-
+# shaped keyblock, every key in every stream — median, avg and filter_gt
+# — and over a scan_avg-shaped one, every key in one stream and read in
+# place — avg and filter_gt; then the join Reduce over a join_zipf-shaped
+# jcorr keyblock, a dense stream against a mostly missing one.
+# Allocations are reported.
 bench-reduce:
 	$(GO) test -run='^$$' -bench='^BenchmarkExecReduce$$' -benchtime=1x ./internal/mapreduce
 

@@ -54,9 +54,10 @@ type reduceDep struct {
 // Fetch gathers keyblock l's Reduce input from the hosted Map outputs
 // the job loop hands it: the decoded spills as sorted streams in
 // ascending split order, the same order as the in-process engine
-// (stream-index tie-breaks make merge output order-sensitive), and the
-// tally of their kv-count annotations — fetchOnce has checked each spill
-// header's annotation against the Map-time record tallied here.
+// (stream-index tie-breaks make the Reduce's fold order-sensitive), and
+// the tally of their kv-count annotations — fetchOnce has checked each
+// spill header's annotation against the Map-time record tallied here.
+// Every call decodes afresh: the pairs are the asking Reduce's own.
 func (j *clusterJob) Fetch(ctx context.Context, l int, refs []any) ([][]kv.Pair, int64, []int, error) {
 	deps := make([]reduceDep, 0, len(refs))
 	for _, ref := range refs {

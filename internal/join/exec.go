@@ -70,11 +70,11 @@ func present(dst, run []float64) []float64 {
 // — [heavySum, heavyCount, lightSum, lightCount] — that Assemble folds
 // across the tile's shares.
 //
-// The streams are read where they lie and never written: a key one pair
-// holds is combined from that pair's value, its samples still the window
-// the Map or a decoded spill left them in (ops.JoinOperator.Combine only
-// reads them). Only a key whose samples come from several pairs gets a
-// slice of its own (eachKey).
+// The streams are read where they lie (kv.EachKey) and never written: a
+// key one pair holds is combined from that pair's value, its samples
+// still the window the Map or a decoded spill left them in
+// (ops.JoinOperator.Combine only reads them). Only a key whose samples
+// come from several pairs is folded into the walk's arena.
 func Reduce(p *Plan, l int, streams ...[]kv.Pair) (keys []coords.Coord, values [][]float64) {
 	rank := p.Space.Rank()
 	unit := p.Units[l]
@@ -117,7 +117,7 @@ func Reduce(p *Plan, l int, streams ...[]kv.Pair) (keys []coords.Coord, values [
 			values = append(values, out)
 		}
 	}
-	eachKey(streams, func(key coords.Coord, v kv.Value) {
+	kv.EachKey(streams, func(key coords.Coord, v kv.Value) {
 		if tile := key[:rank]; kp == nil || !kp.Equal(tile) {
 			flush()
 			kp, side = tile, [2]*kv.Value{}
@@ -131,87 +131,6 @@ func Reduce(p *Plan, l int, streams ...[]kv.Pair) (keys []coords.Coord, values [
 	})
 	flush()
 	return keys, values
-}
-
-// eachKey calls fn once per distinct key of streams, in key order, with
-// the value of every pair that holds it folded as kv.MergeSorted folds
-// them: in ascending stream order, a stream's run of the key before the
-// next stream's, so a row reduced from here is bit-identical to one
-// reduced from the merge. A key one pair holds gets that pair's value as
-// it lies. A key several pairs hold sums their Sum and Count — a pair
-// with no count adds nothing, as in Value.merge — and concatenates their
-// samples, into a slice of its own once a second pair brings any; its
-// other statistics stay the first pair's, since no join operator reads
-// them. The streams are never written.
-func eachKey(streams [][]kv.Pair, fn func(key coords.Coord, v kv.Value)) {
-	// heads is a binary heap of the streams' next pairs, ordered by key,
-	// ties by stream index.
-	type head struct{ stream, idx int }
-	heads := make([]head, 0, len(streams))
-	for s, ps := range streams {
-		if len(ps) > 0 {
-			heads = append(heads, head{stream: s})
-		}
-	}
-	at := func(h head) *kv.Pair { return &streams[h.stream][h.idx] }
-	less := func(a, b head) bool {
-		if c := at(a).Key.Compare(at(b).Key); c != 0 {
-			return c < 0
-		}
-		return a.stream < b.stream
-	}
-	down := func(i int) {
-		for {
-			l, r, m := 2*i+1, 2*i+2, i
-			if l < len(heads) && less(heads[l], heads[m]) {
-				m = l
-			}
-			if r < len(heads) && less(heads[r], heads[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			heads[i], heads[m] = heads[m], heads[i]
-			i = m
-		}
-	}
-	for i := len(heads)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-
-	var key coords.Coord
-	var v kv.Value
-	owned := false // v.Samples is a slice of its own, not a stream's window
-	for len(heads) > 0 {
-		pr := at(heads[0])
-		switch {
-		case key != nil && key.Equal(pr.Key):
-			if o := &pr.Value; o.Count != 0 {
-				v.Sum += o.Sum
-				v.Count += o.Count
-				if !owned && len(o.Samples) > 0 {
-					// Clipped to its length, the window cannot be appended
-					// into: the append copies it out.
-					v.Samples, owned = v.Samples[:len(v.Samples):len(v.Samples)], true
-				}
-				v.Samples = append(v.Samples, o.Samples...)
-			}
-		default:
-			if key != nil {
-				fn(key, v)
-			}
-			key, v, owned = pr.Key, pr.Value, false
-		}
-		if heads[0].idx++; heads[0].idx == len(streams[heads[0].stream]) {
-			heads[0] = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
-		}
-		down(0)
-	}
-	if key != nil {
-		fn(key, v)
-	}
 }
 
 // Row is one reduce-output row tagged with its keyblock, the unit of

@@ -303,9 +303,6 @@ func aliased(a, b coords.Coord) bool {
 	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
-// sameKey is Coord.Equal with that shortcut.
-func sameKey(a, b coords.Coord) bool { return aliased(a, b) || a.Equal(b) }
-
 // appendBlock appends one block's raw payload to dst.
 func appendBlock(dst []byte, rank int, pairs []Pair) ([]byte, error) {
 	le := binary.LittleEndian
@@ -324,7 +321,7 @@ func appendBlock(dst []byte, rank int, pairs []Pair) ([]byte, error) {
 			return nil, fmt.Errorf("kv: pair key %v rank != %d", key, rank)
 		}
 		m := 1
-		for i+m < len(pairs) && sameKey(pairs[i+m].Key, key) {
+		for i+m < len(pairs) && (aliased(pairs[i+m].Key, key) || pairs[i+m].Key.Equal(key)) {
 			m++
 		}
 		same := repeat > 0 && m == mult

@@ -175,7 +175,11 @@ func init() {
 	}
 }
 
-// merge folds another value into v (the combiner/reducer merge step).
+// merge folds another value into v (the combiner/reducer merge step). It
+// is one compiled body: the NaN a sum of two NaNs keeps depends on the
+// operand order the compiler picks, which differs between inlined sites.
+//
+//go:noinline
 func (v *Value) merge(o Value) {
 	if o.Count == 0 {
 		return
@@ -237,61 +241,55 @@ func (p Pair) String() string {
 	return fmt.Sprintf("<%v: n=%d sum=%g>", p.Key, p.Value.Count, p.Value.Sum)
 }
 
-// MergeSorted performs the Reduce-side k-way merge: each stream is one
-// Map task's already-sorted output for this keyblock; the result is the
-// fully merged ⟨k', folded-value⟩ list in row-major key order — without
-// re-sorting the concatenation. Streams must individually be sorted by
-// key (as Map tasks emit them); values of equal keys are folded through
-// Value.merge. Input streams are not modified.
-//
-// The merge rides the streams' runs: the head stream's whole run of the
-// popped key is folded before the heap is touched again. Equal keys leave
-// the heap in ascending stream order and sit contiguously in their
-// stream, so this is the order a pair-at-a-time merge folds them in, and
-// a key is complete before the next one opens. The keys' samples are
-// therefore laid out one after another in a single array sized by a count
-// of the streams' samples: a key's Samples is a cap-clipped window of it
-// (nil when it has none), so appending to one key never writes into the
-// next.
-func MergeSorted(streams [][]Pair) []Pair {
-	// Heap of stream heads ordered by key, ties by stream index for
-	// determinism.
-	type head struct {
-		stream int
-		idx    int
-	}
-	heads := make([]head, 0, len(streams))
-	// keys bounds the output from above: a stream contributes at most
-	// one key per stretch of pairs sharing a key slice — one per pair for
-	// a Map task's output, fewer for a decoded stream that repeats keys.
-	// samples bounds what the keys' windows receive.
-	keys, samples := 0, 0
-	for s, ps := range streams {
+// EachKey is the Reduce-side walk (§2.3): each stream is one Map task's
+// sorted output for a keyblock, and fn gets each distinct key in key
+// order with the values of every pair that holds it folded through
+// Value.merge, in ascending stream order — the ⟨k', merged-value⟩ list
+// Hadoop's merge yields, without building it. The walk never writes a
+// stream: a key one pair holds is handed over where it lies, and a key
+// several pairs hold is folded into a window of one arena, sized by a
+// count of the streams' samples and allocated on first need. fn gets the
+// samples cap-clipped, nil when there are none, and may reorder them in
+// place, a stream's window included: the caller owns the streams.
+func EachKey(streams [][]Pair, fn func(key coords.Coord, v Value)) {
+	walk(streams, false, fn)
+}
+
+// KeyBound bounds from above the number of keys EachKey hands over: one
+// per stretch of a stream's pairs sharing a key slice.
+func KeyBound(streams [][]Pair) int {
+	keys := 0
+	for _, ps := range streams {
 		for i := range ps {
 			if i == 0 || !aliased(ps[i].Key, ps[i-1].Key) {
 				keys++
 			}
-			samples += len(ps[i].Value.Samples)
 		}
+	}
+	return keys
+}
+
+// walk is EachKey; with own set it folds every key, not only the ones
+// several pairs hold, into a window of the arena.
+func walk(streams [][]Pair, own bool, fn func(key coords.Coord, v Value)) {
+	// heads is a binary heap of the streams' next pairs, ordered by key,
+	// ties by stream index.
+	type head struct{ stream, idx int }
+	heads := make([]head, 0, len(streams))
+	for s, ps := range streams {
 		if len(ps) > 0 {
 			heads = append(heads, head{stream: s})
 		}
 	}
-	if keys == 0 {
-		return nil
-	}
 	less := func(a, b head) bool {
-		c := streams[a.stream][a.idx].Key.Compare(streams[b.stream][b.idx].Key)
-		if c != 0 {
+		if c := streams[a.stream][a.idx].Key.Compare(streams[b.stream][b.idx].Key); c != 0 {
 			return c < 0
 		}
 		return a.stream < b.stream
 	}
-	// Sift-based binary heap over heads.
 	down := func(i int) {
 		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
+			l, r, m := 2*i+1, 2*i+2, i
 			if l < len(heads) && less(heads[l], heads[m]) {
 				m = l
 			}
@@ -309,51 +307,111 @@ func MergeSorted(streams [][]Pair) []Pair {
 		down(i)
 	}
 
-	out := make([]Pair, 0, keys)
-	arena, at := make([]float64, samples), 0
-	// seal clips the last key's window to the samples it received; the
-	// next key's window starts where it ends.
-	seal := func() {
-		v := &out[len(out)-1].Value
-		n := len(v.Samples)
-		v.Samples = nil
-		if n > 0 {
-			v.Samples = arena[at : at+n : at+n]
-		}
-		at += n
-	}
+	// v is the open key's value: its samples are the window of the pair
+	// that opened it until the arena owns them.
+	var (
+		key  coords.Coord
+		v    Value
+		open bool
+		a    arena
+	)
 	for len(heads) > 0 {
-		ps := streams[heads[0].stream]
-		run := ps[heads[0].idx:]
-		n := 1
-		for n < len(run) && sameKey(run[n].Key, run[0].Key) {
-			n++
+		pr := &streams[heads[0].stream][heads[0].idx]
+		switch {
+		case open && key.Equal(pr.Key):
+			// The pairs after pr that repeat its key slice continue the
+			// key too — a Map task emits a key once, a decoded spill may
+			// repeat it — so the walk rides them without the heap.
+			ps := streams[heads[0].stream]
+			for {
+				if o := &pr.Value; o.Count != 0 {
+					if !a.owned && len(o.Samples) > 0 {
+						a.adopt(streams, &v)
+					}
+					v.merge(*o)
+				}
+				next := heads[0].idx + 1
+				if next == len(ps) || !aliased(ps[next].Key, pr.Key) {
+					break
+				}
+				heads[0].idx, pr = next, &ps[next]
+			}
+		default:
+			if open {
+				a.seal(&v)
+				fn(key, v)
+			}
+			key, v, open, a.owned = pr.Key, pr.Value, true, false
+			v.Samples = clip(v.Samples)
+			if own {
+				a.adopt(streams, &v)
+			}
 		}
-		run = run[:n]
-		if last := len(out) - 1; last >= 0 && out[last].Key.Equal(run[0].Key) {
-			v := &out[last].Value
-			for i := range run {
-				v.merge(run[i].Value)
-			}
-		} else {
-			if len(out) > 0 {
-				seal()
-			}
-			// The key's first pair is copied, as Clone would, into the
-			// window that runs to the end of the arena.
-			v := run[0].Value
-			v.Samples = append(arena[at:at:len(arena)], run[0].Value.Samples...)
-			for i := range run[1:] {
-				v.merge(run[1+i].Value)
-			}
-			out = append(out, Pair{Key: run[0].Key, Value: v})
-		}
-		if heads[0].idx += n; heads[0].idx == len(ps) {
+		if heads[0].idx++; heads[0].idx == len(streams[heads[0].stream]) {
 			heads[0] = heads[len(heads)-1]
 			heads = heads[:len(heads)-1]
 		}
 		down(0)
 	}
-	seal()
+	if open {
+		a.seal(&v)
+		fn(key, v)
+	}
+}
+
+// clip caps s at its length; an empty s is nil.
+func clip(s []float64) []float64 {
+	if len(s) == 0 {
+		return nil
+	}
+	return s[:len(s):len(s)]
+}
+
+// arena holds the samples of the keys the walk folds: one array, sized by
+// a count of the streams' samples and allocated on first need. While
+// owned is set, the open key's samples are its window from at to the end.
+// It is kept out of the walk's loop variables, which alone are hot.
+type arena struct {
+	buf   []float64
+	at    int
+	owned bool
+}
+
+// adopt moves v's samples into the arena.
+func (a *arena) adopt(streams [][]Pair, v *Value) {
+	if a.buf == nil {
+		n := 0
+		for _, ps := range streams {
+			for i := range ps {
+				n += len(ps[i].Value.Samples)
+			}
+		}
+		a.buf = make([]float64, n)
+	}
+	v.Samples, a.owned = append(a.buf[a.at:a.at:len(a.buf)], v.Samples...), true
+}
+
+// seal clips an owned window to the samples it received; the next one
+// starts where it ends.
+func (a *arena) seal(v *Value) {
+	if a.owned {
+		a.at += len(v.Samples)
+		v.Samples = clip(v.Samples)
+	}
+}
+
+// MergeSorted collects the walk into the merged ⟨k', folded-value⟩ list,
+// the caller's own: every key's samples are copied into one array, each a
+// cap-clipped window of it. The program reduces through EachKey; only the
+// replay harness (bench/replay.go) and the tests read this list.
+func MergeSorted(streams [][]Pair) []Pair {
+	keys := KeyBound(streams)
+	if keys == 0 {
+		return nil
+	}
+	out := make([]Pair, 0, keys)
+	walk(streams, true, func(key coords.Coord, v Value) {
+		out = append(out, Pair{Key: key, Value: v})
+	})
 	return out
 }

@@ -62,17 +62,28 @@ func BenchmarkEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkExecReduce measures one Reduce task's body — the k-way merge
-// and the operator per key — over 4 streams × 1 024 keys × 32 samples,
-// the shape of a shuffle_median keyblock (every key fed by every stream);
-// avg ships aggregates only, filter_gt keeps about half the samples.
+// BenchmarkExecReduce measures one Reduce task's body — the walk over
+// the keyblock's streams and the operator per key. The first three cases
+// reduce 4 streams × 1 024 keys × 32 samples, the shape of a
+// shuffle_median keyblock (every key fed by every stream); avg ships
+// aggregates only, filter_gt keeps about half the samples. The
+// _disjoint cases reduce 8 streams × 256 keys × 32 samples, each key in
+// one stream: the scan_avg-shaped keyblock an on-grid query reduces, whose
+// keys are applied where they lie. A filter orders a window it reads in
+// place, so every iteration first restores the samples, off the clock.
 func BenchmarkExecReduce(b *testing.B) {
-	for _, qs := range []string{
-		"median v[0,0 : 128,256] es {4,8}",
-		"avg v[0,0 : 128,256] es {4,8}",
-		"filter_gt v[0,0 : 128,256] es {4,8} param 0",
+	for _, c := range []struct {
+		name, query   string
+		streams, keys int
+		disjoint      bool
+	}{
+		{"median", "median v[0,0 : 128,256] es {4,8}", 4, 1024, false},
+		{"avg", "avg v[0,0 : 128,256] es {4,8}", 4, 1024, false},
+		{"filter_gt", "filter_gt v[0,0 : 128,256] es {4,8} param 0", 4, 1024, false},
+		{"avg_disjoint", "avg v[0,0 : 256,256] es {4,8}", 8, 256, true},
+		{"filter_gt_disjoint", "filter_gt v[0,0 : 256,256] es {4,8} param 0", 8, 256, true},
 	} {
-		q, err := query.Parse(qs)
+		q, err := query.Parse(c.query)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,23 +92,46 @@ func BenchmarkExecReduce(b *testing.B) {
 			b.Fatal(err)
 		}
 		r := rand.New(rand.NewSource(1))
-		streams := make([][]kv.Pair, 4)
+		streams := make([][]kv.Pair, c.streams)
+		var samples, pristine []float64
 		for s := range streams {
-			ps := make([]kv.Pair, 1024)
+			ps := make([]kv.Pair, c.keys)
 			xs := make([]float64, 32)
 			for k := range ps {
 				for i := range xs {
 					xs[i] = r.NormFloat64()
 				}
-				ps[k].Key = coords.NewCoord(int64(k/32), int64(k%32))
+				key := k
+				if c.disjoint {
+					key += s * c.keys
+				}
+				ps[k].Key = coords.NewCoord(int64(key/32), int64(key%32))
 				ps[k].Value.AddRun(xs, op.Stats(), op.NeedsSamples())
+				samples = append(samples, ps[k].Value.Samples...)
 			}
 			streams[s] = ps
 		}
+		if c.disjoint && op.NeedsSamples() {
+			// One array holds every window, so one copy restores them.
+			at := 0
+			for _, ps := range streams {
+				for k := range ps {
+					n := len(ps[k].Value.Samples)
+					ps[k].Value.Samples = samples[at : at+n : at+n]
+					at += n
+				}
+			}
+			pristine = append([]float64(nil), samples...)
+		}
 		in := MapInput{Query: q, Op: op}
-		b.Run(q.Operator, func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				if pristine != nil {
+					b.StopTimer()
+					copy(samples, pristine)
+					b.StartTimer()
+				}
 				if out := execReduce(in, 0, streams); len(out.Keys) == 0 {
 					b.Fatal("no output")
 				}

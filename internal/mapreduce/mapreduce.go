@@ -150,6 +150,10 @@ type taskRunner interface {
 	// can lose an output makes its Ref name the split — and the loop
 	// re-executes those and runs the Reduce again. An err with nothing lost
 	// fails the job.
+	// The streams belong to the Reduce that asked, which reorders samples
+	// in place (execReduce): a local output of one (split, keyblock) pair
+	// is read once, by one Reduce; the cluster decodes afresh on every
+	// Fetch, re-arms included; the simulator returns no pairs.
 	Fetch(ctx context.Context, l int, refs []any) (streams [][]kv.Pair, tally int64, lost []int, err error)
 }
 

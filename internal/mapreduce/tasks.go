@@ -185,7 +185,7 @@ func (r localRunner) RunMap(ctx context.Context, i int) (MapResult, error) {
 
 func (localRunner) Fetch(_ context.Context, l int, refs []any) (streams [][]kv.Pair, tally int64, lost []int, err error) {
 	// Each Map task's output for this keyblock is an independently sorted
-	// stream; collect them for the k-way merge.
+	// stream; nothing is lost, so the keyblock's one Reduce reads it once.
 	for _, ref := range refs {
 		if o := ref.([]MapOut)[l]; len(o.Pairs) > 0 || o.SourceCount > 0 {
 			streams = append(streams, o.Pairs)
@@ -291,37 +291,33 @@ func execMap(in MapInput, split InputSplit, s *mapkernel.Scratch) ([]MapOut, int
 
 // execReduce is the body of Reduce task l once its shuffle is complete
 // and validated. streams must be in ascending split order: stream-index
-// tie-breaks make the fold order-sensitive. A join keyblock hands its
-// streams straight to join.Reduce, which walks them in key order and
-// pairs the two sides per tile where the pairs lie — its operators only
-// read samples, so nothing is copied for a key one pair holds. Every
-// other query runs the Reduce-side sort/merge (§2.3) — Map outputs arrive
-// as sorted streams, so a k-way merge yields the ⟨k', merged-value⟩ list
-// without a global re-sort, Hadoop's actual merge structure — then the
-// query operator per key. The merged values are the task's own — each
-// key's samples a window of one array the merge allocates — so the
-// operator orders them in place. Every engine reduces through this one
-// function.
+// tie-breaks make the fold order-sensitive. Map outputs arrive as sorted
+// streams, so the Reduce-side merge (§2.3) is a walk (kv.EachKey) that
+// hands over each key's folded value in key order, with no re-sort and
+// no merged slice. A join keyblock pairs the two sides per tile
+// (join.Reduce); every other query applies its operator per key, to a
+// key one pair holds where it lies: the streams are the task's own
+// (taskRunner.Fetch). Every engine reduces through this one function.
 func execReduce(in MapInput, l int, streams [][]kv.Pair) ReduceOutput {
 	if in.Join != nil {
 		keys, values := join.Reduce(in.Join, l, streams...)
 		return ReduceOutput{Keyblock: l, Keys: keys, Values: values}
 	}
-	merged := kv.MergeSorted(streams)
-	out := ReduceOutput{Keyblock: l, Keys: make([]coords.Coord, 0, len(merged)), Values: make([][]float64, 0, len(merged))}
+	n := kv.KeyBound(streams)
+	out := ReduceOutput{Keyblock: l, Keys: make([]coords.Coord, 0, n), Values: make([][]float64, 0, n)}
 	isFilter := in.Op.Kind() == ops.Filter
 	params := in.Query.Params()
-	for _, p := range merged {
-		vals := in.Op.Apply(p.Value, params...)
+	kv.EachKey(streams, func(key coords.Coord, v kv.Value) {
+		vals := in.Op.Apply(v, params...)
 		if isFilter && len(vals) == 0 {
 			// Predicated operators omit keys with no surviving samples.
 			// This makes index-pruned and unpruned plans byte-identical
 			// by construction: a key fed only by pruned splits (which
 			// provably contribute no survivors) simply never appears.
-			continue
+			return
 		}
-		out.Keys = append(out.Keys, p.Key)
+		out.Keys = append(out.Keys, key)
 		out.Values = append(out.Values, vals)
-	}
+	})
 	return out
 }

@@ -66,12 +66,14 @@ type Operator interface {
 	// distributive and holistic operators return exactly one value;
 	// filters return zero or more.
 	//
-	// An operator that keeps samples may reorder or overwrite v.Samples
-	// and may return a window of it: callers pass a value they own.
+	// An operator that keeps samples may reorder v.Samples in place and
+	// may return a window of it, but leaves it holding the values it was
+	// handed: callers pass a value they own, such as a window of a stream
+	// the Reduce walks in place (kv.EachKey).
 	Apply(v kv.Value, params ...float64) []float64
 }
 
-// fn is a table-driven operator implementation. Filters set keep,
+// fn is a table-driven operator implementation. Filters set keep and part,
 // median and percentile set finish, and every other operator sets apply.
 type fn struct {
 	name    string
@@ -80,9 +82,10 @@ type fn struct {
 	stats   kv.Stats // the statistics apply reads
 	nparams int      // parameters the operator consumes (for query validation)
 	apply   func(v kv.Value, param float64) []float64
-	// keep is a filter's selection loop (see Selector); Apply runs it
-	// over a key's samples in place.
+	// keep is a filter's selection loop (see Selector), part the same
+	// predicate as Apply applies it to a key's samples (partition).
 	keep func(dst, run []float64, p, p2 float64) []float64
+	part func(s []float64, p, p2 float64) int
 	// finish is a holistic operator's reduction of one key's samples to
 	// its one output (see Finisher); Apply runs it over a key's samples
 	// in place.
@@ -98,15 +101,16 @@ func (f fn) NeedsSamples() bool { return f.samples }
 func (f fn) Stats() kv.Stats    { return f.stats }
 func (f fn) Apply(v kv.Value, params ...float64) []float64 {
 	p, p2 := two(params)
-	if f.keep != nil {
-		// Survivors are compacted in place over the key's samples, sorted
+	if f.part != nil {
+		// Survivors are moved to the front of the key's samples, sorted
 		// and returned cap-clipped; nil when none survived.
-		out := f.keep(v.Samples[:0], v.Samples, p, p2)
-		if len(out) == 0 {
+		n := f.part(v.Samples, p, p2)
+		if n == 0 {
 			return nil
 		}
+		out := v.Samples[:n:n]
 		SortSurvivors(out)
-		return out[:len(out):len(out)]
+		return out
 	}
 	if f.finish != nil {
 		return []float64{f.finish(v.Samples, p)}
@@ -178,13 +182,10 @@ func init() {
 	// conservative — it never drops a contributing split.
 	register(fn{name: "filter_gt", kind: Filter, samples: true, nparams: 1,
 		keep: func(dst, run []float64, p, _ float64) []float64 {
-			n := len(dst)
-			dst = dst[:n+len(run)]
-			for _, x := range run {
-				dst[n] = x
-				n += b2i(x > p)
-			}
-			return dst[:n]
+			return selectRun(dst, run, func(x float64) int { return b2i(x > p) })
+		},
+		part: func(s []float64, p, _ float64) int {
+			return partition(s, func(x float64) int { return b2i(x > p) })
 		},
 		prune: func(params []float64) func(min, max float64) bool {
 			p := params[0]
@@ -192,13 +193,10 @@ func init() {
 		}})
 	register(fn{name: "filter_lt", kind: Filter, samples: true, nparams: 1,
 		keep: func(dst, run []float64, p, _ float64) []float64 {
-			n := len(dst)
-			dst = dst[:n+len(run)]
-			for _, x := range run {
-				dst[n] = x
-				n += b2i(x < p)
-			}
-			return dst[:n]
+			return selectRun(dst, run, func(x float64) int { return b2i(x < p) })
+		},
+		part: func(s []float64, p, _ float64) int {
+			return partition(s, func(x float64) int { return b2i(x < p) })
 		},
 		prune: func(params []float64) func(min, max float64) bool {
 			p := params[0]
@@ -208,13 +206,10 @@ func init() {
 	// query syntax supplies both bounds as "param lo,hi".
 	register(fn{name: "filter_range", kind: Filter, samples: true, nparams: 2,
 		keep: func(dst, run []float64, lo, hi float64) []float64 {
-			n := len(dst)
-			dst = dst[:n+len(run)]
-			for _, x := range run {
-				dst[n] = x
-				n += b2i(x >= lo) & b2i(x <= hi)
-			}
-			return dst[:n]
+			return selectRun(dst, run, func(x float64) int { return b2i(x >= lo) & b2i(x <= hi) })
+		},
+		part: func(s []float64, lo, hi float64) int {
+			return partition(s, func(x float64) int { return b2i(x >= lo) & b2i(x <= hi) })
 		},
 		prune: func(params []float64) func(min, max float64) bool {
 			lo, hi := params[0], params[1]
@@ -294,7 +289,7 @@ func PrunePredicate(op Operator, params ...float64) (keep func(min, max float64)
 }
 
 // Selector returns a filter's selection loop for the given parameters,
-// the one its Apply runs: sel(dst, run) appends the values of run the
+// the predicate its Apply keeps: sel(dst, run) appends the values of run the
 // predicate keeps to dst, in run order, and returns the extended slice.
 // dst must have capacity for len(dst)+len(run) values — the loop stores
 // every value and advances past the kept ones, so it does not branch on
@@ -324,6 +319,30 @@ func Finisher(op Operator, params ...float64) (finish func(samples []float64) fl
 	}
 	p, _ := two(params)
 	return func(s []float64) float64 { return f.finish(s, p) }, true
+}
+
+// selectRun is a filter's selection loop (see Selector) over its
+// predicate: kept(x) is 1 when the filter keeps x, else 0.
+func selectRun(dst, run []float64, kept func(x float64) int) []float64 {
+	n := len(dst)
+	dst = dst[:n+len(run)]
+	for _, x := range run {
+		dst[n] = x
+		n += kept(x)
+	}
+	return dst[:n]
+}
+
+// partition is the same predicate applied in place: it swaps the kept
+// values of s to its front, in order, and returns how many there are.
+// The rejected ones stay behind them, so s keeps its values.
+func partition(s []float64, kept func(x float64) int) int {
+	n := 0
+	for i, x := range s {
+		s[i], s[n] = s[n], x
+		n += kept(x)
+	}
+	return n
 }
 
 func b2i(b bool) int {

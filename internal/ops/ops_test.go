@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -380,7 +381,13 @@ func FuzzFilterSurvivors(f *testing.F) {
 			run = run[n:]
 		}
 		SortSurvivors(got)
-		applied := op.Apply(kv.Value{Samples: append([]float64(nil), xs...)}, p, p2)
+		handed := append([]float64(nil), xs...)
+		applied := op.Apply(kv.Value{Samples: handed}, p, p2)
+		// Apply reorders the samples it is handed but keeps their values:
+		// a Reduce hands it a window of a stream it reads in place.
+		if !slices.Equal(sortedBits(handed), sortedBits(xs)) {
+			t.Fatalf("%s %g,%g over %v: Apply left the samples holding %v", name, p, p2, xs, handed)
+		}
 		for which, want := range map[string][]float64{"refSurvivors": refSurvivors(name, xs, p, p2), "Apply": applied} {
 			if len(got) != len(want) {
 				t.Fatalf("%s %g,%g over %v: %d survivors, %s %d", name, p, p2, xs, len(got), which, len(want))
@@ -392,6 +399,16 @@ func FuzzFilterSurvivors(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sortedBits returns xs' Float64bits in ascending order: its multiset.
+func sortedBits(xs []float64) []uint64 {
+	bits := make([]uint64, len(xs))
+	for i, x := range xs {
+		bits[i] = math.Float64bits(x)
+	}
+	slices.Sort(bits)
+	return bits
 }
 
 // BenchmarkSurvivorSort places survivorSortMax: insertion against

@@ -345,7 +345,8 @@ func (r *runner) RunMap(_ context.Context, split int) (mapreduce.MapResult, erro
 // planner's expected count as its tally so the loop's §3.2.1 gate stays
 // on. Under the no-persist failure model a failing task reports every
 // output it fetched as lost instead of committing: the loop re-executes
-// those splits and runs the task again.
+// those splits and runs the task again. It returns no pairs: the
+// simulator models a Reduce's time, not its data.
 func (r *runner) Fetch(_ context.Context, l int, refs []any) (streams [][]kv.Pair, tally int64, lost []int, err error) {
 	cfg, rd := &r.cfg, r.job.Reduces[l]
 	var barrier float64
