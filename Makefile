@@ -93,8 +93,9 @@ bench-paper:
 # fuzz exercises the untrusted-bytes decoders, the one Map kernel
 # against its two differential oracles (single-input and join), the
 # dependency graph's oracle, a filter's fold-time survivor selection and
-# sort, the direct slab read, the holistic operators' selection oracle,
-# partition+'s live-mask invariants and the wire's dense row codec
+# partition in source order, the direct slab read, the holistic operators'
+# selection oracle, partition+'s live-mask invariants and the wire's dense
+# row codec
 # against encoding/json briefly (CI runs the same targets; crashers land
 # in testdata/fuzz).
 FUZZTIME ?= 30s

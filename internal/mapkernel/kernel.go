@@ -24,7 +24,6 @@ import (
 
 	"sidr/internal/coords"
 	"sidr/internal/kv"
-	"sidr/internal/ops"
 	"sidr/internal/partition"
 )
 
@@ -53,9 +52,8 @@ type Task struct {
 	// annotation counts. Nil keeps every value.
 	Keep func(dst, run []float64) []float64
 	// Survivors makes the kept values a filter's survivors (it needs
-	// Samples): they are the pair's samples alone, sorted at the seal with
-	// the declared statistics folded over them there, and Count stays the
-	// points.
+	// Samples): they are the pair's samples alone, in source order, no
+	// statistic is folded over them, and Count stays the points.
 	// Otherwise the kept values are the key's observations — a join's
 	// present cells — folded as they arrive and counted by Count.
 	Survivors bool
@@ -296,10 +294,9 @@ func (s *Scratch) add(t *Task, i int64, run []float64) {
 // an observation ships exactly one pair. One odometer walk over the box
 // meets the keys in row-major order and routes each, so each keyblock's
 // pairs are sorted as they are placed; every carved tile's share then
-// ships its own. Pairs and keys are carved from one array each. A
-// filter's survivors are sorted in their windows and its declared
-// statistics, if any, folded over them. Unless no value was dropped, the
-// kept values are then copied out into one array per task.
+// ships its own. Pairs and keys are carved from one array each. Unless
+// no value was dropped, the kept values are then copied out into one
+// array per task, each key's in source order.
 func (s *Scratch) seal(t *Task, box coords.Slab, carved map[int64][]Share, outs []Out) error {
 	key := box.Corner.Clone()
 	counts := make([]int, len(outs))
@@ -359,12 +356,6 @@ func (s *Scratch) seal(t *Task, box coords.Slab, carved map[int64][]Share, outs 
 	width := box.Rank() + len(t.Suffix)
 	for i, c := range s.ship {
 		v := *c
-		if t.Survivors {
-			ops.SortSurvivors(v.Samples)
-			v = kv.Value{Samples: v.Samples}
-			v.AddRun(v.Samples, t.Stats, false)
-			v.Count = c.Count
-		}
 		if arena != nil {
 			n := len(v.Samples)
 			v.Samples = arena[:n:n]

@@ -146,10 +146,10 @@ func addPoint(v *kv.Value, x float64, keepSample bool) {
 
 // refPreFilter is the combiner the Map kernel's fold-time selection
 // replaced, kept as part of the oracle: the predicate over a key's
-// samples in source order, sort.Float64s over the survivors, the
-// statistics folded over the sorted survivors into a value whose Count
-// stays the source count and whose Samples, non-nil even when empty, is
-// an array of the survivors' own.
+// samples in source order, the statistics folded over the survivors
+// into a value whose Count stays the source count and whose Samples,
+// non-nil even when empty, is an array of the survivors' own, in source
+// order.
 func refPreFilter(op ops.Operator, v kv.Value, params ...float64) kv.Value {
 	p := append(append([]float64(nil), params...), 0, 0)
 	keep := map[string]func(float64) bool{
@@ -163,7 +163,6 @@ func refPreFilter(op ops.Operator, v kv.Value, params ...float64) kv.Value {
 			kept = append(kept, x)
 		}
 	}
-	sort.Float64s(kept)
 	var out kv.Value
 	for _, x := range kept {
 		addPoint(&out, x, false)

@@ -64,7 +64,7 @@ type Operator interface {
 	// merged value. params carry the operator parameters (e.g. a filter
 	// threshold, or a range's two bounds); most operators ignore them.
 	// distributive and holistic operators return exactly one value;
-	// filters return zero or more.
+	// filters return zero or more, in the order v.Samples holds them.
 	//
 	// An operator that keeps samples may reorder v.Samples in place and
 	// may return a window of it, but leaves it holding the values it was
@@ -102,15 +102,14 @@ func (f fn) Stats() kv.Stats    { return f.stats }
 func (f fn) Apply(v kv.Value, params ...float64) []float64 {
 	p, p2 := two(params)
 	if f.part != nil {
-		// Survivors are moved to the front of the key's samples, sorted
-		// and returned cap-clipped; nil when none survived.
+		// Survivors are moved to the front of the key's samples, in the
+		// order they arrived, and returned cap-clipped; nil when none
+		// survived.
 		n := f.part(v.Samples, p, p2)
 		if n == 0 {
 			return nil
 		}
-		out := v.Samples[:n:n]
-		SortSurvivors(out)
-		return out
+		return v.Samples[:n:n]
 	}
 	if f.finish != nil {
 		return []float64{f.finish(v.Samples, p)}
@@ -350,48 +349,4 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// survivorSortMax is the longest run of survivors SortSurvivors sorts by
-// insertion. BenchmarkSurvivorSort places it: on values in random order
-// insertion beats sort.Float64s at every length measured, 26 to 128; on
-// descending values, its worst case, it loses from 48 on (under 2× there,
-// over 10× at 96). 48 keeps that loss small. prune_filter's keys hold
-// about 26 survivors; a filter keeping half a key's points, over 100.
-const survivorSortMax = 48
-
-// SortSurvivors sorts a filter's survivors, which hold no NaN, as
-// sort.Float64s does, bit for bit. Up to survivorSortMax values it sorts
-// by insertion, which is stable; sort.Float64s is stable only below 13
-// values, so above that values comparing equal may come out in another
-// order. Among NaN-free values only −0 and +0 do that with different
-// bits, so a slice holding both goes to sort.Float64s itself — decided
-// before anything moves, so it sorts exactly the slice it would have.
-func SortSurvivors(s []float64) {
-	if len(s) > survivorSortMax || mixedZeros(s) {
-		sort.Float64s(s)
-		return
-	}
-	insertionSort(s)
-}
-
-func insertionSort(s []float64) {
-	for i := 1; i < len(s); i++ {
-		x, j := s[i], i
-		for ; j > 0 && x < s[j-1]; j-- {
-			s[j] = s[j-1]
-		}
-		s[j] = x
-	}
-}
-
-// mixedZeros reports whether s holds both −0 and +0.
-func mixedZeros(s []float64) bool {
-	var signs [2]bool
-	for _, x := range s {
-		if x == 0 {
-			signs[b2i(math.Signbit(x))] = true
-		}
-	}
-	return signs[0] && signs[1]
 }

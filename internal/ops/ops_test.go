@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -153,9 +152,10 @@ func TestSortOp(t *testing.T) {
 }
 
 func TestFilters(t *testing.T) {
+	// Survivors come out in the order the key's samples hold them.
 	gt := apply(t, "filter_gt", 5, 1, 9, 5, 6)
-	if len(gt) != 2 || gt[0] != 6 || gt[1] != 9 {
-		t.Fatalf("filter_gt = %v", gt)
+	if len(gt) != 2 || gt[0] != 9 || gt[1] != 6 {
+		t.Fatalf("filter_gt = %v, want [9 6]", gt)
 	}
 	lt := apply(t, "filter_lt", 5, 1, 9, 5, 6)
 	if len(lt) != 1 || lt[0] != 1 {
@@ -171,14 +171,14 @@ func TestFilterRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bounds are inclusive and survivors come out sorted.
+	// Bounds are inclusive and survivors keep their source order.
 	got := op.Apply(valueOf(true, 9, 2, 5, 3, 7), 3, 7)
-	want := []float64{3, 5, 7}
+	want := []float64{5, 3, 7}
 	if len(got) != len(want) {
 		t.Fatalf("filter_range = %v, want %v", got, want)
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("filter_range = %v, want %v", got, want)
 		}
 	}
@@ -272,8 +272,9 @@ func TestNeedsSamples(t *testing.T) {
 
 // TestFilterSurvivors: a filter's selection loop appends the values its
 // predicate keeps, run after run, in source order into the capacity it is
-// given; SortSurvivors orders them; operators that are not filters have
-// no selection loop.
+// given, and they stay in that order; operators that are not filters
+// have no selection loop, and filters declare no statistic (the Map
+// kernel folds none over survivors).
 func TestFilterSurvivors(t *testing.T) {
 	flt, _ := Lookup("filter_gt")
 	sel, ok := Selector(flt, 5)
@@ -286,9 +287,8 @@ func TestFilterSurvivors(t *testing.T) {
 	if len(dst) != 2 || dst[0] != 9 || dst[1] != 6 || cap(dst) != 4 {
 		t.Fatalf("survivors = %v (cap %d), want [9 6] in the window of 4", dst, cap(dst))
 	}
-	SortSurvivors(dst)
-	if dst[0] != 6 || dst[1] != 9 {
-		t.Fatalf("sorted survivors = %v, want [6 9]", dst)
+	if got := flt.Apply(kv.Value{Samples: []float64{1, 9, 5, 6}}, 5); !slices.Equal(got, []float64{9, 6}) {
+		t.Fatalf("Apply survivors = %v, want [9 6]", got)
 	}
 	sel, _ = Selector(flt, 100)
 	if none := sel(make([]float64, 0, 4), []float64{1, 9, 5, 6}); len(none) != 0 {
@@ -298,23 +298,24 @@ func TestFilterSurvivors(t *testing.T) {
 	if _, ok := Selector(sum, 5); ok {
 		t.Fatal("sum has a selection loop")
 	}
+	for _, name := range Names() {
+		if op, _ := Lookup(name); op.Kind() == Filter && op.Stats() != 0 {
+			t.Errorf("filter %s declares statistics %v", name, op.Stats())
+		}
+	}
 }
 
 // preFiltered is what a Map task ships for one key under a filter with
-// the combiner on: the key's survivors, sorted, with the statistics the
-// filter declares folded over them and Count the source points.
+// the combiner on: the key's survivors, in source order, and Count the
+// source points. A filter declares no statistic, so none is folded.
 func preFiltered(op Operator, v kv.Value, params ...float64) kv.Value {
 	sel, _ := Selector(op, params...)
 	kept := sel(make([]float64, 0, len(v.Samples)), v.Samples)
-	SortSurvivors(kept)
-	var out kv.Value
-	out.AddRun(kept, op.Stats(), false)
-	out.Samples, out.Count = kept, v.Count
-	return out
+	return kv.Value{Samples: kept, Count: v.Count}
 }
 
 // refSurvivors is the definition a filter's survivors follow: the values
-// its predicate keeps, by a plain loop, sorted by sort.Float64s.
+// its predicate keeps, by a plain loop, in the order they come.
 func refSurvivors(name string, xs []float64, p, p2 float64) []float64 {
 	keep := map[string]func(float64) bool{
 		"filter_gt":    func(x float64) bool { return x > p },
@@ -327,23 +328,21 @@ func refSurvivors(name string, xs []float64, p, p2 float64) []float64 {
 			out = append(out, x)
 		}
 	}
-	sort.Float64s(out)
 	return out
 }
 
 // FuzzFilterSurvivors holds the Map kernel's fold-time selection — each
-// filter's loop run over consecutive runs, then SortSurvivors — against
-// refSurvivors and against Apply, by Float64bits. Bytes pick the filter,
+// filter's loop run over consecutive runs — and Apply's partition against
+// refSurvivors, by Float64bits and in source order. Bytes pick the filter,
 // its parameters off the palette (equal bounds and reversed bounds
 // included), the run length, and the values: ±0, ±Inf, NaN, subnormals
-// and values equal to a parameter, on both sides of survivorSortMax.
+// and values equal to a parameter.
 func FuzzFilterSurvivors(f *testing.F) {
 	f.Add([]byte{0, 8, 0, 3, 8, 9, 200, 3, 4, 1, 2, 0})
 	f.Add([]byte{1, 4, 0, 1, 3, 4, 4, 3, 0, 1, 2, 5, 6, 7})
 	f.Add([]byte{2, 4, 4, 2, 3, 4, 0, 1, 200, 4, 3})
 	f.Add([]byte{2, 9, 11, 5, 9, 10, 11, 8, 0, 1, 2, 3, 4, 5, 6, 7})
-	// −0 and +0 among more survivors than a stable sort would order
-	// the way sort.Float64s does: the fallback must see them unsorted.
+	// −0 and +0 among many survivors: each keeps its place and its bits.
 	mixed := []byte{1, 8, 0, 7}
 	for i := 0; i < 24; i++ {
 		mixed = append(mixed, []byte{4, 3, byte(100 - i)}[i%3])
@@ -380,7 +379,6 @@ func FuzzFilterSurvivors(f *testing.F) {
 			got = sel(got, run[:n])
 			run = run[n:]
 		}
-		SortSurvivors(got)
 		handed := append([]float64(nil), xs...)
 		applied := op.Apply(kv.Value{Samples: handed}, p, p2)
 		// Apply reorders the samples it is handed but keeps their values:
@@ -409,40 +407,6 @@ func sortedBits(xs []float64) []uint64 {
 	}
 	slices.Sort(bits)
 	return bits
-}
-
-// BenchmarkSurvivorSort places survivorSortMax: insertion against
-// sort.Float64s over one key's survivors at lengths on both sides of it,
-// in random order (survivors of a uniform band) and in descending order
-// (insertion's worst case).
-func BenchmarkSurvivorSort(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	for _, order := range []string{"random", "descending"} {
-		for _, n := range []int{26, survivorSortMax, 96, 128} {
-			src := make([][]float64, 64)
-			for i := range src {
-				src[i] = make([]float64, n)
-				for j := range src[i] {
-					src[i][j] = 900 + r.Float64()*100
-				}
-				if order == "descending" {
-					sort.Sort(sort.Reverse(sort.Float64Slice(src[i])))
-				}
-			}
-			buf := make([]float64, n)
-			for _, s := range []struct {
-				name string
-				sort func([]float64)
-			}{{"insertion", insertionSort}, {"float64s", sort.Float64s}} {
-				b.Run(fmt.Sprintf("%s/%s/n=%d", order, s.name, n), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						copy(buf, src[i%len(src)])
-						s.sort(buf)
-					}
-				})
-			}
-		}
-	}
 }
 
 // sortedOracle is the definition median and percentile had before they
@@ -609,8 +573,10 @@ func TestQuickDistributiveCombinerEquivalence(t *testing.T) {
 }
 
 // TestQuickFilterSurvivorsEquivalence: pre-filtering in a combiner then
-// filtering again at the reducer yields the same survivors as filtering
-// once at the reducer.
+// filtering again at the reducer yields the same survivors, in the same
+// order and bit for bit, as filtering once at the reducer. Each part is
+// a consecutive run of the key's points, as a split's band is, and the
+// parts merge in their order, as the Reduce folds splits.
 func TestQuickFilterSurvivorsEquivalence(t *testing.T) {
 	flt, _ := Lookup("filter_gt")
 	f := func(seed int64) bool {
@@ -622,7 +588,7 @@ func TestQuickFilterSurvivorsEquivalence(t *testing.T) {
 		for i := 0; i < n; i++ {
 			x := r.NormFloat64()
 			addPoint(&full, x, true)
-			addPoint(&parts[i%len(parts)], x, true)
+			addPoint(&parts[i*len(parts)/n], x, true)
 		}
 		filtered := make([]kv.Value, len(parts))
 		for i, p := range parts {
@@ -635,7 +601,7 @@ func TestQuickFilterSurvivorsEquivalence(t *testing.T) {
 			return false
 		}
 		for i := range a {
-			if a[i] != b[i] {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 				return false
 			}
 		}

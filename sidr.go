@@ -158,7 +158,8 @@ type PartialResult struct {
 	// Keys are intermediate-space (K') coordinates in row-major order.
 	Keys [][]int64
 	// Values holds the operator outputs per key (one value for
-	// aggregates, zero or more for filters).
+	// aggregates, zero or more for filters). A filter's values come in
+	// the row-major order of the key's source cells.
 	Values [][]float64
 	// At is the wall-clock commit time.
 	At time.Time
@@ -167,7 +168,8 @@ type PartialResult struct {
 // Result is a completed query.
 type Result struct {
 	// Keys and Values list every output key (sorted row-major) with its
-	// values.
+	// values. A filter's values come in the row-major order of the key's
+	// source cells.
 	Keys   [][]int64
 	Values [][]float64
 	// Partials are the per-keyblock outputs in commit order.
