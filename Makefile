@@ -47,10 +47,13 @@ bench-kv:
 # clients: a single-input Map task over one prune_filter-shaped split —
 # avg, median and filter_gt at about 26 and 128 survivors a key — and a
 # join Map task on one join_zipf-shaped split per side, dense and mostly
-# missing. Allocations are reported.
+# missing; then the finish a median or percentile Map runs per
+# split-local key (ops.Finisher): a median of 16, 64, 65 and 1 024
+# samples and percentile 90 of 64. Allocations are reported.
 bench-map:
 	$(GO) test -run='^$$' -bench='^BenchmarkExecMap$$' -benchtime=1x ./internal/mapreduce
 	$(GO) test -run='^$$' -bench='^BenchmarkJoinExecMap$$' -benchtime=1x ./internal/join
+	$(GO) test -run='^$$' -bench='^BenchmarkFinisher$$' -benchtime=1x ./internal/ops
 
 # bench-reduce runs the Reduce task body's micro-benchmark once (CI does
 # the same): the key walk and the operator per key over a shuffle_median-

@@ -586,8 +586,11 @@ func TestChurnSoak(t *testing.T) {
 
 	// Keep running jobs until the churn schedule has demonstrably done
 	// its work: at least 8 join/leave cycles, which covers the tick-2
-	// hard kill and several drains.
-	for round := 0; round < 4 || (ticks.Load() < 8 && round < 40); round++ {
+	// hard kill and several drains. The cap is a time, not a number of
+	// rounds: jobs fast enough to run 40 rounds inside eight 30 ms ticks
+	// would end the loop before the churn had done its work.
+	deadline := time.Now().Add(10 * time.Second)
+	for round := 0; round < 4 || (ticks.Load() < 8 && time.Now().Before(deadline)); round++ {
 		res, err := runClusterJob(t, c, nil)
 		if err != nil {
 			t.Fatalf("round %d failed under churn: %v", round, err)

@@ -164,11 +164,11 @@ func init() {
 			return 0
 		}
 		h := len(s) / 2
-		selectK(s, h)
+		below := selectK(s, h)
 		if len(s)%2 == 1 {
 			return s[h]
 		}
-		return (maxOrdered(s[:h]) + s[h]) / 2
+		return (below + s[h]) / 2
 	}})
 	register(fn{name: "sort", kind: Holistic, samples: true, apply: func(v kv.Value, _ float64) []float64 {
 		sort.Float64s(v.Samples)
@@ -306,11 +306,14 @@ func Selector(op Operator, params ...float64) (sel func(dst, run []float64) []fl
 
 // Finisher returns a holistic operator's reduction for the given
 // parameters, the one its Apply runs: finish(s) is the operator's one
-// output for a key whose samples are s, and may reorder s. Applied to a
-// value whose one sample is finish(s), Apply returns that sample
-// unchanged, so a Map task that holds every sample of a key can ship
-// the key finished. ok is false for every other operator — sort, the
-// filters and the distributive operators.
+// output for a key whose samples are s, and may reorder s but leaves it
+// holding the values it was handed. It selects the order statistics it
+// reads in s's own memory (selectK) and allocates nothing; where −0 and
+// +0 tie at a rank, −0 is the lower. Applied to a value whose one
+// sample is finish(s), Apply returns that sample unchanged, so a Map
+// task that holds every sample of a key can ship the key finished. ok is
+// false for every other operator — sort, the filters and the
+// distributive operators.
 func Finisher(op Operator, params ...float64) (finish func(samples []float64) float64, ok bool) {
 	f, isFn := op.(fn)
 	if !isFn || f.finish == nil {
@@ -334,8 +337,11 @@ func selectRun(dst, run []float64, kept func(x float64) int) []float64 {
 
 // partition is the same predicate applied in place: it swaps the kept
 // values of s to its front, in order, and returns how many there are.
-// The rejected ones stay behind them, so s keeps its values.
-func partition(s []float64, kept func(x float64) int) int {
+// The rejected ones stay behind them, so s keeps its values. Like
+// selectRun it stores every value and advances past the kept ones, so
+// it does not branch on the data; selectKeys partitions its int64 keys
+// with it.
+func partition[T any](s []T, kept func(x T) int) int {
 	n := 0
 	for i, x := range s {
 		s[i], s[n] = s[n], x

@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -431,21 +433,31 @@ func sortedOracle(name string, p float64, xs []float64) float64 {
 var selectPercentiles = []float64{0, 1, 37.5, 50, 99, 100}
 
 // checkSelect holds median and every percentile of selectPercentiles over
-// xs against sortedOracle by Float64bits. The one exception is the one
-// neither sort.Float64s nor the selection specifies: when xs holds both
-// −0 and +0, which of the two ends up at a tied rank.
+// xs against sortedOracle by Float64bits, and checks that Apply leaves
+// the samples it reordered holding xs's multiset of bit patterns. The
+// exceptions are the ties sort.Float64s leaves open: when xs holds both
+// −0 and +0, which of the two ends up at a tied rank, and when it holds
+// NaNs of more than one bit pattern, which of those does.
 func checkSelect(t *testing.T, xs []float64) {
 	t.Helper()
 	var negZero, posZero bool
+	nans := map[uint64]bool{}
 	for _, x := range xs {
 		negZero = negZero || (x == 0 && math.Signbit(x))
 		posZero = posZero || (x == 0 && !math.Signbit(x))
+		if x != x {
+			nans[math.Float64bits(x)] = true
+		}
 	}
 	check := func(name string, p float64) {
 		op, _ := Lookup(name)
 		v := kv.Value{Samples: append([]float64(nil), xs...)}
 		got, want := op.Apply(v, p)[0], sortedOracle(name, p, xs)
-		if math.Float64bits(got) == math.Float64bits(want) || (negZero && posZero && got == 0 && want == 0) {
+		if !slices.Equal(sortedBits(v.Samples), sortedBits(xs)) {
+			t.Fatalf("%s param %g over %d samples %v: Apply left %v", name, p, len(xs), xs, v.Samples)
+		}
+		if math.Float64bits(got) == math.Float64bits(want) || (negZero && posZero && got == 0 && want == 0) ||
+			(len(nans) > 1 && got != got && want != want) {
 			return
 		}
 		t.Fatalf("%s param %g over %d samples %v: got %v (%#x), sort.Float64s gives %v (%#x)",
@@ -514,23 +526,168 @@ func TestSelectMatchesSort(t *testing.T) {
 	checkSelect(t, killer)
 }
 
-// FuzzSelect is TestSelectMatchesSort with the fuzzer choosing the
-// samples: each byte is a palette value or a byte-derived number.
-func FuzzSelect(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 1, 2, 3, 4})
-	f.Add([]byte{3, 4, 3, 4, 200, 3})
-	f.Add([]byte{5, 6, 7, 8, 8, 9, 10, 11, 250, 12, 0, 0})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		if len(b) > 300 {
-			b = b[:300]
+// TestSelectOrdersNegativeZeroFirst pins the tie sort.Float64s leaves
+// open: the selection orders −0 before +0, through Finisher and Apply
+// alike. The samples are values on both sides of the sign bit, once (the
+// insertion tail alone) and four times over (the partition too), and
+// behind two NaNs; every rank is read from several input orders, +0
+// first among them.
+func TestSelectOrdersNegativeZeroFirst(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	signed := []float64{math.Inf(-1), -math.MaxFloat64, -5e-324, negZero, 0, 5e-324, math.MaxFloat64, math.Inf(1)}
+	repeat := func(copies int, head ...float64) []float64 {
+		out := head
+		for _, x := range signed {
+			for c := 0; c < copies; c++ {
+				out = append(out, x)
+			}
 		}
-		xs := make([]float64, len(b))
-		for i, c := range b {
-			xs[i] = paletteValue(c, nil)
+		return out
+	}
+	r := rand.New(rand.NewSource(53))
+	for _, sorted := range [][]float64{repeat(1), repeat(4), repeat(1, nan, nan), repeat(4, nan, nan)} {
+		n := len(sorted)
+		orders := [][]float64{slices.Clone(sorted)}
+		slices.Reverse(orders[0]) // +0 before −0
+		for i := 0; i < 4; i++ {
+			xs := slices.Clone(sorted)
+			r.Shuffle(n, func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+			orders = append(orders, xs)
+		}
+		check := func(name string, p float64, xs []float64, want float64) {
+			t.Helper()
+			op, _ := Lookup(name)
+			finish, _ := Finisher(op, p)
+			got := finish(slices.Clone(xs))
+			applied := op.Apply(kv.Value{Samples: slices.Clone(xs)}, p)[0]
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(applied) != math.Float64bits(want) {
+				t.Fatalf("%s param %g over %v: Finisher %v, Apply %v, want %v", name, p, xs, got, applied, want)
+			}
+		}
+		for _, xs := range orders {
+			for rank := 1; rank <= n; rank++ {
+				check("percentile", 100*(float64(rank)-0.5)/float64(n), xs, sorted[rank-1])
+			}
+			check("median", 0, xs, (sorted[n/2-1]+sorted[n/2])/2)
+		}
+	}
+	// The odd median of the NaN-first samples NaN, NaN, −0, −0, +0: −0.
+	op, _ := Lookup("median")
+	finish, _ := Finisher(op)
+	if got := finish([]float64{0, nan, negZero, negZero, nan}); math.Float64bits(got) != math.Float64bits(negZero) {
+		t.Fatalf("median of NaN, NaN, −0, −0, +0 = %v, want −0", got)
+	}
+}
+
+// TestSelectGathersDuplicates: a key whose samples are mostly one value
+// is selected by the gather pass, without the sort fallback. The samples
+// are 2 990 copies of 5 and ten larger values in descending order, none
+// where the median-of-three pivot is taken (first, middle, last), nor
+// where a pass could move it there: every pivot is 5. The first pass
+// finds no key below it, the gather collects every 5, the median lies
+// among them and the selection ends, the larger values still out of
+// order. Were the keys equal to the pivot not gathered, no pass would
+// shrink the range, and the budget would end in a sort of every sample.
+func TestSelectGathersDuplicates(t *testing.T) {
+	xs := make([]float64, 3000)
+	for i := range xs {
+		xs[i] = 5
+	}
+	for i := 0; i < 10; i++ {
+		xs[100+200*i] = float64(100 - i)
+	}
+	op, _ := Lookup("median")
+	finish, _ := Finisher(op)
+	if got := finish(xs); got != 5 {
+		t.Fatalf("median = %v, want 5", got)
+	}
+	if slices.IsSorted(xs) {
+		t.Fatal("the selection sorted the samples: the keys equal to the pivot were not gathered")
+	}
+}
+
+// FuzzSelect is TestSelectMatchesSort with the fuzzer choosing the
+// samples. Unless raw is set, each byte is a palette value or a
+// byte-derived number; with raw set, every 8 bytes are one float64's
+// bits (little-endian), so every NaN payload, negative NaNs, both zeros
+// and every subnormal can occur. The seeds past the first four hold
+// 9–70 samples, so the partition runs on them, not only the insertion
+// tail.
+func FuzzSelect(f *testing.F) {
+	f.Add(false, []byte{})
+	f.Add(false, []byte{0, 1, 2, 3, 4})
+	f.Add(false, []byte{3, 4, 3, 4, 200, 3})
+	f.Add(false, []byte{5, 6, 7, 8, 8, 9, 10, 11, 250, 12, 0, 0})
+	special := []uint64{0x7ff8000000000001, 0x7ff0000000000001, 0xfff8000000000000, 0x7fffffffffffffff,
+		0x8000000000000000, 0, 1, 0x800fffffffffffff, 0x7ff0000000000000, 0xfff0000000000000, 0x3ff0000000000000}
+	r := rand.New(rand.NewSource(53))
+	for _, n := range []int{9, 10, 17, 33, 64, 70} {
+		pal, raw := make([]byte, n), make([]byte, 8*n)
+		for i := range pal {
+			pal[i] = byte(r.Intn(256))
+			if r.Intn(2) == 0 {
+				pal[i] = byte(r.Intn(len(selectPalette)))
+			}
+			bits := r.Uint64()
+			if r.Intn(2) == 0 {
+				bits = special[r.Intn(len(special))]
+			}
+			binary.LittleEndian.PutUint64(raw[8*i:], bits)
+		}
+		f.Add(false, pal)
+		f.Add(true, raw)
+	}
+	f.Fuzz(func(t *testing.T, raw bool, b []byte) {
+		var xs []float64
+		if raw {
+			for b = b[:min(len(b), 8*300)]; len(b) >= 8; b = b[8:] {
+				xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+			}
+		} else {
+			for _, c := range b[:min(len(b), 300)] {
+				xs = append(xs, paletteValue(c, nil))
+			}
 		}
 		checkSelect(t, xs)
 	})
+}
+
+// finishSink keeps BenchmarkFinisher's results live.
+var finishSink float64
+
+// BenchmarkFinisher times one key's finish, the selection a median or a
+// percentile runs per split-local key in the Map (Finisher) and per key
+// in the Reduce (Apply): a median of 16, 64, 65 and 1 024 values and
+// percentile 90 of 64, over 1 024 vectors of N(15, 10) samples taken in
+// turn. Each op copies its vector into one work slice first (the copy is
+// timed with the finish), so every finish starts from unordered samples.
+// Allocations are reported; there are none.
+func BenchmarkFinisher(b *testing.B) {
+	for _, c := range []struct {
+		label, name string
+		p           float64
+		n           int
+	}{{"median", "median", 0, 16}, {"median", "median", 0, 64}, {"median", "median", 0, 65},
+		{"median", "median", 0, 1024}, {"p90", "percentile", 90, 64}} {
+		b.Run(fmt.Sprintf("%s/n=%d", c.label, c.n), func(b *testing.B) {
+			const vectors = 1024
+			op, _ := Lookup(c.name)
+			finish, _ := Finisher(op, c.p)
+			r := rand.New(rand.NewSource(1))
+			src := make([]float64, vectors*c.n)
+			for i := range src {
+				src[i] = 15 + 10*r.NormFloat64()
+			}
+			work := make([]float64, c.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := i % vectors
+				copy(work, src[v*c.n:(v+1)*c.n])
+				finishSink = finish(work)
+			}
+		})
+	}
 }
 
 // TestQuickDistributiveCombinerEquivalence: applying a distributive
